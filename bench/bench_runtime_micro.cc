@@ -83,7 +83,22 @@ double BenchEventLoopCancel() {
       loop.Cancel(token);
     }
   });
-  loop.RunUntilIdle();  // drain tombstones
+  loop.RunUntilIdle();  // drops the cancelled keys
+  return ns;
+}
+
+double BenchEventLoopCancelAfterRun() {
+  // The common timer pattern: the event fired, then its owner cancels the
+  // now-stale token. It must be a no-op that leaves nothing behind.
+  EventLoop loop;
+  std::vector<uint64_t> tokens;
+  for (int i = 0; i < 1024; ++i)
+    tokens.push_back(loop.ScheduleAfter(i, []() { g_sink++; }));
+  loop.RunUntilIdle();
+  double ns = NsPerOp(1024, [&loop, &tokens]() {
+    for (uint64_t token : tokens) loop.Cancel(token);
+  });
+  PIER_CHECK(loop.pending() == 0);
   return ns;
 }
 
@@ -253,6 +268,7 @@ int Run() {
   bench::Note("primitive costs (wall-clock; not part of the golden):");
   MicroRow("event loop schedule+run", BenchEventLoopScheduleRun());
   MicroRow("event loop cancel", BenchEventLoopCancel());
+  MicroRow("event loop cancel-after-run", BenchEventLoopCancelAfterRun());
   MicroRow("sim UDP roundtrip", BenchSimUdpRoundtrip());
   MicroRow("wire codec roundtrip", BenchWireCodec());
   MicroRow("tuple codec roundtrip", BenchTupleCodec());

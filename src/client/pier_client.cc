@@ -324,8 +324,9 @@ Status PierClient::Publish(const std::string& table, const Tuple& t,
     if (buf.timer == 0) {
       buf.timer = qp_->vri()->ScheduleEvent(publish_batch_delay_, [this,
                                                                    table]() {
-        // The timer has fired; zero the token so FlushTable does not cancel
-        // an already-executed event (the loop would remember it forever).
+        // The timer has fired, so its token is stale. Zero it so `timer`
+        // keeps meaning "armed"; FlushTable's cancel of a stale token would
+        // only be a no-op.
         auto bit = publish_buffers_.find(table);
         if (bit != publish_buffers_.end()) bit->second.timer = 0;
         (void)FlushTable(table);

@@ -85,9 +85,9 @@ void OverlayRouter::TransportSend(const NetAddress& to, std::string wire,
   }
   if (buf.timer == 0) {
     buf.timer = vri_->ScheduleEvent(options_.coalesce_window_us, [this, to]() {
-      // This timer just fired; zero the token so the flush does not cancel
-      // an already-executed event (which would pin it in the loop's
-      // cancelled set forever).
+      // This timer just fired, so its token is stale. Zero it so `timer`
+      // keeps meaning "armed"; the flush's cancel of a stale token would
+      // only be a no-op.
       auto bit = coalesce_.find(to);
       if (bit != coalesce_.end()) bit->second.timer = 0;
       FlushCoalesceBuffer(to);

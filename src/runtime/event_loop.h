@@ -5,14 +5,25 @@
 // loop is driven by the wall clock and an I/O thread posts network events
 // into it. Ties in event time are broken by insertion sequence, which is what
 // makes simulations deterministic.
+//
+// Layout: closures live in a recycled slot table; the heap orders only
+// 24-byte {when, seq, slot, gen} keys. Every reuse of a slot bumps its
+// generation, so a key or token whose generation no longer matches is stale.
+//
+// Token contract: ScheduleAt returns a nonzero token (callers may use 0 as
+// "no event") naming exactly one scheduled event.
+//   * Cancel(token) before the event runs destroys its closure immediately
+//     and the event never fires.
+//   * Cancel(token) after the event ran (including from inside its own
+//     callback) or after an earlier Cancel is a no-op and leaves nothing
+//     behind; a stale token never cancels a later event that reuses its slot.
+//   * pending() is the exact number of scheduled, uncancelled events.
 
 #ifndef PIER_RUNTIME_EVENT_LOOP_H_
 #define PIER_RUNTIME_EVENT_LOOP_H_
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/vri.h"
@@ -34,13 +45,13 @@ class EventLoop {
     return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(fn));
   }
 
-  /// Best-effort cancel; a no-op if the event already ran.
+  /// Cancel a pending event; a no-op if it already ran or was cancelled.
   void Cancel(uint64_t token);
 
   TimeUs now() const { return now_; }
 
-  bool empty() const { return queue_.size() == cancelled_.size(); }
-  size_t pending() const { return queue_.size() - cancelled_.size(); }
+  bool empty() const { return live_ == 0; }
+  size_t pending() const { return live_; }
   uint64_t events_executed() const { return events_executed_; }
 
   /// Time of the earliest pending event, or -1 if none.
@@ -57,19 +68,34 @@ class EventLoop {
   size_t RunUntilIdle(uint64_t max_events = UINT64_MAX);
 
  private:
-  struct Entry {
+  struct Key {
     TimeUs when;
     uint64_t seq;
-    std::function<void()> fn;
+    uint32_t slot;
+    uint32_t gen;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
+  struct Slot {
+    std::function<void()> fn;
+    uint32_t gen = 0;  // odd while the slot holds a pending event
+  };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<uint64_t> cancelled_;
+  bool Live(const Key& k) const { return slots_[k.slot].gen == k.gen; }
+  /// Pops cancelled keys off the top; true if a live event remains.
+  bool DropStale();
+  /// Pops the top key (which must be live) and runs its event.
+  void PopAndRun();
+  /// Frees `slot` for reuse and hands back its closure.
+  std::function<void()> Release(uint32_t slot);
+
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  size_t live_ = 0;
   TimeUs now_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t events_executed_ = 0;

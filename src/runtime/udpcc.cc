@@ -97,12 +97,8 @@ void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
   }
   TimeUs rto = std::min(options_.max_rto,
                         static_cast<TimeUs>(peer.rto << std::min(msg.retries, 6)));
-  peer.inflight[seq] = std::move(msg);
-  ArmTimer(dst, seq, rto);
-}
-
-void UdpCc::ArmTimer(const NetAddress& dst, uint64_t seq, TimeUs rto) {
-  auto& pending = Peer(dst).inflight[seq];
+  Pending& pending =
+      peer.inflight.insert_or_assign(seq, std::move(msg)).first->second;
   pending.timer_token =
       vri_->ScheduleEvent(rto, [this, dst, seq]() { OnTimeout(dst, seq); });
 }

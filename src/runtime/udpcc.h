@@ -13,8 +13,8 @@
 #define PIER_RUNTIME_UDPCC_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <set>
 #include <string>
@@ -98,7 +98,10 @@ class UdpCc : public UdpHandler {
     TimeUs rttvar = 0;
     TimeUs rto;
     std::map<uint64_t, Pending> inflight;
-    std::deque<Pending> queued;
+    // A list, not a deque: an empty std::list allocates nothing, while
+    // libstdc++'s std::deque allocates ~500 B on construction, and almost
+    // every peer's send queue is empty.
+    std::list<Pending> queued;
     // Receiver side dedup: all seqs <= contiguous_seen delivered, plus the
     // sparse set of higher seqs seen out of order.
     uint64_t contiguous_seen = 0;
@@ -107,7 +110,6 @@ class UdpCc : public UdpHandler {
 
   PeerState& Peer(const NetAddress& addr);
   void Transmit(const NetAddress& dst, PeerState& peer, Pending msg);
-  void ArmTimer(const NetAddress& dst, uint64_t seq, TimeUs rto);
   void OnAck(const NetAddress& src, uint64_t seq);
   void OnTimeout(NetAddress dst, uint64_t seq);
   void MaybeDrainQueue(const NetAddress& dst, PeerState& peer);

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 
 #include "runtime/event_loop.h"
 #include "runtime/sim_runtime.h"
@@ -76,6 +78,194 @@ TEST(EventLoop, PastEventsClampToNow) {
   loop.RunUntilIdle();
   EXPECT_TRUE(fired);
   EXPECT_EQ(loop.now(), 50) << "clock must never run backwards";
+}
+
+TEST(EventLoop, CancelAfterRunLeavesNothingPending) {
+  EventLoop loop;
+  uint64_t a = loop.ScheduleAt(5, [] {});
+  uint64_t b = loop.ScheduleAt(6, [] {});
+  EXPECT_NE(a, 0u);
+  EXPECT_NE(b, 0u);
+  loop.RunUntilIdle();
+  loop.Cancel(a);
+  loop.Cancel(b);
+  loop.Cancel(b);
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.NextEventTime(), -1);
+}
+
+TEST(EventLoop, StaleTokenCannotCancelReusedSlot) {
+  EventLoop loop;
+  uint64_t ran = loop.ScheduleAt(1, [] {});
+  loop.RunUntilIdle();
+  uint64_t cancelled = loop.ScheduleAt(2, [] {});
+  loop.Cancel(cancelled);
+  // Both freed slots are reused by these events; the old tokens must not
+  // reach them.
+  int fired = 0;
+  uint64_t c = loop.ScheduleAt(3, [&] { fired++; });
+  uint64_t d = loop.ScheduleAt(4, [&] { fired++; });
+  EXPECT_NE(c, ran);
+  EXPECT_NE(c, cancelled);
+  EXPECT_NE(d, ran);
+  EXPECT_NE(d, cancelled);
+  loop.Cancel(ran);
+  loop.Cancel(cancelled);
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.RunUntilIdle();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventLoop, CancelFreesCapturesImmediately) {
+  EventLoop loop;
+  auto payload = std::make_shared<int>(7);
+  uint64_t token = loop.ScheduleAt(1000, [payload] { (void)payload; });
+  EXPECT_EQ(payload.use_count(), 2);
+  loop.Cancel(token);
+  EXPECT_EQ(payload.use_count(), 1)
+      << "the closure must die at Cancel, not at its due time";
+  EXPECT_EQ(loop.RunUntilIdle(), 0u);
+
+  // A fired event's closure is gone once it has run, too.
+  loop.ScheduleAfter(1, [payload] { (void)payload; });
+  loop.RunUntilIdle();
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+// Mass cancellation makes the loop rebuild its heap without the cancelled
+// keys; the survivors must still fire in (when, seq) order.
+TEST(EventLoop, MassCancelKeepsSurvivorOrder) {
+  EventLoop loop;
+  Rng rng(77);
+  std::vector<std::pair<TimeUs, int>> expected;  // (when, schedule index)
+  std::vector<std::pair<TimeUs, int>> fired;
+  std::vector<uint64_t> tokens;
+  for (int i = 0; i < 20000; ++i) {
+    TimeUs when = rng.UniformRange(0, 1000);
+    tokens.push_back(loop.ScheduleAt(when, [&fired, when, i] {
+      fired.emplace_back(when, i);
+    }));
+    if (rng.Uniform(10) == 0) {
+      expected.emplace_back(when, i);
+    } else {
+      loop.Cancel(tokens.back());
+    }
+  }
+  EXPECT_EQ(loop.pending(), expected.size());
+  std::sort(expected.begin(), expected.end());
+  loop.RunUntilIdle();
+  EXPECT_EQ(fired, expected);
+  EXPECT_TRUE(loop.empty());
+}
+
+// Differential test: the loop against a (when, seq) reference model over a
+// seeded mix of schedules, cancels (top-level and from inside callbacks),
+// events scheduled from callbacks, RunOne and RunUntil.
+TEST(EventLoop, MatchesReferenceModelUnderRandomOps) {
+  constexpr uint64_t kSeed = 20240611;
+  // What event `id` does when it fires, identical for loop and model:
+  // maybe cancel some event (possibly itself, one that ran, or a later
+  // one), maybe schedule a child after `spawn_delay`.
+  struct Action {
+    int64_t cancel = -1;
+    int64_t spawn_delay = -1;
+  };
+  auto action_of = [](uint64_t id, uint64_t num_ids) {
+    uint64_t h = Mix64(kSeed ^ (id * 0x9e3779b97f4a7c15ull));
+    Action a;
+    if (h % 4 == 0) a.cancel = static_cast<int64_t>((h >> 8) % num_ids);
+    if ((h >> 4) % 8 == 0) a.spawn_delay = static_cast<int64_t>((h >> 32) % 20);
+    return a;
+  };
+
+  struct Real {
+    EventLoop loop;
+    std::vector<uint64_t> tokens;
+    std::vector<uint64_t> fired;
+  } real;
+  std::function<uint64_t(TimeUs)> real_schedule = [&](TimeUs when) {
+    uint64_t id = real.tokens.size();
+    real.tokens.push_back(0);
+    real.tokens[id] = real.loop.ScheduleAt(when, [&, id] {
+      real.fired.push_back(id);
+      Action a = action_of(id, real.tokens.size());
+      if (a.cancel >= 0) real.loop.Cancel(real.tokens[a.cancel]);
+      if (a.spawn_delay >= 0) real_schedule(real.loop.now() + a.spawn_delay);
+    });
+    return id;
+  };
+
+  struct Model {
+    TimeUs now = 0;
+    uint64_t next_seq = 0;
+    uint64_t num_ids = 0;
+    std::map<std::pair<TimeUs, uint64_t>, uint64_t> queue;  // -> id
+    std::map<uint64_t, std::pair<TimeUs, uint64_t>> pending;  // id -> key
+    std::vector<uint64_t> fired;
+  } model;
+  auto model_schedule = [&](TimeUs when) {
+    std::pair<TimeUs, uint64_t> key{std::max(when, model.now),
+                                    model.next_seq++};
+    uint64_t id = model.num_ids++;
+    model.queue.emplace(key, id);
+    model.pending.emplace(id, key);
+  };
+  auto model_cancel = [&](uint64_t id) {
+    auto it = model.pending.find(id);
+    if (it == model.pending.end()) return;
+    model.queue.erase(it->second);
+    model.pending.erase(it);
+  };
+  auto model_fire_first = [&] {
+    auto [key, id] = *model.queue.begin();
+    model.queue.erase(model.queue.begin());
+    model.pending.erase(id);
+    model.now = std::max(model.now, key.first);
+    model.fired.push_back(id);
+    Action a = action_of(id, model.num_ids);
+    if (a.cancel >= 0) model_cancel(static_cast<uint64_t>(a.cancel));
+    if (a.spawn_delay >= 0) model_schedule(model.now + a.spawn_delay);
+  };
+
+  Rng rng(kSeed);
+  for (int op = 0; op < 10000; ++op) {
+    uint64_t kind = rng.Uniform(10);
+    if (kind < 4) {
+      // Some times land in the past and clamp to now.
+      TimeUs when = real.loop.now() + rng.UniformRange(-10, 100);
+      real_schedule(when);
+      model_schedule(when);
+    } else if (kind < 6) {
+      uint64_t id = rng.Uniform(model.num_ids + 1);
+      if (id < real.tokens.size()) real.loop.Cancel(real.tokens[id]);
+      model_cancel(id);
+    } else if (kind < 8) {
+      bool ran = real.loop.RunOne();
+      ASSERT_EQ(ran, !model.queue.empty()) << "op " << op;
+      if (ran) model_fire_first();
+    } else {
+      TimeUs t = real.loop.now() + rng.UniformRange(0, 50);
+      size_t ran = real.loop.RunUntil(t);
+      size_t expect = 0;
+      while (!model.queue.empty() && model.queue.begin()->first.first <= t) {
+        model_fire_first();
+        ++expect;
+      }
+      model.now = std::max(model.now, t);
+      ASSERT_EQ(ran, expect) << "op " << op;
+    }
+    ASSERT_EQ(real.loop.now(), model.now) << "op " << op;
+    ASSERT_EQ(real.loop.pending(), model.queue.size()) << "op " << op;
+    ASSERT_EQ(real.loop.empty(), model.queue.empty()) << "op " << op;
+    ASSERT_EQ(real.loop.NextEventTime(),
+              model.queue.empty() ? -1 : model.queue.begin()->first.first)
+        << "op " << op;
+  }
+  EXPECT_EQ(real.fired, model.fired);
+  EXPECT_GT(real.fired.size(), 1000u);
+  real.loop.RunUntilIdle();
+  EXPECT_TRUE(real.loop.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -363,6 +553,67 @@ TEST(UdpCc, SenderNotifiedWhenPeerIsDead) {
   EXPECT_TRUE(called);
   EXPECT_FALSE(failure.ok()) << "reliable-or-notify contract (§3.1.3)";
   EXPECT_GT(a.stats().retransmits, 0u);
+}
+
+// 200 sends at the initial window of 4 park all but the first four in the
+// per-peer send queue, which must drain each message exactly once, FIFO.
+TEST(UdpCc, SendQueueDrainsInOrder) {
+  SimOptions opts;
+  opts.seed = 13;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc a(sim.vri(0), 5000);
+  UdpCc b(sim.vri(1), 5000);
+  std::vector<std::string> received;
+  b.set_message_handler([&](const NetAddress&, std::string_view p) {
+    received.emplace_back(p);
+  });
+  std::vector<std::string> sent;
+  int ok = 0, failed = 0;
+  for (int i = 0; i < 200; ++i) {
+    sent.push_back("m" + std::to_string(i));
+    a.Send(sim.AddressOf(1, 5000), sent.back(),
+           [&](const Status& s) { (s.ok() ? ok : failed)++; });
+  }
+  sim.RunFor(30 * kSecond);
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(ok, 200);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(a.stats().retransmits, 0u);
+  EXPECT_EQ(b.stats().duplicates_dropped, 0u);
+}
+
+// The receiver binds its port only after the first transmissions timed out:
+// the window collapses and backs off, and the queue still drains FIFO.
+TEST(UdpCc, SendQueueDrainsInOrderAfterTimeouts) {
+  SimOptions opts;
+  opts.seed = 14;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc a(sim.vri(0), 5000);
+  // Start off t=0: UdpCc reads first_sent == 0 as "never sent", so a
+  // retransmission of a t=0 send would count as a first send.
+  sim.RunFor(kMillisecond);
+  std::vector<std::string> sent;
+  int ok = 0, failed = 0;
+  for (int i = 0; i < 200; ++i) {
+    sent.push_back("m" + std::to_string(i));
+    a.Send(sim.AddressOf(1, 5000), sent.back(),
+           [&](const Status& s) { (s.ok() ? ok : failed)++; });
+  }
+  sim.RunFor(1500 * kMillisecond);
+  ASSERT_GT(a.stats().retransmits, 0u) << "first transmissions must time out";
+  ASSERT_EQ(ok + failed, 0);
+
+  UdpCc b(sim.vri(1), 5000);
+  std::vector<std::string> received;
+  b.set_message_handler([&](const NetAddress&, std::string_view p) {
+    received.emplace_back(p);
+  });
+  sim.RunFor(60 * kSecond);
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(ok, 200);
+  EXPECT_EQ(failed, 0);
 }
 
 TEST(SimHarness, ClockSkewBoundsHold) {
