@@ -78,6 +78,21 @@ void RegisterRouterMetrics(MetricsRegistry* reg, OverlayRouter* router) {
   reg->AddCounterFn("pier_router_lookups_failed_total", {},
                     [router] { return d(router->stats().lookups_failed); },
                     "Identifier lookups that failed");
+  reg->AddCounterFn("pier_router_lookup_cache_hits_total", {},
+                    [router] { return d(router->stats().lookup_cache_hits); },
+                    "Identifier lookups answered from the owner cache");
+  reg->AddCounterFn("pier_router_lookup_cache_evictions_total", {},
+                    [router] {
+                      return d(router->stats().lookup_cache_evictions);
+                    },
+                    "Owner cache entries dropped (failed delivery, hint, "
+                    "overlap or capacity)");
+  reg->AddCounterFn("pier_router_not_owner_hints_sent_total", {},
+                    [router] {
+                      return d(router->stats().not_owner_hints_sent);
+                    },
+                    "Not-owner hints sent to writers or readers with a stale "
+                    "owner cache");
   reg->AddCounterFn("pier_router_route_dead_ends_total", {},
                     [router] { return d(router->stats().route_dead_ends); },
                     "Routes dropped with no closer hop");

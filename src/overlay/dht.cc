@@ -159,22 +159,50 @@ void Dht::Put(const std::string& ns, const std::string& key, const std::string& 
                   std::move(done));
     return;
   }
-  Id target = name.routing_id();
-  // The complete kMsgPut frame is built exactly once, here; the lookup
-  // callback moves it straight down to the transport (no re-framing copy).
+  // The complete kMsgPut frame is built exactly once, here, and moved
+  // straight down to the transport; it is copied only when a cached owner
+  // may need it re-sent.
   WireWriter w = OverlayRouter::FrameMessage(kMsgPut);
   EncodeObjectTo(&w, name, lifetime, value);
-  router_->Lookup(target, [this, wire = std::move(w).data(),
-                           done = std::move(done)](
-                              const Result<NetAddress>& owner, Id) mutable {
+  auto wire = std::make_shared<std::string>(std::move(w).data());
+  SendToOwner(name.routing_id(), 0,
+              std::make_shared<const OwnerSend>(
+                  [this, wire](const OverlayRouter::Owner& owner, bool again,
+                               DoneCallback report) {
+                    router_->SendFramed(owner.address,
+                                        again ? *wire : std::move(*wire),
+                                        std::move(report));
+                  }),
+              std::move(done));
+}
+
+void Dht::SendToOwner(Id target, size_t want_succs,
+                      std::shared_ptr<const OwnerSend> send, DoneCallback done,
+                      bool may_retry) {
+  router_->Lookup(target, want_succs,
+                  [this, target, want_succs, send = std::move(send),
+                   done = std::move(done), may_retry](
+                      const Result<OverlayRouter::Owner>& owner) mutable {
     if (!owner.ok()) {
       if (done) done(owner.status());
       return;
     }
-    router_->SendFramed(owner.value(), std::move(wire),
-                        [done = std::move(done)](const Status& s) {
-                          if (done) done(s);
-                        });
+    if (!owner->cached || !may_retry) {
+      (*send)(*owner, false, std::move(done));
+      return;
+    }
+    (*send)(*owner, true,
+            [this, target, want_succs, send,
+             done = std::move(done)](const Status& s) mutable {
+              if (s.ok()) {
+                if (done) done(s);
+                return;
+              }
+              // The cached owner is unreachable. The failed delivery evicted
+              // its entry, so this resolve goes over the overlay.
+              SendToOwner(target, want_succs, std::move(send), std::move(done),
+                          false);
+            });
   });
 }
 
@@ -182,35 +210,26 @@ void Dht::PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
                         int replicas, DoneCallback done) {
   Id target = name.routing_id();
   TimeUs remaining = EffectiveLifetime(lifetime);
-  router_->LookupEx(
-      target, static_cast<size_t>(replicas - 1),
-      [this, name = std::move(name), value = std::move(value), remaining,
-       replicas, done = std::move(done)](
-          const Result<NetAddress>& owner, Id owner_id,
-          std::vector<NetAddress> succs) mutable {
-        if (!owner.ok()) {
-          if (done) done(owner.status());
-          return;
-        }
-        uint8_t k = static_cast<uint8_t>(replicas);
+  uint8_t k = static_cast<uint8_t>(replicas);
+  auto send = std::make_shared<const OwnerSend>(
+      [this, name = std::move(name), value = std::move(value), remaining, k](
+          const OverlayRouter::Owner& owner, bool, DoneCallback report) {
         // Primary copy at the owner: index 0, fires newData there exactly
         // like a plain put, and records the desired factor for repair.
         WireWriter w = ReplicationManager::FrameReplicate(
-            0, ReplicationManager::Origin::kWrite, owner_id, 1);
+            0, ReplicationManager::Origin::kWrite, owner.id, 1);
         ReplicationManager::EncodeReplicaObject(&w, name, remaining, 0, k,
                                                 value);
-        router_->SendFramed(owner.value(), std::move(w).data(),
-                            [done = std::move(done)](const Status& s) {
-                              if (done) done(s);
-                            });
+        router_->SendFramed(owner.address, std::move(w).data(),
+                            std::move(report));
         // Replica copies at the owner's first k-1 successors (best-effort;
         // the repair tick heals whatever these miss).
         uint8_t index = 1;
-        for (const NetAddress& succ : succs) {
+        for (const NetAddress& succ : owner.successors) {
           if (index >= k) break;
-          if (succ == owner.value() || succ.IsNull()) continue;
+          if (succ == owner.address || succ.IsNull()) continue;
           WireWriter rw = ReplicationManager::FrameReplicate(
-              index, ReplicationManager::Origin::kWrite, owner_id, 1);
+              index, ReplicationManager::Origin::kWrite, owner.id, 1);
           ReplicationManager::EncodeReplicaObject(&rw, name, remaining, 0, k,
                                                   value);
           router_->SendFramed(succ, std::move(rw).data(), nullptr);
@@ -218,6 +237,8 @@ void Dht::PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
           index++;
         }
       });
+  SendToOwner(target, static_cast<size_t>(replicas - 1), std::move(send),
+              std::move(done));
 }
 
 void Dht::PutBatch(std::vector<DhtPutItem> items, DoneCallback done) {
@@ -239,11 +260,15 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
     return;
   }
   stats_.puts += items.size();
+  ShipBatch(std::make_shared<std::vector<DhtPutItem>>(std::move(items)),
+            std::move(done), /*may_retry=*/true);
+}
 
+void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
+                    BatchCallback done, bool may_retry) {
   // Group the batch by routing id first — entries sharing a (ns, key) share
   // an owner and need only one Lookup between them; order inside each group
   // follows batch order.
-  auto batch = std::make_shared<std::vector<DhtPutItem>>(std::move(items));
   std::map<Id, std::vector<size_t>> by_id;
   for (size_t i = 0; i < batch->size(); ++i) {
     by_id[ObjectName{(*batch)[i].ns, (*batch)[i].key, (*batch)[i].suffix}
@@ -269,6 +294,7 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
     // successors, so the sets are per owner, not per key.
     std::map<NetAddress, std::vector<NetAddress>> succs_by_owner;
     std::map<NetAddress, Id> id_by_owner;
+    std::set<NetAddress> cached_owners;  // resolved from the owner cache
     std::vector<PutGroupStatus> groups;
     size_t pending_lookups = 0;
     size_t pending_sends = 0;
@@ -291,7 +317,7 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
   st->pending_lookups = by_id.size();
   st->done = std::move(done);
 
-  auto ship = [this, st, batch]() {
+  auto ship = [this, st, batch, may_retry]() {
     // All lookups resolved: one message per destination (chunked at the
     // frame cap the receiver enforces). All sends are registered before the
     // first one goes out, so a synchronously-failing send cannot complete
@@ -303,6 +329,7 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
       bool replica = false;  // replica copies: failure = degraded, not dropped
       NetAddress dest;
       std::string wire;
+      bool retry = false;  // a failed delivery is retried once
     };
     std::vector<Frame> frames;
     for (auto& [owner, indices] : owners) {
@@ -371,7 +398,8 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
             }
             repl_->NoteReplicaCopiesSent(rep_items.size());
             st->groups[group].replica_frames++;
-            frames.push_back(Frame{group, true, dest, std::move(rw).data()});
+            frames.push_back(
+                Frame{group, true, dest, std::move(rw).data(), false});
           }
         } else if (n == 1) {
           // Singleton group: the plain put frame, byte-identical to Put().
@@ -390,15 +418,44 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
           stats_.batched_puts += n;
           stats_.batch_msgs++;
         }
-        frames.push_back(Frame{group, false, owner, std::move(w).data()});
+        bool retry = may_retry && st->cached_owners.count(owner) > 0;
+        frames.push_back(
+            Frame{group, false, owner, std::move(w).data(), retry});
       }
     }
     st->pending_sends = frames.size();
     for (Frame& f : frames) {
       size_t group = f.group;
       bool replica = f.replica;
+      std::shared_ptr<std::vector<DhtPutItem>> retry_items =
+          f.retry ? batch : nullptr;
       router_->SendFramed(f.dest, std::move(f.wire),
-                          [st, group, replica](const Status& s) {
+                          [this, st, group, replica,
+                           retry_items](const Status& s) {
+        if (!s.ok() && retry_items) {
+          // The owner came from the owner cache and is gone (the failure
+          // evicted it): send this group's items again once, resolved over
+          // the overlay, and report their outcome as this group's.
+          auto again = std::make_shared<std::vector<DhtPutItem>>();
+          for (size_t idx : st->groups[group].indices)
+            again->push_back((*retry_items)[idx]);
+          ShipBatch(std::move(again),
+                    [st, group](const Status& first,
+                                std::vector<PutGroupStatus> sub) {
+                      PutGroupStatus& g = st->groups[group];
+                      g.status = first;
+                      for (const PutGroupStatus& sg : sub) {
+                        g.replica_frames += sg.replica_frames;
+                        g.replica_failures += sg.replica_failures;
+                      }
+                      if (!sub.empty()) g.owner = sub.front().owner;
+                      st->NoteError(first);
+                      st->pending_sends--;
+                      st->FinishIfIdle();
+                    },
+                    /*may_retry=*/false);
+          return;
+        }
         if (replica) {
           // A lost replica copy degrades the group; the data itself lives.
           if (!s.ok()) st->groups[group].replica_failures++;
@@ -415,16 +472,16 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
 
   size_t want_succs = static_cast<size_t>(max_k - 1);
   for (auto& [id, indices] : by_id) {
-    router_->LookupEx(
+    router_->Lookup(
         id, want_succs,
-        [st, ship, indices = indices](const Result<NetAddress>& owner,
-                                      Id owner_id,
-                                      std::vector<NetAddress> succs) {
+        [st, ship,
+         indices = indices](const Result<OverlayRouter::Owner>& owner) {
           if (owner.ok()) {
-            std::vector<size_t>& group = st->by_owner[owner.value()];
+            std::vector<size_t>& group = st->by_owner[owner->address];
             group.insert(group.end(), indices.begin(), indices.end());
-            st->succs_by_owner[owner.value()] = std::move(succs);
-            st->id_by_owner[owner.value()] = owner_id;
+            st->succs_by_owner[owner->address] = owner->successors;
+            st->id_by_owner[owner->address] = owner->id;
+            if (owner->cached) st->cached_owners.insert(owner->address);
           } else {
             // The whole group is undeliverable: no owner could be resolved.
             st->NoteError(owner.status());
@@ -473,57 +530,62 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
   pending_[op_id] = std::move(op);
 
   if (k <= 1) {
-    // Owner-only get: the classic wire exchange, byte-identical.
-    router_->Lookup(target, [this, op_id, ns, key](const Result<NetAddress>& owner, Id) {
-      auto it = pending_.find(op_id);
-      if (it == pending_.end()) return;
-      if (!owner.ok()) {
-        GetCallback cb2 = std::move(it->second.get_cb);
-        vri_->CancelEvent(it->second.timer);
-        pending_.erase(it);
-        cb2(owner.status(), {});
-        return;
-      }
-      WireWriter w;
-      w.PutU64(op_id);
-      w.PutU32(router_->local_address().host);
-      w.PutU16(router_->local_address().port);
-      w.PutBytes(ns);
-      w.PutBytes(key);
-      router_->SendDirect(owner.value(), kMsgGetReq, std::move(w).data(), nullptr);
-    });
+    // Owner-only get.
+    SendToOwner(target, 0,
+                std::make_shared<const OwnerSend>(
+                    [this, op_id, ns, key](const OverlayRouter::Owner& owner,
+                                           bool, DoneCallback report) {
+                      WireWriter w;
+                      w.PutU64(op_id);
+                      w.PutU32(router_->local_address().host);
+                      w.PutU16(router_->local_address().port);
+                      w.PutBytes(ns);
+                      w.PutBytes(key);
+                      router_->SendDirect(owner.address, kMsgGetReq,
+                                          std::move(w).data(),
+                                          std::move(report));
+                    }),
+                [this, op_id](const Status& s) {
+                  if (!s.ok()) FailOp(op_id, s);
+                });
     return;
   }
 
   // Read-any: resolve the owner AND its replica holders, then walk the
   // candidate list until one of them answers with data (or all come back
   // empty, which is an honest empty result).
-  router_->LookupEx(
+  router_->Lookup(
       target, static_cast<size_t>(k - 1),
-      [this, op_id, ns, key, k](const Result<NetAddress>& owner, Id owner_id,
-                                std::vector<NetAddress> succs) {
+      [this, op_id, ns, key, k](const Result<OverlayRouter::Owner>& owner) {
         auto it = pending_.find(op_id);
         if (it == pending_.end()) return;
         if (!owner.ok()) {
-          GetCallback cb2 = std::move(it->second.get_cb);
-          vri_->CancelEvent(it->second.timer);
-          pending_.erase(it);
-          cb2(owner.status(), {});
+          FailOp(op_id, owner.status());
           return;
         }
         PendingOp& op = it->second;
         op.ns = ns;
         op.key = key;
-        op.owner_id = owner_id;
+        op.owner_id = owner->id;
         op.replicas = k;
-        op.candidates.push_back(owner.value());
-        for (const NetAddress& s : succs) {
+        op.candidates.push_back(owner->address);
+        for (const NetAddress& s : owner->successors) {
           if (op.candidates.size() >= static_cast<size_t>(k)) break;
-          if (s.IsNull() || s == owner.value()) continue;
+          if (s.IsNull() || s == owner->address) continue;
           op.candidates.push_back(s);
         }
         SendGetAttempt(op_id);
       });
+}
+
+void Dht::FailOp(uint64_t op_id, const Status& status) {
+  auto it = pending_.find(op_id);
+  if (it == pending_.end()) return;
+  PendingOp op = std::move(it->second);
+  pending_.erase(it);
+  vri_->CancelEvent(op.timer);
+  if (op.get_cb) op.get_cb(status, {});
+  if (op.done_cb) op.done_cb(status);
 }
 
 void Dht::SendGetAttempt(uint64_t op_id) {
@@ -579,29 +641,27 @@ void Dht::Renew(const std::string& ns, const std::string& key,
   });
   pending_[op_id] = std::move(op);
 
-  router_->Lookup(
-      name.routing_id(),
-      [this, op_id, name, lifetime](const Result<NetAddress>& owner, Id) {
-        auto it = pending_.find(op_id);
-        if (it == pending_.end()) return;
-        if (!owner.ok()) {
-          DoneCallback cb2 = std::move(it->second.done_cb);
-          vri_->CancelEvent(it->second.timer);
-          pending_.erase(it);
-          if (cb2) cb2(owner.status());
-          return;
-        }
-        WireWriter w;
-        w.PutU64(op_id);
-        w.PutU32(router_->local_address().host);
-        w.PutU16(router_->local_address().port);
-        w.PutBytes(name.ns);
-        w.PutBytes(name.key);
-        w.PutBytes(name.suffix);
-        w.PutU64(static_cast<uint64_t>(EffectiveLifetime(lifetime)));
-        router_->SendDirect(owner.value(), kMsgRenewReq, std::move(w).data(),
-                            nullptr);
-      });
+  Id target = name.routing_id();
+  SendToOwner(target, 0,
+              std::make_shared<const OwnerSend>(
+                  [this, op_id, name = std::move(name), lifetime](
+                      const OverlayRouter::Owner& owner, bool,
+                      DoneCallback report) {
+                    WireWriter w;
+                    w.PutU64(op_id);
+                    w.PutU32(router_->local_address().host);
+                    w.PutU16(router_->local_address().port);
+                    w.PutBytes(name.ns);
+                    w.PutBytes(name.key);
+                    w.PutBytes(name.suffix);
+                    w.PutU64(
+                        static_cast<uint64_t>(EffectiveLifetime(lifetime)));
+                    router_->SendDirect(owner.address, kMsgRenewReq,
+                                        std::move(w).data(), std::move(report));
+                  }),
+              [this, op_id](const Status& s) {
+                if (!s.ok()) FailOp(op_id, s);
+              });
 }
 
 // ---------------------------------------------------------------------------
@@ -664,15 +724,14 @@ void Dht::HandleRoutedDelivery(const RouteInfo& info, std::string_view payload) 
 }
 
 void Dht::HandlePut(const NetAddress& from, std::string_view body) {
-  (void)from;
   WireReader r(body);
   WireObjectView v;
   if (!DecodeObjectFrom(&r, &v).ok()) return;
   StoreFromView(v);
+  (void)router_->HintIfNotOwner(from, RoutingId(v.ns, v.key));
 }
 
 void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
-  (void)from;
   WireReader r(body);
   uint64_t count;
   if (!r.GetVarint(&count).ok()) return;
@@ -685,12 +744,14 @@ void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
   // re-materialized callbacks.
   std::vector<WireObjectView> stored;
   stored.reserve(count);
+  bool hinted = false;  // one not-owner hint per frame is enough
   collecting_batch_ = true;
   for (uint64_t i = 0; i < count; ++i) {
     WireObjectView v;
     if (!DecodeObjectFrom(&r, &v).ok()) break;
     StoreFromView(v);
     stored.push_back(v);
+    if (!hinted) hinted = router_->HintIfNotOwner(from, RoutingId(v.ns, v.key));
   }
   collecting_batch_ = false;
   DispatchBatchNewData(stored);
@@ -734,7 +795,6 @@ void Dht::DispatchBatchNewData(const std::vector<WireObjectView>& stored) {
 }
 
 void Dht::HandleGetReq(const NetAddress& from, std::string_view body) {
-  (void)from;
   WireReader r(body);
   uint64_t op_id;
   uint32_t host;
@@ -743,6 +803,7 @@ void Dht::HandleGetReq(const NetAddress& from, std::string_view body) {
   if (!r.GetU64(&op_id).ok() || !r.GetU32(&host).ok() || !r.GetU16(&port).ok() ||
       !r.GetBytes(&ns).ok() || !r.GetBytes(&key).ok())
     return;
+  (void)router_->HintIfNotOwner(from, RoutingId(ns, key));
   auto items = objects_->Get(ns, key);
   WireWriter w;
   w.PutU64(op_id);
@@ -777,7 +838,6 @@ void Dht::HandleGetResp(const NetAddress& from, std::string_view body) {
 }
 
 void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
-  (void)from;
   WireReader r(body);
   uint64_t op_id;
   uint32_t host;
@@ -787,6 +847,8 @@ void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
   if (!r.GetU64(&op_id).ok() || !r.GetU32(&host).ok() || !r.GetU16(&port).ok() ||
       !r.GetBytes(&ns).ok() || !r.GetBytes(&key).ok() || !r.GetU8(&attempt).ok())
     return;
+  // Only the first attempt is aimed at the owner; later ones go to replicas.
+  if (attempt == 0) (void)router_->HintIfNotOwner(from, RoutingId(ns, key));
   // Replica copies answer too — that is the read-any contract. Remaining
   // lifetimes ride along so the requester can read-repair the owner without
   // extending anything past its origin-stamped expiry.

@@ -7,16 +7,18 @@
 //   intra-node:  LocalScan (handleLScan), OnNewData (newData/handleNewData),
 //                RegisterUpcall (upcall/handleUpcall)
 //
-// put and renew are two-phase: a lookup resolves the identifier-to-address
-// mapping, then a direct point-to-point message performs the operation. send
-// routes the object through the overlay in a single call, giving every node
-// on the path an upcall (Figure 6).
+// get, put and renew resolve the identifier-to-address mapping, then a direct
+// point-to-point message performs the operation (Figure 6). A cold resolve is
+// a routed lookup; once the router's owner cache covers the id, it costs no
+// message, so a warm put is one direct send. send routes the object through
+// the overlay in a single call, giving every node on the path an upcall.
 
 #ifndef PIER_OVERLAY_DHT_H_
 #define PIER_OVERLAY_DHT_H_
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -95,8 +97,9 @@ class Dht {
   void Get(const std::string& ns, const std::string& key, GetCallback cb,
            int replicas);
 
-  /// put(namespace, key, suffix, object, lifetime): two-phase store at the
-  /// responsible node. The payload is moved down the wire path unchanged —
+  /// put(namespace, key, suffix, object, lifetime): store at the responsible
+  /// node (resolve, then one direct message). The payload is moved down the
+  /// wire path unchanged (copied only while a cached owner may need a resend) —
   /// pass an rvalue (std::move an owned buffer or hand over a temporary).
   /// `replicas` > 1 additionally places copies at the owner's first
   /// replicas-1 successors (0 = the configured default factor). `done`
@@ -318,9 +321,30 @@ class Dht {
   /// Resolve a per-call replica count (0 = default) against the configured
   /// factor and the protocol's capacity.
   int EffectiveReplicas(int replicas) const;
-  /// Replicated write path shared by Put and PutBatch's replicated groups.
+  /// Replicated write path of Put.
   void PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
                      int replicas, DoneCallback done);
+  /// Group, resolve and send a batch. `may_retry`: a group whose cached
+  /// owner is unreachable is retried once (as a batch of its own that may
+  /// not retry again).
+  void ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
+                 BatchCallback done, bool may_retry);
+  /// Sends one operation's message to a resolved owner, handing `report` to
+  /// the router as the delivery callback. `again` is set when a failed
+  /// delivery will call this once more, so a buffer the call consumes must
+  /// be copied rather than moved.
+  using OwnerSend = std::function<void(const OverlayRouter::Owner& owner,
+                                       bool again, DoneCallback report)>;
+  /// Resolve `target` with `want_succs` successors and run `send` against
+  /// the owner. If the owner came from the owner cache and the delivery
+  /// fails, the failure has evicted the entry, and the step runs once more
+  /// through a routed lookup. `done` gets the lookup failure or the final
+  /// delivery report.
+  void SendToOwner(Id target, size_t want_succs,
+                   std::shared_ptr<const OwnerSend> send, DoneCallback done,
+                   bool may_retry = true);
+  /// Finish a pending get or renew with `status`.
+  void FailOp(uint64_t op_id, const Status& status);
   /// Issue (or re-issue) the read-any get to the current candidate.
   void SendGetAttempt(uint64_t op_id);
   /// Current candidate failed or came back empty: advance or finish.

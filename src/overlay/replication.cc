@@ -66,7 +66,6 @@ void ReplicationManager::EncodeReplicaObject(WireWriter* w,
 
 void ReplicationManager::HandleReplicate(const NetAddress& from,
                                          std::string_view body) {
-  (void)from;
   WireReader r(body);
   uint8_t replica_index, origin;
   uint64_t owner_id, count;
@@ -74,6 +73,10 @@ void ReplicationManager::HandleReplicate(const NetAddress& from,
       !r.GetU64(&owner_id).ok() || !r.GetVarint(&count).ok())
     return;
   if (count > options_.max_objects_per_frame) return;  // malformed: drop
+  // A writer's primary copy should reach the owner; one not-owner hint per
+  // frame corrects a stale owner cache at the writer.
+  bool hinted = !(replica_index == 0 &&
+                  static_cast<Origin>(origin) == Origin::kWrite);
   for (uint64_t i = 0; i < count; ++i) {
     std::string_view ns, key, suffix, value;
     uint64_t remaining, age;
@@ -95,6 +98,7 @@ void ReplicationManager::HandleReplicate(const NetAddress& from,
     }
     if (static_cast<Origin>(origin) == Origin::kHandoffPull)
       stats_.handoff_pulls++;
+    if (!hinted) hinted = router_->HintIfNotOwner(from, RoutingId(ns, key));
   }
 }
 

@@ -19,6 +19,10 @@ OverlayRouter::OverlayRouter(Vri* vri, Options options)
       [this](const NetAddress& from, std::string_view payload) {
         HandleMessage(from, payload);
       });
+  // Every failed delivery through this router (direct, framed, routed or
+  // protocol traffic) drops the cache entries that name the peer.
+  transport_->set_failure_handler(
+      [this](const NetAddress& peer) { EvictPeer(peer); });
   protocol_ = MakeRoutingProtocol(options_.protocol, this);
 }
 
@@ -197,7 +201,7 @@ void OverlayRouter::Deliver(const RouteInfo& info, std::string_view payload) {
   // them here instead of surfacing them to the query processor.
   if (info.ns == "\x01lookup") {
     if (!payload.empty() && static_cast<uint8_t>(payload[0]) == kMsgLookupReq) {
-      HandleLookupReq(info.origin, payload.substr(1));
+      HandleLookupReq(info.target, payload.substr(1));
     }
     return;
   }
@@ -219,11 +223,11 @@ void OverlayRouter::HandleMessage(const NetAddress& from, std::string_view paylo
     case kMsgBundle:
       HandleBundle(from, body);
       return;
-    case kMsgLookupReq:
-      HandleLookupReq(from, body);
-      return;
     case kMsgLookupResp:
       HandleLookupResp(body);
+      return;
+    case kMsgNotOwner:
+      HandleNotOwner(from, body);
       return;
     default: {
       auto it = direct_handlers_.find(type);
@@ -289,77 +293,64 @@ void OverlayRouter::HandleRoute(const NetAddress& from, std::string_view body) {
   ForwardRoute(std::move(info), std::move(payload), 0);
 }
 
-void OverlayRouter::Lookup(Id target, LookupCallback cb) {
-  LookupEx(target, 0,
-           [cb = std::move(cb)](const Result<NetAddress>& owner, Id owner_id,
-                                std::vector<NetAddress>) { cb(owner, owner_id); });
-}
-
-void OverlayRouter::LookupEx(Id target, size_t want_succs, LookupExCallback cb) {
+void OverlayRouter::Lookup(Id target, size_t want_succs, LookupCallback cb) {
   stats_.lookups_started++;
+  // Local short-circuit: we may already be the owner.
+  if (protocol_->IsOwner(target) || protocol_->NextHop(target).IsNull()) {
+    stats_.lookups_ok++;
+    cb(Owner{local_address_, local_id_, protocol_->SuccessorSet(want_succs),
+             false});
+    return;
+  }
+  auto hit = FindCachedOwner(target);
+  if (hit != owner_cache_.end() &&
+      hit->second.successors.size() >= want_succs) {
+    stats_.lookups_ok++;
+    stats_.lookup_cache_hits++;
+    const std::vector<NetAddress>& succs = hit->second.successors;
+    cb(Owner{hit->second.address, hit->first,
+             std::vector<NetAddress>(succs.begin(), succs.begin() + want_succs),
+             true});
+    return;
+  }
+
   uint64_t lookup_id = next_lookup_id_++;
   PendingLookup pending;
   pending.cb = std::move(cb);
   pending.timer = vri_->ScheduleEvent(options_.lookup_timeout, [this, lookup_id]() {
     auto it = pending_lookups_.find(lookup_id);
     if (it == pending_lookups_.end()) return;
-    LookupExCallback cb = std::move(it->second.cb);
+    LookupCallback cb = std::move(it->second.cb);
     pending_lookups_.erase(it);
     stats_.lookups_failed++;
-    cb(Status::TimedOut("lookup timed out"), 0, {});
+    cb(Status::TimedOut("lookup timed out"));
   });
   pending_lookups_[lookup_id] = std::move(pending);
 
+  // Lookups ride the routed channel in a reserved namespace with no upcalls;
+  // Deliver intercepts the request at the owner, which answers directly.
   WireWriter w;
+  w.PutU8(kMsgLookupReq);
   w.PutU64(lookup_id);
   w.PutU32(local_address_.host);
   w.PutU16(local_address_.port);
   w.PutU8(static_cast<uint8_t>(std::min<size_t>(want_succs, 255)));
-  // Lookups ride the routed channel in a reserved namespace with no upcalls.
   RouteInfo info;
   info.target = target;
   info.ns = "\x01lookup";
   info.origin = local_address_;
-  std::string payload = std::move(w).data();
-
-  // Local short-circuit: we may already be the owner.
-  if (protocol_->IsOwner(info.target) || protocol_->NextHop(info.target).IsNull()) {
-    auto it = pending_lookups_.find(lookup_id);
-    if (it != pending_lookups_.end()) {
-      LookupExCallback cb2 = std::move(it->second.cb);
-      vri_->CancelEvent(it->second.timer);
-      pending_lookups_.erase(it);
-      stats_.lookups_ok++;
-      cb2(local_address_, local_id_, protocol_->SuccessorSet(want_succs));
-    }
-    return;
-  }
-
-  // Wrap as a lookup request message and route it.
-  WireWriter route;
-  route.PutU8(kMsgLookupReq);
-  route.PutRaw(payload);
-  // Reuse routed forwarding by marking the message type as lookup-req: the
-  // owner answers directly to the requester.
-  RouteInfo li = info;
-  std::string body = std::move(route).data();
-  // Encode as a normal routed message whose payload is the lookup request;
-  // delivery is intercepted in Deliver via the reserved namespace.
-  ForwardRoute(std::move(li), std::move(body), 0);
+  ForwardRoute(std::move(info), std::move(w).data(), 0);
 }
 
-void OverlayRouter::HandleLookupReq(const NetAddress& from, std::string_view body) {
-  (void)from;
+void OverlayRouter::HandleLookupReq(Id target, std::string_view body) {
   WireReader r(body);
   uint64_t lookup_id;
   uint32_t host;
   uint16_t port;
-  if (!r.GetU64(&lookup_id).ok() || !r.GetU32(&host).ok() || !r.GetU16(&port).ok())
+  uint8_t want_succs;
+  if (!r.GetU64(&lookup_id).ok() || !r.GetU32(&host).ok() ||
+      !r.GetU16(&port).ok() || !r.GetU8(&want_succs).ok())
     return;
-  // Requests older than the successor-set extension end here; treat a
-  // missing count as "owner only".
-  uint8_t want_succs = 0;
-  (void)r.GetU8(&want_succs).ok();
   WireWriter w;
   w.PutU8(kMsgLookupResp);
   w.PutU64(lookup_id);
@@ -372,34 +363,123 @@ void OverlayRouter::HandleLookupReq(const NetAddress& from, std::string_view bod
     w.PutU32(s.host);
     w.PutU16(s.port);
   }
+  // The range (lower, self] goes along only when it is known and holds the
+  // target: a de-facto root answering for an id it does not own must not be
+  // cached as that id's owner.
+  Id lower = 0;
+  bool has_range =
+      protocol_->IsOwner(target) && protocol_->PredecessorId(&lower);
+  w.PutU8(has_range ? 1 : 0);
+  w.PutU64(has_range ? lower : 0);
   TransportSend(NetAddress{host, port}, std::move(w).data(), nullptr);
 }
 
 void OverlayRouter::HandleLookupResp(std::string_view body) {
   WireReader r(body);
-  uint64_t lookup_id, owner_id;
-  uint32_t host;
-  uint16_t port;
-  if (!r.GetU64(&lookup_id).ok() || !r.GetU64(&owner_id).ok() ||
-      !r.GetU32(&host).ok() || !r.GetU16(&port).ok())
+  uint64_t lookup_id;
+  Owner owner;
+  uint8_t count, has_range;
+  Id lower;
+  if (!r.GetU64(&lookup_id).ok() || !r.GetU64(&owner.id).ok() ||
+      !r.GetU32(&owner.address.host).ok() ||
+      !r.GetU16(&owner.address.port).ok() || !r.GetU8(&count).ok())
     return;
-  std::vector<NetAddress> succs;
-  uint8_t count = 0;
-  if (r.GetU8(&count).ok()) {
-    for (uint8_t i = 0; i < count; ++i) {
-      uint32_t sh;
-      uint16_t sp;
-      if (!r.GetU32(&sh).ok() || !r.GetU16(&sp).ok()) break;
-      succs.push_back(NetAddress{sh, sp});
-    }
+  for (uint8_t i = 0; i < count; ++i) {
+    NetAddress s;
+    if (!r.GetU32(&s.host).ok() || !r.GetU16(&s.port).ok()) return;
+    owner.successors.push_back(s);
   }
+  if (!r.GetU8(&has_range).ok() || !r.GetU64(&lower).ok()) return;
+  if (has_range) CacheOwner(owner.id, lower, owner.address, owner.successors);
   auto it = pending_lookups_.find(lookup_id);
   if (it == pending_lookups_.end()) return;  // timed out already
-  LookupExCallback cb = std::move(it->second.cb);
+  LookupCallback cb = std::move(it->second.cb);
   vri_->CancelEvent(it->second.timer);
   pending_lookups_.erase(it);
   stats_.lookups_ok++;
-  cb(NetAddress{host, port}, owner_id, std::move(succs));
+  cb(std::move(owner));
+}
+
+// ---------------------------------------------------------------------------
+// Owner cache
+// ---------------------------------------------------------------------------
+
+std::map<Id, OverlayRouter::CachedOwner>::iterator
+OverlayRouter::FindCachedOwner(Id target) {
+  if (owner_cache_.empty()) return owner_cache_.end();
+  auto it = owner_cache_.lower_bound(target);
+  if (it == owner_cache_.end()) it = owner_cache_.begin();  // wrap past id 0
+  return InOpenClosed(it->second.lower, it->first, target) ? it
+                                                           : owner_cache_.end();
+}
+
+void OverlayRouter::CacheOwner(Id owner_id, Id lower, const NetAddress& address,
+                               std::vector<NetAddress> successors) {
+  if (address == local_address_) return;
+  // An entry whose owner id lies inside the new range is stale: that node no
+  // longer owns the ids up to its own.
+  for (auto it = owner_cache_.upper_bound(lower); !owner_cache_.empty();) {
+    if (it == owner_cache_.end()) it = owner_cache_.begin();
+    if (!InOpenOpen(lower, owner_id, it->first)) break;
+    it = owner_cache_.erase(it);
+    stats_.lookup_cache_evictions++;
+  }
+  auto it = owner_cache_.insert_or_assign(
+      owner_id, CachedOwner{lower, address, std::move(successors)}).first;
+  if (owner_cache_.size() > kOwnerCacheCapacity) {
+    // Drop the new entry's ring neighbour: owner ids are uniform hashes, so
+    // this is random replacement without a random source.
+    auto victim = std::next(it);
+    if (victim == owner_cache_.end()) victim = owner_cache_.begin();
+    owner_cache_.erase(victim);
+    stats_.lookup_cache_evictions++;
+  }
+}
+
+void OverlayRouter::EvictPeer(const NetAddress& peer) {
+  for (auto it = owner_cache_.begin(); it != owner_cache_.end();) {
+    const CachedOwner& e = it->second;
+    if (e.address == peer ||
+        std::find(e.successors.begin(), e.successors.end(), peer) !=
+            e.successors.end()) {
+      it = owner_cache_.erase(it);
+      stats_.lookup_cache_evictions++;
+    } else {
+      ++it;
+    }
+  }
+}
+
+bool OverlayRouter::HintIfNotOwner(const NetAddress& from, Id target) {
+  if (from == local_address_ || protocol_->IsOwner(target)) return false;
+  Id lower = 0;
+  bool has_range = protocol_->PredecessorId(&lower);
+  WireWriter w;
+  w.PutU8(kMsgNotOwner);
+  w.PutU64(local_id_);
+  w.PutU8(has_range ? 1 : 0);
+  w.PutU64(has_range ? lower : 0);
+  TransportSend(from, std::move(w).data(), nullptr);
+  stats_.not_owner_hints_sent++;
+  return true;
+}
+
+void OverlayRouter::HandleNotOwner(const NetAddress& from,
+                                   std::string_view body) {
+  WireReader r(body);
+  Id owner_id, lower;
+  uint8_t has_range;
+  if (!r.GetU64(&owner_id).ok() || !r.GetU8(&has_range).ok() ||
+      !r.GetU64(&lower).ok())
+    return;
+  auto it = owner_cache_.find(owner_id);
+  if (it == owner_cache_.end() || it->second.address != from) return;
+  if (has_range) {
+    it->second.lower = lower;  // the sender's range shrank: a node joined
+  } else {
+    owner_cache_.erase(it);
+    stats_.lookup_cache_evictions++;
+  }
 }
 
 }  // namespace pier

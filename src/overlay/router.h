@@ -6,8 +6,11 @@
 //     identifier, invoking per-namespace upcall handlers at each intermediate
 //     node (the mechanism behind PIER's distribution trees, hierarchical
 //     aggregation, and hierarchical joins, §3.3.6);
-//   * Lookup(): resolve an identifier to its owner's address — the first
-//     phase of the DHT's two-phase put/get (Figure 6);
+//   * Lookup(): resolve an identifier to its owner's address (and the owner's
+//     successors). The owner answers a routed lookup with its range, which
+//     the requester keeps in a bounded owner cache; a warm lookup is answered
+//     from that cache, so the DHT's put/get becomes one direct message
+//     instead of the two phases of Figure 6 (see README.md, "Owner cache");
 //   * a direct-message extension point used by the object-storage layer.
 
 #ifndef PIER_OVERLAY_ROUTER_H_
@@ -95,22 +98,37 @@ class OverlayRouter : public ProtocolHost {
   /// Route `payload` toward the owner of `target` with upcalls en route.
   void Route(const std::string& ns, Id target, std::string payload);
 
-  // --- Owner lookup (Figure 6, phase one) -----------------------------------
+  // --- Owner lookup ----------------------------------------------------------
 
-  using LookupCallback =
-      std::function<void(const Result<NetAddress>& owner, Id owner_id)>;
+  /// A resolved owner.
+  struct Owner {
+    NetAddress address;
+    Id id = 0;
+    /// Up to `want_succs` of the OWNER's successors: the nodes that hold its
+    /// replicas under successor-set replication.
+    std::vector<NetAddress> successors;
+    /// Answered from the owner cache rather than by the overlay. A cached
+    /// owner may have died since; callers re-resolve once if it is
+    /// unreachable (the failed delivery has already evicted the entry).
+    bool cached = false;
+  };
+  using LookupCallback = std::function<void(const Result<Owner>& owner)>;
 
-  void Lookup(Id target, LookupCallback cb);
+  /// Resolve `target` to its owner plus `want_succs` of the owner's
+  /// successors. Answered synchronously when this node owns `target` or the
+  /// owner cache covers it with enough successors; otherwise a lookup is
+  /// routed to the owner, which replies directly.
+  void Lookup(Id target, size_t want_succs, LookupCallback cb);
 
-  /// Extended lookup for replica placement: besides the owner, the response
-  /// carries up to `want_succs` of the OWNER's successors (the nodes that
-  /// hold its replicas under successor-set replication). `want_succs = 0`
-  /// degenerates to the plain lookup.
-  using LookupExCallback = std::function<void(
-      const Result<NetAddress>& owner, Id owner_id,
-      std::vector<NetAddress> successors)>;
+  /// Most owner ranges a node caches.
+  static constexpr size_t kOwnerCacheCapacity = 1024;
+  size_t owner_cache_size() const { return owner_cache_.size(); }
 
-  void LookupEx(Id target, size_t want_succs, LookupExCallback cb);
+  /// Called by the storage layer when `from` sent this node a primary write
+  /// or a get for `target`. If this node does not own `target`, `from`'s
+  /// owner cache is stale: send it a not-owner hint carrying this node's
+  /// current range. Returns true if a hint was sent.
+  bool HintIfNotOwner(const NetAddress& from, Id target);
 
   // --- Direct typed messages (object-layer extension point) -----------------
 
@@ -151,9 +169,12 @@ class OverlayRouter : public ProtocolHost {
     uint64_t routed_forwarded = 0;
     uint64_t routed_delivered = 0;
     uint64_t upcall_drops = 0;
-    uint64_t lookups_started = 0;
+    uint64_t lookups_started = 0;  // every resolve, cached or not
     uint64_t lookups_ok = 0;
     uint64_t lookups_failed = 0;
+    uint64_t lookup_cache_hits = 0;       // resolves served from the cache
+    uint64_t lookup_cache_evictions = 0;  // cache entries dropped
+    uint64_t not_owner_hints_sent = 0;
     uint64_t route_dead_ends = 0;
     uint64_t coalesced_msgs = 0;  // messages that rode a multi-message bundle
     uint64_t bundles_sent = 0;    // bundle frames actually transmitted
@@ -175,12 +196,14 @@ class OverlayRouter : public ProtocolHost {
   static constexpr uint8_t kMsgLookupReq = 3;
   static constexpr uint8_t kMsgLookupResp = 4;
   static constexpr uint8_t kMsgBundle = 5;  // coalesced frame of N messages
+  static constexpr uint8_t kMsgNotOwner = 6;
 
   void HandleMessage(const NetAddress& from, std::string_view payload);
   void HandleRoute(const NetAddress& from, std::string_view body);
   void HandleBundle(const NetAddress& from, std::string_view body);
-  void HandleLookupReq(const NetAddress& from, std::string_view body);
+  void HandleLookupReq(Id target, std::string_view body);
   void HandleLookupResp(std::string_view body);
+  void HandleNotOwner(const NetAddress& from, std::string_view body);
   void ForwardRoute(RouteInfo info, std::string payload, int attempts);
   void Deliver(const RouteInfo& info, std::string_view payload);
   std::string EncodeRoute(const RouteInfo& info, std::string_view payload);
@@ -201,11 +224,26 @@ class OverlayRouter : public ProtocolHost {
   std::map<uint8_t, DirectHandler> direct_handlers_;
 
   struct PendingLookup {
-    LookupExCallback cb;
+    LookupCallback cb;
     uint64_t timer = 0;
   };
   std::unordered_map<uint64_t, PendingLookup> pending_lookups_;
   uint64_t next_lookup_id_ = 1;
+
+  /// Owner cache: the owner of the ids in (lower, owner id], keyed by owner
+  /// id, so the entry covering a target is the first at or after it.
+  struct CachedOwner {
+    Id lower = 0;
+    NetAddress address;
+    std::vector<NetAddress> successors;
+  };
+  std::map<Id, CachedOwner> owner_cache_;
+  /// The entry whose range holds `target`, or end().
+  std::map<Id, CachedOwner>::iterator FindCachedOwner(Id target);
+  void CacheOwner(Id owner_id, Id lower, const NetAddress& address,
+                  std::vector<NetAddress> successors);
+  /// A delivery to `peer` failed: drop every entry naming it.
+  void EvictPeer(const NetAddress& peer);
 
   /// One destination's coalescing buffer: messages waiting for the window
   /// timer (or the byte cap) to flush them as one bundle.

@@ -244,7 +244,8 @@ class NewDataOp : public Operator {
 /// put[ns=<name>, key=<attrs>, mode=put|send]: the distributed Exchange.
 /// Each tuple is published into the DHT partitioned by its key attributes;
 /// mode=send routes hop-by-hop (enabling upcall-based in-network processing),
-/// mode=put uses the two-phase lookup + direct store (Figure 6).
+/// mode=put resolves the owner (from the router's owner cache once warm) and
+/// stores there with one direct message (Figure 6).
 class PutOp : public Operator {
  public:
   using Operator::Operator;

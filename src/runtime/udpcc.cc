@@ -47,6 +47,7 @@ void UdpCc::ForgetPeer(const NetAddress& peer_addr) {
   auto it = peers_.find(peer_addr);
   if (it == peers_.end()) return;
   PeerState& peer = it->second;
+  if (failure_handler_) failure_handler_(peer_addr);
   for (auto& [seq, pending] : peer.inflight) {
     (void)seq;
     if (pending.timer_token != 0) vri_->CancelEvent(pending.timer_token);
@@ -80,7 +81,7 @@ void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
   w.PutU64(msg.seq);
   w.PutRaw(msg.payload);
   TimeUs now = vri_->Now();
-  if (msg.first_sent == 0) {
+  if (msg.retries == 0) {
     msg.first_sent = now;
     stats_.msgs_sent++;
     stats_.bytes_sent += msg.payload.size();
@@ -91,6 +92,7 @@ void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
   uint64_t seq = msg.seq;
   Status s = vri_->UdpSend(port_, dst, std::move(w).data());
   if (!s.ok()) {
+    if (failure_handler_) failure_handler_(dst);
     if (msg.on_delivery) msg.on_delivery(s);
     stats_.msgs_failed++;
     return;
@@ -205,6 +207,7 @@ void UdpCc::OnTimeout(NetAddress dst, uint64_t seq) {
   pending.retries++;
   if (pending.retries > options_.max_retries) {
     stats_.msgs_failed++;
+    if (failure_handler_) failure_handler_(dst);
     if (pending.on_delivery)
       pending.on_delivery(Status::Unavailable("udpcc: delivery failed"));
     auto pit2 = peers_.find(dst);

@@ -64,6 +64,14 @@ class UdpCc : public UdpHandler {
 
   void set_message_handler(MessageHandler handler) { handler_ = std::move(handler); }
 
+  /// Called with the destination whenever messages to it are given up
+  /// (retries exhausted, a send error, ForgetPeer), before their own
+  /// delivery reports run.
+  using FailureHandler = std::function<void(const NetAddress& destination)>;
+  void set_failure_handler(FailureHandler handler) {
+    failure_handler_ = std::move(handler);
+  }
+
   /// Reliably send `payload` to `destination` (a UdpCc on the same port
   /// number scheme). `on_delivery` may be null.
   void Send(const NetAddress& destination, std::string payload,
@@ -119,6 +127,7 @@ class UdpCc : public UdpHandler {
   uint16_t port_;
   Options options_;
   MessageHandler handler_;
+  FailureHandler failure_handler_;
   Stats stats_;
   std::unordered_map<NetAddress, PeerState, NetAddressHash> peers_;
 };

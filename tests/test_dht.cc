@@ -1,9 +1,12 @@
 // DHT batching and wire-path tests: PutBatch grouping/ordering/fallback
-// semantics, the byte-identical-when-unbatched guard, and router send
-// coalescing.
+// semantics, the byte-identical-when-unbatched guard, router send
+// coalescing, and the router's owner cache (warm puts skip the routed
+// lookup; joins, deaths and the capacity bound keep it correct).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "overlay/dht.h"
@@ -33,11 +36,12 @@ DhtPutItem Item(const std::string& ns, const std::string& key,
   return item;
 }
 
-/// The owner index of (ns, key) under the current routing state.
+/// The live owner index of (ns, key) under the current routing state.
 int OwnerOf(SimOverlay* net, const std::string& ns, const std::string& key) {
   Id target = RoutingId(ns, key);
   for (uint32_t i = 0; i < net->size(); ++i) {
-    if (net->dht(i)->router()->protocol()->IsOwner(target))
+    if (net->harness()->IsAlive(i) &&
+        net->dht(i)->router()->protocol()->IsOwner(target))
       return static_cast<int>(i);
   }
   return -1;
@@ -259,6 +263,264 @@ TEST(DhtCoalesce, DisabledByDefault) {
     EXPECT_EQ(net.dht(i)->router()->stats().coalesced_msgs, 0u);
     EXPECT_EQ(net.dht(i)->router()->stats().bundles_sent, 0u);
   }
+}
+
+// --- Owner cache ------------------------------------------------------------
+
+/// Routed messages seen anywhere on the ring: a lookup is routed, a warm put
+/// is not.
+uint64_t RoutedTraffic(SimOverlay* net) {
+  uint64_t n = 0;
+  for (uint32_t i = 0; i < net->size(); ++i) {
+    if (!net->harness()->IsAlive(i)) continue;
+    const OverlayRouter::Stats& s = net->dht(i)->router()->stats();
+    n += s.routed_forwarded + s.routed_delivered;
+  }
+  return n;
+}
+
+/// Does node `i` store an object (ns, key, suffix)?
+bool Holds(SimOverlay* net, uint32_t i, const std::string& ns,
+           const std::string& key, const std::string& suffix) {
+  for (const ObjectManager::Object* o : net->dht(i)->objects()->Get(ns, key))
+    if (o->name.suffix == suffix) return true;
+  return false;
+}
+
+/// First key "<prefix><n>" whose routing id satisfies `pred`.
+template <typename Pred>
+std::string FindKey(const std::string& ns, const std::string& prefix,
+                    Pred pred) {
+  for (int i = 0; i < 1000000; ++i) {
+    std::string key = prefix + std::to_string(i);
+    if (pred(RoutingId(ns, key))) return key;
+  }
+  return "";
+}
+
+TEST(OwnerCache, WarmPutSkipsRoutedLookupAndLandsAtOwner) {
+  SimOverlay net(16, SeededOptions(101));
+  int owner = OwnerOf(&net, "oc", "k");
+  ASSERT_GE(owner, 0);
+  uint32_t sender = owner == 0 ? 1 : 0;
+  OverlayRouter* router = net.dht(sender)->router();
+
+  net.dht(sender)->Put("oc", "k", "cold", "v", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(router->stats().lookup_cache_hits, 0u);
+  EXPECT_EQ(router->owner_cache_size(), 1u);
+
+  uint64_t routed_before = RoutedTraffic(&net);
+  Status done = Status::Internal("not called");
+  net.dht(sender)->Put("oc", "k", "warm", "v", 60 * kSecond,
+                       [&](const Status& s) { done = s; });
+  net.RunFor(2 * kSecond);
+  EXPECT_TRUE(done.ok()) << done.ToString();
+  EXPECT_EQ(RoutedTraffic(&net), routed_before) << "a warm put was routed";
+  EXPECT_EQ(router->stats().lookups_started, 2u) << "every resolve counts";
+  EXPECT_EQ(router->stats().lookup_cache_hits, 1u);
+  EXPECT_TRUE(Holds(&net, owner, "oc", "k", "warm"));
+}
+
+TEST(OwnerCache, RangeWrappingPastZeroHits) {
+  SimOverlay net(16, SeededOptions(102));
+  // The node with the smallest id owns (largest id, smallest id], the one
+  // range that wraps past id 0.
+  Id min_id = ~0ULL, max_id = 0;
+  uint32_t wrap_owner = 0;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    Id id = net.dht(i)->local_id();
+    if (id < min_id) {
+      min_id = id;
+      wrap_owner = i;
+    }
+    max_id = std::max(max_id, id);
+  }
+  std::string high = FindKey("wr", "h", [&](Id id) { return id > max_id; });
+  std::string low = FindKey("wr", "l", [&](Id id) { return id <= min_id; });
+  ASSERT_FALSE(high.empty());
+  ASSERT_FALSE(low.empty());
+  uint32_t sender = wrap_owner == 0 ? 1 : 0;
+  OverlayRouter* router = net.dht(sender)->router();
+
+  net.dht(sender)->Put("wr", high, "s", "v", 60 * kSecond);  // cold
+  net.RunFor(2 * kSecond);
+  net.dht(sender)->Put("wr", low, "s", "v", 60 * kSecond);   // other side of 0
+  net.dht(sender)->Put("wr", high, "s2", "v", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(router->stats().lookup_cache_hits, 2u);
+  EXPECT_TRUE(Holds(&net, wrap_owner, "wr", high, "s"));
+  EXPECT_TRUE(Holds(&net, wrap_owner, "wr", low, "s"));
+  EXPECT_TRUE(Holds(&net, wrap_owner, "wr", high, "s2"));
+}
+
+TEST(OwnerCache, ReplicatedBatchFromCachePlacesLikeColdLookup) {
+  SimOverlay net(16, SeededOptions(103));
+  int owner = OwnerOf(&net, "rb", "k");
+  ASSERT_GE(owner, 0);
+  uint32_t sender = owner == 0 ? 1 : 0;
+  auto item = [](const std::string& suffix) {
+    DhtPutItem it = Item("rb", "k", suffix, "v");
+    it.replicas = 3;
+    return it;
+  };
+  // An unreplicated put caches the range without successors, which cannot
+  // serve a k=3 placement: the first replicated batch still goes over the
+  // overlay.
+  net.dht(sender)->Put("rb", "k", "plain", "v", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  uint64_t hits = net.dht(sender)->router()->stats().lookup_cache_hits;
+  net.dht(sender)->PutBatch({item("cold")});
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(net.dht(sender)->router()->stats().lookup_cache_hits, hits);
+  net.dht(sender)->PutBatch({item("warm1"), item("warm2")});
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(net.dht(sender)->router()->stats().lookup_cache_hits, hits + 1);
+
+  std::vector<uint32_t> cold, warm;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (Holds(&net, i, "rb", "k", "cold")) cold.push_back(i);
+    if (Holds(&net, i, "rb", "k", "warm1") &&
+        Holds(&net, i, "rb", "k", "warm2"))
+      warm.push_back(i);
+  }
+  EXPECT_EQ(cold.size(), 3u);
+  EXPECT_EQ(warm, cold) << "cached successors placed replicas elsewhere";
+}
+
+TEST(OwnerCache, JoinInsideCachedRangeDrawsNotOwnerHint) {
+  SimOverlay net(16, SeededOptions(104));
+  // The next node's address (and so its id) is known before it boots.
+  const uint32_t joiner = static_cast<uint32_t>(net.size());
+  NetAddress joiner_addr = net.harness()->AddressOf(joiner, kDhtPort);
+  Id joiner_id = NodeIdFromAddress(joiner_addr.host, joiner_addr.port);
+  // Its successor O owns (P, O] now; after the join it keeps only
+  // (joiner, O]. Pick a key in (P, joiner].
+  int succ = -1;
+  for (uint32_t i = 0; i < net.size(); ++i)
+    if (net.dht(i)->router()->protocol()->IsOwner(joiner_id)) succ = i;
+  ASSERT_GE(succ, 0);
+  Id pred = 0;
+  ASSERT_TRUE(net.dht(succ)->router()->protocol()->PredecessorId(&pred));
+  std::string key = FindKey("jn", "k", [&](Id id) {
+    return InOpenClosed(pred, joiner_id, id);
+  });
+  ASSERT_FALSE(key.empty());
+  uint32_t sender = succ == 0 ? 1 : 0;
+  OverlayRouter* router = net.dht(sender)->router();
+
+  // Caches (P, O].
+  net.dht(sender)->Put("jn", key, "before", "v", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  ASSERT_TRUE(Holds(&net, succ, "jn", key, "before"));
+
+  ASSERT_EQ(net.AddNode(), joiner);
+  net.RunFor(10 * kSecond);
+  ASSERT_EQ(net.dht(joiner)->local_id(), joiner_id);
+  ASSERT_TRUE(
+      net.dht(joiner)->router()->protocol()->IsOwner(RoutingId("jn", key)))
+      << "the ring did not converge on the joiner";
+
+  // The stale entry still sends the first put to O, which stores it as
+  // before and hints back its shrunken range.
+  uint64_t hits = router->stats().lookup_cache_hits;
+  net.dht(sender)->Put("jn", key, "stale", "v", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(router->stats().lookup_cache_hits, hits + 1);
+  EXPECT_TRUE(Holds(&net, succ, "jn", key, "stale"));
+  EXPECT_EQ(net.dht(succ)->router()->stats().not_owner_hints_sent, 1u);
+
+  // The next put resolves over the overlay and lands at the joiner.
+  net.dht(sender)->Put("jn", key, "after", "v", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(router->stats().lookup_cache_hits, hits + 1);
+  EXPECT_TRUE(Holds(&net, joiner, "jn", key, "after"));
+  EXPECT_FALSE(Holds(&net, succ, "jn", key, "after"));
+  EXPECT_EQ(net.dht(succ)->router()->stats().not_owner_hints_sent, 1u);
+}
+
+TEST(OwnerCache, DeadCachedOwnerIsReResolvedToItsSuccessor) {
+  SimOverlay net(16, SeededOptions(105));
+  int owner = OwnerOf(&net, "dd", "k");
+  ASSERT_GE(owner, 0);
+  uint32_t sender = owner == 0 ? 1 : 0;
+  OverlayRouter* router = net.dht(sender)->router();
+  NetAddress owner_addr = net.dht(owner)->local_address();
+  net.dht(sender)->PutBatch({Item("dd", "k", "before", "v")});
+  net.RunFor(2 * kSecond);
+
+  net.harness()->FailNode(static_cast<uint32_t>(owner));
+  Status first = Status::Internal("not called");
+  std::vector<Dht::PutGroupStatus> groups;
+  net.dht(sender)->PutBatch(
+      {Item("dd", "k", "after", "v")},
+      [&](const Status& s, std::vector<Dht::PutGroupStatus> g) {
+        first = s;
+        groups = std::move(g);
+      });
+  EXPECT_EQ(router->stats().lookup_cache_hits, 1u) << "served from the cache";
+  net.RunFor(60 * kSecond);
+
+  // Not a dropped item: the group was retried and delivered.
+  EXPECT_TRUE(first.ok()) << first.ToString();
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_TRUE(groups[0].status.ok());
+  EXPECT_NE(groups[0].owner, owner_addr);
+  int new_owner = OwnerOf(&net, "dd", "k");
+  ASSERT_GE(new_owner, 0);
+  ASSERT_NE(new_owner, owner);
+  EXPECT_TRUE(Holds(&net, new_owner, "dd", "k", "after"));
+
+  // The dead owner's entry is gone: a resolve now names the successor.
+  EXPECT_GE(router->stats().lookup_cache_evictions, 1u);
+  NetAddress resolved;
+  router->Lookup(RoutingId("dd", "k"), 0,
+                 [&](const Result<OverlayRouter::Owner>& o) {
+                   ASSERT_TRUE(o.ok());
+                   resolved = o->address;
+                 });
+  net.RunFor(5 * kSecond);
+  EXPECT_EQ(resolved, net.dht(new_owner)->local_address());
+}
+
+TEST(OwnerCache, PrefixRoutingNeverCaches) {
+  SimOverlay::Options opts = SeededOptions(106);
+  opts.dht.router.protocol = ProtocolKind::kPrefix;
+  SimOverlay net(16, opts);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 8; ++i)
+      net.dht(3)->Put("px", "k" + std::to_string(i),
+                      "s" + std::to_string(round), "v", 60 * kSecond);
+    net.RunFor(5 * kSecond);
+  }
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(net.dht(i)->router()->stats().lookup_cache_hits, 0u);
+    EXPECT_EQ(net.dht(i)->router()->owner_cache_size(), 0u);
+  }
+}
+
+TEST(OwnerCache, NeverGrowsPastCapacity) {
+  // More owners than the cache holds: a lookup for each node's own id is
+  // answered by that node, so every response is a distinct range.
+  const uint32_t n = OverlayRouter::kOwnerCacheCapacity + 16;
+  SimOverlay::Options opts = SeededOptions(107);
+  opts.settle_time = 100 * kMillisecond;
+  SimOverlay net(n, opts);
+  OverlayRouter* router = net.dht(0)->router();
+  size_t resolved = 0, peak = 0;
+  for (uint32_t i = 1; i < n; ++i) {
+    router->Lookup(net.dht(i)->local_id(), 0,
+                   [&](const Result<OverlayRouter::Owner>& o) {
+                     resolved += o.ok();
+                     peak = std::max(peak, router->owner_cache_size());
+                   });
+  }
+  net.RunFor(10 * kSecond);
+  EXPECT_EQ(resolved, n - 1);
+  EXPECT_EQ(peak, OverlayRouter::kOwnerCacheCapacity);
+  EXPECT_EQ(router->owner_cache_size(), OverlayRouter::kOwnerCacheCapacity);
+  EXPECT_EQ(router->stats().lookup_cache_evictions,
+            n - 1 - OverlayRouter::kOwnerCacheCapacity);
 }
 
 }  // namespace

@@ -555,6 +555,29 @@ TEST(UdpCc, SenderNotifiedWhenPeerIsDead) {
   EXPECT_GT(a.stats().retransmits, 0u);
 }
 
+// A message first sent at virtual time 0 and retransmitted once is one send
+// and one retransmission, not two sends.
+TEST(UdpCc, RetransmissionOfTimeZeroSendCountsAsRetransmit) {
+  SimOptions opts;
+  opts.seed = 15;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc a(sim.vri(0), 5000);
+  ASSERT_EQ(sim.vri(0)->Now(), 0);
+  Status report = Status::Internal("no report");
+  a.Send(sim.AddressOf(1, 5000), "late listener",
+         [&](const Status& s) { report = s; });
+  // The receiver binds after the first transmission was lost and before the
+  // retransmission (initial RTO 1 s) goes out.
+  sim.RunFor(500 * kMillisecond);
+  UdpCc b(sim.vri(1), 5000);
+  sim.RunFor(5 * kSecond);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(a.stats().msgs_sent, 1u);
+  EXPECT_EQ(a.stats().retransmits, 1u);
+  EXPECT_EQ(a.stats().bytes_sent, std::string("late listener").size());
+}
+
 // 200 sends at the initial window of 4 park all but the first four in the
 // per-peer send queue, which must drain each message exactly once, FIFO.
 TEST(UdpCc, SendQueueDrainsInOrder) {
@@ -591,9 +614,6 @@ TEST(UdpCc, SendQueueDrainsInOrderAfterTimeouts) {
   SimHarness sim(opts);
   sim.AddNodes(2);
   UdpCc a(sim.vri(0), 5000);
-  // Start off t=0: UdpCc reads first_sent == 0 as "never sent", so a
-  // retransmission of a t=0 send would count as a first send.
-  sim.RunFor(kMillisecond);
   std::vector<std::string> sent;
   int ok = 0, failed = 0;
   for (int i = 0; i < 200; ++i) {
