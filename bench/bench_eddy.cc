@@ -74,8 +74,11 @@ std::pair<int64_t, uint64_t> RunPolicy(const std::string& policy,
       t.Append("c0", Value::Int64(phase == 1 ? low : high));
       t.Append("c1", Value::Int64(tight));
       t.Append("c2", Value::Int64(phase == 1 ? high : low));
-      PIER_CHECK(
-          net.qp(0)->executor()->InjectTuple(query_id, graph_id, src_id, t).ok());
+      PIER_CHECK(net.qp(0)
+                     ->executor()
+                     ->InjectBatch(query_id, graph_id, src_id,
+                                   TupleBatch::FromTuples({t}))
+                     .ok());
       if (i % 512 == 511) net.RunFor(100 * kMillisecond);
     }
     net.RunFor(1 * kSecond);

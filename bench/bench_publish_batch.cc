@@ -12,7 +12,7 @@
 // the pipeline turns the bench red instead of printing a slower table.
 //
 // E11b (appended, self-checking): per-query cost metering rides the operator
-// hot path (EmitTuple / MeterNet are a few relaxed atomic adds per tuple).
+// hot path (PushBatch / MeterNet are a few plain adds per batch or row).
 // The same snapshot-query workload is timed (real wall-clock, min of 7
 // interleaved reps) with executor metering on and off; the run FAILS if the
 // metered pipeline is more than 3% slower than the metering-free one.
@@ -204,7 +204,7 @@ void Run() {
   }
   mnet.RunFor(2 * kSecond);
 
-  // Every scanned tuple crosses EmitTuple and the rehash-free answer path;
+  // Every scanned tuple crosses PushBatch and the rehash-free answer path;
   // one measurement = several full snapshot-query lifecycles so scheduler
   // noise amortizes. Configs interleave so machine drift hits both equally.
   auto measure = [&](bool metering) -> double {

@@ -10,8 +10,8 @@ namespace {
 
 // The cell-level operations below mirror Value::Hash / Value::CanonicalString
 // / Value::EncodeTo exactly (same constants, same integral-double folding);
-// the batch-vs-scalar equivalence suite in tests/test_operators.cc pins the
-// match.
+// the equivalence suite in tests/test_operators.cc, whose digests were
+// recorded from Tuple-based operators, pins the match.
 
 uint64_t CellHash(const BatchCell& c, const char* base) {
   switch (c.type) {
@@ -270,8 +270,14 @@ Result<TupleBatch> TupleBatch::DecodeFrom(WireReader* r,
   }
   uint64_t nrows = 0;
   PIER_RETURN_IF_ERROR(r->GetVarint(&nrows));
-  if (ncols > 0 && nrows > (1u << 24)) {
-    return Status::Corruption("batch: too many rows");
+  // The row cap holds for column-less rows too: they cost no bytes, so only
+  // the cap bounds what a caller iterating num_rows() does.
+  if (nrows > (1u << 24)) return Status::Corruption("batch: too many rows");
+  // Every cell costs at least its tag byte, so a frame cannot hold more
+  // cells than it has bytes left. Checked before reserving, so a short
+  // hostile frame cannot demand a huge allocation.
+  if (ncols > 0 && nrows > r->remaining() / ncols) {
+    return Status::Corruption("batch: more cells than bytes");
   }
   auto cells = std::make_shared<std::vector<BatchCell>>();
   cells->reserve(nrows * ncols);

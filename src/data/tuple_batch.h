@@ -5,8 +5,8 @@
 // stored as a flat row-major vector of POD cells. Variable-length payloads
 // (strings/bytes) live in a single backing buffer — either an owned arena or
 // a borrowed network frame — and cells reference them by offset, so decoding
-// a kMsgPutBatch / answer frame materializes views, not N heap-allocated
-// Tuple/Value graphs.
+// an answer frame materializes views, not N heap-allocated Tuple/Value
+// graphs.
 //
 // Ownership rules (see src/data/README.md):
 //   * owned batches (arena-backed) are value types: slices and selections
@@ -17,8 +17,8 @@
 //     Tuples) first.
 //
 // Row accessors (RowTuple / EncodeRowTo / RowPartitionKey / RowHash) are
-// byte- and hash-identical to the equivalent Tuple operations, which is what
-// keeps the batch path's answer streams byte-identical to the per-tuple path.
+// byte- and hash-identical to the equivalent Tuple operations, so a batch row
+// stored or hashed is indistinguishable from the Tuple it came from.
 
 #ifndef PIER_DATA_TUPLE_BATCH_H_
 #define PIER_DATA_TUPLE_BATCH_H_
@@ -106,7 +106,7 @@ class TupleBatch {
 
   // --- Row operations (identical to the Tuple equivalents) --------------------
 
-  /// Materialize one row as a heap Tuple (the singleton-fallback path).
+  /// Materialize one row as a Tuple (for per-row state and the client edge).
   Tuple RowTuple(size_t row) const;
   /// Byte-identical to Tuple::EncodeTo of RowTuple(row).
   void EncodeRowTo(size_t row, WireWriter* w) const;
@@ -136,7 +136,8 @@ class TupleBatch {
   void EncodeTo(WireWriter* w) const;
   /// Decode from `r`. String cells alias `base`, which MUST be the buffer
   /// `r` reads from (zero-copy); the resulting batch is borrowed. Callers
-  /// that outlive the frame must EnsureOwned().
+  /// that outlive the frame must EnsureOwned(). Hostile frames are refused
+  /// (Corruption) before any allocation sized by their claims.
   static Result<TupleBatch> DecodeFrom(WireReader* r, std::string_view base);
 
   /// Build a batch from already-materialized tuples sharing one schema

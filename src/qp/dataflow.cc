@@ -9,14 +9,6 @@ void Operator::Open() {
   OnOpen();
 }
 
-void Operator::ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) {
-  // Singleton fallback: deliver the rows exactly as the per-tuple path
-  // would. Operators with vectorized inner loops override this.
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    Consume(port, tag, batch.RowTuple(r));
-  }
-}
-
 void Operator::PushBatch(uint32_t tag, const TupleBatch& batch) {
   const uint64_t n = batch.num_rows();
   if (n == 0) return;
@@ -31,21 +23,6 @@ void Operator::PushBatch(uint32_t tag, const TupleBatch& batch) {
   for (auto& [op, port] : outputs_) {
     if (op->cost_ != nullptr) op->cost_->tuples_in += n;
     op->ProcessBatch(port, tag, batch);  // shares cells: Tee semantics
-  }
-}
-
-void Operator::EmitTuple(uint32_t tag, const Tuple& tuple) {
-  stats_.emitted++;
-  if (cost_ != nullptr) cost_->tuples_out++;
-  if (outputs_.size() == 1) {
-    Operator* out = outputs_[0].first;
-    if (out->cost_ != nullptr) out->cost_->tuples_in++;
-    out->Consume(outputs_[0].second, tag, tuple);
-    return;
-  }
-  for (auto& [op, port] : outputs_) {
-    if (op->cost_ != nullptr) op->cost_->tuples_in++;
-    op->Consume(port, tag, tuple);  // copies: Tee semantics
   }
 }
 

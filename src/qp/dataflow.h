@@ -2,11 +2,12 @@
 //
 // PIER's event-driven core cannot block in handlers, so the classic pull
 // iterator is split: control flows parent -> child as Open()/probe function
-// calls, and data flows child -> parent as push calls (Consume). A tuple
-// flows upward until an operator drops it (selection), absorbs it into state
-// (join, group-by), or parks it in a Queue, whose zero-delay timer yields the
-// stack back to the Main Scheduler. Probe tags accompany every pushed tuple
-// so operators with reordered nested probes can match data to stored state.
+// calls, and data flows child -> parent as push calls (ProcessBatch), one
+// TupleBatch at a time; a single row is a batch of one. A row flows upward
+// until an operator drops it (selection), absorbs it into state (join,
+// group-by), or parks it in a Queue, whose zero-delay timer yields the stack
+// back to the Main Scheduler. Probe tags accompany every pushed batch so
+// operators with reordered nested probes can match data to stored state.
 //
 // Blocking state (group-by, top-k, Bloom build) is emitted on Flush(), which
 // the executor drives: once near the timeout for snapshot queries, once per
@@ -114,13 +115,9 @@ class ExecContext {
   /// Operator::Init caches a null slot so the hot path is one branch.
   QueryMeter* meter = nullptr;
 
-  /// Forward an answer tuple to the proxy (wired up by the QueryProcessor).
-  std::function<void(const Tuple&)> emit_result;
-
-  /// Batch variant: forward a whole batch of answers in one frame per
-  /// destination. Optional — when absent, ResultOp falls back to per-tuple
-  /// emit_result (which stays byte-identical on the wire).
-  std::function<void(const TupleBatch&)> emit_result_batch;
+  /// Forward a batch of answers to the proxy in one frame (wired up by the
+  /// QueryProcessor).
+  std::function<void(const TupleBatch&)> emit_result;
 
   /// Ask the executor to stop this query locally (e.g. LIMIT satisfied).
   std::function<void()> request_stop;
@@ -175,15 +172,11 @@ class Operator {
   /// then runs OnOpen (access methods start producing there).
   void Open();
 
-  /// Data channel, child -> parent: consume one pushed tuple.
-  virtual void Consume(int port, uint32_t tag, Tuple tuple) = 0;
-
-  /// Batch data channel. The default is the singleton fallback: each row is
-  /// materialized as a Tuple and fed through Consume, so non-vectorized
-  /// operators observe exactly the per-tuple stream (byte-identical answers).
-  /// Overrides may keep rows in batch form end to end; a borrowed `batch`
-  /// (batch.owned() == false) is only valid for the duration of this call.
-  virtual void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch);
+  /// Data channel, child -> parent: consume one pushed batch. A borrowed
+  /// `batch` (batch.owned() == false) is only valid for the duration of this
+  /// call; operators that retain rows must EnsureOwned() or materialize.
+  virtual void ProcessBatch(int port, uint32_t tag,
+                            const TupleBatch& batch) = 0;
 
   /// Emit blocking state downstream. The executor calls this in dataflow
   /// order, so upstream operators have already flushed.
@@ -199,13 +192,9 @@ class Operator {
 
   const OpSpec& spec() const { return spec_; }
 
-  /// Push a tuple straight to this operator's outputs, bypassing Consume.
-  /// Used by the executor to feed externally produced tuples (range-index
-  /// results) into a graph through a Source placeholder.
-  void InjectDownstream(const Tuple& t) { EmitTuple(0, t); }
-
-  /// Batch variant of InjectDownstream: feed an externally produced batch to
-  /// this operator's outputs.
+  /// Push a batch straight to this operator's outputs, bypassing its own
+  /// ProcessBatch. Used by the executor to feed externally produced rows
+  /// (range-index results) into a graph through a Source placeholder.
   void InjectBatchDownstream(const TupleBatch& b) { PushBatch(0, b); }
 
   struct OpStats {
@@ -226,11 +215,7 @@ class Operator {
   /// Hook for subclasses; runs once, after children are open.
   virtual void OnOpen() {}
 
-  /// Push a tuple to every output edge.
-  void EmitTuple(uint32_t tag, const Tuple& tuple);
-
-  /// Push a whole batch to every output edge (the batch counterpart of
-  /// EmitTuple; meters N tuples in one shot).
+  /// Push a batch to every output edge (meters N tuples in one shot).
   void PushBatch(uint32_t tag, const TupleBatch& batch);
 
   /// Charge wire traffic this operator originates (DHT Put/Get/Send) to the

@@ -238,22 +238,11 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     // the proxy dies mid-run, failover re-points rq.meta.proxy at a
     // successor and every already-running instance follows without a
     // re-instantiation.
-    cx.emit_result = [this, qid](const Tuple& t) {
-      if (!result_sink_) return;
+    cx.emit_result = [this, qid](const TupleBatch& b) {
+      if (!answer_sink_) return;
       auto qit = queries_.find(qid);
       if (qit == queries_.end()) return;  // racing teardown: drop
-      result_sink_(qid, qit->second.meta.proxy, t);
-    };
-    cx.emit_result_batch = [this, qid](const TupleBatch& b) {
-      auto qit = queries_.find(qid);
-      if (qit == queries_.end()) return;  // racing teardown: drop
-      if (batch_result_sink_) {
-        batch_result_sink_(qid, qit->second.meta.proxy, b);
-        return;
-      }
-      if (!result_sink_) return;
-      for (size_t r = 0; r < b.num_rows(); ++r)
-        result_sink_(qid, qit->second.meta.proxy, b.RowTuple(r));
+      answer_sink_(qid, qit->second.meta.proxy, b);
     };
     cx.request_stop = [this, qid]() { StopQuery(qid); };
     cx.observe_publish = publish_observer_;
@@ -561,14 +550,6 @@ Operator* QueryExecutor::FindOp(uint64_t query_id, uint32_t graph_id,
   return nullptr;
 }
 
-Status QueryExecutor::InjectTuple(uint64_t query_id, uint32_t graph_id,
-                                  uint32_t op_id, const Tuple& t) {
-  Operator* op = FindOp(query_id, graph_id, op_id);
-  if (op == nullptr) return Status::NotFound("no such operator");
-  op->InjectDownstream(t);
-  return Status::Ok();
-}
-
 Status QueryExecutor::InjectBatch(uint64_t query_id, uint32_t graph_id,
                                   uint32_t op_id, const TupleBatch& batch) {
   Operator* op = FindOp(query_id, graph_id, op_id);
@@ -588,13 +569,13 @@ std::shared_ptr<QueryMeter> QueryExecutor::Meter(uint64_t query_id) const {
   return it != queries_.end() ? it->second.meter : nullptr;
 }
 
-QueryMeter* QueryExecutor::MeterAnswer(uint64_t query_id, uint64_t bytes,
-                                       bool on_wire) {
+QueryMeter* QueryExecutor::MeterAnswer(uint64_t query_id, uint64_t rows,
+                                       uint64_t bytes, bool on_wire) {
   auto it = queries_.find(query_id);
   if (it == queries_.end() || !it->second.meter) return nullptr;
   OpCost* slot = it->second.answer_cost;
-  slot->tuples_in++;
-  slot->tuples_out++;
+  slot->tuples_in += rows;
+  slot->tuples_out += rows;
   if (on_wire) {
     slot->msgs++;
     slot->bytes += bytes;

@@ -65,20 +65,11 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  /// Where answer tuples go (the QueryProcessor routes them to the proxy).
-  using ResultSink = std::function<void(uint64_t query_id,
-                                        const NetAddress& proxy, const Tuple&)>;
-  void set_result_sink(ResultSink sink) { result_sink_ = std::move(sink); }
-
-  /// Batch flavor of the result sink. When installed, operators that emit
-  /// whole batches hand them over intact (the QueryProcessor frames one
-  /// answer-batch message per destination); without it, batch emissions
-  /// degrade to per-row ResultSink calls.
-  using BatchResultSink = std::function<void(
+  /// Where answer batches go: the QueryProcessor frames one answer message
+  /// per batch toward the query's current proxy.
+  using AnswerSink = std::function<void(
       uint64_t query_id, const NetAddress& proxy, const TupleBatch&)>;
-  void set_batch_result_sink(BatchResultSink sink) {
-    batch_result_sink_ = std::move(sink);
-  }
+  void set_answer_sink(AnswerSink sink) { answer_sink_ = std::move(sink); }
 
   /// Observer for tuples operators publish into the DHT (the Put exchange);
   /// copied into every graph's ExecContext. The statistics subsystem hangs
@@ -200,7 +191,7 @@ class QueryExecutor {
   /// tree (the lease-refresh channel) is mid-repair after churn.
   void NoteAnswerForwardSuccess(uint64_t query_id, const NetAddress& target);
 
-  /// Report an answer tuple that arrived here for a query this node does
+  /// Report an answer frame that arrived here for a query this node does
   /// not proxy. If this node runs the query and is next in its successor
   /// chain, this counts toward adoption (and may adopt synchronously).
   void NoteStrayAnswer(uint64_t query_id);
@@ -232,13 +223,13 @@ class QueryExecutor {
   /// Shared with the query's opgraph instances; survives plan swaps.
   std::shared_ptr<QueryMeter> Meter(uint64_t query_id) const;
 
-  /// Charge one forwarded answer to `query_id`'s answer pseudo-op slot.
-  /// Called by the QueryProcessor, which alone knows whether the answer
-  /// crossed the wire (on_wire) or was delivered to a local proxy.
-  /// Charge one answer tuple to the query's answer pseudo-op and return the
-  /// live meter (null with metering off / unknown query) — the answer path
-  /// is per-tuple hot, so charging and piggyback lookup share one find.
-  QueryMeter* MeterAnswer(uint64_t query_id, uint64_t bytes, bool on_wire);
+  /// Charge `rows` forwarded answers to `query_id`'s answer pseudo-op slot
+  /// and return the live meter (null with metering off / unknown query), so
+  /// charging and the piggyback lookup share one find. Called by the
+  /// QueryProcessor, which alone knows whether the answers crossed the wire
+  /// (on_wire: one message of `bytes`) or were delivered to a local proxy.
+  QueryMeter* MeterAnswer(uint64_t query_id, uint64_t rows, uint64_t bytes,
+                          bool on_wire);
 
   bool HasQuery(uint64_t query_id) const { return queries_.count(query_id) > 0; }
   size_t num_active() const { return queries_.size(); }
@@ -251,13 +242,8 @@ class QueryExecutor {
   /// Introspection for tests and benches.
   Operator* FindOp(uint64_t query_id, uint32_t graph_id, uint32_t op_id);
 
-  /// Push a tuple into an injectable Source op (range-index dissemination
-  /// feeds PHT results into a local graph this way).
-  Status InjectTuple(uint64_t query_id, uint32_t graph_id, uint32_t op_id,
-                     const Tuple& t);
-
-  /// Push a whole batch into an injectable Source op (tests and the
-  /// batch-vs-scalar equivalence suite).
+  /// Push a batch into an injectable Source op (range-index dissemination
+  /// feeds PHT results into a local graph this way; tests drive graphs so).
   Status InjectBatch(uint64_t query_id, uint32_t graph_id, uint32_t op_id,
                      const TupleBatch& batch);
 
@@ -272,7 +258,7 @@ class QueryExecutor {
     /// caching slot pointers are destroyed first. Null when metering is off.
     std::shared_ptr<QueryMeter> meter;
     /// The meter's answer pseudo-op slot, resolved once (stable address):
-    /// MeterAnswer runs once per answer tuple. Null iff meter is null.
+    /// MeterAnswer runs once per answer frame. Null iff meter is null.
     OpCost* answer_cost = nullptr;
     std::vector<std::unique_ptr<OpGraphInstance>> instances;
     std::vector<uint64_t> flush_timers;
@@ -332,8 +318,7 @@ class QueryExecutor {
   Dht* dht_;
   MetricsRegistry* metrics_ = nullptr;
   bool metering_ = true;
-  ResultSink result_sink_;
-  BatchResultSink batch_result_sink_;
+  AnswerSink answer_sink_;
   PublishObserver publish_observer_;
   AdoptHandler adopt_handler_;
   ProxyProber proxy_prober_;

@@ -25,7 +25,7 @@ class Parser {
  private:
   Result<ExprPtr> ParseOr() {
     PIER_ASSIGN_OR_RETURN(ExprPtr l, ParseAnd());
-    while (ConsumeWord("or")) {
+    while (AcceptWord("or")) {
       PIER_ASSIGN_OR_RETURN(ExprPtr r, ParseAnd());
       l = Expr::Or(std::move(l), std::move(r));
     }
@@ -34,7 +34,7 @@ class Parser {
 
   Result<ExprPtr> ParseAnd() {
     PIER_ASSIGN_OR_RETURN(ExprPtr l, ParseNot());
-    while (ConsumeWord("and")) {
+    while (AcceptWord("and")) {
       PIER_ASSIGN_OR_RETURN(ExprPtr r, ParseNot());
       l = Expr::And(std::move(l), std::move(r));
     }
@@ -42,7 +42,7 @@ class Parser {
   }
 
   Result<ExprPtr> ParseNot() {
-    if (ConsumeWord("not")) {
+    if (AcceptWord("not")) {
       PIER_ASSIGN_OR_RETURN(ExprPtr e, ParseNot());
       return Expr::Not(std::move(e));
     }
@@ -53,17 +53,17 @@ class Parser {
     PIER_ASSIGN_OR_RETURN(ExprPtr l, ParseAdd());
     SkipSpace();
     CmpOp op;
-    if (Consume("!=") || Consume("<>")) {
+    if (Accept("!=") || Accept("<>")) {
       op = CmpOp::kNe;
-    } else if (Consume(">=")) {
+    } else if (Accept(">=")) {
       op = CmpOp::kGe;
-    } else if (Consume("<=")) {
+    } else if (Accept("<=")) {
       op = CmpOp::kLe;
-    } else if (Consume("=")) {
+    } else if (Accept("=")) {
       op = CmpOp::kEq;
-    } else if (Consume(">")) {
+    } else if (Accept(">")) {
       op = CmpOp::kGt;
-    } else if (Consume("<")) {
+    } else if (Accept("<")) {
       op = CmpOp::kLt;
     } else {
       return l;
@@ -76,10 +76,10 @@ class Parser {
     PIER_ASSIGN_OR_RETURN(ExprPtr l, ParseMul());
     for (;;) {
       SkipSpace();
-      if (Consume("+")) {
+      if (Accept("+")) {
         PIER_ASSIGN_OR_RETURN(ExprPtr r, ParseMul());
         l = Expr::Arith(ArithOp::kAdd, std::move(l), std::move(r));
-      } else if (Consume("-")) {
+      } else if (Accept("-")) {
         PIER_ASSIGN_OR_RETURN(ExprPtr r, ParseMul());
         l = Expr::Arith(ArithOp::kSub, std::move(l), std::move(r));
       } else {
@@ -92,13 +92,13 @@ class Parser {
     PIER_ASSIGN_OR_RETURN(ExprPtr l, ParseUnary());
     for (;;) {
       SkipSpace();
-      if (Consume("*")) {
+      if (Accept("*")) {
         PIER_ASSIGN_OR_RETURN(ExprPtr r, ParseUnary());
         l = Expr::Arith(ArithOp::kMul, std::move(l), std::move(r));
-      } else if (Consume("/")) {
+      } else if (Accept("/")) {
         PIER_ASSIGN_OR_RETURN(ExprPtr r, ParseUnary());
         l = Expr::Arith(ArithOp::kDiv, std::move(l), std::move(r));
-      } else if (Consume("%")) {
+      } else if (Accept("%")) {
         PIER_ASSIGN_OR_RETURN(ExprPtr r, ParseUnary());
         l = Expr::Arith(ArithOp::kMod, std::move(l), std::move(r));
       } else {
@@ -109,7 +109,7 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     SkipSpace();
-    if (Consume("-")) {
+    if (Accept("-")) {
       PIER_ASSIGN_OR_RETURN(ExprPtr e, ParseUnary());
       return Expr::Arith(ArithOp::kSub, Expr::Const(Value::Int64(0)),
                          std::move(e));
@@ -126,7 +126,7 @@ class Parser {
       ++pos_;
       PIER_ASSIGN_OR_RETURN(ExprPtr e, ParseOr());
       SkipSpace();
-      if (!Consume(")")) return Status::InvalidArgument("expected ')'");
+      if (!Accept(")")) return Status::InvalidArgument("expected ')'");
       return e;
     }
     if (c == '\'') return ParseStringLiteral();
@@ -191,13 +191,13 @@ class Parser {
       ++pos_;
       std::vector<ExprPtr> args;
       SkipSpace();
-      if (!Consume(")")) {
+      if (!Accept(")")) {
         for (;;) {
           PIER_ASSIGN_OR_RETURN(ExprPtr a, ParseOr());
           args.push_back(std::move(a));
           SkipSpace();
-          if (Consume(")")) break;
-          if (!Consume(","))
+          if (Accept(")")) break;
+          if (!Accept(","))
             return Status::InvalidArgument("expected ',' or ')' in call");
         }
       }
@@ -213,7 +213,7 @@ class Parser {
     }
   }
 
-  bool Consume(std::string_view tok) {
+  bool Accept(std::string_view tok) {
     if (text_.substr(pos_, tok.size()) == tok) {
       pos_ += tok.size();
       return true;
@@ -221,9 +221,9 @@ class Parser {
     return false;
   }
 
-  /// Consume a keyword: must match case-insensitively and end at a word
+  /// Accept a keyword: must match case-insensitively and end at a word
   /// boundary (so "order" is not the keyword "or").
-  bool ConsumeWord(std::string_view word) {
+  bool AcceptWord(std::string_view word) {
     SkipSpace();
     if (pos_ + word.size() > text_.size()) return false;
     for (size_t i = 0; i < word.size(); ++i) {

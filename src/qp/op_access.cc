@@ -6,7 +6,7 @@
 //   newdata   pure subscription to a namespace (rendezvous consumer).
 //   put       the Exchange: repartitions tuples by value by publishing them
 //             into the DHT under a partitioning key (§3.3.6).
-//   result    the result handler: forwards answer tuples to the proxy.
+//   result    the result handler: forwards answer batches to the proxy.
 
 #include <unordered_set>
 
@@ -35,9 +35,8 @@ class ScanOp : public Operator {
 
   void OnOpen() override {
     // Subscribe before scanning so nothing falls between the two. The batch
-    // subscription delivers a multi-object put frame as one grouped call;
-    // single stores arrive as one-element batches and take the per-tuple
-    // path (the singleton fallback).
+    // subscription delivers a multi-object put frame as one grouped call and
+    // a single store as a one-element group.
     if (watch_) {
       sub_ = cx_->dht->OnNewDataBatch(
           ns_, [this](const std::vector<Dht::NewDataEvent>& events) {
@@ -73,7 +72,7 @@ class ScanOp : public Operator {
     });
   }
 
-  void Consume(int, uint32_t, Tuple) override {}
+  void ProcessBatch(int, uint32_t, const TupleBatch&) override {}  // no inputs
 
   void Close() override {
     if (sub_) cx_->dht->CancelNewData(sub_);
@@ -96,22 +95,7 @@ class ScanOp : public Operator {
     return seen_.insert(h).second;
   }
 
-  void Deliver(const ObjectName& name, std::string_view value) {
-    if (!Admit(name)) return;
-    Result<Tuple> t = Tuple::Decode(value);
-    if (!t.ok()) {
-      malformed_++;
-      return;
-    }
-    stats_.consumed++;
-    EmitTuple(0, *t);
-  }
-
   void DeliverBatch(const std::vector<Dht::NewDataEvent>& events) {
-    if (events.size() == 1) {  // singleton fallback: the per-tuple path
-      Deliver(events[0].name, events[0].value);
-      return;
-    }
     BatchAssembler batches;
     size_t rows = 0;
     for (const Dht::NewDataEvent& ev : events) {
@@ -188,7 +172,7 @@ class NewDataOp : public Operator {
     }
   }
 
-  void Consume(int, uint32_t, Tuple) override {}
+  void ProcessBatch(int, uint32_t, const TupleBatch&) override {}  // no inputs
 
   void Close() override {
     if (sub_) cx_->dht->CancelNewData(sub_);
@@ -208,19 +192,7 @@ class NewDataOp : public Operator {
     return seen_.insert(h).second;
   }
 
-  void Deliver(const ObjectName& name, std::string_view value) {
-    if (!Admit(name)) return;
-    Result<Tuple> t = Tuple::Decode(value);
-    if (!t.ok()) return;
-    stats_.consumed++;
-    EmitTuple(0, *t);
-  }
-
   void DeliverBatch(const std::vector<Dht::NewDataEvent>& events) {
-    if (events.size() == 1) {  // singleton fallback: the per-tuple path
-      Deliver(events[0].name, events[0].value);
-      return;
-    }
     BatchAssembler batches;
     size_t rows = 0;
     for (const Dht::NewDataEvent& ev : events) {
@@ -261,36 +233,15 @@ class PutOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    std::string key = t.PartitionKey(key_attrs_);
-    std::string suffix = cx_->NextSuffix();
-    std::string wire = t.Encode();
-    size_t bytes = wire.size();
-    if (use_send_) {
-      cx_->dht->Send(ns_, key, suffix, std::move(wire), lifetime_);
-    } else {
-      cx_->dht->Put(ns_, key, suffix, std::move(wire), lifetime_, nullptr,
-                    cx_->replicas);
-    }
-    MeterNet(1, bytes);
-    if (cx_->observe_publish) cx_->observe_publish(ns_, key_attrs_, t, bytes);
-    stats_.emitted++;
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (use_send_) {
-      // Send routes hop-by-hop one object at a time; take the fallback.
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
-    // One PutBatch for the whole batch: rows are keyed/encoded straight off
-    // the batch cells (no per-tuple Tuple materialization) and the DHT
-    // groups them into one wire frame per destination.
+    // Rows are keyed/encoded straight off the batch cells. mode=put ships
+    // them as one PutBatch, which the DHT groups into one wire frame per
+    // destination; mode=send routes each object hop-by-hop on its own (the
+    // upcalls along the path see every object).
     std::vector<DhtPutItem> items;
-    items.reserve(n);
+    if (!use_send_) items.reserve(n);
     for (size_t r = 0; r < n; ++r) {
       DhtPutItem item;
       item.ns = ns_;
@@ -304,9 +255,14 @@ class PutOp : public Operator {
         cx_->observe_publish(ns_, key_attrs_, batch.RowTuple(r),
                              item.value.size());
       }
-      items.push_back(std::move(item));
+      if (use_send_) {
+        cx_->dht->Send(ns_, item.key, item.suffix, std::move(item.value),
+                       lifetime_);
+      } else {
+        items.push_back(std::move(item));
+      }
     }
-    cx_->dht->PutBatch(std::move(items));
+    if (!items.empty()) cx_->dht->PutBatch(std::move(items));
     stats_.emitted += n;
   }
 
@@ -317,27 +273,16 @@ class PutOp : public Operator {
   TimeUs lifetime_ = 0;
 };
 
-/// result: forward every input tuple to the query's proxy node (§3.3.2).
+/// result: forward every input batch to the query's proxy node (§3.3.2).
 class ResultOp : public Operator {
  public:
   using Operator::Operator;
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    if (cx_->emit_result) {
-      cx_->emit_result(t);
-      stats_.emitted++;
-    }
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (!cx_->emit_result_batch) {
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
-    cx_->emit_result_batch(batch);
+    if (!cx_->emit_result) return;
+    cx_->emit_result(batch);
     stats_.emitted += n;
   }
 };

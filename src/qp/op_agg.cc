@@ -49,42 +49,12 @@ class GroupByOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    std::string gk;
-    for (const std::string& k : keys_) {
-      const Value* v = t.Get(k);
-      if (v == nullptr) return;  // best-effort discard
-      gk += v->CanonicalString();
-      gk.push_back('|');
-    }
-    Group& g = groups_[gk];
-    if (g.states.empty()) {
-      g.key_tuple = t.Project(keys_);
-      g.states.resize(aggs_.size());
-    }
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      if (mode_ == Mode::kFinal) {
-        AggState incoming;
-        if (!incoming.FromPartialColumns(t, aggs_[i].alias)) continue;
-        g.states[i].Merge(incoming);
-      } else {
-        g.states[i].Update(aggs_[i], t);
-      }
-    }
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (mode_ == Mode::kFinal) {
-      // Merging partial-state columns is per-tuple work; take the fallback.
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
     const BatchSchema& in = *batch.schema();
     // Resolve key and aggregate columns once per batch. A key column the
-    // schema lacks discards every row (scalar path discards per tuple).
+    // schema lacks discards every row (they all share the schema).
     std::vector<int> key_idx(keys_.size());
     for (size_t i = 0; i < keys_.size(); ++i) {
       key_idx[i] = in.Index(keys_[i]);
@@ -95,8 +65,8 @@ class GroupByOp : public Operator {
       agg_idx[i] = aggs_[i].col.empty() ? -1 : in.Index(aggs_[i].col);
     }
     for (size_t r = 0; r < n; ++r) {
-      // RowPartitionKey over the (all-present) keys builds exactly the
-      // canonical-string group key the scalar path builds.
+      // RowPartitionKey over the (all-present) keys is the canonical-string
+      // group key.
       Group& g = groups_[batch.RowPartitionKey(r, keys_)];
       if (g.states.empty()) {
         Tuple kt(in.table);
@@ -106,6 +76,17 @@ class GroupByOp : public Operator {
         }
         g.key_tuple = std::move(kt);
         g.states.resize(aggs_.size());
+      }
+      if (mode_ == Mode::kFinal) {
+        // Merge the row's partial-state columns, aggregate by aggregate; an
+        // aggregate whose columns are absent or malformed is skipped.
+        Tuple t = batch.RowTuple(r);
+        for (size_t i = 0; i < aggs_.size(); ++i) {
+          AggState incoming;
+          if (incoming.FromPartialColumns(t, aggs_[i].alias))
+            g.states[i].Merge(incoming);
+        }
+        continue;
       }
       for (size_t i = 0; i < aggs_.size(); ++i) {
         bool present = agg_idx[i] >= 0;
@@ -173,18 +154,19 @@ class TopKOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    const Value* v = t.Get(col_);
-    if (v == nullptr) return;
-    if (!dedup_cols_.empty()) {
-      // Upstream re-emissions (refined aggregates) replace by group key;
-      // the latest value for a group wins.
-      std::string key = t.PartitionKey(dedup_cols_);
-      by_key_[key] = std::move(t);
-      return;
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
+    const size_t n = batch.num_rows();
+    stats_.consumed += n;
+    if (batch.schema()->Index(col_) < 0) return;  // no sort column: discard
+    for (size_t r = 0; r < n; ++r) {
+      if (!dedup_cols_.empty()) {
+        // Upstream re-emissions (refined aggregates) replace by group key;
+        // the latest value for a group wins.
+        by_key_[batch.RowPartitionKey(r, dedup_cols_)] = batch.RowTuple(r);
+      } else {
+        buf_.push_back(batch.RowTuple(r));
+      }
     }
-    buf_.push_back(std::move(t));
   }
 
   void Flush() override {
@@ -220,13 +202,15 @@ class TopKOp : public Operator {
     }
     emitted_keys_.clear();
     emitted_rows_.clear();
+    BatchAssembler batches;
     for (size_t i = 0; i < n; ++i) {
-      EmitTuple(0, rows[i]);
+      batches.Add(rows[i]);
       if (!dedup_cols_.empty()) {
         emitted_keys_.push_back(rows[i].PartitionKey(dedup_cols_));
         emitted_rows_.push_back(rows[i]);
       }
     }
+    for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
   }
 
   void Close() override {

@@ -39,37 +39,6 @@ class EddyOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    // Pick this tuple's route.
-    std::vector<size_t> order(modules_.size());
-    std::iota(order.begin(), order.end(), 0);
-    if (adaptive_) {
-      if (cx_->vri->rng()->NextDouble() < epsilon_) {
-        // Exploration: random order keeps estimates fresh for all modules.
-        for (size_t i = order.size(); i > 1; --i) {
-          size_t j = cx_->vri->rng()->Uniform(i);
-          std::swap(order[i - 1], order[j]);
-        }
-      } else {
-        std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-          return modules_[a].pass_rate < modules_[b].pass_rate;
-        });
-      }
-    }
-    for (size_t idx : order) {
-      Module& m = modules_[idx];
-      m.seen++;
-      evaluations_++;
-      Result<bool> keep = m.pred->EvalPredicate(t);
-      bool pass = keep.ok() && *keep;
-      m.pass_rate = (1.0 - decay_) * m.pass_rate + decay_ * (pass ? 1.0 : 0.0);
-      if (!pass) return;  // drop: remaining modules never run
-      m.passed++;
-    }
-    EmitTuple(tag, t);
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
@@ -77,11 +46,12 @@ class EddyOp : public Operator {
     keep.reserve(n);
     std::vector<size_t> order(modules_.size());
     for (size_t r = 0; r < n; ++r) {
-      // Same per-tuple routing decisions (and rng draws) as Consume, but
-      // predicates run against batch rows — dropped rows never materialize.
+      // Pick this row's route. Predicates run against batch rows, so
+      // dropped rows never materialize.
       std::iota(order.begin(), order.end(), 0);
       if (adaptive_) {
         if (cx_->vri->rng()->NextDouble() < epsilon_) {
+          // Exploration: random order keeps estimates fresh for all modules.
           for (size_t i = order.size(); i > 1; --i) {
             size_t j = cx_->vri->rng()->Uniform(i);
             std::swap(order[i - 1], order[j]);

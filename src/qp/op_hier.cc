@@ -137,23 +137,6 @@ class HierAggOp : public Operator {
     });
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    std::string gk;
-    for (const std::string& k : keys_) {
-      const Value* v = t.Get(k);
-      if (v == nullptr) return;
-      gk += v->CanonicalString();
-      gk.push_back('|');
-    }
-    LocalGroup& g = local_[gk];
-    if (g.states.empty()) {
-      g.key = t.Project(keys_);
-      g.states.resize(aggs_.size());
-    }
-    for (size_t i = 0; i < aggs_.size(); ++i) g.states[i].Update(aggs_[i], t);
-  }
-
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
@@ -288,14 +271,16 @@ class HierAggOp : public Operator {
   }
 
   void EmitFinals() {
+    BatchAssembler batches;
     for (auto& [gk, g] : root_) {
       (void)gk;
       Tuple out(out_table_);
       for (const Column& c : g.key.columns()) out.Append(c.name, c.value);
       for (size_t i = 0; i < aggs_.size(); ++i)
         out.Append(aggs_[i].alias, g.states[i].Finalize(aggs_[i].func));
-      EmitTuple(0, out);
+      batches.Add(out);
     }
+    for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
     // root_ is kept (cumulative): late partials refine rather than reset.
     // Blocking operators downstream (TopK at the root) flushed before our
     // network round-trips finished; push them again now that finals exist.
@@ -434,26 +419,32 @@ class HierJoinOp : public Operator {
     });
   }
 
-  void Consume(int port, uint32_t, Tuple t) override {
-    stats_.consumed++;
+  void ProcessBatch(int port, uint32_t, const TupleBatch& batch) override {
+    const size_t n = batch.num_rows();
+    stats_.consumed += n;
+    const BatchSchema& in = *batch.schema();
     if (!l_table_.empty()) {
-      if (t.table() == l_table_) {
+      // Mixed-stream mode: the batch's one table name picks the side.
+      if (in.table == l_table_) {
         port = 0;
-      } else if (t.table() == r_table_) {
+      } else if (in.table == r_table_) {
         port = 1;
       } else {
         return;
       }
     }
     if (port != 0 && port != 1) return;
-    const std::string& key_col = port == 0 ? l_key_ : r_key_;
-    const Value* key = t.Get(key_col);
-    if (key == nullptr) return;
-    JoinRecord rec;
-    rec.side = static_cast<uint8_t>(port);
-    rec.tuple = std::move(t);
-    cx_->dht->Send(ns_, key->CanonicalString(), cx_->NextSuffix(),
-                   rec.Encode(), cx_->query_lifetime);
+    const int key_idx = in.Index(port == 0 ? l_key_ : r_key_);
+    if (key_idx < 0) return;  // best-effort discard
+    for (size_t r = 0; r < n; ++r) {
+      JoinRecord rec;
+      rec.side = static_cast<uint8_t>(port);
+      rec.tuple = batch.RowTuple(r);
+      cx_->dht->Send(ns_,
+                     batch.ValueAt(r, static_cast<size_t>(key_idx))
+                         .CanonicalString(),
+                     cx_->NextSuffix(), rec.Encode(), cx_->query_lifetime);
+    }
   }
 
   void Close() override {
@@ -495,18 +486,22 @@ class HierJoinOp : public Operator {
   void ProcessAtCache(const std::string& key, const JoinRecord& rec,
                       bool at_owner) {
     CacheSlot& slot = cache_[key];
+    BatchAssembler joined_rows;
     for (const JoinRecord& other : slot.side[1 - rec.side]) {
       if (rec.PathIntersects(other)) continue;
       const Tuple& l = rec.side == 0 ? rec.tuple : other.tuple;
       const Tuple& r = rec.side == 0 ? other.tuple : rec.tuple;
-      Tuple joined = JoinTuples(l, r, out_table_, qualify_);
+      joined_rows.Add(JoinTuples(l, r, out_table_, qualify_));
       if (at_owner) {
         owner_results_++;
       } else {
         early_results_++;
       }
-      if (cx_->emit_result) cx_->emit_result(joined);
       stats_.emitted++;
+    }
+    // Matches go straight to the proxy, one answer frame per arrival.
+    if (cx_->emit_result) {
+      for (const TupleBatch& b : joined_rows.TakeBatches()) cx_->emit_result(b);
     }
     // Cache the record annotated with this node so later arrivals pair
     // against it (and so the owner can suppress re-production).

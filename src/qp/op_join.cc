@@ -50,48 +50,6 @@ class SymHashJoinOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int port, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    if (!l_table_.empty()) {
-      // Mixed-stream mode: route by the tuple's self-described table name.
-      if (t.table() == l_table_) {
-        port = 0;
-      } else if (t.table() == r_table_) {
-        port = 1;
-      } else {
-        return;  // neither side: discard (best effort)
-      }
-    }
-    if (port != 0 && port != 1) return;
-    const std::string& key_col = port == 0 ? l_key_ : r_key_;
-    const Value* key = t.Get(key_col);
-    if (key == nullptr) return;  // best-effort discard
-    std::string k = key->CanonicalString();
-
-    // Store in this side's soft-state partition.
-    ObjectName name;
-    name.ns = ns_[port];
-    name.key = k;
-    name.suffix = cx_->NextSuffix();
-    cx_->dht->objects()->Put(std::move(name), t.Encode(), cx_->query_lifetime);
-
-    // Probe the opposite side.
-    int other = 1 - port;
-    for (const ObjectManager::Object* obj :
-         cx_->dht->objects()->Get(ns_[other], k)) {
-      Result<Tuple> o = Tuple::Decode(obj->value);
-      if (!o.ok()) continue;
-      const Tuple& l = port == 0 ? t : *o;
-      const Tuple& r = port == 0 ? *o : t;
-      Tuple joined = JoinTuples(l, r, out_table_, qualify_);
-      if (residual_) {
-        Result<bool> keep = residual_->EvalPredicate(joined);
-        if (!keep.ok() || !*keep) continue;
-      }
-      EmitTuple(tag, joined);
-    }
-  }
-
   void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
@@ -112,6 +70,7 @@ class SymHashJoinOp : public Operator {
     const int key_idx = in.Index(key_col);
     if (key_idx < 0) return;  // best-effort discard
     const int other = 1 - port;
+    BatchAssembler joined_rows;
     for (size_t r = 0; r < n; ++r) {
       std::string k = batch.ValueAt(r, static_cast<size_t>(key_idx))
                           .CanonicalString();
@@ -136,9 +95,10 @@ class SymHashJoinOp : public Operator {
           Result<bool> keep = residual_->EvalPredicate(joined);
           if (!keep.ok() || !*keep) continue;
         }
-        EmitTuple(tag, joined);
+        joined_rows.Add(joined);
       }
     }
+    for (const TupleBatch& b : joined_rows.TakeBatches()) PushBatch(tag, b);
   }
 
   void Close() override {
@@ -180,23 +140,6 @@ class FetchMatchesOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    Result<Value> key = key_expr_->Eval(t);
-    if (!key.ok()) return;
-    std::string k;
-    if (raw_key_) {
-      // The key column already holds a full partition-key string.
-      Result<std::string_view> s = key->AsString();
-      if (!s.ok()) return;
-      k = std::string(*s);
-    } else {
-      // Must match Tuple::PartitionKey's single-attribute format.
-      k = key->CanonicalString() + "|";
-    }
-    Lookup(tag, std::move(t), std::move(k));
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
@@ -208,10 +151,12 @@ class FetchMatchesOp : public Operator {
       if (!key.ok()) continue;
       std::string k;
       if (raw_key_) {
+        // The key column already holds a full partition-key string.
         Result<std::string_view> s = key->AsString();
         if (!s.ok()) continue;
         k = std::string(*s);
       } else {
+        // Must match Tuple::PartitionKey's single-attribute format.
         k = key->CanonicalString() + "|";
       }
       Lookup(tag, batch.RowTuple(r), std::move(k));
@@ -234,6 +179,8 @@ class FetchMatchesOp : public Operator {
           if (alive.expired()) return;  // operator closed/destroyed
           in_flight_--;
           if (!s.ok()) return;
+          // One batch per DHT reply: every match of this outer row.
+          BatchAssembler joined_rows;
           for (const DhtItem& item : items) {
             Result<Tuple> inner = Tuple::Decode(item.value);
             if (!inner.ok()) continue;
@@ -242,8 +189,10 @@ class FetchMatchesOp : public Operator {
               Result<bool> keep = residual_->EvalPredicate(joined);
               if (!keep.ok() || !*keep) continue;
             }
-            EmitTuple(tag, joined);
+            joined_rows.Add(joined);
           }
+          for (const TupleBatch& b : joined_rows.TakeBatches())
+            PushBatch(tag, b);
         });
   }
 
@@ -321,12 +270,16 @@ class BloomCreateOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    const Value* v = t.Get(col_);
-    if (v == nullptr) return;
-    filter_->Add(v->CanonicalString());
-    added_++;
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
+    const size_t n = batch.num_rows();
+    stats_.consumed += n;
+    const int idx = batch.schema()->Index(col_);
+    if (idx < 0) return;  // best-effort discard
+    for (size_t r = 0; r < n; ++r) {
+      filter_->Add(
+          batch.ValueAt(r, static_cast<size_t>(idx)).CanonicalString());
+    }
+    added_ += n;
   }
 
   void Flush() override {
@@ -378,7 +331,7 @@ class BloomCreateOp : public Operator {
   std::shared_ptr<char> alive_;
 };
 
-/// bloomprobe[col=?, ns=?, wait_ms=?]: buffer tuples until the published
+/// bloomprobe[col=?, ns=?, wait_ms=?]: buffer batches until the published
 /// filters are fetched (one get against the rendezvous key), then let only
 /// probable matches through. Fails open: if no filter shows up by the
 /// deadline, everything passes (a Bloom join must never lose results).
@@ -406,13 +359,13 @@ class BloomProbeOp : public Operator {
     });
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
+  void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
+    stats_.consumed += batch.num_rows();
     if (!ready_) {
-      buf_.emplace_back(tag, std::move(t));
+      buf_.emplace_back(tag, batch.EnsureOwned());  // outlives this call
       return;
     }
-    MaybeEmit(tag, t);
+    Probe(tag, batch);
   }
 
   void Close() override {
@@ -443,26 +396,41 @@ class BloomProbeOp : public Operator {
                     }
                     (void)s;
                     ready_ = true;
-                    for (auto& [tag, t] : buf_) MaybeEmit(tag, t);
+                    for (auto& [tag, b] : buf_) Probe(tag, b);
                     buf_.clear();
                   });
   }
 
-  void MaybeEmit(uint32_t tag, const Tuple& t) {
-    const Value* v = t.Get(col_);
-    if (v == nullptr) return;
-    if (filter_ && !filter_->MayContain(v->CanonicalString())) {
-      filtered_++;
+  /// Pass the rows that may match (all of them without a filter).
+  void Probe(uint32_t tag, const TupleBatch& batch) {
+    const int idx = batch.schema()->Index(col_);
+    if (idx < 0) return;  // best-effort discard
+    if (!filter_) {
+      PushBatch(tag, batch);
       return;
     }
-    EmitTuple(tag, t);
+    const size_t n = batch.num_rows();
+    std::vector<uint32_t> pass;
+    pass.reserve(n);
+    for (size_t r = 0; r < n; ++r) {
+      if (filter_->MayContain(
+              batch.ValueAt(r, static_cast<size_t>(idx)).CanonicalString())) {
+        pass.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    filtered_ += n - pass.size();
+    if (pass.size() == n) {
+      PushBatch(tag, batch);
+    } else if (!pass.empty()) {
+      PushBatch(tag, batch.Select(pass));
+    }
   }
 
   std::string col_, ns_;
   TimeUs wait_ = 2 * kSecond;
   bool ready_ = false;
   std::unique_ptr<BloomFilter> filter_;
-  std::vector<std::pair<uint32_t, Tuple>> buf_;
+  std::vector<std::pair<uint32_t, TupleBatch>> buf_;
   uint64_t filtered_ = 0;
   uint64_t timer_ = 0;
   std::shared_ptr<char> alive_;

@@ -1,5 +1,5 @@
-// Tuple-at-a-time relational operators: source, selection, projection, tee,
-// union, duplicate elimination, queue, limit, control gate, materializer.
+// Relational operators: source, selection, projection, tee, union,
+// duplicate elimination, queue, limit, control gate, materializer.
 //
 // All follow the best-effort policy (§3.3.4): a tuple that fails to evaluate
 // (missing column, type mismatch) is silently discarded.
@@ -23,12 +23,14 @@ class SourceOp : public Operator {
 
   Status Init(ExecContext* cx) override {
     PIER_RETURN_IF_ERROR(Operator::Init(cx));
+    BatchAssembler batches;
     for (int i = 0;; ++i) {
       std::string key = "tuple" + std::to_string(i);
       if (!spec_.Has(key)) break;
       PIER_ASSIGN_OR_RETURN(Tuple t, Tuple::Decode(spec_.GetString(key)));
-      tuples_.push_back(std::move(t));
+      batches.Add(t);
     }
+    batches_ = batches.TakeBatches();
     return Status::Ok();
   }
 
@@ -36,14 +38,14 @@ class SourceOp : public Operator {
     // Produce asynchronously: real access methods never emit inside Open.
     timer_ = cx_->vri->ScheduleEvent(0, [this]() {
       timer_ = 0;
-      for (const Tuple& t : tuples_) {
-        stats_.consumed++;
-        EmitTuple(0, t);
+      for (const TupleBatch& b : batches_) {
+        stats_.consumed += b.num_rows();
+        PushBatch(0, b);
       }
     });
   }
 
-  void Consume(int, uint32_t, Tuple) override {}  // no inputs
+  void ProcessBatch(int, uint32_t, const TupleBatch&) override {}  // no inputs
 
   void Close() override {
     if (timer_) cx_->vri->CancelEvent(timer_);
@@ -51,7 +53,7 @@ class SourceOp : public Operator {
   }
 
  private:
-  std::vector<Tuple> tuples_;
+  std::vector<TupleBatch> batches_;
   uint64_t timer_ = 0;
 };
 
@@ -64,12 +66,6 @@ class SelectionOp : public Operator {
     PIER_RETURN_IF_ERROR(Operator::Init(cx));
     PIER_ASSIGN_OR_RETURN(pred_, spec_.GetExpr("pred"));
     return Status::Ok();
-  }
-
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    Result<bool> keep = pred_->EvalPredicate(t);
-    if (keep.ok() && *keep) EmitTuple(tag, t);
   }
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
@@ -114,19 +110,7 @@ class ProjectionOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    Tuple out = cols_.empty() ? Tuple(t.table()) : t.Project(cols_);
-    if (!out_table_.empty()) out.set_table(out_table_);
-    for (const auto& [name, expr] : computed_) {
-      Result<Value> v = expr->Eval(t);
-      if (!v.ok()) return;  // best-effort: discard the whole tuple
-      out.Append(name, std::move(v).value());
-    }
-    EmitTuple(tag, out);
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
+  void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const BatchSchema& in = *batch.schema();
     // Resolve the projected columns once per batch (all rows share the
     // schema); missing columns are skipped, as in Tuple::Project.
@@ -136,19 +120,21 @@ class ProjectionOp : public Operator {
       int idx = in.Index(c);
       if (idx >= 0) keep.push_back(idx);
     }
-    if (keep.empty() && computed_.empty()) {
-      // Every projected column is missing: the output rows have no columns,
-      // which the cell-wise builder below cannot delimit. Singleton fallback
-      // (the scalar path emits one empty tuple per input row).
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
     const size_t n = batch.num_rows();
     stats_.consumed += n;
     auto schema = std::make_shared<BatchSchema>();
     schema->table = out_table_.empty() ? in.table : out_table_;
     for (int idx : keep) schema->columns.push_back(in.columns[idx]);
     for (const auto& [name, expr] : computed_) schema->columns.push_back(name);
+    if (schema->columns.empty()) {
+      // Every projected column is missing: one column-less row per input
+      // row. Such rows have no cells to delimit them, so they are counted.
+      const Tuple empty_row(schema->table);
+      TupleBatchBuilder out(std::move(schema));
+      for (size_t r = 0; r < n; ++r) out.AppendTuple(empty_row);
+      PushBatch(tag, out.Finish());
+      return;
+    }
     TupleBatchBuilder out(std::move(schema));
     std::vector<Value> computed_vals(computed_.size());
     for (size_t r = 0; r < n; ++r) {
@@ -180,10 +166,6 @@ class ProjectionOp : public Operator {
 class TeeOp : public Operator {
  public:
   using Operator::Operator;
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    EmitTuple(tag, t);
-  }
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     stats_.consumed += batch.num_rows();
     PushBatch(tag, batch);
@@ -200,12 +182,6 @@ class UnionOp : public Operator {
     PIER_RETURN_IF_ERROR(Operator::Init(cx));
     out_table_ = spec_.GetString("table");
     return Status::Ok();
-  }
-
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    if (!out_table_.empty()) t.set_table(out_table_);
-    EmitTuple(tag, t);
   }
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
@@ -229,51 +205,23 @@ class DupElimOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    const Tuple& key_tuple = cols_.empty() ? t : (scratch_ = t.Project(cols_));
-    uint64_t h = key_tuple.Hash();
-    auto [it, inserted] = seen_.try_emplace(h);
-    if (!inserted) {
-      // Hash collision check: only equal tuples are duplicates.
-      for (const Tuple& prev : it->second) {
-        if (prev == key_tuple) return;
-      }
-    }
-    it->second.push_back(key_tuple);
-    EmitTuple(tag, t);
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (!cols_.empty()) {
-      // Dedup on a column subset needs per-row projection; take the
-      // singleton fallback.
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
+  void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
     std::vector<uint32_t> fresh_rows;
     fresh_rows.reserve(n);
     for (size_t r = 0; r < n; ++r) {
-      // RowHash matches Tuple::Hash, so duplicates cost no materialization;
-      // only first-seen rows (and hash collisions) build a Tuple.
-      uint64_t h = batch.RowHash(r);
-      auto [it, inserted] = seen_.try_emplace(h);
-      if (!inserted) {
-        Tuple key_tuple = batch.RowTuple(r);
-        bool dup = false;
-        for (const Tuple& prev : it->second) {
-          if (prev == key_tuple) {
-            dup = true;
-            break;
-          }
-        }
-        if (dup) continue;
-        it->second.push_back(std::move(key_tuple));
-      } else {
-        it->second.push_back(batch.RowTuple(r));
+      // The dedup key is the whole row, or its projection onto `cols`.
+      Tuple key = batch.RowTuple(r);
+      if (!cols_.empty()) key = key.Project(cols_);
+      auto [it, inserted] = seen_.try_emplace(key.Hash());
+      // Hash collision check: only equal keys are duplicates.
+      if (!inserted &&
+          std::find(it->second.begin(), it->second.end(), key) !=
+              it->second.end()) {
+        continue;
       }
+      it->second.push_back(std::move(key));
       fresh_rows.push_back(static_cast<uint32_t>(r));
     }
     if (fresh_rows.size() == n) {
@@ -288,7 +236,6 @@ class DupElimOp : public Operator {
  private:
   std::vector<std::string> cols_;
   std::unordered_map<uint64_t, std::vector<Tuple>> seen_;
-  Tuple scratch_;
 };
 
 /// Queue (§3.3.5): absorbs pushes and re-emits from a zero-delay timer so
@@ -303,29 +250,18 @@ class QueueOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    if (buffered_rows_ >= max_size_) {
-      dropped_++;  // back-pressure by shedding, never by blocking
-      return;
-    }
-    buf_.push_back(Item{tag, std::move(t), TupleBatch()});
-    buffered_rows_++;
-    Arm();
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
     if (buffered_rows_ >= max_size_) {
-      dropped_ += n;
+      dropped_ += n;  // back-pressure by shedding, never by blocking
       return;
     }
     size_t take = std::min(n, max_size_ - buffered_rows_);
     dropped_ += n - take;
     // The batch is parked across events, so it must own its payloads (a
     // borrowed frame dies when this call returns).
-    buf_.push_back(Item{tag, Tuple(), batch.Slice(0, take).EnsureOwned()});
+    buf_.push_back(Item{tag, batch.Slice(0, take).EnsureOwned()});
     buffered_rows_ += take;
     Arm();
   }
@@ -344,7 +280,6 @@ class QueueOp : public Operator {
  private:
   struct Item {
     uint32_t tag;
-    Tuple t;          // valid when b is empty
     TupleBatch b;
   };
 
@@ -360,13 +295,7 @@ class QueueOp : public Operator {
     size_t budget = 256;
     while (!buf_.empty() && budget > 0) {
       Item& front = buf_.front();
-      if (front.b.empty()) {
-        buffered_rows_--;
-        budget--;
-        Item item = std::move(buf_.front());
-        buf_.pop_front();
-        EmitTuple(item.tag, item.t);
-      } else if (front.b.num_rows() <= budget) {
+      if (front.b.num_rows() <= budget) {
         buffered_rows_ -= front.b.num_rows();
         budget -= front.b.num_rows();
         Item item = std::move(buf_.front());
@@ -402,14 +331,6 @@ class LimitOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    if (passed_ >= k_) return;
-    passed_++;
-    EmitTuple(tag, t);
-    if (passed_ >= k_ && cx_->request_stop) cx_->request_stop();
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
@@ -439,31 +360,28 @@ class ControlOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
+  void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
+    const size_t n = batch.num_rows();
+    stats_.consumed += n;
     if (!paused_) {
-      EmitTuple(tag, t);
+      PushBatch(tag, batch);
       return;
     }
-    if (buf_.size() < max_buffer_) buf_.emplace_back(tag, std::move(t));
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (paused_) {
-      // Buffering is per-tuple; take the singleton fallback.
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
-    stats_.consumed += batch.num_rows();
-    PushBatch(tag, batch);
+    // Paused: park up to max_buffer rows (owned: they outlive this call) and
+    // shed the rest.
+    size_t take = std::min(n, max_buffer_ - buffered_rows_);
+    if (take == 0) return;
+    buf_.emplace_back(tag, batch.Slice(0, take).EnsureOwned());
+    buffered_rows_ += take;
   }
 
   void Pause() { paused_ = true; }
 
   void Resume() {
     paused_ = false;
-    for (auto& [tag, t] : buf_) EmitTuple(tag, t);
+    for (auto& [tag, b] : buf_) PushBatch(tag, b);
     buf_.clear();
+    buffered_rows_ = 0;
   }
 
   void Flush() override {
@@ -472,14 +390,18 @@ class ControlOp : public Operator {
     paused_ = true;
   }
 
-  void Close() override { buf_.clear(); }
+  void Close() override {
+    buf_.clear();
+    buffered_rows_ = 0;
+  }
 
   bool paused() const { return paused_; }
 
  private:
   bool paused_ = false;
   size_t max_buffer_ = 4096;
-  std::deque<std::pair<uint32_t, Tuple>> buf_;
+  size_t buffered_rows_ = 0;
+  std::deque<std::pair<uint32_t, TupleBatch>> buf_;
 };
 
 /// In-memory table materializer (§3.3.4): stores the input stream as a local
@@ -497,16 +419,6 @@ class MaterializerOp : public Operator {
     lifetime_ = spec_.GetInt("lifetime_ms", 0) * kMillisecond;
     if (lifetime_ <= 0) lifetime_ = cx_->query_lifetime;
     return Status::Ok();
-  }
-
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    ObjectName name;
-    name.ns = ns_;
-    name.key = t.PartitionKey(key_attrs_);
-    name.suffix = cx_->NextSuffix();
-    cx_->dht->objects()->Put(std::move(name), t.Encode(), lifetime_);
-    EmitTuple(tag, t);
   }
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {

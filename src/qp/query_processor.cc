@@ -12,11 +12,7 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
   tree_ = std::make_unique<DistributionTree>(dht_, options_.tree);
   executor_ = std::make_unique<QueryExecutor>(vri_, dht_);
 
-  executor_->set_result_sink(
-      [this](uint64_t qid, const NetAddress& proxy, const Tuple& t) {
-        ForwardAnswer(qid, proxy, t);
-      });
-  executor_->set_batch_result_sink(
+  executor_->set_answer_sink(
       [this](uint64_t qid, const NetAddress& proxy, const TupleBatch& b) {
         ForwardAnswerBatch(qid, proxy, b);
       });
@@ -155,7 +151,7 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
         HandleDisseminationBlob(value);
       });
 
-  // Answer tuples from executing nodes.
+  // Final cost snapshots from executors tearing a query down.
   dht_->router()->RegisterDirectType(
       kMsgQueryCosts, [this](const NetAddress& from, std::string_view body) {
         WireReader r(body);
@@ -168,11 +164,7 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
           it->second.remote_costs[from] = std::move(snapshot);
       });
 
-  dht_->router()->RegisterDirectType(
-      kMsgAnswer, [this](const NetAddress& from, std::string_view body) {
-        HandleAnswerMsg(from, body);
-      });
-
+  // Answer batches from executing nodes.
   dht_->router()->RegisterDirectType(
       kMsgAnswerBatch, [this](const NetAddress& from, std::string_view body) {
         HandleAnswerBatchMsg(from, body);
@@ -728,12 +720,14 @@ void QueryProcessor::StartRangeGraph(const QueryPlan& plan, const OpGraph& g) {
       [this, pht, qid, gid, inject_op](const Status& s,
                                        std::vector<PhtItem> items) {
         if (!s.ok()) return;
+        BatchAssembler batches;
         for (const PhtItem& item : items) {
-          Result<Tuple> t = Tuple::Decode(item.value);
-          if (!t.ok()) continue;
+          (void)batches.AddEncoded(item.value);  // malformed: skipped
+        }
+        for (const TupleBatch& b : batches.TakeBatches()) {
           // NotFound here means the query was stopped while the PHT scan
           // was in flight — late matches have nowhere to go by design.
-          (void)executor_->InjectTuple(qid, gid, inject_op, *t);
+          (void)executor_->InjectBatch(qid, gid, inject_op, b);
         }
       });
 }
@@ -758,86 +752,45 @@ void QueryProcessor::DeliverAnswer(ClientQuery* client, const Tuple& t) {
   }
 }
 
-void QueryProcessor::ForwardAnswer(uint64_t query_id, const NetAddress& proxy,
-                                   const Tuple& t) {
-  if (proxy == dht_->local_address() || proxy.IsNull()) {
-    // This node is the proxy: deliver directly to the client. No wire
-    // message, so the answer pseudo-op counts the tuple but no msgs/bytes.
-    executor_->MeterAnswer(query_id, 0, /*on_wire=*/false);
-    auto it = clients_.find(query_id);
-    if (it == clients_.end()) return;  // client cancelled or timed out
-    DeliverAnswer(&it->second, t);
-    return;
-  }
-  stats_.answers_forwarded++;
-  // Framed once, moved down: answer tuples are the hottest steady-state
-  // message of a running query (no re-framing copy in SendDirect).
-  WireWriter w = OverlayRouter::FrameMessage(kMsgAnswer);
-  w.PutU64(query_id);
-  t.EncodeTo(&w);
-  // Meter the frame BEFORE the cost block is appended, so the block's own
-  // answer-slot snapshot includes this very frame — the proxy's aggregate
-  // then matches independently counted wire traffic exactly.
-  QueryMeter* meter = executor_->MeterAnswer(query_id, w.size(),
-                                             /*on_wire=*/true);
-  if (answer_bytes_metric_ != nullptr)
-    answer_bytes_metric_->Observe(static_cast<double>(w.size()));
-  // Piggyback this node's per-op ledger as ABSOLUTE snapshots: every answer
-  // frame carries the full current picture, so a lost or reordered frame
-  // costs freshness, never double counting. Old receivers ignore the block
-  // (trailing bytes after a decoded message are skipped by contract).
-  if (meter != nullptr && meter->ShouldPiggyback()) AppendCostBlock(&w, *meter);
-  // A transport give-up on the proxy is the fast half of proxy-death
-  // detection (the lease is the slow half): the executor counts it and
-  // fails answer routing over to the next successor. An ACK is the
-  // opposite signal — live proof — and refreshes the proxy's lease.
-  dht_->router()->SendFramed(
-      proxy, std::move(w).data(), [this, query_id, proxy](const Status& s) {
-        if (s.ok()) {
-          executor_->NoteAnswerForwardSuccess(query_id, proxy);
-        } else {
-          executor_->NoteAnswerForwardFailure(query_id, proxy);
-        }
-      });
-}
-
 void QueryProcessor::ForwardAnswerBatch(uint64_t query_id,
                                         const NetAddress& proxy,
                                         const TupleBatch& batch) {
   const size_t n = batch.num_rows();
   if (n == 0) return;
-  if (n == 1) {
-    // Singleton fallback: the per-tuple frame keeps the wire byte-identical
-    // to the scalar path.
-    ForwardAnswer(query_id, proxy, batch.RowTuple(0));
-    return;
-  }
   if (proxy == dht_->local_address() || proxy.IsNull()) {
-    // Local proxy: per-row delivery, each answer metered exactly as on the
-    // scalar path (no wire message). clients_ is re-found per row because a
-    // client may Cancel() from inside its own on_tuple.
+    // This node is the proxy: deliver directly to the client. No wire
+    // message, so the answer pseudo-op counts the rows but no msgs/bytes.
+    // clients_ is re-found per row because a client may Cancel() from
+    // inside its own on_tuple.
+    executor_->MeterAnswer(query_id, n, 0, /*on_wire=*/false);
     for (size_t r = 0; r < n; ++r) {
-      executor_->MeterAnswer(query_id, 0, /*on_wire=*/false);
       auto it = clients_.find(query_id);
-      if (it == clients_.end()) continue;
+      if (it == clients_.end()) return;  // client cancelled or timed out
       DeliverAnswer(&it->second, batch.RowTuple(r));
     }
     return;
   }
   stats_.answers_forwarded += n;
+  // Framed once, moved down: answer frames are the hottest steady-state
+  // message of a running query (no re-framing copy in SendDirect).
   WireWriter w = OverlayRouter::FrameMessage(kMsgAnswerBatch);
   w.PutU64(query_id);
   batch.EncodeTo(&w);
-  // Meter every row, but charge the wire exactly once with the real frame
-  // size — the whole point of batching is n tuples for one message, and the
-  // meter must agree with independently counted wire traffic (E16).
-  for (size_t r = 0; r + 1 < n; ++r)
-    executor_->MeterAnswer(query_id, 0, /*on_wire=*/false);
-  QueryMeter* meter = executor_->MeterAnswer(query_id, w.size(),
+  // Meter every row, but charge the wire once with the real frame size, and
+  // BEFORE the cost block is appended, so the block's own answer-slot
+  // snapshot includes this very frame — the proxy's aggregate then matches
+  // independently counted wire traffic exactly (E16).
+  QueryMeter* meter = executor_->MeterAnswer(query_id, n, w.size(),
                                              /*on_wire=*/true);
   if (answer_bytes_metric_ != nullptr)
     answer_bytes_metric_->Observe(static_cast<double>(w.size()));
+  // Piggyback this node's per-op ledger as ABSOLUTE snapshots: a lost or
+  // reordered frame costs freshness, never double counting.
   if (meter != nullptr && meter->ShouldPiggyback()) AppendCostBlock(&w, *meter);
+  // A transport give-up on the proxy is the fast half of proxy-death
+  // detection (the lease is the slow half): the executor counts it and
+  // fails answer routing over to the next successor. An ACK is the
+  // opposite signal — live proof — and refreshes the proxy's lease.
   dht_->router()->SendFramed(
       proxy, std::move(w).data(), [this, query_id, proxy](const Status& s) {
         if (s.ok()) {
@@ -859,29 +812,6 @@ void QueryProcessor::HandleAnswerBatchMsg(const NetAddress& from,
   if (!batch.ok()) return;
   auto it = clients_.find(qid);
   if (it == clients_.end()) {
-    executor_->NoteStrayAnswer(qid);
-    it = clients_.find(qid);
-    if (it == clients_.end()) return;
-  }
-  std::map<QueryMeter::Key, OpCost> snapshot;
-  if (DecodeCostBlock(&r, &snapshot))
-    it->second.remote_costs[from] = std::move(snapshot);
-  for (size_t row = 0; row < batch->num_rows(); ++row) {
-    auto cit = clients_.find(qid);  // the client may Cancel() mid-batch
-    if (cit == clients_.end()) return;
-    DeliverAnswer(&cit->second, batch->RowTuple(row));
-  }
-}
-
-void QueryProcessor::HandleAnswerMsg(const NetAddress& from,
-                                     std::string_view body) {
-  WireReader r(body);
-  uint64_t qid;
-  if (!r.GetU64(&qid).ok()) return;
-  Result<Tuple> t = Tuple::DecodeFrom(&r);
-  if (!t.ok()) return;
-  auto it = clients_.find(qid);
-  if (it == clients_.end()) {
     // An answer for a query this node does not proxy: either a late answer
     // after done/cancel, or other executors already failed over to us. The
     // executor decides (and may adopt synchronously, creating the record).
@@ -895,7 +825,11 @@ void QueryProcessor::HandleAnswerMsg(const NetAddress& from,
   std::map<QueryMeter::Key, OpCost> snapshot;
   if (DecodeCostBlock(&r, &snapshot))
     it->second.remote_costs[from] = std::move(snapshot);
-  DeliverAnswer(&it->second, *t);
+  for (size_t row = 0; row < batch->num_rows(); ++row) {
+    auto cit = clients_.find(qid);  // the client may Cancel() mid-batch
+    if (cit == clients_.end()) return;
+    DeliverAnswer(&cit->second, batch->RowTuple(row));
+  }
 }
 
 QueryCostReport QueryProcessor::QueryCosts(uint64_t query_id) const {

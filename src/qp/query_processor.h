@@ -298,10 +298,9 @@ class QueryProcessor {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Router direct-message type for answer tuples (16-21 are the DHT's).
-  static constexpr uint8_t kMsgAnswer = 32;
-  /// A batch of answer tuples in one frame: query id + TupleBatch wire
-  /// format. Framing once per destination amortizes the per-message header
+  /// Router direct-message type for answers (16-21 are the DHT's): query id
+  /// + TupleBatch wire format (+ an optional cost block). A single answer is
+  /// a batch of one; framing once per batch amortizes the per-message header
   /// and cost-block overhead across every row of a window flush.
   static constexpr uint8_t kMsgAnswerBatch = 38;
   /// Namespace of durable cancel tombstones: CancelQuery of a continuous
@@ -404,11 +403,9 @@ class QueryProcessor {
   void BindQueryMetrics(ClientQuery* client, uint64_t query_id);
   void Disseminate(const QueryPlan& plan);
   void HandleDisseminationBlob(std::string_view blob);
-  void HandleAnswerMsg(const NetAddress& from, std::string_view body);
   void HandleAnswerBatchMsg(const NetAddress& from, std::string_view body);
-  void ForwardAnswer(uint64_t query_id, const NetAddress& proxy, const Tuple& t);
-  /// Batch flavor: one kMsgAnswerBatch frame per destination (singleton
-  /// batches take the per-tuple path, keeping the wire format unchanged).
+  /// Deliver a batch of answers to the local client, or forward it to a
+  /// remote proxy as one kMsgAnswerBatch frame.
   void ForwardAnswerBatch(uint64_t query_id, const NetAddress& proxy,
                           const TupleBatch& batch);
   void StartRangeGraph(const QueryPlan& meta, const OpGraph& g);

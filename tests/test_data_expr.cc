@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/tuple.h"
+#include "data/tuple_batch.h"
 #include "data/value.h"
 #include "qp/expr.h"
 #include "util/random.h"
@@ -173,6 +174,78 @@ Tuple Row() {
                      {"b", Value::Int64(3)},
                      {"s", Value::String("Hello World")},
                      {"f", Value::Double(2.5)}});
+}
+
+// --- TupleBatch wire decoding (the answer path's only decoder) --------------
+
+Result<TupleBatch> DecodeFrame(const std::string& frame) {
+  WireReader r(frame);
+  return TupleBatch::DecodeFrom(&r, frame);
+}
+
+TEST(TupleBatch, WireRoundTripOfAMultiRowBatch) {
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 5; ++i) {
+    Tuple t("mixed");
+    t.Append("n", i == 2 ? Value::Null() : Value::Int64(i * 1000003));
+    t.Append("f", Value::Bool(i % 2 == 0));
+    t.Append("d", Value::Double(i + 0.25));
+    t.Append("s", Value::String(std::string(static_cast<size_t>(i), 'x')));
+    t.Append("y", Value::Bytes(std::string("\0\xff", 2)));
+    rows.push_back(std::move(t));
+  }
+  TupleBatch batch = TupleBatch::FromTuples(rows);
+  WireWriter w;
+  batch.EncodeTo(&w);
+  std::string frame = std::move(w).data();
+  WireReader r(frame);
+  Result<TupleBatch> back = TupleBatch::DecodeFrom(&r, frame);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_FALSE(back->owned()) << "string cells alias the frame";
+  ASSERT_EQ(back->num_rows(), rows.size());
+  TupleBatch owned = back->EnsureOwned();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(back->RowTuple(i), rows[i]);
+    EXPECT_EQ(owned.RowTuple(i), rows[i]);
+  }
+}
+
+TEST(TupleBatch, DecodeRejectsMoreCellsThanTheFrameHasBytes) {
+  // About 4 KB declaring 4,096 columns x 2^24 rows. Every cell costs at
+  // least its tag byte, so the frame is refused before any cell storage is
+  // reserved (reserving it would demand a terabyte).
+  WireWriter w;
+  w.PutBytes("t");
+  w.PutVarint(4096);
+  for (int c = 0; c < 4096; ++c) w.PutBytes("");
+  w.PutVarint(uint64_t{1} << 24);
+  std::string frame = std::move(w).data();
+  ASSERT_LT(frame.size(), 5000u);
+  Result<TupleBatch> b = DecodeFrame(frame);
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.status().code(), StatusCode::kCorruption);
+}
+
+TEST(TupleBatch, DecodeCapsColumnlessRows) {
+  // Column-less rows cost no bytes, so only the row cap bounds them.
+  WireWriter huge;
+  huge.PutBytes("t");
+  huge.PutVarint(0);
+  huge.PutVarint(uint64_t{1} << 40);
+  Result<TupleBatch> b = DecodeFrame(std::move(huge).data());
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.status().code(), StatusCode::kCorruption);
+
+  // A legal column-less batch still decodes with its row count.
+  WireWriter ok;
+  ok.PutBytes("t");
+  ok.PutVarint(0);
+  ok.PutVarint(3);
+  Result<TupleBatch> small = DecodeFrame(std::move(ok).data());
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_EQ(small->num_rows(), 3u);
+  EXPECT_EQ(small->RowTuple(2), Tuple("t"));
 }
 
 TEST(Expr, ParseAndEvalComparisons) {

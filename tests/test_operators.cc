@@ -1,5 +1,5 @@
 // Operator-level tests: local opgraphs on a one-node network, driven through
-// the executor with injected tuples. These exercise each operator's contract
+// the executor with injected batches. These exercise each operator's contract
 // (including the best-effort malformed-tuple policy) without the cost of a
 // full multi-node simulation.
 
@@ -9,6 +9,7 @@
 
 #include "data/tuple_batch.h"
 #include "qp/sim_pier.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace pier {
@@ -28,6 +29,14 @@ class LocalGraph {
   /// Builds source -> ops... -> result. Returns ids of the middle ops.
   std::vector<uint32_t> Build(std::vector<OpSpec> middle,
                               TimeUs timeout = 60 * kSecond) {
+    for (const OpSpec& spec : middle) {
+      // A Bloom probe reads its filter namespace as a relation, so the
+      // catalog must know it before the proxy accepts the plan.
+      if (spec.kind == OpKind::kBloomProbe) {
+        (void)net_->catalog()->Register(
+            TableSpec(spec.GetString("ns")).PartitionBy({"filter"}));
+      }
+    }
     plan_.query_id = 50000 + seed_counter_++;
     plan_.timeout = timeout;
     OpGraph& g = plan_.AddGraph();
@@ -56,12 +65,8 @@ class LocalGraph {
     return ids;
   }
 
-  void Inject(const Tuple& t) {
-    EXPECT_TRUE(net_->qp(0)
-                    ->executor()
-                    ->InjectTuple(plan_.query_id, graph_id_, src_id_, t)
-                    .ok());
-  }
+  /// Inject one row (a batch of one).
+  void Inject(const Tuple& t) { InjectBatch(TupleBatch::FromTuples({t})); }
 
   void InjectBatch(const TupleBatch& b) {
     EXPECT_TRUE(net_->qp(0)
@@ -279,7 +284,11 @@ TEST(Operators, MaterializerMakesTupleScanableLocally) {
   ASSERT_TRUE(net.qp(0)->SubmitQuery(plan, [](const Tuple&) {}).ok());
   net.RunFor(100 * kMillisecond);
   ASSERT_TRUE(
-      net.qp(0)->executor()->InjectTuple(plan.query_id, g.id, src_id, Row(7, 8)).ok());
+      net.qp(0)
+          ->executor()
+          ->InjectBatch(plan.query_id, g.id, src_id,
+                        TupleBatch::FromTuples({Row(7, 8)}))
+          .ok());
   net.RunFor(100 * kMillisecond);
   EXPECT_EQ(net.dht(0)->objects()->NamespaceObjects("mat_table"), 1u);
 }
@@ -334,11 +343,12 @@ TEST(Operators, MalformedStoredObjectsAreSkippedByScan) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch vs scalar equivalence: the same randomized stream through the same
-// middle graph twice — once injected tuple-at-a-time, once as TupleBatches
-// (the assembler rolls batches on schema changes, exactly as the runtime's
-// decode path does). The answer streams must be identical, byte for byte and
-// in order, including across window flush boundaries.
+// Batch-size equivalence: the same randomized stream through the same middle
+// graph twice — once as 1-row batches, once as multi-row TupleBatches (the
+// assembler rolls batches on schema changes, exactly as the runtime's decode
+// path does). Both answer streams must match, byte for byte and in order,
+// including across window flush boundaries, a digest recorded from the
+// per-tuple operator path at commit cb4b9bb, before that path was deleted.
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> Enc(const std::vector<Tuple>& ts) {
@@ -348,25 +358,39 @@ std::vector<std::string> Enc(const std::vector<Tuple>& ts) {
   return out;
 }
 
-void ExpectBatchScalarEquivalence(
-    const std::vector<OpSpec>& middle,
-    const std::vector<std::vector<Tuple>>& windows, size_t batch_rows = 64) {
-  LocalGraph scalar(123), batch(123);
-  scalar.Build(middle);
-  batch.Build(middle);
-  for (const std::vector<Tuple>& win : windows) {
-    for (const Tuple& t : win) scalar.Inject(t);
-    scalar.Run();
-    scalar.Flush();
-    scalar.Run();
-    BatchAssembler assembler(batch_rows);
-    for (const Tuple& t : win) assembler.Add(t);
-    for (const TupleBatch& b : assembler.TakeBatches()) batch.InjectBatch(b);
-    batch.Run();
-    batch.Flush();
-    batch.Run();
+/// A recorded answer stream: Fnv1a64 over the concatenated tuple encodings
+/// (self-delimiting, so the concatenation is unambiguous) plus the row count.
+struct Golden {
+  uint64_t digest;
+  size_t rows;
+};
+
+Golden Digest(const std::vector<std::string>& encoded) {
+  std::string all;
+  for (const std::string& e : encoded) all += e;
+  return Golden{Fnv1a64(all), encoded.size()};
+}
+
+void ExpectBatchEquivalence(const std::vector<OpSpec>& middle,
+                            const std::vector<std::vector<Tuple>>& windows,
+                            Golden want, size_t batch_rows = 64) {
+  for (size_t rows_per_batch : {size_t{1}, batch_rows}) {
+    LocalGraph g(123);
+    g.Build(middle);
+    for (const std::vector<Tuple>& win : windows) {
+      BatchAssembler assembler(rows_per_batch);
+      for (const Tuple& t : win) assembler.Add(t);
+      for (const TupleBatch& b : assembler.TakeBatches()) g.InjectBatch(b);
+      g.Run();
+      g.Flush();
+      g.Run();
+    }
+    Golden got = Digest(Enc(g.out));
+    EXPECT_EQ(got.digest, want.digest)
+        << rows_per_batch << "-row batches: digest 0x" << std::hex
+        << got.digest << std::dec << ", " << got.rows << " rows";
+    EXPECT_EQ(got.rows, want.rows) << rows_per_batch << "-row batches";
   }
-  EXPECT_EQ(Enc(scalar.out), Enc(batch.out));
 }
 
 /// Randomized rows: duplicate-heavy int key `a` (sometimes missing, sometimes
@@ -400,7 +424,8 @@ TEST(BatchEquivalence, SelectionProjectionDupElimChain) {
   proj.Set("out0", "twice");
   proj.SetExpr("expr0", *ParseExpr("a * 2"));
   OpSpec dedup(0, OpKind::kDupElim);
-  ExpectBatchScalarEquivalence({sel, proj, dedup}, {RandomRows(71, 400)});
+  ExpectBatchEquivalence({sel, proj, dedup}, {RandomRows(71, 400)},
+                         Golden{0xc84d8a7184fa5775, 69});
 }
 
 TEST(BatchEquivalence, GroupByAcrossWindowBoundaries) {
@@ -409,8 +434,9 @@ TEST(BatchEquivalence, GroupByAcrossWindowBoundaries) {
   agg.Set("aggs", "count::n,sum:b:total,min:b:lo");
   // Three tumbling windows (Flush between them): per-window group answers
   // must agree, not just the final state.
-  ExpectBatchScalarEquivalence(
-      {agg}, {RandomRows(72, 150), RandomRows(73, 150), RandomRows(74, 150)});
+  ExpectBatchEquivalence(
+      {agg}, {RandomRows(72, 150), RandomRows(73, 150), RandomRows(74, 150)},
+      Golden{0xf8d6fa6d49eb56c9, 63});
 }
 
 TEST(BatchEquivalence, EddyDrawsIdenticalRoutingDecisions) {
@@ -420,7 +446,9 @@ TEST(BatchEquivalence, EddyDrawsIdenticalRoutingDecisions) {
     eddy.SetExpr("mexpr0", *ParseExpr("a > 5"));
     eddy.SetExpr("mexpr1", *ParseExpr("b < 80"));
     eddy.Set("policy", policy);
-    ExpectBatchScalarEquivalence({eddy}, {RandomRows(75, 300)});
+    // Both policies pass the same conjunction, so they share one stream.
+    ExpectBatchEquivalence({eddy}, {RandomRows(75, 300)},
+                           Golden{0x8c2f296c46daa995, 123});
   }
 }
 
@@ -428,7 +456,8 @@ TEST(BatchEquivalence, QueueThenLimitStopsAtTheSameRow) {
   OpSpec q(0, OpKind::kQueue);
   OpSpec lim(0, OpKind::kLimit);
   lim.SetInt("k", 37);
-  ExpectBatchScalarEquivalence({q, lim}, {RandomRows(76, 200)});
+  ExpectBatchEquivalence({q, lim}, {RandomRows(76, 200)},
+                         Golden{0xfee5e0fe51b40fb7, 37});
 }
 
 TEST(BatchEquivalence, SymHashJoinMixedTableStream) {
@@ -455,7 +484,109 @@ TEST(BatchEquivalence, SymHashJoinMixedTableStream) {
   shj.Set("r_key", "y");
   shj.Set("l_table", "r");
   shj.Set("r_table", "s");
-  ExpectBatchScalarEquivalence({shj}, {rows}, /*batch_rows=*/32);
+  ExpectBatchEquivalence({shj}, {rows}, Golden{0xd4381475c2e3c9ea, 547},
+                         /*batch_rows=*/32);
+}
+
+/// Partial-state rows as a mode=partial GroupBy emits them for
+/// "count::n,sum:b:total" ("<alias>#n", "#s", "#mn", "#mx"), with the odd row
+/// missing its key or one aggregate's columns and sums that are sometimes
+/// doubles — so the stream rolls batches on every schema change.
+std::vector<Tuple> PartialRows(uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<Tuple> rows;
+  rows.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    Tuple t("agg");
+    uint64_t shape = rng.Uniform(10);
+    if (shape != 0)
+      t.Append("a", Value::Int64(static_cast<int64_t>(rng.Uniform(8))));
+    t.Append("n#n", Value::Int64(static_cast<int64_t>(1 + rng.Uniform(5))));
+    t.Append("n#s", Value::Null());
+    t.Append("n#mn", Value::Null());
+    t.Append("n#mx", Value::Null());
+    if (shape != 1) {
+      int64_t lo = static_cast<int64_t>(rng.Uniform(50));
+      int64_t hi = lo + static_cast<int64_t>(rng.Uniform(50));
+      t.Append("total#n",
+               Value::Int64(static_cast<int64_t>(1 + rng.Uniform(4))));
+      t.Append("total#s", shape == 2 ? Value::Double(lo + hi + 0.5)
+                                     : Value::Int64(lo + hi));
+      t.Append("total#mn", Value::Int64(lo));
+      t.Append("total#mx", Value::Int64(hi));
+    }
+    rows.push_back(std::move(t));
+  }
+  return rows;
+}
+
+TEST(BatchEquivalence, TopKWithoutDedupPerWindow) {
+  OpSpec topk(0, OpKind::kTopK);
+  topk.SetInt("k", 10);
+  topk.Set("col", "b");
+  topk.SetInt("desc", 1);
+  ExpectBatchEquivalence(
+      {topk}, {RandomRows(80, 120), RandomRows(81, 120), RandomRows(82, 5)},
+      Golden{0x4e7e25062b434df1, 24});
+}
+
+TEST(BatchEquivalence, TopKDedupRefinesAcrossFlushes) {
+  OpSpec topk(0, OpKind::kTopK);
+  topk.SetInt("k", 5);
+  topk.Set("col", "b");
+  topk.SetInt("desc", 0);
+  topk.SetStrings("dedup", {"a"});
+  // The third window repeats the second: unchanged state re-flushes nothing.
+  std::vector<Tuple> again = RandomRows(84, 100);
+  ExpectBatchEquivalence({topk}, {RandomRows(83, 100), again, again},
+                         Golden{0xc5cc9b0aca4bd2cb, 10});
+}
+
+TEST(BatchEquivalence, FinalGroupByMergesPartials) {
+  OpSpec agg(0, OpKind::kGroupBy);
+  agg.SetStrings("keys", {"a"});
+  agg.Set("aggs", "count::n,sum:b:total");
+  agg.Set("mode", "final");
+  ExpectBatchEquivalence({agg}, {PartialRows(85, 120), PartialRows(86, 120)},
+                         Golden{0xba2da328d0573ef1, 16});
+}
+
+TEST(BatchEquivalence, SubsetDupElim) {
+  OpSpec de(0, OpKind::kDupElim);
+  de.SetStrings("cols", {"a", "s"});
+  ExpectBatchEquivalence({de}, {RandomRows(87, 300)},
+                         Golden{0x9421f67c74164892, 92});
+}
+
+TEST(BatchEquivalence, PausedControlReleasesOnFlush) {
+  // Paused from the start: every window buffers (capped at max_buffer, the
+  // rest shed) and the flush releases the buffer, then pauses again.
+  OpSpec ctl(0, OpKind::kControl);
+  ctl.SetInt("paused", 1);
+  ctl.SetInt("max_buffer", 100);
+  ExpectBatchEquivalence(
+      {ctl}, {RandomRows(88, 150), RandomRows(89, 60), RandomRows(90, 150)},
+      Golden{0x5862ae7b6f6883a0, 260});
+}
+
+TEST(BatchEquivalence, ZeroColumnProjection) {
+  // Every projected column is missing: one column-less row per input row.
+  OpSpec proj(0, OpKind::kProjection);
+  proj.SetStrings("cols", {"zz"});
+  proj.Set("table", "nothing");
+  ExpectBatchEquivalence({proj}, {RandomRows(91, 200)},
+                         Golden{0xac009d9427646665, 200});
+}
+
+TEST(BatchEquivalence, BloomProbeFailsOpenWithoutAFilter) {
+  // No filter is ever published: rows buffered before the fetch deadline
+  // and rows arriving after it all pass (rows lacking the column drop).
+  OpSpec probe(0, OpKind::kBloomProbe);
+  probe.Set("col", "a");
+  probe.Set("ns", "bf_none");
+  probe.SetInt("wait_ms", 300);
+  ExpectBatchEquivalence({probe}, {RandomRows(92, 150), RandomRows(93, 150)},
+                         Golden{0x229cbf61c9669fce, 277});
 }
 
 TEST(BatchEquivalence, ReplicatedScanMergeStillDeliversEachRowOnce) {

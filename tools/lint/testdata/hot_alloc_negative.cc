@@ -31,17 +31,6 @@ class HoistedOp : public Operator {
   }
 };
 
-// Per-tuple Consume may materialize freely — it IS the per-tuple path.
-class ScalarSideOp : public Operator {
- public:
-  void Consume(int port, uint32_t tag, const Tuple& t) override {
-    for (int k = 0; k < 3; ++k) {
-      auto copy = std::make_shared<Tuple>(t);
-      Push(tag, *copy);
-    }
-  }
-};
-
 // A declaration and a delegating call: neither owns a body with a loop.
 class ForwarderOp : public Operator {
  public:
