@@ -70,11 +70,4 @@ std::map<std::string, TableHint> Catalog::TableHints() const {
   return hints;
 }
 
-std::vector<std::string> Catalog::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, spec] : tables_) names.push_back(name);
-  return names;
-}
-
 }  // namespace pier

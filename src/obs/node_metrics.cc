@@ -1,7 +1,5 @@
 #include "obs/node_metrics.h"
 
-#include "apps/gnutella.h"
-#include "client/pier_client.h"
 #include "obs/metrics.h"
 #include "overlay/dht.h"
 #include "overlay/replication.h"
@@ -47,7 +45,7 @@ void RegisterDhtMetrics(MetricsRegistry* reg, Dht* dht) {
                     "Objects that rode a multi-object PutBatch frame");
   reg->AddCounterFn("pier_dht_batch_msgs_total", {},
                     [dht] { return d(dht->stats().batch_msgs); },
-                    "kMsgPutBatch frames sent");
+                    "multi-object kMsgPutBatch frames sent");
   reg->AddCounterFn("pier_dht_read_failovers_total", {},
                     [dht] { return d(dht->stats().read_failovers); },
                     "Gets answered by a replica instead of the owner");
@@ -201,33 +199,6 @@ void RegisterQueryProcessorMetrics(MetricsRegistry* reg, QueryProcessor* qp) {
   reg->AddCounterFn("pier_query_answers_buffered_total", {},
                     [qp] { return d(qp->stats().answers_buffered); },
                     "Answers held for a not-yet-attached client");
-}
-
-void RegisterClientMetrics(MetricsRegistry* reg, PierClient* client) {
-  reg->AddCounterFn("pier_client_failed_batches_total", {},
-                    [client] { return d(client->publish_failures().failed_batches); },
-                    "Publish batches with at least one failed delivery group");
-  reg->AddCounterFn("pier_client_dropped_items_total", {},
-                    [client] { return d(client->publish_failures().dropped_items); },
-                    "Index entries that never reached an owner");
-  reg->AddCounterFn("pier_client_degraded_items_total", {},
-                    [client] { return d(client->publish_failures().degraded_items); },
-                    "Index entries stored at the owner but under-replicated");
-  reg->AddGaugeFn("pier_client_observed_tables", {},
-                  [client] { return d(client->stats()->Tables().size()); },
-                  "Tables with accrued publish statistics at this client");
-}
-
-void RegisterGnutellaMetrics(MetricsRegistry* reg, GnutellaNode* gnutella) {
-  reg->AddCounterFn("pier_gnutella_queries_seen_total", {},
-                    [gnutella] { return d(gnutella->stats().queries_seen); },
-                    "Gnutella QUERY messages seen (deduplicated)");
-  reg->AddCounterFn("pier_gnutella_queries_forwarded_total", {},
-                    [gnutella] { return d(gnutella->stats().queries_forwarded); },
-                    "Gnutella QUERY messages flooded onward");
-  reg->AddCounterFn("pier_gnutella_hits_sent_total", {},
-                    [gnutella] { return d(gnutella->stats().hits_sent); },
-                    "Gnutella QUERYHIT messages sent");
 }
 
 void RegisterNodeMetrics(MetricsRegistry* reg, QueryProcessor* qp) {

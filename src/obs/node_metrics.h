@@ -17,10 +17,8 @@
 namespace pier {
 
 class Dht;
-class GnutellaNode;
 class MetricsRegistry;
 class OverlayRouter;
-class PierClient;
 class QueryExecutor;
 class QueryProcessor;
 class ReplicationManager;
@@ -48,12 +46,6 @@ void RegisterExecutorMetrics(MetricsRegistry* reg, QueryExecutor* exec);
 /// pier_query_* : proxy lifecycle counters. The per-qid answer counter and
 /// the answer-size histogram are minted by QueryProcessor::set_metrics.
 void RegisterQueryProcessorMetrics(MetricsRegistry* reg, QueryProcessor* qp);
-
-/// pier_client_* : batched-publish failure accounting and catalog coverage.
-void RegisterClientMetrics(MetricsRegistry* reg, PierClient* client);
-
-/// pier_gnutella_* : flood-query counters for the hybrid app.
-void RegisterGnutellaMetrics(MetricsRegistry* reg, GnutellaNode* gnutella);
 
 /// One-call node wiring: registers DHT, router, transport, replication,
 /// executor and query-processor collectors, and attaches the registry to the

@@ -119,27 +119,6 @@ void StatsRegistry::ObserveBatch(const std::string& table,
   }
 }
 
-void StatsRegistry::ObserveBatch(const std::string& table,
-                                 const TupleBatch& batch,
-                                 const std::vector<std::string>& key_attrs,
-                                 TimeUs now) {
-  const size_t n = batch.num_rows();
-  if (n == 0) return;
-  Entry& e = local_[table];
-  for (size_t r = 0; r < n; ++r) {
-    // Measure the row's actual wire encoding from the batch cells — no
-    // caller-side size estimate and no Tuple materialization.
-    WireWriter w;
-    batch.EncodeRowTo(r, &w);
-    AccrueScalars(&e, 1, w.size(), now);
-    if (key_attrs.empty()) {
-      e.sketch.AddHash(Mix64(batch.RowHash(r)));
-    } else {
-      e.sketch.Add(batch.RowPartitionKey(r, key_attrs));
-    }
-  }
-}
-
 bool StatsRegistry::Has(const std::string& table) const {
   if (local_.count(table) > 0) return true;
   auto it = remote_.lower_bound({table, 0});

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "data/tuple.h"
-#include "data/tuple_batch.h"
 #include "runtime/vri.h"
 #include "util/status.h"
 
@@ -109,12 +108,6 @@ class StatsRegistry {
   void ObserveBatch(const std::string& table, const std::vector<const Tuple*>& ts,
                     const std::vector<std::string>& key_attrs,
                     const std::vector<size_t>& row_bytes, TimeUs now);
-
-  /// TupleBatch flavor for the batch dataflow path: per-row serialized
-  /// sizes are measured from the batch's own cells (EncodeRow), so no
-  /// caller-side approximation — and no Tuple materialization — is needed.
-  void ObserveBatch(const std::string& table, const TupleBatch& batch,
-                    const std::vector<std::string>& key_attrs, TimeUs now);
 
   bool Has(const std::string& table) const;
   TableStats Snapshot(const std::string& table) const;

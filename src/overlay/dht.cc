@@ -51,18 +51,9 @@ Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
       [this](const RouteInfo& info, std::string_view payload) {
         HandleRoutedDelivery(info, payload);
       });
-  router_->RegisterDirectType(kMsgPut, [this](const NetAddress& f, std::string_view b) {
-    HandlePut(f, b);
-  });
   router_->RegisterDirectType(
       kMsgPutBatch,
       [this](const NetAddress& f, std::string_view b) { HandlePutBatch(f, b); });
-  router_->RegisterDirectType(kMsgGetReq, [this](const NetAddress& f, std::string_view b) {
-    HandleGetReq(f, b);
-  });
-  router_->RegisterDirectType(kMsgGetResp, [this](const NetAddress& f, std::string_view b) {
-    HandleGetResp(f, b);
-  });
   router_->RegisterDirectType(kMsgRenewReq, [this](const NetAddress& f, std::string_view b) {
     HandleRenewReq(f, b);
   });
@@ -151,29 +142,10 @@ int Dht::EffectiveReplicas(int replicas) const {
 void Dht::Put(const std::string& ns, const std::string& key, const std::string& suffix,
               std::string&& value, TimeUs lifetime, DoneCallback done,
               int replicas) {
-  stats_.puts++;
-  ObjectName name{ns, key, suffix};
-  int k = EffectiveReplicas(replicas);
-  if (k > 1) {
-    PutReplicated(std::move(name), std::move(value), lifetime, k,
-                  std::move(done));
-    return;
-  }
-  // The complete kMsgPut frame is built exactly once, here, and moved
-  // straight down to the transport; it is copied only when a cached owner
-  // may need it re-sent.
-  WireWriter w = OverlayRouter::FrameMessage(kMsgPut);
-  EncodeObjectTo(&w, name, lifetime, value);
-  auto wire = std::make_shared<std::string>(std::move(w).data());
-  SendToOwner(name.routing_id(), 0,
-              std::make_shared<const OwnerSend>(
-                  [this, wire](const OverlayRouter::Owner& owner, bool again,
-                               DoneCallback report) {
-                    router_->SendFramed(owner.address,
-                                        again ? *wire : std::move(*wire),
-                                        std::move(report));
-                  }),
-              std::move(done));
+  std::vector<DhtPutItem> items;
+  items.push_back(
+      DhtPutItem{ns, key, suffix, std::move(value), lifetime, replicas});
+  PutBatch(std::move(items), std::move(done));
 }
 
 void Dht::SendToOwner(Id target, size_t want_succs,
@@ -188,10 +160,10 @@ void Dht::SendToOwner(Id target, size_t want_succs,
       return;
     }
     if (!owner->cached || !may_retry) {
-      (*send)(*owner, false, std::move(done));
+      (*send)(*owner, std::move(done));
       return;
     }
-    (*send)(*owner, true,
+    (*send)(*owner,
             [this, target, want_succs, send,
              done = std::move(done)](const Status& s) mutable {
               if (s.ok()) {
@@ -204,41 +176,6 @@ void Dht::SendToOwner(Id target, size_t want_succs,
                           false);
             });
   });
-}
-
-void Dht::PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
-                        int replicas, DoneCallback done) {
-  Id target = name.routing_id();
-  TimeUs remaining = EffectiveLifetime(lifetime);
-  uint8_t k = static_cast<uint8_t>(replicas);
-  auto send = std::make_shared<const OwnerSend>(
-      [this, name = std::move(name), value = std::move(value), remaining, k](
-          const OverlayRouter::Owner& owner, bool, DoneCallback report) {
-        // Primary copy at the owner: index 0, fires newData there exactly
-        // like a plain put, and records the desired factor for repair.
-        WireWriter w = ReplicationManager::FrameReplicate(
-            0, ReplicationManager::Origin::kWrite, owner.id, 1);
-        ReplicationManager::EncodeReplicaObject(&w, name, remaining, 0, k,
-                                                value);
-        router_->SendFramed(owner.address, std::move(w).data(),
-                            std::move(report));
-        // Replica copies at the owner's first k-1 successors (best-effort;
-        // the repair tick heals whatever these miss).
-        uint8_t index = 1;
-        for (const NetAddress& succ : owner.successors) {
-          if (index >= k) break;
-          if (succ == owner.address || succ.IsNull()) continue;
-          WireWriter rw = ReplicationManager::FrameReplicate(
-              index, ReplicationManager::Origin::kWrite, owner.id, 1);
-          ReplicationManager::EncodeReplicaObject(&rw, name, remaining, 0, k,
-                                                  value);
-          router_->SendFramed(succ, std::move(rw).data(), nullptr);
-          repl_->NoteReplicaCopiesSent(1);
-          index++;
-        }
-      });
-  SendToOwner(target, static_cast<size_t>(replicas - 1), std::move(send),
-              std::move(done));
 }
 
 void Dht::PutBatch(std::vector<DhtPutItem> items, DoneCallback done) {
@@ -270,11 +207,8 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
   // an owner and need only one Lookup between them; order inside each group
   // follows batch order.
   std::map<Id, std::vector<size_t>> by_id;
-  for (size_t i = 0; i < batch->size(); ++i) {
-    by_id[ObjectName{(*batch)[i].ns, (*batch)[i].key, (*batch)[i].suffix}
-              .routing_id()]
-        .push_back(i);
-  }
+  for (size_t i = 0; i < batch->size(); ++i)
+    by_id[RoutingId((*batch)[i].ns, (*batch)[i].key)].push_back(i);
 
   // The batch's replica fan-out width: per-item factors resolve against the
   // configured default, and the lookups request enough of each owner's
@@ -288,13 +222,16 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
   // distinct destination. Every group's outcome is kept — a partial failure
   // (one dead owner in a multi-owner batch) reports exactly which items
   // were dropped rather than only the first error.
-  struct BatchState {
-    std::map<NetAddress, std::vector<size_t>> by_owner;
+  struct OwnerGroup {
+    std::vector<size_t> indices;
     // Successor-set replication places every replica at the OWNER's
     // successors, so the sets are per owner, not per key.
-    std::map<NetAddress, std::vector<NetAddress>> succs_by_owner;
-    std::map<NetAddress, Id> id_by_owner;
-    std::set<NetAddress> cached_owners;  // resolved from the owner cache
+    std::vector<NetAddress> succs;
+    Id id = 0;
+    bool cached = false;  // resolved from the owner cache
+  };
+  struct BatchState {
+    std::map<NetAddress, OwnerGroup> by_owner;
     std::vector<PutGroupStatus> groups;
     size_t pending_lookups = 0;
     size_t pending_sends = 0;
@@ -322,7 +259,7 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
     // frame cap the receiver enforces). All sends are registered before the
     // first one goes out, so a synchronously-failing send cannot complete
     // the batch while later chunks are still unsent.
-    std::map<NetAddress, std::vector<size_t>> owners;
+    std::map<NetAddress, OwnerGroup> owners;
     owners.swap(st->by_owner);
     struct Frame {
       size_t group;  // index into st->groups
@@ -332,7 +269,8 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
       bool retry = false;  // a failed delivery is retried once
     };
     std::vector<Frame> frames;
-    for (auto& [owner, indices] : owners) {
+    for (auto& [owner, og] : owners) {
+      const std::vector<size_t>& indices = og.indices;
       for (size_t start = 0; start < indices.size();
            start += kMaxBatchEntriesPerFrame) {
         size_t n = std::min(kMaxBatchEntriesPerFrame, indices.size() - start);
@@ -354,9 +292,8 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
           // Replicated chunk: the owner takes one primary replicate frame
           // (index 0 — stores and fires newData exactly like a put, plus
           // records each item's desired factor for repair) ...
-          Id owner_id = st->id_by_owner[owner];
           w = ReplicationManager::FrameReplicate(
-              0, ReplicationManager::Origin::kWrite, owner_id, n);
+              0, ReplicationManager::Origin::kWrite, og.id, n);
           for (size_t j = start; j < start + n; ++j) {
             const DhtPutItem& it = (*batch)[indices[j]];
             ReplicationManager::EncodeReplicaObject(
@@ -365,18 +302,13 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
                 static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
                 it.value);
           }
-          if (n > 1) {
-            stats_.batched_puts += n;
-            stats_.batch_msgs++;
-          }
           // ... and each of the owner's first chunk_k-1 successors takes one
           // replica frame per chunk with the items wide enough to reach it —
           // replicating per destination group, not per item.
-          const std::vector<NetAddress>& succs = st->succs_by_owner[owner];
           for (int rep = 1; rep < chunk_k; ++rep) {
             size_t si = static_cast<size_t>(rep - 1);
-            if (si >= succs.size()) break;
-            const NetAddress& dest = succs[si];
+            if (si >= og.succs.size()) break;
+            const NetAddress& dest = og.succs[si];
             if (dest.IsNull() || dest == owner) continue;
             std::vector<size_t> rep_items;
             for (size_t j = start; j < start + n; ++j) {
@@ -386,8 +318,7 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
             if (rep_items.empty()) continue;
             WireWriter rw = ReplicationManager::FrameReplicate(
                 static_cast<uint8_t>(rep),
-                ReplicationManager::Origin::kWrite, owner_id,
-                rep_items.size());
+                ReplicationManager::Origin::kWrite, og.id, rep_items.size());
             for (size_t idx : rep_items) {
               const DhtPutItem& it = (*batch)[idx];
               ReplicationManager::EncodeReplicaObject(
@@ -401,12 +332,6 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
             frames.push_back(
                 Frame{group, true, dest, std::move(rw).data(), false});
           }
-        } else if (n == 1) {
-          // Singleton group: the plain put frame, byte-identical to Put().
-          const DhtPutItem& it = (*batch)[indices[start]];
-          w = OverlayRouter::FrameMessage(kMsgPut);
-          EncodeObjectTo(&w, ObjectName{it.ns, it.key, it.suffix}, it.lifetime,
-                         it.value);
         } else {
           w = OverlayRouter::FrameMessage(kMsgPutBatch);
           w.PutVarint(n);
@@ -415,10 +340,12 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
             EncodeObjectTo(&w, ObjectName{it.ns, it.key, it.suffix},
                            it.lifetime, it.value);
           }
+        }
+        if (n > 1) {
           stats_.batched_puts += n;
           stats_.batch_msgs++;
         }
-        bool retry = may_retry && st->cached_owners.count(owner) > 0;
+        bool retry = may_retry && og.cached;
         frames.push_back(
             Frame{group, false, owner, std::move(w).data(), retry});
       }
@@ -474,14 +401,14 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
   for (auto& [id, indices] : by_id) {
     router_->Lookup(
         id, want_succs,
-        [st, ship,
-         indices = indices](const Result<OverlayRouter::Owner>& owner) {
+        [st, ship, indices = std::move(indices)](
+            const Result<OverlayRouter::Owner>& owner) {
           if (owner.ok()) {
-            std::vector<size_t>& group = st->by_owner[owner->address];
-            group.insert(group.end(), indices.begin(), indices.end());
-            st->succs_by_owner[owner->address] = owner->successors;
-            st->id_by_owner[owner->address] = owner->id;
-            if (owner->cached) st->cached_owners.insert(owner->address);
+            OwnerGroup& g = st->by_owner[owner->address];
+            g.indices.insert(g.indices.end(), indices.begin(), indices.end());
+            g.succs = owner->successors;
+            g.id = owner->id;
+            g.cached = g.cached || owner->cached;
           } else {
             // The whole group is undeliverable: no owner could be resolved.
             st->NoteError(owner.status());
@@ -520,6 +447,9 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
   uint64_t op_id = next_op_id_++;
   PendingOp op;
   op.get_cb = std::move(cb);
+  op.ns = ns;
+  op.key = key;
+  op.replicas = k;
   op.timer = vri_->ScheduleEvent(options_.op_timeout, [this, op_id]() {
     auto it = pending_.find(op_id);
     if (it == pending_.end()) return;
@@ -529,56 +459,34 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
   });
   pending_[op_id] = std::move(op);
 
-  if (k <= 1) {
-    // Owner-only get.
-    SendToOwner(target, 0,
-                std::make_shared<const OwnerSend>(
-                    [this, op_id, ns, key](const OverlayRouter::Owner& owner,
-                                           bool, DoneCallback report) {
-                      WireWriter w;
-                      w.PutU64(op_id);
-                      w.PutU32(router_->local_address().host);
-                      w.PutU16(router_->local_address().port);
-                      w.PutBytes(ns);
-                      w.PutBytes(key);
-                      router_->SendDirect(owner.address, kMsgGetReq,
-                                          std::move(w).data(),
-                                          std::move(report));
-                    }),
-                [this, op_id](const Status& s) {
-                  if (!s.ok()) FailOp(op_id, s);
-                });
-    return;
-  }
-
-  // Read-any: resolve the owner AND its replica holders, then walk the
-  // candidate list until one of them answers with data (or all come back
-  // empty, which is an honest empty result).
-  router_->Lookup(
+  // Read-any: resolve the owner and its k-1 replica holders, then walk the
+  // candidates until one answers with data. The owner is asked through
+  // SendToOwner, so a dead cached owner is re-resolved once before the walk
+  // moves on.
+  SendToOwner(
       target, static_cast<size_t>(k - 1),
-      [this, op_id, ns, key, k](const Result<OverlayRouter::Owner>& owner) {
-        auto it = pending_.find(op_id);
-        if (it == pending_.end()) return;
-        if (!owner.ok()) {
-          FailOp(op_id, owner.status());
-          return;
-        }
-        PendingOp& op = it->second;
-        op.ns = ns;
-        op.key = key;
-        op.owner_id = owner->id;
-        op.replicas = k;
-        op.candidates.push_back(owner->address);
-        for (const NetAddress& s : owner->successors) {
-          if (op.candidates.size() >= static_cast<size_t>(k)) break;
-          if (s.IsNull() || s == owner->address) continue;
-          op.candidates.push_back(s);
-        }
-        SendGetAttempt(op_id);
+      std::make_shared<const OwnerSend>(
+          [this, op_id, k](const OverlayRouter::Owner& owner,
+                           DoneCallback report) {
+            auto it = pending_.find(op_id);
+            // Finished, or an owner that answered let the walk move on.
+            if (it == pending_.end() || it->second.attempt > 0) return;
+            PendingOp& op = it->second;
+            op.owner_id = owner.id;
+            op.candidates.assign(1, owner.address);
+            for (const NetAddress& s : owner.successors) {
+              if (op.candidates.size() >= static_cast<size_t>(k)) break;
+              if (s.IsNull() || s == owner.address) continue;
+              op.candidates.push_back(s);
+            }
+            SendGetAttempt(op_id, std::move(report));
+          }),
+      [this, op_id](const Status& s) {
+        if (!s.ok()) AdvanceGet(op_id, 0, s);
       });
 }
 
-void Dht::FailOp(uint64_t op_id, const Status& status) {
+void Dht::FinishOp(uint64_t op_id, const Status& status) {
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
   PendingOp op = std::move(it->second);
@@ -588,7 +496,7 @@ void Dht::FailOp(uint64_t op_id, const Status& status) {
   if (op.done_cb) op.done_cb(status);
 }
 
-void Dht::SendGetAttempt(uint64_t op_id) {
+void Dht::SendGetAttempt(uint64_t op_id, DoneCallback report) {
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
   PendingOp& op = it->second;
@@ -601,28 +509,26 @@ void Dht::SendGetAttempt(uint64_t op_id) {
   w.PutBytes(op.key);
   w.PutU8(static_cast<uint8_t>(attempt));
   router_->SendDirect(op.candidates[attempt], kMsgGetReqEx,
-                      std::move(w).data(), [this, op_id, attempt](const Status& s) {
-                        if (!s.ok()) AdvanceGet(op_id, attempt);
-                      });
+                      std::move(w).data(), std::move(report));
 }
 
-void Dht::AdvanceGet(uint64_t op_id, size_t failed_attempt) {
+void Dht::AdvanceGet(uint64_t op_id, size_t attempt, const Status& outcome) {
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
   PendingOp& op = it->second;
-  if (op.attempt != failed_attempt) return;  // already moved on
+  if (op.attempt != attempt) return;  // already moved on
+  op.replied = op.replied || outcome.ok();
   if (op.attempt + 1 < op.candidates.size()) {
-    op.attempt++;
+    size_t next = ++op.attempt;
     stats_.read_failovers++;
-    SendGetAttempt(op_id);
+    SendGetAttempt(op_id, [this, op_id, next](const Status& s) {
+      if (!s.ok()) AdvanceGet(op_id, next, s);
+    });
     return;
   }
-  // Every candidate is unreachable or empty: report an honest empty result,
-  // matching the owner-only semantics for a missing key.
-  GetCallback cb = std::move(op.get_cb);
-  vri_->CancelEvent(op.timer);
-  pending_.erase(it);
-  if (cb) cb(Status::Ok(), {});
+  // Every candidate is empty or unreachable. An empty reply is an honest
+  // empty result; only a get that no candidate answered fails.
+  FinishOp(op_id, op.replied ? Status::Ok() : outcome);
 }
 
 void Dht::Renew(const std::string& ns, const std::string& key,
@@ -645,7 +551,7 @@ void Dht::Renew(const std::string& ns, const std::string& key,
   SendToOwner(target, 0,
               std::make_shared<const OwnerSend>(
                   [this, op_id, name = std::move(name), lifetime](
-                      const OverlayRouter::Owner& owner, bool,
+                      const OverlayRouter::Owner& owner,
                       DoneCallback report) {
                     WireWriter w;
                     w.PutU64(op_id);
@@ -660,7 +566,7 @@ void Dht::Renew(const std::string& ns, const std::string& key,
                                         std::move(w).data(), std::move(report));
                   }),
               [this, op_id](const Status& s) {
-                if (!s.ok()) FailOp(op_id, s);
+                if (!s.ok()) FinishOp(op_id, s);
               });
 }
 
@@ -721,14 +627,6 @@ void Dht::HandleRoutedDelivery(const RouteInfo& info, std::string_view payload) 
   WireObjectView v;
   if (!DecodeObjectFrom(&r, &v).ok()) return;  // malformed: drop
   StoreFromView(v);
-}
-
-void Dht::HandlePut(const NetAddress& from, std::string_view body) {
-  WireReader r(body);
-  WireObjectView v;
-  if (!DecodeObjectFrom(&r, &v).ok()) return;
-  StoreFromView(v);
-  (void)router_->HintIfNotOwner(from, RoutingId(v.ns, v.key));
 }
 
 void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
@@ -794,49 +692,6 @@ void Dht::DispatchBatchNewData(const std::vector<WireObjectView>& stored) {
   }
 }
 
-void Dht::HandleGetReq(const NetAddress& from, std::string_view body) {
-  WireReader r(body);
-  uint64_t op_id;
-  uint32_t host;
-  uint16_t port;
-  std::string_view ns, key;
-  if (!r.GetU64(&op_id).ok() || !r.GetU32(&host).ok() || !r.GetU16(&port).ok() ||
-      !r.GetBytes(&ns).ok() || !r.GetBytes(&key).ok())
-    return;
-  (void)router_->HintIfNotOwner(from, RoutingId(ns, key));
-  auto items = objects_->Get(ns, key);
-  WireWriter w;
-  w.PutU64(op_id);
-  w.PutU32(static_cast<uint32_t>(items.size()));
-  for (const auto* obj : items) {
-    w.PutBytes(obj->name.suffix);
-    w.PutBytes(obj->value);
-  }
-  router_->SendDirect(NetAddress{host, port}, kMsgGetResp, std::move(w).data(),
-                      nullptr);
-}
-
-void Dht::HandleGetResp(const NetAddress& from, std::string_view body) {
-  (void)from;
-  WireReader r(body);
-  uint64_t op_id;
-  uint32_t count;
-  if (!r.GetU64(&op_id).ok() || !r.GetU32(&count).ok()) return;
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  GetCallback cb = std::move(it->second.get_cb);
-  vri_->CancelEvent(it->second.timer);
-  pending_.erase(it);
-  std::vector<DhtItem> items;
-  items.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string_view suffix, value;
-    if (!r.GetBytes(&suffix).ok() || !r.GetBytes(&value).ok()) break;
-    items.push_back(DhtItem{std::string(suffix), std::string(value)});
-  }
-  if (cb) cb(Status::Ok(), std::move(items));
-}
-
 void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
   WireReader r(body);
   uint64_t op_id;
@@ -892,7 +747,7 @@ void Dht::HandleGetRespEx(const NetAddress& from, std::string_view body) {
   if (items.empty()) {
     // This candidate holds nothing: try the next one (a stale response for
     // an attempt we already left is ignored).
-    AdvanceGet(op_id, attempt);
+    AdvanceGet(op_id, attempt, Status::Ok());
     return;
   }
   // Data found — even a late answer from a slower candidate is accepted

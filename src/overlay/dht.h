@@ -18,7 +18,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -88,22 +87,24 @@ class Dht {
       std::function<void(const Status&, std::vector<DhtItem> items)>;
 
   /// get(namespace, key): fetch all objects stored under (ns, key) from the
-  /// responsible node; `cb` is the handleGet callback. With replication
-  /// (`replicas` > 1, or 0 with a replicated default) the read is READ-ANY:
-  /// the owner is tried first, then its successors, and a copy found at a
-  /// replica read-repairs the missing/stale owner copy. replicas = 1 is the
-  /// classic owner-only get, byte-identical on the wire.
+  /// responsible node; `cb` is the handleGet callback. Every get is
+  /// READ-ANY over the owner and its first k-1 successors (k = `replicas`,
+  /// 0 = the configured default): the owner is tried first, then each
+  /// successor in turn, and a copy found at a replica read-repairs the
+  /// missing/stale owner copy. With k = 1 the owner is the only candidate.
+  /// The get fails with the delivery error only when no candidate replied;
+  /// an empty reply from every candidate is Ok with no items.
   void Get(const std::string& ns, const std::string& key, GetCallback cb);
   void Get(const std::string& ns, const std::string& key, GetCallback cb,
            int replicas);
 
   /// put(namespace, key, suffix, object, lifetime): store at the responsible
-  /// node (resolve, then one direct message). The payload is moved down the
-  /// wire path unchanged (copied only while a cached owner may need a resend) —
-  /// pass an rvalue (std::move an owned buffer or hand over a temporary).
-  /// `replicas` > 1 additionally places copies at the owner's first
-  /// replicas-1 successors (0 = the configured default factor). `done`
-  /// reports the OWNER delivery; replica copies are best-effort.
+  /// node (resolve, then one direct message). A put is a one-item PutBatch:
+  /// the payload is moved into the batch, so pass an rvalue (std::move an
+  /// owned buffer or hand over a temporary). `replicas` > 1 additionally
+  /// places copies at the owner's first replicas-1 successors (0 = the
+  /// configured default factor). `done` reports the OWNER delivery; replica
+  /// copies are best-effort.
   void Put(const std::string& ns, const std::string& key, const std::string& suffix,
            std::string&& value, TimeUs lifetime, DoneCallback done = nullptr,
            int replicas = 0);
@@ -133,12 +134,12 @@ class Dht {
                                            std::vector<PutGroupStatus> groups)>;
 
   /// Batched put: the batch is grouped by responsible node (one Lookup per
-  /// distinct routing id, one wire message per destination — a multi-object
-  /// kMsgPutBatch frame, or a plain kMsgPut when a destination gets exactly
-  /// one object, keeping the unbatched wire format byte-identical). Entry
-  /// order is preserved within each destination, so objects sharing a
-  /// (ns, key) arrive in batch order. `done` (may be null) fires once after
-  /// every group's delivery resolved, with the first error if any failed.
+  /// distinct routing id, one wire message per destination — a kMsgPutBatch
+  /// frame, or a kMsgReplicate frame when the group is replicated, whatever
+  /// the object count). Entry order is preserved within each destination, so
+  /// objects sharing a (ns, key) arrive in batch order. `done` (may be null)
+  /// fires once after every group's delivery resolved, with the first error
+  /// if any failed.
   void PutBatch(std::vector<DhtPutItem> items, DoneCallback done = nullptr);
 
   /// PutBatch with per-group status: a batch whose destinations PARTIALLY
@@ -193,11 +194,12 @@ class Dht {
     ObjectName name;
     std::string_view value;
   };
-  /// Batch-capable newData subscription: a multi-object kMsgPutBatch frame
-  /// is delivered as ONE call with every stored object of `ns`, in store
-  /// order, without re-materializing per-object copies. Single-object
-  /// inserts (plain put, Send delivery, local store) arrive as one-element
-  /// batches. Cancel with CancelNewData.
+  /// Batch-capable newData subscription: a kMsgPutBatch frame is delivered
+  /// as ONE call with every stored object of `ns`, in store order, without
+  /// re-materializing per-object copies (a one-object frame, e.g. a plain
+  /// put, is a one-element batch). Other single inserts (Send delivery,
+  /// replicate frames, local store) arrive as one-element batches too.
+  /// Cancel with CancelNewData.
   using BatchNewDataHandler =
       std::function<void(const std::vector<NewDataEvent>&)>;
   uint64_t OnNewDataBatch(const std::string& ns, BatchNewDataHandler handler);
@@ -250,7 +252,7 @@ class Dht {
     uint64_t routed_deliveries = 0;  // Send objects that reached this owner
     uint64_t routed_delivery_hops = 0;  // cumulative hop count of the above
     uint64_t batched_puts = 0;  // objects that rode a multi-object PutBatch frame
-    uint64_t batch_msgs = 0;    // kMsgPutBatch frames sent
+    uint64_t batch_msgs = 0;    // multi-object put frames sent
     uint64_t coalesced_msgs = 0;  // mirror of the router's bundle-rider count
     // Replication health (merged from the replication manager at read).
     uint64_t replica_puts = 0;       // replica copies shipped by this node
@@ -277,9 +279,6 @@ class Dht {
 
  private:
   // Direct message types (>= 16; below that is the router's).
-  static constexpr uint8_t kMsgPut = 16;
-  static constexpr uint8_t kMsgGetReq = 17;
-  static constexpr uint8_t kMsgGetResp = 18;
   static constexpr uint8_t kMsgRenewReq = 19;
   static constexpr uint8_t kMsgRenewResp = 20;
   static constexpr uint8_t kMsgPutBatch = 21;
@@ -292,7 +291,7 @@ class Dht {
   static constexpr size_t kMaxBatchEntriesPerFrame = 4096;
 
   /// A decoded object whose fields alias the receive buffer (no copies until
-  /// the store itself). Used by the put/batch handlers.
+  /// the store itself). Used by the put-batch and routed-delivery handlers.
   struct WireObjectView {
     std::string_view ns;
     std::string_view key;
@@ -302,10 +301,7 @@ class Dht {
   };
   static Status DecodeObjectFrom(WireReader* r, WireObjectView* out);
 
-  void HandlePut(const NetAddress& from, std::string_view body);
   void HandlePutBatch(const NetAddress& from, std::string_view body);
-  void HandleGetReq(const NetAddress& from, std::string_view body);
-  void HandleGetResp(const NetAddress& from, std::string_view body);
   void HandleGetReqEx(const NetAddress& from, std::string_view body);
   void HandleGetRespEx(const NetAddress& from, std::string_view body);
   void HandleRenewReq(const NetAddress& from, std::string_view body);
@@ -321,20 +317,15 @@ class Dht {
   /// Resolve a per-call replica count (0 = default) against the configured
   /// factor and the protocol's capacity.
   int EffectiveReplicas(int replicas) const;
-  /// Replicated write path of Put.
-  void PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
-                     int replicas, DoneCallback done);
   /// Group, resolve and send a batch. `may_retry`: a group whose cached
   /// owner is unreachable is retried once (as a batch of its own that may
   /// not retry again).
   void ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
                  BatchCallback done, bool may_retry);
   /// Sends one operation's message to a resolved owner, handing `report` to
-  /// the router as the delivery callback. `again` is set when a failed
-  /// delivery will call this once more, so a buffer the call consumes must
-  /// be copied rather than moved.
+  /// the router as the delivery callback. May run twice (see SendToOwner).
   using OwnerSend = std::function<void(const OverlayRouter::Owner& owner,
-                                       bool again, DoneCallback report)>;
+                                       DoneCallback report)>;
   /// Resolve `target` with `want_succs` successors and run `send` against
   /// the owner. If the owner came from the owner cache and the delivery
   /// fails, the failure has evicted the entry, and the step runs once more
@@ -344,11 +335,13 @@ class Dht {
                    std::shared_ptr<const OwnerSend> send, DoneCallback done,
                    bool may_retry = true);
   /// Finish a pending get or renew with `status`.
-  void FailOp(uint64_t op_id, const Status& status);
-  /// Issue (or re-issue) the read-any get to the current candidate.
-  void SendGetAttempt(uint64_t op_id);
-  /// Current candidate failed or came back empty: advance or finish.
-  void AdvanceGet(uint64_t op_id, size_t failed_attempt);
+  void FinishOp(uint64_t op_id, const Status& status);
+  /// Send the read-any get to the current candidate; `report` is the
+  /// delivery callback.
+  void SendGetAttempt(uint64_t op_id, DoneCallback report);
+  /// Candidate `attempt` came back empty (`outcome` Ok) or could not be
+  /// reached (the delivery error): ask the next one, or finish.
+  void AdvanceGet(uint64_t op_id, size_t attempt, const Status& outcome);
   /// Push `items` back at the owner as a fresh primary copy (read repair).
   void ReadRepair(uint64_t op_id, const std::vector<DhtItem>& items,
                   const std::vector<TimeUs>& remaining);
@@ -363,11 +356,12 @@ class Dht {
     GetCallback get_cb;
     DoneCallback done_cb;
     uint64_t timer = 0;
-    // Read-any state (replicated gets only).
+    // Read-any state (gets only).
     std::string ns;
     std::string key;
     std::vector<NetAddress> candidates;  // owner first, then its successors
     size_t attempt = 0;
+    bool replied = false;  // some candidate answered (possibly empty)
     Id owner_id = 0;
     int replicas = 0;
   };

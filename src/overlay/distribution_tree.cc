@@ -116,16 +116,6 @@ void DistributionTree::RecordChild(const NetAddress& child) {
   children_[child] = dht_->vri()->Now() + options_.child_lifetime;
 }
 
-std::vector<NetAddress> DistributionTree::children() const {
-  std::vector<NetAddress> out;
-  out.reserve(children_.size());
-  for (const auto& [addr, exp] : children_) {
-    (void)exp;
-    out.push_back(addr);
-  }
-  return out;
-}
-
 void DistributionTree::Broadcast(std::string payload) {
   uint64_t bcast_id =
       HashCombine(NodeIdFromAddress(dht_->local_address().host,

@@ -47,7 +47,6 @@ class DistributionTree {
 
   /// Current child count (diagnostics / tree-shape experiments).
   size_t num_children() const { return children_.size(); }
-  std::vector<NetAddress> children() const;
 
   const std::string& join_ns() const { return join_ns_; }
 

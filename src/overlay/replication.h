@@ -19,8 +19,8 @@
 // Consistency model: soft-state read-any, no quorum. Every copy carries the
 // origin-stamped remaining lifetime, so replicas expire with the owner copy
 // rather than outliving it. Nothing here runs — and nothing extra touches the
-// wire — while every stored object has desired_replicas == 1, keeping the
-// unreplicated deployment byte-identical to the pre-replication system.
+// wire — while every stored object has desired_replicas == 1: an
+// unreplicated deployment sends no replica frames and no repair traffic.
 
 #ifndef PIER_OVERLAY_REPLICATION_H_
 #define PIER_OVERLAY_REPLICATION_H_

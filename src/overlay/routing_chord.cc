@@ -185,18 +185,6 @@ void ChordProtocol::ObserveContact(Id id, const NetAddress& addr) {
   if (succs_.empty()) AdoptSuccessor(p);
 }
 
-std::vector<NetAddress> ChordProtocol::Neighbors() const {
-  std::vector<NetAddress> out;
-  for (const Peer& s : succs_) out.push_back(s.addr);
-  if (pred_.valid()) out.push_back(pred_.addr);
-  for (const Peer& f : fingers_) {
-    if (f.valid()) out.push_back(f.addr);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 std::vector<NetAddress> ChordProtocol::SuccessorSet(size_t n) const {
   std::vector<NetAddress> out;
   for (const Peer& s : succs_) {

@@ -54,7 +54,6 @@ class ChordProtocol : public RoutingProtocol {
                              std::string_view payload) override;
   void OnPeerUnreachable(const NetAddress& peer) override;
   void ObserveContact(Id id, const NetAddress& addr) override;
-  std::vector<NetAddress> Neighbors() const override;
   std::vector<NetAddress> SuccessorSet(size_t n) const override;
   int MaxReplicationFactor() const override {
     return options_.successor_list_len;

@@ -275,18 +275,6 @@ void PrefixProtocol::OnPeerUnreachable(const NetAddress& peer) {
   RemoveEverywhere(peer);
 }
 
-std::vector<NetAddress> PrefixProtocol::Neighbors() const {
-  std::vector<NetAddress> out;
-  for (const Peer& p : leaves_cw_) out.push_back(p.addr);
-  for (const Peer& p : leaves_ccw_) out.push_back(p.addr);
-  for (const auto& row : table_)
-    for (const Peer& p : row)
-      if (p.valid()) out.push_back(p.addr);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 void PrefixProtocol::SeedRoutingState(const std::vector<Peer>& ring) {
   started_ = true;
   ready_ = true;

@@ -52,7 +52,6 @@ class PrefixProtocol : public RoutingProtocol {
                              std::string_view payload) override;
   void OnPeerUnreachable(const NetAddress& peer) override;
   void ObserveContact(Id id, const NetAddress& addr) override;
-  std::vector<NetAddress> Neighbors() const override;
   std::string name() const override { return "prefix"; }
 
   /// Warm start from global knowledge (see ChordProtocol::SeedRoutingState).

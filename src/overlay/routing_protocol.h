@@ -66,9 +66,6 @@ class RoutingProtocol {
   /// with the given id (Bamboo-style lazy table fill).
   virtual void ObserveContact(Id id, const NetAddress& addr) = 0;
 
-  /// Current neighbor set (diagnostics, tests, tree-shape experiments).
-  virtual std::vector<NetAddress> Neighbors() const = 0;
-
   /// The first `n` nodes that would inherit this node's range if it left —
   /// the replica targets of k-way successor-set replication. Ordered by ring
   /// distance, never containing the local node. Protocols without an ordered

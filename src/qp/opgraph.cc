@@ -309,58 +309,4 @@ Result<QueryPlan> QueryPlan::Decode(std::string_view wire) {
   return plan;
 }
 
-std::string QueryPlan::ToString() const {
-  std::string s = "query " + std::to_string(query_id) +
-                  (continuous ? " (continuous)" : " (snapshot)") +
-                  " timeout=" + std::to_string(timeout / kMillisecond) + "ms" +
-                  (deadline_us > 0
-                       ? " deadline_us=" + std::to_string(deadline_us)
-                       : "") +
-                  (catchup_floor_us > 0
-                       ? " catchup_floor_us=" + std::to_string(catchup_floor_us)
-                       : "");
-  if (!successors.empty()) {
-    s += " successors=";
-    for (size_t i = 0; i < successors.size(); ++i) {
-      if (i > 0) s += ",";
-      s += successors[i].ToString();
-    }
-    s += " epoch=" + std::to_string(proxy_epoch);
-  }
-  s += "\n";
-  for (const OpGraph& g : graphs) {
-    s += "  graph " + std::to_string(g.id) + " [";
-    switch (g.dissem) {
-      case DissemKind::kBroadcast: s += "broadcast"; break;
-      case DissemKind::kEquality:
-        s += "equality " + g.dissem_ns + "/" + g.dissem_key;
-        break;
-      case DissemKind::kLocal: s += "local"; break;
-      case DissemKind::kRange:
-        s += "range " + g.dissem_ns + " [" + std::to_string(g.dissem_lo) +
-             ", " + std::to_string(g.dissem_hi) + "]";
-        break;
-    }
-    s += "]\n";
-    for (const OpSpec& op : g.ops) {
-      s += "    op " + std::to_string(op.id) + " " + OpKindName(op.kind);
-      for (const auto& [k, v] : op.params) {
-        // Binary params (encoded exprs) print as their decoded form.
-        if (k == "pred" || k == "expr" || k.substr(0, 4) == "expr") {
-          Result<ExprPtr> e = op.GetExpr(k);
-          s += " " + k + "=" + (e.ok() ? (*e)->ToString() : "<binary>");
-        } else {
-          s += " " + k + "=" + v;
-        }
-      }
-      s += "\n";
-    }
-    for (const GraphEdge& e : g.edges) {
-      s += "    " + std::to_string(e.from) + " -> " + std::to_string(e.to) +
-           (e.port ? (":" + std::to_string(e.port)) : "") + "\n";
-    }
-  }
-  return s;
-}
-
 }  // namespace pier

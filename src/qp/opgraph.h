@@ -208,9 +208,6 @@ struct QueryPlan {
   void EncodeTo(WireWriter* w) const;
   std::string Encode() const;
   static Result<QueryPlan> Decode(std::string_view wire);
-
-  /// Pretty multi-line dump for debugging and the examples.
-  std::string ToString() const;
 };
 
 }  // namespace pier

@@ -238,20 +238,6 @@ size_t QueryProcessor::MakePublishItemRaw(const std::string& ns,
   return bytes;
 }
 
-void QueryProcessor::MakeSecondaryItem(
-    const std::string& index_table, const std::string& index_attr,
-    const std::string& base_table,
-    const std::vector<std::string>& base_key_attrs, const Tuple& t,
-    TimeUs lifetime, std::vector<DhtPutItem>* items, int replicas) {
-  const Value* v = t.Get(index_attr);
-  if (v == nullptr) return;  // nothing to index
-  Tuple entry(index_table);
-  entry.Append(index_attr, *v);
-  entry.Append("base_table", Value::String(base_table));
-  entry.Append("base_key", Value::String(t.PartitionKey(base_key_attrs)));
-  MakePublishItem(index_table, {index_attr}, entry, lifetime, items, replicas);
-}
-
 void QueryProcessor::PublishBatch(std::vector<DhtPutItem> items,
                                   Dht::BatchCallback done) {
   dht_->PutBatch(std::move(items), std::move(done));

@@ -131,15 +131,6 @@ class QueryProcessor {
                             std::string value, TimeUs lifetime,
                             std::vector<DhtPutItem>* items, int replicas = 0);
 
-  /// Append a secondary-index entry for `t` to `items`; a tuple without the
-  /// indexed attribute contributes nothing (sparse indexes).
-  void MakeSecondaryItem(const std::string& index_table,
-                         const std::string& index_attr,
-                         const std::string& base_table,
-                         const std::vector<std::string>& base_key_attrs,
-                         const Tuple& t, TimeUs lifetime,
-                         std::vector<DhtPutItem>* items, int replicas = 0);
-
   /// Ship pre-built items as one DHT batch. `done` (optional) receives the
   /// per-destination-group outcome, so partial failures name exactly which
   /// items were dropped instead of collapsing into one error.

@@ -65,7 +65,7 @@ class UdpCc : public UdpHandler {
   void set_message_handler(MessageHandler handler) { handler_ = std::move(handler); }
 
   /// Called with the destination whenever messages to it are given up
-  /// (retries exhausted, a send error, ForgetPeer), before their own
+  /// (retries exhausted, a send error), before their own
   /// delivery reports run.
   using FailureHandler = std::function<void(const NetAddress& destination)>;
   void set_failure_handler(FailureHandler handler) {
@@ -79,9 +79,6 @@ class UdpCc : public UdpHandler {
 
   uint16_t port() const { return port_; }
   const Stats& stats() const { return stats_; }
-
-  /// Drop all connection state for a peer (used after failure detection).
-  void ForgetPeer(const NetAddress& peer);
 
   // UdpHandler:
   void HandleUdp(const NetAddress& source, std::string_view payload) override;

@@ -1,7 +1,8 @@
 // DHT batching and wire-path tests: PutBatch grouping/ordering/fallback
-// semantics, the byte-identical-when-unbatched guard, router send
-// coalescing, and the router's owner cache (warm puts skip the routed
-// lookup; joins, deaths and the capacity bound keep it correct).
+// semantics, the guard that a Put is exactly a one-item PutBatch on the
+// wire, router send coalescing, and the router's owner cache (warm puts and
+// gets skip the routed lookup; joins, deaths and the capacity bound keep it
+// correct).
 
 #include <gtest/gtest.h>
 
@@ -86,8 +87,8 @@ TEST(DhtBatch, SplitAcrossTwoOwnersDeliversToBoth) {
   EXPECT_EQ(got_a.size(), 2u);
   EXPECT_EQ(got_b.size(), 1u);
 
-  // The same-key pair shared a multi-object frame; the lone item fell back
-  // to a plain put.
+  // The same-key pair shared a multi-object frame; the lone item rode a
+  // one-object frame, which is not counted as batched.
   Dht::Stats stats = net.dht(3)->stats();
   EXPECT_EQ(stats.puts, 3u);
   EXPECT_EQ(stats.batched_puts, 2u);
@@ -125,9 +126,10 @@ TEST(DhtBatch, EmptyBatchCompletesImmediately) {
 }
 
 TEST(DhtBatch, SingletonGroupsAreByteIdenticalToPlainPuts) {
-  // The acceptance guard: with coalescing off and every destination getting
-  // exactly one object, a PutBatch produces the very same wire traffic as
-  // the loose Put calls it replaces — byte for byte, message for message.
+  // With coalescing off and every destination getting exactly one object, a
+  // PutBatch produces the very same wire traffic as the loose Put calls it
+  // replaces (each Put is a one-item PutBatch) — byte for byte, message for
+  // message — and a one-object frame is not counted as batched.
   SimOverlay::Options opts = SeededOptions(21);
 
   SimOverlay plain(12, opts);
@@ -154,7 +156,7 @@ TEST(DhtBatch, SingletonGroupsAreByteIdenticalToPlainPuts) {
   EXPECT_EQ(plain.harness()->total_msgs(), batched.harness()->total_msgs());
   EXPECT_EQ(plain.harness()->total_bytes(), batched.harness()->total_bytes());
   EXPECT_EQ(batched.dht(2)->stats().batched_puts, 0u)
-      << "singleton groups must not use the batch frame";
+      << "one-object frames must not count as batched";
 }
 
 TEST(DhtBatch, PartialFailureReportsPerGroupStatus) {
@@ -481,6 +483,49 @@ TEST(OwnerCache, DeadCachedOwnerIsReResolvedToItsSuccessor) {
                  });
   net.RunFor(5 * kSecond);
   EXPECT_EQ(resolved, net.dht(new_owner)->local_address());
+}
+
+TEST(OwnerCache, DeadCachedOwnerGetIsReResolvedToItsSuccessor) {
+  SimOverlay net(16, SeededOptions(108));
+  int owner = OwnerOf(&net, "dg", "k");
+  ASSERT_GE(owner, 0);
+  uint32_t sender = owner == 0 ? 1 : 0;
+  OverlayRouter* router = net.dht(sender)->router();
+  net.dht(sender)->Put("dg", "k", "before", "v", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  ASSERT_EQ(router->owner_cache_size(), 1u);
+
+  // The owner's successor inherits the id once the owner dies; give it an
+  // object of its own so the answer shows which node replied.
+  std::vector<NetAddress> succs =
+      net.dht(owner)->router()->protocol()->SuccessorSet(1);
+  ASSERT_EQ(succs.size(), 1u);
+  uint32_t succ = succs[0].host - 1;  // SimHarness: index = host - 1
+  ASSERT_NE(succ, sender);
+  net.dht(succ)->objects()->Put(ObjectName{"dg", "k", "after"}, "v2",
+                                60 * kSecond);
+
+  net.harness()->FailNode(static_cast<uint32_t>(owner));
+  uint64_t hits = router->stats().lookup_cache_hits;
+  bool called = false;
+  Status status = Status::Internal("not called");
+  std::vector<DhtItem> got;
+  net.dht(sender)->Get("dg", "k",
+                       [&](const Status& s, std::vector<DhtItem> items) {
+                         called = true;
+                         status = s;
+                         got = std::move(items);
+                       });
+  EXPECT_EQ(router->stats().lookup_cache_hits, hits + 1)
+      << "the get was not served from the cache";
+  net.RunFor(20 * kSecond);
+
+  ASSERT_TRUE(called);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].suffix, "after");
+  EXPECT_EQ(got[0].value, "v2");
+  EXPECT_GE(router->stats().lookup_cache_evictions, 1u);
 }
 
 TEST(OwnerCache, PrefixRoutingNeverCaches) {

@@ -1,8 +1,9 @@
-// k-way successor-set replication: writer-driven placement, the k = 1
-// byte-identical fast path, promotion after owner death, read-any gets with
-// read repair, scan-time replica merge (exactly-once), origin-stamped replica
-// expiry, join-time range pulls, and the replicas plumbing through UFL,
-// TableSpec and query plans.
+// k-way successor-set replication: writer-driven placement, k = 1 sending no
+// replica or repair traffic, promotion after owner death, read-any gets with
+// read repair (and an absent key answered empty after every candidate),
+// renew reaching the replica copies, scan-time replica merge (exactly-once),
+// origin-stamped replica expiry, join-time range pulls, and the replicas
+// plumbing through UFL, TableSpec and query plans.
 
 #include <gtest/gtest.h>
 
@@ -134,7 +135,7 @@ TEST(Replication, BatchPutReplicatesPerDestinationGroup) {
 TEST(Replication, FactorOneKeepsEveryReplicationCounterAtZero) {
   // The k = 1 deployment must not even notice the subsystem exists: no
   // replica frames, no repair traffic, no scan suppression — on top of the
-  // byte-identical wire guard in test_dht.
+  // Put-equals-PutBatch wire guard in test_dht.
   SimOverlay net(8, SeededOptions(13));
   for (int i = 0; i < 8; ++i)
     net.dht(i % 8)->Put("z", "k" + std::to_string(i), "s", "v", 30 * kSecond);
@@ -262,6 +263,51 @@ TEST(Replication, ReplicaAnswersWhenOwnerCopyIsGoneAndRepairsIt) {
   auto repaired = net.dht(owner)->objects()->Get("rr", "k");
   ASSERT_EQ(repaired.size(), 1u) << "read repair never restored the owner";
   EXPECT_FALSE(repaired[0]->is_replica());
+}
+
+TEST(Replication, ReadAnyGetOfAnAbsentKeyTriesEveryCandidateThenIsEmpty) {
+  SimOverlay net(8, SeededOptions(37, /*replication=*/3));
+  int owner = OwnerOf(&net, "ab", "missing");
+  ASSERT_GE(owner, 0);
+  std::set<uint32_t> holders{static_cast<uint32_t>(owner)};
+  for (const NetAddress& a :
+       net.dht(owner)->router()->protocol()->SuccessorSet(2))
+    holders.insert(NodeOf(a));
+  ASSERT_EQ(holders.size(), 3u);
+  uint32_t reader = 0;
+  while (holders.count(reader) > 0) reader++;
+  bool called = false;
+  Status status = Status::Internal("not called");
+  std::vector<DhtItem> got{DhtItem{"x", "x"}};
+  net.dht(reader)->Get("ab", "missing",
+                       [&](const Status& s, std::vector<DhtItem> items) {
+                         called = true;
+                         status = s;
+                         got = std::move(items);
+                       });
+  net.RunFor(3 * kSecond);
+  ASSERT_TRUE(called);
+  EXPECT_TRUE(status.ok()) << "an absent key is an empty answer, not an error";
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(net.dht(reader)->stats().read_failovers, 2u)
+      << "the owner and both replica holders are asked";
+  EXPECT_EQ(net.dht(reader)->stats().read_repairs, 0u);
+}
+
+TEST(Replication, RenewKeepsReplicaCopiesAlivePastTheOriginalLifetime) {
+  SimOverlay net(8, SeededOptions(41));
+  net.dht(2)->Put("rn", "k", "s", "v", 5 * kSecond, nullptr, /*replicas=*/3);
+  net.RunFor(2 * kSecond);
+  ASSERT_EQ(Census(&net, "rn", "k").replicas, 2u);
+
+  Status renewed = Status::Internal("not called");
+  net.dht(2)->Renew("rn", "k", "s", 60 * kSecond,
+                    [&](const Status& s) { renewed = s; });
+  net.RunFor(8 * kSecond);  // well past the original 5 s lifetime
+  EXPECT_TRUE(renewed.ok()) << renewed.ToString();
+  CopyCensus c = Census(&net, "rn", "k");
+  EXPECT_EQ(c.primaries, 1u);
+  EXPECT_EQ(c.replicas, 2u) << "the renew never reached the replica copies";
 }
 
 // ---------------------------------------------------------------------------
