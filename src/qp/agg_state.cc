@@ -1,5 +1,9 @@
 #include "qp/agg_state.h"
 
+#include <memory>
+#include <optional>
+#include <utility>
+
 namespace pier {
 
 const char* AggFuncName(AggFunc f) {
@@ -11,6 +15,14 @@ const char* AggFuncName(AggFunc f) {
     case AggFunc::kAvg: return "avg";
   }
   return "?";
+}
+
+Result<AggFunc> ParseAggFunc(const std::string& name) {
+  for (AggFunc f : {AggFunc::kCount, AggFunc::kSum, AggFunc::kMin,
+                    AggFunc::kMax, AggFunc::kAvg}) {
+    if (name == AggFuncName(f)) return f;
+  }
+  return Status::InvalidArgument("unknown aggregate '" + name + "'");
 }
 
 Result<std::vector<AggSpec>> ParseAggSpecs(const std::string& text) {
@@ -32,19 +44,7 @@ Result<std::vector<AggSpec>> ParseAggSpecs(const std::string& text) {
     spec.alias = part.substr(c2 + 1);
     if (spec.alias.empty())
       return Status::InvalidArgument("agg spec needs alias: '" + part + "'");
-    if (func == "count") {
-      spec.func = AggFunc::kCount;
-    } else if (func == "sum") {
-      spec.func = AggFunc::kSum;
-    } else if (func == "min") {
-      spec.func = AggFunc::kMin;
-    } else if (func == "max") {
-      spec.func = AggFunc::kMax;
-    } else if (func == "avg") {
-      spec.func = AggFunc::kAvg;
-    } else {
-      return Status::InvalidArgument("unknown aggregate '" + func + "'");
-    }
+    PIER_ASSIGN_OR_RETURN(spec.func, ParseAggFunc(func));
     if (spec.func != AggFunc::kCount && spec.col.empty())
       return Status::InvalidArgument(func + " needs a column");
     out.push_back(std::move(spec));
@@ -96,19 +96,26 @@ void TrackMax(Value* max, const Value& v) {
   if (c.ok() && *c > 0) *max = v;
 }
 
-}  // namespace
-
-void AggState::Update(const AggSpec& spec, const Tuple& t) {
-  const Value* v = spec.col.empty() ? nullptr : t.Get(spec.col);
-  UpdateValue(spec, v != nullptr ? *v : Value::Null(), v != nullptr);
+/// The index of each of `names` in `in`; nullopt when one is missing.
+std::optional<std::vector<size_t>> ColumnIndexes(
+    const BatchSchema& in, const std::vector<std::string>& names) {
+  std::vector<size_t> idx;
+  for (const std::string& name : names) {
+    int c = in.Index(name);
+    if (c < 0) return std::nullopt;
+    idx.push_back(static_cast<size_t>(c));
+  }
+  return idx;
 }
 
-void AggState::UpdateValue(const AggSpec& spec, const Value& v, bool present) {
+}  // namespace
+
+void AggState::UpdateValue(const AggSpec& spec, const Value& v) {
   if (spec.col.empty()) {  // COUNT(*)
     count_++;
     return;
   }
-  if (!present || v.is_null()) return;  // best-effort skip
+  if (v.is_null()) return;  // best-effort skip
   count_++;
   if (v.is_numeric()) sum_ = AddValues(sum_, v);
   TrackMin(&min_, v);
@@ -142,43 +149,107 @@ Value AggState::Finalize(AggFunc func) const {
   return Value::Null();
 }
 
-void AggState::ToPartialColumns(const std::string& alias, Tuple* out) const {
-  out->Append(alias + "#n", Value::Int64(count_));
-  out->Append(alias + "#s", sum_);
-  out->Append(alias + "#mn", min_);
-  out->Append(alias + "#mx", max_);
+std::vector<std::string> AggState::PartialColumns(const std::string& alias) {
+  return {alias + "#n", alias + "#s", alias + "#mn", alias + "#mx"};
 }
 
-bool AggState::FromPartialColumns(const Tuple& t, const std::string& alias) {
-  const Value* n = t.Get(alias + "#n");
-  const Value* s = t.Get(alias + "#s");
-  const Value* mn = t.Get(alias + "#mn");
-  const Value* mx = t.Get(alias + "#mx");
-  if (n == nullptr || s == nullptr || mn == nullptr || mx == nullptr)
-    return false;
-  Result<int64_t> c = n->AsInt64();
+void AggState::AppendPartial(TupleBatchBuilder* out) const {
+  out->AppendInt64(count_);
+  out->AppendValue(sum_);
+  out->AppendValue(min_);
+  out->AppendValue(max_);
+}
+
+bool AggState::FromPartial(const TupleBatch& b, size_t row,
+                           const std::vector<size_t>& cols) {
+  Result<int64_t> c = b.ValueAt(row, cols[0]).AsInt64();
   if (!c.ok()) return false;
   count_ = *c;
-  sum_ = *s;
-  min_ = *mn;
-  max_ = *mx;
+  sum_ = b.ValueAt(row, cols[1]);
+  min_ = b.ValueAt(row, cols[2]);
+  max_ = b.ValueAt(row, cols[3]);
   return true;
 }
 
-void AggState::EncodeTo(WireWriter* w) const {
-  w->PutI64(count_);
-  sum_.EncodeTo(w);
-  min_.EncodeTo(w);
-  max_.EncodeTo(w);
+GroupTable::GroupTable(std::vector<std::string> keys,
+                       std::vector<AggSpec> aggs)
+    : keys_(std::move(keys)), aggs_(std::move(aggs)) {}
+
+GroupTable::Group& GroupTable::GroupAt(const TupleBatch& batch, size_t row,
+                                       const std::vector<size_t>& key_idx) {
+  // RowPartitionKey over the (all-present) keys is the canonical group key.
+  Group& g = groups_[batch.RowPartitionKey(row, keys_)];
+  if (g.states.empty()) {
+    for (size_t c : key_idx) g.key.push_back(batch.ValueAt(row, c));
+    g.states.resize(aggs_.size());
+  }
+  return g;
 }
 
-Result<AggState> AggState::DecodeFrom(WireReader* r) {
-  AggState s;
-  PIER_RETURN_IF_ERROR(r->GetI64(&s.count_));
-  PIER_ASSIGN_OR_RETURN(s.sum_, Value::DecodeFrom(r));
-  PIER_ASSIGN_OR_RETURN(s.min_, Value::DecodeFrom(r));
-  PIER_ASSIGN_OR_RETURN(s.max_, Value::DecodeFrom(r));
-  return s;
+void GroupTable::Fold(const TupleBatch& batch) {
+  // Resolve key and aggregate columns once per batch. A key column the
+  // schema lacks discards every row (they all share the schema).
+  const BatchSchema& in = *batch.schema();
+  std::optional<std::vector<size_t>> key_idx = ColumnIndexes(in, keys_);
+  if (!key_idx) return;
+  std::vector<int> agg_idx(aggs_.size());
+  for (size_t i = 0; i < aggs_.size(); ++i)
+    agg_idx[i] = aggs_[i].col.empty() ? -1 : in.Index(aggs_[i].col);
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    Group& g = GroupAt(batch, r, *key_idx);
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      g.states[i].UpdateValue(
+          aggs_[i], agg_idx[i] < 0
+                        ? Value::Null()
+                        : batch.ValueAt(r, static_cast<size_t>(agg_idx[i])));
+    }
+  }
+}
+
+void GroupTable::Merge(const TupleBatch& batch) {
+  const BatchSchema& in = *batch.schema();
+  std::optional<std::vector<size_t>> key_idx = ColumnIndexes(in, keys_);
+  if (!key_idx) return;
+  // Each aggregate's partial columns; an aggregate lacking one is skipped.
+  std::vector<std::optional<std::vector<size_t>>> cols;
+  for (const AggSpec& a : aggs_)
+    cols.push_back(ColumnIndexes(in, AggState::PartialColumns(a.alias)));
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    Group& g = GroupAt(batch, r, *key_idx);
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      AggState incoming;
+      if (cols[i] && incoming.FromPartial(batch, r, *cols[i]))
+        g.states[i].Merge(incoming);
+    }
+  }
+}
+
+std::vector<TupleBatch> GroupTable::Emit(const std::string& table,
+                                         bool partial, size_t max_rows) const {
+  auto schema = std::make_shared<BatchSchema>();
+  schema->table = table;
+  schema->columns = keys_;
+  for (const AggSpec& a : aggs_) {
+    std::vector<std::string> cols = partial ? AggState::PartialColumns(a.alias)
+                                            : std::vector<std::string>{a.alias};
+    schema->columns.insert(schema->columns.end(), cols.begin(), cols.end());
+  }
+  TupleBatchBuilder rows(std::move(schema));
+  std::vector<TupleBatch> out;
+  for (const auto& [gk, g] : groups_) {
+    (void)gk;
+    for (const Value& v : g.key) rows.AppendValue(v);
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      if (partial) {
+        g.states[i].AppendPartial(&rows);
+      } else {
+        rows.AppendValue(g.states[i].Finalize(aggs_[i].func));
+      }
+    }
+    if (rows.num_rows() == max_rows) out.push_back(rows.Finish());
+  }
+  if (!rows.empty()) out.push_back(rows.Finish());
+  return out;
 }
 
 }  // namespace pier

@@ -1,27 +1,34 @@
-// Mergeable aggregate state, shared by GroupBy and the hierarchical
-// aggregation operator.
+// Mergeable aggregate state and the grouping core shared by GroupBy and the
+// hierarchical aggregation operator.
 //
 // PIER's in-network aggregation works for distributive and algebraic
 // functions, where constant-size state merges associatively (§3.3.4). The
 // state here covers COUNT, SUM, MIN, MAX and AVG (algebraic: SUM + COUNT).
 // Holistic aggregates are intentionally absent, as in the paper.
+//
+// GroupTable is the grouping core of both aggregation operators. Partials
+// have one layout on every path (key columns, then AggState::PartialColumns)
+// whether they are rehashed as rows (flat) or routed as TupleBatch frames.
 
 #ifndef PIER_QP_AGG_STATE_H_
 #define PIER_QP_AGG_STATE_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
-#include "data/tuple.h"
+#include "data/tuple_batch.h"
 #include "data/value.h"
 #include "util/status.h"
-#include "util/wire.h"
 
 namespace pier {
 
 enum class AggFunc : uint8_t { kCount = 1, kSum, kMin, kMax, kAvg };
 
 const char* AggFuncName(AggFunc f);
+
+/// The function named `name` (the inverse of AggFuncName).
+Result<AggFunc> ParseAggFunc(const std::string& name);
 
 /// One aggregate in a GROUP BY list: a function, an input column (empty for
 /// COUNT(*)) and an output alias.
@@ -41,12 +48,9 @@ std::string FormatAggSpecs(const std::vector<AggSpec>& specs);
 /// Constant-size mergeable state covering all supported functions at once.
 class AggState {
  public:
-  /// Fold one input tuple in (skips tuples lacking the column: best-effort).
-  void Update(const AggSpec& spec, const Tuple& t);
-
-  /// Value-level fold for the vectorized batch path: the caller resolved the
-  /// column (`present` = the row has it). Identical semantics to Update.
-  void UpdateValue(const AggSpec& spec, const Value& v, bool present);
+  /// Fold one input value in (null when the row lacks the column). Nulls are
+  /// skipped (best-effort), except by COUNT(*).
+  void UpdateValue(const AggSpec& spec, const Value& v);
 
   /// Merge another partial state (associative, commutative).
   void Merge(const AggState& other);
@@ -56,23 +60,62 @@ class AggState {
 
   int64_t count() const { return count_; }
 
-  // --- Partial-state transport -------------------------------------------------
+  // --- The partial layout ----------------------------------------------------
 
-  /// Append this state to `out` as columns "<alias>#n", "<alias>#s",
-  /// "<alias>#mn", "<alias>#mx" (the mode=partial wire format).
-  void ToPartialColumns(const std::string& alias, Tuple* out) const;
+  /// The names of `alias`'s partial columns, in layout order: "<alias>#n",
+  /// "<alias>#s", "<alias>#mn", "<alias>#mx".
+  static std::vector<std::string> PartialColumns(const std::string& alias);
 
-  /// Rebuild from partial columns; false if they are absent/malformed.
-  bool FromPartialColumns(const Tuple& t, const std::string& alias);
+  /// Append this state's partial values to `out`, in layout order.
+  void AppendPartial(TupleBatchBuilder* out) const;
 
-  void EncodeTo(WireWriter* w) const;
-  static Result<AggState> DecodeFrom(WireReader* r);
+  /// Rebuild from row `row` of `b`, whose partial columns are at `cols` (in
+  /// layout order); false if they are malformed.
+  bool FromPartial(const TupleBatch& b, size_t row,
+                   const std::vector<size_t>& cols);
 
  private:
   int64_t count_ = 0;
   Value sum_;  // null until first numeric input; int64 or double after
   Value min_;
   Value max_;
+};
+
+/// Groups keyed by the values of `keys`, each holding one AggState per
+/// aggregate. Groups are kept in canonical-key order, so emission order is
+/// deterministic across runs.
+class GroupTable {
+ public:
+  GroupTable() = default;
+  GroupTable(std::vector<std::string> keys, std::vector<AggSpec> aggs);
+
+  /// Fold raw input rows. A batch lacking a key column is discarded whole.
+  void Fold(const TupleBatch& batch);
+  /// Merge rows in the partial layout, discarding a batch as Fold does. An
+  /// aggregate whose partial columns are absent or malformed is skipped.
+  void Merge(const TupleBatch& batch);
+
+  /// The groups as batches of at most `max_rows` rows, under `table`: the key
+  /// columns, then per aggregate either its partial columns or its final
+  /// value under the alias. Empty when there are no groups.
+  std::vector<TupleBatch> Emit(const std::string& table, bool partial,
+                               size_t max_rows = 4096) const;
+
+  bool empty() const { return groups_.empty(); }
+  void clear() { groups_.clear(); }
+
+ private:
+  struct Group {
+    std::vector<Value> key;
+    std::vector<AggState> states;
+  };
+
+  Group& GroupAt(const TupleBatch& batch, size_t row,
+                 const std::vector<size_t>& key_idx);
+
+  std::vector<std::string> keys_;
+  std::vector<AggSpec> aggs_;
+  std::map<std::string, Group> groups_;  // RowPartitionKey -> group
 };
 
 }  // namespace pier

@@ -1,12 +1,14 @@
 // Aggregation operators (§3.3.4).
 //
 // GroupBy implements hash aggregation with distributive/algebraic functions
-// (COUNT, SUM, MIN, MAX, AVG). Three modes compose into multi-phase plans
-// (the paper's bandwidth-reducing aggregation [62]):
+// (COUNT, SUM, MIN, MAX, AVG). Its groups live in a GroupTable, the grouping
+// core it shares with HierAgg (qp/agg_state.h), so partials have one layout
+// whether they are rehashed here or routed in-network. Three modes compose
+// into multi-phase plans (the paper's bandwidth-reducing aggregation [62]):
 //
-//   mode=local    complete aggregation of the local input (default)
-//   mode=partial  emit mergeable partial-state tuples (source side)
-//   mode=final    merge partial-state tuples and emit finals (collector side)
+//   mode=local    fold the local input, emit finals (default)
+//   mode=partial  fold the local input, emit partials (source side)
+//   mode=final    merge partials, emit finals (collector side)
 //
 // Aggregates are emitted on Flush(): once near the timeout for snapshot
 // queries, per window for continuous ones (tumbling by default).
@@ -31,112 +33,43 @@ class GroupByOp : public Operator {
 
   Status Init(ExecContext* cx) override {
     PIER_RETURN_IF_ERROR(Operator::Init(cx));
-    keys_ = spec_.GetStrings("keys");
-    PIER_ASSIGN_OR_RETURN(aggs_, ParseAggSpecs(spec_.GetString("aggs")));
-    if (aggs_.empty()) return Status::InvalidArgument("groupby needs aggs");
+    PIER_ASSIGN_OR_RETURN(std::vector<AggSpec> aggs,
+                          ParseAggSpecs(spec_.GetString("aggs")));
+    if (aggs.empty()) return Status::InvalidArgument("groupby needs aggs");
     std::string mode = spec_.GetString("mode", "local");
-    if (mode == "local") {
-      mode_ = Mode::kLocal;
-    } else if (mode == "partial") {
-      mode_ = Mode::kPartial;
-    } else if (mode == "final") {
-      mode_ = Mode::kFinal;
-    } else {
+    if (mode != "local" && mode != "partial" && mode != "final")
       return Status::InvalidArgument("bad groupby mode '" + mode + "'");
-    }
+    merge_input_ = mode == "final";
+    emit_partial_ = mode == "partial";
     tumbling_ = spec_.GetInt("tumbling", 1) != 0;
     out_table_ = spec_.GetString("table", "agg");
+    groups_ = GroupTable(spec_.GetStrings("keys"), std::move(aggs));
     return Status::Ok();
   }
 
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
-    const size_t n = batch.num_rows();
-    stats_.consumed += n;
-    const BatchSchema& in = *batch.schema();
-    // Resolve key and aggregate columns once per batch. A key column the
-    // schema lacks discards every row (they all share the schema).
-    std::vector<int> key_idx(keys_.size());
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      key_idx[i] = in.Index(keys_[i]);
-      if (key_idx[i] < 0) return;  // best-effort discard of the whole batch
-    }
-    std::vector<int> agg_idx(aggs_.size());
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      agg_idx[i] = aggs_[i].col.empty() ? -1 : in.Index(aggs_[i].col);
-    }
-    for (size_t r = 0; r < n; ++r) {
-      // RowPartitionKey over the (all-present) keys is the canonical-string
-      // group key.
-      Group& g = groups_[batch.RowPartitionKey(r, keys_)];
-      if (g.states.empty()) {
-        Tuple kt(in.table);
-        for (size_t i = 0; i < keys_.size(); ++i) {
-          kt.Append(keys_[i],
-                    batch.ValueAt(r, static_cast<size_t>(key_idx[i])));
-        }
-        g.key_tuple = std::move(kt);
-        g.states.resize(aggs_.size());
-      }
-      if (mode_ == Mode::kFinal) {
-        // Merge the row's partial-state columns, aggregate by aggregate; an
-        // aggregate whose columns are absent or malformed is skipped.
-        Tuple t = batch.RowTuple(r);
-        for (size_t i = 0; i < aggs_.size(); ++i) {
-          AggState incoming;
-          if (incoming.FromPartialColumns(t, aggs_[i].alias))
-            g.states[i].Merge(incoming);
-        }
-        continue;
-      }
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        bool present = agg_idx[i] >= 0;
-        g.states[i].UpdateValue(
-            aggs_[i],
-            present ? batch.ValueAt(r, static_cast<size_t>(agg_idx[i]))
-                    : Value::Null(),
-            present);
-      }
+    stats_.consumed += batch.num_rows();
+    if (merge_input_) {
+      groups_.Merge(batch);
+    } else {
+      groups_.Fold(batch);
     }
   }
 
   void Flush() override {
-    // Window flushes leave as batches: groups (in deterministic map order)
-    // are assembled into same-schema runs and pushed batch-at-a-time.
-    BatchAssembler batches;
-    for (auto& [gk, g] : groups_) {
-      (void)gk;
-      Tuple out(out_table_);
-      for (const Column& c : g.key_tuple.columns()) out.Append(c.name, c.value);
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        if (mode_ == Mode::kPartial) {
-          g.states[i].ToPartialColumns(aggs_[i].alias, &out);
-        } else {
-          out.Append(aggs_[i].alias, g.states[i].Finalize(aggs_[i].func));
-        }
-      }
-      batches.Add(out);
-    }
-    for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
+    for (const TupleBatch& b : groups_.Emit(out_table_, emit_partial_))
+      PushBatch(0, b);
     if (tumbling_) groups_.clear();
   }
 
   void Close() override { groups_.clear(); }
 
  private:
-  enum class Mode { kLocal, kPartial, kFinal };
-
-  struct Group {
-    Tuple key_tuple;
-    std::vector<AggState> states;
-  };
-
-  std::vector<std::string> keys_;
-  std::vector<AggSpec> aggs_;
-  Mode mode_ = Mode::kLocal;
+  bool merge_input_ = false;  // mode=final: input rows are partials
+  bool emit_partial_ = false;  // mode=partial: emit partials, not finals
   bool tumbling_ = true;
   std::string out_table_;
-  // Ordered map: deterministic emission order across runs.
-  std::map<std::string, Group> groups_;
+  GroupTable groups_;
 };
 
 /// topk[k=10, col=cnt, desc=1]: buffer, sort on Flush, emit the top k.

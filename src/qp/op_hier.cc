@@ -1,13 +1,15 @@
 // Hierarchical (in-network) operators (§3.3.4, §3.3.6).
 //
 // HierAgg — hierarchical aggregation. Every node folds its local input into
-// per-group partial states. On flush the partials are routed (DHT send)
-// toward a root identifier. Intermediate nodes intercept the message with an
-// upcall, merge it into a pending window, and after a hold period forward a
-// single combined partial one hop closer to the root; in the optimal case
-// each node sends exactly one partial. The root merges everything and emits
-// final tuples downstream (only the root instance emits). This shifts
-// in-bandwidth from the collection point to the interior of the tree.
+// a GroupTable, the grouping core it shares with GroupBy (qp/agg_state.h).
+// On flush the partials are routed (DHT send) toward a root identifier as
+// one TupleBatch frame, in the same partial layout flat GroupBy rehashes.
+// Intermediate nodes intercept the frame with an upcall, decode it, merge it
+// into a pending table, and after a hold period forward a single combined
+// frame one hop closer to the root; in the optimal case each node sends
+// exactly one partial. The root merges everything and emits final tuples
+// downstream (only the root instance emits). This shifts in-bandwidth from
+// the collection point to the interior of the tree.
 //
 // HierJoin — hierarchical rehash join. Tuples are routed toward their hash
 // bucket with DHT sends. Each intermediate node caches a copy annotated with
@@ -18,8 +20,10 @@
 // annotation sets intersect (those were already produced in-network). This
 // offloads the hot bucket's out-bandwidth onto path nodes.
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <unordered_set>
 
 #include "qp/agg_state.h"
@@ -36,47 +40,14 @@ namespace {
 // HierAgg
 // ---------------------------------------------------------------------------
 
-/// One partial-aggregate message: a set of groups, each with the group-key
-/// tuple and one AggState per aggregate.
-struct PartialBatch {
-  struct Group {
-    Tuple key;
-    std::vector<AggState> states;
-  };
-  std::vector<Group> groups;
-
-  std::string Encode() const {
-    WireWriter w;
-    w.PutVarint(groups.size());
-    for (const Group& g : groups) {
-      g.key.EncodeTo(&w);
-      w.PutVarint(g.states.size());
-      for (const AggState& s : g.states) s.EncodeTo(&w);
-    }
-    return std::move(w).data();
-  }
-
-  static Result<PartialBatch> Decode(std::string_view wire) {
-    WireReader r(wire);
-    PartialBatch b;
-    uint64_t n;
-    PIER_RETURN_IF_ERROR(r.GetVarint(&n));
-    if (n > 1 << 20) return Status::Corruption("absurd group count");
-    for (uint64_t i = 0; i < n; ++i) {
-      Group g;
-      PIER_ASSIGN_OR_RETURN(g.key, Tuple::DecodeFrom(&r));
-      uint64_t ns;
-      PIER_RETURN_IF_ERROR(r.GetVarint(&ns));
-      if (ns > 64) return Status::Corruption("absurd state count");
-      for (uint64_t j = 0; j < ns; ++j) {
-        PIER_ASSIGN_OR_RETURN(AggState s, AggState::DecodeFrom(&r));
-        g.states.push_back(std::move(s));
-      }
-      b.groups.push_back(std::move(g));
-    }
-    return b;
-  }
-};
+/// Decode one routed partial frame: a TupleBatch in the partial layout and
+/// nothing after it. The batch aliases `wire`.
+Result<TupleBatch> DecodePartials(std::string_view wire) {
+  WireReader r(wire);
+  PIER_ASSIGN_OR_RETURN(TupleBatch batch, TupleBatch::DecodeFrom(&r, wire));
+  if (r.remaining() != 0) return Status::Corruption("trailing partial bytes");
+  return batch;
+}
 
 /// hieragg[keys=?, aggs=?, hold_ms=?, table=?]
 class HierAggOp : public Operator {
@@ -85,9 +56,11 @@ class HierAggOp : public Operator {
 
   Status Init(ExecContext* cx) override {
     PIER_RETURN_IF_ERROR(Operator::Init(cx));
-    keys_ = spec_.GetStrings("keys");
-    PIER_ASSIGN_OR_RETURN(aggs_, ParseAggSpecs(spec_.GetString("aggs")));
-    if (aggs_.empty()) return Status::InvalidArgument("hieragg needs aggs");
+    PIER_ASSIGN_OR_RETURN(std::vector<AggSpec> aggs,
+                          ParseAggSpecs(spec_.GetString("aggs")));
+    if (aggs.empty()) return Status::InvalidArgument("hieragg needs aggs");
+    local_ = GroupTable(spec_.GetStrings("keys"), std::move(aggs));
+    pending_ = root_ = local_;
     hold_ = spec_.GetInt("hold_ms", 500) * kMillisecond;
     out_table_ = spec_.GetString("table", "agg");
     ns_ = cx_->QueryNs("g" + std::to_string(cx_->graph_id) + ".op" +
@@ -102,9 +75,9 @@ class HierAggOp : public Operator {
           if (alive.expired()) return UpcallAction::kContinue;
           Result<Dht::WireObject> obj = Dht::DecodeObject(*payload);
           if (!obj.ok()) return UpcallAction::kContinue;
-          Result<PartialBatch> batch = PartialBatch::Decode(obj->value);
+          Result<TupleBatch> batch = DecodePartials(obj->value);
           if (!batch.ok()) return UpcallAction::kContinue;
-          AbsorbIntoPending(*batch);
+          pending_.Merge(*batch);
           ArmForwardTimer();
           return UpcallAction::kDrop;
         });
@@ -138,54 +111,12 @@ class HierAggOp : public Operator {
   }
 
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
-    const size_t n = batch.num_rows();
-    stats_.consumed += n;
-    const BatchSchema& in = *batch.schema();
-    // Same vectorized local fold as GroupByOp: resolve columns once, then
-    // per-row canonical group keys and UpdateValue folds.
-    std::vector<int> key_idx(keys_.size());
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      key_idx[i] = in.Index(keys_[i]);
-      if (key_idx[i] < 0) return;  // best-effort discard of the whole batch
-    }
-    std::vector<int> agg_idx(aggs_.size());
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      agg_idx[i] = aggs_[i].col.empty() ? -1 : in.Index(aggs_[i].col);
-    }
-    for (size_t r = 0; r < n; ++r) {
-      LocalGroup& g = local_[batch.RowPartitionKey(r, keys_)];
-      if (g.states.empty()) {
-        Tuple kt(in.table);
-        for (size_t i = 0; i < keys_.size(); ++i) {
-          kt.Append(keys_[i],
-                    batch.ValueAt(r, static_cast<size_t>(key_idx[i])));
-        }
-        g.key = std::move(kt);
-        g.states.resize(aggs_.size());
-      }
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        bool present = agg_idx[i] >= 0;
-        g.states[i].UpdateValue(
-            aggs_[i],
-            present ? batch.ValueAt(r, static_cast<size_t>(agg_idx[i]))
-                    : Value::Null(),
-            present);
-      }
-    }
+    stats_.consumed += batch.num_rows();
+    local_.Fold(batch);
   }
 
   /// Send the local window's partials one step toward the root.
-  void Flush() override {
-    if (local_.empty()) return;
-    PartialBatch batch;
-    for (auto& [gk, g] : local_) {
-      (void)gk;
-      batch.groups.push_back({std::move(g.key), std::move(g.states)});
-    }
-    local_.clear();
-    cx_->dht->Send(ns_, root_key_, cx_->NextSuffix(), batch.Encode(),
-                   cx_->query_lifetime);
-  }
+  void Flush() override { SendPartials(&local_); }
 
   void Close() override {
     alive_.reset();
@@ -200,41 +131,25 @@ class HierAggOp : public Operator {
   }
 
  private:
-  struct LocalGroup {
-    Tuple key;
-    std::vector<AggState> states;
-  };
-  /// gk -> merged pending state (intermediate-node window, and root window).
-  using Window = std::map<std::string, LocalGroup>;
-
-  void Absorb(Window* w, const PartialBatch& batch) {
-    for (const PartialBatch::Group& g : batch.groups) {
-      std::string gk;
-      for (const Column& c : g.key.columns()) {
-        gk += c.value.CanonicalString();
-        gk.push_back('|');
-      }
-      LocalGroup& dst = (*w)[gk];
-      if (dst.states.empty()) {
-        dst.key = g.key;
-        dst.states.resize(aggs_.size());
-      }
-      for (size_t i = 0; i < aggs_.size() && i < g.states.size(); ++i)
-        dst.states[i].Merge(g.states[i]);
-    }
+  /// Route `table`'s groups toward the root as one partial frame, then
+  /// clear it.
+  void SendPartials(GroupTable* table) {
+    if (table->empty()) return;
+    WireWriter w;
+    table->Emit(out_table_, /*partial=*/true, SIZE_MAX)[0].EncodeTo(&w);
+    table->clear();
+    cx_->dht->Send(ns_, root_key_, cx_->NextSuffix(), std::move(w).data(),
+                   cx_->query_lifetime);
   }
-
-  void AbsorbIntoPending(const PartialBatch& b) { Absorb(&pending_, b); }
-  void AbsorbIntoRoot(const PartialBatch& b) { Absorb(&root_, b); }
 
   /// Root-side entry point shared by newdata and the catch-up scan; dedup by
   /// object identity (aggregate states must be merged exactly once).
   void AbsorbRootObject(const ObjectName& name, std::string_view value) {
     uint64_t id = HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix));
     if (!root_seen_.insert(id).second) return;
-    Result<PartialBatch> batch = PartialBatch::Decode(value);
+    Result<TupleBatch> batch = DecodePartials(value);
     if (!batch.ok()) return;
-    AbsorbIntoRoot(*batch);
+    root_.Merge(*batch);
     ArmRootTimer();
   }
 
@@ -244,15 +159,7 @@ class HierAggOp : public Operator {
     forward_timer_ = cx_->vri->ScheduleEvent(hold_, [this, alive]() {
       if (alive.expired()) return;
       forward_timer_ = 0;
-      if (pending_.empty()) return;
-      PartialBatch batch;
-      for (auto& [gk, g] : pending_) {
-        (void)gk;
-        batch.groups.push_back({std::move(g.key), std::move(g.states)});
-      }
-      pending_.clear();
-      cx_->dht->Send(ns_, root_key_, cx_->NextSuffix(), batch.Encode(),
-                     cx_->query_lifetime);
+      SendPartials(&pending_);
     });
   }
 
@@ -271,36 +178,22 @@ class HierAggOp : public Operator {
   }
 
   void EmitFinals() {
-    BatchAssembler batches;
-    for (auto& [gk, g] : root_) {
-      (void)gk;
-      Tuple out(out_table_);
-      for (const Column& c : g.key.columns()) out.Append(c.name, c.value);
-      for (size_t i = 0; i < aggs_.size(); ++i)
-        out.Append(aggs_[i].alias, g.states[i].Finalize(aggs_[i].func));
-      batches.Add(out);
-    }
-    for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
+    for (const TupleBatch& b : root_.Emit(out_table_, /*partial=*/false))
+      PushBatch(0, b);
     // root_ is kept (cumulative): late partials refine rather than reset.
     // Blocking operators downstream (TopK at the root) flushed before our
     // network round-trips finished; push them again now that finals exist.
-    FlushDownstream();
-  }
-
-  void FlushDownstream() {
     for (auto& [op, port] : outputs_) {
       (void)port;
       op->Flush();
     }
   }
 
-  std::vector<std::string> keys_;
-  std::vector<AggSpec> aggs_;
   TimeUs hold_ = 500 * kMillisecond;
   std::string out_table_, ns_, root_key_;
-  Window local_;    // this node's own input
-  Window pending_;  // intercepted children partials awaiting forwarding
-  Window root_;     // root-side accumulation
+  GroupTable local_;    // this node's own input
+  GroupTable pending_;  // intercepted children partials awaiting forwarding
+  GroupTable root_;     // root-side accumulation
   std::unordered_set<uint64_t> root_seen_;
   uint64_t newdata_sub_ = 0;
   uint64_t catchup_timer_ = 0;

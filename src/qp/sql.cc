@@ -234,19 +234,7 @@ Result<SelectItem> ParseSelectItem(const std::string& raw) {
       return Status::InvalidArgument("unbalanced parens in '" + raw + "'");
     std::string arg = Trim(text.substr(paren + 1, close - paren - 1));
     item.is_agg = true;
-    if (fn == "count") {
-      item.func = AggFunc::kCount;
-    } else if (fn == "sum") {
-      item.func = AggFunc::kSum;
-    } else if (fn == "min") {
-      item.func = AggFunc::kMin;
-    } else if (fn == "max") {
-      item.func = AggFunc::kMax;
-    } else if (fn == "avg") {
-      item.func = AggFunc::kAvg;
-    } else {
-      return Status::InvalidArgument("unknown aggregate '" + fn + "'");
-    }
+    PIER_ASSIGN_OR_RETURN(item.func, ParseAggFunc(fn));
     item.col = arg == "*" ? "" : StripPrefix(arg);
     if (item.alias.empty()) {
       item.alias = fn + (item.col.empty() ? "" : "_" + item.col);

@@ -496,9 +496,9 @@ TEST(AggState, MergeIsEquivalentToSingleStream) {
       values.push_back(static_cast<int64_t>(rng.Uniform(1000)) - 500);
     AggState all, left, right;
     for (size_t i = 0; i < values.size(); ++i) {
-      Tuple t("t", {{"v", Value::Int64(values[i])}});
-      all.Update(spec, t);
-      (i < values.size() / 2 ? left : right).Update(spec, t);
+      Value v = Value::Int64(values[i]);
+      all.UpdateValue(spec, v);
+      (i < values.size() / 2 ? left : right).UpdateValue(spec, v);
     }
     left.Merge(right);
     for (AggFunc f : {AggFunc::kCount, AggFunc::kSum, AggFunc::kMin,
@@ -512,29 +512,151 @@ TEST(AggState, MergeIsEquivalentToSingleStream) {
 TEST(AggState, PartialColumnsRoundTrip) {
   AggSpec spec{AggFunc::kAvg, "v", "m"};
   AggState s;
-  for (int v : {1, 2, 3, 10}) {
-    Tuple t("t", {{"v", Value::Int64(v)}});
-    s.Update(spec, t);
-  }
-  Tuple carrier("p");
-  s.ToPartialColumns("m", &carrier);
+  for (int v : {1, 2, 3, 10}) s.UpdateValue(spec, Value::Int64(v));
+  EXPECT_EQ(AggState::PartialColumns("m"),
+            (std::vector<std::string>{"m#n", "m#s", "m#mn", "m#mx"}));
+  TupleBatchBuilder carrier(std::make_shared<BatchSchema>(
+      BatchSchema{"p", AggState::PartialColumns("m")}));
+  s.AppendPartial(&carrier);
+  TupleBatch row = carrier.Finish();
   AggState back;
-  ASSERT_TRUE(back.FromPartialColumns(carrier, "m"));
+  ASSERT_TRUE(back.FromPartial(row, 0, {0, 1, 2, 3}));
   EXPECT_EQ(back.count(), 4);
   EXPECT_TRUE(back.Finalize(AggFunc::kAvg).LooseEquals(Value::Double(4.0)));
   EXPECT_TRUE(back.Finalize(AggFunc::kMax).LooseEquals(Value::Int64(10)));
-  AggState missing;
-  EXPECT_FALSE(missing.FromPartialColumns(Tuple("x"), "m"));
+  // A count that is not an integer is malformed. (Absent partial columns are
+  // GroupTable.MergeSkipsOnlyTheAggregateWithAbsentColumns.)
+  Tuple bad("p", {{"m#n", Value::String("four")},
+                  {"m#s", Value::Null()},
+                  {"m#mn", Value::Null()},
+                  {"m#mx", Value::Null()}});
+  AggState malformed;
+  EXPECT_FALSE(
+      malformed.FromPartial(TupleBatch::FromTuples({bad}), 0, {0, 1, 2, 3}));
 }
 
 TEST(AggState, SkipsMissingAndNullColumns) {
   AggSpec spec{AggFunc::kSum, "v", "s"};
   AggState s;
-  s.Update(spec, Tuple("t", {{"other", Value::Int64(5)}}));
-  s.Update(spec, Tuple("t", {{"v", Value::Null()}}));
-  s.Update(spec, Tuple("t", {{"v", Value::Int64(3)}}));
+  s.UpdateValue(spec, Value::Null());  // column absent, or a null value
+  s.UpdateValue(spec, Value::Int64(3));
   EXPECT_EQ(s.count(), 1);
   EXPECT_TRUE(s.Finalize(AggFunc::kSum).LooseEquals(Value::Int64(3)));
+}
+
+// ---------------------------------------------------------------------------
+// GroupTable: the grouping core shared by GroupBy and HierAgg
+// ---------------------------------------------------------------------------
+
+std::vector<AggSpec> GroupTableAggs() {
+  auto specs = ParseAggSpecs(
+      "count::cnt,count:z:cz,sum:i:si,sum:d:sd,sum:z:sz,min:i:mni,min:d:mnd,"
+      "min:z:mnz,max:i:mxi,max:d:mxd,max:z:mxz,avg:i:ai,avg:d:ad,avg:z:az");
+  EXPECT_TRUE(specs.ok());
+  return *specs;
+}
+
+/// ev(k, i, d, z): three groups; d is exact in binary so sums do not depend
+/// on fold order; z is null whenever i % 3 == 0, so group "g0" has only
+/// nulls in z.
+std::vector<Tuple> GroupTableRows() {
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 30; ++i) {
+    Tuple t("ev");
+    t.Append("k", Value::String("g" + std::to_string(i % 3)));
+    t.Append("i", Value::Int64(i * 7 - 50));
+    t.Append("d", Value::Double(i * 0.25 - 3.5));
+    t.Append("z", i % 3 == 0 ? Value::Null() : Value::Int64(i));
+    rows.push_back(std::move(t));
+  }
+  return rows;
+}
+
+std::vector<Tuple> EmittedRows(const GroupTable& table, bool partial) {
+  std::vector<Tuple> out;
+  for (const TupleBatch& b : table.Emit("agg", partial)) {
+    for (size_t r = 0; r < b.num_rows(); ++r) out.push_back(b.RowTuple(r));
+  }
+  return out;
+}
+
+TEST(GroupTable, MergedPartialsEqualOneTableFoldingEverything) {
+  std::vector<Tuple> rows = GroupTableRows();
+  std::vector<Tuple> first(rows.begin(), rows.begin() + 15);
+  std::vector<Tuple> second(rows.begin() + 15, rows.end());
+  GroupTable all({"k"}, GroupTableAggs());
+  GroupTable left({"k"}, GroupTableAggs());
+  GroupTable right({"k"}, GroupTableAggs());
+  all.Fold(TupleBatch::FromTuples(rows));
+  left.Fold(TupleBatch::FromTuples(first));
+  right.Fold(TupleBatch::FromTuples(second));
+
+  GroupTable merged({"k"}, GroupTableAggs());
+  for (const GroupTable* half : {&left, &right}) {
+    for (const TupleBatch& b : half->Emit("agg", /*partial=*/true))
+      merged.Merge(b);
+  }
+  std::vector<Tuple> want = EmittedRows(all, false);
+  ASSERT_EQ(want.size(), 3u);
+  EXPECT_EQ(EmittedRows(merged, false), want);
+  EXPECT_EQ(EmittedRows(merged, true), EmittedRows(all, true));
+
+  // Spot-check the finals against hand-computed values.
+  const Tuple& g0 = want[0];
+  EXPECT_EQ(*g0.Get("k"), Value::String("g0"));
+  EXPECT_EQ(*g0.Get("cnt"), Value::Int64(10));
+  EXPECT_EQ(*g0.Get("cz"), Value::Int64(0)) << "z is null in every g0 row";
+  EXPECT_TRUE(g0.Get("sz")->is_null());
+  EXPECT_TRUE(g0.Get("mnz")->is_null());
+  EXPECT_TRUE(g0.Get("az")->is_null());
+  // g0 holds i in {0, 3, ..., 27}: sum 135, so si = 7 * 135 - 50 * 10.
+  EXPECT_EQ(*g0.Get("si"), Value::Int64(445));
+  EXPECT_EQ(*g0.Get("mni"), Value::Int64(-50));
+  EXPECT_EQ(*g0.Get("mxi"), Value::Int64(139));
+  EXPECT_TRUE(g0.Get("ai")->LooseEquals(Value::Double(44.5)));
+  EXPECT_EQ(*g0.Get("sd"), Value::Double(135 * 0.25 - 35.0));
+  EXPECT_EQ(*g0.Get("mxd"), Value::Double(27 * 0.25 - 3.5));
+  const Tuple& g1 = want[1];
+  EXPECT_EQ(*g1.Get("cz"), Value::Int64(10));
+  EXPECT_EQ(*g1.Get("sz"), Value::Int64(145));  // 1 + 4 + ... + 28
+  EXPECT_EQ(*g1.Get("mnz"), Value::Int64(1));
+  EXPECT_EQ(*g1.Get("mxz"), Value::Int64(28));
+}
+
+TEST(GroupTable, MergeDiscardsBatchWithoutKeyColumn) {
+  GroupTable src({"k"}, GroupTableAggs());
+  src.Fold(TupleBatch::FromTuples(GroupTableRows()));
+  GroupTable other_key({"i"}, GroupTableAggs());
+  for (const TupleBatch& b : src.Emit("agg", /*partial=*/true))
+    other_key.Merge(b);
+  EXPECT_TRUE(other_key.empty());
+  // Raw rows lacking the key are discarded by Fold just the same.
+  GroupTable missing({"nope"}, GroupTableAggs());
+  missing.Fold(TupleBatch::FromTuples(GroupTableRows()));
+  EXPECT_TRUE(missing.empty());
+}
+
+TEST(GroupTable, MergeSkipsOnlyTheAggregateWithAbsentColumns) {
+  auto aggs = ParseAggSpecs("count::cnt,sum:v:s");
+  ASSERT_TRUE(aggs.ok());
+  GroupTable table({"k"}, *aggs);
+  // cnt's partial columns are complete; s lacks its "#mx" column.
+  Tuple partial("agg");
+  partial.Append("k", Value::String("a"));
+  partial.Append("cnt#n", Value::Int64(4));
+  partial.Append("cnt#s", Value::Null());
+  partial.Append("cnt#mn", Value::Null());
+  partial.Append("cnt#mx", Value::Null());
+  partial.Append("s#n", Value::Int64(2));
+  partial.Append("s#s", Value::Int64(9));
+  partial.Append("s#mn", Value::Int64(4));
+  table.Merge(TupleBatch::FromTuples({partial, partial}));
+  std::vector<Tuple> out = EmittedRows(table, false);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(*out[0].Get("cnt"), Value::Int64(8));
+  EXPECT_TRUE(out[0].Get("s")->is_null()) << "s was never merged";
+  table.clear();
+  EXPECT_TRUE(table.empty());
 }
 
 }  // namespace

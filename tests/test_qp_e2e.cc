@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "qp/sim_pier.h"
@@ -136,6 +137,72 @@ TEST(QpE2E, FlatAggregationCountsPerGroup) {
 
 TEST(QpE2E, HierarchicalAggregationMatchesFlat) {
   SimPier net(16, PierOptions(31));
+  // ev(src, x, y, z): x is an int, y a double, z null in every third row.
+  struct Truth {
+    int64_t cnt = 0, sum_x = 0, min_x = INT64_MAX, count_z = 0;
+    double max_y = -1e300;
+  };
+  std::map<std::string, Truth> truth;
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 48; ++i) {
+    Tuple t("ev");
+    std::string src = "s" + std::to_string(i % 4);
+    t.Append("src", Value::String(src));
+    t.Append("x", Value::Int64(i * 3 - 20));
+    t.Append("y", Value::Double(i * 0.5 + 0.25));
+    t.Append("z", i % 3 == 0 ? Value::Null() : Value::Int64(i));
+    Truth& g = truth[src];
+    g.cnt++;
+    g.sum_x += i * 3 - 20;
+    g.min_x = std::min<int64_t>(g.min_x, i * 3 - 20);
+    g.max_y = std::max(g.max_y, i * 0.5 + 0.25);
+    g.count_z += i % 3 != 0;
+    rows.push_back(std::move(t));
+  }
+  PublishEvents(&net, rows);
+  net.RunFor(3 * kSecond);
+
+  for (const char* strategy : {"hier", "flat"}) {
+    SCOPED_TRACE(strategy);
+    Sql sql = Sql("SELECT src, count(*) AS cnt, sum(x) AS sx, min(x) AS mnx, "
+                  "max(y) AS mxy, avg(x) AS ax, count(z) AS cz FROM ev "
+                  "GROUP BY src TIMEOUT 14s")
+                  .WithAggStrategy(strategy);
+    auto plan = net.client(5)->Compile(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    if (std::string(strategy) == "hier") {
+      ASSERT_EQ(plan->graphs.size(), 1u) << "hier strategy is single-graph";
+    }
+
+    auto q = net.client(5)->Query(std::move(*plan));
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    // Hier roots may re-emit refined totals; the latest row per group wins.
+    std::map<std::string, Tuple> got;
+    q->OnTuple([&](const Tuple& t) {
+      got[std::string(*t.Get("src")->AsString())] = t;
+    });
+    EXPECT_TRUE(q->Wait().ok());
+
+    ASSERT_EQ(got.size(), 4u);
+    for (int s = 0; s < 4; ++s) {
+      std::string src = "s" + std::to_string(s);
+      const Tuple& t = got[src];
+      const Truth& want = truth[src];
+      EXPECT_EQ(t.Get("cnt")->int64_unchecked(), 12) << "group " << src;
+      EXPECT_EQ(*t.Get("cnt"), Value::Int64(want.cnt)) << src;
+      EXPECT_EQ(*t.Get("sx"), Value::Int64(want.sum_x)) << src;
+      EXPECT_EQ(*t.Get("mnx"), Value::Int64(want.min_x)) << src;
+      EXPECT_EQ(*t.Get("mxy"), Value::Double(want.max_y)) << src;
+      EXPECT_TRUE(t.Get("ax")->LooseEquals(
+          Value::Double(static_cast<double>(want.sum_x) / want.cnt)))
+          << src;
+      EXPECT_EQ(*t.Get("cz"), Value::Int64(want.count_z)) << src;
+    }
+  }
+}
+
+TEST(QpE2E, HierAggIgnoresHostilePartialFrames) {
+  SimPier net(16, PierOptions(31));
   std::vector<Tuple> rows;
   for (int i = 0; i < 48; ++i) {
     Tuple t("ev");
@@ -145,12 +212,18 @@ TEST(QpE2E, HierarchicalAggregationMatchesFlat) {
   PublishEvents(&net, rows);
   net.RunFor(3 * kSecond);
 
-  Sql sql =
+  auto plan = net.client(5)->Compile(
       Sql("SELECT src, count(*) AS cnt FROM ev GROUP BY src TIMEOUT 14s")
-          .WithAggStrategy("hier");
-  auto plan = net.client(5)->Compile(sql);
+          .WithAggStrategy("hier"));
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_EQ(plan->graphs.size(), 1u) << "hier strategy is single-graph";
+  ASSERT_EQ(plan->graphs.size(), 1u);
+  const OpGraph& graph = plan->graphs[0];
+  uint32_t agg_op = 0;
+  for (const OpSpec& op : graph.ops) {
+    if (op.kind == OpKind::kHierAgg) agg_op = op.id;
+  }
+  ASSERT_NE(agg_op, 0u);
+  uint32_t graph_id = graph.id;
 
   auto q = net.client(5)->Query(std::move(*plan));
   ASSERT_TRUE(q.ok()) << q.status().ToString();
@@ -159,6 +232,26 @@ TEST(QpE2E, HierarchicalAggregationMatchesFlat) {
     got[std::string(*t.Get("src")->AsString())] =
         t.Get("cnt")->int64_unchecked();
   });
+
+  // A partial for s0 that would add 1,000 to its count if it were merged.
+  Tuple partial("agg");
+  partial.Append("src", Value::String("s0"));
+  partial.Append("cnt#n", Value::Int64(1000));
+  partial.Append("cnt#s", Value::Null());
+  partial.Append("cnt#mn", Value::Null());
+  partial.Append("cnt#mx", Value::Null());
+  WireWriter w;
+  TupleBatch::FromTuples({partial}).EncodeTo(&w);
+  std::string valid = std::move(w).data();
+  const std::string ns = "q" + std::to_string(q->id()) + ".g" +
+                         std::to_string(graph_id) + ".op" +
+                         std::to_string(agg_op) + ".agg";
+  net.RunFor(1 * kSecond);
+  net.dht(3)->Put(ns, "root", "truncated", valid.substr(0, valid.size() / 2),
+                  60 * kSecond);
+  net.dht(7)->Put(ns, "root", "garbage", std::string("\x07\xff\xfegarbage"),
+                  60 * kSecond);
+  net.dht(11)->Put(ns, "root", "trailing", valid + '\0', 60 * kSecond);
   EXPECT_TRUE(q->Wait().ok());
 
   ASSERT_EQ(got.size(), 4u);
