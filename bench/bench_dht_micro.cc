@@ -168,7 +168,10 @@ void Run() {
         items.push_back(std::move(item));
       }
       net.dht(rng.Uniform(kNodes))
-          ->PutBatch(std::move(items), [done](const Status&) { done(); });
+          ->PutBatch(std::move(items),
+                     [done](const Status&, std::vector<Dht::PutGroupStatus>) {
+                       done();
+                     });
     });
     batch.msgs /= kBatch;
     batch.bytes /= kBatch;

@@ -294,26 +294,12 @@ Status PierClient::Publish(const std::string& table, const Tuple& t,
   PIER_RETURN_IF_ERROR(CheckReplicas(*spec));
   if (lifetime <= 0) lifetime = spec->default_lifetime;
 
-  // Publish-time statistics accrual (sys.stats rows themselves excepted),
-  // with periodic republication into the sys.stats system table.
-  auto observe = [&](size_t bytes) {
-    if (table == kSysStatsTable) return;
-    stats_->Observe(table, t, spec->partition_attrs, bytes,
-                    qp_->vri()->Now());
-    if (stats_->TakePublishDue(table, kStatsPublishEvery))
-      PublishSysStatsRow(table);
-  };
-
-  if (spec->local_only) {
-    observe(qp_->StoreLocal(table, t, lifetime));
-    return Status::Ok();
-  }
-
-  PIER_RETURN_IF_ERROR(ValidateAgainstSpec(*spec, t));
+  if (!spec->local_only) PIER_RETURN_IF_ERROR(ValidateAgainstSpec(*spec, t));
 
   // Auto-batching: buffer the (already validated) tuple; the size trigger,
-  // the delay timer, Flush() or client teardown ships it.
-  if (publish_batch_max_ > 1) {
+  // the delay timer, Flush() or client teardown ships it. Local-only tables
+  // are never buffered: an in-situ store sends no message to amortize.
+  if (publish_batch_max_ > 1 && !spec->local_only) {
     PublishBuffer& buf = publish_buffers_[table];
     buf.tuples.push_back(t);
     buf.lifetimes.push_back(lifetime);
@@ -334,18 +320,8 @@ Status PierClient::Publish(const std::string& table, const Tuple& t,
     }
     return Status::Ok();
   }
-
-  size_t bytes = qp_->Publish(table, spec->partition_attrs, t, lifetime,
-                              spec->replicas);
-  for (const SecondaryIndexSpec& idx : spec->secondary_indexes) {
-    qp_->PublishSecondary(idx.table, idx.attr, table, spec->partition_attrs, t,
-                          lifetime, spec->replicas);
-  }
-  for (const RangeIndexSpec& idx : spec->range_indexes) {
-    qp_->PublishRange(idx.table, idx.attr, t, idx.key_bits, lifetime);
-  }
-  observe(bytes);
-  return Status::Ok();
+  // Unbuffered: a batch of one, through the same fan-out as every batch.
+  return ShipBatch(*spec, {t}, {lifetime});
 }
 
 Status PierClient::PublishBatch(const std::string& table,
@@ -432,14 +408,17 @@ Status PierClient::ShipBatch(const TableSpec& spec,
     // Secondary entries build through ONE TupleBatch per declared index
     // instead of N three-column Tuples: rows are appended straight into the
     // batch builder and the wire value / partition key come from batch
-    // cells (byte-identical to the Tuple path).
+    // cells (byte-identical to encoding the entry as a Tuple).
     struct SecBatch {
       const SecondaryIndexSpec* idx;
       TupleBatch rows;
       std::vector<size_t> src;  // built row -> source tuple index
       size_t cursor = 0;
     };
-    std::vector<std::string> pkeys(tuples.size());
+    std::vector<std::string> pkeys;
+    pkeys.reserve(tuples.size());
+    for (const Tuple& t : tuples)
+      pkeys.push_back(t.PartitionKey(spec.partition_attrs));
     std::vector<SecBatch> secs;
     secs.reserve(spec.secondary_indexes.size());
     for (const SecondaryIndexSpec& idx : spec.secondary_indexes) {
@@ -452,8 +431,6 @@ Status PierClient::ShipBatch(const TableSpec& spec,
       for (size_t i = 0; i < tuples.size(); ++i) {
         const Value* v = tuples[i].Get(idx.attr);
         if (v == nullptr) continue;  // nothing to index (sparse)
-        if (pkeys[i].empty())
-          pkeys[i] = tuples[i].PartitionKey(spec.partition_attrs);
         b.AppendValue(*v);
         b.AppendString(spec.name);
         b.AppendString(pkeys[i]);
@@ -465,23 +442,25 @@ Status PierClient::ShipBatch(const TableSpec& spec,
     std::vector<DhtPutItem> items;
     items.reserve(tuples.size() * (1 + spec.secondary_indexes.size()));
     for (size_t i = 0; i < tuples.size(); ++i) {
-      row_bytes.push_back(qp_->MakePublishItem(spec.name, spec.partition_attrs,
-                                               tuples[i], lifetimes[i], &items,
-                                               spec.replicas));
-      // Suffixes mint in the same primary-then-secondaries per-tuple order
-      // as the scalar path, so object names stay stable across the two.
+      row_bytes.push_back(qp_->MakePublishItem(spec.name, std::move(pkeys[i]),
+                                               tuples[i].Encode(), lifetimes[i],
+                                               &items, spec.replicas));
+      // Suffixes mint primary-then-secondaries per tuple, so object names
+      // do not depend on how the tuples were batched.
       for (SecBatch& sec : secs) {
         if (sec.cursor >= sec.src.size() || sec.src[sec.cursor] != i) continue;
         size_t r = sec.cursor++;
-        qp_->MakePublishItemRaw(
+        qp_->MakePublishItem(
             sec.idx->table, sec.rows.RowPartitionKey(r, {sec.idx->attr}),
             sec.rows.EncodeRow(r), lifetimes[i], &items, spec.replicas);
       }
     }
-    qp_->PublishBatch(
+    // The completion holds the failure counters, not the client: a batch
+    // may still be in flight when the client is destroyed.
+    qp_->dht()->PutBatch(
         std::move(items),
-        [this, table = spec.name](const Status& first,
-                                  std::vector<Dht::PutGroupStatus> groups) {
+        [failures = publish_failures_, table = spec.name](
+            const Status& first, std::vector<Dht::PutGroupStatus> groups) {
           // Degraded groups (owner reached, replica copies lost) are counted
           // even when every owner delivery succeeded: the batch is fine as a
           // whole but under-replicated until repair catches up.
@@ -489,16 +468,16 @@ Status PierClient::ShipBatch(const TableSpec& spec,
           for (const Dht::PutGroupStatus& g : groups) {
             if (g.degraded()) degraded += g.indices.size();
           }
-          publish_failures_.degraded_items += degraded;
+          failures->degraded_items += degraded;
           if (first.ok()) return;
           size_t dropped = 0;
           for (const Dht::PutGroupStatus& g : groups) {
             if (!g.status.ok()) dropped += g.indices.size();
           }
-          publish_failures_.failed_batches++;
-          publish_failures_.dropped_items += dropped;
-          publish_failures_.last_error = first;
-          PIER_LOG(kWarn) << "batch publish into '" << table << "' dropped "
+          failures->failed_batches++;
+          failures->dropped_items += dropped;
+          failures->last_error = first;
+          PIER_LOG(kWarn) << "publish into '" << table << "' dropped "
                           << dropped << " index entries: " << first.ToString();
         });
     // PHT trie inserts are multi-step protocols; they stay per tuple.
@@ -508,14 +487,13 @@ Status PierClient::ShipBatch(const TableSpec& spec,
                           lifetimes[i]);
     }
   }
-  // ONE statistics update for the whole batch, sampling each tuple's real
-  // serialized size (not total/n spread uniformly).
-  if (spec.name != kSysStatsTable) {
-    std::vector<const Tuple*> ptrs;
-    ptrs.reserve(tuples.size());
-    for (const Tuple& t : tuples) ptrs.push_back(&t);
-    stats_->ObserveBatch(spec.name, ptrs, spec.partition_attrs, row_bytes,
-                         qp_->vri()->Now());
+  // Statistics accrual, one Observe per row with its real serialized size.
+  // The sys.* tables are the statistics' own output and stay out.
+  if (spec.name != kSysStatsTable && spec.name != kSysMetricsTable) {
+    TimeUs now = qp_->vri()->Now();
+    for (size_t i = 0; i < tuples.size(); ++i)
+      stats_->Observe(spec.name, tuples[i], spec.partition_attrs, row_bytes[i],
+                      now);
     if (stats_->TakePublishDue(spec.name, kStatsPublishEvery))
       PublishSysStatsRow(spec.name);
   }
@@ -525,7 +503,10 @@ Status PierClient::ShipBatch(const TableSpec& spec,
 void PierClient::PublishSysStatsRow(const std::string& table) {
   Tuple row = stats_->ToSysTuple(table);
   if (row.num_columns() == 0) return;  // nothing observed locally
-  qp_->Publish(kSysStatsTable, {"table"}, row);
+  std::vector<DhtPutItem> items;
+  qp_->MakePublishItem(kSysStatsTable, row.PartitionKey({"table"}),
+                       row.Encode(), /*lifetime=*/0, &items);
+  qp_->dht()->PutBatch(std::move(items));
 }
 
 Status PierClient::PublishStats() {
@@ -644,6 +625,8 @@ Status PierClient::PublishMetrics(std::vector<MetricSample>* out,
       std::to_string(self.host) + ":" + std::to_string(self.port);
   TimeUs now = qp_->vri()->Now();
   std::vector<MetricSample> snapshot = metrics_->Snapshot();
+  std::vector<DhtPutItem> items;
+  items.reserve(snapshot.size());
   for (const MetricSample& s : snapshot) {
     Tuple row(kSysMetricsTable);
     row.Append("metric", Value::String(s.name));
@@ -660,8 +643,12 @@ Status PierClient::PublishMetrics(std::vector<MetricSample>* out,
     row.Append("count", Value::Int64(static_cast<int64_t>(s.count)));
     row.Append("sum", Value::Double(s.sum));
     row.Append("updated_us", Value::Int64(static_cast<int64_t>(now)));
-    qp_->Publish(kSysMetricsTable, {"metric"}, row, lifetime);
+    qp_->MakePublishItem(kSysMetricsTable, row.PartitionKey({"metric"}),
+                         row.Encode(), lifetime, &items);
   }
+  // The whole snapshot ships as one batch: a metric family's rows share an
+  // owner and ride one frame.
+  qp_->dht()->PutBatch(std::move(items));
   if (out != nullptr) *out = std::move(snapshot);
   return Status::Ok();
 }

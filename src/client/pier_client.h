@@ -256,20 +256,21 @@ class PierClient {
 
   // --- Batched publishing ------------------------------------------------------
   //
-  // Ingest-heavy workloads pay per-tuple network overhead on Publish: every
-  // tuple is its own DHT put per declared index (lookup + wire message +
-  // ack). Batching amortizes it — a batch's whole index fan-out (primary
-  // rows and secondary entries alike) is grouped by responsible node and
-  // each destination receives ONE wire message; the statistics registry
-  // updates once per batch. Two ways in:
+  // Every publish is a batch. A batch's whole index fan-out (primary rows
+  // and secondary entries alike) is grouped by responsible node, each
+  // destination receives ONE wire message, and each row is observed once
+  // into the statistics registry. With auto-batching off (the default),
+  // Publish ships its tuple at once as a batch of one — its primary and
+  // secondary entries still share a frame when one owner holds both. Larger
+  // batches amortize the per-message overhead further. Two ways in:
   //
   //   client.PublishBatch("ev", rows);          // explicit batch
   //   client.SetPublishBatching(64, 5000);      // auto: buffer Publish()es
   //
-  // Knobs and defaults: auto-batching is OFF by default (max_tuples 0);
-  // when on, a per-table buffer flushes at `max_tuples`, when `max_delay`
-  // elapses after the first buffered tuple, on Flush(), and on client
-  // destruction. Range (PHT) indexes are fanned out per tuple at flush time
+  // Auto-batching (max_tuples > 1) keeps a per-table buffer that flushes at
+  // `max_tuples`, when `max_delay` elapses after the first buffered tuple,
+  // on Flush(), and on client destruction. Local-only tables are never
+  // buffered. Range (PHT) indexes are fanned out per tuple at ship time
   // (trie inserts are multi-step and do not batch).
   //
   // When is auto-batching safe? Publish keeps full validation (errors stay
@@ -279,6 +280,10 @@ class PierClient {
   // is (PIER promises best-effort, lifetime-bounded visibility, §3.2.3).
   // Keep it off when a Publish must be queryable before the next client
   // call, e.g. tests that publish one tuple then immediately query it.
+  //
+  // Delivery is asynchronous either way: publish_failures() counts every
+  // index entry, from Publish or PublishBatch, that never reached its owner
+  // or lost replica copies.
 
   /// Publish a whole batch for `table` in one shot. Every tuple is
   /// validated against the spec FIRST; any invalid tuple fails the call and
@@ -306,10 +311,10 @@ class PierClient {
   /// Publish pacing: one sys.stats row per table per this many tuples.
   static constexpr uint64_t kStatsPublishEvery = 64;
 
-  /// Partial-failure accounting for the batched publish path. A batch whose
-  /// destinations PARTIALLY fail (one owner dead, the rest fine) used to
-  /// collapse into one error; Dht::PutBatch now reports per-group status,
-  /// and every index entry that never reached an owner is counted here.
+  /// Partial-failure accounting for every publish. Dht::PutBatch reports
+  /// per-group status, so a batch whose destinations PARTIALLY fail (one
+  /// owner dead, the rest fine) counts exactly the index entries that never
+  /// reached an owner.
   struct PublishFailures {
     uint64_t failed_batches = 0;  // batches with at least one failed group
     uint64_t dropped_items = 0;   // index entries (tuples/secondaries) lost
@@ -319,7 +324,7 @@ class PierClient {
     uint64_t degraded_items = 0;
     Status last_error = Status::Ok();
   };
-  const PublishFailures& publish_failures() const { return publish_failures_; }
+  const PublishFailures& publish_failures() const { return *publish_failures_; }
 
   /// Start the background statistics refresh: a CONTINUOUS query over
   /// `sys.stats` whose answers are auto-folded into this client's registry
@@ -451,7 +456,8 @@ class PierClient {
   /// Reject a spec whose replication factor exceeds what the overlay's
   /// routing protocol can place (chord: its successor-list length).
   Status CheckReplicas(const TableSpec& spec) const;
-  /// Ship one batch (validated tuples) through the whole index fan-out.
+  /// Ship one batch (validated tuples) through the whole index fan-out —
+  /// the one write path every Publish, PublishBatch and flush ends in.
   Status ShipBatch(const TableSpec& spec, const std::vector<Tuple>& tuples,
                    const std::vector<TimeUs>& lifetimes);
   Status FlushTable(const std::string& table);
@@ -479,7 +485,9 @@ class PierClient {
   Replanner::Options replan_options_;
   TimeUs replan_period_ = 0;  // 0: one check per query window
   std::map<uint64_t, ReplanTask> replans_;
-  PublishFailures publish_failures_;
+  /// Shared with in-flight batch completions, which may outlive the client.
+  std::shared_ptr<PublishFailures> publish_failures_ =
+      std::make_shared<PublishFailures>();
   /// Auto-batching state: 0 max_tuples = off (the default).
   size_t publish_batch_max_ = 0;
   TimeUs publish_batch_delay_ = 0;

@@ -77,45 +77,19 @@ Result<KmvSketch> KmvSketch::Deserialize(std::string_view wire) {
 // StatsRegistry
 // ---------------------------------------------------------------------------
 
-void StatsRegistry::AccrueScalars(Entry* e, uint64_t tuples, size_t bytes,
-                                  TimeUs now) {
-  e->tuples += tuples;
-  e->since_publish += tuples;
-  e->byte_sum += static_cast<double>(bytes);
-  if (e->first_at == 0) e->first_at = now;
-  e->last_at = std::max(e->last_at, now);
-}
-
-void StatsRegistry::AccrueKey(Entry* e, const Tuple& t,
-                              const std::vector<std::string>& key_attrs) {
-  if (key_attrs.empty()) {
-    e->sketch.AddHash(Mix64(t.Hash()));
-  } else {
-    e->sketch.Add(t.PartitionKey(key_attrs));
-  }
-}
-
 void StatsRegistry::Observe(const std::string& table, const Tuple& t,
                             const std::vector<std::string>& key_attrs,
                             size_t bytes, TimeUs now) {
   Entry& e = local_[table];
-  AccrueScalars(&e, 1, bytes, now);
-  AccrueKey(&e, t, key_attrs);
-}
-
-void StatsRegistry::ObserveBatch(const std::string& table,
-                                 const std::vector<const Tuple*>& ts,
-                                 const std::vector<std::string>& key_attrs,
-                                 const std::vector<size_t>& row_bytes,
-                                 TimeUs now) {
-  if (ts.empty()) return;
-  Entry& e = local_[table];
-  // Per-tuple accrual with each row's REAL serialized size: the byte sum
-  // (and thus mean-bytes) reflects the actual encodings, never total/n
-  // smeared across the batch.
-  for (size_t i = 0; i < ts.size(); ++i) {
-    AccrueScalars(&e, 1, i < row_bytes.size() ? row_bytes[i] : 0, now);
-    AccrueKey(&e, *ts[i], key_attrs);
+  e.tuples++;
+  e.since_publish++;
+  e.byte_sum += static_cast<double>(bytes);
+  if (e.first_at == 0) e.first_at = now;
+  e.last_at = std::max(e.last_at, now);
+  if (key_attrs.empty()) {
+    e.sketch.AddHash(Mix64(t.Hash()));
+  } else {
+    e.sketch.Add(t.PartitionKey(key_attrs));
   }
 }
 

@@ -99,16 +99,6 @@ class StatsRegistry {
                const std::vector<std::string>& key_attrs, size_t bytes,
                TimeUs now);
 
-  /// Record a whole published batch in one registry update (the sketch
-  /// still sees every key — a distinct estimate cannot be amortized).
-  /// `row_bytes[i]` is tuple i's REAL serialized size: sampling actual
-  /// per-tuple bytes (not a batch-uniform mean) keeps sys.stats mean-bytes
-  /// honest for the optimizer even when only a prefix of a batch is later
-  /// re-observed. `ts` holds borrowed pointers, none kept.
-  void ObserveBatch(const std::string& table, const std::vector<const Tuple*>& ts,
-                    const std::vector<std::string>& key_attrs,
-                    const std::vector<size_t>& row_bytes, TimeUs now);
-
   bool Has(const std::string& table) const;
   TableStats Snapshot(const std::string& table) const;
 
@@ -159,12 +149,6 @@ class StatsRegistry {
 
   static void Accumulate(const Entry& e, TableStats* out, KmvSketch* sketch,
                          TimeUs* first, TimeUs* last);
-  /// The shared accrual pieces Observe and ObserveBatch are composed from,
-  /// so batched and unbatched publishes can never drift apart.
-  static void AccrueScalars(Entry* e, uint64_t tuples, size_t bytes,
-                            TimeUs now);
-  static void AccrueKey(Entry* e, const Tuple& t,
-                        const std::vector<std::string>& key_attrs);
 
   uint64_t origin_ = 0;
   std::map<std::string, Entry> local_;

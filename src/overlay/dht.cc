@@ -145,7 +145,14 @@ void Dht::Put(const std::string& ns, const std::string& key, const std::string& 
   std::vector<DhtPutItem> items;
   items.push_back(
       DhtPutItem{ns, key, suffix, std::move(value), lifetime, replicas});
-  PutBatch(std::move(items), std::move(done));
+  BatchCallback report = nullptr;
+  if (done) {
+    report = [done = std::move(done)](const Status& first,
+                                      std::vector<PutGroupStatus>) {
+      done(first);
+    };
+  }
+  PutBatch(std::move(items), std::move(report));
 }
 
 void Dht::SendToOwner(Id target, size_t want_succs,
@@ -176,19 +183,6 @@ void Dht::SendToOwner(Id target, size_t want_succs,
                           false);
             });
   });
-}
-
-void Dht::PutBatch(std::vector<DhtPutItem> items, DoneCallback done) {
-  // Legacy single-status form: collapse the per-group report back into the
-  // first error.
-  BatchCallback wrapped = nullptr;
-  if (done) {
-    wrapped = [done = std::move(done)](const Status& first,
-                                       std::vector<PutGroupStatus>) {
-      done(first);
-    };
-  }
-  PutBatch(std::move(items), std::move(wrapped));
 }
 
 void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
@@ -574,18 +568,10 @@ void Dht::Renew(const std::string& ns, const std::string& key,
 // Intra-node operations
 // ---------------------------------------------------------------------------
 
-void Dht::LocalScan(const std::string& ns,
-                    const std::function<void(const ObjectName&, std::string_view)>& fn) {
+void Dht::LocalScan(const std::string& ns, const ScanFn& fn) {
   objects_->Scan(ns, [this, &fn](const ObjectManager::Object& obj) {
     // Replica merge: of an object's k copies exactly one is visible to
     // scans, so replicated tables never double-count.
-    if (!repl_->ShouldEmitInScan(obj)) return;
-    fn(obj.name, obj.value);
-  });
-}
-
-void Dht::LocalScan(const std::string& ns, const TimedScanFn& fn) {
-  objects_->Scan(ns, [this, &fn](const ObjectManager::Object& obj) {
     if (!repl_->ShouldEmitInScan(obj)) return;
     fn(obj.name, obj.value, obj.stored_at);
   });

@@ -126,10 +126,10 @@ class Dht {
     size_t replica_failures = 0;
     bool degraded() const { return status.ok() && replica_failures > 0; }
   };
-  /// Per-group completion report: `first_error` keeps the old single-status
-  /// contract (Ok iff every group delivered); `groups` says exactly which
-  /// items were dropped and why, so callers can surface partial failures
-  /// instead of collapsing them into one error.
+  /// Per-group completion report: `first_error` is Ok iff every group
+  /// delivered; `groups` says exactly which items were dropped and why, so
+  /// callers can surface partial failures instead of collapsing them into
+  /// one error.
   using BatchCallback = std::function<void(const Status& first_error,
                                            std::vector<PutGroupStatus> groups)>;
 
@@ -138,14 +138,10 @@ class Dht {
   /// frame, or a kMsgReplicate frame when the group is replicated, whatever
   /// the object count). Entry order is preserved within each destination, so
   /// objects sharing a (ns, key) arrive in batch order. `done` (may be null)
-  /// fires once after every group's delivery resolved, with the first error
-  /// if any failed.
-  void PutBatch(std::vector<DhtPutItem> items, DoneCallback done = nullptr);
-
-  /// PutBatch with per-group status: a batch whose destinations PARTIALLY
-  /// fail (one owner dead, the rest fine) reports every group's outcome
-  /// rather than the first error only.
-  void PutBatch(std::vector<DhtPutItem> items, BatchCallback done);
+  /// fires once after every group's delivery resolved, with every group's
+  /// outcome: a batch whose destinations PARTIALLY fail (one owner dead, the
+  /// rest fine) names exactly the dropped items.
+  void PutBatch(std::vector<DhtPutItem> items, BatchCallback done = nullptr);
 
   /// send(...): like put, but routed hop-by-hop through the overlay so
   /// intermediate nodes receive upcalls (§3.2.4, Figure 6). The payload is
@@ -168,17 +164,13 @@ class Dht {
 
   // --- Intra-node operations (Table 2) ----------------------------------------
 
-  /// localScan: visit all objects of `ns` stored at this node (handleLScan).
-  void LocalScan(const std::string& ns,
-                 const std::function<void(const ObjectName&, std::string_view)>& fn);
-
-  /// localScan variant that also reports each object's local store time, so
-  /// catch-up consumers (a swapped-in Scan honoring a catch-up high-water
-  /// mark) can skip history without a second metadata lookup.
-  using TimedScanFn =
-      std::function<void(const ObjectName&, std::string_view value,
-                         TimeUs stored_at)>;
-  void LocalScan(const std::string& ns, const TimedScanFn& fn);
+  /// localScan: visit all objects of `ns` stored at this node (handleLScan),
+  /// with each object's local store time, so catch-up consumers (a
+  /// swapped-in Scan honoring a catch-up high-water mark) can skip history
+  /// without a second metadata lookup.
+  using ScanFn = std::function<void(const ObjectName&, std::string_view value,
+                                    TimeUs stored_at)>;
+  void LocalScan(const std::string& ns, const ScanFn& fn);
 
   /// newData: subscribe to objects newly stored at this node in `ns`
   /// (handleNewData). Returns a subscription token.

@@ -1,5 +1,6 @@
 #include "qp/agg_state.h"
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -67,12 +68,18 @@ std::string FormatAggSpecs(const std::vector<AggSpec>& specs) {
 
 namespace {
 
-/// Numeric add with int64 preservation (int64+int64 stays int64).
+/// Numeric add with int64 preservation: int64+int64 stays int64 unless it
+/// overflows, in which case the sum continues (approximately) as a double
+/// instead of wrapping.
 Value AddValues(const Value& a, const Value& b) {
   if (a.is_null()) return b;
   if (b.is_null()) return a;
-  if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64)
-    return Value::Int64(a.int64_unchecked() + b.int64_unchecked());
+  if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64) {
+    int64_t sum = 0;
+    if (!__builtin_add_overflow(a.int64_unchecked(), b.int64_unchecked(),
+                                &sum))
+      return Value::Int64(sum);
+  }
   Result<double> x = a.AsDouble(), y = b.AsDouble();
   if (!x.ok() || !y.ok()) return a;  // non-numeric: keep what we had
   return Value::Double(*x + *y);
@@ -123,7 +130,10 @@ void AggState::UpdateValue(const AggSpec& spec, const Value& v) {
 }
 
 void AggState::Merge(const AggState& other) {
-  count_ += other.count_;
+  // Counts are never negative (FromPartial rejects one), so the only
+  // overflow is upward: saturate instead of wrapping.
+  if (__builtin_add_overflow(count_, other.count_, &count_))
+    count_ = std::numeric_limits<int64_t>::max();
   sum_ = AddValues(sum_, other.sum_);
   if (!other.min_.is_null()) TrackMin(&min_, other.min_);
   if (!other.max_.is_null()) TrackMax(&max_, other.max_);
@@ -163,7 +173,7 @@ void AggState::AppendPartial(TupleBatchBuilder* out) const {
 bool AggState::FromPartial(const TupleBatch& b, size_t row,
                            const std::vector<size_t>& cols) {
   Result<int64_t> c = b.ValueAt(row, cols[0]).AsInt64();
-  if (!c.ok()) return false;
+  if (!c.ok() || *c < 0) return false;
   count_ = *c;
   sum_ = b.ValueAt(row, cols[1]);
   min_ = b.ValueAt(row, cols[2]);

@@ -70,7 +70,8 @@ class AggState {
   void AppendPartial(TupleBatchBuilder* out) const;
 
   /// Rebuild from row `row` of `b`, whose partial columns are at `cols` (in
-  /// layout order); false if they are malformed.
+  /// layout order); false if they are malformed (a count that is not a
+  /// non-negative integer).
   bool FromPartial(const TupleBatch& b, size_t row,
                    const std::vector<size_t>& cols);
 

@@ -305,10 +305,10 @@ class HierJoinOp : public Operator {
       // join's durable lookup state (tuples still waiting to be matched),
       // not already-counted deltas — a swapped-in instance needs all of
       // them or old-side × new-side matches are silently lost.
-      cx_->dht->LocalScan(
-          ns_, [this](const ObjectName& name, std::string_view value) {
-            ProcessOwnerRecord(name, value);
-          });
+      cx_->dht->LocalScan(ns_, [this](const ObjectName& name,
+                                      std::string_view value, TimeUs) {
+        ProcessOwnerRecord(name, value);
+      });
     });
   }
 

@@ -182,48 +182,11 @@ QueryProcessor::~QueryProcessor() {
   }
 }
 
-size_t QueryProcessor::Publish(const std::string& table,
-                               const std::vector<std::string>& key_attrs,
-                               const Tuple& t, TimeUs lifetime, int replicas) {
-  if (lifetime <= 0) lifetime = options_.publish_lifetime;
-  std::string suffix = std::to_string(next_suffix_++) + "@" +
-                       std::to_string(dht_->local_address().host);
-  std::string wire = t.Encode();
-  size_t bytes = wire.size();
-  dht_->Put(table, t.PartitionKey(key_attrs), suffix, std::move(wire),
-            lifetime, nullptr, replicas);
-  return bytes;
-}
-
-void QueryProcessor::PublishSecondary(const std::string& index_table,
-                                      const std::string& index_attr,
-                                      const std::string& base_table,
-                                      const std::vector<std::string>& base_key_attrs,
-                                      const Tuple& t, TimeUs lifetime,
-                                      int replicas) {
-  const Value* v = t.Get(index_attr);
-  if (v == nullptr) return;  // nothing to index
-  Tuple entry(index_table);
-  entry.Append(index_attr, *v);
-  entry.Append("base_table", Value::String(base_table));
-  entry.Append("base_key", Value::String(t.PartitionKey(base_key_attrs)));
-  Publish(index_table, {index_attr}, entry, lifetime, replicas);
-}
-
-size_t QueryProcessor::MakePublishItem(const std::string& table,
-                                       const std::vector<std::string>& key_attrs,
-                                       const Tuple& t, TimeUs lifetime,
+size_t QueryProcessor::MakePublishItem(const std::string& ns,
+                                       std::string key, std::string value,
+                                       TimeUs lifetime,
                                        std::vector<DhtPutItem>* items,
                                        int replicas) {
-  return MakePublishItemRaw(table, t.PartitionKey(key_attrs), t.Encode(),
-                            lifetime, items, replicas);
-}
-
-size_t QueryProcessor::MakePublishItemRaw(const std::string& ns,
-                                          std::string key, std::string value,
-                                          TimeUs lifetime,
-                                          std::vector<DhtPutItem>* items,
-                                          int replicas) {
   if (lifetime <= 0) lifetime = options_.publish_lifetime;
   DhtPutItem item;
   item.ns = ns;
@@ -236,11 +199,6 @@ size_t QueryProcessor::MakePublishItemRaw(const std::string& ns,
   size_t bytes = item.value.size();
   items->push_back(std::move(item));
   return bytes;
-}
-
-void QueryProcessor::PublishBatch(std::vector<DhtPutItem> items,
-                                  Dht::BatchCallback done) {
-  dht_->PutBatch(std::move(items), std::move(done));
 }
 
 Pht* QueryProcessor::PhtFor(const std::string& table, int key_bits) {

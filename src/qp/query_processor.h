@@ -92,50 +92,19 @@ class QueryProcessor {
   QueryProcessor& operator=(const QueryProcessor&) = delete;
 
   // --- Publishing (primary/secondary indexes, §3.3.3) -------------------------
+  // Build-then-ship: the client turns every index fan-out of a tuple batch
+  // (primary rows AND secondary entries) into one item list, then ships it
+  // with dht()->PutBatch as a single DHT batch — one Lookup per distinct key,
+  // one wire message per destination owner.
 
-  /// Publish a tuple into the DHT under `table`, partitioned by `key_attrs`
-  /// (the primary index). lifetime 0 uses the default; `replicas` copies are
-  /// placed (0 = the DHT's configured factor). Returns the stored object's
-  /// encoded size (statistics accrual reuses it).
-  size_t Publish(const std::string& table, const std::vector<std::string>& key_attrs,
-                 const Tuple& t, TimeUs lifetime = 0, int replicas = 0);
-
-  /// Publish a secondary index entry: a (index-key, tupleID-ish) pair — a
-  /// small tuple holding the indexed value and the base tuple's location
-  /// (table + primary key), per §3.3.3.
-  void PublishSecondary(const std::string& index_table,
-                        const std::string& index_attr,
-                        const std::string& base_table,
-                        const std::vector<std::string>& base_key_attrs,
-                        const Tuple& t, TimeUs lifetime = 0, int replicas = 0);
-
-  // --- Batched publishing ------------------------------------------------------
-  // Build-then-ship: the client accumulates every index fan-out of a whole
-  // tuple batch (primary rows AND secondary entries) into one item list,
-  // then PublishBatch ships it as a single DHT batch — one Lookup per
-  // distinct key, one wire message per destination owner.
-
-  /// Append the primary-index put for `t` to `items` without sending.
+  /// Append a put of an already-encoded value (partition key + wire value
+  /// built by the caller, e.g. from TupleBatch rows) to `items` without
+  /// sending, minting the object suffix. lifetime 0 uses the default;
   /// `replicas` copies are placed when the batch ships (0 = the DHT's
-  /// default). Returns the encoded tuple size (statistics accrual reuses it).
-  size_t MakePublishItem(const std::string& table,
-                         const std::vector<std::string>& key_attrs,
-                         const Tuple& t, TimeUs lifetime,
+  /// default). Returns the value size (statistics accrual reuses it).
+  size_t MakePublishItem(const std::string& ns, std::string key,
+                         std::string value, TimeUs lifetime,
                          std::vector<DhtPutItem>* items, int replicas = 0);
-
-  /// Append an already-encoded put (partition key + wire value built by the
-  /// caller, e.g. from TupleBatch rows) to `items`, minting the suffix and
-  /// applying the default lifetime exactly like MakePublishItem. Returns the
-  /// value size.
-  size_t MakePublishItemRaw(const std::string& ns, std::string key,
-                            std::string value, TimeUs lifetime,
-                            std::vector<DhtPutItem>* items, int replicas = 0);
-
-  /// Ship pre-built items as one DHT batch. `done` (optional) receives the
-  /// per-destination-group outcome, so partial failures name exactly which
-  /// items were dropped instead of collapsing into one error.
-  void PublishBatch(std::vector<DhtPutItem> items,
-                    Dht::BatchCallback done = nullptr);
 
   /// Publish into a PHT range index keyed by integer column `key_attr`.
   /// lifetime 0 uses the default.

@@ -637,6 +637,73 @@ TEST(PublishBatchTest, DisablingBatchingFlushesTheBacklog) {
   EXPECT_EQ(StoredObjects(&net, "t"), before + 1);
 }
 
+TEST(PublishBatchTest, ClientDestroyedWithBatchesInFlight) {
+  // A batch's completion can fire after its client is gone — including the
+  // batch the destructor's own Flush() ships. It must not touch the client.
+  SimPier net(6, PierOptions(83));
+  ASSERT_TRUE(
+      net.catalog()->Register(TableSpec("t").PartitionBy({"k"})).ok());
+  uint64_t before = StoredObjects(&net, "t");
+  {
+    PierClient scoped(net.qp(1), net.catalog());
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 20; ++i) {
+      Tuple t("t");
+      t.Append("k", Value::Int64(i));
+      rows.push_back(std::move(t));
+    }
+    ASSERT_TRUE(scoped.PublishBatch("t", rows).ok());
+    scoped.SetPublishBatching(100, /*max_delay=*/60 * kSecond);
+    for (int i = 20; i < 25; ++i) {
+      Tuple t("t");
+      t.Append("k", Value::Int64(i));
+      ASSERT_TRUE(scoped.Publish("t", t).ok());  // buffered until teardown
+    }
+  }
+  net.RunFor(5 * kSecond);
+  EXPECT_EQ(StoredObjects(&net, "t"), before + 25);
+}
+
+TEST(PublishBatchTest, UnbatchedPublishCountsLostReplicaCopies) {
+  // Auto-batching off: Publish is a batch of one and carries the same
+  // failure accounting as PublishBatch. A replica holder that dies just
+  // before the publish leaves the entry degraded (or dropped).
+  SimPier net(8, PierOptions(89));
+  ASSERT_TRUE(net.catalog()
+                  ->Register(TableSpec("pf").PartitionBy({"id"}).Replicas(3))
+                  .ok());
+  Tuple t("pf");
+  t.Append("id", Value::Int64(7));
+  Id target = RoutingId("pf", t.PartitionKey({"id"}));
+  int owner = -1;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (net.dht(i)->router()->protocol()->IsOwner(target))
+      owner = static_cast<int>(i);
+  }
+  ASSERT_GE(owner, 0);
+  std::vector<NetAddress> succs =
+      net.dht(owner)->router()->protocol()->SuccessorSet(2);
+  ASSERT_FALSE(succs.empty());
+  int replica = -1;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (net.dht(i)->local_address() == succs[0]) replica = static_cast<int>(i);
+  }
+  ASSERT_GE(replica, 0);
+  uint32_t publisher = 0;
+  while (static_cast<int>(publisher) == owner ||
+         static_cast<int>(publisher) == replica)
+    publisher++;
+  PierClient* c = net.client(publisher);
+  ASSERT_EQ(c->publish_failures().degraded_items, 0u);
+
+  net.harness()->FailNode(static_cast<uint32_t>(replica));
+  ASSERT_TRUE(c->Publish("pf", t).ok());
+  net.RunFor(60 * kSecond);
+  const PierClient::PublishFailures& f = c->publish_failures();
+  EXPECT_GT(f.degraded_items + f.dropped_items, 0u)
+      << "a lost replica copy of a per-tuple publish went uncounted";
+}
+
 TEST(PierClient, ReplanModeIsValidated) {
   SimPier net(2, PierOptions(47));
   ASSERT_TRUE(

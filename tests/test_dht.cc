@@ -69,7 +69,9 @@ TEST(DhtBatch, SplitAcrossTwoOwnersDeliversToBoth) {
   net.dht(3)->PutBatch(
       {Item("bt", key_a, "s1", "v1"), Item("bt", key_a, "s2", "v2"),
        Item("bt", key_b, "s3", "v3")},
-      [&](const Status& s) { done_status = s; });
+      [&](const Status& s, std::vector<Dht::PutGroupStatus>) {
+        done_status = s;
+      });
   net.RunFor(5 * kSecond);
   EXPECT_TRUE(done_status.ok()) << done_status.ToString();
 
@@ -117,7 +119,9 @@ TEST(DhtBatch, OrderPreservedWithinKey) {
 TEST(DhtBatch, EmptyBatchCompletesImmediately) {
   SimOverlay net(4, SeededOptions(9));
   bool called = false;
-  net.dht(0)->PutBatch({}, [&](const Status& s) {
+  net.dht(0)->PutBatch({}, [&](const Status& s,
+                              std::vector<Dht::PutGroupStatus> groups) {
+    EXPECT_TRUE(groups.empty());
     EXPECT_TRUE(s.ok());
     called = true;
   });

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "qp/agg_state.h"
 #include "qp/opgraph.h"
 #include "qp/sim_pier.h"
@@ -544,6 +546,65 @@ TEST(AggState, SkipsMissingAndNullColumns) {
   EXPECT_TRUE(s.Finalize(AggFunc::kSum).LooseEquals(Value::Int64(3)));
 }
 
+TEST(AggState, Int64SumsThatOverflowContinueAsDouble) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  AggSpec spec{AggFunc::kSum, "v", "s"};
+  AggState up;
+  up.UpdateValue(spec, Value::Int64(kMax - 1));
+  up.UpdateValue(spec, Value::Int64(10));
+  Value sum = up.Finalize(AggFunc::kSum);
+  ASSERT_EQ(sum.type(), ValueType::kDouble) << sum.ToString();
+  EXPECT_DOUBLE_EQ(sum.double_unchecked(), static_cast<double>(kMax) + 9.0);
+  // Once a double, the sum stays one; in range it stays an exact int64.
+  up.UpdateValue(spec, Value::Int64(1));
+  EXPECT_EQ(up.Finalize(AggFunc::kSum).type(), ValueType::kDouble);
+
+  AggState down;
+  down.UpdateValue(spec, Value::Int64(kMin + 1));
+  AggState other;
+  other.UpdateValue(spec, Value::Int64(-5));
+  down.Merge(other);
+  sum = down.Finalize(AggFunc::kSum);
+  ASSERT_EQ(sum.type(), ValueType::kDouble) << sum.ToString();
+  EXPECT_DOUBLE_EQ(sum.double_unchecked(), static_cast<double>(kMin) - 4.0);
+
+  AggState exact;
+  exact.UpdateValue(spec, Value::Int64(kMax - 1));
+  exact.UpdateValue(spec, Value::Int64(1));
+  EXPECT_EQ(exact.Finalize(AggFunc::kSum), Value::Int64(kMax));
+}
+
+/// One row in `alias`'s partial layout: count `n` and int64 sum `s`.
+TupleBatch CountSumPartial(const std::string& alias, int64_t n, int64_t s) {
+  TupleBatchBuilder b(std::make_shared<BatchSchema>(
+      BatchSchema{"p", AggState::PartialColumns(alias)}));
+  b.AppendInt64(n);
+  b.AppendValue(Value::Int64(s));
+  b.AppendValue(Value::Null());
+  b.AppendValue(Value::Null());
+  return b.Finish();
+}
+
+TEST(AggState, MergedCountsSaturateAtInt64Max) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<size_t> cols = {0, 1, 2, 3};
+  AggState a, b;
+  ASSERT_TRUE(a.FromPartial(CountSumPartial("c", kMax - 2, 0), 0, cols));
+  ASSERT_TRUE(b.FromPartial(CountSumPartial("c", 5, 0), 0, cols));
+  a.Merge(b);
+  EXPECT_EQ(a.count(), kMax);
+  a.Merge(b);
+  EXPECT_EQ(a.count(), kMax) << "a saturated count stays saturated";
+  EXPECT_EQ(a.Finalize(AggFunc::kCount), Value::Int64(kMax));
+}
+
+TEST(AggState, FromPartialRejectsANegativeCount) {
+  AggState s;
+  EXPECT_FALSE(s.FromPartial(CountSumPartial("c", -1, 4), 0, {0, 1, 2, 3}));
+  EXPECT_TRUE(s.FromPartial(CountSumPartial("c", 0, 4), 0, {0, 1, 2, 3}));
+}
+
 // ---------------------------------------------------------------------------
 // GroupTable: the grouping core shared by GroupBy and HierAgg
 // ---------------------------------------------------------------------------
@@ -657,6 +718,40 @@ TEST(GroupTable, MergeSkipsOnlyTheAggregateWithAbsentColumns) {
   EXPECT_TRUE(out[0].Get("s")->is_null()) << "s was never merged";
   table.clear();
   EXPECT_TRUE(table.empty());
+}
+
+TEST(GroupTable, MergeSaturatesCountsAndSkipsNegativeOnes) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto aggs = ParseAggSpecs("count::cnt,sum:v:s");
+  ASSERT_TRUE(aggs.ok());
+  GroupTable table({"k"}, *aggs);
+  auto partial = [](const std::string& k, int64_t cnt, int64_t n, int64_t s) {
+    Tuple t("agg");
+    t.Append("k", Value::String(k));
+    t.Append("cnt#n", Value::Int64(cnt));
+    t.Append("cnt#s", Value::Null());
+    t.Append("cnt#mn", Value::Null());
+    t.Append("cnt#mx", Value::Null());
+    t.Append("s#n", Value::Int64(n));
+    t.Append("s#s", Value::Int64(s));
+    t.Append("s#mn", Value::Null());
+    t.Append("s#mx", Value::Null());
+    return t;
+  };
+  table.Merge(TupleBatch::FromTuples({
+      partial("a", kMax - 1, 1, kMax - 1),
+      partial("a", 5, 1, 5),
+      partial("b", -3, 1, 7),  // hostile count: only cnt skips this row
+      partial("b", 2, 1, 4),
+  }));
+  std::vector<Tuple> out = EmittedRows(table, false);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(*out[0].Get("cnt"), Value::Int64(kMax));
+  const Value* sum = out[0].Get("s");
+  ASSERT_EQ(sum->type(), ValueType::kDouble) << sum->ToString();
+  EXPECT_DOUBLE_EQ(sum->double_unchecked(), static_cast<double>(kMax) + 4.0);
+  EXPECT_EQ(*out[1].Get("cnt"), Value::Int64(2));
+  EXPECT_EQ(*out[1].Get("s"), Value::Int64(11));
 }
 
 }  // namespace

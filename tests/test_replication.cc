@@ -221,9 +221,8 @@ TEST(Replication, JoiningNodePullsTheReplicatedRangeItNowOwns) {
   size_t total = 0;
   for (uint32_t i = 0; i < net.size(); ++i) {
     if (!net.harness()->IsAlive(i)) continue;
-    net.dht(i)->LocalScan("jp", [&](const ObjectName&, std::string_view) {
-      total++;
-    });
+    net.dht(i)->LocalScan(
+        "jp", [&](const ObjectName&, std::string_view, TimeUs) { total++; });
   }
   EXPECT_EQ(total, 64u) << "scan-visible copies drifted after the handoff";
 }
@@ -323,9 +322,8 @@ TEST(Replication, LocalScansSeeEachReplicatedObjectExactlyOnce) {
   size_t visible = 0;
   uint64_t suppressed = 0, stored = 0;
   for (uint32_t i = 0; i < net.size(); ++i) {
-    net.dht(i)->LocalScan("sc", [&](const ObjectName&, std::string_view) {
-      visible++;
-    });
+    net.dht(i)->LocalScan(
+        "sc", [&](const ObjectName&, std::string_view, TimeUs) { visible++; });
     suppressed += net.dht(i)->stats().suppressed_scan_rows;
     stored += net.dht(i)->objects()->NamespaceObjects("sc");
   }
