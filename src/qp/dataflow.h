@@ -10,8 +10,20 @@
 // operators with reordered nested probes can match data to stored state.
 //
 // Blocking state (group-by, top-k, Bloom build) is emitted on Flush(), which
-// the executor drives: once near the timeout for snapshot queries, once per
-// window for continuous ones. There are no EOFs, by design (§3.3.2).
+// the executor drives (QueryExecutor::ArmInstanceFlush): a snapshot graph of
+// flush stage s flushes once, at start + (s+1)·step, where step is the plan's
+// flush_after or else timeout/4 — so stage-0 partials land before stage-1
+// finals flush; continuous graphs flush once per window. There are no EOFs,
+// by design (§3.3.2).
+//
+// Lifecycle: Init (parse params) -> Open (children first, then OnOpen) ->
+// ProcessBatch / Flush -> Close. The base Operator owns every event-loop
+// resource an operator acquires, through its helpers: timers (After),
+// newData subscriptions (Subscribe, CatchUp), upcalls (Intercept) and DHT
+// reply guards (Guarded). Close() is non-virtual and idempotent: it cancels
+// and unregisters all of them, expires the guards, then runs OnClose for the
+// operator's own state. Nothing an operator scheduled or registered calls
+// back into it after Close.
 
 #ifndef PIER_QP_DATAFLOW_H_
 #define PIER_QP_DATAFLOW_H_
@@ -20,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -153,8 +166,8 @@ class ExecContext {
 /// Base class for all physical operators.
 class Operator {
  public:
-  explicit Operator(const OpSpec& spec) : spec_(spec) {}
-  virtual ~Operator() = default;
+  explicit Operator(const OpSpec& spec);
+  virtual ~Operator();
 
   Operator(const Operator&) = delete;
   Operator& operator=(const Operator&) = delete;
@@ -182,8 +195,9 @@ class Operator {
   /// order, so upstream operators have already flushed.
   virtual void Flush() {}
 
-  /// Stop timers/subscriptions and drop state. Must be idempotent.
-  virtual void Close() {}
+  /// Release every timer, subscription, upcall and guard acquired through
+  /// the helpers below, then run OnClose. Idempotent.
+  void Close();
 
   // --- Wiring (done by the opgraph instance) ---------------------------------
 
@@ -204,16 +218,18 @@ class Operator {
   const OpStats& op_stats() const { return stats_; }
 
   /// Named operator-specific counters for benches and tests (e.g. the eddy's
-  /// "evaluations", the hierarchical join's "early_results"). Returns -1 for
-  /// unknown names.
-  virtual int64_t Metric(const std::string& name) const {
-    (void)name;
-    return -1;
-  }
+  /// "evaluations", the hierarchical join's "early_results"). The base
+  /// answers "suppressed" for operators that run a catch-up feed. Returns -1
+  /// for unknown names.
+  virtual int64_t Metric(const std::string& name) const;
 
  protected:
   /// Hook for subclasses; runs once, after children are open.
   virtual void OnOpen() {}
+
+  /// Hook for subclasses; runs once, from Close, after the base released
+  /// its resources: drop buffers and operator state (e.g. DropNamespace).
+  virtual void OnClose() {}
 
   /// Push a batch to every output edge (meters N tuples in one shot).
   void PushBatch(uint32_t tag, const TupleBatch& batch);
@@ -227,12 +243,69 @@ class Operator {
     }
   }
 
+  // --- Owned resources -------------------------------------------------------
+
+  /// Run `cb` once, `delay` from now. The returned handle (never 0 before
+  /// Close) cancels it through CancelTimer; Close cancels every pending one.
+  uint64_t After(TimeUs delay, std::function<void()> cb);
+  /// Cancel a pending After callback; 0 and spent handles are no-ops.
+  void CancelTimer(uint64_t handle);
+
+  /// Live newData subscription to `ns`: objects stored from now on, one call
+  /// each, with no catch-up of what is already stored.
+  void Subscribe(const std::string& ns, Dht::NewDataHandler handler);
+
+  /// Intercept in-transit Send objects in `ns` at this node (the upcall).
+  void Intercept(const std::string& ns, OverlayRouter::UpcallHandler handler);
+
+  /// Wrap an asynchronous reply callback (e.g. a DHT Get's) so that it is
+  /// dropped once this operator has closed or been destroyed.
+  template <typename F>
+  auto Guarded(F f) {
+    return [alive = AliveToken(), f = std::move(f)](auto&&... args) mutable {
+      if (!alive.expired()) f(std::forward<decltype(args)>(args)...);
+    };
+  }
+
+  /// One object delivered by a catch-up feed. Both fields alias DHT storage
+  /// or a receive frame and are valid only during the delivery call.
+  struct FeedItem {
+    const ObjectName* name;
+    std::string_view value;
+  };
+  using FeedFn = std::function<void(const std::vector<FeedItem>&)>;
+
+  /// The exactly-once catch-up feed (§3.3.4, No Global Synchronization): a
+  /// consumer reads what `ns` already holds on this node and then every later
+  /// arrival, each object once. Subscribes to `ns` first, then — from a
+  /// 0-delay event — scans the namespace, so nothing falls between the two.
+  /// The scan skips objects stored before `floor` (a swapped-in plan's
+  /// catch-up high-water mark; 0 reads everything) and counts them in
+  /// Metric("suppressed"). Both paths dedup by object identity (key +
+  /// suffix), never by content: distinct publishers legitimately produce
+  /// byte-identical values. `fn` gets the scan's survivors as one group and
+  /// each later store (or put frame) as another. One feed per operator.
+  void CatchUp(const std::string& ns, TimeUs floor, FeedFn fn);
+
   ExecContext* cx_ = nullptr;
   OpCost* cost_ = nullptr;  // this op's ledger slot; null = metering off
   OpSpec spec_;
   std::vector<std::pair<Operator*, int>> outputs_;
   std::vector<Operator*> children_;
   OpStats stats_;
+
+ private:
+  struct Resources;
+
+  /// The resource record, created on first use: operators that acquire
+  /// nothing (Selection, Projection, ...) pay one null pointer.
+  Resources& res();
+  std::weak_ptr<char> AliveToken();
+  /// Cancel and unregister everything held; Close, and the destructor for
+  /// an operator destroyed without one (e.g. a graph that failed to build).
+  void Release();
+
+  std::unique_ptr<Resources> res_;
   bool opened_ = false;
   bool closed_ = false;
 };

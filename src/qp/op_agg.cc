@@ -10,8 +10,10 @@
 //   mode=partial  fold the local input, emit partials (source side)
 //   mode=final    merge partials, emit finals (collector side)
 //
-// Aggregates are emitted on Flush(): once near the timeout for snapshot
-// queries, per window for continuous ones (tumbling by default).
+// Aggregates are emitted on Flush(): once per window for continuous queries
+// (tumbling by default); for snapshot queries once, at start + (s+1)·step for
+// the graph's flush stage s, where step is the plan's flush_after or else
+// timeout/4 (QueryExecutor::ArmInstanceFlush).
 //
 // TopK implements ORDER BY <col> [DESC] LIMIT k at a collection point; PIER
 // uses no distributed sort (§2.1.3), so TopK only ever runs over a stream
@@ -62,7 +64,7 @@ class GroupByOp : public Operator {
     if (tumbling_) groups_.clear();
   }
 
-  void Close() override { groups_.clear(); }
+  void OnClose() override { groups_.clear(); }
 
  private:
   bool merge_input_ = false;  // mode=final: input rows are partials
@@ -146,7 +148,7 @@ class TopKOp : public Operator {
     for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
   }
 
-  void Close() override {
+  void OnClose() override {
     buf_.clear();
     by_key_.clear();
   }

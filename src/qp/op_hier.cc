@@ -22,15 +22,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
-#include <unordered_set>
 
 #include "qp/agg_state.h"
 #include "qp/dataflow.h"
 #include "qp/join_common.h"
-#include "util/hash.h"
-#include "util/logging.h"
 
 namespace pier {
 
@@ -66,48 +62,34 @@ class HierAggOp : public Operator {
     ns_ = cx_->QueryNs("g" + std::to_string(cx_->graph_id) + ".op" +
                        std::to_string(spec_.id) + ".agg");
     root_key_ = "root";
-    alive_ = std::make_shared<char>(1);
 
     // Intercept partials flowing through this node toward the root.
-    std::weak_ptr<char> alive = alive_;
-    cx_->dht->RegisterUpcall(
-        ns_, [this, alive](const RouteInfo&, std::string* payload) {
-          if (alive.expired()) return UpcallAction::kContinue;
-          Result<Dht::WireObject> obj = Dht::DecodeObject(*payload);
-          if (!obj.ok()) return UpcallAction::kContinue;
-          Result<TupleBatch> batch = DecodePartials(obj->value);
-          if (!batch.ok()) return UpcallAction::kContinue;
-          pending_.Merge(*batch);
-          ArmForwardTimer();
-          return UpcallAction::kDrop;
-        });
-
-    // The root receives whatever reaches the owner of (ns, root_key).
-    newdata_sub_ = cx_->dht->OnNewData(
-        ns_, [this, alive](const ObjectName& name, std::string_view value) {
-          if (alive.expired()) return;
-          AbsorbRootObject(name, value);
-        });
+    Intercept(ns_, [this](const RouteInfo&, std::string* payload) {
+      Result<Dht::WireObject> obj = Dht::DecodeObject(*payload);
+      if (!obj.ok()) return UpcallAction::kContinue;
+      Result<TupleBatch> batch = DecodePartials(obj->value);
+      if (!batch.ok()) return UpcallAction::kContinue;
+      pending_.Merge(*batch);
+      ArmForwardTimer();
+      return UpcallAction::kDrop;
+    });
     return Status::Ok();
   }
 
   void OnOpen() override {
-    // Catch-up: partials that arrived before this node got the opgraph.
-    std::weak_ptr<char> alive = alive_;
-    catchup_timer_ = cx_->vri->ScheduleEvent(0, [this, alive]() {
-      if (alive.expired()) return;
-      catchup_timer_ = 0;
-      // Like every catch-up scan, honor the swap-time high-water mark:
-      // partials the superseded generation already folded and answered
-      // must not re-enter the root accumulation.
-      cx_->dht->LocalScan(
-          ns_, [this](const ObjectName& name, std::string_view value,
-                      TimeUs stored_at) {
-            if (cx_->catchup_floor_us > 0 && stored_at < cx_->catchup_floor_us)
-              return;
-            AbsorbRootObject(name, value);
-          });
-    });
+    // The root merges whatever reaches the owner of (ns, root_key), each
+    // partial exactly once, including partials that arrived before this node
+    // got the opgraph; like every catch-up, it skips the partials a
+    // superseded generation already folded and answered.
+    CatchUp(ns_, cx_->catchup_floor_us,
+            [this](const std::vector<FeedItem>& group) {
+              for (const FeedItem& item : group) {
+                Result<TupleBatch> batch = DecodePartials(item.value);
+                if (!batch.ok()) continue;
+                root_.Merge(*batch);
+                ArmRootTimer();
+              }
+            });
   }
 
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
@@ -118,17 +100,7 @@ class HierAggOp : public Operator {
   /// Send the local window's partials one step toward the root.
   void Flush() override { SendPartials(&local_); }
 
-  void Close() override {
-    alive_.reset();
-    cx_->dht->UnregisterUpcall(ns_);
-    if (newdata_sub_) cx_->dht->CancelNewData(newdata_sub_);
-    newdata_sub_ = 0;
-    if (forward_timer_) cx_->vri->CancelEvent(forward_timer_);
-    if (root_timer_) cx_->vri->CancelEvent(root_timer_);
-    if (catchup_timer_) cx_->vri->CancelEvent(catchup_timer_);
-    forward_timer_ = root_timer_ = catchup_timer_ = 0;
-    cx_->dht->objects()->DropNamespace(ns_);
-  }
+  void OnClose() override { cx_->dht->objects()->DropNamespace(ns_); }
 
  private:
   /// Route `table`'s groups toward the root as one partial frame, then
@@ -142,22 +114,9 @@ class HierAggOp : public Operator {
                    cx_->query_lifetime);
   }
 
-  /// Root-side entry point shared by newdata and the catch-up scan; dedup by
-  /// object identity (aggregate states must be merged exactly once).
-  void AbsorbRootObject(const ObjectName& name, std::string_view value) {
-    uint64_t id = HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix));
-    if (!root_seen_.insert(id).second) return;
-    Result<TupleBatch> batch = DecodePartials(value);
-    if (!batch.ok()) return;
-    root_.Merge(*batch);
-    ArmRootTimer();
-  }
-
   void ArmForwardTimer() {
     if (forward_timer_) return;
-    std::weak_ptr<char> alive = alive_;
-    forward_timer_ = cx_->vri->ScheduleEvent(hold_, [this, alive]() {
-      if (alive.expired()) return;
+    forward_timer_ = After(hold_, [this]() {
       forward_timer_ = 0;
       SendPartials(&pending_);
     });
@@ -168,10 +127,8 @@ class HierAggOp : public Operator {
     // root emits once the partial stream quiesces. Stragglers trigger a
     // re-emission of the (cumulative) totals — monotone refinement, which is
     // PIER's relaxed answer model; downstream TopK dedups by group key.
-    if (root_timer_) cx_->vri->CancelEvent(root_timer_);
-    std::weak_ptr<char> alive = alive_;
-    root_timer_ = cx_->vri->ScheduleEvent(hold_, [this, alive]() {
-      if (alive.expired()) return;
+    CancelTimer(root_timer_);
+    root_timer_ = After(hold_, [this]() {
       root_timer_ = 0;
       EmitFinals();
     });
@@ -194,12 +151,8 @@ class HierAggOp : public Operator {
   GroupTable local_;    // this node's own input
   GroupTable pending_;  // intercepted children partials awaiting forwarding
   GroupTable root_;     // root-side accumulation
-  std::unordered_set<uint64_t> root_seen_;
-  uint64_t newdata_sub_ = 0;
-  uint64_t catchup_timer_ = 0;
   uint64_t forward_timer_ = 0;
   uint64_t root_timer_ = 0;
-  std::shared_ptr<char> alive_;
 };
 
 // ---------------------------------------------------------------------------
@@ -267,48 +220,35 @@ class HierJoinOp : public Operator {
     qualify_ = spec_.GetInt("qualify", 0) != 0;
     ns_ = cx_->QueryNs("g" + std::to_string(cx_->graph_id) + ".op" +
                        std::to_string(spec_.id) + ".hj");
-    alive_ = std::make_shared<char>(1);
 
-    std::weak_ptr<char> alive = alive_;
     // Intermediate nodes: cache + early join + annotate.
-    cx_->dht->RegisterUpcall(
-        ns_, [this, alive](const RouteInfo&, std::string* payload) {
-          if (alive.expired()) return UpcallAction::kContinue;
-          Result<Dht::WireObject> obj = Dht::DecodeObject(*payload);
-          if (!obj.ok()) return UpcallAction::kContinue;
-          Result<JoinRecord> rec = JoinRecord::Decode(obj->value);
-          if (!rec.ok()) return UpcallAction::kContinue;
-          ProcessAtCache(obj->name.key, *rec, /*at_owner=*/false);
-          // Annotate with this node and forward the updated record.
-          rec->path.push_back(cx_->dht->local_address().host);
-          *payload = Dht::EncodeObject(obj->name, obj->lifetime, rec->Encode());
-          return UpcallAction::kContinue;
-        });
-
-    // Bucket owner: join with suppression of already-produced pairs.
-    newdata_sub_ = cx_->dht->OnNewData(
-        ns_, [this, alive](const ObjectName& name, std::string_view value) {
-          if (alive.expired()) return;
-          ProcessOwnerRecord(name, value);
-        });
+    Intercept(ns_, [this](const RouteInfo&, std::string* payload) {
+      Result<Dht::WireObject> obj = Dht::DecodeObject(*payload);
+      if (!obj.ok()) return UpcallAction::kContinue;
+      Result<JoinRecord> rec = JoinRecord::Decode(obj->value);
+      if (!rec.ok()) return UpcallAction::kContinue;
+      ProcessAtCache(obj->name.key, *rec, /*at_owner=*/false);
+      // Annotate with this node and forward the updated record.
+      rec->path.push_back(cx_->dht->local_address().host);
+      *payload = Dht::EncodeObject(obj->name, obj->lifetime, rec->Encode());
+      return UpcallAction::kContinue;
+    });
     return Status::Ok();
   }
 
   void OnOpen() override {
-    // Catch-up (§3.3.4, No Global Synchronization): tuples routed here
-    // before this node received the opgraph are already stored; fold them in.
-    std::weak_ptr<char> alive = alive_;
-    catchup_timer_ = cx_->vri->ScheduleEvent(0, [this, alive]() {
-      if (alive.expired()) return;
-      catchup_timer_ = 0;
-      // Deliberately NOT floor-suppressed on swaps: owner records are the
-      // join's durable lookup state (tuples still waiting to be matched),
-      // not already-counted deltas — a swapped-in instance needs all of
-      // them or old-side × new-side matches are silently lost.
-      cx_->dht->LocalScan(ns_, [this](const ObjectName& name,
-                                      std::string_view value, TimeUs) {
-        ProcessOwnerRecord(name, value);
-      });
+    // Bucket owner: join every record stored here exactly once, including
+    // those routed here before this node received the opgraph, suppressing
+    // pairs already produced in-network. Floor 0 on purpose — never
+    // suppressed on swaps: owner records are the join's durable lookup
+    // state (tuples still waiting to be matched), not already-counted
+    // deltas; a swapped-in instance needs all of them or old-side × new-side
+    // matches are silently lost.
+    CatchUp(ns_, /*floor=*/0, [this](const std::vector<FeedItem>& group) {
+      for (const FeedItem& item : group) {
+        Result<JoinRecord> rec = JoinRecord::Decode(item.value);
+        if (rec.ok()) ProcessAtCache(item.name->key, *rec, /*at_owner=*/true);
+      }
     });
   }
 
@@ -340,37 +280,18 @@ class HierJoinOp : public Operator {
     }
   }
 
-  void Close() override {
-    alive_.reset();
-    cx_->dht->UnregisterUpcall(ns_);
-    if (newdata_sub_) cx_->dht->CancelNewData(newdata_sub_);
-    newdata_sub_ = 0;
-    if (catchup_timer_) cx_->vri->CancelEvent(catchup_timer_);
-    catchup_timer_ = 0;
+  void OnClose() override {
     cache_.clear();
     cx_->dht->objects()->DropNamespace(ns_);
   }
 
-  uint64_t early_results() const { return early_results_; }
-  uint64_t owner_results() const { return owner_results_; }
-
   int64_t Metric(const std::string& name) const override {
     if (name == "early_results") return static_cast<int64_t>(early_results_);
     if (name == "owner_results") return static_cast<int64_t>(owner_results_);
-    return -1;
+    return Operator::Metric(name);
   }
 
  private:
-  /// Owner-side entry point: newdata and the catch-up scan can both see the
-  /// same stored object, so dedup by object identity before joining.
-  void ProcessOwnerRecord(const ObjectName& name, std::string_view value) {
-    uint64_t id = HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix));
-    if (!owner_seen_.insert(id).second) return;
-    Result<JoinRecord> rec = JoinRecord::Decode(value);
-    if (!rec.ok()) return;
-    ProcessAtCache(name.key, *rec, /*at_owner=*/true);
-  }
-
   /// Join `rec` against the opposite side cached under `key`, then cache it.
   /// A pair is produced if and only if the two records' annotation sets are
   /// disjoint — at a shared cache node the incoming record does not yet carry
@@ -410,12 +331,8 @@ class HierJoinOp : public Operator {
   bool qualify_ = false;
   /// join key -> per-side cached records.
   std::map<std::string, CacheSlot> cache_;
-  std::unordered_set<uint64_t> owner_seen_;
-  uint64_t newdata_sub_ = 0;
-  uint64_t catchup_timer_ = 0;
   uint64_t early_results_ = 0;
   uint64_t owner_results_ = 0;
-  std::shared_ptr<char> alive_;
 };
 
 }  // namespace

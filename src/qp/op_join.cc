@@ -10,12 +10,10 @@
 // like disseminating a small single-table subquery", §3.3.3).
 
 #include <memory>
-#include <unordered_set>
 
 #include "qp/dataflow.h"
 #include "qp/join_common.h"
 #include "util/bloom.h"
-#include "util/hash.h"
 
 namespace pier {
 
@@ -101,7 +99,7 @@ class SymHashJoinOp : public Operator {
     for (const TupleBatch& b : joined_rows.TakeBatches()) PushBatch(tag, b);
   }
 
-  void Close() override {
+  void OnClose() override {
     cx_->dht->objects()->DropNamespace(ns_[0]);
     cx_->dht->objects()->DropNamespace(ns_[1]);
   }
@@ -136,7 +134,6 @@ class FetchMatchesOp : public Operator {
     if (spec_.Has("pred")) {
       PIER_ASSIGN_OR_RETURN(residual_, spec_.GetExpr("pred"));
     }
-    alive_ = std::make_shared<char>(1);
     return Status::Ok();
   }
 
@@ -163,21 +160,13 @@ class FetchMatchesOp : public Operator {
     }
   }
 
-  void Close() override { alive_.reset(); }
-
-  int in_flight() const { return in_flight_; }
-
  private:
   void Lookup(uint32_t tag, Tuple t, std::string k) {
-    in_flight_++;
     MeterNet(1, inner_table_.size() + k.size());
-    std::weak_ptr<char> alive = alive_;
     cx_->dht->Get(
         inner_table_, k,
-        [this, alive, tag, outer = std::move(t)](const Status& s,
-                                                 std::vector<DhtItem> items) {
-          if (alive.expired()) return;  // operator closed/destroyed
-          in_flight_--;
+        Guarded([this, tag, outer = std::move(t)](const Status& s,
+                                                  std::vector<DhtItem> items) {
           if (!s.ok()) return;
           // One batch per DHT reply: every match of this outer row.
           BatchAssembler joined_rows;
@@ -193,7 +182,7 @@ class FetchMatchesOp : public Operator {
           }
           for (const TupleBatch& b : joined_rows.TakeBatches())
             PushBatch(tag, b);
-        });
+        }));
   }
 
   std::string inner_table_, out_table_;
@@ -201,8 +190,6 @@ class FetchMatchesOp : public Operator {
   ExprPtr residual_;
   bool qualify_ = false;
   bool raw_key_ = false;
-  int in_flight_ = 0;
-  std::shared_ptr<char> alive_;
 };
 
 /// bloomcreate[col=?, ns=?, bits=?, hashes=?, hold_ms=?]: fold the input
@@ -226,47 +213,41 @@ class BloomCreateOp : public Operator {
     int hashes = static_cast<int>(spec_.GetInt("hashes", 4));
     hold_ = spec_.GetInt("hold_ms", 300) * kMillisecond;
     filter_ = std::make_unique<BloomFilter>(bits, hashes);
-    alive_ = std::make_shared<char>(1);
 
-    std::weak_ptr<char> alive = alive_;
-    cx_->dht->RegisterUpcall(
-        ns_, [this, alive](const RouteInfo&, std::string* payload) {
-          if (alive.expired()) return UpcallAction::kContinue;
-          Result<Dht::WireObject> obj = Dht::DecodeObject(*payload);
-          if (!obj.ok()) return UpcallAction::kContinue;
-          Result<BloomFilter> f = BloomFilter::Deserialize(obj->value);
-          if (!f.ok()) return UpcallAction::kContinue;
-          if (!pending_) {
-            pending_ = std::make_unique<BloomFilter>(std::move(*f));
-          } else if (!pending_->Merge(*f).ok()) {
-            return UpcallAction::kContinue;  // geometry mismatch: pass along
-          }
-          ArmForwardTimer();
-          return UpcallAction::kDrop;
-        });
+    Intercept(ns_, [this](const RouteInfo&, std::string* payload) {
+      Result<Dht::WireObject> obj = Dht::DecodeObject(*payload);
+      if (!obj.ok()) return UpcallAction::kContinue;
+      Result<BloomFilter> f = BloomFilter::Deserialize(obj->value);
+      if (!f.ok()) return UpcallAction::kContinue;
+      if (!pending_) {
+        pending_ = std::make_unique<BloomFilter>(std::move(*f));
+      } else if (!pending_->Merge(*f).ok()) {
+        return UpcallAction::kContinue;  // geometry mismatch: pass along
+      }
+      ArmForwardTimer();
+      return UpcallAction::kDrop;
+    });
 
     // Owner-side coalescing: filters that reach the rendezvous owner are
     // merged into ONE object (the partials are removed locally), so probers
     // fetch a single filter no matter how many nodes contributed.
-    coalesce_sub_ = cx_->dht->OnNewData(
-        ns_, [this, alive](const ObjectName& name, std::string_view value) {
-          if (alive.expired() || name.suffix == kMergedSuffix) return;
-          Result<BloomFilter> f = BloomFilter::Deserialize(value);
-          if (!f.ok()) return;
-          if (!owner_merged_) {
-            owner_merged_ = std::make_unique<BloomFilter>(std::move(*f));
-          } else if (!owner_merged_->Merge(*f).ok()) {
-            return;
-          }
-          cx_->dht->objects()->Remove(name);
-          ObjectName merged;
-          merged.ns = name.ns;
-          merged.key = name.key;
-          merged.suffix = kMergedSuffix;
-          cx_->dht->objects()->Put(std::move(merged),
-                                   owner_merged_->Serialize(),
-                                   cx_->query_lifetime);
-        });
+    Subscribe(ns_, [this](const ObjectName& name, std::string_view value) {
+      if (name.suffix == kMergedSuffix) return;
+      Result<BloomFilter> f = BloomFilter::Deserialize(value);
+      if (!f.ok()) return;
+      if (!owner_merged_) {
+        owner_merged_ = std::make_unique<BloomFilter>(std::move(*f));
+      } else if (!owner_merged_->Merge(*f).ok()) {
+        return;
+      }
+      cx_->dht->objects()->Remove(name);
+      ObjectName merged;
+      merged.ns = name.ns;
+      merged.key = name.key;
+      merged.suffix = kMergedSuffix;
+      cx_->dht->objects()->Put(std::move(merged), owner_merged_->Serialize(),
+                               cx_->query_lifetime);
+    });
     return Status::Ok();
   }
 
@@ -292,23 +273,12 @@ class BloomCreateOp : public Operator {
                    cx_->query_lifetime);
   }
 
-  void Close() override {
-    alive_.reset();
-    cx_->dht->UnregisterUpcall(ns_);
-    if (coalesce_sub_) cx_->dht->CancelNewData(coalesce_sub_);
-    coalesce_sub_ = 0;
-    if (forward_timer_) cx_->vri->CancelEvent(forward_timer_);
-    forward_timer_ = 0;
-  }
-
  private:
   static constexpr const char* kMergedSuffix = "!merged";
 
   void ArmForwardTimer() {
     if (forward_timer_) return;
-    std::weak_ptr<char> alive = alive_;
-    forward_timer_ = cx_->vri->ScheduleEvent(hold_, [this, alive]() {
-      if (alive.expired()) return;
+    forward_timer_ = After(hold_, [this]() {
       forward_timer_ = 0;
       if (!pending_) return;
       std::string wire = pending_->Serialize();
@@ -327,8 +297,6 @@ class BloomCreateOp : public Operator {
   uint64_t added_ = 0;
   bool flushed_ = false;
   uint64_t forward_timer_ = 0;
-  uint64_t coalesce_sub_ = 0;
-  std::shared_ptr<char> alive_;
 };
 
 /// bloomprobe[col=?, ns=?, wait_ms=?]: buffer batches until the published
@@ -346,17 +314,11 @@ class BloomProbeOp : public Operator {
     if (col_.empty() || ns_.empty())
       return Status::InvalidArgument("bloomprobe needs col and ns");
     wait_ = spec_.GetInt("wait_ms", 2000) * kMillisecond;
-    alive_ = std::make_shared<char>(1);
     return Status::Ok();
   }
 
   void OnOpen() override {
-    std::weak_ptr<char> alive = alive_;
-    timer_ = cx_->vri->ScheduleEvent(wait_, [this, alive]() {
-      if (alive.expired()) return;
-      timer_ = 0;
-      FetchFilter();
-    });
+    After(wait_, [this]() { FetchFilter(); });
   }
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
@@ -368,22 +330,18 @@ class BloomProbeOp : public Operator {
     Probe(tag, batch);
   }
 
-  void Close() override {
-    alive_.reset();
-    if (timer_) cx_->vri->CancelEvent(timer_);
-    timer_ = 0;
-    buf_.clear();
-  }
+  void OnClose() override { buf_.clear(); }
 
-  uint64_t filtered() const { return filtered_; }
+  int64_t Metric(const std::string& name) const override {
+    if (name == "filtered") return static_cast<int64_t>(filtered_);
+    return Operator::Metric(name);
+  }
 
  private:
   void FetchFilter() {
     MeterNet(1, ns_.size() + sizeof("filter"));
-    std::weak_ptr<char> alive = alive_;
     cx_->dht->Get(ns_, "filter",
-                  [this, alive](const Status& s, std::vector<DhtItem> items) {
-                    if (alive.expired()) return;
+                  Guarded([this](const Status&, std::vector<DhtItem> items) {
                     for (const DhtItem& item : items) {
                       Result<BloomFilter> f = BloomFilter::Deserialize(item.value);
                       if (!f.ok()) continue;
@@ -394,11 +352,10 @@ class BloomProbeOp : public Operator {
                         filter_->Merge(*f).ok();  // geometry mismatch: skip
                       }
                     }
-                    (void)s;
                     ready_ = true;
                     for (auto& [tag, b] : buf_) Probe(tag, b);
                     buf_.clear();
-                  });
+                  }));
   }
 
   /// Pass the rows that may match (all of them without a filter).
@@ -432,8 +389,6 @@ class BloomProbeOp : public Operator {
   std::unique_ptr<BloomFilter> filter_;
   std::vector<std::pair<uint32_t, TupleBatch>> buf_;
   uint64_t filtered_ = 0;
-  uint64_t timer_ = 0;
-  std::shared_ptr<char> alive_;
 };
 
 }  // namespace

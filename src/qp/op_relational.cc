@@ -7,10 +7,8 @@
 #include <algorithm>
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "qp/dataflow.h"
-#include "util/logging.h"
 
 namespace pier {
 namespace {
@@ -36,8 +34,7 @@ class SourceOp : public Operator {
 
   void OnOpen() override {
     // Produce asynchronously: real access methods never emit inside Open.
-    timer_ = cx_->vri->ScheduleEvent(0, [this]() {
-      timer_ = 0;
+    After(0, [this]() {
       for (const TupleBatch& b : batches_) {
         stats_.consumed += b.num_rows();
         PushBatch(0, b);
@@ -47,14 +44,8 @@ class SourceOp : public Operator {
 
   void ProcessBatch(int, uint32_t, const TupleBatch&) override {}  // no inputs
 
-  void Close() override {
-    if (timer_) cx_->vri->CancelEvent(timer_);
-    timer_ = 0;
-  }
-
  private:
   std::vector<TupleBatch> batches_;
-  uint64_t timer_ = 0;
 };
 
 /// selection[pred=<expr>]
@@ -231,7 +222,7 @@ class DupElimOp : public Operator {
     }
   }
 
-  void Close() override { seen_.clear(); }
+  void OnClose() override { seen_.clear(); }
 
  private:
   std::vector<std::string> cols_;
@@ -268,14 +259,15 @@ class QueueOp : public Operator {
 
   void Flush() override { Drain(); }
 
-  void Close() override {
-    if (timer_) cx_->vri->CancelEvent(timer_);
-    timer_ = 0;
+  void OnClose() override {
     buf_.clear();
     buffered_rows_ = 0;
   }
 
-  uint64_t dropped() const { return dropped_; }
+  int64_t Metric(const std::string& name) const override {
+    if (name == "dropped") return static_cast<int64_t>(dropped_);
+    return Operator::Metric(name);
+  }
 
  private:
   struct Item {
@@ -284,9 +276,7 @@ class QueueOp : public Operator {
   };
 
   void Arm() {
-    if (timer_ == 0) {
-      timer_ = cx_->vri->ScheduleEvent(0, [this]() { Drain(); });
-    }
+    if (timer_ == 0) timer_ = After(0, [this]() { Drain(); });
   }
 
   void Drain() {
@@ -346,9 +336,9 @@ class LimitOp : public Operator {
   int64_t passed_ = 0;
 };
 
-/// Control flow manager (§3.3.4): a gate that can pause (buffer) and resume
-/// the flow, bounding in-flight work. Paused externally via executor params
-/// or by downstream shedding policies.
+/// Control flow manager (§3.3.4): a gate that, when built paused, buffers
+/// the flow up to max_buffer rows (shedding the rest) and releases it on
+/// each Flush, bounding in-flight work.
 class ControlOp : public Operator {
  public:
   using Operator::Operator;
@@ -375,27 +365,14 @@ class ControlOp : public Operator {
     buffered_rows_ += take;
   }
 
-  void Pause() { paused_ = true; }
-
-  void Resume() {
-    paused_ = false;
+  /// Release everything parked so far; the gate stays paused.
+  void Flush() override {
     for (auto& [tag, b] : buf_) PushBatch(tag, b);
     buf_.clear();
     buffered_rows_ = 0;
   }
 
-  void Flush() override {
-    if (!paused_) return;
-    Resume();
-    paused_ = true;
-  }
-
-  void Close() override {
-    buf_.clear();
-    buffered_rows_ = 0;
-  }
-
-  bool paused() const { return paused_; }
+  void OnClose() override { buf_.clear(); }
 
  private:
   bool paused_ = false;
@@ -434,7 +411,7 @@ class MaterializerOp : public Operator {
     PushBatch(tag, batch);
   }
 
-  void Close() override {
+  void OnClose() override {
     if (spec_.GetInt("drop_on_close", 1) != 0)
       cx_->dht->objects()->DropNamespace(ns_);
   }

@@ -478,77 +478,87 @@ struct Compiler {
     return mj;
   }
 
+  /// Add a `kind` op fed by `*tail` and make it the new tail. The reference
+  /// is valid until the next AddOp on `g`.
+  OpSpec& Then(OpGraph* g, uint32_t* tail, OpKind kind) {
+    OpSpec& op = g->AddOp(kind);
+    g->Connect(*tail, op.id, 0);
+    *tail = op.id;
+    return op;
+  }
+
   /// Build a scan->selection chain; returns the id of the chain's tail.
   uint32_t ScanChain(OpGraph* g, const std::string& table, const ExprPtr& filter) {
     OpSpec& scan = g->AddOp(OpKind::kScan);
     scan.Set("ns", table);
     uint32_t tail = scan.id;
-    if (filter) {
-      OpSpec& sel = g->AddOp(OpKind::kSelection);
-      sel.SetExpr("pred", filter);
-      g->Connect(tail, sel.id, 0);
-      tail = sel.id;
-    }
+    if (filter) Then(g, &tail, OpKind::kSelection).SetExpr("pred", filter);
     return tail;
   }
 
-  /// Append projection (if needed) and a result op behind `tail`.
-  void Finish(OpGraph* g, uint32_t tail, bool project) {
-    if (project) {
-      bool star = false;
-      std::vector<std::string> cols;
-      for (const SelectItem& item : q.items) {
-        star |= item.star;
-        if (!item.star && !item.is_agg) cols.push_back(StripPrefix(item.col));
-      }
-      if (!star && !cols.empty()) {
-        OpSpec& proj = g->AddOp(OpKind::kProjection);
-        proj.SetStrings("cols", cols);
-        g->Connect(tail, proj.id, 0);
-        tail = proj.id;
-      }
-    }
-    OpSpec& res = g->AddOp(OpKind::kResult);
-    g->Connect(tail, res.id, 0);
+  /// Start an opgraph from a base table: targeted dissemination when the
+  /// filter pins the partition key, then scan (+ pushed-down selection).
+  uint32_t StartBaseGraph(OpGraph* g, const std::string& table,
+                          const ExprPtr& filter) {
+    auto hint = options.tables.find(table);
+    if (hint != options.tables.end())
+      TryEqualityDissem(filter, table, hint->second, g);
+    return ScanChain(g, table, filter);
   }
 
-  /// Stage results through a single collection owner for ORDER BY / LIMIT.
-  /// `tail` produces finished rows in graph `g`; this publishes them to a
-  /// constant key and adds a collector graph with topk/limit + result.
-  void CollectStage(OpGraph* g, uint32_t tail, int32_t stage) {
+  /// Project the SELECT list's plain columns behind `tail` (nothing for
+  /// SELECT * or an aggregate-only list); returns the new tail.
+  uint32_t Project(OpGraph* g, uint32_t tail) {
+    bool star = false;
+    std::vector<std::string> cols;
+    for (const SelectItem& item : q.items) {
+      star |= item.star;
+      if (!item.star && !item.is_agg) cols.push_back(StripPrefix(item.col));
+    }
+    if (!star && !cols.empty())
+      Then(g, &tail, OpKind::kProjection).SetStrings("cols", cols);
+    return tail;
+  }
+
+  /// Append ORDER BY (top-k) or LIMIT, then the result op, behind `tail`.
+  void OrderLimitResult(OpGraph* g, uint32_t tail) {
+    if (!q.order_col.empty()) {
+      OpSpec& topk = Then(g, &tail, OpKind::kTopK);
+      topk.SetInt("k", q.limit > 0 ? q.limit : 10);
+      topk.Set("col", q.order_col);
+      topk.SetInt("desc", q.order_desc ? 1 : 0);
+      if (!q.group_by.empty()) topk.SetStrings("dedup", q.group_by);
+    } else if (q.limit > 0) {
+      Then(g, &tail, OpKind::kLimit).SetInt("k", q.limit);
+    }
+    Then(g, &tail, OpKind::kResult);
+  }
+
+  bool NeedsCollect() const { return !q.order_col.empty() || q.limit > 0; }
+
+  /// Deliver `tail`'s finished rows to the result op — or, for ORDER BY /
+  /// LIMIT, through a single collection owner: publish them to a constant
+  /// key and add a collector graph (flush stage `stage`) running
+  /// top-k/limit + result there.
+  void Deliver(OpGraph* g, uint32_t tail, int32_t stage) {
+    if (!NeedsCollect()) {
+      Then(g, &tail, OpKind::kResult);
+      return;
+    }
     std::string ns = Ns("collect");
-    OpSpec& put = g->AddOp(OpKind::kPut);
+    OpSpec& put = Then(g, &tail, OpKind::kPut);
     put.Set("ns", ns);
     put.Set("key", "");  // constant key: one collection owner
-    g->Connect(tail, put.id, 0);
 
-    OpGraph& cg = plan.AddGraph();
+    OpGraph& cg = plan.AddGraph();  // invalidates g
     cg.dissem = DissemKind::kEquality;
     cg.dissem_ns = ns;
     cg.dissem_key = Tuple().PartitionKey({});
     cg.flush_stage = stage;
     OpSpec& nd = cg.AddOp(OpKind::kNewData);
     nd.Set("ns", ns);
-    uint32_t ctail = nd.id;  // later AddOps invalidate the nd reference
-    if (!q.order_col.empty()) {
-      OpSpec& topk = cg.AddOp(OpKind::kTopK);
-      topk.SetInt("k", q.limit > 0 ? q.limit : 10);
-      topk.Set("col", q.order_col);
-      topk.SetInt("desc", q.order_desc ? 1 : 0);
-      if (!q.group_by.empty()) topk.SetStrings("dedup", q.group_by);
-      cg.Connect(ctail, topk.id, 0);
-      ctail = topk.id;
-    } else if (q.limit > 0) {
-      OpSpec& lim = cg.AddOp(OpKind::kLimit);
-      lim.SetInt("k", q.limit);
-      cg.Connect(ctail, lim.id, 0);
-      ctail = lim.id;
-    }
-    OpSpec& res = cg.AddOp(OpKind::kResult);
-    cg.Connect(ctail, res.id, 0);
+    OrderLimitResult(&cg, nd.id);
   }
-
-  bool NeedsCollect() const { return !q.order_col.empty() || q.limit > 0; }
 
   Result<QueryPlan> CompileSingleTable() {
     const FromTable& ft = q.from[0];
@@ -556,29 +566,10 @@ struct Compiler {
     for (const SelectItem& item : q.items) has_agg |= item.is_agg;
 
     if (!has_agg) {
+      // Project before any collection stage, so the collector sees final
+      // rows.
       OpGraph& g = plan.AddGraph();
-      auto hint = options.tables.find(ft.table);
-      if (hint != options.tables.end())
-        TryEqualityDissem(q.where, ft.table, hint->second, &g);
-      uint32_t tail = ScanChain(&g, ft.table, q.where);
-      if (NeedsCollect()) {
-        // Project before shipping so the collector sees final rows.
-        bool star = false;
-        std::vector<std::string> cols;
-        for (const SelectItem& item : q.items) {
-          star |= item.star;
-          if (!item.star) cols.push_back(StripPrefix(item.col));
-        }
-        if (!star && !cols.empty()) {
-          OpSpec& proj = g.AddOp(OpKind::kProjection);
-          proj.SetStrings("cols", cols);
-          g.Connect(tail, proj.id, 0);
-          tail = proj.id;
-        }
-        CollectStage(&g, tail, 1);
-      } else {
-        Finish(&g, tail, /*project=*/true);
-      }
+      Deliver(&g, Project(&g, StartBaseGraph(&g, ft.table, q.where)), 1);
       return std::move(plan);
     }
 
@@ -619,80 +610,36 @@ struct Compiler {
     if (strategy == "hier") {
       OpGraph& g = plan.AddGraph();
       uint32_t tail = ScanChain(&g, ft.table, q.where);
-      OpSpec& agg = g.AddOp(OpKind::kHierAgg);
+      OpSpec& agg = Then(&g, &tail, OpKind::kHierAgg);
       agg.Set("keys", keys_text);
       agg.Set("aggs", aggs_text);
-      g.Connect(tail, agg.id, 0);
-      uint32_t atail = agg.id;
-      if (!q.order_col.empty()) {
-        OpSpec& topk = g.AddOp(OpKind::kTopK);
-        topk.SetInt("k", q.limit > 0 ? q.limit : 10);
-        topk.Set("col", q.order_col);
-        topk.SetInt("desc", q.order_desc ? 1 : 0);
-        if (!q.group_by.empty()) topk.SetStrings("dedup", q.group_by);
-        g.Connect(atail, topk.id, 0);
-        atail = topk.id;
-      } else if (q.limit > 0) {
-        OpSpec& lim = g.AddOp(OpKind::kLimit);
-        lim.SetInt("k", q.limit);
-        g.Connect(atail, lim.id, 0);
-        atail = lim.id;
-      }
-      OpSpec& res = g.AddOp(OpKind::kResult);
-      g.Connect(atail, res.id, 0);
+      OrderLimitResult(&g, tail);
       return std::move(plan);
     }
 
     // Flat strategy: partial -> rehash by group key -> final.
     std::string agg_ns = Ns("agg");
     OpGraph& g1 = plan.AddGraph();
-    {
-      auto hint = options.tables.find(ft.table);
-      if (hint != options.tables.end())
-        TryEqualityDissem(q.where, ft.table, hint->second, &g1);
-      uint32_t tail = ScanChain(&g1, ft.table, q.where);
-      OpSpec& part = g1.AddOp(OpKind::kGroupBy);
-      part.Set("keys", keys_text);
-      part.Set("aggs", aggs_text);
-      part.Set("mode", "partial");
-      uint32_t part_id = part.id;  // AddOp below invalidates the reference
-      g1.Connect(tail, part_id, 0);
-      OpSpec& put = g1.AddOp(OpKind::kPut);
-      put.Set("ns", agg_ns);
-      put.Set("key", keys_text);
-      g1.Connect(part_id, put.id, 0);
-    }
+    uint32_t tail = StartBaseGraph(&g1, ft.table, q.where);
+    OpSpec& part = Then(&g1, &tail, OpKind::kGroupBy);
+    part.Set("keys", keys_text);
+    part.Set("aggs", aggs_text);
+    part.Set("mode", "partial");
+    OpSpec& put = Then(&g1, &tail, OpKind::kPut);
+    put.Set("ns", agg_ns);
+    put.Set("key", keys_text);
 
     OpGraph& g2 = plan.AddGraph();
     g2.flush_stage = 1;
-    {
-      OpSpec& nd = g2.AddOp(OpKind::kNewData);
-      nd.Set("ns", agg_ns);
-      uint32_t nd_id = nd.id;  // AddOp below invalidates the reference
-      OpSpec& fin = g2.AddOp(OpKind::kGroupBy);
-      fin.Set("keys", keys_text);
-      fin.Set("aggs", aggs_text);
-      fin.Set("mode", "final");
-      uint32_t fin_id = fin.id;
-      g2.Connect(nd_id, fin_id, 0);
-      if (NeedsCollect()) {
-        CollectStage(&g2, fin_id, 2);
-      } else {
-        OpSpec& res = g2.AddOp(OpKind::kResult);
-        g2.Connect(fin_id, res.id, 0);
-      }
-    }
+    OpSpec& nd = g2.AddOp(OpKind::kNewData);
+    nd.Set("ns", agg_ns);
+    tail = nd.id;
+    OpSpec& fin = Then(&g2, &tail, OpKind::kGroupBy);
+    fin.Set("keys", keys_text);
+    fin.Set("aggs", aggs_text);
+    fin.Set("mode", "final");
+    Deliver(&g2, tail, 2);
     return std::move(plan);
-  }
-
-  /// Start an opgraph from a base table: targeted dissemination when the
-  /// filter pins the partition key, then scan (+ pushed-down selection).
-  uint32_t StartBaseGraph(OpGraph* g, const std::string& table,
-                          const ExprPtr& filter) {
-    auto hint = options.tables.find(table);
-    if (hint != options.tables.end())
-      TryEqualityDissem(filter, table, hint->second, g);
-    return ScanChain(g, table, filter);
   }
 
   /// Compile the chosen join steps into opgraphs. Each step either extends
@@ -775,15 +722,14 @@ struct Compiler {
       std::string ns_suffix =
           steps.size() > 1 ? std::to_string(k + 1) : std::string();
 
+      if (cg == nullptr) {  // the first step starts the chain at its outer
+        cg = &plan.AddGraph();
+        ctail = StartBaseGraph(cg, q.from[s.outer].table, mj.filters[s.outer]);
+        ctable = q.from[s.outer].table;
+      }
+
       if (s.strategy == JoinStrategy::kFetchMatches) {
-        if (cg == nullptr) {
-          OpGraph& g = plan.AddGraph();
-          ctail = StartBaseGraph(&g, q.from[s.outer].table,
-                                 mj.filters[s.outer]);
-          cg = &g;
-          ctable = q.from[s.outer].table;
-        }
-        OpSpec& fmj = cg->AddOp(OpKind::kFetchMatches);
+        OpSpec& fmj = Then(cg, &ctail, OpKind::kFetchMatches);
         fmj.Set("table", inner_table);
         fmj.SetExpr("key_expr", Expr::Column(s.outer_col));
         if (!out_name.empty()) fmj.Set("table_out", out_name);
@@ -791,9 +737,6 @@ struct Compiler {
         if (inner_filter) pred.push_back(inner_filter);
         if (residual) pred.push_back(residual);
         if (!pred.empty()) fmj.SetExpr("pred", JoinConjuncts(pred));
-        uint32_t fm_id = fmj.id;
-        cg->Connect(ctail, fm_id, 0);
-        ctail = fm_id;
         if (!out_name.empty()) ctable = out_name;
         continue;
       }
@@ -803,44 +746,18 @@ struct Compiler {
       bool bloom = s.strategy == JoinStrategy::kBloom;
       std::string jns = Ns("join" + ns_suffix);
       std::string fns = Ns("bloom" + ns_suffix);
-      std::string l_table_name;
-      if (cg == nullptr) {
-        OpGraph& g = plan.AddGraph();
-        uint32_t tail =
-            StartBaseGraph(&g, q.from[s.outer].table, mj.filters[s.outer]);
-        if (bloom) {
-          OpSpec& bp = g.AddOp(OpKind::kBloomProbe);
-          bp.Set("col", s.outer_col);
-          bp.Set("ns", fns);
-          bp.SetInt("wait_ms", bloom_wait_ms);
-          uint32_t bp_id = bp.id;
-          g.Connect(tail, bp_id, 0);
-          tail = bp_id;
-        }
-        OpSpec& put = g.AddOp(OpKind::kPut);
-        put.Set("ns", jns);
-        put.Set("key", s.outer_col);
-        g.Connect(tail, put.id, 0);
-        l_table_name = q.from[s.outer].table;
-      } else {
-        if (bloom) {
-          OpSpec& bp = cg->AddOp(OpKind::kBloomProbe);
-          bp.Set("col", s.outer_col);
-          bp.Set("ns", fns);
-          bp.SetInt("wait_ms", bloom_wait_ms);
-          uint32_t bp_id = bp.id;
-          cg->Connect(ctail, bp_id, 0);
-          ctail = bp_id;
-        }
-        OpSpec& put = cg->AddOp(OpKind::kPut);
-        put.Set("ns", jns);
-        put.Set("key", s.outer_col);
-        cg->Connect(ctail, put.id, 0);
-        l_table_name = ctable;
+      if (bloom) {
+        OpSpec& bp = Then(cg, &ctail, OpKind::kBloomProbe);
+        bp.Set("col", s.outer_col);
+        bp.Set("ns", fns);
+        bp.SetInt("wait_ms", bloom_wait_ms);
       }
+      OpSpec& outer_put = Then(cg, &ctail, OpKind::kPut);
+      outer_put.Set("ns", jns);
+      outer_put.Set("key", s.outer_col);
 
       {
-        OpGraph& g = plan.AddGraph();
+        OpGraph& g = plan.AddGraph();  // invalidates cg until it moves on
         uint32_t tail = StartBaseGraph(&g, inner_table, inner_filter);
         if (bloom) {
           OpSpec& bc = g.AddOp(OpKind::kBloomCreate);
@@ -861,27 +778,21 @@ struct Compiler {
       jg.flush_stage = cstage + 1;
       OpSpec& nd = jg.AddOp(OpKind::kNewData);
       nd.Set("ns", jns);
-      uint32_t nd_id = nd.id;  // AddOp below invalidates the reference
-      OpSpec& shj = jg.AddOp(OpKind::kSymHashJoin);
+      ctail = nd.id;
+      OpSpec& shj = Then(&jg, &ctail, OpKind::kSymHashJoin);
       shj.Set("l_key", s.outer_col);
       shj.Set("r_key", s.inner_col);
-      shj.Set("l_table", l_table_name);
+      shj.Set("l_table", ctable);
       shj.Set("r_table", inner_table);
       if (!out_name.empty()) shj.Set("table", out_name);
       if (residual) shj.SetExpr("pred", residual);
-      uint32_t shj_id = shj.id;
-      jg.Connect(nd_id, shj_id, 0);
       cg = &jg;
-      ctail = shj_id;
       cstage = jg.flush_stage;
       ctable = out_name.empty() ? "join" : out_name;
     }
 
-    if (NeedsCollect()) {
-      CollectStage(cg, ctail, cstage + 1);
-    } else {
-      Finish(cg, ctail, /*project=*/true);
-    }
+    // A collected join ships its rows unprojected.
+    Deliver(cg, NeedsCollect() ? ctail : Project(cg, ctail), cstage + 1);
     return std::move(plan);
   }
 

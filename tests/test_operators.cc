@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "data/tuple_batch.h"
+#include "qp/agg_state.h"
 #include "qp/sim_pier.h"
 #include "util/hash.h"
 #include "util/random.h"
@@ -160,6 +161,20 @@ TEST(Operators, QueueYieldsButPreservesOrderAndCount) {
   ASSERT_EQ(g.out.size(), 600u);
   for (int i = 0; i < 600; ++i)
     EXPECT_EQ(*g.out[i].Get("a")->AsInt64(), i) << "FIFO order";
+}
+
+TEST(Operators, QueueShedsPastMaxSizeAndCountsTheDrops) {
+  LocalGraph g;
+  OpSpec q(0, OpKind::kQueue);
+  q.SetInt("max_size", 4);
+  auto ids = g.Build({q});
+  BatchAssembler rows;
+  for (int i = 0; i < 10; ++i) rows.Add(Row(i, 0));
+  for (const TupleBatch& b : rows.TakeBatches()) g.InjectBatch(b);
+  g.Run();
+  ASSERT_EQ(g.out.size(), 4u);
+  EXPECT_EQ(*g.out[3].Get("a")->AsInt64(), 3) << "the head of the batch";
+  EXPECT_EQ(g.Op(ids[0])->Metric("dropped"), 6);
 }
 
 TEST(Operators, LimitStopsTheQueryLocally) {
@@ -340,6 +355,158 @@ TEST(Operators, MalformedStoredObjectsAreSkippedByScan) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EXPECT_EQ(q->Collect().size(), 1u)
       << "the good tuple arrives, the garbage is dropped";
+}
+
+// ---------------------------------------------------------------------------
+// Exactly-once catch-up (§3.3.4): scan, newdata and the hier-agg root read a
+// namespace through one feed. Each must deliver an object stored before the
+// query, one stored after SubmitQuery returns but before the catch-up event
+// runs, and a later one, each exactly once; skip (and count) objects stored
+// before the catch-up floor; and go silent once the query stops.
+// ---------------------------------------------------------------------------
+
+/// One node running the local graph `scan|newdata -> result`, or
+/// `source -> hieragg -> result` whose root reads the aggregation namespace.
+/// Store() writes straight into the node's object store, which fires newData
+/// exactly as an arriving put does.
+class CatchUpRig {
+ public:
+  explicit CatchUpRig(OpKind kind) : kind_(kind) {
+    SimPier::Options opts;
+    opts.sim.seed = 17;
+    opts.settle_time = 1 * kSecond;
+    net_ = std::make_unique<SimPier>(1, opts);
+    EXPECT_TRUE(
+        net_->catalog()->Register(TableSpec("cu").PartitionBy({"id"})).ok());
+    plan_.query_id = 70001;
+    plan_.timeout = 60 * kSecond;
+    OpGraph& g = plan_.AddGraph();
+    g.dissem = DissemKind::kLocal;
+    graph_id_ = g.id;
+    ns_ = "cu";
+    if (kind == OpKind::kHierAgg) {
+      OpSpec& src = g.AddOp(OpKind::kSource);
+      src.SetInt("inject", 1);
+      uint32_t src_id = src.id;
+      OpSpec& agg = g.AddOp(OpKind::kHierAgg);
+      agg.Set("keys", "id");
+      agg.Set("aggs", "count::cnt");
+      agg.SetInt("hold_ms", 20);
+      op_id_ = agg.id;
+      g.Connect(src_id, op_id_, 0);
+      ns_ = "q" + std::to_string(plan_.query_id) + ".g" +
+            std::to_string(graph_id_) + ".op" + std::to_string(op_id_) +
+            ".agg";
+    } else {
+      OpSpec& access = g.AddOp(kind);
+      access.Set("ns", ns_);
+      op_id_ = access.id;
+    }
+    OpSpec& res = g.AddOp(OpKind::kResult);
+    g.Connect(op_id_, res.id, 0);
+  }
+
+  void Store(const std::string& id) {
+    Tuple t("cu");
+    t.Append("id", Value::String(id));
+    std::string value = t.Encode();
+    if (kind_ == OpKind::kHierAgg) {
+      // The root reads partial frames, as routed by the other nodes' flush.
+      GroupTable partial({"id"}, {AggSpec{AggFunc::kCount, "", "cnt"}});
+      partial.Fold(TupleBatch::FromTuples({t}));
+      WireWriter w;
+      partial.Emit("agg", /*partial=*/true)[0].EncodeTo(&w);
+      value = std::move(w).data();
+    }
+    net_->dht(0)->objects()->Put(ObjectName{ns_, id, "s." + id},
+                                 std::move(value), 60 * kSecond);
+  }
+
+  void Submit(TimeUs catchup_floor_us) {
+    plan_.catchup_floor_us = catchup_floor_us;
+    ASSERT_TRUE(net_->qp(0)
+                    ->SubmitQuery(plan_,
+                                  [this](const Tuple& t) { out_.push_back(t); })
+                    .ok());
+    ASSERT_NE(Op(), nullptr) << "local graphs start inside SubmitQuery";
+  }
+
+  void Stop() {
+    net_->qp(0)->executor()->StopQuery(plan_.query_id);
+    Run();
+    ASSERT_EQ(Op(), nullptr);
+  }
+
+  void Run() { net_->RunFor(200 * kMillisecond); }
+  TimeUs Now() { return net_->dht(0)->vri()->Now(); }
+
+  Operator* Op() {
+    return net_->qp(0)->executor()->FindOp(plan_.query_id, graph_id_, op_id_);
+  }
+
+  /// Object id -> times delivered. The root re-emits cumulative finals, so
+  /// there its latest count per group is what it merged.
+  std::map<std::string, int64_t> Delivered() const {
+    std::map<std::string, int64_t> seen;
+    for (const Tuple& t : out_) {
+      std::string id(*t.Get("id")->AsString());
+      if (kind_ == OpKind::kHierAgg) {
+        seen[id] = *t.Get("cnt")->AsInt64();
+      } else {
+        seen[id]++;
+      }
+    }
+    return seen;
+  }
+
+ private:
+  OpKind kind_;
+  std::unique_ptr<SimPier> net_;
+  QueryPlan plan_;
+  uint32_t graph_id_ = 0;
+  uint32_t op_id_ = 0;
+  std::string ns_;
+  std::vector<Tuple> out_;
+};
+
+const OpKind kCatchUpReaders[] = {OpKind::kScan, OpKind::kNewData,
+                                  OpKind::kHierAgg};
+
+TEST(CatchUp, DeliversEveryObjectExactlyOnceAndNothingAfterStop) {
+  for (OpKind kind : kCatchUpReaders) {
+    SCOPED_TRACE(OpKindName(kind));
+    CatchUpRig rig(kind);
+    rig.Store("before");
+    rig.Submit(0);
+    rig.Store("between");  // newData sees it, and so will the catch-up scan
+    rig.Run();
+    rig.Store("after");
+    rig.Run();
+    const std::map<std::string, int64_t> want{
+        {"after", 1}, {"before", 1}, {"between", 1}};
+    EXPECT_EQ(rig.Delivered(), want);
+    EXPECT_EQ(rig.Op()->Metric("suppressed"), 0);
+    rig.Stop();
+    rig.Store("stopped");
+    rig.Run();
+    EXPECT_EQ(rig.Delivered(), want);
+  }
+}
+
+TEST(CatchUp, FloorSkipsAndCountsOlderObjects) {
+  for (OpKind kind : kCatchUpReaders) {
+    SCOPED_TRACE(OpKindName(kind));
+    CatchUpRig rig(kind);
+    rig.Store("old");
+    rig.Run();
+    TimeUs floor = rig.Now();
+    rig.Run();
+    rig.Store("new");
+    rig.Submit(floor);
+    rig.Run();
+    EXPECT_EQ(rig.Delivered(), (std::map<std::string, int64_t>{{"new", 1}}));
+    EXPECT_EQ(rig.Op()->Metric("suppressed"), 1);
+  }
 }
 
 // ---------------------------------------------------------------------------

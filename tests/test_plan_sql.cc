@@ -7,9 +7,13 @@
 
 #include <limits>
 
+#include "opt/optimizer.h"
+#include "opt/stats.h"
 #include "qp/agg_state.h"
 #include "qp/opgraph.h"
 #include "qp/sim_pier.h"
+#include "qp/sql.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -304,6 +308,80 @@ TEST(Sql, DistinctQueriesGetDistinctIds) {
   auto b = Client()->Compile(Sql("SELECT * FROM t"));
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(a->query_id, b->query_id);
+}
+
+/// Compiled plans are pinned byte for byte: each digest is Fnv1a64 over the
+/// wire encoding of the plan, recorded at commit e9a4143, before the
+/// compiler's duplicated plan fragments were folded into shared helpers.
+TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
+  SqlOptions base;
+  base.tables["t"] = TableHint{{"k"}};
+  base.tables["s"] = TableHint{{"y"}};
+  base.tables["u"] = TableHint{{"z"}};
+  base.query_id = 4242;
+
+  // Statistics under which the optimizer Bloom-prefilters the big side: the
+  // small side has few distinct join keys.
+  StatsRegistry reg;
+  auto seed = [&reg](const std::string& table, int n, int distinct) {
+    for (int i = 0; i < n; ++i) {
+      Tuple t(table);
+      t.Append("k", Value::Int64(i % distinct));
+      t.Append("pad", Value::Bytes(std::string(8, 'x')));
+      reg.Observe(table, t, {"k"}, t.Encode().size(), (1 + i) * kSecond);
+    }
+  };
+  seed("big", 4000, 4000);
+  seed("small", 4000, 40);
+  CostParams params;
+  params.nodes = 64;
+  Optimizer opt(&reg, CostModel(params));
+  SqlOptions bloom = base;
+  bloom.tables["big"] = TableHint{{"pk"}};
+  bloom.tables["small"] = TableHint{{"pk"}};
+  bloom.optimizer = &opt;
+  SqlOptions flat = base;
+  flat.agg_strategy = "flat";
+  SqlOptions hier = base;
+  hier.agg_strategy = "hier";
+
+  struct Case {
+    const char* sql;
+    const SqlOptions* options;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s", &base, 0x22cbd18102d2f780},
+      {"SELECT a, b FROM t WHERE a > 1 ORDER BY a LIMIT 3", &base,
+       0x8367b55861fc27fd},
+      {"SELECT * FROM t WHERE k = 9", &base, 0x77eded4b997687b},
+      {"SELECT k, count(*) AS c, sum(v) AS sv FROM t GROUP BY k "
+       "ORDER BY c DESC LIMIT 4",
+       &flat, 0xc3042c73691f262d},
+      {"SELECT k, count(*) AS c FROM t WHERE v > 2 GROUP BY k "
+       "ORDER BY c DESC LIMIT 4",
+       &hier, 0x27eaf984b3a0a50},
+      {"SELECT * FROM t a, s b WHERE a.v = b.w", &base, 0x99276bad940bd9c9},
+      {"SELECT * FROM big r, small s WHERE r.x = s.y", &bloom,
+       0xdfe8d377e66026f},
+      {"SELECT a.v, b.w FROM t a, s b WHERE a.k = b.y AND a.v > 1", &base,
+       0xb068da7ccaa99eee},
+      {"SELECT a.v, c.q FROM t a, s b, u c WHERE a.v = b.w AND b.x = c.z "
+       "AND a.k + c.q > 3 LIMIT 5",
+       &base, 0x10a86c1f9cf95caa},
+  };
+  for (const Case& c : cases) {
+    PlanExplain explain;
+    auto plan = CompileSql(c.sql, *c.options, &explain);
+    ASSERT_TRUE(plan.ok()) << c.sql << ": " << plan.status().ToString();
+    EXPECT_EQ(Fnv1a64(plan->Encode()), c.digest)
+        << c.sql << ": digest 0x" << std::hex << Fnv1a64(plan->Encode());
+  }
+  // The Bloom case really is a Bloom join.
+  PlanExplain explain;
+  ASSERT_TRUE(CompileSql(cases[6].sql, bloom, &explain).ok());
+  ASSERT_EQ(explain.joins.size(), 1u);
+  EXPECT_EQ(explain.joins[0].strategy, JoinStrategy::kBloom);
 }
 
 // ---------------------------------------------------------------------------

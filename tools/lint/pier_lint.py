@@ -32,6 +32,14 @@ are all invisible to the compiler and tedious for reviewers:
                   accessors (RowTuple/EncodeRow/RowHash are by-value and
                   stack-friendly) or hoist the allocation out of the loop.
 
+  op-resource     A direct event-loop or DHT registration call
+                  (ScheduleEvent, CancelEvent, OnNewData, OnNewDataBatch,
+                  CancelNewData, RegisterUpcall, UnregisterUpcall) in an
+                  operator file, src/qp/op_*.cc. The base Operator owns every
+                  timer, subscription and upcall (After, Subscribe, CatchUp,
+                  Intercept) and releases them all in Close; a direct call
+                  is a resource that Close cannot see.
+
 Driving: reads compile_commands.json (pass -p BUILD_DIR) for the TU list and,
 when the libclang python bindings are importable, uses the clang AST; without
 them (this container ships none) it falls back to a built-in lexical engine
@@ -52,7 +60,7 @@ import os
 import re
 import sys
 
-RULES = ("timer-capture", "wallclock", "blocking", "hot-alloc")
+RULES = ("timer-capture", "wallclock", "blocking", "hot-alloc", "op-resource")
 
 SCHEDULE_CALL = re.compile(r"\b(ScheduleAt|ScheduleAfter|ScheduleEvent)\s*\(")
 
@@ -86,6 +94,13 @@ BLOCKING_TOKENS = [
     (re.compile(r"\bsleep_until\s*\("), "std::this_thread::sleep_until"),
     (re.compile(r"(?<![_A-Za-z0-9:])system\s*\("), "system()"),
     (re.compile(r"\bpopen\s*\("), "popen()"),
+]
+
+# Resource calls operators must leave to the base Operator's helpers.
+OP_RESOURCE_TOKENS = [
+    (re.compile(r"\b%s\s*\(" % name), name + "()")
+    for name in ("ScheduleEvent", "CancelEvent", "OnNewData", "OnNewDataBatch",
+                 "CancelNewData", "RegisterUpcall", "UnregisterUpcall")
 ]
 
 SUPPRESS = re.compile(r"//\s*pier-lint:\s*allow\(([^)]*)\)")
@@ -328,6 +343,10 @@ def in_runtime_dir(path):
     return re.search(r"(^|/)src/runtime/", path)
 
 
+def is_operator_file(path):
+    return re.search(r"(^|/)src/qp/op_[^/]*\.cc$", path)
+
+
 def lint_text(path, raw_text, effective_path=None):
     """Lint one file's contents; returns the unsuppressed diagnostics."""
     epath = effective_path or path
@@ -351,6 +370,12 @@ def lint_text(path, raw_text, effective_path=None):
             "every query on the node", diags)
     # hot-alloc applies everywhere: any ProcessBatch body is a batch hot path.
     check_hot_alloc(path, text, diags)
+    if is_operator_file(epath):
+        check_token_rules(
+            path, text, OP_RESOURCE_TOKENS, "op-resource",
+            "operators acquire timers, subscriptions and upcalls through the "
+            "base Operator (After/Subscribe/CatchUp/Intercept), which releases "
+            "them in Close", diags)
 
     kept = []
     for d in diags:
