@@ -22,10 +22,12 @@
 // node kill per round. With k=3 successor-set replication the handoff
 // repair keeps the answer set whole; with k=1 every kill permanently loses
 // the victim's partition. The bench FAILS unless the final k=3 round loses
-// < 1% of answers, k=1 loses strictly more, and the churn-free runs return
+// < 1% of answers, k=1 loses strictly more, the churn-free runs return
 // exactly 200 rows at BOTH factors (the scan-time replica merge must never
-// double-count). PIER_BENCH_JSON=<path> additionally writes the E15 metrics
-// as JSON (virtual-time deterministic; CI diffs it against the committed
+// double-count), and no config's final round returns a row twice (a kill's
+// promotions and handoffs must not re-emit answered rows).
+// PIER_BENCH_JSON=<path> additionally writes the E15 metrics as JSON
+// (virtual-time deterministic; CI diffs it against the committed
 // BENCH_churn.json).
 //
 // PIER_BENCH_SMOKE=1 shrinks the E14 sweep for CI; E14b and E15 always run
@@ -474,9 +476,21 @@ int RunReplicationCheck() {
       failures++;
     }
   }
+  for (const Config& c : configs) {
+    if (c.out.rows_final != c.out.distinct_final) {
+      std::fprintf(stderr,
+                   "FAIL: k=%d%s returned %llu rows for %zu distinct ids — "
+                   "a row was answered twice\n",
+                   c.k, c.kill ? " kill" : "",
+                   static_cast<unsigned long long>(c.out.rows_final),
+                   c.out.distinct_final);
+      failures++;
+    }
+  }
   if (failures == 0)
     bench::Note("ok: k=3 survives the kills whole, k=1 pays for every one, "
-                "and replication never changes a churn-free answer");
+                "replication never changes a churn-free answer, and no row "
+                "is answered twice");
 
   if (const char* path = std::getenv("PIER_BENCH_JSON")) {
     std::FILE* f = std::fopen(path, "w");

@@ -71,7 +71,8 @@ Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
 Dht::~Dht() {
   for (auto& [id, op] : pending_) {
     (void)id;
-    if (op.timer != 0) vri_->CancelEvent(op.timer);
+    vri_->CancelEvent(op.timer);
+    vri_->CancelEvent(op.hedge_timer);
   }
 }
 
@@ -445,11 +446,7 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
   op.key = key;
   op.replicas = k;
   op.timer = vri_->ScheduleEvent(options_.op_timeout, [this, op_id]() {
-    auto it = pending_.find(op_id);
-    if (it == pending_.end()) return;
-    GetCallback cb2 = std::move(it->second.get_cb);
-    pending_.erase(it);
-    cb2(Status::TimedOut("dht get timed out"), {});
+    FinishOp(op_id, Status::TimedOut("dht get timed out"));
   });
   pending_[op_id] = std::move(op);
 
@@ -460,18 +457,19 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
   SendToOwner(
       target, static_cast<size_t>(k - 1),
       std::make_shared<const OwnerSend>(
-          [this, op_id, k](const OverlayRouter::Owner& owner,
-                           DoneCallback report) {
+          [this, op_id](const OverlayRouter::Owner& owner,
+                        DoneCallback report) {
             auto it = pending_.find(op_id);
             // Finished, or an owner that answered let the walk move on.
             if (it == pending_.end() || it->second.attempt > 0) return;
             PendingOp& op = it->second;
-            op.owner_id = owner.id;
-            op.candidates.assign(1, owner.address);
-            for (const NetAddress& s : owner.successors) {
-              if (op.candidates.size() >= static_cast<size_t>(k)) break;
-              if (s.IsNull() || s == owner.address) continue;
-              op.candidates.push_back(s);
+            SetCandidates(&op, owner);
+            // A cached owner may have died before any failure showed; UdpCC
+            // would only give up on it after its full retry schedule.
+            if (owner.cached && op.hedge_timer == 0) {
+              op.hedge_timer =
+                  vri_->ScheduleEvent(options_.op_timeout / 4,
+                                      [this, op_id]() { HedgeGet(op_id); });
             }
             SendGetAttempt(op_id, std::move(report));
           }),
@@ -480,13 +478,54 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
       });
 }
 
-void Dht::FinishOp(uint64_t op_id, const Status& status) {
+void Dht::SetCandidates(PendingOp* op, const OverlayRouter::Owner& owner) {
+  op->owner_id = owner.id;
+  op->candidates.assign(1, owner.address);
+  for (const NetAddress& s : owner.successors) {
+    if (op->candidates.size() >= static_cast<size_t>(op->replicas)) break;
+    if (s.IsNull() || s == owner.address) continue;
+    op->candidates.push_back(s);
+  }
+}
+
+void Dht::HedgeGet(uint64_t op_id) {
+  auto it = pending_.find(op_id);
+  // The owner already answered empty or failed: the walk moved on.
+  if (it == pending_.end() || it->second.attempt > 0) return;
+  PendingOp& op = it->second;
+  NetAddress quiet = op.candidates[0];
+  router_->EvictOwner(op.owner_id, quiet);
+  router_->Lookup(
+      RoutingId(op.ns, op.key), static_cast<size_t>(op.replicas - 1),
+      [this, op_id, quiet](const Result<OverlayRouter::Owner>& owner) {
+        auto it = pending_.find(op_id);
+        if (it == pending_.end() || it->second.attempt > 0) return;
+        if (!owner.ok()) {
+          // The lookup was lost in the same hole (a ring still routing
+          // through the dead owner): resolve again.
+          it->second.hedge_timer =
+              vri_->ScheduleEvent(0, [this, op_id]() { HedgeGet(op_id); });
+          return;
+        }
+        if (owner->address == quiet) return;  // alive, only slow
+        // Ask the resolved owner as attempt 0; whichever copy answers with
+        // data first finishes the get.
+        SetCandidates(&it->second, *owner);
+        SendGetAttempt(op_id, [this, op_id](const Status& s) {
+          if (!s.ok()) AdvanceGet(op_id, 0, s);
+        });
+      });
+}
+
+void Dht::FinishOp(uint64_t op_id, const Status& status,
+                   std::vector<DhtItem> items) {
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
   PendingOp op = std::move(it->second);
   pending_.erase(it);
   vri_->CancelEvent(op.timer);
-  if (op.get_cb) op.get_cb(status, {});
+  vri_->CancelEvent(op.hedge_timer);
+  if (op.get_cb) op.get_cb(status, std::move(items));
   if (op.done_cb) op.done_cb(status);
 }
 
@@ -533,11 +572,7 @@ void Dht::Renew(const std::string& ns, const std::string& key,
   PendingOp op;
   op.done_cb = std::move(done);
   op.timer = vri_->ScheduleEvent(options_.op_timeout, [this, op_id]() {
-    auto it = pending_.find(op_id);
-    if (it == pending_.end()) return;
-    DoneCallback cb2 = std::move(it->second.done_cb);
-    pending_.erase(it);
-    if (cb2) cb2(Status::TimedOut("dht renew timed out"));
+    FinishOp(op_id, Status::TimedOut("dht renew timed out"));
   });
   pending_[op_id] = std::move(op);
 
@@ -740,10 +775,7 @@ void Dht::HandleGetRespEx(const NetAddress& from, std::string_view body) {
   // (read-any). A replica answering while the owner came up empty or dead
   // also repairs the owner copy.
   if (attempt > 0) ReadRepair(op_id, items, remaining);
-  GetCallback cb = std::move(it->second.get_cb);
-  vri_->CancelEvent(it->second.timer);
-  pending_.erase(it);
-  if (cb) cb(Status::Ok(), std::move(items));
+  FinishOp(op_id, Status::Ok(), std::move(items));
 }
 
 void Dht::ReadRepair(uint64_t op_id, const std::vector<DhtItem>& items,
@@ -798,12 +830,8 @@ void Dht::HandleRenewResp(const NetAddress& from, std::string_view body) {
   uint64_t op_id;
   uint8_t ok;
   if (!r.GetU64(&op_id).ok() || !r.GetU8(&ok).ok()) return;
-  auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
-  DoneCallback cb = std::move(it->second.done_cb);
-  vri_->CancelEvent(it->second.timer);
-  pending_.erase(it);
-  if (cb) cb(ok ? Status::Ok() : Status::NotFound("renew: object not present"));
+  FinishOp(op_id,
+           ok ? Status::Ok() : Status::NotFound("renew: object not present"));
 }
 
 }  // namespace pier

@@ -93,7 +93,11 @@ class Dht {
   /// successor in turn, and a copy found at a replica read-repairs the
   /// missing/stale owner copy. With k = 1 the owner is the only candidate.
   /// The get fails with the delivery error only when no candidate replied;
-  /// an empty reply from every candidate is Ok with no items.
+  /// an empty reply from every candidate is Ok with no items. An owner taken
+  /// from the owner cache that has not answered within op_timeout / 4 may
+  /// have died unnoticed: its cache entry is evicted and the get re-resolves
+  /// the owner over the overlay in parallel (reads are idempotent; the first
+  /// answer wins).
   void Get(const std::string& ns, const std::string& key, GetCallback cb);
   void Get(const std::string& ns, const std::string& key, GetCallback cb,
            int replicas);
@@ -172,8 +176,11 @@ class Dht {
                                     TimeUs stored_at)>;
   void LocalScan(const std::string& ns, const ScanFn& fn);
 
-  /// newData: subscribe to objects newly stored at this node in `ns`
-  /// (handleNewData). Returns a subscription token.
+  /// newData: subscribe to client writes stored at this node in `ns`
+  /// (handleNewData): puts, Send deliveries, local stores and a replicated
+  /// write's primary copy. Replication maintenance (promotion, handoff,
+  /// read repair) moves existing objects and stays silent. Returns a
+  /// subscription token.
   using NewDataHandler =
       std::function<void(const ObjectName&, std::string_view value)>;
   uint64_t OnNewData(const std::string& ns, NewDataHandler handler);
@@ -326,8 +333,15 @@ class Dht {
   void SendToOwner(Id target, size_t want_succs,
                    std::shared_ptr<const OwnerSend> send, DoneCallback done,
                    bool may_retry = true);
-  /// Finish a pending get or renew with `status`.
-  void FinishOp(uint64_t op_id, const Status& status);
+  /// Finish a pending get or renew with `status` (and a get's `items`).
+  void FinishOp(uint64_t op_id, const Status& status,
+                std::vector<DhtItem> items = {});
+  struct PendingOp;
+  /// Point a get at `owner` and the first k-1 of its successors.
+  static void SetCandidates(PendingOp* op, const OverlayRouter::Owner& owner);
+  /// The hedged read: the get's cached owner has been quiet for
+  /// op_timeout / 4; evict it and ask the owner the overlay resolves.
+  void HedgeGet(uint64_t op_id);
   /// Send the read-any get to the current candidate; `report` is the
   /// delivery callback.
   void SendGetAttempt(uint64_t op_id, DoneCallback report);
@@ -348,6 +362,7 @@ class Dht {
     GetCallback get_cb;
     DoneCallback done_cb;
     uint64_t timer = 0;
+    uint64_t hedge_timer = 0;  // the hedged read, when the owner was cached
     // Read-any state (gets only).
     std::string ns;
     std::string key;

@@ -33,7 +33,7 @@ void ObjectManager::Put(ObjectName name, std::string value, TimeUs lifetime) {
 void ObjectManager::PutReplica(ObjectName name, std::string value,
                                TimeUs remaining, TimeUs age,
                                uint8_t replica_index, uint8_t desired_replicas,
-                               uint64_t owner_id) {
+                               uint64_t owner_id, bool client_write) {
   if (remaining > options_.max_lifetime) remaining = options_.max_lifetime;
   if (remaining <= 0) return;  // origin copy already expired
   if (age < 0) age = 0;
@@ -47,7 +47,7 @@ void ObjectManager::PutReplica(ObjectName name, std::string value,
   obj.owner_id = owner_id;
   Object& slot = store_[name.ns][name.key][name.suffix];
   slot = std::move(obj);
-  if (replica_index == 0 && insert_hook_) insert_hook_(slot);
+  if (client_write && insert_hook_) insert_hook_(slot);
 }
 
 bool ObjectManager::Promote(const ObjectName& name) {
@@ -64,7 +64,6 @@ bool ObjectManager::Promote(const ObjectName& name) {
   }
   if (obj.replica_index == 0) return false;
   obj.replica_index = 0;
-  if (insert_hook_) insert_hook_(obj);
   return true;
 }
 

@@ -40,8 +40,8 @@ class ObjectManager {
     TimeUs stored_at = 0;
     /// Replica placement tags (k-way successor-set replication). Index 0 is
     /// the primary copy at the responsible node; 1..k-1 are the copies at its
-    /// successors. Only the primary fires the insert hook, and scans suppress
-    /// replica copies unless ownership has moved here.
+    /// successors. Scans suppress replica copies unless ownership has moved
+    /// here.
     uint8_t replica_index = 0;
     /// How many live copies the writer asked for (1 = unreplicated).
     uint8_t desired_replicas = 1;
@@ -64,16 +64,18 @@ class ObjectManager {
   /// placed at different times all expire together with the owner copy.
   /// `remaining` is the origin's time left at send time and `age` how long
   /// the origin had already lived (back-dates stored_at so catch-up marks
-  /// treat the copy like the original). Fires the insert hook only for the
-  /// primary (replica_index 0).
+  /// treat the copy like the original). Fires the insert hook only when
+  /// `client_write`: the primary copy of a writer's put. Re-stores by
+  /// maintenance (handoff push and pull, read repair) stay silent, because
+  /// the object was already new data where the write first landed.
   void PutReplica(ObjectName name, std::string value, TimeUs remaining,
                   TimeUs age, uint8_t replica_index, uint8_t desired_replicas,
-                  uint64_t owner_id);
+                  uint64_t owner_id, bool client_write);
 
   /// Retag a replica copy as the primary (ownership moved here after the
-  /// owner left) and fire the insert hook, so subscribers see the object as
-  /// newly arrived data. No-op (false) if absent, expired, or already
-  /// primary.
+  /// owner left). Silent: the object is not new data, and a scan still
+  /// subscribed would count it twice. Scans see it through LocalScan from
+  /// now on. No-op (false) if absent, expired, or already primary.
   bool Promote(const ObjectName& name);
 
   /// Retag a primary as a replica copy (ownership moved away): the copy
@@ -99,8 +101,9 @@ class ObjectManager {
   /// Remove every object in a namespace (query teardown).
   void DropNamespace(std::string_view ns);
 
-  /// Called whenever a new object is stored (the wrapper turns this into
-  /// per-namespace newData callbacks).
+  /// Called whenever a client write is stored: every Put, and a PutReplica
+  /// marked `client_write` (the wrapper turns this into per-namespace newData
+  /// callbacks).
   using InsertHook = std::function<void(const Object&)>;
   void set_insert_hook(InsertHook hook) { insert_hook_ = std::move(hook); }
 

@@ -73,10 +73,12 @@ void ReplicationManager::HandleReplicate(const NetAddress& from,
       !r.GetU64(&owner_id).ok() || !r.GetVarint(&count).ok())
     return;
   if (count > options_.max_objects_per_frame) return;  // malformed: drop
-  // A writer's primary copy should reach the owner; one not-owner hint per
+  // A writer's primary copy is the frame's only client write: only it fires
+  // newData, and only it should reach the owner, so one not-owner hint per
   // frame corrects a stale owner cache at the writer.
-  bool hinted = !(replica_index == 0 &&
-                  static_cast<Origin>(origin) == Origin::kWrite);
+  bool client_write =
+      replica_index == 0 && static_cast<Origin>(origin) == Origin::kWrite;
+  bool hinted = !client_write;
   for (uint64_t i = 0; i < count; ++i) {
     std::string_view ns, key, suffix, value;
     uint64_t remaining, age;
@@ -89,7 +91,8 @@ void ReplicationManager::HandleReplicate(const NetAddress& from,
     objects_->PutReplica(
         ObjectName{std::string(ns), std::string(key), std::string(suffix)},
         std::string(value), static_cast<TimeUs>(remaining),
-        static_cast<TimeUs>(age), replica_index, desired, owner_id);
+        static_cast<TimeUs>(age), replica_index, desired, owner_id,
+        client_write);
     if (desired > 1) seen_replicated_ = true;
     if (replica_index == 0) {
       if (primary_store_hook_) primary_store_hook_();
@@ -174,8 +177,7 @@ void ReplicationManager::RepairTick() {
         EnqueuePush(o.name);
       }
     });
-    // Mutations happen after the scan: Promote fires newData, whose handlers
-    // may store new objects (iterator safety).
+    // Mutations happen after the scan (iterator safety).
     for (const ObjectName& n : to_promote) {
       if (objects_->Promote(n)) {
         stats_.promotions++;

@@ -8,7 +8,8 @@
 // the invariant alive against ring changes:
 //
 //   * promotion  — a replica whose routing id this node now owns (the owner
-//     left) is retagged primary, firing newData so running queries see it;
+//     left) is retagged primary, silently: the dead owner already fired
+//     newData for it, and scans see it from then on;
 //   * demotion   — a primary whose range moved away is retagged replica, so
 //     scans stop double-counting it against the new owner's copy;
 //   * push       — an owner whose successor window changed re-propagates its

@@ -450,6 +450,13 @@ void OverlayRouter::EvictPeer(const NetAddress& peer) {
   }
 }
 
+void OverlayRouter::EvictOwner(Id owner_id, const NetAddress& address) {
+  auto it = owner_cache_.find(owner_id);
+  if (it == owner_cache_.end() || it->second.address != address) return;
+  owner_cache_.erase(it);
+  stats_.lookup_cache_evictions++;
+}
+
 bool OverlayRouter::HintIfNotOwner(const NetAddress& from, Id target) {
   if (from == local_address_ || protocol_->IsOwner(target)) return false;
   Id lower = 0;

@@ -120,6 +120,10 @@ class OverlayRouter : public ProtocolHost {
   /// routed to the owner, which replies directly.
   void Lookup(Id target, size_t want_succs, LookupCallback cb);
 
+  /// Drop the cached range owned by `owner_id` if it still names `address`:
+  /// that owner has gone quiet (Dht::Get's hedged read).
+  void EvictOwner(Id owner_id, const NetAddress& address);
+
   /// Most owner ranges a node caches.
   static constexpr size_t kOwnerCacheCapacity = 1024;
   size_t owner_cache_size() const { return owner_cache_.size(); }

@@ -27,7 +27,9 @@ Status GetPeer(WireReader* r, ChordProtocol::Peer* p) {
 }  // namespace
 
 ChordProtocol::ChordProtocol(ProtocolHost* host, Options options)
-    : host_(host), options_(options) {}
+    : host_(host),
+      options_(options),
+      finger_period_(options.fix_finger_period) {}
 
 ChordProtocol::~ChordProtocol() {
   for (uint64_t t : timers_) host_->vri()->CancelEvent(t);
@@ -46,19 +48,36 @@ std::string ChordProtocol::EncodeHeader(uint8_t subtype) const {
   return std::move(w).data();
 }
 
+std::string ChordProtocol::Frame(uint8_t subtype) const {
+  WireWriter w;
+  w.PutRaw(EncodeHeader(subtype));
+  w.PutU64(0);  // nonce placeholder
+  return std::move(w).data();
+}
+
+void ChordProtocol::Send(const NetAddress& to, std::string payload,
+                         std::function<void(const Status&)> on_delivery) {
+  counters_.frames_sent++;
+  host_->SendProtocolMessage(to, std::move(payload), std::move(on_delivery));
+}
+
 void ChordProtocol::Start(const NetAddress& bootstrap) {
   started_ = true;
   if (bootstrap.IsNull() || bootstrap == host_->local_address()) {
     ready_ = true;  // first node: owns the whole ring
   } else {
     // Resolve our successor through the bootstrap node, then integrate.
+    counters_.join_resolves++;
     ResolveSuccessor(host_->local_id(), bootstrap,
                      [this, bootstrap](const Result<Peer>& result) {
+                       // Seeded (or joined) while the resolve was in flight:
+                       // on a seeded ring it names this node itself, which is
+                       // not a failed join.
+                       if (ready_) return;
                        if (!result.ok() || !result.value().valid() ||
                            result.value().addr == host_->local_address()) {
                          // Retry the join later.
-                         if (timers_.size() < 4) timers_.assign(4, 0);
-                         timers_[3] = host_->vri()->ScheduleEvent(
+                         timers_[kJoinRetryTimer] = host_->vri()->ScheduleEvent(
                              options_.join_retry_delay,
                              [this, bootstrap]() { Start(bootstrap); });
                          return;
@@ -72,34 +91,49 @@ void ChordProtocol::Start(const NetAddress& bootstrap) {
   ScheduleMaintenance();
 }
 
+TimeUs ChordProtocol::Jittered(TimeUs period) const {
+  Rng* rng = host_->vri()->rng();
+  return period + static_cast<TimeUs>(rng->Uniform(period / 2)) - period / 4;
+}
+
 void ChordProtocol::ScheduleMaintenance() {
   if (maintenance_scheduled_) return;
   maintenance_scheduled_ = true;
-  timers_.assign(4, 0);
-  Rng* rng = host_->vri()->rng();
-  auto jittered = [rng](TimeUs period) {
-    return period + static_cast<TimeUs>(rng->Uniform(period / 2)) - period / 4;
-  };
   struct Loop {
     size_t slot;
-    TimeUs period;
+    const TimeUs* period;  // read at every reschedule: the finger loop's moves
     void (ChordProtocol::*fn)();
   };
   // The ticks live in maintenance_ (not in self-capturing shared_ptrs, which
   // would cycle and leak): each scheduled event holds a plain copy that
   // reschedules from the stored member.
-  maintenance_.assign(3, nullptr);
-  for (Loop loop : {Loop{0, options_.stabilize_period, &ChordProtocol::Stabilize},
-                    Loop{1, options_.fix_finger_period, &ChordProtocol::FixNextFinger},
-                    Loop{2, options_.check_pred_period, &ChordProtocol::CheckPredecessor}}) {
-    maintenance_[loop.slot] = [this, loop, jittered]() {
+  for (Loop loop : {Loop{kStabilizeTimer, &options_.stabilize_period,
+                         &ChordProtocol::Stabilize},
+                    Loop{kFingerTimer, &finger_period_,
+                         &ChordProtocol::FixNextFinger},
+                    Loop{kCheckPredTimer, &options_.check_pred_period,
+                         &ChordProtocol::CheckPredecessor}}) {
+    maintenance_[loop.slot] = [this, loop]() {
       (this->*(loop.fn))();
-      timers_[loop.slot] = host_->vri()->ScheduleEvent(
-          jittered(loop.period), maintenance_[loop.slot]);
+      // One chain per slot: a ring change inside the tick (a resolve that
+      // answers locally) may already have scheduled the next one.
+      host_->vri()->CancelEvent(timers_[loop.slot]);
+      timers_[loop.slot] = host_->vri()->ScheduleEvent(Jittered(*loop.period),
+                                                       maintenance_[loop.slot]);
     };
-    timers_[loop.slot] =
-        host_->vri()->ScheduleEvent(jittered(loop.period), maintenance_[loop.slot]);
+    timers_[loop.slot] = host_->vri()->ScheduleEvent(Jittered(*loop.period),
+                                                     maintenance_[loop.slot]);
   }
+}
+
+void ChordProtocol::NoteRingChange() {
+  if (finger_period_ == options_.fix_finger_period) return;
+  finger_period_ = options_.fix_finger_period;
+  if (!maintenance_scheduled_) return;
+  // The pending tick may be up to the capped period away: bring it in.
+  host_->vri()->CancelEvent(timers_[kFingerTimer]);
+  timers_[kFingerTimer] = host_->vri()->ScheduleEvent(
+      Jittered(finger_period_), maintenance_[kFingerTimer]);
 }
 
 bool ChordProtocol::IsOwner(Id target) const {
@@ -137,31 +171,49 @@ NetAddress ChordProtocol::NextHop(Id target) const {
 }
 
 void ChordProtocol::AdoptSuccessor(const Peer& peer) {
-  if (!peer.valid() || peer.addr == host_->local_address()) return;
-  for (auto& s : succs_) {
-    if (s.addr == peer.addr) {
-      s.id = peer.id;
-      return;
-    }
-  }
-  succs_.push_back(peer);
+  std::vector<Peer> list = succs_;
+  list.push_back(peer);
+  SetSuccessors(std::move(list));
+}
+
+void ChordProtocol::SetSuccessors(std::vector<Peer> list) {
   Id me = host_->local_id();
-  std::sort(succs_.begin(), succs_.end(), [me](const Peer& a, const Peer& b) {
-    return RingDistance(me, a.id) < RingDistance(me, b.id);
-  });
-  if (succs_.size() > static_cast<size_t>(options_.successor_list_len)) {
-    succs_.resize(options_.successor_list_len);
+  NetAddress self = host_->local_address();
+  std::stable_sort(list.begin(), list.end(),
+                   [me](const Peer& a, const Peer& b) {
+                     return RingDistance(me, a.id) < RingDistance(me, b.id);
+                   });
+  std::vector<Peer> next;
+  for (const Peer& p : list) {
+    if (next.size() >= static_cast<size_t>(options_.successor_list_len)) break;
+    if (!p.valid() || p.addr == self) continue;
+    bool dup = false;
+    for (const Peer& q : next) dup = dup || q.addr == p.addr;
+    if (!dup) next.push_back(p);
   }
+  bool same = next.size() == succs_.size();
+  for (size_t i = 0; same && i < next.size(); ++i)
+    same = next[i].addr == succs_[i].addr && next[i].id == succs_[i].id;
+  if (same) return;
+  succs_ = std::move(next);
+  NoteRingChange();
 }
 
 void ChordProtocol::RemovePeer(const NetAddress& addr) {
-  succs_.erase(std::remove_if(succs_.begin(), succs_.end(),
-                              [&](const Peer& p) { return p.addr == addr; }),
-               succs_.end());
+  auto gone = std::remove_if(succs_.begin(), succs_.end(),
+                             [&](const Peer& p) { return p.addr == addr; });
+  bool removed = gone != succs_.end();
+  succs_.erase(gone, succs_.end());
   for (auto& f : fingers_) {
-    if (f.addr == addr) f = Peer{};
+    if (f.addr != addr) continue;
+    f = Peer{};
+    removed = true;
   }
-  if (pred_.addr == addr) pred_ = Peer{};
+  if (pred_.addr == addr) {
+    pred_ = Peer{};
+    removed = true;
+  }
+  if (removed) NoteRingChange();
 }
 
 void ChordProtocol::OnPeerUnreachable(const NetAddress& peer) { RemovePeer(peer); }
@@ -180,7 +232,10 @@ void ChordProtocol::ObserveContact(Id id, const NetAddress& addr) {
   Id start = me + (k == 63 ? (1ULL << 63) : (1ULL << k));
   if (!f.valid() || RingDistance(start, id) < RingDistance(start, f.id)) {
     // Only adopt if the contact's id is actually past the finger start.
-    if (InOpenClosed(me, id, start) || id == start) f = p;
+    if (InOpenClosed(me, id, start) || id == start) {
+      f = p;
+      NoteRingChange();
+    }
   }
   if (succs_.empty()) AdoptSuccessor(p);
 }
@@ -200,7 +255,11 @@ std::vector<NetAddress> ChordProtocol::SuccessorSet(size_t n) const {
 void ChordProtocol::SeedRoutingState(const std::vector<Peer>& ring) {
   started_ = true;
   ready_ = true;
+  host_->vri()->CancelEvent(timers_[kJoinRetryTimer]);
+  timers_[kJoinRetryTimer] = 0;
+  NoteRingChange();
   pred_ = Peer{};
+  pred_heard_ = host_->vri()->Now();
   succs_.clear();
   for (auto& f : fingers_) f = Peer{};
   if (ring.empty()) return;
@@ -263,7 +322,7 @@ void ChordProtocol::SendRpc(
   for (int i = 0; i < 8; ++i) {
     payload[15 + i] = static_cast<char>((nonce >> (8 * i)) & 0xff);
   }
-  host_->SendProtocolMessage(to, std::move(payload), [this, nonce](const Status& s) {
+  Send(to, std::move(payload), [this, nonce](const Status& s) {
     if (!s.ok()) CompleteRpc(nonce, s, {});
   });
 }
@@ -285,6 +344,7 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
   uint8_t subtype;
   if (!GetPeer(&r, &sender).ok() || !r.GetU8(&subtype).ok()) return;
   sender.addr = from;  // trust the transport's source address
+  if (pred_.valid() && from == pred_.addr) pred_heard_ = host_->vri()->Now();
   ObserveContact(sender.id, sender.addr);
 
   uint64_t nonce = 0;
@@ -315,11 +375,12 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
       w.PutU64(nonce);
       w.PutU8(done ? 1 : 0);
       PutPeer(&w, answer);
-      host_->SendProtocolMessage(from, std::move(w).data(), nullptr);
+      Send(from, std::move(w).data(), nullptr);
       return;
     }
     case kFindSuccResp:
     case kGetNbrsResp:
+    case kPong:
       CompleteRpc(nonce, Status::Ok(), payload.substr(15 + 8));
       return;
     case kGetNbrs: {
@@ -330,18 +391,25 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
       PutPeer(&w, pred_);
       w.PutU8(static_cast<uint8_t>(succs_.size()));
       for (const Peer& s : succs_) PutPeer(&w, s);
-      host_->SendProtocolMessage(from, std::move(w).data(), nullptr);
+      Send(from, std::move(w).data(), nullptr);
       return;
     }
     case kNotify: {
       if (!pred_.valid() || InOpenOpen(pred_.id, host_->local_id(), sender.id)) {
         pred_ = sender;
+        pred_heard_ = host_->vri()->Now();
+        NoteRingChange();
       }
       if (succs_.empty()) AdoptSuccessor(sender);  // two-node bootstrap
       return;
     }
-    case kPing:
-      return;  // the transport-level ack is the answer
+    case kPing: {
+      WireWriter w;
+      w.PutRaw(EncodeHeader(kPong));
+      w.PutU64(nonce);
+      Send(from, std::move(w).data(), nullptr);
+      return;
+    }
     default:
       return;
   }
@@ -354,15 +422,14 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
 void ChordProtocol::Stabilize() {
   if (succs_.empty()) return;
   Peer succ0 = succs_.front();
-  WireWriter w;
-  w.PutRaw(EncodeHeader(kGetNbrs));
-  w.PutU64(0);  // nonce placeholder
-  SendRpc(succ0.addr, std::move(w).data(),
+  SendRpc(succ0.addr, Frame(kGetNbrs),
           [this, succ0](const Status& s, std::string_view body) {
             if (!s.ok()) {
               RemovePeer(succ0.addr);
               return;
             }
+            // A failure since the request moved the list on: stale reply.
+            if (succs_.empty() || succs_.front().addr != succ0.addr) return;
             WireReader r(body);
             uint8_t has_pred = 0, count = 0;
             Peer pred;
@@ -370,47 +437,76 @@ void ChordProtocol::Stabilize() {
                 !r.GetU8(&count).ok())
               return;
             Id me = host_->local_id();
-            if (has_pred && pred.valid() && pred.addr != host_->local_address() &&
+            bool names_me = has_pred && pred.addr == host_->local_address();
+            // Chord's successor-list rule: the list is rebuilt from succ0
+            // and what succ0 lists, so an entry no successor vouches for any
+            // more ages out instead of lingering. Only succ0's predecessor
+            // may sit between us and succ0; a listed node there has wrapped
+            // the whole ring (or is a dead node's last trace).
+            std::vector<Peer> list{succ0};
+            if (has_pred && pred.valid() && !names_me &&
                 InOpenOpen(me, succ0.id, pred.id)) {
-              AdoptSuccessor(pred);
+              list.push_back(pred);
             }
             for (int i = 0; i < count; ++i) {
               Peer p;
               if (!GetPeer(&r, &p).ok()) break;
-              if (p.valid() && p.addr != host_->local_address()) AdoptSuccessor(p);
+              if (!InOpenOpen(me, succ0.id, p.id)) list.push_back(p);
             }
-            if (!succs_.empty()) Notify(succs_.front());
+            SetSuccessors(std::move(list));
+            // A successor that already names us as its predecessor needs no
+            // Notify; a new successor, or one that lost us, does.
+            if (!succs_.empty() &&
+                !(names_me && succs_.front().addr == succ0.addr)) {
+              Notify(succs_.front());
+            }
           });
 }
 
 void ChordProtocol::Notify(const Peer& peer) {
-  WireWriter w;
-  w.PutRaw(EncodeHeader(kNotify));
-  w.PutU64(0);  // unused nonce slot keeps the frame layout uniform
-  host_->SendProtocolMessage(peer.addr, std::move(w).data(), nullptr);
+  counters_.notifies_sent++;
+  // The unused nonce slot keeps the frame layout uniform.
+  Send(peer.addr, Frame(kNotify), nullptr);
 }
 
 void ChordProtocol::CheckPredecessor() {
   if (!pred_.valid()) return;
+  // The predecessor's own stabilize reaches us every stabilize_period, so
+  // any frame from it within the last period is proof of life.
+  if (host_->vri()->Now() - pred_heard_ < options_.check_pred_period) return;
   NetAddress addr = pred_.addr;
-  WireWriter w;
-  w.PutRaw(EncodeHeader(kPing));
-  w.PutU64(0);
-  host_->SendProtocolMessage(addr, std::move(w).data(), [this, addr](const Status& s) {
-    if (!s.ok() && pred_.addr == addr) pred_ = Peer{};
+  counters_.pings_sent++;
+  SendRpc(addr, Frame(kPing), [this, addr](const Status& s, std::string_view) {
+    if (pred_.addr != addr) return;
+    if (s.ok()) {
+      pred_heard_ = host_->vri()->Now();
+      return;
+    }
+    // No pong within rpc_timeout (or the frame was undeliverable).
+    pred_ = Peer{};
+    NoteRingChange();
   });
 }
 
 void ChordProtocol::FixNextFinger() {
+  counters_.finger_ticks++;
   if (succs_.empty()) return;
   int k = next_finger_;
   next_finger_ = (next_finger_ + 1) % 64;
   Id start = host_->local_id() + (k == 63 ? (1ULL << 63) : (1ULL << k));
   ResolveSuccessor(start, NetAddress{}, [this, k](const Result<Peer>& result) {
-    if (result.ok() && result.value().valid() &&
-        result.value().addr != host_->local_address()) {
-      fingers_[k] = result.value();
+    if (!result.ok() || !result.value().valid()) return;
+    // A finger that resolves to this node is empty, as when seeded.
+    Peer found = result.value().addr == host_->local_address() ? Peer{}
+                                                               : result.value();
+    if (found.addr == fingers_[k].addr) {
+      // The table held still: back off, up to the cap.
+      finger_period_ = std::min(finger_period_ * 2,
+                                kFingerBackoffCap * options_.fix_finger_period);
+      return;
     }
+    fingers_[k] = found;
+    NoteRingChange();
   });
 }
 
@@ -462,8 +558,7 @@ void ChordProtocol::ResolveSuccessor(Id target, const NetAddress& via,
       return;
     }
     WireWriter w;
-    w.PutRaw(self->EncodeHeader(kFindSucc));
-    w.PutU64(0);  // nonce placeholder
+    w.PutRaw(self->Frame(kFindSucc));
     w.PutU64(state->target);
     self->SendRpc(ask, std::move(w).data(),
                   [state, step, ask](const Status& s, std::string_view body) {

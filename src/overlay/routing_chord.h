@@ -1,10 +1,24 @@
 // Chord routing protocol (Stoica et al., SIGCOMM 2001) behind PIER's
 // RoutingProtocol seam.
 //
-// Successor-list + finger-table routing on the 2^64 ring. Maintenance follows
-// the Chord paper: periodic stabilize (reconcile successor/predecessor),
-// round-robin finger repair, and predecessor liveness checks. Joins resolve
-// the newcomer's successor iteratively through any bootstrap node.
+// Successor-list + finger-table routing on the 2^64 ring. Joins resolve the
+// newcomer's successor iteratively through any bootstrap node; a node that
+// is ready (joined, or warm-started by SeedRoutingState) never joins again.
+//
+// Maintenance costs what the ring changes, not a fixed rate per loop
+// (README.md, "Maintenance"):
+//   * stabilize (every stabilize_period) asks the successor for its
+//     neighbours, rebuilds the successor list from the reply (so a dead
+//     node ages out of every list), and sends Notify only when the reply
+//     does not already name this node as the successor's predecessor;
+//   * check-predecessor (every check_pred_period) counts any frame from the
+//     predecessor within the last period as liveness — its own stabilize
+//     arrives every stabilize_period — and otherwise pings it, dropping it
+//     when the ping gets no pong within rpc_timeout;
+//   * fix-finger repairs one finger per tick; the tick's period doubles
+//     while resolves return the finger already held, up to
+//     kFingerBackoffCap x fix_finger_period, and snaps back to
+//     fix_finger_period on any local ring change.
 //
 // Distribution trees built over Chord routing are (roughly) binomial — the
 // shape claim of the paper's footnote 6, reproduced by bench_dissemination.
@@ -78,6 +92,22 @@ class ChordProtocol : public RoutingProtocol {
   const Peer& predecessor() const { return pred_; }
   const std::vector<Peer>& successors() const { return succs_; }
 
+  /// Largest multiple of fix_finger_period the finger loop backs off to.
+  static constexpr int kFingerBackoffCap = 32;
+  /// The fix-finger loop's current period.
+  TimeUs finger_period() const { return finger_period_; }
+
+  /// What this node's maintenance has sent (tests read these; they are not
+  /// exported as metrics).
+  struct Counters {
+    uint64_t frames_sent = 0;    // every Chord frame, requests and replies
+    uint64_t join_resolves = 0;  // join attempts through the bootstrap
+    uint64_t notifies_sent = 0;
+    uint64_t pings_sent = 0;
+    uint64_t finger_ticks = 0;  // fix-finger loop runs
+  };
+  const Counters& counters() const { return counters_; }
+
  private:
   // Sub-message types.
   static constexpr uint8_t kFindSucc = 1;
@@ -86,6 +116,13 @@ class ChordProtocol : public RoutingProtocol {
   static constexpr uint8_t kGetNbrsResp = 4;
   static constexpr uint8_t kNotify = 5;
   static constexpr uint8_t kPing = 6;
+  static constexpr uint8_t kPong = 7;
+
+  // Slots of timers_.
+  static constexpr size_t kStabilizeTimer = 0;
+  static constexpr size_t kFingerTimer = 1;
+  static constexpr size_t kCheckPredTimer = 2;
+  static constexpr size_t kJoinRetryTimer = 3;
 
   struct PendingRpc {
     std::function<void(const Status&, std::string_view)> cb;
@@ -99,7 +136,20 @@ class ChordProtocol : public RoutingProtocol {
   void CheckPredecessor();
   void Notify(const Peer& peer);
   void AdoptSuccessor(const Peer& peer);
+  /// Replace the successor list with `list`, ordered by ring distance,
+  /// without self or duplicates, cut to successor_list_len.
+  void SetSuccessors(std::vector<Peer> list);
   void RemovePeer(const NetAddress& addr);
+  /// The local view of the ring moved: the finger loop returns to its base
+  /// period at once.
+  void NoteRingChange();
+  /// `period` ± 25%, uniformly: ticks of many nodes do not align.
+  TimeUs Jittered(TimeUs period) const;
+  /// Every Chord frame leaves through here (counted in frames_sent).
+  void Send(const NetAddress& to, std::string payload,
+            std::function<void(const Status&)> on_delivery);
+  /// Header (with `subtype`) and a zero nonce slot, which SendRpc fills.
+  std::string Frame(uint8_t subtype) const;
   void SendRpc(const NetAddress& to, std::string payload,
                std::function<void(const Status&, std::string_view)> cb);
   void CompleteRpc(uint64_t nonce, const Status& status, std::string_view body);
@@ -111,16 +161,20 @@ class ChordProtocol : public RoutingProtocol {
   bool ready_ = false;
   bool started_ = false;
   Peer pred_;
+  /// Last time any frame from pred_ arrived (or pred_ was set).
+  TimeUs pred_heard_ = 0;
   std::vector<Peer> succs_;
   std::array<Peer, 64> fingers_;
   int next_finger_ = 0;
   uint64_t next_nonce_ = 1;
   bool maintenance_scheduled_ = false;
+  TimeUs finger_period_;
   std::unordered_map<uint64_t, PendingRpc> pending_;
-  std::vector<uint64_t> timers_;
+  std::array<uint64_t, 4> timers_{};
   /// Repeating maintenance ticks; scheduled events copy from here so the
   /// closures never strongly capture their own function objects.
-  std::vector<std::function<void()>> maintenance_;
+  std::array<std::function<void()>, 3> maintenance_;
+  Counters counters_;
 };
 
 }  // namespace pier

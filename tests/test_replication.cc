@@ -346,7 +346,8 @@ TEST(Replication, ReplicaCopiesExpireOnTheOriginClock) {
   // stored_at, instead of granting a fresh local lifetime.
   om->PutReplica(ObjectName{"ex", "k", "s"}, "v", /*remaining=*/3 * kSecond,
                  /*age=*/50 * kSecond, /*replica_index=*/1,
-                 /*desired_replicas=*/3, /*owner_id=*/7);
+                 /*desired_replicas=*/3, /*owner_id=*/7,
+                 /*client_write=*/false);
   auto items = om->Get("ex", "k");
   ASSERT_EQ(items.size(), 1u);
   EXPECT_EQ(items[0]->stored_at, now - 50 * kSecond);
@@ -358,7 +359,7 @@ TEST(Replication, ReplicaCopiesExpireOnTheOriginClock) {
 
   // An already-expired origin copy is never stored.
   om->PutReplica(ObjectName{"ex", "k2", "s"}, "v", /*remaining=*/0,
-                 /*age=*/10 * kSecond, 1, 3, 7);
+                 /*age=*/10 * kSecond, 1, 3, 7, /*client_write=*/false);
   EXPECT_TRUE(om->Get("ex", "k2").empty());
 }
 
@@ -399,6 +400,52 @@ TEST(Replication, ChurnFreeAggregatesMatchBetweenK3AndK1) {
   int64_t k3 = RunCountingSnapshot(3, 101);
   EXPECT_EQ(k1, 40) << "k = 1 baseline miscounted";
   EXPECT_EQ(k3, k1) << "replication changed a churn-free aggregate";
+}
+
+// A snapshot scan still subscribed when its owner dies must not see the
+// dead owner's rows again: promotion and the handoff pull move objects that
+// were already answered, so neither fires newData.
+TEST(Replication, ScanStraddlingAnOwnerKillReturnsEveryRowExactlyOnce) {
+  constexpr int kRows = 80;
+  SimPier::Options opts;
+  opts.sim.seed = 37;
+  opts.dht.replication_factor = 3;
+  opts.seed_routing = true;
+  opts.settle_time = 4 * kSecond;
+  SimPier net(10, opts);
+  ASSERT_TRUE(
+      net.catalog()->Register(TableSpec("ev").PartitionBy({"id"})).ok());
+  for (int i = 0; i < kRows; ++i) {
+    Tuple e("ev");
+    e.Append("id", Value::Int64(i));
+    uint32_t publisher = static_cast<uint32_t>(i) % 10;
+    ASSERT_TRUE(net.client(publisher)->Publish("ev", e).ok());
+  }
+  net.RunFor(3 * kSecond);
+
+  auto q = net.client(0)->Query(Sql("SELECT * FROM ev TIMEOUT 40s"));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  size_t rows = 0;
+  std::set<int64_t> ids;
+  q->OnTuple([&](const Tuple& t) {
+    rows++;
+    ids.insert(t.Get("id")->int64_unchecked());
+  });
+  net.RunFor(500 * kMillisecond);
+  // The victim holds primaries (ids are spread over all ten nodes).
+  net.harness()->FailNode(9);
+  net.RunFor(30 * kSecond);  // detection, promotion and pulls, scan still open
+
+  uint64_t promotions = 0, pulls = 0;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    promotions += net.dht(i)->stats().promotions;
+    pulls += net.dht(i)->stats().handoff_pulls;
+  }
+  EXPECT_GE(promotions, 1u) << "the kill never moved ownership";
+  EXPECT_GE(pulls, 1u);
+  EXPECT_EQ(ids.size(), static_cast<size_t>(kRows));
+  EXPECT_EQ(rows, static_cast<size_t>(kRows))
+      << "a maintenance re-store re-emitted rows the dead owner answered";
 }
 
 // ---------------------------------------------------------------------------
