@@ -277,7 +277,7 @@ class Dht {
   }
 
  private:
-  // Direct message types (>= 16; below that is the router's).
+  // Direct message types (every layer's are tabled in src/overlay/README.md).
   static constexpr uint8_t kMsgRenewReq = 19;
   static constexpr uint8_t kMsgRenewResp = 20;
   static constexpr uint8_t kMsgPutBatch = 21;

@@ -9,8 +9,8 @@ namespace pier {
 
 namespace {
 // Direct-message type for tree fan-out traffic. Registered once per tree
-// name; trees derive distinct types from their name to avoid collisions with
-// the DHT's own types (which stop at 20).
+// name; trees derive distinct types from their name, in 200-239, clear of
+// every other layer's (the table is in src/overlay/README.md).
 uint8_t BcastTypeFor(const std::string& name) {
   return static_cast<uint8_t>(200 + (Fnv1a64(name) % 40));
 }

@@ -77,7 +77,7 @@ class ReplicationManager {
     uint64_t idle_repair_ticks = 0;  // passes that saw no ring/queue activity
   };
 
-  /// Direct message types (registered with the router; the Dht owns 16..21).
+  /// Direct message types (every layer's are tabled in src/overlay/README.md).
   static constexpr uint8_t kMsgReplicate = 22;
   static constexpr uint8_t kMsgReplPull = 23;
 

@@ -194,7 +194,8 @@ class OverlayRouter : public ProtocolHost {
   NetAddress local_address() const override { return local_address_; }
 
  private:
-  // Reserved direct-message type bytes.
+  // Reserved direct-message type bytes (every layer's are tabled in
+  // src/overlay/README.md).
   static constexpr uint8_t kMsgProto = 1;
   static constexpr uint8_t kMsgRoute = 2;
   static constexpr uint8_t kMsgLookupReq = 3;

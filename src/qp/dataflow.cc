@@ -6,6 +6,36 @@
 
 namespace pier {
 
+void QueryMeter::EncodeTo(WireWriter* w) const {
+  w->PutU8(1);  // cost-block marker
+  w->PutVarint(costs_.size());
+  for (const auto& [key, cost] : costs_) {
+    w->PutU32(key.first);
+    w->PutU32(key.second);
+    w->PutVarint(cost.tuples_in);
+    w->PutVarint(cost.tuples_out);
+    w->PutVarint(cost.msgs);
+    w->PutVarint(cost.bytes);
+  }
+}
+
+bool QueryMeter::DecodeSnapshot(WireReader* r, std::map<Key, OpCost>* out) {
+  uint8_t marker = 0;
+  if (r->AtEnd() || !r->GetU8(&marker).ok() || marker != 1) return false;
+  uint64_t n = 0;
+  if (!r->GetVarint(&n).ok() || n > 4096) return false;
+  for (uint64_t i = 0; i < n; ++i) {
+    uint32_t graph_id = 0, op_id = 0;
+    OpCost c;
+    if (!r->GetU32(&graph_id).ok() || !r->GetU32(&op_id).ok() ||
+        !r->GetVarint(&c.tuples_in).ok() || !r->GetVarint(&c.tuples_out).ok() ||
+        !r->GetVarint(&c.msgs).ok() || !r->GetVarint(&c.bytes).ok())
+      return false;
+    (*out)[{graph_id, op_id}] = c;
+  }
+  return true;
+}
+
 /// Everything an operator acquired through the base helpers. Close releases
 /// it all; the record itself lives until the operator is destroyed, so a
 /// callback already on the stack when Close runs never loses its closure.

@@ -10,7 +10,7 @@
 // operators with reordered nested probes can match data to stored state.
 //
 // Blocking state (group-by, top-k, Bloom build) is emitted on Flush(), which
-// the executor drives (QueryExecutor::ArmInstanceFlush): a snapshot graph of
+// the executor drives (QueryExecutor::ArmStageFlush): a snapshot graph of
 // flush stage s flushes once, at start + (s+1)·step, where step is the plan's
 // flush_after or else timeout/4 — so stage-0 partials land before stage-1
 // finals flush; continuous graphs flush once per window. There are no EOFs,
@@ -68,7 +68,7 @@ struct OpCost {
 /// created on first touch and their addresses are stable thereafter, so
 /// operators resolve their slot once at Init and pay a plain-field increment
 /// per event. Slot (0, 0) is reserved for the answer-forwarding pseudo-op
-/// (metered by the QueryProcessor, where local vs wire delivery is known).
+/// (metered by the QueryExecutor, where local vs wire delivery is known).
 class QueryMeter {
  public:
   using Key = std::pair<uint32_t, uint32_t>;  // (graph_id, op_id)
@@ -94,6 +94,14 @@ class QueryMeter {
   /// flush ships the final snapshot regardless — skipping frames costs
   /// mid-query freshness, never accuracy of the final report.
   bool ShouldPiggyback() { return (piggyback_tick_++ % 16) == 0; }
+
+  /// The cost block executors append to answer and teardown frames: an
+  /// absolute snapshot of every slot, so a receiver replaces the sender's
+  /// previous one and a lost or reordered frame never double counts.
+  void EncodeTo(WireWriter* w) const;
+  /// Decode a cost block; false (and nothing usable) when the frame carries
+  /// none or it is truncated.
+  static bool DecodeSnapshot(WireReader* r, std::map<Key, OpCost>* out);
 
  private:
   std::map<Key, OpCost> costs_;  // node-local, single event thread: no lock
@@ -129,7 +137,7 @@ class ExecContext {
   QueryMeter* meter = nullptr;
 
   /// Forward a batch of answers to the proxy in one frame (wired up by the
-  /// QueryProcessor).
+  /// QueryExecutor).
   std::function<void(const TupleBatch&)> emit_result;
 
   /// Ask the executor to stop this query locally (e.g. LIMIT satisfied).

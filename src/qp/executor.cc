@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
+#include "qp/query_processor.h"
 #include "util/logging.h"
 
 namespace pier {
@@ -75,16 +76,32 @@ Operator* OpGraphInstance::FindOp(uint32_t op_id) {
   return it != by_id_.end() ? it->second : nullptr;
 }
 
-QueryExecutor::QueryExecutor(Vri* vri, Dht* dht) : vri_(vri), dht_(dht) {}
+QueryExecutor::QueryExecutor(Vri* vri, Dht* dht, QueryProcessor* proxy)
+    : vri_(vri), dht_(dht), proxy_(proxy) {
+  dht_->router()->RegisterDirectType(
+      kMsgLeaseProbeResp, [this](const NetAddress& from,
+                                 std::string_view body) {
+        WireReader r(body);
+        uint64_t qid;
+        uint8_t proxying;
+        if (!r.GetU64(&qid).ok() || !r.GetU8(&proxying).ok()) return;
+        ResolveProbe(qid, from,
+                     proxying ? ProbeVerdict::kProxying
+                              : ProbeVerdict::kNotProxying);
+      });
+}
 
 QueryExecutor::~QueryExecutor() {
-  for (auto& [qid, rq] : queries_) {
-    for (uint64_t t : rq.flush_timers) vri_->CancelEvent(t);
-    if (rq.window_timer) vri_->CancelEvent(rq.window_timer);
-    if (rq.close_timer) vri_->CancelEvent(rq.close_timer);
-    if (rq.lease_timer) vri_->CancelEvent(rq.lease_timer);
-    for (auto& inst : rq.instances) inst->Close();
+  for (auto& [qid, rq] : queries_) Release(&rq);
+}
+
+void QueryExecutor::Release(RunningQuery* rq) {
+  for (uint64_t t : rq->one_shots) vri_->CancelEvent(t);
+  for (uint64_t t : {rq->close_timer, rq->window_timer, rq->lease_timer,
+                     rq->probe.timeout}) {
+    if (t) vri_->CancelEvent(t);
   }
+  for (auto& inst : rq->instances) inst->Close();
 }
 
 TimeUs QueryExecutor::EffectiveWindow(const QueryPlan& meta) {
@@ -140,16 +157,12 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     // point-to-point. The fetched plan arrives as an ordinary higher-
     // generation dissemination WITH graphs and swaps normally.
     if (meta.proxy_epoch >= rq.meta.proxy_epoch) {
-      rq.meta.proxy = meta.proxy;
-      rq.meta.proxy_epoch = meta.proxy_epoch;
-      rq.meta.successors = meta.successors;
-      rq.meta.lease_period_us = meta.lease_period_us;
       rq.meta.window = meta.window;
-      rq.forward_failures = 0;
-      rq.stray_answers = 0;
-      RefreshLease(&rq);
+      FollowProxy(&rq, meta);
     }
-    if (plan_fetcher_) plan_fetcher_(meta.query_id, meta.proxy);
+    WireWriter w = OverlayRouter::FrameMessage(kMsgPlanFetch);
+    w.PutU64(meta.query_id);
+    dht_->router()->SendFramed(meta.proxy, std::move(w).data());
     return Status::Ok();
   } else if (meta.generation > rq.generation) {
     // Plan swap: the old instances emit their current window's blocking
@@ -161,8 +174,6 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     for (auto& inst : rq.instances) inst->Flush();
     for (auto& inst : rq.instances) inst->Close();
     rq.instances.clear();
-    for (uint64_t t : rq.flush_timers) vri_->CancelEvent(t);
-    rq.flush_timers.clear();
     rq.generation = meta.generation;
     TimeUs timeout = rq.meta.timeout;  // lifetime fixed at submission
     rq.meta = meta;
@@ -176,14 +187,9 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     if (had_instances)
       rq.meta.catchup_floor_us =
           std::max(rq.meta.catchup_floor_us, vri_->Now());
-    rq.forward_failures = 0;
-    rq.stray_answers = 0;
-    RefreshLease(&rq);
-    // The repeating window tick re-reads the window at each boundary, so an
-    // already-armed timer needs no rearming; a query that only now became
-    // continuous does.
-    if (rq.meta.continuous && rq.window_timer == 0) ArmWindowTimer(&rq);
-    if (rq.meta.continuous && rq.lease_timer == 0) ArmLeaseTimer(&rq);
+    FollowProxy(&rq, meta);
+    // A query that only now became continuous starts its ticks.
+    ArmTicks(&rq);
   } else if (meta.generation == rq.generation) {
     // Same-generation refresh: adopt a changed window (rewindowing); it
     // takes effect at the next window boundary.
@@ -195,13 +201,7 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     if (meta.proxy_epoch > rq.meta.proxy_epoch ||
         (meta.proxy_epoch == rq.meta.proxy_epoch &&
          meta.proxy == rq.meta.proxy)) {
-      rq.meta.proxy = meta.proxy;
-      rq.meta.proxy_epoch = meta.proxy_epoch;
-      rq.meta.successors = meta.successors;
-      rq.meta.lease_period_us = meta.lease_period_us;
-      rq.forward_failures = 0;
-      rq.stray_answers = 0;
-      RefreshLease(&rq);
+      FollowProxy(&rq, meta);
     }
   } else {
     return Status::Ok();  // stale re-dissemination of a superseded generation
@@ -239,10 +239,7 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     // successor and every already-running instance follows without a
     // re-instantiation.
     cx.emit_result = [this, qid](const TupleBatch& b) {
-      if (!answer_sink_) return;
-      auto qit = queries_.find(qid);
-      if (qit == queries_.end()) return;  // racing teardown: drop
-      answer_sink_(qid, qit->second.meta.proxy, b);
+      ForwardAnswers(qid, b);
     };
     cx.request_stop = [this, qid]() { StopQuery(qid); };
     cx.observe_publish = publish_observer_;
@@ -255,9 +252,8 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
       continue;  // a bad graph must not take down the node
     }
     inst->Start();
-    OpGraphInstance* raw = inst.get();
     rq.instances.push_back(std::move(inst));
-    if (!meta.continuous) ArmInstanceFlush(&rq, raw, g.flush_stage);
+    if (!meta.continuous) ArmStageFlush(&rq, g.id, g.flush_stage);
   }
   return Status::Ok();
 }
@@ -272,126 +268,134 @@ void QueryExecutor::ArmQueryTimers(RunningQuery* rq) {
   if (rq->meta.deadline_us > 0)
     delay = std::max<TimeUs>(0, rq->meta.deadline_us - vri_->Now());
   rq->close_timer = vri_->ScheduleEvent(delay, [this, qid]() { DoStop(qid); });
-  if (rq->meta.continuous) {
-    ArmWindowTimer(rq);
-    ArmLeaseTimer(rq);
+  ArmTicks(rq);
+}
+
+void QueryExecutor::ArmTicks(RunningQuery* rq) {
+  // Window flushes repeat until the close timer wins; the proxy-liveness
+  // check repeats every lease/4. Both periods are re-read from the metadata
+  // at every tick, so rewindowing (a StartGraphs refresh) or a swap's new
+  // lease takes effect at the next boundary without rearming anything.
+  if (!rq->meta.continuous) return;
+  uint64_t qid = rq->meta.query_id;
+  if (rq->window_timer == 0) {
+    rq->window_timer = vri_->ScheduleEvent(
+        EffectiveWindow(rq->meta), [this, qid]() { WindowTick(qid); });
+  }
+  if (rq->lease_timer == 0) {
+    rq->lease_timer = vri_->ScheduleEvent(
+        EffectiveLease(rq->meta) / 4, [this, qid]() { LeaseTick(qid); });
   }
 }
 
-void QueryExecutor::ArmWindowTimer(RunningQuery* rq) {
-  // Window flushes repeat until the close timer wins. The window length is
-  // re-read from the query's metadata at every boundary, so rewindowing a
-  // running query (StartGraphs metadata refresh) takes effect at the next
-  // tick without rearming anything.
-  uint64_t qid = rq->meta.query_id;
-  rq->window_tick = [this, qid]() {
-    auto it = queries_.find(qid);
-    if (it == queries_.end()) return;
-    for (auto& inst : it->second.instances) inst->Flush();
-    it->second.window_timer = vri_->ScheduleEvent(
-        EffectiveWindow(it->second.meta), it->second.window_tick);
-  };
-  rq->window_timer =
-      vri_->ScheduleEvent(EffectiveWindow(rq->meta), rq->window_tick);
+void QueryExecutor::WindowTick(uint64_t query_id) {
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) return;
+  for (auto& inst : it->second.instances) inst->Flush();
+  it->second.window_timer = 0;
+  ArmTicks(&it->second);
 }
 
 void QueryExecutor::RefreshLease(RunningQuery* rq) {
   rq->lease_expires = vri_->Now() + EffectiveLease(rq->meta);
 }
 
-void QueryExecutor::ArmLeaseTimer(RunningQuery* rq) {
-  // A repeating proxy-liveness check, re-reading the lease period from the
-  // query's metadata each tick (a swap can change it). The check is a no-op
-  // while this node IS the proxy — a proxy cannot orphan itself; its local
-  // teardown goes through CancelQuery.
-  uint64_t qid = rq->meta.query_id;
-  rq->lease_tick = [this, qid]() {
-    auto it = queries_.find(qid);
-    if (it == queries_.end()) return;
-    RunningQuery& q = it->second;
-    q.lease_timer = 0;
-    if (q.meta.continuous && !q.stopping && !q.probe_inflight &&
-        q.meta.proxy != dht_->local_address() && !q.meta.proxy.IsNull() &&
-        vri_->Now() >= q.lease_expires) {
-      OnLeaseExpired(&q);
-      if (queries_.count(qid) == 0) return;  // reaped (proberless path)
-    }
-    // Re-find: OnLeaseExpired may mutate the map (orphan reap, adoption).
-    auto again = queries_.find(qid);
-    if (again == queries_.end()) return;
-    again->second.lease_timer = vri_->ScheduleEvent(
-        std::max<TimeUs>(kMinLeasePeriod / 4,
-                         EffectiveLease(again->second.meta) / 4),
-        again->second.lease_tick);
-  };
-  rq->lease_timer = vri_->ScheduleEvent(EffectiveLease(rq->meta) / 4,
-                                        rq->lease_tick);
+void QueryExecutor::FollowProxy(RunningQuery* rq, const QueryPlan& meta) {
+  rq->meta.proxy = meta.proxy;
+  rq->meta.proxy_epoch = meta.proxy_epoch;
+  rq->meta.successors = meta.successors;
+  rq->meta.lease_period_us = meta.lease_period_us;
+  rq->forward_failures = 0;
+  rq->stray_answers = 0;
+  RefreshLease(rq);
 }
 
-void QueryExecutor::OnLeaseExpired(RunningQuery* rq) {
-  if (!proxy_prober_) {
-    FailoverStep(rq, "lease_expired", "proxy lease expired");
-    return;
+void QueryExecutor::LeaseTick(uint64_t query_id) {
+  // A no-op while this node IS the proxy — a proxy cannot orphan itself;
+  // its local teardown goes through CancelQuery.
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) return;
+  RunningQuery& q = it->second;
+  q.lease_timer = 0;
+  if (q.meta.continuous && !q.stopping && q.probe.timeout == 0 &&
+      q.meta.proxy != dht_->local_address() && !q.meta.proxy.IsNull() &&
+      vri_->Now() >= q.lease_expires) {
+    StartProbe(&q);
   }
+  // Re-find: a probe that fails synchronously may reap (or adopt).
+  it = queries_.find(query_id);
+  if (it != queries_.end()) ArmTicks(&it->second);
+}
+
+void QueryExecutor::StartProbe(RunningQuery* rq) {
   // The lease travels over the distribution tree, which is exactly what
   // churn breaks first — so corroborate point-to-point before declaring
-  // death. Verdicts are staled by the (epoch, target) they were sent under;
-  // a local timeout at lease/2 keeps a slow transport give-up from
-  // stretching detection.
+  // death. A local timeout at lease/2 keeps a slow transport give-up from
+  // stretching detection. Both are armed before the send: a transport that
+  // fails synchronously resolves kDead inline, and a chain-exhausted
+  // resolve reaps the query — erasing the entry rq points into.
   uint64_t qid = rq->meta.query_id;
   NetAddress target = rq->meta.proxy;
-  uint32_t epoch = rq->meta.proxy_epoch;
-  uint64_t seq = ++rq->probe_seq;
-  rq->probe_inflight = true;
-  auto resolve = [this, qid, target, epoch, seq](ProbeVerdict v) {
-    auto it = queries_.find(qid);
-    if (it == queries_.end()) return;
-    RunningQuery& q = it->second;
-    if (!q.probe_inflight || q.probe_seq != seq ||
-        q.meta.proxy_epoch != epoch || q.meta.proxy != target) {
-      return;  // stale verdict: the query moved on meanwhile
-    }
-    q.probe_inflight = false;
-    CountProbeVerdict(v);
-    switch (v) {
-      case ProbeVerdict::kProxying:
-        // The proxy is up and owns the query; the refresh channel just
-        // hasn't healed yet. Renew and keep listening.
-        q.probe_strikes = 0;
-        RefreshLease(&q);
-        break;
-      case ProbeVerdict::kNotProxying:
-        // Reachable, but it does not own the query: an un-adopted successor
-        // (give it one short grace re-probe — adoption may be mid-flight),
-        // or a proxy whose record ended on purpose (a missed cancel
-        // tombstone). Either way, renewing a full lease forever would park
-        // the walk on a node that will never answer.
-        if (++q.probe_strikes >= 2) {
-          q.probe_strikes = 0;
-          FailoverStep(&q, "not_proxying",
-                       "node is alive but does not own the query");
-        } else {
-          q.lease_expires = vri_->Now() + EffectiveLease(q.meta) / 2;
-        }
-        break;
-      case ProbeVerdict::kDead:
-        // A lost probe must not override fresher evidence: an answer-
-        // forward ACK may have renewed the lease while the probe was out.
-        if (vri_->Now() < q.lease_expires) return;
-        FailoverStep(&q, "probe_dead", "proxy lease expired and probe failed");
-        break;
-    }
-  };
-  // The timeout is armed BEFORE the prober runs and touches nothing via rq:
-  // a transport that fails synchronously makes the prober resolve kDead
-  // inline, and a chain-exhausted resolve reaps the query — erasing the map
-  // entry rq points into. Nothing may dereference rq after this call.
-  vri_->ScheduleEvent(EffectiveLease(rq->meta) / 2,
-                      [resolve]() { resolve(ProbeVerdict::kDead); });
-  proxy_prober_(qid, target, resolve);
+  rq->probe.target = target;
+  rq->probe.epoch = rq->meta.proxy_epoch;
+  rq->probe.timeout =
+      vri_->ScheduleEvent(EffectiveLease(rq->meta) / 2, [this, qid, target]() {
+        ResolveProbe(qid, target, ProbeVerdict::kDead);
+      });
+  WireWriter w = OverlayRouter::FrameMessage(kMsgLeaseProbe);
+  w.PutU64(qid);
+  dht_->router()->SendFramed(
+      target, std::move(w).data(), [this, qid, target](const Status& s) {
+        if (!s.ok()) ResolveProbe(qid, target, ProbeVerdict::kDead);
+      });
 }
 
-bool QueryExecutor::FailoverStep(RunningQuery* rq, const char* tag,
+void QueryExecutor::ResolveProbe(uint64_t query_id, const NetAddress& from,
+                                 ProbeVerdict v) {
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) return;
+  RunningQuery& q = it->second;
+  // Only the outstanding probe's target may resolve it, and only while the
+  // query still targets it under the same epoch: a straggler verdict about
+  // an earlier target, or one the query moved past meanwhile, is stale.
+  if (q.probe.timeout == 0 || q.probe.target != from ||
+      q.meta.proxy_epoch != q.probe.epoch || q.meta.proxy != from) {
+    return;
+  }
+  vri_->CancelEvent(q.probe.timeout);  // a no-op when it is what fired
+  q.probe.timeout = 0;
+  CountProbeVerdict(v);
+  switch (v) {
+    case ProbeVerdict::kProxying:
+      // The proxy is up and owns the query; the refresh channel just
+      // hasn't healed yet. Renew and keep listening.
+      q.probe_strikes = 0;
+      RefreshLease(&q);
+      break;
+    case ProbeVerdict::kNotProxying:
+      // Reachable, but it does not own the query: an un-adopted successor
+      // (give it one short grace re-probe — adoption may be mid-flight),
+      // or a proxy whose record ended on purpose (a missed cancel
+      // tombstone). Either way, renewing a full lease forever would park
+      // the walk on a node that will never answer.
+      if (++q.probe_strikes >= 2) {
+        q.probe_strikes = 0;
+        FailoverStep(&q, "not_proxying",
+                     "node is alive but does not own the query");
+      } else {
+        q.lease_expires = vri_->Now() + EffectiveLease(q.meta) / 2;
+      }
+      break;
+    case ProbeVerdict::kDead:
+      // A lost probe must not override fresher evidence: an answer-
+      // forward ACK may have renewed the lease while the probe was out.
+      if (vri_->Now() < q.lease_expires) return;
+      FailoverStep(&q, "probe_dead", "proxy lease expired and probe failed");
+      break;
+  }
+}
+
+void QueryExecutor::FailoverStep(RunningQuery* rq, const char* tag,
                                  const std::string& reason) {
   uint64_t qid = rq->meta.query_id;
   uint32_t next = rq->meta.proxy_epoch;  // index of the next successor
@@ -405,7 +409,7 @@ bool QueryExecutor::FailoverStep(RunningQuery* rq, const char* tag,
         std::to_string(qid);
     PIER_LOG(kInfo) << "reaping orphaned query " << qid << ": " << reason;
     DoStop(qid);
-    return false;
+    return;
   }
   rq->meta.proxy = rq->meta.successors[next];
   rq->meta.proxy_epoch = next + 1;
@@ -418,33 +422,79 @@ bool QueryExecutor::FailoverStep(RunningQuery* rq, const char* tag,
   PIER_LOG(kInfo) << "query " << qid << " proxy failover (" << reason
                   << "): answers now target " << rq->meta.proxy.ToString()
                   << " (epoch " << rq->meta.proxy_epoch << ")";
-  if (rq->meta.proxy == dht_->local_address() && adopt_handler_) {
-    // This node is next in line: adopt the proxy role. The handler runs
+  if (rq->meta.proxy == dht_->local_address()) {
+    // This node is next in line: adopt the proxy role. AdoptQuery runs
     // synchronously (it creates the proxy-side record and re-broadcasts the
     // announcement); it may re-enter StartGraphs, which only mutates fields
     // of this std::map entry — rq stays valid.
-    adopt_handler_(rq->meta);
+    proxy_->AdoptQuery(rq->meta);
   }
-  return true;
 }
 
-void QueryExecutor::NoteAnswerForwardFailure(uint64_t query_id,
-                                             const NetAddress& target) {
+void QueryExecutor::ForwardAnswers(uint64_t query_id, const TupleBatch& batch) {
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) return;  // racing teardown: drop
+  const size_t n = batch.num_rows();
+  if (n == 0) return;
+  RunningQuery& rq = it->second;
+  // Every row is charged to the answer pseudo-op; the wire only when the
+  // answers cross it.
+  OpCost* slot = rq.answer_cost;
+  if (slot != nullptr) {
+    slot->tuples_in += n;
+    slot->tuples_out += n;
+  }
+  const NetAddress proxy = rq.meta.proxy;
+  if (proxy == dht_->local_address() || proxy.IsNull()) {
+    proxy_->DeliverBatch(query_id, batch);
+    return;
+  }
+  stats_.answers_forwarded += n;
+  // Framed once, moved down: answer frames are the hottest steady-state
+  // message of a running query (no re-framing copy in SendDirect).
+  WireWriter w = OverlayRouter::FrameMessage(kMsgAnswerBatch);
+  w.PutU64(query_id);
+  batch.EncodeTo(&w);
+  // The wire is charged with the real frame size BEFORE the cost block is
+  // appended, so the block's own answer-slot snapshot includes this very
+  // frame — the proxy's aggregate then matches independently counted wire
+  // traffic exactly (E16).
+  if (slot != nullptr) {
+    slot->msgs++;
+    slot->bytes += w.size();
+  }
+  if (answer_bytes_metric_ != nullptr)
+    answer_bytes_metric_->Observe(static_cast<double>(w.size()));
+  if (rq.meter && rq.meter->ShouldPiggyback()) rq.meter->EncodeTo(&w);
+  // A transport give-up on the proxy is the fast half of proxy-death
+  // detection (the lease is the slow half); an ACK is live proof.
+  dht_->router()->SendFramed(
+      proxy, std::move(w).data(), [this, query_id, proxy](const Status& s) {
+        OnForwardDelivery(query_id, proxy, s);
+      });
+}
+
+void QueryExecutor::OnForwardDelivery(uint64_t query_id,
+                                      const NetAddress& target,
+                                      const Status& s) {
   auto it = queries_.find(query_id);
   if (it == queries_.end()) return;
   RunningQuery& rq = it->second;
+  if (s.ok()) {
+    if (!rq.meta.continuous || target != rq.meta.proxy) return;
+    rq.forward_failures = 0;
+    RefreshLease(&rq);
+    return;
+  }
   stats_.forward_failures++;
-  // Only failures against the CURRENT proxy count: give-ups on a proxy this
-  // query already failed away from are stale news.
   if (!rq.meta.continuous || rq.stopping || target != rq.meta.proxy) return;
   if (++rq.forward_failures < kForwardFailuresBeforeFailover) return;
   // Deferred: a synchronously-failing transport reports from inside the
   // send call, which can sit under an operator's Flush — and a failover
   // that reaps the query would close that operator mid-emission. The event
   // re-checks that the failed target is still the proxy (a refresh or an
-  // earlier step may have moved it meanwhile). The token rides in
-  // flush_timers so stop/teardown cancels it with the rest.
-  rq.flush_timers.push_back(
+  // earlier step may have moved it meanwhile).
+  rq.one_shots.push_back(
       vri_->ScheduleEvent(0, [this, query_id, target]() {
         auto qit = queries_.find(query_id);
         if (qit == queries_.end()) return;
@@ -453,16 +503,6 @@ void QueryExecutor::NoteAnswerForwardFailure(uint64_t query_id,
         if (q.forward_failures < kForwardFailuresBeforeFailover) return;
         FailoverStep(&q, "forward_failed", "answer forwarding failed");
       }));
-}
-
-void QueryExecutor::NoteAnswerForwardSuccess(uint64_t query_id,
-                                             const NetAddress& target) {
-  auto it = queries_.find(query_id);
-  if (it == queries_.end()) return;
-  RunningQuery& rq = it->second;
-  if (!rq.meta.continuous || target != rq.meta.proxy) return;
-  rq.forward_failures = 0;
-  RefreshLease(&rq);
 }
 
 void QueryExecutor::NoteStrayAnswer(uint64_t query_id) {
@@ -487,8 +527,8 @@ void QueryExecutor::NoteStrayAnswer(uint64_t query_id) {
   }
 }
 
-void QueryExecutor::ArmInstanceFlush(RunningQuery* rq, OpGraphInstance* inst,
-                                     int32_t stage) {
+void QueryExecutor::ArmStageFlush(RunningQuery* rq, uint32_t graph_id,
+                                  int32_t stage) {
   // Each later flush stage waits one more step, so state flows through
   // multi-graph pipelines: stage 0 partials arrive before stage 1 finals
   // flush, which arrive before the stage 2 top-k flushes.
@@ -497,11 +537,14 @@ void QueryExecutor::ArmInstanceFlush(RunningQuery* rq, OpGraphInstance* inst,
   TimeUs when = rq->start_time + step * (stage + 1);
   TimeUs delay = std::max<TimeUs>(0, when - vri_->Now());
   uint64_t qid = rq->meta.query_id;
-  rq->flush_timers.push_back(vri_->ScheduleEvent(delay, [this, qid, inst]() {
-    // The instance pointer stays valid while the query is registered.
-    if (!queries_.count(qid)) return;
-    inst->Flush();
-  }));
+  rq->one_shots.push_back(
+      vri_->ScheduleEvent(delay, [this, qid, graph_id]() {
+        auto it = queries_.find(qid);
+        if (it == queries_.end()) return;
+        for (auto& inst : it->second.instances) {
+          if (inst->graph_id() == graph_id) inst->Flush();
+        }
+      }));
 }
 
 void QueryExecutor::StopQuery(uint64_t query_id) {
@@ -509,10 +552,7 @@ void QueryExecutor::StopQuery(uint64_t query_id) {
   if (it == queries_.end() || it->second.stopping) return;
   it->second.stopping = true;
   // Deferred: StopQuery may be called from inside an operator on the stack.
-  // The token rides in flush_timers: DoStop cancelling it from inside this
-  // very event is a harmless no-op, but an executor torn down first cancels
-  // a stop that would otherwise fire into freed state.
-  it->second.flush_timers.push_back(
+  it->second.one_shots.push_back(
       vri_->ScheduleEvent(0, [this, query_id]() { DoStop(query_id); }));
 }
 
@@ -520,12 +560,19 @@ void QueryExecutor::DoStop(uint64_t query_id) {
   auto it = queries_.find(query_id);
   if (it == queries_.end()) return;
   RunningQuery& rq = it->second;
-  if (costs_flusher_ && rq.meter) costs_flusher_(query_id, rq.meta.proxy);
-  for (uint64_t t : rq.flush_timers) vri_->CancelEvent(t);
-  if (rq.window_timer) vri_->CancelEvent(rq.window_timer);
-  if (rq.close_timer) vri_->CancelEvent(rq.close_timer);
-  if (rq.lease_timer) vri_->CancelEvent(rq.lease_timer);
-  for (auto& inst : rq.instances) inst->Close();
+  // Teardown cost flush: a node whose operators consumed tuples but never
+  // emitted an answer has a ledger the piggyback path never ships. Send it
+  // once (an absolute snapshot — replaces, never adds). A local proxy
+  // already holds this ledger (QueryProcessor::PinLocalMeter).
+  const NetAddress& proxy = rq.meta.proxy;
+  if (rq.meter && !rq.meter->costs().empty() &&
+      proxy != dht_->local_address() && !proxy.IsNull()) {
+    WireWriter w = OverlayRouter::FrameMessage(kMsgQueryCosts);
+    w.PutU64(query_id);
+    rq.meter->EncodeTo(&w);
+    dht_->router()->SendFramed(proxy, std::move(w).data(), nullptr);
+  }
+  Release(&rq);
   queries_.erase(it);
 }
 
@@ -569,18 +616,14 @@ std::shared_ptr<QueryMeter> QueryExecutor::Meter(uint64_t query_id) const {
   return it != queries_.end() ? it->second.meter : nullptr;
 }
 
-QueryMeter* QueryExecutor::MeterAnswer(uint64_t query_id, uint64_t rows,
-                                       uint64_t bytes, bool on_wire) {
-  auto it = queries_.find(query_id);
-  if (it == queries_.end() || !it->second.meter) return nullptr;
-  OpCost* slot = it->second.answer_cost;
-  slot->tuples_in += rows;
-  slot->tuples_out += rows;
-  if (on_wire) {
-    slot->msgs++;
-    slot->bytes += bytes;
-  }
-  return it->second.meter.get();
+void QueryExecutor::set_metrics(MetricsRegistry* metrics) {
+  metrics_ = metrics;
+  answer_bytes_metric_ =
+      metrics == nullptr
+          ? nullptr
+          : metrics->GetHistogram(
+                "pier_query_answer_bytes", {64, 256, 1024, 4096, 16384}, {},
+                "Forwarded answer frame sizes in bytes");
 }
 
 void QueryExecutor::CountProbeVerdict(ProbeVerdict v) {

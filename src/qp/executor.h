@@ -1,11 +1,19 @@
-// Query execution on one node: opgraph instantiation, flush scheduling and
-// timeout-driven teardown (§3.3.2).
+// The executing role of the "life of a query" (§3.3.2): everything a node
+// does, and everything it sends, because it runs a query's opgraphs.
 //
 // "A node continues to execute an opgraph until a timeout specified in the
 // query expires" — there are no EOFs. The executor arms one close timer per
 // query; snapshot queries additionally get a flush pass (blocking operators
 // emit their state) partway through the lifetime, continuous queries get one
 // per window.
+//
+// The line between the two roles is the wire. QueryExecutor sends every
+// frame an executing node sends for a query — answer batches with their
+// piggybacked cost block, lease probes, plan fetches and the teardown cost
+// snapshot — and consumes the probe responses. QueryProcessor (the proxy
+// role) answers them. The executor calls the proxy directly for only two
+// things: adopting a query whose failover walk lands on this node, and
+// delivering answers when this node is the query's proxy.
 
 #ifndef PIER_QP_EXECUTOR_H_
 #define PIER_QP_EXECUTOR_H_
@@ -20,7 +28,9 @@
 
 namespace pier {
 
+class Histogram;
 class MetricsRegistry;
+class QueryProcessor;
 
 /// One opgraph instantiated on this node.
 class OpGraphInstance {
@@ -59,17 +69,40 @@ class OpGraphInstance {
 /// All queries running on this node.
 class QueryExecutor {
  public:
-  QueryExecutor(Vri* vri, Dht* dht);
+  /// `proxy` is this node's proxy role (it owns the executor).
+  QueryExecutor(Vri* vri, Dht* dht, QueryProcessor* proxy);
   ~QueryExecutor();
 
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  /// Where answer batches go: the QueryProcessor frames one answer message
-  /// per batch toward the query's current proxy.
-  using AnswerSink = std::function<void(
-      uint64_t query_id, const NetAddress& proxy, const TupleBatch&)>;
-  void set_answer_sink(AnswerSink sink) { answer_sink_ = std::move(sink); }
+  // --- Wire types of the query layer -----------------------------------------
+  // Router direct-message types (every layer's are tabled in
+  // src/overlay/README.md). Executors send 33, 34, 37 and 38; proxies send 35
+  // and 36.
+
+  /// Lease probe (body: u64 query id): does the receiver still proxy the
+  /// query? The response (u64 query id + u8 proxying) matters both ways:
+  /// "reachable but not proxying" is how the failover walk moves past a
+  /// successor that never adopts and how executors that missed a cancel
+  /// tombstone converge.
+  static constexpr uint8_t kMsgLeaseProbe = 33;
+  static constexpr uint8_t kMsgLeaseProbeResp = 36;
+  /// Missed-swap repair: an executor that learned of a newer generation from
+  /// a metadata-only refresh asks the proxy for the plan (kMsgPlanFetch,
+  /// body = query id); the proxy replies with its stored plan's broadcast
+  /// graphs (kMsgPlanPush, body = encoded plan), which re-enter the normal
+  /// dissemination path.
+  static constexpr uint8_t kMsgPlanFetch = 34;
+  static constexpr uint8_t kMsgPlanPush = 35;
+  /// Final per-op cost snapshot from an executor tearing a query down (body:
+  /// u64 query id + QueryMeter cost block). Covers executors that ran
+  /// operators but never forwarded an answer.
+  static constexpr uint8_t kMsgQueryCosts = 37;
+  /// Answers: u64 query id + TupleBatch wire format (+ an optional cost
+  /// block). Framing once per batch amortizes the header and cost block
+  /// across every row of a window flush.
+  static constexpr uint8_t kMsgAnswerBatch = 38;
 
   /// Observer for tuples operators publish into the DHT (the Put exchange);
   /// copied into every graph's ExecContext. The statistics subsystem hangs
@@ -134,62 +167,18 @@ class QueryExecutor {
   // or forwarding answers to it fails — then walk the plan's ordered
   // successor list: answer routing re-targets successors[epoch], each
   // failed candidate granting the next one a fresh lease. The node that
-  // finds ITSELF next in the chain adopts the proxy role through the adopt
-  // handler (the QueryProcessor installs it). When the chain is exhausted
-  // the query is reaped locally: opgraphs torn down, timers cancelled, the
-  // orphan-abort reason recorded in stats().
-
-  /// Invoked (synchronously) when this node becomes a query's proxy via
-  /// failover; receives the query's metadata (graphs cleared, proxy =
-  /// local, proxy_epoch advanced).
-  using AdoptHandler = std::function<void(const QueryPlan& meta)>;
-  void set_adopt_handler(AdoptHandler h) { adopt_handler_ = std::move(h); }
-
-  /// What a point-to-point proxy probe learned: the node is gone, it
-  /// answers and owns the query, or it answers but does NOT own it (an
-  /// un-adopted successor, or a proxy whose record ended — a missed cancel
-  /// tombstone). The distinction matters: reachability alone must not park
-  /// the failover walk on a successor that will never adopt.
-  enum class ProbeVerdict : uint8_t { kDead = 0, kProxying = 1,
-                                      kNotProxying = 2 };
-
-  /// Point-to-point proxy probe, installed by the QueryProcessor. An
-  /// expired lease alone is weak evidence — the refresh channel (the
-  /// distribution tree) is itself broken right after churn — so before
-  /// acting the executor probes the proxy directly. Without a prober
-  /// installed, expiry fails over immediately.
-  using ProxyProber =
-      std::function<void(uint64_t query_id, const NetAddress& target,
-                         std::function<void(ProbeVerdict)>)>;
-  void set_proxy_prober(ProxyProber p) { proxy_prober_ = std::move(p); }
-
-  /// Missed-swap repair, installed by the QueryProcessor: when a lease
-  /// refresh reveals a generation this node never received (the swap
-  /// broadcast was lost to a mid-repair tree), the executor keeps the stale
-  /// generation running — answers beat silence — and asks the proxy for the
-  /// current plan point-to-point.
-  /// Called just before a RunningQuery is torn down, while its meter is
-  /// still alive: (query_id, current proxy). The query processor ships the
-  /// final cost snapshot to the proxy — executors that never produced an
-  /// answer would otherwise leave their ledger out of the aggregate.
-  using CostsFlusher =
-      std::function<void(uint64_t query_id, const NetAddress& proxy)>;
-  void set_costs_flusher(CostsFlusher f) { costs_flusher_ = std::move(f); }
-
-  using PlanFetcher =
-      std::function<void(uint64_t query_id, const NetAddress& proxy)>;
-  void set_plan_fetcher(PlanFetcher f) { plan_fetcher_ = std::move(f); }
-
-  /// Report that forwarding an answer of `query_id` to `target` failed
-  /// (UdpCc gave up). Stale reports about a proxy this query already failed
-  /// away from are ignored.
-  void NoteAnswerForwardFailure(uint64_t query_id, const NetAddress& target);
-
-  /// Report that an answer forward to `target` was ACKed. An ack from the
-  /// current proxy refreshes its lease: the answer path is live proof of
-  /// liveness, so a busy query never reaps just because the distribution
-  /// tree (the lease-refresh channel) is mid-repair after churn.
-  void NoteAnswerForwardSuccess(uint64_t query_id, const NetAddress& target);
+  // finds ITSELF next in the chain adopts the proxy role
+  // (QueryProcessor::AdoptQuery). When the chain is exhausted the query is
+  // reaped locally: opgraphs torn down, timers cancelled, the orphan-abort
+  // reason recorded in stats().
+  //
+  // An expired lease alone is weak evidence — the refresh channel (the
+  // distribution tree) is itself broken right after churn — so before acting
+  // the executor probes the proxy point-to-point (kMsgLeaseProbe). The
+  // verdict: the node is gone (transport give-up or no response within
+  // lease/2), it answers and owns the query, or it answers but does NOT own
+  // it. Reachability alone must not park the walk on a successor that will
+  // never adopt.
 
   /// Report an answer frame that arrived here for a query this node does
   /// not proxy. If this node runs the query and is next in its successor
@@ -197,10 +186,11 @@ class QueryExecutor {
   void NoteStrayAnswer(uint64_t query_id);
 
   struct Stats {
-    uint64_t proxy_failovers = 0;  // answer routing re-targeted a successor
-    uint64_t orphan_reaps = 0;     // queries torn down with no live proxy
-    uint64_t forward_failures = 0; // UdpCc give-ups on answer forwards
-    uint64_t stray_answers = 0;    // answers received for un-proxied queries
+    uint64_t proxy_failovers = 0;    // answer routing re-targeted a successor
+    uint64_t orphan_reaps = 0;       // queries torn down with no live proxy
+    uint64_t answers_forwarded = 0;  // answer tuples sent to a remote proxy
+    uint64_t forward_failures = 0;   // UdpCc give-ups on answer forwards
+    uint64_t stray_answers = 0;      // answers received for un-proxied queries
     std::string last_orphan_reason;
     /// Post-hoc churn diagnosis: every reap tagged with why, every probe
     /// verdict counted ("dead" / "proxying" / "not_proxying"). Mirrored as
@@ -210,9 +200,10 @@ class QueryExecutor {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Attach a metrics registry: failover/reap/probe events additionally land
-  /// in labeled `pier_exec_*` counters (reason / verdict labels).
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// Attach a metrics registry: failover/reap/probe events land in labeled
+  /// `pier_exec_*` counters (reason / verdict labels) and forwarded answer
+  /// frames in the `pier_query_answer_bytes` histogram.
+  void set_metrics(MetricsRegistry* metrics);
 
   /// Toggle per-query cost metering (default on). With metering off, new
   /// queries get no QueryMeter and every operator's ledger slot is null —
@@ -220,16 +211,9 @@ class QueryExecutor {
   void set_metering(bool on) { metering_ = on; }
 
   /// The actual-cost ledger of a running query (null if unknown/unmetered).
-  /// Shared with the query's opgraph instances; survives plan swaps.
+  /// Shared with the query's opgraph instances; survives plan swaps. The
+  /// proxy pins its own executor's ledger through this.
   std::shared_ptr<QueryMeter> Meter(uint64_t query_id) const;
-
-  /// Charge `rows` forwarded answers to `query_id`'s answer pseudo-op slot
-  /// and return the live meter (null with metering off / unknown query), so
-  /// charging and the piggyback lookup share one find. Called by the
-  /// QueryProcessor, which alone knows whether the answers crossed the wire
-  /// (on_wire: one message of `bytes`) or were delivered to a local proxy.
-  QueryMeter* MeterAnswer(uint64_t query_id, uint64_t rows, uint64_t bytes,
-                          bool on_wire);
 
   bool HasQuery(uint64_t query_id) const { return queries_.count(query_id) > 0; }
   size_t num_active() const { return queries_.size(); }
@@ -251,63 +235,89 @@ class QueryExecutor {
   void FlushQuery(uint64_t query_id);
 
  private:
+  enum class ProbeVerdict : uint8_t { kDead, kProxying, kNotProxying };
+
   struct RunningQuery {
     QueryPlan meta;  // graphs emptied; metadata only
     /// Actual-cost ledger, shared with every instance's ExecContext (and
     /// with callers of Meter()). Declared before `instances` so operators
     /// caching slot pointers are destroyed first. Null when metering is off.
     std::shared_ptr<QueryMeter> meter;
-    /// The meter's answer pseudo-op slot, resolved once (stable address):
-    /// MeterAnswer runs once per answer frame. Null iff meter is null.
+    /// The meter's answer pseudo-op slot, resolved once (stable address).
+    /// Null iff meter is null.
     OpCost* answer_cost = nullptr;
     std::vector<std::unique_ptr<OpGraphInstance>> instances;
-    std::vector<uint64_t> flush_timers;
-    /// The repeating window tick. Living here (not in a self-capturing
-    /// shared_ptr) keeps the reschedule cycle leak-free: scheduled events
-    /// hold copies that only capture (executor, query id).
-    std::function<void()> window_tick;
-    uint64_t window_timer = 0;
-    uint64_t close_timer = 0;
     TimeUs start_time = 0;
     uint32_t generation = 0;
     bool stopping = false;
-    /// Proxy-lease state (continuous queries with a remote proxy). The
-    /// repeating check lives in its own tick function for the same
-    /// leak-free reason as window_tick.
-    TimeUs lease_expires = 0;
-    std::function<void()> lease_tick;
+    /// Pending events, all released by Release(): the close timer, the
+    /// self-rescheduling window and lease ticks, and the one-shots (stage
+    /// flushes, the deferred stop, deferred failovers).
+    uint64_t close_timer = 0;
+    uint64_t window_timer = 0;
     uint64_t lease_timer = 0;
+    std::vector<uint64_t> one_shots;
+    /// Proxy-lease state (continuous queries with a remote proxy).
+    TimeUs lease_expires = 0;
     uint32_t forward_failures = 0;
     uint32_t stray_answers = 0;
-    /// An expired-lease probe is in flight (with its own shorter timeout);
-    /// late verdicts are staled by the sequence number and the (epoch,
-    /// target) they were sent under. `probe_strikes` counts consecutive
-    /// reachable-but-not-proxying verdicts before the walk moves on.
-    bool probe_inflight = false;
-    uint64_t probe_seq = 0;
+    /// The outstanding lease probe (timeout != 0 while one is in flight):
+    /// the target and failover epoch it was sent under — a verdict counts
+    /// only while both are still current — and its lease/2 timeout.
+    /// `probe_strikes` counts consecutive reachable-but-not-proxying
+    /// verdicts before the walk moves on.
+    struct Probe {
+      NetAddress target;
+      uint32_t epoch = 0;
+      uint64_t timeout = 0;
+    } probe;
     uint32_t probe_strikes = 0;
   };
 
+  /// The close timer, plus ArmTicks.
   void ArmQueryTimers(RunningQuery* rq);
-  void ArmWindowTimer(RunningQuery* rq);
-  void ArmLeaseTimer(RunningQuery* rq);
-  /// Lease expired: probe the proxy (if a prober is installed) and fail
-  /// over on a dead verdict or probe timeout; fail over immediately without
-  /// a prober.
-  void OnLeaseExpired(RunningQuery* rq);
-  void ArmInstanceFlush(RunningQuery* rq, OpGraphInstance* inst,
-                        int32_t stage);
+  /// Arm whichever of a continuous query's two ticks is not pending: the
+  /// window flush pass (WindowTick) and the proxy-liveness check
+  /// (LeaseTick). Each tick re-arms itself through here.
+  void ArmTicks(RunningQuery* rq);
+  void WindowTick(uint64_t query_id);
+  void LeaseTick(uint64_t query_id);
+  void ArmStageFlush(RunningQuery* rq, uint32_t graph_id, int32_t stage);
+  /// Lease expired: probe the proxy; a dead verdict or the probe timeout
+  /// fails over.
+  void StartProbe(RunningQuery* rq);
+  /// Resolve the outstanding probe of `query_id` with a verdict about `from`
+  /// (ignored when no probe is out to `from` under the current epoch).
+  void ResolveProbe(uint64_t query_id, const NetAddress& from,
+                    ProbeVerdict v);
   void DoStop(uint64_t query_id);
+  /// The one teardown of a record: cancel every pending event, close every
+  /// instance. Run by DoStop (stop, reap, cancel, deadline) and ~QueryExecutor.
+  void Release(RunningQuery* rq);
   /// Grant the current proxy a fresh lease (any dissemination or metadata
   /// refresh for the query counts as hearing from it).
   void RefreshLease(RunningQuery* rq);
+  /// Hear from `meta`'s proxy: take its identity, failover chain and lease
+  /// period, drop the failure evidence gathered against the previous one,
+  /// and grant it a fresh lease.
+  void FollowProxy(RunningQuery* rq, const QueryPlan& meta);
   /// Advance the failover chain one step: re-target answers at the next
   /// successor (adopting locally if that is us), or reap the query as an
-  /// orphan when the chain is exhausted. Returns false iff reaped (the
-  /// RunningQuery is gone). `tag` is the compact label value a reap is
-  /// counted under; `reason` the human-readable story for the log.
-  bool FailoverStep(RunningQuery* rq, const char* tag,
+  /// orphan when the chain is exhausted (the RunningQuery is then gone).
+  /// `tag` is the compact label value a reap is counted under; `reason` the
+  /// human-readable story for the log.
+  void FailoverStep(RunningQuery* rq, const char* tag,
                     const std::string& reason);
+
+  /// Answer path: deliver a batch to the local client when this node is the
+  /// proxy, else frame it (with the piggybacked cost block) to the proxy.
+  void ForwardAnswers(uint64_t query_id, const TupleBatch& batch);
+  /// A forwarded answer frame to `target` was ACKed (ok) or given up on. An
+  /// ack from the current proxy refreshes its lease: the answer path is live
+  /// proof of liveness. Give-ups against the current proxy count toward
+  /// failover; stale ones (a proxy already failed away from) are ignored.
+  void OnForwardDelivery(uint64_t query_id, const NetAddress& target,
+                         const Status& s);
 
   /// Count a probe verdict / reap reason in stats_ and, when attached, in
   /// the labeled registry counters.
@@ -316,14 +326,12 @@ class QueryExecutor {
 
   Vri* vri_;
   Dht* dht_;
+  QueryProcessor* proxy_;
   MetricsRegistry* metrics_ = nullptr;
+  /// Histogram of forwarded answer frame sizes (null: no registry).
+  Histogram* answer_bytes_metric_ = nullptr;
   bool metering_ = true;
-  AnswerSink answer_sink_;
   PublishObserver publish_observer_;
-  AdoptHandler adopt_handler_;
-  ProxyProber proxy_prober_;
-  PlanFetcher plan_fetcher_;
-  CostsFlusher costs_flusher_;
   std::map<uint64_t, RunningQuery> queries_;
   Stats stats_;
 };

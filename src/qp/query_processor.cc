@@ -10,108 +10,31 @@ namespace pier {
 QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
     : vri_(vri), dht_(dht), options_(options) {
   tree_ = std::make_unique<DistributionTree>(dht_, options_.tree);
-  executor_ = std::make_unique<QueryExecutor>(vri_, dht_);
+  executor_ = std::make_unique<QueryExecutor>(vri_, dht_, this);
+  OverlayRouter* router = dht_->router();
 
-  executor_->set_answer_sink(
-      [this](uint64_t qid, const NetAddress& proxy, const TupleBatch& b) {
-        ForwardAnswerBatch(qid, proxy, b);
-      });
-
-  // Teardown cost flush: a node whose operators consumed tuples but never
-  // emitted an answer has a ledger the piggyback path never ships. Send it
-  // once when the query stops (absolute snapshot — replaces, never adds).
-  executor_->set_costs_flusher([this](uint64_t qid, const NetAddress& proxy) {
-    std::shared_ptr<QueryMeter> meter = executor_->Meter(qid);
-    if (!meter || meter->costs().empty()) return;
-    if (proxy == dht_->local_address() || proxy.IsNull()) {
-      PinLocalMeter(qid);
-      return;
-    }
-    WireWriter w = OverlayRouter::FrameMessage(kMsgQueryCosts);
-    w.PutU64(qid);
-    AppendCostBlock(&w, *meter);
-    dht_->router()->SendFramed(proxy, std::move(w).data(), nullptr);
-  });
-
-  // Proxy failover: when the executor's successor walk lands on this node,
-  // it adopts the proxy role here.
-  executor_->set_adopt_handler(
-      [this](const QueryPlan& meta) { AdoptQuery(meta); });
-
-  // Expired-lease corroboration: lease refreshes ride the distribution
-  // tree, which is exactly what churn breaks first, so before an executor
-  // acts on an expired lease it asks the proxy point-to-point whether it
-  // still owns the query. A reachable node that does NOT own it (a
-  // successor that never adopted because it runs none of the query's
-  // graphs, or a proxy whose record ended — a missed cancel tombstone)
-  // must not be leased forever: the executor's walk moves past it.
-  executor_->set_proxy_prober(
-      [this](uint64_t qid, const NetAddress& target,
-             std::function<void(QueryExecutor::ProbeVerdict)> verdict) {
-        PendingProbe& probe = pending_probes_[qid];
-        if (probe.gc_timer) vri_->CancelEvent(probe.gc_timer);
-        probe = PendingProbe{target, std::move(verdict)};  // latest wins
-        // Expire the entry if nothing ever resolves it (the executor's own
-        // probe timeout resolves kDead without telling us): the map must
-        // not accumulate one stale closure per dead query forever.
-        probe.gc_timer =
-            vri_->ScheduleEvent(30 * kSecond, [this, qid, target]() {
-              auto it = pending_probes_.find(qid);
-              if (it != pending_probes_.end() && it->second.target == target)
-                pending_probes_.erase(it);
-            });
-        WireWriter w = OverlayRouter::FrameMessage(kMsgLeaseProbe);
-        w.PutU64(qid);
-        dht_->router()->SendFramed(
-            target, std::move(w).data(), [this, qid, target](const Status& s) {
-              if (s.ok()) return;  // delivered; the response resolves it
-              auto it = pending_probes_.find(qid);
-              if (it == pending_probes_.end() || it->second.target != target)
-                return;  // a newer probe took over
-              auto cb = std::move(it->second.verdict);
-              if (it->second.gc_timer) vri_->CancelEvent(it->second.gc_timer);
-              pending_probes_.erase(it);
-              cb(QueryExecutor::ProbeVerdict::kDead);
-            });
-      });
-  dht_->router()->RegisterDirectType(
-      kMsgLeaseProbe, [this](const NetAddress& from, std::string_view body) {
+  // Lease probe: does this node still proxy the query? A reachable node
+  // that does NOT (a successor that never adopted because it runs none of
+  // the query's graphs, or a proxy whose record ended — a missed cancel
+  // tombstone) says so, and the probing executor's walk moves past it.
+  router->RegisterDirectType(
+      QueryExecutor::kMsgLeaseProbe,
+      [this](const NetAddress& from, std::string_view body) {
         WireReader r(body);
         uint64_t qid;
         if (!r.GetU64(&qid).ok()) return;
-        WireWriter w = OverlayRouter::FrameMessage(kMsgLeaseProbeResp);
+        WireWriter w =
+            OverlayRouter::FrameMessage(QueryExecutor::kMsgLeaseProbeResp);
         w.PutU64(qid);
         w.PutU8(clients_.count(qid) > 0 ? 1 : 0);
         dht_->router()->SendFramed(from, std::move(w).data());
       });
-  dht_->router()->RegisterDirectType(
-      kMsgLeaseProbeResp, [this](const NetAddress& from,
-                                 std::string_view body) {
-        WireReader r(body);
-        uint64_t qid;
-        uint8_t proxying;
-        if (!r.GetU64(&qid).ok() || !r.GetU8(&proxying).ok()) return;
-        auto it = pending_probes_.find(qid);
-        // Only the CURRENT probe's target may resolve it: a straggler
-        // response from a node probed in an earlier epoch must not vouch
-        // for (or strike against) whoever is being probed now.
-        if (it == pending_probes_.end() || it->second.target != from) return;
-        auto cb = std::move(it->second.verdict);
-        if (it->second.gc_timer) vri_->CancelEvent(it->second.gc_timer);
-        pending_probes_.erase(it);
-        cb(proxying ? QueryExecutor::ProbeVerdict::kProxying
-                    : QueryExecutor::ProbeVerdict::kNotProxying);
-      });
 
   // Missed-swap repair: executors that learn of a newer generation from a
   // metadata-only lease refresh fetch the full plan directly.
-  executor_->set_plan_fetcher([this](uint64_t qid, const NetAddress& proxy) {
-    WireWriter w = OverlayRouter::FrameMessage(kMsgPlanFetch);
-    w.PutU64(qid);
-    dht_->router()->SendFramed(proxy, std::move(w).data());
-  });
-  dht_->router()->RegisterDirectType(
-      kMsgPlanFetch, [this](const NetAddress& from, std::string_view body) {
+  router->RegisterDirectType(
+      QueryExecutor::kMsgPlanFetch,
+      [this](const NetAddress& from, std::string_view body) {
         WireReader r(body);
         uint64_t qid;
         if (!r.GetU64(&qid).ok()) return;
@@ -129,12 +52,13 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
         // fetch retries at the lease-refresh cadence instead.
         if (bcast.empty()) return;
         push.graphs = std::move(bcast);
-        WireWriter w = OverlayRouter::FrameMessage(kMsgPlanPush);
+        WireWriter w = OverlayRouter::FrameMessage(QueryExecutor::kMsgPlanPush);
         push.EncodeTo(&w);
         dht_->router()->SendFramed(from, std::move(w).data());
       });
-  dht_->router()->RegisterDirectType(
-      kMsgPlanPush, [this](const NetAddress&, std::string_view body) {
+  router->RegisterDirectType(
+      QueryExecutor::kMsgPlanPush,
+      [this](const NetAddress&, std::string_view body) {
         // The pushed plan re-enters the ordinary dissemination path: a
         // higher generation with graphs swaps, anything stale is ignored.
         HandleDisseminationBlob(body);
@@ -152,34 +76,49 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
       });
 
   // Final cost snapshots from executors tearing a query down.
-  dht_->router()->RegisterDirectType(
-      kMsgQueryCosts, [this](const NetAddress& from, std::string_view body) {
+  router->RegisterDirectType(
+      QueryExecutor::kMsgQueryCosts,
+      [this](const NetAddress& from, std::string_view body) {
         WireReader r(body);
         uint64_t qid;
         if (!r.GetU64(&qid).ok()) return;
         auto it = clients_.find(qid);
         if (it == clients_.end()) return;  // late flush after done/cancel
         std::map<QueryMeter::Key, OpCost> snapshot;
-        if (DecodeCostBlock(&r, &snapshot))
+        if (QueryMeter::DecodeSnapshot(&r, &snapshot))
           it->second.remote_costs[from] = std::move(snapshot);
       });
 
   // Answer batches from executing nodes.
-  dht_->router()->RegisterDirectType(
-      kMsgAnswerBatch, [this](const NetAddress& from, std::string_view body) {
+  router->RegisterDirectType(
+      QueryExecutor::kMsgAnswerBatch,
+      [this](const NetAddress& from, std::string_view body) {
         HandleAnswerBatchMsg(from, body);
       });
 }
 
 QueryProcessor::~QueryProcessor() {
   if (dissem_sub_) dht_->CancelNewData(dissem_sub_);
-  for (auto& [qid, c] : clients_) {
-    if (c.done_timer) vri_->CancelEvent(c.done_timer);
-    if (c.lease_timer) vri_->CancelEvent(c.lease_timer);
+  for (auto& [qid, c] : clients_) Release(&c);
+}
+
+void QueryProcessor::Release(ClientQuery* client) {
+  for (uint64_t t : {client->done_timer, client->lease_timer}) {
+    if (t) vri_->CancelEvent(t);
   }
-  for (auto& [qid, probe] : pending_probes_) {
-    if (probe.gc_timer) vri_->CancelEvent(probe.gc_timer);
-  }
+}
+
+QueryProcessor::DoneCallback QueryProcessor::EndClient(
+    std::map<uint64_t, ClientQuery>::iterator it) {
+  uint64_t qid = it->first;
+  Release(&it->second);
+  EmitFinalCosts(&it->second, qid);
+  if (metrics_ != nullptr)
+    metrics_->Remove("pier_query_answers_total",
+                     {{"qid", std::to_string(qid)}});
+  DoneCallback done = std::move(it->second.on_done);
+  clients_.erase(it);
+  return done;
 }
 
 size_t QueryProcessor::MakePublishItem(const std::string& ns,
@@ -365,10 +304,7 @@ uint64_t QueryProcessor::ArmDoneTimer(uint64_t query_id, TimeUs delay) {
       delay + options_.done_slack, [this, query_id]() {
         auto it = clients_.find(query_id);
         if (it == clients_.end()) return;
-        if (it->second.lease_timer) vri_->CancelEvent(it->second.lease_timer);
-        EmitFinalCosts(&it->second, query_id);
-        DoneCallback done = std::move(it->second.on_done);
-        clients_.erase(it);
+        DoneCallback done = EndClient(it);
         if (done) done();
       });
 }
@@ -377,23 +313,25 @@ void QueryProcessor::StartLeaseRefresh(uint64_t query_id) {
   auto it = clients_.find(query_id);
   if (it == clients_.end() || !it->second.plan_stored) return;
   if (it->second.lease_timer) return;  // already refreshing
+  it->second.lease_timer =
+      vri_->ScheduleEvent(QueryExecutor::EffectiveLease(it->second.plan) / 3,
+                          [this, query_id]() { RefreshTick(query_id); });
+}
+
+void QueryProcessor::RefreshTick(uint64_t query_id) {
+  auto it = clients_.find(query_id);
+  if (it == clients_.end()) return;
   ClientQuery& c = it->second;
-  c.lease_tick = [this, query_id]() {
-    auto cit = clients_.find(query_id);
-    if (cit == clients_.end()) return;
-    ClientQuery& cq = cit->second;
-    // Metadata-only re-broadcast: executors running the query renew the
-    // proxy's lease (and pick up the current window/epoch); everyone else
-    // ignores it. The local executor hears it through the tree like any
-    // other node.
-    QueryPlan meta = cq.plan;
-    meta.graphs.clear();
-    tree_->Broadcast(meta.Encode());
-    cq.lease_timer = vri_->ScheduleEvent(
-        QueryExecutor::EffectiveLease(cq.plan) / 3, cq.lease_tick);
-  };
-  c.lease_timer = vri_->ScheduleEvent(
-      QueryExecutor::EffectiveLease(c.plan) / 3, c.lease_tick);
+  // Metadata-only re-broadcast: executors running the query renew the
+  // proxy's lease (and pick up the current window/epoch); everyone else
+  // ignores it. The local executor hears it through the tree like any
+  // other node.
+  QueryPlan meta = c.plan;
+  meta.graphs.clear();
+  tree_->Broadcast(meta.Encode());
+  c.lease_timer =
+      vri_->ScheduleEvent(QueryExecutor::EffectiveLease(c.plan) / 3,
+                          [this, query_id]() { RefreshTick(query_id); });
 }
 
 void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
@@ -422,6 +360,7 @@ void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
   client.done_timer = ArmDoneTimer(qid, remaining);
   clients_[qid] = std::move(client);
   BindQueryMetrics(&clients_[qid], qid);
+  PinLocalMeter(qid);
 
   // This node's executor only rebuilds the BROADCAST graphs; equality /
   // range / local graphs ran elsewhere (or only at the dead proxy). Recover
@@ -538,8 +477,6 @@ Status QueryProcessor::CheckTablesKnown(const QueryPlan& plan) const {
 void QueryProcessor::CancelQuery(uint64_t query_id) {
   auto it = clients_.find(query_id);
   if (it != clients_.end()) {
-    if (it->second.done_timer) vri_->CancelEvent(it->second.done_timer);
-    if (it->second.lease_timer) vri_->CancelEvent(it->second.lease_timer);
     if (it->second.plan_stored) {
       // A cancelled continuous query must be distinguishable from a DEAD
       // proxy, or its successors would adopt it and keep it running to the
@@ -563,8 +500,7 @@ void QueryProcessor::CancelQuery(uint64_t query_id) {
       dht_->Put(kTombNs, std::to_string(query_id), "t", "1",
                 remaining + options_.done_slack);
     }
-    EmitFinalCosts(&it->second, query_id);
-    clients_.erase(it);
+    EndClient(it);  // the handle fires its own completion on cancel
   }
   executor_->StopQuery(query_id);
 }
@@ -696,53 +632,12 @@ void QueryProcessor::DeliverAnswer(ClientQuery* client, const Tuple& t) {
   }
 }
 
-void QueryProcessor::ForwardAnswerBatch(uint64_t query_id,
-                                        const NetAddress& proxy,
-                                        const TupleBatch& batch) {
-  const size_t n = batch.num_rows();
-  if (n == 0) return;
-  if (proxy == dht_->local_address() || proxy.IsNull()) {
-    // This node is the proxy: deliver directly to the client. No wire
-    // message, so the answer pseudo-op counts the rows but no msgs/bytes.
-    // clients_ is re-found per row because a client may Cancel() from
-    // inside its own on_tuple.
-    executor_->MeterAnswer(query_id, n, 0, /*on_wire=*/false);
-    for (size_t r = 0; r < n; ++r) {
-      auto it = clients_.find(query_id);
-      if (it == clients_.end()) return;  // client cancelled or timed out
-      DeliverAnswer(&it->second, batch.RowTuple(r));
-    }
-    return;
+void QueryProcessor::DeliverBatch(uint64_t query_id, const TupleBatch& batch) {
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    auto it = clients_.find(query_id);
+    if (it == clients_.end()) return;  // client cancelled or timed out
+    DeliverAnswer(&it->second, batch.RowTuple(r));
   }
-  stats_.answers_forwarded += n;
-  // Framed once, moved down: answer frames are the hottest steady-state
-  // message of a running query (no re-framing copy in SendDirect).
-  WireWriter w = OverlayRouter::FrameMessage(kMsgAnswerBatch);
-  w.PutU64(query_id);
-  batch.EncodeTo(&w);
-  // Meter every row, but charge the wire once with the real frame size, and
-  // BEFORE the cost block is appended, so the block's own answer-slot
-  // snapshot includes this very frame — the proxy's aggregate then matches
-  // independently counted wire traffic exactly (E16).
-  QueryMeter* meter = executor_->MeterAnswer(query_id, n, w.size(),
-                                             /*on_wire=*/true);
-  if (answer_bytes_metric_ != nullptr)
-    answer_bytes_metric_->Observe(static_cast<double>(w.size()));
-  // Piggyback this node's per-op ledger as ABSOLUTE snapshots: a lost or
-  // reordered frame costs freshness, never double counting.
-  if (meter != nullptr && meter->ShouldPiggyback()) AppendCostBlock(&w, *meter);
-  // A transport give-up on the proxy is the fast half of proxy-death
-  // detection (the lease is the slow half): the executor counts it and
-  // fails answer routing over to the next successor. An ACK is the
-  // opposite signal — live proof — and refreshes the proxy's lease.
-  dht_->router()->SendFramed(
-      proxy, std::move(w).data(), [this, query_id, proxy](const Status& s) {
-        if (s.ok()) {
-          executor_->NoteAnswerForwardSuccess(query_id, proxy);
-        } else {
-          executor_->NoteAnswerForwardFailure(query_id, proxy);
-        }
-      });
 }
 
 void QueryProcessor::HandleAnswerBatchMsg(const NetAddress& from,
@@ -767,13 +662,9 @@ void QueryProcessor::HandleAnswerBatchMsg(const NetAddress& from,
   // snapshot that REPLACES this sender's previous one. Senders without
   // metering ship no block; a truncated block is dropped whole.
   std::map<QueryMeter::Key, OpCost> snapshot;
-  if (DecodeCostBlock(&r, &snapshot))
+  if (QueryMeter::DecodeSnapshot(&r, &snapshot))
     it->second.remote_costs[from] = std::move(snapshot);
-  for (size_t row = 0; row < batch->num_rows(); ++row) {
-    auto cit = clients_.find(qid);  // the client may Cancel() mid-batch
-    if (cit == clients_.end()) return;
-    DeliverAnswer(&cit->second, batch->RowTuple(row));
-  }
+  DeliverBatch(qid, *batch);
 }
 
 QueryCostReport QueryProcessor::QueryCosts(uint64_t query_id) const {
@@ -813,37 +704,6 @@ Status QueryProcessor::SetCostsCallback(uint64_t query_id, CostsCallback cb) {
   return Status::Ok();
 }
 
-void QueryProcessor::AppendCostBlock(WireWriter* w, const QueryMeter& meter) {
-  w->PutU8(1);  // cost-block marker
-  w->PutVarint(meter.costs().size());
-  for (const auto& [key, cost] : meter.costs()) {
-    w->PutU32(key.first);
-    w->PutU32(key.second);
-    w->PutVarint(cost.tuples_in);
-    w->PutVarint(cost.tuples_out);
-    w->PutVarint(cost.msgs);
-    w->PutVarint(cost.bytes);
-  }
-}
-
-bool QueryProcessor::DecodeCostBlock(WireReader* r,
-                                     std::map<QueryMeter::Key, OpCost>* out) {
-  uint8_t marker = 0;
-  if (r->AtEnd() || !r->GetU8(&marker).ok() || marker != 1) return false;
-  uint64_t n = 0;
-  if (!r->GetVarint(&n).ok() || n > 4096) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t graph_id = 0, op_id = 0;
-    OpCost c;
-    if (!r->GetU32(&graph_id).ok() || !r->GetU32(&op_id).ok() ||
-        !r->GetVarint(&c.tuples_in).ok() || !r->GetVarint(&c.tuples_out).ok() ||
-        !r->GetVarint(&c.msgs).ok() || !r->GetVarint(&c.bytes).ok())
-      return false;
-    (*out)[{graph_id, op_id}] = c;
-  }
-  return true;
-}
-
 void QueryProcessor::PinLocalMeter(uint64_t query_id) {
   auto it = clients_.find(query_id);
   if (it == clients_.end() || it->second.local_meter) return;
@@ -869,12 +729,6 @@ void QueryProcessor::BindQueryMetrics(ClientQuery* client, uint64_t query_id) {
 void QueryProcessor::set_metrics(MetricsRegistry* metrics) {
   metrics_ = metrics;
   executor_->set_metrics(metrics);
-  answer_bytes_metric_ =
-      metrics == nullptr
-          ? nullptr
-          : metrics->GetHistogram(
-                "pier_query_answer_bytes", {64, 256, 1024, 4096, 16384}, {},
-                "Forwarded answer frame sizes in bytes");
 }
 
 }  // namespace pier

@@ -1,4 +1,5 @@
-// The per-node PIER query processor: the "life of a query" (§3.3.2).
+// The per-node PIER query processor: the proxy role of the "life of a
+// query" (§3.3.2).
 //
 // A client submits a plan at any node; that node becomes the query's proxy.
 // The proxy disseminates each opgraph to the nodes that need it — everyone
@@ -7,6 +8,13 @@
 // proxy itself for final collection graphs. Executing nodes forward answer
 // tuples back to the proxy, which delivers them to the client. Everything is
 // bounded by the query timeout; there is no completion protocol.
+//
+// The line between the roles is the wire (qp/executor.h). This class owns
+// the proxy's records (ClientQuery), dissemination, and the responders to
+// what executors send: answer batches, teardown cost snapshots, lease probes
+// and plan fetches. Its QueryExecutor owns the executing role and every
+// frame an executing node sends; it calls back here only to adopt a query
+// (AdoptQuery) and to deliver answers when this node is the proxy.
 //
 // Churn-hardening of the continuous-query lifecycle:
 //
@@ -54,7 +62,6 @@ namespace pier {
 
 class MetricsRegistry;
 class Counter;
-class Histogram;
 
 /// Actual, measured cost of one (graph, op) slot aggregated across every
 /// node that executed it — the runtime counterpart of the optimizer's
@@ -178,8 +185,8 @@ class QueryProcessor {
                       DoneCallback on_done, QueryPlan* plan_out = nullptr);
 
   /// Become the proxy of a continuous query this node executes (the adopt
-  /// half of proxy failover; the executor invokes this through its adopt
-  /// handler when the successor walk lands on this node). Creates the
+  /// half of proxy failover; the executor calls this when the successor
+  /// walk lands on this node). Creates the
   /// proxy-side record from `meta`, arms the done timer from the original
   /// deadline, starts lease refreshing and re-broadcasts the plan so every
   /// executor re-targets its answers. Idempotent while already the proxy.
@@ -201,12 +208,6 @@ class QueryProcessor {
   /// client's done timer are untouched — the query's lifetime stays fixed
   /// at its original submission.
   Status SwapQuery(uint64_t query_id, QueryPlan new_plan);
-
-  /// Forward an operator-publish observer to the executor (statistics
-  /// accrual from operator execution, §"introspect via queries").
-  void set_publish_observer(QueryExecutor::PublishObserver o) {
-    executor_->set_publish_observer(std::move(o));
-  }
 
   // --- Introspection -------------------------------------------------------------
 
@@ -242,9 +243,10 @@ class QueryProcessor {
   using CostsCallback = std::function<void(const QueryCostReport&)>;
   Status SetCostsCallback(uint64_t query_id, CostsCallback cb);
 
-  /// Attach a metrics registry: the processor mints per-query
-  /// `pier_query_answers_total{qid=...}` counters, an answer-size histogram,
-  /// and forwards the registry to the executor's labeled counters.
+  /// Attach a metrics registry: the processor mints a per-query
+  /// `pier_query_answers_total{qid=...}` counter for each record it proxies
+  /// (retired when the record ends) and forwards the registry to the
+  /// executor (answer-size histogram, labeled failover counters).
   void set_metrics(MetricsRegistry* metrics);
 
   struct Stats {
@@ -255,14 +257,17 @@ class QueryProcessor {
     uint64_t adoptions = 0;          // proxy roles taken over via failover
     uint64_t answers_buffered = 0;   // held for a not-yet-attached client
   };
-  const Stats& stats() const { return stats_; }
+  /// A snapshot: answers_forwarded is the executor's count (it sends them).
+  Stats stats() const {
+    Stats s = stats_;
+    s.answers_forwarded = executor_->stats().answers_forwarded;
+    return s;
+  }
 
  private:
-  /// Router direct-message type for answers (16-21 are the DHT's): query id
-  /// + TupleBatch wire format (+ an optional cost block). A single answer is
-  /// a batch of one; framing once per batch amortizes the per-message header
-  /// and cost-block overhead across every row of a window flush.
-  static constexpr uint8_t kMsgAnswerBatch = 38;
+  /// The executing half delivers a local proxy's answers via DeliverBatch.
+  friend class QueryExecutor;
+
   /// Namespace of durable cancel tombstones: CancelQuery of a continuous
   /// query stores one under the query id (lifetime = remaining deadline),
   /// and AdoptQuery checks it after adopting — a successor that missed the
@@ -275,28 +280,10 @@ class QueryProcessor {
   /// range / local graphs survive proxy failover too — even when the
   /// original proxy (the plan's storing node) is the node that died.
   static constexpr const char* kPlanNs = "!qplan";
-  /// Proxy probe (expired-lease corroboration): the request carries the
-  /// query id; the probed node answers kMsgLeaseProbeResp with whether it
-  /// still proxies the query. "Reachable but not proxying" matters: it is
-  /// how the failover walk moves past a successor that never adopts (it
-  /// does not run the query) and how executors that missed a cancel
-  /// tombstone eventually converge.
-  static constexpr uint8_t kMsgLeaseProbe = 33;
-  static constexpr uint8_t kMsgLeaseProbeResp = 36;
-  /// Missed-swap repair: an executor that learned of a newer generation from
-  /// a metadata-only refresh asks the proxy for the full plan (kMsgPlanFetch,
-  /// body = query id); the proxy replies with its stored plan's broadcast
-  /// graphs (kMsgPlanPush, body = encoded plan) which re-enters the normal
-  /// dissemination path.
-  static constexpr uint8_t kMsgPlanFetch = 34;
-  static constexpr uint8_t kMsgPlanPush = 35;
-  /// Final per-op cost snapshot from an executor tearing a query down
-  /// (body: u64 query id + the same cost block answers piggyback). Covers
-  /// executors that ran operators but never forwarded an answer.
-  static constexpr uint8_t kMsgQueryCosts = 37;
   /// Namespace that carries targeted (equality) dissemination objects.
   static constexpr const char* kDissemNs = "!dissem";
 
+  /// The proxy record of one query, submitted here or adopted.
   struct ClientQuery {
     /// Held by shared_ptr so delivery can keep the closure alive across the
     /// call with one refcount bump per tuple — a client calling Cancel()
@@ -304,7 +291,6 @@ class QueryProcessor {
     /// destroying the executing closure would be a use-after-free.
     std::shared_ptr<const TupleCallback> on_tuple;
     DoneCallback on_done;
-    uint64_t done_timer = 0;
     /// Continuous queries keep their plan so the lifecycle operations
     /// (rewindow, swap) can re-disseminate it; snapshot plans are dropped
     /// after dissemination as before.
@@ -314,10 +300,9 @@ class QueryProcessor {
     /// before re-attach). Bounded by kPendingAnswerCap; replayed on
     /// AttachClient.
     std::vector<Tuple> pending;
-    /// The proxy-lease refresh tick for continuous queries (metadata-only
-    /// re-broadcast every EffectiveLease/3). Same leak-free pattern as the
-    /// executor's window tick.
-    std::function<void()> lease_tick;
+    /// The done timer and, for a continuous query, the self-rescheduling
+    /// lease refresh (RefreshTick). Both are released by Release().
+    uint64_t done_timer = 0;
     uint64_t lease_timer = 0;
     /// Latest piggybacked per-op meter snapshot from each remote executor
     /// (absolute values: each frame replaces its sender's previous one).
@@ -338,7 +323,17 @@ class QueryProcessor {
   static constexpr size_t kPendingAnswerCap = 4096;
 
   Status CheckTablesKnown(const QueryPlan& plan) const;
+  /// Start the lease refresh of a continuous query this node proxies:
+  /// a metadata-only re-broadcast every EffectiveLease/3 (RefreshTick).
   void StartLeaseRefresh(uint64_t query_id);
+  void RefreshTick(uint64_t query_id);
+  /// The one teardown of a record's timers: run by EndClient and
+  /// ~QueryProcessor.
+  void Release(ClientQuery* client);
+  /// The proxy record's single erase (done timer, cancel): releases its
+  /// timers, fires the final cost report, retires its per-query series.
+  /// Returns the record's on_done for the caller to fire.
+  DoneCallback EndClient(std::map<uint64_t, ClientQuery>::iterator it);
   /// Store (or refresh) the durable replicated copy of a continuous query's
   /// full plan under kPlanNs.
   void StoreDurablePlan(const QueryPlan& plan);
@@ -346,28 +341,24 @@ class QueryProcessor {
   /// client record is torn down and on_done fires. Shared by SubmitQuery
   /// and AdoptQuery so the two teardown paths cannot drift apart.
   uint64_t ArmDoneTimer(uint64_t query_id, TimeUs delay);
-  /// Hand one answer to the local client record: the attached callback if
-  /// any, the bounded pending buffer otherwise.
+  /// Hand a batch of answers to the local client record, row by row: the
+  /// attached callback if any, the bounded pending buffer otherwise. The
+  /// record is re-found per row because a client may Cancel() from inside
+  /// its own on_tuple.
+  void DeliverBatch(uint64_t query_id, const TupleBatch& batch);
   void DeliverAnswer(ClientQuery* client, const Tuple& t);
   /// Fire the final cost report into `on_costs` (if installed) — called on
   /// every teardown path BEFORE the client record is erased.
   void EmitFinalCosts(ClientQuery* client, uint64_t query_id);
   /// Capture the proxy's own executor ledger into the ClientQuery (no-op on
-  /// non-proxy nodes and once pinned).
+  /// non-proxy nodes and once pinned). Every path that starts graphs on
+  /// this node for a query it proxies, and adoption, pins.
   void PinLocalMeter(uint64_t query_id);
-  /// The piggybacked/flushed cost-block wire format (absolute snapshots).
-  static void AppendCostBlock(WireWriter* w, const QueryMeter& meter);
-  static bool DecodeCostBlock(WireReader* r,
-                              std::map<QueryMeter::Key, OpCost>* out);
   /// Mint/cache the per-query answers counter when a registry is attached.
   void BindQueryMetrics(ClientQuery* client, uint64_t query_id);
   void Disseminate(const QueryPlan& plan);
   void HandleDisseminationBlob(std::string_view blob);
   void HandleAnswerBatchMsg(const NetAddress& from, std::string_view body);
-  /// Deliver a batch of answers to the local client, or forward it to a
-  /// remote proxy as one kMsgAnswerBatch frame.
-  void ForwardAnswerBatch(uint64_t query_id, const NetAddress& proxy,
-                          const TupleBatch& batch);
   void StartRangeGraph(const QueryPlan& meta, const OpGraph& g);
 
   Vri* vri_;
@@ -382,27 +373,12 @@ class QueryProcessor {
 
   std::map<std::string, std::unique_ptr<Pht>> phts_;
   std::map<uint64_t, ClientQuery> clients_;
-  /// One outstanding proxy probe: who was asked, and how to resolve it.
-  /// The target is checked against the responder — a LATE response from a
-  /// previous probe's (different) target must not resolve the current one.
-  struct PendingProbe {
-    NetAddress target;
-    std::function<void(QueryExecutor::ProbeVerdict)> verdict;
-    /// Expiry sweep for this entry; cancelled when the probe resolves (and
-    /// at teardown, so no expiry closure outlives the processor).
-    uint64_t gc_timer = 0;
-  };
-  /// Outstanding proxy probes by query id (latest wins): resolved by the
-  /// probed node's kMsgLeaseProbeResp, or by a transport give-up.
-  std::map<uint64_t, PendingProbe> pending_probes_;
   TableResolver table_resolver_;
   uint64_t table_resolver_epoch_ = 0;
   uint64_t dissem_sub_ = 0;
   uint64_t next_suffix_ = 1;
   Stats stats_;
   MetricsRegistry* metrics_ = nullptr;
-  /// Histogram of forwarded answer frame sizes (null: no registry).
-  Histogram* answer_bytes_metric_ = nullptr;
 };
 
 }  // namespace pier

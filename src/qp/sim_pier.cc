@@ -40,7 +40,7 @@ SimPier::SimPier(uint32_t n, Options options)
   // client-published ones. Per-query rendezvous namespaces stay out.
   for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
     EventLoop* loop = harness_.loop();
-    qp(i)->set_publish_observer(
+    qp(i)->executor()->set_publish_observer(
         [this, loop](const std::string& ns,
                      const std::vector<std::string>& key_attrs, const Tuple& t,
                      size_t bytes) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "overlay/sim_overlay.h"
@@ -56,6 +58,8 @@ void PublishEv(SimPier* net, int64_t* next_id) {
   }
 }
 
+using Tally = std::map<std::string, uint64_t>;
+
 size_t LiveExecutorsRunning(SimPier* net, uint64_t qid) {
   size_t running = 0;
   for (uint32_t i = 0; i < net->size(); ++i) {
@@ -99,6 +103,14 @@ TEST(Failover, ProxyKillFailsOverToSuccessorAndAnswersResume) {
         << "node " << i << " never noticed the proxy died";
     EXPECT_EQ(net.qp(i)->executor()->stats().orphan_reaps, 0u)
         << "node " << i << " reaped despite a live successor";
+  }
+  // The walk each survivor took: one dead-proxy probe, then a failover to
+  // node 2 (which adopts itself) — no reap anywhere.
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (i == 1) continue;
+    const QueryExecutor::Stats& st = net.qp(i)->executor()->stats();
+    EXPECT_EQ(st.probe_verdicts, (Tally{{"dead", 1}})) << "node " << i;
+    EXPECT_TRUE(st.orphan_reaps_by_reason.empty()) << "node " << i;
   }
 
   // Re-attach through the adopting node: the backlog it buffered while the
@@ -155,6 +167,10 @@ TEST(Failover, NoSuccessorsMeansExecutorsReapByLeaseExpiry) {
                 std::string::npos)
           << st.last_orphan_reason;
     }
+    // Every survivor probed the dead proxy once and reaped on that verdict.
+    EXPECT_EQ(st.probe_verdicts, (Tally{{"dead", 1}})) << "node " << i;
+    EXPECT_EQ(st.orphan_reaps_by_reason, (Tally{{"probe_dead", 1}}))
+        << "node " << i;
   }
   EXPECT_TRUE(reason_seen) << "at least one executor recorded the abort reason";
 }
@@ -193,6 +209,39 @@ TEST(Failover, DeadlineIsHonoredAcrossFailover) {
   EXPECT_TRUE(attached->done());
   EXPECT_EQ(LiveExecutorsRunning(&net, qid), 0u)
       << "executors close at the absolute deadline, failover or not";
+}
+
+TEST(Failover, EveryRecordDrainsAfterAProxyKillAndAnAdoption) {
+  SimPier net(8, PierOptions(281));
+  RegisterEv(&net);
+  int64_t next_id = 0;
+
+  auto q = net.client(1)->Query(CountingQuery(&net, {2}, "14s"));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  uint64_t qid = q->id();
+  for (int i = 0; i < 4; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  net.harness()->FailNode(1);
+  for (int i = 0; i < 6; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  ASSERT_EQ(net.qp(2)->stats().adoptions, 1u);
+  ASSERT_TRUE(net.qp(2)->HasClientQuery(qid));
+  auto plan = net.qp(2)->ProxyPlan(qid);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  // Past the original deadline plus the done slack, nothing of the query
+  // may be left anywhere: no executor record, no proxy record.
+  TimeUs drained = plan->deadline_us + net.qp(2)->options().done_slack;
+  net.RunFor(drained - net.loop()->now() + kMillisecond);
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (!net.harness()->IsAlive(i)) continue;
+    EXPECT_EQ(net.qp(i)->executor()->num_active(), 0u) << "node " << i;
+    EXPECT_FALSE(net.qp(i)->HasClientQuery(qid)) << "node " << i;
+  }
 }
 
 TEST(Failover, SwapDrivenByTheAdoptedProxySurvivesTheRace) {
@@ -293,6 +342,16 @@ TEST(Failover, SuccessorThatDoesNotRunTheQueryIsWalkedPastAndReaped) {
       << "the owner kept executing for a successor that can never adopt";
   EXPECT_EQ(net.qp(successor)->stats().adoptions, 0u);
   EXPECT_GT(net.qp(owner)->executor()->stats().orphan_reaps, 0u);
+  // The owner's walk, verdict by verdict: the dead proxy, then two
+  // alive-but-not-proxying strikes against the successor, then the reap.
+  const QueryExecutor::Stats& st = net.qp(owner)->executor()->stats();
+  EXPECT_EQ(st.probe_verdicts, (Tally{{"dead", 1}, {"not_proxying", 2}}));
+  EXPECT_EQ(st.orphan_reaps_by_reason, (Tally{{"not_proxying", 1}}));
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (i == owner) continue;
+    EXPECT_TRUE(net.qp(i)->executor()->stats().probe_verdicts.empty())
+        << "node " << i << " runs nothing, so it probes nothing";
+  }
 }
 
 TEST(Failover, CancelOnAnOrphanedHandleTearsDownLocallyAndSaysUnavailable) {

@@ -383,6 +383,31 @@ TEST(QueryMetering, MeteringOffMeansEmptyReport) {
   EXPECT_EQ(ea->actual.total.tuples_out, 0u);
 }
 
+TEST(QueryMetering, PerQuerySeriesRetireWhenTheProxyRecordEnds) {
+  SimPier net(2, PierOptions(305));
+  ASSERT_TRUE(net.catalog()
+                  ->Register(TableSpec("ev").PartitionBy({"k"}))
+                  .ok());
+  Tuple t("ev");
+  t.Append("k", Value::Int64(1));
+  ASSERT_TRUE(net.client(0)->Publish("ev", t).ok());
+  net.RunFor(kSecond);
+
+  // 20 queries in a row through one proxy: each mints its qid-labeled
+  // answers counter while it runs, and retires it when its record ends.
+  MetricsRegistry* reg = net.metrics(0);
+  for (int i = 0; i < 20; ++i) {
+    auto q = net.client(0)->Query(Sql("SELECT * FROM ev TIMEOUT 2s"));
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(reg->num_series("pier_query_answers_total"), 1u)
+        << "query " << i << " runs with its own series";
+    EXPECT_EQ(q->Collect().size(), 1u);
+    EXPECT_TRUE(q->done());
+  }
+  EXPECT_EQ(reg->num_series("pier_query_answers_total"), 0u)
+      << "finished queries leave no per-query series behind";
+}
+
 // ---------------------------------------------------------------------------
 // Repair-tick cadence knob (satellite: replication known-hole)
 // ---------------------------------------------------------------------------

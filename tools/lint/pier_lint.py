@@ -8,7 +8,9 @@ are all invisible to the compiler and tedious for reviewers:
   timer-capture   A lambda literal that captures `this` (or captures
                   everything via [=] / [&]) handed to EventLoop::ScheduleAt /
                   ScheduleAfter / Vri::ScheduleEvent while DISCARDING the
-                  returned cancellation token. The PR-3 leak class: nothing
+                  returned cancellation token — directly, or through one
+                  named closure (a local `auto f = [this...]{...}` that the
+                  scheduled lambda captures). The oldest leak class: nothing
                   can cancel the closure at teardown, so it fires into a
                   destroyed object (or pins it forever). Store the token and
                   cancel it in teardown, or capture a weak guard.
@@ -221,6 +223,42 @@ def risky_captures(capture_list):
     return False
 
 
+IDENTIFIER = re.compile(r"&?\s*([A-Za-z_]\w*)$")
+
+
+def named_closure_captures(text, name, before):
+    """Capture list of the lambda literal local `name` was initialised from
+    (`auto name = [...]`), if that declaration is still in scope at offset
+    `before`; the latest such declaration wins. None otherwise."""
+    found = None
+    decl = re.compile(r"\bauto\s+%s\s*=\s*\[([^\[\]]*)\]" % re.escape(name))
+    for m in decl.finditer(text, 0, before):
+        depth = 0
+        for c in text[m.end():before]:
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth < 0:
+                    break  # the declaring block closed before the call
+        if depth >= 0:
+            found = m.group(1)
+    return found
+
+
+def risky_named_capture(text, capture_list, before):
+    """The first capture in `capture_list` naming an in-scope local closure
+    whose own captures are risky (the closure reaches `this` through it)."""
+    for item in capture_list.split(","):
+        m = IDENTIFIER.match(item.strip())
+        if not m or m.group(1) == "this":
+            continue
+        inner = named_closure_captures(text, m.group(1), before)
+        if inner is not None and risky_captures(inner):
+            return m.group(1)
+    return None
+
+
 def statement_prefix(text, call_start):
     """Source between the start of the enclosing statement and the call."""
     i = call_start - 1
@@ -252,17 +290,21 @@ def check_timer_capture(path, text, diags):
         risky = None
         for lm in LAMBDA_INTRO.finditer(args):
             if risky_captures(lm.group(1)):
-                risky = lm.group(0).split("]")[0] + "]"
+                risky = "`%s`" % (
+                    lm.group(0).split("]")[0].strip("[").strip() or "?")
+                break
+            named = risky_named_capture(text, lm.group(1), m.start())
+            if named is not None:
+                risky = "`%s`, a closure that captures `this`," % named
                 break
         if risky is None:
             continue
         if token_discarded(statement_prefix(text, m.start())):
             diags.append(Diagnostic(
                 path, line_of(text, m.start()), "timer-capture",
-                "lambda captures `%s` but the %s cancellation token is "
+                "lambda captures %s but the %s cancellation token is "
                 "discarded; store the token (and cancel it in teardown) or "
-                "capture a weak guard" % (risky.strip("[]").strip() or "?",
-                                          m.group(1))))
+                "capture a weak guard" % (risky, m.group(1))))
 
 
 def loop_body_ranges(body, base):

@@ -28,6 +28,30 @@ class LeaseKeeper {
     vri_->ScheduleEvent(kLeaseStep, [qid]() { NotePing(qid); });
   }
 
+  // A named closure is followed only when it captures `this`: one holding
+  // values is as harmless as the values themselves.
+  void ArmNamedPing(long qid) {
+    auto ping = [qid]() { NotePing(qid); };
+    vri_->ScheduleEvent(kLeaseStep, [ping]() { ping(); });
+  }
+
+  // A named `this` closure behind a stored token is cancellable.
+  void ArmNamedRefresh() {
+    auto refresh = [this]() { Refresh(); };
+    refresh_timer_ = vri_->ScheduleEvent(kLeaseStep, [refresh]() { refresh(); });
+  }
+
+  // The declaring block closed before the call: a later capture of the
+  // same name refers to something else.
+  void ArmAfterScope(long qid) {
+    {
+      auto check = [this]() { Refresh(); };
+      check();
+    }
+    long check = qid;
+    vri_->ScheduleEvent(kLeaseStep, [check]() { NotePing(check); });
+  }
+
   // `this` handed to a non-scheduling API is out of scope for this rule
   // (transport callbacks are invoked synchronously-or-cancelled by the
   // router, not parked on the loop).

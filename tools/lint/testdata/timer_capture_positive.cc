@@ -27,15 +27,27 @@ class LeaseKeeper {
     loop_->ScheduleAt(when, [&]() { Bump(generation); });  // expect: timer-capture
   }
 
+  // One named closure in between: the scheduled lambda captures only
+  // `resolve`, but `resolve` captures `this`, so the timer still reaches
+  // the object and nothing can cancel it.
+  void ArmProbeTimeout(long qid) {
+    auto resolve = [this, qid](int verdict) { Resolve(qid, verdict); };
+    vri_->ScheduleEvent(kLeaseStep / 2,  // expect: timer-capture
+                        [resolve]() { resolve(0); });
+    prober_(qid, resolve);
+  }
+
  private:
   void Refresh();
   void Expire(long id);
   void Bump(long g);
+  void Resolve(long qid, int verdict);
 
   Vri* vri_ = nullptr;
   EventLoop* loop_ = nullptr;
   long id_ = 0;
   long gen_ = 0;
+  Prober prober_;
   static constexpr long kLeaseStep = 1000;
 };
 
