@@ -132,11 +132,12 @@ MetricsRegistry::Series* MetricsRegistry::FindOrCreate(
   for (Series& s : fam.series) {
     if (!s.retired && s.labels == key) return &s;
   }
-  if (fam.series.size() >= max_series_per_family_) {
+  if (fam.live >= max_series_per_family_) {
     dropped_series_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   fam.series.emplace_back();
+  fam.live++;
   Series& s = fam.series.back();
   s.labels = std::move(key);
   *created = true;
@@ -210,6 +211,7 @@ bool MetricsRegistry::Remove(const std::string& name,
     if (!s.retired && s.labels == key) {
       s.retired = true;
       s.fn = nullptr;
+      it->second.live--;
       return true;
     }
   }
@@ -333,12 +335,7 @@ size_t MetricsRegistry::num_families() const {
 size_t MetricsRegistry::num_series(const std::string& name) const {
   MutexLock lock(mu_);
   auto it = families_.find(name);
-  if (it == families_.end()) return 0;
-  size_t n = 0;
-  for (const Series& s : it->second.series) {
-    if (!s.retired) ++n;
-  }
-  return n;
+  return it == families_.end() ? 0 : it->second.live;
 }
 
 }  // namespace pier

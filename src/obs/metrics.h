@@ -18,7 +18,7 @@
 // the returned Counter/Gauge/Histogram pointers are stable for the registry's
 // lifetime and update with relaxed atomics, so hot paths cache the pointer
 // and pay one atomic add per event — cheap enough for the answer path, and
-// shard-friendly for the planned multi-reactor runtime (ROADMAP item 1).
+// shard-friendly for a sharded multi-reactor runtime (ROADMAP "Deferred").
 // Subsystems whose counters already live in a Stats struct export through
 // callback-backed families instead (AddCounterFn/AddGaugeFn): zero cost on
 // their hot paths, read at snapshot time, one source of truth.
@@ -195,7 +195,10 @@ class MetricsRegistry {
     MetricKind kind = MetricKind::kCounter;
     std::string help;
     /// deque: growth never moves existing Series (stable instrument ptrs).
+    /// Retired series keep their storage for those pointers' sake.
     std::deque<Series> series;
+    /// Series not retired: the count the per-family cap applies to.
+    size_t live = 0;
   };
 
   Series* FindOrCreate(const std::string& name, MetricKind kind,

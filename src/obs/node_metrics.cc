@@ -45,7 +45,7 @@ void RegisterDhtMetrics(MetricsRegistry* reg, Dht* dht) {
                     "Objects that rode a multi-object PutBatch frame");
   reg->AddCounterFn("pier_dht_batch_msgs_total", {},
                     [dht] { return d(dht->stats().batch_msgs); },
-                    "multi-object kMsgPutBatch frames sent");
+                    "multi-object put frames sent");
   reg->AddCounterFn("pier_dht_read_failovers_total", {},
                     [dht] { return d(dht->stats().read_failovers); },
                     "Gets answered by a replica instead of the owner");
@@ -129,12 +129,13 @@ void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport) {
                     "Deduplicated inbound payload bytes");
 }
 
-void RegisterReplicationMetrics(MetricsRegistry* reg, ReplicationManager* repl) {
+void RegisterReplicationMetrics(MetricsRegistry* reg, Dht* dht) {
+  ReplicationManager* repl = dht->replication();
   reg->AddCounterFn("pier_repl_copies_sent_total", {},
                     [repl] { return d(repl->stats().replica_copies_sent); },
                     "Replica objects shipped by this node");
   reg->AddCounterFn("pier_repl_stores_total", {},
-                    [repl] { return d(repl->stats().replica_stores); },
+                    [dht] { return d(dht->stats().replica_stores); },
                     "Replica objects stored at this node");
   reg->AddCounterFn("pier_repl_promotions_total", {},
                     [repl] { return d(repl->stats().promotions); },
@@ -146,7 +147,7 @@ void RegisterReplicationMetrics(MetricsRegistry* reg, ReplicationManager* repl) 
                     [repl] { return d(repl->stats().handoff_pushes); },
                     "Objects re-propagated to successors");
   reg->AddCounterFn("pier_repl_handoff_pulls_total", {},
-                    [repl] { return d(repl->stats().handoff_pulls); },
+                    [dht] { return d(dht->stats().handoff_pulls); },
                     "Objects received answering a range pull");
   reg->AddCounterFn("pier_repl_suppressed_scan_rows_total", {},
                     [repl] { return d(repl->stats().suppressed_scan_rows); },
@@ -206,7 +207,7 @@ void RegisterNodeMetrics(MetricsRegistry* reg, QueryProcessor* qp) {
   RegisterDhtMetrics(reg, dht);
   RegisterRouterMetrics(reg, dht->router());
   RegisterTransportMetrics(reg, dht->router()->transport());
-  RegisterReplicationMetrics(reg, dht->replication());
+  RegisterReplicationMetrics(reg, dht);
   RegisterExecutorMetrics(reg, qp->executor());
   RegisterQueryProcessorMetrics(reg, qp);
   // Event-driven families (per-qid answer counters, answer-size histogram,

@@ -21,7 +21,6 @@ class MetricsRegistry;
 class OverlayRouter;
 class QueryExecutor;
 class QueryProcessor;
-class ReplicationManager;
 class UdpCc;
 
 /// pier_dht_* : puts/gets/sends/renews, store + routed-delivery counters,
@@ -35,8 +34,9 @@ void RegisterRouterMetrics(MetricsRegistry* reg, OverlayRouter* router);
 void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport);
 
 /// pier_repl_* : replica placement/repair counters plus the repair-tick
-/// cadence gauges (current period, backoff engaged).
-void RegisterReplicationMetrics(MetricsRegistry* reg, ReplicationManager* repl);
+/// cadence gauges (current period, backoff engaged). The store-side counters
+/// come from the Dht, whose store-frame handler receives every copy.
+void RegisterReplicationMetrics(MetricsRegistry* reg, Dht* dht);
 
 /// pier_exec_* : scalar failover counters. The labeled reap-reason and
 /// probe-verdict counters are minted by the executor itself once

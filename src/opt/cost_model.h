@@ -45,7 +45,7 @@ struct CostParams {
   /// Bytes shipped per DHT lookup request (namespace + key + header).
   double key_bytes = 16;
   /// Effective publish/rehash batch size: how many same-owner puts share
-  /// one wire frame (PR-4 kMsgPutBatch / batch dataflow). 1 = unbatched
+  /// one wire frame (the DHT store frame / batch dataflow). 1 = unbatched
   /// pricing. The per-message overhead amortizes by this factor; payload
   /// bytes are unaffected. PierClient::SetPublishBatching keeps it in sync
   /// with the client's actual batching configuration.

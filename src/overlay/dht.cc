@@ -20,31 +20,14 @@ Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
   ropts.replication_factor = options_.replication_factor;
   ropts.repair_period = options_.repl_repair_period;
   ropts.repair_backoff_max = options_.repl_repair_backoff_max;
-  ropts.max_objects_per_frame = kMaxBatchEntriesPerFrame;
   repl_ = std::make_unique<ReplicationManager>(vri_, router_.get(),
                                                objects_.get(), ropts);
-  repl_->set_primary_store_hook([this]() { stats_.store_requests++; });
 
+  // A single client write stored outside a store frame (a Send delivery, a
+  // local store) is a one-element newData batch.
   objects_->set_insert_hook([this](const ObjectManager::Object& obj) {
-    auto it = subs_by_ns_.find(obj.name.ns);
-    if (it == subs_by_ns_.end()) return;
-    // Copy: handlers may (un)subscribe while we iterate.
-    std::vector<uint64_t> tokens = it->second;
-    for (uint64_t token : tokens) {
-      auto sit = subs_.find(token);
-      if (sit == subs_.end()) continue;
-      if (sit->second.batch_handler) {
-        // During a put-batch store loop, batch subscriptions get ONE grouped
-        // delivery afterwards; outside it, a single insert is a one-element
-        // batch.
-        if (collecting_batch_) continue;
-        std::vector<NewDataEvent> one{
-            NewDataEvent{obj.name, std::string_view(obj.value)}};
-        sit->second.batch_handler(one);
-      } else {
-        sit->second.handler(obj.name, obj.value);
-      }
-    }
+    if (subs_by_ns_.count(obj.name.ns) == 0) return;
+    DispatchNewData({NewDataEvent{obj.name, obj.value}});
   });
 
   router_->set_delivery_handler(
@@ -52,8 +35,8 @@ Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
         HandleRoutedDelivery(info, payload);
       });
   router_->RegisterDirectType(
-      kMsgPutBatch,
-      [this](const NetAddress& f, std::string_view b) { HandlePutBatch(f, b); });
+      kMsgStore,
+      [this](const NetAddress& f, std::string_view b) { HandleStore(f, b); });
   router_->RegisterDirectType(kMsgRenewReq, [this](const NetAddress& f, std::string_view b) {
     HandleRenewReq(f, b);
   });
@@ -85,7 +68,7 @@ void Dht::EncodeObjectTo(WireWriter* w, const ObjectName& name, TimeUs lifetime,
   w->PutBytes(name.ns);
   w->PutBytes(name.key);
   w->PutBytes(name.suffix);
-  w->PutU64(static_cast<uint64_t>(lifetime));
+  w->PutVarint(static_cast<uint64_t>(lifetime));
   w->PutBytes(value);
 }
 
@@ -101,7 +84,7 @@ Status Dht::DecodeObjectFrom(WireReader* r, WireObjectView* out) {
   PIER_RETURN_IF_ERROR(r->GetBytes(&out->ns));
   PIER_RETURN_IF_ERROR(r->GetBytes(&out->key));
   PIER_RETURN_IF_ERROR(r->GetBytes(&out->suffix));
-  PIER_RETURN_IF_ERROR(r->GetU64(&lifetime));
+  PIER_RETURN_IF_ERROR(r->GetVarint(&lifetime));
   PIER_RETURN_IF_ERROR(r->GetBytes(&out->value));
   out->lifetime = static_cast<TimeUs>(lifetime);
   return Status::Ok();
@@ -120,15 +103,21 @@ Result<Dht::WireObject> Dht::DecodeObject(std::string_view wire) {
   return obj;
 }
 
-void Dht::StoreObject(ObjectName name, std::string value, TimeUs lifetime) {
-  stats_.store_requests++;
-  objects_->Put(std::move(name), std::move(value), EffectiveLifetime(lifetime));
+WireWriter Dht::FrameStore(uint8_t replica_index, StoreOrigin origin,
+                          size_t count) {
+  WireWriter w = OverlayRouter::FrameMessage(kMsgStore);
+  w.PutU8(replica_index);
+  w.PutU8(static_cast<uint8_t>(origin));
+  w.PutVarint(count);
+  return w;
 }
 
-void Dht::StoreFromView(const WireObjectView& v) {
-  StoreObject(ObjectName{std::string(v.ns), std::string(v.key),
-                         std::string(v.suffix)},
-              std::string(v.value), v.lifetime);
+void Dht::EncodeStoreObject(WireWriter* w, const ObjectName& name,
+                            TimeUs lifetime, TimeUs age,
+                            uint8_t desired_replicas, std::string_view value) {
+  EncodeObjectTo(w, name, lifetime, value);
+  w->PutVarint(static_cast<uint64_t>(std::max<TimeUs>(age, 0)));
+  w->PutU8(desired_replicas);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +211,6 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
     // Successor-set replication places every replica at the OWNER's
     // successors, so the sets are per owner, not per key.
     std::vector<NetAddress> succs;
-    Id id = 0;
     bool cached = false;  // resolved from the owner cache
   };
   struct BatchState {
@@ -249,7 +237,13 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
   st->pending_lookups = by_id.size();
   st->done = std::move(done);
 
-  auto ship = [this, st, batch, may_retry]() {
+  auto encode = [this](WireWriter* w, const DhtPutItem& it) {
+    EncodeStoreObject(w, ObjectName{it.ns, it.key, it.suffix},
+                      EffectiveLifetime(it.lifetime), 0,
+                      static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
+                      it.value);
+  };
+  auto ship = [this, st, batch, may_retry, encode]() {
     // All lookups resolved: one message per destination (chunked at the
     // frame cap the receiver enforces). All sends are registered before the
     // first one goes out, so a synchronously-failing send cannot complete
@@ -267,8 +261,8 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
     for (auto& [owner, og] : owners) {
       const std::vector<size_t>& indices = og.indices;
       for (size_t start = 0; start < indices.size();
-           start += kMaxBatchEntriesPerFrame) {
-        size_t n = std::min(kMaxBatchEntriesPerFrame, indices.size() - start);
+           start += kMaxStoreObjectsPerFrame) {
+        size_t n = std::min(kMaxStoreObjectsPerFrame, indices.size() - start);
         // One status group PER WIRE FRAME (an oversized destination chunks
         // into several), so a lost chunk reports exactly its own items as
         // dropped, never its sibling chunks' delivered ones.
@@ -278,63 +272,37 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
             std::vector<size_t>(indices.begin() + start,
                                 indices.begin() + start + n),
             Status::Ok()});
+        // The owner takes the chunk's primary copies in one store frame
+        // (index 0: stored and announced as newData, each with its desired
+        // factor for repair) ...
         int chunk_k = 1;
-        for (size_t j = start; j < start + n; ++j)
-          chunk_k = std::max(
-              chunk_k, EffectiveReplicas((*batch)[indices[j]].replicas));
-        WireWriter w;
-        if (chunk_k > 1) {
-          // Replicated chunk: the owner takes one primary replicate frame
-          // (index 0 — stores and fires newData exactly like a put, plus
-          // records each item's desired factor for repair) ...
-          w = ReplicationManager::FrameReplicate(
-              0, ReplicationManager::Origin::kWrite, og.id, n);
+        WireWriter w = FrameStore(0, StoreOrigin::kWrite, n);
+        for (size_t j = start; j < start + n; ++j) {
+          const DhtPutItem& it = (*batch)[indices[j]];
+          chunk_k = std::max(chunk_k, EffectiveReplicas(it.replicas));
+          encode(&w, it);
+        }
+        // ... and each of the owner's first chunk_k-1 successors takes one
+        // replica frame per chunk with the items wide enough to reach it —
+        // replicating per destination group, not per item.
+        for (int rep = 1; rep < chunk_k; ++rep) {
+          size_t si = static_cast<size_t>(rep - 1);
+          if (si >= og.succs.size()) break;
+          const NetAddress& dest = og.succs[si];
+          if (dest.IsNull() || dest == owner) continue;
+          std::vector<size_t> rep_items;
           for (size_t j = start; j < start + n; ++j) {
-            const DhtPutItem& it = (*batch)[indices[j]];
-            ReplicationManager::EncodeReplicaObject(
-                &w, ObjectName{it.ns, it.key, it.suffix},
-                EffectiveLifetime(it.lifetime), 0,
-                static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
-                it.value);
+            if (EffectiveReplicas((*batch)[indices[j]].replicas) > rep)
+              rep_items.push_back(indices[j]);
           }
-          // ... and each of the owner's first chunk_k-1 successors takes one
-          // replica frame per chunk with the items wide enough to reach it —
-          // replicating per destination group, not per item.
-          for (int rep = 1; rep < chunk_k; ++rep) {
-            size_t si = static_cast<size_t>(rep - 1);
-            if (si >= og.succs.size()) break;
-            const NetAddress& dest = og.succs[si];
-            if (dest.IsNull() || dest == owner) continue;
-            std::vector<size_t> rep_items;
-            for (size_t j = start; j < start + n; ++j) {
-              if (EffectiveReplicas((*batch)[indices[j]].replicas) > rep)
-                rep_items.push_back(indices[j]);
-            }
-            if (rep_items.empty()) continue;
-            WireWriter rw = ReplicationManager::FrameReplicate(
-                static_cast<uint8_t>(rep),
-                ReplicationManager::Origin::kWrite, og.id, rep_items.size());
-            for (size_t idx : rep_items) {
-              const DhtPutItem& it = (*batch)[idx];
-              ReplicationManager::EncodeReplicaObject(
-                  &rw, ObjectName{it.ns, it.key, it.suffix},
-                  EffectiveLifetime(it.lifetime), 0,
-                  static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
-                  it.value);
-            }
-            repl_->NoteReplicaCopiesSent(rep_items.size());
-            st->groups[group].replica_frames++;
-            frames.push_back(
-                Frame{group, true, dest, std::move(rw).data(), false});
-          }
-        } else {
-          w = OverlayRouter::FrameMessage(kMsgPutBatch);
-          w.PutVarint(n);
-          for (size_t j = start; j < start + n; ++j) {
-            const DhtPutItem& it = (*batch)[indices[j]];
-            EncodeObjectTo(&w, ObjectName{it.ns, it.key, it.suffix},
-                           it.lifetime, it.value);
-          }
+          if (rep_items.empty()) continue;
+          WireWriter rw = FrameStore(static_cast<uint8_t>(rep),
+                                     StoreOrigin::kWrite, rep_items.size());
+          for (size_t idx : rep_items) encode(&rw, (*batch)[idx]);
+          repl_->NoteReplicaCopiesSent(rep_items.size());
+          st->groups[group].replica_frames++;
+          frames.push_back(
+              Frame{group, true, dest, std::move(rw).data(), false});
         }
         if (n > 1) {
           stats_.batched_puts += n;
@@ -402,7 +370,6 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
             OwnerGroup& g = st->by_owner[owner->address];
             g.indices.insert(g.indices.end(), indices.begin(), indices.end());
             g.succs = owner->successors;
-            g.id = owner->id;
             g.cached = g.cached || owner->cached;
           } else {
             // The whole group is undeliverable: no owner could be resolved.
@@ -612,19 +579,19 @@ void Dht::LocalScan(const std::string& ns, const ScanFn& fn) {
   });
 }
 
-uint64_t Dht::OnNewData(const std::string& ns, NewDataHandler handler) {
+uint64_t Dht::OnNewDataBatch(const std::string& ns,
+                             BatchNewDataHandler handler) {
   uint64_t token = next_sub_id_++;
-  subs_[token] = Subscription{ns, std::move(handler), nullptr};
+  subs_[token] = Subscription{ns, std::move(handler)};
   subs_by_ns_[ns].push_back(token);
   return token;
 }
 
-uint64_t Dht::OnNewDataBatch(const std::string& ns,
-                             BatchNewDataHandler handler) {
-  uint64_t token = next_sub_id_++;
-  subs_[token] = Subscription{ns, nullptr, std::move(handler)};
-  subs_by_ns_[ns].push_back(token);
-  return token;
+uint64_t Dht::OnNewData(const std::string& ns, NewDataHandler handler) {
+  return OnNewDataBatch(
+      ns, [handler = std::move(handler)](const std::vector<NewDataEvent>& evs) {
+        for (const NewDataEvent& e : evs) handler(e.name, e.value);
+      });
 }
 
 void Dht::CancelNewData(uint64_t token) {
@@ -647,69 +614,90 @@ void Dht::HandleRoutedDelivery(const RouteInfo& info, std::string_view payload) 
   WireReader r(payload);
   WireObjectView v;
   if (!DecodeObjectFrom(&r, &v).ok()) return;  // malformed: drop
-  StoreFromView(v);
+  stats_.store_requests++;
+  objects_->Put(
+      ObjectName{std::string(v.ns), std::string(v.key), std::string(v.suffix)},
+      std::string(v.value), EffectiveLifetime(v.lifetime));
 }
 
-void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
+void Dht::HandleStore(const NetAddress& from, std::string_view body) {
   WireReader r(body);
+  uint8_t replica_index, origin;
   uint64_t count;
-  if (!r.GetVarint(&count).ok()) return;
-  if (count > kMaxBatchEntriesPerFrame) return;  // malformed: drop
-  // Entries alias the receive buffer; the only copies are the ones the
-  // store itself must own. A malformed tail drops the rest of the batch,
-  // never what already decoded (best-effort, like every other handler).
-  // Batch-capable newData subscriptions see the frame's objects as ONE
-  // grouped delivery of views after the store loop, instead of per-object
-  // re-materialized callbacks.
-  std::vector<WireObjectView> stored;
-  stored.reserve(count);
-  bool hinted = false;  // one not-owner hint per frame is enough
-  collecting_batch_ = true;
+  if (!r.GetU8(&replica_index).ok() || !r.GetU8(&origin).ok() ||
+      !r.GetVarint(&count).ok() || count > kMaxStoreObjectsPerFrame)
+    return;  // malformed: drop
+  // A writer's primary copies are the frame's only client writes: only they
+  // are newData, and only they should have reached the owner, so one
+  // not-owner hint per frame corrects a stale owner cache at the writer.
+  // Values alias the receive buffer; the only copies are the ones the store
+  // must own. A malformed tail drops the rest of the frame, never what
+  // already decoded (best-effort, like every other handler).
+  bool client_write = replica_index == 0 &&
+                      static_cast<StoreOrigin>(origin) == StoreOrigin::kWrite;
+  bool hinted = !client_write;
+  std::vector<NewDataEvent> events;
   for (uint64_t i = 0; i < count; ++i) {
     WireObjectView v;
-    if (!DecodeObjectFrom(&r, &v).ok()) break;
-    StoreFromView(v);
-    stored.push_back(v);
+    uint64_t age;
+    uint8_t desired;
+    if (!DecodeObjectFrom(&r, &v).ok() || !r.GetVarint(&age).ok() ||
+        !r.GetU8(&desired).ok())
+      break;
+    ObjectName name{std::string(v.ns), std::string(v.key),
+                    std::string(v.suffix)};
+    // The name is copied only when a subscriber will see it.
+    bool announce = client_write && subs_by_ns_.count(name.ns) > 0;
+    if (objects_->Put(announce ? name : std::move(name), std::string(v.value),
+                      v.lifetime, static_cast<TimeUs>(age), replica_index,
+                      desired, /*client_write=*/false) &&
+        announce)
+      events.push_back(NewDataEvent{std::move(name), v.value});
+    if (desired > 1) repl_->NoteReplicatedStore();
+    if (replica_index == 0) {
+      stats_.store_requests++;
+    } else {
+      stats_.replica_stores++;
+    }
+    if (static_cast<StoreOrigin>(origin) == StoreOrigin::kHandoffPull)
+      stats_.handoff_pulls++;
     if (!hinted) hinted = router_->HintIfNotOwner(from, RoutingId(v.ns, v.key));
   }
-  collecting_batch_ = false;
-  DispatchBatchNewData(stored);
+  if (!events.empty()) DispatchNewData(events);
 }
 
-void Dht::DispatchBatchNewData(const std::vector<WireObjectView>& stored) {
-  if (stored.empty() || subs_.empty()) return;
-  // Group by namespace in first-seen order; within a namespace, store order
-  // is preserved (objects sharing a (ns, key) arrive in batch order).
-  std::vector<std::string_view> ns_order;
-  for (const WireObjectView& v : stored) {
-    bool seen = false;
-    for (std::string_view ns : ns_order) seen = seen || ns == v.ns;
-    if (!seen) ns_order.push_back(v.ns);
-  }
-  for (std::string_view ns : ns_order) {
-    auto it = subs_by_ns_.find(std::string(ns));
-    if (it == subs_by_ns_.end()) continue;
+void Dht::DispatchNewData(const std::vector<NewDataEvent>& events) {
+  auto deliver = [this](const std::string& ns,
+                        const std::vector<NewDataEvent>& group) {
+    auto it = subs_by_ns_.find(ns);
+    if (it == subs_by_ns_.end()) return;
     std::vector<uint64_t> tokens = it->second;  // handlers may unsubscribe
-    bool any_batch = false;
     for (uint64_t token : tokens) {
       auto sit = subs_.find(token);
-      any_batch = any_batch || (sit != subs_.end() && sit->second.batch_handler);
+      if (sit != subs_.end()) sit->second.handler(group);
     }
-    if (!any_batch) continue;
-    std::vector<NewDataEvent> events;
-    for (const WireObjectView& v : stored) {
-      if (v.ns != ns) continue;
-      events.push_back(NewDataEvent{
-          ObjectName{std::string(v.ns), std::string(v.key),
-                     std::string(v.suffix)},
-          v.value});
-    }
-    for (uint64_t token : tokens) {
-      auto sit = subs_.find(token);
-      if (sit != subs_.end() && sit->second.batch_handler) {
-        sit->second.batch_handler(events);
-      }
-    }
+  };
+  const std::string& first = events.front().name.ns;
+  if (std::all_of(events.begin(), events.end(), [&](const NewDataEvent& e) {
+        return e.name.ns == first;
+      })) {
+    deliver(first, events);
+    return;
+  }
+  // Mixed namespaces: one call per namespace in first-seen order; within a
+  // namespace, store order holds (objects sharing a (ns, key) arrive in
+  // batch order).
+  std::vector<const std::string*> ns_order;
+  for (const NewDataEvent& e : events) {
+    if (std::none_of(ns_order.begin(), ns_order.end(),
+                     [&](const std::string* ns) { return *ns == e.name.ns; }))
+      ns_order.push_back(&e.name.ns);
+  }
+  for (const std::string* ns : ns_order) {
+    std::vector<NewDataEvent> group;
+    for (const NewDataEvent& e : events)
+      if (e.name.ns == *ns) group.push_back(e);
+    deliver(*ns, group);
   }
 }
 
@@ -784,12 +772,11 @@ void Dht::ReadRepair(uint64_t op_id, const std::vector<DhtItem>& items,
   if (it == pending_.end()) return;
   PendingOp& op = it->second;
   stats_.read_repairs++;
-  WireWriter w = ReplicationManager::FrameReplicate(
-      0, ReplicationManager::Origin::kReadRepair, op.owner_id, items.size());
+  WireWriter w = FrameStore(0, StoreOrigin::kReadRepair, items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    ReplicationManager::EncodeReplicaObject(
-        &w, ObjectName{op.ns, op.key, items[i].suffix}, remaining[i], 0,
-        static_cast<uint8_t>(op.replicas), items[i].value);
+    EncodeStoreObject(&w, ObjectName{op.ns, op.key, items[i].suffix},
+                      remaining[i], 0, static_cast<uint8_t>(op.replicas),
+                      items[i].value);
   }
   router_->SendFramed(op.candidates[0], std::move(w).data(), nullptr);
 }
@@ -811,11 +798,9 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
   if (s.ok()) {
     // A renewed replicated object has drifted from its replica copies'
     // lifetimes: re-propagate it on the next repair tick.
-    for (const ObjectManager::Object* o : objects_->Get(name.ns, name.key)) {
-      if (o->name.suffix == name.suffix && !o->is_replica() &&
-          o->desired_replicas > 1)
-        repl_->RefreshReplicas(name);
-    }
+    const ObjectManager::Object* o = objects_->Find(name);
+    if (o != nullptr && !o->is_replica() && o->desired_replicas > 1)
+      repl_->RefreshReplicas(name);
   }
   WireWriter w;
   w.PutU64(op_id);

@@ -12,6 +12,12 @@
 // a routed lookup; once the router's owner cache covers the id, it costs no
 // message, so a warm put is one direct send. send routes the object through
 // the overlay in a single call, giving every node on the path an upcall.
+//
+// Every object that travels to be stored rides one store frame (kMsgStore):
+// a put's primary copy and its replica copies, the replication manager's
+// handoff push and pull, and read repair. One handler stores each object
+// through ObjectManager::Put and announces the client writes among them
+// (the primary copies of a put) as one grouped newData dispatch per frame.
 
 #ifndef PIER_OVERLAY_DHT_H_
 #define PIER_OVERLAY_DHT_H_
@@ -138,9 +144,9 @@ class Dht {
                                            std::vector<PutGroupStatus> groups)>;
 
   /// Batched put: the batch is grouped by responsible node (one Lookup per
-  /// distinct routing id, one wire message per destination — a kMsgPutBatch
-  /// frame, or a kMsgReplicate frame when the group is replicated, whatever
-  /// the object count). Entry order is preserved within each destination, so
+  /// distinct routing id, one store frame per destination whatever the
+  /// object count, plus one replica frame per successor when the group is
+  /// replicated). Entry order is preserved within each destination, so
   /// objects sharing a (ns, key) arrive in batch order. `done` (may be null)
   /// fires once after every group's delivery resolved, with every group's
   /// outcome: a batch whose destinations PARTIALLY fail (one owner dead, the
@@ -176,32 +182,28 @@ class Dht {
                                     TimeUs stored_at)>;
   void LocalScan(const std::string& ns, const ScanFn& fn);
 
-  /// newData: subscribe to client writes stored at this node in `ns`
-  /// (handleNewData): puts, Send deliveries, local stores and a replicated
-  /// write's primary copy. Replication maintenance (promotion, handoff,
-  /// read repair) moves existing objects and stays silent. Returns a
-  /// subscription token.
-  using NewDataHandler =
-      std::function<void(const ObjectName&, std::string_view value)>;
-  uint64_t OnNewData(const std::string& ns, NewDataHandler handler);
-  void CancelNewData(uint64_t token);
-
-  /// One newly stored object in a batch newData delivery. `value` aliases
-  /// the receive frame (or the stored copy for single inserts) and is valid
-  /// only for the duration of the handler call.
+  /// One newly stored object in a newData delivery. `value` aliases the
+  /// receive frame (or the stored copy for single inserts) and is valid only
+  /// for the duration of the handler call.
   struct NewDataEvent {
     ObjectName name;
     std::string_view value;
   };
-  /// Batch-capable newData subscription: a kMsgPutBatch frame is delivered
-  /// as ONE call with every stored object of `ns`, in store order, without
-  /// re-materializing per-object copies (a one-object frame, e.g. a plain
-  /// put, is a one-element batch). Other single inserts (Send delivery,
-  /// replicate frames, local store) arrive as one-element batches too.
-  /// Cancel with CancelNewData.
+  /// newData: subscribe to client writes stored at this node in `ns`
+  /// (handleNewData): put primaries, Send deliveries and local stores.
+  /// Replication maintenance (replica copies, promotion, handoff, read
+  /// repair) moves existing objects and stays silent. A store frame is
+  /// delivered as ONE call with every stored client write of `ns`, in store
+  /// order, without re-materializing per-object copies; a Send delivery or a
+  /// local store is a one-element batch. Returns a token for CancelNewData.
   using BatchNewDataHandler =
       std::function<void(const std::vector<NewDataEvent>&)>;
   uint64_t OnNewDataBatch(const std::string& ns, BatchNewDataHandler handler);
+  /// Per-object adapter over OnNewDataBatch.
+  using NewDataHandler =
+      std::function<void(const ObjectName&, std::string_view value)>;
+  uint64_t OnNewData(const std::string& ns, NewDataHandler handler);
+  void CancelNewData(uint64_t token);
 
   /// upcall: intercept in-transit Send objects in `ns` (handleUpcall). The
   /// handler may decode the object with DecodeObject, mutate it, and return
@@ -227,6 +229,31 @@ class Dht {
                              TimeUs lifetime, std::string_view value);
   static Result<WireObject> DecodeObject(std::string_view wire);
 
+  /// Why a store frame was sent; the receiver counts and announces by it.
+  enum class StoreOrigin : uint8_t {
+    kWrite = 0,        // writer-side placement (Put / PutBatch)
+    kHandoffPush = 1,  // owner re-propagating after a successor-set change
+    kHandoffPull = 2,  // response to a range pull from a new owner
+    kReadRepair = 3,   // Get refreshed a stale/missing owner copy
+  };
+  /// Largest object count either side of the wire accepts in one store
+  /// frame: senders chunk bigger groups, the receiver drops frames past it
+  /// as malformed.
+  static constexpr size_t kMaxStoreObjectsPerFrame = 4096;
+  /// The store frame encoder. FrameStore seeds the frame (type byte, then
+  /// `replica_index u8, origin u8, count varint`); append exactly `count`
+  /// objects with EncodeStoreObject (the routed-object codec, then
+  /// `age varint, desired u8`) and hand the frame to
+  /// OverlayRouter::SendFramed. `lifetime` is the copy's remaining lifetime
+  /// (never 0 = default: senders resolve it) and `age` how long the origin
+  /// copy has lived.
+  static WireWriter FrameStore(uint8_t replica_index, StoreOrigin origin,
+                               size_t count);
+  static void EncodeStoreObject(WireWriter* w, const ObjectName& name,
+                                TimeUs lifetime, TimeUs age,
+                                uint8_t desired_replicas,
+                                std::string_view value);
+
   // --- Introspection ------------------------------------------------------------
 
   OverlayRouter* router() { return router_.get(); }
@@ -247,13 +274,13 @@ class Dht {
     uint64_t gets = 0;
     uint64_t sends = 0;
     uint64_t renews = 0;
-    uint64_t store_requests = 0;  // objects stored on behalf of others
+    uint64_t store_requests = 0;  // primary copies stored for others
     uint64_t routed_deliveries = 0;  // Send objects that reached this owner
     uint64_t routed_delivery_hops = 0;  // cumulative hop count of the above
-    uint64_t batched_puts = 0;  // objects that rode a multi-object PutBatch frame
+    uint64_t batched_puts = 0;  // objects that rode a multi-object put frame
     uint64_t batch_msgs = 0;    // multi-object put frames sent
     uint64_t coalesced_msgs = 0;  // mirror of the router's bundle-rider count
-    // Replication health (merged from the replication manager at read).
+    // Replication health (the rest merged from the replication manager).
     uint64_t replica_puts = 0;       // replica copies shipped by this node
     uint64_t replica_stores = 0;     // replica copies stored at this node
     uint64_t promotions = 0;         // replicas retagged primary (owner died)
@@ -268,10 +295,8 @@ class Dht {
     s.coalesced_msgs = router_->stats().coalesced_msgs;
     const ReplicationManager::Stats& r = repl_->stats();
     s.replica_puts = r.replica_copies_sent;
-    s.replica_stores = r.replica_stores;
     s.promotions = r.promotions;
     s.handoff_pushes = r.handoff_pushes;
-    s.handoff_pulls = r.handoff_pulls;
     s.suppressed_scan_rows = r.suppressed_scan_rows;
     return s;
   }
@@ -280,17 +305,13 @@ class Dht {
   // Direct message types (every layer's are tabled in src/overlay/README.md).
   static constexpr uint8_t kMsgRenewReq = 19;
   static constexpr uint8_t kMsgRenewResp = 20;
-  static constexpr uint8_t kMsgPutBatch = 21;
-  // 22 (replicate) and 23 (pull) belong to the replication manager.
+  static constexpr uint8_t kMsgStore = 22;  // every object sent to be stored
+  // 23 (pull) belongs to the replication manager.
   static constexpr uint8_t kMsgGetReqEx = 24;   // read-any get (echoes attempt)
   static constexpr uint8_t kMsgGetRespEx = 25;  // carries remaining lifetimes
-  /// Largest entry count either side of the wire accepts in one
-  /// kMsgPutBatch frame: the sender chunks bigger groups, the receiver
-  /// drops frames past it as malformed.
-  static constexpr size_t kMaxBatchEntriesPerFrame = 4096;
 
   /// A decoded object whose fields alias the receive buffer (no copies until
-  /// the store itself). Used by the put-batch and routed-delivery handlers.
+  /// the store itself). Used by the store-frame and routed-delivery handlers.
   struct WireObjectView {
     std::string_view ns;
     std::string_view key;
@@ -300,16 +321,12 @@ class Dht {
   };
   static Status DecodeObjectFrom(WireReader* r, WireObjectView* out);
 
-  void HandlePutBatch(const NetAddress& from, std::string_view body);
+  void HandleStore(const NetAddress& from, std::string_view body);
   void HandleGetReqEx(const NetAddress& from, std::string_view body);
   void HandleGetRespEx(const NetAddress& from, std::string_view body);
   void HandleRenewReq(const NetAddress& from, std::string_view body);
   void HandleRenewResp(const NetAddress& from, std::string_view body);
   void HandleRoutedDelivery(const RouteInfo& info, std::string_view payload);
-  void StoreObject(ObjectName name, std::string value, TimeUs lifetime);
-  /// Copy a decoded view's fields out of the receive buffer into the store
-  /// (the one unavoidable copy of the receive path).
-  void StoreFromView(const WireObjectView& v);
   TimeUs EffectiveLifetime(TimeUs lifetime) const {
     return lifetime > 0 ? lifetime : options_.default_lifetime;
   }
@@ -377,19 +394,16 @@ class Dht {
 
   struct Subscription {
     std::string ns;
-    NewDataHandler handler;              // exactly one of the two is set
-    BatchNewDataHandler batch_handler;
+    BatchNewDataHandler handler;
   };
   std::unordered_map<uint64_t, Subscription> subs_;
   std::unordered_map<std::string, std::vector<uint64_t>> subs_by_ns_;
   uint64_t next_sub_id_ = 1;
 
-  /// Deliver a put-batch's stored objects to batch subscriptions, grouped by
-  /// namespace in store order. Views alias the receive frame.
-  void DispatchBatchNewData(const std::vector<WireObjectView>& stored);
-  /// True while HandlePutBatch is storing a frame's objects: the insert hook
-  /// skips batch subscriptions (they get the grouped dispatch afterwards).
-  bool collecting_batch_ = false;
+  /// Deliver newly stored client writes (at least one) to their namespaces'
+  /// subscriptions, one call per namespace in first-seen order, store order
+  /// within it.
+  void DispatchNewData(const std::vector<NewDataEvent>& events);
 
   Stats stats_;
 };

@@ -1,5 +1,6 @@
 #include "overlay/object_manager.h"
 
+#include <algorithm>
 #include <memory>
 
 namespace pier {
@@ -17,83 +18,53 @@ ObjectManager::ObjectManager(Vri* vri, Options options)
 
 ObjectManager::~ObjectManager() { vri_->CancelEvent(gc_timer_); }
 
-void ObjectManager::Put(ObjectName name, std::string value, TimeUs lifetime) {
+bool ObjectManager::Put(ObjectName name, std::string value, TimeUs lifetime,
+                        TimeUs age, uint8_t replica_index,
+                        uint8_t desired_replicas, bool client_write) {
   if (lifetime > options_.max_lifetime) lifetime = options_.max_lifetime;
-  if (lifetime <= 0) return;  // instantly expired
-  Object obj;
-  obj.name = name;
-  obj.value = std::move(value);
-  obj.expires_at = vri_->Now() + lifetime;
-  obj.stored_at = vri_->Now();
+  if (lifetime <= 0) return false;  // the origin copy already expired
+  TimeUs now = vri_->Now();
   Object& slot = store_[name.ns][name.key][name.suffix];
-  slot = std::move(obj);
-  if (insert_hook_) insert_hook_(slot);
+  slot.name = std::move(name);
+  slot.value = std::move(value);
+  slot.expires_at = now + lifetime;
+  slot.stored_at = now - std::max<TimeUs>(age, 0);
+  slot.replica_index = replica_index;
+  slot.desired_replicas = std::max<uint8_t>(desired_replicas, 1);
+  if (client_write && insert_hook_) insert_hook_(slot);
+  return true;
 }
 
-void ObjectManager::PutReplica(ObjectName name, std::string value,
-                               TimeUs remaining, TimeUs age,
-                               uint8_t replica_index, uint8_t desired_replicas,
-                               uint64_t owner_id, bool client_write) {
-  if (remaining > options_.max_lifetime) remaining = options_.max_lifetime;
-  if (remaining <= 0) return;  // origin copy already expired
-  if (age < 0) age = 0;
-  Object obj;
-  obj.name = name;
-  obj.value = std::move(value);
-  obj.expires_at = vri_->Now() + remaining;
-  obj.stored_at = vri_->Now() - age;
-  obj.replica_index = replica_index;
-  obj.desired_replicas = desired_replicas > 0 ? desired_replicas : 1;
-  obj.owner_id = owner_id;
-  Object& slot = store_[name.ns][name.key][name.suffix];
-  slot = std::move(obj);
-  if (client_write && insert_hook_) insert_hook_(slot);
+ObjectManager::Object* ObjectManager::FindLive(const ObjectName& name) {
+  auto ns_it = store_.find(name.ns);
+  if (ns_it == store_.end()) return nullptr;
+  auto key_it = ns_it->second.find(name.key);
+  if (key_it == ns_it->second.end()) return nullptr;
+  auto sfx_it = key_it->second.find(name.suffix);
+  if (sfx_it == key_it->second.end()) return nullptr;
+  if (sfx_it->second.expires_at > vri_->Now()) return &sfx_it->second;
+  key_it->second.erase(sfx_it);
+  return nullptr;
 }
 
 bool ObjectManager::Promote(const ObjectName& name) {
-  auto ns_it = store_.find(name.ns);
-  if (ns_it == store_.end()) return false;
-  auto key_it = ns_it->second.find(name.key);
-  if (key_it == ns_it->second.end()) return false;
-  auto sfx_it = key_it->second.find(name.suffix);
-  if (sfx_it == key_it->second.end()) return false;
-  Object& obj = sfx_it->second;
-  if (obj.expires_at <= vri_->Now()) {
-    key_it->second.erase(sfx_it);
-    return false;
-  }
-  if (obj.replica_index == 0) return false;
-  obj.replica_index = 0;
+  Object* obj = FindLive(name);
+  if (obj == nullptr || obj->replica_index == 0) return false;
+  obj->replica_index = 0;
   return true;
 }
 
 bool ObjectManager::Demote(const ObjectName& name) {
-  auto ns_it = store_.find(name.ns);
-  if (ns_it == store_.end()) return false;
-  auto key_it = ns_it->second.find(name.key);
-  if (key_it == ns_it->second.end()) return false;
-  auto sfx_it = key_it->second.find(name.suffix);
-  if (sfx_it == key_it->second.end()) return false;
-  Object& obj = sfx_it->second;
-  if (obj.replica_index != 0) return false;
-  obj.replica_index = 1;
+  Object* obj = FindLive(name);
+  if (obj == nullptr || obj->replica_index != 0) return false;
+  obj->replica_index = 1;
   return true;
 }
 
 Status ObjectManager::Renew(const ObjectName& name, TimeUs lifetime) {
-  if (lifetime > options_.max_lifetime) lifetime = options_.max_lifetime;
-  auto ns_it = store_.find(name.ns);
-  if (ns_it == store_.end()) return Status::NotFound("no such namespace");
-  auto key_it = ns_it->second.find(name.key);
-  if (key_it == ns_it->second.end()) return Status::NotFound("no such key");
-  auto sfx_it = key_it->second.find(name.suffix);
-  if (sfx_it == key_it->second.end()) return Status::NotFound("no such object");
-  TimeUs now = vri_->Now();
-  if (sfx_it->second.expires_at <= now) {
-    key_it->second.erase(sfx_it);
-    return Status::NotFound("object expired");
-  }
-  sfx_it->second.expires_at = now + lifetime;
+  Object* obj = FindLive(name);
+  if (obj == nullptr) return Status::NotFound("no such object");
+  obj->expires_at = vri_->Now() + std::min(lifetime, options_.max_lifetime);
   return Status::Ok();
 }
 
@@ -153,11 +124,7 @@ void ObjectManager::ScanAll(const std::function<void(const Object&)>& fn) {
 }
 
 void ObjectManager::Remove(const ObjectName& name) {
-  auto ns_it = store_.find(name.ns);
-  if (ns_it == store_.end()) return;
-  auto key_it = ns_it->second.find(name.key);
-  if (key_it == ns_it->second.end()) return;
-  key_it->second.erase(name.suffix);
+  if (FindLive(name) != nullptr) store_[name.ns][name.key].erase(name.suffix);
 }
 
 void ObjectManager::DropNamespace(std::string_view ns) {

@@ -6,6 +6,10 @@
 // responsible node changed, the renew fails and the publisher must re-put).
 // The system clamps lifetimes to a maximum so objects whose publisher died
 // are eventually garbage collected.
+//
+// Every copy enters through one call, Put: a local store passes the default
+// placement tags, and the Dht's store frame passes the tags and the origin-
+// stamped lifetime of a replicated or handed-off copy.
 
 #ifndef PIER_OVERLAY_OBJECT_MANAGER_H_
 #define PIER_OVERLAY_OBJECT_MANAGER_H_
@@ -45,8 +49,6 @@ class ObjectManager {
     uint8_t replica_index = 0;
     /// How many live copies the writer asked for (1 = unreplicated).
     uint8_t desired_replicas = 1;
-    /// Routing id of the node that was responsible when the copy was placed.
-    uint64_t owner_id = 0;
 
     bool is_replica() const { return replica_index != 0; }
   };
@@ -55,22 +57,18 @@ class ObjectManager {
   ObjectManager(Vri* vri) : ObjectManager(vri, Options{}) {}  // NOLINT
   ~ObjectManager();
 
-  /// Store (or overwrite) an object. Lifetime is clamped to max_lifetime.
-  /// Fires the insert hook.
-  void Put(ObjectName name, std::string value, TimeUs lifetime);
-
-  /// Store a replicated copy with an ORIGIN-STAMPED lifetime: the copy keeps
-  /// the remaining lifetime of the origin, not a fresh local one, so copies
-  /// placed at different times all expire together with the owner copy.
-  /// `remaining` is the origin's time left at send time and `age` how long
-  /// the origin had already lived (back-dates stored_at so catch-up marks
-  /// treat the copy like the original). Fires the insert hook only when
-  /// `client_write`: the primary copy of a writer's put. Re-stores by
-  /// maintenance (handoff push and pull, read repair) stay silent, because
-  /// the object was already new data where the write first landed.
-  void PutReplica(ObjectName name, std::string value, TimeUs remaining,
-                  TimeUs age, uint8_t replica_index, uint8_t desired_replicas,
-                  uint64_t owner_id, bool client_write);
+  /// Store (or overwrite) an object; false if it arrived already expired.
+  /// `lifetime` is clamped to max_lifetime. A copy placed from elsewhere
+  /// keeps the ORIGIN-STAMPED lifetime: `lifetime` is the origin's time left
+  /// at send time and `age` how long the origin had already lived (it
+  /// back-dates stored_at, so catch-up marks treat the copy like the
+  /// original and all copies expire together). `replica_index` and
+  /// `desired_replicas` are the placement tags. Fires the insert hook only
+  /// when `client_write`; the Dht stores frames silently and announces the
+  /// client writes among them itself, once per frame.
+  bool Put(ObjectName name, std::string value, TimeUs lifetime, TimeUs age = 0,
+           uint8_t replica_index = 0, uint8_t desired_replicas = 1,
+           bool client_write = true);
 
   /// Retag a replica copy as the primary (ownership moved here after the
   /// owner left). Silent: the object is not new data, and a scan still
@@ -85,6 +83,10 @@ class ObjectManager {
   /// Extend the lifetime of an existing object. NotFound if absent/expired —
   /// this is the signal that tells a publisher its object moved or died.
   Status Renew(const ObjectName& name, TimeUs lifetime);
+
+  /// The live object with this full name, or null (an expired one is
+  /// dropped on the way).
+  const Object* Find(const ObjectName& name) { return FindLive(name); }
 
   /// All live objects with the given namespace and key (any suffix).
   std::vector<const Object*> Get(std::string_view ns, std::string_view key);
@@ -101,9 +103,8 @@ class ObjectManager {
   /// Remove every object in a namespace (query teardown).
   void DropNamespace(std::string_view ns);
 
-  /// Called whenever a client write is stored: every Put, and a PutReplica
-  /// marked `client_write` (the wrapper turns this into per-namespace newData
-  /// callbacks).
+  /// Called whenever a Put marked `client_write` stores (the wrapper turns
+  /// this into per-namespace newData callbacks).
   using InsertHook = std::function<void(const Object&)>;
   void set_insert_hook(InsertHook hook) { insert_hook_ = std::move(hook); }
 
@@ -114,6 +115,8 @@ class ObjectManager {
   void DropExpired();
 
  private:
+  Object* FindLive(const ObjectName& name);
+
   // ns -> key -> suffix -> Object. Ordered maps keep Scan deterministic.
   using SuffixMap = std::map<std::string, Object>;
   using KeyMap = std::map<std::string, SuffixMap>;

@@ -1,19 +1,43 @@
 #include "overlay/replication.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
-#include "util/logging.h"
+#include "overlay/dht.h"
 #include "util/wire.h"
 
 namespace pier {
 
+namespace {
+
+/// Objects drained from the write-behind push queue per repair tick.
+constexpr size_t kMaxPushObjectsPerTick = 256;
+constexpr size_t kMaxPerFrame = Dht::kMaxStoreObjectsPerFrame;
+
+/// Ship `objs` (live objects of this node) to `dest` as store frames of
+/// at most kMaxPerFrame objects each, with their origin-stamped lifetimes.
+void ShipCopies(OverlayRouter* router, const NetAddress& dest, TimeUs now,
+                uint8_t replica_index, Dht::StoreOrigin origin,
+                const std::vector<const ObjectManager::Object*>& objs) {
+  for (size_t start = 0; start < objs.size(); start += kMaxPerFrame) {
+    size_t n = std::min(kMaxPerFrame, objs.size() - start);
+    WireWriter w = Dht::FrameStore(replica_index, origin, n);
+    for (size_t j = start; j < start + n; ++j) {
+      const ObjectManager::Object* o = objs[j];
+      Dht::EncodeStoreObject(&w, o->name, o->expires_at - now,
+                             now - o->stored_at, o->desired_replicas,
+                             o->value);
+    }
+    router->SendFramed(dest, std::move(w).data(), nullptr);
+  }
+}
+
+}  // namespace
+
 ReplicationManager::ReplicationManager(Vri* vri, OverlayRouter* router,
                                        ObjectManager* objects, Options options)
     : vri_(vri), router_(router), objects_(objects), options_(options) {
-  router_->RegisterDirectType(
-      kMsgReplicate,
-      [this](const NetAddress& f, std::string_view b) { HandleReplicate(f, b); });
   router_->RegisterDirectType(
       kMsgReplPull,
       [this](const NetAddress& f, std::string_view b) { HandlePull(f, b); });
@@ -32,88 +56,17 @@ ReplicationManager::ReplicationManager(Vri* vri, OverlayRouter* router,
 ReplicationManager::~ReplicationManager() { vri_->CancelEvent(repair_timer_); }
 
 // ---------------------------------------------------------------------------
-// Wire helpers
+// Handoff pull
 // ---------------------------------------------------------------------------
-
-WireWriter ReplicationManager::FrameReplicate(uint8_t replica_index,
-                                              Origin origin, uint64_t owner_id,
-                                              size_t count) {
-  WireWriter w = OverlayRouter::FrameMessage(kMsgReplicate);
-  w.PutU8(replica_index);
-  w.PutU8(static_cast<uint8_t>(origin));
-  w.PutU64(owner_id);
-  w.PutVarint(count);
-  return w;
-}
-
-void ReplicationManager::EncodeReplicaObject(WireWriter* w,
-                                             const ObjectName& name,
-                                             TimeUs remaining, TimeUs age,
-                                             uint8_t desired_replicas,
-                                             std::string_view value) {
-  w->PutBytes(name.ns);
-  w->PutBytes(name.key);
-  w->PutBytes(name.suffix);
-  w->PutU64(static_cast<uint64_t>(remaining));
-  w->PutU64(static_cast<uint64_t>(age < 0 ? 0 : age));
-  w->PutU8(desired_replicas);
-  w->PutBytes(value);
-}
-
-// ---------------------------------------------------------------------------
-// Receive path
-// ---------------------------------------------------------------------------
-
-void ReplicationManager::HandleReplicate(const NetAddress& from,
-                                         std::string_view body) {
-  WireReader r(body);
-  uint8_t replica_index, origin;
-  uint64_t owner_id, count;
-  if (!r.GetU8(&replica_index).ok() || !r.GetU8(&origin).ok() ||
-      !r.GetU64(&owner_id).ok() || !r.GetVarint(&count).ok())
-    return;
-  if (count > options_.max_objects_per_frame) return;  // malformed: drop
-  // A writer's primary copy is the frame's only client write: only it fires
-  // newData, and only it should reach the owner, so one not-owner hint per
-  // frame corrects a stale owner cache at the writer.
-  bool client_write =
-      replica_index == 0 && static_cast<Origin>(origin) == Origin::kWrite;
-  bool hinted = !client_write;
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string_view ns, key, suffix, value;
-    uint64_t remaining, age;
-    uint8_t desired;
-    if (!r.GetBytes(&ns).ok() || !r.GetBytes(&key).ok() ||
-        !r.GetBytes(&suffix).ok() || !r.GetU64(&remaining).ok() ||
-        !r.GetU64(&age).ok() || !r.GetU8(&desired).ok() ||
-        !r.GetBytes(&value).ok())
-      return;  // best-effort: keep what already decoded
-    objects_->PutReplica(
-        ObjectName{std::string(ns), std::string(key), std::string(suffix)},
-        std::string(value), static_cast<TimeUs>(remaining),
-        static_cast<TimeUs>(age), replica_index, desired, owner_id,
-        client_write);
-    if (desired > 1) seen_replicated_ = true;
-    if (replica_index == 0) {
-      if (primary_store_hook_) primary_store_hook_();
-    } else {
-      stats_.replica_stores++;
-    }
-    if (static_cast<Origin>(origin) == Origin::kHandoffPull)
-      stats_.handoff_pulls++;
-    if (!hinted) hinted = router_->HintIfNotOwner(from, RoutingId(ns, key));
-  }
-}
 
 void ReplicationManager::HandlePull(const NetAddress& from,
                                     std::string_view body) {
   (void)from;
   WireReader r(body);
-  uint64_t lo, hi, requester_id;
+  uint64_t lo, hi;
   uint32_t host;
   uint16_t port;
-  if (!r.GetU64(&lo).ok() || !r.GetU64(&hi).ok() ||
-      !r.GetU64(&requester_id).ok() || !r.GetU32(&host).ok() ||
+  if (!r.GetU64(&lo).ok() || !r.GetU64(&hi).ok() || !r.GetU32(&host).ok() ||
       !r.GetU16(&port).ok())
     return;
   NetAddress requester{host, port};
@@ -127,19 +80,9 @@ void ReplicationManager::HandlePull(const NetAddress& from,
     if (InOpenClosed(lo, hi, o.name.routing_id()))
       matches.push_back(&o);
   });
-  TimeUs now = vri_->Now();
-  for (size_t start = 0; start < matches.size();
-       start += options_.max_objects_per_frame) {
-    size_t n = std::min(options_.max_objects_per_frame, matches.size() - start);
-    WireWriter w = FrameReplicate(0, Origin::kHandoffPull, requester_id, n);
-    for (size_t j = start; j < start + n; ++j) {
-      const ObjectManager::Object* o = matches[j];
-      EncodeReplicaObject(&w, o->name, o->expires_at - now, now - o->stored_at,
-                          o->desired_replicas, o->value);
-    }
-    stats_.replica_copies_sent += n;
-    router_->SendFramed(requester, std::move(w).data(), nullptr);
-  }
+  stats_.replica_copies_sent += matches.size();
+  ShipCopies(router_, requester, vri_->Now(), 0, Dht::StoreOrigin::kHandoffPull,
+             matches);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +140,6 @@ void ReplicationManager::RepairTick() {
     WireWriter w;
     w.PutU64(pred);
     w.PutU64(router_->local_id());
-    w.PutU64(router_->local_id());
     w.PutU32(router_->local_address().host);
     w.PutU16(router_->local_address().port);
     router_->SendDirect(succs.front(), kMsgReplPull, std::move(w).data(),
@@ -251,15 +193,11 @@ void ReplicationManager::DrainPushQueue() {
   };
   std::map<NetAddress, DestBatch> by_dest;
   size_t processed = 0;
-  while (!push_queue_.empty() &&
-         processed < options_.max_push_objects_per_tick) {
+  while (!push_queue_.empty() && processed < kMaxPushObjectsPerTick) {
     ObjectName name = std::move(push_queue_.front());
     push_queue_.pop_front();
     processed++;
-    const ObjectManager::Object* obj = nullptr;
-    for (const ObjectManager::Object* o : objects_->Get(name.ns, name.key)) {
-      if (o->name.suffix == name.suffix) obj = o;
-    }
+    const ObjectManager::Object* obj = objects_->Find(name);
     // Only live primaries we still own re-propagate; everything else left
     // the queue's jurisdiction while it waited.
     if (obj == nullptr || obj->is_replica() || obj->desired_replicas <= 1 ||
@@ -274,21 +212,10 @@ void ReplicationManager::DrainPushQueue() {
 
   TimeUs now = vri_->Now();
   for (auto& [dest, batch] : by_dest) {
-    for (size_t start = 0; start < batch.objs.size();
-         start += options_.max_objects_per_frame) {
-      size_t n =
-          std::min(options_.max_objects_per_frame, batch.objs.size() - start);
-      WireWriter w = FrameReplicate(batch.replica_index, Origin::kHandoffPush,
-                                    router_->local_id(), n);
-      for (size_t j = start; j < start + n; ++j) {
-        const ObjectManager::Object* o = batch.objs[j];
-        EncodeReplicaObject(&w, o->name, o->expires_at - now,
-                            now - o->stored_at, o->desired_replicas, o->value);
-      }
-      stats_.handoff_pushes += n;
-      stats_.replica_copies_sent += n;
-      router_->SendFramed(dest, std::move(w).data(), nullptr);
-    }
+    stats_.handoff_pushes += batch.objs.size();
+    stats_.replica_copies_sent += batch.objs.size();
+    ShipCopies(router_, dest, now, batch.replica_index,
+               Dht::StoreOrigin::kHandoffPush, batch.objs);
   }
 }
 

@@ -3,9 +3,11 @@
 //
 // Placement invariant: an object written with replication factor k lives as a
 // PRIMARY copy at the responsible node and as replica copies at that node's
-// first k-1 live successors. The WRITER places all k copies (riding the same
-// per-destination grouping as batched puts); afterwards this manager keeps
-// the invariant alive against ring changes:
+// first k-1 live successors. The WRITER places all k copies (Dht::PutBatch
+// sends them as store frames riding the same per-destination grouping as any
+// put, and the Dht's store-frame handler stores every copy that arrives);
+// this manager only repairs, keeping the invariant alive against ring
+// changes:
 //
 //   * promotion  — a replica whose routing id this node now owns (the owner
 //     left) is retagged primary, silently: the dead owner already fired
@@ -16,6 +18,8 @@
 //     replicated primaries through a bounded write-behind queue;
 //   * pull       — a node whose predecessor changed (it now owns a bigger
 //     range) asks its successor for the replicated objects of that range.
+//
+// Push and pull ship their objects as store frames, like every other copy.
 //
 // Consistency model: soft-state read-any, no quorum. Every copy carries the
 // origin-stamped remaining lifetime, so replicas expire with the owner copy
@@ -28,7 +32,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -40,14 +43,6 @@ namespace pier {
 
 class ReplicationManager {
  public:
-  /// Why a replicate frame was sent; receivers bucket their stats by it.
-  enum class Origin : uint8_t {
-    kWrite = 0,       // writer-side placement (Put / PutBatch)
-    kHandoffPush = 1,  // owner re-propagating after a successor-set change
-    kHandoffPull = 2,  // response to a range pull from a new owner
-    kReadRepair = 3,   // Get refreshed a stale/missing owner copy
-  };
-
   struct Options {
     /// Default copies per object (1 = no replication). Per-put overrides
     /// ride DhtPutItem / TableSpec.
@@ -59,26 +54,19 @@ class ReplicationManager {
     /// idle tick doubles the effective period up to this cap; any activity
     /// snaps it back to repair_period. 0 disables backoff (fixed cadence).
     TimeUs repair_backoff_max = 0;
-    /// Objects drained from the write-behind push queue per repair tick.
-    size_t max_push_objects_per_tick = 256;
-    /// Objects per replicate frame (mirrors the put-batch frame cap).
-    size_t max_objects_per_frame = 4096;
   };
 
   struct Stats {
     uint64_t replica_copies_sent = 0;  // replica objects shipped by this node
-    uint64_t replica_stores = 0;       // replica objects stored at this node
     uint64_t promotions = 0;
     uint64_t demotions = 0;
     uint64_t handoff_pushes = 0;  // objects re-propagated to successors
-    uint64_t handoff_pulls = 0;   // objects received answering a range pull
     uint64_t suppressed_scan_rows = 0;  // replica rows hidden from LocalScan
     uint64_t repair_ticks = 0;       // repair passes executed
     uint64_t idle_repair_ticks = 0;  // passes that saw no ring/queue activity
   };
 
-  /// Direct message types (every layer's are tabled in src/overlay/README.md).
-  static constexpr uint8_t kMsgReplicate = 22;
+  /// Direct message type (every layer's are tabled in src/overlay/README.md).
   static constexpr uint8_t kMsgReplPull = 23;
 
   ReplicationManager(Vri* vri, OverlayRouter* router, ObjectManager* objects,
@@ -88,26 +76,12 @@ class ReplicationManager {
   ReplicationManager(const ReplicationManager&) = delete;
   ReplicationManager& operator=(const ReplicationManager&) = delete;
 
-  /// Hook fired whenever a PRIMARY copy is stored through a replicate frame
-  /// (the Dht counts these alongside its other store requests).
-  void set_primary_store_hook(std::function<void()> hook) {
-    primary_store_hook_ = std::move(hook);
-  }
-
-  // --- Writer-side helpers (used by Dht::Put / PutBatch / read repair) -----
-
-  /// Seed a replicate frame: type byte + header. Append objects with
-  /// EncodeReplicaObject, then hand to OverlayRouter::SendFramed.
-  static WireWriter FrameReplicate(uint8_t replica_index, Origin origin,
-                                   uint64_t owner_id, size_t count);
-  static void EncodeReplicaObject(WireWriter* w, const ObjectName& name,
-                                  TimeUs remaining, TimeUs age,
-                                  uint8_t desired_replicas,
-                                  std::string_view value);
-
   /// Bookkeeping for replica copies this node shipped outside the manager
   /// (the write path lives in Dht).
   void NoteReplicaCopiesSent(uint64_t n) { stats_.replica_copies_sent += n; }
+  /// A copy with desired_replicas > 1 was stored here: from now on ring
+  /// changes have replicated state to repair.
+  void NoteReplicatedStore() { seen_replicated_ = true; }
 
   /// Queue an owned replicated primary for re-propagation (e.g. after a
   /// Renew drifted its lifetime away from the replica copies').
@@ -131,7 +105,6 @@ class ReplicationManager {
   }
 
  private:
-  void HandleReplicate(const NetAddress& from, std::string_view body);
   void HandlePull(const NetAddress& from, std::string_view body);
   void RepairTick();
   /// Queue `name` for (re-)propagation to the first desired-1 successors.
@@ -142,7 +115,6 @@ class ReplicationManager {
   OverlayRouter* router_;
   ObjectManager* objects_;
   Options options_;
-  std::function<void()> primary_store_hook_;
 
   /// Last observed ring view; repair work runs only when it moves.
   std::vector<NetAddress> last_succs_;

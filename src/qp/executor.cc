@@ -355,15 +355,14 @@ void QueryExecutor::ResolveProbe(uint64_t query_id, const NetAddress& from,
   auto it = queries_.find(query_id);
   if (it == queries_.end()) return;
   RunningQuery& q = it->second;
-  // Only the outstanding probe's target may resolve it, and only while the
-  // query still targets it under the same epoch: a straggler verdict about
-  // an earlier target, or one the query moved past meanwhile, is stale.
-  if (q.probe.timeout == 0 || q.probe.target != from ||
-      q.meta.proxy_epoch != q.probe.epoch || q.meta.proxy != from) {
-    return;
-  }
+  // Only the outstanding probe's target may resolve it.
+  if (q.probe.timeout == 0 || q.probe.target != from) return;
   vri_->CancelEvent(q.probe.timeout);  // a no-op when it is what fired
   q.probe.timeout = 0;
+  // The query moved on to another proxy or epoch while the probe was out:
+  // the verdict is stale and counts for nothing, but the probe is over, so
+  // a later LeaseTick can probe the current proxy.
+  if (q.meta.proxy_epoch != q.probe.epoch || q.meta.proxy != from) return;
   CountProbeVerdict(v);
   switch (v) {
     case ProbeVerdict::kProxying:

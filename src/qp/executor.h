@@ -287,7 +287,8 @@ class QueryExecutor {
   /// fails over.
   void StartProbe(RunningQuery* rq);
   /// Resolve the outstanding probe of `query_id` with a verdict about `from`
-  /// (ignored when no probe is out to `from` under the current epoch).
+  /// (ignored when no probe is out to `from`; a verdict the query moved past
+  /// meanwhile clears the probe and counts nothing).
   void ResolveProbe(uint64_t query_id, const NetAddress& from,
                     ProbeVerdict v);
   void DoStop(uint64_t query_id);

@@ -109,7 +109,7 @@ class PhysicalRuntime : public Vri {
 
   // The I/O-thread seam: everything the event thread and the I/O thread
   // both touch lives behind io_mu_. This is the locking contract the
-  // per-shard runtime (ROADMAP item 1) will be partitioned against.
+  // per-shard runtime (ROADMAP "Deferred") would be partitioned against.
   Mutex io_mu_;
   std::map<uint16_t, UdpSocket> udp_socks_ PIER_GUARDED_BY(io_mu_);
   std::map<uint16_t, TcpListener> tcp_listeners_ PIER_GUARDED_BY(io_mu_);

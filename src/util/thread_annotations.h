@@ -3,8 +3,8 @@
 // PIER's correctness story has so far rested on the single-threaded event
 // loop (§3.1.2); the only code that runs off the event thread today is the
 // Physical Runtime's I/O thread, the metrics registry's concurrent readers
-// and the log sink. ROADMAP item 1 (the sharded multi-reactor runtime) is
-// about to multiply the thread count, so the locking contracts those types
+// and the log sink. A sharded multi-reactor runtime (ROADMAP "Deferred")
+// would multiply the thread count, so the locking contracts those types
 // already follow are written down here as compiler-checked attributes:
 // building with clang adds `-Wthread-safety -Werror=thread-safety` (see the
 // top-level CMakeLists) and a guarded member touched without its mutex is a

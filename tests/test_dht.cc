@@ -1,12 +1,14 @@
 // DHT batching and wire-path tests: PutBatch grouping/ordering/fallback
 // semantics, the guard that a Put is exactly a one-item PutBatch on the
-// wire, router send coalescing, and the router's owner cache (warm puts and
+// wire, one newData call per store frame, the store-frame decoder against
+// cut and garbage frames, router send coalescing, and the router's owner cache (warm puts and
 // gets skip the routed lookup; joins, deaths and the capacity bound keep it
 // correct).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -229,6 +231,106 @@ TEST(DhtBatch, PartialFailureReportsPerGroupStatus) {
                        });
   net.RunFor(5 * kSecond);
   EXPECT_EQ(got_a.size(), 2u);
+}
+
+TEST(DhtBatch, ReplicatedBatchReachesTheOwnersSubscriberAsOneCall) {
+  // A k=3 batch of several objects in one namespace rides ONE store frame to
+  // the owner, whose batch subscriber sees the whole frame as one call, in
+  // batch order. The replica copies at the successors are not newData.
+  SimOverlay net(12, SeededOptions(13));
+  int owner = OwnerOf(&net, "nd", "k");
+  ASSERT_GE(owner, 0);
+  // Per node, the suffixes each newData call carried.
+  std::vector<std::vector<std::vector<std::string>>> calls(net.size());
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    net.dht(i)->OnNewDataBatch(
+        "nd", [&calls, i](const std::vector<Dht::NewDataEvent>& events) {
+          calls[i].emplace_back();
+          for (const Dht::NewDataEvent& e : events)
+            calls[i].back().push_back(e.name.suffix);
+        });
+  }
+  std::vector<DhtPutItem> items;
+  for (int i = 0; i < 5; ++i) {
+    items.push_back(Item("nd", "k", "s" + std::to_string(i), "v"));
+    items.back().replicas = 3;
+  }
+  net.dht((owner + 1) % net.size())->PutBatch(std::move(items));
+  net.RunFor(5 * kSecond);
+
+  EXPECT_EQ(calls[owner], (std::vector<std::vector<std::string>>{
+                              {"s0", "s1", "s2", "s3", "s4"}}))
+      << "one call per frame, in batch order";
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (static_cast<int>(i) == owner) continue;
+    EXPECT_TRUE(calls[i].empty()) << "node " << i << " announced a copy";
+  }
+  EXPECT_EQ(net.dht(owner)->stats().store_requests, 5u);
+}
+
+/// A store frame of `n` client writes under ("cut", "k"); `ends` receives
+/// the frame length after each object.
+std::string CutFrame(int n, std::vector<size_t>* ends) {
+  WireWriter w = Dht::FrameStore(0, Dht::StoreOrigin::kWrite, n);
+  for (int i = 0; i < n; ++i) {
+    Dht::EncodeStoreObject(&w, ObjectName{"cut", "k", "s" + std::to_string(i)},
+                           60 * kSecond, 0, 1, "value-" + std::to_string(i));
+    ends->push_back(w.size());
+  }
+  return std::move(w).data();
+}
+
+TEST(StoreFrame, DecoderKeepsWhatDecodedAndDropsTheRest) {
+  SimOverlay net(4, SeededOptions(31));
+  Dht* to = net.dht(1);
+  OverlayRouter* from = net.dht(0)->router();
+  auto stored = [&](const std::string& ns, int i) {
+    return to->objects()->Find(ObjectName{ns, "k", "s" + std::to_string(i)}) !=
+           nullptr;
+  };
+
+  // The frame cut at every byte offset: exactly the objects wholly before
+  // the cut are stored.
+  std::vector<size_t> ends;
+  std::string frame = CutFrame(3, &ends);
+  for (size_t cut = 1; cut <= frame.size(); ++cut) {
+    to->objects()->DropNamespace("cut");
+    from->SendFramed(to->local_address(), frame.substr(0, cut), nullptr);
+    net.RunFor(kSecond);
+    for (int i = 0; i < 3; ++i)
+      EXPECT_EQ(stored("cut", i), ends[i] <= cut)
+          << "cut at byte " << cut << ", object " << i;
+  }
+
+  // A count above the frame cap is malformed: nothing is stored, not even
+  // the well-formed object behind it.
+  WireWriter over = Dht::FrameStore(0, Dht::StoreOrigin::kWrite,
+                                    Dht::kMaxStoreObjectsPerFrame + 1);
+  Dht::EncodeStoreObject(&over, ObjectName{"over", "k", "s0"}, 60 * kSecond, 0,
+                         1, "v");
+  from->SendFramed(to->local_address(), std::move(over).data(), nullptr);
+  net.RunFor(kSecond);
+  EXPECT_FALSE(stored("over", 0));
+  EXPECT_EQ(to->objects()->NamespaceObjects("over"), 0u);
+
+  // Seeded random bodies behind the store type byte: each is decoded or
+  // dropped, and the node keeps serving.
+  std::mt19937 rng(1234);
+  for (int i = 0; i < 1000; ++i) {
+    std::string body(1, frame[0]);
+    size_t len = rng() % 96;
+    for (size_t j = 0; j < len; ++j) body.push_back(static_cast<char>(rng()));
+    from->SendFramed(to->local_address(), std::move(body), nullptr);
+  }
+  net.RunFor(10 * kSecond);
+  bool got = false;
+  net.dht(0)->Put("after", "k", "s", "v", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  net.dht(2)->Get("after", "k", [&](const Status& s, std::vector<DhtItem> items) {
+    got = s.ok() && items.size() == 1;
+  });
+  net.RunFor(2 * kSecond);
+  EXPECT_TRUE(got);
 }
 
 TEST(DhtCoalesce, MergesSendsAndUnframesTransparently) {

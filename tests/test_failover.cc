@@ -299,6 +299,58 @@ TEST(Failover, SwapDrivenByTheAdoptedProxySurvivesTheRace) {
   EXPECT_GT(answers, 0u) << "the swapped plan answers through the new proxy";
 }
 
+TEST(Failover, StaleProbeVerdictClearsTheProbeSoTheNextProxyIsProbed) {
+  // An executor's probe of the dead proxy is still out when the refresh
+  // announcing the first successor reaches it: the probe's verdict is stale.
+  // It must count for nothing AND end the probe — a probe left outstanding
+  // blocks every later LeaseTick, so when the second proxy dies too the
+  // executor would follow it, never probing, until the deadline.
+  SimPier net(10, PierOptions(200));
+  RegisterEv(&net);
+  int64_t next_id = 0;
+  auto q = net.client(1)->Query(CountingQuery(&net, {2, 3}));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  uint64_t qid = q->id();
+  for (int i = 0; i < 6; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  auto plan = net.qp(1)->ProxyPlan(qid);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  net.harness()->FailNode(1);
+  // Every lease has run out and every executor's lease/2 probe of node 1 is
+  // in flight. Node 5 alone now hears node 2's succession (the metadata
+  // refresh the tree carries after an adoption).
+  net.RunFor(kLease + kLease / 4);
+  constexpr uint32_t kLate = 5;
+  QueryPlan succession = *plan;
+  succession.graphs.clear();
+  succession.proxy = net.dht(2)->local_address();
+  succession.proxy_epoch = 1;
+  ASSERT_TRUE(net.qp(kLate)->executor()->StartGraphs(succession, {}).ok());
+  for (int i = 0; i < 6; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  ASSERT_EQ(net.qp(2)->stats().adoptions, 1u);
+  EXPECT_EQ(net.qp(kLate)->executor()->stats().probe_verdicts.count("dead"),
+            0u)
+      << "the stale verdict about node 1 must not count";
+
+  net.harness()->FailNode(2);
+  for (int i = 0; i < 12; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  EXPECT_EQ(net.qp(3)->stats().adoptions, 1u);
+  const QueryExecutor::Stats& st = net.qp(kLate)->executor()->stats();
+  EXPECT_EQ(st.probe_verdicts.count("dead") ? st.probe_verdicts.at("dead") : 0,
+            1u)
+      << "node " << kLate << " never probed the second proxy";
+  EXPECT_TRUE(net.qp(kLate)->executor()->HasQuery(qid));
+}
+
 TEST(Failover, SuccessorThatDoesNotRunTheQueryIsWalkedPastAndReaped) {
   // An equality-disseminated continuous query runs on ONE partition owner.
   // If its configured successor is some other node, that node can never

@@ -117,6 +117,20 @@ TEST(MetricsRegistry, RemoveRetiresSeriesButPointersStayValid) {
     EXPECT_NE(s.name, "pier_r_total");
 }
 
+TEST(MetricsRegistry, RetiredSeriesDoNotCountAgainstTheFamilyCap) {
+  // A long-lived proxy mints and retires one qid series per query: twice the
+  // cap in sequence must never hit it, because only live series count.
+  MetricsRegistry reg;
+  reg.set_max_series_per_family(1024);
+  for (int i = 0; i < 2000; ++i) {
+    MetricLabels labels{{"qid", std::to_string(i)}};
+    reg.GetCounter("pier_query_answers_total", labels)->Inc();
+    ASSERT_TRUE(reg.Remove("pier_query_answers_total", labels)) << "query " << i;
+  }
+  EXPECT_EQ(reg.dropped_series(), 0u);
+  EXPECT_EQ(reg.num_series("pier_query_answers_total"), 0u);
+}
+
 TEST(MetricsRegistry, CallbackFamiliesReadLiveValues) {
   MetricsRegistry reg;
   uint64_t live = 7;

@@ -74,7 +74,6 @@ TEST(Replication, PutPlacesKTaggedCopiesAtOwnerAndSuccessors) {
   ASSERT_EQ(at_owner.size(), 1u);
   EXPECT_EQ(at_owner[0]->replica_index, 0);
   EXPECT_EQ(at_owner[0]->desired_replicas, 3);
-  EXPECT_EQ(at_owner[0]->owner_id, net.dht(owner)->local_id());
 
   // The owner's first two successors hold replica copies tagged 1 and 2.
   auto succs =
@@ -86,7 +85,6 @@ TEST(Replication, PutPlacesKTaggedCopiesAtOwnerAndSuccessors) {
     EXPECT_EQ(at_succ[j == 0 ? 0 : 0]->replica_index, j + 1);
     EXPECT_TRUE(at_succ[0]->is_replica());
     EXPECT_EQ(at_succ[0]->desired_replicas, 3);
-    EXPECT_EQ(at_succ[0]->owner_id, net.dht(owner)->local_id());
   }
 
   EXPECT_EQ(net.dht(3)->stats().replica_puts, 2u);
@@ -344,10 +342,9 @@ TEST(Replication, ReplicaCopiesExpireOnTheOriginClock) {
   // An object whose origin stored it 50s ago with 3s of life left: the
   // replica store keeps the origin's remaining lifetime and backdates
   // stored_at, instead of granting a fresh local lifetime.
-  om->PutReplica(ObjectName{"ex", "k", "s"}, "v", /*remaining=*/3 * kSecond,
-                 /*age=*/50 * kSecond, /*replica_index=*/1,
-                 /*desired_replicas=*/3, /*owner_id=*/7,
-                 /*client_write=*/false);
+  om->Put(ObjectName{"ex", "k", "s"}, "v", /*remaining=*/3 * kSecond,
+          /*age=*/50 * kSecond, /*replica_index=*/1,
+          /*desired_replicas=*/3, /*client_write=*/false);
   auto items = om->Get("ex", "k");
   ASSERT_EQ(items.size(), 1u);
   EXPECT_EQ(items[0]->stored_at, now - 50 * kSecond);
@@ -358,8 +355,8 @@ TEST(Replication, ReplicaCopiesExpireOnTheOriginClock) {
       << "the replica outlived its origin lifetime";
 
   // An already-expired origin copy is never stored.
-  om->PutReplica(ObjectName{"ex", "k2", "s"}, "v", /*remaining=*/0,
-                 /*age=*/10 * kSecond, 1, 3, 7, /*client_write=*/false);
+  om->Put(ObjectName{"ex", "k2", "s"}, "v", /*remaining=*/0,
+          /*age=*/10 * kSecond, 1, 3, /*client_write=*/false);
   EXPECT_TRUE(om->Get("ex", "k2").empty());
 }
 

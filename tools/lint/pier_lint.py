@@ -42,6 +42,14 @@ are all invisible to the compiler and tedious for reviewers:
                   Intercept) and releases them all in Close; a direct call
                   is a resource that Close cannot see.
 
+  msg-type        Two direct-message type constants (`constexpr uint8_t
+                  kMsg* = N`) in src/overlay or src/qp sharing a number, or
+                  one missing from the "Direct message types" table in
+                  src/overlay/README.md. OverlayRouter dispatches a frame on
+                  its first byte, so a reused number silently routes one
+                  layer's frames to another's handler. A tree-wide check;
+                  src/apps (its own message space) is exempt.
+
 Driving: reads compile_commands.json (pass -p BUILD_DIR) for the TU list and,
 when the libclang python bindings are importable, uses the clang AST; without
 them (this container ships none) it falls back to a built-in lexical engine
@@ -62,7 +70,8 @@ import os
 import re
 import sys
 
-RULES = ("timer-capture", "wallclock", "blocking", "hot-alloc", "op-resource")
+RULES = ("timer-capture", "wallclock", "blocking", "hot-alloc", "op-resource",
+         "msg-type")
 
 SCHEDULE_CALL = re.compile(r"\b(ScheduleAt|ScheduleAfter|ScheduleEvent)\s*\(")
 
@@ -105,8 +114,15 @@ OP_RESOURCE_TOKENS = [
                  "CancelNewData", "RegisterUpcall", "UnregisterUpcall")
 ]
 
+# Direct-message type constants, and the README table that lists them.
+MSG_TYPE_CONST = re.compile(r"\bconstexpr\s+uint8_t\s+(kMsg\w+)\s*=\s*(\d+)\s*;")
+TYPE_TABLE = re.compile(r"^## Direct message types\n(.*?)(?=^## |\Z)",
+                        re.M | re.S)
+TYPE_TABLE_README = os.path.join("src", "overlay", "README.md")
+
 SUPPRESS = re.compile(r"//\s*pier-lint:\s*allow\(([^)]*)\)")
 PRETEND_PATH = re.compile(r"//\s*pier-lint-test:\s*pretend-path=(\S+)")
+TYPE_TABLE_PRAGMA = re.compile(r"//\s*pier-lint-test:\s*type-table=(\S+)")
 EXPECT = re.compile(r"//\s*expect:\s*([a-z\-,\s]+)")
 
 
@@ -389,12 +405,58 @@ def is_operator_file(path):
     return re.search(r"(^|/)src/qp/op_[^/]*\.cc$", path)
 
 
-def lint_text(path, raw_text, effective_path=None):
-    """Lint one file's contents; returns the unsuppressed diagnostics."""
+def is_msg_type_file(path):
+    return re.search(r"(^|/)src/(overlay|qp)/", path)
+
+
+def msg_type_consts(path, text):
+    """(path, name, number, line) of each direct-message type constant."""
+    return [(path, m.group(1), int(m.group(2)), line_of(text, m.start()))
+            for m in MSG_TYPE_CONST.finditer(text)]
+
+
+def type_table_names(readme_text):
+    """Every kMsg* name in the README's "Direct message types" section."""
+    m = TYPE_TABLE.search(readme_text)
+    return set(re.findall(r"\bkMsg\w+", m.group(1))) if m else set()
+
+
+def check_msg_types(consts, table, diags):
+    """Tree-wide: `consts` from every msg-type file, `table` the README's
+    names (None when the README is not in reach: numbers only)."""
+    first = {}
+    for path, name, number, line in sorted(consts, key=lambda c: (c[0], c[3])):
+        if number in first:
+            fpath, fname, fline = first[number]
+            diags.append(Diagnostic(
+                path, line, "msg-type",
+                "%s reuses direct message type %d of %s (%s:%d); the router "
+                "dispatches on the first byte, so one handler gets both" %
+                (name, number, fname, fpath, fline)))
+        else:
+            first[number] = (path, name, line)
+        if table is not None and name not in table:
+            diags.append(Diagnostic(
+                path, line, "msg-type",
+                "%s is missing from the direct message type table in %s" %
+                (name, TYPE_TABLE_README)))
+
+
+def drop_suppressed(diags, suppressed):
+    return [d for d in diags
+            if not ({d.rule, "all"} & suppressed.get(d.line, set()))]
+
+
+def lint_text(path, raw_text, effective_path=None, consts=None):
+    """Lint one file's contents; returns the unsuppressed diagnostics. The
+    file's direct-message type constants are appended to `consts` (if given)
+    for the tree-wide msg-type check."""
     epath = effective_path or path
     raw_lines = raw_text.split("\n")
     suppressed = collect_suppressions(raw_lines)
     text = strip_comments_and_strings(raw_text)
+    if consts is not None and is_msg_type_file(epath):
+        consts.extend(msg_type_consts(path, text))
 
     diags = []
     # The runtime layer IS the scheduler: it owns the loop it schedules on,
@@ -419,13 +481,29 @@ def lint_text(path, raw_text, effective_path=None):
             "base Operator (After/Subscribe/CatchUp/Intercept), which releases "
             "them in Close", diags)
 
-    kept = []
+    return drop_suppressed(diags, suppressed)
+
+
+def lint_msg_types(consts, table, raw_by_path):
+    """The msg-type pass over constants gathered by lint_text."""
+    diags, kept = [], []
+    check_msg_types(consts, table, diags)
     for d in diags:
-        allowed = suppressed.get(d.line, set())
-        if d.rule in allowed or "all" in allowed:
-            continue
-        kept.append(d)
+        lines = raw_by_path[d.path].split("\n")
+        kept += drop_suppressed([d], collect_suppressions(lines))
     return kept
+
+
+def find_type_table(files):
+    """The README table next to the linted tree, or None."""
+    for f in files:
+        m = re.search(r"^(.*?)src/(overlay|qp)/", f.replace(os.sep, "/"))
+        if m:
+            readme = os.path.join(m.group(1), TYPE_TABLE_README)
+            if os.path.exists(readme):
+                with open(readme, encoding="utf-8") as fh:
+                    return type_table_names(fh.read())
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -538,7 +616,7 @@ def run_lint(paths, build_dir, engine):
         sys.stderr.write("pier-lint: error: no input files under %s\n" % paths)
         return 2
 
-    diags = []
+    diags, consts, raw_by_path = [], [], {}
     for f in files:
         try:
             with open(f, encoding="utf-8", errors="replace") as fh:
@@ -546,7 +624,9 @@ def run_lint(paths, build_dir, engine):
         except OSError as e:
             sys.stderr.write("pier-lint: error: %s: %s\n" % (f, e))
             return 2
-        diags.extend(lint_text(f, raw))
+        raw_by_path[f] = raw
+        diags.extend(lint_text(f, raw, consts=consts))
+    diags.extend(lint_msg_types(consts, find_type_table(files), raw_by_path))
 
     used_ast = False
     if engine in ("auto", "ast") and db:
@@ -581,7 +661,9 @@ def run_selftest(testdata_dir):
     """Fixture mode: every *.cc/*.h under testdata declares its expected
     diagnostics inline (`// expect: <rule>` on the offending line); a file
     with no markers must lint clean. Fails on any mismatch in either
-    direction, so neither the rules nor the fixtures can rot silently."""
+    direction, so neither the rules nor the fixtures can rot silently. Each
+    fixture is its own tree for msg-type; a `type-table=FILE` pragma names
+    the markdown file (in the fixture dir) standing in for the README."""
     failures = 0
     files = sorted(
         os.path.join(testdata_dir, n) for n in os.listdir(testdata_dir)
@@ -594,12 +676,16 @@ def run_selftest(testdata_dir):
         with open(f, encoding="utf-8") as fh:
             raw = fh.read()
         lines = raw.split("\n")
-        pretend = None
+        pretend, table = None, None
         for line in lines:
             m = PRETEND_PATH.search(line)
-            if m:
+            if m and pretend is None:
                 pretend = m.group(1)
-                break
+            m = TYPE_TABLE_PRAGMA.search(line)
+            if m and table is None:
+                with open(os.path.join(testdata_dir, m.group(1)),
+                          encoding="utf-8") as th:
+                    table = type_table_names(th.read())
         expected = set()
         for idx, line in enumerate(lines, start=1):
             m = EXPECT.search(line)
@@ -608,10 +694,12 @@ def run_selftest(testdata_dir):
                     rule = rule.strip()
                     if rule:
                         expected.add((idx, rule))
-        got = {(d.line, d.rule)
-               for d in lint_text(f, raw,
-                                  effective_path=pretend or "src/%s" %
-                                  os.path.basename(f))}
+        consts = []
+        diags = lint_text(f, raw, consts=consts,
+                          effective_path=pretend or "src/%s" %
+                          os.path.basename(f))
+        diags += lint_msg_types(consts, table, {f: raw})
+        got = {(d.line, d.rule) for d in diags}
         if got == expected:
             print("PASS %s (%d expected diagnostic%s)" %
                   (f, len(expected), "" if len(expected) == 1 else "s"))
