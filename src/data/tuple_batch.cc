@@ -83,7 +83,7 @@ void EncodeCellTo(const BatchCell& c, const char* base, WireWriter* w) {
       w->PutU8(c.u.b ? 1 : 0);
       break;
     case ValueType::kInt64:
-      w->PutI64(c.u.i);
+      w->PutSVarint(c.u.i);
       break;
     case ValueType::kDouble:
       w->PutDouble(c.u.d);
@@ -93,6 +93,39 @@ void EncodeCellTo(const BatchCell& c, const char* base, WireWriter* w) {
       w->PutBytes(std::string_view(base + c.u.s.off, c.u.s.len));
       break;
   }
+}
+
+/// Reads one value in EncodeCellTo's layout into `c`. A string or bytes
+/// cell's payload comes back as a view into the reader's buffer, and its
+/// offset is left for the caller to set.
+Status DecodeCellFrom(WireReader* r, BatchCell* c, std::string_view* payload) {
+  uint8_t tag;
+  PIER_RETURN_IF_ERROR(r->GetU8(&tag));
+  c->type = static_cast<ValueType>(tag);
+  switch (c->type) {
+    case ValueType::kNull:
+      return Status::Ok();
+    case ValueType::kBool: {
+      uint8_t b;
+      PIER_RETURN_IF_ERROR(r->GetU8(&b));
+      c->u.b = b != 0;
+      return Status::Ok();
+    }
+    case ValueType::kInt64:
+      return r->GetSVarint(&c->u.i);
+    case ValueType::kDouble:
+      return r->GetDouble(&c->u.d);
+    case ValueType::kString:
+    case ValueType::kBytes:
+      PIER_RETURN_IF_ERROR(r->GetBytes(payload));
+      c->u.s.len = static_cast<uint32_t>(payload->size());
+      return Status::Ok();
+  }
+  return Status::Corruption("bad value type tag " + std::to_string(tag));
+}
+
+bool IsStringCell(const BatchCell& c) {
+  return c.type == ValueType::kString || c.type == ValueType::kBytes;
 }
 
 Value CellValue(const BatchCell& c, const char* base) {
@@ -282,39 +315,13 @@ Result<TupleBatch> TupleBatch::DecodeFrom(WireReader* r,
   auto cells = std::make_shared<std::vector<BatchCell>>();
   cells->reserve(nrows * ncols);
   for (uint64_t i = 0; i < nrows * ncols; ++i) {
-    uint8_t tag;
-    PIER_RETURN_IF_ERROR(r->GetU8(&tag));
     BatchCell cell;
-    cell.type = static_cast<ValueType>(tag);
-    switch (cell.type) {
-      case ValueType::kNull:
-        break;
-      case ValueType::kBool: {
-        uint8_t b;
-        PIER_RETURN_IF_ERROR(r->GetU8(&b));
-        cell.u.b = b != 0;
-        break;
-      }
-      case ValueType::kInt64:
-        PIER_RETURN_IF_ERROR(r->GetI64(&cell.u.i));
-        break;
-      case ValueType::kDouble:
-        PIER_RETURN_IF_ERROR(r->GetDouble(&cell.u.d));
-        break;
-      case ValueType::kString:
-      case ValueType::kBytes: {
-        std::string_view sv;
-        PIER_RETURN_IF_ERROR(r->GetBytes(&sv));
-        // GetBytes views alias the reader's buffer, which the caller promises
-        // is `base` — record the slice as (offset, length) into it.
-        cell.u.s.off = static_cast<uint32_t>(sv.data() - base.data());
-        cell.u.s.len = static_cast<uint32_t>(sv.size());
-        break;
-      }
-      default:
-        return Status::Corruption("batch: bad value tag " +
-                                  std::to_string(tag));
-    }
+    std::string_view sv;
+    PIER_RETURN_IF_ERROR(DecodeCellFrom(r, &cell, &sv));
+    // GetBytes views alias the reader's buffer, which the caller promises is
+    // `base` — record the slice as an offset into it.
+    if (IsStringCell(cell))
+      cell.u.s.off = static_cast<uint32_t>(sv.data() - base.data());
     cells->push_back(cell);
   }
   TupleBatch out;
@@ -435,47 +442,16 @@ Status TupleBatchBuilder::AppendEncodedTuple(std::string_view wire) {
       std::string_view name;
       PIER_RETURN_IF_ERROR(r.GetBytes(&name));
       if (name != schema_->columns[c]) return Status::NotFound("schema mismatch");
-      uint8_t tag;
-      PIER_RETURN_IF_ERROR(r.GetU8(&tag));
-      switch (static_cast<ValueType>(tag)) {
-        case ValueType::kNull:
-          AppendNull();
-          break;
-        case ValueType::kBool: {
-          uint8_t b;
-          PIER_RETURN_IF_ERROR(r.GetU8(&b));
-          AppendBool(b != 0);
-          break;
-        }
-        case ValueType::kInt64: {
-          int64_t v;
-          PIER_RETURN_IF_ERROR(r.GetI64(&v));
-          AppendInt64(v);
-          break;
-        }
-        case ValueType::kDouble: {
-          double v;
-          PIER_RETURN_IF_ERROR(r.GetDouble(&v));
-          AppendDouble(v);
-          break;
-        }
-        case ValueType::kString: {
-          std::string_view sv;
-          PIER_RETURN_IF_ERROR(r.GetBytes(&sv));
-          AppendString(sv);
-          break;
-        }
-        case ValueType::kBytes: {
-          std::string_view sv;
-          PIER_RETURN_IF_ERROR(r.GetBytes(&sv));
-          AppendBytes(sv);
-          break;
-        }
-        default:
-          return Status::Corruption("bad value type tag " +
-                                    std::to_string(tag));
+      BatchCell cell;
+      std::string_view sv;
+      PIER_RETURN_IF_ERROR(DecodeCellFrom(&r, &cell, &sv));
+      if (IsStringCell(cell)) {
+        cell.u.s.off = static_cast<uint32_t>(arena_.size());
+        arena_.append(sv.data(), sv.size());
       }
+      cells_.push_back(cell);
     }
+    if (!r.AtEnd()) return Status::Corruption("trailing bytes after tuple");
     return Status::Ok();
   }();
   if (!s.ok()) {

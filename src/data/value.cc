@@ -173,7 +173,7 @@ void Value::EncodeTo(WireWriter* w) const {
       w->PutU8(bool_unchecked() ? 1 : 0);
       break;
     case ValueType::kInt64:
-      w->PutI64(int64_unchecked());
+      w->PutSVarint(int64_unchecked());
       break;
     case ValueType::kDouble:
       w->PutDouble(double_unchecked());
@@ -198,7 +198,7 @@ Result<Value> Value::DecodeFrom(WireReader* r) {
     }
     case ValueType::kInt64: {
       int64_t v;
-      PIER_RETURN_IF_ERROR(r->GetI64(&v));
+      PIER_RETURN_IF_ERROR(r->GetSVarint(&v));
       return Value::Int64(v);
     }
     case ValueType::kDouble: {

@@ -49,8 +49,8 @@ double KmvSketch::Estimate() const {
 
 std::string KmvSketch::Serialize() const {
   WireWriter w;
-  w.PutU32(static_cast<uint32_t>(k_));
-  w.PutU32(static_cast<uint32_t>(mins_.size()));
+  w.PutVarint(k_);
+  w.PutVarint(mins_.size());
   for (uint64_t h : mins_) w.PutU64(h);
   return std::move(w).data();
 }
@@ -58,8 +58,8 @@ std::string KmvSketch::Serialize() const {
 Result<KmvSketch> KmvSketch::Deserialize(std::string_view wire) {
   WireReader r(wire);
   uint32_t k = 0, n = 0;
-  PIER_RETURN_IF_ERROR(r.GetU32(&k));
-  PIER_RETURN_IF_ERROR(r.GetU32(&n));
+  PIER_RETURN_IF_ERROR(r.GetVarint32(&k));
+  PIER_RETURN_IF_ERROR(r.GetVarint32(&n));
   if (k == 0 || n > k) return Status::Corruption("bad KMV sketch header");
   KmvSketch s(k);
   uint64_t prev = 0;

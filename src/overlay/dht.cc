@@ -502,7 +502,7 @@ void Dht::SendGetAttempt(uint64_t op_id, DoneCallback report) {
   PendingOp& op = it->second;
   size_t attempt = op.attempt;
   WireWriter w;
-  w.PutU64(op_id);
+  w.PutVarint(op_id);
   w.PutU32(router_->local_address().host);
   w.PutU16(router_->local_address().port);
   w.PutBytes(op.ns);
@@ -550,13 +550,13 @@ void Dht::Renew(const std::string& ns, const std::string& key,
                       const OverlayRouter::Owner& owner,
                       DoneCallback report) {
                     WireWriter w;
-                    w.PutU64(op_id);
+                    w.PutVarint(op_id);
                     w.PutU32(router_->local_address().host);
                     w.PutU16(router_->local_address().port);
                     w.PutBytes(name.ns);
                     w.PutBytes(name.key);
                     w.PutBytes(name.suffix);
-                    w.PutU64(
+                    w.PutVarint(
                         static_cast<uint64_t>(EffectiveLifetime(lifetime)));
                     router_->SendDirect(owner.address, kMsgRenewReq,
                                         std::move(w).data(), std::move(report));
@@ -708,8 +708,9 @@ void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
   uint16_t port;
   std::string_view ns, key;
   uint8_t attempt;
-  if (!r.GetU64(&op_id).ok() || !r.GetU32(&host).ok() || !r.GetU16(&port).ok() ||
-      !r.GetBytes(&ns).ok() || !r.GetBytes(&key).ok() || !r.GetU8(&attempt).ok())
+  if (!r.GetVarint(&op_id).ok() || !r.GetU32(&host).ok() ||
+      !r.GetU16(&port).ok() || !r.GetBytes(&ns).ok() ||
+      !r.GetBytes(&key).ok() || !r.GetU8(&attempt).ok())
     return;
   // Only the first attempt is aimed at the owner; later ones go to replicas.
   if (attempt == 0) (void)router_->HintIfNotOwner(from, RoutingId(ns, key));
@@ -719,13 +720,13 @@ void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
   auto items = objects_->Get(ns, key);
   TimeUs now = vri_->Now();
   WireWriter w;
-  w.PutU64(op_id);
+  w.PutVarint(op_id);
   w.PutU8(attempt);
-  w.PutU32(static_cast<uint32_t>(items.size()));
+  w.PutVarint(items.size());
   for (const auto* obj : items) {
     w.PutBytes(obj->name.suffix);
     w.PutBytes(obj->value);
-    w.PutU64(static_cast<uint64_t>(obj->expires_at - now));
+    w.PutVarint(static_cast<uint64_t>(obj->expires_at - now));
   }
   router_->SendDirect(NetAddress{host, port}, kMsgGetRespEx, std::move(w).data(),
                       nullptr);
@@ -737,18 +738,19 @@ void Dht::HandleGetRespEx(const NetAddress& from, std::string_view body) {
   uint64_t op_id;
   uint8_t attempt;
   uint32_t count;
-  if (!r.GetU64(&op_id).ok() || !r.GetU8(&attempt).ok() || !r.GetU32(&count).ok())
+  if (!r.GetVarint(&op_id).ok() || !r.GetU8(&attempt).ok() ||
+      !r.GetVarint32(&count).ok())
     return;
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
   std::vector<DhtItem> items;
   std::vector<TimeUs> remaining;
-  items.reserve(count);
+  items.reserve(std::min<size_t>(count, r.remaining()));
   for (uint32_t i = 0; i < count; ++i) {
     std::string_view suffix, value;
     uint64_t rem;
     if (!r.GetBytes(&suffix).ok() || !r.GetBytes(&value).ok() ||
-        !r.GetU64(&rem).ok())
+        !r.GetVarint(&rem).ok())
       break;
     items.push_back(DhtItem{std::string(suffix), std::string(value)});
     remaining.push_back(static_cast<TimeUs>(rem));
@@ -789,9 +791,10 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
   uint16_t port;
   std::string_view ns, key, suffix;
   uint64_t lifetime;
-  if (!r.GetU64(&op_id).ok() || !r.GetU32(&host).ok() || !r.GetU16(&port).ok() ||
-      !r.GetBytes(&ns).ok() || !r.GetBytes(&key).ok() || !r.GetBytes(&suffix).ok() ||
-      !r.GetU64(&lifetime).ok())
+  if (!r.GetVarint(&op_id).ok() || !r.GetU32(&host).ok() ||
+      !r.GetU16(&port).ok() || !r.GetBytes(&ns).ok() ||
+      !r.GetBytes(&key).ok() || !r.GetBytes(&suffix).ok() ||
+      !r.GetVarint(&lifetime).ok())
     return;
   ObjectName name{std::string(ns), std::string(key), std::string(suffix)};
   Status s = objects_->Renew(name, static_cast<TimeUs>(lifetime));
@@ -803,7 +806,7 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
       repl_->RefreshReplicas(name);
   }
   WireWriter w;
-  w.PutU64(op_id);
+  w.PutVarint(op_id);
   w.PutU8(s.ok() ? 1 : 0);
   router_->SendDirect(NetAddress{host, port}, kMsgRenewResp, std::move(w).data(),
                       nullptr);
@@ -814,7 +817,7 @@ void Dht::HandleRenewResp(const NetAddress& from, std::string_view body) {
   WireReader r(body);
   uint64_t op_id;
   uint8_t ok;
-  if (!r.GetU64(&op_id).ok() || !r.GetU8(&ok).ok()) return;
+  if (!r.GetVarint(&op_id).ok() || !r.GetU8(&ok).ok()) return;
   FinishOp(op_id,
            ok ? Status::Ok() : Status::NotFound("renew: object not present"));
 }

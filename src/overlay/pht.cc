@@ -31,7 +31,7 @@ std::string Pht::EncodeItem(uint64_t key, std::string_view value,
   WireWriter w;
   w.PutU64(key);
   w.PutBytes(value);
-  w.PutU64(static_cast<uint64_t>(lifetime));
+  w.PutVarint(static_cast<uint64_t>(lifetime));
   return std::move(w).data();
 }
 
@@ -43,7 +43,8 @@ Result<PhtItem> Pht::DecodeItem(std::string_view wire) {
   PIER_RETURN_IF_ERROR(r.GetBytes(&value));
   item.value = std::string(value);
   uint64_t lifetime = 0;
-  if (r.GetU64(&lifetime).ok()) item.lifetime = static_cast<TimeUs>(lifetime);
+  if (r.GetVarint(&lifetime).ok())
+    item.lifetime = static_cast<TimeUs>(lifetime);
   return item;
 }
 

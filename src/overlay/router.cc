@@ -331,7 +331,7 @@ void OverlayRouter::Lookup(Id target, size_t want_succs, LookupCallback cb) {
   // Deliver intercepts the request at the owner, which answers directly.
   WireWriter w;
   w.PutU8(kMsgLookupReq);
-  w.PutU64(lookup_id);
+  w.PutVarint(lookup_id);
   w.PutU32(local_address_.host);
   w.PutU16(local_address_.port);
   w.PutU8(static_cast<uint8_t>(std::min<size_t>(want_succs, 255)));
@@ -348,12 +348,12 @@ void OverlayRouter::HandleLookupReq(Id target, std::string_view body) {
   uint32_t host;
   uint16_t port;
   uint8_t want_succs;
-  if (!r.GetU64(&lookup_id).ok() || !r.GetU32(&host).ok() ||
+  if (!r.GetVarint(&lookup_id).ok() || !r.GetU32(&host).ok() ||
       !r.GetU16(&port).ok() || !r.GetU8(&want_succs).ok())
     return;
   WireWriter w;
   w.PutU8(kMsgLookupResp);
-  w.PutU64(lookup_id);
+  w.PutVarint(lookup_id);
   w.PutU64(local_id_);
   w.PutU32(local_address_.host);
   w.PutU16(local_address_.port);
@@ -380,7 +380,7 @@ void OverlayRouter::HandleLookupResp(std::string_view body) {
   Owner owner;
   uint8_t count, has_range;
   Id lower;
-  if (!r.GetU64(&lookup_id).ok() || !r.GetU64(&owner.id).ok() ||
+  if (!r.GetVarint(&lookup_id).ok() || !r.GetU64(&owner.id).ok() ||
       !r.GetU32(&owner.address.host).ok() ||
       !r.GetU16(&owner.address.port).ok() || !r.GetU8(&count).ok())
     return;

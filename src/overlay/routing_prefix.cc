@@ -102,7 +102,7 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
     WireWriter w;
     PutPeer(&w, self->Self());
     w.PutU8(kJoinFind);
-    w.PutU64(nonce);
+    w.PutVarint(nonce);
     w.PutU64(self->host_->local_id());  // target: our own id
 
     PendingJoin pending;
@@ -325,7 +325,7 @@ void PrefixProtocol::HandleProtocolMessage(const NetAddress& from,
   switch (subtype) {
     case kJoinFind: {
       uint64_t nonce, target;
-      if (!r.GetU64(&nonce).ok() || !r.GetU64(&target).ok()) return;
+      if (!r.GetVarint(&nonce).ok() || !r.GetU64(&target).ok()) return;
       NetAddress hop = NextHop(target);
       bool done = hop.IsNull();
       Peer next = done ? Self() : Peer{0, hop};
@@ -342,7 +342,7 @@ void PrefixProtocol::HandleProtocolMessage(const NetAddress& from,
       WireWriter w;
       PutPeer(&w, Self());
       w.PutU8(kJoinFindResp);
-      w.PutU64(nonce);
+      w.PutVarint(nonce);
       w.PutU8(done ? 1 : 0);
       PutPeer(&w, next);
       // Contact sample: our leaf set plus the routing row the joiner needs.
@@ -362,7 +362,7 @@ void PrefixProtocol::HandleProtocolMessage(const NetAddress& from,
     }
     case kJoinFindResp: {
       uint64_t nonce;
-      if (!r.GetU64(&nonce).ok()) return;
+      if (!r.GetVarint(&nonce).ok()) return;
       auto it = pending_.find(nonce);
       if (it == pending_.end()) return;
       auto cb = std::move(it->second.cb);

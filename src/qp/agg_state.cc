@@ -115,6 +115,11 @@ std::optional<std::vector<size_t>> ColumnIndexes(
   return idx;
 }
 
+/// The state each function's partial carries, indexed by AggFunc: only what
+/// its Finalize reads.
+enum : uint8_t { kN = 1, kS = 2, kMn = 4, kMx = 8 };
+constexpr uint8_t kPartialFields[] = {0, kN, kS, kMn, kMx, kN | kS};
+
 }  // namespace
 
 void AggState::UpdateValue(const AggSpec& spec, const Value& v) {
@@ -159,25 +164,37 @@ Value AggState::Finalize(AggFunc func) const {
   return Value::Null();
 }
 
-std::vector<std::string> AggState::PartialColumns(const std::string& alias) {
-  return {alias + "#n", alias + "#s", alias + "#mn", alias + "#mx"};
+std::vector<std::string> AggState::PartialColumns(AggFunc func,
+                                                  const std::string& alias) {
+  uint8_t f = kPartialFields[static_cast<int>(func)];
+  std::vector<std::string> cols;
+  if (f & kN) cols.push_back(alias + "#n");
+  if (f & kS) cols.push_back(alias + "#s");
+  if (f & kMn) cols.push_back(alias + "#mn");
+  if (f & kMx) cols.push_back(alias + "#mx");
+  return cols;
 }
 
-void AggState::AppendPartial(TupleBatchBuilder* out) const {
-  out->AppendInt64(count_);
-  out->AppendValue(sum_);
-  out->AppendValue(min_);
-  out->AppendValue(max_);
+void AggState::AppendPartial(AggFunc func, TupleBatchBuilder* out) const {
+  uint8_t f = kPartialFields[static_cast<int>(func)];
+  if (f & kN) out->AppendInt64(count_);
+  if (f & kS) out->AppendValue(sum_);
+  if (f & kMn) out->AppendValue(min_);
+  if (f & kMx) out->AppendValue(max_);
 }
 
-bool AggState::FromPartial(const TupleBatch& b, size_t row,
+bool AggState::FromPartial(AggFunc func, const TupleBatch& b, size_t row,
                            const std::vector<size_t>& cols) {
-  Result<int64_t> c = b.ValueAt(row, cols[0]).AsInt64();
-  if (!c.ok() || *c < 0) return false;
-  count_ = *c;
-  sum_ = b.ValueAt(row, cols[1]);
-  min_ = b.ValueAt(row, cols[2]);
-  max_ = b.ValueAt(row, cols[3]);
+  uint8_t f = kPartialFields[static_cast<int>(func)];
+  auto next = cols.begin();
+  if (f & kN) {
+    Result<int64_t> c = b.ValueAt(row, *next++).AsInt64();
+    if (!c.ok() || *c < 0) return false;
+    count_ = *c;
+  }
+  if (f & kS) sum_ = b.ValueAt(row, *next++);
+  if (f & kMn) min_ = b.ValueAt(row, *next++);
+  if (f & kMx) max_ = b.ValueAt(row, *next++);
   return true;
 }
 
@@ -223,12 +240,13 @@ void GroupTable::Merge(const TupleBatch& batch) {
   // Each aggregate's partial columns; an aggregate lacking one is skipped.
   std::vector<std::optional<std::vector<size_t>>> cols;
   for (const AggSpec& a : aggs_)
-    cols.push_back(ColumnIndexes(in, AggState::PartialColumns(a.alias)));
+    cols.push_back(
+        ColumnIndexes(in, AggState::PartialColumns(a.func, a.alias)));
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     Group& g = GroupAt(batch, r, *key_idx);
     for (size_t i = 0; i < aggs_.size(); ++i) {
       AggState incoming;
-      if (cols[i] && incoming.FromPartial(batch, r, *cols[i]))
+      if (cols[i] && incoming.FromPartial(aggs_[i].func, batch, r, *cols[i]))
         g.states[i].Merge(incoming);
     }
   }
@@ -240,8 +258,9 @@ std::vector<TupleBatch> GroupTable::Emit(const std::string& table,
   schema->table = table;
   schema->columns = keys_;
   for (const AggSpec& a : aggs_) {
-    std::vector<std::string> cols = partial ? AggState::PartialColumns(a.alias)
-                                            : std::vector<std::string>{a.alias};
+    std::vector<std::string> cols =
+        partial ? AggState::PartialColumns(a.func, a.alias)
+                : std::vector<std::string>{a.alias};
     schema->columns.insert(schema->columns.end(), cols.begin(), cols.end());
   }
   TupleBatchBuilder rows(std::move(schema));
@@ -251,7 +270,7 @@ std::vector<TupleBatch> GroupTable::Emit(const std::string& table,
     for (const Value& v : g.key) rows.AppendValue(v);
     for (size_t i = 0; i < aggs_.size(); ++i) {
       if (partial) {
-        g.states[i].AppendPartial(&rows);
+        g.states[i].AppendPartial(aggs_[i].func, &rows);
       } else {
         rows.AppendValue(g.states[i].Finalize(aggs_[i].func));
       }

@@ -9,6 +9,10 @@
 // GroupTable is the grouping core of both aggregation operators. Partials
 // have one layout on every path (key columns, then AggState::PartialColumns)
 // whether they are rehashed as rows (flat) or routed as TupleBatch frames.
+// Each aggregate ships only the state its function finalizes from:
+//   count -> <alias>#n            sum -> <alias>#s
+//   min   -> <alias>#mn           max -> <alias>#mx
+//   avg   -> <alias>#n, <alias>#s
 
 #ifndef PIER_QP_AGG_STATE_H_
 #define PIER_QP_AGG_STATE_H_
@@ -45,7 +49,8 @@ Result<std::vector<AggSpec>> ParseAggSpecs(const std::string& text);
 /// Render back to the ParseAggSpecs format.
 std::string FormatAggSpecs(const std::vector<AggSpec>& specs);
 
-/// Constant-size mergeable state covering all supported functions at once.
+/// Constant-size mergeable state covering all supported functions at once;
+/// only its partial encoding is per function.
 class AggState {
  public:
   /// Fold one input value in (null when the row lacks the column). Nulls are
@@ -62,17 +67,18 @@ class AggState {
 
   // --- The partial layout ----------------------------------------------------
 
-  /// The names of `alias`'s partial columns, in layout order: "<alias>#n",
-  /// "<alias>#s", "<alias>#mn", "<alias>#mx".
-  static std::vector<std::string> PartialColumns(const std::string& alias);
+  /// The names of the partial columns `func` needs under `alias`, in layout
+  /// order (the header comment's table).
+  static std::vector<std::string> PartialColumns(AggFunc func,
+                                                 const std::string& alias);
 
-  /// Append this state's partial values to `out`, in layout order.
-  void AppendPartial(TupleBatchBuilder* out) const;
+  /// Append the partial values `func` needs to `out`, in layout order.
+  void AppendPartial(AggFunc func, TupleBatchBuilder* out) const;
 
-  /// Rebuild from row `row` of `b`, whose partial columns are at `cols` (in
-  /// layout order); false if they are malformed (a count that is not a
-  /// non-negative integer).
-  bool FromPartial(const TupleBatch& b, size_t row,
+  /// Rebuild `func`'s state from row `row` of `b`, whose partial columns are
+  /// at `cols` (one per PartialColumns entry, in layout order); false if they
+  /// are malformed (a count that is not a non-negative integer).
+  bool FromPartial(AggFunc func, const TupleBatch& b, size_t row,
                    const std::vector<size_t>& cols);
 
  private:

@@ -10,8 +10,8 @@ void QueryMeter::EncodeTo(WireWriter* w) const {
   w->PutU8(1);  // cost-block marker
   w->PutVarint(costs_.size());
   for (const auto& [key, cost] : costs_) {
-    w->PutU32(key.first);
-    w->PutU32(key.second);
+    w->PutVarint(key.first);
+    w->PutVarint(key.second);
     w->PutVarint(cost.tuples_in);
     w->PutVarint(cost.tuples_out);
     w->PutVarint(cost.msgs);
@@ -27,7 +27,7 @@ bool QueryMeter::DecodeSnapshot(WireReader* r, std::map<Key, OpCost>* out) {
   for (uint64_t i = 0; i < n; ++i) {
     uint32_t graph_id = 0, op_id = 0;
     OpCost c;
-    if (!r->GetU32(&graph_id).ok() || !r->GetU32(&op_id).ok() ||
+    if (!r->GetVarint32(&graph_id).ok() || !r->GetVarint32(&op_id).ok() ||
         !r->GetVarint(&c.tuples_in).ok() || !r->GetVarint(&c.tuples_out).ok() ||
         !r->GetVarint(&c.msgs).ok() || !r->GetVarint(&c.bytes).ok())
       return false;

@@ -170,35 +170,35 @@ void QueryPlan::EncodeTo(WireWriter* w) const {
   w->PutU64(query_id);
   w->PutU32(proxy.host);
   w->PutU16(proxy.port);
-  w->PutI64(timeout);
-  w->PutI64(deadline_us);
+  w->PutSVarint(timeout);
+  w->PutSVarint(deadline_us);
   w->PutU8(continuous ? 1 : 0);
-  w->PutI64(flush_after);
-  w->PutI64(window);
-  w->PutU32(generation);
+  w->PutSVarint(flush_after);
+  w->PutSVarint(window);
+  w->PutVarint(generation);
   w->PutU8(replan ? 1 : 0);
   w->PutVarint(successors.size());
   for (const NetAddress& s : successors) {
     w->PutU32(s.host);
     w->PutU16(s.port);
   }
-  w->PutU32(proxy_epoch);
-  w->PutI64(catchup_floor_us);
-  w->PutI64(lease_period_us);
+  w->PutVarint(proxy_epoch);
+  w->PutSVarint(catchup_floor_us);
+  w->PutSVarint(lease_period_us);
   w->PutU8(cancelled ? 1 : 0);
-  w->PutU32(static_cast<uint32_t>(replicas));
+  w->PutVarint(static_cast<uint32_t>(replicas));
   w->PutVarint(graphs.size());
   for (const OpGraph& g : graphs) {
-    w->PutU32(g.id);
+    w->PutVarint(g.id);
     w->PutU8(static_cast<uint8_t>(g.dissem));
     w->PutBytes(g.dissem_ns);
     w->PutBytes(g.dissem_key);
-    w->PutI64(g.dissem_lo);
-    w->PutI64(g.dissem_hi);
-    w->PutU32(static_cast<uint32_t>(g.flush_stage));
+    w->PutSVarint(g.dissem_lo);
+    w->PutSVarint(g.dissem_hi);
+    w->PutVarint(static_cast<uint32_t>(g.flush_stage));
     w->PutVarint(g.ops.size());
     for (const OpSpec& op : g.ops) {
-      w->PutU32(op.id);
+      w->PutVarint(op.id);
       w->PutU8(static_cast<uint8_t>(op.kind));
       w->PutVarint(op.params.size());
       for (const auto& [k, v] : op.params) {
@@ -208,8 +208,8 @@ void QueryPlan::EncodeTo(WireWriter* w) const {
     }
     w->PutVarint(g.edges.size());
     for (const GraphEdge& e : g.edges) {
-      w->PutU32(e.from);
-      w->PutU32(e.to);
+      w->PutVarint(e.from);
+      w->PutVarint(e.to);
       w->PutU8(e.port);
     }
   }
@@ -227,14 +227,14 @@ Result<QueryPlan> QueryPlan::Decode(std::string_view wire) {
   PIER_RETURN_IF_ERROR(r.GetU64(&plan.query_id));
   PIER_RETURN_IF_ERROR(r.GetU32(&plan.proxy.host));
   PIER_RETURN_IF_ERROR(r.GetU16(&plan.proxy.port));
-  PIER_RETURN_IF_ERROR(r.GetI64(&plan.timeout));
-  PIER_RETURN_IF_ERROR(r.GetI64(&plan.deadline_us));
+  PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.timeout));
+  PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.deadline_us));
   uint8_t cont;
   PIER_RETURN_IF_ERROR(r.GetU8(&cont));
   plan.continuous = cont != 0;
-  PIER_RETURN_IF_ERROR(r.GetI64(&plan.flush_after));
-  PIER_RETURN_IF_ERROR(r.GetI64(&plan.window));
-  PIER_RETURN_IF_ERROR(r.GetU32(&plan.generation));
+  PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.flush_after));
+  PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.window));
+  PIER_RETURN_IF_ERROR(r.GetVarint32(&plan.generation));
   uint8_t replan;
   PIER_RETURN_IF_ERROR(r.GetU8(&replan));
   plan.replan = replan != 0;
@@ -248,37 +248,37 @@ Result<QueryPlan> QueryPlan::Decode(std::string_view wire) {
     PIER_RETURN_IF_ERROR(r.GetU16(&a.port));
     plan.successors.push_back(a);
   }
-  PIER_RETURN_IF_ERROR(r.GetU32(&plan.proxy_epoch));
-  PIER_RETURN_IF_ERROR(r.GetI64(&plan.catchup_floor_us));
-  PIER_RETURN_IF_ERROR(r.GetI64(&plan.lease_period_us));
+  PIER_RETURN_IF_ERROR(r.GetVarint32(&plan.proxy_epoch));
+  PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.catchup_floor_us));
+  PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.lease_period_us));
   uint8_t cancelled;
   PIER_RETURN_IF_ERROR(r.GetU8(&cancelled));
   plan.cancelled = cancelled != 0;
   uint32_t replicas;
-  PIER_RETURN_IF_ERROR(r.GetU32(&replicas));
+  PIER_RETURN_IF_ERROR(r.GetVarint32(&replicas));
   plan.replicas = static_cast<int32_t>(replicas);
   uint64_t ngraphs;
   PIER_RETURN_IF_ERROR(r.GetVarint(&ngraphs));
   if (ngraphs > 1000) return Status::Corruption("absurd graph count");
   for (uint64_t gi = 0; gi < ngraphs; ++gi) {
     OpGraph g;
-    PIER_RETURN_IF_ERROR(r.GetU32(&g.id));
+    PIER_RETURN_IF_ERROR(r.GetVarint32(&g.id));
     uint8_t dk;
     PIER_RETURN_IF_ERROR(r.GetU8(&dk));
     g.dissem = static_cast<DissemKind>(dk);
     PIER_RETURN_IF_ERROR(r.GetBytes(&g.dissem_ns));
     PIER_RETURN_IF_ERROR(r.GetBytes(&g.dissem_key));
-    PIER_RETURN_IF_ERROR(r.GetI64(&g.dissem_lo));
-    PIER_RETURN_IF_ERROR(r.GetI64(&g.dissem_hi));
+    PIER_RETURN_IF_ERROR(r.GetSVarint(&g.dissem_lo));
+    PIER_RETURN_IF_ERROR(r.GetSVarint(&g.dissem_hi));
     uint32_t stage;
-    PIER_RETURN_IF_ERROR(r.GetU32(&stage));
+    PIER_RETURN_IF_ERROR(r.GetVarint32(&stage));
     g.flush_stage = static_cast<int32_t>(stage);
     uint64_t nops;
     PIER_RETURN_IF_ERROR(r.GetVarint(&nops));
     if (nops > 10000) return Status::Corruption("absurd op count");
     for (uint64_t oi = 0; oi < nops; ++oi) {
       OpSpec op;
-      PIER_RETURN_IF_ERROR(r.GetU32(&op.id));
+      PIER_RETURN_IF_ERROR(r.GetVarint32(&op.id));
       uint8_t kind;
       PIER_RETURN_IF_ERROR(r.GetU8(&kind));
       op.kind = static_cast<OpKind>(kind);
@@ -298,8 +298,8 @@ Result<QueryPlan> QueryPlan::Decode(std::string_view wire) {
     if (nedges > 100000) return Status::Corruption("absurd edge count");
     for (uint64_t ei = 0; ei < nedges; ++ei) {
       GraphEdge e;
-      PIER_RETURN_IF_ERROR(r.GetU32(&e.from));
-      PIER_RETURN_IF_ERROR(r.GetU32(&e.to));
+      PIER_RETURN_IF_ERROR(r.GetVarint32(&e.from));
+      PIER_RETURN_IF_ERROR(r.GetVarint32(&e.to));
       PIER_RETURN_IF_ERROR(r.GetU8(&e.port));
       g.edges.push_back(e);
     }

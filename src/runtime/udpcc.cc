@@ -60,7 +60,7 @@ void UdpCc::Send(const NetAddress& destination, std::string payload,
 void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
   WireWriter w;
   w.PutU8(kData);
-  w.PutU64(msg.seq);
+  w.PutVarint(msg.seq);
   w.PutRaw(msg.payload);
   TimeUs now = vri_->Now();
   if (msg.retries == 0) {
@@ -91,7 +91,7 @@ void UdpCc::HandleUdp(const NetAddress& source, std::string_view payload) {
   WireReader r(payload);
   uint8_t type;
   uint64_t seq;
-  if (!r.GetU8(&type).ok() || !r.GetU64(&seq).ok()) return;  // malformed: drop
+  if (!r.GetU8(&type).ok() || !r.GetVarint(&seq).ok()) return;  // malformed
 
   if (type == kAck) {
     OnAck(source, seq);
@@ -103,7 +103,7 @@ void UdpCc::HandleUdp(const NetAddress& source, std::string_view payload) {
   // processed after a retransmit was already sent).
   WireWriter ack;
   ack.PutU8(kAck);
-  ack.PutU64(seq);
+  ack.PutVarint(seq);
   (void)vri_->UdpSend(port_, source, std::move(ack).data());
 
   PeerState& peer = Peer(source);
@@ -112,11 +112,9 @@ void UdpCc::HandleUdp(const NetAddress& source, std::string_view payload) {
     return;
   }
   stats_.msgs_received++;
-  stats_.bytes_received += payload.size() - (1 + 8);
-  if (handler_) {
-    std::string_view body = payload.substr(1 + 8);
-    handler_(source, body);
-  }
+  std::string_view body = payload.substr(payload.size() - r.remaining());
+  stats_.bytes_received += body.size();
+  if (handler_) handler_(source, body);
 }
 
 bool UdpCc::AlreadySeen(PeerState& peer, uint64_t seq) {

@@ -8,6 +8,9 @@
 //     backoff on timeout),
 //   * NO in-order delivery guarantee — receivers deduplicate but do not
 //     resequence, and PIER's operators are written to tolerate reordering.
+//
+// Frames: `type u8` (data 0, ACK 1) and a per-peer `seq` varint; a data
+// frame's payload follows to the end of the datagram.
 
 #ifndef PIER_RUNTIME_UDPCC_H_
 #define PIER_RUNTIME_UDPCC_H_

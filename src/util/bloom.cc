@@ -1,14 +1,15 @@
 #include "util/bloom.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "util/hash.h"
+#include "util/wire.h"
 
 namespace pier {
 
 namespace {
 constexpr size_t kMinBits = 64;
+constexpr int kMaxHashes = 16;
 }  // namespace
 
 BloomFilter::BloomFilter(size_t expected_items, double fp_rate) {
@@ -19,13 +20,13 @@ BloomFilter::BloomFilter(size_t expected_items, double fp_rate) {
   double bits = -static_cast<double>(expected_items) * std::log(fp_rate) / (ln2 * ln2);
   num_bits_ = std::max(kMinBits, static_cast<size_t>(bits) + 1);
   int k = static_cast<int>(std::lround(bits / expected_items * ln2));
-  num_hashes_ = std::max(1, std::min(16, k));
+  num_hashes_ = std::max(1, std::min(kMaxHashes, k));
   bits_.assign((num_bits_ + 63) / 64, 0);
 }
 
 BloomFilter::BloomFilter(size_t num_bits, int num_hashes)
     : num_bits_(std::max(kMinBits, num_bits)),
-      num_hashes_(std::max(1, std::min(16, num_hashes))) {
+      num_hashes_(std::max(1, std::min(kMaxHashes, num_hashes))) {
   bits_.assign((num_bits_ + 63) / 64, 0);
 }
 
@@ -58,31 +59,24 @@ Status BloomFilter::Merge(const BloomFilter& other) {
 }
 
 std::string BloomFilter::Serialize() const {
-  std::string out;
-  out.reserve(16 + bits_.size() * 8);
-  auto put64 = [&out](uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  };
-  put64(num_bits_);
-  put64(static_cast<uint64_t>(num_hashes_));
-  for (uint64_t w : bits_) put64(w);
-  return out;
+  WireWriter w;
+  w.PutVarint(num_bits_);
+  w.PutVarint(static_cast<uint64_t>(num_hashes_));
+  for (uint64_t word : bits_) w.PutU64(word);
+  return std::move(w).data();
 }
 
 Result<BloomFilter> BloomFilter::Deserialize(std::string_view data) {
-  auto get64 = [&data](size_t off) -> uint64_t {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data[off + i])) << (8 * i);
-    return v;
-  };
-  if (data.size() < 16) return Status::Corruption("bloom: short header");
-  uint64_t num_bits = get64(0);
-  int num_hashes = static_cast<int>(get64(8));
-  BloomFilter f(num_bits, num_hashes);
-  size_t words = (f.num_bits_ + 63) / 64;
-  if (data.size() != 16 + words * 8) return Status::Corruption("bloom: size mismatch");
-  for (size_t i = 0; i < words; ++i) f.bits_[i] = get64(16 + i * 8);
+  WireReader r(data);
+  uint64_t num_bits = 0, num_hashes = 0;
+  PIER_RETURN_IF_ERROR(r.GetVarint(&num_bits));
+  PIER_RETURN_IF_ERROR(r.GetVarint(&num_hashes));
+  // Checked before allocating: a hostile header cannot demand a huge filter.
+  if (num_bits < kMinBits || num_hashes < 1 || num_hashes > kMaxHashes ||
+      r.remaining() != ((num_bits - 1) / 64 + 1) * 8)
+    return Status::Corruption("bloom: bad geometry");
+  BloomFilter f(num_bits, static_cast<int>(num_hashes));
+  for (uint64_t& word : f.bits_) PIER_RETURN_IF_ERROR(r.GetU64(&word));
   return f;
 }
 

@@ -34,7 +34,6 @@ class BloomFilter {
 
   size_t num_bits() const { return num_bits_; }
   int num_hashes() const { return num_hashes_; }
-  size_t ApproximateSizeBytes() const { return bits_.size() * 8 + 16; }
 
   std::string Serialize() const;
   static Result<BloomFilter> Deserialize(std::string_view data);

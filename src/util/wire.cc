@@ -72,13 +72,6 @@ Status WireReader::GetU64(uint64_t* v) {
   return Status::Ok();
 }
 
-Status WireReader::GetI64(int64_t* v) {
-  uint64_t u;
-  PIER_RETURN_IF_ERROR(GetU64(&u));
-  *v = static_cast<int64_t>(u);
-  return Status::Ok();
-}
-
 Status WireReader::GetDouble(double* v) {
   uint64_t bits;
   PIER_RETURN_IF_ERROR(GetU64(&bits));
@@ -91,13 +84,30 @@ Status WireReader::GetVarint(uint64_t* v) {
   int shift = 0;
   while (true) {
     if (remaining() < 1) return Status::Corruption("wire: short varint");
-    if (shift >= 64) return Status::Corruption("wire: varint overflow");
     uint8_t b = static_cast<uint8_t>(data_[pos_++]);
+    // The 10th byte holds bit 63 only: anything more would not fit.
+    if (shift == 63 && b > 1)
+      return Status::Corruption("wire: varint overflow");
     r |= static_cast<uint64_t>(b & 0x7f) << shift;
     if ((b & 0x80) == 0) break;
     shift += 7;
   }
   *v = r;
+  return Status::Ok();
+}
+
+Status WireReader::GetVarint32(uint32_t* v) {
+  uint64_t u;
+  PIER_RETURN_IF_ERROR(GetVarint(&u));
+  if (u > UINT32_MAX) return Status::Corruption("wire: varint32 overflow");
+  *v = static_cast<uint32_t>(u);
+  return Status::Ok();
+}
+
+Status WireReader::GetSVarint(int64_t* v) {
+  uint64_t u;
+  PIER_RETURN_IF_ERROR(GetVarint(&u));
+  *v = static_cast<int64_t>(u >> 1) ^ -static_cast<int64_t>(u & 1);
   return Status::Ok();
 }
 

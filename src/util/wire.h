@@ -2,7 +2,9 @@
 //
 // PIER nodes exchange self-describing messages over UDP (§3.1.3); tuples
 // carry their own schema (§3.3.1). `WireWriter`/`WireReader` provide a
-// compact, platform-stable little-endian encoding with varints for lengths.
+// compact, platform-stable little-endian encoding. Counters, ids, lengths and
+// durations travel as varints (signed ones zigzagged); only hash-derived ids,
+// IPv4 hosts and doubles keep a fixed width (src/data/README.md).
 // Readers are defensive: malformed input yields Corruption, never UB — a
 // requirement for a system that expects malformed data in the wild (§3.3.4).
 
@@ -25,9 +27,13 @@ class WireWriter {
   void PutU16(uint16_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutDouble(double v);
   void PutVarint(uint64_t v);
+  /// Zigzag varint: small magnitudes of either sign take few bytes.
+  void PutSVarint(int64_t v) {
+    uint64_t u = static_cast<uint64_t>(v);
+    PutVarint((u << 1) ^ (0 - (u >> 63)));
+  }
   /// Length-prefixed bytes (varint length + raw bytes).
   void PutBytes(std::string_view s);
   /// Raw bytes with no length prefix (caller knows the framing).
@@ -49,9 +55,11 @@ class WireReader {
   Status GetU16(uint16_t* v);
   Status GetU32(uint32_t* v);
   Status GetU64(uint64_t* v);
-  Status GetI64(int64_t* v);
   Status GetDouble(double* v);
   Status GetVarint(uint64_t* v);
+  /// A varint that must fit 32 bits.
+  Status GetVarint32(uint32_t* v);
+  Status GetSVarint(int64_t* v);
   /// Reads a length-prefixed byte string. The view aliases the input buffer.
   Status GetBytes(std::string_view* s);
   Status GetBytes(std::string* s);

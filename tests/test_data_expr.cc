@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "data/tuple.h"
 #include "data/tuple_batch.h"
 #include "data/value.h"
+#include "decoder_fuzz.h"
 #include "qp/expr.h"
 #include "util/random.h"
 
@@ -77,7 +80,7 @@ TEST(Value, WireRoundTripAllTypes) {
 TEST(Value, DecodeRejectsGarbage) {
   WireReader r1(std::string_view("\xee", 1));  // bad tag
   EXPECT_FALSE(Value::DecodeFrom(&r1).ok());
-  WireReader r2(std::string_view("\x02\x01", 2));  // truncated int64
+  WireReader r2(std::string_view("\x02\x80", 2));  // truncated int64 varint
   EXPECT_FALSE(Value::DecodeFrom(&r2).ok());
 }
 
@@ -164,6 +167,156 @@ TEST_P(TupleRoundTrip, RandomTuple) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TupleRoundTrip, ::testing::Range<uint64_t>(1, 26));
+
+// ---------------------------------------------------------------------------
+// Wire integers: varints sized by magnitude, zigzag for signed values
+// ---------------------------------------------------------------------------
+
+TEST(Wire, ZigzagRoundTripsTheExtremes) {
+  for (int64_t v : {INT64_MIN, INT64_MIN + 1, int64_t{-1}, int64_t{0},
+                    int64_t{1}, INT64_MAX}) {
+    WireWriter w;
+    w.PutSVarint(v);
+    WireReader r(w.data());
+    int64_t back = 7;
+    ASSERT_TRUE(r.GetSVarint(&back).ok()) << v;
+    EXPECT_EQ(back, v);
+    EXPECT_TRUE(r.AtEnd()) << v;
+  }
+  // Small magnitudes of either sign take one byte; the extremes take ten.
+  WireWriter small;
+  for (int64_t v : {-64, -1, 0, 1, 63}) small.PutSVarint(v);
+  EXPECT_EQ(small.size(), 5u);
+  WireWriter extremes;
+  extremes.PutSVarint(INT64_MIN);
+  extremes.PutSVarint(INT64_MAX);
+  EXPECT_EQ(extremes.size(), 20u);
+}
+
+TEST(Wire, VarintRejectsBitsPast64) {
+  // Nine full groups and a tenth byte holding bit 63: UINT64_MAX.
+  std::string max(9, '\xff');
+  max.push_back('\x01');
+  WireReader ok(max);
+  uint64_t v = 0;
+  ASSERT_TRUE(ok.GetVarint(&v).ok());
+  EXPECT_EQ(v, UINT64_MAX);
+  // A tenth byte carrying more than bit 63 used to lose those bits silently;
+  // one with its continuation bit set would need an eleventh.
+  for (char tenth : {'\x02', '\x7f', '\x81'}) {
+    std::string over(9, '\xff');
+    over.push_back(tenth);
+    over.push_back('\x00');
+    WireReader r(over);
+    Status s = r.GetVarint(&v);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << int{tenth};
+  }
+}
+
+TEST(Wire, Varint32RejectsValuesAboveUint32Max) {
+  for (uint64_t v : {uint64_t{0}, uint64_t{300}, uint64_t{UINT32_MAX},
+                     uint64_t{UINT32_MAX} + 1, UINT64_MAX}) {
+    WireWriter w;
+    w.PutVarint(v);
+    WireReader r(w.data());
+    uint32_t back = 0;
+    Status s = r.GetVarint32(&back);
+    if (v <= UINT32_MAX) {
+      ASSERT_TRUE(s.ok()) << v;
+      EXPECT_EQ(back, v);
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << v;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Decoder robustness: truncations, seeded hostile bodies, over-cap counts
+// ---------------------------------------------------------------------------
+
+/// One row holding every value type, with int64s of both signs and of one
+/// and ten encoded bytes.
+Tuple EveryType(int64_t salt) {
+  return Tuple("every", {{"null", Value::Null()},
+                         {"bool", Value::Bool(salt % 2 == 0)},
+                         {"small", Value::Int64(-salt)},
+                         {"min", Value::Int64(INT64_MIN + salt)},
+                         {"max", Value::Int64(INT64_MAX - salt)},
+                         {"double", Value::Double(salt + 0.5)},
+                         {"string", Value::String(std::string(
+                                        static_cast<size_t>(salt), 's'))},
+                         {"bytes", Value::Bytes(std::string("\0\xff", 2))}});
+}
+
+TEST(DecoderFuzz, ValueDecodeFrom) {
+  const Tuple row = EveryType(3);
+  for (const Column& c : row.columns()) {
+    WireWriter w;
+    c.value.EncodeTo(&w);
+    size_t cuts = FuzzDecoder(w.data(), 1, [](const std::string& body) {
+      WireReader r(body);
+      return Value::DecodeFrom(&r).ok();
+    });
+    EXPECT_EQ(cuts, 0u) << c.name;
+  }
+  // Over-cap: a string length past the end of the frame.
+  WireWriter w;
+  w.PutU8(static_cast<uint8_t>(ValueType::kString));
+  w.PutVarint(uint64_t{1} << 40);
+  w.PutRaw("abc");
+  WireReader r(w.data());
+  EXPECT_EQ(Value::DecodeFrom(&r).status().code(), StatusCode::kCorruption);
+}
+
+/// Decodes one TupleBatch frame and reads every cell back, as the answer
+/// path does.
+bool DecodeAndReadBatch(const std::string& body) {
+  WireReader r(body);
+  Result<TupleBatch> b = TupleBatch::DecodeFrom(&r, body);
+  if (!b.ok()) return false;
+  for (size_t i = 0; i < b->num_rows(); ++i) (void)b->RowTuple(i);
+  return true;
+}
+
+TEST(DecoderFuzz, TupleBatchDecodeFrom) {
+  TupleBatch batch = TupleBatch::FromTuples({EveryType(1), EveryType(2)});
+  WireWriter w;
+  batch.EncodeTo(&w);
+  ASSERT_TRUE(DecodeAndReadBatch(w.data()));
+  EXPECT_EQ(FuzzDecoder(w.data(), 2, DecodeAndReadBatch), 0u);
+  // Over-cap: one column past the cap (the row caps have their own tests).
+  WireWriter cols;
+  cols.PutBytes("t");
+  cols.PutVarint((uint64_t{1} << 20) + 1);
+  EXPECT_FALSE(DecodeAndReadBatch(std::move(cols).data()));
+}
+
+TEST(DecoderFuzz, BatchAssemblerAddEncoded) {
+  const Tuple first = EveryType(1);
+  // The assembler already holds `first`'s schema, so each body takes the
+  // encoded fast path before any fallback to a full tuple decode.
+  auto add = [&first](const std::string& body) {
+    BatchAssembler a(64);
+    a.Add(first);
+    bool ok = a.AddEncoded(body).ok();
+    size_t rows = 0;
+    for (const TupleBatch& b : a.TakeBatches()) {
+      for (size_t i = 0; i < b.num_rows(); ++i) (void)b.RowTuple(i);
+      rows += b.num_rows();
+    }
+    EXPECT_EQ(rows, ok ? 2u : 1u) << "a rejected row leaves nothing behind";
+    return ok;
+  };
+  std::string frame = EveryType(2).Encode();
+  ASSERT_TRUE(add(frame));
+  EXPECT_EQ(FuzzDecoder(frame, 3, add), 0u);
+  EXPECT_FALSE(add(frame + "x")) << "trailing bytes, as Tuple::Decode";
+  // Over-cap: a column count past Tuple::Decode's cap.
+  WireWriter w;
+  w.PutBytes("every");
+  w.PutVarint((uint64_t{1} << 20) + 1);
+  EXPECT_FALSE(add(std::move(w).data()));
+}
 
 // ---------------------------------------------------------------------------
 // Expressions

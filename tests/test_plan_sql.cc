@@ -7,9 +7,11 @@
 
 #include <limits>
 
+#include "decoder_fuzz.h"
 #include "opt/optimizer.h"
 #include "opt/stats.h"
 #include "qp/agg_state.h"
+#include "qp/dataflow.h"
 #include "qp/opgraph.h"
 #include "qp/sim_pier.h"
 #include "qp/sql.h"
@@ -75,7 +77,9 @@ TEST(OpGraph, JoinArityChecked) {
   EXPECT_TRUE(m.Validate().ok());
 }
 
-TEST(QueryPlan, WireRoundTrip) {
+/// A plan that sets every encoded field, with a second graph whose PHT range
+/// has a negative bound.
+QueryPlan EveryFieldPlan() {
   QueryPlan plan;
   plan.query_id = 777;
   plan.timeout = 12 * kSecond;
@@ -101,7 +105,17 @@ TEST(QueryPlan, WireRoundTrip) {
   OpSpec& res = g.AddOp(OpKind::kResult);
   g.Connect(1, sel_id, 0);
   g.Connect(sel_id, res.id, 0);
+  OpGraph& range = plan.AddGraph();
+  range.dissem = DissemKind::kRange;
+  range.dissem_ns = "idx";
+  range.dissem_lo = -40;
+  range.dissem_hi = std::numeric_limits<int64_t>::max();
+  range.AddOp(OpKind::kScan).Set("ns", "idx");
+  return plan;
+}
 
+TEST(QueryPlan, WireRoundTrip) {
+  QueryPlan plan = EveryFieldPlan();
   Result<QueryPlan> back = QueryPlan::Decode(plan.Encode());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->query_id, 777u);
@@ -117,14 +131,16 @@ TEST(QueryPlan, WireRoundTrip) {
   EXPECT_EQ(back->catchup_floor_us, 55 * kSecond);
   EXPECT_EQ(back->lease_period_us, 2 * kSecond);
   EXPECT_FALSE(back->cancelled);
-  ASSERT_EQ(back->graphs.size(), 1u);
+  ASSERT_EQ(back->graphs.size(), 2u);
+  EXPECT_EQ(back->graphs[1].dissem_lo, -40);
+  EXPECT_EQ(back->graphs[1].dissem_hi, std::numeric_limits<int64_t>::max());
   const OpGraph& bg = back->graphs[0];
   EXPECT_EQ(bg.dissem, DissemKind::kEquality);
   EXPECT_EQ(bg.dissem_key, "I5|");
   EXPECT_EQ(bg.flush_stage, 2);
   ASSERT_EQ(bg.ops.size(), 3u);
   EXPECT_EQ(bg.edges.size(), 2u);
-  Result<ExprPtr> pred = bg.FindOp(sel_id)->GetExpr("pred");
+  Result<ExprPtr> pred = bg.ops[1].GetExpr("pred");
   ASSERT_TRUE(pred.ok());
   EXPECT_EQ((*pred)->ToString(), "(v > 3)");
 }
@@ -137,6 +153,63 @@ TEST(QueryPlan, DecodeRejectsCorruption) {
   EXPECT_FALSE(QueryPlan::Decode(wire + "zz").ok());
   EXPECT_FALSE(QueryPlan::Decode(wire.substr(0, wire.size() / 2)).ok());
   EXPECT_FALSE(QueryPlan::Decode("").ok());
+}
+
+TEST(QueryPlan, DecoderSurvivesTruncationGarbageAndOverCapCounts) {
+  std::string wire = EveryFieldPlan().Encode();
+  size_t cuts = FuzzDecoder(wire, 4, [](const std::string& body) {
+    return QueryPlan::Decode(body).ok();
+  });
+  EXPECT_EQ(cuts, 0u);
+  // Over-cap counts: a successor chain past its cap, and a varint32 field
+  // (the generation) holding more than 32 bits.
+  QueryPlan plan = EveryFieldPlan();
+  plan.successors.resize(QueryPlan::kMaxSuccessors + 1);
+  EXPECT_EQ(QueryPlan::Decode(plan.Encode()).status().code(),
+            StatusCode::kCorruption);
+  plan = EveryFieldPlan();
+  plan.generation = UINT32_MAX;
+  wire = plan.Encode();
+  const std::string max32("\xff\xff\xff\xff\x0f", 5);
+  size_t at = wire.find(max32);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_TRUE(QueryPlan::Decode(wire).ok());
+  wire[at + 4] = '\x1f';  // the same varint, 2^33 - 1
+  EXPECT_EQ(QueryPlan::Decode(wire).status().code(), StatusCode::kCorruption);
+}
+
+TEST(QueryMeter, DecoderSurvivesTruncationGarbageAndOverCapCounts) {
+  QueryMeter meter;
+  meter.At(0, 0)->bytes = 1234567;
+  meter.At(1, 3)->tuples_in = 5;
+  meter.At(300, 70000)->msgs = 2;
+  WireWriter w;
+  meter.EncodeTo(&w);
+  std::map<QueryMeter::Key, OpCost> back;
+  WireReader r(w.data());
+  ASSERT_TRUE(QueryMeter::DecodeSnapshot(&r, &back));
+  EXPECT_EQ(back.size(), 3u);
+  EXPECT_EQ((back[{300, 70000}].msgs), 2u);
+  size_t cuts = FuzzDecoder(w.data(), 5, [](const std::string& body) {
+    WireReader br(body);
+    std::map<QueryMeter::Key, OpCost> out;
+    return QueryMeter::DecodeSnapshot(&br, &out);
+  });
+  EXPECT_EQ(cuts, 0u);
+  // Over-cap: more slots than the cap, and an op id past 32 bits.
+  WireWriter many;
+  many.PutU8(1);
+  many.PutVarint(4097);
+  WireReader mr(many.data());
+  EXPECT_FALSE(QueryMeter::DecodeSnapshot(&mr, &back));
+  WireWriter wide;
+  wide.PutU8(1);
+  wide.PutVarint(1);
+  wide.PutVarint(1);
+  wide.PutVarint(uint64_t{UINT32_MAX} + 1);
+  for (int i = 0; i < 4; ++i) wide.PutVarint(0);
+  WireReader wr(wide.data());
+  EXPECT_FALSE(QueryMeter::DecodeSnapshot(&wr, &back));
 }
 
 // ---------------------------------------------------------------------------
@@ -313,6 +386,9 @@ TEST(Sql, DistinctQueriesGetDistinctIds) {
 /// Compiled plans are pinned byte for byte: each digest is Fnv1a64 over the
 /// wire encoding of the plan, recorded at commit e9a4143, before the
 /// compiler's duplicated plan fragments were folded into shared helpers.
+/// Re-recorded once when plan fields and int64 values became varints; a
+/// structural dump (graphs, op kinds, params with expressions as text,
+/// edges) of every case was identical before and after that change.
 TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
   SqlOptions base;
   base.tables["t"] = TableHint{{"k"}};
@@ -351,24 +427,24 @@ TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
     uint64_t digest;
   };
   const Case cases[] = {
-      {"SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s", &base, 0x22cbd18102d2f780},
+      {"SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s", &base, 0x8dd4ad8c3e0c4baa},
       {"SELECT a, b FROM t WHERE a > 1 ORDER BY a LIMIT 3", &base,
-       0x8367b55861fc27fd},
-      {"SELECT * FROM t WHERE k = 9", &base, 0x77eded4b997687b},
+       0xf26bb476f3ffab76},
+      {"SELECT * FROM t WHERE k = 9", &base, 0xc22a2df2e218f620},
       {"SELECT k, count(*) AS c, sum(v) AS sv FROM t GROUP BY k "
        "ORDER BY c DESC LIMIT 4",
-       &flat, 0xc3042c73691f262d},
+       &flat, 0xe165a0facca0792e},
       {"SELECT k, count(*) AS c FROM t WHERE v > 2 GROUP BY k "
        "ORDER BY c DESC LIMIT 4",
-       &hier, 0x27eaf984b3a0a50},
-      {"SELECT * FROM t a, s b WHERE a.v = b.w", &base, 0x99276bad940bd9c9},
+       &hier, 0x64540a23efd5d8fa},
+      {"SELECT * FROM t a, s b WHERE a.v = b.w", &base, 0x587a5a85a2e2dff0},
       {"SELECT * FROM big r, small s WHERE r.x = s.y", &bloom,
-       0xdfe8d377e66026f},
+       0x25fde031a3d0899e},
       {"SELECT a.v, b.w FROM t a, s b WHERE a.k = b.y AND a.v > 1", &base,
-       0xb068da7ccaa99eee},
+       0xe9d17165c543a6a3},
       {"SELECT a.v, c.q FROM t a, s b, u c WHERE a.v = b.w AND b.x = c.z "
        "AND a.k + c.q > 3 LIMIT 5",
-       &base, 0x10a86c1f9cf95caa},
+       &base, 0x35d02d59e7b82baf},
   };
   for (const Case& c : cases) {
     PlanExplain explain;
@@ -589,30 +665,43 @@ TEST(AggState, MergeIsEquivalentToSingleStream) {
   }
 }
 
+TEST(AggState, PartialColumnsAreOnlyWhatEachFunctionNeeds) {
+  // count, sum, min, max: one column each; avg: count and sum.
+  const std::pair<AggFunc, std::vector<std::string>> layouts[] = {
+      {AggFunc::kCount, {"m#n"}},
+      {AggFunc::kSum, {"m#s"}},
+      {AggFunc::kMin, {"m#mn"}},
+      {AggFunc::kMax, {"m#mx"}},
+      {AggFunc::kAvg, {"m#n", "m#s"}},
+  };
+  for (const auto& [func, cols] : layouts)
+    EXPECT_EQ(AggState::PartialColumns(func, "m"), cols) << AggFuncName(func);
+}
+
 TEST(AggState, PartialColumnsRoundTrip) {
-  AggSpec spec{AggFunc::kAvg, "v", "m"};
-  AggState s;
-  for (int v : {1, 2, 3, 10}) s.UpdateValue(spec, Value::Int64(v));
-  EXPECT_EQ(AggState::PartialColumns("m"),
-            (std::vector<std::string>{"m#n", "m#s", "m#mn", "m#mx"}));
-  TupleBatchBuilder carrier(std::make_shared<BatchSchema>(
-      BatchSchema{"p", AggState::PartialColumns("m")}));
-  s.AppendPartial(&carrier);
-  TupleBatch row = carrier.Finish();
-  AggState back;
-  ASSERT_TRUE(back.FromPartial(row, 0, {0, 1, 2, 3}));
-  EXPECT_EQ(back.count(), 4);
-  EXPECT_TRUE(back.Finalize(AggFunc::kAvg).LooseEquals(Value::Double(4.0)));
-  EXPECT_TRUE(back.Finalize(AggFunc::kMax).LooseEquals(Value::Int64(10)));
+  for (AggFunc f : {AggFunc::kCount, AggFunc::kSum, AggFunc::kMin,
+                    AggFunc::kMax, AggFunc::kAvg}) {
+    AggSpec spec{f, "v", "m"};
+    AggState s;
+    for (int v : {3, 1, 10, 2}) s.UpdateValue(spec, Value::Int64(v));
+    std::vector<std::string> names = AggState::PartialColumns(f, "m");
+    TupleBatchBuilder carrier(
+        std::make_shared<BatchSchema>(BatchSchema{"p", names}));
+    s.AppendPartial(f, &carrier);
+    TupleBatch row = carrier.Finish();
+    ASSERT_EQ(row.num_rows(), 1u) << AggFuncName(f);
+    std::vector<size_t> cols(names.size());
+    for (size_t i = 0; i < cols.size(); ++i) cols[i] = i;
+    AggState back;
+    ASSERT_TRUE(back.FromPartial(f, row, 0, cols)) << AggFuncName(f);
+    EXPECT_EQ(back.Finalize(f), s.Finalize(f)) << AggFuncName(f);
+  }
   // A count that is not an integer is malformed. (Absent partial columns are
   // GroupTable.MergeSkipsOnlyTheAggregateWithAbsentColumns.)
-  Tuple bad("p", {{"m#n", Value::String("four")},
-                  {"m#s", Value::Null()},
-                  {"m#mn", Value::Null()},
-                  {"m#mx", Value::Null()}});
+  Tuple bad("p", {{"m#n", Value::String("four")}, {"m#s", Value::Null()}});
   AggState malformed;
-  EXPECT_FALSE(
-      malformed.FromPartial(TupleBatch::FromTuples({bad}), 0, {0, 1, 2, 3}));
+  EXPECT_FALSE(malformed.FromPartial(AggFunc::kAvg,
+                                     TupleBatch::FromTuples({bad}), 0, {0, 1}));
 }
 
 TEST(AggState, SkipsMissingAndNullColumns) {
@@ -653,23 +742,22 @@ TEST(AggState, Int64SumsThatOverflowContinueAsDouble) {
   EXPECT_EQ(exact.Finalize(AggFunc::kSum), Value::Int64(kMax));
 }
 
-/// One row in `alias`'s partial layout: count `n` and int64 sum `s`.
+/// One row in `alias`'s avg partial layout: count `n` and int64 sum `s`.
 TupleBatch CountSumPartial(const std::string& alias, int64_t n, int64_t s) {
   TupleBatchBuilder b(std::make_shared<BatchSchema>(
-      BatchSchema{"p", AggState::PartialColumns(alias)}));
+      BatchSchema{"p", AggState::PartialColumns(AggFunc::kAvg, alias)}));
   b.AppendInt64(n);
   b.AppendValue(Value::Int64(s));
-  b.AppendValue(Value::Null());
-  b.AppendValue(Value::Null());
   return b.Finish();
 }
 
 TEST(AggState, MergedCountsSaturateAtInt64Max) {
   const int64_t kMax = std::numeric_limits<int64_t>::max();
-  const std::vector<size_t> cols = {0, 1, 2, 3};
+  const std::vector<size_t> cols = {0, 1};
+  const AggFunc avg = AggFunc::kAvg;
   AggState a, b;
-  ASSERT_TRUE(a.FromPartial(CountSumPartial("c", kMax - 2, 0), 0, cols));
-  ASSERT_TRUE(b.FromPartial(CountSumPartial("c", 5, 0), 0, cols));
+  ASSERT_TRUE(a.FromPartial(avg, CountSumPartial("c", kMax - 2, 0), 0, cols));
+  ASSERT_TRUE(b.FromPartial(avg, CountSumPartial("c", 5, 0), 0, cols));
   a.Merge(b);
   EXPECT_EQ(a.count(), kMax);
   a.Merge(b);
@@ -679,8 +767,10 @@ TEST(AggState, MergedCountsSaturateAtInt64Max) {
 
 TEST(AggState, FromPartialRejectsANegativeCount) {
   AggState s;
-  EXPECT_FALSE(s.FromPartial(CountSumPartial("c", -1, 4), 0, {0, 1, 2, 3}));
-  EXPECT_TRUE(s.FromPartial(CountSumPartial("c", 0, 4), 0, {0, 1, 2, 3}));
+  EXPECT_FALSE(
+      s.FromPartial(AggFunc::kAvg, CountSumPartial("c", -1, 4), 0, {0, 1}));
+  EXPECT_TRUE(
+      s.FromPartial(AggFunc::kAvg, CountSumPartial("c", 0, 4), 0, {0, 1}));
 }
 
 // ---------------------------------------------------------------------------
@@ -776,24 +866,19 @@ TEST(GroupTable, MergeDiscardsBatchWithoutKeyColumn) {
 }
 
 TEST(GroupTable, MergeSkipsOnlyTheAggregateWithAbsentColumns) {
-  auto aggs = ParseAggSpecs("count::cnt,sum:v:s");
+  auto aggs = ParseAggSpecs("count::cnt,avg:v:a");
   ASSERT_TRUE(aggs.ok());
   GroupTable table({"k"}, *aggs);
-  // cnt's partial columns are complete; s lacks its "#mx" column.
+  // cnt's partial column is present; a has its "#n" but lacks its "#s".
   Tuple partial("agg");
   partial.Append("k", Value::String("a"));
   partial.Append("cnt#n", Value::Int64(4));
-  partial.Append("cnt#s", Value::Null());
-  partial.Append("cnt#mn", Value::Null());
-  partial.Append("cnt#mx", Value::Null());
-  partial.Append("s#n", Value::Int64(2));
-  partial.Append("s#s", Value::Int64(9));
-  partial.Append("s#mn", Value::Int64(4));
+  partial.Append("a#n", Value::Int64(2));
   table.Merge(TupleBatch::FromTuples({partial, partial}));
   std::vector<Tuple> out = EmittedRows(table, false);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(*out[0].Get("cnt"), Value::Int64(8));
-  EXPECT_TRUE(out[0].Get("s")->is_null()) << "s was never merged";
+  EXPECT_TRUE(out[0].Get("a")->is_null()) << "a was never merged";
   table.clear();
   EXPECT_TRUE(table.empty());
 }
@@ -803,24 +888,18 @@ TEST(GroupTable, MergeSaturatesCountsAndSkipsNegativeOnes) {
   auto aggs = ParseAggSpecs("count::cnt,sum:v:s");
   ASSERT_TRUE(aggs.ok());
   GroupTable table({"k"}, *aggs);
-  auto partial = [](const std::string& k, int64_t cnt, int64_t n, int64_t s) {
+  auto partial = [](const std::string& k, int64_t cnt, int64_t s) {
     Tuple t("agg");
     t.Append("k", Value::String(k));
     t.Append("cnt#n", Value::Int64(cnt));
-    t.Append("cnt#s", Value::Null());
-    t.Append("cnt#mn", Value::Null());
-    t.Append("cnt#mx", Value::Null());
-    t.Append("s#n", Value::Int64(n));
     t.Append("s#s", Value::Int64(s));
-    t.Append("s#mn", Value::Null());
-    t.Append("s#mx", Value::Null());
     return t;
   };
   table.Merge(TupleBatch::FromTuples({
-      partial("a", kMax - 1, 1, kMax - 1),
-      partial("a", 5, 1, 5),
-      partial("b", -3, 1, 7),  // hostile count: only cnt skips this row
-      partial("b", 2, 1, 4),
+      partial("a", kMax - 1, kMax - 1),
+      partial("a", 5, 5),
+      partial("b", -3, 7),  // hostile count: only cnt skips this row
+      partial("b", 2, 4),
   }));
   std::vector<Tuple> out = EmittedRows(table, false);
   ASSERT_EQ(out.size(), 2u);

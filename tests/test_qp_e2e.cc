@@ -237,9 +237,6 @@ TEST(QpE2E, HierAggIgnoresHostilePartialFrames) {
   Tuple partial("agg");
   partial.Append("src", Value::String("s0"));
   partial.Append("cnt#n", Value::Int64(1000));
-  partial.Append("cnt#s", Value::Null());
-  partial.Append("cnt#mn", Value::Null());
-  partial.Append("cnt#mx", Value::Null());
   WireWriter w;
   TupleBatch::FromTuples({partial}).EncodeTo(&w);
   std::string valid = std::move(w).data();

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 
+#include "decoder_fuzz.h"
 #include "runtime/event_loop.h"
 #include "runtime/sim_runtime.h"
 #include "runtime/udpcc.h"
@@ -359,6 +360,24 @@ TEST(Bloom, SerializeRoundTripAndMerge) {
   EXPECT_FALSE(BloomFilter::Deserialize("garbage").ok());
 }
 
+TEST(Bloom, DeserializeRejectsHostileGeometry) {
+  std::string wire = BloomFilter(4096, 3).Serialize();
+  for (size_t len = 0; len < wire.size(); ++len)
+    EXPECT_FALSE(BloomFilter::Deserialize(wire.substr(0, len)).ok()) << len;
+  // A header claiming 2^60 bits over an 8-byte body is refused before any
+  // bit array is allocated; so are hash counts outside 1..16.
+  for (auto [bits, hashes] : {std::pair<uint64_t, uint64_t>{1ULL << 60, 3},
+                              {64, 0},
+                              {64, 17}}) {
+    WireWriter w;
+    w.PutVarint(bits);
+    w.PutVarint(hashes);
+    w.PutU64(0);
+    EXPECT_FALSE(BloomFilter::Deserialize(w.data()).ok())
+        << bits << " bits, " << hashes << " hashes";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RNG / Zipf / hashing
 // ---------------------------------------------------------------------------
@@ -534,6 +553,48 @@ TEST(UdpCc, ReliableDeliveryAndDuplicateSuppression) {
   EXPECT_EQ(delivered, 20);
   EXPECT_EQ(received.size(), 20u);
   EXPECT_EQ(b.stats().duplicates_dropped, 0u);
+}
+
+TEST(UdpCc, HandleUdpSurvivesTruncationGarbageAndOverCapSeqs) {
+  SimOptions opts;
+  opts.seed = 12;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc a(sim.vri(0), 5000);
+  UdpCc b(sim.vri(1), 5000);
+  std::vector<std::string> bodies;
+  b.set_message_handler([&](const NetAddress&, std::string_view p) {
+    bodies.emplace_back(p);
+  });
+  // A data frame: type byte, seq 300 (a two-byte varint), then the payload.
+  WireWriter w;
+  w.PutU8(0);
+  w.PutVarint(300);
+  w.PutRaw("payload");
+  const std::string frame = std::move(w).data();
+  b.HandleUdp(sim.AddressOf(0, 5000), frame);
+  ASSERT_EQ(bodies, std::vector<std::string>{"payload"});
+  // Every cut from the end of the seq on is a whole datagram with a shorter
+  // body (a duplicate of seq 300 by now); shorter cuts are dropped unparsed.
+  auto parsed = [&](const std::string& body) {
+    const UdpCc::Stats& st = b.stats();
+    uint64_t before = st.msgs_received + st.duplicates_dropped;
+    b.HandleUdp(sim.AddressOf(0, 5000), body);
+    return st.msgs_received + st.duplicates_dropped > before;
+  };
+  EXPECT_EQ(FuzzDecoder(frame, 6, parsed), frame.size() - 3);
+  for (const std::string& body : bodies)
+    EXPECT_LE(body.size(), std::string("payload").size() + 3);
+  // Over-cap seqs: a tenth varint byte past bit 63, and an eleventh byte.
+  for (char tenth : {'\x02', '\x80'}) {
+    std::string over(1, '\0');
+    over.append(9, '\xff');
+    over.push_back(tenth);
+    over.append("xy");
+    EXPECT_FALSE(parsed(over)) << int{tenth};
+  }
+  sim.RunFor(5 * kSecond);  // the ACKs reach `a`, which expects none
+  EXPECT_EQ(a.stats().msgs_delivered, 0u);
 }
 
 TEST(UdpCc, SenderNotifiedWhenPeerIsDead) {
