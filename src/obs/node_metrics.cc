@@ -127,6 +127,14 @@ void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport) {
   reg->AddCounterFn("pier_net_bytes_received_total", {},
                     [transport] { return d(transport->stats().bytes_received); },
                     "Deduplicated inbound payload bytes");
+  reg->AddCounterFn("pier_net_acks_sent_total", {{"how", "alone"}},
+                    [transport] { return d(transport->stats().acks_sent); },
+                    "UdpCC ACKs sent, alone or riding a data frame back");
+  reg->AddCounterFn("pier_net_acks_sent_total", {{"how", "piggyback"}},
+                    [transport] {
+                      return d(transport->stats().acks_piggybacked);
+                    },
+                    "UdpCC ACKs sent, alone or riding a data frame back");
 }
 
 void RegisterReplicationMetrics(MetricsRegistry* reg, Dht* dht) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/wire.h"
 
@@ -24,6 +25,9 @@ Status GetPeer(WireReader* r, ChordProtocol::Peer* p) {
   return Status::Ok();
 }
 
+/// Never 0, which a GetNbrs request sends when it holds no reply.
+uint64_t NbrsDigest(std::string_view body) { return Fnv1a64(body) | 1; }
+
 }  // namespace
 
 ChordProtocol::ChordProtocol(ProtocolHost* host, Options options)
@@ -39,25 +43,18 @@ ChordProtocol::~ChordProtocol() {
   }
 }
 
-std::string ChordProtocol::EncodeHeader(uint8_t subtype) const {
+WireWriter ChordProtocol::Frame(uint8_t subtype, uint64_t nonce) const {
   WireWriter w;
   w.PutU64(host_->local_id());
-  w.PutU32(host_->local_address().host);
-  w.PutU16(host_->local_address().port);
   w.PutU8(subtype);
-  return std::move(w).data();
-}
-
-std::string ChordProtocol::Frame(uint8_t subtype) const {
-  WireWriter w;
-  w.PutRaw(EncodeHeader(subtype));
-  w.PutU64(0);  // nonce placeholder
-  return std::move(w).data();
+  w.PutVarint(nonce);
+  return w;
 }
 
 void ChordProtocol::Send(const NetAddress& to, std::string payload,
                          std::function<void(const Status&)> on_delivery) {
   counters_.frames_sent++;
+  counters_.bytes_sent += payload.size();
   host_->SendProtocolMessage(to, std::move(payload), std::move(on_delivery));
 }
 
@@ -305,24 +302,18 @@ void ChordProtocol::SeedRoutingState(const std::vector<Peer>& ring) {
 // ---------------------------------------------------------------------------
 
 void ChordProtocol::SendRpc(
-    const NetAddress& to, std::string payload,
+    const NetAddress& to, uint8_t subtype, std::string_view body,
     std::function<void(const Status&, std::string_view)> cb) {
   uint64_t nonce = next_nonce_++;
-  // payload already contains header+subtype; append nonce then body was
-  // handled by callers — here we just wrap registration.
   PendingRpc rpc;
   rpc.cb = std::move(cb);
   rpc.timer = host_->vri()->ScheduleEvent(options_.rpc_timeout, [this, nonce]() {
     CompleteRpc(nonce, Status::TimedOut("chord rpc timeout"), {});
   });
   pending_[nonce] = std::move(rpc);
-  // Splice the nonce into the payload: callers leave an 8-byte placeholder
-  // immediately after the 15-byte header (id + host + port + subtype).
-  PIER_CHECK(payload.size() >= 23);
-  for (int i = 0; i < 8; ++i) {
-    payload[15 + i] = static_cast<char>((nonce >> (8 * i)) & 0xff);
-  }
-  Send(to, std::move(payload), [this, nonce](const Status& s) {
+  WireWriter w = Frame(subtype, nonce);
+  w.PutRaw(body);
+  Send(to, std::move(w).data(), [this, nonce](const Status& s) {
     if (!s.ok()) CompleteRpc(nonce, s, {});
   });
 }
@@ -342,13 +333,13 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
   WireReader r(payload);
   Peer sender;
   uint8_t subtype;
-  if (!GetPeer(&r, &sender).ok() || !r.GetU8(&subtype).ok()) return;
-  sender.addr = from;  // trust the transport's source address
+  uint64_t nonce;
+  if (!r.GetU64(&sender.id).ok() || !r.GetU8(&subtype).ok() ||
+      !r.GetVarint(&nonce).ok())
+    return;
+  sender.addr = from;  // the header carries no address: the transport's source
   if (pred_.valid() && from == pred_.addr) pred_heard_ = host_->vri()->Now();
   ObserveContact(sender.id, sender.addr);
-
-  uint64_t nonce = 0;
-  if (!r.GetU64(&nonce).ok()) return;
 
   switch (subtype) {
     case kFindSucc: {
@@ -370,9 +361,7 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
           done = true;
         }
       }
-      WireWriter w;
-      w.PutRaw(EncodeHeader(kFindSuccResp));
-      w.PutU64(nonce);
+      WireWriter w = Frame(kFindSuccResp, nonce);
       w.PutU8(done ? 1 : 0);
       PutPeer(&w, answer);
       Send(from, std::move(w).data(), nullptr);
@@ -381,16 +370,24 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
     case kFindSuccResp:
     case kGetNbrsResp:
     case kPong:
-      CompleteRpc(nonce, Status::Ok(), payload.substr(15 + 8));
+      CompleteRpc(nonce, Status::Ok(),
+                  payload.substr(payload.size() - r.remaining()));
       return;
     case kGetNbrs: {
-      WireWriter w;
-      w.PutRaw(EncodeHeader(kGetNbrsResp));
-      w.PutU64(nonce);
-      w.PutU8(pred_.valid() ? 1 : 0);
-      PutPeer(&w, pred_);
-      w.PutU8(static_cast<uint8_t>(succs_.size()));
-      for (const Peer& s : succs_) PutPeer(&w, s);
+      uint64_t digest;
+      if (!r.GetU64(&digest).ok()) return;
+      WireWriter body;
+      body.PutU8(pred_.valid() ? 1 : 0);
+      PutPeer(&body, pred_);
+      body.PutU8(static_cast<uint8_t>(succs_.size()));
+      for (const Peer& s : succs_) PutPeer(&body, s);
+      WireWriter w = Frame(kGetNbrsResp, nonce);
+      // The requester already holds this very body: say so in one byte.
+      if (digest == NbrsDigest(body.data())) {
+        w.PutU8(kNbrsUnchanged);
+      } else {
+        w.PutRaw(body.data());
+      }
       Send(from, std::move(w).data(), nullptr);
       return;
     }
@@ -403,13 +400,9 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
       if (succs_.empty()) AdoptSuccessor(sender);  // two-node bootstrap
       return;
     }
-    case kPing: {
-      WireWriter w;
-      w.PutRaw(EncodeHeader(kPong));
-      w.PutU64(nonce);
-      Send(from, std::move(w).data(), nullptr);
+    case kPing:
+      Send(from, Frame(kPong, nonce).data(), nullptr);
       return;
-    }
     default:
       return;
   }
@@ -422,51 +415,74 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
 void ChordProtocol::Stabilize() {
   if (succs_.empty()) return;
   Peer succ0 = succs_.front();
-  SendRpc(succ0.addr, Frame(kGetNbrs),
-          [this, succ0](const Status& s, std::string_view body) {
+  // The digest of the last full reply lets the successor answer "unchanged"
+  // in one byte on a quiet ring. It names content, so a new successor
+  // (whose body differs) simply answers in full.
+  const uint64_t digest = nbrs_digest_;
+  WireWriter w;
+  w.PutU64(digest);
+  SendRpc(succ0.addr, kGetNbrs, w.data(),
+          [this, succ0, digest](const Status& s, std::string_view body) {
             if (!s.ok()) {
               RemovePeer(succ0.addr);
               return;
             }
             // A failure since the request moved the list on: stale reply.
             if (succs_.empty() || succs_.front().addr != succ0.addr) return;
-            WireReader r(body);
-            uint8_t has_pred = 0, count = 0;
-            Peer pred;
-            if (!r.GetU8(&has_pred).ok() || !GetPeer(&r, &pred).ok() ||
-                !r.GetU8(&count).ok())
+            bool unchanged = body.size() == 1 &&
+                             static_cast<uint8_t>(body[0]) == kNbrsUnchanged;
+            // "Unchanged" stands for the body the request sent the digest
+            // of, unless a later full reply has replaced it since.
+            if (unchanged && digest != nbrs_digest_) return;
+            if (!ApplyNbrs(succ0, unchanged ? nbrs_body_ : body)) return;
+            if (unchanged) {
+              counters_.nbrs_unchanged++;
               return;
-            Id me = host_->local_id();
-            bool names_me = has_pred && pred.addr == host_->local_address();
-            // Chord's successor-list rule: the list is rebuilt from succ0
-            // and what succ0 lists, so an entry no successor vouches for any
-            // more ages out instead of lingering. Only succ0's predecessor
-            // may sit between us and succ0; a listed node there has wrapped
-            // the whole ring (or is a dead node's last trace).
-            std::vector<Peer> list{succ0};
-            if (has_pred && pred.valid() && !names_me &&
-                InOpenOpen(me, succ0.id, pred.id)) {
-              list.push_back(pred);
             }
-            for (int i = 0; i < count; ++i) {
-              Peer p;
-              if (!GetPeer(&r, &p).ok()) break;
-              if (!InOpenOpen(me, succ0.id, p.id)) list.push_back(p);
-            }
-            SetSuccessors(std::move(list));
-            // A successor that already names us as its predecessor needs no
-            // Notify; a new successor, or one that lost us, does.
-            if (!succs_.empty() &&
-                !(names_me && succs_.front().addr == succ0.addr)) {
-              Notify(succs_.front());
-            }
+            counters_.nbrs_full++;
+            nbrs_body_ = std::string(body);
+            nbrs_digest_ = NbrsDigest(body);
           });
+}
+
+bool ChordProtocol::ApplyNbrs(const Peer& succ0, std::string_view body) {
+  WireReader r(body);
+  uint8_t has_pred = 0, count = 0;
+  Peer pred;
+  if (!r.GetU8(&has_pred).ok() || has_pred > 1 || !GetPeer(&r, &pred).ok() ||
+      !r.GetU8(&count).ok())
+    return false;
+  std::vector<Peer> listed(count);
+  for (Peer& p : listed)
+    if (!GetPeer(&r, &p).ok()) return false;
+  if (!r.AtEnd()) return false;
+
+  Id me = host_->local_id();
+  bool names_me = has_pred && pred.addr == host_->local_address();
+  // Chord's successor-list rule: the list is rebuilt from succ0 and what
+  // succ0 lists, so an entry no successor vouches for any more ages out
+  // instead of lingering. Only succ0's predecessor may sit between us and
+  // succ0; a listed node there has wrapped the whole ring (or is a dead
+  // node's last trace).
+  std::vector<Peer> list{succ0};
+  if (has_pred && pred.valid() && !names_me &&
+      InOpenOpen(me, succ0.id, pred.id)) {
+    list.push_back(pred);
+  }
+  for (const Peer& p : listed)
+    if (!InOpenOpen(me, succ0.id, p.id)) list.push_back(p);
+  SetSuccessors(std::move(list));
+  // A successor that already names us as its predecessor needs no Notify; a
+  // new successor, or one that lost us, does.
+  if (!succs_.empty() && !(names_me && succs_.front().addr == succ0.addr)) {
+    Notify(succs_.front());
+  }
+  return true;
 }
 
 void ChordProtocol::Notify(const Peer& peer) {
   counters_.notifies_sent++;
-  // The unused nonce slot keeps the frame layout uniform.
-  Send(peer.addr, Frame(kNotify), nullptr);
+  Send(peer.addr, Frame(kNotify, 0).data(), nullptr);
 }
 
 void ChordProtocol::CheckPredecessor() {
@@ -476,7 +492,7 @@ void ChordProtocol::CheckPredecessor() {
   if (host_->vri()->Now() - pred_heard_ < options_.check_pred_period) return;
   NetAddress addr = pred_.addr;
   counters_.pings_sent++;
-  SendRpc(addr, Frame(kPing), [this, addr](const Status& s, std::string_view) {
+  SendRpc(addr, kPing, {}, [this, addr](const Status& s, std::string_view) {
     if (pred_.addr != addr) return;
     if (s.ok()) {
       pred_heard_ = host_->vri()->Now();
@@ -558,9 +574,8 @@ void ChordProtocol::ResolveSuccessor(Id target, const NetAddress& via,
       return;
     }
     WireWriter w;
-    w.PutRaw(self->Frame(kFindSucc));
     w.PutU64(state->target);
-    self->SendRpc(ask, std::move(w).data(),
+    self->SendRpc(ask, kFindSucc, w.data(),
                   [state, step, ask](const Status& s, std::string_view body) {
                     ChordProtocol* self = state->self;
                     if (!s.ok()) {

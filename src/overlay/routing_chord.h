@@ -10,7 +10,9 @@
 //   * stabilize (every stabilize_period) asks the successor for its
 //     neighbours, rebuilds the successor list from the reply (so a dead
 //     node ages out of every list), and sends Notify only when the reply
-//     does not already name this node as the successor's predecessor;
+//     does not already name this node as the successor's predecessor. The
+//     request carries a digest of the last full reply, and a successor whose
+//     own reply would hash the same answers in one byte;
 //   * check-predecessor (every check_pred_period) counts any frame from the
 //     predecessor within the last period as liveness — its own stabilize
 //     arrives every stabilize_period — and otherwise pings it, dropping it
@@ -29,11 +31,13 @@
 #include <array>
 #include <deque>
 #include <functional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "overlay/routing_protocol.h"
 #include "util/status.h"
+#include "util/wire.h"
 
 namespace pier {
 
@@ -97,27 +101,34 @@ class ChordProtocol : public RoutingProtocol {
   /// The fix-finger loop's current period.
   TimeUs finger_period() const { return finger_period_; }
 
-  /// What this node's maintenance has sent (tests read these; they are not
-  /// exported as metrics).
+  /// What this node's maintenance has sent and heard back (tests read
+  /// these; they are not exported as metrics).
   struct Counters {
     uint64_t frames_sent = 0;    // every Chord frame, requests and replies
+    uint64_t bytes_sent = 0;     // their bytes, from the header on
     uint64_t join_resolves = 0;  // join attempts through the bootstrap
     uint64_t notifies_sent = 0;
     uint64_t pings_sent = 0;
     uint64_t finger_ticks = 0;  // fix-finger loop runs
+    uint64_t nbrs_full = 0;       // GetNbrs replies applied in the full form
+    uint64_t nbrs_unchanged = 0;  // ... and in the one-byte unchanged form
   };
   const Counters& counters() const { return counters_; }
 
- private:
-  // Sub-message types.
+  // Sub-message types. Every frame starts `sender id u64, subtype u8,
+  // nonce varint` (0 outside an RPC); the body follows.
   static constexpr uint8_t kFindSucc = 1;
   static constexpr uint8_t kFindSuccResp = 2;
-  static constexpr uint8_t kGetNbrs = 3;
-  static constexpr uint8_t kGetNbrsResp = 4;
+  static constexpr uint8_t kGetNbrs = 3;      // digest u64
+  static constexpr uint8_t kGetNbrsResp = 4;  // a full body, or kNbrsUnchanged
   static constexpr uint8_t kNotify = 5;
   static constexpr uint8_t kPing = 6;
   static constexpr uint8_t kPong = 7;
+  /// The whole body of a GetNbrs reply whose full body would hash to the
+  /// request's digest. A full body starts with `has_pred u8`, 0 or 1.
+  static constexpr uint8_t kNbrsUnchanged = 2;
 
+ private:
   // Slots of timers_.
   static constexpr size_t kStabilizeTimer = 0;
   static constexpr size_t kFingerTimer = 1;
@@ -135,6 +146,10 @@ class ChordProtocol : public RoutingProtocol {
   void FixNextFinger();
   void CheckPredecessor();
   void Notify(const Peer& peer);
+  /// Rebuild the successor list from a full GetNbrs reply body from
+  /// `succ0`, and Notify it if it does not name this node. A malformed body
+  /// changes nothing and returns false.
+  bool ApplyNbrs(const Peer& succ0, std::string_view body);
   void AdoptSuccessor(const Peer& peer);
   /// Replace the successor list with `list`, ordered by ring distance,
   /// without self or duplicates, cut to successor_list_len.
@@ -148,13 +163,14 @@ class ChordProtocol : public RoutingProtocol {
   /// Every Chord frame leaves through here (counted in frames_sent).
   void Send(const NetAddress& to, std::string payload,
             std::function<void(const Status&)> on_delivery);
-  /// Header (with `subtype`) and a zero nonce slot, which SendRpc fills.
-  std::string Frame(uint8_t subtype) const;
-  void SendRpc(const NetAddress& to, std::string payload,
+  /// A writer holding the frame header; the caller appends the body.
+  WireWriter Frame(uint8_t subtype, uint64_t nonce) const;
+  /// Send `subtype` and `body` under a fresh nonce; `cb` gets the reply's
+  /// body, or the failure.
+  void SendRpc(const NetAddress& to, uint8_t subtype, std::string_view body,
                std::function<void(const Status&, std::string_view)> cb);
   void CompleteRpc(uint64_t nonce, const Status& status, std::string_view body);
   void ScheduleMaintenance();
-  std::string EncodeHeader(uint8_t subtype) const;
 
   ProtocolHost* host_;
   Options options_;
@@ -174,6 +190,9 @@ class ChordProtocol : public RoutingProtocol {
   /// Repeating maintenance ticks; scheduled events copy from here so the
   /// closures never strongly capture their own function objects.
   std::array<std::function<void()>, 3> maintenance_;
+  /// The last full GetNbrs reply body and its digest (0 before the first).
+  std::string nbrs_body_;
+  uint64_t nbrs_digest_ = 0;
   Counters counters_;
 };
 

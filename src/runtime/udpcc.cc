@@ -11,6 +11,7 @@ namespace pier {
 namespace {
 constexpr uint8_t kData = 0;
 constexpr uint8_t kAck = 1;
+constexpr uint8_t kDataAck = 2;
 }  // namespace
 
 UdpCc::UdpCc(Vri* vri, uint16_t port, Options options)
@@ -59,8 +60,14 @@ void UdpCc::Send(const NetAddress& destination, std::string payload,
 
 void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
   WireWriter w;
-  w.PutU8(kData);
+  bool piggyback = owed_ack_seq_ != 0 && owed_ack_to_ == dst;
+  w.PutU8(piggyback ? kDataAck : kData);
   w.PutVarint(msg.seq);
+  if (piggyback) {
+    w.PutVarint(owed_ack_seq_);
+    owed_ack_seq_ = 0;
+    stats_.acks_piggybacked++;
+  }
   w.PutRaw(msg.payload);
   TimeUs now = vri_->Now();
   if (msg.retries == 0) {
@@ -97,24 +104,41 @@ void UdpCc::HandleUdp(const NetAddress& source, std::string_view payload) {
     OnAck(source, seq);
     return;
   }
-  if (type != kData) return;
-
-  // Always acknowledge, even duplicates (the original ack may have been
-  // processed after a retransmit was already sent).
-  WireWriter ack;
-  ack.PutU8(kAck);
-  ack.PutVarint(seq);
-  (void)vri_->UdpSend(port_, source, std::move(ack).data());
+  if (type == kDataAck) {
+    uint64_t acked;
+    if (!r.GetVarint(&acked).ok()) return;
+    OnAck(source, acked);
+  } else if (type != kData) {
+    return;
+  }
 
   PeerState& peer = Peer(source);
   if (AlreadySeen(peer, seq)) {
+    // Acknowledge duplicates too: the first ACK may have been lost, or
+    // processed after a retransmit was already sent.
     stats_.duplicates_dropped++;
+    SendAck(source, seq);
     return;
   }
   stats_.msgs_received++;
   std::string_view body = payload.substr(payload.size() - r.remaining());
   stats_.bytes_received += body.size();
+  owed_ack_to_ = source;
+  owed_ack_seq_ = seq;
   if (handler_) handler_(source, body);
+  // Nothing went back to the source in the handler: the ACK goes alone.
+  if (owed_ack_seq_ != 0) {
+    owed_ack_seq_ = 0;
+    SendAck(source, seq);
+  }
+}
+
+void UdpCc::SendAck(const NetAddress& dst, uint64_t seq) {
+  WireWriter ack;
+  ack.PutU8(kAck);
+  ack.PutVarint(seq);
+  stats_.acks_sent++;
+  (void)vri_->UdpSend(port_, dst, std::move(ack).data());
 }
 
 bool UdpCc::AlreadySeen(PeerState& peer, uint64_t seq) {

@@ -9,8 +9,16 @@
 //   * NO in-order delivery guarantee — receivers deduplicate but do not
 //     resequence, and PIER's operators are written to tolerate reordering.
 //
-// Frames: `type u8` (data 0, ACK 1) and a per-peer `seq` varint; a data
-// frame's payload follows to the end of the datagram.
+// Frames: `type u8` and a per-peer `seq` varint. Type 0 is data, whose
+// payload follows to the end of the datagram; type 1 is an ACK of `seq`;
+// type 2 is data that also carries an `ack varint` before its payload.
+//
+// ACKs ride the reply. While the handler for a new data frame runs, the ACK
+// for it is owed to the source. The first frame transmitted back to that
+// source in the handler carries it as type 2; if none goes out, a standalone
+// ACK follows when the handler returns. A request answered in its handler
+// therefore costs three datagrams (request, reply + ACK, ACK), not four. A
+// duplicate is acknowledged at once and not dispatched.
 
 #ifndef PIER_RUNTIME_UDPCC_H_
 #define PIER_RUNTIME_UDPCC_H_
@@ -48,6 +56,8 @@ class UdpCc : public UdpHandler {
     uint64_t duplicates_dropped = 0;
     uint64_t bytes_sent = 0;       // first-transmission payload bytes
     uint64_t bytes_received = 0;   // deduplicated inbound payload bytes
+    uint64_t acks_sent = 0;        // standalone ACK datagrams
+    uint64_t acks_piggybacked = 0; // ACKs carried by a type-2 data frame
   };
 
   /// Called for each (deduplicated) inbound message.
@@ -118,6 +128,7 @@ class UdpCc : public UdpHandler {
 
   PeerState& Peer(const NetAddress& addr);
   void Transmit(const NetAddress& dst, PeerState& peer, Pending msg);
+  void SendAck(const NetAddress& dst, uint64_t seq);
   void OnAck(const NetAddress& src, uint64_t seq);
   void OnTimeout(NetAddress dst, uint64_t seq);
   void MaybeDrainQueue(const NetAddress& dst, PeerState& peer);
@@ -130,6 +141,10 @@ class UdpCc : public UdpHandler {
   FailureHandler failure_handler_;
   Stats stats_;
   std::unordered_map<NetAddress, PeerState, NetAddressHash> peers_;
+  /// The ACK owed while a data frame's handler runs; seq 0 = none (sequence
+  /// numbers start at 1).
+  NetAddress owed_ack_to_;
+  uint64_t owed_ack_seq_ = 0;
 };
 
 }  // namespace pier

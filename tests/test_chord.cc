@@ -1,16 +1,24 @@
 // Chord maintenance: a quiet ring goes quiet, and a changed ring reacts.
-// A seeded ring never re-runs its join, sends no Notify or Ping, and backs
-// its finger repair off to the cap; a dead predecessor is dropped within
+// A seeded ring never re-runs its join, sends no Notify or Ping, answers
+// each stabilize in the one-byte unchanged form, and backs its finger repair
+// off to the cap; a changed neighbour list is sent in full and a dead entry
+// leaves it as fast as before; a dead predecessor is dropped within
 // check_pred_period + rpc_timeout plus one tick of jitter; a dead neighbour
 // snaps the finger loop back to its base period, and after the ring goes
-// quiet again each node still runs exactly one finger loop.
+// quiet again each node still runs exactly one finger loop. Truncated or
+// corrupted Chord frames change nothing.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "decoder_fuzz.h"
 #include "overlay/routing_chord.h"
 #include "overlay/sim_overlay.h"
+#include "util/hash.h"
+#include "util/wire.h"
 
 namespace pier {
 namespace {
@@ -45,8 +53,11 @@ TEST(Chord, SeededRingMakesNoJoinsAndOnlyStabilizeTraffic) {
   net.RunFor(20 * kSecond);  // let the finger loops back off
 
   std::vector<ChordProtocol::Counters> before;
-  for (uint32_t i = 0; i < kNodes; ++i)
+  std::vector<UdpCc::Stats> net_before;
+  for (uint32_t i = 0; i < kNodes; ++i) {
     before.push_back(Chord(&net, i)->counters());
+    net_before.push_back(net.dht(i)->router()->transport()->stats());
+  }
   constexpr TimeUs kWindow = 60 * kSecond;
   net.RunFor(kWindow);
 
@@ -55,18 +66,262 @@ TEST(Chord, SeededRingMakesNoJoinsAndOnlyStabilizeTraffic) {
   // The 1% covers the sampling noise of 7,680 jittered ticks (sd ~0.2%).
   const double exchange_frames =
       1.01 * 2.0 * kWindow / kDefaults.stabilize_period;
-  uint64_t frames = 0;
+  uint64_t frames = 0, bytes = 0, unchanged = 0, datagrams = 0;
   for (uint32_t i = 0; i < kNodes; ++i) {
     const ChordProtocol::Counters& now = Chord(&net, i)->counters();
     EXPECT_EQ(now.join_resolves, before[i].join_resolves)
         << "node " << i << " re-ran its join on a seeded ring";
     EXPECT_EQ(now.notifies_sent, before[i].notifies_sent) << "node " << i;
     EXPECT_EQ(now.pings_sent, before[i].pings_sent) << "node " << i;
+    EXPECT_EQ(now.nbrs_full, before[i].nbrs_full)
+        << "node " << i << " was sent a full neighbour list on a quiet ring";
     frames += now.frames_sent - before[i].frames_sent;
+    bytes += now.bytes_sent - before[i].bytes_sent;
+    unchanged += now.nbrs_unchanged - before[i].nbrs_unchanged;
+    const UdpCc::Stats& st = net.dht(i)->router()->transport()->stats();
+    datagrams += st.msgs_sent + st.acks_sent -
+                 net_before[i].msgs_sent - net_before[i].acks_sent;
   }
   double per_node = static_cast<double>(frames) / kNodes;
   EXPECT_LE(per_node, exchange_frames)
       << "Chord sent more than stabilize's GetNbrs exchange per node";
+
+  // Every reply is the one-byte unchanged form: each node's exchanges in the
+  // window, give or take the one in flight at either edge.
+  const double exchanges = frames / 2.0;
+  EXPECT_GE(unchanged + kNodes, exchanges);
+  // An exchange is a request (header, digest u64) and an unchanged reply
+  // (header, one byte). A header is the sender id u64, the subtype u8 and a
+  // nonce varint, at most 3 bytes for the nonces a node reaches here. It was
+  // 23 + 151 bytes when the header carried the sender's address and a fixed
+  // 8-byte nonce and every reply the whole list.
+  constexpr double kHeader = 8 + 1 + 3;
+  EXPECT_LE(bytes / exchanges, 2 * kHeader + 8 + 1);
+  // Three datagrams: the request, the reply carrying its ACK, the reply's
+  // ACK; the edges of the window may cut an exchange.
+  EXPECT_LE(datagrams, 3 * exchanges + kNodes);
+}
+
+TEST(Chord, ChangedNeighboursAreSentInFullAndADeadEntryAgesOutAsBefore) {
+  constexpr uint32_t kNodes = 16;
+  SimOverlay net(kNodes, Seeded(13));
+  net.RunFor(10 * kSecond);
+  const uint32_t node = 6;
+  const std::vector<ChordProtocol::Peer> list = Chord(&net, node)->successors();
+  ASSERT_GE(list.size(), 2u);
+  const uint32_t succ = NodeOf(list[0].addr);
+  const uint32_t victim = NodeOf(list[1].addr);  // two hops ahead
+  auto lists = [&](uint32_t i, uint32_t whom) {
+    for (const ChordProtocol::Peer& p : Chord(&net, i)->successors())
+      if (p.addr == net.dht(whom)->local_address()) return true;
+    return false;
+  };
+  ASSERT_GT(Chord(&net, node)->counters().nbrs_unchanged, 0u);
+
+  net.harness()->FailNode(victim);
+  const TimeUs killed = net.loop()->now();
+  // The successor drops the victim when its stabilize RPC times out, within
+  // one jittered tick plus rpc_timeout (src/overlay/README.md, "Detection
+  // bounds"). Replies it built before that still list the victim and may be
+  // the unchanged form.
+  while (lists(succ, victim) && net.loop()->now() - killed < 10 * kSecond)
+    net.RunFor(5 * kMillisecond);
+  ASSERT_FALSE(lists(succ, victim));
+  const TimeUs succ_dropped = net.loop()->now() - killed;
+  EXPECT_LE(succ_dropped, kDefaults.stabilize_period * 5 / 4 +
+                              kDefaults.rpc_timeout + 50 * kMillisecond);
+  const ChordProtocol::Counters at_drop = Chord(&net, node)->counters();
+  while (lists(node, victim) &&
+         net.loop()->now() - killed < succ_dropped + 5 * kSecond)
+    net.RunFor(5 * kMillisecond);
+  ASSERT_FALSE(lists(node, victim)) << "the dead entry never left the list";
+  const ChordProtocol::Counters& now = Chord(&net, node)->counters();
+  // The first reply the successor built after its list changed is the full
+  // form, and it removes the entry: the node takes no more rounds than when
+  // every reply carried the whole list. At most one reply was in flight when
+  // the successor dropped the victim.
+  EXPECT_LE(net.loop()->now() - killed - succ_dropped,
+            kDefaults.stabilize_period * 5 / 4 + 50 * kMillisecond);
+  EXPECT_EQ(now.nbrs_full, at_drop.nbrs_full + 1);
+  EXPECT_LE(now.nbrs_unchanged, at_drop.nbrs_unchanged + 1);
+  // The list stays full: the next node along takes the dead entry's place.
+  EXPECT_EQ(Chord(&net, node)->successors().size(), list.size());
+}
+
+/// Records what one Chord instance sends; nothing is delivered, so every
+/// RPC stays pending until the test answers it.
+struct RecordingHost : ProtocolHost {
+  SimHarness* sim = nullptr;
+  Id id = 0;
+  NetAddress addr;
+  std::vector<std::pair<NetAddress, std::string>> sent;
+
+  void SendProtocolMessage(const NetAddress& to, std::string payload,
+                           std::function<void(const Status&)>) override {
+    sent.emplace_back(to, std::move(payload));
+  }
+  Vri* vri() override { return sim->vri(0); }
+  Id local_id() const override { return id; }
+  NetAddress local_address() const override { return addr; }
+};
+
+void PutPeer(WireWriter* w, const ChordProtocol::Peer& p) {
+  w->PutU64(p.id);
+  w->PutU32(p.addr.host);
+  w->PutU16(p.addr.port);
+}
+
+std::string ChordFrame(Id sender, uint8_t subtype, uint64_t nonce,
+                       std::string_view body) {
+  WireWriter w;
+  w.PutU64(sender);
+  w.PutU8(subtype);
+  w.PutVarint(nonce);
+  w.PutRaw(body);
+  return std::move(w).data();
+}
+
+/// Successors and predecessor, comparable.
+std::vector<std::pair<Id, uint32_t>> RingView(const ChordProtocol& chord) {
+  std::vector<std::pair<Id, uint32_t>> view;
+  view.emplace_back(chord.predecessor().id, chord.predecessor().addr.host);
+  for (const ChordProtocol::Peer& p : chord.successors())
+    view.emplace_back(p.id, p.addr.host);
+  return view;
+}
+
+TEST(Chord, HostileFramesAndNeighbourRepliesChangeNothing) {
+  SimOptions sim_opts;
+  sim_opts.seed = 21;
+  SimHarness sim(sim_opts);
+  sim.AddNodes(1);
+  RecordingHost host;
+  host.sim = &sim;
+  host.id = 1000;
+  host.addr = NetAddress{1, 7000};
+  // Stabilize often; nothing else runs or times out during the test.
+  ChordProtocol::Options opts;
+  opts.stabilize_period = 10 * kMillisecond;
+  opts.fix_finger_period = opts.check_pred_period = opts.rpc_timeout =
+      3600 * kSecond;
+  ChordProtocol chord(&host, opts);
+  std::vector<ChordProtocol::Peer> ring;
+  for (Id i = 0; i < 6; ++i)
+    ring.push_back(
+        {1000 * (i + 1), NetAddress{static_cast<uint32_t>(i + 1), 7000}});
+  chord.Start(NetAddress{});
+  chord.SeedRoutingState(ring);
+  const ChordProtocol::Peer self = ring[0], succ0 = ring[1], pred = ring[5];
+
+  // The successor's full reply: its predecessor (this node) and the rest of
+  // the ring.
+  WireWriter full_w;
+  full_w.PutU8(1);
+  PutPeer(&full_w, self);
+  full_w.PutU8(4);
+  for (size_t i = 2; i < ring.size(); ++i) PutPeer(&full_w, ring[i]);
+  const std::string full = std::move(full_w).data();
+  const std::string unchanged(
+      1, static_cast<char>(ChordProtocol::kNbrsUnchanged));
+
+  // Runs until the next GetNbrs request goes out and returns its nonce;
+  // `digest` gets the request's digest.
+  uint64_t digest = 0;
+  auto next_request = [&]() {
+    size_t seen = host.sent.size();
+    uint64_t nonce = 0;
+    for (int step = 0; step < 100 && nonce == 0; ++step) {
+      sim.RunFor(kMillisecond);
+      for (size_t i = seen; i < host.sent.size(); ++i) {
+        WireReader r(host.sent[i].second);
+        Id id;
+        uint8_t subtype;
+        if (r.GetU64(&id).ok() && r.GetU8(&subtype).ok() &&
+            subtype == ChordProtocol::kGetNbrs && r.GetVarint(&nonce).ok() &&
+            r.GetU64(&digest).ok()) {
+          EXPECT_EQ(host.sent[i].first, succ0.addr);
+          EXPECT_TRUE(r.AtEnd());
+        }
+      }
+    }
+    EXPECT_NE(nonce, 0u) << "no GetNbrs request went out";
+    return nonce;
+  };
+  // Answers request `nonce` with `body`; reports whether it was applied.
+  auto reply = [&](uint64_t nonce, std::string_view body) {
+    const ChordProtocol::Counters before = chord.counters();
+    size_t seen = host.sent.size();
+    chord.HandleProtocolMessage(
+        succ0.addr,
+        ChordFrame(succ0.id, ChordProtocol::kGetNbrsResp, nonce, body));
+    const ChordProtocol::Counters& after = chord.counters();
+    bool applied = after.nbrs_full + after.nbrs_unchanged >
+                   before.nbrs_full + before.nbrs_unchanged;
+    if (!applied) {
+      EXPECT_EQ(host.sent.size(), seen) << "sent on a bad reply";
+    }
+    return applied;
+  };
+  auto answer = [&](std::string_view body) {
+    return reply(next_request(), body);
+  };
+
+  ASSERT_TRUE(answer(full));
+  EXPECT_EQ(digest, 0u) << "the first request holds no reply";
+  const auto view = RingView(chord);
+  ASSERT_EQ(view.size(), ring.size());
+  ASSERT_TRUE(answer(unchanged));
+  EXPECT_EQ(digest, Fnv1a64(full) | 1);
+  EXPECT_EQ(chord.counters().nbrs_unchanged, 1u);
+
+  // "Unchanged" stands for the body its request named: once a later full
+  // reply (here: the successor lost its predecessor) has replaced that body,
+  // an unchanged reply to the earlier request is ignored.
+  const uint64_t early = next_request();
+  const uint64_t late = next_request();
+  std::string other = full;
+  other[0] = 0;
+  ASSERT_TRUE(reply(late, other));
+  EXPECT_FALSE(reply(early, unchanged));
+  ASSERT_TRUE(answer(full));
+  EXPECT_EQ(RingView(chord), view);
+
+  // Both reply forms, cut at every byte and corrupted: a body that does not
+  // decode changes nothing. One that does is undone with the full reply.
+  uint64_t seed = 31;
+  for (const std::string& form : {full, unchanged}) {
+    size_t cuts = FuzzDecoder(form, seed++, [&](const std::string& body) {
+      bool applied = answer(body);
+      if (!applied) {
+        EXPECT_EQ(RingView(chord), view);
+      } else {
+        EXPECT_TRUE(answer(full));
+      }
+      return applied;
+    });
+    EXPECT_EQ(cuts, 0u);
+  }
+  EXPECT_EQ(RingView(chord), view);
+
+  // Requests from the predecessor, through HandleProtocolMessage: a cut
+  // frame is not answered, and no frame, cut or corrupted, touches the
+  // successor list.
+  WireWriter target;
+  target.PutU64(4500);
+  WireWriter no_digest;
+  no_digest.PutU64(0);
+  for (const std::string& frame :
+       {ChordFrame(pred.id, ChordProtocol::kGetNbrs, 7, no_digest.data()),
+        ChordFrame(pred.id, ChordProtocol::kFindSucc, 8, target.data()),
+        ChordFrame(pred.id, ChordProtocol::kPing, 300, {})}) {
+    size_t cuts = FuzzDecoder(frame, seed++, [&](const std::string& body) {
+      size_t seen = host.sent.size();
+      chord.HandleProtocolMessage(pred.addr, body);
+      return host.sent.size() > seen;
+    });
+    EXPECT_EQ(cuts, 0u);
+    EXPECT_EQ(chord.successors().size(), ring.size() - 1);
+  }
 }
 
 TEST(Chord, FingerPeriodBacksOffOnAQuietRingAndResetsOnAFailure) {

@@ -562,24 +562,36 @@ TEST(UdpCc, HandleUdpSurvivesTruncationGarbageAndOverCapSeqs) {
   sim.AddNodes(2);
   UdpCc a(sim.vri(0), 5000);
   UdpCc b(sim.vri(1), 5000);
+  // Bodies dispatched from type-0 datagrams. Any dispatched body must be the
+  // tail of its datagram: a random datagram that happens to parse as a data
+  // frame (of either type) is delivered, but nothing is read past its end.
+  std::string datagram, last;
   std::vector<std::string> bodies;
   b.set_message_handler([&](const NetAddress&, std::string_view p) {
-    bodies.emplace_back(p);
+    last = std::string(p);
+    EXPECT_LT(p.size(), datagram.size());
+    EXPECT_EQ(std::string_view(datagram).substr(datagram.size() - p.size()), p);
+    if (datagram[0] == 0) bodies.emplace_back(p);
   });
+  NetAddress from = sim.AddressOf(0, 5000);
+  auto handle = [&](const std::string& d) {
+    datagram = d;
+    b.HandleUdp(from, d);
+  };
   // A data frame: type byte, seq 300 (a two-byte varint), then the payload.
   WireWriter w;
   w.PutU8(0);
   w.PutVarint(300);
   w.PutRaw("payload");
   const std::string frame = std::move(w).data();
-  b.HandleUdp(sim.AddressOf(0, 5000), frame);
+  handle(frame);
   ASSERT_EQ(bodies, std::vector<std::string>{"payload"});
   // Every cut from the end of the seq on is a whole datagram with a shorter
   // body (a duplicate of seq 300 by now); shorter cuts are dropped unparsed.
   auto parsed = [&](const std::string& body) {
     const UdpCc::Stats& st = b.stats();
     uint64_t before = st.msgs_received + st.duplicates_dropped;
-    b.HandleUdp(sim.AddressOf(0, 5000), body);
+    handle(body);
     return st.msgs_received + st.duplicates_dropped > before;
   };
   EXPECT_EQ(FuzzDecoder(frame, 6, parsed), frame.size() - 3);
@@ -593,8 +605,162 @@ TEST(UdpCc, HandleUdpSurvivesTruncationGarbageAndOverCapSeqs) {
     over.append("xy");
     EXPECT_FALSE(parsed(over)) << int{tenth};
   }
+
+  // A data + ACK frame from a fresh peer (its own seq space; nothing listens
+  // for the ACKs): seq 300, an ACK of seq 7 (which `b` never sent), then the
+  // payload. Every cut from the end of the ACK on is whole.
+  from = sim.AddressOf(0, 5001);
+  WireWriter w2;
+  w2.PutU8(2);
+  w2.PutVarint(300);
+  w2.PutVarint(7);
+  w2.PutRaw("payload");
+  const std::string frame2 = std::move(w2).data();
+  uint64_t received = b.stats().msgs_received;
+  handle(frame2);
+  EXPECT_EQ(b.stats().msgs_received, received + 1);
+  EXPECT_EQ(last, "payload");
+  EXPECT_EQ(FuzzDecoder(frame2, 7, parsed), frame2.size() - 4);
+  // Over-cap ACKs, after a fresh one-byte seq.
+  for (char tenth : {'\x02', '\x80'}) {
+    std::string over("\x02\x05");
+    over.append(9, '\xff');
+    over.push_back(tenth);
+    over.append("xy");
+    EXPECT_FALSE(parsed(over)) << int{tenth};
+  }
   sim.RunFor(5 * kSecond);  // the ACKs reach `a`, which expects none
   EXPECT_EQ(a.stats().msgs_delivered, 0u);
+  EXPECT_EQ(b.stats().msgs_delivered, 0u);
+}
+
+// A request answered inside its handler costs three datagrams: the request,
+// the reply carrying the request's ACK, and the reply's ACK.
+TEST(UdpCc, RequestAnsweredInItsHandlerCostsThreeDatagrams) {
+  SimOptions opts;
+  opts.seed = 16;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc a(sim.vri(0), 5000);
+  UdpCc b(sim.vri(1), 5000);
+  Status request_report = Status::Internal("no report");
+  Status reply_report = Status::Internal("no report");
+  b.set_message_handler([&](const NetAddress& src, std::string_view p) {
+    b.Send(src, "re:" + std::string(p),
+           [&](const Status& s) { reply_report = s; });
+  });
+  std::vector<std::string> replies;
+  a.set_message_handler([&](const NetAddress&, std::string_view p) {
+    replies.emplace_back(p);
+  });
+  a.Send(sim.AddressOf(1, 5000), "req",
+         [&](const Status& s) { request_report = s; });
+  sim.RunFor(5 * kSecond);
+  EXPECT_EQ(replies, std::vector<std::string>{"re:req"});
+  EXPECT_TRUE(request_report.ok()) << request_report.ToString();
+  EXPECT_TRUE(reply_report.ok()) << reply_report.ToString();
+  EXPECT_EQ(sim.total_msgs(), 3u);
+  EXPECT_EQ(b.stats().acks_piggybacked, 1u);
+  EXPECT_EQ(b.stats().acks_sent, 0u);
+  EXPECT_EQ(a.stats().acks_piggybacked, 0u);
+  EXPECT_EQ(a.stats().acks_sent, 1u);
+  EXPECT_EQ(a.stats().retransmits + b.stats().retransmits, 0u);
+}
+
+// A handler that sends only to a third peer leaves the ACK to go alone, once
+// it has returned.
+TEST(UdpCc, HandlerThatSendsElsewhereIsAckedAloneAfterItReturns) {
+  SimOptions opts;
+  opts.seed = 17;
+  SimHarness sim(opts);
+  sim.AddNodes(3);
+  UdpCc a(sim.vri(0), 5000);
+  UdpCc b(sim.vri(1), 5000);
+  UdpCc c(sim.vri(2), 5000);
+  uint64_t acks_in_handler = ~0ULL;
+  b.set_message_handler([&](const NetAddress&, std::string_view p) {
+    b.Send(sim.AddressOf(2, 5000), std::string(p));
+    acks_in_handler = b.stats().acks_sent + b.stats().acks_piggybacked;
+  });
+  std::vector<std::string> at_c;
+  c.set_message_handler([&](const NetAddress&, std::string_view p) {
+    at_c.emplace_back(p);
+  });
+  Status report = Status::Internal("no report");
+  a.Send(sim.AddressOf(1, 5000), "fwd", [&](const Status& s) { report = s; });
+  sim.RunFor(5 * kSecond);
+  EXPECT_EQ(at_c, std::vector<std::string>{"fwd"});
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(acks_in_handler, 0u);
+  EXPECT_EQ(b.stats().acks_sent, 1u);
+  EXPECT_EQ(b.stats().acks_piggybacked, 0u);
+  // a -> b, b -> c, then the two standalone ACKs.
+  EXPECT_EQ(sim.total_msgs(), 4u);
+}
+
+// A duplicate is acknowledged at once, alone, and not dispatched again.
+TEST(UdpCc, DuplicateIsAckedAloneAndNotDispatched) {
+  SimOptions opts;
+  opts.seed = 18;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc a(sim.vri(0), 5000);
+  UdpCc b(sim.vri(1), 5000);
+  int dispatched = 0;
+  Status reply_report = Status::Internal("no report");
+  b.set_message_handler([&](const NetAddress& src, std::string_view) {
+    dispatched++;
+    b.Send(src, "reply", [&](const Status& s) { reply_report = s; });
+  });
+  WireWriter w;
+  w.PutU8(0);
+  w.PutVarint(1);
+  w.PutRaw("req");
+  const std::string frame = std::move(w).data();
+  b.HandleUdp(sim.AddressOf(0, 5000), frame);
+  EXPECT_EQ(b.stats().acks_piggybacked, 1u);
+  EXPECT_EQ(b.stats().acks_sent, 0u);
+  b.HandleUdp(sim.AddressOf(0, 5000), frame);
+  EXPECT_EQ(dispatched, 1);
+  EXPECT_EQ(b.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(b.stats().acks_sent, 1u);
+  EXPECT_EQ(b.stats().acks_piggybacked, 1u);
+  EXPECT_EQ(b.stats().msgs_sent, 1u);
+  sim.RunFor(5 * kSecond);
+  EXPECT_TRUE(reply_report.ok()) << reply_report.ToString();
+  EXPECT_EQ(dispatched, 1);
+}
+
+// An ACK riding a data frame for a seq the receiver never sent is ignored;
+// the frame's payload is still delivered, and real ACKs still count.
+TEST(UdpCc, PiggybackedAckForUnknownSeqIsIgnored) {
+  SimOptions opts;
+  opts.seed = 19;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc a(sim.vri(0), 5000);
+  UdpCc b(sim.vri(1), 5000);
+  std::vector<std::string> at_a;
+  a.set_message_handler([&](const NetAddress&, std::string_view p) {
+    at_a.emplace_back(p);
+  });
+  int ok = 0, failed = 0;
+  a.Send(sim.AddressOf(1, 5000), "m",
+         [&](const Status& s) { (s.ok() ? ok : failed)++; });
+  WireWriter w;
+  w.PutU8(2);
+  w.PutVarint(40);
+  w.PutVarint(99);  // `a` has sent only seq 1
+  w.PutRaw("x");
+  a.HandleUdp(sim.AddressOf(1, 5000), std::move(w).data());
+  EXPECT_EQ(at_a, std::vector<std::string>{"x"});
+  EXPECT_EQ(ok + failed, 0);
+  EXPECT_EQ(a.stats().msgs_delivered, 0u);
+  sim.RunFor(5 * kSecond);
+  EXPECT_EQ(ok, 1);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(a.stats().msgs_delivered, 1u);
+  EXPECT_EQ(a.stats().retransmits, 0u);
 }
 
 TEST(UdpCc, SenderNotifiedWhenPeerIsDead) {
