@@ -22,7 +22,6 @@ struct QueryHandle::State {
   PierClient::RunFn run;
   uint64_t id = 0;
   TimeUs timeout = 0;
-  TimeUs done_slack = 0;
   Stats stats;
   std::function<void(const Tuple&)> on_tuple;
   std::function<void()> on_done;
@@ -160,9 +159,9 @@ Status QueryHandle::Wait(TimeUs max_wait) {
   if (!state_->run)
     return Status::NotSupported("client has no run driver to wait with");
   // Queries end at timeout + done slack; leave a little headroom past that.
-  TimeUs deadline = max_wait > 0
-                        ? max_wait
-                        : state_->timeout + state_->done_slack + kSecond;
+  TimeUs deadline =
+      max_wait > 0 ? max_wait
+                   : state_->timeout + QueryProcessor::kDoneSlack + kSecond;
   const TimeUs kStep = 500 * kMillisecond;
   for (TimeUs waited = 0; waited < deadline && !state_->stats.done;
        waited += kStep) {
@@ -869,7 +868,6 @@ Result<QueryHandle> PierClient::Submit(QueryPlan plan) {
   state->qp = qp_;
   state->run = run_;
   state->timeout = plan.timeout;
-  state->done_slack = qp_->options().done_slack;
   state->stats.submitted_at = qp_->vri()->Now();
 
   // Capture the estimate while the plan is still here: ExplainAnalyze later
@@ -902,7 +900,6 @@ Result<QueryHandle> PierClient::Attach(uint64_t query_id) {
   auto state = std::make_shared<QueryHandle::State>();
   state->qp = qp_;
   state->run = run_;
-  state->done_slack = qp_->options().done_slack;
   state->stats.submitted_at = qp_->vri()->Now();
   state->id = query_id;
 

@@ -166,12 +166,6 @@ void RegisterReplicationMetrics(MetricsRegistry* reg, Dht* dht) {
   reg->AddCounterFn("pier_repl_idle_repair_ticks_total", {},
                     [repl] { return d(repl->stats().idle_repair_ticks); },
                     "Repair passes that found no ring or queue activity");
-  reg->AddGaugeFn("pier_repl_repair_period_us", {},
-                  [repl] { return d(static_cast<uint64_t>(repl->current_repair_period())); },
-                  "Effective delay until the next repair pass");
-  reg->AddGaugeFn("pier_repl_repair_backed_off", {},
-                  [repl] { return repl->repair_backed_off() ? 1.0 : 0.0; },
-                  "1 while idle-ring backoff has stretched the repair cadence");
 }
 
 void RegisterExecutorMetrics(MetricsRegistry* reg, QueryExecutor* exec) {

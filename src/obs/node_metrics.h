@@ -33,9 +33,8 @@ void RegisterRouterMetrics(MetricsRegistry* reg, OverlayRouter* router);
 /// pier_net_* : UdpCC delivery, retransmit and byte counters.
 void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport);
 
-/// pier_repl_* : replica placement/repair counters plus the repair-tick
-/// cadence gauges (current period, backoff engaged). The store-side counters
-/// come from the Dht, whose store-frame handler receives every copy.
+/// pier_repl_* : replica placement and repair counters. The store-side
+/// counters come from the Dht, whose store-frame handler receives every copy.
 void RegisterReplicationMetrics(MetricsRegistry* reg, Dht* dht);
 
 /// pier_exec_* : scalar failover counters. The labeled reap-reason and

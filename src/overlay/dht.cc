@@ -10,18 +10,14 @@ namespace pier {
 
 Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
   router_ = std::make_unique<OverlayRouter>(vri_, options_.router);
-  objects_ = std::make_unique<ObjectManager>(vri_, options_.objects);
+  objects_ = std::make_unique<ObjectManager>(vri_);
   // A factor the protocol cannot place is a deployment error: fail at
   // startup, not silently at placement time.
   PIER_CHECK(options_.replication_factor >= 1);
   PIER_CHECK(options_.replication_factor <=
              router_->protocol()->MaxReplicationFactor());
-  ReplicationManager::Options ropts;
-  ropts.replication_factor = options_.replication_factor;
-  ropts.repair_period = options_.repl_repair_period;
-  ropts.repair_backoff_max = options_.repl_repair_backoff_max;
-  repl_ = std::make_unique<ReplicationManager>(vri_, router_.get(),
-                                               objects_.get(), ropts);
+  repl_ = std::make_unique<ReplicationManager>(
+      vri_, router_.get(), objects_.get(), options_.replication_factor);
 
   // A single client write stored outside a store frame (a Send delivery, a
   // local store) is a one-element newData batch.
@@ -412,7 +408,7 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
   op.ns = ns;
   op.key = key;
   op.replicas = k;
-  op.timer = vri_->ScheduleEvent(options_.op_timeout, [this, op_id]() {
+  op.timer = vri_->ScheduleEvent(kOpTimeout, [this, op_id]() {
     FinishOp(op_id, Status::TimedOut("dht get timed out"));
   });
   pending_[op_id] = std::move(op);
@@ -435,7 +431,7 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
             // would only give up on it after its full retry schedule.
             if (owner.cached && op.hedge_timer == 0) {
               op.hedge_timer =
-                  vri_->ScheduleEvent(options_.op_timeout / 4,
+                  vri_->ScheduleEvent(kOpTimeout / 4,
                                       [this, op_id]() { HedgeGet(op_id); });
             }
             SendGetAttempt(op_id, std::move(report));
@@ -503,8 +499,6 @@ void Dht::SendGetAttempt(uint64_t op_id, DoneCallback report) {
   size_t attempt = op.attempt;
   WireWriter w;
   w.PutVarint(op_id);
-  w.PutU32(router_->local_address().host);
-  w.PutU16(router_->local_address().port);
   w.PutBytes(op.ns);
   w.PutBytes(op.key);
   w.PutU8(static_cast<uint8_t>(attempt));
@@ -538,7 +532,7 @@ void Dht::Renew(const std::string& ns, const std::string& key,
   uint64_t op_id = next_op_id_++;
   PendingOp op;
   op.done_cb = std::move(done);
-  op.timer = vri_->ScheduleEvent(options_.op_timeout, [this, op_id]() {
+  op.timer = vri_->ScheduleEvent(kOpTimeout, [this, op_id]() {
     FinishOp(op_id, Status::TimedOut("dht renew timed out"));
   });
   pending_[op_id] = std::move(op);
@@ -551,8 +545,6 @@ void Dht::Renew(const std::string& ns, const std::string& key,
                       DoneCallback report) {
                     WireWriter w;
                     w.PutVarint(op_id);
-                    w.PutU32(router_->local_address().host);
-                    w.PutU16(router_->local_address().port);
                     w.PutBytes(name.ns);
                     w.PutBytes(name.key);
                     w.PutBytes(name.suffix);
@@ -704,12 +696,9 @@ void Dht::DispatchNewData(const std::vector<NewDataEvent>& events) {
 void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
   WireReader r(body);
   uint64_t op_id;
-  uint32_t host;
-  uint16_t port;
   std::string_view ns, key;
   uint8_t attempt;
-  if (!r.GetVarint(&op_id).ok() || !r.GetU32(&host).ok() ||
-      !r.GetU16(&port).ok() || !r.GetBytes(&ns).ok() ||
+  if (!r.GetVarint(&op_id).ok() || !r.GetBytes(&ns).ok() ||
       !r.GetBytes(&key).ok() || !r.GetU8(&attempt).ok())
     return;
   // Only the first attempt is aimed at the owner; later ones go to replicas.
@@ -728,8 +717,7 @@ void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
     w.PutBytes(obj->value);
     w.PutVarint(static_cast<uint64_t>(obj->expires_at - now));
   }
-  router_->SendDirect(NetAddress{host, port}, kMsgGetRespEx, std::move(w).data(),
-                      nullptr);
+  router_->SendDirect(from, kMsgGetRespEx, std::move(w).data(), nullptr);
 }
 
 void Dht::HandleGetRespEx(const NetAddress& from, std::string_view body) {
@@ -784,15 +772,11 @@ void Dht::ReadRepair(uint64_t op_id, const std::vector<DhtItem>& items,
 }
 
 void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
-  (void)from;
   WireReader r(body);
   uint64_t op_id;
-  uint32_t host;
-  uint16_t port;
   std::string_view ns, key, suffix;
   uint64_t lifetime;
-  if (!r.GetVarint(&op_id).ok() || !r.GetU32(&host).ok() ||
-      !r.GetU16(&port).ok() || !r.GetBytes(&ns).ok() ||
+  if (!r.GetVarint(&op_id).ok() || !r.GetBytes(&ns).ok() ||
       !r.GetBytes(&key).ok() || !r.GetBytes(&suffix).ok() ||
       !r.GetVarint(&lifetime).ok())
     return;
@@ -808,8 +792,7 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
   WireWriter w;
   w.PutVarint(op_id);
   w.PutU8(s.ok() ? 1 : 0);
-  router_->SendDirect(NetAddress{host, port}, kMsgRenewResp, std::move(w).data(),
-                      nullptr);
+  router_->SendDirect(from, kMsgRenewResp, std::move(w).data(), nullptr);
 }
 
 void Dht::HandleRenewResp(const NetAddress& from, std::string_view body) {

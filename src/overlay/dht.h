@@ -58,22 +58,18 @@ class Dht {
  public:
   struct Options {
     OverlayRouter::Options router;
-    ObjectManager::Options objects;
-    TimeUs op_timeout = 10 * kSecond;
-    /// Default soft-state lifetime used when callers pass lifetime = 0.
-    TimeUs default_lifetime = 2LL * 60 * kSecond;
     /// Default copies per stored object: the owner plus replication_factor-1
     /// of its successors (k-way successor-set replication). 1 = the classic
     /// owner-only placement. Validated against the routing protocol's
     /// successor capacity at construction, so a misconfigured k fails loudly
     /// at startup instead of silently at placement time.
     int replication_factor = 1;
-    /// Base cadence of the replica repair tick.
-    TimeUs repl_repair_period = 1 * kSecond;
-    /// Cap for exponential repair-tick backoff while the ring is quiet
-    /// (0 = fixed cadence; see ReplicationManager::Options).
-    TimeUs repl_repair_backoff_max = 0;
   };
+
+  /// A get or renew with no answer by then fails.
+  static constexpr TimeUs kOpTimeout = 10 * kSecond;
+  /// Soft-state lifetime used when callers pass lifetime = 0.
+  static constexpr TimeUs kDefaultLifetime = 2LL * 60 * kSecond;
 
   Dht(Vri* vri, Options options);
   Dht(Vri* vri) : Dht(vri, Options{}) {}  // NOLINT
@@ -100,7 +96,7 @@ class Dht {
   /// missing/stale owner copy. With k = 1 the owner is the only candidate.
   /// The get fails with the delivery error only when no candidate replied;
   /// an empty reply from every candidate is Ok with no items. An owner taken
-  /// from the owner cache that has not answered within op_timeout / 4 may
+  /// from the owner cache that has not answered within kOpTimeout / 4 may
   /// have died unnoticed: its cache entry is evicted and the get re-resolves
   /// the owner over the overlay in parallel (reads are idempotent; the first
   /// answer wins).
@@ -301,14 +297,16 @@ class Dht {
     return s;
   }
 
- private:
-  // Direct message types (every layer's are tabled in src/overlay/README.md).
+  // Direct message types (every layer's are tabled in src/overlay/README.md;
+  // public so tests can build frames).
   static constexpr uint8_t kMsgRenewReq = 19;
   static constexpr uint8_t kMsgRenewResp = 20;
   static constexpr uint8_t kMsgStore = 22;  // every object sent to be stored
   // 23 (pull) belongs to the replication manager.
   static constexpr uint8_t kMsgGetReqEx = 24;   // read-any get (echoes attempt)
   static constexpr uint8_t kMsgGetRespEx = 25;  // carries remaining lifetimes
+
+ private:
 
   /// A decoded object whose fields alias the receive buffer (no copies until
   /// the store itself). Used by the store-frame and routed-delivery handlers.
@@ -328,7 +326,7 @@ class Dht {
   void HandleRenewResp(const NetAddress& from, std::string_view body);
   void HandleRoutedDelivery(const RouteInfo& info, std::string_view payload);
   TimeUs EffectiveLifetime(TimeUs lifetime) const {
-    return lifetime > 0 ? lifetime : options_.default_lifetime;
+    return lifetime > 0 ? lifetime : kDefaultLifetime;
   }
   /// Resolve a per-call replica count (0 = default) against the configured
   /// factor and the protocol's capacity.
@@ -357,7 +355,7 @@ class Dht {
   /// Point a get at `owner` and the first k-1 of its successors.
   static void SetCandidates(PendingOp* op, const OverlayRouter::Owner& owner);
   /// The hedged read: the get's cached owner has been quiet for
-  /// op_timeout / 4; evict it and ask the owner the overlay resolves.
+  /// kOpTimeout / 4; evict it and ask the owner the overlay resolves.
   void HedgeGet(uint64_t op_id);
   /// Send the read-any get to the current candidate; `report` is the
   /// delivery callback.

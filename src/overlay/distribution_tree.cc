@@ -7,22 +7,8 @@
 
 namespace pier {
 
-namespace {
-// Direct-message type for tree fan-out traffic. Registered once per tree
-// name; trees derive distinct types from their name, in 200-239, clear of
-// every other layer's (the table is in src/overlay/README.md).
-uint8_t BcastTypeFor(const std::string& name) {
-  return static_cast<uint8_t>(200 + (Fnv1a64(name) % 40));
-}
-}  // namespace
-
-DistributionTree::DistributionTree(Dht* dht, Options options)
-    : dht_(dht), options_(options) {
-  join_ns_ = "!tree:" + options_.name + ":join";
-  bcast_ns_ = "!tree:" + options_.name + ":bc";
-  root_id_ = RoutingId(join_ns_, "root");
-  bcast_msg_type_ = BcastTypeFor(options_.name);
-
+DistributionTree::DistributionTree(Dht* dht)
+    : dht_(dht), root_id_(RoutingId(join_ns_, "root")) {
   // First hop of a JOIN message: record the child, drop the message.
   dht_->RegisterUpcall(join_ns_, [this](const RouteInfo& info, std::string*) {
     if (info.hops == 1) {
@@ -49,7 +35,7 @@ DistributionTree::DistributionTree(Dht* dht, Options options)
 
   // Broadcast fan-out messages travel point-to-point.
   dht_->router()->RegisterDirectType(
-      bcast_msg_type_, [this](const NetAddress& from, std::string_view body) {
+      kMsgBroadcast, [this](const NetAddress& from, std::string_view body) {
         HandleBroadcastMsg(from, body);
       });
 
@@ -83,11 +69,10 @@ DistributionTree::DistributionTree(Dht* dht, Options options)
         ++it;
       }
     }
-    join_timer_ =
-        dht_->vri()->ScheduleEvent(options_.join_refresh_period, join_tick_);
+    join_timer_ = dht_->vri()->ScheduleEvent(kJoinRefreshPeriod, join_tick_);
   };
   join_timer_ = dht_->vri()->ScheduleEvent(
-      static_cast<TimeUs>(dht_->vri()->rng()->Uniform(options_.join_refresh_period)),
+      static_cast<TimeUs>(dht_->vri()->rng()->Uniform(kJoinRefreshPeriod)),
       join_tick_);
 }
 
@@ -109,11 +94,11 @@ void DistributionTree::SendJoin() {
   dht_->router()->Route(
       join_ns_, root_id_,
       Dht::EncodeObject(ObjectName{join_ns_, "root", std::move(suffix).data()},
-                        options_.child_lifetime, ""));
+                        kChildLifetime, ""));
 }
 
 void DistributionTree::RecordChild(const NetAddress& child) {
-  children_[child] = dht_->vri()->Now() + options_.child_lifetime;
+  children_[child] = dht_->vri()->Now() + kChildLifetime;
 }
 
 void DistributionTree::Broadcast(std::string payload) {
@@ -156,7 +141,7 @@ void DistributionTree::FanOut(uint64_t bcast_id, std::string_view payload,
   TimeUs now = dht_->vri()->Now();
   for (const auto& [child, expiry] : children_) {
     if (expiry <= now || child == skip || child == dht_->local_address()) continue;
-    dht_->router()->SendDirect(child, bcast_msg_type_, wire, nullptr);
+    dht_->router()->SendDirect(child, kMsgBroadcast, wire, nullptr);
   }
 }
 

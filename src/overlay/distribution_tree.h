@@ -7,8 +7,8 @@
 // message. A node's depth is thus the hop count its message would have taken
 // to the root, and the tree's shape (fanout, height, imbalance) is inherited
 // from the DHT's routing algorithm — Chord yields roughly binomial trees
-// (footnote 6). Child records are soft state refreshed on a timer. Multiple
-// trees (distinct names) can coexist for load balancing and resilience.
+// (footnote 6). Child records are soft state refreshed on a timer. There is
+// one tree per overlay.
 
 #ifndef PIER_OVERLAY_DISTRIBUTION_TREE_H_
 #define PIER_OVERLAY_DISTRIBUTION_TREE_H_
@@ -25,14 +25,13 @@ namespace pier {
 
 class DistributionTree {
  public:
-  struct Options {
-    std::string name = "tree0";
-    TimeUs join_refresh_period = 2 * kSecond;
-    TimeUs child_lifetime = 6 * kSecond;  // soft-state expiry of child records
-  };
+  /// Direct message type of broadcast fan-out (tabled in README.md).
+  static constexpr uint8_t kMsgBroadcast = 215;
+  static constexpr TimeUs kJoinRefreshPeriod = 2 * kSecond;
+  /// Soft-state expiry of child records.
+  static constexpr TimeUs kChildLifetime = 6 * kSecond;
 
-  DistributionTree(Dht* dht, Options options);
-  DistributionTree(Dht* dht) : DistributionTree(dht, Options{}) {}  // NOLINT
+  explicit DistributionTree(Dht* dht);
   ~DistributionTree();
 
   /// Handler invoked exactly once per broadcast payload on every node
@@ -58,11 +57,9 @@ class DistributionTree {
               const NetAddress& skip);
 
   Dht* dht_;
-  Options options_;
-  std::string join_ns_;
-  std::string bcast_ns_;
+  const std::string join_ns_ = "!tree:tree0:join";
+  const std::string bcast_ns_ = "!tree:tree0:bc";
   Id root_id_;
-  uint8_t bcast_msg_type_;
   std::map<NetAddress, TimeUs> children_;  // child -> expiry
   std::unordered_set<uint64_t> seen_bcasts_;
   std::deque<uint64_t> seen_order_;

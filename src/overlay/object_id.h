@@ -51,8 +51,8 @@ inline Id RoutingId(std::string_view ns, std::string_view key) {
 
 /// Identifier for a node, derived from its network address plus a salt so
 /// simulations can spawn multiple logical identities per host if needed.
-inline Id NodeIdFromAddress(uint32_t host, uint16_t port, uint64_t salt = 0) {
-  return Mix64((static_cast<uint64_t>(host) << 16) ^ port ^ (salt * 0x9e3779b97f4a7c15ULL));
+inline Id NodeIdFromAddress(uint32_t host, uint16_t port) {
+  return Mix64((static_cast<uint64_t>(host) << 16) ^ port);
 }
 
 /// The full three-part object name (§3.2.1).

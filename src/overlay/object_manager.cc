@@ -5,15 +5,14 @@
 
 namespace pier {
 
-ObjectManager::ObjectManager(Vri* vri, Options options)
-    : vri_(vri), options_(options) {
+ObjectManager::ObjectManager(Vri* vri) : vri_(vri) {
   // The tick lives in gc_tick_, not a self-capturing shared_ptr (which would
   // cycle and leak); scheduled events hold plain copies.
   gc_tick_ = [this]() {
     DropExpired();
-    gc_timer_ = vri_->ScheduleEvent(options_.gc_period, gc_tick_);
+    gc_timer_ = vri_->ScheduleEvent(kGcPeriod, gc_tick_);
   };
-  gc_timer_ = vri_->ScheduleEvent(options_.gc_period, gc_tick_);
+  gc_timer_ = vri_->ScheduleEvent(kGcPeriod, gc_tick_);
 }
 
 ObjectManager::~ObjectManager() { vri_->CancelEvent(gc_timer_); }
@@ -21,7 +20,7 @@ ObjectManager::~ObjectManager() { vri_->CancelEvent(gc_timer_); }
 bool ObjectManager::Put(ObjectName name, std::string value, TimeUs lifetime,
                         TimeUs age, uint8_t replica_index,
                         uint8_t desired_replicas, bool client_write) {
-  if (lifetime > options_.max_lifetime) lifetime = options_.max_lifetime;
+  if (lifetime > kMaxLifetime) lifetime = kMaxLifetime;
   if (lifetime <= 0) return false;  // the origin copy already expired
   TimeUs now = vri_->Now();
   Object& slot = store_[name.ns][name.key][name.suffix];
@@ -64,7 +63,7 @@ bool ObjectManager::Demote(const ObjectName& name) {
 Status ObjectManager::Renew(const ObjectName& name, TimeUs lifetime) {
   Object* obj = FindLive(name);
   if (obj == nullptr) return Status::NotFound("no such object");
-  obj->expires_at = vri_->Now() + std::min(lifetime, options_.max_lifetime);
+  obj->expires_at = vri_->Now() + std::min(lifetime, kMaxLifetime);
   return Status::Ok();
 }
 

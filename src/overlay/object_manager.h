@@ -28,10 +28,10 @@ namespace pier {
 
 class ObjectManager {
  public:
-  struct Options {
-    TimeUs max_lifetime = 30LL * 60 * kSecond;  // system-enforced cap
-    TimeUs gc_period = 2 * kSecond;
-  };
+  /// The system-enforced lifetime cap.
+  static constexpr TimeUs kMaxLifetime = 30LL * 60 * kSecond;
+  /// Period of the sweep that drops expired objects.
+  static constexpr TimeUs kGcPeriod = 2 * kSecond;
 
   struct Object {
     ObjectName name;
@@ -53,12 +53,11 @@ class ObjectManager {
     bool is_replica() const { return replica_index != 0; }
   };
 
-  ObjectManager(Vri* vri, Options options);
-  ObjectManager(Vri* vri) : ObjectManager(vri, Options{}) {}  // NOLINT
+  explicit ObjectManager(Vri* vri);
   ~ObjectManager();
 
   /// Store (or overwrite) an object; false if it arrived already expired.
-  /// `lifetime` is clamped to max_lifetime. A copy placed from elsewhere
+  /// `lifetime` is clamped to kMaxLifetime. A copy placed from elsewhere
   /// keeps the ORIGIN-STAMPED lifetime: `lifetime` is the origin's time left
   /// at send time and `age` how long the origin had already lived (it
   /// back-dates stored_at, so catch-up marks treat the copy like the
@@ -123,7 +122,6 @@ class ObjectManager {
   std::map<std::string, KeyMap, std::less<>> store_;
 
   Vri* vri_;
-  Options options_;
   InsertHook insert_hook_;
   /// Repeating GC tick; scheduled events copy from here so the closure never
   /// strongly captures its own function object (that cycle leaks).

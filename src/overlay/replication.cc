@@ -36,21 +36,23 @@ void ShipCopies(OverlayRouter* router, const NetAddress& dest, TimeUs now,
 }  // namespace
 
 ReplicationManager::ReplicationManager(Vri* vri, OverlayRouter* router,
-                                       ObjectManager* objects, Options options)
-    : vri_(vri), router_(router), objects_(objects), options_(options) {
+                                       ObjectManager* objects,
+                                       int replication_factor)
+    : vri_(vri),
+      router_(router),
+      objects_(objects),
+      replication_factor_(replication_factor) {
   router_->RegisterDirectType(
       kMsgReplPull,
       [this](const NetAddress& f, std::string_view b) { HandlePull(f, b); });
 
   // The tick lives in repair_tick_; scheduled events copy it so the closure
-  // never strongly captures its own function object. RepairTick adjusts
-  // current_repair_period_ (idle-ring backoff) before we reschedule.
-  current_repair_period_ = options_.repair_period;
+  // never strongly captures its own function object.
   repair_tick_ = [this]() {
     RepairTick();
-    repair_timer_ = vri_->ScheduleEvent(current_repair_period_, repair_tick_);
+    repair_timer_ = vri_->ScheduleEvent(kRepairPeriod, repair_tick_);
   };
-  repair_timer_ = vri_->ScheduleEvent(current_repair_period_, repair_tick_);
+  repair_timer_ = vri_->ScheduleEvent(kRepairPeriod, repair_tick_);
 }
 
 ReplicationManager::~ReplicationManager() { vri_->CancelEvent(repair_timer_); }
@@ -61,16 +63,11 @@ ReplicationManager::~ReplicationManager() { vri_->CancelEvent(repair_timer_); }
 
 void ReplicationManager::HandlePull(const NetAddress& from,
                                     std::string_view body) {
-  (void)from;
   WireReader r(body);
   uint64_t lo, hi;
-  uint32_t host;
-  uint16_t port;
-  if (!r.GetU64(&lo).ok() || !r.GetU64(&hi).ok() || !r.GetU32(&host).ok() ||
-      !r.GetU16(&port).ok())
+  if (!r.GetU64(&lo).ok() || !r.GetU64(&hi).ok() ||
+      from == router_->local_address())
     return;
-  NetAddress requester{host, port};
-  if (requester == router_->local_address()) return;
 
   // Everything replicated in the requested range — whether we hold it as
   // primary or replica, the new owner should have a primary copy.
@@ -81,7 +78,7 @@ void ReplicationManager::HandlePull(const NetAddress& from,
       matches.push_back(&o);
   });
   stats_.replica_copies_sent += matches.size();
-  ShipCopies(router_, requester, vri_->Now(), 0, Dht::StoreOrigin::kHandoffPull,
+  ShipCopies(router_, from, vri_->Now(), 0, Dht::StoreOrigin::kHandoffPull,
              matches);
 }
 
@@ -135,13 +132,11 @@ void ReplicationManager::RepairTick() {
   // A predecessor change grew this node's owned range: pull the replicated
   // objects of (pred, self] from the successor, who held them as the old
   // owner or as a fellow replica holder.
-  bool replication_live = seen_replicated_ || options_.replication_factor > 1;
+  bool replication_live = seen_replicated_ || replication_factor_ > 1;
   if (replication_live && pred_changed && have_pred && !succs.empty()) {
     WireWriter w;
     w.PutU64(pred);
     w.PutU64(router_->local_id());
-    w.PutU32(router_->local_address().host);
-    w.PutU16(router_->local_address().port);
     router_->SendDirect(succs.front(), kMsgReplPull, std::move(w).data(),
                         nullptr);
   }
@@ -150,21 +145,11 @@ void ReplicationManager::RepairTick() {
   last_pred_ = pred;
   have_pred_ = have_pred;
 
-  // Idle-ring backoff: a pass with no ring movement and nothing queued means
-  // the next one is unlikely to find work either; stretch the cadence
-  // geometrically up to the cap. Any activity snaps back to the base period
-  // so repair reacts at full speed once churn resumes.
+  // A pass with no ring movement and nothing queued did no work.
   stats_.repair_ticks++;
-  bool idle = !first_observation && !succ_changed && !pred_changed &&
-              push_queue_.empty();
-  if (idle) {
+  if (!first_observation && !succ_changed && !pred_changed &&
+      push_queue_.empty()) {
     stats_.idle_repair_ticks++;
-    if (options_.repair_backoff_max > options_.repair_period) {
-      current_repair_period_ = std::min(options_.repair_backoff_max,
-                                        current_repair_period_ * 2);
-    }
-  } else {
-    current_repair_period_ = options_.repair_period;
   }
 
   DrainPushQueue();

@@ -43,18 +43,8 @@ namespace pier {
 
 class ReplicationManager {
  public:
-  struct Options {
-    /// Default copies per object (1 = no replication). Per-put overrides
-    /// ride DhtPutItem / TableSpec.
-    int replication_factor = 1;
-    /// Ring-view poll period for replica repair (base cadence).
-    TimeUs repair_period = 1 * kSecond;
-    /// Upper bound for exponential backoff of the repair tick while the ring
-    /// is quiet (no successor/predecessor movement, empty push queue). Each
-    /// idle tick doubles the effective period up to this cap; any activity
-    /// snaps it back to repair_period. 0 disables backoff (fixed cadence).
-    TimeUs repair_backoff_max = 0;
-  };
+  /// Period of the repair tick that polls the ring view.
+  static constexpr TimeUs kRepairPeriod = 1 * kSecond;
 
   struct Stats {
     uint64_t replica_copies_sent = 0;  // replica objects shipped by this node
@@ -69,8 +59,10 @@ class ReplicationManager {
   /// Direct message type (every layer's are tabled in src/overlay/README.md).
   static constexpr uint8_t kMsgReplPull = 23;
 
+  /// `replication_factor` is the Dht's default copies per object (1 = no
+  /// replication); per-put overrides ride DhtPutItem / TableSpec.
   ReplicationManager(Vri* vri, OverlayRouter* router, ObjectManager* objects,
-                     Options options);
+                     int replication_factor);
   ~ReplicationManager();
 
   ReplicationManager(const ReplicationManager&) = delete;
@@ -96,13 +88,6 @@ class ReplicationManager {
   bool ShouldEmitInScan(const ObjectManager::Object& obj);
 
   const Stats& stats() const { return stats_; }
-  int replication_factor() const { return options_.replication_factor; }
-  /// Effective delay until the next repair pass (== repair_period unless
-  /// idle-ring backoff has stretched it).
-  TimeUs current_repair_period() const { return current_repair_period_; }
-  bool repair_backed_off() const {
-    return current_repair_period_ > options_.repair_period;
-  }
 
  private:
   void HandlePull(const NetAddress& from, std::string_view body);
@@ -114,7 +99,7 @@ class ReplicationManager {
   Vri* vri_;
   OverlayRouter* router_;
   ObjectManager* objects_;
-  Options options_;
+  int replication_factor_;
 
   /// Last observed ring view; repair work runs only when it moves.
   std::vector<NetAddress> last_succs_;
@@ -130,7 +115,6 @@ class ReplicationManager {
   /// Leak-free repeating timer (events hold copies of this function).
   std::function<void()> repair_tick_;
   uint64_t repair_timer_ = 0;
-  TimeUs current_repair_period_ = 0;
 
   Stats stats_;
 };

@@ -12,8 +12,7 @@ OverlayRouter::OverlayRouter(Vri* vri, Options options)
     : vri_(vri), options_(options) {
   local_address_ = vri_->LocalAddress();
   local_address_.port = options_.port;
-  local_id_ = NodeIdFromAddress(local_address_.host, local_address_.port,
-                                options_.id_salt);
+  local_id_ = NodeIdFromAddress(local_address_.host, local_address_.port);
   transport_ = std::make_unique<UdpCc>(vri_, options_.port);
   transport_->set_message_handler(
       [this](const NetAddress& from, std::string_view payload) {
@@ -83,7 +82,7 @@ void OverlayRouter::TransportSend(const NetAddress& to, std::string wire,
   buf.bytes += wire.size();
   buf.msgs.push_back(std::move(wire));
   if (on_delivery) buf.callbacks.push_back(std::move(on_delivery));
-  if (buf.bytes >= options_.coalesce_max_bytes) {
+  if (buf.bytes >= kCoalesceMaxBytes) {
     FlushCoalesceBuffer(to);
     return;
   }
@@ -175,9 +174,9 @@ void OverlayRouter::ForwardRoute(RouteInfo info, std::string payload,
     return;
   }
   NetAddress next = protocol_->NextHop(info.target);
-  if (next.IsNull() || next == local_address_ || info.hops >= options_.max_hops) {
+  if (next.IsNull() || next == local_address_ || info.hops >= kMaxHops) {
     // No better hop known: we are the de-facto root for this id.
-    if (info.hops >= options_.max_hops) stats_.route_dead_ends++;
+    if (info.hops >= kMaxHops) stats_.route_dead_ends++;
     Deliver(info, payload);
     return;
   }
@@ -187,7 +186,7 @@ void OverlayRouter::ForwardRoute(RouteInfo info, std::string payload,
                  payload = std::move(payload), attempts](const Status& s) mutable {
                   if (s.ok()) return;
                   protocol_->OnPeerUnreachable(next);
-                  if (attempts + 1 >= options_.route_retry_limit) {
+                  if (attempts + 1 >= kRouteRetryLimit) {
                     stats_.route_dead_ends++;
                     return;
                   }
@@ -317,7 +316,7 @@ void OverlayRouter::Lookup(Id target, size_t want_succs, LookupCallback cb) {
   uint64_t lookup_id = next_lookup_id_++;
   PendingLookup pending;
   pending.cb = std::move(cb);
-  pending.timer = vri_->ScheduleEvent(options_.lookup_timeout, [this, lookup_id]() {
+  pending.timer = vri_->ScheduleEvent(kLookupTimeout, [this, lookup_id]() {
     auto it = pending_lookups_.find(lookup_id);
     if (it == pending_lookups_.end()) return;
     LookupCallback cb = std::move(it->second.cb);

@@ -52,19 +52,22 @@ class OverlayRouter : public ProtocolHost {
   struct Options {
     ProtocolKind protocol = ProtocolKind::kChord;
     uint16_t port = kDhtPort;
-    uint8_t max_hops = 64;
-    TimeUs lookup_timeout = 5 * kSecond;
-    int route_retry_limit = 3;
-    uint64_t id_salt = 0;  // lets tests control id placement
     /// Per-destination send coalescing: messages bound for the same next hop
     /// emitted within this window ride one framed wire message (unframed
     /// transparently on receipt). 0 disables coalescing entirely — every
     /// message goes out exactly as it would have before the buffer existed.
     TimeUs coalesce_window_us = 0;
-    /// A pending coalescing buffer past this size flushes immediately rather
-    /// than waiting out the window (keeps bundles bounded).
-    size_t coalesce_max_bytes = 48 * 1024;
   };
+
+  /// A routed message past this many hops is delivered where it stands.
+  static constexpr uint8_t kMaxHops = 64;
+  /// A lookup with no reply by then fails.
+  static constexpr TimeUs kLookupTimeout = 5 * kSecond;
+  /// Next hops a routed message tries before it is dropped.
+  static constexpr int kRouteRetryLimit = 3;
+  /// A pending coalescing buffer past this size flushes immediately rather
+  /// than waiting out the window (keeps bundles bounded).
+  static constexpr size_t kCoalesceMaxBytes = 48 * 1024;
 
   OverlayRouter(Vri* vri, Options options);
   ~OverlayRouter() override;

@@ -75,7 +75,7 @@ void ChordProtocol::Start(const NetAddress& bootstrap) {
                            result.value().addr == host_->local_address()) {
                          // Retry the join later.
                          timers_[kJoinRetryTimer] = host_->vri()->ScheduleEvent(
-                             options_.join_retry_delay,
+                             kJoinRetryDelay,
                              [this, bootstrap]() { Start(bootstrap); });
                          return;
                        }
@@ -182,7 +182,7 @@ void ChordProtocol::SetSuccessors(std::vector<Peer> list) {
                    });
   std::vector<Peer> next;
   for (const Peer& p : list) {
-    if (next.size() >= static_cast<size_t>(options_.successor_list_len)) break;
+    if (next.size() >= static_cast<size_t>(kSuccessorListLen)) break;
     if (!p.valid() || p.addr == self) continue;
     bool dup = false;
     for (const Peer& q : next) dup = dup || q.addr == p.addr;
@@ -273,7 +273,7 @@ void ChordProtocol::SeedRoutingState(const std::vector<Peer>& ring) {
   PIER_CHECK(self_pos < n);
   if (n == 1) return;  // alone
   pred_ = ring[(self_pos + n - 1) % n];
-  for (size_t i = 1; i <= std::min<size_t>(options_.successor_list_len, n - 1); ++i) {
+  for (size_t i = 1; i <= std::min<size_t>(kSuccessorListLen, n - 1); ++i) {
     succs_.push_back(ring[(self_pos + i) % n]);
   }
   // fingers[k] = successor(me + 2^k), found by scanning the sorted ring.
@@ -549,7 +549,7 @@ void ChordProtocol::ResolveSuccessor(Id target, const NetAddress& via,
     auto step = weak_step.lock();
     if (!step) return;
     ChordProtocol* self = state->self;
-    if (state->iter++ > self->options_.max_resolve_iterations) {
+    if (state->iter++ > kMaxResolveIterations) {
       state->cb(Status::Unavailable("chord: resolve iteration limit"));
       return;
     }

@@ -54,10 +54,12 @@ class ChordProtocol : public RoutingProtocol {
     TimeUs fix_finger_period = 250 * kMillisecond;
     TimeUs check_pred_period = 1 * kSecond;
     TimeUs rpc_timeout = 2 * kSecond;
-    TimeUs join_retry_delay = 1 * kSecond;
-    int successor_list_len = 8;
-    int max_resolve_iterations = 48;
   };
+
+  static constexpr TimeUs kJoinRetryDelay = 1 * kSecond;
+  static constexpr int kSuccessorListLen = 8;
+  /// Hops a successor resolve takes before it fails.
+  static constexpr int kMaxResolveIterations = 48;
 
   explicit ChordProtocol(ProtocolHost* host) : ChordProtocol(host, Options{}) {}
   ChordProtocol(ProtocolHost* host, Options options);
@@ -73,9 +75,7 @@ class ChordProtocol : public RoutingProtocol {
   void OnPeerUnreachable(const NetAddress& peer) override;
   void ObserveContact(Id id, const NetAddress& addr) override;
   std::vector<NetAddress> SuccessorSet(size_t n) const override;
-  int MaxReplicationFactor() const override {
-    return options_.successor_list_len;
-  }
+  int MaxReplicationFactor() const override { return kSuccessorListLen; }
   bool PredecessorId(Id* out) const override {
     if (!pred_.valid()) return false;
     *out = pred_.id;
@@ -152,7 +152,7 @@ class ChordProtocol : public RoutingProtocol {
   bool ApplyNbrs(const Peer& succ0, std::string_view body);
   void AdoptSuccessor(const Peer& peer);
   /// Replace the successor list with `list`, ordered by ring distance,
-  /// without self or duplicates, cut to successor_list_len.
+  /// without self or duplicates, cut to kSuccessorListLen.
   void SetSuccessors(std::vector<Peer> list);
   void RemovePeer(const NetAddress& addr);
   /// The local view of the ring moved: the finger loop returns to its base

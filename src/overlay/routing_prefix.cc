@@ -26,9 +26,6 @@ Status GetPeer(WireReader* r, PrefixProtocol::Peer* p) {
 
 }  // namespace
 
-PrefixProtocol::PrefixProtocol(ProtocolHost* host, Options options)
-    : host_(host), options_(options) {}
-
 PrefixProtocol::~PrefixProtocol() {
   host_->vri()->CancelEvent(gossip_timer_);
   host_->vri()->CancelEvent(join_timer_);
@@ -62,12 +59,11 @@ void PrefixProtocol::Start(const NetAddress& bootstrap) {
     // (which would cycle and leak); scheduled events hold plain copies.
     gossip_tick_ = [this, rng]() {
       Gossip();
-      TimeUs period = options_.gossip_period;
+      TimeUs period = kGossipPeriod;
       TimeUs jitter = static_cast<TimeUs>(rng->Uniform(period / 2)) - period / 4;
       gossip_timer_ = host_->vri()->ScheduleEvent(period + jitter, gossip_tick_);
     };
-    gossip_timer_ =
-        host_->vri()->ScheduleEvent(options_.gossip_period, gossip_tick_);
+    gossip_timer_ = host_->vri()->ScheduleEvent(kGossipPeriod, gossip_tick_);
   }
 }
 
@@ -92,9 +88,9 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
     auto step = weak_step.lock();
     if (!step) return;
     PrefixProtocol* self = state->self;
-    if (state->iter++ > self->options_.max_join_iterations) {
+    if (state->iter++ > kMaxJoinIterations) {
       self->join_timer_ = self->host_->vri()->ScheduleEvent(
-          self->options_.join_retry_delay,
+          kJoinRetryDelay,
           [self, state]() { self->DoJoin(state->bootstrap); });
       return;
     }
@@ -111,8 +107,7 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
       if (!s.ok()) {
         self->RemoveEverywhere(ask);
         self->join_timer_ = self->host_->vri()->ScheduleEvent(
-            self->options_.join_retry_delay,
-            [self, state]() { self->DoJoin(state->bootstrap); });
+            kJoinRetryDelay, [self, state]() { self->DoJoin(state->bootstrap); });
         return;
       }
       WireReader r(body);
@@ -138,7 +133,7 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
       (*step)(next.addr);
     };
     pending.timer = self->host_->vri()->ScheduleEvent(
-        self->options_.rpc_timeout, [self, nonce]() {
+        kRpcTimeout, [self, nonce]() {
           auto it = self->pending_.find(nonce);
           if (it == self->pending_.end()) return;
           auto cb = std::move(it->second.cb);
@@ -237,8 +232,8 @@ void PrefixProtocol::InsertLeaf(const Peer& p) {
                                           : RingDistance(b.id, me);
       return da < db;
     });
-    if (side->size() > static_cast<size_t>(options_.leaf_per_side)) {
-      side->resize(options_.leaf_per_side);
+    if (side->size() > static_cast<size_t>(kLeafPerSide)) {
+      side->resize(kLeafPerSide);
     }
     (void)dist;
   };

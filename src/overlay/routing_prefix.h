@@ -31,16 +31,13 @@ class PrefixProtocol : public RoutingProtocol {
     bool valid() const { return !addr.IsNull(); }
   };
 
-  struct Options {
-    int leaf_per_side = 4;
-    TimeUs gossip_period = 750 * kMillisecond;
-    TimeUs rpc_timeout = 2 * kSecond;
-    TimeUs join_retry_delay = 1 * kSecond;
-    int max_join_iterations = 48;
-  };
+  static constexpr int kLeafPerSide = 4;
+  static constexpr TimeUs kGossipPeriod = 750 * kMillisecond;
+  static constexpr TimeUs kRpcTimeout = 2 * kSecond;
+  static constexpr TimeUs kJoinRetryDelay = 1 * kSecond;
+  static constexpr int kMaxJoinIterations = 48;
 
-  explicit PrefixProtocol(ProtocolHost* host) : PrefixProtocol(host, Options{}) {}
-  PrefixProtocol(ProtocolHost* host, Options options);
+  explicit PrefixProtocol(ProtocolHost* host) : host_(host) {}
   ~PrefixProtocol() override;
 
   // RoutingProtocol:
@@ -79,7 +76,6 @@ class PrefixProtocol : public RoutingProtocol {
   void DoJoin(const NetAddress& bootstrap);
 
   ProtocolHost* host_;
-  Options options_;
   bool ready_ = false;
   bool started_ = false;
   bool maintenance_scheduled_ = false;

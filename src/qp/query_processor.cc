@@ -7,9 +7,8 @@
 
 namespace pier {
 
-QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
-    : vri_(vri), dht_(dht), options_(options) {
-  tree_ = std::make_unique<DistributionTree>(dht_, options_.tree);
+QueryProcessor::QueryProcessor(Vri* vri, Dht* dht) : vri_(vri), dht_(dht) {
+  tree_ = std::make_unique<DistributionTree>(dht_);
   executor_ = std::make_unique<QueryExecutor>(vri_, dht_, this);
   OverlayRouter* router = dht_->router();
 
@@ -126,7 +125,7 @@ size_t QueryProcessor::MakePublishItem(const std::string& ns,
                                        TimeUs lifetime,
                                        std::vector<DhtPutItem>* items,
                                        int replicas) {
-  if (lifetime <= 0) lifetime = options_.publish_lifetime;
+  if (lifetime <= 0) lifetime = kPublishLifetime;
   DhtPutItem item;
   item.ns = ns;
   item.key = std::move(key);
@@ -147,7 +146,7 @@ Pht* QueryProcessor::PhtFor(const std::string& table, int key_bits) {
     Pht::Options popts;
     popts.table = table;
     popts.key_bits = key_bits;
-    popts.lifetime = options_.publish_lifetime;
+    popts.lifetime = kPublishLifetime;
     it = phts_.emplace(id, std::make_unique<Pht>(dht_, popts)).first;
   }
   return it->second.get();
@@ -160,14 +159,14 @@ void QueryProcessor::PublishRange(const std::string& pht_table,
   if (v == nullptr) return;
   Result<int64_t> key = v->AsInt64();
   if (!key.ok() || *key < 0) return;
-  if (lifetime <= 0) lifetime = options_.publish_lifetime;
+  if (lifetime <= 0) lifetime = kPublishLifetime;
   PhtFor(pht_table, key_bits)
       ->Insert(static_cast<uint64_t>(*key), t.Encode(), nullptr, lifetime);
 }
 
 size_t QueryProcessor::StoreLocal(const std::string& table, const Tuple& t,
                                   TimeUs lifetime) {
-  if (lifetime <= 0) lifetime = options_.publish_lifetime;
+  if (lifetime <= 0) lifetime = kPublishLifetime;
   ObjectName name;
   name.ns = table;
   name.key = "";  // local-only: the partition key is never routed on
@@ -234,7 +233,7 @@ void QueryProcessor::StoreDurablePlan(const QueryPlan& plan) {
                                             plan.deadline_us - vri_->Now())
                          : plan.timeout;
   dht_->Put(kPlanNs, std::to_string(plan.query_id), "p", plan.Encode(),
-            remaining + options_.done_slack, nullptr, plan.replicas);
+            remaining + kDoneSlack, nullptr, plan.replicas);
 }
 
 Status QueryProcessor::RewindowQuery(uint64_t query_id, TimeUs window) {
@@ -301,7 +300,7 @@ Status QueryProcessor::SwapQuery(uint64_t query_id, QueryPlan new_plan) {
 
 uint64_t QueryProcessor::ArmDoneTimer(uint64_t query_id, TimeUs delay) {
   return vri_->ScheduleEvent(
-      delay + options_.done_slack, [this, query_id]() {
+      delay + kDoneSlack, [this, query_id]() {
         auto it = clients_.find(query_id);
         if (it == clients_.end()) return;
         DoneCallback done = EndClient(it);
@@ -498,7 +497,7 @@ void QueryProcessor::CancelQuery(uint64_t query_id) {
                                  it->second.plan.deadline_us - vri_->Now())
               : it->second.plan.timeout;
       dht_->Put(kTombNs, std::to_string(query_id), "t", "1",
-                remaining + options_.done_slack);
+                remaining + kDoneSlack);
     }
     EndClient(it);  // the handle fires its own completion on cancel
   }

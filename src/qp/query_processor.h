@@ -83,16 +83,12 @@ struct QueryCostReport {
 
 class QueryProcessor {
  public:
-  struct Options {
-    DistributionTree::Options tree;
-    /// Default lifetime for published base tuples.
-    TimeUs publish_lifetime = 10LL * 60 * kSecond;
-    /// Extra slack past the timeout before the client's on_done fires.
-    TimeUs done_slack = 1 * kSecond;
-  };
+  /// Default lifetime for published base tuples.
+  static constexpr TimeUs kPublishLifetime = 10LL * 60 * kSecond;
+  /// Extra slack past the timeout before the client's on_done fires.
+  static constexpr TimeUs kDoneSlack = 1 * kSecond;
 
-  QueryProcessor(Vri* vri, Dht* dht, Options options);
-  QueryProcessor(Vri* vri, Dht* dht) : QueryProcessor(vri, dht, Options{}) {}
+  QueryProcessor(Vri* vri, Dht* dht);
   ~QueryProcessor();
 
   QueryProcessor(const QueryProcessor&) = delete;
@@ -224,7 +220,6 @@ class QueryProcessor {
   Dht* dht() { return dht_; }
   Vri* vri() { return vri_; }
   DistributionTree* tree() { return tree_.get(); }
-  const Options& options() const { return options_; }
 
   // --- Per-query cost accounting (PR 7) ----------------------------------------
   // Every operator meters tuples/messages/bytes into its query's ledger
@@ -337,7 +332,7 @@ class QueryProcessor {
   /// Store (or refresh) the durable replicated copy of a continuous query's
   /// full plan under kPlanNs.
   void StoreDurablePlan(const QueryPlan& plan);
-  /// Arm the proxy-side completion timer: at `delay` + done_slack the
+  /// Arm the proxy-side completion timer: at `delay` + kDoneSlack the
   /// client record is torn down and on_done fires. Shared by SubmitQuery
   /// and AdoptQuery so the two teardown paths cannot drift apart.
   uint64_t ArmDoneTimer(uint64_t query_id, TimeUs delay);
@@ -363,7 +358,6 @@ class QueryProcessor {
 
   Vri* vri_;
   Dht* dht_;
-  Options options_;
   std::unique_ptr<DistributionTree> tree_;
   std::unique_ptr<QueryExecutor> executor_;
   /// Persistent PHT handles per (table, key_bits): Pht::Insert is

@@ -12,7 +12,7 @@ namespace pier {
 SimPier::PierNode::PierNode(Vri* vri, const Options& options,
                             NetAddress bootstrap)
     : dht_(std::make_unique<Dht>(vri, options.dht)),
-      qp_(std::make_unique<QueryProcessor>(vri, dht_.get(), options.qp)),
+      qp_(std::make_unique<QueryProcessor>(vri, dht_.get())),
       bootstrap_(bootstrap) {
   RegisterNodeMetrics(&metrics_, qp_.get());
   if (options.metrics_port != 0) {

@@ -28,7 +28,6 @@ class SimPier {
   struct Options {
     SimOptions sim;
     Dht::Options dht;
-    QueryProcessor::Options qp;
     bool seed_routing = true;
     /// Virtual time to run after boot: join traffic + distribution-tree
     /// formation (the tree needs a few join refresh periods).

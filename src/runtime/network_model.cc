@@ -9,13 +9,9 @@ namespace pier {
 // StarTopology
 // ---------------------------------------------------------------------------
 
-StarTopology::StarTopology(Options options, uint64_t seed)
-    : options_(options), rng_(seed) {}
-
 void StarTopology::EnsureNodes(uint32_t n) {
   while (access_.size() < n) {
-    access_.push_back(rng_.UniformRange(options_.min_access_latency,
-                                        options_.max_access_latency));
+    access_.push_back(rng_.UniformRange(kMinAccessLatency, kMaxAccessLatency));
   }
 }
 
@@ -25,29 +21,23 @@ TimeUs StarTopology::Latency(uint32_t a, uint32_t b) const {
   return access_[a] + access_[b];
 }
 
-double StarTopology::UplinkBytesPerSec(uint32_t) const {
-  return options_.uplink_bytes_per_sec;
-}
-
 // ---------------------------------------------------------------------------
 // TransitStubTopology
 // ---------------------------------------------------------------------------
 
-TransitStubTopology::TransitStubTopology(Options options, uint64_t seed)
-    : options_(options), rng_(seed) {
-  const int t = options_.num_transit;
-  assert(t >= 1);
+TransitStubTopology::TransitStubTopology(uint64_t seed) : rng_(seed) {
+  const int t = kNumTransit;
   // Transit mesh: ring plus random chords, then all-pairs shortest paths.
   std::vector<std::vector<TimeUs>> adj(t, std::vector<TimeUs>(t, -1));
   for (int i = 0; i < t; ++i) adj[i][i] = 0;
   for (int i = 0; i < t; ++i) {
     int j = (i + 1) % t;
-    if (i != j) adj[i][j] = adj[j][i] = options_.transit_edge_latency;
+    if (i != j) adj[i][j] = adj[j][i] = kTransitEdgeLatency;
   }
   for (int i = 0; i < t; ++i) {
     for (int j = i + 2; j < t; ++j) {
-      if (rng_.Bernoulli(options_.extra_transit_edge_prob)) {
-        adj[i][j] = adj[j][i] = options_.transit_edge_latency;
+      if (rng_.Bernoulli(kExtraTransitEdgeProb)) {
+        adj[i][j] = adj[j][i] = kTransitEdgeLatency;
       }
     }
   }
@@ -63,14 +53,14 @@ TransitStubTopology::TransitStubTopology(Options options, uint64_t seed)
             std::min(transit_dist_[i][j], transit_dist_[i][k] + transit_dist_[k][j]);
 
   for (int i = 0; i < t; ++i)
-    for (int s = 0; s < options_.stubs_per_transit; ++s) stub_transit_.push_back(i);
+    for (int s = 0; s < kStubsPerTransit; ++s) stub_transit_.push_back(i);
 }
 
 void TransitStubTopology::EnsureNodes(uint32_t n) {
   while (host_stub_.size() < n) {
     host_stub_.push_back(static_cast<int>(rng_.Uniform(stub_transit_.size())));
-    host_access_.push_back(rng_.UniformRange(options_.host_stub_latency_min,
-                                             options_.host_stub_latency_max));
+    host_access_.push_back(rng_.UniformRange(kHostStubLatencyMin,
+                                             kHostStubLatencyMax));
   }
 }
 
@@ -81,13 +71,9 @@ TimeUs TransitStubTopology::Latency(uint32_t a, uint32_t b) const {
   TimeUs lat = host_access_[a] + host_access_[b];
   if (sa == sb) return lat;  // same stub network
   int ta = stub_transit_[sa], tb = stub_transit_[sb];
-  lat += 2 * options_.transit_stub_latency;
+  lat += 2 * kTransitStubLatency;
   lat += transit_dist_[ta][tb];
   return lat;
-}
-
-double TransitStubTopology::UplinkBytesPerSec(uint32_t) const {
-  return options_.uplink_bytes_per_sec;
 }
 
 // ---------------------------------------------------------------------------
@@ -145,10 +131,9 @@ TimeUs FairQueueModel::DeliveryTime(uint32_t src, uint32_t dst, size_t bytes,
 std::unique_ptr<Topology> MakeTopology(TopologyKind kind, uint64_t seed) {
   switch (kind) {
     case TopologyKind::kStar:
-      return std::make_unique<StarTopology>(StarTopology::Options{}, seed);
+      return std::make_unique<StarTopology>(seed);
     case TopologyKind::kTransitStub:
-      return std::make_unique<TransitStubTopology>(TransitStubTopology::Options{},
-                                                   seed);
+      return std::make_unique<TransitStubTopology>(seed);
   }
   return nullptr;
 }

@@ -44,20 +44,19 @@ class Topology {
 /// its own latency; latency(a,b) = access(a) + access(b).
 class StarTopology : public Topology {
  public:
-  struct Options {
-    TimeUs min_access_latency = 5 * kMillisecond;
-    TimeUs max_access_latency = 50 * kMillisecond;
-    double uplink_bytes_per_sec = 1.25e6;  // ~10 Mbit/s DSL-ish uplink
-  };
+  static constexpr TimeUs kMinAccessLatency = 5 * kMillisecond;
+  static constexpr TimeUs kMaxAccessLatency = 50 * kMillisecond;
+  static constexpr double kUplinkBytesPerSec = 1.25e6;  // ~10 Mbit/s DSL-ish
 
-  StarTopology(Options options, uint64_t seed);
+  explicit StarTopology(uint64_t seed) : rng_(seed) {}
 
   TimeUs Latency(uint32_t a, uint32_t b) const override;
-  double UplinkBytesPerSec(uint32_t node) const override;
+  double UplinkBytesPerSec(uint32_t) const override {
+    return kUplinkBytesPerSec;
+  }
   void EnsureNodes(uint32_t n) override;
 
  private:
-  Options options_;
   Rng rng_;
   std::vector<TimeUs> access_;
 };
@@ -68,27 +67,26 @@ class StarTopology : public Topology {
 /// stub->host.
 class TransitStubTopology : public Topology {
  public:
-  struct Options {
-    int num_transit = 8;             // transit routers
-    int stubs_per_transit = 4;       // stub networks per transit router
-    double extra_transit_edge_prob = 0.3;
-    TimeUs transit_edge_latency = 20 * kMillisecond;
-    TimeUs transit_stub_latency = 8 * kMillisecond;
-    TimeUs host_stub_latency_min = 1 * kMillisecond;
-    TimeUs host_stub_latency_max = 10 * kMillisecond;
-    double uplink_bytes_per_sec = 1.25e6;
-  };
+  static constexpr int kNumTransit = 8;        // transit routers
+  static constexpr int kStubsPerTransit = 4;   // stub networks per router
+  static constexpr double kExtraTransitEdgeProb = 0.3;
+  static constexpr TimeUs kTransitEdgeLatency = 20 * kMillisecond;
+  static constexpr TimeUs kTransitStubLatency = 8 * kMillisecond;
+  static constexpr TimeUs kHostStubLatencyMin = 1 * kMillisecond;
+  static constexpr TimeUs kHostStubLatencyMax = 10 * kMillisecond;
+  static constexpr double kUplinkBytesPerSec = 1.25e6;
 
-  TransitStubTopology(Options options, uint64_t seed);
+  explicit TransitStubTopology(uint64_t seed);
 
   TimeUs Latency(uint32_t a, uint32_t b) const override;
-  double UplinkBytesPerSec(uint32_t node) const override;
+  double UplinkBytesPerSec(uint32_t) const override {
+    return kUplinkBytesPerSec;
+  }
   void EnsureNodes(uint32_t n) override;
 
   int num_stubs() const { return static_cast<int>(stub_transit_.size()); }
 
  private:
-  Options options_;
   Rng rng_;
   // transit_dist_[i][j]: shortest-path latency between transit routers.
   std::vector<std::vector<TimeUs>> transit_dist_;

@@ -34,7 +34,10 @@ class PhysicalRuntime : public Vri {
  public:
   struct Options {
     /// Address advertised to peers as NetAddress.host (IPv4, host order).
-    /// Defaults to 127.0.0.1 for single-machine deployments.
+    /// Defaults to 127.0.0.1 for single-machine deployments. Nothing in the
+    /// tree sets it because every in-tree run is single-machine; a
+    /// multi-machine deployment must, so it stays a setting.
+    // pier-lint: allow(unset-option)
     uint32_t advertised_host = 0x7f000001;
     /// Port advertised in LocalAddress().
     uint16_t advertised_port = 0;

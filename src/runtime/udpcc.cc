@@ -14,8 +14,7 @@ constexpr uint8_t kAck = 1;
 constexpr uint8_t kDataAck = 2;
 }  // namespace
 
-UdpCc::UdpCc(Vri* vri, uint16_t port, Options options)
-    : vri_(vri), port_(port), options_(options) {
+UdpCc::UdpCc(Vri* vri, uint16_t port) : vri_(vri), port_(port) {
   Status s = vri_->UdpListen(port_, this);
   PIER_CHECK(s.ok());
 }
@@ -36,9 +35,9 @@ UdpCc::PeerState& UdpCc::Peer(const NetAddress& addr) {
   auto it = peers_.find(addr);
   if (it == peers_.end()) {
     PeerState st;
-    st.cwnd = options_.initial_cwnd;
-    st.ssthresh = options_.max_cwnd;
-    st.rto = options_.initial_rto;
+    st.cwnd = kInitialCwnd;
+    st.ssthresh = kMaxCwnd;
+    st.rto = kInitialRto;
     it = peers_.emplace(addr, std::move(st)).first;
   }
   return it->second;
@@ -86,7 +85,7 @@ void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
     stats_.msgs_failed++;
     return;
   }
-  TimeUs rto = std::min(options_.max_rto,
+  TimeUs rto = std::min(kMaxRto,
                         static_cast<TimeUs>(peer.rto << std::min(msg.retries, 6)));
   Pending& pending =
       peer.inflight.insert_or_assign(seq, std::move(msg)).first->second;
@@ -174,8 +173,8 @@ void UdpCc::OnAck(const NetAddress& src, uint64_t seq) {
       peer.srtt += err / 8;
       peer.rttvar += (std::abs(err) - peer.rttvar) / 4;
     }
-    peer.rto = std::clamp(peer.srtt + 4 * peer.rttvar, options_.min_rto,
-                          options_.max_rto);
+    peer.rto = std::clamp(peer.srtt + 4 * peer.rttvar, kMinRto,
+                          kMaxRto);
   }
 
   // Window growth: slow start then additive increase.
@@ -184,7 +183,7 @@ void UdpCc::OnAck(const NetAddress& src, uint64_t seq) {
   } else {
     peer.cwnd += 1.0 / peer.cwnd;
   }
-  peer.cwnd = std::min(peer.cwnd, options_.max_cwnd);
+  peer.cwnd = std::min(peer.cwnd, kMaxCwnd);
 
   stats_.msgs_delivered++;
   if (pending.on_delivery) pending.on_delivery(Status::Ok());
@@ -209,7 +208,7 @@ void UdpCc::OnTimeout(NetAddress dst, uint64_t seq) {
   peer.cwnd = 1.0;
 
   pending.retries++;
-  if (pending.retries > options_.max_retries) {
+  if (pending.retries > kMaxRetries) {
     stats_.msgs_failed++;
     if (failure_handler_) failure_handler_(dst);
     if (pending.on_delivery)

@@ -9,6 +9,11 @@
 //   * NO in-order delivery guarantee — receivers deduplicate but do not
 //     resequence, and PIER's operators are written to tolerate reordering.
 //
+// The window and timeout parameters are constants of the class, the same in
+// simulation and deployment. A message to a dead peer is retransmitted
+// kMaxRetries (4) times and reported failed 23 s after it was sent when the
+// peer has no RTT sample: timeouts of 1, 2, 4, 8 and 8 s (kMaxRto).
+//
 // Frames: `type u8` and a per-peer `seq` varint. Type 0 is data, whose
 // payload follows to the end of the datagram; type 1 is an ACK of `seq`;
 // type 2 is data that also carries an `ack varint` before its payload.
@@ -38,14 +43,17 @@ namespace pier {
 
 class UdpCc : public UdpHandler {
  public:
-  struct Options {
-    double initial_cwnd = 4.0;     // messages
-    double max_cwnd = 64.0;
-    TimeUs initial_rto = 1 * kSecond;
-    TimeUs min_rto = 200 * kMillisecond;
-    TimeUs max_rto = 8 * kSecond;
-    int max_retries = 4;
-  };
+  /// Congestion window bounds, in messages.
+  static constexpr double kInitialCwnd = 4.0;
+  static constexpr double kMaxCwnd = 64.0;
+  /// Retransmission timeout: the first send to a peer with no RTT sample
+  /// waits kInitialRto; samples clamp it to [kMinRto, kMaxRto], and each
+  /// retry doubles it up to kMaxRto.
+  static constexpr TimeUs kInitialRto = 1 * kSecond;
+  static constexpr TimeUs kMinRto = 200 * kMillisecond;
+  static constexpr TimeUs kMaxRto = 8 * kSecond;
+  /// Retransmissions before a message is given up.
+  static constexpr int kMaxRetries = 4;
 
   struct Stats {
     uint64_t msgs_sent = 0;
@@ -68,8 +76,7 @@ class UdpCc : public UdpHandler {
   using DeliveryCallback = std::function<void(const Status&)>;
 
   /// Binds `port` on `vri`. The port is released on destruction.
-  UdpCc(Vri* vri, uint16_t port) : UdpCc(vri, port, Options{}) {}
-  UdpCc(Vri* vri, uint16_t port, Options options);
+  UdpCc(Vri* vri, uint16_t port);
   ~UdpCc() override;
 
   UdpCc(const UdpCc&) = delete;
@@ -136,7 +143,6 @@ class UdpCc : public UdpHandler {
 
   Vri* vri_;
   uint16_t port_;
-  Options options_;
   MessageHandler handler_;
   FailureHandler failure_handler_;
   Stats stats_;

@@ -1,17 +1,21 @@
 // DHT batching and wire-path tests: PutBatch grouping/ordering/fallback
 // semantics, the guard that a Put is exactly a one-item PutBatch on the
 // wire, one newData call per store frame, the store-frame decoder against
-// cut and garbage frames, router send coalescing, and the router's owner cache (warm puts and
-// gets skip the routed lookup; joins, deaths and the capacity bound keep it
-// correct).
+// cut and garbage frames, the direct get, renew and pull requests (answered
+// at the transport's source; cut and garbage requests), the object store's
+// lifetime cap and sweep, router send coalescing, and the router's owner
+// cache (warm puts and gets skip the routed lookup; joins, deaths and the
+// capacity bound keep it correct).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "decoder_fuzz.h"
 #include "overlay/dht.h"
 #include "overlay/sim_overlay.h"
 
@@ -346,6 +350,123 @@ TEST(StoreFrame, DecoderKeepsWhatDecodedAndDropsTheRest) {
   });
   net.RunFor(2 * kSecond);
   EXPECT_TRUE(got);
+}
+
+// A get, a renew and a replica pull carry no requester address: each is
+// answered at the transport's source. Cut at any byte, none is answered or
+// changes anything; of the seeded garbage bodies, one that is not answered
+// changes nothing either.
+TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
+  SimOverlay net(4, SeededOptions(37));
+  Dht* asker = net.dht(0);
+  Dht* to = net.dht(1);
+  const ObjectName plain{"fz", "k", "s"};
+  const ObjectName replicated{"fz", "r", "s"};
+  auto restore = [&] {
+    to->objects()->Put(plain, "v", ObjectManager::kMaxLifetime);
+  };
+  restore();
+  to->objects()->Put(replicated, "v", ObjectManager::kMaxLifetime, 0, 0, 2);
+
+  // The asker's handlers for the three reply types only record the reply.
+  struct Reply {
+    uint8_t type;
+    NetAddress from;
+    std::string body;
+  };
+  std::vector<Reply> replies;
+  for (uint8_t type :
+       {Dht::kMsgGetRespEx, Dht::kMsgRenewResp, Dht::kMsgStore}) {
+    asker->router()->RegisterDirectType(
+        type, [&replies, type](const NetAddress& from, std::string_view body) {
+          replies.push_back(Reply{type, from, std::string(body)});
+        });
+  }
+  auto state = [&] {
+    const ObjectManager::Object* o = to->objects()->Find(plain);
+    return std::make_tuple(to->objects()->TotalObjects(),
+                           o == nullptr ? TimeUs{-1} : o->expires_at,
+                           to->replication()->stats().replica_copies_sent);
+  };
+  auto ask = [&](uint8_t type, const std::string& body) {
+    const size_t before = replies.size();
+    const auto was = state();
+    asker->router()->SendDirect(to->local_address(), type, body);
+    net.RunFor(200 * kMillisecond);
+    for (size_t i = before; i < replies.size(); ++i)
+      EXPECT_EQ(replies[i].from, to->local_address());
+    if (replies.size() > before) return true;
+    EXPECT_EQ(state(), was) << "an unanswered request changed the store";
+    return false;
+  };
+
+  WireWriter get;
+  get.PutVarint(77);
+  get.PutBytes("fz");
+  get.PutBytes("k");
+  get.PutU8(0);
+  WireWriter renew;
+  renew.PutVarint(78);
+  renew.PutBytes("fz");
+  renew.PutBytes("k");
+  renew.PutBytes("s");
+  renew.PutVarint(20 * 60 * kSecond);
+  WireWriter pull;
+  pull.PutU64(replicated.routing_id() - 1);
+  pull.PutU64(replicated.routing_id());
+
+  // Whole, each request is answered once, at the sender.
+  ASSERT_TRUE(ask(Dht::kMsgGetReqEx, get.data()));
+  EXPECT_EQ(replies.back().type, Dht::kMsgGetRespEx);
+  EXPECT_EQ(replies.back().body.substr(0, 3), std::string("\x4d\x00\x01", 3))
+      << "op 77, attempt 0, one item";
+  const TimeUs expiry = std::get<1>(state());
+  ASSERT_TRUE(ask(Dht::kMsgRenewReq, renew.data()));
+  EXPECT_EQ(replies.back().type, Dht::kMsgRenewResp);
+  EXPECT_EQ(replies.back().body, std::string("\x4e\x01", 2)) << "op 78, ok";
+  EXPECT_LT(std::get<1>(state()), expiry) << "renewed to 20 minutes";
+  ASSERT_TRUE(ask(ReplicationManager::kMsgReplPull, pull.data()));
+  EXPECT_EQ(replies.back().type, Dht::kMsgStore);
+  EXPECT_EQ(to->replication()->stats().replica_copies_sent, 1u);
+  const size_t answered = replies.size();
+
+  uint64_t seed = 41;
+  for (const auto& [type, frame] :
+       {std::make_pair(Dht::kMsgGetReqEx, get.data()),
+        std::make_pair(Dht::kMsgRenewReq, renew.data()),
+        std::make_pair(ReplicationManager::kMsgReplPull, pull.data())}) {
+    size_t cuts = FuzzDecoder(frame, seed++, [&, type = type](
+                                                  const std::string& body) {
+      bool decoded = ask(type, body);
+      if (decoded) restore();  // a renew that decoded may move the lifetime
+      return decoded;
+    });
+    EXPECT_EQ(cuts, 0u) << "type " << int{type};
+  }
+  EXPECT_GT(replies.size(), answered) << "some garbage bodies decode";
+}
+
+// A put asking for 2 hours is stored for the 30-minute cap. An expired
+// object still counts in TotalObjects() until the next 2 s sweep.
+TEST(ObjectStore, CapsALongLifetimeAndTheSweepDropsItAfterExpiry) {
+  SimOptions opts;
+  opts.seed = 12;
+  SimHarness sim(opts);
+  sim.AddNodes(1);
+  ObjectManager store(sim.vri(0));  // sweeps at 2, 4, 6, ... s
+  sim.RunFor(kSecond);
+  const ObjectName name{"ns", "k", "s"};
+  ASSERT_TRUE(store.Put(name, "v", 2 * 60 * 60 * kSecond));
+  // Live until 1 s + 30 min = 1,801 s.
+  sim.RunFor(30 * 60 * kSecond - 100 * kMillisecond);
+  ASSERT_NE(store.Find(name), nullptr);
+  EXPECT_EQ(store.Find(name)->expires_at, 1801 * kSecond);
+  // At 1,801.5 s it has expired, and the sweep at 1,802 s has not run.
+  sim.RunFor(600 * kMillisecond);
+  EXPECT_EQ(store.TotalObjects(), 1u);
+  // At 1,802.5 s the sweep has dropped it.
+  sim.RunFor(kSecond);
+  EXPECT_EQ(store.TotalObjects(), 0u);
 }
 
 TEST(DhtCoalesce, MergesSendsAndUnframesTransparently) {

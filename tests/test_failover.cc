@@ -235,7 +235,7 @@ TEST(Failover, EveryRecordDrainsAfterAProxyKillAndAnAdoption) {
 
   // Past the original deadline plus the done slack, nothing of the query
   // may be left anywhere: no executor record, no proxy record.
-  TimeUs drained = plan->deadline_us + net.qp(2)->options().done_slack;
+  TimeUs drained = plan->deadline_us + QueryProcessor::kDoneSlack;
   net.RunFor(drained - net.loop()->now() + kMillisecond);
   for (uint32_t i = 0; i < net.size(); ++i) {
     if (!net.harness()->IsAlive(i)) continue;

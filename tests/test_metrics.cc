@@ -2,7 +2,7 @@
 // buckets, snapshot consistency under concurrent writers), the Prometheus
 // scrape endpoint round-trip over the VRI's framed TCP, sys.metrics
 // publish/query through PierClient, per-query cost-meter aggregation across a
-// 2-node simulation, and the repair-tick backoff knob.
+// 2-node simulation, and the repair tick's fixed cadence.
 
 #include <gtest/gtest.h>
 
@@ -224,7 +224,7 @@ TEST(MetricsEndpoint, ScrapeRoundTripInSimulation) {
   EXPECT_NE(body.find("# TYPE pier_dht_puts_total counter"),
             std::string::npos);
   EXPECT_NE(body.find("pier_net_msgs_sent_total"), std::string::npos);
-  EXPECT_NE(body.find("pier_repl_repair_period_us"), std::string::npos);
+  EXPECT_NE(body.find("pier_repl_repair_ticks_total"), std::string::npos);
   std::string rendered = net.metrics(1)->RenderText();
   std::string want = "pier_dht_store_requests_total " +
                      std::to_string(net.dht(1)->stats().store_requests);
@@ -423,14 +423,12 @@ TEST(QueryMetering, PerQuerySeriesRetireWhenTheProxyRecordEnds) {
 }
 
 // ---------------------------------------------------------------------------
-// Repair-tick cadence knob (satellite: replication known-hole)
+// Repair-tick cadence
 // ---------------------------------------------------------------------------
 
-TEST(RepairBackoff, QuietRingStretchesCadenceAndChangeResets) {
+TEST(RepairCadence, FixedTickCountsIdlePassesAndARingChange) {
   SimPier::Options opts = PierOptions(404);
   opts.dht.replication_factor = 2;
-  opts.dht.repl_repair_period = kSecond;
-  opts.dht.repl_repair_backoff_max = 8 * kSecond;
   SimPier net(4, opts);
 
   // The settle window already ran quiet ticks; keep the ring idle longer.
@@ -438,37 +436,29 @@ TEST(RepairBackoff, QuietRingStretchesCadenceAndChangeResets) {
   ReplicationManager* repl = net.dht(0)->replication();
   EXPECT_GT(repl->stats().repair_ticks, 0u);
   EXPECT_GT(repl->stats().idle_repair_ticks, 0u);
-  EXPECT_TRUE(repl->repair_backed_off());
-  EXPECT_EQ(repl->current_repair_period(), 8 * kSecond) << "capped at max";
 
-  // With backoff, an idle node ticks far less than once per base period.
-  uint64_t ticks_before = repl->stats().repair_ticks;
-  net.RunFor(16 * kSecond);
-  uint64_t quiet_ticks = repl->stats().repair_ticks - ticks_before;
-  EXPECT_LE(quiet_ticks, 3u);
+  // A quiet ring ticks once per period, every tick idle.
+  const uint64_t ticks_before = repl->stats().repair_ticks;
+  const uint64_t idle_before = repl->stats().idle_repair_ticks;
+  const TimeUs window = 16 * kSecond;
+  net.RunFor(window);
+  const uint64_t want =
+      static_cast<uint64_t>(window / ReplicationManager::kRepairPeriod);
+  EXPECT_EQ(repl->stats().repair_ticks - ticks_before, want);
+  EXPECT_EQ(repl->stats().idle_repair_ticks - idle_before, want);
 
-  // A ring change (kill a neighbor) snaps the cadence back to base once the
-  // protocol notices the membership move.
+  // A ring change (kill a neighbor) makes some live node's tick do work once
+  // the protocol notices the membership move.
   net.harness()->FailNode(2);
   net.RunFor(30 * kSecond);
-  bool any_reset = false;
+  bool any_busy = false;
   for (uint32_t i = 0; i < net.size(); ++i) {
     if (i == 2 || !net.harness()->IsAlive(i)) continue;
     if (net.dht(i)->replication()->stats().idle_repair_ticks <
         net.dht(i)->replication()->stats().repair_ticks)
-      any_reset = true;
+      any_busy = true;
   }
-  EXPECT_TRUE(any_reset) << "some live node saw a non-idle repair tick";
-}
-
-TEST(RepairBackoff, DisabledByDefaultKeepsFixedCadence) {
-  SimPier::Options opts = PierOptions(405);
-  opts.dht.replication_factor = 2;
-  SimPier net(2, opts);
-  net.RunFor(10 * kSecond);
-  ReplicationManager* repl = net.dht(0)->replication();
-  EXPECT_FALSE(repl->repair_backed_off());
-  EXPECT_EQ(repl->current_repair_period(), kSecond);
+  EXPECT_TRUE(any_busy) << "some live node saw a non-idle repair tick";
 }
 
 }  // namespace

@@ -771,15 +771,19 @@ TEST(UdpCc, SenderNotifiedWhenPeerIsDead) {
   UdpCc a(sim.vri(0), 5000);
   sim.FailNode(1);
   Status failure = Status::Ok();
-  bool called = false;
+  TimeUs reported_at = -1;
+  const TimeUs sent_at = sim.vri(0)->Now();
   a.Send(sim.AddressOf(1, 5000), "doomed", [&](const Status& s) {
     failure = s;
-    called = true;
+    reported_at = sim.vri(0)->Now();
   });
   sim.RunFor(60 * kSecond);  // retries, then gives up
-  EXPECT_TRUE(called);
   EXPECT_FALSE(failure.ok()) << "reliable-or-notify contract (§3.1.3)";
-  EXPECT_GT(a.stats().retransmits, 0u);
+  // Four retransmissions with no RTT sample: timeouts of 1, 2, 4 and 8 s,
+  // then 8 s more (the RTO cap) before the give-up.
+  EXPECT_EQ(a.stats().retransmits, 4u);
+  EXPECT_EQ(a.stats().msgs_failed, 1u);
+  EXPECT_EQ(reported_at - sent_at, 23 * kSecond);
 }
 
 // A message first sent at virtual time 0 and retransmitted once is one send

@@ -50,6 +50,15 @@ are all invisible to the compiler and tedious for reviewers:
                   layer's frames to another's handler. A tree-wide check;
                   src/apps (its own message space) is exempt.
 
+  unset-option    A field of a struct named *Options in src/runtime,
+                  src/overlay or src/qp that no file in src/, tests/,
+                  bench/, benchmark/ or examples/ assigns (`.f =` or
+                  `->f =`). A setting nothing sets is a constant spelled as
+                  configuration: every one doubles the configurations tests
+                  would have to cover. A field whose type is itself an
+                  options struct is judged through its own fields.
+                  Tree-wide, like msg-type.
+
 Driving: reads compile_commands.json (pass -p BUILD_DIR) for the TU list and,
 when the libclang python bindings are importable, uses the clang AST; without
 them (this container ships none) it falls back to a built-in lexical engine
@@ -71,7 +80,7 @@ import re
 import sys
 
 RULES = ("timer-capture", "wallclock", "blocking", "hot-alloc", "op-resource",
-         "msg-type")
+         "msg-type", "unset-option")
 
 SCHEDULE_CALL = re.compile(r"\b(ScheduleAt|ScheduleAfter|ScheduleEvent)\s*\(")
 
@@ -119,6 +128,14 @@ MSG_TYPE_CONST = re.compile(r"\bconstexpr\s+uint8_t\s+(kMsg\w+)\s*=\s*(\d+)\s*;"
 TYPE_TABLE = re.compile(r"^## Direct message types\n(.*?)(?=^## |\Z)",
                         re.M | re.S)
 TYPE_TABLE_README = os.path.join("src", "overlay", "README.md")
+
+# Options structs, and the trees whose assignments count as setting a field.
+OPTIONS_STRUCT = re.compile(r"\bstruct\s+(\w*Options)\s*(?::[^;{]*)?\{")
+NOT_A_FIELD = re.compile(r"^(static|using|typedef|friend|enum|struct|class|"
+                         r"template|constexpr)\b")
+FIELD_ASSIGN = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)\s*=(?!=)")
+ASSIGNER_DIRS = ("src", "tests", "bench", "benchmark", "examples")
+SOURCE_SUFFIXES = (".cc", ".h", ".cpp", ".hpp")
 
 SUPPRESS = re.compile(r"//\s*pier-lint:\s*allow\(([^)]*)\)")
 PRETEND_PATH = re.compile(r"//\s*pier-lint-test:\s*pretend-path=(\S+)")
@@ -409,6 +426,84 @@ def is_msg_type_file(path):
     return re.search(r"(^|/)src/(overlay|qp)/", path)
 
 
+def is_option_file(path):
+    return re.search(r"(^|/)src/(runtime|overlay|qp)/", path)
+
+
+CLASS_HEAD = re.compile(r"\b(?:class|struct)\s+(\w+)[^;{()]*\{")
+
+
+def qualified_name(text, m):
+    """`Outer::Options` for the struct opened by match `m`: every class or
+    struct whose braces enclose it, outermost first."""
+    names = [c.group(1) for c in CLASS_HEAD.finditer(text, 0, m.start())
+             if matching_brace(text, c.end() - 1) > m.start()]
+    return "::".join(names + [m.group(1)])
+
+
+def option_fields(path, text):
+    """(path, struct, field, line) of each data member of a struct named
+    *Options, except members whose type is itself an options struct."""
+    fields = []
+    for m in OPTIONS_STRUCT.finditer(text):
+        struct = qualified_name(text, m)
+        close = matching_brace(text, m.end() - 1)
+        start, depth = m.end(), 0
+        for i in range(m.end(), max(close, m.end())):
+            if text[i] in "({":
+                depth += 1
+            elif text[i] in ")}":
+                depth -= 1
+            elif text[i] == ";" and depth == 0:
+                member = re.sub(r"^\s*(public|protected|private)\s*:", "",
+                                text[start:i]).strip()
+                decl = re.split(r"=|\{", member, maxsplit=1)[0]
+                names = re.findall(r"[A-Za-z_]\w*", decl)
+                if len(names) >= 2 and "(" not in decl and \
+                        not NOT_A_FIELD.match(member) and \
+                        not names[-2].endswith("Options"):
+                    at = start + text[start:i].find(decl) + decl.rfind(names[-1])
+                    fields.append((path, struct, names[-1],
+                                   line_of(text, at)))
+                start = i + 1
+    return fields
+
+
+def assigned_fields(text):
+    """Every member name the (stripped) text assigns through `.` or `->`."""
+    return set(FIELD_ASSIGN.findall(text))
+
+
+def tree_assignments(files):
+    """Assigned member names across the checkout the linted files sit in
+    (ASSIGNER_DIRS under its root), or None when no root is in reach."""
+    for f in files:
+        m = re.search(r"^(.*?)src/(runtime|overlay|qp)/", f.replace(os.sep, "/"))
+        if not m:
+            continue
+        names = set()
+        for d in ASSIGNER_DIRS:
+            for root, _dirs, entries in os.walk(os.path.join(m.group(1) or ".", d)):
+                for n in entries:
+                    if n.endswith(SOURCE_SUFFIXES):
+                        with open(os.path.join(root, n), encoding="utf-8",
+                                  errors="replace") as fh:
+                            names |= assigned_fields(
+                                strip_comments_and_strings(fh.read()))
+        return names
+    return None
+
+
+def check_unset_options(fields, assigned, diags):
+    for path, struct, field, line in fields:
+        if field not in assigned:
+            diags.append(Diagnostic(
+                path, line, "unset-option",
+                "%s::%s is never assigned in %s: make it a named constant in "
+                "the class that reads it" %
+                (struct, field, ", ".join(d + "/" for d in ASSIGNER_DIRS))))
+
+
 def msg_type_consts(path, text):
     """(path, name, number, line) of each direct-message type constant."""
     return [(path, m.group(1), int(m.group(2)), line_of(text, m.start()))
@@ -447,16 +542,19 @@ def drop_suppressed(diags, suppressed):
             if not ({d.rule, "all"} & suppressed.get(d.line, set()))]
 
 
-def lint_text(path, raw_text, effective_path=None, consts=None):
+def lint_text(path, raw_text, effective_path=None, consts=None, fields=None):
     """Lint one file's contents; returns the unsuppressed diagnostics. The
-    file's direct-message type constants are appended to `consts` (if given)
-    for the tree-wide msg-type check."""
+    file's direct-message type constants are appended to `consts` and its
+    options fields to `fields` (if given) for the tree-wide msg-type and
+    unset-option checks."""
     epath = effective_path or path
     raw_lines = raw_text.split("\n")
     suppressed = collect_suppressions(raw_lines)
     text = strip_comments_and_strings(raw_text)
     if consts is not None and is_msg_type_file(epath):
         consts.extend(msg_type_consts(path, text))
+    if fields is not None and is_option_file(epath):
+        fields.extend(option_fields(path, text))
 
     diags = []
     # The runtime layer IS the scheduler: it owns the loop it schedules on,
@@ -484,10 +582,13 @@ def lint_text(path, raw_text, effective_path=None, consts=None):
     return drop_suppressed(diags, suppressed)
 
 
-def lint_msg_types(consts, table, raw_by_path):
-    """The msg-type pass over constants gathered by lint_text."""
+def lint_tree_wide(consts, table, fields, assigned, raw_by_path):
+    """The msg-type and unset-option passes over what lint_text gathered
+    (`assigned` None: no checkout in reach, unset-option is skipped)."""
     diags, kept = [], []
     check_msg_types(consts, table, diags)
+    if assigned is not None:
+        check_unset_options(fields, assigned, diags)
     for d in diags:
         lines = raw_by_path[d.path].split("\n")
         kept += drop_suppressed([d], collect_suppressions(lines))
@@ -616,7 +717,7 @@ def run_lint(paths, build_dir, engine):
         sys.stderr.write("pier-lint: error: no input files under %s\n" % paths)
         return 2
 
-    diags, consts, raw_by_path = [], [], {}
+    diags, consts, fields, raw_by_path = [], [], [], {}
     for f in files:
         try:
             with open(f, encoding="utf-8", errors="replace") as fh:
@@ -625,8 +726,9 @@ def run_lint(paths, build_dir, engine):
             sys.stderr.write("pier-lint: error: %s: %s\n" % (f, e))
             return 2
         raw_by_path[f] = raw
-        diags.extend(lint_text(f, raw, consts=consts))
-    diags.extend(lint_msg_types(consts, find_type_table(files), raw_by_path))
+        diags.extend(lint_text(f, raw, consts=consts, fields=fields))
+    diags.extend(lint_tree_wide(consts, find_type_table(files), fields,
+                                tree_assignments(files), raw_by_path))
 
     used_ast = False
     if engine in ("auto", "ast") and db:
@@ -662,8 +764,9 @@ def run_selftest(testdata_dir):
     diagnostics inline (`// expect: <rule>` on the offending line); a file
     with no markers must lint clean. Fails on any mismatch in either
     direction, so neither the rules nor the fixtures can rot silently. Each
-    fixture is its own tree for msg-type; a `type-table=FILE` pragma names
-    the markdown file (in the fixture dir) standing in for the README."""
+    fixture is its own tree for msg-type and unset-option (only its own
+    assignments set a field); a `type-table=FILE` pragma names the markdown
+    file (in the fixture dir) standing in for the README."""
     failures = 0
     files = sorted(
         os.path.join(testdata_dir, n) for n in os.listdir(testdata_dir)
@@ -694,11 +797,12 @@ def run_selftest(testdata_dir):
                     rule = rule.strip()
                     if rule:
                         expected.add((idx, rule))
-        consts = []
-        diags = lint_text(f, raw, consts=consts,
+        consts, fields = [], []
+        diags = lint_text(f, raw, consts=consts, fields=fields,
                           effective_path=pretend or "src/%s" %
                           os.path.basename(f))
-        diags += lint_msg_types(consts, table, {f: raw})
+        diags += lint_tree_wide(consts, table, fields, assigned_fields(
+            strip_comments_and_strings(raw)), {f: raw})
         got = {(d.line, d.rule) for d in diags}
         if got == expected:
             print("PASS %s (%d expected diagnostic%s)" %
