@@ -192,15 +192,6 @@ void MetricsRegistry::AddCounterFn(const std::string& name,
   if (s != nullptr) s->fn = std::move(fn);
 }
 
-void MetricsRegistry::AddGaugeFn(const std::string& name,
-                                 const MetricLabels& labels, ValueFn fn,
-                                 const std::string& help) {
-  MutexLock lock(mu_);
-  bool created = false;
-  Series* s = FindOrCreate(name, MetricKind::kGauge, labels, help, &created);
-  if (s != nullptr) s->fn = std::move(fn);
-}
-
 bool MetricsRegistry::Remove(const std::string& name,
                              const MetricLabels& labels) {
   MutexLock lock(mu_);

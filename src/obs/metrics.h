@@ -20,7 +20,7 @@
 // and pay one atomic add per event — cheap enough for the answer path, and
 // shard-friendly for a sharded multi-reactor runtime (ROADMAP "Deferred").
 // Subsystems whose counters already live in a Stats struct export through
-// callback-backed families instead (AddCounterFn/AddGaugeFn): zero cost on
+// callback-backed counter families instead (AddCounterFn): zero cost on
 // their hot paths, read at snapshot time, one source of truth.
 
 #ifndef PIER_OBS_METRICS_H_
@@ -143,14 +143,12 @@ class MetricsRegistry {
                           const MetricLabels& labels = {},
                           const std::string& help = "");
 
-  /// Callback-backed families: the value is read at snapshot time from code
-  /// that already keeps the counter (the existing Stats structs). Counter
-  /// callbacks must be monotonic; gauges may move freely.
+  /// Callback-backed counter families: the value is read at snapshot time
+  /// from code that already keeps the counter (the existing Stats structs).
+  /// The callback must be monotonic.
   using ValueFn = std::function<double()>;
   void AddCounterFn(const std::string& name, const MetricLabels& labels,
                     ValueFn fn, const std::string& help = "");
-  void AddGaugeFn(const std::string& name, const MetricLabels& labels,
-                  ValueFn fn, const std::string& help = "");
 
   /// Drop one series (e.g. a finished query's qid-labeled counters). The
   /// instrument's storage is retired, not freed: pointers handed out earlier

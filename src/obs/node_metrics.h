@@ -2,8 +2,8 @@
 // through a MetricsRegistry as callback-backed families.
 //
 // The Stats structs stay the single source of truth — nothing on a hot path
-// changes. Each Register* call installs AddCounterFn/AddGaugeFn closures that
-// read the live struct at snapshot/scrape time. The subsystem must therefore
+// changes. Each Register* call installs AddCounterFn closures that read the
+// live struct at snapshot/scrape time. The subsystem must therefore
 // outlive every Snapshot()/RenderText() of the registry; in practice both are
 // owned by the same node object and die together.
 //

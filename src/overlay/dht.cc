@@ -19,13 +19,6 @@ Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
   repl_ = std::make_unique<ReplicationManager>(
       vri_, router_.get(), objects_.get(), options_.replication_factor);
 
-  // A single client write stored outside a store frame (a Send delivery, a
-  // local store) is a one-element newData batch.
-  objects_->set_insert_hook([this](const ObjectManager::Object& obj) {
-    if (subs_by_ns_.count(obj.name.ns) == 0) return;
-    DispatchNewData({NewDataEvent{obj.name, obj.value}});
-  });
-
   router_->set_delivery_handler(
       [this](const RouteInfo& info, std::string_view payload) {
         HandleRoutedDelivery(info, payload);
@@ -563,12 +556,21 @@ void Dht::Renew(const std::string& ns, const std::string& key,
 // ---------------------------------------------------------------------------
 
 void Dht::LocalScan(const std::string& ns, const ScanFn& fn) {
-  objects_->Scan(ns, [this, &fn](const ObjectManager::Object& obj) {
+  objects_->Scan(ns, [this, &fn](const ObjectManager::Row& row) {
     // Replica merge: of an object's k copies exactly one is visible to
     // scans, so replicated tables never double-count.
-    if (!repl_->ShouldEmitInScan(obj)) return;
-    fn(obj.name, obj.value, obj.stored_at);
+    if (!repl_->ShouldEmitInScan(row)) return;
+    fn(row.first, row.second.value, row.second.stored_at);
   });
+}
+
+void Dht::StoreLocal(ObjectName name, std::string value, TimeUs lifetime) {
+  // A client write stored outside a store frame is a one-element newData
+  // batch; its value aliases the stored copy.
+  const ObjectManager::Row* row =
+      objects_->Put(std::move(name), std::move(value), lifetime);
+  if (row != nullptr && subs_by_ns_.count(row->first.ns) > 0)
+    DispatchNewData({NewDataEvent{row->first, row->second.value}});
 }
 
 uint64_t Dht::OnNewDataBatch(const std::string& ns,
@@ -607,7 +609,7 @@ void Dht::HandleRoutedDelivery(const RouteInfo& info, std::string_view payload) 
   WireObjectView v;
   if (!DecodeObjectFrom(&r, &v).ok()) return;  // malformed: drop
   stats_.store_requests++;
-  objects_->Put(
+  StoreLocal(
       ObjectName{std::string(v.ns), std::string(v.key), std::string(v.suffix)},
       std::string(v.value), EffectiveLifetime(v.lifetime));
 }
@@ -625,9 +627,9 @@ void Dht::HandleStore(const NetAddress& from, std::string_view body) {
   // Values alias the receive buffer; the only copies are the ones the store
   // must own. A malformed tail drops the rest of the frame, never what
   // already decoded (best-effort, like every other handler).
-  bool client_write = replica_index == 0 &&
-                      static_cast<StoreOrigin>(origin) == StoreOrigin::kWrite;
-  bool hinted = !client_write;
+  bool put_primaries = replica_index == 0 &&
+                       static_cast<StoreOrigin>(origin) == StoreOrigin::kWrite;
+  bool hinted = !put_primaries;
   std::vector<NewDataEvent> events;
   for (uint64_t i = 0; i < count; ++i) {
     WireObjectView v;
@@ -636,15 +638,15 @@ void Dht::HandleStore(const NetAddress& from, std::string_view body) {
     if (!DecodeObjectFrom(&r, &v).ok() || !r.GetVarint(&age).ok() ||
         !r.GetU8(&desired).ok())
       break;
-    ObjectName name{std::string(v.ns), std::string(v.key),
-                    std::string(v.suffix)};
+    const ObjectManager::Row* row = objects_->Put(
+        ObjectName{std::string(v.ns), std::string(v.key),
+                   std::string(v.suffix)},
+        std::string(v.value), v.lifetime, static_cast<TimeUs>(age),
+        replica_index, desired);
     // The name is copied only when a subscriber will see it.
-    bool announce = client_write && subs_by_ns_.count(name.ns) > 0;
-    if (objects_->Put(announce ? name : std::move(name), std::string(v.value),
-                      v.lifetime, static_cast<TimeUs>(age), replica_index,
-                      desired, /*client_write=*/false) &&
-        announce)
-      events.push_back(NewDataEvent{std::move(name), v.value});
+    if (row != nullptr && put_primaries &&
+        subs_by_ns_.count(row->first.ns) > 0)
+      events.push_back(NewDataEvent{row->first, v.value});
     if (desired > 1) repl_->NoteReplicatedStore();
     if (replica_index == 0) {
       stats_.store_requests++;
@@ -712,10 +714,10 @@ void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
   w.PutVarint(op_id);
   w.PutU8(attempt);
   w.PutVarint(items.size());
-  for (const auto* obj : items) {
-    w.PutBytes(obj->name.suffix);
-    w.PutBytes(obj->value);
-    w.PutVarint(static_cast<uint64_t>(obj->expires_at - now));
+  for (const ObjectManager::Row* row : items) {
+    w.PutBytes(row->first.suffix);
+    w.PutBytes(row->second.value);
+    w.PutVarint(static_cast<uint64_t>(row->second.expires_at - now));
   }
   router_->SendDirect(from, kMsgGetRespEx, std::move(w).data(), nullptr);
 }

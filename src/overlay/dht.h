@@ -16,8 +16,11 @@
 // Every object that travels to be stored rides one store frame (kMsgStore):
 // a put's primary copy and its replica copies, the replication manager's
 // handoff push and pull, and read repair. One handler stores each object
-// through ObjectManager::Put and announces the client writes among them
-// (the primary copies of a put) as one grouped newData dispatch per frame.
+// and announces the client writes among them (the primary copies of a put)
+// as one grouped newData dispatch per frame. The Dht is the only writer of
+// its ObjectManager: every other client write (a Send delivery, local-only
+// tables, operator state) enters through StoreLocal, which announces it
+// the same way.
 
 #ifndef PIER_OVERLAY_DHT_H_
 #define PIER_OVERLAY_DHT_H_
@@ -177,6 +180,11 @@ class Dht {
   using ScanFn = std::function<void(const ObjectName&, std::string_view value,
                                     TimeUs stored_at)>;
   void LocalScan(const std::string& ns, const ScanFn& fn);
+
+  /// Store a client write at this node, whoever owns its id, and announce it
+  /// to `name.ns`'s newData subscribers as a one-element batch. `lifetime`
+  /// is clamped to ObjectManager::kMaxLifetime; one <= 0 stores nothing.
+  void StoreLocal(ObjectName name, std::string value, TimeUs lifetime);
 
   /// One newly stored object in a newData delivery. `value` aliases the
   /// receive frame (or the stored copy for single inserts) and is valid only

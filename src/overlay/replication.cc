@@ -15,19 +15,18 @@ namespace {
 constexpr size_t kMaxPushObjectsPerTick = 256;
 constexpr size_t kMaxPerFrame = Dht::kMaxStoreObjectsPerFrame;
 
-/// Ship `objs` (live objects of this node) to `dest` as store frames of
+/// Ship `rows` (live objects of this node) to `dest` as store frames of
 /// at most kMaxPerFrame objects each, with their origin-stamped lifetimes.
 void ShipCopies(OverlayRouter* router, const NetAddress& dest, TimeUs now,
                 uint8_t replica_index, Dht::StoreOrigin origin,
-                const std::vector<const ObjectManager::Object*>& objs) {
-  for (size_t start = 0; start < objs.size(); start += kMaxPerFrame) {
-    size_t n = std::min(kMaxPerFrame, objs.size() - start);
+                const std::vector<const ObjectManager::Row*>& rows) {
+  for (size_t start = 0; start < rows.size(); start += kMaxPerFrame) {
+    size_t n = std::min(kMaxPerFrame, rows.size() - start);
     WireWriter w = Dht::FrameStore(replica_index, origin, n);
     for (size_t j = start; j < start + n; ++j) {
-      const ObjectManager::Object* o = objs[j];
-      Dht::EncodeStoreObject(&w, o->name, o->expires_at - now,
-                             now - o->stored_at, o->desired_replicas,
-                             o->value);
+      const auto& [name, o] = *rows[j];
+      Dht::EncodeStoreObject(&w, name, o.expires_at - now, now - o.stored_at,
+                             o.desired_replicas, o.value);
     }
     router->SendFramed(dest, std::move(w).data(), nullptr);
   }
@@ -71,11 +70,11 @@ void ReplicationManager::HandlePull(const NetAddress& from,
 
   // Everything replicated in the requested range — whether we hold it as
   // primary or replica, the new owner should have a primary copy.
-  std::vector<const ObjectManager::Object*> matches;
-  objects_->ScanAll([&](const ObjectManager::Object& o) {
-    if (o.name.key.empty() || o.desired_replicas <= 1) return;
-    if (InOpenClosed(lo, hi, o.name.routing_id()))
-      matches.push_back(&o);
+  std::vector<const ObjectManager::Row*> matches;
+  objects_->ScanAll([&](const ObjectManager::Row& row) {
+    const auto& [name, o] = row;
+    if (name.key.empty() || o.desired_replicas <= 1) return;
+    if (InOpenClosed(lo, hi, name.routing_id())) matches.push_back(&row);
   });
   stats_.replica_copies_sent += matches.size();
   ShipCopies(router_, from, vri_->Now(), 0, Dht::StoreOrigin::kHandoffPull,
@@ -105,16 +104,17 @@ void ReplicationManager::RepairTick() {
   // unreplicated deployment does no sweeps and sends no repair traffic.
   if (seen_replicated_ && (succ_changed || pred_changed)) {
     std::vector<ObjectName> to_promote, to_demote;
-    objects_->ScanAll([&](const ObjectManager::Object& o) {
-      if (o.name.key.empty()) return;  // in-situ local state: never replicated
+    objects_->ScanAll([&](const ObjectManager::Row& row) {
+      const auto& [name, o] = row;
+      if (name.key.empty()) return;  // in-situ local state: never replicated
       if (!o.is_replica() && o.desired_replicas <= 1) return;
-      bool own = proto->IsOwner(o.name.routing_id());
+      bool own = proto->IsOwner(name.routing_id());
       if (o.is_replica() && own) {
-        to_promote.push_back(o.name);
+        to_promote.push_back(name);
       } else if (!o.is_replica() && !own) {
-        to_demote.push_back(o.name);
+        to_demote.push_back(name);
       } else if (!o.is_replica() && own && succ_changed) {
-        EnqueuePush(o.name);
+        EnqueuePush(name);
       }
     });
     // Mutations happen after the scan (iterator safety).
@@ -174,7 +174,7 @@ void ReplicationManager::DrainPushQueue() {
 
   struct DestBatch {
     uint8_t replica_index = 1;
-    std::vector<const ObjectManager::Object*> objs;
+    std::vector<const ObjectManager::Row*> rows;
   };
   std::map<NetAddress, DestBatch> by_dest;
   size_t processed = 0;
@@ -182,25 +182,27 @@ void ReplicationManager::DrainPushQueue() {
     ObjectName name = std::move(push_queue_.front());
     push_queue_.pop_front();
     processed++;
-    const ObjectManager::Object* obj = objects_->Find(name);
+    const ObjectManager::Row* row = objects_->FindRow(name);
     // Only live primaries we still own re-propagate; everything else left
     // the queue's jurisdiction while it waited.
-    if (obj == nullptr || obj->is_replica() || obj->desired_replicas <= 1 ||
-        !proto->IsOwner(obj->name.routing_id()))
+    if (row == nullptr || row->second.is_replica() ||
+        row->second.desired_replicas <= 1 ||
+        !proto->IsOwner(name.routing_id()))
       continue;
-    for (size_t j = 0; j + 1 < obj->desired_replicas && j < succs.size(); ++j) {
+    for (size_t j = 0; j + 1 < row->second.desired_replicas && j < succs.size();
+         ++j) {
       DestBatch& batch = by_dest[succs[j]];
       batch.replica_index = static_cast<uint8_t>(j + 1);
-      batch.objs.push_back(obj);
+      batch.rows.push_back(row);
     }
   }
 
   TimeUs now = vri_->Now();
   for (auto& [dest, batch] : by_dest) {
-    stats_.handoff_pushes += batch.objs.size();
-    stats_.replica_copies_sent += batch.objs.size();
+    stats_.handoff_pushes += batch.rows.size();
+    stats_.replica_copies_sent += batch.rows.size();
     ShipCopies(router_, dest, now, batch.replica_index,
-               Dht::StoreOrigin::kHandoffPush, batch.objs);
+               Dht::StoreOrigin::kHandoffPush, batch.rows);
   }
 }
 
@@ -208,12 +210,13 @@ void ReplicationManager::DrainPushQueue() {
 // Scan-time replica merge
 // ---------------------------------------------------------------------------
 
-bool ReplicationManager::ShouldEmitInScan(const ObjectManager::Object& obj) {
-  if (!obj.is_replica() || obj.name.key.empty()) return true;
+bool ReplicationManager::ShouldEmitInScan(const ObjectManager::Row& row) {
+  const auto& [name, obj] = row;
+  if (!obj.is_replica() || name.key.empty()) return true;
   // The owner is gone and ownership of this id moved here: the replica now
   // speaks for the object. Until then exactly one copy (the primary at the
   // owner) is visible to scans, so k copies never double-count.
-  if (router_->protocol()->IsOwner(obj.name.routing_id())) return true;
+  if (router_->protocol()->IsOwner(name.routing_id())) return true;
   stats_.suppressed_scan_rows++;
   return false;
 }

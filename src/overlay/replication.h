@@ -81,11 +81,11 @@ class ReplicationManager {
 
   // --- Scan-time replica merge --------------------------------------------
 
-  /// Should a LocalScan at this node emit `obj`? Primaries and in-situ local
+  /// Should a LocalScan at this node emit `row`? Primaries and in-situ local
   /// objects (empty key) always pass; replica copies pass only once this
   /// node owns their routing id (i.e. the owner is gone and this copy now
   /// speaks for the object). Suppressions are counted.
-  bool ShouldEmitInScan(const ObjectManager::Object& obj);
+  bool ShouldEmitInScan(const ObjectManager::Row& row);
 
   const Stats& stats() const { return stats_; }
 

@@ -9,6 +9,7 @@
 #ifndef PIER_OVERLAY_SIM_OVERLAY_H_
 #define PIER_OVERLAY_SIM_OVERLAY_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,6 +62,12 @@ class SimOverlay {
   Options options_;
   SimHarness harness_;
 };
+
+/// Install globally-consistent routing state on every live node of
+/// `harness`; `dht_at(i)` is node i's Dht. Both sim harnesses (SimOverlay,
+/// SimPier) seed through this.
+void SeedRouting(SimHarness* harness,
+                 const std::function<Dht*(uint32_t)>& dht_at);
 
 }  // namespace pier
 

@@ -78,13 +78,13 @@ class SymHashJoinOp : public Operator {
       name.ns = ns_[port];
       name.key = k;
       name.suffix = cx_->NextSuffix();
-      cx_->dht->objects()->Put(std::move(name), batch.EncodeRow(r),
-                               cx_->query_lifetime);
+      cx_->dht->StoreLocal(std::move(name), batch.EncodeRow(r),
+                           cx_->query_lifetime);
       auto matches = cx_->dht->objects()->Get(ns_[other], k);
       if (matches.empty()) continue;
       Tuple t = batch.RowTuple(r);  // materialize only on a probe hit
-      for (const ObjectManager::Object* obj : matches) {
-        Result<Tuple> o = Tuple::Decode(obj->value);
+      for (const ObjectManager::Row* row : matches) {
+        Result<Tuple> o = Tuple::Decode(row->second.value);
         if (!o.ok()) continue;
         const Tuple& l = port == 0 ? t : *o;
         const Tuple& rt = port == 0 ? *o : t;
@@ -245,8 +245,8 @@ class BloomCreateOp : public Operator {
       merged.ns = name.ns;
       merged.key = name.key;
       merged.suffix = kMergedSuffix;
-      cx_->dht->objects()->Put(std::move(merged), owner_merged_->Serialize(),
-                               cx_->query_lifetime);
+      cx_->dht->StoreLocal(std::move(merged), owner_merged_->Serialize(),
+                           cx_->query_lifetime);
     });
     return Status::Ok();
   }

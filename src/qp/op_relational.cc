@@ -406,7 +406,7 @@ class MaterializerOp : public Operator {
       name.ns = ns_;
       name.key = batch.RowPartitionKey(r, key_attrs_);
       name.suffix = cx_->NextSuffix();
-      cx_->dht->objects()->Put(std::move(name), batch.EncodeRow(r), lifetime_);
+      cx_->dht->StoreLocal(std::move(name), batch.EncodeRow(r), lifetime_);
     }
     PushBatch(tag, batch);
   }

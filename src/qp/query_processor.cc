@@ -174,7 +174,7 @@ size_t QueryProcessor::StoreLocal(const std::string& table, const Tuple& t,
                 std::to_string(dht_->local_address().host);
   std::string wire = t.Encode();
   size_t bytes = wire.size();
-  dht_->objects()->Put(std::move(name), std::move(wire), lifetime);
+  dht_->StoreLocal(std::move(name), std::move(wire), lifetime);
   return bytes;
 }
 

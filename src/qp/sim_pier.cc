@@ -1,10 +1,6 @@
 #include "qp/sim_pier.h"
 
-#include <algorithm>
-
 #include "obs/node_metrics.h"
-#include "overlay/routing_chord.h"
-#include "overlay/routing_prefix.h"
 #include "util/logging.h"
 
 namespace pier {
@@ -89,29 +85,7 @@ PierClient* SimPier::client(uint32_t index) {
 }
 
 void SimPier::SeedAll() {
-  std::vector<ChordProtocol::Peer> ring;
-  for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
-    if (!harness_.IsAlive(i)) continue;
-    Dht* d = dht(i);
-    ring.push_back(ChordProtocol::Peer{d->local_id(), d->local_address()});
-  }
-  std::sort(ring.begin(), ring.end(),
-            [](const ChordProtocol::Peer& a, const ChordProtocol::Peer& b) {
-              return a.id < b.id;
-            });
-  for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
-    if (!harness_.IsAlive(i)) continue;
-    RoutingProtocol* proto = dht(i)->router()->protocol();
-    if (auto* chord = dynamic_cast<ChordProtocol*>(proto)) {
-      chord->SeedRoutingState(ring);
-    } else if (auto* prefix = dynamic_cast<PrefixProtocol*>(proto)) {
-      std::vector<PrefixProtocol::Peer> pring;
-      pring.reserve(ring.size());
-      for (const auto& p : ring)
-        pring.push_back(PrefixProtocol::Peer{p.id, p.addr});
-      prefix->SeedRoutingState(pring);
-    }
-  }
+  SeedRouting(&harness_, [this](uint32_t i) { return dht(i); });
 }
 
 }  // namespace pier

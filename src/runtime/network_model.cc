@@ -6,22 +6,6 @@
 namespace pier {
 
 // ---------------------------------------------------------------------------
-// StarTopology
-// ---------------------------------------------------------------------------
-
-void StarTopology::EnsureNodes(uint32_t n) {
-  while (access_.size() < n) {
-    access_.push_back(rng_.UniformRange(kMinAccessLatency, kMaxAccessLatency));
-  }
-}
-
-TimeUs StarTopology::Latency(uint32_t a, uint32_t b) const {
-  if (a == b) return 0;
-  assert(a < access_.size() && b < access_.size());
-  return access_[a] + access_[b];
-}
-
-// ---------------------------------------------------------------------------
 // TransitStubTopology
 // ---------------------------------------------------------------------------
 
@@ -103,41 +87,6 @@ TimeUs FifoQueueModel::DeliveryTime(uint32_t src, uint32_t dst, size_t bytes,
   return busy + topology_->Latency(src, dst);
 }
 
-TimeUs FairQueueModel::DeliveryTime(uint32_t src, uint32_t dst, size_t bytes,
-                                    TimeUs now) {
-  // Start-time fair queuing approximation: each flow's transmissions
-  // serialize on its own virtual finish time, scaled by the number of
-  // currently backlogged flows sharing the uplink.
-  Uplink& up = uplinks_[src];
-  int active = 0;
-  for (auto it = up.flow_finish.begin(); it != up.flow_finish.end();) {
-    if (it->second <= now) {
-      it = up.flow_finish.erase(it);  // drained flow
-    } else {
-      ++active;
-      ++it;
-    }
-  }
-  TimeUs tx = TransmissionTime(topology_->UplinkBytesPerSec(src), bytes);
-  TimeUs& finish = up.flow_finish[dst];
-  TimeUs start = std::max(now, finish);
-  // This flow sees 1/(active flows incl. itself) of the uplink while others
-  // are backlogged.
-  int share = std::max(1, active + (finish <= now ? 1 : 0));
-  finish = start + tx * share;
-  return finish + topology_->Latency(src, dst);
-}
-
-std::unique_ptr<Topology> MakeTopology(TopologyKind kind, uint64_t seed) {
-  switch (kind) {
-    case TopologyKind::kStar:
-      return std::make_unique<StarTopology>(seed);
-    case TopologyKind::kTransitStub:
-      return std::make_unique<TransitStubTopology>(seed);
-  }
-  return nullptr;
-}
-
 std::unique_ptr<CongestionModel> MakeCongestionModel(CongestionKind kind,
                                                      Topology* topology) {
   switch (kind) {
@@ -145,8 +94,6 @@ std::unique_ptr<CongestionModel> MakeCongestionModel(CongestionKind kind,
       return std::make_unique<NoCongestionModel>(topology);
     case CongestionKind::kFifo:
       return std::make_unique<FifoQueueModel>(topology);
-    case CongestionKind::kFair:
-      return std::make_unique<FairQueueModel>(topology);
   }
   return nullptr;
 }

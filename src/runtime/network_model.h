@@ -4,10 +4,11 @@
 // simulated "packet" is an entire application message. A Topology supplies
 // pairwise propagation latency and per-node access bandwidth; a
 // CongestionModel turns (sender, receiver, size, now) into a delivery time.
-// Per the paper, two topology families (star and transit-stub) and three
-// congestion models (none, FIFO queuing, fair queuing) are provided. Loss is
-// not modeled (the paper's simulator delivers all messages); node failure is
-// modeled by the harness dropping deliveries to/from dead nodes.
+// The paper's simulator also offers a star topology and fair queuing; no
+// caller here selected them, so the transit-stub topology and two congestion
+// models (none, FIFO queuing) are provided. Loss is not modeled (the paper's
+// simulator delivers all messages); node failure is modeled by the harness
+// dropping deliveries to/from dead nodes.
 
 #ifndef PIER_RUNTIME_NETWORK_MODEL_H_
 #define PIER_RUNTIME_NETWORK_MODEL_H_
@@ -38,27 +39,6 @@ class Topology {
   /// Grow the topology to cover at least `n` nodes (assigns new nodes to
   /// stubs / spokes deterministically from the topology's RNG).
   virtual void EnsureNodes(uint32_t n) = 0;
-};
-
-/// Star topology: every node hangs off a central hub by an access link with
-/// its own latency; latency(a,b) = access(a) + access(b).
-class StarTopology : public Topology {
- public:
-  static constexpr TimeUs kMinAccessLatency = 5 * kMillisecond;
-  static constexpr TimeUs kMaxAccessLatency = 50 * kMillisecond;
-  static constexpr double kUplinkBytesPerSec = 1.25e6;  // ~10 Mbit/s DSL-ish
-
-  explicit StarTopology(uint64_t seed) : rng_(seed) {}
-
-  TimeUs Latency(uint32_t a, uint32_t b) const override;
-  double UplinkBytesPerSec(uint32_t) const override {
-    return kUplinkBytesPerSec;
-  }
-  void EnsureNodes(uint32_t n) override;
-
- private:
-  Rng rng_;
-  std::vector<TimeUs> access_;
 };
 
 /// GT-ITM-style transit-stub topology: a small mesh of transit routers, each
@@ -127,27 +107,10 @@ class FifoQueueModel : public CongestionModel {
   std::map<uint32_t, TimeUs> uplink_busy_until_;
 };
 
-/// Start-time fair queuing approximation on the sender's uplink: concurrent
-/// flows (distinct destinations) share the uplink equally, so one bulk flow
-/// cannot starve a small control message to a different destination.
-class FairQueueModel : public CongestionModel {
- public:
-  explicit FairQueueModel(Topology* topology) : topology_(topology) {}
-  TimeUs DeliveryTime(uint32_t src, uint32_t dst, size_t bytes, TimeUs now) override;
+enum class TopologyKind { kTransitStub };
+enum class CongestionKind { kNone, kFifo };
 
- private:
-  Topology* topology_;
-  struct Uplink {
-    std::map<uint32_t, TimeUs> flow_finish;  // dst -> virtual finish time
-  };
-  std::map<uint32_t, Uplink> uplinks_;
-};
-
-enum class TopologyKind { kStar, kTransitStub };
-enum class CongestionKind { kNone, kFifo, kFair };
-
-/// Factory helpers used by SimHarness.
-std::unique_ptr<Topology> MakeTopology(TopologyKind kind, uint64_t seed);
+/// Factory helper used by SimHarness.
 std::unique_ptr<CongestionModel> MakeCongestionModel(CongestionKind kind,
                                                      Topology* topology);
 

@@ -95,7 +95,7 @@ class SimHarness::SimVri : public Vri {
 
 SimHarness::SimHarness(SimOptions options)
     : options_(options), rng_(options.seed) {
-  topology_ = MakeTopology(options_.topology, rng_.Next());
+  topology_ = std::make_unique<TransitStubTopology>(rng_.Next());
   congestion_ = MakeCongestionModel(options_.congestion, topology_.get());
 }
 

@@ -38,6 +38,8 @@ class SimProgram {
 
 struct SimOptions {
   uint64_t seed = 1;
+  /// Transit-stub is the only topology, so nothing reads this; it stays
+  /// because benchmark/pier_bench.cc sets it.
   TopologyKind topology = TopologyKind::kTransitStub;
   CongestionKind congestion = CongestionKind::kNone;
   /// Max absolute per-node clock skew; each node's Now() is offset by a value

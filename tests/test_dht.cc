@@ -2,8 +2,10 @@
 // semantics, the guard that a Put is exactly a one-item PutBatch on the
 // wire, one newData call per store frame, the store-frame decoder against
 // cut and garbage frames, the direct get, renew and pull requests (answered
-// at the transport's source; cut and garbage requests), the object store's
-// lifetime cap and sweep, router send coalescing, and the router's owner
+// at the transport's source; cut and garbage requests), the object store
+// (lifetime cap and sweep, exact namespace and key ranges, scan order, the
+// liveness rule, newData only for local stores), router send coalescing,
+// and the router's owner
 // cache (warm puts and gets skip the routed lookup; joins, deaths and the
 // capacity bound keep it correct).
 
@@ -41,6 +43,17 @@ DhtPutItem Item(const std::string& ns, const std::string& key,
   item.value = value;
   item.lifetime = 60 * kSecond;
   return item;
+}
+
+/// Send `to` a one-object store frame from `from`, as a copy the store
+/// frame's origin and placement tags describe.
+void ShipCopy(Dht* from, Dht* to, const ObjectName& name, TimeUs lifetime,
+              uint8_t replica_index, uint8_t desired_replicas,
+              Dht::StoreOrigin origin) {
+  WireWriter w = Dht::FrameStore(replica_index, origin, 1);
+  Dht::EncodeStoreObject(&w, name, lifetime, 0, desired_replicas, "v");
+  from->router()->SendFramed(to->local_address(), std::move(w).data(),
+                             nullptr);
 }
 
 /// The live owner index of (ns, key) under the current routing state.
@@ -363,10 +376,14 @@ TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
   const ObjectName plain{"fz", "k", "s"};
   const ObjectName replicated{"fz", "r", "s"};
   auto restore = [&] {
-    to->objects()->Put(plain, "v", ObjectManager::kMaxLifetime);
+    to->StoreLocal(plain, "v", ObjectManager::kMaxLifetime);
   };
   restore();
-  to->objects()->Put(replicated, "v", ObjectManager::kMaxLifetime, 0, 0, 2);
+  // A primary that asks for two copies, which the pull ships.
+  ShipCopy(asker, to, replicated, ObjectManager::kMaxLifetime, 0, 2,
+           Dht::StoreOrigin::kHandoffPull);
+  net.RunFor(200 * kMillisecond);
+  ASSERT_NE(to->objects()->Find(replicated), nullptr);
 
   // The asker's handlers for the three reply types only record the reply.
   struct Reply {
@@ -446,6 +463,11 @@ TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
   EXPECT_GT(replies.size(), answered) << "some garbage bodies decode";
 }
 
+}  // namespace
+
+// ObjectManager befriends this test (it writes to the store directly), so it
+// lives outside the anonymous namespace.
+
 // A put asking for 2 hours is stored for the 30-minute cap. An expired
 // object still counts in TotalObjects() until the next 2 s sweep.
 TEST(ObjectStore, CapsALongLifetimeAndTheSweepDropsItAfterExpiry) {
@@ -467,6 +489,117 @@ TEST(ObjectStore, CapsALongLifetimeAndTheSweepDropsItAfterExpiry) {
   // At 1,802.5 s the sweep has dropped it.
   sim.RunFor(kSecond);
   EXPECT_EQ(store.TotalObjects(), 0u);
+}
+
+namespace {
+
+// The rows a namespace scan visits, as "key/suffix".
+std::vector<std::string> ScanNames(const ObjectManager& store,
+                                   const std::string& ns) {
+  std::vector<std::string> out;
+  store.Scan(ns, [&](const ObjectManager::Row& row) {
+    out.push_back(row.first.key + "/" + row.first.suffix);
+  });
+  return out;
+}
+
+// "flows" is a prefix of "flows_by_src", and key "k" of "k2": every read
+// and the namespace drop still see exactly their own range, in (key,
+// suffix) order.
+TEST(ObjectStore, ANamespaceOrKeyThatPrefixesAnotherStaysExact) {
+  SimOverlay net(2, SeededOptions(51));
+  Dht* dht = net.dht(0);
+  const ObjectManager& store = *dht->objects();
+  // Stored out of order; "10" sorts before "9".
+  const std::vector<std::pair<std::string, std::string>> names = {
+      {"k2", "1"}, {"k", "9"}, {"k2", "0"}, {"k", "10"}};
+  for (const char* ns : {"flow", "flows", "flows_by_src"}) {
+    for (const auto& [key, suffix] : names)
+      dht->StoreLocal(ObjectName{ns, key, suffix}, ns, 60 * kSecond);
+  }
+  EXPECT_EQ(ScanNames(store, "flows"),
+            (std::vector<std::string>{"k/10", "k/9", "k2/0", "k2/1"}));
+  std::vector<std::string> got;
+  for (const ObjectManager::Row* row : store.Get("flows", "k"))
+    got.push_back(row->second.value + ":" + row->first.suffix);
+  EXPECT_EQ(got, (std::vector<std::string>{"flows:10", "flows:9"}));
+  EXPECT_TRUE(store.Get("flows", "").empty());
+  EXPECT_TRUE(store.Get("flows_", "k").empty());
+  EXPECT_EQ(store.NamespaceObjects("flows"), 4u);
+  EXPECT_EQ(store.NamespaceObjects("flows_by"), 0u);
+
+  dht->objects()->DropNamespace("flows");
+  EXPECT_EQ(store.NamespaceObjects("flows"), 0u);
+  EXPECT_TRUE(ScanNames(store, "flows").empty());
+  EXPECT_EQ(store.NamespaceObjects("flow"), 4u);
+  EXPECT_EQ(ScanNames(store, "flows_by_src"),
+            (std::vector<std::string>{"k/10", "k/9", "k2/0", "k2/1"}));
+  EXPECT_EQ(store.TotalObjects(), 8u);
+}
+
+// An expired copy is gone for every read, and Renew, Promote and Demote
+// fail on it, but it stays in the table and its counts until the sweep.
+TEST(ObjectStore, AnExpiredCopyIsInvisibleButCountedUntilTheSweep) {
+  SimOverlay net(2, SeededOptions(53));  // sweeps at 2, 4, 6, ... s
+  Dht* dht = net.dht(0);
+  ObjectManager* store = dht->objects();
+  const ObjectName live{"ex", "k", "live"};
+  const ObjectName primary{"ex", "k", "primary"};
+  const ObjectName replica{"ex", "k", "replica"};
+  ASSERT_LT(dht->vri()->Now(), 1100 * kMillisecond);
+  dht->StoreLocal(live, "v", 60 * kSecond);
+  dht->StoreLocal(primary, "v", 500 * kMillisecond);
+  ShipCopy(net.dht(1), dht, replica, 500 * kMillisecond, 1, 2,
+           Dht::StoreOrigin::kWrite);
+  net.RunFor(200 * kMillisecond);
+  ASSERT_NE(store->Find(replica), nullptr);
+  EXPECT_TRUE(store->Promote(replica));
+  EXPECT_TRUE(store->Demote(replica));
+
+  net.RunFor(1800 * kMillisecond - dht->vri()->Now());
+  for (const ObjectName& dead : {primary, replica}) {
+    EXPECT_EQ(store->Find(dead), nullptr);
+    EXPECT_EQ(store->FindRow(dead), nullptr);
+  }
+  EXPECT_EQ(ScanNames(*store, "ex"), (std::vector<std::string>{"k/live"}));
+  ASSERT_EQ(store->Get("ex", "k").size(), 1u);
+  EXPECT_EQ(store->Get("ex", "k")[0]->first, live);
+  size_t all = 0;
+  store->ScanAll([&](const ObjectManager::Row&) { all++; });
+  EXPECT_EQ(all, 1u);
+  EXPECT_FALSE(store->Renew(primary, 60 * kSecond).ok());
+  EXPECT_FALSE(store->Demote(primary));
+  EXPECT_FALSE(store->Promote(replica));
+  EXPECT_EQ(store->TotalObjects(), 3u);
+  EXPECT_EQ(store->NamespaceObjects("ex"), 3u);
+
+  net.RunFor(300 * kMillisecond);  // past the 2 s sweep
+  EXPECT_EQ(store->TotalObjects(), 1u);
+  EXPECT_EQ(store->NamespaceObjects("ex"), 1u);
+}
+
+// A local store announces itself once; replica copies in a store frame are
+// stored silently.
+TEST(ObjectStore, ALocalStoreIsNewDataOnceAndReplicaCopiesNever) {
+  SimOverlay net(2, SeededOptions(55));
+  Dht* dht = net.dht(0);
+  std::vector<std::string> seen;
+  size_t calls = 0;
+  dht->OnNewDataBatch("nd", [&](const std::vector<Dht::NewDataEvent>& evs) {
+    calls++;
+    for (const Dht::NewDataEvent& e : evs)
+      seen.push_back(e.name.suffix + "=" + std::string(e.value));
+  });
+  dht->StoreLocal(ObjectName{"nd", "k", "local"}, "v", 60 * kSecond);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"local=v"}));
+
+  for (const char* suffix : {"r1", "r2"})
+    ShipCopy(net.dht(1), dht, ObjectName{"nd", "k", suffix}, 60 * kSecond, 1,
+             3, Dht::StoreOrigin::kWrite);
+  net.RunFor(500 * kMillisecond);
+  EXPECT_EQ(dht->objects()->NamespaceObjects("nd"), 3u);
+  EXPECT_EQ(calls, 1u) << "a replica copy was announced";
 }
 
 TEST(DhtCoalesce, MergesSendsAndUnframesTransparently) {
@@ -526,8 +659,8 @@ uint64_t RoutedTraffic(SimOverlay* net) {
 /// Does node `i` store an object (ns, key, suffix)?
 bool Holds(SimOverlay* net, uint32_t i, const std::string& ns,
            const std::string& key, const std::string& suffix) {
-  for (const ObjectManager::Object* o : net->dht(i)->objects()->Get(ns, key))
-    if (o->name.suffix == suffix) return true;
+  for (const ObjectManager::Row* row : net->dht(i)->objects()->Get(ns, key))
+    if (row->first.suffix == suffix) return true;
   return false;
 }
 
@@ -744,8 +877,8 @@ TEST(OwnerCache, DeadCachedOwnerGetIsReResolvedToItsSuccessor) {
   ASSERT_EQ(succs.size(), 1u);
   uint32_t succ = succs[0].host - 1;  // SimHarness: index = host - 1
   ASSERT_NE(succ, sender);
-  net.dht(succ)->objects()->Put(ObjectName{"dg", "k", "after"}, "v2",
-                                60 * kSecond);
+  net.dht(succ)->StoreLocal(ObjectName{"dg", "k", "after"}, "v2",
+                            60 * kSecond);
 
   net.harness()->FailNode(static_cast<uint32_t>(owner));
   uint64_t hits = router->stats().lookup_cache_hits;

@@ -1,7 +1,7 @@
 // Churn-hardened continuous-query lifecycle: proxy failover to successors,
 // orphan reaping by lease expiry, deadline preservation across failover,
-// cancel semantics on orphaned handles, the cancel tombstone, and swap-time
-// catch-up suppression.
+// cancel semantics on orphaned handles, the cancel tombstone, swap-time
+// catch-up suppression, and the missed-swap repair (plan fetch and push).
 
 #include <gtest/gtest.h>
 
@@ -297,6 +297,98 @@ TEST(Failover, SwapDrivenByTheAdoptedProxySurvivesTheRace) {
     net.RunFor(kSecond);
   }
   EXPECT_GT(answers, 0u) << "the swapped plan answers through the new proxy";
+}
+
+TEST(Failover, AMissedSwapIsFetchedFromTheProxy) {
+  // An executor that missed a swap broadcast learns of the newer generation
+  // from a graphless lease refresh. It fetches the plan from the proxy
+  // (kMsgPlanFetch); the proxy pushes the plan's broadcast graphs
+  // (kMsgPlanPush), and the executor swaps to them.
+  SimPier net(8, PierOptions(241));
+  RegisterEv(&net);
+  ASSERT_TRUE(
+      net.catalog()->Register(TableSpec("eq").PartitionBy({"src"})).ok());
+  int64_t next_id = 0;
+  const char* text =
+      "SELECT src, count(*) AS cnt FROM ev GROUP BY src "
+      "TIMEOUT 60s WINDOW 2s CONTINUOUS";
+  auto q = net.client(1)->Query(
+      Sql(text).WithAggStrategy("flat").WithLeasePeriod(kLease));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  uint64_t qid = q->id();
+  size_t answers = 0;
+  q->OnTuple([&](const Tuple&) { answers++; });
+  for (int i = 0; i < 4; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+
+  // Node kMissed drops every tree broadcast from now on: it misses the swap.
+  constexpr uint32_t kMissed = 5;
+  net.dht(kMissed)->router()->RegisterDirectType(
+      DistributionTree::kMsgBroadcast,
+      [](const NetAddress&, std::string_view) {});
+  auto hier = net.client(1)->Compile(Sql(text).WithAggStrategy("hier"));
+  ASSERT_TRUE(hier.ok()) << hier.status().ToString();
+  uint32_t hier_gid = hier->graphs[0].id;
+  uint32_t hier_op = 0;
+  for (const OpSpec& op : hier->graphs[0].ops) {
+    if (op.kind == OpKind::kHierAgg) hier_op = op.id;
+  }
+  ASSERT_NE(hier_op, 0u);
+  ASSERT_TRUE(net.qp(1)->SwapQuery(qid, std::move(*hier)).ok());
+  net.RunFor(kSecond);
+  QueryExecutor* missed = net.qp(kMissed)->executor();
+  ASSERT_TRUE(missed->HasQuery(qid));
+  auto runs_hier = [&] {
+    Operator* op = missed->FindOp(qid, hier_gid, hier_op);
+    return op != nullptr && op->spec().kind == OpKind::kHierAgg;
+  };
+  ASSERT_FALSE(runs_hier()) << "test premise: the node must miss the swap";
+
+  auto plan = net.qp(1)->ProxyPlan(qid);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  QueryPlan refresh = *plan;
+  refresh.graphs.clear();
+  ASSERT_TRUE(missed->StartGraphs(refresh, {}).ok());
+  net.RunFor(kSecond);
+  EXPECT_TRUE(runs_hier()) << "the fetched generation was not swapped in";
+
+  const size_t before = answers;
+  for (int i = 0; i < 6; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  EXPECT_GT(answers, before) << "answers stopped after the repair";
+
+  // A proxy whose plan has no broadcast graph (one equality-disseminated
+  // graph) answers a fetch with nothing: a graphless push would only make
+  // the fetcher fetch again.
+  const char* eq_text =
+      "SELECT * FROM eq WHERE src = 'x' TIMEOUT 60s WINDOW 2s CONTINUOUS";
+  auto eq = net.client(1)->Query(Sql(eq_text).WithLeasePeriod(kLease));
+  ASSERT_TRUE(eq.ok()) << eq.status().ToString();
+  net.RunFor(2 * kSecond);
+  auto eq_plan = net.qp(1)->ProxyPlan(eq->id());
+  ASSERT_TRUE(eq_plan.ok()) << eq_plan.status().ToString();
+  ASSERT_EQ(eq_plan->graphs.size(), 1u);
+  ASSERT_EQ(eq_plan->graphs[0].dissem, DissemKind::kEquality);
+  uint32_t runner = 0;
+  while (runner < net.size() &&
+         !net.qp(runner)->executor()->HasQuery(eq->id()))
+    runner++;
+  ASSERT_LT(runner, net.size());
+  size_t pushes = 0;
+  net.dht(runner)->router()->RegisterDirectType(
+      QueryExecutor::kMsgPlanPush,
+      [&pushes](const NetAddress&, std::string_view) { pushes++; });
+  QueryPlan newer = *eq_plan;
+  newer.graphs.clear();
+  newer.generation++;
+  ASSERT_TRUE(net.qp(runner)->executor()->StartGraphs(newer, {}).ok());
+  net.RunFor(kSecond);
+  EXPECT_EQ(pushes, 0u);
+  EXPECT_TRUE(net.qp(runner)->executor()->HasQuery(eq->id()));
 }
 
 TEST(Failover, StaleProbeVerdictClearsTheProbeSoTheNextProxyIsProbed) {

@@ -418,8 +418,8 @@ class CatchUpRig {
       partial.Emit("agg", /*partial=*/true)[0].EncodeTo(&w);
       value = std::move(w).data();
     }
-    net_->dht(0)->objects()->Put(ObjectName{ns_, id, "s." + id},
-                                 std::move(value), 60 * kSecond);
+    net_->dht(0)->StoreLocal(ObjectName{ns_, id, "s." + id}, std::move(value),
+                             60 * kSecond);
   }
 
   void Submit(TimeUs catchup_floor_us) {

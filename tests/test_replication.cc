@@ -49,8 +49,8 @@ CopyCensus Census(SimOverlay* net, const std::string& ns,
   CopyCensus c;
   for (uint32_t i = 0; i < net->size(); ++i) {
     if (!net->harness()->IsAlive(i)) continue;
-    for (const auto* obj : net->dht(i)->objects()->Get(ns, key)) {
-      if (obj->is_replica())
+    for (const auto* row : net->dht(i)->objects()->Get(ns, key)) {
+      if (row->second.is_replica())
         c.replicas++;
       else
         c.primaries++;
@@ -72,8 +72,8 @@ TEST(Replication, PutPlacesKTaggedCopiesAtOwnerAndSuccessors) {
   ASSERT_GE(owner, 0);
   auto at_owner = net.dht(owner)->objects()->Get("rt", "k1");
   ASSERT_EQ(at_owner.size(), 1u);
-  EXPECT_EQ(at_owner[0]->replica_index, 0);
-  EXPECT_EQ(at_owner[0]->desired_replicas, 3);
+  EXPECT_EQ(at_owner[0]->second.replica_index, 0);
+  EXPECT_EQ(at_owner[0]->second.desired_replicas, 3);
 
   // The owner's first two successors hold replica copies tagged 1 and 2.
   auto succs =
@@ -82,9 +82,9 @@ TEST(Replication, PutPlacesKTaggedCopiesAtOwnerAndSuccessors) {
   for (size_t j = 0; j < succs.size(); ++j) {
     auto at_succ = net.dht(NodeOf(succs[j]))->objects()->Get("rt", "k1");
     ASSERT_EQ(at_succ.size(), 1u) << "successor " << j << " missing its copy";
-    EXPECT_EQ(at_succ[j == 0 ? 0 : 0]->replica_index, j + 1);
-    EXPECT_TRUE(at_succ[0]->is_replica());
-    EXPECT_EQ(at_succ[0]->desired_replicas, 3);
+    EXPECT_EQ(at_succ[j == 0 ? 0 : 0]->second.replica_index, j + 1);
+    EXPECT_TRUE(at_succ[0]->second.is_replica());
+    EXPECT_EQ(at_succ[0]->second.desired_replicas, 3);
   }
 
   EXPECT_EQ(net.dht(3)->stats().replica_puts, 2u);
@@ -185,7 +185,7 @@ TEST(Replication, OwnerDeathPromotesAReplicaAndGetStillAnswers) {
   ASSERT_NE(new_owner, owner);
   auto at_new = net.dht(new_owner)->objects()->Get("hd", "k");
   ASSERT_EQ(at_new.size(), 1u);
-  EXPECT_FALSE(at_new[0]->is_replica());
+  EXPECT_FALSE(at_new[0]->second.is_replica());
 
   // A read-any get from an uninvolved node still answers.
   uint32_t reader = 0;
@@ -259,7 +259,7 @@ TEST(Replication, ReplicaAnswersWhenOwnerCopyIsGoneAndRepairsIt) {
   // The owner copy is back — and primary again.
   auto repaired = net.dht(owner)->objects()->Get("rr", "k");
   ASSERT_EQ(repaired.size(), 1u) << "read repair never restored the owner";
-  EXPECT_FALSE(repaired[0]->is_replica());
+  EXPECT_FALSE(repaired[0]->second.is_replica());
 }
 
 TEST(Replication, ReadAnyGetOfAnAbsentKeyTriesEveryCandidateThenIsEmpty) {
@@ -338,26 +338,38 @@ TEST(Replication, ReplicaCopiesExpireOnTheOriginClock) {
   SimOverlay net(4, SeededOptions(31));
   ObjectManager* om = net.dht(0)->objects();
   Vri* vri = net.dht(0)->vri();
-  TimeUs now = vri->Now();
+  // A replica copy in a handoff push frame from node 1 to node 0.
+  auto ship = [&](const std::string& key, TimeUs remaining, TimeUs age) {
+    WireWriter w = Dht::FrameStore(/*replica_index=*/1,
+                                   Dht::StoreOrigin::kHandoffPush, 1);
+    Dht::EncodeStoreObject(&w, ObjectName{"ex", key, "s"}, remaining, age,
+                           /*desired_replicas=*/3, "v");
+    net.dht(1)->router()->SendFramed(net.dht(0)->local_address(),
+                                     std::move(w).data(), nullptr);
+  };
   // An object whose origin stored it 50s ago with 3s of life left: the
   // replica store keeps the origin's remaining lifetime and backdates
   // stored_at, instead of granting a fresh local lifetime.
-  om->Put(ObjectName{"ex", "k", "s"}, "v", /*remaining=*/3 * kSecond,
-          /*age=*/50 * kSecond, /*replica_index=*/1,
-          /*desired_replicas=*/3, /*client_write=*/false);
+  TimeUs sent = vri->Now();
+  ship("k", 3 * kSecond, 50 * kSecond);
+  net.RunFor(500 * kMillisecond);
   auto items = om->Get("ex", "k");
   ASSERT_EQ(items.size(), 1u);
-  EXPECT_EQ(items[0]->stored_at, now - 50 * kSecond);
-  EXPECT_EQ(items[0]->expires_at, now + 3 * kSecond);
+  const ObjectManager::Object& copy = items[0]->second;
+  EXPECT_EQ(copy.expires_at - copy.stored_at, 53 * kSecond);
+  EXPECT_GT(copy.expires_at, sent + 3 * kSecond) << "stored on arrival";
+  EXPECT_LE(copy.expires_at, vri->Now() + 3 * kSecond);
 
   net.RunFor(4 * kSecond);
   EXPECT_TRUE(om->Get("ex", "k").empty())
       << "the replica outlived its origin lifetime";
+  net.RunFor(ObjectManager::kGcPeriod);
+  EXPECT_EQ(om->NamespaceObjects("ex"), 0u) << "the sweep dropped it";
 
   // An already-expired origin copy is never stored.
-  om->Put(ObjectName{"ex", "k2", "s"}, "v", /*remaining=*/0,
-          /*age=*/10 * kSecond, 1, 3, /*client_write=*/false);
-  EXPECT_TRUE(om->Get("ex", "k2").empty());
+  ship("k2", 0, 10 * kSecond);
+  net.RunFor(500 * kMillisecond);
+  EXPECT_EQ(om->NamespaceObjects("ex"), 0u);
 }
 
 // ---------------------------------------------------------------------------
