@@ -1,22 +1,27 @@
-// Experiment E10 — §3.3.3 query dissemination: distribution-tree shape and
-// broadcast cost.
+// Experiment E10 — §3.3.3 query dissemination: broadcast reach, cover time
+// and cost.
 //
-// The tree is built by routing JOIN messages toward a well-known root; its
-// shape is inherited from the DHT's routing algorithm (footnote 6: Chord
-// yields roughly binomial trees). For each protocol and N we report reach
-// (nodes covered), time to full coverage, message count, and the fanout
-// distribution (root fanout, max fanout, interior-node share).
+// A broadcast splits the ring along each node's routing contacts, with no
+// root and no JOIN maintenance (src/overlay/README.md, "Broadcast"), so its
+// shape is inherited from the DHT's routing state. For each protocol and N we
+// report reach (nodes covered), time to full coverage, broadcast frames, and
+// the shape of who forwarded to whom: the largest fan-out and the share of
+// nodes that forwarded at all.
+//
+// Self-checking: exits 1 unless every node is reached, no node's handler
+// runs twice, and the broadcast takes exactly N-1 frames.
+// PIER_BENCH_SMOKE=1 runs only N=64.
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "bench/bench_common.h"
-#include "overlay/distribution_tree.h"
 #include "overlay/sim_overlay.h"
 
 namespace pier {
 namespace {
 
-void Measure(uint32_t n, ProtocolKind kind, const char* name) {
+bool Measure(uint32_t n, ProtocolKind kind, const char* name) {
   SimOverlay::Options opts;
   opts.sim.seed = 13;
   opts.dht.router.protocol = kind;
@@ -24,65 +29,73 @@ void Measure(uint32_t n, ProtocolKind kind, const char* name) {
   opts.settle_time = 1 * kSecond;
   SimOverlay net(n, opts);
 
-  std::vector<std::unique_ptr<DistributionTree>> trees;
   std::vector<TimeUs> arrival(n, -1);
+  std::vector<int> runs(n, 0);
   for (uint32_t i = 0; i < n; ++i) {
-    auto tree = std::make_unique<DistributionTree>(net.dht(i));
-    tree->set_broadcast_handler([&, i](std::string_view) {
-      if (arrival[i] < 0) arrival[i] = net.loop()->now();
+    net.dht(i)->router()->set_broadcast_handler([&, i](std::string_view) {
+      if (runs[i]++ == 0) arrival[i] = net.loop()->now();
     });
-    trees.push_back(std::move(tree));
   }
-  net.RunFor(10 * kSecond);  // tree formation (periodic joins)
 
-  net.harness()->ResetStats();
   TimeUs start = net.loop()->now();
-  trees[0]->Broadcast("opgraph");
+  net.dht(0)->router()->Broadcast("opgraph");
   net.RunFor(15 * kSecond);
 
-  uint32_t reached = 0;
+  uint32_t reached = 0, twice = 0;
   TimeUs last = 0;
+  uint64_t frames = 0, max_fanout = 0;
+  size_t interior = 0;
   for (uint32_t i = 0; i < n; ++i) {
     if (arrival[i] >= 0) {
       reached++;
       last = std::max(last, arrival[i] - start);
     }
-  }
-  size_t interior = 0, max_fanout = 0;
-  for (auto& t : trees) {
-    interior += t->num_children() > 0;
-    max_fanout = std::max(max_fanout, t->num_children());
+    twice += runs[i] > 1;
+    uint64_t fanout = net.dht(i)->router()->stats().broadcast_frames;
+    frames += fanout;
+    interior += fanout > 0;
+    max_fanout = std::max(max_fanout, fanout);
   }
 
   std::vector<int> w = {8, 8, 10, 14, 14, 10, 12};
   bench::Row({name, std::to_string(n),
               std::to_string(reached) + "/" + std::to_string(n),
-              bench::Ms(last) + "ms", std::to_string(net.harness()->total_msgs()),
+              bench::Ms(last) + "ms", std::to_string(frames),
               std::to_string(max_fanout),
               bench::Fmt(100.0 * interior / n, 0) + "%"},
              w);
+  bool ok = reached == n && twice == 0 && frames == n - 1;
+  if (!ok) {
+    std::fprintf(stderr,
+                 "FAIL %s N=%u: reached %u, %u handlers ran twice, %llu "
+                 "frames (want N-1)\n",
+                 name, n, reached, twice,
+                 static_cast<unsigned long long>(frames));
+  }
+  return ok;
 }
 
-void Run() {
-  bench::Title("E10: distribution trees — reach, latency, shape per protocol");
+int Run() {
+  bench::Title("E10: broadcast over the routing state — reach, latency, shape");
   std::vector<int> w = {8, 8, 10, 14, 14, 10, 12};
-  bench::Row({"proto", "N", "reach", "cover time", "bcast msgs", "max fan",
+  bench::Row({"proto", "N", "reach", "cover time", "bcast frames", "max fan",
               "interior%"},
              w);
-  for (uint32_t n : {64u, 256u, 512u}) {
-    Measure(n, ProtocolKind::kChord, "chord");
-    Measure(n, ProtocolKind::kPrefix, "prefix");
+  std::vector<uint32_t> sizes = {64u, 256u, 512u};
+  if (std::getenv("PIER_BENCH_SMOKE") != nullptr) sizes = {64u};
+  bool ok = true;
+  for (uint32_t n : sizes) {
+    ok &= Measure(n, ProtocolKind::kChord, "chord");
+    ok &= Measure(n, ProtocolKind::kPrefix, "prefix");
   }
   bench::Note(
-      "expected shape: full reach; cover time grows slowly with N (tree "
-      "depth); Chord trees are taller/narrower (binomial-ish), prefix trees "
-      "bushier (higher max fanout, fewer interior nodes).");
+      "expected shape: full reach in exactly N-1 frames; cover time grows "
+      "with log N (each hop halves the interval left); the originator has "
+      "the largest fan-out, about its distinct contacts.");
+  return ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
-  pier::Run();
-  return 0;
-}
+int main() { return pier::Run(); }

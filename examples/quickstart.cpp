@@ -17,8 +17,8 @@ using namespace pier;
 int main() {
   // 1. A 20-node PIER network: each node runs a DHT (Chord by default) and a
   //    query processor. seed_routing=true installs converged routing state so
-  //    the example starts instantly; settle_time lets the query-dissemination
-  //    tree form.
+  //    the example starts instantly; settle_time lets ring maintenance
+  //    settle.
   SimPier::Options options;
   options.sim.seed = 42;
   options.settle_time = 8 * kSecond;

@@ -8,6 +8,20 @@
 
 namespace pier {
 
+namespace {
+
+/// Routed namespace of a dead contact's broadcast interval, re-covered by
+/// the owner of the id just past the contact.
+constexpr char kRecoverNs[] = "\x01" "bcast";
+
+/// True if x lies in the open clockwise interval (lo, limit); limit == lo
+/// means the whole ring but lo.
+bool InCover(Id lo, Id limit, Id x) {
+  return RingDistance(lo, x) - 1 < RingDistance(lo, limit) - 1;
+}
+
+}  // namespace
+
 OverlayRouter::OverlayRouter(Vri* vri, Options options)
     : vri_(vri), options_(options) {
   local_address_ = vri_->LocalAddress();
@@ -23,6 +37,16 @@ OverlayRouter::OverlayRouter(Vri* vri, Options options)
   transport_->set_failure_handler(
       [this](const NetAddress& peer) { EvictPeer(peer); });
   protocol_ = MakeRoutingProtocol(options_.protocol, this);
+  RegisterDirectType(kMsgBroadcast,
+                     [this](const NetAddress&, std::string_view body) {
+                       HandleBroadcast(body, local_id_);
+                     });
+  // Each hop of a re-cover drops the dead contact before it picks its next
+  // hop, so the route does not run into that contact again.
+  RegisterUpcall(kRecoverNs, [this](const RouteInfo&, std::string* payload) {
+    DropDeadContact(*payload);
+    return UpcallAction::kContinue;
+  });
 }
 
 OverlayRouter::~OverlayRouter() {
@@ -30,6 +54,7 @@ OverlayRouter::~OverlayRouter() {
   // counterparts would have (those would already be in flight by now);
   // dropping them here would also drop their delivery callbacks unfired.
   FlushCoalesced();
+  vri_->CancelEvent(local_copy_timer_);
 }
 
 void OverlayRouter::Join(const NetAddress& bootstrap) { protocol_->Start(bootstrap); }
@@ -202,6 +227,10 @@ void OverlayRouter::Deliver(const RouteInfo& info, std::string_view payload) {
     if (!payload.empty() && static_cast<uint8_t>(payload[0]) == kMsgLookupReq) {
       HandleLookupReq(info.target, payload.substr(1));
     }
+    return;
+  }
+  if (info.ns == kRecoverNs) {
+    HandleBroadcast(DropDeadContact(payload), info.target - 1);
     return;
   }
   if (delivery_handler_) delivery_handler_(info, payload);
@@ -397,6 +426,100 @@ void OverlayRouter::HandleLookupResp(std::string_view body) {
   pending_lookups_.erase(it);
   stats_.lookups_ok++;
   cb(std::move(owner));
+}
+
+// ---------------------------------------------------------------------------
+// Broadcast
+// ---------------------------------------------------------------------------
+
+void OverlayRouter::Broadcast(std::string payload) {
+  uint64_t bcast_id = HashCombine(local_id_, next_bcast_salt_++);
+  FirstBroadcastCopy(bcast_id);
+  CoverInterval(bcast_id, payload, local_id_, local_id_);
+  local_copies_.push_back(std::move(payload));
+  if (local_copy_timer_ != 0) return;
+  local_copy_timer_ = vri_->ScheduleEvent(0, [this]() {
+    local_copy_timer_ = 0;
+    std::vector<std::string> copies;
+    copies.swap(local_copies_);
+    for (const std::string& p : copies)
+      if (broadcast_handler_) broadcast_handler_(p);
+  });
+}
+
+bool OverlayRouter::FirstBroadcastCopy(uint64_t bcast_id) {
+  if (!seen_bcasts_.insert(bcast_id).second) return false;
+  seen_order_.push_back(bcast_id);
+  if (seen_order_.size() > kBroadcastDedupWindow) {
+    seen_bcasts_.erase(seen_order_.front());
+    seen_order_.pop_front();
+  }
+  return true;
+}
+
+void OverlayRouter::HandleBroadcast(std::string_view body, Id lo) {
+  WireReader r(body);
+  uint64_t bcast_id;
+  Id limit;
+  if (!r.GetU64(&bcast_id).ok() || !r.GetU64(&limit).ok()) return;
+  std::string_view payload = body.substr(body.size() - r.remaining());
+  // A re-cover may reach a node before the interval (prefix routing's
+  // owner is the numerically closest node): it only forwards.
+  if (lo == local_id_ || InCover(lo, limit, local_id_)) {
+    if (!FirstBroadcastCopy(bcast_id)) {
+      stats_.broadcast_dups++;
+      return;
+    }
+    if (broadcast_handler_) broadcast_handler_(payload);
+    lo = local_id_;
+  }
+  CoverInterval(bcast_id, payload, lo, limit);
+}
+
+void OverlayRouter::CoverInterval(uint64_t bcast_id, std::string_view payload,
+                                  Id lo, Id limit) {
+  std::vector<RingPeer> targets = protocol_->Contacts();
+  targets.erase(std::remove_if(targets.begin(), targets.end(),
+                               [&](const RingPeer& p) {
+                                 return !InCover(lo, limit, p.id);
+                               }),
+                targets.end());
+  if (targets.empty()) return;
+  std::sort(targets.begin(), targets.end(),
+            [lo](const RingPeer& a, const RingPeer& b) {
+              return RingDistance(lo, a.id) < RingDistance(lo, b.id);
+            });
+  auto shared = std::make_shared<const std::string>(payload);
+  auto encode = [bcast_id, shared](WireWriter w, Id next) {
+    w.PutU64(bcast_id);
+    w.PutU64(next);
+    w.PutRaw(*shared);
+    return std::move(w).data();
+  };
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const RingPeer to = targets[i];
+    const Id next = i + 1 < targets.size() ? targets[i + 1].id : limit;
+    stats_.broadcast_frames++;
+    TransportSend(to.addr, encode(FrameMessage(kMsgBroadcast), next),
+                  [this, to, next, encode](const Status& s) {
+                    if (s.ok()) return;
+                    // The contact is gone, and this node may not know who
+                    // follows it: the owner of the id just past it does.
+                    protocol_->OnPeerUnreachable(to.addr);
+                    WireWriter dead;
+                    dead.PutU32(to.addr.host);
+                    dead.PutU16(to.addr.port);
+                    Route(kRecoverNs, to.id + 1, encode(std::move(dead), next));
+                  });
+  }
+}
+
+std::string_view OverlayRouter::DropDeadContact(std::string_view recover) {
+  WireReader r(recover);
+  NetAddress dead;
+  if (!r.GetU32(&dead.host).ok() || !r.GetU16(&dead.port).ok()) return {};
+  if (dead != local_address_) protocol_->OnPeerUnreachable(dead);
+  return recover.substr(recover.size() - r.remaining());
 }
 
 // ---------------------------------------------------------------------------

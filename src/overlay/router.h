@@ -11,16 +11,21 @@
 //     the requester keeps in a bounded owner cache; a warm lookup is answered
 //     from that cache, so the DHT's put/get becomes one direct message
 //     instead of the two phases of Figure 6 (see README.md, "Owner cache");
+//   * Broadcast(): deliver a payload to every node once, each node covering
+//     a ring interval split along its own routing contacts (see README.md,
+//     "Broadcast");
 //   * a direct-message extension point used by the object-storage layer.
 
 #ifndef PIER_OVERLAY_ROUTER_H_
 #define PIER_OVERLAY_ROUTER_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "overlay/object_id.h"
 #include "overlay/routing_protocol.h"
@@ -137,6 +142,25 @@ class OverlayRouter : public ProtocolHost {
   /// current range. Returns true if a hint was sent.
   bool HintIfNotOwner(const NetAddress& from, Id target);
 
+  // --- Broadcast -------------------------------------------------------------
+
+  /// Direct message type of broadcast fan-out: `bcast_id u64, limit u64,
+  /// payload` (tabled in README.md).
+  static constexpr uint8_t kMsgBroadcast = 215;
+  /// Broadcast ids a node remembers, to drop a second copy.
+  static constexpr size_t kBroadcastDedupWindow = 1024;
+
+  /// Invoked once per broadcast payload on every node. The originator's own
+  /// copy runs from a zero-delay event, never inside Broadcast().
+  using BroadcastHandler = std::function<void(std::string_view payload)>;
+  void set_broadcast_handler(BroadcastHandler handler) {
+    broadcast_handler_ = std::move(handler);
+  }
+
+  /// Deliver `payload` to every node in the overlay, with no root: this node
+  /// covers the whole ring from its contacts.
+  void Broadcast(std::string payload);
+
   // --- Direct typed messages (object-layer extension point) -----------------
 
   using DirectHandler =
@@ -185,6 +209,8 @@ class OverlayRouter : public ProtocolHost {
     uint64_t route_dead_ends = 0;
     uint64_t coalesced_msgs = 0;  // messages that rode a multi-message bundle
     uint64_t bundles_sent = 0;    // bundle frames actually transmitted
+    uint64_t broadcast_frames = 0;  // broadcast frames this node sent
+    uint64_t broadcast_dups = 0;    // broadcast copies dropped as seen
   };
   const Stats& stats() const { return stats_; }
   UdpCc* transport() { return transport_.get(); }
@@ -220,6 +246,17 @@ class OverlayRouter : public ProtocolHost {
   void TransportSend(const NetAddress& to, std::string wire,
                      std::function<void(const Status&)> on_delivery);
   void FlushCoalesceBuffer(const NetAddress& to);
+  /// A broadcast frame (or a routed re-cover) naming `limit` arrived.
+  void HandleBroadcast(std::string_view body, Id lo);
+  /// Send the broadcast to each contact in the ring interval (lo, limit),
+  /// each to cover up to the next contact's id (the last up to `limit`).
+  void CoverInterval(uint64_t bcast_id, std::string_view payload, Id lo,
+                     Id limit);
+  /// A re-cover's routed body starts with the dead contact's address: drop
+  /// that contact here, and return the broadcast body after it.
+  std::string_view DropDeadContact(std::string_view recover);
+  /// Records `bcast_id`; false if it was already seen.
+  bool FirstBroadcastCopy(uint64_t bcast_id);
 
   Vri* vri_;
   Options options_;
@@ -264,6 +301,14 @@ class OverlayRouter : public ProtocolHost {
   std::map<NetAddress, CoalesceBuffer> coalesce_;
   /// Re-entrancy depth of HandleBundle (bundles never legitimately nest).
   int bundle_depth_ = 0;
+
+  BroadcastHandler broadcast_handler_;
+  std::unordered_set<uint64_t> seen_bcasts_;
+  std::deque<uint64_t> seen_order_;  // oldest first, for the dedup window
+  uint64_t next_bcast_salt_ = 1;
+  /// The originator's own copies, waiting for the zero-delay event.
+  std::vector<std::string> local_copies_;
+  uint64_t local_copy_timer_ = 0;
 
   Stats stats_;
 };

@@ -12,19 +12,6 @@ namespace pier {
 
 namespace {
 
-void PutPeer(WireWriter* w, const ChordProtocol::Peer& p) {
-  w->PutU64(p.id);
-  w->PutU32(p.addr.host);
-  w->PutU16(p.addr.port);
-}
-
-Status GetPeer(WireReader* r, ChordProtocol::Peer* p) {
-  PIER_RETURN_IF_ERROR(r->GetU64(&p->id));
-  PIER_RETURN_IF_ERROR(r->GetU32(&p->addr.host));
-  PIER_RETURN_IF_ERROR(r->GetU16(&p->addr.port));
-  return Status::Ok();
-}
-
 /// Never 0, which a GetNbrs request sends when it holds no reply.
 uint64_t NbrsDigest(std::string_view body) { return Fnv1a64(body) | 1; }
 
@@ -235,6 +222,14 @@ void ChordProtocol::ObserveContact(Id id, const NetAddress& addr) {
     }
   }
   if (succs_.empty()) AdoptSuccessor(p);
+}
+
+std::vector<RingPeer> ChordProtocol::Contacts() const {
+  std::vector<RingPeer> out;
+  for (const Peer& s : succs_) AddContact(s, host_->local_address(), &out);
+  for (const Peer& f : fingers_) AddContact(f, host_->local_address(), &out);
+  AddContact(pred_, host_->local_address(), &out);
+  return out;
 }
 
 std::vector<NetAddress> ChordProtocol::SuccessorSet(size_t n) const {

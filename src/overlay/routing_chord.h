@@ -22,8 +22,9 @@
 //     kFingerBackoffCap x fix_finger_period, and snaps back to
 //     fix_finger_period on any local ring change.
 //
-// Distribution trees built over Chord routing are (roughly) binomial — the
-// shape claim of the paper's footnote 6, reproduced by bench_dissemination.
+// A broadcast split along Chord's fingers forms a (roughly) binomial tree —
+// the shape claim of the paper's footnote 6, reproduced by
+// bench_dissemination.
 
 #ifndef PIER_OVERLAY_ROUTING_CHORD_H_
 #define PIER_OVERLAY_ROUTING_CHORD_H_
@@ -43,11 +44,7 @@ namespace pier {
 
 class ChordProtocol : public RoutingProtocol {
  public:
-  struct Peer {
-    Id id = 0;
-    NetAddress addr;
-    bool valid() const { return !addr.IsNull(); }
-  };
+  using Peer = RingPeer;
 
   struct Options {
     TimeUs stabilize_period = 500 * kMillisecond;
@@ -74,6 +71,7 @@ class ChordProtocol : public RoutingProtocol {
                              std::string_view payload) override;
   void OnPeerUnreachable(const NetAddress& peer) override;
   void ObserveContact(Id id, const NetAddress& addr) override;
+  std::vector<RingPeer> Contacts() const override;
   std::vector<NetAddress> SuccessorSet(size_t n) const override;
   int MaxReplicationFactor() const override { return kSuccessorListLen; }
   bool PredecessorId(Id* out) const override {

@@ -9,23 +9,6 @@
 
 namespace pier {
 
-namespace {
-
-void PutPeer(WireWriter* w, const PrefixProtocol::Peer& p) {
-  w->PutU64(p.id);
-  w->PutU32(p.addr.host);
-  w->PutU16(p.addr.port);
-}
-
-Status GetPeer(WireReader* r, PrefixProtocol::Peer* p) {
-  PIER_RETURN_IF_ERROR(r->GetU64(&p->id));
-  PIER_RETURN_IF_ERROR(r->GetU32(&p->addr.host));
-  PIER_RETURN_IF_ERROR(r->GetU16(&p->addr.port));
-  return Status::Ok();
-}
-
-}  // namespace
-
 PrefixProtocol::~PrefixProtocol() {
   host_->vri()->CancelEvent(gossip_timer_);
   host_->vri()->CancelEvent(join_timer_);
@@ -251,6 +234,15 @@ void PrefixProtocol::ObserveContact(Id id, const NetAddress& addr) {
     Peer& cell = table_[row][NibbleAt(id, row)];
     if (!cell.valid()) cell = p;
   }
+}
+
+std::vector<RingPeer> PrefixProtocol::Contacts() const {
+  std::vector<RingPeer> out;
+  for (const Peer& p : leaves_cw_) AddContact(p, host_->local_address(), &out);
+  for (const Peer& p : leaves_ccw_) AddContact(p, host_->local_address(), &out);
+  for (const auto& row : table_)
+    for (const Peer& p : row) AddContact(p, host_->local_address(), &out);
+  return out;
 }
 
 void PrefixProtocol::RemoveEverywhere(const NetAddress& addr) {

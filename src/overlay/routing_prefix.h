@@ -25,11 +25,7 @@ namespace pier {
 
 class PrefixProtocol : public RoutingProtocol {
  public:
-  struct Peer {
-    Id id = 0;
-    NetAddress addr;
-    bool valid() const { return !addr.IsNull(); }
-  };
+  using Peer = RingPeer;
 
   static constexpr int kLeafPerSide = 4;
   static constexpr TimeUs kGossipPeriod = 750 * kMillisecond;
@@ -49,6 +45,7 @@ class PrefixProtocol : public RoutingProtocol {
                              std::string_view payload) override;
   void OnPeerUnreachable(const NetAddress& peer) override;
   void ObserveContact(Id id, const NetAddress& addr) override;
+  std::vector<RingPeer> Contacts() const override;
   std::string name() const override { return "prefix"; }
 
   /// Warm start from global knowledge (see ChordProtocol::SeedRoutingState).

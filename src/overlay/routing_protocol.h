@@ -17,8 +17,38 @@
 
 #include "overlay/object_id.h"
 #include "runtime/vri.h"
+#include "util/wire.h"
 
 namespace pier {
+
+/// A node on the identifier ring.
+struct RingPeer {
+  Id id = 0;
+  NetAddress addr;
+  bool valid() const { return !addr.IsNull(); }
+};
+
+/// A peer on the wire: `id u64, host u32, port u16`.
+inline void PutPeer(WireWriter* w, const RingPeer& p) {
+  w->PutU64(p.id);
+  w->PutU32(p.addr.host);
+  w->PutU16(p.addr.port);
+}
+
+inline Status GetPeer(WireReader* r, RingPeer* p) {
+  PIER_RETURN_IF_ERROR(r->GetU64(&p->id));
+  PIER_RETURN_IF_ERROR(r->GetU32(&p->addr.host));
+  return r->GetU16(&p->addr.port);
+}
+
+/// Appends `p` to `out` unless it is empty, `self`, or already listed.
+inline void AddContact(const RingPeer& p, const NetAddress& self,
+                       std::vector<RingPeer>* out) {
+  if (!p.valid() || p.addr == self) return;
+  for (const RingPeer& q : *out)
+    if (q.addr == p.addr) return;
+  out->push_back(p);
+}
 
 /// Services the router exposes to its protocol.
 class ProtocolHost {
@@ -65,6 +95,11 @@ class RoutingProtocol {
   /// Opportunistic learning: the router observed live traffic from a peer
   /// with the given id (Bamboo-style lazy table fill).
   virtual void ObserveContact(Id id, const NetAddress& addr) = 0;
+
+  /// Every distinct live peer in the routing state, never the local node.
+  /// The one invariant the router's broadcast relies on: the list holds the
+  /// node's clockwise ring neighbour.
+  virtual std::vector<RingPeer> Contacts() const = 0;
 
   /// The first `n` nodes that would inherit this node's range if it left —
   /// the replica targets of k-way successor-set replication. Ordered by ring

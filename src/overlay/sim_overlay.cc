@@ -49,27 +49,21 @@ void SimOverlay::SeedAll() {
 void SeedRouting(SimHarness* harness,
                  const std::function<Dht*(uint32_t)>& dht_at) {
   // Build the sorted live ring.
-  std::vector<ChordProtocol::Peer> ring;
+  std::vector<RingPeer> ring;
   for (uint32_t i = 0; i < harness->num_nodes(); ++i) {
     if (!harness->IsAlive(i)) continue;
     Dht* d = dht_at(i);
-    ring.push_back(ChordProtocol::Peer{d->local_id(), d->local_address()});
+    ring.push_back(RingPeer{d->local_id(), d->local_address()});
   }
   std::sort(ring.begin(), ring.end(),
-            [](const ChordProtocol::Peer& a, const ChordProtocol::Peer& b) {
-              return a.id < b.id;
-            });
+            [](const RingPeer& a, const RingPeer& b) { return a.id < b.id; });
   for (uint32_t i = 0; i < harness->num_nodes(); ++i) {
     if (!harness->IsAlive(i)) continue;
     RoutingProtocol* proto = dht_at(i)->router()->protocol();
     if (auto* chord = dynamic_cast<ChordProtocol*>(proto)) {
       chord->SeedRoutingState(ring);
     } else if (auto* prefix = dynamic_cast<PrefixProtocol*>(proto)) {
-      std::vector<PrefixProtocol::Peer> pring;
-      pring.reserve(ring.size());
-      for (const auto& p : ring)
-        pring.push_back(PrefixProtocol::Peer{p.id, p.addr});
-      prefix->SeedRoutingState(pring);
+      prefix->SeedRoutingState(ring);
     }
   }
 }

@@ -26,7 +26,7 @@ class SimOverlay {
     /// true: install correct routing state instantly after boot.
     /// false: nodes join through node 0 and converge via maintenance.
     bool seed_routing = true;
-    /// Virtual time to run after boot (join traffic, tree formation).
+    /// Virtual time to run after boot (join traffic, ring maintenance).
     TimeUs settle_time = 5 * kSecond;
   };
 

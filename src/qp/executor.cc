@@ -150,7 +150,7 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     ArmQueryTimers(&rq);
   } else if (meta.generation > rq.generation && graphs.empty()) {
     // A metadata-only refresh from a generation this node never received:
-    // the swap broadcast was lost (the tree is what churn breaks first).
+    // the swap broadcast was lost (broadcast is what churn breaks first).
     // Keep the stale generation's instances running — their answers are
     // still correct, just produced by the superseded physical plan — renew
     // the (live, clearly newer) proxy's lease, and fetch the missed plan
@@ -328,7 +328,7 @@ void QueryExecutor::LeaseTick(uint64_t query_id) {
 }
 
 void QueryExecutor::StartProbe(RunningQuery* rq) {
-  // The lease travels over the distribution tree, which is exactly what
+  // The lease travels over the broadcast, which is exactly what
   // churn breaks first — so corroborate point-to-point before declaring
   // death. A local timeout at lease/2 keeps a slow transport give-up from
   // stretching detection. Both are armed before the send: a transport that

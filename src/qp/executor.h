@@ -173,7 +173,7 @@ class QueryExecutor {
   // reason recorded in stats().
   //
   // An expired lease alone is weak evidence — the refresh channel (the
-  // distribution tree) is itself broken right after churn — so before acting
+  // broadcast) is itself broken right after churn — so before acting
   // the executor probes the proxy point-to-point (kMsgLeaseProbe). The
   // verdict: the node is gone (transport give-up or no response within
   // lease/2), it answers and owns the query, or it answers but does NOT own

@@ -91,7 +91,7 @@ struct GraphEdge {
 
 /// How an opgraph is disseminated (§3.3.3).
 enum class DissemKind : uint8_t {
-  kBroadcast = 0,  // true-predicate index: the distribution tree
+  kBroadcast = 0,  // true-predicate index: broadcast to every node
   kEquality = 1,   // equality-predicate index: route to the partition owner
   kLocal = 2,      // run only at the proxy (final collection graphs)
   kRange = 3,      // range-predicate index: PHT leaves covering [lo, hi]
@@ -180,8 +180,8 @@ struct QueryPlan {
   /// (first dissemination: catch-up reads everything, as §3.3.4 requires).
   TimeUs catchup_floor_us = 0;
   /// Proxy lease period for continuous queries. The proxy re-broadcasts a
-  /// metadata-only refresh every lease_period/3 through the distribution
-  /// tree (the existing soft-state refresh idiom); an executor that has not
+  /// metadata-only refresh every lease_period/3 by broadcast (the
+  /// existing soft-state refresh idiom); an executor that has not
   /// heard one for a full period presumes the proxy dead and starts the
   /// successor walk above. 0 = the executor's default (10s).
   TimeUs lease_period_us = 0;

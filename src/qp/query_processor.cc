@@ -8,7 +8,6 @@
 namespace pier {
 
 QueryProcessor::QueryProcessor(Vri* vri, Dht* dht) : vri_(vri), dht_(dht) {
-  tree_ = std::make_unique<DistributionTree>(dht_);
   executor_ = std::make_unique<QueryExecutor>(vri_, dht_, this);
   OverlayRouter* router = dht_->router();
 
@@ -63,8 +62,8 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht) : vri_(vri), dht_(dht) {
         HandleDisseminationBlob(body);
       });
 
-  // Broadcast dissemination arrives through the distribution tree.
-  tree_->set_broadcast_handler([this](std::string_view payload) {
+  // Broadcast dissemination arrives through the router's broadcast.
+  router->set_broadcast_handler([this](std::string_view payload) {
     HandleDisseminationBlob(payload);
   });
 
@@ -98,6 +97,7 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht) : vri_(vri), dht_(dht) {
 
 QueryProcessor::~QueryProcessor() {
   if (dissem_sub_) dht_->CancelNewData(dissem_sub_);
+  dht_->router()->set_broadcast_handler(nullptr);
   for (auto& [qid, c] : clients_) Release(&c);
 }
 
@@ -256,7 +256,7 @@ Status QueryProcessor::RewindowQuery(uint64_t query_id, TimeUs window) {
   if (!local.ok()) {
     PIER_LOG(kWarn) << "local rewindow rejected: " << local.ToString();
   }
-  tree_->Broadcast(meta.Encode());
+  dht_->router()->Broadcast(meta.Encode());
   return Status::Ok();
 }
 
@@ -323,11 +323,11 @@ void QueryProcessor::RefreshTick(uint64_t query_id) {
   ClientQuery& c = it->second;
   // Metadata-only re-broadcast: executors running the query renew the
   // proxy's lease (and pick up the current window/epoch); everyone else
-  // ignores it. The local executor hears it through the tree like any
+  // ignores it. The local executor hears it through the broadcast like any
   // other node.
   QueryPlan meta = c.plan;
   meta.graphs.clear();
-  tree_->Broadcast(meta.Encode());
+  dht_->router()->Broadcast(meta.Encode());
   c.lease_timer =
       vri_->ScheduleEvent(QueryExecutor::EffectiveLease(c.plan) / 3,
                           [this, query_id]() { RefreshTick(query_id); });
@@ -399,7 +399,7 @@ void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
   // and from now on this node refreshes the lease.
   QueryPlan announce = clients_[qid].plan;
   announce.graphs.clear();
-  tree_->Broadcast(announce.Encode());
+  dht_->router()->Broadcast(announce.Encode());
   StartLeaseRefresh(qid);
 }
 
@@ -486,7 +486,7 @@ void QueryProcessor::CancelQuery(uint64_t query_id) {
       tomb.graphs.clear();
       tomb.generation++;
       tomb.cancelled = true;
-      tree_->Broadcast(tomb.Encode());
+      dht_->router()->Broadcast(tomb.Encode());
       // And a DURABLE tombstone in the DHT: a successor that missed the
       // broadcast adopts through lease starvation, checks this, and
       // un-adopts. Lifetime = the query's remaining life (after that the
@@ -532,7 +532,7 @@ void QueryProcessor::Disseminate(const QueryPlan& plan) {
         break;
     }
   }
-  if (!broadcast.graphs.empty()) tree_->Broadcast(broadcast.Encode());
+  if (!broadcast.graphs.empty()) dht_->router()->Broadcast(broadcast.Encode());
   if (!local.empty()) {
     QueryPlan meta = plan;
     meta.graphs.clear();

@@ -3,7 +3,7 @@
 //
 // A client submits a plan at any node; that node becomes the query's proxy.
 // The proxy disseminates each opgraph to the nodes that need it — everyone
-// via the distribution tree (true-predicate index), one partition owner via
+// via the router's broadcast (true-predicate index), one partition owner via
 // DHT routing (equality-predicate index), PHT leaves for ranges, or just the
 // proxy itself for final collection graphs. Executing nodes forward answer
 // tuples back to the proxy, which delivers them to the client. Everything is
@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "overlay/dht.h"
-#include "overlay/distribution_tree.h"
 #include "overlay/pht.h"
 #include "qp/executor.h"
 #include "qp/opgraph.h"
@@ -219,7 +218,6 @@ class QueryProcessor {
   QueryExecutor* executor() { return executor_.get(); }
   Dht* dht() { return dht_; }
   Vri* vri() { return vri_; }
-  DistributionTree* tree() { return tree_.get(); }
 
   // --- Per-query cost accounting (PR 7) ----------------------------------------
   // Every operator meters tuples/messages/bytes into its query's ledger
@@ -358,7 +356,6 @@ class QueryProcessor {
 
   Vri* vri_;
   Dht* dht_;
-  std::unique_ptr<DistributionTree> tree_;
   std::unique_ptr<QueryExecutor> executor_;
   /// Persistent PHT handles per (table, key_bits): Pht::Insert is
   /// asynchronous, so the instance must outlive the operation (and a stable

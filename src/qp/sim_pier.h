@@ -2,8 +2,8 @@
 //
 // The query-processing analogue of SimOverlay: boots `n` virtual nodes, each
 // running a Dht and a QueryProcessor, seeds routing (or lets nodes join
-// live), and runs the distribution tree long enough for dissemination to
-// work. Tests, benches and examples publish and query through the client
+// live), and runs ring maintenance long enough for the overlay to settle.
+// Tests, benches and examples publish and query through the client
 // façade at any node via client(i) — every node's PierClient shares one
 // application catalog (catalog()) and drives the harness's virtual clock for
 // blocking waits. qp(i)/dht(i) stay available for operator-level poking.
@@ -29,8 +29,8 @@ class SimPier {
     SimOptions sim;
     Dht::Options dht;
     bool seed_routing = true;
-    /// Virtual time to run after boot: join traffic + distribution-tree
-    /// formation (the tree needs a few join refresh periods).
+    /// Virtual time to run after boot: join traffic, ring maintenance and
+    /// the fix-finger loop's backoff settle within it.
     TimeUs settle_time = 8 * kSecond;
     /// When nonzero, every node serves its Prometheus-text scrape endpoint
     /// on this (per-node) TCP port; metrics_address(i) names it. The

@@ -165,12 +165,6 @@ struct RecordingHost : ProtocolHost {
   NetAddress local_address() const override { return addr; }
 };
 
-void PutPeer(WireWriter* w, const ChordProtocol::Peer& p) {
-  w->PutU64(p.id);
-  w->PutU32(p.addr.host);
-  w->PutU16(p.addr.port);
-}
-
 std::string ChordFrame(Id sender, uint8_t subtype, uint64_t nonce,
                        std::string_view body) {
   WireWriter w;

@@ -323,10 +323,10 @@ TEST(Failover, AMissedSwapIsFetchedFromTheProxy) {
     net.RunFor(kSecond);
   }
 
-  // Node kMissed drops every tree broadcast from now on: it misses the swap.
+  // Node kMissed drops every broadcast frame from now on: it misses the swap.
   constexpr uint32_t kMissed = 5;
   net.dht(kMissed)->router()->RegisterDirectType(
-      DistributionTree::kMsgBroadcast,
+      OverlayRouter::kMsgBroadcast,
       [](const NetAddress&, std::string_view) {});
   auto hier = net.client(1)->Compile(Sql(text).WithAggStrategy("hier"));
   ASSERT_TRUE(hier.ok()) << hier.status().ToString();
@@ -413,7 +413,7 @@ TEST(Failover, StaleProbeVerdictClearsTheProbeSoTheNextProxyIsProbed) {
   net.harness()->FailNode(1);
   // Every lease has run out and every executor's lease/2 probe of node 1 is
   // in flight. Node 5 alone now hears node 2's succession (the metadata
-  // refresh the tree carries after an adoption).
+  // refresh the broadcast carries after an adoption).
   net.RunFor(kLease + kLease / 4);
   constexpr uint32_t kLate = 5;
   QueryPlan succession = *plan;

@@ -11,18 +11,31 @@ script at the build directory:
 
 It runs `gcov --json-format --stdout` over the .gcda files of the pier
 library's object directory (CMakeFiles/pier.dir) and prints every function
-defined in a src/*.cc file whose execution count is 0, one per line as
+defined in a src/*.cc file that never ran, one per line as
 `src/<file>.cc:<line>  <demangled name>`, sorted by file and line. Lambdas
 are listed on their own: a lambda that never ran inside a function that did
 is unreached code too.
+
+A function ran if its execution count is above 0 or any line gcov
+attributes to it ran. GCC 12 reports a count of 0 for some single-block
+functions whose lines ran (a one-line accessor, a static helper). A line
+names its function (`function_name`); a line that names none belongs to
+every function whose `start_line`..`end_line` holds it. A lambda's first
+line does not count: it is also the line of the statement that creates the
+lambda, and gcov gives it that statement's count.
+
+  python3 tools/coverage/unreached.py --selftest
+
+checks that rule against the gcov JSON fixture in testdata/.
 
 Only .cc files are judged. A function defined in a header is compiled into
 every translation unit that uses it, and the test, bench and example
 translation units are not in pier.dir, so header functions would show up as
 false positives.
 
-Exit status: 0 on success (whatever the list holds), 2 if the build
-directory has no coverage data or gcov fails. Standard library only.
+Exit status: 0 on success (whatever the list holds), 1 if the selftest
+fails, 2 if the build directory has no coverage data or gcov fails.
+Standard library only.
 """
 
 import argparse
@@ -67,34 +80,86 @@ def gcov_reports(obj_dir, gcdas):
             yield json.loads(line)
 
 
+def function_ran(fn, lines):
+    """True if `fn` (a gcov function record) ran, judged with `lines`, the
+    file's line records: its own count, or a line attributed to it."""
+    if fn["execution_count"] > 0:
+        return True
+    lambda_line = (fn["start_line"] if "{lambda(" in fn.get("demangled_name", "")
+                   else None)
+    for line in lines:
+        if line["count"] <= 0 or line["line_number"] == lambda_line:
+            continue
+        owner = line.get("function_name")
+        if owner == fn["name"] or (
+                owner is None and
+                fn["start_line"] <= line["line_number"] <= fn["end_line"]):
+            return True
+    return False
+
+
+def unreached_in(reports, src_dir):
+    """The src/*.cc functions of `reports` that never ran, and how many
+    functions were judged."""
+    src_dir = os.path.realpath(src_dir)
+    ran = {}
+    for report in reports:
+        cwd = report.get("current_working_directory", "")
+        for f in report.get("files", []):
+            path = os.path.realpath(os.path.join(cwd, f["file"]))
+            if not path.endswith(".cc") or not path.startswith(src_dir + os.sep):
+                continue
+            rel = os.path.relpath(path, os.path.dirname(src_dir))
+            lines = f.get("lines", [])
+            for fn in f.get("functions", []):
+                key = (rel, fn["start_line"],
+                       fn.get("demangled_name") or fn["name"])
+                ran[key] = ran.get(key, False) or function_ran(fn, lines)
+    return sorted(k for k, r in ran.items() if not r), len(ran)
+
+
 def unreached(build_dir, src_dir):
     obj_root = os.path.join(build_dir, "CMakeFiles", "pier.dir")
     dirs = gcda_by_dir(obj_root)
     if not dirs:
         fail(f"no .gcda files under {obj_root}: configure with "
              "-DCMAKE_CXX_FLAGS=--coverage and run something first")
-    src_dir = os.path.realpath(src_dir)
-    counts = collections.Counter()
-    for obj_dir, gcdas in sorted(dirs.items()):
-        for report in gcov_reports(obj_dir, gcdas):
-            cwd = report.get("current_working_directory", obj_dir)
-            for f in report.get("files", []):
-                path = os.path.realpath(os.path.join(cwd, f["file"]))
-                if not path.endswith(".cc") or not path.startswith(src_dir + os.sep):
-                    continue
-                rel = os.path.relpath(path, os.path.dirname(src_dir))
-                for fn in f.get("functions", []):
-                    key = (rel, fn["start_line"],
-                           fn.get("demangled_name") or fn["name"])
-                    counts[key] += fn["execution_count"]
-    return sorted(k for k, n in counts.items() if n == 0), len(counts)
+    reports = (report for obj_dir, gcdas in sorted(dirs.items())
+               for report in gcov_reports(obj_dir, gcdas))
+    return unreached_in(reports, src_dir)
+
+
+def selftest():
+    """Judge the checked-in fixture: a gcov JSON report whose
+    `expect_unreached` lists exactly the functions that must come out."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "testdata", "gcov_report.json")
+    with open(path) as f:
+        report = json.load(f)
+    zero, _ = unreached_in([report], os.path.join(
+        report["current_working_directory"], "src"))
+    got = [f"{rel}:{line}  {name}" for rel, line, name in zero]
+    want = report["expect_unreached"]
+    if got != want:
+        print(f"unreached selftest FAILED\n  got:  {got}\n  want: {want}",
+              file=sys.stderr)
+        return 1
+    print(f"unreached selftest passed ({len(want)} unreached, as expected)")
+    return 0
 
 
 def main(argv):
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("build_dir", help="a build configured with --coverage")
+    ap.add_argument("build_dir", nargs="?",
+                    help="a build configured with --coverage")
+    ap.add_argument("--selftest", action="store_true",
+                    help="check the rule against testdata/gcov_report.json")
     args = ap.parse_args(argv)
+    if args.selftest:
+        return selftest()
+    if args.build_dir is None:
+        ap.error("build_dir is required")
     zero, total = unreached(os.path.abspath(args.build_dir),
                             os.path.join(REPO, "src"))
     for rel, line, name in zero:
