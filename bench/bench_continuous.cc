@@ -1,4 +1,4 @@
-// Experiment E10 — the continuous-query lifecycle: does live replanning pay?
+// Experiment E17 — the continuous-query lifecycle: does live replanning pay?
 //
 // A continuous aggregation query (GROUP BY over a NON-partition column, so
 // every data-holding node must rehash its per-window partials) is submitted
@@ -22,7 +22,7 @@
 // The bench FAILS (nonzero exit) if replan-auto never swaps, or if its tail
 // cost is strictly the worst of the three query configurations.
 //
-// E10b (appended): swap-time catch-up. A running flat continuous query over
+// E17b (appended): swap-time catch-up. A running flat continuous query over
 // a table with history is plan-swapped mid-stream; the swapped-in Scans
 // re-read live soft state, and without the swap-time high-water mark the
 // first post-swap window re-counts the whole table. The bench FAILS unless
@@ -138,11 +138,11 @@ Outcome RunConfig(const std::string& config, uint64_t seed) {
   return out;
 }
 
-/// E10b — swap-time catch-up suppression, measured on tumbling windows
+/// E17b — swap-time catch-up suppression, measured on tumbling windows
 /// (flat aggregation both sides of the swap, so per-window counts are
 /// directly comparable; hier's cumulative refinement would not be).
 int RunCatchupCheck(uint64_t seed) {
-  bench::Title("E10b: swap-time catch-up — first post-swap window");
+  bench::Title("E17b: swap-time catch-up — first post-swap window");
   constexpr int kHistory = 400;
   constexpr TimeUs kWindow = 3 * kSecond;
   constexpr int kPerWindow = 9;  // steady stream: 3 tuples/s
@@ -233,7 +233,7 @@ int RunCatchupCheck(uint64_t seed) {
 }
 
 int Run() {
-  bench::Title("E10: continuous-query replanning under a cardinality shift");
+  bench::Title("E17: continuous-query replanning under a cardinality shift");
   bench::Note("query submitted over a near-empty table (flat aggregation is "
               "the only sound choice), then " +
               std::to_string(kShiftTuples) + " tuples arrive across " +

@@ -1,17 +1,17 @@
-// Experiment E11 — cross-layer message batching on the ingest path.
+// Experiment E18 — cross-layer message batching on the ingest path.
 //
 // One node bulk-publishes a table with a secondary index into a 32-node
 // network under the FIFO queueing network model (the sender's uplink
 // serializes messages, so per-message overhead — headers, acks, congestion-
 // window round trips — is paid in both bytes and wall-clock). The sweep
 // compares per-tuple Publish (batch=1) against client auto-batching at 8 and
-// 64 tuples, plus batch=64 with router send-coalescing on top.
+// 64 tuples.
 //
 // SELF-CHECKING: the run FAILS (exit 1) unless batch=64 beats batch=1 on
 // BOTH total bytes and ingest wall-clock. A regression that quietly unbatches
 // the pipeline turns the bench red instead of printing a slower table.
 //
-// E11b (appended, self-checking): per-query cost metering rides the operator
+// E18b (appended, self-checking): per-query cost metering rides the operator
 // hot path (PushBatch / MeterNet are a few plain adds per batch or row).
 // The same snapshot-query workload runs on two identical networks, executor
 // metering off in one and on in the other, timed in process CPU time in 101
@@ -45,14 +45,12 @@ struct RunResult {
   uint64_t bytes = 0;
   uint64_t msgs = 0;
   uint64_t batched_puts = 0;
-  uint64_t coalesced = 0;
 };
 
-RunResult RunOnce(const Config& cfg, size_t batch, TimeUs coalesce_window) {
+RunResult RunOnce(const Config& cfg, size_t batch) {
   SimPier::Options opts;
   opts.sim.seed = 77;
   opts.sim.congestion = CongestionKind::kFifo;
-  opts.dht.router.coalesce_window_us = coalesce_window;
   opts.seed_routing = true;
   opts.settle_time = 8 * kSecond;
   SimPier net(cfg.nodes, opts);
@@ -112,11 +110,8 @@ RunResult RunOnce(const Config& cfg, size_t batch, TimeUs coalesce_window) {
   r.ingest_ms = static_cast<double>(net.loop()->now() - t0) / kMillisecond;
   r.bytes = net.harness()->total_bytes();
   r.msgs = net.harness()->total_msgs();
-  for (uint32_t i = 0; i < net.size(); ++i) {
-    Dht::Stats s = net.dht(i)->stats();
-    r.batched_puts += s.batched_puts;
-    r.coalesced += s.coalesced_msgs;
-  }
+  for (uint32_t i = 0; i < net.size(); ++i)
+    r.batched_puts += net.dht(i)->stats().batched_puts;
   return r;
 }
 
@@ -128,38 +123,32 @@ void Run() {
     cfg.distinct_keys = 48;
     cfg.distinct_tags = 12;
   }
-  bench::Title("E11: batched publish under the FIFO queueing network model");
+  bench::Title("E18: batched publish under the FIFO queueing network model");
   bench::Note("N=" + std::to_string(cfg.nodes) + ", " +
               std::to_string(cfg.tuples) +
               " tuples (primary + secondary index fan-out) published from one "
               "node; FIFO uplink queueing");
 
-  std::vector<int> w = {12, 12, 14, 10, 14, 12};
-  bench::Row({"batch", "ingest ms", "total bytes", "msgs", "batched_puts",
-              "coalesced"},
-             w);
+  std::vector<int> w = {12, 12, 14, 10, 14};
+  bench::Row({"batch", "ingest ms", "total bytes", "msgs", "batched_puts"}, w);
 
   auto report = [&](const char* name, const RunResult& r) {
     bench::Row({name, bench::Fmt(r.ingest_ms), std::to_string(r.bytes),
-                std::to_string(r.msgs), std::to_string(r.batched_puts),
-                std::to_string(r.coalesced)},
+                std::to_string(r.msgs), std::to_string(r.batched_puts)},
                w);
   };
 
-  RunResult b1 = RunOnce(cfg, 1, 0);
+  RunResult b1 = RunOnce(cfg, 1);
   report("1", b1);
-  RunResult b8 = RunOnce(cfg, 8, 0);
+  RunResult b8 = RunOnce(cfg, 8);
   report("8", b8);
-  RunResult b64 = RunOnce(cfg, 64, 0);
+  RunResult b64 = RunOnce(cfg, 64);
   report("64", b64);
-  RunResult b64c = RunOnce(cfg, 64, 500);  // + 500us router coalescing
-  report("64+coal", b64c);
 
   bench::Note(
       "expected shape: larger batches cut both bytes (fewer headers/acks, "
       "deduped lookups) and ingest time (fewer congestion-window round "
-      "trips on the sender's uplink); coalescing merges what batching "
-      "leaves.");
+      "trips on the sender's uplink).");
 
   // --- Self-check: batching must actually win -------------------------------
   if (b64.batched_puts == 0) {
@@ -179,8 +168,8 @@ void Run() {
   bench::Note("self-check passed: batch=64 beats batch=1 on bytes AND "
               "wall-clock.");
 
-  // --- E11b: metering overhead on the operator hot path --------------------
-  bench::Title("E11b: per-tuple cost-metering overhead (must stay < 3%)");
+  // --- E18b: metering overhead on the operator hot path --------------------
+  bench::Title("E18b: per-tuple cost-metering overhead (must stay < 3%)");
   // One run is one snapshot query over 1,024 rows (about 1.5 ms of CPU in a
   // Release build), so a pair's two runs sit close enough in time for machine
   // noise to hit both alike; the median over 101 pairs makes the verdict

@@ -94,12 +94,6 @@ void RegisterRouterMetrics(MetricsRegistry* reg, OverlayRouter* router) {
   reg->AddCounterFn("pier_router_route_dead_ends_total", {},
                     [router] { return d(router->stats().route_dead_ends); },
                     "Routes dropped with no closer hop");
-  reg->AddCounterFn("pier_router_coalesced_msgs_total", {},
-                    [router] { return d(router->stats().coalesced_msgs); },
-                    "Messages that rode a multi-message bundle");
-  reg->AddCounterFn("pier_router_bundles_sent_total", {},
-                    [router] { return d(router->stats().bundles_sent); },
-                    "Bundle frames actually transmitted");
 }
 
 void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport) {

@@ -27,7 +27,7 @@ class UdpCc;
 /// batched-put counters, read-any failover/repair counters.
 void RegisterDhtMetrics(MetricsRegistry* reg, Dht* dht);
 
-/// pier_router_* : routing, lookup and coalescing counters.
+/// pier_router_* : routing and lookup counters.
 void RegisterRouterMetrics(MetricsRegistry* reg, OverlayRouter* router);
 
 /// pier_net_* : UdpCC delivery, retransmit and byte counters.

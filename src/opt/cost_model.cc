@@ -56,7 +56,7 @@ Cost CostModel::BloomJoin(const TableStats& probed,
   double pass = std::min(1.0, containment + p_.bloom_fp);
   // Builder side ships in full; its filters travel up the tree (in-network
   // OR-combining: ~one message per contributing node); every probing node
-  // fetches the coalesced filter; survivors of the probe rehash.
+  // fetches the merged filter; survivors of the probe rehash.
   Cost c = DhtPut(static_cast<double>(builder.tuples), builder.mean_bytes);
   c += Cost{build_nodes, build_nodes * filter_bytes};
   c += DhtGet(probe_nodes, filter_bytes);

@@ -490,13 +490,13 @@ void Dht::SendGetAttempt(uint64_t op_id, DoneCallback report) {
   if (it == pending_.end()) return;
   PendingOp& op = it->second;
   size_t attempt = op.attempt;
-  WireWriter w;
+  WireWriter w = OverlayRouter::FrameMessage(kMsgGetReqEx);
   w.PutVarint(op_id);
   w.PutBytes(op.ns);
   w.PutBytes(op.key);
   w.PutU8(static_cast<uint8_t>(attempt));
-  router_->SendDirect(op.candidates[attempt], kMsgGetReqEx,
-                      std::move(w).data(), std::move(report));
+  router_->SendFramed(op.candidates[attempt], std::move(w).data(),
+                      std::move(report));
 }
 
 void Dht::AdvanceGet(uint64_t op_id, size_t attempt, const Status& outcome) {
@@ -536,15 +536,15 @@ void Dht::Renew(const std::string& ns, const std::string& key,
                   [this, op_id, name = std::move(name), lifetime](
                       const OverlayRouter::Owner& owner,
                       DoneCallback report) {
-                    WireWriter w;
+                    WireWriter w = OverlayRouter::FrameMessage(kMsgRenewReq);
                     w.PutVarint(op_id);
                     w.PutBytes(name.ns);
                     w.PutBytes(name.key);
                     w.PutBytes(name.suffix);
                     w.PutVarint(
                         static_cast<uint64_t>(EffectiveLifetime(lifetime)));
-                    router_->SendDirect(owner.address, kMsgRenewReq,
-                                        std::move(w).data(), std::move(report));
+                    router_->SendFramed(owner.address, std::move(w).data(),
+                                        std::move(report));
                   }),
               [this, op_id](const Status& s) {
                 if (!s.ok()) FinishOp(op_id, s);
@@ -710,7 +710,7 @@ void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
   // extending anything past its origin-stamped expiry.
   auto items = objects_->Get(ns, key);
   TimeUs now = vri_->Now();
-  WireWriter w;
+  WireWriter w = OverlayRouter::FrameMessage(kMsgGetRespEx);
   w.PutVarint(op_id);
   w.PutU8(attempt);
   w.PutVarint(items.size());
@@ -719,7 +719,7 @@ void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
     w.PutBytes(row->second.value);
     w.PutVarint(static_cast<uint64_t>(row->second.expires_at - now));
   }
-  router_->SendDirect(from, kMsgGetRespEx, std::move(w).data(), nullptr);
+  router_->SendFramed(from, std::move(w).data());
 }
 
 void Dht::HandleGetRespEx(const NetAddress& from, std::string_view body) {
@@ -791,10 +791,10 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
     if (o != nullptr && !o->is_replica() && o->desired_replicas > 1)
       repl_->RefreshReplicas(name);
   }
-  WireWriter w;
+  WireWriter w = OverlayRouter::FrameMessage(kMsgRenewResp);
   w.PutVarint(op_id);
   w.PutU8(s.ok() ? 1 : 0);
-  router_->SendDirect(from, kMsgRenewResp, std::move(w).data(), nullptr);
+  router_->SendFramed(from, std::move(w).data());
 }
 
 void Dht::HandleRenewResp(const NetAddress& from, std::string_view body) {

@@ -283,7 +283,7 @@ class Dht {
     uint64_t routed_delivery_hops = 0;  // cumulative hop count of the above
     uint64_t batched_puts = 0;  // objects that rode a multi-object put frame
     uint64_t batch_msgs = 0;    // multi-object put frames sent
-    uint64_t coalesced_msgs = 0;  // mirror of the router's bundle-rider count
+    uint64_t coalesced_msgs = 0;  // always 0; benchmark/pier_bench.cc reads it
     // Replication health (the rest merged from the replication manager).
     uint64_t replica_puts = 0;       // replica copies shipped by this node
     uint64_t replica_stores = 0;     // replica copies stored at this node
@@ -296,7 +296,6 @@ class Dht {
   };
   Stats stats() const {
     Stats s = stats_;
-    s.coalesced_msgs = router_->stats().coalesced_msgs;
     const ReplicationManager::Stats& r = repl_->stats();
     s.replica_puts = r.replica_copies_sent;
     s.promotions = r.promotions;

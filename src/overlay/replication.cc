@@ -134,11 +134,10 @@ void ReplicationManager::RepairTick() {
   // owner or as a fellow replica holder.
   bool replication_live = seen_replicated_ || replication_factor_ > 1;
   if (replication_live && pred_changed && have_pred && !succs.empty()) {
-    WireWriter w;
+    WireWriter w = OverlayRouter::FrameMessage(kMsgReplPull);
     w.PutU64(pred);
     w.PutU64(router_->local_id());
-    router_->SendDirect(succs.front(), kMsgReplPull, std::move(w).data(),
-                        nullptr);
+    router_->SendFramed(succs.front(), std::move(w).data());
   }
 
   last_succs_ = std::move(succs);

@@ -49,13 +49,7 @@ OverlayRouter::OverlayRouter(Vri* vri, Options options)
   });
 }
 
-OverlayRouter::~OverlayRouter() {
-  // Buffered coalesced messages go to the transport like their unbuffered
-  // counterparts would have (those would already be in flight by now);
-  // dropping them here would also drop their delivery callbacks unfired.
-  FlushCoalesced();
-  vri_->CancelEvent(local_copy_timer_);
-}
+OverlayRouter::~OverlayRouter() { vri_->CancelEvent(local_copy_timer_); }
 
 void OverlayRouter::Join(const NetAddress& bootstrap) { protocol_->Start(bootstrap); }
 
@@ -70,114 +64,25 @@ void OverlayRouter::RegisterDirectType(uint8_t type, DirectHandler handler) {
   direct_handlers_[type] = std::move(handler);
 }
 
-void OverlayRouter::SendDirect(const NetAddress& to, uint8_t type,
-                               std::string payload,
-                               std::function<void(const Status&)> on_delivery) {
-  WireWriter w;
-  w.PutU8(type);
-  w.PutRaw(payload);
-  TransportSend(to, std::move(w).data(), std::move(on_delivery));
-}
-
 void OverlayRouter::SendFramed(const NetAddress& to, std::string framed,
                                std::function<void(const Status&)> on_delivery) {
-  TransportSend(to, std::move(framed), std::move(on_delivery));
+  transport_->Send(to, std::move(framed), std::move(on_delivery));
 }
 
 void OverlayRouter::SendProtocolMessage(
     const NetAddress& to, std::string payload,
     std::function<void(const Status&)> on_delivery) {
-  WireWriter w;
-  w.PutU8(kMsgProto);
+  WireWriter w = FrameMessage(kMsgProto);
   w.PutRaw(payload);
-  TransportSend(to, std::move(w).data(), std::move(on_delivery));
-}
-
-// ---------------------------------------------------------------------------
-// Outbound choke point: per-destination coalescing
-// ---------------------------------------------------------------------------
-
-void OverlayRouter::TransportSend(const NetAddress& to, std::string wire,
-                                  std::function<void(const Status&)> on_delivery) {
-  if (options_.coalesce_window_us <= 0) {
-    transport_->Send(to, std::move(wire), std::move(on_delivery));
-    return;
-  }
-  CoalesceBuffer& buf = coalesce_[to];
-  buf.bytes += wire.size();
-  buf.msgs.push_back(std::move(wire));
-  if (on_delivery) buf.callbacks.push_back(std::move(on_delivery));
-  if (buf.bytes >= kCoalesceMaxBytes) {
-    FlushCoalesceBuffer(to);
-    return;
-  }
-  if (buf.timer == 0) {
-    buf.timer = vri_->ScheduleEvent(options_.coalesce_window_us, [this, to]() {
-      // This timer just fired, so its token is stale. Zero it so `timer`
-      // keeps meaning "armed"; the flush's cancel of a stale token would
-      // only be a no-op.
-      auto bit = coalesce_.find(to);
-      if (bit != coalesce_.end()) bit->second.timer = 0;
-      FlushCoalesceBuffer(to);
-    });
-  }
-}
-
-void OverlayRouter::FlushCoalesceBuffer(const NetAddress& to) {
-  auto it = coalesce_.find(to);
-  if (it == coalesce_.end()) return;
-  // Steal the buffer first: the transport's delivery callback (or a failure
-  // path running synchronously) may send more messages to the same peer.
-  CoalesceBuffer buf = std::move(it->second);
-  coalesce_.erase(it);
-  if (buf.timer != 0) vri_->CancelEvent(buf.timer);
-  if (buf.msgs.empty()) return;
-
-  // One aggregated delivery report: every message in the bundle shares the
-  // wire message's fate.
-  std::function<void(const Status&)> on_delivery;
-  if (!buf.callbacks.empty()) {
-    auto cbs = std::make_shared<std::vector<std::function<void(const Status&)>>>(
-        std::move(buf.callbacks));
-    on_delivery = [cbs](const Status& s) {
-      for (auto& cb : *cbs) cb(s);
-    };
-  }
-
-  if (buf.msgs.size() == 1) {
-    // A lone message goes out exactly as it would have without the buffer.
-    transport_->Send(to, std::move(buf.msgs[0]), std::move(on_delivery));
-    return;
-  }
-  WireWriter w;
-  w.PutU8(kMsgBundle);
-  w.PutVarint(buf.msgs.size());
-  for (const std::string& m : buf.msgs) w.PutBytes(m);
-  stats_.coalesced_msgs += buf.msgs.size();
-  stats_.bundles_sent++;
-  transport_->Send(to, std::move(w).data(), std::move(on_delivery));
-}
-
-void OverlayRouter::FlushCoalesced() {
-  // Collect keys first: flushing mutates the map.
-  std::vector<NetAddress> targets;
-  targets.reserve(coalesce_.size());
-  for (const auto& [to, buf] : coalesce_) {
-    (void)buf;
-    targets.push_back(to);
-  }
-  for (const NetAddress& to : targets) FlushCoalesceBuffer(to);
+  SendFramed(to, std::move(w).data(), std::move(on_delivery));
 }
 
 std::string OverlayRouter::EncodeRoute(const RouteInfo& info,
                                        std::string_view payload) {
-  WireWriter w;
-  w.PutU8(kMsgRoute);
+  WireWriter w = FrameMessage(kMsgRoute);
   w.PutU64(info.target);
   w.PutU8(info.hops);
   w.PutBytes(info.ns);
-  w.PutU32(info.origin.host);
-  w.PutU16(info.origin.port);
   w.PutBytes(payload);
   return std::move(w).data();
 }
@@ -187,8 +92,6 @@ void OverlayRouter::Route(const std::string& ns, Id target, std::string payload)
   RouteInfo info;
   info.target = target;
   info.ns = ns;
-  info.origin = local_address_;
-  info.hops = 0;
   ForwardRoute(std::move(info), std::move(payload), 0);
 }
 
@@ -206,17 +109,17 @@ void OverlayRouter::ForwardRoute(RouteInfo info, std::string payload,
     return;
   }
   std::string wire = EncodeRoute(info, payload);
-  TransportSend(next, std::move(wire),
-                [this, next, info = std::move(info),
-                 payload = std::move(payload), attempts](const Status& s) mutable {
-                  if (s.ok()) return;
-                  protocol_->OnPeerUnreachable(next);
-                  if (attempts + 1 >= kRouteRetryLimit) {
-                    stats_.route_dead_ends++;
-                    return;
-                  }
-                  ForwardRoute(std::move(info), std::move(payload), attempts + 1);
-                });
+  SendFramed(next, std::move(wire),
+             [this, next, info = std::move(info), payload = std::move(payload),
+              attempts](const Status& s) mutable {
+               if (s.ok()) return;
+               protocol_->OnPeerUnreachable(next);
+               if (attempts + 1 >= kRouteRetryLimit) {
+                 stats_.route_dead_ends++;
+                 return;
+               }
+               ForwardRoute(std::move(info), std::move(payload), attempts + 1);
+             });
 }
 
 void OverlayRouter::Deliver(const RouteInfo& info, std::string_view payload) {
@@ -246,10 +149,7 @@ void OverlayRouter::HandleMessage(const NetAddress& from, std::string_view paylo
       protocol_->HandleProtocolMessage(from, body);
       return;
     case kMsgRoute:
-      HandleRoute(from, body);
-      return;
-    case kMsgBundle:
-      HandleBundle(from, body);
+      HandleRoute(body);
       return;
     case kMsgLookupResp:
       HandleLookupResp(body);
@@ -265,40 +165,16 @@ void OverlayRouter::HandleMessage(const NetAddress& from, std::string_view paylo
   }
 }
 
-void OverlayRouter::HandleBundle(const NetAddress& from, std::string_view body) {
-  // A coalesced frame: N complete messages, each handled as if it had
-  // arrived alone. The parts alias the receive buffer — no per-part copy.
-  // The sender never nests bundles; a crafted deep nesting must not recurse
-  // the stack away (readers are defensive, §3.3.4).
-  if (bundle_depth_ >= 2) return;
-  bundle_depth_++;
-  WireReader r(body);
-  uint64_t count;
-  if (r.GetVarint(&count).ok() && count <= 100000) {
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string_view part;
-      if (!r.GetBytes(&part).ok()) break;
-      HandleMessage(from, part);
-    }
-  }
-  bundle_depth_--;
-}
-
-void OverlayRouter::HandleRoute(const NetAddress& from, std::string_view body) {
-  (void)from;
+void OverlayRouter::HandleRoute(std::string_view body) {
   WireReader r(body);
   RouteInfo info;
   std::string_view ns, payload_view;
   uint8_t hops;
-  uint32_t origin_host;
-  uint16_t origin_port;
   if (!r.GetU64(&info.target).ok() || !r.GetU8(&hops).ok() ||
-      !r.GetBytes(&ns).ok() || !r.GetU32(&origin_host).ok() ||
-      !r.GetU16(&origin_port).ok() || !r.GetBytes(&payload_view).ok()) {
+      !r.GetBytes(&ns).ok() || !r.GetBytes(&payload_view).ok()) {
     return;  // malformed: drop (best-effort policy)
   }
   info.ns = std::string(ns);
-  info.origin = NetAddress{origin_host, origin_port};
   info.hops = static_cast<uint8_t>(hops + 1);
   std::string payload(payload_view);
 
@@ -357,8 +233,7 @@ void OverlayRouter::Lookup(Id target, size_t want_succs, LookupCallback cb) {
 
   // Lookups ride the routed channel in a reserved namespace with no upcalls;
   // Deliver intercepts the request at the owner, which answers directly.
-  WireWriter w;
-  w.PutU8(kMsgLookupReq);
+  WireWriter w = FrameMessage(kMsgLookupReq);
   w.PutVarint(lookup_id);
   w.PutU32(local_address_.host);
   w.PutU16(local_address_.port);
@@ -366,7 +241,6 @@ void OverlayRouter::Lookup(Id target, size_t want_succs, LookupCallback cb) {
   RouteInfo info;
   info.target = target;
   info.ns = "\x01lookup";
-  info.origin = local_address_;
   ForwardRoute(std::move(info), std::move(w).data(), 0);
 }
 
@@ -379,8 +253,7 @@ void OverlayRouter::HandleLookupReq(Id target, std::string_view body) {
   if (!r.GetVarint(&lookup_id).ok() || !r.GetU32(&host).ok() ||
       !r.GetU16(&port).ok() || !r.GetU8(&want_succs).ok())
     return;
-  WireWriter w;
-  w.PutU8(kMsgLookupResp);
+  WireWriter w = FrameMessage(kMsgLookupResp);
   w.PutVarint(lookup_id);
   w.PutU64(local_id_);
   w.PutU32(local_address_.host);
@@ -399,7 +272,7 @@ void OverlayRouter::HandleLookupReq(Id target, std::string_view body) {
       protocol_->IsOwner(target) && protocol_->PredecessorId(&lower);
   w.PutU8(has_range ? 1 : 0);
   w.PutU64(has_range ? lower : 0);
-  TransportSend(NetAddress{host, port}, std::move(w).data(), nullptr);
+  SendFramed(NetAddress{host, port}, std::move(w).data());
 }
 
 void OverlayRouter::HandleLookupResp(std::string_view body) {
@@ -500,17 +373,17 @@ void OverlayRouter::CoverInterval(uint64_t bcast_id, std::string_view payload,
     const RingPeer to = targets[i];
     const Id next = i + 1 < targets.size() ? targets[i + 1].id : limit;
     stats_.broadcast_frames++;
-    TransportSend(to.addr, encode(FrameMessage(kMsgBroadcast), next),
-                  [this, to, next, encode](const Status& s) {
-                    if (s.ok()) return;
-                    // The contact is gone, and this node may not know who
-                    // follows it: the owner of the id just past it does.
-                    protocol_->OnPeerUnreachable(to.addr);
-                    WireWriter dead;
-                    dead.PutU32(to.addr.host);
-                    dead.PutU16(to.addr.port);
-                    Route(kRecoverNs, to.id + 1, encode(std::move(dead), next));
-                  });
+    SendFramed(to.addr, encode(FrameMessage(kMsgBroadcast), next),
+               [this, to, next, encode](const Status& s) {
+                 if (s.ok()) return;
+                 // The contact is gone, and this node may not know who
+                 // follows it: the owner of the id just past it does.
+                 protocol_->OnPeerUnreachable(to.addr);
+                 WireWriter dead;
+                 dead.PutU32(to.addr.host);
+                 dead.PutU16(to.addr.port);
+                 Route(kRecoverNs, to.id + 1, encode(std::move(dead), next));
+               });
   }
 }
 
@@ -583,12 +456,11 @@ bool OverlayRouter::HintIfNotOwner(const NetAddress& from, Id target) {
   if (from == local_address_ || protocol_->IsOwner(target)) return false;
   Id lower = 0;
   bool has_range = protocol_->PredecessorId(&lower);
-  WireWriter w;
-  w.PutU8(kMsgNotOwner);
+  WireWriter w = FrameMessage(kMsgNotOwner);
   w.PutU64(local_id_);
   w.PutU8(has_range ? 1 : 0);
   w.PutU64(has_range ? lower : 0);
-  TransportSend(from, std::move(w).data(), nullptr);
+  SendFramed(from, std::move(w).data());
   stats_.not_owner_hints_sent++;
   return true;
 }

@@ -15,6 +15,10 @@
 //     a ring interval split along its own routing contacts (see README.md,
 //     "Broadcast");
 //   * a direct-message extension point used by the object-storage layer.
+//
+// Every frame leaves through SendFramed, the router's one call into UdpCc:
+// a frame is built once, type byte first, and a reply sent from inside its
+// request's handler carries that request's ACK (runtime/udpcc.h).
 
 #ifndef PIER_OVERLAY_ROUTER_H_
 #define PIER_OVERLAY_ROUTER_H_
@@ -48,8 +52,7 @@ enum class UpcallAction {
 struct RouteInfo {
   Id target = 0;
   std::string ns;
-  NetAddress origin;  // the node that called Route()
-  uint8_t hops = 0;   // network hops taken so far (1 at the first receiver)
+  uint8_t hops = 0;  // network hops taken so far (1 at the first receiver)
 };
 
 class OverlayRouter : public ProtocolHost {
@@ -57,11 +60,6 @@ class OverlayRouter : public ProtocolHost {
   struct Options {
     ProtocolKind protocol = ProtocolKind::kChord;
     uint16_t port = kDhtPort;
-    /// Per-destination send coalescing: messages bound for the same next hop
-    /// emitted within this window ride one framed wire message (unframed
-    /// transparently on receipt). 0 disables coalescing entirely — every
-    /// message goes out exactly as it would have before the buffer existed.
-    TimeUs coalesce_window_us = 0;
   };
 
   /// A routed message past this many hops is delivered where it stands.
@@ -70,9 +68,6 @@ class OverlayRouter : public ProtocolHost {
   static constexpr TimeUs kLookupTimeout = 5 * kSecond;
   /// Next hops a routed message tries before it is dropped.
   static constexpr int kRouteRetryLimit = 3;
-  /// A pending coalescing buffer past this size flushes immediately rather
-  /// than waiting out the window (keeps bundles bounded).
-  static constexpr size_t kCoalesceMaxBytes = 48 * 1024;
 
   OverlayRouter(Vri* vri, Options options);
   ~OverlayRouter() override;
@@ -163,6 +158,14 @@ class OverlayRouter : public ProtocolHost {
 
   // --- Direct typed messages (object-layer extension point) -----------------
 
+  // The router's own type bytes (every layer's are tabled in
+  // src/overlay/README.md). A lookup request rides a routed frame.
+  static constexpr uint8_t kMsgProto = 1;
+  static constexpr uint8_t kMsgRoute = 2;
+  static constexpr uint8_t kMsgLookupReq = 3;
+  static constexpr uint8_t kMsgLookupResp = 4;
+  static constexpr uint8_t kMsgNotOwner = 6;
+
   using DirectHandler =
       std::function<void(const NetAddress& from, std::string_view payload)>;
 
@@ -170,13 +173,9 @@ class OverlayRouter : public ProtocolHost {
   /// for the router itself.
   void RegisterDirectType(uint8_t type, DirectHandler handler);
 
-  /// Reliable direct message; `on_delivery` may be null.
-  void SendDirect(const NetAddress& to, uint8_t type, std::string payload,
-                  std::function<void(const Status&)> on_delivery = nullptr);
-
-  /// Copy-free variant: `framed` is the complete wire message, type byte
-  /// first (start from FrameMessage and append the body). The buffer moves
-  /// straight down to the transport with no re-framing copy.
+  /// Reliable direct message; `on_delivery` may be null. `framed` is the
+  /// complete wire message, type byte first (start from FrameMessage and
+  /// append the body); the buffer moves straight down to the transport.
   void SendFramed(const NetAddress& to, std::string framed,
                   std::function<void(const Status&)> on_delivery = nullptr);
 
@@ -186,10 +185,6 @@ class OverlayRouter : public ProtocolHost {
     w.PutU8(type);
     return w;
   }
-
-  /// Send everything sitting in the coalescing buffers now (timers pending
-  /// for those destinations are cancelled). No-op with coalescing off.
-  void FlushCoalesced();
 
   // --- Introspection ---------------------------------------------------------
 
@@ -207,8 +202,6 @@ class OverlayRouter : public ProtocolHost {
     uint64_t lookup_cache_evictions = 0;  // cache entries dropped
     uint64_t not_owner_hints_sent = 0;
     uint64_t route_dead_ends = 0;
-    uint64_t coalesced_msgs = 0;  // messages that rode a multi-message bundle
-    uint64_t bundles_sent = 0;    // bundle frames actually transmitted
     uint64_t broadcast_frames = 0;  // broadcast frames this node sent
     uint64_t broadcast_dups = 0;    // broadcast copies dropped as seen
   };
@@ -223,29 +216,14 @@ class OverlayRouter : public ProtocolHost {
   NetAddress local_address() const override { return local_address_; }
 
  private:
-  // Reserved direct-message type bytes (every layer's are tabled in
-  // src/overlay/README.md).
-  static constexpr uint8_t kMsgProto = 1;
-  static constexpr uint8_t kMsgRoute = 2;
-  static constexpr uint8_t kMsgLookupReq = 3;
-  static constexpr uint8_t kMsgLookupResp = 4;
-  static constexpr uint8_t kMsgBundle = 5;  // coalesced frame of N messages
-  static constexpr uint8_t kMsgNotOwner = 6;
-
   void HandleMessage(const NetAddress& from, std::string_view payload);
-  void HandleRoute(const NetAddress& from, std::string_view body);
-  void HandleBundle(const NetAddress& from, std::string_view body);
+  void HandleRoute(std::string_view body);
   void HandleLookupReq(Id target, std::string_view body);
   void HandleLookupResp(std::string_view body);
   void HandleNotOwner(const NetAddress& from, std::string_view body);
   void ForwardRoute(RouteInfo info, std::string payload, int attempts);
   void Deliver(const RouteInfo& info, std::string_view payload);
   std::string EncodeRoute(const RouteInfo& info, std::string_view payload);
-  /// The single choke point every outbound wire message passes through;
-  /// applies the coalescing buffer when enabled, else sends directly.
-  void TransportSend(const NetAddress& to, std::string wire,
-                     std::function<void(const Status&)> on_delivery);
-  void FlushCoalesceBuffer(const NetAddress& to);
   /// A broadcast frame (or a routed re-cover) naming `limit` arrived.
   void HandleBroadcast(std::string_view body, Id lo);
   /// Send the broadcast to each contact in the ring interval (lo, limit),
@@ -289,18 +267,6 @@ class OverlayRouter : public ProtocolHost {
                   std::vector<NetAddress> successors);
   /// A delivery to `peer` failed: drop every entry naming it.
   void EvictPeer(const NetAddress& peer);
-
-  /// One destination's coalescing buffer: messages waiting for the window
-  /// timer (or the byte cap) to flush them as one bundle.
-  struct CoalesceBuffer {
-    std::vector<std::string> msgs;
-    std::vector<std::function<void(const Status&)>> callbacks;  // non-null only
-    size_t bytes = 0;
-    uint64_t timer = 0;
-  };
-  std::map<NetAddress, CoalesceBuffer> coalesce_;
-  /// Re-entrancy depth of HandleBundle (bundles never legitimately nest).
-  int bundle_depth_ = 0;
 
   BroadcastHandler broadcast_handler_;
   std::unordered_set<uint64_t> seen_bcasts_;

@@ -450,7 +450,7 @@ void QueryExecutor::ForwardAnswers(uint64_t query_id, const TupleBatch& batch) {
   }
   stats_.answers_forwarded += n;
   // Framed once, moved down: answer frames are the hottest steady-state
-  // message of a running query (no re-framing copy in SendDirect).
+  // message of a running query.
   WireWriter w = OverlayRouter::FrameMessage(kMsgAnswerBatch);
   w.PutU64(query_id);
   batch.EncodeTo(&w);

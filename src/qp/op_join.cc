@@ -228,7 +228,7 @@ class BloomCreateOp : public Operator {
       return UpcallAction::kDrop;
     });
 
-    // Owner-side coalescing: filters that reach the rendezvous owner are
+    // Owner-side merging: filters that reach the rendezvous owner are
     // merged into ONE object (the partials are removed locally), so probers
     // fetch a single filter no matter how many nodes contributed.
     Subscribe(ns_, [this](const ObjectName& name, std::string_view value) {
@@ -293,7 +293,7 @@ class BloomCreateOp : public Operator {
   TimeUs hold_ = 300 * kMillisecond;
   std::unique_ptr<BloomFilter> filter_;
   std::unique_ptr<BloomFilter> pending_;  // upcall-intercepted, awaiting merge
-  std::unique_ptr<BloomFilter> owner_merged_;  // rendezvous-owner coalescing
+  std::unique_ptr<BloomFilter> owner_merged_;  // rendezvous-owner merge
   uint64_t added_ = 0;
   bool flushed_ = false;
   uint64_t forward_timer_ = 0;

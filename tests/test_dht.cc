@@ -2,12 +2,12 @@
 // semantics, the guard that a Put is exactly a one-item PutBatch on the
 // wire, one newData call per store frame, the store-frame decoder against
 // cut and garbage frames, the direct get, renew and pull requests (answered
-// at the transport's source; cut and garbage requests), the object store
-// (lifetime cap and sweep, exact namespace and key ranges, scan order, the
-// liveness rule, newData only for local stores), router send coalescing,
-// and the router's owner
-// cache (warm puts and gets skip the routed lookup; joins, deaths and the
-// capacity bound keep it correct).
+// at the transport's source; cut and garbage requests) and the router's own
+// frames against cut and garbage bodies, the object store (lifetime cap and
+// sweep, exact namespace and key ranges, scan order, the liveness rule,
+// newData only for local stores), and the router's owner cache (warm puts
+// and gets skip the routed lookup, and a warm get or renew costs three
+// datagrams; joins, deaths and the capacity bound keep it correct).
 
 #include <gtest/gtest.h>
 
@@ -24,11 +24,9 @@
 namespace pier {
 namespace {
 
-SimOverlay::Options SeededOptions(uint64_t seed = 42,
-                                  TimeUs coalesce_window = 0) {
+SimOverlay::Options SeededOptions(uint64_t seed = 42) {
   SimOverlay::Options opts;
   opts.sim.seed = seed;
-  opts.dht.router.coalesce_window_us = coalesce_window;
   opts.seed_routing = true;
   opts.settle_time = 1 * kSecond;
   return opts;
@@ -408,7 +406,9 @@ TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
   auto ask = [&](uint8_t type, const std::string& body) {
     const size_t before = replies.size();
     const auto was = state();
-    asker->router()->SendDirect(to->local_address(), type, body);
+    WireWriter w = OverlayRouter::FrameMessage(type);
+    w.PutRaw(body);
+    asker->router()->SendFramed(to->local_address(), std::move(w).data());
     net.RunFor(200 * kMillisecond);
     for (size_t i = before; i < replies.size(); ++i)
       EXPECT_EQ(replies[i].from, to->local_address());
@@ -461,6 +461,126 @@ TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
     EXPECT_EQ(cuts, 0u) << "type " << int{type};
   }
   EXPECT_GT(replies.size(), answered) << "some garbage bodies decode";
+}
+
+// The router's own frames, sent through a node's transport: a routed frame,
+// a lookup request (riding a routed frame to its owner), a lookup response,
+// a not-owner hint and a broadcast. Cut at any byte, none is delivered,
+// forwarded or answered, and none changes an owner cache; the seeded garbage
+// bodies must only fail cleanly. A broadcast's payload runs to the end of
+// its frame, so only a cut inside its 16-byte header can be refused here.
+TEST(DirectRequests, RouterFramesIgnoreCutAndGarbageFrames) {
+  SimOverlay net(4, SeededOptions(39));
+  Dht* asker = net.dht(0);
+  Dht* to = net.dht(1);
+  const Id asker_id = asker->local_id();
+  const Id to_id = to->local_id();
+  int broadcasts = 0;
+  to->router()->set_broadcast_handler(
+      [&broadcasts](std::string_view) { broadcasts++; });
+
+  auto routed = [&] {
+    uint64_t n = 0;
+    for (uint32_t i = 0; i < net.size(); ++i) {
+      const OverlayRouter::Stats& s = net.dht(i)->router()->stats();
+      n += s.routed_delivered + s.routed_forwarded + s.upcall_drops;
+    }
+    return n;
+  };
+  // Everything else a router frame can change: broadcast handling and
+  // fan-out, and either node's owner cache.
+  auto state = [&] {
+    uint64_t fanned = 0;
+    for (uint32_t i = 0; i < net.size(); ++i) {
+      const OverlayRouter::Stats& s = net.dht(i)->router()->stats();
+      fanned += s.broadcast_frames + s.broadcast_dups;
+    }
+    return std::make_tuple(fanned, broadcasts,
+                           asker->router()->owner_cache_size(),
+                           asker->router()->stats().lookup_cache_evictions,
+                           to->router()->owner_cache_size(),
+                           to->router()->stats().lookup_cache_evictions);
+  };
+  // Frames `body` as `type` from the asker to `to`; true if it had an
+  // effect (a routed lookup request counts only once answered).
+  auto send = [&](uint8_t type, const std::string& body, bool lookup) {
+    const uint64_t routed_was = routed();
+    const auto was = state();
+    WireWriter w = OverlayRouter::FrameMessage(type);
+    w.PutRaw(body);
+    asker->router()->SendFramed(to->local_address(), std::move(w).data());
+    net.RunFor(200 * kMillisecond);
+    return state() != was || (!lookup && routed() != routed_was);
+  };
+  auto routed_to_self = [&](const std::string& ns, std::string_view payload) {
+    WireWriter w;
+    w.PutU64(to_id);  // `to` owns its own id
+    w.PutU8(0);
+    w.PutBytes(ns);
+    w.PutBytes(payload);
+    return std::move(w).data();
+  };
+
+  const std::string route = routed_to_self("fz", "p");
+  WireWriter lookup = OverlayRouter::FrameMessage(OverlayRouter::kMsgLookupReq);
+  lookup.PutVarint(5);
+  lookup.PutU32(asker->local_address().host);
+  lookup.PutU16(asker->local_address().port);
+  lookup.PutU8(0);
+  WireWriter owner;  // the asker owns (asker_id - 1000, asker_id]
+  owner.PutVarint(6);
+  owner.PutU64(asker_id);
+  owner.PutU32(asker->local_address().host);
+  owner.PutU16(asker->local_address().port);
+  owner.PutU8(0);
+  owner.PutU8(1);
+  owner.PutU64(asker_id - 1000);
+  WireWriter hint;  // the asker owns nothing it can name
+  hint.PutU64(asker_id);
+  hint.PutU8(0);
+  hint.PutU64(0);
+  WireWriter bcast;
+  bcast.PutU64(99);
+  bcast.PutU64(to_id + 1);  // `to` covers an empty interval: no fan-out
+  bcast.PutRaw("payload");
+
+  // Whole, each frame has its effect once.
+  ASSERT_TRUE(send(OverlayRouter::kMsgRoute, route, false));
+  ASSERT_TRUE(send(OverlayRouter::kMsgRoute,
+                   routed_to_self("\x01lookup", lookup.data()), true));
+  ASSERT_EQ(asker->router()->owner_cache_size(), 1u) << "not answered";
+  ASSERT_TRUE(send(OverlayRouter::kMsgLookupResp, owner.data(), false));
+  ASSERT_EQ(to->router()->owner_cache_size(), 1u);
+  ASSERT_TRUE(send(OverlayRouter::kMsgNotOwner, hint.data(), false));
+  ASSERT_EQ(to->router()->owner_cache_size(), 0u);
+  ASSERT_TRUE(send(OverlayRouter::kMsgBroadcast, bcast.data(), false));
+  ASSERT_EQ(broadcasts, 1);
+
+  // Each decoded body is undone, so the next one starts from the same state:
+  // the asker has not cached `to`, and `to` has cached the asker.
+  auto restore = [&] {
+    asker->router()->EvictOwner(to_id, to->local_address());
+    send(OverlayRouter::kMsgLookupResp, owner.data(), false);
+  };
+  restore();
+  uint64_t seed = 51;
+  auto sweep = [&](uint8_t type, const std::string& frame, bool is_lookup) {
+    return FuzzDecoder(frame, seed++, [&](const std::string& body) {
+      bool decoded =
+          is_lookup
+              ? send(type, routed_to_self("\x01lookup", body), true)
+              : send(type, body, false);
+      if (decoded) restore();
+      return decoded;
+    });
+  };
+  EXPECT_EQ(sweep(OverlayRouter::kMsgRoute, route, false), 0u);
+  EXPECT_EQ(sweep(OverlayRouter::kMsgRoute, lookup.data(), true), 0u);
+  EXPECT_EQ(sweep(OverlayRouter::kMsgLookupResp, owner.data(), false), 0u);
+  EXPECT_EQ(sweep(OverlayRouter::kMsgNotOwner, hint.data(), false), 0u);
+  EXPECT_EQ(sweep(OverlayRouter::kMsgBroadcast, bcast.data(), false),
+            bcast.data().size() - 16)
+      << "only cuts that keep the whole header decode";
 }
 
 }  // namespace
@@ -600,46 +720,6 @@ TEST(ObjectStore, ALocalStoreIsNewDataOnceAndReplicaCopiesNever) {
   net.RunFor(500 * kMillisecond);
   EXPECT_EQ(dht->objects()->NamespaceObjects("nd"), 3u);
   EXPECT_EQ(calls, 1u) << "a replica copy was announced";
-}
-
-TEST(DhtCoalesce, MergesSendsAndUnframesTransparently) {
-  SimOverlay net(12, SeededOptions(33, /*coalesce_window=*/1000));
-  // A burst of puts within one coalescing window: same-destination wire
-  // messages merge into bundles, yet every object lands normally.
-  int done = 0;
-  for (int i = 0; i < 20; ++i) {
-    net.dht(4)->Put("cl", "k" + std::to_string(i % 4), "s" + std::to_string(i),
-                    "v", 60 * kSecond, [&](const Status& s) {
-                      EXPECT_TRUE(s.ok()) << s.ToString();
-                      done++;
-                    });
-  }
-  net.RunFor(10 * kSecond);
-  EXPECT_EQ(done, 20);
-
-  uint64_t stored = 0, coalesced = 0, bundles = 0;
-  for (uint32_t i = 0; i < net.size(); ++i) {
-    stored += net.dht(i)->stats().store_requests;
-    coalesced += net.dht(i)->router()->stats().coalesced_msgs;
-    bundles += net.dht(i)->router()->stats().bundles_sent;
-  }
-  EXPECT_EQ(stored, 20u);
-  EXPECT_GT(coalesced, 0u) << "the burst never shared a bundle";
-  EXPECT_GT(bundles, 0u);
-  EXPECT_EQ(net.dht(4)->stats().coalesced_msgs,
-            net.dht(4)->router()->stats().coalesced_msgs)
-      << "Dht::Stats mirrors the router counter";
-}
-
-TEST(DhtCoalesce, DisabledByDefault) {
-  SimOverlay net(8, SeededOptions(11));
-  for (int i = 0; i < 10; ++i)
-    net.dht(0)->Put("nc", "k" + std::to_string(i), "s", "v", 60 * kSecond);
-  net.RunFor(5 * kSecond);
-  for (uint32_t i = 0; i < net.size(); ++i) {
-    EXPECT_EQ(net.dht(i)->router()->stats().coalesced_msgs, 0u);
-    EXPECT_EQ(net.dht(i)->router()->stats().bundles_sent, 0u);
-  }
 }
 
 // --- Owner cache ------------------------------------------------------------
@@ -941,6 +1021,58 @@ TEST(OwnerCache, NeverGrowsPastCapacity) {
   EXPECT_EQ(router->owner_cache_size(), OverlayRouter::kOwnerCacheCapacity);
   EXPECT_EQ(router->stats().lookup_cache_evictions,
             n - 1 - OverlayRouter::kOwnerCacheCapacity);
+}
+
+// A reply sent from inside its request's handler carries that request's ACK
+// (UdpCC frame type 2), so a warm get and a renew each cost three datagrams:
+// the request, the reply with the ACK, and the reply's own ACK, which goes
+// out as the reply is handled. A layer that held the reply past its handler
+// would make it four. Ring maintenance only adds datagrams, so the cheapest
+// of several tries is the exchange alone.
+TEST(OwnerCache, AWarmGetAndARenewCostThreeDatagrams) {
+  SimOverlay net(8, SeededOptions(43));
+  Dht* asker = net.dht(0);
+  const std::string key = FindKey("ak", "k", [&](Id id) {
+    return !asker->router()->protocol()->IsOwner(id);
+  });
+  Dht* owner = net.dht(OwnerOf(&net, "ak", key));
+  auto datagrams = [&] {
+    const UdpCc::Stats& a = asker->router()->transport()->stats();
+    const UdpCc::Stats& o = owner->router()->transport()->stats();
+    return a.msgs_sent + a.acks_sent + o.msgs_sent + o.acks_sent;
+  };
+  // Starts an operation, runs until it is done, and returns the datagrams
+  // sent meanwhile.
+  auto cost = [&](const std::function<void(bool*)>& start) {
+    const uint64_t before = datagrams();
+    bool done = false;
+    start(&done);
+    for (int ms = 0; ms < 1000 && !done; ++ms) net.RunFor(kMillisecond);
+    EXPECT_TRUE(done);
+    return datagrams() - before;
+  };
+  auto get = [&](bool* done) {
+    asker->Get("ak", key, [done](const Status& s, std::vector<DhtItem> items) {
+      EXPECT_TRUE(s.ok() && items.size() == 1) << s.ToString();
+      *done = true;
+    });
+  };
+  auto renew = [&](bool* done) {
+    asker->Renew("ak", key, "s", 60 * kSecond, [done](const Status& s) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      *done = true;
+    });
+  };
+  asker->Put("ak", key, "s", "v", 60 * kSecond);
+  net.RunFor(1 * kSecond);
+  uint64_t get_cost = UINT64_MAX, renew_cost = UINT64_MAX;
+  for (int i = 0; i < 8; ++i) {
+    get_cost = std::min(get_cost, cost(get));
+    renew_cost = std::min(renew_cost, cost(renew));
+    net.RunFor((37 + 53 * i) * kMillisecond);  // a new phase of maintenance
+  }
+  EXPECT_EQ(get_cost, 3u);
+  EXPECT_EQ(renew_cost, 3u);
 }
 
 }  // namespace

@@ -59,6 +59,14 @@ are all invisible to the compiler and tedious for reviewers:
                   options struct is judged through its own fields.
                   Tree-wide, like msg-type.
 
+  readme-ref      A backticked repository path or `Class::Member` in
+                  README.md or src/*/README.md that does not resolve: the
+                  path names no file (relative to the checkout, the README's
+                  directory or src/; a bare file name anywhere in the source
+                  directories), or no header under src/ that defines the
+                  class names the member. Deleting a name the READMEs cite
+                  must take the citation with it. Tree-wide, like msg-type.
+
 Driving: reads compile_commands.json (pass -p BUILD_DIR) for the TU list and,
 when the libclang python bindings are importable, uses the clang AST; without
 them (this container ships none) it falls back to a built-in lexical engine
@@ -74,13 +82,15 @@ Exit status: 0 clean, 1 diagnostics were produced, 2 operational error.
 """
 
 import argparse
+import fnmatch
+import glob
 import json
 import os
 import re
 import sys
 
 RULES = ("timer-capture", "wallclock", "blocking", "hot-alloc", "op-resource",
-         "msg-type", "unset-option")
+         "msg-type", "unset-option", "readme-ref")
 
 SCHEDULE_CALL = re.compile(r"\b(ScheduleAt|ScheduleAfter|ScheduleEvent)\s*\(")
 
@@ -137,10 +147,23 @@ FIELD_ASSIGN = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)\s*=(?!=)")
 ASSIGNER_DIRS = ("src", "tests", "bench", "benchmark", "examples")
 SOURCE_SUFFIXES = (".cc", ".h", ".cpp", ".hpp")
 
+# README references: a backticked span that is a `Class::Member` (arguments
+# allowed) or a path (a name under one of SOURCE_DIRS, or a file name with a
+# source or document suffix; `*` globs allowed).
+README_FILES = ("README.md", os.path.join("src", "*", "README.md"))
+BACKTICKED = re.compile(r"`([^`\n]+)`")
+FENCE = re.compile(r"^```.*?^```", re.M | re.S)
+MEMBER_REF = re.compile(r"^([A-Z]\w*)((?:::~?\w+)+)(?:\(.*\))?$")
+PATH_REF = re.compile(r"^[\w.*-]+(?:/[\w.*-]+)*/?$")
+PATH_SUFFIX = re.compile(r"\.(cc|h|md|py|json|txt|yml|\*)$")
+SOURCE_DIRS = ("src", "tests", "bench", "benchmark", "tools", "examples")
+
 SUPPRESS = re.compile(r"//\s*pier-lint:\s*allow\(([^)]*)\)")
 PRETEND_PATH = re.compile(r"//\s*pier-lint-test:\s*pretend-path=(\S+)")
 TYPE_TABLE_PRAGMA = re.compile(r"//\s*pier-lint-test:\s*type-table=(\S+)")
+README_PRAGMA = re.compile(r"//\s*pier-lint-test:\s*readme=(\S+)")
 EXPECT = re.compile(r"//\s*expect:\s*([a-z\-,\s]+)")
+MD_EXPECT = re.compile(r"<!--\s*expect:\s*([a-z\-,\s]+?)\s*-->")
 
 
 class Diagnostic:
@@ -537,6 +560,85 @@ def check_msg_types(consts, table, diags):
                 (name, TYPE_TABLE_README)))
 
 
+def readme_refs(readme_text):
+    """(line, span) of each backticked span outside fenced code blocks."""
+    text = FENCE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), readme_text)
+    return [(line_of(text, m.start()), m.group(1))
+            for m in BACKTICKED.finditer(text)]
+
+
+def class_headers(headers):
+    """Class or struct name -> the stripped text of each header defining it."""
+    defs = {}
+    for text in headers:
+        for m in CLASS_HEAD.finditer(text):
+            defs.setdefault(m.group(1), []).append(text)
+    return defs
+
+
+def path_resolves(ref, readme_dir, root, basenames):
+    """A path ref names a file relative to the checkout, the README's
+    directory or src/; a bare file name may live anywhere in SOURCE_DIRS."""
+    ref = ref.rstrip("/")
+    if "/" not in ref and any(fnmatch.fnmatch(n, ref) for n in basenames):
+        return True
+    return any(glob.glob(os.path.join(base, ref))
+               for base in (root, readme_dir, os.path.join(root, "src")))
+
+
+def check_readme_refs(readmes, headers, root, diags):
+    """`readmes` maps each README path to its text; `headers` holds the
+    stripped text of every header that may define a cited class."""
+    defs = class_headers(headers)
+    basenames = {n for d in SOURCE_DIRS
+                 for _r, _d, names in os.walk(os.path.join(root, d))
+                 for n in names}
+    for path, text in sorted(readmes.items()):
+        for line, ref in readme_refs(text):
+            m = MEMBER_REF.match(ref)
+            if m:
+                names = m.group(2).lstrip(":").split("::")
+                if not any(all(re.search(r"\b%s\b" % re.escape(n), h)
+                               for n in names)
+                           for h in defs.get(m.group(1), [])):
+                    diags.append(Diagnostic(
+                        path, line, "readme-ref",
+                        "`%s` does not resolve: no header under src/ defines "
+                        "%s with %s" % (ref, m.group(1), "::".join(names))))
+            elif PATH_REF.match(ref) and (
+                    ref.split("/")[0] in SOURCE_DIRS or PATH_SUFFIX.search(ref)):
+                if not path_resolves(ref, os.path.dirname(path), root,
+                                     basenames):
+                    diags.append(Diagnostic(
+                        path, line, "readme-ref",
+                        "`%s` names no file in the checkout" % ref))
+
+
+def checkout_readmes(files):
+    """(root, {README path: text}, [stripped header text]) of the checkout
+    the linted files sit in, or None when no checkout is in reach."""
+    for f in files:
+        m = re.search(r"^(.*?)src/(runtime|overlay|qp)/",
+                      f.replace(os.sep, "/"))
+        if not m:
+            continue
+        root = m.group(1) or "."
+        readmes = {}
+        for pattern in README_FILES:
+            for p in sorted(glob.glob(os.path.join(root, pattern))):
+                with open(p, encoding="utf-8") as fh:
+                    readmes[p] = fh.read()
+        headers = []
+        for r, _dirs, names in os.walk(os.path.join(root, "src")):
+            for n in names:
+                if n.endswith(".h"):
+                    with open(os.path.join(r, n), encoding="utf-8",
+                              errors="replace") as fh:
+                        headers.append(strip_comments_and_strings(fh.read()))
+        return root, readmes, headers
+    return None
+
+
 def drop_suppressed(diags, suppressed):
     return [d for d in diags
             if not ({d.rule, "all"} & suppressed.get(d.line, set()))]
@@ -729,6 +831,10 @@ def run_lint(paths, build_dir, engine):
         diags.extend(lint_text(f, raw, consts=consts, fields=fields))
     diags.extend(lint_tree_wide(consts, find_type_table(files), fields,
                                 tree_assignments(files), raw_by_path))
+    checkout = checkout_readmes(files)
+    if checkout is not None:
+        root, readmes, headers = checkout
+        check_readme_refs(readmes, headers, root, diags)
 
     used_ast = False
     if engine in ("auto", "ast") and db:
@@ -759,6 +865,17 @@ def run_lint(paths, build_dir, engine):
     return 1 if diags else 0
 
 
+def expected_diagnostics(path, lines, marker):
+    """(path, line, rule) of each finding `marker` announces in `lines`."""
+    expected = set()
+    for idx, line in enumerate(lines, start=1):
+        m = marker.search(line)
+        if m:
+            expected |= {(path, idx, rule.strip())
+                         for rule in m.group(1).split(",") if rule.strip()}
+    return expected
+
+
 def run_selftest(testdata_dir):
     """Fixture mode: every *.cc/*.h under testdata declares its expected
     diagnostics inline (`// expect: <rule>` on the offending line); a file
@@ -766,7 +883,10 @@ def run_selftest(testdata_dir):
     direction, so neither the rules nor the fixtures can rot silently. Each
     fixture is its own tree for msg-type and unset-option (only its own
     assignments set a field); a `type-table=FILE` pragma names the markdown
-    file (in the fixture dir) standing in for the README."""
+    file (in the fixture dir) standing in for the README. A `readme=FILE`
+    pragma runs readme-ref over that markdown file (its expected findings
+    marked `<!-- expect: <rule> -->`), with the fixture as the only header
+    and the fixture dir as the checkout."""
     failures = 0
     files = sorted(
         os.path.join(testdata_dir, n) for n in os.listdir(testdata_dir)
@@ -779,7 +899,7 @@ def run_selftest(testdata_dir):
         with open(f, encoding="utf-8") as fh:
             raw = fh.read()
         lines = raw.split("\n")
-        pretend, table = None, None
+        pretend, table, readme = None, None, None
         for line in lines:
             m = PRETEND_PATH.search(line)
             if m and pretend is None:
@@ -789,32 +909,36 @@ def run_selftest(testdata_dir):
                 with open(os.path.join(testdata_dir, m.group(1)),
                           encoding="utf-8") as th:
                     table = type_table_names(th.read())
-        expected = set()
-        for idx, line in enumerate(lines, start=1):
-            m = EXPECT.search(line)
-            if m:
-                for rule in m.group(1).split(","):
-                    rule = rule.strip()
-                    if rule:
-                        expected.add((idx, rule))
+            m = README_PRAGMA.search(line)
+            if m and readme is None:
+                readme = os.path.join(testdata_dir, m.group(1))
+        expected = expected_diagnostics(f, lines, EXPECT)
         consts, fields = [], []
         diags = lint_text(f, raw, consts=consts, fields=fields,
                           effective_path=pretend or "src/%s" %
                           os.path.basename(f))
         diags += lint_tree_wide(consts, table, fields, assigned_fields(
             strip_comments_and_strings(raw)), {f: raw})
-        got = {(d.line, d.rule) for d in diags}
+        if readme is not None:
+            with open(readme, encoding="utf-8") as fh:
+                md = fh.read()
+            expected |= expected_diagnostics(readme, md.split("\n"),
+                                             MD_EXPECT)
+            check_readme_refs({readme: md}, [strip_comments_and_strings(raw)],
+                              testdata_dir, diags)
+        got = {(d.path, d.line, d.rule) for d in diags}
         if got == expected:
             print("PASS %s (%d expected diagnostic%s)" %
                   (f, len(expected), "" if len(expected) == 1 else "s"))
         else:
             failures += 1
             print("FAIL %s" % f)
-            for line, rule in sorted(expected - got):
-                print("  missing expected diagnostic: line %d [%s]" %
-                      (line, rule))
-            for line, rule in sorted(got - expected):
-                print("  unexpected diagnostic: line %d [%s]" % (line, rule))
+            for path, line, rule in sorted(expected - got):
+                print("  missing expected diagnostic: %s:%d [%s]" %
+                      (path, line, rule))
+            for path, line, rule in sorted(got - expected):
+                print("  unexpected diagnostic: %s:%d [%s]" %
+                      (path, line, rule))
     print("pier-lint selftest: %d fixtures, %d failure%s" %
           (len(files), failures, "" if failures == 1 else "s"))
     return 1 if failures else 0
