@@ -7,8 +7,11 @@
 // hierarchical join, nodes on the paths to the owner cache in-flight tuples,
 // emit matches "early", and the owner suppresses the pairs already produced.
 // We report where results were produced and the peak per-node out-bytes.
+// The bench FAILS (nonzero exit) unless both joins return exactly the join
+// size computed from the loaded rows.
 
 #include <algorithm>
+#include <cstdio>
 
 #include "bench/bench_common.h"
 #include "util/logging.h"
@@ -149,7 +152,7 @@ uint64_t GroundTruth(uint64_t seed) {
   return total;
 }
 
-void Run() {
+int Run() {
   bench::Title("E7: hierarchical join under Zipf(" + bench::Fmt(kSkew) +
                ") key skew");
   bench::Note(std::to_string(kRowsPerSide) + " rows/side over " +
@@ -157,8 +160,8 @@ void Run() {
               " nodes");
   Outcome rehash = RunJoin(false, 31);
   Outcome hier = RunJoin(true, 31);
-  bench::Note("exact join size (ground truth): " +
-              std::to_string(GroundTruth(32)));
+  const uint64_t truth = GroundTruth(32);  // RunJoin loads with seed + 1
+  bench::Note("exact join size (ground truth): " + std::to_string(truth));
 
   std::vector<int> w = {12, 10, 18, 12, 12};
   bench::Row({"strategy", "results", "max node out-bytes", "early", "owner"}, w);
@@ -170,15 +173,23 @@ void Run() {
               std::to_string(hier.owner)},
              w);
   bench::Note(
-      "expected shape: identical result counts; the hierarchical join "
-      "produces a meaningful share of results early (at path nodes), "
-      "lowering the hottest node's out-bytes relative to rehash.");
+      "expected shape (both counts equal to the ground truth is checked "
+      "below): the hierarchical join produces a meaningful share of results "
+      "early (at path nodes), lowering the hottest node's out-bytes relative "
+      "to rehash.");
+  int failures = 0;
+  for (const auto& [name, o] :
+       {std::make_pair("rehash", rehash), std::make_pair("hier", hier)}) {
+    if (o.results == truth) continue;
+    std::fprintf(stderr, "FAIL: %s join returned %llu results, expected %llu\n",
+                 name, static_cast<unsigned long long>(o.results),
+                 static_cast<unsigned long long>(truth));
+    failures++;
+  }
+  return failures;
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
-  pier::Run();
-  return 0;
-}
+int main() { return pier::Run(); }

@@ -10,8 +10,9 @@
 // non-matching R rows, winning at low sigma; plain rehash ships everything.
 //
 // An extra "optimizer" row runs whatever the cost-based optimizer picks from
-// the statistics accrued while the tables loaded; the bench FAILS (nonzero
-// exit) if that pick is ever strictly the worst measured strategy.
+// the statistics accrued while the tables loaded. The bench FAILS (nonzero
+// exit) if the three strategies' result counts differ at any sigma, or if
+// the optimizer's pick is ever strictly the worst measured strategy.
 
 #include <cstdio>
 #include <cstdlib>
@@ -199,12 +200,24 @@ int Run() {
   int failures = 0;
   for (double sigma : {0.05, 0.25, 1.0}) {
     std::map<std::string, uint64_t> measured;  // fixed strategy -> bytes
+    std::map<std::string, uint64_t> results;   // fixed strategy -> answers
     for (const char* strategy : {"rehash", "bloom", "fetch-matches"}) {
       Outcome o = RunStrategy(strategy, sigma, 401);
       measured[strategy] = o.bytes;
+      results[strategy] = o.results;
       bench::Row({bench::Fmt(sigma, 2), strategy, std::to_string(o.results),
                   bench::Fmt(o.bytes / 1024.0, 0), bench::Ms(o.last_result)},
                  w);
+    }
+    // Every strategy computes the same join: the counts must agree.
+    for (const auto& [name, count] : results) {
+      if (count == results.begin()->second) continue;
+      std::fprintf(stderr,
+                   "FAIL: sigma=%.2f %s returned %llu results, %s %llu\n",
+                   sigma, name.c_str(), static_cast<unsigned long long>(count),
+                   results.begin()->first.c_str(),
+                   static_cast<unsigned long long>(results.begin()->second));
+      failures++;
     }
     std::string pick;
     Outcome o = RunStrategy("optimizer", sigma, 401, &pick);
@@ -235,11 +248,12 @@ int Run() {
     }
   }
   bench::Note(
-      "expected shape: result counts agree across strategies at each sigma; "
-      "bloom's byte cost tracks sigma (it prunes non-matching R rows before "
-      "the rehash); rehash pays full shipping regardless; fetch-matches "
-      "costs one DHT get per R row, independent of sigma; the optimizer row "
-      "replays whatever the cost model picked from the accrued stats.");
+      "expected shape (result counts agreeing across strategies at each "
+      "sigma is checked above): bloom's byte cost tracks sigma (it prunes "
+      "non-matching R rows before the rehash); rehash pays full shipping "
+      "regardless; fetch-matches costs one DHT get per R row, independent of "
+      "sigma; the optimizer row replays whatever the cost model picked from "
+      "the accrued stats.");
   return failures;
 }
 

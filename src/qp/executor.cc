@@ -150,19 +150,30 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     ArmQueryTimers(&rq);
   } else if (meta.generation > rq.generation && graphs.empty()) {
     // A metadata-only refresh from a generation this node never received:
-    // the swap broadcast was lost (broadcast is what churn breaks first).
-    // Keep the stale generation's instances running — their answers are
-    // still correct, just produced by the superseded physical plan — renew
-    // the (live, clearly newer) proxy's lease, and fetch the missed plan
-    // point-to-point. The fetched plan arrives as an ordinary higher-
-    // generation dissemination WITH graphs and swaps normally.
-    if (meta.proxy_epoch >= rq.meta.proxy_epoch) {
-      rq.meta.window = meta.window;
-      FollowProxy(&rq, meta);
-    }
-    WireWriter w = OverlayRouter::FrameMessage(kMsgPlanFetch);
-    w.PutU64(meta.query_id);
-    dht_->router()->SendFramed(meta.proxy, std::move(w).data());
+    // the swap broadcast was lost. Keep the stale generation running (its
+    // answers are still correct), follow the refresh's proxy, and read the
+    // query's durable record. Its broadcast graphs swap in under THIS
+    // refresh's metadata: the record's writer may have died since, so it
+    // never re-targets answers. A record older than the refresh, or a
+    // proxy that moved on meanwhile, changes nothing; the next refresh
+    // reads again.
+    if (meta.proxy_epoch < rq.meta.proxy_epoch) return Status::Ok();
+    rq.meta.window = meta.window;
+    FollowProxy(&rq, meta);
+    proxy_->ReadDurablePlan(meta, [this, meta](QueryPlan record) {
+      auto qit = queries_.find(meta.query_id);
+      if (qit == queries_.end() || qit->second.meta.proxy != meta.proxy ||
+          qit->second.meta.proxy_epoch != meta.proxy_epoch ||
+          record.generation < meta.generation)
+        return;
+      std::vector<OpGraph> bcast;
+      for (OpGraph& g : record.graphs) {
+        if (g.dissem == DissemKind::kBroadcast) bcast.push_back(std::move(g));
+      }
+      // Equality, range and local graphs belong to specific nodes; a record
+      // without a broadcast graph starts nothing here.
+      if (!bcast.empty()) (void)StartGraphs(meta, bcast);
+    });
     return Status::Ok();
   } else if (meta.generation > rq.generation) {
     // Plan swap: the old instances emit their current window's blocking
@@ -573,17 +584,6 @@ void QueryExecutor::DoStop(uint64_t query_id) {
   }
   Release(&rq);
   queries_.erase(it);
-}
-
-std::vector<OpGraph> QueryExecutor::BroadcastGraphs(uint64_t query_id) const {
-  std::vector<OpGraph> out;
-  auto it = queries_.find(query_id);
-  if (it == queries_.end()) return out;
-  for (const auto& inst : it->second.instances) {
-    if (inst->graph().dissem == DissemKind::kBroadcast)
-      out.push_back(inst->graph());
-  }
-  return out;
 }
 
 Operator* QueryExecutor::FindOp(uint64_t query_id, uint32_t graph_id,

@@ -9,11 +9,12 @@
 //
 // The line between the two roles is the wire. QueryExecutor sends every
 // frame an executing node sends for a query — answer batches with their
-// piggybacked cost block, lease probes, plan fetches and the teardown cost
-// snapshot — and consumes the probe responses. QueryProcessor (the proxy
-// role) answers them. The executor calls the proxy directly for only two
-// things: adopting a query whose failover walk lands on this node, and
-// delivering answers when this node is the query's proxy.
+// piggybacked cost block, lease probes and the teardown cost snapshot — and
+// consumes the probe responses. QueryProcessor (the proxy role) answers
+// them. The executor calls the proxy directly for only three things:
+// adopting a query whose failover walk lands on this node, delivering
+// answers when this node is the query's proxy, and reading a continuous
+// query's durable plan record to repair a missed swap.
 
 #ifndef PIER_QP_EXECUTOR_H_
 #define PIER_QP_EXECUTOR_H_
@@ -78,8 +79,7 @@ class QueryExecutor {
 
   // --- Wire types of the query layer -----------------------------------------
   // Router direct-message types (every layer's are tabled in
-  // src/overlay/README.md). Executors send 33, 34, 37 and 38; proxies send 35
-  // and 36.
+  // src/overlay/README.md). Executors send 33, 37 and 38; proxies send 36.
 
   /// Lease probe (body: u64 query id): does the receiver still proxy the
   /// query? The response (u64 query id + u8 proxying) matters both ways:
@@ -88,13 +88,6 @@ class QueryExecutor {
   /// tombstone converge.
   static constexpr uint8_t kMsgLeaseProbe = 33;
   static constexpr uint8_t kMsgLeaseProbeResp = 36;
-  /// Missed-swap repair: an executor that learned of a newer generation from
-  /// a metadata-only refresh asks the proxy for the plan (kMsgPlanFetch,
-  /// body = query id); the proxy replies with its stored plan's broadcast
-  /// graphs (kMsgPlanPush, body = encoded plan), which re-enter the normal
-  /// dissemination path.
-  static constexpr uint8_t kMsgPlanFetch = 34;
-  static constexpr uint8_t kMsgPlanPush = 35;
   /// Final per-op cost snapshot from an executor tearing a query down (body:
   /// u64 query id + QueryMeter cost block). Covers executors that ran
   /// operators but never forwarded an answer.
@@ -153,7 +146,10 @@ class QueryExecutor {
   ///   - a higher generation swap the plan: the running instances get a
   ///     final flush (the window boundary is the quiesce point), are closed,
   ///     and the new generation's graphs are instantiated in their place,
-  ///     under the same query id and close timer.
+  ///     under the same query id and close timer;
+  ///   - a higher generation and no graphs (a refresh after a missed swap)
+  ///     read the query's durable plan record and swap to its broadcast
+  ///     graphs under the refresh's metadata.
   /// An empty `graphs` list never creates a query (metadata-only refresh).
   Status StartGraphs(const QueryPlan& meta, const std::vector<OpGraph>& graphs);
 
@@ -217,11 +213,6 @@ class QueryExecutor {
 
   bool HasQuery(uint64_t query_id) const { return queries_.count(query_id) > 0; }
   size_t num_active() const { return queries_.size(); }
-
-  /// The broadcast-disseminated opgraphs this node runs for `query_id` — an
-  /// adopting proxy rebuilds its stored plan from these, so it can serve
-  /// missed-swap plan fetches and future re-disseminations.
-  std::vector<OpGraph> BroadcastGraphs(uint64_t query_id) const;
 
   /// Introspection for tests and benches.
   Operator* FindOp(uint64_t query_id, uint32_t graph_id, uint32_t op_id);

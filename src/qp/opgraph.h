@@ -190,9 +190,9 @@ struct QueryPlan {
   /// PURPOSE — tear down now, do NOT start the successor walk. Without it a
   /// cancelled query with successors would look exactly like a dead proxy
   /// and be adopted. Executors that miss the broadcast converge through the
-  /// DURABLE tombstone the cancel also stores in the DHT ("!qtomb"): a
-  /// successor that adopts via lease starvation checks it and un-adopts;
-  /// the absolute deadline bounds everything else.
+  /// DURABLE copy: the cancel overwrites the query's plan record ("!qplan")
+  /// with this tombstone, and a successor that adopts via lease starvation
+  /// reads it and un-adopts; the absolute deadline bounds everything else.
   bool cancelled = false;
   /// Replication factor for the soft state this query publishes (Put
   /// exchanges, materialized tables): each object is placed at its owner

@@ -28,40 +28,6 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht) : vri_(vri), dht_(dht) {
         dht_->router()->SendFramed(from, std::move(w).data());
       });
 
-  // Missed-swap repair: executors that learn of a newer generation from a
-  // metadata-only lease refresh fetch the full plan directly.
-  router->RegisterDirectType(
-      QueryExecutor::kMsgPlanFetch,
-      [this](const NetAddress& from, std::string_view body) {
-        WireReader r(body);
-        uint64_t qid;
-        if (!r.GetU64(&qid).ok()) return;
-        auto it = clients_.find(qid);
-        if (it == clients_.end() || !it->second.plan_stored) return;
-        // Only the broadcast graphs: equality/range/local graphs belong to
-        // specific nodes and must not be instantiated at a fetcher.
-        QueryPlan push = it->second.plan;
-        std::vector<OpGraph> bcast;
-        for (OpGraph& g : push.graphs) {
-          if (g.dissem == DissemKind::kBroadcast) bcast.push_back(std::move(g));
-        }
-        // Never push a graph-less plan: the fetcher's missed-swap branch
-        // would just fetch again, ping-ponging at RTT rate. An unanswered
-        // fetch retries at the lease-refresh cadence instead.
-        if (bcast.empty()) return;
-        push.graphs = std::move(bcast);
-        WireWriter w = OverlayRouter::FrameMessage(QueryExecutor::kMsgPlanPush);
-        push.EncodeTo(&w);
-        dht_->router()->SendFramed(from, std::move(w).data());
-      });
-  router->RegisterDirectType(
-      QueryExecutor::kMsgPlanPush,
-      [this](const NetAddress&, std::string_view body) {
-        // The pushed plan re-enters the ordinary dissemination path: a
-        // higher generation with graphs swaps, anything stale is ignored.
-        HandleDisseminationBlob(body);
-      });
-
   // Broadcast dissemination arrives through the router's broadcast.
   router->set_broadcast_handler([this](std::string_view payload) {
     HandleDisseminationBlob(payload);
@@ -209,10 +175,7 @@ Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
   client.on_done = std::move(on_done);
   uint64_t qid = plan.query_id;
   client.done_timer = ArmDoneTimer(qid, plan.timeout);
-  if (plan.continuous) {
-    client.plan = plan;
-    client.plan_stored = true;
-  }
+  if (plan.continuous) client.plan = plan;
   clients_[qid] = std::move(client);
   BindQueryMetrics(&clients_[qid], qid);
   if (plan.continuous) {
@@ -225,9 +188,9 @@ Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
 }
 
 void QueryProcessor::StoreDurablePlan(const QueryPlan& plan) {
-  // The full plan (graphs included), replicated like any other soft state:
-  // an adopting successor reads it back even when the storing node is the
-  // dead proxy itself. Lifetime = the query's remaining life.
+  // The full plan (graphs included) or the cancel tombstone, replicated like
+  // any other soft state: a reader finds it even when the storing node is
+  // the dead proxy itself. Lifetime = the query's remaining life.
   TimeUs remaining = plan.deadline_us > 0
                          ? std::max<TimeUs>(kMillisecond,
                                             plan.deadline_us - vri_->Now())
@@ -236,12 +199,25 @@ void QueryProcessor::StoreDurablePlan(const QueryPlan& plan) {
             remaining + kDoneSlack, nullptr, plan.replicas);
 }
 
+void QueryProcessor::ReadDurablePlan(
+    const QueryPlan& meta, std::function<void(QueryPlan)> on_record) {
+  dht_->Get(
+      kPlanNs, std::to_string(meta.query_id),
+      [on_record = std::move(on_record)](const Status& s,
+                                         std::vector<DhtItem> items) {
+        if (!s.ok() || items.empty()) return;
+        Result<QueryPlan> record = QueryPlan::Decode(items[0].value);
+        if (record.ok()) on_record(std::move(*record));
+      },
+      meta.replicas);
+}
+
 Status QueryProcessor::RewindowQuery(uint64_t query_id, TimeUs window) {
   if (window <= 0) return Status::InvalidArgument("window must be positive");
   auto it = clients_.find(query_id);
   if (it == clients_.end())
     return Status::NotFound("not this node's running query");
-  if (!it->second.plan_stored)
+  if (!it->second.plan.continuous)
     return Status::NotSupported("only continuous queries can be rewindowed");
   QueryPlan& plan = it->second.plan;
   plan.window = window;
@@ -264,7 +240,7 @@ Status QueryProcessor::SwapQuery(uint64_t query_id, QueryPlan new_plan) {
   auto it = clients_.find(query_id);
   if (it == clients_.end())
     return Status::NotFound("not this node's running query");
-  if (!it->second.plan_stored)
+  if (!it->second.plan.continuous)
     return Status::NotSupported("only continuous queries can swap plans");
   if (!new_plan.continuous)
     return Status::InvalidArgument(
@@ -310,7 +286,7 @@ uint64_t QueryProcessor::ArmDoneTimer(uint64_t query_id, TimeUs delay) {
 
 void QueryProcessor::StartLeaseRefresh(uint64_t query_id) {
   auto it = clients_.find(query_id);
-  if (it == clients_.end() || !it->second.plan_stored) return;
+  if (it == clients_.end() || !it->second.plan.continuous) return;
   if (it->second.lease_timer) return;  // already refreshing
   it->second.lease_timer =
       vri_->ScheduleEvent(QueryExecutor::EffectiveLease(it->second.plan) / 3,
@@ -342,13 +318,7 @@ void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
 
   ClientQuery client;
   client.plan = meta;
-  // The wire metadata carries no graphs, but this node RUNS the query: its
-  // own broadcast instances rebuild the plan body, so the adopted proxy can
-  // serve missed-swap plan fetches and future re-disseminations instead of
-  // owning an empty shell.
-  client.plan.graphs = executor_->BroadcastGraphs(meta.query_id);
   client.plan.proxy = dht_->local_address();
-  client.plan_stored = true;
   uint64_t qid = meta.query_id;
   // The query's lifetime is unchanged by adoption: the done timer fires at
   // the ORIGINAL absolute deadline (plus slack), exactly like the dead
@@ -361,37 +331,24 @@ void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
   BindQueryMetrics(&clients_[qid], qid);
   PinLocalMeter(qid);
 
-  // This node's executor only rebuilds the BROADCAST graphs; equality /
-  // range / local graphs ran elsewhere (or only at the dead proxy). Recover
-  // them from the durable replicated plan copy — a read-any Get that works
-  // even though its primary owner may be the very node whose death caused
-  // this adoption.
-  dht_->Get(kPlanNs, std::to_string(qid),
-            [this, qid](const Status& s, std::vector<DhtItem> items) {
-              if (!s.ok() || items.empty()) return;
-              auto cit = clients_.find(qid);
-              if (cit == clients_.end() || !cit->second.plan_stored) return;
-              Result<QueryPlan> stored = QueryPlan::Decode(items[0].value);
-              if (!stored.ok()) return;
-              QueryPlan& plan = cit->second.plan;
-              if (stored->generation < plan.generation) return;  // stale copy
-              if (stored->graphs.size() <= plan.graphs.size()) return;
-              plan.graphs = std::move(stored->graphs);
-            });
-
-  // Adoption is optimistic; the durable cancel tombstone is the correction.
-  // A cancelled query's executors normally die of the broadcast tombstone
-  // or lease starvation, but a successor that missed the broadcast reaches
-  // here through that very starvation — so check the DHT-stored tombstone
-  // and un-adopt (best effort: an unreachable tombstone owner just means
-  // the query drains at its deadline, as before).
-  dht_->Get(kTombNs, std::to_string(qid),
-            [this, qid](const Status& s, std::vector<DhtItem> items) {
-              if (!s.ok() || items.empty()) return;
-              PIER_LOG(kInfo) << "un-adopting query " << qid
-                              << ": a cancel tombstone exists";
-              CancelQuery(qid);
-            });
+  // The wire metadata carries no graphs; the durable record supplies all of
+  // them. Adoption is optimistic, and the record is also its correction: a
+  // successor that missed the cancel broadcast adopts through lease
+  // starvation, reads the tombstone, and un-adopts (an unreadable record
+  // just means the query drains at its deadline).
+  ReadDurablePlan(meta, [this, qid](QueryPlan record) {
+    auto cit = clients_.find(qid);
+    if (cit == clients_.end()) return;
+    if (record.cancelled) {
+      PIER_LOG(kInfo) << "un-adopting query " << qid
+                      << ": its record is a cancel tombstone";
+      CancelQuery(qid);
+      return;
+    }
+    QueryPlan& plan = cit->second.plan;
+    if (record.generation < plan.generation) return;  // stale copy
+    plan.graphs = std::move(record.graphs);
+  });
 
   // Announce the succession: a same-generation metadata refresh with the
   // advanced proxy_epoch re-targets every executor's answer routing at this
@@ -414,7 +371,7 @@ Status QueryProcessor::AttachClient(uint64_t query_id, TupleCallback on_tuple,
   // Re-attach is a continuous-query failover affordance; snapshot records
   // keep no plan, so an attached handle could not even learn the real
   // deadline (and rebinding would silently orphan the submitting handle).
-  if (!c.plan_stored)
+  if (!c.plan.continuous)
     return Status::NotSupported("only continuous queries support re-attach");
   if (on_tuple)
     c.on_tuple = std::make_shared<const TupleCallback>(std::move(on_tuple));
@@ -476,7 +433,7 @@ Status QueryProcessor::CheckTablesKnown(const QueryPlan& plan) const {
 void QueryProcessor::CancelQuery(uint64_t query_id) {
   auto it = clients_.find(query_id);
   if (it != clients_.end()) {
-    if (it->second.plan_stored) {
+    if (it->second.plan.continuous) {
       // A cancelled continuous query must be distinguishable from a DEAD
       // proxy, or its successors would adopt it and keep it running to the
       // deadline. Broadcast a tombstone (bumped generation, no graphs);
@@ -487,17 +444,10 @@ void QueryProcessor::CancelQuery(uint64_t query_id) {
       tomb.generation++;
       tomb.cancelled = true;
       dht_->router()->Broadcast(tomb.Encode());
-      // And a DURABLE tombstone in the DHT: a successor that missed the
-      // broadcast adopts through lease starvation, checks this, and
-      // un-adopts. Lifetime = the query's remaining life (after that the
-      // deadline ends everything anyway).
-      TimeUs remaining =
-          it->second.plan.deadline_us > 0
-              ? std::max<TimeUs>(kMillisecond,
-                                 it->second.plan.deadline_us - vri_->Now())
-              : it->second.plan.timeout;
-      dht_->Put(kTombNs, std::to_string(query_id), "t", "1",
-                remaining + kDoneSlack);
+      // And the DURABLE tombstone: it overwrites the plan record, so a
+      // successor that missed the broadcast and adopts through lease
+      // starvation reads it and un-adopts.
+      StoreDurablePlan(tomb);
     }
     EndClient(it);  // the handle fires its own completion on cancel
   }

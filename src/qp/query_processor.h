@@ -11,10 +11,11 @@
 //
 // The line between the roles is the wire (qp/executor.h). This class owns
 // the proxy's records (ClientQuery), dissemination, and the responders to
-// what executors send: answer batches, teardown cost snapshots, lease probes
-// and plan fetches. Its QueryExecutor owns the executing role and every
-// frame an executing node sends; it calls back here only to adopt a query
-// (AdoptQuery) and to deliver answers when this node is the proxy.
+// what executors send: answer batches, teardown cost snapshots and lease
+// probes. Its QueryExecutor owns the executing role and every frame an
+// executing node sends; it calls back here only to adopt a query
+// (AdoptQuery), to deliver answers when this node is the proxy, and to read
+// a query's durable record after a missed swap (ReadDurablePlan).
 //
 // Churn-hardening of the continuous-query lifecycle:
 //
@@ -184,7 +185,9 @@ class QueryProcessor {
   /// walk lands on this node). Creates the
   /// proxy-side record from `meta`, arms the done timer from the original
   /// deadline, starts lease refreshing and re-broadcasts the plan so every
-  /// executor re-targets its answers. Idempotent while already the proxy.
+  /// executor re-targets its answers. The plan's graphs come from the
+  /// query's durable record, which un-adopts a cancelled query instead.
+  /// Idempotent while already the proxy.
   void AdoptQuery(const QueryPlan& meta);
 
   // --- Continuous-query lifecycle (this node must be the proxy) ---------------
@@ -210,7 +213,7 @@ class QueryProcessor {
   /// accessor; NotFound when this node does not proxy `query_id`).
   Result<QueryPlan> ProxyPlan(uint64_t query_id) const {
     auto it = clients_.find(query_id);
-    if (it == clients_.end() || !it->second.plan_stored)
+    if (it == clients_.end() || !it->second.plan.continuous)
       return Status::NotFound("no stored plan for this query");
     return it->second.plan;
   }
@@ -258,20 +261,15 @@ class QueryProcessor {
   }
 
  private:
-  /// The executing half delivers a local proxy's answers via DeliverBatch.
+  /// The executing half delivers a local proxy's answers via DeliverBatch
+  /// and repairs a missed swap via ReadDurablePlan.
   friend class QueryExecutor;
 
-  /// Namespace of durable cancel tombstones: CancelQuery of a continuous
-  /// query stores one under the query id (lifetime = remaining deadline),
-  /// and AdoptQuery checks it after adopting — a successor that missed the
-  /// tombstone BROADCAST still un-adopts a cancelled query.
-  static constexpr const char* kTombNs = "!qtomb";
-  /// Namespace of durable continuous-query plans: SubmitQuery and SwapQuery
-  /// store the full encoded plan under the query id (replicated with the
-  /// DHT's factor). An adopting successor whose own executor only ran the
-  /// query's BROADCAST graphs reads the plan back through it, so equality /
-  /// range / local graphs survive proxy failover too — even when the
-  /// original proxy (the plan's storing node) is the node that died.
+  /// Namespace of a continuous query's one durable record, keyed by query
+  /// id: the latest generation's full plan (SubmitQuery, SwapQuery) or the
+  /// cancel tombstone (CancelQuery). Replicated with the plan's factor, it
+  /// outlives the node that stored it, so adoption and missed-swap repair
+  /// read it (ReadDurablePlan) even after the proxy died.
   static constexpr const char* kPlanNs = "!qplan";
   /// Namespace that carries targeted (equality) dissemination objects.
   static constexpr const char* kDissemNs = "!dissem";
@@ -285,10 +283,9 @@ class QueryProcessor {
     std::shared_ptr<const TupleCallback> on_tuple;
     DoneCallback on_done;
     /// Continuous queries keep their plan so the lifecycle operations
-    /// (rewindow, swap) can re-disseminate it; snapshot plans are dropped
-    /// after dissemination as before.
+    /// (rewindow, swap) can re-disseminate it; a snapshot query's record
+    /// keeps a default plan (continuous = false).
     QueryPlan plan;
-    bool plan_stored = false;
     /// Answers that arrived while no client was attached (an adopted query
     /// before re-attach). Bounded by kPendingAnswerCap; replayed on
     /// AttachClient.
@@ -327,9 +324,13 @@ class QueryProcessor {
   /// timers, fires the final cost report, retires its per-query series.
   /// Returns the record's on_done for the caller to fire.
   DoneCallback EndClient(std::map<uint64_t, ClientQuery>::iterator it);
-  /// Store (or refresh) the durable replicated copy of a continuous query's
-  /// full plan under kPlanNs.
+  /// Store (or overwrite) a continuous query's durable record under kPlanNs:
+  /// its full plan, or its cancel tombstone.
   void StoreDurablePlan(const QueryPlan& plan);
+  /// Read `meta`'s durable record with the plan's replication factor and
+  /// hand it to `on_record`; a missing or undecodable record calls nothing.
+  void ReadDurablePlan(const QueryPlan& meta,
+                       std::function<void(QueryPlan)> on_record);
   /// Arm the proxy-side completion timer: at `delay` + kDoneSlack the
   /// client record is torn down and on_done fires. Shared by SubmitQuery
   /// and AdoptQuery so the two teardown paths cannot drift apart.

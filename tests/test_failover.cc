@@ -1,7 +1,8 @@
 // Churn-hardened continuous-query lifecycle: proxy failover to successors,
 // orphan reaping by lease expiry, deadline preservation across failover,
 // cancel semantics on orphaned handles, the cancel tombstone, swap-time
-// catch-up suppression, and the missed-swap repair (plan fetch and push).
+// catch-up suppression, and the missed-swap repair from the query's durable
+// plan record.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "opt/replanner.h"
 #include "overlay/sim_overlay.h"
 #include "qp/sim_pier.h"
 #include "qp/ufl.h"
@@ -299,11 +301,10 @@ TEST(Failover, SwapDrivenByTheAdoptedProxySurvivesTheRace) {
   EXPECT_GT(answers, 0u) << "the swapped plan answers through the new proxy";
 }
 
-TEST(Failover, AMissedSwapIsFetchedFromTheProxy) {
+TEST(Failover, AMissedSwapIsReadFromTheDurableRecord) {
   // An executor that missed a swap broadcast learns of the newer generation
-  // from a graphless lease refresh. It fetches the plan from the proxy
-  // (kMsgPlanFetch); the proxy pushes the plan's broadcast graphs
-  // (kMsgPlanPush), and the executor swaps to them.
+  // from a graphless lease refresh. It reads the query's durable plan record
+  // and swaps to the record's broadcast graphs.
   SimPier net(8, PierOptions(241));
   RegisterEv(&net);
   ASSERT_TRUE(
@@ -336,9 +337,19 @@ TEST(Failover, AMissedSwapIsFetchedFromTheProxy) {
     if (op.kind == OpKind::kHierAgg) hier_op = op.id;
   }
   ASSERT_NE(hier_op, 0u);
+  QueryExecutor* missed = net.qp(kMissed)->executor();
+  // A refresh that runs ahead of the record, which still holds generation
+  // 0, changes nothing: the node must not relabel the old graphs as the
+  // new generation, or the real swap below could never repair it.
+  auto current = net.qp(1)->ProxyPlan(qid);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  QueryPlan ahead = *current;
+  ahead.graphs.clear();
+  ahead.generation++;
+  ASSERT_TRUE(missed->StartGraphs(ahead, {}).ok());
+  net.RunFor(kSecond);
   ASSERT_TRUE(net.qp(1)->SwapQuery(qid, std::move(*hier)).ok());
   net.RunFor(kSecond);
-  QueryExecutor* missed = net.qp(kMissed)->executor();
   ASSERT_TRUE(missed->HasQuery(qid));
   auto runs_hier = [&] {
     Operator* op = missed->FindOp(qid, hier_gid, hier_op);
@@ -361,12 +372,18 @@ TEST(Failover, AMissedSwapIsFetchedFromTheProxy) {
   }
   EXPECT_GT(answers, before) << "answers stopped after the repair";
 
-  // A proxy whose plan has no broadcast graph (one equality-disseminated
-  // graph) answers a fetch with nothing: a graphless push would only make
-  // the fetcher fetch again.
-  const char* eq_text =
-      "SELECT * FROM eq WHERE src = 'x' TIMEOUT 60s WINDOW 2s CONTINUOUS";
-  auto eq = net.client(1)->Query(Sql(eq_text).WithLeasePeriod(kLease));
+  // A record with no broadcast graph starts nothing at a node that reads
+  // it. The proxy swaps an equality-disseminated query to a graph on
+  // another partition owner: the node that ran the first generation hears
+  // the newer generation's refreshes, reads a record that holds only the
+  // other owner's graph, and keeps running what it runs, reading once per
+  // refresh rather than again and again.
+  auto eq_sql = [](const std::string& key) {
+    return Sql("SELECT * FROM eq WHERE src = '" + key +
+               "' TIMEOUT 60s WINDOW 2s CONTINUOUS")
+        .WithLeasePeriod(kLease);
+  };
+  auto eq = net.client(1)->Query(eq_sql("x"));
   ASSERT_TRUE(eq.ok()) << eq.status().ToString();
   net.RunFor(2 * kSecond);
   auto eq_plan = net.qp(1)->ProxyPlan(eq->id());
@@ -378,17 +395,194 @@ TEST(Failover, AMissedSwapIsFetchedFromTheProxy) {
          !net.qp(runner)->executor()->HasQuery(eq->id()))
     runner++;
   ASSERT_LT(runner, net.size());
-  size_t pushes = 0;
-  net.dht(runner)->router()->RegisterDirectType(
-      QueryExecutor::kMsgPlanPush,
-      [&pushes](const NetAddress&, std::string_view) { pushes++; });
-  QueryPlan newer = *eq_plan;
-  newer.graphs.clear();
-  newer.generation++;
-  ASSERT_TRUE(net.qp(runner)->executor()->StartGraphs(newer, {}).ok());
+  Result<QueryPlan> elsewhere = Status::NotFound("no key off the runner");
+  for (int k = 0; k < 32; ++k) {
+    auto plan = net.client(1)->Compile(eq_sql("y" + std::to_string(k)));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const OpGraph& g = plan->graphs[0];
+    Id target = RoutingId(g.dissem_ns, g.dissem_key);
+    if (!net.dht(runner)->router()->protocol()->IsOwner(target)) {
+      elsewhere = std::move(plan);
+      break;
+    }
+  }
+  ASSERT_TRUE(elsewhere.ok()) << elsewhere.status().ToString();
+  ASSERT_TRUE(net.qp(1)->SwapQuery(eq->id(), std::move(*elsewhere)).ok());
   net.RunFor(kSecond);
-  EXPECT_EQ(pushes, 0u);
-  EXPECT_TRUE(net.qp(runner)->executor()->HasQuery(eq->id()));
+  const uint64_t gets = net.dht(runner)->stats().gets;
+  net.RunFor(2 * kLease);  // six refreshes, every lease/3
+  EXPECT_GE(net.dht(runner)->stats().gets, gets + 5);
+  EXPECT_LE(net.dht(runner)->stats().gets, gets + 6);
+  EXPECT_NE(net.qp(runner)->executor()->FindOp(
+                eq->id(), eq_plan->graphs[0].id, eq_plan->graphs[0].ops[0].id),
+            nullptr)
+      << "the superseded generation keeps running";
+}
+
+TEST(Failover, AMissedSwapRepairedAfterTheProxyDiedAnswersTheAdopter) {
+  // The proxy swaps and dies; node kMissed heard neither the swap nor any
+  // later refresh from it. The successor adopts and announces itself, and
+  // kMissed repairs the swap from the durable record, which the DEAD proxy
+  // wrote. The repair takes its metadata from the adopter's refresh, so
+  // kMissed's answers go to the adopter at once, not to the dead proxy.
+  SimPier net(8, PierOptions(283));
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("loc").LocalOnly()).ok());
+  constexpr uint32_t kMissed = 5;
+  // Only kMissed holds rows, so every answer the adopter gets is its own.
+  int64_t next_v = 0;
+  auto publish_at_missed = [&] {
+    Tuple t("loc");
+    t.Append("v", Value::Int64(next_v++));
+    ASSERT_TRUE(net.client(kMissed)->Publish("loc", t).ok());
+  };
+  auto q = net.client(1)->Query(
+      Sql("SELECT * FROM loc TIMEOUT 60s WINDOW 1s CONTINUOUS")
+          .WithSuccessors({net.dht(2)->local_address()})
+          .WithLeasePeriod(kLease));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const uint64_t qid = q->id();
+  size_t answers = 0;
+  q->OnTuple([&](const Tuple&) { answers++; });
+  for (int i = 0; i < 3; ++i) {
+    publish_at_missed();
+    net.RunFor(kSecond);
+  }
+  ASSERT_GT(answers, 0u);
+
+  // From here kMissed drops whatever the original proxy disseminates for a
+  // later generation: the swap and every refresh after it.
+  const NetAddress first_proxy = net.dht(1)->local_address();
+  QueryExecutor* missed = net.qp(kMissed)->executor();
+  net.dht(kMissed)->router()->set_broadcast_handler(
+      [missed, first_proxy, qid](std::string_view payload) {
+        Result<QueryPlan> plan = QueryPlan::Decode(payload);
+        if (!plan.ok()) return;
+        if (plan->query_id == qid && plan->proxy == first_proxy &&
+            plan->generation > 0)
+          return;
+        QueryPlan meta = *plan;
+        meta.graphs.clear();
+        (void)missed->StartGraphs(meta, plan->graphs);
+      });
+  auto filtered = net.client(1)->Compile(
+      Sql("SELECT * FROM loc WHERE v >= 0 TIMEOUT 60s WINDOW 1s CONTINUOUS"));
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  ASSERT_EQ(filtered->graphs.size(), 1u);
+  const uint32_t gid = filtered->graphs[0].id;
+  uint32_t select_op = 0;
+  for (const OpSpec& op : filtered->graphs[0].ops) {
+    if (op.kind == OpKind::kSelection) select_op = op.id;
+  }
+  ASSERT_NE(select_op, 0u);
+  ASSERT_TRUE(net.qp(1)->SwapQuery(qid, std::move(*filtered)).ok());
+  auto runs_swapped = [&] {
+    Operator* op = missed->FindOp(qid, gid, select_op);
+    return op != nullptr && op->spec().kind == OpKind::kSelection;
+  };
+  for (int i = 0; i < 2; ++i) {
+    publish_at_missed();
+    net.RunFor(kSecond);
+  }
+  ASSERT_FALSE(runs_swapped()) << "test premise: the node must miss the swap";
+  ASSERT_TRUE(net.qp(4)->executor()->FindOp(qid, gid, select_op) != nullptr)
+      << "test premise: everyone else swapped";
+
+  net.harness()->FailNode(1);
+  for (int i = 0; i < 20 && !runs_swapped(); ++i) net.RunFor(kSecond / 2);
+  ASSERT_EQ(net.qp(2)->stats().adoptions, 1u) << "successor adopted";
+  ASSERT_TRUE(runs_swapped()) << "the record repaired the missed swap";
+
+  // From the repair on, every row kMissed answers reaches the adopter within
+  // a second: none is sent to the dead proxy and waits out UdpCC's give-ups.
+  const uint64_t failures = missed->stats().forward_failures;
+  const uint64_t delivered = net.qp(2)->stats().answers_delivered;
+  for (int i = 0; i < 4; ++i) publish_at_missed();
+  net.RunFor(kSecond + kSecond / 2);
+  EXPECT_EQ(net.qp(2)->stats().answers_delivered, delivered + 4);
+  net.RunFor(8 * kSecond);
+  EXPECT_EQ(missed->stats().forward_failures, failures);
+}
+
+TEST(Failover, ReattachedHandleKeepsCountingAndAttachResumesReplanning) {
+  // After the proxy dies and its successor adopts, the ORIGINAL handle is
+  // re-bound through the successor's client and keeps its callback and its
+  // tally. A second handle attached at the adopter with the query's SQL
+  // has an estimate (the adopter read the plan's graphs from the durable
+  // record) and resumes auto-replanning there.
+  SimPier net(8, PierOptions(293));
+  ASSERT_TRUE(
+      net.catalog()->Register(TableSpec("ev").PartitionBy({"src"})).ok());
+  auto publish = [&](int i) {
+    Tuple e("ev");
+    e.Append("src", Value::String("s" + std::to_string(i % 4)));
+    uint32_t from = static_cast<uint32_t>(i) % net.size();
+    if (from == 1) from = 0;  // node 1 is the proxy, and it dies
+    ASSERT_TRUE(net.client(from)->Publish("ev", e).ok());
+  };
+  Sql sql("SELECT src, count(*) AS cnt FROM ev GROUP BY src "
+          "TIMEOUT 90s WINDOW 2s CONTINUOUS");
+  sql.WithSuccessors({net.dht(2)->local_address()}).WithLeasePeriod(kLease);
+  auto q = net.client(1)->Query(sql);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const uint64_t qid = q->id();
+  size_t seen = 0;
+  q->OnTuple([&](const Tuple&) { seen++; });
+  // A handful of rows: far too few statistics to move the plan off flat.
+  for (int i = 0; i < 6; ++i) {
+    publish(i);
+    net.RunFor(kSecond);
+  }
+  const uint64_t before_kill = q->stats().tuples;
+  ASSERT_GT(before_kill, 0u);
+  ASSERT_EQ(seen, before_kill);
+
+  net.harness()->FailNode(1);
+  for (int i = 0; i < 8; ++i) {
+    publish(i);
+    net.RunFor(kSecond);
+  }
+  ASSERT_EQ(net.qp(2)->stats().adoptions, 1u) << "successor adopted";
+  EXPECT_EQ(q->stats().tuples, before_kill) << "nothing reaches a dead proxy";
+
+  net.client(2)->set_replan_period(2 * kSecond);
+  Replanner::Options opts;
+  opts.min_cost_ratio = 1.05;
+  net.client(2)->set_replan_options(opts);
+  auto attached = net.client(2)->Attach(qid, Sql(sql).WithReplan("auto"));
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  auto explained = net.client(2)->ExplainAnalyze(*attached);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_FALSE(explained->estimate.ops.empty())
+      << "the adopter's plan has graphs to estimate";
+
+  // Re-bind the original handle: the same callback fires, and its tally
+  // continues from the pre-kill value.
+  ASSERT_TRUE(q->Reattach(net.client(2)).ok());
+  for (int i = 0; i < 6; ++i) {
+    publish(i);
+    net.RunFor(kSecond);
+  }
+  EXPECT_GT(q->stats().tuples, before_kill);
+  EXPECT_EQ(seen, q->stats().tuples) << "one callback, one tally";
+  EXPECT_EQ(attached->stats().replans, 0u) << "stable stats: no swap";
+
+  // The table grows dense: the replan loop resumed at the adopter swaps the
+  // plan to hierarchical aggregation, and the original handle keeps
+  // receiving answers from the swapped plan.
+  for (int i = 0; i < 300; ++i) {
+    publish(i);
+    if (i % 25 == 24) net.RunFor(kSecond);
+  }
+  net.RunFor(10 * kSecond);
+  EXPECT_EQ(attached->stats().replans, 1u)
+      << "the adopter's replan loop swapped the plan";
+  const uint64_t at_swap = q->stats().tuples;
+  for (int i = 0; i < 6; ++i) {
+    publish(0);
+    net.RunFor(kSecond);
+  }
+  EXPECT_GT(q->stats().tuples, at_swap);
+  EXPECT_EQ(seen, q->stats().tuples);
 }
 
 TEST(Failover, StaleProbeVerdictClearsTheProbeSoTheNextProxyIsProbed) {
@@ -597,9 +791,9 @@ TEST(Failover, TombstoneSurvivesItsOwnersDeathThroughReplicas) {
   ASSERT_TRUE(q->Cancel().ok());
   net.RunFor(2 * kSecond);  // durable tombstone put + replica frames settle
 
-  // Kill the very node that owns the durable tombstone. With k = 1 this
-  // would reopen PR 5's adoption hole: the un-adopt Get would find nothing.
-  int owner = OwnerOf(&net, "!qtomb", std::to_string(qid));
+  // Kill the very node that owns the durable record, which now holds the
+  // tombstone. With k = 1 the un-adopt read would find nothing.
+  int owner = OwnerOf(&net, "!qplan", std::to_string(qid));
   ASSERT_GE(owner, 0);
   uint32_t adopter = owner == 2 ? 3 : 2;
   net.harness()->FailNode(static_cast<uint32_t>(owner));

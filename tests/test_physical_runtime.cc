@@ -8,6 +8,8 @@
 #include <atomic>
 #include <thread>
 
+#include "obs/metrics.h"
+#include "obs/scrape.h"
 #include "overlay/dht.h"
 #include "runtime/physical_runtime.h"
 #include "runtime/udpcc.h"
@@ -127,6 +129,105 @@ TEST(PhysicalRuntime, DhtNodeBootsOnRealSockets) {
   rt.ScheduleEvent(5 * kSecond, [&]() { rt.Stop(); });  // watchdog
   rt.Run();
   EXPECT_EQ(got, "physical");
+}
+
+TEST(PhysicalRuntime, FramedTcpDeliversEachFrameAndSurfacesAClose) {
+  // One runtime, both ends of one loopback connection. Two frames written
+  // back to back leave in one buffer; the receiver's framing splits them
+  // into two deliveries. The dialer's close reaches the listener's side as
+  // an error.
+  PhysicalRuntime rt;
+  struct Listener : TcpHandler {
+    PhysicalRuntime* rt = nullptr;
+    int accepted = 0;
+    std::vector<std::string> frames;
+    bool closed = false;
+    void HandleTcpNew(uint64_t, const NetAddress&) override { accepted++; }
+    void HandleTcpData(uint64_t, std::string_view data) override {
+      frames.emplace_back(data);
+    }
+    void HandleTcpError(uint64_t) override {
+      closed = true;
+      rt->Stop();
+    }
+  } listener;
+  listener.rt = &rt;
+  struct Dialer : TcpHandler {
+    PhysicalRuntime* rt = nullptr;
+    bool opened = false;
+    bool failed = false;
+    void HandleTcpNew(uint64_t conn, const NetAddress&) override {
+      opened = true;
+      EXPECT_TRUE(rt->TcpWrite(conn, "first").ok());
+      EXPECT_TRUE(rt->TcpWrite(conn, std::string(3000, 'x')).ok());
+    }
+    void HandleTcpData(uint64_t, std::string_view) override {}
+    void HandleTcpError(uint64_t) override { failed = true; }
+  } dialer;
+  dialer.rt = &rt;
+
+  const uint16_t port = TestPort(5);
+  ASSERT_TRUE(rt.TcpListen(port, &listener).ok());
+  uint64_t conn = 0;
+  rt.ScheduleEvent(0, [&]() {
+    Result<uint64_t> c = rt.TcpConnect(NetAddress{0x7f000001, port}, &dialer);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    conn = *c;
+  });
+  // Close once both frames are in; the watchdog bounds a lost close.
+  std::function<void()> close_when_delivered = [&]() {
+    if (listener.frames.size() >= 2) {
+      rt.TcpClose(conn);
+      return;
+    }
+    rt.ScheduleEvent(5 * kMillisecond, close_when_delivered);
+  };
+  rt.ScheduleEvent(5 * kMillisecond, close_when_delivered);
+  rt.ScheduleEvent(5 * kSecond, [&]() { rt.Stop(); });
+  rt.Run();
+  rt.TcpRelease(port);
+
+  EXPECT_TRUE(dialer.opened);
+  EXPECT_FALSE(dialer.failed) << "the dialer closed its own end";
+  EXPECT_EQ(listener.accepted, 1);
+  ASSERT_EQ(listener.frames.size(), 2u);
+  EXPECT_EQ(listener.frames[0], "first");
+  EXPECT_EQ(listener.frames[1], std::string(3000, 'x'));
+  EXPECT_TRUE(listener.closed) << "the close surfaced as an error";
+}
+
+TEST(PhysicalRuntime, MetricsEndpointAnswersAScrapeFromAnotherRuntime) {
+  // The endpoint's runtime runs on its own thread; the scraper's runs here.
+  MetricsRegistry registry;
+  registry.GetCounter("pier_test_scrapes_total", {}, "scrape test")->Inc(3);
+  PhysicalRuntime served;
+  MetricsEndpoint endpoint(&served, &registry);
+  const uint16_t port = TestPort(6);
+  ASSERT_TRUE(endpoint.Listen(port).ok());
+  std::thread serving([&served]() { served.Run(); });
+
+  PhysicalRuntime scraper;
+  std::string body;
+  bool answered = false;
+  scraper.ScheduleEvent(0, [&]() {
+    ScrapeMetrics(&scraper, NetAddress{0x7f000001, port},
+                  [&](std::string b) {
+                    body = std::move(b);
+                    answered = true;
+                    scraper.Stop();
+                  });
+  });
+  scraper.ScheduleEvent(5 * kSecond, [&]() { scraper.Stop(); });  // watchdog
+  scraper.Run();
+  served.Stop();
+  serving.join();
+  endpoint.Shutdown();
+
+  EXPECT_TRUE(answered);
+  EXPECT_NE(body.find("pier_test_scrapes_total 3"), std::string::npos)
+      << body;
+  EXPECT_EQ(body.find("HTTP/"), std::string::npos) << "header stripped";
+  EXPECT_EQ(endpoint.stats().scrapes, 1u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 
+#include "decoder_fuzz.h"
 #include "qp/sim_pier.h"
 
 namespace pier {
@@ -659,6 +660,170 @@ TEST(QpE2E, CancelStopsDelivery) {
   net.RunFor(14 * kSecond);
   EXPECT_EQ(q->stats().tuples, 0u)
       << "no answers may be delivered after Cancel";
+}
+
+// ---------------------------------------------------------------------------
+// The query layer's direct frames, sent through a node's transport
+// ---------------------------------------------------------------------------
+
+/// The frame `type` + `body` from `from` to `to`, then 200 ms of the sim.
+void SendFrame(SimPier* net, uint32_t from, uint32_t to, uint8_t type,
+               std::string_view body) {
+  WireWriter w = OverlayRouter::FrameMessage(type);
+  w.PutRaw(body);
+  net->dht(from)->router()->SendFramed(net->dht(to)->local_address(),
+                                       std::move(w).data());
+  net->RunFor(200 * kMillisecond);
+}
+
+// A lease probe cut at any byte is not answered, and a probe response cut
+// at any byte resolves no probe. Node 0 proxies a continuous query with an
+// hour-long lease. For the response sweep it stops answering probes and
+// node 2 stops hearing its refreshes, so node 2's probe of node 0 stays
+// outstanding (half a lease) while node 0 sends the responses.
+TEST(QueryFrames, LeaseProbeAndResponseIgnoreCutAndGarbageFrames) {
+  SimPier net(4, PierOptions(97));
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("t").PartitionBy({"k"})).ok());
+  constexpr TimeUs kHour = 3600 * kSecond;
+  auto q = net.client(0)->Query(
+      Sql("SELECT k FROM t TIMEOUT 20000s WINDOW 60s CONTINUOUS")
+          .WithLeasePeriod(kHour));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  net.RunFor(kSecond);
+  ASSERT_TRUE(net.qp(2)->executor()->HasQuery(q->id()));
+  WireWriter id;
+  id.PutU64(q->id());
+
+  std::vector<std::string> replies;
+  net.dht(1)->router()->RegisterDirectType(
+      QueryExecutor::kMsgLeaseProbeResp,
+      [&replies](const NetAddress&, std::string_view body) {
+        replies.emplace_back(body);
+      });
+  auto probe = [&](const std::string& body) {
+    const size_t before = replies.size();
+    SendFrame(&net, 1, 0, QueryExecutor::kMsgLeaseProbe, body);
+    return replies.size() > before;
+  };
+  ASSERT_TRUE(probe(id.data()));
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0], id.data() + std::string(1, '\x01')) << "proxying";
+  EXPECT_EQ(FuzzDecoder(id.data(), 61, probe), 0u);
+
+  size_t probes = 0;
+  net.dht(0)->router()->RegisterDirectType(
+      QueryExecutor::kMsgLeaseProbe,
+      [&probes](const NetAddress&, std::string_view) { probes++; });
+  net.dht(2)->router()->set_broadcast_handler([](std::string_view) {});
+  const QueryExecutor* exec = net.qp(2)->executor();
+  auto verdicts = [&] {
+    uint64_t n = 0;
+    for (const auto& [verdict, count] : exec->stats().probe_verdicts)
+      n += count;
+    return n;
+  };
+  auto respond = [&](const std::string& body) {
+    const uint64_t before = verdicts();
+    SendFrame(&net, 0, 2, QueryExecutor::kMsgLeaseProbeResp, body);
+    return verdicts() > before;
+  };
+  const std::string resp = id.data() + std::string(1, '\x01');
+  net.RunFor(kHour + kHour / 4);  // the lease runs out; one probe goes out
+  ASSERT_EQ(probes, 1u);
+  ASSERT_TRUE(respond(resp));
+  EXPECT_EQ(exec->stats().probe_verdicts.at("proxying"), 1u);
+  net.RunFor(kHour + kHour / 4);  // the renewed lease runs out too
+  ASSERT_EQ(probes, 2u);
+  EXPECT_EQ(FuzzDecoder(resp, 62, respond), 0u);
+  EXPECT_TRUE(exec->HasQuery(q->id())) << "no verdict reaped the query";
+}
+
+// A cost snapshot cut at any byte replaces nothing. An answer batch cut
+// inside its rows delivers none of them; cut inside its cost block, it
+// delivers every row and leaves the sender's snapshot as it was.
+TEST(QueryFrames, CostsAndAnswerBatchIgnoreCutAndGarbageFrames) {
+  SimPier net(4, PierOptions(98));
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("t").PartitionBy({"k"})).ok());
+  auto q = net.client(0)->Query(
+      Sql("SELECT k FROM t TIMEOUT 600s WINDOW 60s CONTINUOUS"));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  net.RunFor(kSecond);
+  QueryProcessor* proxy = net.qp(0);
+
+  // Node 1's snapshot, as the proxy reports it: graph 77 is no graph of the
+  // query, so only frames from this test fill it.
+  auto snapshot = [&] {
+    std::vector<std::tuple<uint32_t, uint64_t, uint64_t, uint64_t, uint64_t>>
+        out;
+    for (const QueryCostOp& op : proxy->QueryCosts(q->id()).ops) {
+      if (op.graph_id != 77) continue;
+      out.emplace_back(op.op_id, op.cost.tuples_in, op.cost.tuples_out,
+                       op.cost.msgs, op.cost.bytes);
+    }
+    return out;
+  };
+  auto costs_frame = [&](uint64_t scale, bool with_rows) {
+    WireWriter w;
+    w.PutU64(q->id());
+    if (with_rows) {
+      std::vector<Tuple> rows;
+      for (int64_t k = 0; k < 3; ++k) {
+        Tuple t("t");
+        t.Append("k", Value::Int64(k));
+        rows.push_back(std::move(t));
+      }
+      TupleBatch::FromTuples(rows).EncodeTo(&w);
+    }
+    const size_t rows_end = w.size();
+    QueryMeter meter;
+    *meter.At(77, 1) = OpCost{5 * scale, 5 * scale, scale, 100 * scale};
+    *meter.At(77, 2) = OpCost{scale, 0, 0, 0};
+    meter.EncodeTo(&w);
+    return std::make_pair(std::move(w).data(), rows_end);
+  };
+  const std::string base_frame = costs_frame(1, false).first;
+  SendFrame(&net, 1, 0, QueryExecutor::kMsgQueryCosts, base_frame);
+  const auto base = snapshot();
+  ASSERT_EQ(base.size(), 2u);
+  auto restore = [&] {
+    if (snapshot() != base)
+      SendFrame(&net, 1, 0, QueryExecutor::kMsgQueryCosts, base_frame);
+    ASSERT_EQ(snapshot(), base);
+  };
+
+  const std::string costs = costs_frame(3, false).first;
+  auto send_costs = [&](const std::string& body) {
+    SendFrame(&net, 1, 0, QueryExecutor::kMsgQueryCosts, body);
+    const bool replaced = snapshot() != base;
+    restore();
+    return replaced;
+  };
+  ASSERT_TRUE(send_costs(costs));
+  EXPECT_EQ(FuzzDecoder(costs, 63, send_costs), 0u);
+
+  const std::pair<std::string, size_t> batch = costs_frame(3, true);
+  const std::string& answers = batch.first;
+  const size_t rows_end = batch.second;
+  size_t calls = 0;
+  auto send_answers = [&](const std::string& body) {
+    const uint64_t before = proxy->stats().answers_delivered;
+    SendFrame(&net, 1, 0, QueryExecutor::kMsgAnswerBatch, body);
+    const uint64_t delivered = proxy->stats().answers_delivered - before;
+    if (calls++ < answers.size()) {  // FuzzDecoder's cuts come first
+      EXPECT_EQ(delivered, body.size() < rows_end ? 0u : 3u)
+          << "cut at byte " << body.size();
+      EXPECT_EQ(snapshot(), base) << "cut at byte " << body.size();
+    }
+    restore();
+    return delivered > 0;
+  };
+  const uint64_t before = proxy->stats().answers_delivered;
+  SendFrame(&net, 1, 0, QueryExecutor::kMsgAnswerBatch, answers);
+  EXPECT_EQ(proxy->stats().answers_delivered, before + 3);
+  EXPECT_NE(snapshot(), base) << "a whole frame replaces the snapshot";
+  restore();
+  EXPECT_EQ(FuzzDecoder(answers, 64, send_answers), answers.size() - rows_end)
+      << "exactly the cuts that keep every row deliver";
 }
 
 }  // namespace
