@@ -24,8 +24,9 @@
 // the victim's partition. The bench FAILS unless the final k=3 round loses
 // < 1% of answers, k=1 loses strictly more, the churn-free runs return
 // exactly 200 rows at BOTH factors (the scan-time replica merge must never
-// double-count), and no config's final round returns a row twice (a kill's
-// promotions and handoffs must not re-emit answered rows).
+// double-count), and no config's final round returns a row twice (the
+// copies that speak for a dead owner's rows, and the repair re-pushes, must
+// not re-emit answered rows).
 // PIER_BENCH_JSON=<path> additionally writes the E15 metrics as JSON
 // (virtual-time deterministic; CI diffs it against the committed
 // BENCH_churn.json).
@@ -346,8 +347,6 @@ struct ReplicationOutcome {
   size_t distinct_min = 0;      // worst round
   // Replication health, summed across all nodes (dead ones frozen at death).
   uint64_t replica_stores = 0;
-  uint64_t promotions = 0;
-  uint64_t handoff_pulls = 0;
   uint64_t read_failovers = 0;
   uint64_t suppressed_scan_rows = 0;
   double LossPct() const {
@@ -408,8 +407,6 @@ ReplicationOutcome MeasureReplication(int k, bool kill, uint64_t seed) {
   for (uint32_t i = 0; i < net.size(); ++i) {
     Dht::Stats s = net.dht(i)->stats();
     out.replica_stores += s.replica_stores;
-    out.promotions += s.promotions;
-    out.handoff_pulls += s.handoff_pulls;
     out.read_failovers += s.read_failovers;
     out.suppressed_scan_rows += s.suppressed_scan_rows;
   }
@@ -430,9 +427,8 @@ int RunReplicationCheck() {
                                  {3, false, {}}, {3, true, {}}};
   for (Config& c : configs) c.out = MeasureReplication(c.k, c.kill, 501);
 
-  std::vector<int> w = {10, 8, 12, 14, 12, 10, 12, 10};
-  bench::Row({"config", "rows", "distinct", "distinct_min", "loss%",
-              "stores", "promotions", "pulls"},
+  std::vector<int> w = {10, 8, 12, 14, 12, 10};
+  bench::Row({"config", "rows", "distinct", "distinct_min", "loss%", "stores"},
              w);
   for (const Config& c : configs) {
     bench::Row({"k=" + std::to_string(c.k) + (c.kill ? " kill" : ""),
@@ -440,9 +436,7 @@ int RunReplicationCheck() {
                 std::to_string(c.out.distinct_final),
                 std::to_string(c.out.distinct_min),
                 bench::Fmt(c.out.LossPct(), 2),
-                std::to_string(c.out.replica_stores),
-                std::to_string(c.out.promotions),
-                std::to_string(c.out.handoff_pulls)},
+                std::to_string(c.out.replica_stores)},
                w);
   }
 
@@ -509,14 +503,11 @@ int RunReplicationCheck() {
           "    {\"k\": %d, \"kill\": %s, \"rows_final\": %llu, "
           "\"distinct_final\": %zu, \"distinct_min\": %zu, "
           "\"loss_final_pct\": %.2f, \"replica_stores\": %llu, "
-          "\"promotions\": %llu, \"handoff_pulls\": %llu, "
           "\"read_failovers\": %llu, \"suppressed_scan_rows\": %llu}%s\n",
           c.k, c.kill ? "true" : "false",
           static_cast<unsigned long long>(c.out.rows_final),
           c.out.distinct_final, c.out.distinct_min, c.out.LossPct(),
           static_cast<unsigned long long>(c.out.replica_stores),
-          static_cast<unsigned long long>(c.out.promotions),
-          static_cast<unsigned long long>(c.out.handoff_pulls),
           static_cast<unsigned long long>(c.out.read_failovers),
           static_cast<unsigned long long>(c.out.suppressed_scan_rows),
           i + 1 < configs.size() ? "," : "");

@@ -522,7 +522,6 @@ Result<QueryPlan> PierClient::CompileSqlPinned(const Sql& sql,
   SqlOptions options;
   options.tables = catalog_->TableHints();
   options.agg_strategy = sql.agg_strategy;
-  options.default_timeout = sql.default_timeout;
   options.query_id = query_id;
   Optimizer optimizer(stats_, CostModel(cost_params_));
   optimizer.set_now(qp_->vri()->Now());

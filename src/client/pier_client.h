@@ -49,7 +49,6 @@ struct Sql {
   /// threshold. Ignored for snapshot queries. Anything else is an
   /// InvalidArgument.
   std::string replan = "off";
-  TimeUs default_timeout = 20 * kSecond;
   /// Ordered proxy-successor chain for continuous queries: if the proxy
   /// (the node this query is submitted at) dies mid-run, executors fail
   /// answer routing over to these nodes in order and the first live one
@@ -68,10 +67,6 @@ struct Sql {
   }
   Sql& WithReplan(std::string mode) {
     replan = std::move(mode);
-    return *this;
-  }
-  Sql& WithDefaultTimeout(TimeUs t) {
-    default_timeout = t;
     return *this;
   }
   Sql& WithSuccessors(std::vector<NetAddress> s) {

@@ -139,21 +139,12 @@ void RegisterReplicationMetrics(MetricsRegistry* reg, Dht* dht) {
   reg->AddCounterFn("pier_repl_stores_total", {},
                     [dht] { return d(dht->stats().replica_stores); },
                     "Replica objects stored at this node");
-  reg->AddCounterFn("pier_repl_promotions_total", {},
-                    [repl] { return d(repl->stats().promotions); },
-                    "Replicas retagged primary after an owner left");
-  reg->AddCounterFn("pier_repl_demotions_total", {},
-                    [repl] { return d(repl->stats().demotions); },
-                    "Primaries retagged replica after the range moved");
   reg->AddCounterFn("pier_repl_handoff_pushes_total", {},
                     [repl] { return d(repl->stats().handoff_pushes); },
-                    "Objects re-propagated to successors");
-  reg->AddCounterFn("pier_repl_handoff_pulls_total", {},
-                    [dht] { return d(dht->stats().handoff_pulls); },
-                    "Objects received answering a range pull");
+                    "Objects re-pushed to successors or handed to a joiner");
   reg->AddCounterFn("pier_repl_suppressed_scan_rows_total", {},
                     [repl] { return d(repl->stats().suppressed_scan_rows); },
-                    "Replica rows hidden from LocalScan");
+                    "Replicated copies hidden from LocalScan at a non-owner");
   reg->AddCounterFn("pier_repl_repair_ticks_total", {},
                     [repl] { return d(repl->stats().repair_ticks); },
                     "Repair passes executed");

@@ -16,8 +16,8 @@ Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
   PIER_CHECK(options_.replication_factor >= 1);
   PIER_CHECK(options_.replication_factor <=
              router_->protocol()->MaxReplicationFactor());
-  repl_ = std::make_unique<ReplicationManager>(
-      vri_, router_.get(), objects_.get(), options_.replication_factor);
+  repl_ = std::make_unique<ReplicationManager>(vri_, router_.get(),
+                                               objects_.get());
 
   router_->set_delivery_handler(
       [this](const RouteInfo& info, std::string_view payload) {
@@ -557,8 +557,8 @@ void Dht::Renew(const std::string& ns, const std::string& key,
 
 void Dht::LocalScan(const std::string& ns, const ScanFn& fn) {
   objects_->Scan(ns, [this, &fn](const ObjectManager::Row& row) {
-    // Replica merge: of an object's k copies exactly one is visible to
-    // scans, so replicated tables never double-count.
+    // Replica merge: of an object's k copies only the owner's is visible
+    // to scans, so replicated tables never double-count.
     if (!repl_->ShouldEmitInScan(row)) return;
     fn(row.first, row.second.value, row.second.stored_at);
   });
@@ -631,6 +631,7 @@ void Dht::HandleStore(const NetAddress& from, std::string_view body) {
                        static_cast<StoreOrigin>(origin) == StoreOrigin::kWrite;
   bool hinted = !put_primaries;
   std::vector<NewDataEvent> events;
+  std::vector<const ObjectManager::Row*> misplaced;
   for (uint64_t i = 0; i < count; ++i) {
     WireObjectView v;
     uint64_t age;
@@ -641,22 +642,24 @@ void Dht::HandleStore(const NetAddress& from, std::string_view body) {
     const ObjectManager::Row* row = objects_->Put(
         ObjectName{std::string(v.ns), std::string(v.key),
                    std::string(v.suffix)},
-        std::string(v.value), v.lifetime, static_cast<TimeUs>(age),
-        replica_index, desired);
+        std::string(v.value), v.lifetime, static_cast<TimeUs>(age), desired);
     // The name is copied only when a subscriber will see it.
     if (row != nullptr && put_primaries &&
         subs_by_ns_.count(row->first.ns) > 0)
       events.push_back(NewDataEvent{row->first, v.value});
-    if (desired > 1) repl_->NoteReplicatedStore();
+    repl_->NoteStore(desired);
     if (replica_index == 0) {
       stats_.store_requests++;
     } else {
       stats_.replica_stores++;
     }
-    if (static_cast<StoreOrigin>(origin) == StoreOrigin::kHandoffPull)
-      stats_.handoff_pulls++;
-    if (!hinted) hinted = router_->HintIfNotOwner(from, RoutingId(v.ns, v.key));
+    Id id = RoutingId(v.ns, v.key);
+    if (!hinted) hinted = router_->HintIfNotOwner(from, id);
+    if (row != nullptr && put_primaries && desired > 1 &&
+        !router_->protocol()->IsOwner(id))
+      misplaced.push_back(row);
   }
+  if (!misplaced.empty()) repl_->ForwardMisplaced(misplaced);
   if (!events.empty()) DispatchNewData(events);
 }
 
@@ -740,8 +743,11 @@ void Dht::HandleGetRespEx(const NetAddress& from, std::string_view body) {
     std::string_view suffix, value;
     uint64_t rem;
     if (!r.GetBytes(&suffix).ok() || !r.GetBytes(&value).ok() ||
-        !r.GetVarint(&rem).ok())
-      break;
+        !r.GetVarint(&rem).ok()) {
+      // A cut answer is this candidate's failure, never a shorter answer.
+      AdvanceGet(op_id, attempt, Status::Corruption("cut get response"));
+      return;
+    }
     items.push_back(DhtItem{std::string(suffix), std::string(value)});
     remaining.push_back(static_cast<TimeUs>(rem));
   }
@@ -786,10 +792,10 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
   Status s = objects_->Renew(name, static_cast<TimeUs>(lifetime));
   if (s.ok()) {
     // A renewed replicated object has drifted from its replica copies'
-    // lifetimes: re-propagate it on the next repair tick.
+    // lifetimes: re-propagate it on the next repair tick (if this node
+    // still owns it then).
     const ObjectManager::Object* o = objects_->Find(name);
-    if (o != nullptr && !o->is_replica() && o->desired_replicas > 1)
-      repl_->RefreshReplicas(name);
+    if (o != nullptr && o->desired_replicas > 1) repl_->RefreshReplicas(name);
   }
   WireWriter w = OverlayRouter::FrameMessage(kMsgRenewResp);
   w.PutVarint(op_id);

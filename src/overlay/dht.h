@@ -14,8 +14,8 @@
 // the overlay in a single call, giving every node on the path an upcall.
 //
 // Every object that travels to be stored rides one store frame (kMsgStore):
-// a put's primary copy and its replica copies, the replication manager's
-// handoff push and pull, and read repair. One handler stores each object
+// a put's owner copy and its replica copies, the replication manager's
+// handoff pushes, and read repair. One handler stores each object
 // and announces the client writes among them (the primary copies of a put)
 // as one grouped newData dispatch per frame. The Dht is the only writer of
 // its ObjectManager: every other client write (a Send delivery, local-only
@@ -195,11 +195,11 @@ class Dht {
   };
   /// newData: subscribe to client writes stored at this node in `ns`
   /// (handleNewData): put primaries, Send deliveries and local stores.
-  /// Replication maintenance (replica copies, promotion, handoff, read
-  /// repair) moves existing objects and stays silent. A store frame is
-  /// delivered as ONE call with every stored client write of `ns`, in store
-  /// order, without re-materializing per-object copies; a Send delivery or a
-  /// local store is a one-element batch. Returns a token for CancelNewData.
+  /// Replication maintenance (replica copies, handoff, read repair) moves
+  /// existing objects and stays silent. A store frame is delivered as ONE
+  /// call with every stored client write of `ns`, in store order, without
+  /// re-materializing per-object copies; a Send delivery or a local store is
+  /// a one-element batch. Returns a token for CancelNewData.
   using BatchNewDataHandler =
       std::function<void(const std::vector<NewDataEvent>&)>;
   uint64_t OnNewDataBatch(const std::string& ns, BatchNewDataHandler handler);
@@ -236,8 +236,7 @@ class Dht {
   /// Why a store frame was sent; the receiver counts and announces by it.
   enum class StoreOrigin : uint8_t {
     kWrite = 0,        // writer-side placement (Put / PutBatch)
-    kHandoffPush = 1,  // owner re-propagating after a successor-set change
-    kHandoffPull = 2,  // response to a range pull from a new owner
+    kHandoffPush = 1,  // repair: re-propagation, or a range handed to a joiner
     kReadRepair = 3,   // Get refreshed a stale/missing owner copy
   };
   /// Largest object count either side of the wire accepts in one store
@@ -287,9 +286,7 @@ class Dht {
     // Replication health (the rest merged from the replication manager).
     uint64_t replica_puts = 0;       // replica copies shipped by this node
     uint64_t replica_stores = 0;     // replica copies stored at this node
-    uint64_t promotions = 0;         // replicas retagged primary (owner died)
-    uint64_t handoff_pushes = 0;     // objects re-propagated to successors
-    uint64_t handoff_pulls = 0;      // objects received via range pull
+    uint64_t handoff_pushes = 0;     // objects re-propagated or handed off
     uint64_t read_failovers = 0;     // gets answered by a replica, not the owner
     uint64_t read_repairs = 0;       // owner copies refreshed from a replica
     uint64_t suppressed_scan_rows = 0;  // replica rows hidden from LocalScan
@@ -298,7 +295,6 @@ class Dht {
     Stats s = stats_;
     const ReplicationManager::Stats& r = repl_->stats();
     s.replica_puts = r.replica_copies_sent;
-    s.promotions = r.promotions;
     s.handoff_pushes = r.handoff_pushes;
     s.suppressed_scan_rows = r.suppressed_scan_rows;
     return s;
@@ -309,7 +305,6 @@ class Dht {
   static constexpr uint8_t kMsgRenewReq = 19;
   static constexpr uint8_t kMsgRenewResp = 20;
   static constexpr uint8_t kMsgStore = 22;  // every object sent to be stored
-  // 23 (pull) belongs to the replication manager.
   static constexpr uint8_t kMsgGetReqEx = 24;   // read-any get (echoes attempt)
   static constexpr uint8_t kMsgGetRespEx = 25;  // carries remaining lifetimes
 

@@ -34,7 +34,6 @@ ObjectManager::~ObjectManager() { vri_->CancelEvent(gc_timer_); }
 const ObjectManager::Row* ObjectManager::Put(ObjectName name,
                                              std::string value,
                                              TimeUs lifetime, TimeUs age,
-                                             uint8_t replica_index,
                                              uint8_t desired_replicas) {
   if (lifetime > kMaxLifetime) lifetime = kMaxLifetime;
   if (lifetime <= 0) return nullptr;  // the origin copy already expired
@@ -42,7 +41,7 @@ const ObjectManager::Row* ObjectManager::Put(ObjectName name,
   auto it = index_.insert_or_assign(
       std::move(name),
       Object{std::move(value), now + lifetime, now - std::max<TimeUs>(age, 0),
-             replica_index, std::max<uint8_t>(desired_replicas, 1)});
+             std::max<uint8_t>(desired_replicas, 1)});
   return &*it.first;
 }
 
@@ -56,20 +55,6 @@ const ObjectManager::Row* ObjectManager::FindRow(const ObjectName& name) const {
   auto it = index_.find(name);
   if (it == index_.end() || Expired(it->second, vri_->Now())) return nullptr;
   return &*it;
-}
-
-bool ObjectManager::Promote(const ObjectName& name) {
-  Object* obj = FindLive(name);
-  if (obj == nullptr || obj->replica_index == 0) return false;
-  obj->replica_index = 0;
-  return true;
-}
-
-bool ObjectManager::Demote(const ObjectName& name) {
-  Object* obj = FindLive(name);
-  if (obj == nullptr || obj->replica_index != 0) return false;
-  obj->replica_index = 1;
-  return true;
 }
 
 Status ObjectManager::Renew(const ObjectName& name, TimeUs lifetime) {

@@ -15,6 +15,8 @@
 //
 // Only the Dht writes copies (Put is private): it announces the client
 // writes among them as newData, so no store path can skip that by mistake.
+// A copy records how many copies its writer asked for, not which of them it
+// is: the ring decides which copy speaks (ReplicationManager).
 
 #ifndef PIER_OVERLAY_OBJECT_MANAGER_H_
 #define PIER_OVERLAY_OBJECT_MANAGER_H_
@@ -48,31 +50,14 @@ class ObjectManager {
     /// copies back-date this by the origin copy's age so the mark stays
     /// meaningful across handoffs.
     TimeUs stored_at = 0;
-    /// Replica placement tags (k-way successor-set replication). Index 0 is
-    /// the primary copy at the responsible node; 1..k-1 are the copies at its
-    /// successors. Scans suppress replica copies unless ownership has moved
-    /// here.
-    uint8_t replica_index = 0;
     /// How many live copies the writer asked for (1 = unreplicated).
     uint8_t desired_replicas = 1;
-
-    bool is_replica() const { return replica_index != 0; }
   };
   /// One row of the table: the object's name and the object.
   using Row = std::pair<const ObjectName, Object>;
 
   explicit ObjectManager(Vri* vri);
   ~ObjectManager();
-
-  /// Retag a replica copy as the primary (ownership moved here after the
-  /// owner left). Silent: the object is not new data, and a scan still
-  /// subscribed would count it twice. Scans see it through LocalScan from
-  /// now on. No-op (false) if absent, expired, or already primary.
-  bool Promote(const ObjectName& name);
-
-  /// Retag a primary as a replica copy (ownership moved away): the copy
-  /// stays readable but stops counting as this node's data in scans.
-  bool Demote(const ObjectName& name);
 
   /// Extend the lifetime of an existing object. NotFound if absent/expired —
   /// this is the signal that tells a publisher its object moved or died.
@@ -121,11 +106,10 @@ class ObjectManager {
   /// elsewhere keeps the ORIGIN-STAMPED lifetime: `lifetime` is the origin's
   /// time left at send time and `age` how long the origin had already lived
   /// (it back-dates stored_at, so catch-up marks treat the copy like the
-  /// original and all copies expire together). `replica_index` and
-  /// `desired_replicas` are the placement tags.
+  /// original and all copies expire together). `desired_replicas` is the
+  /// writer's replication factor.
   const Row* Put(ObjectName name, std::string value, TimeUs lifetime,
-                 TimeUs age = 0, uint8_t replica_index = 0,
-                 uint8_t desired_replicas = 1);
+                 TimeUs age = 0, uint8_t desired_replicas = 1);
 
   /// The one liveness rule: a copy is dead from its expiry instant on.
   static bool Expired(const Object& obj, TimeUs now) {

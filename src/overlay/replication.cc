@@ -15,36 +15,11 @@ namespace {
 constexpr size_t kMaxPushObjectsPerTick = 256;
 constexpr size_t kMaxPerFrame = Dht::kMaxStoreObjectsPerFrame;
 
-/// Ship `rows` (live objects of this node) to `dest` as store frames of
-/// at most kMaxPerFrame objects each, with their origin-stamped lifetimes.
-void ShipCopies(OverlayRouter* router, const NetAddress& dest, TimeUs now,
-                uint8_t replica_index, Dht::StoreOrigin origin,
-                const std::vector<const ObjectManager::Row*>& rows) {
-  for (size_t start = 0; start < rows.size(); start += kMaxPerFrame) {
-    size_t n = std::min(kMaxPerFrame, rows.size() - start);
-    WireWriter w = Dht::FrameStore(replica_index, origin, n);
-    for (size_t j = start; j < start + n; ++j) {
-      const auto& [name, o] = *rows[j];
-      Dht::EncodeStoreObject(&w, name, o.expires_at - now, now - o.stored_at,
-                             o.desired_replicas, o.value);
-    }
-    router->SendFramed(dest, std::move(w).data(), nullptr);
-  }
-}
-
 }  // namespace
 
 ReplicationManager::ReplicationManager(Vri* vri, OverlayRouter* router,
-                                       ObjectManager* objects,
-                                       int replication_factor)
-    : vri_(vri),
-      router_(router),
-      objects_(objects),
-      replication_factor_(replication_factor) {
-  router_->RegisterDirectType(
-      kMsgReplPull,
-      [this](const NetAddress& f, std::string_view b) { HandlePull(f, b); });
-
+                                       ObjectManager* objects)
+    : vri_(vri), router_(router), objects_(objects) {
   // The tick lives in repair_tick_; scheduled events copy it so the closure
   // never strongly captures its own function object.
   repair_tick_ = [this]() {
@@ -56,29 +31,12 @@ ReplicationManager::ReplicationManager(Vri* vri, OverlayRouter* router,
 
 ReplicationManager::~ReplicationManager() { vri_->CancelEvent(repair_timer_); }
 
-// ---------------------------------------------------------------------------
-// Handoff pull
-// ---------------------------------------------------------------------------
-
-void ReplicationManager::HandlePull(const NetAddress& from,
-                                    std::string_view body) {
-  WireReader r(body);
-  uint64_t lo, hi;
-  if (!r.GetU64(&lo).ok() || !r.GetU64(&hi).ok() ||
-      from == router_->local_address())
-    return;
-
-  // Everything replicated in the requested range — whether we hold it as
-  // primary or replica, the new owner should have a primary copy.
-  std::vector<const ObjectManager::Row*> matches;
-  objects_->ScanAll([&](const ObjectManager::Row& row) {
-    const auto& [name, o] = row;
-    if (name.key.empty() || o.desired_replicas <= 1) return;
-    if (InOpenClosed(lo, hi, name.routing_id())) matches.push_back(&row);
-  });
-  stats_.replica_copies_sent += matches.size();
-  ShipCopies(router_, from, vri_->Now(), 0, Dht::StoreOrigin::kHandoffPull,
-             matches);
+bool ReplicationManager::Owns(Id id) const {
+  RoutingProtocol* proto = router_->protocol();
+  if (proto->IsOwner(id)) return true;
+  RingPeer pred;
+  return !proto->Predecessor(&pred) && last_pred_.valid() &&
+         InOpenClosed(last_pred_.id, router_->local_id(), id);
 }
 
 // ---------------------------------------------------------------------------
@@ -87,71 +45,80 @@ void ReplicationManager::HandlePull(const NetAddress& from,
 
 void ReplicationManager::RepairTick() {
   RoutingProtocol* proto = router_->protocol();
-  size_t window =
-      static_cast<size_t>(std::max(0, proto->MaxReplicationFactor() - 1));
-  std::vector<NetAddress> succs = proto->SuccessorSet(window);
-  Id pred = 0;
-  bool have_pred = proto->PredecessorId(&pred);
-  // The first sight of a populated ring is a baseline for the promotion /
-  // demotion sweep (a freshly seeded node holds nothing mis-tagged), but a
-  // valid trigger for the range pull — that IS the new-node handoff.
-  bool first_observation = last_succs_.empty() && !have_pred_;
-  bool succ_changed = !first_observation && succs != last_succs_;
-  bool pred_changed = (have_pred != have_pred_) || (have_pred && pred != last_pred_);
+  std::vector<NetAddress> succs = proto->SuccessorSet(window_);
+  // Only the successors both windows cover are compared: a window that
+  // widened is a new baseline, since the writer placed the copies that
+  // widened it and its new successors are owed nothing.
+  size_t common = std::min(window_, last_window_);
+  bool succ_changed = !std::equal(
+      succs.begin(), succs.begin() + std::min(common, succs.size()),
+      last_succs_.begin(),
+      last_succs_.begin() + std::min(common, last_succs_.size()));
+  // A predecessor change moves the lower end of the owned range.
+  RingPeer pred;
+  bool pred_moved = proto->Predecessor(&pred) && last_pred_.valid() &&
+                    pred.id != last_pred_.id;
+  Id self = router_->local_id();
 
-  // Promotion / demotion / re-propagation sweep. Runs only when the ring
-  // moved AND replicated state has ever passed through this node: an
-  // unreplicated deployment does no sweeps and sends no repair traffic.
-  if (seen_replicated_ && (succ_changed || pred_changed)) {
-    std::vector<ObjectName> to_promote, to_demote;
+  // Runs only when the ring moved AND replicated state has ever been stored
+  // here: an unreplicated deployment does no sweeps and sends no repair
+  // traffic.
+  std::vector<const ObjectManager::Row*> handoff, copies;
+  if (window_ > 0 && (succ_changed || pred_moved)) {
     objects_->ScanAll([&](const ObjectManager::Row& row) {
       const auto& [name, o] = row;
-      if (name.key.empty()) return;  // in-situ local state: never replicated
-      if (!o.is_replica() && o.desired_replicas <= 1) return;
-      bool own = proto->IsOwner(name.routing_id());
-      if (o.is_replica() && own) {
-        to_promote.push_back(name);
-      } else if (!o.is_replica() && !own) {
-        to_demote.push_back(name);
-      } else if (!o.is_replica() && own && succ_changed) {
-        EnqueuePush(name);
+      if (name.key.empty() || o.desired_replicas <= 1) return;
+      Id id = name.routing_id();
+      bool served = !pred_moved || InOpenClosed(last_pred_.id, self, id);
+      if (pred_moved && !InOpenClosed(pred.id, self, id)) {
+        (served ? handoff : copies).push_back(&row);
+      } else if (!served || (succ_changed && Owns(id))) {
+        EnqueuePush(name);  // newly owned, or its successors changed
       }
     });
-    // Mutations happen after the scan (iterator safety).
-    for (const ObjectName& n : to_promote) {
-      if (objects_->Promote(n)) {
-        stats_.promotions++;
-        EnqueuePush(n);  // the departing range's copies re-propagate
-      }
-    }
-    for (const ObjectName& n : to_demote) {
-      if (objects_->Demote(n)) stats_.demotions++;
-    }
   }
-
-  // A predecessor change grew this node's owned range: pull the replicated
-  // objects of (pred, self] from the successor, who held them as the old
-  // owner or as a fellow replica holder.
-  bool replication_live = seen_replicated_ || replication_factor_ > 1;
-  if (replication_live && pred_changed && have_pred && !succs.empty()) {
-    WireWriter w = OverlayRouter::FrameMessage(kMsgReplPull);
-    w.PutU64(pred);
-    w.PutU64(router_->local_id());
-    router_->SendFramed(succs.front(), std::move(w).data());
-  }
-
-  last_succs_ = std::move(succs);
-  last_pred_ = pred;
-  have_pred_ = have_pred;
+  // The new predecessor gets, silently (every copy fired newData where it
+  // was first written), the part of this node's range it took as its own,
+  // and this node's copies of the ranges behind it as replicas. The latter
+  // are the only copies that can reach it of what a node that left owned:
+  // a node that joined where a dead one was owns some of them.
+  Ship(pred.addr, 0, handoff);
+  Ship(pred.addr, 1, copies);
 
   // A pass with no ring movement and nothing queued did no work.
   stats_.repair_ticks++;
-  if (!first_observation && !succ_changed && !pred_changed &&
-      push_queue_.empty()) {
+  if (!succ_changed && !pred_moved && push_queue_.empty())
     stats_.idle_repair_ticks++;
-  }
 
+  last_succs_ = std::move(succs);
+  last_window_ = window_;
+  if (pred.valid()) last_pred_ = pred;
   DrainPushQueue();
+}
+
+void ReplicationManager::ForwardMisplaced(
+    const std::vector<const ObjectManager::Row*>& rows) {
+  RingPeer pred;
+  if (router_->protocol()->Predecessor(&pred)) Ship(pred.addr, 0, rows);
+}
+
+void ReplicationManager::Ship(
+    const NetAddress& dest, uint8_t replica_index,
+    const std::vector<const ObjectManager::Row*>& rows) {
+  stats_.handoff_pushes += rows.size();
+  stats_.replica_copies_sent += rows.size();
+  TimeUs now = vri_->Now();
+  for (size_t start = 0; start < rows.size(); start += kMaxPerFrame) {
+    size_t n = std::min(kMaxPerFrame, rows.size() - start);
+    WireWriter w =
+        Dht::FrameStore(replica_index, Dht::StoreOrigin::kHandoffPush, n);
+    for (size_t j = start; j < start + n; ++j) {
+      const auto& [name, o] = *rows[j];
+      Dht::EncodeStoreObject(&w, name, o.expires_at - now, now - o.stored_at,
+                             o.desired_replicas, o.value);
+    }
+    router_->SendFramed(dest, std::move(w).data(), nullptr);
+  }
 }
 
 void ReplicationManager::EnqueuePush(const ObjectName& name) {
@@ -166,10 +133,7 @@ void ReplicationManager::EnqueuePush(const ObjectName& name) {
 
 void ReplicationManager::DrainPushQueue() {
   if (push_queue_.empty()) return;
-  RoutingProtocol* proto = router_->protocol();
-  size_t window =
-      static_cast<size_t>(std::max(0, proto->MaxReplicationFactor() - 1));
-  std::vector<NetAddress> succs = proto->SuccessorSet(window);
+  std::vector<NetAddress> succs = router_->protocol()->SuccessorSet(window_);
 
   struct DestBatch {
     uint8_t replica_index = 1;
@@ -182,11 +146,10 @@ void ReplicationManager::DrainPushQueue() {
     push_queue_.pop_front();
     processed++;
     const ObjectManager::Row* row = objects_->FindRow(name);
-    // Only live primaries we still own re-propagate; everything else left
-    // the queue's jurisdiction while it waited.
-    if (row == nullptr || row->second.is_replica() ||
-        row->second.desired_replicas <= 1 ||
-        !proto->IsOwner(name.routing_id()))
+    // Only live objects this node still owns re-propagate; everything else
+    // left the queue's jurisdiction while it waited.
+    if (row == nullptr || row->second.desired_replicas <= 1 ||
+        !Owns(name.routing_id()))
       continue;
     for (size_t j = 0; j + 1 < row->second.desired_replicas && j < succs.size();
          ++j) {
@@ -196,13 +159,8 @@ void ReplicationManager::DrainPushQueue() {
     }
   }
 
-  TimeUs now = vri_->Now();
-  for (auto& [dest, batch] : by_dest) {
-    stats_.handoff_pushes += batch.rows.size();
-    stats_.replica_copies_sent += batch.rows.size();
-    ShipCopies(router_, dest, now, batch.replica_index,
-               Dht::StoreOrigin::kHandoffPush, batch.rows);
-  }
+  for (auto& [dest, batch] : by_dest)
+    Ship(dest, batch.replica_index, batch.rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,11 +169,12 @@ void ReplicationManager::DrainPushQueue() {
 
 bool ReplicationManager::ShouldEmitInScan(const ObjectManager::Row& row) {
   const auto& [name, obj] = row;
-  if (!obj.is_replica() || name.key.empty()) return true;
-  // The owner is gone and ownership of this id moved here: the replica now
-  // speaks for the object. Until then exactly one copy (the primary at the
-  // owner) is visible to scans, so k copies never double-count.
-  if (router_->protocol()->IsOwner(name.routing_id())) return true;
+  // Of a replicated object's k copies, the one at the owner speaks for it:
+  // when the owner leaves, its successor owns the id and its copy speaks
+  // from then on, so k copies never double-count.
+  if (obj.desired_replicas <= 1 || name.key.empty() ||
+      Owns(name.routing_id()))
+    return true;
   stats_.suppressed_scan_rows++;
   return false;
 }

@@ -1,25 +1,26 @@
 // k-way successor-set replication for PIER's soft state (§3.2 relaxed
 // consistency, PIQL-style predictable answers under churn).
 //
-// Placement invariant: an object written with replication factor k lives as a
-// PRIMARY copy at the responsible node and as replica copies at that node's
-// first k-1 live successors. The WRITER places all k copies (Dht::PutBatch
-// sends them as store frames riding the same per-destination grouping as any
-// put, and the Dht's store-frame handler stores every copy that arrives);
-// this manager only repairs, keeping the invariant alive against ring
-// changes:
+// Placement invariant: an object written with replication factor k lives at
+// the node that owns its routing id and at that node's first k-1 live
+// successors. The WRITER places all k copies (Dht::PutBatch sends them as
+// store frames riding the same per-destination grouping as any put, and the
+// Dht's store-frame handler stores every copy that arrives). No copy is
+// tagged primary: the ring decides, and the copy at the owner speaks for the
+// object in scans. This manager only repairs, keeping the invariant alive
+// against ring changes:
 //
-//   * promotion  — a replica whose routing id this node now owns (the owner
-//     left) is retagged primary, silently: the dead owner already fired
-//     newData for it, and scans see it from then on;
-//   * demotion   — a primary whose range moved away is retagged replica, so
-//     scans stop double-counting it against the new owner's copy;
-//   * push       — an owner whose successor window changed re-propagates its
-//     replicated primaries through a bounded write-behind queue;
-//   * pull       — a node whose predecessor changed (it now owns a bigger
-//     range) asks its successor for the replicated objects of that range.
+//   * push     — an owner whose successor window changed re-propagates its
+//     replicated objects through a bounded write-behind queue, and a node
+//     whose range grew (its predecessor left) re-propagates the objects it
+//     newly owns;
+//   * handoff  — a node whose predecessor changed ships it the part of its
+//     range the predecessor took (a node joined just before it) and its
+//     copies of the ranges behind it, so a node that joined where a dead
+//     node was gets that node's objects. A client write that reaches it
+//     through a stale owner cache after that is forwarded the same way.
 //
-// Push and pull ship their objects as store frames, like every other copy.
+// Both ship their objects as store frames, like every other copy.
 //
 // Consistency model: soft-state read-any, no quorum. Every copy carries the
 // origin-stamped remaining lifetime, so replicas expire with the owner copy
@@ -48,21 +49,13 @@ class ReplicationManager {
 
   struct Stats {
     uint64_t replica_copies_sent = 0;  // replica objects shipped by this node
-    uint64_t promotions = 0;
-    uint64_t demotions = 0;
-    uint64_t handoff_pushes = 0;  // objects re-propagated to successors
-    uint64_t suppressed_scan_rows = 0;  // replica rows hidden from LocalScan
+    uint64_t handoff_pushes = 0;  // objects re-propagated or handed off
+    uint64_t suppressed_scan_rows = 0;  // copies hidden from LocalScan
     uint64_t repair_ticks = 0;       // repair passes executed
     uint64_t idle_repair_ticks = 0;  // passes that saw no ring/queue activity
   };
 
-  /// Direct message type (every layer's are tabled in src/overlay/README.md).
-  static constexpr uint8_t kMsgReplPull = 23;
-
-  /// `replication_factor` is the Dht's default copies per object (1 = no
-  /// replication); per-put overrides ride DhtPutItem / TableSpec.
-  ReplicationManager(Vri* vri, OverlayRouter* router, ObjectManager* objects,
-                     int replication_factor);
+  ReplicationManager(Vri* vri, OverlayRouter* router, ObjectManager* objects);
   ~ReplicationManager();
 
   ReplicationManager(const ReplicationManager&) = delete;
@@ -71,27 +64,43 @@ class ReplicationManager {
   /// Bookkeeping for replica copies this node shipped outside the manager
   /// (the write path lives in Dht).
   void NoteReplicaCopiesSent(uint64_t n) { stats_.replica_copies_sent += n; }
-  /// A copy with desired_replicas > 1 was stored here: from now on ring
-  /// changes have replicated state to repair.
-  void NoteReplicatedStore() { seen_replicated_ = true; }
+  /// A copy asking for `desired` copies was stored here: from now on ring
+  /// changes among the first desired-1 successors have state to repair.
+  void NoteStore(uint8_t desired) {
+    if (desired > window_ + 1) window_ = desired - 1u;
+  }
 
-  /// Queue an owned replicated primary for re-propagation (e.g. after a
+  /// Queue an owned replicated object for re-propagation (e.g. after a
   /// Renew drifted its lifetime away from the replica copies').
   void RefreshReplicas(const ObjectName& name) { EnqueuePush(name); }
 
+  /// Client writes of replicated objects that reached this node after their
+  /// ids left its range (a writer's owner cache predates a join just before
+  /// this node, and the range was already handed off): ship them on to the
+  /// predecessor, which owns them now.
+  void ForwardMisplaced(const std::vector<const ObjectManager::Row*>& rows);
+
   // --- Scan-time replica merge --------------------------------------------
 
-  /// Should a LocalScan at this node emit `row`? Primaries and in-situ local
-  /// objects (empty key) always pass; replica copies pass only once this
-  /// node owns their routing id (i.e. the owner is gone and this copy now
-  /// speaks for the object). Suppressions are counted.
+  /// Should a LocalScan at this node emit `row`? Unreplicated and in-situ
+  /// local objects (empty key) always pass; a replicated copy passes only
+  /// where this node owns its routing id, so exactly one of its k copies
+  /// speaks for it. Suppressions are counted.
   bool ShouldEmitInScan(const ObjectManager::Row& row);
 
   const Stats& stats() const { return stats_; }
 
  private:
-  void HandlePull(const NetAddress& from, std::string_view body);
+  /// Does this node speak for `id`? Where it owns it, and while the
+  /// predecessor is unknown (it left and the next one has not notified
+  /// yet), in the last known range (last pred, self].
+  bool Owns(Id id) const;
   void RepairTick();
+  /// Ship `rows` (live objects of this node) to `dest` as silent
+  /// handoff-push store frames of at most kMaxStoreObjectsPerFrame objects
+  /// each, with their origin-stamped lifetimes.
+  void Ship(const NetAddress& dest, uint8_t replica_index,
+            const std::vector<const ObjectManager::Row*>& rows);
   /// Queue `name` for (re-)propagation to the first desired-1 successors.
   void EnqueuePush(const ObjectName& name);
   void DrainPushQueue();
@@ -99,17 +108,16 @@ class ReplicationManager {
   Vri* vri_;
   OverlayRouter* router_;
   ObjectManager* objects_;
-  int replication_factor_;
 
+  /// The widest desired-1 stored here: the successors repair watches. 0
+  /// until a replicated copy arrives, so the k = 1 path sends nothing.
+  size_t window_ = 0;
   /// Last observed ring view; repair work runs only when it moves.
   std::vector<NetAddress> last_succs_;
-  Id last_pred_ = 0;
-  bool have_pred_ = false;
-  /// True once any replicated object passed through this node: before that,
-  /// repair has nothing to do and sends nothing (the k = 1 fast path).
-  bool seen_replicated_ = false;
+  size_t last_window_ = 0;
+  RingPeer last_pred_;
 
-  /// Write-behind queue of primaries awaiting re-propagation.
+  /// Write-behind queue of owned objects awaiting re-propagation.
   std::deque<ObjectName> push_queue_;
 
   /// Leak-free repeating timer (events hold copies of this function).

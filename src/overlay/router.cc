@@ -267,11 +267,11 @@ void OverlayRouter::HandleLookupReq(Id target, std::string_view body) {
   // The range (lower, self] goes along only when it is known and holds the
   // target: a de-facto root answering for an id it does not own must not be
   // cached as that id's owner.
-  Id lower = 0;
+  RingPeer pred;
   bool has_range =
-      protocol_->IsOwner(target) && protocol_->PredecessorId(&lower);
+      protocol_->IsOwner(target) && protocol_->Predecessor(&pred);
   w.PutU8(has_range ? 1 : 0);
-  w.PutU64(has_range ? lower : 0);
+  w.PutU64(has_range ? pred.id : 0);
   SendFramed(NetAddress{host, port}, std::move(w).data());
 }
 
@@ -454,12 +454,12 @@ void OverlayRouter::EvictOwner(Id owner_id, const NetAddress& address) {
 
 bool OverlayRouter::HintIfNotOwner(const NetAddress& from, Id target) {
   if (from == local_address_ || protocol_->IsOwner(target)) return false;
-  Id lower = 0;
-  bool has_range = protocol_->PredecessorId(&lower);
+  RingPeer pred;
+  bool has_range = protocol_->Predecessor(&pred);
   WireWriter w = FrameMessage(kMsgNotOwner);
   w.PutU64(local_id_);
   w.PutU8(has_range ? 1 : 0);
-  w.PutU64(has_range ? lower : 0);
+  w.PutU64(has_range ? pred.id : 0);
   SendFramed(from, std::move(w).data());
   stats_.not_owner_hints_sent++;
   return true;

@@ -74,10 +74,9 @@ class ChordProtocol : public RoutingProtocol {
   std::vector<RingPeer> Contacts() const override;
   std::vector<NetAddress> SuccessorSet(size_t n) const override;
   int MaxReplicationFactor() const override { return kSuccessorListLen; }
-  bool PredecessorId(Id* out) const override {
-    if (!pred_.valid()) return false;
-    *out = pred_.id;
-    return true;
+  bool Predecessor(RingPeer* out) const override {
+    *out = pred_;
+    return pred_.valid();
   }
   std::string name() const override { return "chord"; }
 

@@ -114,10 +114,10 @@ class RoutingProtocol {
   /// minus one successors). 1 = owner-only storage.
   virtual int MaxReplicationFactor() const { return 1; }
 
-  /// Lower bound of this node's owned range (its predecessor's id), when the
-  /// protocol tracks one. Replica repair pulls the range (pred, self] after a
-  /// predecessor change. Returns false while unknown.
-  virtual bool PredecessorId(Id* out) const {
+  /// This node's predecessor, whose id is the lower bound of the owned range,
+  /// when the protocol tracks one. Replica repair ships a range a joiner
+  /// took over to its address. Returns false while unknown.
+  virtual bool Predecessor(RingPeer* out) const {
     (void)out;
     return false;
   }

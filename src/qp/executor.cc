@@ -154,9 +154,10 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     // answers are still correct), follow the refresh's proxy, and read the
     // query's durable record. Its broadcast graphs swap in under THIS
     // refresh's metadata: the record's writer may have died since, so it
-    // never re-targets answers. A record older than the refresh, or a
-    // proxy that moved on meanwhile, changes nothing; the next refresh
-    // reads again.
+    // never re-targets answers. A record that gives this node no graph
+    // stops the superseded generation here. A record older than the
+    // refresh, or a proxy that moved on meanwhile, changes nothing; the
+    // next refresh reads again.
     if (meta.proxy_epoch < rq.meta.proxy_epoch) return Status::Ok();
     rq.meta.window = meta.window;
     FollowProxy(&rq, meta);
@@ -170,9 +171,15 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
       for (OpGraph& g : record.graphs) {
         if (g.dissem == DissemKind::kBroadcast) bcast.push_back(std::move(g));
       }
-      // Equality, range and local graphs belong to specific nodes; a record
-      // without a broadcast graph starts nothing here.
-      if (!bcast.empty()) (void)StartGraphs(meta, bcast);
+      // Equality, range and local graphs belong to specific nodes: with no
+      // broadcast graph, the newer plan runs nothing here. Stop the older
+      // generation, unless a graph of the record's own generation arrived
+      // (through its dissemination) during the read.
+      if (!bcast.empty()) {
+        (void)StartGraphs(meta, bcast);
+      } else if (qit->second.generation < record.generation) {
+        StopQuery(meta.query_id);
+      }
     });
     return Status::Ok();
   } else if (meta.generation > rq.generation) {

@@ -8,11 +8,15 @@
 #include <set>
 
 #include "opt/optimizer.h"
+#include "qp/ufl.h"
 #include "util/hash.h"
 
 namespace pier {
 
 namespace {
+
+/// The timeout of a query that names none.
+constexpr TimeUs kDefaultTimeout = 20 * kSecond;
 
 // ---------------------------------------------------------------------------
 // Lexical helpers
@@ -195,24 +199,6 @@ struct ParsedSql {
   bool continuous = false;
 };
 
-Result<TimeUs> ParseDuration(const std::string& text) {
-  std::string t = Trim(text);
-  if (t.empty()) return Status::InvalidArgument("empty duration");
-  TimeUs mult = kMillisecond;
-  std::string num = t;
-  if (t.size() > 2 && Lower(t.substr(t.size() - 2)) == "ms") {
-    num = t.substr(0, t.size() - 2);
-  } else if (t.back() == 's' || t.back() == 'S') {
-    mult = kSecond;
-    num = t.substr(0, t.size() - 1);
-  }
-  char* end = nullptr;
-  long long v = std::strtoll(num.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v <= 0)
-    return Status::InvalidArgument("bad duration '" + text + "'");
-  return v * mult;
-}
-
 Result<SelectItem> ParseSelectItem(const std::string& raw) {
   SelectItem item;
   std::string text = Trim(raw);
@@ -338,12 +324,14 @@ Result<ParsedSql> Parse(const std::string& sql) {
   if (timeout != std::string_view::npos) {
     size_t end = clause_end(timeout + 7);
     PIER_ASSIGN_OR_RETURN(
-        q.timeout, ParseDuration(text.substr(timeout + 7, end - timeout - 7)));
+        q.timeout,
+        ParseDuration(Trim(text.substr(timeout + 7, end - timeout - 7))));
   }
   if (window != std::string_view::npos) {
     size_t end = clause_end(window + 6);
     PIER_ASSIGN_OR_RETURN(
-        q.window, ParseDuration(text.substr(window + 6, end - window - 6)));
+        q.window,
+        ParseDuration(Trim(text.substr(window + 6, end - window - 6))));
   }
   q.continuous = continuous != std::string_view::npos;
   return q;
@@ -797,7 +785,7 @@ struct Compiler {
   }
 
   Result<QueryPlan> Compile() {
-    plan.timeout = q.timeout > 0 ? q.timeout : options.default_timeout;
+    plan.timeout = q.timeout > 0 ? q.timeout : kDefaultTimeout;
     plan.continuous = q.continuous;
     if (q.window > 0) plan.window = q.window;
 

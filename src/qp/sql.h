@@ -55,7 +55,6 @@ struct SqlOptions {
   /// (falls back to flat without usable statistics). Anything else is an
   /// InvalidArgument.
   std::string agg_strategy = "auto";
-  TimeUs default_timeout = 20 * kSecond;
   /// Cost-based physical planning (join strategy/order, auto aggregation).
   /// Null keeps the compiler's historical defaults.
   const Optimizer* optimizer = nullptr;

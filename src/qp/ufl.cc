@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <limits>
 #include <map>
 
 namespace pier {
@@ -150,19 +151,9 @@ class UflParser {
   }
 
   Result<TimeUs> Duration(const std::string& v) {
-    TimeUs mult = kMillisecond;
-    std::string num = v;
-    if (v.size() > 2 && v.substr(v.size() - 2) == "ms") {
-      num = v.substr(0, v.size() - 2);
-    } else if (!v.empty() && v.back() == 's') {
-      mult = kSecond;
-      num = v.substr(0, v.size() - 1);
-    }
-    char* end = nullptr;
-    long long n = std::strtoll(num.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || n <= 0)
-      return Err("bad duration '" + v + "'");
-    return n * mult;
+    Result<TimeUs> d = ParseDuration(v);
+    if (!d.ok()) return Err(d.status().message());
+    return d;
   }
 
   /// An absolute instant in raw microseconds (deadline_us, catchup_floor_us
@@ -368,6 +359,27 @@ class UflParser {
 
 Result<QueryPlan> ParseUfl(const std::string& text) {
   return UflParser(text).Parse();
+}
+
+Result<TimeUs> ParseDuration(std::string_view text) {
+  std::string num(text);
+  auto lower_at = [&num](size_t from_end) {
+    return std::tolower(static_cast<unsigned char>(num[num.size() - from_end]));
+  };
+  TimeUs mult = kMillisecond;
+  if (num.size() > 2 && lower_at(2) == 'm' && lower_at(1) == 's') {
+    num.resize(num.size() - 2);
+  } else if (!num.empty() && lower_at(1) == 's') {
+    mult = kSecond;
+    num.pop_back();
+  }
+  char* end = nullptr;
+  errno = 0;
+  long long v = std::strtoll(num.c_str(), &end, 10);
+  if (*end != '\0' || v <= 0 || errno == ERANGE ||
+      v > std::numeric_limits<TimeUs>::max() / mult)
+    return Status::InvalidArgument("bad duration '" + std::string(text) + "'");
+  return v * mult;
 }
 
 }  // namespace pier

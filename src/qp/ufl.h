@@ -25,6 +25,7 @@
 #define PIER_QP_UFL_H_
 
 #include <string>
+#include <string_view>
 
 #include "qp/opgraph.h"
 #include "util/status.h"
@@ -33,6 +34,12 @@ namespace pier {
 
 /// Parse a UFL program into a plan. query_id/proxy are left for SubmitQuery.
 Result<QueryPlan> ParseUfl(const std::string& text);
+
+/// A positive duration, SQL's and UFL's alike: an integer with an optional
+/// unit suffix, "ms" or "s" in any case (none means milliseconds).
+/// InvalidArgument for anything else, or for more than INT64_MAX
+/// microseconds.
+Result<TimeUs> ParseDuration(std::string_view text);
 
 }  // namespace pier
 

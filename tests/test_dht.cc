@@ -1,13 +1,14 @@
 // DHT batching and wire-path tests: PutBatch grouping/ordering/fallback
 // semantics, the guard that a Put is exactly a one-item PutBatch on the
 // wire, one newData call per store frame, the store-frame decoder against
-// cut and garbage frames, the direct get, renew and pull requests (answered
-// at the transport's source; cut and garbage requests) and the router's own
-// frames against cut and garbage bodies, the object store (lifetime cap and
-// sweep, exact namespace and key ranges, scan order, the liveness rule,
-// newData only for local stores), and the router's owner cache (warm puts
-// and gets skip the routed lookup, and a warm get or renew costs three
-// datagrams; joins, deaths and the capacity bound keep it correct).
+// cut and garbage frames, the direct get and renew requests (answered at
+// the transport's source; cut and garbage requests), their responses (a cut
+// one never finishes an op Ok) and the router's own frames against cut and
+// garbage bodies, the object store (lifetime cap and sweep, exact namespace
+// and key ranges, scan order, the liveness rule, newData only for local
+// stores), and the router's owner cache (warm puts and gets skip the routed
+// lookup, and a warm get or renew costs three datagrams; joins, deaths and
+// the capacity bound keep it correct).
 
 #include <gtest/gtest.h>
 
@@ -44,7 +45,7 @@ DhtPutItem Item(const std::string& ns, const std::string& key,
 }
 
 /// Send `to` a one-object store frame from `from`, as a copy the store
-/// frame's origin and placement tags describe.
+/// frame's origin and replica index describe.
 void ShipCopy(Dht* from, Dht* to, const ObjectName& name, TimeUs lifetime,
               uint8_t replica_index, uint8_t desired_replicas,
               Dht::StoreOrigin origin) {
@@ -363,35 +364,28 @@ TEST(StoreFrame, DecoderKeepsWhatDecodedAndDropsTheRest) {
   EXPECT_TRUE(got);
 }
 
-// A get, a renew and a replica pull carry no requester address: each is
-// answered at the transport's source. Cut at any byte, none is answered or
-// changes anything; of the seeded garbage bodies, one that is not answered
-// changes nothing either.
+// A get and a renew carry no requester address: each is answered at the
+// transport's source. Cut at any byte, neither is answered or changes
+// anything; of the seeded garbage bodies, one that is not answered changes
+// nothing either.
 TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
   SimOverlay net(4, SeededOptions(37));
   Dht* asker = net.dht(0);
   Dht* to = net.dht(1);
   const ObjectName plain{"fz", "k", "s"};
-  const ObjectName replicated{"fz", "r", "s"};
   auto restore = [&] {
     to->StoreLocal(plain, "v", ObjectManager::kMaxLifetime);
   };
   restore();
-  // A primary that asks for two copies, which the pull ships.
-  ShipCopy(asker, to, replicated, ObjectManager::kMaxLifetime, 0, 2,
-           Dht::StoreOrigin::kHandoffPull);
-  net.RunFor(200 * kMillisecond);
-  ASSERT_NE(to->objects()->Find(replicated), nullptr);
 
-  // The asker's handlers for the three reply types only record the reply.
+  // The asker's handlers for the two reply types only record the reply.
   struct Reply {
     uint8_t type;
     NetAddress from;
     std::string body;
   };
   std::vector<Reply> replies;
-  for (uint8_t type :
-       {Dht::kMsgGetRespEx, Dht::kMsgRenewResp, Dht::kMsgStore}) {
+  for (uint8_t type : {Dht::kMsgGetRespEx, Dht::kMsgRenewResp}) {
     asker->router()->RegisterDirectType(
         type, [&replies, type](const NetAddress& from, std::string_view body) {
           replies.push_back(Reply{type, from, std::string(body)});
@@ -400,8 +394,7 @@ TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
   auto state = [&] {
     const ObjectManager::Object* o = to->objects()->Find(plain);
     return std::make_tuple(to->objects()->TotalObjects(),
-                           o == nullptr ? TimeUs{-1} : o->expires_at,
-                           to->replication()->stats().replica_copies_sent);
+                           o == nullptr ? TimeUs{-1} : o->expires_at);
   };
   auto ask = [&](uint8_t type, const std::string& body) {
     const size_t before = replies.size();
@@ -428,9 +421,6 @@ TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
   renew.PutBytes("k");
   renew.PutBytes("s");
   renew.PutVarint(20 * 60 * kSecond);
-  WireWriter pull;
-  pull.PutU64(replicated.routing_id() - 1);
-  pull.PutU64(replicated.routing_id());
 
   // Whole, each request is answered once, at the sender.
   ASSERT_TRUE(ask(Dht::kMsgGetReqEx, get.data()));
@@ -442,16 +432,12 @@ TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
   EXPECT_EQ(replies.back().type, Dht::kMsgRenewResp);
   EXPECT_EQ(replies.back().body, std::string("\x4e\x01", 2)) << "op 78, ok";
   EXPECT_LT(std::get<1>(state()), expiry) << "renewed to 20 minutes";
-  ASSERT_TRUE(ask(ReplicationManager::kMsgReplPull, pull.data()));
-  EXPECT_EQ(replies.back().type, Dht::kMsgStore);
-  EXPECT_EQ(to->replication()->stats().replica_copies_sent, 1u);
   const size_t answered = replies.size();
 
   uint64_t seed = 41;
   for (const auto& [type, frame] :
        {std::make_pair(Dht::kMsgGetReqEx, get.data()),
-        std::make_pair(Dht::kMsgRenewReq, renew.data()),
-        std::make_pair(ReplicationManager::kMsgReplPull, pull.data())}) {
+        std::make_pair(Dht::kMsgRenewReq, renew.data())}) {
     size_t cuts = FuzzDecoder(frame, seed++, [&, type = type](
                                                   const std::string& body) {
       bool decoded = ask(type, body);
@@ -461,6 +447,99 @@ TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
     EXPECT_EQ(cuts, 0u) << "type " << int{type};
   }
   EXPECT_GT(replies.size(), answered) << "some garbage bodies decode";
+}
+
+// A get response and a renew response, sent through the owner's transport
+// against an outstanding get and renew at the asker. Each body goes out
+// behind the live op's id. Whole, each finishes its op Ok, the get with
+// every item. Cut at any byte, neither finishes its op Ok: a get response
+// that does not decode whole is that candidate's failure, never a shorter
+// answer. The seeded garbage bodies must only fail cleanly.
+TEST(DirectResponses, ACutResponseNeverFinishesAnOpOk) {
+  SimOverlay net(4, SeededOptions(43));
+  const int owner = OwnerOf(&net, "fr", "k");
+  ASSERT_GE(owner, 0);
+  Dht* to = net.dht(owner);
+  Dht* asker = net.dht(owner == 0 ? 1 : 0);
+  // The owner records each request's op id and answers none.
+  uint64_t get_op = 0, renew_op = 0;
+  auto record = [&](uint8_t type, uint64_t* op) {
+    to->router()->RegisterDirectType(
+        type, [op](const NetAddress&, std::string_view body) {
+          WireReader r(body);
+          if (!r.GetVarint(op).ok()) *op = 0;
+        });
+  };
+  record(Dht::kMsgGetReqEx, &get_op);
+  record(Dht::kMsgRenewReq, &renew_op);
+
+  // One op of each kind is outstanding at a time; a finished one is issued
+  // again before the next body.
+  struct Outcome {
+    bool done = true;
+    Status status;
+    std::vector<DhtItem> items;
+  };
+  Outcome get, renew;
+  auto outstanding = [&](uint8_t type) {
+    bool is_get = type == Dht::kMsgGetRespEx;
+    Outcome& o = is_get ? get : renew;
+    uint64_t& op = is_get ? get_op : renew_op;
+    if (!o.done) return op;
+    o = Outcome{false, Status::Ok(), {}};
+    op = 0;
+    if (is_get) {
+      asker->Get("fr", "k", [&o](const Status& s, std::vector<DhtItem> items) {
+        o = Outcome{true, s, std::move(items)};
+      });
+    } else {
+      asker->Renew("fr", "k", "s", 60 * kSecond,
+                   [&o](const Status& s) { o = Outcome{true, s, {}}; });
+    }
+    for (int i = 0; i < 40 && op == 0; ++i) net.RunFor(50 * kMillisecond);
+    return op;
+  };
+  // Sends `rest` behind the outstanding op's id; true if that finished the
+  // op Ok.
+  auto answer = [&](uint8_t type, const std::string& rest) {
+    uint64_t op = outstanding(type);
+    EXPECT_NE(op, 0u) << "the request never reached the owner";
+    WireWriter w = OverlayRouter::FrameMessage(type);
+    w.PutVarint(op);
+    w.PutRaw(rest);
+    to->router()->SendFramed(asker->local_address(), std::move(w).data());
+    net.RunFor(200 * kMillisecond);
+    const Outcome& o = type == Dht::kMsgGetRespEx ? get : renew;
+    return o.done && o.status.ok();
+  };
+
+  WireWriter items;  // attempt 0, two items
+  items.PutU8(0);
+  items.PutVarint(2);
+  for (const char* suffix : {"s1", "s2"}) {
+    items.PutBytes(suffix);
+    items.PutBytes("value");
+    items.PutVarint(60 * kSecond);
+  }
+  WireWriter renewed;
+  renewed.PutU8(1);
+
+  // Whole, each response finishes its op Ok.
+  ASSERT_TRUE(answer(Dht::kMsgGetRespEx, items.data()));
+  ASSERT_EQ(get.items.size(), 2u);
+  EXPECT_EQ(get.items[1].suffix, "s2");
+  ASSERT_TRUE(answer(Dht::kMsgRenewResp, renewed.data()));
+
+  uint64_t seed = 43;
+  for (const auto& [type, frame] :
+       {std::make_pair(Dht::kMsgGetRespEx, items.data()),
+        std::make_pair(Dht::kMsgRenewResp, renewed.data())}) {
+    size_t cuts = FuzzDecoder(frame, seed++, [&, type = type](
+                                                  const std::string& body) {
+      return answer(type, body);
+    });
+    EXPECT_EQ(cuts, 0u) << "type " << int{type};
+  }
 }
 
 // The router's own frames, sent through a node's transport: a routed frame,
@@ -657,8 +736,8 @@ TEST(ObjectStore, ANamespaceOrKeyThatPrefixesAnotherStaysExact) {
   EXPECT_EQ(store.TotalObjects(), 8u);
 }
 
-// An expired copy is gone for every read, and Renew, Promote and Demote
-// fail on it, but it stays in the table and its counts until the sweep.
+// An expired copy is gone for every read, and Renew fails on it, but it
+// stays in the table and its counts until the sweep.
 TEST(ObjectStore, AnExpiredCopyIsInvisibleButCountedUntilTheSweep) {
   SimOverlay net(2, SeededOptions(53));  // sweeps at 2, 4, 6, ... s
   Dht* dht = net.dht(0);
@@ -673,8 +752,6 @@ TEST(ObjectStore, AnExpiredCopyIsInvisibleButCountedUntilTheSweep) {
            Dht::StoreOrigin::kWrite);
   net.RunFor(200 * kMillisecond);
   ASSERT_NE(store->Find(replica), nullptr);
-  EXPECT_TRUE(store->Promote(replica));
-  EXPECT_TRUE(store->Demote(replica));
 
   net.RunFor(1800 * kMillisecond - dht->vri()->Now());
   for (const ObjectName& dead : {primary, replica}) {
@@ -688,8 +765,7 @@ TEST(ObjectStore, AnExpiredCopyIsInvisibleButCountedUntilTheSweep) {
   store->ScanAll([&](const ObjectManager::Row&) { all++; });
   EXPECT_EQ(all, 1u);
   EXPECT_FALSE(store->Renew(primary, 60 * kSecond).ok());
-  EXPECT_FALSE(store->Demote(primary));
-  EXPECT_FALSE(store->Promote(replica));
+  EXPECT_FALSE(store->Renew(replica, 60 * kSecond).ok());
   EXPECT_EQ(store->TotalObjects(), 3u);
   EXPECT_EQ(store->NamespaceObjects("ex"), 3u);
 
@@ -857,10 +933,10 @@ TEST(OwnerCache, JoinInsideCachedRangeDrawsNotOwnerHint) {
   for (uint32_t i = 0; i < net.size(); ++i)
     if (net.dht(i)->router()->protocol()->IsOwner(joiner_id)) succ = i;
   ASSERT_GE(succ, 0);
-  Id pred = 0;
-  ASSERT_TRUE(net.dht(succ)->router()->protocol()->PredecessorId(&pred));
+  RingPeer pred;
+  ASSERT_TRUE(net.dht(succ)->router()->protocol()->Predecessor(&pred));
   std::string key = FindKey("jn", "k", [&](Id id) {
-    return InOpenClosed(pred, joiner_id, id);
+    return InOpenClosed(pred.id, joiner_id, id);
   });
   ASSERT_FALSE(key.empty());
   uint32_t sender = succ == 0 ? 1 : 0;

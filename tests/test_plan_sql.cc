@@ -361,6 +361,22 @@ TEST(Sql, RejectsMalformedDurations) {
   EXPECT_TRUE(bad("SELECT * FROM t TIMEOUT 5s WINDOW 0s CONTINUOUS"));
   EXPECT_TRUE(bad("SELECT * FROM t TIMEOUT 5s WINDOW 2parsecs CONTINUOUS"));
   EXPECT_TRUE(bad("SELECT * FROM t TIMEOUT 5s WINDOW abc CONTINUOUS"));
+  // A value past INT64_MAX microseconds overflows the product, and one past
+  // INT64_MAX itself is clamped by strtoll: both are rejected.
+  EXPECT_TRUE(bad("SELECT * FROM t TIMEOUT 9223372036855s"));
+  EXPECT_TRUE(bad("SELECT * FROM t TIMEOUT 9223372036854775807s"));
+  EXPECT_TRUE(bad("SELECT * FROM t TIMEOUT 9223372036854776ms"));
+  EXPECT_TRUE(bad("SELECT * FROM t TIMEOUT 99999999999999999999ms"));
+  // The largest accepted values, in either unit and suffix case.
+  {
+    auto s = Client()->Compile(Sql("SELECT * FROM t TIMEOUT 9223372036854S"));
+    ASSERT_TRUE(s.ok()) << s.status().ToString();
+    EXPECT_EQ(s->timeout, 9223372036854 * kSecond);
+    auto ms =
+        Client()->Compile(Sql("SELECT * FROM t TIMEOUT 9223372036854775MS"));
+    ASSERT_TRUE(ms.ok()) << ms.status().ToString();
+    EXPECT_EQ(ms->timeout, 9223372036854775 * kMillisecond);
+  }
   {
     Status s = Client()
                    ->Compile(Sql("SELECT * FROM t TIMEOUT 5s WINDOW 0 "
@@ -525,6 +541,22 @@ TEST(Ufl, WindowAndReplanOptions) {
   )"))
                     .status();
   EXPECT_EQ(zero.code(), StatusCode::kInvalidArgument) << zero.ToString();
+
+  // Durations share SQL's parser: the largest value is accepted, one past
+  // INT64_MAX microseconds is an InvalidArgument.
+  auto longest = Client()->Compile(Ufl(R"(
+    query { timeout = 9223372036854s; }
+    graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
+  )"));
+  ASSERT_TRUE(longest.ok()) << longest.status().ToString();
+  EXPECT_EQ(longest->timeout, 9223372036854 * kSecond);
+  Status over = Client()
+                    ->Compile(Ufl(R"(
+    query { timeout = 9223372036855s; }
+    graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
+  )"))
+                    .status();
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument) << over.ToString();
 }
 
 TEST(Ufl, DeadlineRoundTrips) {

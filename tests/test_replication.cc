@@ -1,9 +1,11 @@
 // k-way successor-set replication: writer-driven placement, k = 1 sending no
-// replica or repair traffic, promotion after owner death, read-any gets with
-// read repair (and an absent key answered empty after every candidate),
-// renew reaching the replica copies, scan-time replica merge (exactly-once),
-// origin-stamped replica expiry, join-time range pulls, and the replicas
-// plumbing through UFL, TableSpec and query plans.
+// replica or repair traffic, the copy at the owner speaking for an object
+// (after owner death, after a join's handoff, after a join in a dead node's
+// place, after a write through a stale owner cache, and while the
+// predecessor is unknown), read-any gets with read repair (and an absent key
+// answered empty after every candidate), renew reaching the replica copies,
+// scan-time replica merge (exactly-once), origin-stamped replica expiry, and
+// the replicas plumbing through UFL, TableSpec and query plans.
 
 #include <gtest/gtest.h>
 
@@ -36,10 +38,21 @@ int OwnerOf(SimOverlay* net, const std::string& ns, const std::string& key) {
   return -1;
 }
 
+/// The owner of `target` among nodes [0, n): the ring before node n joined.
+int OwnerAmong(SimOverlay* net, Id target, uint32_t n) {
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!net->harness()->IsAlive(i)) continue;
+    if (net->dht(i)->router()->protocol()->IsOwner(target))
+      return static_cast<int>(i);
+  }
+  return -1;
+}
+
 /// Node index behind an address (SimHarness maps index <-> host - 1).
 uint32_t NodeOf(const NetAddress& a) { return a.host - 1; }
 
-/// Count the (ns, key) copies each node holds, by replica tag.
+/// Count the (ns, key) copies the live nodes hold: the copy at the owner is
+/// the primary, every other copy a replica.
 struct CopyCensus {
   size_t primaries = 0;
   size_t replicas = 0;
@@ -49,21 +62,28 @@ CopyCensus Census(SimOverlay* net, const std::string& ns,
   CopyCensus c;
   for (uint32_t i = 0; i < net->size(); ++i) {
     if (!net->harness()->IsAlive(i)) continue;
-    for (const auto* row : net->dht(i)->objects()->Get(ns, key)) {
-      if (row->second.is_replica())
-        c.replicas++;
-      else
-        c.primaries++;
-    }
+    size_t n = net->dht(i)->objects()->Get(ns, key).size();
+    if (net->dht(i)->router()->protocol()->IsOwner(RoutingId(ns, key)))
+      c.primaries += n;
+    else
+      c.replicas += n;
   }
   return c;
+}
+
+/// Rows of `ns` that node `i`'s LocalScan emits.
+size_t ScanVisible(SimOverlay* net, uint32_t i, const std::string& ns) {
+  size_t n = 0;
+  net->dht(i)->LocalScan(
+      ns, [&n](const ObjectName&, std::string_view, TimeUs) { n++; });
+  return n;
 }
 
 // ---------------------------------------------------------------------------
 // Placement
 // ---------------------------------------------------------------------------
 
-TEST(Replication, PutPlacesKTaggedCopiesAtOwnerAndSuccessors) {
+TEST(Replication, PutPlacesKCopiesAtOwnerAndSuccessors) {
   SimOverlay net(8, SeededOptions(11));
   net.dht(3)->Put("rt", "k1", "s", "v", 60 * kSecond, nullptr, /*replicas=*/3);
   net.RunFor(2 * kSecond);
@@ -72,18 +92,15 @@ TEST(Replication, PutPlacesKTaggedCopiesAtOwnerAndSuccessors) {
   ASSERT_GE(owner, 0);
   auto at_owner = net.dht(owner)->objects()->Get("rt", "k1");
   ASSERT_EQ(at_owner.size(), 1u);
-  EXPECT_EQ(at_owner[0]->second.replica_index, 0);
   EXPECT_EQ(at_owner[0]->second.desired_replicas, 3);
 
-  // The owner's first two successors hold replica copies tagged 1 and 2.
+  // The owner's first two successors hold the replica copies.
   auto succs =
       net.dht(owner)->router()->protocol()->SuccessorSet(2);
   ASSERT_EQ(succs.size(), 2u);
   for (size_t j = 0; j < succs.size(); ++j) {
     auto at_succ = net.dht(NodeOf(succs[j]))->objects()->Get("rt", "k1");
     ASSERT_EQ(at_succ.size(), 1u) << "successor " << j << " missing its copy";
-    EXPECT_EQ(at_succ[j == 0 ? 0 : 0]->second.replica_index, j + 1);
-    EXPECT_TRUE(at_succ[0]->second.is_replica());
     EXPECT_EQ(at_succ[0]->second.desired_replicas, 3);
   }
 
@@ -149,9 +166,7 @@ TEST(Replication, FactorOneKeepsEveryReplicationCounterAtZero) {
     Dht::Stats s = net.dht(i)->stats();
     EXPECT_EQ(s.replica_puts, 0u) << "node " << i;
     EXPECT_EQ(s.replica_stores, 0u) << "node " << i;
-    EXPECT_EQ(s.promotions, 0u) << "node " << i;
     EXPECT_EQ(s.handoff_pushes, 0u) << "node " << i;
-    EXPECT_EQ(s.handoff_pulls, 0u) << "node " << i;
     EXPECT_EQ(s.read_failovers, 0u) << "node " << i;
     EXPECT_EQ(s.read_repairs, 0u) << "node " << i;
     EXPECT_EQ(s.suppressed_scan_rows, 0u) << "node " << i;
@@ -162,7 +177,7 @@ TEST(Replication, FactorOneKeepsEveryReplicationCounterAtZero) {
 // Handoff
 // ---------------------------------------------------------------------------
 
-TEST(Replication, OwnerDeathPromotesAReplicaAndGetStillAnswers) {
+TEST(Replication, OwnerDeathLeavesAReplicaSpeakingAndGetStillAnswers) {
   SimOverlay net(10, SeededOptions(17, /*replication=*/3));
   net.dht(4)->Put("hd", "k", "s", "payload", 120 * kSecond);
   net.RunFor(2 * kSecond);
@@ -173,19 +188,16 @@ TEST(Replication, OwnerDeathPromotesAReplicaAndGetStillAnswers) {
   net.harness()->FailNode(static_cast<uint32_t>(owner));
   net.RunFor(8 * kSecond);  // stabilize + repair ticks
 
-  // Some replica holder owns the id now and promoted its copy.
-  uint64_t promotions = 0;
-  for (uint32_t i = 0; i < net.size(); ++i) {
-    if (!net.harness()->IsAlive(i)) continue;
-    promotions += net.dht(i)->stats().promotions;
-  }
-  EXPECT_GE(promotions, 1u) << "no replica was promoted after the owner died";
+  // A replica holder owns the id now, and its copy speaks in scans.
   int new_owner = OwnerOf(&net, "hd", "k");
   ASSERT_GE(new_owner, 0);
   ASSERT_NE(new_owner, owner);
-  auto at_new = net.dht(new_owner)->objects()->Get("hd", "k");
-  ASSERT_EQ(at_new.size(), 1u);
-  EXPECT_FALSE(at_new[0]->second.is_replica());
+  ASSERT_EQ(net.dht(new_owner)->objects()->Get("hd", "k").size(), 1u);
+  EXPECT_EQ(ScanVisible(&net, new_owner, "hd"), 1u);
+  // It owns a wider range and re-pushed what it newly owns, so the object
+  // has k copies again.
+  EXPECT_GE(net.dht(new_owner)->stats().handoff_pushes, 1u);
+  EXPECT_EQ(Census(&net, "hd", "k").replicas, 2u);
 
   // A read-any get from an uninvolved node still answers.
   uint32_t reader = 0;
@@ -202,7 +214,7 @@ TEST(Replication, OwnerDeathPromotesAReplicaAndGetStillAnswers) {
   EXPECT_EQ(got[0].value, "payload");
 }
 
-TEST(Replication, JoiningNodePullsTheReplicatedRangeItNowOwns) {
+TEST(Replication, JoiningNodeIsHandedTheReplicatedRangeItNowOwns) {
   SimOverlay net(8, SeededOptions(19, /*replication=*/3));
   for (int i = 0; i < 64; ++i)
     net.dht(i % 8)->Put("jp", "k" + std::to_string(i), "s", "v", 300 * kSecond);
@@ -213,16 +225,188 @@ TEST(Replication, JoiningNodePullsTheReplicatedRangeItNowOwns) {
   net.SeedAll();  // the ring integrates the joiner: it owns a range now
   net.RunFor(5 * kSecond);
 
-  EXPECT_GT(net.dht(joiner)->stats().handoff_pulls, 0u)
-      << "the new node never pulled the replicated objects of its range";
-  // Whatever it pulled it owns as primaries; nothing is double-counted.
+  // The joiner's successor shipped it every object of the range it took.
+  size_t owned = 0;
+  for (int i = 0; i < 64; ++i) {
+    std::string key = "k" + std::to_string(i);
+    if (OwnerOf(&net, "jp", key) != static_cast<int>(joiner)) continue;
+    owned++;
+    EXPECT_EQ(net.dht(joiner)->objects()->Get("jp", key).size(), 1u)
+        << "the joiner was never handed " << key;
+  }
+  EXPECT_GT(owned, 0u) << "test premise: the joiner owns some keys";
+  EXPECT_EQ(net.dht(joiner)->stats().store_requests, owned);
+  // Only the copy at the owner speaks: nothing is double-counted.
   size_t total = 0;
   for (uint32_t i = 0; i < net.size(); ++i) {
-    if (!net.harness()->IsAlive(i)) continue;
-    net.dht(i)->LocalScan(
-        "jp", [&](const ObjectName&, std::string_view, TimeUs) { total++; });
+    if (net.harness()->IsAlive(i)) total += ScanVisible(&net, i, "jp");
   }
   EXPECT_EQ(total, 64u) << "scan-visible copies drifted after the handoff";
+}
+
+TEST(Replication, ANodeWhosePredecessorWasDroppedStillScansItsOwnRows) {
+  // Between the predecessor's departure and the next one's notify, a node
+  // knows no lower bound for its range. Its last known range (last pred,
+  // self] stands in, so its own replicated rows stay visible to scans.
+  SimOverlay net(8, SeededOptions(47, /*replication=*/3));
+  for (int i = 0; i < 64; ++i)
+    net.dht(i % 8)->Put("pd", "k" + std::to_string(i), "s", "v", 300 * kSecond);
+  net.RunFor(3 * kSecond);  // stored, and repair has seen the ring
+
+  uint32_t node = 0;
+  size_t own = ScanVisible(&net, node, "pd");
+  while (own == 0 && node + 1 < net.size())
+    own = ScanVisible(&net, ++node, "pd");
+  ASSERT_GT(own, 0u) << "test premise: the node owns some keys";
+  RingPeer pred;
+  RoutingProtocol* proto = net.dht(node)->router()->protocol();
+  ASSERT_TRUE(proto->Predecessor(&pred));
+  proto->OnPeerUnreachable(pred.addr);
+  ASSERT_FALSE(proto->Predecessor(&pred));
+
+  EXPECT_EQ(ScanVisible(&net, node, "pd"), own)
+      << "the node's own rows vanished with its predecessor";
+}
+
+// A node that joins where a dead node's range was, before repair saw the
+// ring without it, owns ids whose only live copies sit at the dead node's
+// successors. The successor hands it those copies, so a scan still sees
+// every row exactly once, on whichever side of the dead node it lands.
+TEST(Replication, AJoinerTakingADeadNodesRangeIsHandedItsCopies) {
+  for (bool before_dead : {true, false}) {
+    SCOPED_TRACE(before_dead ? "the joiner lands before the dead node"
+                             : "the joiner lands after the dead node");
+    constexpr int kRows = 64;
+    SimOverlay net(10, SeededOptions(53, /*replication=*/3));
+    for (int i = 0; i < kRows; ++i)
+      net.dht(i % 10)->Put("dj", "k" + std::to_string(i), "s", "v",
+                           300 * kSecond);
+    net.RunFor(3 * kSecond);
+
+    uint32_t joiner = net.AddNode();
+    int succ = OwnerAmong(&net, net.dht(joiner)->local_id(), joiner);
+    ASSERT_GE(succ, 0);
+    RingPeer pred;
+    ASSERT_TRUE(net.dht(succ)->router()->protocol()->Predecessor(&pred));
+    uint32_t dead =
+        before_dead ? static_cast<uint32_t>(succ) : NodeOf(pred.addr);
+    std::set<std::string> dead_owned;
+    for (int i = 0; i < kRows; ++i) {
+      std::string key = "k" + std::to_string(i);
+      if (OwnerAmong(&net, RoutingId("dj", key), joiner) ==
+          static_cast<int>(dead))
+        dead_owned.insert(key);
+    }
+    // One step: the ring drops the dead node and takes in the joiner.
+    net.harness()->FailNode(dead);
+    net.SeedAll();
+    net.RunFor(5 * kSecond);
+
+    size_t taken = 0;
+    for (const std::string& key : dead_owned)
+      taken += OwnerOf(&net, "dj", key) == static_cast<int>(joiner);
+    ASSERT_GT(taken, 0u)
+        << "test premise: the joiner owns ids the dead node owned";
+    std::multiset<std::string> seen;
+    for (uint32_t i = 0; i < net.size(); ++i) {
+      if (!net.harness()->IsAlive(i)) continue;
+      net.dht(i)->LocalScan("dj", [&](const ObjectName& n, std::string_view,
+                                      TimeUs) { seen.insert(n.key); });
+    }
+    std::set<std::string> rows(seen.begin(), seen.end());
+    EXPECT_EQ(rows.size(), static_cast<size_t>(kRows))
+        << "rows the dead node owned are hidden from every scan";
+    EXPECT_EQ(seen.size(), rows.size()) << "a row was answered twice";
+  }
+}
+
+// A writer whose owner cache predates a join sends a replicated write to
+// the old owner after the range was already handed off. The old owner
+// passes it on to the joiner that owns it now, so a scan sees it.
+TEST(Replication, AWriteThroughAStaleOwnerCacheReachesTheJoiner) {
+  SimOverlay net(8, SeededOptions(59));
+  // The next node's id, known before it joins (ids hash the address).
+  NetAddress first = net.dht(0)->local_address();
+  Id joiner_id = NodeIdFromAddress(first.host + net.size(), first.port);
+  int owner = OwnerAmong(&net, joiner_id, net.size());
+  ASSERT_GE(owner, 0);
+  RingPeer pred;
+  ASSERT_TRUE(net.dht(owner)->router()->protocol()->Predecessor(&pred));
+  // A key the joiner takes from `owner` once it is in the ring.
+  std::string key;
+  for (int i = 0; key.empty() && i < 100000; ++i) {
+    std::string k = "k" + std::to_string(i);
+    if (InOpenClosed(pred.id, joiner_id, RoutingId("sw", k))) key = k;
+  }
+  ASSERT_FALSE(key.empty());
+  uint32_t writer = 0;
+  while (static_cast<int>(writer) == owner || NodeOf(pred.addr) == writer)
+    writer++;
+  // The first write warms the writer's owner cache with `owner`'s range.
+  net.dht(writer)->Put("sw", key, "old", "v", 300 * kSecond, nullptr,
+                       /*replicas=*/3);
+  net.RunFor(kSecond);
+
+  uint32_t joiner = net.AddNode();
+  ASSERT_EQ(net.dht(joiner)->local_id(), joiner_id);
+  net.SeedAll();
+  net.RunFor(5 * kSecond);  // the joiner is in, and was handed the range
+  ASSERT_EQ(OwnerOf(&net, "sw", key), static_cast<int>(joiner));
+  ASSERT_EQ(net.dht(joiner)->objects()->Get("sw", key).size(), 1u);
+
+  uint64_t hints = net.dht(owner)->router()->stats().not_owner_hints_sent;
+  net.dht(writer)->Put("sw", key, "new", "v", 300 * kSecond, nullptr,
+                       /*replicas=*/3);
+  net.RunFor(3 * kSecond);
+  ASSERT_GT(net.dht(owner)->router()->stats().not_owner_hints_sent, hints)
+      << "test premise: the write went to the old owner";
+  EXPECT_EQ(net.dht(joiner)->objects()->Get("sw", key).size(), 2u)
+      << "the joiner never got the write";
+  size_t visible = 0;
+  for (uint32_t i = 0; i < net.size(); ++i)
+    visible += ScanVisible(&net, i, "sw");
+  EXPECT_EQ(visible, 2u) << "a write through a stale cache is hidden";
+}
+
+// A window that widens is a new baseline only for the successors it adds.
+// When the first successor changes on the same repair tick, the objects
+// that already used it are re-pushed to the new one.
+TEST(Replication, AWindowThatWidensStillSeesItsFirstSuccessorChange) {
+  SimOverlay net(8, SeededOptions(61));
+  std::vector<std::string> keys;  // two keys node 0 owns
+  for (int i = 0; keys.size() < 2 && i < 100000; ++i) {
+    std::string k = "k" + std::to_string(i);
+    if (OwnerOf(&net, "ws", k) == 0) keys.push_back(k);
+  }
+  ASSERT_EQ(keys.size(), 2u);
+  net.dht(1)->Put("ws", keys[0], "s", "v", 300 * kSecond, nullptr,
+                  /*replicas=*/2);
+  net.RunFor(3 * kSecond);
+  RoutingProtocol* proto = net.dht(0)->router()->protocol();
+  std::vector<NetAddress> succs = proto->SuccessorSet(2);
+  ASSERT_EQ(succs.size(), 2u);
+  uint32_t second = NodeOf(succs[1]);
+  ASSERT_EQ(net.dht(NodeOf(succs[0]))->objects()->Get("ws", keys[0]).size(),
+            1u);
+  ASSERT_TRUE(net.dht(second)->objects()->Get("ws", keys[0]).empty());
+
+  // Just after a repair tick, the first successor dies (every node notices
+  // at once) and a k = 3 write widens the window; the next tick sees both.
+  const ReplicationManager* repl = net.dht(0)->replication();
+  uint64_t ticks = repl->stats().repair_ticks;
+  while (repl->stats().repair_ticks == ticks) net.RunFor(kMillisecond);
+  net.harness()->FailNode(NodeOf(succs[0]));
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (net.harness()->IsAlive(i))
+      net.dht(i)->router()->protocol()->OnPeerUnreachable(succs[0]);
+  }
+  net.dht(0)->Put("ws", keys[1], "s", "v", 300 * kSecond, nullptr,
+                  /*replicas=*/3);
+  net.RunFor(2 * kSecond);
+
+  ASSERT_EQ(proto->SuccessorSet(1), std::vector<NetAddress>{succs[1]});
+  EXPECT_EQ(net.dht(second)->objects()->Get("ws", keys[0]).size(), 1u)
+      << "the new first successor never got the k = 2 object";
 }
 
 // ---------------------------------------------------------------------------
@@ -256,10 +440,10 @@ TEST(Replication, ReplicaAnswersWhenOwnerCopyIsGoneAndRepairsIt) {
   EXPECT_EQ(got[0].value, "v");
   EXPECT_EQ(net.dht(reader)->stats().read_failovers, 1u);
   EXPECT_EQ(net.dht(reader)->stats().read_repairs, 1u);
-  // The owner copy is back — and primary again.
+  // The owner copy is back, and it speaks for the object in scans again.
   auto repaired = net.dht(owner)->objects()->Get("rr", "k");
   ASSERT_EQ(repaired.size(), 1u) << "read repair never restored the owner";
-  EXPECT_FALSE(repaired[0]->second.is_replica());
+  EXPECT_EQ(ScanVisible(&net, owner, "rr"), 1u);
 }
 
 TEST(Replication, ReadAnyGetOfAnAbsentKeyTriesEveryCandidateThenIsEmpty) {
@@ -412,8 +596,9 @@ TEST(Replication, ChurnFreeAggregatesMatchBetweenK3AndK1) {
 }
 
 // A snapshot scan still subscribed when its owner dies must not see the
-// dead owner's rows again: promotion and the handoff pull move objects that
-// were already answered, so neither fires newData.
+// dead owner's rows again: the copies that speak for them after the kill,
+// and the re-pushes of the range the successor took over, were already
+// answered, so none fires newData.
 TEST(Replication, ScanStraddlingAnOwnerKillReturnsEveryRowExactlyOnce) {
   constexpr int kRows = 80;
   SimPier::Options opts;
@@ -443,15 +628,12 @@ TEST(Replication, ScanStraddlingAnOwnerKillReturnsEveryRowExactlyOnce) {
   net.RunFor(500 * kMillisecond);
   // The victim holds primaries (ids are spread over all ten nodes).
   net.harness()->FailNode(9);
-  net.RunFor(30 * kSecond);  // detection, promotion and pulls, scan still open
+  net.RunFor(30 * kSecond);  // detection and repair, scan still open
 
-  uint64_t promotions = 0, pulls = 0;
-  for (uint32_t i = 0; i < net.size(); ++i) {
-    promotions += net.dht(i)->stats().promotions;
-    pulls += net.dht(i)->stats().handoff_pulls;
-  }
-  EXPECT_GE(promotions, 1u) << "the kill never moved ownership";
-  EXPECT_GE(pulls, 1u);
+  uint64_t pushes = 0;
+  for (uint32_t i = 0; i < net.size(); ++i)
+    pushes += net.dht(i)->stats().handoff_pushes;
+  EXPECT_GE(pushes, 1u) << "the kill never moved ownership";
   EXPECT_EQ(ids.size(), static_cast<size_t>(kRows));
   EXPECT_EQ(rows, static_cast<size_t>(kRows))
       << "a maintenance re-store re-emitted rows the dead owner answered";
