@@ -460,14 +460,6 @@ Status PierClient::ShipBatch(const TableSpec& spec,
         std::move(items),
         [failures = publish_failures_, table = spec.name](
             const Status& first, std::vector<Dht::PutGroupStatus> groups) {
-          // Degraded groups (owner reached, replica copies lost) are counted
-          // even when every owner delivery succeeded: the batch is fine as a
-          // whole but under-replicated until repair catches up.
-          size_t degraded = 0;
-          for (const Dht::PutGroupStatus& g : groups) {
-            if (g.degraded()) degraded += g.indices.size();
-          }
-          failures->degraded_items += degraded;
           if (first.ok()) return;
           size_t dropped = 0;
           for (const Dht::PutGroupStatus& g : groups) {
@@ -686,7 +678,6 @@ Result<QueryHandle> PierClient::Query(const Sql& sql) {
   PlanExplain explain;
   PIER_ASSIGN_OR_RETURN(QueryPlan plan, Compile(sql, &explain));
   bool auto_replan = sql.replan == "auto" && plan.continuous;
-  plan.replan = auto_replan;
   plan.successors = sql.successors;
   plan.lease_period_us = sql.lease_period;
   QueryPlan submitted;
@@ -753,7 +744,6 @@ void PierClient::ReplanTick(uint64_t query_id) {
         replanner.Consider(task.current, task.fingerprint, *fresh, explain);
     if (d.swap) {
       QueryPlan next = std::move(*fresh);
-      next.replan = true;
       Status s = qp_->SwapQuery(query_id, next);
       if (s.ok()) {
         task.current = std::move(next);
@@ -930,10 +920,8 @@ Result<QueryHandle> PierClient::Attach(uint64_t query_id,
   PlanExplain explain;
   Result<QueryPlan> current =
       CompileSqlPinned(replan_sql, query_id, &explain);
-  if (current.ok() && current->continuous) {
-    current->replan = true;
+  if (current.ok() && current->continuous)
     EnableAutoReplan(h, replan_sql, std::move(*current), explain);
-  }
   return h;
 }
 

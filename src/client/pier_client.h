@@ -313,9 +313,8 @@ class PierClient {
   struct PublishFailures {
     uint64_t failed_batches = 0;  // batches with at least one failed group
     uint64_t dropped_items = 0;   // index entries (tuples/secondaries) lost
-    /// Index entries whose OWNER copy landed but which lost replica copies:
-    /// the data is live yet under-replicated until the repair tick heals it
-    /// — a different (softer) report than dropped.
+    /// Always 0: the owner places replica copies, so a publish learns only
+    /// of its owner deliveries. Kept because benchmark/pier_bench.cc reads it.
     uint64_t degraded_items = 0;
     Status last_error = Status::Ok();
   };

@@ -344,8 +344,6 @@ TupleBatch TupleBatch::FromTuples(const std::vector<Tuple>& tuples) {
 TupleBatchBuilder::TupleBatchBuilder(BatchSchemaPtr schema)
     : schema_(std::move(schema)) {}
 
-void TupleBatchBuilder::AppendNull() { cells_.emplace_back(); }
-
 void TupleBatchBuilder::AppendBool(bool b) {
   BatchCell c;
   c.type = ValueType::kBool;
@@ -388,7 +386,7 @@ void TupleBatchBuilder::AppendBytes(std::string_view s) {
 void TupleBatchBuilder::AppendValue(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
-      AppendNull();
+      cells_.emplace_back();  // a default cell is null
       break;
     case ValueType::kBool:
       AppendBool(v.bool_unchecked());

@@ -182,7 +182,6 @@ class TupleBatchBuilder {
   }
   bool empty() const { return num_rows() == 0; }
 
-  void AppendNull();
   void AppendBool(bool b);
   void AppendInt64(int64_t v);
   void AppendDouble(double v);

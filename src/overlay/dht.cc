@@ -134,13 +134,11 @@ void Dht::Put(const std::string& ns, const std::string& key, const std::string& 
   PutBatch(std::move(items), std::move(report));
 }
 
-void Dht::SendToOwner(Id target, size_t want_succs,
-                      std::shared_ptr<const OwnerSend> send, DoneCallback done,
-                      bool may_retry) {
-  router_->Lookup(target, want_succs,
-                  [this, target, want_succs, send = std::move(send),
-                   done = std::move(done), may_retry](
-                      const Result<OverlayRouter::Owner>& owner) mutable {
+void Dht::SendToOwner(Id target, std::shared_ptr<const OwnerSend> send,
+                      DoneCallback done, bool may_retry) {
+  router_->Lookup(
+      target, [this, target, send = std::move(send), done = std::move(done),
+               may_retry](const Result<OverlayRouter::Owner>& owner) mutable {
     if (!owner.ok()) {
       if (done) done(owner.status());
       return;
@@ -149,18 +147,16 @@ void Dht::SendToOwner(Id target, size_t want_succs,
       (*send)(*owner, std::move(done));
       return;
     }
-    (*send)(*owner,
-            [this, target, want_succs, send,
-             done = std::move(done)](const Status& s) mutable {
-              if (s.ok()) {
-                if (done) done(s);
-                return;
-              }
-              // The cached owner is unreachable. The failed delivery evicted
-              // its entry, so this resolve goes over the overlay.
-              SendToOwner(target, want_succs, std::move(send), std::move(done),
-                          false);
-            });
+    (*send)(*owner, [this, target, send,
+                     done = std::move(done)](const Status& s) mutable {
+      if (s.ok()) {
+        if (done) done(s);
+        return;
+      }
+      // The cached owner is unreachable. The failed delivery evicted its
+      // entry, so this resolve goes over the overlay.
+      SendToOwner(target, std::move(send), std::move(done), false);
+    });
   });
 }
 
@@ -183,13 +179,6 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
   for (size_t i = 0; i < batch->size(); ++i)
     by_id[RoutingId((*batch)[i].ns, (*batch)[i].key)].push_back(i);
 
-  // The batch's replica fan-out width: per-item factors resolve against the
-  // configured default, and the lookups request enough of each owner's
-  // successor set to place the widest item.
-  int max_k = 1;
-  for (const DhtPutItem& it : *batch)
-    max_k = std::max(max_k, EffectiveReplicas(it.replicas));
-
   // Shared completion state: the owners arrive asynchronously, one Lookup
   // per distinct id; once all resolved, one wire message goes to each
   // distinct destination. Every group's outcome is kept — a partial failure
@@ -197,9 +186,6 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
   // were dropped rather than only the first error.
   struct OwnerGroup {
     std::vector<size_t> indices;
-    // Successor-set replication places every replica at the OWNER's
-    // successors, so the sets are per owner, not per key.
-    std::vector<NetAddress> succs;
     bool cached = false;  // resolved from the owner cache
   };
   struct BatchState {
@@ -226,13 +212,7 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
   st->pending_lookups = by_id.size();
   st->done = std::move(done);
 
-  auto encode = [this](WireWriter* w, const DhtPutItem& it) {
-    EncodeStoreObject(w, ObjectName{it.ns, it.key, it.suffix},
-                      EffectiveLifetime(it.lifetime), 0,
-                      static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
-                      it.value);
-  };
-  auto ship = [this, st, batch, may_retry, encode]() {
+  auto ship = [this, st, batch, may_retry]() {
     // All lookups resolved: one message per destination (chunked at the
     // frame cap the receiver enforces). All sends are registered before the
     // first one goes out, so a synchronously-failing send cannot complete
@@ -241,7 +221,6 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
     owners.swap(st->by_owner);
     struct Frame {
       size_t group;  // index into st->groups
-      bool replica = false;  // replica copies: failure = degraded, not dropped
       NetAddress dest;
       std::string wire;
       bool retry = false;  // a failed delivery is retried once
@@ -261,56 +240,32 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
             std::vector<size_t>(indices.begin() + start,
                                 indices.begin() + start + n),
             Status::Ok()});
-        // The owner takes the chunk's primary copies in one store frame
-        // (index 0: stored and announced as newData, each with its desired
-        // factor for repair) ...
-        int chunk_k = 1;
+        // The owner takes the chunk in one store frame (index 0: stored and
+        // announced as newData, each with its desired factor, which the
+        // owner places at its successors).
         WireWriter w = FrameStore(0, StoreOrigin::kWrite, n);
         for (size_t j = start; j < start + n; ++j) {
           const DhtPutItem& it = (*batch)[indices[j]];
-          chunk_k = std::max(chunk_k, EffectiveReplicas(it.replicas));
-          encode(&w, it);
-        }
-        // ... and each of the owner's first chunk_k-1 successors takes one
-        // replica frame per chunk with the items wide enough to reach it —
-        // replicating per destination group, not per item.
-        for (int rep = 1; rep < chunk_k; ++rep) {
-          size_t si = static_cast<size_t>(rep - 1);
-          if (si >= og.succs.size()) break;
-          const NetAddress& dest = og.succs[si];
-          if (dest.IsNull() || dest == owner) continue;
-          std::vector<size_t> rep_items;
-          for (size_t j = start; j < start + n; ++j) {
-            if (EffectiveReplicas((*batch)[indices[j]].replicas) > rep)
-              rep_items.push_back(indices[j]);
-          }
-          if (rep_items.empty()) continue;
-          WireWriter rw = FrameStore(static_cast<uint8_t>(rep),
-                                     StoreOrigin::kWrite, rep_items.size());
-          for (size_t idx : rep_items) encode(&rw, (*batch)[idx]);
-          repl_->NoteReplicaCopiesSent(rep_items.size());
-          st->groups[group].replica_frames++;
-          frames.push_back(
-              Frame{group, true, dest, std::move(rw).data(), false});
+          EncodeStoreObject(
+              &w, ObjectName{it.ns, it.key, it.suffix},
+              EffectiveLifetime(it.lifetime), 0,
+              static_cast<uint8_t>(EffectiveReplicas(it.replicas)), it.value);
         }
         if (n > 1) {
           stats_.batched_puts += n;
           stats_.batch_msgs++;
         }
-        bool retry = may_retry && og.cached;
         frames.push_back(
-            Frame{group, false, owner, std::move(w).data(), retry});
+            Frame{group, owner, std::move(w).data(), may_retry && og.cached});
       }
     }
     st->pending_sends = frames.size();
     for (Frame& f : frames) {
       size_t group = f.group;
-      bool replica = f.replica;
       std::shared_ptr<std::vector<DhtPutItem>> retry_items =
           f.retry ? batch : nullptr;
       router_->SendFramed(f.dest, std::move(f.wire),
-                          [this, st, group, replica,
-                           retry_items](const Status& s) {
+                          [this, st, group, retry_items](const Status& s) {
         if (!s.ok() && retry_items) {
           // The owner came from the owner cache and is gone (the failure
           // evicted it): send this group's items again once, resolved over
@@ -323,10 +278,6 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
                                 std::vector<PutGroupStatus> sub) {
                       PutGroupStatus& g = st->groups[group];
                       g.status = first;
-                      for (const PutGroupStatus& sg : sub) {
-                        g.replica_frames += sg.replica_frames;
-                        g.replica_failures += sg.replica_failures;
-                      }
                       if (!sub.empty()) g.owner = sub.front().owner;
                       st->NoteError(first);
                       st->pending_sends--;
@@ -335,13 +286,8 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
                     /*may_retry=*/false);
           return;
         }
-        if (replica) {
-          // A lost replica copy degrades the group; the data itself lives.
-          if (!s.ok()) st->groups[group].replica_failures++;
-        } else {
-          st->NoteError(s);
-          if (!s.ok()) st->groups[group].status = s;
-        }
+        st->NoteError(s);
+        if (!s.ok()) st->groups[group].status = s;
         st->pending_sends--;
         st->FinishIfIdle();
       });
@@ -349,16 +295,13 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
     st->FinishIfIdle();
   };
 
-  size_t want_succs = static_cast<size_t>(max_k - 1);
   for (auto& [id, indices] : by_id) {
     router_->Lookup(
-        id, want_succs,
-        [st, ship, indices = std::move(indices)](
-            const Result<OverlayRouter::Owner>& owner) {
+        id, [st, ship, indices = std::move(indices)](
+                const Result<OverlayRouter::Owner>& owner) {
           if (owner.ok()) {
             OwnerGroup& g = st->by_owner[owner->address];
             g.indices.insert(g.indices.end(), indices.begin(), indices.end());
-            g.succs = owner->successors;
             g.cached = g.cached || owner->cached;
           } else {
             // The whole group is undeliverable: no owner could be resolved.
@@ -406,12 +349,11 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
   });
   pending_[op_id] = std::move(op);
 
-  // Read-any: resolve the owner and its k-1 replica holders, then walk the
-  // candidates until one answers with data. The owner is asked through
-  // SendToOwner, so a dead cached owner is re-resolved once before the walk
-  // moves on.
+  // Read-any: ask the owner, then walk on to the next holder until one
+  // answers with data. The owner is asked through SendToOwner, so a dead
+  // cached owner is re-resolved once before the walk moves on.
   SendToOwner(
-      target, static_cast<size_t>(k - 1),
+      target,
       std::make_shared<const OwnerSend>(
           [this, op_id](const OverlayRouter::Owner& owner,
                         DoneCallback report) {
@@ -419,7 +361,7 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
             // Finished, or an owner that answered let the walk move on.
             if (it == pending_.end() || it->second.attempt > 0) return;
             PendingOp& op = it->second;
-            SetCandidates(&op, owner);
+            op.candidates.assign(1, owner);
             // A cached owner may have died before any failure showed; UdpCC
             // would only give up on it after its full retry schedule.
             if (owner.cached && op.hedge_timer == 0) {
@@ -434,25 +376,14 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
       });
 }
 
-void Dht::SetCandidates(PendingOp* op, const OverlayRouter::Owner& owner) {
-  op->owner_id = owner.id;
-  op->candidates.assign(1, owner.address);
-  for (const NetAddress& s : owner.successors) {
-    if (op->candidates.size() >= static_cast<size_t>(op->replicas)) break;
-    if (s.IsNull() || s == owner.address) continue;
-    op->candidates.push_back(s);
-  }
-}
-
 void Dht::HedgeGet(uint64_t op_id) {
   auto it = pending_.find(op_id);
   // The owner already answered empty or failed: the walk moved on.
   if (it == pending_.end() || it->second.attempt > 0) return;
-  PendingOp& op = it->second;
-  NetAddress quiet = op.candidates[0];
-  router_->EvictOwner(op.owner_id, quiet);
+  const OverlayRouter::Owner quiet = it->second.candidates[0];
+  router_->EvictOwner(quiet.id, quiet.address);
   router_->Lookup(
-      RoutingId(op.ns, op.key), static_cast<size_t>(op.replicas - 1),
+      RoutingId(it->second.ns, it->second.key),
       [this, op_id, quiet](const Result<OverlayRouter::Owner>& owner) {
         auto it = pending_.find(op_id);
         if (it == pending_.end() || it->second.attempt > 0) return;
@@ -463,10 +394,10 @@ void Dht::HedgeGet(uint64_t op_id) {
               vri_->ScheduleEvent(0, [this, op_id]() { HedgeGet(op_id); });
           return;
         }
-        if (owner->address == quiet) return;  // alive, only slow
+        if (owner->address == quiet.address) return;  // alive, only slow
         // Ask the resolved owner as attempt 0; whichever copy answers with
         // data first finishes the get.
-        SetCandidates(&it->second, *owner);
+        it->second.candidates.assign(1, *owner);
         SendGetAttempt(op_id, [this, op_id](const Status& s) {
           if (!s.ok()) AdvanceGet(op_id, 0, s);
         });
@@ -495,7 +426,7 @@ void Dht::SendGetAttempt(uint64_t op_id, DoneCallback report) {
   w.PutBytes(op.ns);
   w.PutBytes(op.key);
   w.PutU8(static_cast<uint8_t>(attempt));
-  router_->SendFramed(op.candidates[attempt], std::move(w).data(),
+  router_->SendFramed(op.candidates[attempt].address, std::move(w).data(),
                       std::move(report));
 }
 
@@ -505,17 +436,39 @@ void Dht::AdvanceGet(uint64_t op_id, size_t attempt, const Status& outcome) {
   PendingOp& op = it->second;
   if (op.attempt != attempt) return;  // already moved on
   op.replied = op.replied || outcome.ok();
-  if (op.attempt + 1 < op.candidates.size()) {
-    size_t next = ++op.attempt;
-    stats_.read_failovers++;
-    SendGetAttempt(op_id, [this, op_id, next](const Status& s) {
-      if (!s.ok()) AdvanceGet(op_id, next, s);
-    });
-    return;
-  }
   // Every candidate is empty or unreachable. An empty reply is an honest
   // empty result; only a get that no candidate answered fails.
-  FinishOp(op_id, op.replied ? Status::Ok() : outcome);
+  const Status result = op.replied ? Status::Ok() : outcome;
+  if (op.candidates.empty() ||
+      op.candidates.size() >= static_cast<size_t>(op.replicas)) {
+    FinishOp(op_id, result);
+    return;
+  }
+  // The walk moves on now, so a hedge or a late reply for `attempt` is moot
+  // while the next holder resolves: the owner of the id just past the last
+  // candidate's, its successor on the ring. A ring smaller than k comes
+  // back around.
+  const size_t next = ++op.attempt;
+  router_->Lookup(
+      op.candidates.back().id + 1,
+      [this, op_id, next, result](const Result<OverlayRouter::Owner>& owner) {
+        auto it = pending_.find(op_id);
+        if (it == pending_.end() || it->second.attempt != next) return;
+        PendingOp& op = it->second;
+        if (!owner.ok() ||
+            std::any_of(op.candidates.begin(), op.candidates.end(),
+                        [&](const OverlayRouter::Owner& c) {
+                          return c.address == owner->address;
+                        })) {
+          FinishOp(op_id, result);
+          return;
+        }
+        op.candidates.push_back(*owner);
+        stats_.read_failovers++;
+        SendGetAttempt(op_id, [this, op_id, next](const Status& s) {
+          if (!s.ok()) AdvanceGet(op_id, next, s);
+        });
+      });
 }
 
 void Dht::Renew(const std::string& ns, const std::string& key,
@@ -525,13 +478,14 @@ void Dht::Renew(const std::string& ns, const std::string& key,
   uint64_t op_id = next_op_id_++;
   PendingOp op;
   op.done_cb = std::move(done);
+  op.renew = true;
   op.timer = vri_->ScheduleEvent(kOpTimeout, [this, op_id]() {
     FinishOp(op_id, Status::TimedOut("dht renew timed out"));
   });
   pending_[op_id] = std::move(op);
 
   Id target = name.routing_id();
-  SendToOwner(target, 0,
+  SendToOwner(target,
               std::make_shared<const OwnerSend>(
                   [this, op_id, name = std::move(name), lifetime](
                       const OverlayRouter::Owner& owner,
@@ -624,14 +578,15 @@ void Dht::HandleStore(const NetAddress& from, std::string_view body) {
   // A writer's primary copies are the frame's only client writes: only they
   // are newData, and only they should have reached the owner, so one
   // not-owner hint per frame corrects a stale owner cache at the writer.
-  // Values alias the receive buffer; the only copies are the ones the store
-  // must own. A malformed tail drops the rest of the frame, never what
-  // already decoded (best-effort, like every other handler).
+  // The replicated ones go on to the replication manager, which places
+  // their copies. Values alias the receive buffer; the only copies are the
+  // ones the store must own. A malformed tail drops the rest of the frame,
+  // never what already decoded (best-effort, like every other handler).
   bool put_primaries = replica_index == 0 &&
                        static_cast<StoreOrigin>(origin) == StoreOrigin::kWrite;
   bool hinted = !put_primaries;
   std::vector<NewDataEvent> events;
-  std::vector<const ObjectManager::Row*> misplaced;
+  std::vector<const ObjectManager::Row*> replicated;
   for (uint64_t i = 0; i < count; ++i) {
     WireObjectView v;
     uint64_t age;
@@ -653,13 +608,11 @@ void Dht::HandleStore(const NetAddress& from, std::string_view body) {
     } else {
       stats_.replica_stores++;
     }
-    Id id = RoutingId(v.ns, v.key);
-    if (!hinted) hinted = router_->HintIfNotOwner(from, id);
-    if (row != nullptr && put_primaries && desired > 1 &&
-        !router_->protocol()->IsOwner(id))
-      misplaced.push_back(row);
+    if (!hinted) hinted = router_->HintIfNotOwner(from, RoutingId(v.ns, v.key));
+    if (row != nullptr && put_primaries && desired > 1)
+      replicated.push_back(row);
   }
-  if (!misplaced.empty()) repl_->ForwardMisplaced(misplaced);
+  if (!replicated.empty()) repl_->PlaceWrites(replicated);
   if (!events.empty()) DispatchNewData(events);
 }
 
@@ -735,7 +688,7 @@ void Dht::HandleGetRespEx(const NetAddress& from, std::string_view body) {
       !r.GetVarint32(&count).ok())
     return;
   auto it = pending_.find(op_id);
-  if (it == pending_.end()) return;
+  if (it == pending_.end() || it->second.renew) return;
   std::vector<DhtItem> items;
   std::vector<TimeUs> remaining;
   items.reserve(std::min<size_t>(count, r.remaining()));
@@ -776,7 +729,7 @@ void Dht::ReadRepair(uint64_t op_id, const std::vector<DhtItem>& items,
                       remaining[i], 0, static_cast<uint8_t>(op.replicas),
                       items[i].value);
   }
-  router_->SendFramed(op.candidates[0], std::move(w).data(), nullptr);
+  router_->SendFramed(op.candidates[0].address, std::move(w).data(), nullptr);
 }
 
 void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
@@ -809,6 +762,8 @@ void Dht::HandleRenewResp(const NetAddress& from, std::string_view body) {
   uint64_t op_id;
   uint8_t ok;
   if (!r.GetVarint(&op_id).ok() || !r.GetU8(&ok).ok()) return;
+  auto it = pending_.find(op_id);
+  if (it == pending_.end() || !it->second.renew) return;
   FinishOp(op_id,
            ok ? Status::Ok() : Status::NotFound("renew: object not present"));
 }

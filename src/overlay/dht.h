@@ -14,13 +14,13 @@
 // the overlay in a single call, giving every node on the path an upcall.
 //
 // Every object that travels to be stored rides one store frame (kMsgStore):
-// a put's owner copy and its replica copies, the replication manager's
-// handoff pushes, and read repair. One handler stores each object
-// and announces the client writes among them (the primary copies of a put)
-// as one grouped newData dispatch per frame. The Dht is the only writer of
-// its ObjectManager: every other client write (a Send delivery, local-only
-// tables, operator state) enters through StoreLocal, which announces it
-// the same way.
+// a put's copy for its owner, the copies the owner places at its successors,
+// the replication manager's handoff pushes, and read repair. One handler
+// stores each object and announces the client writes among them (the copies
+// a put sent its owner) as one grouped newData dispatch per frame. The Dht
+// is the only writer of its ObjectManager: every other client write (a Send
+// delivery, local-only tables, operator state) enters through StoreLocal,
+// which announces it the same way.
 
 #ifndef PIER_OVERLAY_DHT_H_
 #define PIER_OVERLAY_DHT_H_
@@ -93,9 +93,11 @@ class Dht {
 
   /// get(namespace, key): fetch all objects stored under (ns, key) from the
   /// responsible node; `cb` is the handleGet callback. Every get is
-  /// READ-ANY over the owner and its first k-1 successors (k = `replicas`,
-  /// 0 = the configured default): the owner is tried first, then each
-  /// successor in turn, and a copy found at a replica read-repairs the
+  /// READ-ANY over up to k candidates (k = `replicas`, 0 = the configured
+  /// default): the owner first, then each next one the owner of the id just
+  /// past the previous candidate's (its successor), resolved only when the
+  /// previous one came back empty or unreachable. The walk stops early on a
+  /// ring smaller than k. A copy found past the owner read-repairs the
   /// missing/stale owner copy. With k = 1 the owner is the only candidate.
   /// The get fails with the delivery error only when no candidate replied;
   /// an empty reply from every candidate is Ok with no items. An owner taken
@@ -110,10 +112,10 @@ class Dht {
   /// put(namespace, key, suffix, object, lifetime): store at the responsible
   /// node (resolve, then one direct message). A put is a one-item PutBatch:
   /// the payload is moved into the batch, so pass an rvalue (std::move an
-  /// owned buffer or hand over a temporary). `replicas` > 1 additionally
-  /// places copies at the owner's first replicas-1 successors (0 = the
-  /// configured default factor). `done` reports the OWNER delivery; replica
-  /// copies are best-effort.
+  /// owned buffer or hand over a temporary). `replicas` > 1 asks the owner
+  /// to place copies at its first replicas-1 successors (0 = the configured
+  /// default factor). `done` reports the OWNER delivery; replica copies are
+  /// best-effort.
   void Put(const std::string& ns, const std::string& key, const std::string& suffix,
            std::string&& value, TimeUs lifetime, DoneCallback done = nullptr,
            int replicas = 0);
@@ -122,18 +124,13 @@ class Dht {
   /// the submitted vector) that rode one wire frame to a responsible node,
   /// and how that delivery went. An oversized destination chunks into
   /// several groups with the same owner, so a lost chunk names exactly its
-  /// own items. A failed lookup yields a group with a null owner.
+  /// own items. A failed lookup yields a group with a null owner. The
+  /// owner places replicated items' copies itself, so a group reports only
+  /// its owner delivery.
   struct PutGroupStatus {
     NetAddress owner;
     std::vector<size_t> indices;
     Status status;
-    /// Replica frames attempted / lost for this group. A group whose owner
-    /// delivery succeeded but which lost replica copies is DEGRADED — the
-    /// data is live but under-replicated — which is a different report than
-    /// dropped.
-    size_t replica_frames = 0;
-    size_t replica_failures = 0;
-    bool degraded() const { return status.ok() && replica_failures > 0; }
   };
   /// Per-group completion report: `first_error` is Ok iff every group
   /// delivered; `groups` says exactly which items were dropped and why, so
@@ -143,13 +140,13 @@ class Dht {
                                            std::vector<PutGroupStatus> groups)>;
 
   /// Batched put: the batch is grouped by responsible node (one Lookup per
-  /// distinct routing id, one store frame per destination whatever the
-  /// object count, plus one replica frame per successor when the group is
-  /// replicated). Entry order is preserved within each destination, so
+  /// distinct routing id, one store frame per owner whatever the object
+  /// count). Each owner places the copies of its replicated items at its
+  /// own successors. Entry order is preserved within each destination, so
   /// objects sharing a (ns, key) arrive in batch order. `done` (may be null)
-  /// fires once after every group's delivery resolved, with every group's
-  /// outcome: a batch whose destinations PARTIALLY fail (one owner dead, the
-  /// rest fine) names exactly the dropped items.
+  /// fires once after every owner frame's delivery resolved, with every
+  /// group's outcome: a batch whose destinations PARTIALLY fail (one owner
+  /// dead, the rest fine) names exactly the dropped items.
   void PutBatch(std::vector<DhtPutItem> items, BatchCallback done = nullptr);
 
   /// send(...): like put, but routed hop-by-hop through the overlay so
@@ -233,18 +230,14 @@ class Dht {
                              TimeUs lifetime, std::string_view value);
   static Result<WireObject> DecodeObject(std::string_view wire);
 
-  /// Why a store frame was sent; the receiver counts and announces by it.
-  enum class StoreOrigin : uint8_t {
-    kWrite = 0,        // writer-side placement (Put / PutBatch)
-    kHandoffPush = 1,  // repair: re-propagation, or a range handed to a joiner
-    kReadRepair = 3,   // Get refreshed a stale/missing owner copy
-  };
   /// Largest object count either side of the wire accepts in one store
   /// frame: senders chunk bigger groups, the receiver drops frames past it
   /// as malformed.
   static constexpr size_t kMaxStoreObjectsPerFrame = 4096;
   /// The store frame encoder. FrameStore seeds the frame (type byte, then
-  /// `replica_index u8, origin u8, count varint`); append exactly `count`
+  /// `replica_index u8, origin u8, count varint`; the origin is a
+  /// StoreOrigin, declared beside the replication manager that sends store
+  /// frames too); append exactly `count`
   /// objects with EncodeStoreObject (the routed-object codec, then
   /// `age varint, desired u8`) and hand the frame to
   /// OverlayRouter::SendFramed. `lifetime` is the copy's remaining lifetime
@@ -342,20 +335,15 @@ class Dht {
   /// the router as the delivery callback. May run twice (see SendToOwner).
   using OwnerSend = std::function<void(const OverlayRouter::Owner& owner,
                                        DoneCallback report)>;
-  /// Resolve `target` with `want_succs` successors and run `send` against
-  /// the owner. If the owner came from the owner cache and the delivery
-  /// fails, the failure has evicted the entry, and the step runs once more
-  /// through a routed lookup. `done` gets the lookup failure or the final
-  /// delivery report.
-  void SendToOwner(Id target, size_t want_succs,
-                   std::shared_ptr<const OwnerSend> send, DoneCallback done,
-                   bool may_retry = true);
+  /// Resolve `target` and run `send` against the owner. If the owner came
+  /// from the owner cache and the delivery fails, the failure has evicted
+  /// the entry, and the step runs once more through a routed lookup. `done`
+  /// gets the lookup failure or the final delivery report.
+  void SendToOwner(Id target, std::shared_ptr<const OwnerSend> send,
+                   DoneCallback done, bool may_retry = true);
   /// Finish a pending get or renew with `status` (and a get's `items`).
   void FinishOp(uint64_t op_id, const Status& status,
                 std::vector<DhtItem> items = {});
-  struct PendingOp;
-  /// Point a get at `owner` and the first k-1 of its successors.
-  static void SetCandidates(PendingOp* op, const OverlayRouter::Owner& owner);
   /// The hedged read: the get's cached owner has been quiet for
   /// kOpTimeout / 4; evict it and ask the owner the overlay resolves.
   void HedgeGet(uint64_t op_id);
@@ -363,7 +351,7 @@ class Dht {
   /// delivery callback.
   void SendGetAttempt(uint64_t op_id, DoneCallback report);
   /// Candidate `attempt` came back empty (`outcome` Ok) or could not be
-  /// reached (the delivery error): ask the next one, or finish.
+  /// reached (the delivery error): resolve and ask the next one, or finish.
   void AdvanceGet(uint64_t op_id, size_t attempt, const Status& outcome);
   /// Push `items` back at the owner as a fresh primary copy (read repair).
   void ReadRepair(uint64_t op_id, const std::vector<DhtItem>& items,
@@ -380,13 +368,14 @@ class Dht {
     DoneCallback done_cb;
     uint64_t timer = 0;
     uint64_t hedge_timer = 0;  // the hedged read, when the owner was cached
+    bool renew = false;  // a renew; otherwise a get
     // Read-any state (gets only).
     std::string ns;
     std::string key;
-    std::vector<NetAddress> candidates;  // owner first, then its successors
+    /// The owner first, then each owner of the id just past the previous.
+    std::vector<OverlayRouter::Owner> candidates;
     size_t attempt = 0;
     bool replied = false;  // some candidate answered (possibly empty)
-    Id owner_id = 0;
     int replicas = 0;
   };
   std::unordered_map<uint64_t, PendingOp> pending_;

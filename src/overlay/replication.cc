@@ -47,8 +47,9 @@ void ReplicationManager::RepairTick() {
   RoutingProtocol* proto = router_->protocol();
   std::vector<NetAddress> succs = proto->SuccessorSet(window_);
   // Only the successors both windows cover are compared: a window that
-  // widened is a new baseline, since the writer placed the copies that
-  // widened it and its new successors are owed nothing.
+  // widened is a new baseline, since this node placed the copies that
+  // widened it when they were written, and its new successors are owed
+  // nothing.
   size_t common = std::min(window_, last_window_);
   bool succ_changed = !std::equal(
       succs.begin(), succs.begin() + std::min(common, succs.size()),
@@ -82,8 +83,8 @@ void ReplicationManager::RepairTick() {
   // and this node's copies of the ranges behind it as replicas. The latter
   // are the only copies that can reach it of what a node that left owned:
   // a node that joined where a dead one was owns some of them.
-  Ship(pred.addr, 0, handoff);
-  Ship(pred.addr, 1, copies);
+  Ship(pred.addr, 0, StoreOrigin::kHandoffPush, handoff);
+  Ship(pred.addr, 1, StoreOrigin::kHandoffPush, copies);
 
   // A pass with no ring movement and nothing queued did no work.
   stats_.repair_ticks++;
@@ -96,22 +97,28 @@ void ReplicationManager::RepairTick() {
   DrainPushQueue();
 }
 
-void ReplicationManager::ForwardMisplaced(
+void ReplicationManager::PlaceWrites(
     const std::vector<const ObjectManager::Row*>& rows) {
+  std::vector<const ObjectManager::Row*> owned, misplaced;
+  for (const ObjectManager::Row* row : rows)
+    (Owns(row->first.routing_id()) ? owned : misplaced).push_back(row);
+  ShipToSuccessors(owned, 1, StoreOrigin::kWrite);
+  // The forward is silent: newData fired here, where the write landed.
   RingPeer pred;
-  if (router_->protocol()->Predecessor(&pred)) Ship(pred.addr, 0, rows);
+  if (misplaced.empty() || !router_->protocol()->Predecessor(&pred)) return;
+  Ship(pred.addr, 0, StoreOrigin::kHandoffPush, misplaced);
+  ShipToSuccessors(misplaced, 2, StoreOrigin::kWrite);
 }
 
 void ReplicationManager::Ship(
-    const NetAddress& dest, uint8_t replica_index,
+    const NetAddress& dest, uint8_t replica_index, StoreOrigin origin,
     const std::vector<const ObjectManager::Row*>& rows) {
-  stats_.handoff_pushes += rows.size();
+  if (origin == StoreOrigin::kHandoffPush) stats_.handoff_pushes += rows.size();
   stats_.replica_copies_sent += rows.size();
   TimeUs now = vri_->Now();
   for (size_t start = 0; start < rows.size(); start += kMaxPerFrame) {
     size_t n = std::min(kMaxPerFrame, rows.size() - start);
-    WireWriter w =
-        Dht::FrameStore(replica_index, Dht::StoreOrigin::kHandoffPush, n);
+    WireWriter w = Dht::FrameStore(replica_index, origin, n);
     for (size_t j = start; j < start + n; ++j) {
       const auto& [name, o] = *rows[j];
       Dht::EncodeStoreObject(&w, name, o.expires_at - now, now - o.stored_at,
@@ -132,35 +139,43 @@ void ReplicationManager::EnqueuePush(const ObjectName& name) {
 }
 
 void ReplicationManager::DrainPushQueue() {
-  if (push_queue_.empty()) return;
-  std::vector<NetAddress> succs = router_->protocol()->SuccessorSet(window_);
+  std::vector<const ObjectManager::Row*> rows;
+  for (size_t processed = 0;
+       !push_queue_.empty() && processed < kMaxPushObjectsPerTick;
+       ++processed) {
+    ObjectName name = std::move(push_queue_.front());
+    push_queue_.pop_front();
+    const ObjectManager::Row* row = objects_->FindRow(name);
+    // Only live objects this node still owns re-propagate; everything else
+    // left the queue's jurisdiction while it waited.
+    if (row != nullptr && row->second.desired_replicas > 1 &&
+        Owns(name.routing_id()))
+      rows.push_back(row);
+  }
+  ShipToSuccessors(rows, 1, StoreOrigin::kHandoffPush);
+}
 
+void ReplicationManager::ShipToSuccessors(
+    const std::vector<const ObjectManager::Row*>& rows, size_t first_index,
+    StoreOrigin origin) {
+  if (rows.empty()) return;
+  std::vector<NetAddress> succs = router_->protocol()->SuccessorSet(window_);
   struct DestBatch {
     uint8_t replica_index = 1;
     std::vector<const ObjectManager::Row*> rows;
   };
   std::map<NetAddress, DestBatch> by_dest;
-  size_t processed = 0;
-  while (!push_queue_.empty() && processed < kMaxPushObjectsPerTick) {
-    ObjectName name = std::move(push_queue_.front());
-    push_queue_.pop_front();
-    processed++;
-    const ObjectManager::Row* row = objects_->FindRow(name);
-    // Only live objects this node still owns re-propagate; everything else
-    // left the queue's jurisdiction while it waited.
-    if (row == nullptr || row->second.desired_replicas <= 1 ||
-        !Owns(name.routing_id()))
-      continue;
-    for (size_t j = 0; j + 1 < row->second.desired_replicas && j < succs.size();
+  for (const ObjectManager::Row* row : rows) {
+    for (size_t j = 0;
+         first_index + j < row->second.desired_replicas && j < succs.size();
          ++j) {
       DestBatch& batch = by_dest[succs[j]];
-      batch.replica_index = static_cast<uint8_t>(j + 1);
+      batch.replica_index = static_cast<uint8_t>(first_index + j);
       batch.rows.push_back(row);
     }
   }
-
   for (auto& [dest, batch] : by_dest)
-    Ship(dest, batch.replica_index, batch.rows);
+    Ship(dest, batch.replica_index, origin, batch.rows);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 //
 // Placement invariant: an object written with replication factor k lives at
 // the node that owns its routing id and at that node's first k-1 live
-// successors. The WRITER places all k copies (Dht::PutBatch sends them as
-// store frames riding the same per-destination grouping as any put, and the
-// Dht's store-frame handler stores every copy that arrives). No copy is
-// tagged primary: the ring decides, and the copy at the owner speaks for the
-// object in scans. This manager only repairs, keeping the invariant alive
-// against ring changes:
+// successors. The writer sends one copy, to the owner (Dht::PutBatch); the
+// owner's store-frame handler hands the replicated client writes it stores
+// to this manager, which places the other k-1 copies at the owner's own
+// successors. No copy is tagged primary: the ring decides, and the copy at
+// the owner speaks for the object in scans. Every copy is therefore sent by
+// a node that holds the object, from its own view of the ring. The manager
+// also repairs, keeping the invariant alive against ring changes:
 //
 //   * push     — an owner whose successor window changed re-propagates its
 //     replicated objects through a bounded write-behind queue, and a node
@@ -18,7 +19,8 @@
 //     range the predecessor took (a node joined just before it) and its
 //     copies of the ranges behind it, so a node that joined where a dead
 //     node was gets that node's objects. A client write that reaches it
-//     through a stale owner cache after that is forwarded the same way.
+//     through a stale owner cache after that is forwarded the same way, and
+//     its copies are placed from there.
 //
 // Both ship their objects as store frames, like every other copy.
 //
@@ -42,6 +44,14 @@
 
 namespace pier {
 
+/// Why a store frame was sent. Only a frame at index 0 with kWrite holds
+/// client writes: its objects are announced as newData and placed.
+enum class StoreOrigin : uint8_t {
+  kWrite = 0,        // a put (Put / PutBatch) and the copies its owner places
+  kHandoffPush = 1,  // repair: re-propagation, or a range handed to a joiner
+  kReadRepair = 3,   // Get refreshed a stale/missing owner copy
+};
+
 class ReplicationManager {
  public:
   /// Period of the repair tick that polls the ring view.
@@ -61,9 +71,6 @@ class ReplicationManager {
   ReplicationManager(const ReplicationManager&) = delete;
   ReplicationManager& operator=(const ReplicationManager&) = delete;
 
-  /// Bookkeeping for replica copies this node shipped outside the manager
-  /// (the write path lives in Dht).
-  void NoteReplicaCopiesSent(uint64_t n) { stats_.replica_copies_sent += n; }
   /// A copy asking for `desired` copies was stored here: from now on ring
   /// changes among the first desired-1 successors have state to repair.
   void NoteStore(uint8_t desired) {
@@ -74,11 +81,14 @@ class ReplicationManager {
   /// Renew drifted its lifetime away from the replica copies').
   void RefreshReplicas(const ObjectName& name) { EnqueuePush(name); }
 
-  /// Client writes of replicated objects that reached this node after their
-  /// ids left its range (a writer's owner cache predates a join just before
-  /// this node, and the range was already handed off): ship them on to the
-  /// predecessor, which owns them now.
-  void ForwardMisplaced(const std::vector<const ObjectManager::Row*>& rows);
+  /// Client writes of replicated objects just stored here (a store frame at
+  /// index 0 with origin kWrite). Those this node owns go to its first
+  /// desired-1 successors. One whose id left this node's range (a writer's
+  /// owner cache predates a join just before this node, and the range was
+  /// already handed off) goes on to the predecessor, which owns it now; its
+  /// replica set is the predecessor, this node, which keeps its copy, and
+  /// this node's successors, which get copies 2..desired-1.
+  void PlaceWrites(const std::vector<const ObjectManager::Row*>& rows);
 
   // --- Scan-time replica merge --------------------------------------------
 
@@ -96,11 +106,16 @@ class ReplicationManager {
   /// yet), in the last known range (last pred, self].
   bool Owns(Id id) const;
   void RepairTick();
-  /// Ship `rows` (live objects of this node) to `dest` as silent
-  /// handoff-push store frames of at most kMaxStoreObjectsPerFrame objects
-  /// each, with their origin-stamped lifetimes.
-  void Ship(const NetAddress& dest, uint8_t replica_index,
+  /// Ship `rows` (live objects of this node) to `dest` as store frames of
+  /// at most kMaxStoreObjectsPerFrame objects each, with their
+  /// origin-stamped lifetimes.
+  void Ship(const NetAddress& dest, uint8_t replica_index, StoreOrigin origin,
             const std::vector<const ObjectManager::Row*>& rows);
+  /// Ship each of `rows` to this node's successors as copies first_index up
+  /// to its desired-1: successor j gets copy first_index + j. One frame set
+  /// per successor.
+  void ShipToSuccessors(const std::vector<const ObjectManager::Row*>& rows,
+                        size_t first_index, StoreOrigin origin);
   /// Queue `name` for (re-)propagation to the first desired-1 successors.
   void EnqueuePush(const ObjectName& name);
   void DrainPushQueue();

@@ -197,24 +197,19 @@ void OverlayRouter::HandleRoute(std::string_view body) {
   ForwardRoute(std::move(info), std::move(payload), 0);
 }
 
-void OverlayRouter::Lookup(Id target, size_t want_succs, LookupCallback cb) {
+void OverlayRouter::Lookup(Id target, LookupCallback cb) {
   stats_.lookups_started++;
   // Local short-circuit: we may already be the owner.
   if (protocol_->IsOwner(target) || protocol_->NextHop(target).IsNull()) {
     stats_.lookups_ok++;
-    cb(Owner{local_address_, local_id_, protocol_->SuccessorSet(want_succs),
-             false});
+    cb(Owner{local_address_, local_id_, false});
     return;
   }
   auto hit = FindCachedOwner(target);
-  if (hit != owner_cache_.end() &&
-      hit->second.successors.size() >= want_succs) {
+  if (hit != owner_cache_.end()) {
     stats_.lookups_ok++;
     stats_.lookup_cache_hits++;
-    const std::vector<NetAddress>& succs = hit->second.successors;
-    cb(Owner{hit->second.address, hit->first,
-             std::vector<NetAddress>(succs.begin(), succs.begin() + want_succs),
-             true});
+    cb(Owner{hit->second.address, hit->first, true});
     return;
   }
 
@@ -237,7 +232,6 @@ void OverlayRouter::Lookup(Id target, size_t want_succs, LookupCallback cb) {
   w.PutVarint(lookup_id);
   w.PutU32(local_address_.host);
   w.PutU16(local_address_.port);
-  w.PutU8(static_cast<uint8_t>(std::min<size_t>(want_succs, 255)));
   RouteInfo info;
   info.target = target;
   info.ns = "\x01lookup";
@@ -249,21 +243,14 @@ void OverlayRouter::HandleLookupReq(Id target, std::string_view body) {
   uint64_t lookup_id;
   uint32_t host;
   uint16_t port;
-  uint8_t want_succs;
   if (!r.GetVarint(&lookup_id).ok() || !r.GetU32(&host).ok() ||
-      !r.GetU16(&port).ok() || !r.GetU8(&want_succs).ok())
+      !r.GetU16(&port).ok())
     return;
   WireWriter w = FrameMessage(kMsgLookupResp);
   w.PutVarint(lookup_id);
   w.PutU64(local_id_);
   w.PutU32(local_address_.host);
   w.PutU16(local_address_.port);
-  std::vector<NetAddress> succs = protocol_->SuccessorSet(want_succs);
-  w.PutU8(static_cast<uint8_t>(succs.size()));
-  for (const NetAddress& s : succs) {
-    w.PutU32(s.host);
-    w.PutU16(s.port);
-  }
   // The range (lower, self] goes along only when it is known and holds the
   // target: a de-facto root answering for an id it does not own must not be
   // cached as that id's owner.
@@ -279,19 +266,14 @@ void OverlayRouter::HandleLookupResp(std::string_view body) {
   WireReader r(body);
   uint64_t lookup_id;
   Owner owner;
-  uint8_t count, has_range;
+  uint8_t has_range;
   Id lower;
   if (!r.GetVarint(&lookup_id).ok() || !r.GetU64(&owner.id).ok() ||
       !r.GetU32(&owner.address.host).ok() ||
-      !r.GetU16(&owner.address.port).ok() || !r.GetU8(&count).ok())
+      !r.GetU16(&owner.address.port).ok() || !r.GetU8(&has_range).ok() ||
+      !r.GetU64(&lower).ok())
     return;
-  for (uint8_t i = 0; i < count; ++i) {
-    NetAddress s;
-    if (!r.GetU32(&s.host).ok() || !r.GetU16(&s.port).ok()) return;
-    owner.successors.push_back(s);
-  }
-  if (!r.GetU8(&has_range).ok() || !r.GetU64(&lower).ok()) return;
-  if (has_range) CacheOwner(owner.id, lower, owner.address, owner.successors);
+  if (has_range) CacheOwner(owner.id, lower, owner.address);
   auto it = pending_lookups_.find(lookup_id);
   if (it == pending_lookups_.end()) return;  // timed out already
   LookupCallback cb = std::move(it->second.cb);
@@ -408,8 +390,8 @@ OverlayRouter::FindCachedOwner(Id target) {
                                                            : owner_cache_.end();
 }
 
-void OverlayRouter::CacheOwner(Id owner_id, Id lower, const NetAddress& address,
-                               std::vector<NetAddress> successors) {
+void OverlayRouter::CacheOwner(Id owner_id, Id lower,
+                               const NetAddress& address) {
   if (address == local_address_) return;
   // An entry whose owner id lies inside the new range is stale: that node no
   // longer owns the ids up to its own.
@@ -420,7 +402,7 @@ void OverlayRouter::CacheOwner(Id owner_id, Id lower, const NetAddress& address,
     stats_.lookup_cache_evictions++;
   }
   auto it = owner_cache_.insert_or_assign(
-      owner_id, CachedOwner{lower, address, std::move(successors)}).first;
+      owner_id, CachedOwner{lower, address}).first;
   if (owner_cache_.size() > kOwnerCacheCapacity) {
     // Drop the new entry's ring neighbour: owner ids are uniform hashes, so
     // this is random replacement without a random source.
@@ -433,10 +415,7 @@ void OverlayRouter::CacheOwner(Id owner_id, Id lower, const NetAddress& address,
 
 void OverlayRouter::EvictPeer(const NetAddress& peer) {
   for (auto it = owner_cache_.begin(); it != owner_cache_.end();) {
-    const CachedOwner& e = it->second;
-    if (e.address == peer ||
-        std::find(e.successors.begin(), e.successors.end(), peer) !=
-            e.successors.end()) {
+    if (it->second.address == peer) {
       it = owner_cache_.erase(it);
       stats_.lookup_cache_evictions++;
     } else {

@@ -6,11 +6,11 @@
 //     identifier, invoking per-namespace upcall handlers at each intermediate
 //     node (the mechanism behind PIER's distribution trees, hierarchical
 //     aggregation, and hierarchical joins, §3.3.6);
-//   * Lookup(): resolve an identifier to its owner's address (and the owner's
-//     successors). The owner answers a routed lookup with its range, which
-//     the requester keeps in a bounded owner cache; a warm lookup is answered
-//     from that cache, so the DHT's put/get becomes one direct message
-//     instead of the two phases of Figure 6 (see README.md, "Owner cache");
+//   * Lookup(): resolve an identifier to its owner's address. The owner
+//     answers a routed lookup with its range, which the requester keeps in a
+//     bounded owner cache; a warm lookup is answered from that cache, so the
+//     DHT's put/get becomes one direct message instead of the two phases of
+//     Figure 6 (see README.md, "Owner cache");
 //   * Broadcast(): deliver a payload to every node once, each node covering
 //     a ring interval split along its own routing contacts (see README.md,
 //     "Broadcast");
@@ -107,9 +107,6 @@ class OverlayRouter : public ProtocolHost {
   struct Owner {
     NetAddress address;
     Id id = 0;
-    /// Up to `want_succs` of the OWNER's successors: the nodes that hold its
-    /// replicas under successor-set replication.
-    std::vector<NetAddress> successors;
     /// Answered from the owner cache rather than by the overlay. A cached
     /// owner may have died since; callers re-resolve once if it is
     /// unreachable (the failed delivery has already evicted the entry).
@@ -117,11 +114,10 @@ class OverlayRouter : public ProtocolHost {
   };
   using LookupCallback = std::function<void(const Result<Owner>& owner)>;
 
-  /// Resolve `target` to its owner plus `want_succs` of the owner's
-  /// successors. Answered synchronously when this node owns `target` or the
-  /// owner cache covers it with enough successors; otherwise a lookup is
+  /// Resolve `target` to its owner. Answered synchronously when this node
+  /// owns `target` or the owner cache covers it; otherwise a lookup is
   /// routed to the owner, which replies directly.
-  void Lookup(Id target, size_t want_succs, LookupCallback cb);
+  void Lookup(Id target, LookupCallback cb);
 
   /// Drop the cached range owned by `owner_id` if it still names `address`:
   /// that owner has gone quiet (Dht::Get's hedged read).
@@ -258,13 +254,11 @@ class OverlayRouter : public ProtocolHost {
   struct CachedOwner {
     Id lower = 0;
     NetAddress address;
-    std::vector<NetAddress> successors;
   };
   std::map<Id, CachedOwner> owner_cache_;
   /// The entry whose range holds `target`, or end().
   std::map<Id, CachedOwner>::iterator FindCachedOwner(Id target);
-  void CacheOwner(Id owner_id, Id lower, const NetAddress& address,
-                  std::vector<NetAddress> successors);
+  void CacheOwner(Id owner_id, Id lower, const NetAddress& address);
   /// A delivery to `peer` failed: drop every entry naming it.
   void EvictPeer(const NetAddress& peer);
 

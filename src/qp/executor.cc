@@ -549,8 +549,7 @@ void QueryExecutor::ArmStageFlush(RunningQuery* rq, uint32_t graph_id,
   // Each later flush stage waits one more step, so state flows through
   // multi-graph pipelines: stage 0 partials arrive before stage 1 finals
   // flush, which arrive before the stage 2 top-k flushes.
-  TimeUs step = rq->meta.flush_after > 0 ? rq->meta.flush_after
-                                         : rq->meta.timeout / 4;
+  TimeUs step = rq->meta.timeout / 4;
   TimeUs when = rq->start_time + step * (stage + 1);
   TimeUs delay = std::max<TimeUs>(0, when - vri_->Now());
   uint64_t qid = rq->meta.query_id;

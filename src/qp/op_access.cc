@@ -49,11 +49,12 @@ class ScanOp : public Operator {
   void ProcessBatch(int, uint32_t, const TupleBatch&) override {}  // no inputs
 };
 
-/// put[ns=<name>, key=<attrs>, mode=put|send]: the distributed Exchange.
-/// Each tuple is published into the DHT partitioned by its key attributes;
-/// mode=send routes hop-by-hop (enabling upcall-based in-network processing),
-/// mode=put resolves the owner (from the router's owner cache once warm) and
-/// stores there with one direct message (Figure 6).
+/// put[ns=<name>, key=<attrs>]: the distributed Exchange. Each tuple is
+/// published into the DHT partitioned by its key attributes: the DHT resolves
+/// the owner (from the router's owner cache once warm) and stores there with
+/// one direct message (Figure 6). Operators that need upcalls en route
+/// (hierarchical aggregation and join, the Bloom operators) call Dht::Send
+/// themselves.
 class PutOp : public Operator {
  public:
   using Operator::Operator;
@@ -63,7 +64,6 @@ class PutOp : public Operator {
     ns_ = spec_.GetString("ns");
     if (ns_.empty()) return Status::InvalidArgument("put needs ns");
     key_attrs_ = spec_.GetStrings("key");
-    use_send_ = spec_.GetString("mode", "put") == "send";
     lifetime_ = spec_.GetInt("lifetime_ms", 0) * kMillisecond;
     if (lifetime_ <= 0) lifetime_ = cx_->query_lifetime;
     return Status::Ok();
@@ -72,12 +72,10 @@ class PutOp : public Operator {
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
-    // Rows are keyed/encoded straight off the batch cells. mode=put ships
-    // them as one PutBatch, which the DHT groups into one wire frame per
-    // destination; mode=send routes each object hop-by-hop on its own (the
-    // upcalls along the path see every object).
+    // Rows are keyed/encoded straight off the batch cells and ship as one
+    // PutBatch, which the DHT groups into one wire frame per destination.
     std::vector<DhtPutItem> items;
-    if (!use_send_) items.reserve(n);
+    items.reserve(n);
     for (size_t r = 0; r < n; ++r) {
       DhtPutItem item;
       item.ns = ns_;
@@ -91,12 +89,7 @@ class PutOp : public Operator {
         cx_->observe_publish(ns_, key_attrs_, batch.RowTuple(r),
                              item.value.size());
       }
-      if (use_send_) {
-        cx_->dht->Send(ns_, item.key, item.suffix, std::move(item.value),
-                       lifetime_);
-      } else {
-        items.push_back(std::move(item));
-      }
+      items.push_back(std::move(item));
     }
     if (!items.empty()) cx_->dht->PutBatch(std::move(items));
     stats_.emitted += n;
@@ -105,7 +98,6 @@ class PutOp : public Operator {
  private:
   std::string ns_;
   std::vector<std::string> key_attrs_;
-  bool use_send_ = false;
   TimeUs lifetime_ = 0;
 };
 

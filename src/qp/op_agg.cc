@@ -12,8 +12,8 @@
 //
 // Aggregates are emitted on Flush(): once per window for continuous queries
 // (tumbling by default); for snapshot queries once, at start + (s+1)·step for
-// the graph's flush stage s, where step is the plan's flush_after or else
-// timeout/4 (QueryExecutor::ArmStageFlush).
+// the graph's flush stage s, where step is timeout/4
+// (QueryExecutor::ArmStageFlush).
 //
 // TopK implements ORDER BY <col> [DESC] LIMIT k at a collection point; PIER
 // uses no distributed sort (§2.1.3), so TopK only ever runs over a stream

@@ -332,11 +332,6 @@ class BloomProbeOp : public Operator {
 
   void OnClose() override { buf_.clear(); }
 
-  int64_t Metric(const std::string& name) const override {
-    if (name == "filtered") return static_cast<int64_t>(filtered_);
-    return Operator::Metric(name);
-  }
-
  private:
   void FetchFilter() {
     MeterNet(1, ns_.size() + sizeof("filter"));
@@ -375,7 +370,6 @@ class BloomProbeOp : public Operator {
         pass.push_back(static_cast<uint32_t>(r));
       }
     }
-    filtered_ += n - pass.size();
     if (pass.size() == n) {
       PushBatch(tag, batch);
     } else if (!pass.empty()) {
@@ -388,7 +382,6 @@ class BloomProbeOp : public Operator {
   bool ready_ = false;
   std::unique_ptr<BloomFilter> filter_;
   std::vector<std::pair<uint32_t, TupleBatch>> buf_;
-  uint64_t filtered_ = 0;
 };
 
 }  // namespace

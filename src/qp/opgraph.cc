@@ -173,10 +173,8 @@ void QueryPlan::EncodeTo(WireWriter* w) const {
   w->PutSVarint(timeout);
   w->PutSVarint(deadline_us);
   w->PutU8(continuous ? 1 : 0);
-  w->PutSVarint(flush_after);
   w->PutSVarint(window);
   w->PutVarint(generation);
-  w->PutU8(replan ? 1 : 0);
   w->PutVarint(successors.size());
   for (const NetAddress& s : successors) {
     w->PutU32(s.host);
@@ -232,12 +230,8 @@ Result<QueryPlan> QueryPlan::Decode(std::string_view wire) {
   uint8_t cont;
   PIER_RETURN_IF_ERROR(r.GetU8(&cont));
   plan.continuous = cont != 0;
-  PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.flush_after));
   PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.window));
   PIER_RETURN_IF_ERROR(r.GetVarint32(&plan.generation));
-  uint8_t replan;
-  PIER_RETURN_IF_ERROR(r.GetU8(&replan));
-  plan.replan = replan != 0;
   uint64_t nsucc;
   PIER_RETURN_IF_ERROR(r.GetVarint(&nsucc));
   if (nsucc > QueryPlan::kMaxSuccessors)

@@ -109,7 +109,7 @@ struct OpGraph {
   std::string dissem_key;
   int64_t dissem_lo = 0;
   int64_t dissem_hi = 0;
-  /// Snapshot-flush staging: a graph flushes at flush_after * (stage + 1),
+  /// Snapshot-flush staging: a graph flushes at timeout/4 * (stage + 1),
   /// so downstream stages of a multi-graph pipeline (partial aggregation ->
   /// final -> top-k) flush after their inputs' state has arrived.
   int32_t flush_stage = 0;
@@ -142,11 +142,11 @@ struct QueryPlan {
   /// when present, so a node whose FIRST sight of the query is a later
   /// generation does not restart the full timeout from swap time.
   TimeUs deadline_us = 0;
-  /// Snapshot queries flush blocking state once at `flush_after`; continuous
-  /// queries flush every `window` until the timeout. window 0 on a continuous
-  /// plan means "no WINDOW clause": the executor substitutes a sane default.
+  /// Snapshot queries flush blocking state once per flush stage, a quarter
+  /// of the timeout apart; continuous queries flush every `window` until the
+  /// timeout. window 0 on a continuous plan means "no WINDOW clause": the
+  /// executor substitutes a sane default.
   bool continuous = false;
-  TimeUs flush_after = 0;  // 0: executor picks a default from the timeout
   TimeUs window = 5 * kSecond;
   /// Plan-swap generation for continuous queries. A re-disseminated plan with
   /// a higher generation replaces the running opgraphs under the same query
@@ -154,10 +154,6 @@ struct QueryPlan {
   /// generation only refreshes metadata (rewindowing). Snapshot queries
   /// never bump it.
   uint32_t generation = 0;
-  /// Client-side request for automatic replanning (set by `replan=auto` in
-  /// SQL/UFL). The executor ignores it; PierClient periodically re-optimizes
-  /// and swaps the plan when the chosen strategy changed enough.
-  bool replan = false;
   /// Ordered proxy-successor list for continuous queries: when executing
   /// nodes decide the proxy died (its lease expired, or forwarding answers
   /// to it failed), they fail answer routing over to successors[0], then

@@ -156,17 +156,6 @@ class UflParser {
     return d;
   }
 
-  /// An absolute instant in raw microseconds (deadline_us, catchup_floor_us
-  /// — no unit suffix: these are instants, not durations).
-  Result<TimeUs> Instant(const std::string& key, const std::string& v) {
-    char* end = nullptr;
-    errno = 0;
-    long long n = std::strtoll(v.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || n < 0 || errno == ERANGE)
-      return Err("bad " + key + " '" + v + "'");
-    return static_cast<TimeUs>(n);
-  }
-
   Status ParseAddress(const std::string& v, NetAddress* out) {
     size_t colon = v.find(':');
     if (colon == std::string::npos || colon == 0 || colon + 1 >= v.size())
@@ -196,13 +185,6 @@ class UflParser {
         PIER_RETURN_IF_ERROR(ParamValue(&value));
         if (key == "timeout") {
           PIER_ASSIGN_OR_RETURN(plan_.timeout, Duration(value));
-        } else if (key == "deadline_us") {
-          // Normally stamped by SubmitQuery; exposed here so serialized
-          // plans round-trip through UFL.
-          PIER_ASSIGN_OR_RETURN(plan_.deadline_us, Instant(key, value));
-        } else if (key == "catchup_floor_us") {
-          // Normally stamped by SwapQuery; exposed for the same reason.
-          PIER_ASSIGN_OR_RETURN(plan_.catchup_floor_us, Instant(key, value));
         } else if (key == "lease") {
           PIER_ASSIGN_OR_RETURN(plan_.lease_period_us, Duration(value));
         } else if (key == "successors") {
@@ -219,8 +201,6 @@ class UflParser {
             return Err("too many successors");
         } else if (key == "window") {
           PIER_ASSIGN_OR_RETURN(plan_.window, Duration(value));
-        } else if (key == "flush_after") {
-          PIER_ASSIGN_OR_RETURN(plan_.flush_after, Duration(value));
         } else if (key == "replicas") {
           // Replication factor for the query's published soft state; the
           // client validates it against the DHT's successor capacity.
@@ -230,14 +210,6 @@ class UflParser {
             return Err("replicas must be a small non-negative integer, got '" +
                        value + "'");
           plan_.replicas = static_cast<int32_t>(k);
-        } else if (key == "replan") {
-          // Accepted for symmetry with SQL's replan=auto. A UFL program IS
-          // the physical plan — there is no logical plan to re-optimize —
-          // so auto never finds a different strategy and never swaps; the
-          // flag still surfaces through QueryPlan::replan for tooling.
-          if (value != "auto" && value != "off")
-            return Err("replan must be 'auto' or 'off', got '" + value + "'");
-          plan_.replan = value == "auto";
         } else {
           return Err("unknown query option '" + key + "'");
         }

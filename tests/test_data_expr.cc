@@ -364,6 +364,25 @@ TEST(TupleBatch, WireRoundTripOfAMultiRowBatch) {
   }
 }
 
+// AppendValue writes each value type into its cell, a null included, so a
+// row built value by value reads back as the tuple it came from.
+TEST(TupleBatch, AppendValueKeepsEveryValueType) {
+  Tuple t("mixed");
+  t.Append("n", Value::Null());
+  t.Append("f", Value::Bool(true));
+  t.Append("i", Value::Int64(-7));
+  t.Append("d", Value::Double(0.5));
+  t.Append("s", Value::String("str"));
+  t.Append("y", Value::Bytes(std::string("\0\xff", 2)));
+  auto schema = std::make_shared<BatchSchema>(BatchSchema{"mixed", {}});
+  for (const Column& c : t.columns()) schema->columns.push_back(c.name);
+  TupleBatchBuilder b(schema);
+  for (const Column& c : t.columns()) b.AppendValue(c.value);
+  TupleBatch batch = b.Finish();
+  ASSERT_EQ(batch.num_rows(), 1u);
+  EXPECT_EQ(batch.RowTuple(0), t);
+}
+
 TEST(TupleBatch, DecodeRejectsMoreCellsThanTheFrameHasBytes) {
   // About 4 KB declaring 4,096 columns x 2^24 rows. Every cell costs at
   // least its tag byte, so the frame is refused before any cell storage is

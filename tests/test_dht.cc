@@ -3,7 +3,8 @@
 // wire, one newData call per store frame, the store-frame decoder against
 // cut and garbage frames, the direct get and renew requests (answered at
 // the transport's source; cut and garbage requests), their responses (a cut
-// one never finishes an op Ok) and the router's own frames against cut and
+// one never finishes an op Ok, and one naming an op of the other kind
+// finishes nothing) and the router's own frames against cut and
 // garbage bodies, the object store (lifetime cap and sweep, exact namespace
 // and key ranges, scan order, the liveness rule, newData only for local
 // stores), and the router's owner cache (warm puts and gets skip the routed
@@ -48,7 +49,7 @@ DhtPutItem Item(const std::string& ns, const std::string& key,
 /// frame's origin and replica index describe.
 void ShipCopy(Dht* from, Dht* to, const ObjectName& name, TimeUs lifetime,
               uint8_t replica_index, uint8_t desired_replicas,
-              Dht::StoreOrigin origin) {
+              StoreOrigin origin) {
   WireWriter w = Dht::FrameStore(replica_index, origin, 1);
   Dht::EncodeStoreObject(&w, name, lifetime, 0, desired_replicas, "v");
   from->router()->SendFramed(to->local_address(), std::move(w).data(),
@@ -302,7 +303,7 @@ TEST(DhtBatch, ReplicatedBatchReachesTheOwnersSubscriberAsOneCall) {
 /// A store frame of `n` client writes under ("cut", "k"); `ends` receives
 /// the frame length after each object.
 std::string CutFrame(int n, std::vector<size_t>* ends) {
-  WireWriter w = Dht::FrameStore(0, Dht::StoreOrigin::kWrite, n);
+  WireWriter w = Dht::FrameStore(0, StoreOrigin::kWrite, n);
   for (int i = 0; i < n; ++i) {
     Dht::EncodeStoreObject(&w, ObjectName{"cut", "k", "s" + std::to_string(i)},
                            60 * kSecond, 0, 1, "value-" + std::to_string(i));
@@ -335,7 +336,7 @@ TEST(StoreFrame, DecoderKeepsWhatDecodedAndDropsTheRest) {
 
   // A count above the frame cap is malformed: nothing is stored, not even
   // the well-formed object behind it.
-  WireWriter over = Dht::FrameStore(0, Dht::StoreOrigin::kWrite,
+  WireWriter over = Dht::FrameStore(0, StoreOrigin::kWrite,
                                     Dht::kMaxStoreObjectsPerFrame + 1);
   Dht::EncodeStoreObject(&over, ObjectName{"over", "k", "s0"}, 60 * kSecond, 0,
                          1, "v");
@@ -542,6 +543,66 @@ TEST(DirectResponses, ACutResponseNeverFinishesAnOpOk) {
   }
 }
 
+// A response names only an op id. A get response naming a renew's id, and
+// a renew response naming a get's, finish nothing: each op then ends
+// TimedOut at Dht::kOpTimeout, as if no answer had come.
+TEST(DirectResponses, AResponseFinishesOnlyAnOpOfItsOwnKind) {
+  SimOverlay net(4, SeededOptions(47));
+  const int owner = OwnerOf(&net, "fr", "k");
+  ASSERT_GE(owner, 0);
+  Dht* to = net.dht(owner);
+  Dht* asker = net.dht(owner == 0 ? 1 : 0);
+  // The owner records each request's op id and answers none.
+  uint64_t get_op = 0, renew_op = 0;
+  for (auto [type, op] : {std::make_pair(Dht::kMsgGetReqEx, &get_op),
+                          std::make_pair(Dht::kMsgRenewReq, &renew_op)}) {
+    to->router()->RegisterDirectType(
+        type, [op = op](const NetAddress&, std::string_view body) {
+          WireReader r(body);
+          if (!r.GetVarint(op).ok()) *op = 0;
+        });
+  }
+  const TimeUs start = net.loop()->now();
+  bool get_done = false, renew_done = false;
+  Status get_status, renew_status;
+  asker->Get("fr", "k", [&](const Status& s, std::vector<DhtItem>) {
+    get_done = true;
+    get_status = s;
+  });
+  asker->Renew("fr", "k", "s", 60 * kSecond, [&](const Status& s) {
+    renew_done = true;
+    renew_status = s;
+  });
+  for (int i = 0; i < 40 && (get_op == 0 || renew_op == 0); ++i)
+    net.RunFor(50 * kMillisecond);
+  ASSERT_NE(get_op, 0u);
+  ASSERT_NE(renew_op, 0u);
+
+  WireWriter empty_get = OverlayRouter::FrameMessage(Dht::kMsgGetRespEx);
+  empty_get.PutVarint(renew_op);
+  empty_get.PutU8(0);  // attempt 0, no items
+  empty_get.PutVarint(0);
+  WireWriter renewed = OverlayRouter::FrameMessage(Dht::kMsgRenewResp);
+  renewed.PutVarint(get_op);
+  renewed.PutU8(1);
+  to->router()->SendFramed(asker->local_address(),
+                           std::move(empty_get).data());
+  to->router()->SendFramed(asker->local_address(), std::move(renewed).data());
+  net.RunFor(200 * kMillisecond);
+  EXPECT_FALSE(get_done) << "a renew response finished a get";
+  EXPECT_FALSE(renew_done) << "a get response finished a renew";
+
+  net.RunFor(start + Dht::kOpTimeout - 100 * kMillisecond - net.loop()->now());
+  EXPECT_FALSE(get_done);
+  EXPECT_FALSE(renew_done);
+  net.RunFor(200 * kMillisecond);
+  ASSERT_TRUE(get_done);
+  ASSERT_TRUE(renew_done);
+  EXPECT_EQ(get_status.code(), StatusCode::kTimedOut) << get_status.ToString();
+  EXPECT_EQ(renew_status.code(), StatusCode::kTimedOut)
+      << renew_status.ToString();
+}
+
 // The router's own frames, sent through a node's transport: a routed frame,
 // a lookup request (riding a routed frame to its owner), a lookup response,
 // a not-owner hint and a broadcast. Cut at any byte, none is delivered,
@@ -605,13 +666,11 @@ TEST(DirectRequests, RouterFramesIgnoreCutAndGarbageFrames) {
   lookup.PutVarint(5);
   lookup.PutU32(asker->local_address().host);
   lookup.PutU16(asker->local_address().port);
-  lookup.PutU8(0);
   WireWriter owner;  // the asker owns (asker_id - 1000, asker_id]
   owner.PutVarint(6);
   owner.PutU64(asker_id);
   owner.PutU32(asker->local_address().host);
   owner.PutU16(asker->local_address().port);
-  owner.PutU8(0);
   owner.PutU8(1);
   owner.PutU64(asker_id - 1000);
   WireWriter hint;  // the asker owns nothing it can name
@@ -749,7 +808,7 @@ TEST(ObjectStore, AnExpiredCopyIsInvisibleButCountedUntilTheSweep) {
   dht->StoreLocal(live, "v", 60 * kSecond);
   dht->StoreLocal(primary, "v", 500 * kMillisecond);
   ShipCopy(net.dht(1), dht, replica, 500 * kMillisecond, 1, 2,
-           Dht::StoreOrigin::kWrite);
+           StoreOrigin::kWrite);
   net.RunFor(200 * kMillisecond);
   ASSERT_NE(store->Find(replica), nullptr);
 
@@ -792,7 +851,7 @@ TEST(ObjectStore, ALocalStoreIsNewDataOnceAndReplicaCopiesNever) {
 
   for (const char* suffix : {"r1", "r2"})
     ShipCopy(net.dht(1), dht, ObjectName{"nd", "k", suffix}, 60 * kSecond, 1,
-             3, Dht::StoreOrigin::kWrite);
+             3, StoreOrigin::kWrite);
   net.RunFor(500 * kMillisecond);
   EXPECT_EQ(dht->objects()->NamespaceObjects("nd"), 3u);
   EXPECT_EQ(calls, 1u) << "a replica copy was announced";
@@ -891,24 +950,28 @@ TEST(OwnerCache, ReplicatedBatchFromCachePlacesLikeColdLookup) {
   SimOverlay net(16, SeededOptions(103));
   int owner = OwnerOf(&net, "rb", "k");
   ASSERT_GE(owner, 0);
-  uint32_t sender = owner == 0 ? 1 : 0;
+  std::vector<uint32_t> senders;
+  for (uint32_t i = 0; senders.size() < 2; ++i)
+    if (static_cast<int>(i) != owner) senders.push_back(i);
   auto item = [](const std::string& suffix) {
     DhtPutItem it = Item("rb", "k", suffix, "v");
     it.replicas = 3;
     return it;
   };
-  // An unreplicated put caches the range without successors, which cannot
-  // serve a k=3 placement: the first replicated batch still goes over the
-  // overlay.
-  net.dht(sender)->Put("rb", "k", "plain", "v", 60 * kSecond);
+  // One sender places a replicated batch through a routed lookup.
+  OverlayRouter* cold_router = net.dht(senders[0])->router();
+  net.dht(senders[0])->PutBatch({item("cold")});
   net.RunFor(2 * kSecond);
-  uint64_t hits = net.dht(sender)->router()->stats().lookup_cache_hits;
-  net.dht(sender)->PutBatch({item("cold")});
+  EXPECT_EQ(cold_router->stats().lookup_cache_hits, 0u);
+  // The other caches the range with an unreplicated put. The owner places
+  // the copies, so that entry serves a replicated batch as it is.
+  OverlayRouter* warm_router = net.dht(senders[1])->router();
+  net.dht(senders[1])->Put("rb", "k", "plain", "v", 60 * kSecond);
   net.RunFor(2 * kSecond);
-  EXPECT_EQ(net.dht(sender)->router()->stats().lookup_cache_hits, hits);
-  net.dht(sender)->PutBatch({item("warm1"), item("warm2")});
+  uint64_t hits = warm_router->stats().lookup_cache_hits;
+  net.dht(senders[1])->PutBatch({item("warm1"), item("warm2")});
   net.RunFor(2 * kSecond);
-  EXPECT_EQ(net.dht(sender)->router()->stats().lookup_cache_hits, hits + 1);
+  EXPECT_EQ(warm_router->stats().lookup_cache_hits, hits + 1);
 
   std::vector<uint32_t> cold, warm;
   for (uint32_t i = 0; i < net.size(); ++i) {
@@ -918,7 +981,7 @@ TEST(OwnerCache, ReplicatedBatchFromCachePlacesLikeColdLookup) {
       warm.push_back(i);
   }
   EXPECT_EQ(cold.size(), 3u);
-  EXPECT_EQ(warm, cold) << "cached successors placed replicas elsewhere";
+  EXPECT_EQ(warm, cold) << "a cache hit placed the copies elsewhere";
 }
 
 TEST(OwnerCache, JoinInsideCachedRangeDrawsNotOwnerHint) {
@@ -1007,7 +1070,7 @@ TEST(OwnerCache, DeadCachedOwnerIsReResolvedToItsSuccessor) {
   // The dead owner's entry is gone: a resolve now names the successor.
   EXPECT_GE(router->stats().lookup_cache_evictions, 1u);
   NetAddress resolved;
-  router->Lookup(RoutingId("dd", "k"), 0,
+  router->Lookup(RoutingId("dd", "k"),
                  [&](const Result<OverlayRouter::Owner>& o) {
                    ASSERT_TRUE(o.ok());
                    resolved = o->address;
@@ -1085,7 +1148,7 @@ TEST(OwnerCache, NeverGrowsPastCapacity) {
   OverlayRouter* router = net.dht(0)->router();
   size_t resolved = 0, peak = 0;
   for (uint32_t i = 1; i < n; ++i) {
-    router->Lookup(net.dht(i)->local_id(), 0,
+    router->Lookup(net.dht(i)->local_id(),
                    [&](const Result<OverlayRouter::Owner>& o) {
                      resolved += o.ok();
                      peak = std::max(peak, router->owner_cache_size());

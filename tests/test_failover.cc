@@ -1,8 +1,8 @@
 // Churn-hardened continuous-query lifecycle: proxy failover to successors,
-// orphan reaping by lease expiry, deadline preservation across failover,
-// cancel semantics on orphaned handles, the cancel tombstone, swap-time
-// catch-up suppression, and the missed-swap repair from the query's durable
-// plan record.
+// orphan reaping by lease expiry and by failed answer forwards, deadline
+// preservation across failover, cancel semantics on orphaned handles, the
+// cancel tombstone, swap-time catch-up suppression, and the missed-swap
+// repair from the query's durable plan record.
 
 #include <gtest/gtest.h>
 
@@ -175,6 +175,48 @@ TEST(Failover, NoSuccessorsMeansExecutorsReapByLeaseExpiry) {
         << "node " << i;
   }
   EXPECT_TRUE(reason_seen) << "at least one executor recorded the abort reason";
+}
+
+// With a lease too long to starve, failed answer forwards are what find the
+// dead proxy: after kForwardFailuresBeforeFailover of them the executor's
+// deferred failover step runs, and with no successor it reaps the query.
+TEST(Failover, FailedAnswerForwardsReapAQueryWithNoSuccessor) {
+  SimPier net(8, PierOptions(229));
+  RegisterEv(&net);
+  int64_t next_id = 0;
+
+  auto q = net.client(1)->Query(
+      Sql("SELECT src, count(*) AS cnt FROM ev GROUP BY src TIMEOUT 600s "
+          "WINDOW 2s CONTINUOUS")
+          .WithLeasePeriod(3600 * kSecond));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  uint64_t qid = q->id();
+  for (int i = 0; i < 5; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  ASSERT_GT(LiveExecutorsRunning(&net, qid), 1u);
+
+  net.harness()->FailNode(1);
+  for (int i = 0; i < 90; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  size_t reaped = 0;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (!net.harness()->IsAlive(i)) continue;
+    const QueryExecutor::Stats& st = net.qp(i)->executor()->stats();
+    EXPECT_TRUE(st.probe_verdicts.empty()) << "node " << i << " probed";
+    if (st.orphan_reaps == 0) continue;
+    reaped++;
+    EXPECT_EQ(st.orphan_reaps_by_reason, (Tally{{"forward_failed", 1}}))
+        << "node " << i;
+    EXPECT_GE(st.forward_failures,
+              uint64_t{QueryExecutor::kForwardFailuresBeforeFailover})
+        << "node " << i;
+    EXPECT_FALSE(net.qp(i)->executor()->HasQuery(qid)) << "node " << i;
+  }
+  EXPECT_GT(reaped, 0u) << "no executor acted on its failed forwards";
 }
 
 TEST(Failover, DeadlineIsHonoredAcrossFailover) {

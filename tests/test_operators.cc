@@ -27,9 +27,12 @@ class LocalGraph {
     net_ = std::make_unique<SimPier>(1, opts);
   }
 
-  /// Builds source -> ops... -> result. Returns ids of the middle ops.
+  /// Builds source -> ops... -> result. Returns ids of the middle ops. A
+  /// non-empty `side` adds a second branch from the last middle op through
+  /// the `side` ops to a result of its own.
   std::vector<uint32_t> Build(std::vector<OpSpec> middle,
-                              TimeUs timeout = 60 * kSecond) {
+                              TimeUs timeout = 60 * kSecond,
+                              const std::vector<OpSpec>& side = {}) {
     for (const OpSpec& spec : middle) {
       // A Bloom probe reads its filter namespace as a relation, so the
       // catalog must know it before the proxy accepts the plan.
@@ -55,8 +58,19 @@ class LocalGraph {
       g.Connect(prev, id, 0);
       prev = id;
     }
+    const uint32_t fork = prev;
     OpSpec& res = g.AddOp(OpKind::kResult);
     g.Connect(prev, res.id, 0);
+    if (!side.empty()) {
+      prev = fork;
+      for (const OpSpec& spec : side) {
+        OpSpec& op = g.AddOp(spec.kind);
+        op.params = spec.params;
+        g.Connect(prev, op.id, 0);
+        prev = op.id;
+      }
+      g.Connect(prev, g.AddOp(OpKind::kResult).id, 0);
+    }
     graph_id_ = g.id;
 
     auto qid = net_->qp(0)->SubmitQuery(
@@ -161,6 +175,37 @@ TEST(Operators, QueueYieldsButPreservesOrderAndCount) {
   ASSERT_EQ(g.out.size(), 600u);
   for (int i = 0; i < 600; ++i)
     EXPECT_EQ(*g.out[i].Get("a")->AsInt64(), i) << "FIFO order";
+}
+
+TEST(Operators, QueueFlushDrainsWhatItHolds) {
+  // A flush pushes the parked rows on at once, ahead of the queue's own
+  // zero-delay timer, which then finds nothing left.
+  LocalGraph g;
+  OpSpec q(0, OpKind::kQueue);
+  g.Build({q});
+  for (int i = 0; i < 3; ++i) g.Inject(Row(i, 0));
+  EXPECT_EQ(g.out.size(), 0u) << "the queue parks what it is given";
+  g.Flush();
+  ASSERT_EQ(g.out.size(), 3u);
+  g.Run();
+  EXPECT_EQ(g.out.size(), 3u) << "a drained row was pushed twice";
+}
+
+// A tee hands every batch to each of its consumers (§3.3.5).
+TEST(Operators, TeeFeedsEveryConsumer) {
+  LocalGraph g;
+  OpSpec tee(0, OpKind::kTee);
+  OpSpec sel(0, OpKind::kSelection);
+  sel.SetExpr("pred", *ParseExpr("a > 5"));
+  g.Build({tee}, 60 * kSecond, {sel});
+  g.Inject(Row(10, 0));
+  g.Inject(Row(3, 0));
+  g.Run();
+  std::vector<int64_t> got;
+  for (const Tuple& t : g.out) got.push_back(*t.Get("a")->AsInt64());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<int64_t>{3, 10, 10}))
+      << "both rows on the plain branch, the one past the filter on the other";
 }
 
 TEST(Operators, QueueShedsPastMaxSizeAndCountsTheDrops) {

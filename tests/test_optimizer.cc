@@ -510,6 +510,37 @@ TEST(OptimizerE2E, ThreeWayJoinStreamsCorrectAnswers) {
   EXPECT_EQ(oids.size(), 6u);
 }
 
+// UFL is a physical plan already: EXPLAIN takes it as written, makes no join
+// or aggregation decision, and costs the graph's dissemination and each of
+// its operators.
+TEST(OptimizerE2E, ExplainTakesAUflPlanAsWritten) {
+  SimPier::Options opts;
+  opts.sim.seed = 93;
+  opts.settle_time = 1 * kSecond;
+  SimPier net(2, opts);
+  const Ufl program(R"(
+    query { timeout = 5s; }
+    graph g broadcast {
+      s: scan [ns=events]; f: selection [pred="a > 1"]; o: result;
+      s -> f -> o;
+    }
+  )");
+  auto compiled = net.client(0)->Compile(program);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto ex = net.client(0)->Explain(program);
+  ASSERT_TRUE(ex.ok()) << ex.status().ToString();
+  EXPECT_EQ(ex->plan.Encode(), compiled->Encode());
+  EXPECT_TRUE(ex->detail.joins.empty());
+  EXPECT_TRUE(ex->detail.agg.strategy.empty());
+  ASSERT_EQ(ex->detail.ops.size(), 4u);
+  EXPECT_EQ(ex->detail.ops[0].op, "disseminate");
+  EXPECT_GT(ex->detail.ops[0].cost.messages, 0) << "a broadcast costs";
+  for (const ExplainOp& op : ex->detail.ops) EXPECT_EQ(op.graph_id, 1u);
+
+  Status bad = net.client(0)->Explain(Ufl("query { timeout = 5s; }")).status();
+  EXPECT_FALSE(bad.ok()) << "a program with no graph explains nothing";
+}
+
 TEST(OptimizerE2E, ExplainSelectsCheapPlanFromAccruedStats) {
   SimPier::Options opts;
   opts.sim.seed = 91;

@@ -86,7 +86,6 @@ QueryPlan EveryFieldPlan() {
   plan.continuous = true;
   plan.window = 3 * kSecond;
   plan.generation = 4;
-  plan.replan = true;
   plan.deadline_us = 99 * kSecond;  // absolute instant, rides every hop
   plan.successors = {NetAddress{7, 5000}, NetAddress{9, 5000}};
   plan.proxy_epoch = 1;
@@ -122,7 +121,6 @@ TEST(QueryPlan, WireRoundTrip) {
   EXPECT_TRUE(back->continuous);
   EXPECT_EQ(back->window, 3 * kSecond);
   EXPECT_EQ(back->generation, 4u);
-  EXPECT_TRUE(back->replan);
   EXPECT_EQ(back->deadline_us, 99 * kSecond);
   ASSERT_EQ(back->successors.size(), 2u);
   EXPECT_EQ(back->successors[0], (NetAddress{7, 5000}));
@@ -405,6 +403,9 @@ TEST(Sql, DistinctQueriesGetDistinctIds) {
 /// Re-recorded once when plan fields and int64 values became varints; a
 /// structural dump (graphs, op kinds, params with expressions as text,
 /// edges) of every case was identical before and after that change.
+/// Re-recorded once more when the plan lost its `replan` byte and its
+/// flush-step varint: each new encoding equals the old one with exactly
+/// those two fields cut out.
 TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
   SqlOptions base;
   base.tables["t"] = TableHint{{"k"}};
@@ -443,24 +444,24 @@ TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
     uint64_t digest;
   };
   const Case cases[] = {
-      {"SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s", &base, 0x8dd4ad8c3e0c4baa},
+      {"SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s", &base, 0x13985549d7079e38},
       {"SELECT a, b FROM t WHERE a > 1 ORDER BY a LIMIT 3", &base,
-       0xf26bb476f3ffab76},
-      {"SELECT * FROM t WHERE k = 9", &base, 0xc22a2df2e218f620},
+       0x6313709cf2be5fdc},
+      {"SELECT * FROM t WHERE k = 9", &base, 0xa02d9e4efb1ea3ee},
       {"SELECT k, count(*) AS c, sum(v) AS sv FROM t GROUP BY k "
        "ORDER BY c DESC LIMIT 4",
-       &flat, 0xe165a0facca0792e},
+       &flat, 0x85f3d280de0ebebc},
       {"SELECT k, count(*) AS c FROM t WHERE v > 2 GROUP BY k "
        "ORDER BY c DESC LIMIT 4",
-       &hier, 0x64540a23efd5d8fa},
-      {"SELECT * FROM t a, s b WHERE a.v = b.w", &base, 0x587a5a85a2e2dff0},
+       &hier, 0xaf3677760b087890},
+      {"SELECT * FROM t a, s b WHERE a.v = b.w", &base, 0x1375bdfbde9a072a},
       {"SELECT * FROM big r, small s WHERE r.x = s.y", &bloom,
-       0x25fde031a3d0899e},
+       0xad50c3c0cd5c267c},
       {"SELECT a.v, b.w FROM t a, s b WHERE a.k = b.y AND a.v > 1", &base,
-       0xe9d17165c543a6a3},
+       0x38902102dd34de79},
       {"SELECT a.v, c.q FROM t a, s b, u c WHERE a.v = b.w AND b.x = c.z "
        "AND a.k + c.q > 3 LIMIT 5",
-       &base, 0x35d02d59e7b82baf},
+       &base, 0x450801092f023a59},
   };
   for (const Case& c : cases) {
     PlanExplain explain;
@@ -511,28 +512,23 @@ TEST(Ufl, ParsesFullProgram) {
 }
 
 TEST(Ufl, WindowAndReplanOptions) {
-  // replan=auto is accepted and surfaces on the plan; WINDOW 0 is rejected
-  // with InvalidArgument just like in SQL.
+  // A window is a duration; WINDOW 0 is rejected with InvalidArgument just
+  // like in SQL. A UFL program is the physical plan, with nothing to
+  // re-optimize, so `replan` is no UFL option.
   auto plan = Client()->Compile(Ufl(R"(
-    query { timeout = 5s; window = 1s; continuous; replan = auto; }
+    query { timeout = 5s; window = 1s; continuous; }
     graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
   )"));
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_TRUE(plan->replan);
+  EXPECT_EQ(plan->window, 1 * kSecond);
 
-  auto off = Client()->Compile(Ufl(R"(
-    query { timeout = 5s; continuous; replan = off; }
-    graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
-  )"));
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_FALSE(off->replan);
-
-  EXPECT_FALSE(Client()
-                   ->Compile(Ufl(R"(
-    query { timeout = 5s; continuous; replan = maybe; }
+  Status replan = Client()
+                      ->Compile(Ufl(R"(
+    query { timeout = 5s; continuous; replan = auto; }
     graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
   )"))
-                   .ok());
+                      .status();
+  EXPECT_EQ(replan.code(), StatusCode::kInvalidArgument) << replan.ToString();
 
   Status zero = Client()
                     ->Compile(Ufl(R"(
@@ -559,32 +555,28 @@ TEST(Ufl, WindowAndReplanOptions) {
   EXPECT_EQ(over.code(), StatusCode::kInvalidArgument) << over.ToString();
 }
 
-TEST(Ufl, DeadlineRoundTrips) {
-  // deadline_us is an absolute instant in raw microseconds (SubmitQuery
-  // normally stamps it; the UFL seam exists so serialized plans round-trip).
-  auto plan = Client()->Compile(Ufl(R"(
-    query { timeout = 5s; deadline_us = 1234567; }
-    graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
-  )"));
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->deadline_us, 1234567);
-
-  EXPECT_FALSE(Client()
-                   ->Compile(Ufl(R"(
-    query { timeout = 5s; deadline_us = -3; }
-    graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
-  )"))
-                   .ok());
+TEST(Ufl, InternalStampsAreNoOptions) {
+  // The deadline and the catch-up floor are stamped by SubmitQuery and
+  // SwapQuery: UFL sets neither.
+  for (const char* option :
+       {"deadline_us = 1234567", "catchup_floor_us = 777"}) {
+    Status s = Client()
+                   ->Compile(Ufl(std::string("query { timeout = 5s; ") +
+                                 option +
+                                 "; }\n"
+                                 "graph g broadcast { s: scan [ns=events]; "
+                                 "o: result; s -> o; }"))
+                   .status();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << option;
+  }
 }
 
-TEST(Ufl, SuccessorsLeaseAndCatchupFloorRoundTrip) {
-  // The churn-lifecycle fields ride UFL like deadline_us does: successors
-  // as a host:port chain (adoption order), lease as a duration, the
-  // catch-up floor as a raw instant.
+TEST(Ufl, SuccessorsAndLeaseRoundTrip) {
+  // The churn-lifecycle options: successors as a host:port chain (adoption
+  // order), lease as a duration.
   auto plan = Client()->Compile(Ufl(R"(
     query { timeout = 5s; continuous; window = 1s;
-            successors = 7:5000, 9:5001; lease = 2s;
-            catchup_floor_us = 777; }
+            successors = 7:5000, 9:5001; lease = 2s; }
     graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
   )"));
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -592,7 +584,6 @@ TEST(Ufl, SuccessorsLeaseAndCatchupFloorRoundTrip) {
   EXPECT_EQ(plan->successors[0], (NetAddress{7, 5000}));
   EXPECT_EQ(plan->successors[1], (NetAddress{9, 5001}));
   EXPECT_EQ(plan->lease_period_us, 2 * kSecond);
-  EXPECT_EQ(plan->catchup_floor_us, 777);
 
   // Malformed successors fail the parse, not the network.
   EXPECT_FALSE(Client()

@@ -1,4 +1,5 @@
-// k-way successor-set replication: writer-driven placement, k = 1 sending no
+// k-way successor-set replication: owner-driven placement (the writer sends
+// one store frame per owner, the owner ships the copies), k = 1 sending no
 // replica or repair traffic, the copy at the owner speaking for an object
 // (after owner death, after a join's handoff, after a join in a dead node's
 // place, after a write through a stale owner cache, and while the
@@ -9,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
+#include "overlay/routing_chord.h"
 #include "overlay/sim_overlay.h"
 #include "qp/sim_pier.h"
 #include "qp/ufl.h"
@@ -104,47 +107,80 @@ TEST(Replication, PutPlacesKCopiesAtOwnerAndSuccessors) {
     EXPECT_EQ(at_succ[0]->second.desired_replicas, 3);
   }
 
-  EXPECT_EQ(net.dht(3)->stats().replica_puts, 2u);
+  // The owner shipped them; a writer that is not the owner shipped none.
+  EXPECT_EQ(net.dht(owner)->stats().replica_puts, 2u);
+  if (owner != 3) {
+    EXPECT_EQ(net.dht(3)->stats().replica_puts, 0u);
+  }
   CopyCensus c = Census(&net, "rt", "k1");
   EXPECT_EQ(c.primaries, 1u);
   EXPECT_EQ(c.replicas, 2u);
 }
 
-TEST(Replication, BatchPutReplicatesPerDestinationGroup) {
+// A replicated batch costs the writer one store frame per owner. Each owner
+// places the copies at its own successors; the writer sends no store frame
+// to any of them.
+TEST(Replication, BatchPutSendsOneFramePerOwnerAndOwnersPlaceTheCopies) {
   SimOverlay net(8, SeededOptions(12));
-  std::vector<DhtPutItem> items;
-  for (int i = 0; i < 10; ++i) {
-    DhtPutItem item;
-    item.ns = "bt";
-    item.key = "k" + std::to_string(i);
-    item.suffix = "s";
-    item.value = "v";
-    item.lifetime = 60 * kSecond;
-    item.replicas = 3;
-    items.push_back(std::move(item));
+  const uint32_t writer = 1;
+  std::vector<std::string> keys;
+  std::map<int, size_t> owned;  // owner -> keys it owns
+  for (int i = 0; keys.size() < 10; ++i) {
+    std::string key = "k" + std::to_string(i);
+    int owner = OwnerOf(&net, "bt", key);
+    ASSERT_GE(owner, 0);
+    if (owner == static_cast<int>(writer)) continue;
+    keys.push_back(key);
+    owned[owner]++;
   }
+  auto batch = [&](const std::string& suffix, int replicas) {
+    std::vector<DhtPutItem> items;
+    for (const std::string& key : keys) {
+      DhtPutItem item;
+      item.ns = "bt";
+      item.key = key;
+      item.suffix = suffix;
+      item.value = "v";
+      item.lifetime = 60 * kSecond;
+      item.replicas = replicas;
+      items.push_back(std::move(item));
+    }
+    return items;
+  };
+  // Unreplicated puts of the same keys warm the writer's owner cache, so the
+  // measured batch sends no lookup.
+  net.dht(writer)->PutBatch(batch("warm", 1));
+  net.RunFor(2 * kSecond);
+  auto* chord =
+      dynamic_cast<ChordProtocol*>(net.dht(writer)->router()->protocol());
+  ASSERT_NE(chord, nullptr);
+  // The writer's data frames other than ring maintenance.
+  auto frames = [&] {
+    return net.dht(writer)->router()->transport()->stats().msgs_sent -
+           chord->counters().frames_sent;
+  };
+  const uint64_t before = frames();
   Status done = Status::Internal("not called");
   std::vector<Dht::PutGroupStatus> groups;
-  net.dht(1)->PutBatch(std::move(items),
-                       [&](const Status& s, std::vector<Dht::PutGroupStatus> g) {
-                         done = s;
-                         groups = std::move(g);
-                       });
+  net.dht(writer)->PutBatch(
+      batch("s", 3), [&](const Status& s, std::vector<Dht::PutGroupStatus> g) {
+        done = s;
+        groups = std::move(g);
+      });
   net.RunFor(3 * kSecond);
   ASSERT_TRUE(done.ok()) << done.ToString();
-  size_t replica_frames = 0;
-  for (const auto& g : groups) {
-    EXPECT_FALSE(g.degraded());
-    replica_frames += g.replica_frames;
-  }
-  EXPECT_GT(replica_frames, 0u) << "no replica frames rode the batch";
+  EXPECT_EQ(groups.size(), owned.size());
+  EXPECT_EQ(frames() - before, owned.size())
+      << "the writer sent store frames past the owners";
+  EXPECT_EQ(net.dht(writer)->stats().replica_puts, 0u);
+  for (const auto& [owner, n] : owned)
+    EXPECT_EQ(net.dht(owner)->stats().replica_puts, 2 * n) << "node " << owner;
 
-  for (int i = 0; i < 10; ++i) {
-    CopyCensus c = Census(&net, "bt", "k" + std::to_string(i));
-    EXPECT_EQ(c.primaries, 1u) << "key k" << i;
-    EXPECT_EQ(c.replicas, 2u) << "key k" << i;
+  for (const std::string& key : keys) {
+    CopyCensus c = Census(&net, "bt", key);
+    EXPECT_EQ(c.primaries, 2u) << "key " << key;  // "warm" and "s"
+    EXPECT_EQ(c.replicas, 2u) << "key " << key;
   }
-  EXPECT_EQ(net.dht(1)->stats().replica_puts, 20u);
 }
 
 TEST(Replication, FactorOneKeepsEveryReplicationCounterAtZero) {
@@ -322,7 +358,8 @@ TEST(Replication, AJoinerTakingADeadNodesRangeIsHandedItsCopies) {
 
 // A writer whose owner cache predates a join sends a replicated write to
 // the old owner after the range was already handed off. The old owner
-// passes it on to the joiner that owns it now, so a scan sees it.
+// passes it on to the joiner that owns it now, so a scan sees it, and
+// places the rest of the joiner's replica set.
 TEST(Replication, AWriteThroughAStaleOwnerCacheReachesTheJoiner) {
   SimOverlay net(8, SeededOptions(59));
   // The next node's id, known before it joins (ids hash the address).
@@ -366,6 +403,20 @@ TEST(Replication, AWriteThroughAStaleOwnerCacheReachesTheJoiner) {
   for (uint32_t i = 0; i < net.size(); ++i)
     visible += ScanVisible(&net, i, "sw");
   EXPECT_EQ(visible, 2u) << "a write through a stale cache is hidden";
+  // The joiner's replica set is the joiner, the old owner (its successor)
+  // and the old owner's first successor: the old owner keeps its copy and
+  // places the third.
+  std::set<uint32_t> holders;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    for (const ObjectManager::Row* row : net.dht(i)->objects()->Get("sw", key))
+      if (row->first.suffix == "new") holders.insert(i);
+  }
+  std::vector<NetAddress> owner_succs =
+      net.dht(owner)->router()->protocol()->SuccessorSet(1);
+  ASSERT_EQ(owner_succs.size(), 1u);
+  EXPECT_EQ(holders, (std::set<uint32_t>{joiner, static_cast<uint32_t>(owner),
+                                         NodeOf(owner_succs[0])}))
+      << "the forwarded write lacks its third copy";
 }
 
 // A window that widens is a new baseline only for the successors it adds.
@@ -473,6 +524,22 @@ TEST(Replication, ReadAnyGetOfAnAbsentKeyTriesEveryCandidateThenIsEmpty) {
   EXPECT_EQ(net.dht(reader)->stats().read_failovers, 2u)
       << "the owner and both replica holders are asked";
   EXPECT_EQ(net.dht(reader)->stats().read_repairs, 0u);
+
+  // On a ring smaller than k the walk stops where it comes back around:
+  // both nodes are asked once.
+  SimOverlay pair(2, SeededOptions(37, /*replication=*/3));
+  called = false;
+  pair.dht(0)->Get("ab", "missing",
+                   [&](const Status& s, std::vector<DhtItem> items) {
+                     called = true;
+                     status = s;
+                     got = std::move(items);
+                   });
+  pair.RunFor(3 * kSecond);
+  ASSERT_TRUE(called);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(pair.dht(0)->stats().read_failovers, 1u);
 }
 
 TEST(Replication, RenewKeepsReplicaCopiesAlivePastTheOriginalLifetime) {
@@ -525,7 +592,7 @@ TEST(Replication, ReplicaCopiesExpireOnTheOriginClock) {
   // A replica copy in a handoff push frame from node 1 to node 0.
   auto ship = [&](const std::string& key, TimeUs remaining, TimeUs age) {
     WireWriter w = Dht::FrameStore(/*replica_index=*/1,
-                                   Dht::StoreOrigin::kHandoffPush, 1);
+                                   StoreOrigin::kHandoffPush, 1);
     Dht::EncodeStoreObject(&w, ObjectName{"ex", key, "s"}, remaining, age,
                            /*desired_replicas=*/3, "v");
     net.dht(1)->router()->SendFramed(net.dht(0)->local_address(),

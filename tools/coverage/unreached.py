@@ -26,15 +26,27 @@ lambda, and gcov gives it that statement's count.
 
   python3 tools/coverage/unreached.py --selftest
 
-checks that rule against the gcov JSON fixture in testdata/.
+checks that rule, and the gate's rule below, against the fixtures in
+testdata/.
+
+  python3 tools/coverage/unreached.py build-cov --gate src/qp --gate src/data \
+      --allowlist tools/coverage/allowlist.txt
+
+also gates: it fails when a function under a --gate directory is unreached
+but not on the allowlist, or when an allowlist entry names a function that
+is no longer unreached (it ran, or it is gone). An allowlist line is
+`<file> <demangled name> -- <reason>`; blank lines and lines starting with
+`#` are skipped, and a line with no reason is an error. Entries match by
+file and name, not line, so moving a function does not stale its entry.
 
 Only .cc files are judged. A function defined in a header is compiled into
 every translation unit that uses it, and the test, bench and example
 translation units are not in pier.dir, so header functions would show up as
 false positives.
 
-Exit status: 0 on success (whatever the list holds), 1 if the selftest
-fails, 2 if the build directory has no coverage data or gcov fails.
+Exit status: 0 on success (whatever the list holds, when not gating), 1 if
+the selftest or the gate fails, 2 if the build directory has no coverage
+data, gcov fails or the allowlist is malformed.
 Standard library only.
 """
 
@@ -129,12 +141,41 @@ def unreached(build_dir, src_dir):
     return unreached_in(reports, src_dir)
 
 
+def parse_allowlist(lines):
+    """{(file, name): reason} from allowlist lines; ValueError on a line
+    with no reason."""
+    allow = {}
+    for n, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        entry, sep, reason = line.partition(" -- ")
+        rel, _, name = entry.strip().partition(" ")
+        if not sep or not reason.strip() or not name.strip():
+            raise ValueError(f"line {n}: want `<file> <name> -- <reason>`")
+        allow[(rel, name.strip())] = reason.strip()
+    return allow
+
+
+def gate(zero, dirs, allow):
+    """The unreached functions under `dirs` that `allow` does not list, and
+    the allowlist entries that name no unreached function."""
+    prefixes = tuple(d.rstrip("/") + "/" for d in dirs)
+    unlisted = [(rel, line, name) for rel, line, name in zero
+                if rel.startswith(prefixes) and (rel, name) not in allow]
+    now = {(rel, name) for rel, _, name in zero}
+    stale = sorted(key for key in allow if key not in now)
+    return unlisted, stale
+
+
 def selftest():
-    """Judge the checked-in fixture: a gcov JSON report whose
-    `expect_unreached` lists exactly the functions that must come out."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "testdata", "gcov_report.json")
-    with open(path) as f:
+    """Judge the checked-in fixtures: a gcov JSON report whose
+    `expect_unreached` lists exactly the functions that must come out, and
+    an allowlist gated on src/obs that leaves one of them unlisted and one
+    entry stale."""
+    testdata = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "testdata")
+    with open(os.path.join(testdata, "gcov_report.json")) as f:
         report = json.load(f)
     zero, _ = unreached_in([report], os.path.join(
         report["current_working_directory"], "src"))
@@ -144,7 +185,25 @@ def selftest():
         print(f"unreached selftest FAILED\n  got:  {got}\n  want: {want}",
               file=sys.stderr)
         return 1
-    print(f"unreached selftest passed ({len(want)} unreached, as expected)")
+    with open(os.path.join(testdata, "allowlist.txt")) as f:
+        allow = parse_allowlist(f)
+    unlisted, stale = gate(zero, ["src/obs"], allow)
+    want_unlisted = [("src/obs/metrics.cc", 131, "pier::MetricsRegistry::"
+                      "Render() const::{lambda()#2}::operator()() const")]
+    want_stale = [("src/obs/metrics.cc", "pier::Histogram::sum() const")]
+    if unlisted != want_unlisted or stale != want_stale:
+        print(f"unreached gate selftest FAILED\n  unlisted: {unlisted}\n"
+              f"  stale: {stale}", file=sys.stderr)
+        return 1
+    try:
+        parse_allowlist(["src/qp/x.cc pier::F() --"])
+        print("unreached gate selftest FAILED: a line with no reason parsed",
+              file=sys.stderr)
+        return 1
+    except ValueError:
+        pass
+    print(f"unreached selftest passed ({len(want)} unreached, 1 unlisted and "
+          "1 stale under the gate, as expected)")
     return 0
 
 
@@ -154,19 +213,42 @@ def main(argv):
     ap.add_argument("build_dir", nargs="?",
                     help="a build configured with --coverage")
     ap.add_argument("--selftest", action="store_true",
-                    help="check the rule against testdata/gcov_report.json")
+                    help="check the rules against the fixtures in testdata/")
+    ap.add_argument("--gate", action="append", default=[], metavar="DIR",
+                    help="fail on an unreached function under DIR (a path "
+                    "from the repository root) that --allowlist does not list")
+    ap.add_argument("--allowlist", help="the gate's allowlist file")
     args = ap.parse_args(argv)
     if args.selftest:
         return selftest()
     if args.build_dir is None:
         ap.error("build_dir is required")
+    if args.gate and not args.allowlist:
+        ap.error("--gate needs --allowlist")
+    allow = {}
+    if args.allowlist:
+        try:
+            with open(args.allowlist) as f:
+                allow = parse_allowlist(f)
+        except ValueError as e:
+            fail(f"{args.allowlist}: {e}")
     zero, total = unreached(os.path.abspath(args.build_dir),
                             os.path.join(REPO, "src"))
     for rel, line, name in zero:
         print(f"{rel}:{line}  {name}")
     print(f"{len(zero)} of {total} src/*.cc functions executed 0 times",
           file=sys.stderr)
-    return 0
+    if not args.gate:
+        return 0
+    unlisted, stale = gate(zero, args.gate, allow)
+    for rel, line, name in unlisted:
+        print(f"gate: {rel}:{line}  {name} is unreached and not on the "
+              "allowlist: reach it with a test, delete it, or list it with "
+              "a reason", file=sys.stderr)
+    for rel, name in stale:
+        print(f"gate: allowlisted {rel}  {name} is not unreached: drop its "
+              "entry", file=sys.stderr)
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
