@@ -16,12 +16,14 @@
 //      back with plain SQL. FAIL unless every published counter/gauge
 //      sample comes back with exactly the published value.
 //
-//   3. EXPLAIN ANALYZE: a rehash symmetric-hash join runs to completion and
-//      the per-query cost report is checked against wire traffic counted by
-//      the DHT and query processor themselves (Δputs + Δsends +
-//      Δanswers_forwarded, and the answer-bytes histogram) — ledgers the
-//      operator meters never touch. FAIL if messages or answer bytes
-//      disagree by more than 10%.
+//   3. EXPLAIN ANALYZE: a rehash symmetric-hash join, then a hierarchical
+//      GROUP BY (whose partials travel as hop-by-hop DHT sends), run to
+//      completion, and each per-query cost report is checked against wire
+//      traffic counted by the DHT and query processor themselves (Δputs +
+//      Δsends + Δ forwarded answer frames, and the answer-bytes histogram's
+//      frame count and sum) — ledgers the operator meters never touch.
+//      FAIL if messages or answer bytes disagree by more than 10% for
+//      either query.
 //
 // PIER_BENCH_JSON=<path> writes the (virtual-time deterministic) metrics as
 // JSON; CI diffs it against the committed bench/BENCH_metrics.json.
@@ -109,8 +111,11 @@ std::string Scrape(SimPier* net, uint32_t from, uint32_t target) {
   return body;
 }
 
+/// Wire traffic counted outside the operator meters: DHT puts and sends,
+/// and the forwarded answer frames and their bytes (the answer-bytes
+/// histogram observes one sample per frame).
 struct WireCount {
-  uint64_t puts = 0, sends = 0, answers_forwarded = 0;
+  uint64_t puts = 0, sends = 0, answer_frames = 0;
   double answer_bytes = 0;
 };
 
@@ -120,11 +125,62 @@ WireCount CountWire(SimPier* net) {
     Dht::Stats d = net->dht(i)->stats();
     w.puts += d.puts;
     w.sends += d.sends;
-    w.answers_forwarded += net->qp(i)->stats().answers_forwarded;
-    for (const MetricSample& s : net->metrics(i)->Snapshot())
-      if (s.name == "pier_query_answer_bytes") w.answer_bytes += s.sum;
+    for (const MetricSample& s : net->metrics(i)->Snapshot()) {
+      if (s.name != "pier_query_answer_bytes") continue;
+      w.answer_frames += s.count;
+      w.answer_bytes += s.sum;
+    }
   }
   return w;
+}
+
+struct MeterCheck {
+  uint64_t meter_msgs = 0, independent_msgs = 0;
+  double answer_bytes = 0;  // the meter's answer pseudo-op bytes
+};
+
+/// Check a finished query's cost report against the wire traffic the DHT
+/// and query processor counted between `before` and `after`: messages and
+/// answer bytes must agree within 10%.
+MeterCheck CheckMeter(const std::string& what,
+                      const Result<ExplainAnalyzeResult>& ea,
+                      const WireCount& before, const WireCount& after) {
+  MeterCheck m;
+  if (!ea.ok()) {
+    Fail(what + " ExplainAnalyze: " + ea.status().ToString());
+    return m;
+  }
+  if (!ea->final) Fail(what + " cost report not final after completion");
+  m.meter_msgs = ea->actual.total.msgs;
+  m.independent_msgs = (after.puts - before.puts) +
+                       (after.sends - before.sends) +
+                       (after.answer_frames - before.answer_frames);
+  for (const QueryCostOp& op : ea->actual.ops)
+    if (op.graph_id == QueryMeter::kAnswerSlot.first &&
+        op.op_id == QueryMeter::kAnswerSlot.second)
+      m.answer_bytes = static_cast<double>(op.cost.bytes);
+  double independent_answer_bytes = after.answer_bytes - before.answer_bytes;
+
+  auto within10 = [](double a, double b) {
+    double hi = std::max(a, b);
+    return hi == 0 || std::abs(a - b) / hi <= 0.10;
+  };
+  if (!within10(static_cast<double>(m.meter_msgs),
+                static_cast<double>(m.independent_msgs)))
+    Fail(what + ": meter says " + std::to_string(m.meter_msgs) +
+         " wire msgs; DHT+QP ledgers counted " +
+         std::to_string(m.independent_msgs) + " (>10% apart)");
+  if (!within10(m.answer_bytes, independent_answer_bytes))
+    Fail(what + ": meter says " + bench::Fmt(m.answer_bytes, 0) +
+         " answer bytes on the wire; the answer-bytes histogram saw " +
+         bench::Fmt(independent_answer_bytes, 0) + " (>10% apart)");
+  bench::Note("explain-analyze (" + what + "): meter " +
+              std::to_string(m.meter_msgs) + " msgs vs independent " +
+              std::to_string(m.independent_msgs) + "; answer bytes " +
+              bench::Fmt(m.answer_bytes, 0) + " vs histogram " +
+              bench::Fmt(independent_answer_bytes, 0));
+  std::printf("%s", ea->ToString().c_str());
+  return m;
 }
 
 void Run() {
@@ -301,65 +357,62 @@ void Run() {
   if (join_matches != 8)
     Fail("rehash join returned " + std::to_string(join_matches) +
          " matches, expected 8");
-  WireCount after = CountWire(&net);
+  MeterCheck join =
+      CheckMeter("join", net.client(4)->ExplainAnalyze(*jq), before,
+                 CountWire(&net));
 
-  auto ea = net.client(4)->ExplainAnalyze(*jq);
-  if (!ea.ok()) {
-    Fail("ExplainAnalyze: " + ea.status().ToString());
-  } else {
-    if (!ea->final) Fail("cost report not final after completion");
-    uint64_t meter_msgs = ea->actual.total.msgs;
-    uint64_t independent_msgs = (after.puts - before.puts) +
-                                (after.sends - before.sends) +
-                                (after.answers_forwarded -
-                                 before.answers_forwarded);
-    double meter_answer_bytes = 0;
-    for (const QueryCostOp& op : ea->actual.ops)
-      if (op.graph_id == QueryMeter::kAnswerSlot.first &&
-          op.op_id == QueryMeter::kAnswerSlot.second)
-        meter_answer_bytes = static_cast<double>(op.cost.bytes);
-    double independent_answer_bytes = after.answer_bytes - before.answer_bytes;
+  // The hierarchical GROUP BY routes its partials hop by hop with DHT
+  // sends; the meter must count those too.
+  if (!net.catalog()->Register(TableSpec("h").PartitionBy({"k"})).ok())
+    Fail("catalog registration of h failed");
+  for (int i = 0; i < 24; ++i) {
+    Tuple t("h");
+    t.Append("k", Value::Int64(i));
+    t.Append("g", Value::Int64(i % 4));
+    (void)net.client(i % kNodes)->Publish("h", t);
+  }
+  net.RunFor(2 * kSecond);
+  before = CountWire(&net);
+  auto hq = net.client(4)->Query(
+      Sql("SELECT g, count(*) AS c FROM h GROUP BY g TIMEOUT 10s")
+          .WithAggStrategy("hier"));
+  // Roots may re-emit refined totals; count distinct groups.
+  std::set<int64_t> groups;
+  for (const Tuple& t : bench::Check(hq, "hier GROUP BY").Collect())
+    groups.insert(t.Get("g")->int64_unchecked());
+  if (groups.size() != 4)
+    Fail("hier GROUP BY returned " + std::to_string(groups.size()) +
+         " groups, expected 4");
+  MeterCheck hier =
+      CheckMeter("hier GROUP BY", net.client(4)->ExplainAnalyze(*hq), before,
+                 CountWire(&net));
 
-    auto within10 = [](double a, double b) {
-      double hi = std::max(a, b);
-      return hi == 0 || std::abs(a - b) / hi <= 0.10;
-    };
-    if (!within10(static_cast<double>(meter_msgs),
-                  static_cast<double>(independent_msgs)))
-      Fail("meter says " + std::to_string(meter_msgs) +
-           " wire msgs; DHT+QP ledgers counted " +
-           std::to_string(independent_msgs) + " (>10% apart)");
-    if (!within10(meter_answer_bytes, independent_answer_bytes))
-      Fail("meter says " + bench::Fmt(meter_answer_bytes, 0) +
-           " answer bytes on the wire; the answer-bytes histogram saw " +
-           bench::Fmt(independent_answer_bytes, 0) + " (>10% apart)");
-    bench::Note("explain-analyze: meter " + std::to_string(meter_msgs) +
-                " msgs vs independent " + std::to_string(independent_msgs) +
-                "; answer bytes " + bench::Fmt(meter_answer_bytes, 0) +
-                " vs histogram " + bench::Fmt(independent_answer_bytes, 0));
-    std::printf("%s", ea->ToString().c_str());
-
-    if (const char* path = std::getenv("PIER_BENCH_JSON")) {
-      std::FILE* f = std::fopen(path, "w");
-      if (!f) {
-        Fail(std::string("cannot write ") + path);
-      } else {
-        std::fprintf(f, "{\n  \"bench\": \"metrics_observability\",\n");
-        std::fprintf(f, "  \"nodes\": %u, \"rows\": %d,\n", kNodes, kRows);
-        std::fprintf(f,
-                     "  \"families\": %zu, \"monotone_series\": %zu, "
-                     "\"sys_matched\": %zu,\n",
-                     registered.size(), counters_checked, matched);
-        std::fprintf(f,
-                     "  \"join_matches\": %zu, \"meter_msgs\": %llu, "
-                     "\"independent_msgs\": %llu, \"answer_bytes\": %.0f\n",
-                     join_matches,
-                     static_cast<unsigned long long>(meter_msgs),
-                     static_cast<unsigned long long>(independent_msgs),
-                     meter_answer_bytes);
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-      }
+  if (const char* path = std::getenv("PIER_BENCH_JSON")) {
+    std::FILE* f = std::fopen(path, "w");
+    if (!f) {
+      Fail(std::string("cannot write ") + path);
+    } else {
+      std::fprintf(f, "{\n  \"bench\": \"metrics_observability\",\n");
+      std::fprintf(f, "  \"nodes\": %u, \"rows\": %d,\n", kNodes, kRows);
+      std::fprintf(f,
+                   "  \"families\": %zu, \"monotone_series\": %zu, "
+                   "\"sys_matched\": %zu,\n",
+                   registered.size(), counters_checked, matched);
+      std::fprintf(f,
+                   "  \"join_matches\": %zu, \"meter_msgs\": %llu, "
+                   "\"independent_msgs\": %llu, \"answer_bytes\": %.0f,\n",
+                   join_matches,
+                   static_cast<unsigned long long>(join.meter_msgs),
+                   static_cast<unsigned long long>(join.independent_msgs),
+                   join.answer_bytes);
+      std::fprintf(f,
+                   "  \"hier_groups\": %zu, \"hier_meter_msgs\": %llu, "
+                   "\"hier_independent_msgs\": %llu\n",
+                   groups.size(),
+                   static_cast<unsigned long long>(hier.meter_msgs),
+                   static_cast<unsigned long long>(hier.independent_msgs));
+      std::fprintf(f, "}\n");
+      std::fclose(f);
     }
   }
 

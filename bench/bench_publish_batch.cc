@@ -12,7 +12,8 @@
 // the pipeline turns the bench red instead of printing a slower table.
 //
 // E18b (appended, self-checking): per-query cost metering rides the operator
-// hot path (PushBatch / MeterNet are a few plain adds per batch or row).
+// hot path (PushBatch and the base Operator's Put/Send/Get are a few plain
+// adds per batch or row).
 // The same snapshot-query workload runs on two identical networks, executor
 // metering off in one and on in the other, timed in process CPU time in 101
 // interleaved pairs; the run FAILS if the median per-pair on/off ratio says

@@ -44,7 +44,7 @@ struct Operator::Resources {
   uint64_t last_timer = 0;
   std::vector<uint64_t> subs;        // newData subscription tokens
   std::vector<std::string> upcalls;  // intercepted namespaces
-  std::shared_ptr<char> alive;       // expires the Guarded callbacks
+  std::shared_ptr<char> alive;       // expires the pending Get replies
   // The catch-up feed.
   FeedFn feed;
   std::unordered_set<uint64_t> seen;  // object identities delivered so far
@@ -100,7 +100,6 @@ int64_t Operator::Metric(const std::string& name) const {
 void Operator::PushBatch(uint32_t tag, const TupleBatch& batch) {
   const uint64_t n = batch.num_rows();
   if (n == 0) return;
-  stats_.emitted += n;
   if (cost_ != nullptr) cost_->tuples_out += n;
   if (outputs_.size() == 1) {
     Operator* out = outputs_[0].first;
@@ -112,6 +111,40 @@ void Operator::PushBatch(uint32_t tag, const TupleBatch& batch) {
     if (op->cost_ != nullptr) op->cost_->tuples_in += n;
     op->ProcessBatch(port, tag, batch);  // shares cells: Tee semantics
   }
+}
+
+void Operator::Put(std::vector<DhtPutItem> items) {
+  if (items.empty()) return;
+  if (cost_ != nullptr) {
+    cost_->msgs += items.size();
+    for (const DhtPutItem& item : items) cost_->bytes += item.value.size();
+  }
+  cx_->dht->PutBatch(std::move(items));
+}
+
+void Operator::Send(const std::string& ns, const std::string& key,
+                    std::string value) {
+  if (cost_ != nullptr) {
+    cost_->msgs++;
+    cost_->bytes += value.size();
+  }
+  cx_->dht->Send(ns, key, cx_->NextSuffix(), std::move(value),
+                 cx_->query_lifetime);
+}
+
+void Operator::Get(const std::string& ns, const std::string& key,
+                   Dht::GetCallback cb) {
+  if (cost_ != nullptr) {
+    cost_->msgs++;
+    cost_->bytes += ns.size() + key.size();
+  }
+  Resources& r = res();
+  if (!r.alive && !closed_) r.alive = std::make_shared<char>(1);
+  cx_->dht->Get(ns, key,
+                [alive = std::weak_ptr<char>(r.alive), cb = std::move(cb)](
+                    const Status& s, std::vector<DhtItem> items) {
+                  if (!alive.expired()) cb(s, std::move(items));
+                });
 }
 
 uint64_t Operator::After(TimeUs delay, std::function<void()> cb) {
@@ -153,12 +186,6 @@ void Operator::Intercept(const std::string& ns,
                          OverlayRouter::UpcallHandler handler) {
   cx_->dht->RegisterUpcall(ns, std::move(handler));
   res().upcalls.push_back(ns);
-}
-
-std::weak_ptr<char> Operator::AliveToken() {
-  Resources& r = res();
-  if (!r.alive && !closed_) r.alive = std::make_shared<char>(1);
-  return r.alive;
 }
 
 void Operator::CatchUp(const std::string& ns, TimeUs floor, FeedFn fn) {

@@ -19,11 +19,13 @@
 // Lifecycle: Init (parse params) -> Open (children first, then OnOpen) ->
 // ProcessBatch / Flush -> Close. The base Operator owns every event-loop
 // resource an operator acquires, through its helpers: timers (After),
-// newData subscriptions (Subscribe, CatchUp), upcalls (Intercept) and DHT
-// reply guards (Guarded). Close() is non-virtual and idempotent: it cancels
-// and unregisters all of them, expires the guards, then runs OnClose for the
-// operator's own state. Nothing an operator scheduled or registered calls
-// back into it after Close.
+// newData subscriptions (Subscribe, CatchUp), upcalls (Intercept) and the
+// replies of its DHT gets (Get). Close() is non-virtual and idempotent: it
+// cancels and unregisters all of them, drops the pending replies, then runs
+// OnClose for the operator's own state. Nothing an operator scheduled or
+// registered calls back into it after Close. The base is also an operator's
+// one way onto the network (Put, Send, Get), and it charges every such call
+// to the query's cost ledger (QueryMeter) where it leaves.
 
 #ifndef PIER_QP_DATAFLOW_H_
 #define PIER_QP_DATAFLOW_H_
@@ -44,9 +46,10 @@
 
 namespace pier {
 
-/// Actual resource usage of one operator instance (PR-7 cost accounting; the
-/// measured counterpart of the optimizer's Cost estimate). Message/byte
-/// counts cover DHT/wire traffic the operator originates — local object-store
+/// Actual resource usage of one operator instance: the measured counterpart
+/// of the optimizer's Cost estimate. Tuples are counted in PushBatch;
+/// messages and bytes in the base Operator's network calls (Put, Send, Get),
+/// which every DHT call an operator makes goes through. Local object-store
 /// writes (join state, materialized results) are deliberately NOT messages.
 struct OpCost {
   uint64_t tuples_in = 0;
@@ -132,8 +135,8 @@ class ExecContext {
   int32_t replicas = 0;
 
   /// Per-query cost ledger (owned by the executor's RunningQuery). Null when
-  /// metering is disabled — operators must tolerate that, and the base
-  /// Operator::Init caches a null slot so the hot path is one branch.
+  /// metering is disabled; the base Operator::Init then caches a null slot,
+  /// so PushBatch and the network calls pay one branch.
   QueryMeter* meter = nullptr;
 
   /// Forward a batch of answers to the proxy in one frame (wired up by the
@@ -219,12 +222,6 @@ class Operator {
   /// (range-index results) into a graph through a Source placeholder.
   void InjectBatchDownstream(const TupleBatch& b) { PushBatch(0, b); }
 
-  struct OpStats {
-    uint64_t consumed = 0;
-    uint64_t emitted = 0;
-  };
-  const OpStats& op_stats() const { return stats_; }
-
   /// Named operator-specific counters for benches and tests (e.g. the eddy's
   /// "evaluations", the hierarchical join's "early_results"). The base
   /// answers "suppressed" for operators that run a catch-up feed. Returns -1
@@ -242,14 +239,21 @@ class Operator {
   /// Push a batch to every output edge (meters N tuples in one shot).
   void PushBatch(uint32_t tag, const TupleBatch& batch);
 
-  /// Charge wire traffic this operator originates (DHT Put/Get/Send) to the
-  /// query's ledger. No-op when metering is off.
-  void MeterNet(uint64_t msgs, uint64_t bytes) {
-    if (cost_ != nullptr) {
-      cost_->msgs += msgs;
-      cost_->bytes += bytes;
-    }
-  }
+  // --- Network calls ---------------------------------------------------------
+  // The one way an operator reaches the network. Each call charges this
+  // operator's ledger slot one message per object plus its payload bytes —
+  // the value for a put or a send, the namespace and key for a get — so no
+  // operator's traffic can miss the query's ledger.
+
+  /// Dht::PutBatch of `items` (the Exchange's one frame per owner).
+  void Put(std::vector<DhtPutItem> items);
+  /// Dht::Send of `value` toward the owner of (ns, key), hop by hop so
+  /// intermediate nodes get upcalls, under a fresh suffix and the query's
+  /// lifetime.
+  void Send(const std::string& ns, const std::string& key, std::string value);
+  /// Dht::Get of (ns, key); `cb` is dropped once this operator has closed
+  /// or been destroyed.
+  void Get(const std::string& ns, const std::string& key, Dht::GetCallback cb);
 
   // --- Owned resources -------------------------------------------------------
 
@@ -265,15 +269,6 @@ class Operator {
 
   /// Intercept in-transit Send objects in `ns` at this node (the upcall).
   void Intercept(const std::string& ns, OverlayRouter::UpcallHandler handler);
-
-  /// Wrap an asynchronous reply callback (e.g. a DHT Get's) so that it is
-  /// dropped once this operator has closed or been destroyed.
-  template <typename F>
-  auto Guarded(F f) {
-    return [alive = AliveToken(), f = std::move(f)](auto&&... args) mutable {
-      if (!alive.expired()) f(std::forward<decltype(args)>(args)...);
-    };
-  }
 
   /// One object delivered by a catch-up feed. Both fields alias DHT storage
   /// or a receive frame and are valid only during the delivery call.
@@ -300,7 +295,6 @@ class Operator {
   OpSpec spec_;
   std::vector<std::pair<Operator*, int>> outputs_;
   std::vector<Operator*> children_;
-  OpStats stats_;
 
  private:
   struct Resources;
@@ -308,7 +302,6 @@ class Operator {
   /// The resource record, created on first use: operators that acquire
   /// nothing (Selection, Projection, ...) pay one null pointer.
   Resources& res();
-  std::weak_ptr<char> AliveToken();
   /// Cancel and unregister everything held; Close, and the destructor for
   /// an operator destroyed without one (e.g. a graph that failed to build).
   void Release();

@@ -142,7 +142,7 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     rq.start_time = vri_->Now();
     rq.generation = meta.generation;
     if (metering_) {
-      rq.meter = std::make_shared<QueryMeter>();
+      rq.meter = std::make_unique<QueryMeter>();
       rq.answer_cost = rq.meter->At(QueryMeter::kAnswerSlot.first,
                                     QueryMeter::kAnswerSlot.second);
     }
@@ -576,17 +576,20 @@ void QueryExecutor::DoStop(uint64_t query_id) {
   auto it = queries_.find(query_id);
   if (it == queries_.end()) return;
   RunningQuery& rq = it->second;
-  // Teardown cost flush: a node whose operators consumed tuples but never
-  // emitted an answer has a ledger the piggyback path never ships. Send it
-  // once (an absolute snapshot — replaces, never adds). A local proxy
-  // already holds this ledger (QueryProcessor::PinLocalMeter).
+  // Teardown cost report: the ledger's final snapshot reaches the proxy
+  // once (absolute — it replaces, never adds), also from a node whose
+  // operators never emitted an answer for the piggyback path to carry. A
+  // local proxy gets it through the call a cost frame reaches.
   const NetAddress& proxy = rq.meta.proxy;
-  if (rq.meter && !rq.meter->costs().empty() &&
-      proxy != dht_->local_address() && !proxy.IsNull()) {
-    WireWriter w = OverlayRouter::FrameMessage(kMsgQueryCosts);
-    w.PutU64(query_id);
-    rq.meter->EncodeTo(&w);
-    dht_->router()->SendFramed(proxy, std::move(w).data(), nullptr);
+  if (rq.meter && !rq.meter->costs().empty()) {
+    if (proxy == dht_->local_address() || proxy.IsNull()) {
+      proxy_->NoteCosts(query_id, dht_->local_address(), rq.meter->costs());
+    } else {
+      WireWriter w = OverlayRouter::FrameMessage(kMsgQueryCosts);
+      w.PutU64(query_id);
+      rq.meter->EncodeTo(&w);
+      dht_->router()->SendFramed(proxy, std::move(w).data(), nullptr);
+    }
   }
   Release(&rq);
   queries_.erase(it);
@@ -616,9 +619,9 @@ void QueryExecutor::FlushQuery(uint64_t query_id) {
   for (auto& inst : it->second.instances) inst->Flush();
 }
 
-std::shared_ptr<QueryMeter> QueryExecutor::Meter(uint64_t query_id) const {
+const QueryMeter* QueryExecutor::Meter(uint64_t query_id) const {
   auto it = queries_.find(query_id);
-  return it != queries_.end() ? it->second.meter : nullptr;
+  return it != queries_.end() ? it->second.meter.get() : nullptr;
 }
 
 void QueryExecutor::set_metrics(MetricsRegistry* metrics) {

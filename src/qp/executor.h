@@ -13,8 +13,9 @@
 // consumes the probe responses. QueryProcessor (the proxy role) answers
 // them. The executor calls the proxy directly for only three things:
 // adopting a query whose failover walk lands on this node, delivering
-// answers when this node is the query's proxy, and reading a continuous
-// query's durable plan record to repair a missed swap.
+// answers and the teardown cost snapshot when this node is the query's
+// proxy, and reading a continuous query's durable plan record to repair a
+// missed swap.
 
 #ifndef PIER_QP_EXECUTOR_H_
 #define PIER_QP_EXECUTOR_H_
@@ -90,7 +91,8 @@ class QueryExecutor {
   static constexpr uint8_t kMsgLeaseProbeResp = 36;
   /// Final per-op cost snapshot from an executor tearing a query down (body:
   /// u64 query id + QueryMeter cost block). Covers executors that ran
-  /// operators but never forwarded an answer.
+  /// operators but never forwarded an answer. A local proxy gets the same
+  /// snapshot through QueryProcessor::NoteCosts, the call this frame reaches.
   static constexpr uint8_t kMsgQueryCosts = 37;
   /// Answers: u64 query id + TupleBatch wire format (+ an optional cost
   /// block). Framing once per batch amortizes the header and cost block
@@ -206,10 +208,10 @@ class QueryExecutor {
   /// the "compiled to no-ops" baseline the overhead benches compare against.
   void set_metering(bool on) { metering_ = on; }
 
-  /// The actual-cost ledger of a running query (null if unknown/unmetered).
-  /// Shared with the query's opgraph instances; survives plan swaps. The
-  /// proxy pins its own executor's ledger through this.
-  std::shared_ptr<QueryMeter> Meter(uint64_t query_id) const;
+  /// The actual-cost ledger of a running query (null if unknown/unmetered);
+  /// survives plan swaps. A local proxy folds it into QueryCosts while the
+  /// query runs here; at teardown DoStop reports its final snapshot.
+  const QueryMeter* Meter(uint64_t query_id) const;
 
   bool HasQuery(uint64_t query_id) const { return queries_.count(query_id) > 0; }
   size_t num_active() const { return queries_.size(); }
@@ -230,10 +232,10 @@ class QueryExecutor {
 
   struct RunningQuery {
     QueryPlan meta;  // graphs emptied; metadata only
-    /// Actual-cost ledger, shared with every instance's ExecContext (and
-    /// with callers of Meter()). Declared before `instances` so operators
-    /// caching slot pointers are destroyed first. Null when metering is off.
-    std::shared_ptr<QueryMeter> meter;
+    /// Actual-cost ledger, lent to every instance's ExecContext. Declared
+    /// before `instances` so operators caching slot pointers are destroyed
+    /// first. Null when metering is off.
+    std::unique_ptr<QueryMeter> meter;
     /// The meter's answer pseudo-op slot, resolved once (stable address).
     /// Null iff meter is null.
     OpCost* answer_cost = nullptr;

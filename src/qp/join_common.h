@@ -9,11 +9,9 @@
 
 namespace pier {
 
-/// Concatenate two tuples into a join result. With `qualify`, output columns
-/// are named "<table>.<col>" on both sides; otherwise the left columns win
-/// name collisions (natural-join style merge).
-Tuple JoinTuples(const Tuple& l, const Tuple& r, const std::string& out_table,
-                 bool qualify);
+/// Concatenate two tuples into a join result; the left columns win name
+/// collisions (natural-join style merge).
+Tuple JoinTuples(const Tuple& l, const Tuple& r, const std::string& out_table);
 
 }  // namespace pier
 

@@ -40,7 +40,7 @@ class ScanOp : public Operator {
             [this](const std::vector<FeedItem>& group) {
               BatchAssembler batches;
               for (const FeedItem& item : group) {
-                if (batches.AddEncoded(item.value).ok()) stats_.consumed++;
+                (void)batches.AddEncoded(item.value);  // malformed: skipped
               }
               for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
             });
@@ -53,8 +53,8 @@ class ScanOp : public Operator {
 /// published into the DHT partitioned by its key attributes: the DHT resolves
 /// the owner (from the router's owner cache once warm) and stores there with
 /// one direct message (Figure 6). Operators that need upcalls en route
-/// (hierarchical aggregation and join, the Bloom operators) call Dht::Send
-/// themselves.
+/// (hierarchical aggregation and join, the Bloom operators) use the base
+/// Operator's Send instead.
 class PutOp : public Operator {
  public:
   using Operator::Operator;
@@ -64,14 +64,11 @@ class PutOp : public Operator {
     ns_ = spec_.GetString("ns");
     if (ns_.empty()) return Status::InvalidArgument("put needs ns");
     key_attrs_ = spec_.GetStrings("key");
-    lifetime_ = spec_.GetInt("lifetime_ms", 0) * kMillisecond;
-    if (lifetime_ <= 0) lifetime_ = cx_->query_lifetime;
     return Status::Ok();
   }
 
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     // Rows are keyed/encoded straight off the batch cells and ship as one
     // PutBatch, which the DHT groups into one wire frame per destination.
     std::vector<DhtPutItem> items;
@@ -82,23 +79,20 @@ class PutOp : public Operator {
       item.key = batch.RowPartitionKey(r, key_attrs_);
       item.suffix = cx_->NextSuffix();
       item.value = batch.EncodeRow(r);
-      item.lifetime = lifetime_;
+      item.lifetime = cx_->query_lifetime;
       item.replicas = cx_->replicas;
-      MeterNet(1, item.value.size());
       if (cx_->observe_publish) {
         cx_->observe_publish(ns_, key_attrs_, batch.RowTuple(r),
                              item.value.size());
       }
       items.push_back(std::move(item));
     }
-    if (!items.empty()) cx_->dht->PutBatch(std::move(items));
-    stats_.emitted += n;
+    Put(std::move(items));
   }
 
  private:
   std::string ns_;
   std::vector<std::string> key_attrs_;
-  TimeUs lifetime_ = 0;
 };
 
 /// result: forward every input batch to the query's proxy node (§3.3.2).
@@ -107,11 +101,7 @@ class ResultOp : public Operator {
   using Operator::Operator;
 
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
-    const size_t n = batch.num_rows();
-    stats_.consumed += n;
-    if (!cx_->emit_result) return;
-    cx_->emit_result(batch);
-    stats_.emitted += n;
+    if (cx_->emit_result) cx_->emit_result(batch);
   }
 };
 

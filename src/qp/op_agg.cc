@@ -10,9 +10,9 @@
 //   mode=partial  fold the local input, emit partials (source side)
 //   mode=final    merge partials, emit finals (collector side)
 //
-// Aggregates are emitted on Flush(): once per window for continuous queries
-// (tumbling by default); for snapshot queries once, at start + (s+1)·step for
-// the graph's flush stage s, where step is timeout/4
+// Aggregates are emitted on Flush(): once per tumbling window for continuous
+// queries (each window's groups start empty); for snapshot queries once, at
+// start + (s+1)·step for the graph's flush stage s, where step is timeout/4
 // (QueryExecutor::ArmStageFlush).
 //
 // TopK implements ORDER BY <col> [DESC] LIMIT k at a collection point; PIER
@@ -43,14 +43,12 @@ class GroupByOp : public Operator {
       return Status::InvalidArgument("bad groupby mode '" + mode + "'");
     merge_input_ = mode == "final";
     emit_partial_ = mode == "partial";
-    tumbling_ = spec_.GetInt("tumbling", 1) != 0;
     out_table_ = spec_.GetString("table", "agg");
     groups_ = GroupTable(spec_.GetStrings("keys"), std::move(aggs));
     return Status::Ok();
   }
 
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
-    stats_.consumed += batch.num_rows();
     if (merge_input_) {
       groups_.Merge(batch);
     } else {
@@ -61,7 +59,7 @@ class GroupByOp : public Operator {
   void Flush() override {
     for (const TupleBatch& b : groups_.Emit(out_table_, emit_partial_))
       PushBatch(0, b);
-    if (tumbling_) groups_.clear();
+    groups_.clear();
   }
 
   void OnClose() override { groups_.clear(); }
@@ -69,7 +67,6 @@ class GroupByOp : public Operator {
  private:
   bool merge_input_ = false;  // mode=final: input rows are partials
   bool emit_partial_ = false;  // mode=partial: emit partials, not finals
-  bool tumbling_ = true;
   std::string out_table_;
   GroupTable groups_;
 };
@@ -91,7 +88,6 @@ class TopKOp : public Operator {
 
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     if (batch.schema()->Index(col_) < 0) return;  // no sort column: discard
     for (size_t r = 0; r < n; ++r) {
       if (!dedup_cols_.empty()) {

@@ -18,8 +18,9 @@ namespace pier {
 
 namespace {
 
-/// eddy[n=<count>, mexpr0..mexprN-1=<preds>, policy=adaptive|fixed,
-///      epsilon_pct=10, decay_pct=5]
+/// eddy[n=<count>, mexpr0..mexprN-1=<preds>, policy=adaptive|fixed]
+/// The adaptive policy explores a random order for kEpsilon of the rows and
+/// decays each module's pass rate by kDecay per observation.
 class EddyOp : public Operator {
  public:
   using Operator::Operator;
@@ -34,14 +35,11 @@ class EddyOp : public Operator {
       modules_.push_back(Module{std::move(e), 0.5, 0, 0});
     }
     adaptive_ = spec_.GetString("policy", "adaptive") == "adaptive";
-    epsilon_ = static_cast<double>(spec_.GetInt("epsilon_pct", 10)) / 100.0;
-    decay_ = static_cast<double>(spec_.GetInt("decay_pct", 5)) / 100.0;
     return Status::Ok();
   }
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     std::vector<uint32_t> keep;
     keep.reserve(n);
     std::vector<size_t> order(modules_.size());
@@ -50,7 +48,7 @@ class EddyOp : public Operator {
       // dropped rows never materialize.
       std::iota(order.begin(), order.end(), 0);
       if (adaptive_) {
-        if (cx_->vri->rng()->NextDouble() < epsilon_) {
+        if (cx_->vri->rng()->NextDouble() < kEpsilon) {
           // Exploration: random order keeps estimates fresh for all modules.
           for (size_t i = order.size(); i > 1; --i) {
             size_t j = cx_->vri->rng()->Uniform(i);
@@ -72,7 +70,7 @@ class EddyOp : public Operator {
         Result<bool> keep_row = m.pred->EvalPredicateRow(batch, r);
         bool pass = keep_row.ok() && *keep_row;
         m.pass_rate =
-            (1.0 - decay_) * m.pass_rate + decay_ * (pass ? 1.0 : 0.0);
+            (1.0 - kDecay) * m.pass_rate + kDecay * (pass ? 1.0 : 0.0);
         if (!pass) {
           all_pass = false;
           break;  // drop: remaining modules never run
@@ -107,10 +105,11 @@ class EddyOp : public Operator {
     uint64_t passed;
   };
 
+  static constexpr double kEpsilon = 0.1;
+  static constexpr double kDecay = 0.05;
+
   std::vector<Module> modules_;
   bool adaptive_ = true;
-  double epsilon_ = 0.1;
-  double decay_ = 0.05;
   uint64_t evaluations_ = 0;
 };
 

@@ -93,7 +93,6 @@ class HierAggOp : public Operator {
   }
 
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
-    stats_.consumed += batch.num_rows();
     local_.Fold(batch);
   }
 
@@ -110,8 +109,7 @@ class HierAggOp : public Operator {
     WireWriter w;
     table->Emit(out_table_, /*partial=*/true, SIZE_MAX)[0].EncodeTo(&w);
     table->clear();
-    cx_->dht->Send(ns_, root_key_, cx_->NextSuffix(), std::move(w).data(),
-                   cx_->query_lifetime);
+    Send(ns_, root_key_, std::move(w).data());
   }
 
   void ArmForwardTimer() {
@@ -201,7 +199,7 @@ struct JoinRecord {
   }
 };
 
-/// hierjoin[l_key=?, r_key=?, table=?, qualify=0|1]
+/// hierjoin[l_key=?, r_key=?, table=?]
 /// Port 0/1 feed the left/right local streams; join results are sent
 /// directly to the proxy (there are no downstream edges at non-proxy nodes).
 class HierJoinOp : public Operator {
@@ -217,7 +215,6 @@ class HierJoinOp : public Operator {
     l_table_ = spec_.GetString("l_table");
     r_table_ = spec_.GetString("r_table");
     out_table_ = spec_.GetString("table", "join");
-    qualify_ = spec_.GetInt("qualify", 0) != 0;
     ns_ = cx_->QueryNs("g" + std::to_string(cx_->graph_id) + ".op" +
                        std::to_string(spec_.id) + ".hj");
 
@@ -254,7 +251,6 @@ class HierJoinOp : public Operator {
 
   void ProcessBatch(int port, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     const BatchSchema& in = *batch.schema();
     if (!l_table_.empty()) {
       // Mixed-stream mode: the batch's one table name picks the side.
@@ -273,10 +269,9 @@ class HierJoinOp : public Operator {
       JoinRecord rec;
       rec.side = static_cast<uint8_t>(port);
       rec.tuple = batch.RowTuple(r);
-      cx_->dht->Send(ns_,
-                     batch.ValueAt(r, static_cast<size_t>(key_idx))
-                         .CanonicalString(),
-                     cx_->NextSuffix(), rec.Encode(), cx_->query_lifetime);
+      Send(ns_,
+           batch.ValueAt(r, static_cast<size_t>(key_idx)).CanonicalString(),
+           rec.Encode());
     }
   }
 
@@ -305,13 +300,12 @@ class HierJoinOp : public Operator {
       if (rec.PathIntersects(other)) continue;
       const Tuple& l = rec.side == 0 ? rec.tuple : other.tuple;
       const Tuple& r = rec.side == 0 ? other.tuple : rec.tuple;
-      joined_rows.Add(JoinTuples(l, r, out_table_, qualify_));
+      joined_rows.Add(JoinTuples(l, r, out_table_));
       if (at_owner) {
         owner_results_++;
       } else {
         early_results_++;
       }
-      stats_.emitted++;
     }
     // Matches go straight to the proxy, one answer frame per arrival.
     if (cx_->emit_result) {
@@ -328,7 +322,6 @@ class HierJoinOp : public Operator {
     std::vector<JoinRecord> side[2];
   };
   std::string l_key_, r_key_, l_table_, r_table_, out_table_, ns_;
-  bool qualify_ = false;
   /// join key -> per-side cached records.
   std::map<std::string, CacheSlot> cache_;
   uint64_t early_results_ = 0;

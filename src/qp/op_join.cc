@@ -19,7 +19,7 @@ namespace pier {
 
 namespace {
 
-/// shjoin[l_key=?, r_key=?, table=?, qualify=0|1, pred=<residual>]
+/// shjoin[l_key=?, r_key=?, table=?, pred=<residual>]
 /// Port 0 is the left input, port 1 the right. Alternatively, with
 /// l_table/r_table set, a single mixed input (the usual rehash namespace) is
 /// split by each tuple's self-described table name — the common shape after
@@ -35,7 +35,6 @@ class SymHashJoinOp : public Operator {
     if (l_key_.empty() || r_key_.empty())
       return Status::InvalidArgument("shjoin needs l_key and r_key");
     out_table_ = spec_.GetString("table", "join");
-    qualify_ = spec_.GetInt("qualify", 0) != 0;
     l_table_ = spec_.GetString("l_table");
     r_table_ = spec_.GetString("r_table");
     if (spec_.Has("pred")) {
@@ -50,7 +49,6 @@ class SymHashJoinOp : public Operator {
 
   void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     const BatchSchema& in = *batch.schema();
     if (!l_table_.empty()) {
       // Mixed-stream mode: the whole batch shares one self-described table,
@@ -88,7 +86,7 @@ class SymHashJoinOp : public Operator {
         if (!o.ok()) continue;
         const Tuple& l = port == 0 ? t : *o;
         const Tuple& rt = port == 0 ? *o : t;
-        Tuple joined = JoinTuples(l, rt, out_table_, qualify_);
+        Tuple joined = JoinTuples(l, rt, out_table_);
         if (residual_) {
           Result<bool> keep = residual_->EvalPredicate(joined);
           if (!keep.ok() || !*keep) continue;
@@ -107,13 +105,12 @@ class SymHashJoinOp : public Operator {
  private:
   std::string l_key_, r_key_, out_table_;
   std::string l_table_, r_table_;
-  bool qualify_ = false;
   ExprPtr residual_;
   std::string ns_[2];
 };
 
 /// fmjoin[table=?, key_expr=<expr over outer>, pred=?, table_out=?,
-/// qualify=0|1, raw_key=0|1]
+/// raw_key=0|1]
 /// The inner relation must be published into the DHT with its join attribute
 /// as partitioning key; `key` computes the outer tuple's lookup value.
 /// raw_key=1 means key_expr yields an already-formatted partition-key string
@@ -129,7 +126,6 @@ class FetchMatchesOp : public Operator {
       return Status::InvalidArgument("fmjoin needs table");
     PIER_ASSIGN_OR_RETURN(key_expr_, spec_.GetExpr("key_expr"));
     out_table_ = spec_.GetString("table_out", "join");
-    qualify_ = spec_.GetInt("qualify", 0) != 0;
     raw_key_ = spec_.GetInt("raw_key", 0) != 0;
     if (spec_.Has("pred")) {
       PIER_ASSIGN_OR_RETURN(residual_, spec_.GetExpr("pred"));
@@ -139,7 +135,6 @@ class FetchMatchesOp : public Operator {
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     for (size_t r = 0; r < n; ++r) {
       // Evaluate the lookup key against the batch row; the outer tuple is
       // materialized only once the key is known good (the common discard —
@@ -162,18 +157,16 @@ class FetchMatchesOp : public Operator {
 
  private:
   void Lookup(uint32_t tag, Tuple t, std::string k) {
-    MeterNet(1, inner_table_.size() + k.size());
-    cx_->dht->Get(
-        inner_table_, k,
-        Guarded([this, tag, outer = std::move(t)](const Status& s,
-                                                  std::vector<DhtItem> items) {
+    Get(inner_table_, k,
+        [this, tag, outer = std::move(t)](const Status& s,
+                                          std::vector<DhtItem> items) {
           if (!s.ok()) return;
           // One batch per DHT reply: every match of this outer row.
           BatchAssembler joined_rows;
           for (const DhtItem& item : items) {
             Result<Tuple> inner = Tuple::Decode(item.value);
             if (!inner.ok()) continue;
-            Tuple joined = JoinTuples(outer, *inner, out_table_, qualify_);
+            Tuple joined = JoinTuples(outer, *inner, out_table_);
             if (residual_) {
               Result<bool> keep = residual_->EvalPredicate(joined);
               if (!keep.ok() || !*keep) continue;
@@ -182,21 +175,20 @@ class FetchMatchesOp : public Operator {
           }
           for (const TupleBatch& b : joined_rows.TakeBatches())
             PushBatch(tag, b);
-        }));
+        });
   }
 
   std::string inner_table_, out_table_;
   ExprPtr key_expr_;
   ExprPtr residual_;
-  bool qualify_ = false;
   bool raw_key_ = false;
 };
 
-/// bloomcreate[col=?, ns=?, bits=?, hashes=?, hold_ms=?]: fold the input
-/// column into a Bloom filter; on Flush, route the filter toward the owner
-/// of ("<ns>", "filter"). Filters are ORed *in-network*: intermediate nodes
-/// intercept them with an upcall, merge into a pending filter, and forward
-/// one combined filter after a hold period (the same tree combining as
+/// bloomcreate[col=?, ns=?, bits=?]: fold the input column into a Bloom
+/// filter (kHashes hash functions); on Flush, route the filter toward the
+/// owner of ("<ns>", "filter"). Filters are ORed *in-network*: intermediate
+/// nodes intercept them with an upcall, merge into a pending filter, and
+/// forward one combined filter after kHold (the same tree combining as
 /// hierarchical aggregation), so the owner stores O(fanout) filter objects
 /// instead of one per node and probers fetch a few kilobytes, not N.
 class BloomCreateOp : public Operator {
@@ -210,9 +202,7 @@ class BloomCreateOp : public Operator {
     if (col_.empty() || ns_.empty())
       return Status::InvalidArgument("bloomcreate needs col and ns");
     size_t bits = static_cast<size_t>(spec_.GetInt("bits", 8192));
-    int hashes = static_cast<int>(spec_.GetInt("hashes", 4));
-    hold_ = spec_.GetInt("hold_ms", 300) * kMillisecond;
-    filter_ = std::make_unique<BloomFilter>(bits, hashes);
+    filter_ = std::make_unique<BloomFilter>(bits, kHashes);
 
     Intercept(ns_, [this](const RouteInfo&, std::string* payload) {
       Result<Dht::WireObject> obj = Dht::DecodeObject(*payload);
@@ -253,7 +243,6 @@ class BloomCreateOp : public Operator {
 
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     const int idx = batch.schema()->Index(col_);
     if (idx < 0) return;  // best-effort discard
     for (size_t r = 0; r < n; ++r) {
@@ -267,30 +256,25 @@ class BloomCreateOp : public Operator {
     if (added_ == 0 && flushed_) return;  // nothing new to report
     flushed_ = true;
     added_ = 0;
-    std::string wire = filter_->Serialize();
-    MeterNet(1, wire.size());
-    cx_->dht->Send(ns_, "filter", cx_->NextSuffix(), std::move(wire),
-                   cx_->query_lifetime);
+    Send(ns_, "filter", filter_->Serialize());
   }
 
  private:
   static constexpr const char* kMergedSuffix = "!merged";
+  static constexpr int kHashes = 4;
+  static constexpr TimeUs kHold = 300 * kMillisecond;
 
   void ArmForwardTimer() {
     if (forward_timer_) return;
-    forward_timer_ = After(hold_, [this]() {
+    forward_timer_ = After(kHold, [this]() {
       forward_timer_ = 0;
       if (!pending_) return;
-      std::string wire = pending_->Serialize();
-      MeterNet(1, wire.size());
-      cx_->dht->Send(ns_, "filter", cx_->NextSuffix(), std::move(wire),
-                     cx_->query_lifetime);
+      Send(ns_, "filter", pending_->Serialize());
       pending_.reset();
     });
   }
 
   std::string col_, ns_;
-  TimeUs hold_ = 300 * kMillisecond;
   std::unique_ptr<BloomFilter> filter_;
   std::unique_ptr<BloomFilter> pending_;  // upcall-intercepted, awaiting merge
   std::unique_ptr<BloomFilter> owner_merged_;  // rendezvous-owner merge
@@ -322,7 +306,6 @@ class BloomProbeOp : public Operator {
   }
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
-    stats_.consumed += batch.num_rows();
     if (!ready_) {
       buf_.emplace_back(tag, batch.EnsureOwned());  // outlives this call
       return;
@@ -334,23 +317,20 @@ class BloomProbeOp : public Operator {
 
  private:
   void FetchFilter() {
-    MeterNet(1, ns_.size() + sizeof("filter"));
-    cx_->dht->Get(ns_, "filter",
-                  Guarded([this](const Status&, std::vector<DhtItem> items) {
-                    for (const DhtItem& item : items) {
-                      Result<BloomFilter> f = BloomFilter::Deserialize(item.value);
-                      if (!f.ok()) continue;
-                      if (!filter_) {
-                        filter_ =
-                            std::make_unique<BloomFilter>(std::move(*f));
-                      } else {
-                        filter_->Merge(*f).ok();  // geometry mismatch: skip
-                      }
-                    }
-                    ready_ = true;
-                    for (auto& [tag, b] : buf_) Probe(tag, b);
-                    buf_.clear();
-                  }));
+    Get(ns_, "filter", [this](const Status&, std::vector<DhtItem> items) {
+      for (const DhtItem& item : items) {
+        Result<BloomFilter> f = BloomFilter::Deserialize(item.value);
+        if (!f.ok()) continue;
+        if (!filter_) {
+          filter_ = std::make_unique<BloomFilter>(std::move(*f));
+        } else {
+          filter_->Merge(*f).ok();  // geometry mismatch: skip
+        }
+      }
+      ready_ = true;
+      for (auto& [tag, b] : buf_) Probe(tag, b);
+      buf_.clear();
+    });
   }
 
   /// Pass the rows that may match (all of them without a filter).
@@ -386,16 +366,9 @@ class BloomProbeOp : public Operator {
 
 }  // namespace
 
-Tuple JoinTuples(const Tuple& l, const Tuple& r, const std::string& out_table,
-                 bool qualify) {
+Tuple JoinTuples(const Tuple& l, const Tuple& r,
+                 const std::string& out_table) {
   Tuple out(out_table);
-  if (qualify) {
-    for (const Column& c : l.columns())
-      out.Append(l.table() + "." + c.name, c.value);
-    for (const Column& c : r.columns())
-      out.Append(r.table() + "." + c.name, c.value);
-    return out;
-  }
   for (const Column& c : l.columns()) out.Append(c.name, c.value);
   for (const Column& c : r.columns()) {
     if (!out.Has(c.name)) out.Append(c.name, c.value);

@@ -35,10 +35,7 @@ class SourceOp : public Operator {
   void OnOpen() override {
     // Produce asynchronously: real access methods never emit inside Open.
     After(0, [this]() {
-      for (const TupleBatch& b : batches_) {
-        stats_.consumed += b.num_rows();
-        PushBatch(0, b);
-      }
+      for (const TupleBatch& b : batches_) PushBatch(0, b);
     });
   }
 
@@ -61,7 +58,6 @@ class SelectionOp : public Operator {
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     std::vector<uint32_t> keep_rows;
     keep_rows.reserve(n);
     for (size_t r = 0; r < n; ++r) {
@@ -112,7 +108,6 @@ class ProjectionOp : public Operator {
       if (idx >= 0) keep.push_back(idx);
     }
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     auto schema = std::make_shared<BatchSchema>();
     schema->table = out_table_.empty() ? in.table : out_table_;
     for (int idx : keep) schema->columns.push_back(in.columns[idx]);
@@ -158,7 +153,6 @@ class TeeOp : public Operator {
  public:
   using Operator::Operator;
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
-    stats_.consumed += batch.num_rows();
     PushBatch(tag, batch);
   }
 };
@@ -176,7 +170,6 @@ class UnionOp : public Operator {
   }
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
-    stats_.consumed += batch.num_rows();
     PushBatch(tag, out_table_.empty() ? batch : batch.WithTable(out_table_));
   }
 
@@ -198,7 +191,6 @@ class DupElimOp : public Operator {
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     std::vector<uint32_t> fresh_rows;
     fresh_rows.reserve(n);
     for (size_t r = 0; r < n; ++r) {
@@ -243,7 +235,6 @@ class QueueOp : public Operator {
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     if (buffered_rows_ >= max_size_) {
       dropped_ += n;  // back-pressure by shedding, never by blocking
       return;
@@ -323,7 +314,6 @@ class LimitOp : public Operator {
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     if (passed_ >= k_) return;
     size_t take = std::min(n, static_cast<size_t>(k_ - passed_));
     passed_ += static_cast<int64_t>(take);
@@ -352,7 +342,6 @@ class ControlOp : public Operator {
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     if (!paused_) {
       PushBatch(tag, batch);
       return;
@@ -393,20 +382,18 @@ class MaterializerOp : public Operator {
     ns_ = spec_.GetString("ns");
     if (ns_.empty()) return Status::InvalidArgument("materializer needs ns");
     key_attrs_ = spec_.GetStrings("key");
-    lifetime_ = spec_.GetInt("lifetime_ms", 0) * kMillisecond;
-    if (lifetime_ <= 0) lifetime_ = cx_->query_lifetime;
     return Status::Ok();
   }
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     for (size_t r = 0; r < n; ++r) {
       ObjectName name;
       name.ns = ns_;
       name.key = batch.RowPartitionKey(r, key_attrs_);
       name.suffix = cx_->NextSuffix();
-      cx_->dht->StoreLocal(std::move(name), batch.EncodeRow(r), lifetime_);
+      cx_->dht->StoreLocal(std::move(name), batch.EncodeRow(r),
+                           cx_->query_lifetime);
     }
     PushBatch(tag, batch);
   }
@@ -419,7 +406,6 @@ class MaterializerOp : public Operator {
  private:
   std::string ns_;
   std::vector<std::string> key_attrs_;
-  TimeUs lifetime_ = 0;
 };
 
 }  // namespace

@@ -150,6 +150,9 @@ Status QueryPlan::Validate() const {
     if (!gids.insert(g.id).second)
       return Status::InvalidArgument("duplicate graph id");
     PIER_RETURN_IF_ERROR(g.Validate());
+    if (!continuous &&
+        (g.flush_stage < 0 || g.flush_stage > OpGraph::kMaxFlushStage))
+      return Status::InvalidArgument("snapshot flush stage outside 0-2");
   }
   if (timeout <= 0) return Status::InvalidArgument("non-positive timeout");
   if (deadline_us < 0) return Status::InvalidArgument("negative deadline");

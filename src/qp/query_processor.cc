@@ -46,11 +46,9 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht) : vri_(vri), dht_(dht) {
         WireReader r(body);
         uint64_t qid;
         if (!r.GetU64(&qid).ok()) return;
-        auto it = clients_.find(qid);
-        if (it == clients_.end()) return;  // late flush after done/cancel
         std::map<QueryMeter::Key, OpCost> snapshot;
         if (QueryMeter::DecodeSnapshot(&r, &snapshot))
-          it->second.remote_costs[from] = std::move(snapshot);
+          NoteCosts(qid, from, std::move(snapshot));
       });
 
   // Answer batches from executing nodes.
@@ -329,7 +327,6 @@ void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
   client.done_timer = ArmDoneTimer(qid, remaining);
   clients_[qid] = std::move(client);
   BindQueryMetrics(&clients_[qid], qid);
-  PinLocalMeter(qid);
 
   // The wire metadata carries no graphs; the durable record supplies all of
   // them. Adoption is optimistic, and the record is also its correction: a
@@ -492,7 +489,6 @@ void QueryProcessor::Disseminate(const QueryPlan& plan) {
                       << " rejected: " << started.ToString();
     }
   }
-  PinLocalMeter(plan.query_id);
 }
 
 void QueryProcessor::HandleDisseminationBlob(std::string_view blob) {
@@ -510,7 +506,6 @@ void QueryProcessor::HandleDisseminationBlob(std::string_view blob) {
     PIER_LOG(kWarn) << "disseminated graphs for query " << plan->query_id
                     << " rejected: " << started.ToString();
   }
-  PinLocalMeter(plan->query_id);
 }
 
 void QueryProcessor::StartRangeGraph(const QueryPlan& plan, const OpGraph& g) {
@@ -612,7 +607,7 @@ void QueryProcessor::HandleAnswerBatchMsg(const NetAddress& from,
   // metering ship no block; a truncated block is dropped whole.
   std::map<QueryMeter::Key, OpCost> snapshot;
   if (QueryMeter::DecodeSnapshot(&r, &snapshot))
-    it->second.remote_costs[from] = std::move(snapshot);
+    NoteCosts(qid, from, std::move(snapshot));
   DeliverBatch(qid, *batch);
 }
 
@@ -621,8 +616,8 @@ QueryCostReport QueryProcessor::QueryCosts(uint64_t query_id) const {
   report.query_id = query_id;
   auto it = clients_.find(query_id);
   if (it == clients_.end()) return report;
-  // Fold the latest snapshot from every remote executor with the proxy's
-  // own local ledger, per (graph, op) slot.
+  // Fold the latest snapshot from every executor, plus the local executor's
+  // live ledger while the query still runs here, per (graph, op) slot.
   std::map<QueryMeter::Key, QueryCostOp> agg;
   auto fold = [&agg](const std::map<QueryMeter::Key, OpCost>& costs) {
     for (const auto& [key, cost] : costs) {
@@ -633,10 +628,8 @@ QueryCostReport QueryProcessor::QueryCosts(uint64_t query_id) const {
       slot.nodes++;
     }
   };
-  for (const auto& [addr, costs] : it->second.remote_costs) fold(costs);
-  std::shared_ptr<QueryMeter> local = it->second.local_meter;
-  if (!local) local = executor_->Meter(query_id);
-  if (local) fold(local->costs());
+  for (const auto& [addr, costs] : it->second.costs) fold(costs);
+  if (const QueryMeter* live = executor_->Meter(query_id)) fold(live->costs());
   for (auto& [key, slot] : agg) {
     report.total += slot.cost;
     report.ops.push_back(std::move(slot));
@@ -653,10 +646,11 @@ Status QueryProcessor::SetCostsCallback(uint64_t query_id, CostsCallback cb) {
   return Status::Ok();
 }
 
-void QueryProcessor::PinLocalMeter(uint64_t query_id) {
+void QueryProcessor::NoteCosts(uint64_t query_id, const NetAddress& from,
+                               std::map<QueryMeter::Key, OpCost> costs) {
   auto it = clients_.find(query_id);
-  if (it == clients_.end() || it->second.local_meter) return;
-  it->second.local_meter = executor_->Meter(query_id);
+  if (it == clients_.end()) return;  // late report after done/cancel
+  it->second.costs[from] = std::move(costs);
 }
 
 void QueryProcessor::EmitFinalCosts(ClientQuery* client, uint64_t query_id) {

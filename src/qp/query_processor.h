@@ -73,8 +73,8 @@ struct QueryCostOp {
   uint32_t nodes = 0;  // executors that reported this slot
 };
 
-/// Per-query actual-cost report assembled at the proxy: remote executors'
-/// piggybacked meter snapshots plus the proxy's own local ledger.
+/// Per-query actual-cost report assembled at the proxy: every executor's
+/// latest meter snapshot, the proxy's own executor's included.
 struct QueryCostReport {
   uint64_t query_id = 0;
   std::vector<QueryCostOp> ops;  // sorted by (graph_id, op_id)
@@ -222,15 +222,20 @@ class QueryProcessor {
   Dht* dht() { return dht_; }
   Vri* vri() { return vri_; }
 
-  // --- Per-query cost accounting (PR 7) ----------------------------------------
-  // Every operator meters tuples/messages/bytes into its query's ledger
-  // (qp/dataflow.h). Executors piggyback their ledger on answer forwarding
-  // as absolute per-op snapshots — idempotent, so a lost or reordered answer
-  // frame costs freshness, never correctness — and the proxy folds the
-  // latest snapshot per executor together with its own local ledger.
+  // --- Per-query cost accounting ---------------------------------------------
+  // Every operator's tuples are counted in its query's ledger
+  // (qp/dataflow.h) by PushBatch, and its network calls by the base
+  // Operator's Put/Send/Get; answer frames are charged where the executor
+  // sends them. Each executor reports its ledger as absolute per-op
+  // snapshots — piggybacked on answer frames, and once more at teardown —
+  // so a lost or reordered frame costs freshness, never correctness. Every
+  // snapshot, the proxy's own executor's included, arrives through
+  // NoteCosts; the proxy folds the latest one per executor.
 
-  /// The freshest aggregated cost picture of a query this node proxies.
-  /// Usable mid-flight; the final report also reaches the costs callback.
+  /// The freshest aggregated cost picture of a query this node proxies:
+  /// the snapshots noted so far plus, while the query still runs here, the
+  /// local executor's live ledger. Usable mid-flight; the final report also
+  /// reaches the costs callback.
   QueryCostReport QueryCosts(uint64_t query_id) const;
 
   /// Install a callback that receives the query's FINAL cost report just
@@ -262,7 +267,8 @@ class QueryProcessor {
 
  private:
   /// The executing half delivers a local proxy's answers via DeliverBatch
-  /// and repairs a missed swap via ReadDurablePlan.
+  /// and its final costs via NoteCosts, and repairs a missed swap via
+  /// ReadDurablePlan.
   friend class QueryExecutor;
 
   /// Namespace of a continuous query's one durable record, keyed by query
@@ -294,14 +300,9 @@ class QueryProcessor {
     /// lease refresh (RefreshTick). Both are released by Release().
     uint64_t done_timer = 0;
     uint64_t lease_timer = 0;
-    /// Latest piggybacked per-op meter snapshot from each remote executor
-    /// (absolute values: each frame replaces its sender's previous one).
-    std::map<NetAddress, std::map<QueryMeter::Key, OpCost>> remote_costs;
-    /// The proxy's own executor ledger, pinned while the query is live. The
-    /// executor tears its RunningQuery down at the deadline, before the
-    /// done timer folds final costs — holding the shared_ptr here keeps the
-    /// local contribution readable at that point.
-    std::shared_ptr<QueryMeter> local_meter;
+    /// Latest per-op meter snapshot from each executor, this node's own
+    /// included (absolute values: each replaces its sender's previous one).
+    std::map<NetAddress, std::map<QueryMeter::Key, OpCost>> costs;
     /// Fires with the final QueryCosts report at teardown.
     CostsCallback on_costs;
     /// Cached `pier_query_answers_total{qid=...}` handle (null: no registry).
@@ -344,10 +345,12 @@ class QueryProcessor {
   /// Fire the final cost report into `on_costs` (if installed) — called on
   /// every teardown path BEFORE the client record is erased.
   void EmitFinalCosts(ClientQuery* client, uint64_t query_id);
-  /// Capture the proxy's own executor ledger into the ClientQuery (no-op on
-  /// non-proxy nodes and once pinned). Every path that starts graphs on
-  /// this node for a query it proxies, and adoption, pins.
-  void PinLocalMeter(uint64_t query_id);
+  /// Keep `costs` as executor `from`'s latest snapshot of a query this node
+  /// proxies (ignored once the record ended): a kMsgQueryCosts frame, the
+  /// block piggybacked on an answer frame, or the local executor's
+  /// teardown report.
+  void NoteCosts(uint64_t query_id, const NetAddress& from,
+                 std::map<QueryMeter::Key, OpCost> costs);
   /// Mint/cache the per-query answers counter when a registry is attached.
   void BindQueryMetrics(ClientQuery* client, uint64_t query_id);
   void Disseminate(const QueryPlan& plan);

@@ -762,8 +762,10 @@ struct Compiler {
         g.Connect(tail, put.id, 0);
       }
 
+      // SymHashJoin emits as rows meet and never needs a flush, so every
+      // join graph shares stage 1 and a collector stays within stage 2.
       OpGraph& jg = plan.AddGraph();
-      jg.flush_stage = cstage + 1;
+      jg.flush_stage = 1;
       OpSpec& nd = jg.AddOp(OpKind::kNewData);
       nd.Set("ns", jns);
       ctail = nd.id;

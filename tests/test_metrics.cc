@@ -397,6 +397,86 @@ TEST(QueryMetering, MeteringOffMeansEmptyReport) {
   EXPECT_EQ(ea->actual.total.tuples_out, 0u);
 }
 
+uint64_t SumSends(SimPier* net) {
+  uint64_t sends = 0;
+  for (uint32_t i = 0; i < net->size(); ++i)
+    sends += net->dht(i)->stats().sends;
+  return sends;
+}
+
+/// Runs `plan` at node 0 to completion and returns the msgs the proxy's
+/// report charges to the one op of `kind`, with the nodes' summed
+/// Dht::Stats::sends delta over the query in `sends`.
+uint64_t OpMsgs(SimPier* net, QueryPlan plan, OpKind kind, uint64_t* sends) {
+  uint32_t graph_id = 0, op_id = 0;
+  for (const OpGraph& g : plan.graphs)
+    for (const OpSpec& op : g.ops)
+      if (op.kind == kind) graph_id = g.id, op_id = op.id;
+  EXPECT_NE(op_id, 0u) << OpKindName(kind) << " not in the plan";
+  const uint64_t before = SumSends(net);
+  auto q = net->client(0)->Query(std::move(plan));
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  if (!q.ok()) return 0;
+  EXPECT_FALSE(q->Collect().empty());
+  *sends = SumSends(net) - before;
+  auto ea = net->client(0)->ExplainAnalyze(*q);
+  EXPECT_TRUE(ea.ok() && ea->final);
+  if (!ea.ok()) return 0;
+  for (const QueryCostOp& op : ea->actual.ops)
+    if (op.graph_id == graph_id && op.op_id == op_id) return op.cost.msgs;
+  return 0;
+}
+
+// The hierarchical operators route every partial and every join record with
+// Dht::Send; each send is charged to the operator that made it, so the
+// report's msgs for the op equal the sends the DHTs counted.
+TEST(QueryMetering, HierarchicalSendsAreChargedToTheirOperator) {
+  SimPier net(16, PierOptions(306));
+  ASSERT_TRUE(net.catalog()
+                  ->Register(TableSpec("ev").PartitionBy({"id"}))
+                  .ok());
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("l").LocalOnly()).ok());
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("r").LocalOnly()).ok());
+  for (int i = 0; i < 200; ++i) {
+    Tuple t("ev");
+    t.Append("id", Value::Int64(i));
+    t.Append("g", Value::Int64(i % 10));
+    ASSERT_TRUE(net.client(i % net.size())->Publish("ev", t).ok());
+  }
+  for (int i = 0; i < 24; ++i) {
+    for (const char* side : {"l", "r"}) {
+      Tuple t(side);
+      t.Append("k", Value::Int64(i % 6));
+      ASSERT_TRUE(net.client((i * 5) % net.size())->Publish(side, t).ok());
+    }
+  }
+  net.RunFor(2 * kSecond);
+
+  auto agg = net.client(0)->Compile(
+      Sql("SELECT g, count(*) AS c FROM ev GROUP BY g TIMEOUT 8s")
+          .WithAggStrategy("hier"));
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  uint64_t sends = 0;
+  uint64_t msgs = OpMsgs(&net, std::move(*agg), OpKind::kHierAgg, &sends);
+  EXPECT_GT(sends, 0u);
+  EXPECT_EQ(msgs, sends) << "hieragg";
+
+  auto join = net.client(0)->Compile(Ufl(R"(
+    query { timeout = 8s; }
+    graph g broadcast {
+      a: scan [ns=l];
+      b: scan [ns=r];
+      j: hierjoin [l_key=k, r_key=k];
+      a -> j:0;
+      b -> j:1;
+    }
+  )"));
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  msgs = OpMsgs(&net, std::move(*join), OpKind::kHierJoin, &sends);
+  EXPECT_EQ(sends, 48u) << "one send per input row";
+  EXPECT_EQ(msgs, sends) << "hierjoin";
+}
+
 TEST(QueryMetering, PerQuerySeriesRetireWhenTheProxyRecordEnds) {
   SimPier net(2, PierOptions(305));
   ASSERT_TRUE(net.catalog()

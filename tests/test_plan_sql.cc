@@ -15,6 +15,7 @@
 #include "qp/opgraph.h"
 #include "qp/sim_pier.h"
 #include "qp/sql.h"
+#include "qp/ufl.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -75,6 +76,32 @@ TEST(OpGraph, JoinArityChecked) {
   mj.Set("r_table", "r");
   m.Connect(src_id, mj.id, 0);
   EXPECT_TRUE(m.Validate().ok());
+}
+
+// A snapshot graph of stage s flushes at (s+1)·timeout/4; from stage 3 on the
+// close timer comes first and the graph would never flush.
+TEST(QueryPlan, ValidateRefusesASnapshotFlushStageOutsideZeroToTwo) {
+  QueryPlan plan;
+  plan.timeout = 8 * kSecond;
+  OpGraph& g = plan.AddGraph();
+  g.AddOp(OpKind::kScan).Set("ns", "t");
+  for (int32_t stage : {0, 1, 2}) {
+    plan.graphs[0].flush_stage = stage;
+    EXPECT_TRUE(plan.Validate().ok()) << "stage " << stage;
+  }
+  for (int32_t stage : {-1, 3}) {
+    plan.graphs[0].flush_stage = stage;
+    EXPECT_EQ(plan.Validate().code(), StatusCode::kInvalidArgument)
+        << "stage " << stage;
+  }
+  plan.continuous = true;  // continuous graphs flush once per window
+  EXPECT_TRUE(plan.Validate().ok());
+
+  auto ufl = ParseUfl(R"(
+    query { timeout = 8s; }
+    graph g stage(3) { s: scan [ns=t]; o: result; s -> o; }
+  )");
+  EXPECT_EQ(ufl.status().code(), StatusCode::kInvalidArgument);
 }
 
 /// A plan that sets every encoded field, with a second graph whose PHT range

@@ -333,6 +333,56 @@ TEST(QpE2E, RehashSymmetricHashJoin) {
   }
 }
 
+// Two rehash steps and a collector: every join graph flushes at stage 1, so
+// the ORDER BY/LIMIT collector flushes at stage 2, before the close timer.
+TEST(QpE2E, OrderByLimitOverAThreeTableRehashJoin) {
+  SimPier net(16, PierOptions(59));
+  // Every table is partitioned on a column no join uses: both steps rehash.
+  for (const char* table : {"a", "b", "c"}) {
+    ASSERT_TRUE(
+        net.catalog()->Register(TableSpec(table).PartitionBy({"p"})).ok());
+  }
+  for (int i = 0; i < 40; ++i) {
+    Tuple a("a");
+    a.Append("p", Value::Int64(i));
+    a.Append("aid", Value::Int64(i));
+    a.Append("x", Value::Int64(i));
+    Tuple b("b");
+    b.Append("p", Value::Int64(i));
+    b.Append("y", Value::Int64(i));
+    b.Append("z", Value::Int64(100 + i));
+    Tuple c("c");
+    c.Append("p", Value::Int64(i));
+    c.Append("cid", Value::Int64(1000 + i));
+    c.Append("w", Value::Int64(100 + i));
+    ASSERT_TRUE(net.client(i % net.size())->Publish("a", a).ok());
+    ASSERT_TRUE(net.client((i + 5) % net.size())->Publish("b", b).ok());
+    ASSERT_TRUE(net.client((i + 9) % net.size())->Publish("c", c).ok());
+  }
+  net.RunFor(3 * kSecond);
+
+  auto plan = net.client(2)->Compile(
+      Sql("SELECT a.aid, c.cid FROM a, b, c WHERE a.x = b.y AND b.z = c.w "
+          "ORDER BY a.aid LIMIT 5 TIMEOUT 8s"));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  int join_graphs = 0;
+  for (const OpGraph& g : plan->graphs) {
+    EXPECT_LE(g.flush_stage, OpGraph::kMaxFlushStage);
+    for (const OpSpec& op : g.ops)
+      join_graphs += op.kind == OpKind::kSymHashJoin;
+  }
+  ASSERT_EQ(join_graphs, 2) << "two rehash steps";
+
+  auto q = net.client(2)->Query(std::move(*plan));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  std::vector<Tuple> rows = q->Collect();
+  ASSERT_EQ(rows.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(*rows[i].Get("aid"), Value::Int64(i));
+    EXPECT_EQ(*rows[i].Get("cid"), Value::Int64(1000 + i));
+  }
+}
+
 TEST(QpE2E, FetchMatchesJoinViaPrimaryIndex) {
   SimPier net(10, PierOptions(67));
   ASSERT_TRUE(

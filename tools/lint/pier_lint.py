@@ -36,11 +36,14 @@ are all invisible to the compiler and tedious for reviewers:
 
   op-resource     A direct event-loop or DHT registration call
                   (ScheduleEvent, CancelEvent, OnNewData, OnNewDataBatch,
-                  CancelNewData, RegisterUpcall, UnregisterUpcall) in an
-                  operator file, src/qp/op_*.cc. The base Operator owns every
-                  timer, subscription and upcall (After, Subscribe, CatchUp,
-                  Intercept) and releases them all in Close; a direct call
-                  is a resource that Close cannot see.
+                  CancelNewData, RegisterUpcall, UnregisterUpcall), or a
+                  direct DHT network call (dht->Send, SendToId, Get, Put,
+                  PutBatch, Renew), in an operator file, src/qp/op_*.cc. The
+                  base Operator owns every timer, subscription and upcall
+                  (After, Subscribe, CatchUp, Intercept) and releases them
+                  all in Close; a direct call is a resource that Close cannot
+                  see. Its Put, Send and Get charge the query's cost ledger;
+                  a direct network call is traffic the ledger cannot see.
 
   msg-type        Two direct-message type constants (`constexpr uint8_t
                   kMsg* = N`) in src/overlay or src/qp sharing a number, or
@@ -131,6 +134,11 @@ OP_RESOURCE_TOKENS = [
     (re.compile(r"\b%s\s*\(" % name), name + "()")
     for name in ("ScheduleEvent", "CancelEvent", "OnNewData", "OnNewDataBatch",
                  "CancelNewData", "RegisterUpcall", "UnregisterUpcall")
+] + [
+    # Anchored on `dht->`: the base's own Put/Send/Get and the local store's
+    # dht->objects()->Get stay clean.
+    (re.compile(r"\bdht\s*->\s*%s\s*\(" % name), "dht->" + name + "()")
+    for name in ("Send", "SendToId", "Get", "Put", "PutBatch", "Renew")
 ]
 
 # Direct-message type constants, and the README table that lists them.
@@ -679,7 +687,8 @@ def lint_text(path, raw_text, effective_path=None, consts=None, fields=None):
             path, text, OP_RESOURCE_TOKENS, "op-resource",
             "operators acquire timers, subscriptions and upcalls through the "
             "base Operator (After/Subscribe/CatchUp/Intercept), which releases "
-            "them in Close", diags)
+            "them in Close, and reach the network through its Put/Send/Get, "
+            "which charge the query's cost ledger", diags)
 
     return drop_suppressed(diags, suppressed)
 

@@ -1,8 +1,8 @@
 // pier-lint-test: pretend-path=src/qp/op_fixture.cc
-// Fixture: an operator file that leaves every resource to the base Operator
-// — must lint clean. Mentions in comments and strings, and identifiers that
-// merely contain a banned name, do not count. (Fixtures are linted, never
-// compiled.)
+// Fixture: an operator file that leaves every resource and network call to
+// the base Operator — must lint clean. Mentions in comments and strings,
+// and identifiers that merely contain a banned name, do not count.
+// (Fixtures are linted, never compiled.)
 
 #include "qp/dataflow.h"
 
@@ -18,8 +18,11 @@ class WellBehavedOp : public Operator {
       return UpcallAction::kContinue;
     });
     CatchUp(ns_, 0, [this](const std::vector<FeedItem>&) { Fire(); });
-    cx_->dht->Get(ns_, "k", Guarded([this](const Status&,
-                                           std::vector<DhtItem>) { Fire(); }));
+    Get(ns_, "k", [this](const Status&, std::vector<DhtItem>) { Fire(); });
+    Send(ns_, "k", "v");
+    Put(std::vector<DhtPutItem>());
+    // The local store is no network call.
+    if (cx_->dht->objects()->Get(ns_, "k").empty()) Fire();
     CancelTimer(timer_);
     Log("the base calls OnNewDataBatch( and CancelNewData( for us");
     NoteScheduleEventCount(1);

@@ -1,8 +1,8 @@
 // pier-lint-test: pretend-path=src/qp/op_fixture.cc
-// Fixture: an operator file acquiring event-loop and DHT resources directly
-// instead of through the base Operator's helpers — every such call is a
-// finding, whatever happens to the token. (Fixtures are linted, never
-// compiled.)
+// Fixture: an operator file acquiring event-loop and DHT resources, or
+// reaching the network, directly instead of through the base Operator's
+// helpers — every such call is a finding, whatever happens to the token.
+// (Fixtures are linted, never compiled.)
 
 #include "qp/dataflow.h"
 
@@ -25,6 +25,18 @@ class HandRolledOp : public Operator {
     cx_->vri->CancelEvent(timer_);  // expect: op-resource
     cx_->dht->CancelNewData(sub_);  // expect: op-resource
     cx_->dht->UnregisterUpcall(ns_);  // expect: op-resource
+  }
+
+  // Network calls around the base's Put/Send/Get: traffic the query's cost
+  // ledger never sees.
+  void Ship(std::vector<DhtPutItem> items, std::string value,
+            Dht::GetCallback cb) {
+    cx_->dht->Send(ns_, "k", "s", value, 0);  // expect: op-resource
+    cx_->dht->SendToId(Id(), ns_, "k", "s", value, 0);  // expect: op-resource
+    cx_->dht->Get(ns_, "k", std::move(cb));  // expect: op-resource
+    cx_->dht->Put(ns_, "k", "s", std::move(value), 0);  // expect: op-resource
+    cx_->dht->PutBatch(std::move(items));  // expect: op-resource
+    cx_->dht->Renew(ns_, "k", "s", 0, nullptr);  // expect: op-resource
   }
 
  private:
