@@ -147,10 +147,12 @@ Outcome RunStrategy(const std::string& strategy, double sigma, uint64_t seed,
       scan.Set("ns", "r");
       uint32_t tail = scan.id;
       if (strategy == "bloom") {
+        // The probe fetches the filter at its graph's first flush: stage 1,
+        // a stage after the S side's flush put the filter.
+        g.flush_stage = 1;
         OpSpec& bp = g.AddOp(OpKind::kBloomProbe);
         bp.Set("col", "x");
         bp.Set("ns", fns);
-        bp.SetInt("wait_ms", 6000);
         g.Connect(tail, bp.id, 0);
         tail = bp.id;
       }

@@ -16,14 +16,15 @@
 //      back with plain SQL. FAIL unless every published counter/gauge
 //      sample comes back with exactly the published value.
 //
-//   3. EXPLAIN ANALYZE: a rehash symmetric-hash join, then a hierarchical
-//      GROUP BY (whose partials travel as hop-by-hop DHT sends), run to
+//   3. EXPLAIN ANALYZE: a rehash symmetric-hash join, a hierarchical
+//      GROUP BY (whose partials travel as hop-by-hop DHT sends), then a
+//      Bloom join (filter puts, one filter get per probing node), run to
 //      completion, and each per-query cost report is checked against wire
 //      traffic counted by the DHT and query processor themselves (Δputs +
-//      Δsends + Δ forwarded answer frames, and the answer-bytes histogram's
-//      frame count and sum) — ledgers the operator meters never touch.
-//      FAIL if messages or answer bytes disagree by more than 10% for
-//      either query.
+//      Δsends + Δgets + Δ forwarded answer frames, and the answer-bytes
+//      histogram's frame count and sum) — ledgers the operator meters never
+//      touch. FAIL if messages or answer bytes disagree by more than 10%
+//      for any of the three.
 //
 // PIER_BENCH_JSON=<path> writes the (virtual-time deterministic) metrics as
 // JSON; CI diffs it against the committed bench/BENCH_metrics.json.
@@ -111,11 +112,11 @@ std::string Scrape(SimPier* net, uint32_t from, uint32_t target) {
   return body;
 }
 
-/// Wire traffic counted outside the operator meters: DHT puts and sends,
-/// and the forwarded answer frames and their bytes (the answer-bytes
+/// Wire traffic counted outside the operator meters: DHT puts, sends and
+/// gets, and the forwarded answer frames and their bytes (the answer-bytes
 /// histogram observes one sample per frame).
 struct WireCount {
-  uint64_t puts = 0, sends = 0, answer_frames = 0;
+  uint64_t puts = 0, sends = 0, gets = 0, answer_frames = 0;
   double answer_bytes = 0;
 };
 
@@ -125,6 +126,7 @@ WireCount CountWire(SimPier* net) {
     Dht::Stats d = net->dht(i)->stats();
     w.puts += d.puts;
     w.sends += d.sends;
+    w.gets += d.gets;
     for (const MetricSample& s : net->metrics(i)->Snapshot()) {
       if (s.name != "pier_query_answer_bytes") continue;
       w.answer_frames += s.count;
@@ -154,6 +156,7 @@ MeterCheck CheckMeter(const std::string& what,
   m.meter_msgs = ea->actual.total.msgs;
   m.independent_msgs = (after.puts - before.puts) +
                        (after.sends - before.sends) +
+                       (after.gets - before.gets) +
                        (after.answer_frames - before.answer_frames);
   for (const QueryCostOp& op : ea->actual.ops)
     if (op.graph_id == QueryMeter::kAnswerSlot.first &&
@@ -387,6 +390,37 @@ void Run() {
       CheckMeter("hier GROUP BY", net.client(4)->ExplainAnalyze(*hq), before,
                  CountWire(&net));
 
+  // A Bloom join over r and s: every node puts its filter to the filter's
+  // owner and, a stage later, gets the merged filter back. The meter must
+  // count the puts and the gets.
+  before = CountWire(&net);
+  auto bq = net.client(4)->Query(Ufl(R"(
+    query { timeout = 10s; }
+    graph build broadcast {
+      s: scan [ns=s]; c: bloomcreate [col=y, ns=e16.bloom, bits=4096];
+      p: put [ns=e16.join, key=y];
+      s -> c; s -> p;
+    }
+    graph probe stage(1) {
+      s: scan [ns=r]; b: bloomprobe [col=x, ns=e16.bloom];
+      p: put [ns=e16.join, key=x];
+      s -> b -> p;
+    }
+    graph join stage(1) {
+      n: newdata [ns=e16.join];
+      j: shjoin [l_key=x, r_key=y, l_table=r, r_table=s];
+      o: result;
+      n -> j -> o;
+    }
+  )"));
+  size_t bloom_matches = bench::Check(bq, "Bloom join").Collect().size();
+  if (bloom_matches != 8)
+    Fail("Bloom join returned " + std::to_string(bloom_matches) +
+         " matches, expected 8");
+  MeterCheck bloom =
+      CheckMeter("Bloom join", net.client(4)->ExplainAnalyze(*bq), before,
+                 CountWire(&net));
+
   if (const char* path = std::getenv("PIER_BENCH_JSON")) {
     std::FILE* f = std::fopen(path, "w");
     if (!f) {
@@ -407,10 +441,16 @@ void Run() {
                    join.answer_bytes);
       std::fprintf(f,
                    "  \"hier_groups\": %zu, \"hier_meter_msgs\": %llu, "
-                   "\"hier_independent_msgs\": %llu\n",
+                   "\"hier_independent_msgs\": %llu,\n",
                    groups.size(),
                    static_cast<unsigned long long>(hier.meter_msgs),
                    static_cast<unsigned long long>(hier.independent_msgs));
+      std::fprintf(f,
+                   "  \"bloom_matches\": %zu, \"bloom_meter_msgs\": %llu, "
+                   "\"bloom_independent_msgs\": %llu\n",
+                   bloom_matches,
+                   static_cast<unsigned long long>(bloom.meter_msgs),
+                   static_cast<unsigned long long>(bloom.independent_msgs));
       std::fprintf(f, "}\n");
       std::fclose(f);
     }

@@ -54,9 +54,10 @@ Cost CostModel::BloomJoin(const TableStats& probed,
   double containment =
       std::min(1.0, builder.distinct / std::max(1.0, probed.distinct));
   double pass = std::min(1.0, containment + p_.bloom_fp);
-  // Builder side ships in full; its filters travel up the tree (in-network
-  // OR-combining: ~one message per contributing node); every probing node
-  // fetches the merged filter; survivors of the probe rehash.
+  // Builder side ships in full; every contributing node puts its filter to
+  // the owner, which merges them (one message per contributor, as a warm
+  // put costs); every probing node fetches the merged filter; survivors of
+  // the probe rehash.
   Cost c = DhtPut(static_cast<double>(builder.tuples), builder.mean_bytes);
   c += Cost{build_nodes, build_nodes * filter_bytes};
   c += DhtGet(probe_nodes, filter_bytes);

@@ -98,8 +98,8 @@ TableStats Optimizer::StatsFor(const JoinInput& input) const {
 }
 
 Result<std::vector<JoinStep>> Optimizer::PlanJoins(
-    const std::vector<JoinInput>& inputs,
-    const std::vector<JoinEdge>& edges) const {
+    const std::vector<JoinInput>& inputs, const std::vector<JoinEdge>& edges,
+    bool continuous) const {
   if (inputs.size() < 2)
     return Status::InvalidArgument("join planning needs at least two tables");
   for (const JoinInput& in : inputs) {
@@ -112,7 +112,8 @@ Result<std::vector<JoinStep>> Optimizer::PlanJoins(
 
   // Every strategy applicable to (outer -> inner); rehash always works,
   // Fetch Matches needs the inner published on the join attribute, the Bloom
-  // rewrite builds the filter over the inner and prunes the outer.
+  // rewrite (snapshot plans only) builds the filter over the inner and
+  // prunes the outer.
   auto candidates = [&](const TableStats& outer_st, int inner_idx,
                         const std::string& inner_col) {
     std::vector<std::pair<JoinStrategy, Cost>> v;
@@ -123,8 +124,10 @@ Result<std::vector<JoinStep>> Optimizer::PlanJoins(
       v.emplace_back(JoinStrategy::kFetchMatches,
                      model_.FetchMatchesJoin(outer_st, inner_st));
     }
-    v.emplace_back(JoinStrategy::kBloom,
-                   model_.BloomJoin(outer_st, inner_st));
+    if (!continuous) {
+      v.emplace_back(JoinStrategy::kBloom,
+                     model_.BloomJoin(outer_st, inner_st));
+    }
     return v;
   };
   auto best_of = [&](const std::vector<std::pair<JoinStrategy, Cost>>& v) {

@@ -8,7 +8,8 @@
 //
 //   - join strategy per join: rehash-both (symmetric hash), per-probe Fetch
 //     Matches (only when the inner's primary index IS the join attribute),
-//     or a Bloom semi-join prefilter in front of the rehash;
+//     or (snapshot plans only) a Bloom semi-join prefilter in front of the
+//     rehash;
 //   - join order for multi-way joins (greedy, cheapest next);
 //   - flat two-phase vs hierarchical (tree) aggregation.
 //
@@ -119,10 +120,12 @@ class Optimizer {
   bool HasUsableStats(const std::string& table) const;
 
   /// Choose join order and per-step strategy. Falls back to
-  /// DefaultJoinSteps when any input lacks usable statistics.
-  Result<std::vector<JoinStep>> PlanJoins(
-      const std::vector<JoinInput>& inputs,
-      const std::vector<JoinEdge>& edges) const;
+  /// DefaultJoinSteps when any input lacks usable statistics. The Bloom
+  /// rewrite is offered to snapshot plans only: its probe fetches the filter
+  /// once, so it cannot prefilter a continuous stream.
+  Result<std::vector<JoinStep>> PlanJoins(const std::vector<JoinInput>& inputs,
+                                          const std::vector<JoinEdge>& edges,
+                                          bool continuous) const;
 
   /// Choose flat vs hierarchical aggregation over `table`. Returns an empty
   /// strategy when stats are missing (caller keeps its default).

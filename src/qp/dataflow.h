@@ -13,8 +13,9 @@
 // the executor drives (QueryExecutor::ArmStageFlush): a snapshot graph of
 // flush stage s flushes once, at start + (s+1)·step, where step is
 // timeout/4 — so stage-0 partials land before stage-1 finals flush;
-// continuous graphs flush once per window. There are no EOFs, by design
-// (§3.3.2).
+// continuous graphs flush once per window. A Flush also starts a Bloom
+// probe's one fetch of its filter, a stage after the build's flush put it.
+// There are no EOFs, by design (§3.3.2).
 //
 // Lifecycle: Init (parse params) -> Open (children first, then OnOpen) ->
 // ProcessBatch / Flush -> Close. The base Operator owns every event-loop

@@ -53,8 +53,7 @@ class ScanOp : public Operator {
 /// published into the DHT partitioned by its key attributes: the DHT resolves
 /// the owner (from the router's owner cache once warm) and stores there with
 /// one direct message (Figure 6). Operators that need upcalls en route
-/// (hierarchical aggregation and join, the Bloom operators) use the base
-/// Operator's Send instead.
+/// (hierarchical aggregation and join) use the base Operator's Send instead.
 class PutOp : public Operator {
  public:
   using Operator::Operator;

@@ -185,12 +185,9 @@ class FetchMatchesOp : public Operator {
 };
 
 /// bloomcreate[col=?, ns=?, bits=?]: fold the input column into a Bloom
-/// filter (kHashes hash functions); on Flush, route the filter toward the
-/// owner of ("<ns>", "filter"). Filters are ORed *in-network*: intermediate
-/// nodes intercept them with an upcall, merge into a pending filter, and
-/// forward one combined filter after kHold (the same tree combining as
-/// hierarchical aggregation), so the owner stores O(fanout) filter objects
-/// instead of one per node and probers fetch a few kilobytes, not N.
+/// filter (kHashes hash functions); on Flush, put the filter to the owner of
+/// ("<ns>", "filter"), one message per contributing node. The owner merges
+/// every arrival into ONE object, so probers fetch a few kilobytes, not N.
 class BloomCreateOp : public Operator {
  public:
   using Operator::Operator;
@@ -203,20 +200,6 @@ class BloomCreateOp : public Operator {
       return Status::InvalidArgument("bloomcreate needs col and ns");
     size_t bits = static_cast<size_t>(spec_.GetInt("bits", 8192));
     filter_ = std::make_unique<BloomFilter>(bits, kHashes);
-
-    Intercept(ns_, [this](const RouteInfo&, std::string* payload) {
-      Result<Dht::WireObject> obj = Dht::DecodeObject(*payload);
-      if (!obj.ok()) return UpcallAction::kContinue;
-      Result<BloomFilter> f = BloomFilter::Deserialize(obj->value);
-      if (!f.ok()) return UpcallAction::kContinue;
-      if (!pending_) {
-        pending_ = std::make_unique<BloomFilter>(std::move(*f));
-      } else if (!pending_->Merge(*f).ok()) {
-        return UpcallAction::kContinue;  // geometry mismatch: pass along
-      }
-      ArmForwardTimer();
-      return UpcallAction::kDrop;
-    });
 
     // Owner-side merging: filters that reach the rendezvous owner are
     // merged into ONE object (the partials are removed locally), so probers
@@ -256,37 +239,26 @@ class BloomCreateOp : public Operator {
     if (added_ == 0 && flushed_) return;  // nothing new to report
     flushed_ = true;
     added_ = 0;
-    Send(ns_, "filter", filter_->Serialize());
+    Put({DhtPutItem{ns_, "filter", cx_->NextSuffix(), filter_->Serialize(),
+                    cx_->query_lifetime, cx_->replicas}});
   }
 
  private:
   static constexpr const char* kMergedSuffix = "!merged";
   static constexpr int kHashes = 4;
-  static constexpr TimeUs kHold = 300 * kMillisecond;
-
-  void ArmForwardTimer() {
-    if (forward_timer_) return;
-    forward_timer_ = After(kHold, [this]() {
-      forward_timer_ = 0;
-      if (!pending_) return;
-      Send(ns_, "filter", pending_->Serialize());
-      pending_.reset();
-    });
-  }
 
   std::string col_, ns_;
   std::unique_ptr<BloomFilter> filter_;
-  std::unique_ptr<BloomFilter> pending_;  // upcall-intercepted, awaiting merge
   std::unique_ptr<BloomFilter> owner_merged_;  // rendezvous-owner merge
   uint64_t added_ = 0;
   bool flushed_ = false;
-  uint64_t forward_timer_ = 0;
 };
 
-/// bloomprobe[col=?, ns=?, wait_ms=?]: buffer batches until the published
-/// filters are fetched (one get against the rendezvous key), then let only
-/// probable matches through. Fails open: if no filter shows up by the
-/// deadline, everything passes (a Bloom join must never lose results).
+/// bloomprobe[col=?, ns=?]: buffer batches until the published filter is
+/// fetched (one get against the rendezvous key, on the graph's first Flush:
+/// a snapshot plan stages the probe's graph after its build's, so the build
+/// side has flushed by then), then let only probable matches through. Fails
+/// open: if no filter comes back, everything passes.
 class BloomProbeOp : public Operator {
  public:
   using Operator::Operator;
@@ -297,12 +269,7 @@ class BloomProbeOp : public Operator {
     ns_ = spec_.GetString("ns");
     if (col_.empty() || ns_.empty())
       return Status::InvalidArgument("bloomprobe needs col and ns");
-    wait_ = spec_.GetInt("wait_ms", 2000) * kMillisecond;
     return Status::Ok();
-  }
-
-  void OnOpen() override {
-    After(wait_, [this]() { FetchFilter(); });
   }
 
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
@@ -313,10 +280,9 @@ class BloomProbeOp : public Operator {
     Probe(tag, batch);
   }
 
-  void OnClose() override { buf_.clear(); }
-
- private:
-  void FetchFilter() {
+  void Flush() override {
+    if (fetching_) return;
+    fetching_ = true;
     Get(ns_, "filter", [this](const Status&, std::vector<DhtItem> items) {
       for (const DhtItem& item : items) {
         Result<BloomFilter> f = BloomFilter::Deserialize(item.value);
@@ -333,6 +299,9 @@ class BloomProbeOp : public Operator {
     });
   }
 
+  void OnClose() override { buf_.clear(); }
+
+ private:
   /// Pass the rows that may match (all of them without a filter).
   void Probe(uint32_t tag, const TupleBatch& batch) {
     const int idx = batch.schema()->Index(col_);
@@ -358,7 +327,7 @@ class BloomProbeOp : public Operator {
   }
 
   std::string col_, ns_;
-  TimeUs wait_ = 2 * kSecond;
+  bool fetching_ = false;
   bool ready_ = false;
   std::unique_ptr<BloomFilter> filter_;
   std::vector<std::pair<uint32_t, TupleBatch>> buf_;

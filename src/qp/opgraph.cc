@@ -154,6 +154,25 @@ Status QueryPlan::Validate() const {
         (g.flush_stage < 0 || g.flush_stage > OpGraph::kMaxFlushStage))
       return Status::InvalidArgument("snapshot flush stage outside 0-2");
   }
+  // A Bloom probe fetches its filter once, on its graph's first flush: it
+  // needs a snapshot plan whose build side flushed a stage before it. A
+  // probe with no build in the plan fails open.
+  for (const OpGraph& probe_g : graphs) {
+    for (const OpSpec& probe : probe_g.ops) {
+      if (probe.kind != OpKind::kBloomProbe) continue;
+      if (continuous)
+        return Status::InvalidArgument("bloomprobe in a continuous plan");
+      for (const OpGraph& build_g : graphs) {
+        for (const OpSpec& build : build_g.ops) {
+          if (build.kind == OpKind::kBloomCreate &&
+              build.GetString("ns") == probe.GetString("ns") &&
+              build_g.flush_stage >= probe_g.flush_stage)
+            return Status::InvalidArgument(
+                "bloomprobe flushes no later than the bloomcreate it reads");
+        }
+      }
+    }
+  }
   if (timeout <= 0) return Status::InvalidArgument("non-positive timeout");
   if (deadline_us < 0) return Status::InvalidArgument("negative deadline");
   if (window < 0) return Status::InvalidArgument("negative window");

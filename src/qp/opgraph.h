@@ -111,10 +111,11 @@ struct OpGraph {
   int64_t dissem_hi = 0;
   /// Snapshot-flush staging: a graph flushes at timeout/4 * (stage + 1),
   /// so downstream stages of a multi-graph pipeline (partial aggregation ->
-  /// final -> top-k) flush after their inputs' state has arrived. A snapshot
-  /// plan uses stages 0 to kMaxFlushStage: stage 3 would flush at the
-  /// timeout itself, where the close timer wins (QueryPlan::Validate
-  /// refuses it).
+  /// final -> top-k, Bloom build -> the probe's filter fetch) flush after
+  /// their inputs' state has arrived. A snapshot plan uses stages 0 to
+  /// kMaxFlushStage: stage 3 would flush at the timeout itself, where the
+  /// close timer wins (QueryPlan::Validate refuses it, and a bloomprobe
+  /// staged no later than its bloomcreate).
   static constexpr int32_t kMaxFlushStage = 2;
   int32_t flush_stage = 0;
 

@@ -646,8 +646,9 @@ struct Compiler {
     }
     PIER_ASSIGN_OR_RETURN(
         std::vector<JoinStep> steps,
-        options.optimizer ? options.optimizer->PlanJoins(inputs, mj.edges)
-                          : DefaultJoinSteps(inputs, mj.edges));
+        options.optimizer
+            ? options.optimizer->PlanJoins(inputs, mj.edges, q.continuous)
+            : DefaultJoinSteps(inputs, mj.edges));
     if (explain_ != nullptr) explain_->joins = steps;
 
     // Unused equi-join edges (cycles in the join graph) become residual
@@ -664,10 +665,6 @@ struct Compiler {
           false});
     }
 
-    // Bloom probes buffer until the filter arrives; give the build side a
-    // quarter of the query lifetime before the probe fetches.
-    int64_t bloom_wait_ms = std::clamp<int64_t>(
-        plan.timeout / (4 * kMillisecond), 500, 8000);
     int64_t bloom_bits =
         options.optimizer != nullptr
             ? static_cast<int64_t>(
@@ -735,10 +732,12 @@ struct Compiler {
       std::string jns = Ns("join" + ns_suffix);
       std::string fns = Ns("bloom" + ns_suffix);
       if (bloom) {
+        // The probe fetches the filter on its graph's first flush, one
+        // stage after the build side's stage-0 flush published it.
         OpSpec& bp = Then(cg, &ctail, OpKind::kBloomProbe);
         bp.Set("col", s.outer_col);
         bp.Set("ns", fns);
-        bp.SetInt("wait_ms", bloom_wait_ms);
+        cg->flush_stage = std::max<int32_t>(cg->flush_stage, 1);
       }
       OpSpec& outer_put = Then(cg, &ctail, OpKind::kPut);
       outer_put.Set("ns", jns);

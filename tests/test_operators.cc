@@ -815,7 +815,6 @@ TEST(BatchEquivalence, BloomProbeFailsOpenWithoutAFilter) {
   OpSpec probe(0, OpKind::kBloomProbe);
   probe.Set("col", "a");
   probe.Set("ns", "bf_none");
-  probe.SetInt("wait_ms", 300);
   ExpectBatchEquivalence({probe}, {RandomRows(92, 150), RandomRows(93, 150)},
                          Golden{0x229cbf61c9669fce, 277});
 }

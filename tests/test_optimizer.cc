@@ -258,7 +258,7 @@ TEST(Optimizer, SmallProbeLargeIndexedBuildPicksFetchMatches) {
   std::vector<JoinInput> inputs = {{"probe", {"k"}, false},
                                    {"build", {"j"}, false}};
   std::vector<JoinEdge> edges = {{0, 1, "j", "j"}};
-  auto steps = opt.PlanJoins(inputs, edges);
+  auto steps = opt.PlanJoins(inputs, edges, /*continuous=*/false);
   ASSERT_TRUE(steps.ok()) << steps.status().ToString();
   ASSERT_EQ(steps->size(), 1u);
   const JoinStep& s = (*steps)[0];
@@ -278,8 +278,10 @@ TEST(Optimizer, StrategyFlipsAcrossBloomCrossover) {
   // Fat probed side, neither side indexed on the join column. With a tiny
   // builder key set the Bloom prefilter pays for itself; as the builder's
   // distinct count approaches the probed side's, the filter prunes nothing
-  // and plain rehash wins.
-  auto plan_with_builder_distinct = [](int builder_distinct) {
+  // and plain rehash wins. A continuous plan is never offered Bloom: its
+  // probe would fetch the filter once, while the build side still streams.
+  auto plan_with_builder_distinct = [](int builder_distinct,
+                                       bool continuous = false) {
     StatsRegistry reg;
     Seed(&reg, "big", 4000, 4000, 200);
     Seed(&reg, "small", 4000, builder_distinct, 8);
@@ -287,9 +289,11 @@ TEST(Optimizer, StrategyFlipsAcrossBloomCrossover) {
     std::vector<JoinInput> inputs = {{"big", {"pk"}, false},
                                      {"small", {"pk"}, false}};
     std::vector<JoinEdge> edges = {{0, 1, "x", "y"}};
-    auto steps = opt.PlanJoins(inputs, edges);
+    auto steps = opt.PlanJoins(inputs, edges, continuous);
     EXPECT_TRUE(steps.ok());
     EXPECT_EQ(steps->size(), 1u);
+    for (const auto& [strategy, cost] : (*steps)[0].alternatives)
+      EXPECT_TRUE(!continuous || strategy != JoinStrategy::kBloom);
     return (*steps)[0].strategy;
   };
   EXPECT_EQ(plan_with_builder_distinct(40), JoinStrategy::kBloom)
@@ -297,6 +301,8 @@ TEST(Optimizer, StrategyFlipsAcrossBloomCrossover) {
   EXPECT_EQ(plan_with_builder_distinct(4000), JoinStrategy::kRehash)
       << "full key containment: the filter passes everything and only adds "
          "overhead";
+  EXPECT_EQ(plan_with_builder_distinct(40, /*continuous=*/true),
+            JoinStrategy::kRehash);
 }
 
 TEST(Optimizer, NoUsableStatsFallsBackToDefaults) {
@@ -306,7 +312,7 @@ TEST(Optimizer, NoUsableStatsFallsBackToDefaults) {
   Optimizer opt(&reg, CostModel(Params(64)));
   std::vector<JoinInput> inputs = {{"a", {"x"}, false}, {"b", {"y"}, false}};
   std::vector<JoinEdge> edges = {{0, 1, "x", "y"}};
-  auto steps = opt.PlanJoins(inputs, edges);
+  auto steps = opt.PlanJoins(inputs, edges, /*continuous=*/false);
   ASSERT_TRUE(steps.ok());
   const JoinStep& s = (*steps)[0];
   EXPECT_FALSE(s.stats_based);

@@ -104,6 +104,61 @@ TEST(QueryPlan, ValidateRefusesASnapshotFlushStageOutsideZeroToTwo) {
   EXPECT_EQ(ufl.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A Bloom probe fetches its filter once, on its graph's first flush. A
+// continuous plan has no flush that follows the build's, and a snapshot probe
+// staged no later than its build would fetch before the filter was put: both
+// plans are refused. A probe whose filter no graph builds fails open.
+TEST(QueryPlan, ValidateRefusesABloomProbeThatCannotSeeItsFilter) {
+  auto bloom_plan = [](int32_t build_stage, int32_t probe_stage,
+                       const std::string& build_ns) {
+    QueryPlan plan;
+    plan.timeout = 8 * kSecond;
+    OpGraph& b = plan.AddGraph();
+    b.flush_stage = build_stage;
+    b.AddOp(OpKind::kScan).Set("ns", "s");
+    OpSpec& bc = b.AddOp(OpKind::kBloomCreate);
+    bc.Set("col", "y");
+    bc.Set("ns", build_ns);
+    b.Connect(1, 2);
+    OpGraph& p = plan.AddGraph();
+    p.flush_stage = probe_stage;
+    p.AddOp(OpKind::kScan).Set("ns", "r");
+    OpSpec& bp = p.AddOp(OpKind::kBloomProbe);
+    bp.Set("col", "x");
+    bp.Set("ns", "f");
+    p.AddOp(OpKind::kResult);
+    p.Connect(1, 2);
+    p.Connect(2, 3);
+    return plan;
+  };
+  EXPECT_TRUE(bloom_plan(0, 1, "f").Validate().ok());
+  EXPECT_TRUE(bloom_plan(0, 2, "f").Validate().ok());
+  EXPECT_TRUE(bloom_plan(0, 0, "other").Validate().ok()) << "fails open";
+  for (auto [build, probe] : {std::pair{0, 0}, {1, 1}, {2, 1}}) {
+    EXPECT_EQ(bloom_plan(build, probe, "f").Validate().code(),
+              StatusCode::kInvalidArgument)
+        << "build stage " << build << ", probe stage " << probe;
+  }
+  QueryPlan continuous = bloom_plan(0, 1, "f");
+  continuous.continuous = true;
+  EXPECT_EQ(continuous.Validate().code(), StatusCode::kInvalidArgument);
+
+  // The same plans written in UFL.
+  auto ufl = [](const std::string& query, int build, int probe) {
+    return ParseUfl(
+               "query { timeout = 8s;" + query + " }\n"
+               "graph b stage(" + std::to_string(build) + ") {"
+               " s: scan [ns=s]; c: bloomcreate [col=y, ns=f]; s -> c; }\n"
+               "graph p stage(" + std::to_string(probe) + ") {"
+               " s: scan [ns=r]; b: bloomprobe [col=x, ns=f]; o: result;"
+               " s -> b -> o; }\n")
+        .status();
+  };
+  EXPECT_TRUE(ufl("", 0, 1).ok()) << ufl("", 0, 1).ToString();
+  EXPECT_EQ(ufl("", 0, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ufl(" continuous;", 0, 1).code(), StatusCode::kInvalidArgument);
+}
+
 /// A plan that sets every encoded field, with a second graph whose PHT range
 /// has a negative bound.
 QueryPlan EveryFieldPlan() {
@@ -432,7 +487,10 @@ TEST(Sql, DistinctQueriesGetDistinctIds) {
 /// edges) of every case was identical before and after that change.
 /// Re-recorded once more when the plan lost its `replan` byte and its
 /// flush-step varint: each new encoding equals the old one with exactly
-/// those two fields cut out.
+/// those two fields cut out. The Bloom case alone was re-recorded when its
+/// probe lost `wait_ms` and fetched at a flush: decoding the old plan,
+/// erasing `wait_ms` and moving the probe's graph from stage 0 to 1
+/// re-encodes to exactly the new plan.
 TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
   SqlOptions base;
   base.tables["t"] = TableHint{{"k"}};
@@ -483,7 +541,7 @@ TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
        &hier, 0xaf3677760b087890},
       {"SELECT * FROM t a, s b WHERE a.v = b.w", &base, 0x1375bdfbde9a072a},
       {"SELECT * FROM big r, small s WHERE r.x = s.y", &bloom,
-       0xad50c3c0cd5c267c},
+       0x3298fdedafcbac12},
       {"SELECT a.v, b.w FROM t a, s b WHERE a.k = b.y AND a.v > 1", &base,
        0x38902102dd34de79},
       {"SELECT a.v, c.q FROM t a, s b, u c WHERE a.v = b.w AND b.x = c.z "

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 
 #include "decoder_fuzz.h"
 #include "qp/sim_pier.h"
+#include "util/random.h"
 
 namespace pier {
 namespace {
@@ -421,6 +423,64 @@ TEST(QpE2E, FetchMatchesJoinViaPrimaryIndex) {
     EXPECT_TRUE(t.Has("name"));
     EXPECT_TRUE(t.Has("oid"));
   }
+}
+
+// Every flows row names one of 256 hosts, and the optimizer Bloom-prefilters
+// flows against the hosts' addresses. The probe fetches the filter at its
+// graph's stage-1 flush, a stage after the build side's stage-0 flush put
+// it, so no matching row is dropped by a partial filter. A continuous join is
+// never offered Bloom: its first window flush is also the build side's.
+TEST(QpE2E, BloomJoinReturnsEveryMatchingRow) {
+  SimPier net(64, PierOptions(1));
+  ASSERT_TRUE(
+      net.catalog()->Register(TableSpec("flows").PartitionBy({"id"})).ok());
+  ASSERT_TRUE(
+      net.catalog()->Register(TableSpec("hosts").PartitionBy({"addr"})).ok());
+  for (int h = 0; h < 256; ++h) {
+    Tuple t("hosts");
+    t.Append("addr", Value::Int64(h));
+    t.Append("region", Value::String("r" + std::to_string(h % 8)));
+    ASSERT_TRUE(net.client(h % net.size())->Publish("hosts", t).ok());
+  }
+  Rng rng(1);
+  for (int i = 0; i < 2000; ++i) {
+    Tuple t("flows");
+    t.Append("id", Value::Int64(i));
+    t.Append("dst", Value::Int64(static_cast<int64_t>(rng.Uniform(256))));
+    ASSERT_TRUE(net.client(i % net.size())->Publish("flows", t).ok());
+  }
+  net.RunFor(5 * kSecond);
+
+  const std::string join =
+      "SELECT f.id, h.region FROM flows f, hosts h WHERE f.dst = h.addr ";
+  auto has_probe = [](const QueryPlan& plan) {
+    for (const OpGraph& g : plan.graphs)
+      for (const OpSpec& op : g.ops)
+        if (op.kind == OpKind::kBloomProbe) return true;
+    return false;
+  };
+  auto ex = net.client(0)->Explain(Sql(join + "TIMEOUT 8s"));
+  ASSERT_TRUE(ex.ok()) << ex.status().ToString();
+  EXPECT_TRUE(has_probe(ex->plan)) << ex->detail.ToString();
+
+  for (const char* timeout : {"TIMEOUT 8s", "TIMEOUT 4s"}) {
+    auto q = net.client(0)->Query(Sql(join + timeout));
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    std::set<int64_t> ids;
+    for (const Tuple& t : q->Collect()) ids.insert(*t.Get("id")->AsInt64());
+    EXPECT_EQ(ids.size(), 2000u) << timeout;
+  }
+
+  const Sql continuous(join + "TIMEOUT 8s WINDOW 2s CONTINUOUS");
+  auto plan = net.client(0)->Compile(continuous);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_FALSE(has_probe(*plan));
+  auto q = net.client(0)->Query(continuous);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  std::set<int64_t> ids;
+  q->OnTuple([&](const Tuple& t) { ids.insert(*t.Get("id")->AsInt64()); });
+  EXPECT_TRUE(q->Wait().ok());
+  EXPECT_EQ(ids.size(), 2000u) << "continuous";
 }
 
 TEST(QpE2E, ContinuousQuerySeesLatePublishes) {
