@@ -60,7 +60,7 @@ struct TableSpec {
   /// In-situ table (§2.1.2): tuples stay on the publishing node's local
   /// soft-state store and are reached by broadcast-disseminated scans.
   bool local_only = false;
-  /// Default publish lifetime; 0 uses the query processor's default.
+  /// Default publish lifetime; 0 uses PierClient::kPublishLifetime.
   TimeUs default_lifetime = 0;
   /// Copies per published object (k-way successor-set replication): the
   /// owner plus replicas-1 of its successors. 0 = the DHT's configured

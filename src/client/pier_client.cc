@@ -1,6 +1,7 @@
 #include "client/pier_client.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "qp/ufl.h"
@@ -213,15 +214,6 @@ PierClient::PierClient(QueryProcessor* qp, Catalog* catalog, RunFn run,
   // co-locate at that family's owner.
   (void)catalog_->Register(
       TableSpec(kSysMetricsTable).PartitionBy({"metric"}));
-  // Give SubmitQuery the metadata check PIER itself cannot do: a plan that
-  // scans a table the application never declared fails loudly at the proxy
-  // instead of timing out with zero answers.
-  resolver_token_ = qp_->set_table_resolver(
-      [catalog](const std::string& table, QueryProcessor::TableRole role) {
-        return role == QueryProcessor::TableRole::kRangeIndex
-                   ? catalog->KnowsRangeTable(table)
-                   : catalog->KnowsRelation(table);
-      });
 }
 
 PierClient::~PierClient() {
@@ -229,12 +221,6 @@ PierClient::~PierClient() {
   // away (the DHT and event loop outlive it); an error here has no one
   // left to report to.
   (void)Flush();
-  // The resolver captures catalog_ raw; never leave it dangling on a query
-  // processor that outlives this client. The token makes this a no-op if a
-  // newer client has since installed its own resolver, and that newer
-  // client's eventual teardown reverts the qp to the paper's accept-all
-  // contract rather than reviving a possibly-dead older catalog.
-  qp_->ClearTableResolver(resolver_token_);
   // Replan checks and the stats refresh capture `this` / this client's
   // registry; none of them may outlive the client.
   for (auto& [qid, task] : replans_) {
@@ -292,6 +278,7 @@ Status PierClient::Publish(const std::string& table, const Tuple& t,
     return Status::NotFound("table '" + table + "' is not in the catalog");
   PIER_RETURN_IF_ERROR(CheckReplicas(*spec));
   if (lifetime <= 0) lifetime = spec->default_lifetime;
+  if (lifetime <= 0) lifetime = kPublishLifetime;
 
   if (!spec->local_only) PIER_RETURN_IF_ERROR(ValidateAgainstSpec(*spec, t));
 
@@ -331,6 +318,7 @@ Status PierClient::PublishBatch(const std::string& table,
     return Status::NotFound("table '" + table + "' is not in the catalog");
   PIER_RETURN_IF_ERROR(CheckReplicas(*spec));
   if (lifetime <= 0) lifetime = spec->default_lifetime;
+  if (lifetime <= 0) lifetime = kPublishLifetime;
   if (tuples.empty()) return Status::Ok();
 
   // All-or-nothing validation: a bad tuple fails the call before anything
@@ -396,9 +384,16 @@ Status PierClient::ShipBatch(const TableSpec& spec,
   // registry samples these instead of a batch-uniform mean.
   std::vector<size_t> row_bytes;
   row_bytes.reserve(tuples.size());
+  Dht* dht = qp_->dht();
   if (spec.local_only) {
-    for (size_t i = 0; i < tuples.size(); ++i)
-      row_bytes.push_back(qp_->StoreLocal(spec.name, tuples[i], lifetimes[i]));
+    // In situ (§2.1.2): the row stays at this node, under a key nothing
+    // routes on, and is reached by scans in broadcast-disseminated graphs.
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      std::string wire = tuples[i].Encode();
+      row_bytes.push_back(wire.size());
+      dht->StoreLocal(ObjectName{spec.name, "", dht->NextSuffix()},
+                      std::move(wire), lifetimes[i]);
+    }
   } else {
     // The whole batch's index fan-out — primary rows AND secondary entries
     // — ships as ONE DHT batch: one lookup per distinct key, one wire
@@ -441,22 +436,23 @@ Status PierClient::ShipBatch(const TableSpec& spec,
     std::vector<DhtPutItem> items;
     items.reserve(tuples.size() * (1 + spec.secondary_indexes.size()));
     for (size_t i = 0; i < tuples.size(); ++i) {
-      row_bytes.push_back(qp_->MakePublishItem(spec.name, std::move(pkeys[i]),
-                                               tuples[i].Encode(), lifetimes[i],
-                                               &items, spec.replicas));
+      items.push_back({spec.name, std::move(pkeys[i]), dht->NextSuffix(),
+                       tuples[i].Encode(), lifetimes[i], spec.replicas});
+      row_bytes.push_back(items.back().value.size());
       // Suffixes mint primary-then-secondaries per tuple, so object names
       // do not depend on how the tuples were batched.
       for (SecBatch& sec : secs) {
         if (sec.cursor >= sec.src.size() || sec.src[sec.cursor] != i) continue;
         size_t r = sec.cursor++;
-        qp_->MakePublishItem(
-            sec.idx->table, sec.rows.RowPartitionKey(r, {sec.idx->attr}),
-            sec.rows.EncodeRow(r), lifetimes[i], &items, spec.replicas);
+        items.push_back({sec.idx->table,
+                         sec.rows.RowPartitionKey(r, {sec.idx->attr}),
+                         dht->NextSuffix(), sec.rows.EncodeRow(r), lifetimes[i],
+                         spec.replicas});
       }
     }
     // The completion holds the failure counters, not the client: a batch
     // may still be in flight when the client is destroyed.
-    qp_->dht()->PutBatch(
+    dht->PutBatch(
         std::move(items),
         [failures = publish_failures_, table = spec.name](
             const Status& first, std::vector<Dht::PutGroupStatus> groups) {
@@ -494,10 +490,9 @@ Status PierClient::ShipBatch(const TableSpec& spec,
 void PierClient::PublishSysStatsRow(const std::string& table) {
   Tuple row = stats_->ToSysTuple(table);
   if (row.num_columns() == 0) return;  // nothing observed locally
-  std::vector<DhtPutItem> items;
-  qp_->MakePublishItem(kSysStatsTable, row.PartitionKey({"table"}),
-                       row.Encode(), /*lifetime=*/0, &items);
-  qp_->dht()->PutBatch(std::move(items));
+  Dht* dht = qp_->dht();
+  dht->PutBatch({{kSysStatsTable, row.PartitionKey({"table"}),
+                  dht->NextSuffix(), row.Encode(), kPublishLifetime}});
 }
 
 Status PierClient::PublishStats() {
@@ -515,10 +510,15 @@ Result<QueryPlan> PierClient::CompileSqlPinned(const Sql& sql,
   options.tables = catalog_->TableHints();
   options.agg_strategy = sql.agg_strategy;
   options.query_id = query_id;
-  Optimizer optimizer(stats_, CostModel(cost_params_));
-  optimizer.set_now(qp_->vri()->Now());
+  Optimizer optimizer = MakeOptimizer();
   options.optimizer = &optimizer;
   return CompileSql(sql.text, options, explain);
+}
+
+Optimizer PierClient::MakeOptimizer() const {
+  Optimizer optimizer(stats_, CostModel(cost_params_));
+  optimizer.set_now(qp_->vri()->Now());
+  return optimizer;
 }
 
 Result<QueryPlan> PierClient::Compile(const Sql& sql,
@@ -533,18 +533,14 @@ Result<QueryPlan> PierClient::Compile(const Ufl& ufl) const {
 Result<ExplainResult> PierClient::Explain(const Sql& sql) const {
   ExplainResult out;
   PIER_ASSIGN_OR_RETURN(out.plan, Compile(sql, &out.detail));
-  Optimizer optimizer(stats_, CostModel(cost_params_));
-  optimizer.set_now(qp_->vri()->Now());
-  optimizer.CostPlan(out.plan, &out.detail);
+  MakeOptimizer().CostPlan(out.plan, &out.detail);
   return out;
 }
 
 Result<ExplainResult> PierClient::Explain(const Ufl& ufl) const {
   ExplainResult out;
   PIER_ASSIGN_OR_RETURN(out.plan, Compile(ufl));
-  Optimizer optimizer(stats_, CostModel(cost_params_));
-  optimizer.set_now(qp_->vri()->Now());
-  optimizer.CostPlan(out.plan, &out.detail);
+  MakeOptimizer().CostPlan(out.plan, &out.detail);
   return out;
 }
 
@@ -615,6 +611,8 @@ Status PierClient::PublishMetrics(std::vector<MetricSample>* out,
       std::to_string(self.host) + ":" + std::to_string(self.port);
   TimeUs now = qp_->vri()->Now();
   std::vector<MetricSample> snapshot = metrics_->Snapshot();
+  if (lifetime <= 0) lifetime = kPublishLifetime;
+  Dht* dht = qp_->dht();
   std::vector<DhtPutItem> items;
   items.reserve(snapshot.size());
   for (const MetricSample& s : snapshot) {
@@ -633,12 +631,12 @@ Status PierClient::PublishMetrics(std::vector<MetricSample>* out,
     row.Append("count", Value::Int64(static_cast<int64_t>(s.count)));
     row.Append("sum", Value::Double(s.sum));
     row.Append("updated_us", Value::Int64(static_cast<int64_t>(now)));
-    qp_->MakePublishItem(kSysMetricsTable, row.PartitionKey({"metric"}),
-                         row.Encode(), lifetime, &items);
+    items.push_back({kSysMetricsTable, row.PartitionKey({"metric"}),
+                     dht->NextSuffix(), row.Encode(), lifetime});
   }
   // The whole snapshot ships as one batch: a metric family's rows share an
   // owner and ride one frame.
-  qp_->dht()->PutBatch(std::move(items));
+  dht->PutBatch(std::move(items));
   if (out != nullptr) *out = std::move(snapshot);
   return Status::Ok();
 }
@@ -744,7 +742,8 @@ void PierClient::ReplanTick(uint64_t query_id) {
         replanner.Consider(task.current, task.fingerprint, *fresh, explain);
     if (d.swap) {
       QueryPlan next = std::move(*fresh);
-      Status s = qp_->SwapQuery(query_id, next);
+      Status s = CheckTablesKnown(next);
+      if (s.ok()) s = qp_->SwapQuery(query_id, next);
       if (s.ok()) {
         task.current = std::move(next);
         task.fingerprint = Replanner::Fingerprint(explain);
@@ -852,7 +851,48 @@ QueryProcessor::DoneCallback PierClient::MakeOnDone(
   };
 }
 
+Status PierClient::CheckTablesKnown(const QueryPlan& plan) const {
+  // Namespaces the plan itself produces (rendezvous stages like "q<id>.agg")
+  // are exempt: only externally-sourced tables need published metadata.
+  std::set<std::string> produced;
+  for (const OpGraph& g : plan.graphs) {
+    for (const OpSpec& op : g.ops) {
+      if (op.kind == OpKind::kPut || op.kind == OpKind::kMaterializer ||
+          op.kind == OpKind::kBloomCreate) {
+        produced.insert(op.GetString("ns"));
+      }
+    }
+  }
+  // A relation (scan / newdata / probe / fetch-matches target) and a PHT
+  // range table are distinct stores: scanning a PHT namespace can never
+  // produce tuples, so each role is checked against its own registry.
+  auto check = [&](const std::string& table, bool range) -> Status {
+    if (table.empty() || produced.count(table) > 0 ||
+        (range ? catalog_->KnowsRangeTable(table)
+               : catalog_->KnowsRelation(table))) {
+      return Status::Ok();
+    }
+    return Status::NotFound("query reads table '" + table + "' as a " +
+                            (range ? "range index" : "relation") +
+                            " but no such metadata was ever published for it");
+  };
+  for (const OpGraph& g : plan.graphs) {
+    for (const OpSpec& op : g.ops) {
+      if (op.kind == OpKind::kScan || op.kind == OpKind::kNewData ||
+          op.kind == OpKind::kBloomProbe) {
+        PIER_RETURN_IF_ERROR(check(op.GetString("ns"), false));
+      } else if (op.kind == OpKind::kFetchMatches) {
+        PIER_RETURN_IF_ERROR(check(op.GetString("table"), false));
+      }
+    }
+    if (g.dissem == DissemKind::kRange)
+      PIER_RETURN_IF_ERROR(check(g.dissem_ns, true));
+  }
+  return Status::Ok();
+}
+
 Result<QueryHandle> PierClient::Submit(QueryPlan plan) {
+  PIER_RETURN_IF_ERROR(CheckTablesKnown(plan));
   auto state = std::make_shared<QueryHandle::State>();
   state->qp = qp_;
   state->run = run_;
@@ -861,9 +901,7 @@ Result<QueryHandle> PierClient::Submit(QueryPlan plan) {
 
   // Capture the estimate while the plan is still here: ExplainAnalyze later
   // compares it against the metered actuals without recompiling.
-  Optimizer optimizer(stats_, CostModel(cost_params_));
-  optimizer.set_now(qp_->vri()->Now());
-  optimizer.CostPlan(plan, &state->estimate);
+  MakeOptimizer().CostPlan(plan, &state->estimate);
 
   PIER_ASSIGN_OR_RETURN(uint64_t qid,
                         qp_->SubmitQuery(std::move(plan), MakeOnTuple(state),
@@ -897,15 +935,10 @@ Result<QueryHandle> PierClient::Attach(uint64_t query_id) {
                                          MakeOnDone(state), &plan));
   // Wait()/Collect() pace themselves off `timeout` from `submitted_at`; for
   // an attached handle that is the REMAINING lifetime, not the original.
-  state->timeout =
-      plan.deadline_us > 0
-          ? std::max<TimeUs>(0, plan.deadline_us - qp_->vri()->Now())
-          : plan.timeout;
+  state->timeout = std::max<TimeUs>(0, plan.deadline_us - qp_->vri()->Now());
   // The adopting proxy keeps its own meter; re-estimate from the recovered
   // plan so ExplainAnalyze works on attached handles too.
-  Optimizer optimizer(stats_, CostModel(cost_params_));
-  optimizer.set_now(qp_->vri()->Now());
-  optimizer.CostPlan(plan, &state->estimate);
+  MakeOptimizer().CostPlan(plan, &state->estimate);
   RequestFinalCosts(state);
   return QueryHandle(std::move(state));
 }

@@ -218,9 +218,9 @@ class PierClient {
   /// RunFor. Optional; without it Wait/Collect cannot block.
   using RunFn = std::function<void(TimeUs)>;
 
-  /// The client installs its catalog as `qp`'s table resolver for its own
-  /// lifetime (cleared again on destruction). `qp` and `catalog` must
-  /// outlive the client; one catalog is typically shared by many clients.
+  /// `qp` and `catalog` must outlive the client; one catalog is typically
+  /// shared by many clients. Every plan submitted or swapped in through the
+  /// client is checked against the catalog first (PIER itself keeps none).
   /// `stats` is the statistics registry Publish accrues into (shared across
   /// clients by the runtime that boots them); null makes the client own a
   /// private one. The `sys.stats` system table is registered in the catalog
@@ -243,21 +243,27 @@ class PierClient {
 
   // --- Publishing ------------------------------------------------------------
 
+  /// Lifetime of a published object whose publish and table spec both say 0.
+  static constexpr TimeUs kPublishLifetime = 10LL * 60 * kSecond;
+
   /// Publish one application tuple. The catalog's TableSpec drives the
   /// fan-out: local-only tables go to this node's soft-state store; DHT
   /// tables go to the primary index, every declared secondary index, and
-  /// every declared PHT range index. lifetime 0 uses the spec's default.
+  /// every declared PHT range index. lifetime 0 uses the spec's default,
+  /// then kPublishLifetime.
   Status Publish(const std::string& table, const Tuple& t, TimeUs lifetime = 0);
 
   // --- Batched publishing ------------------------------------------------------
   //
-  // Every publish is a batch. A batch's whole index fan-out (primary rows
-  // and secondary entries alike) is grouped by responsible node, each
-  // destination receives ONE wire message, and each row is observed once
-  // into the statistics registry. With auto-batching off (the default),
-  // Publish ships its tuple at once as a batch of one — its primary and
-  // secondary entries still share a frame when one owner holds both. Larger
-  // batches amortize the per-message overhead further. Two ways in:
+  // Every publish is a batch. The client builds a batch's whole index
+  // fan-out (primary rows and secondary entries alike) as DhtPutItems, each
+  // named with Dht::NextSuffix, and hands it to Dht::PutBatch: it is grouped
+  // by responsible node, each destination receives ONE wire message, and
+  // each row is observed once into the statistics registry. With
+  // auto-batching off (the default), Publish ships its tuple at once as a
+  // batch of one — its primary and secondary entries still share a frame
+  // when one owner holds both. Larger batches amortize the per-message
+  // overhead further. Two ways in:
   //
   //   client.PublishBatch("ev", rows);          // explicit batch
   //   client.SetPublishBatching(64, 5000);      // auto: buffer Publish()es
@@ -282,7 +288,7 @@ class PierClient {
 
   /// Publish a whole batch for `table` in one shot. Every tuple is
   /// validated against the spec FIRST; any invalid tuple fails the call and
-  /// nothing is published. lifetime 0 uses the spec's default.
+  /// nothing is published. lifetime 0 resolves as in Publish.
   Status PublishBatch(const std::string& table, const std::vector<Tuple>& tuples,
                       TimeUs lifetime = 0);
 
@@ -390,9 +396,8 @@ class PierClient {
   /// histograms publish their _sum/_count, not per-bucket rows). Readers
   /// fold by newest updated_us per (metric, labels, origin) — republished
   /// soft-state rows coexist until their lifetime expires. A non-null `out`
-  /// receives the snapshot that was published. `lifetime` 0 uses the query
-  /// processor's default publish lifetime. FailedPrecondition without a
-  /// registry attached.
+  /// receives the snapshot that was published. `lifetime` 0 uses
+  /// kPublishLifetime. InvalidArgument without a registry attached.
   Status PublishMetrics(std::vector<MetricSample>* out = nullptr,
                         TimeUs lifetime = 0);
 
@@ -464,15 +469,18 @@ class PierClient {
                         const PlanExplain& explain);
   void ScheduleReplanCheck(uint64_t query_id);
   void ReplanTick(uint64_t query_id);
+  /// NotFound if `plan` reads a table the catalog does not know in the role
+  /// it reads it (relation, or PHT range index); namespaces the plan itself
+  /// produces are exempt. Run before a plan is submitted or swapped in.
+  Status CheckTablesKnown(const QueryPlan& plan) const;
+  /// A cost-based optimizer over this client's statistics, priced now.
+  Optimizer MakeOptimizer() const;
   /// Publish one sys.stats row for `table` from the registry's local view.
   void PublishSysStatsRow(const std::string& table);
 
   QueryProcessor* qp_;
   Catalog* catalog_;
   RunFn run_;
-  /// Installation token for the resolver this client put on qp_; destruction
-  /// clears the resolver only if it is still this client's.
-  uint64_t resolver_token_ = 0;
   StatsRegistry* stats_ = nullptr;
   std::unique_ptr<StatsRegistry> owned_stats_;  // when none was injected
   CostParams cost_params_;

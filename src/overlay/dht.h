@@ -183,6 +183,15 @@ class Dht {
   /// is clamped to ObjectManager::kMaxLifetime; one <= 0 stores nothing.
   void StoreLocal(ObjectName name, std::string value, TimeUs lifetime);
 
+  /// Mint a fresh object suffix, `<counter>@<host>` (the tuple uniquifier
+  /// of §3.2.3). Every writer on this node names its objects here, so two
+  /// writes under one (ns, key) never replace each other, whichever client,
+  /// operator or plan generation made them.
+  std::string NextSuffix() {
+    return std::to_string(next_suffix_++) + "@" +
+           std::to_string(local_address().host);
+  }
+
   /// One newly stored object in a newData delivery. `value` aliases the
   /// receive frame (or the stored copy for single inserts) and is valid only
   /// for the duration of the handler call.
@@ -388,6 +397,7 @@ class Dht {
   std::unordered_map<uint64_t, Subscription> subs_;
   std::unordered_map<std::string, std::vector<uint64_t>> subs_by_ns_;
   uint64_t next_sub_id_ = 1;
+  uint64_t next_suffix_ = 1;
 
   /// Deliver newly stored client writes (at least one) to their namespaces'
   /// subscriptions, one call per namespace in first-seen order, store order

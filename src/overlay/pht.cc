@@ -133,11 +133,7 @@ void Pht::Insert(uint64_t key, std::string value, DoneCallback done,
   // The suffix is minted exactly once per logical item; every re-insertion
   // (split redistribution, interior-rescue) reuses it, so copies of the same
   // item replace each other at whatever label they land on.
-  WireWriter sfx;
-  sfx.PutU64(key);
-  sfx.PutU64(next_uniq_++);
-  sfx.PutU32(dht_->local_address().host);
-  std::string suffix = std::move(sfx).data();
+  std::string suffix = dht_->NextSuffix();
   FindLeaf(key, [this, key, value = std::move(value), suffix = std::move(suffix),
                  done = std::move(done), lifetime](
                     const Result<std::string>& leaf) mutable {

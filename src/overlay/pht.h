@@ -47,10 +47,11 @@ class Pht {
   using ItemsCallback =
       std::function<void(const Status&, std::vector<PhtItem> items)>;
 
-  /// Insert (key, value); splits the target leaf if it overflows.
-  /// `lifetime` overrides Options::lifetime for this item (0 uses it); the
-  /// override rides the whole async insert, so concurrent inserts with
-  /// different lifetimes on one shared instance do not interfere.
+  /// Insert (key, value); splits the target leaf if it overflows. The item
+  /// is named once, with Dht::NextSuffix, and keeps that name through every
+  /// split. `lifetime` overrides Options::lifetime for this item (0 uses
+  /// it); the override rides the whole async insert, so concurrent inserts
+  /// with different lifetimes on one shared instance do not interfere.
   void Insert(uint64_t key, std::string value, DoneCallback done,
               TimeUs lifetime = 0);
 
@@ -108,7 +109,6 @@ class Pht {
 
   Dht* dht_;
   Options options_;
-  uint64_t next_uniq_ = 1;
   /// Labels with a split in flight (suppresses concurrent re-splits).
   std::set<std::string> splitting_;
 };

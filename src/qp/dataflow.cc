@@ -128,7 +128,7 @@ void Operator::Send(const std::string& ns, const std::string& key,
     cost_->msgs++;
     cost_->bytes += value.size();
   }
-  cx_->dht->Send(ns, key, cx_->NextSuffix(), std::move(value),
+  cx_->dht->Send(ns, key, cx_->dht->NextSuffix(), std::move(value),
                  cx_->query_lifetime);
 }
 

@@ -113,8 +113,10 @@ class QueryMeter {
 };
 
 /// Node-local services an operator may use. One context per opgraph instance.
-class ExecContext {
- public:
+/// An operator names every object it stores with dht->NextSuffix(), so its
+/// objects never replace another writer's, a later plan generation's
+/// included.
+struct ExecContext {
   Vri* vri = nullptr;
   Dht* dht = nullptr;
   uint64_t query_id = 0;
@@ -161,18 +163,6 @@ class ExecContext {
   std::string QueryNs(const std::string& what) const {
     return "q" + std::to_string(query_id) + "." + what;
   }
-
-  /// Monotonic per-context uniquifier for DHT suffixes. The graph id is part
-  /// of the name: two graph instances on the same node (e.g. the two sides
-  /// of a rehash join writing into one namespace) must never mint the same
-  /// suffix, or their objects would replace each other at the owner.
-  std::string NextSuffix() {
-    return std::to_string(graph_id) + "." + std::to_string(++suffix_counter_) +
-           "@" + std::to_string(dht ? dht->local_address().host : 0);
-  }
-
- private:
-  uint64_t suffix_counter_ = 0;
 };
 
 /// Base class for all physical operators.

@@ -237,13 +237,10 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     cx.proxy = meta.proxy;
     cx.continuous = meta.continuous;
     cx.window = meta.window;
-    // Soft state published by operators should drain with the query: under
-    // an absolute deadline the remaining lifetime shrinks the later this
-    // node joins the query's execution.
+    // Soft state published by operators drains with the query: the
+    // remaining lifetime shrinks the later this node joins its execution.
     cx.query_lifetime =
-        meta.deadline_us > 0
-            ? std::max<TimeUs>(kMillisecond, meta.deadline_us - vri_->Now())
-            : meta.timeout;
+        std::max<TimeUs>(kMillisecond, meta.deadline_us - vri_->Now());
     // The RunningQuery's floor, not the raw wire one: a swap tightened it to
     // this node's quiesce instant above.
     cx.catchup_floor_us = rq.meta.catchup_floor_us;
@@ -278,13 +275,10 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
 
 void QueryExecutor::ArmQueryTimers(RunningQuery* rq) {
   uint64_t qid = rq->meta.query_id;
-  // Plans stamped with an absolute deadline close at that instant, however
-  // late this node first saw the query (a swapped-in later generation must
-  // not run a full timeout past everyone else's close). Unstamped plans
-  // keep the paper's relative-timeout contract.
-  TimeUs delay = rq->meta.timeout;
-  if (rq->meta.deadline_us > 0)
-    delay = std::max<TimeUs>(0, rq->meta.deadline_us - vri_->Now());
+  // A query closes at its absolute deadline, however late this node first
+  // saw it (a swapped-in later generation must not run a full timeout past
+  // everyone else's close).
+  TimeUs delay = std::max<TimeUs>(0, rq->meta.deadline_us - vri_->Now());
   rq->close_timer = vri_->ScheduleEvent(delay, [this, qid]() { DoStop(qid); });
   ArmTicks(rq);
 }

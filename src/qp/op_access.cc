@@ -76,7 +76,7 @@ class PutOp : public Operator {
       DhtPutItem item;
       item.ns = ns_;
       item.key = batch.RowPartitionKey(r, key_attrs_);
-      item.suffix = cx_->NextSuffix();
+      item.suffix = cx_->dht->NextSuffix();
       item.value = batch.EncodeRow(r);
       item.lifetime = cx_->query_lifetime;
       item.replicas = cx_->replicas;

@@ -75,7 +75,7 @@ class SymHashJoinOp : public Operator {
       ObjectName name;
       name.ns = ns_[port];
       name.key = k;
-      name.suffix = cx_->NextSuffix();
+      name.suffix = cx_->dht->NextSuffix();
       cx_->dht->StoreLocal(std::move(name), batch.EncodeRow(r),
                            cx_->query_lifetime);
       auto matches = cx_->dht->objects()->Get(ns_[other], k);
@@ -239,7 +239,7 @@ class BloomCreateOp : public Operator {
     if (added_ == 0 && flushed_) return;  // nothing new to report
     flushed_ = true;
     added_ = 0;
-    Put({DhtPutItem{ns_, "filter", cx_->NextSuffix(), filter_->Serialize(),
+    Put({DhtPutItem{ns_, "filter", cx_->dht->NextSuffix(), filter_->Serialize(),
                     cx_->query_lifetime, cx_->replicas}});
   }
 

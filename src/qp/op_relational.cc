@@ -391,7 +391,7 @@ class MaterializerOp : public Operator {
       ObjectName name;
       name.ns = ns_;
       name.key = batch.RowPartitionKey(r, key_attrs_);
-      name.suffix = cx_->NextSuffix();
+      name.suffix = cx_->dht->NextSuffix();
       cx_->dht->StoreLocal(std::move(name), batch.EncodeRow(r),
                            cx_->query_lifetime);
     }

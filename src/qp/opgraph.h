@@ -142,10 +142,9 @@ struct QueryPlan {
   TimeUs timeout = 30 * kSecond;
   /// Absolute end of the query's lifetime (proxy clock, microseconds),
   /// stamped by SubmitQuery as now + timeout and carried through every
-  /// re-dissemination. 0 = unset (hand-built plans run the relative timeout
-  /// from wherever they land). The executor arms its close timer from this
-  /// when present, so a node whose FIRST sight of the query is a later
-  /// generation does not restart the full timeout from swap time.
+  /// re-dissemination. The executor arms its close timer from it, so a node
+  /// whose FIRST sight of the query is a later generation does not restart
+  /// the full timeout from swap time.
   TimeUs deadline_us = 0;
   /// Snapshot queries flush blocking state once per flush stage, a quarter
   /// of the timeout apart; continuous queries flush every `window` until the

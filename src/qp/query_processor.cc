@@ -1,7 +1,5 @@
 #include "qp/query_processor.h"
 
-#include <set>
-
 #include "obs/metrics.h"
 #include "util/logging.h"
 
@@ -84,25 +82,6 @@ QueryProcessor::DoneCallback QueryProcessor::EndClient(
   return done;
 }
 
-size_t QueryProcessor::MakePublishItem(const std::string& ns,
-                                       std::string key, std::string value,
-                                       TimeUs lifetime,
-                                       std::vector<DhtPutItem>* items,
-                                       int replicas) {
-  if (lifetime <= 0) lifetime = kPublishLifetime;
-  DhtPutItem item;
-  item.ns = ns;
-  item.key = std::move(key);
-  item.suffix = std::to_string(next_suffix_++) + "@" +
-                std::to_string(dht_->local_address().host);
-  item.value = std::move(value);
-  item.lifetime = lifetime;
-  item.replicas = replicas;
-  size_t bytes = item.value.size();
-  items->push_back(std::move(item));
-  return bytes;
-}
-
 Pht* QueryProcessor::PhtFor(const std::string& table, int key_bits) {
   std::string id = table + "/" + std::to_string(key_bits);
   auto it = phts_.find(id);
@@ -110,7 +89,9 @@ Pht* QueryProcessor::PhtFor(const std::string& table, int key_bits) {
     Pht::Options popts;
     popts.table = table;
     popts.key_bits = key_bits;
-    popts.lifetime = kPublishLifetime;
+    // Trie markers live at least as long as a default publish
+    // (PierClient::kPublishLifetime, ten minutes).
+    popts.lifetime = 10LL * 60 * kSecond;
     it = phts_.emplace(id, std::make_unique<Pht>(dht_, popts)).first;
   }
   return it->second.get();
@@ -123,23 +104,8 @@ void QueryProcessor::PublishRange(const std::string& pht_table,
   if (v == nullptr) return;
   Result<int64_t> key = v->AsInt64();
   if (!key.ok() || *key < 0) return;
-  if (lifetime <= 0) lifetime = kPublishLifetime;
   PhtFor(pht_table, key_bits)
       ->Insert(static_cast<uint64_t>(*key), t.Encode(), nullptr, lifetime);
-}
-
-size_t QueryProcessor::StoreLocal(const std::string& table, const Tuple& t,
-                                  TimeUs lifetime) {
-  if (lifetime <= 0) lifetime = kPublishLifetime;
-  ObjectName name;
-  name.ns = table;
-  name.key = "";  // local-only: the partition key is never routed on
-  name.suffix = std::to_string(next_suffix_++) + "@" +
-                std::to_string(dht_->local_address().host);
-  std::string wire = t.Encode();
-  size_t bytes = wire.size();
-  dht_->StoreLocal(std::move(name), std::move(wire), lifetime);
-  return bytes;
 }
 
 Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
@@ -164,7 +130,6 @@ Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
         "plan wants " + std::to_string(plan.replicas) +
         " replicas but the overlay can place at most " +
         std::to_string(dht_->max_replication_factor()));
-  PIER_RETURN_IF_ERROR(CheckTablesKnown(plan));
   stats_.queries_submitted++;
 
   ClientQuery client;
@@ -189,10 +154,8 @@ void QueryProcessor::StoreDurablePlan(const QueryPlan& plan) {
   // The full plan (graphs included) or the cancel tombstone, replicated like
   // any other soft state: a reader finds it even when the storing node is
   // the dead proxy itself. Lifetime = the query's remaining life.
-  TimeUs remaining = plan.deadline_us > 0
-                         ? std::max<TimeUs>(kMillisecond,
-                                            plan.deadline_us - vri_->Now())
-                         : plan.timeout;
+  TimeUs remaining =
+      std::max<TimeUs>(kMillisecond, plan.deadline_us - vri_->Now());
   dht_->Put(kPlanNs, std::to_string(plan.query_id), "p", plan.Encode(),
             remaining + kDoneSlack, nullptr, plan.replicas);
 }
@@ -265,7 +228,6 @@ Status QueryProcessor::SwapQuery(uint64_t query_id, QueryPlan new_plan) {
   // re-reading it would double-count the first post-swap window.
   new_plan.catchup_floor_us = vri_->Now();
   PIER_RETURN_IF_ERROR(new_plan.Validate());
-  PIER_RETURN_IF_ERROR(CheckTablesKnown(new_plan));
   current = new_plan;
   StoreDurablePlan(current);
   Disseminate(current);
@@ -321,10 +283,8 @@ void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
   // The query's lifetime is unchanged by adoption: the done timer fires at
   // the ORIGINAL absolute deadline (plus slack), exactly like the dead
   // proxy's would have.
-  TimeUs remaining = meta.deadline_us > 0
-                         ? std::max<TimeUs>(0, meta.deadline_us - vri_->Now())
-                         : meta.timeout;
-  client.done_timer = ArmDoneTimer(qid, remaining);
+  client.done_timer =
+      ArmDoneTimer(qid, std::max<TimeUs>(0, meta.deadline_us - vri_->Now()));
   clients_[qid] = std::move(client);
   BindQueryMetrics(&clients_[qid], qid);
 
@@ -383,46 +343,6 @@ Status QueryProcessor::AttachClient(uint64_t query_id, TupleCallback on_tuple,
     backlog.swap(c.pending);
     std::shared_ptr<const TupleCallback> cb = c.on_tuple;
     for (const Tuple& t : backlog) (*cb)(t);
-  }
-  return Status::Ok();
-}
-
-Status QueryProcessor::CheckTablesKnown(const QueryPlan& plan) const {
-  if (!table_resolver_) return Status::Ok();
-  // Namespaces the plan itself produces (rendezvous stages like "q<id>.agg")
-  // are exempt: only externally-sourced tables need published metadata.
-  std::set<std::string> produced;
-  for (const OpGraph& g : plan.graphs) {
-    for (const OpSpec& op : g.ops) {
-      if (op.kind == OpKind::kPut || op.kind == OpKind::kMaterializer ||
-          op.kind == OpKind::kBloomCreate) {
-        produced.insert(op.GetString("ns"));
-      }
-    }
-  }
-  auto check = [&](const std::string& table, TableRole role) -> Status {
-    if (table.empty() || produced.count(table) > 0 ||
-        table_resolver_(table, role)) {
-      return Status::Ok();
-    }
-    return Status::NotFound(
-        "query reads table '" + table + "' as a " +
-        (role == TableRole::kRangeIndex ? "range index" : "relation") +
-        " but no such metadata was ever published for it");
-  };
-  for (const OpGraph& g : plan.graphs) {
-    for (const OpSpec& op : g.ops) {
-      if (op.kind == OpKind::kScan || op.kind == OpKind::kNewData ||
-          op.kind == OpKind::kBloomProbe) {
-        PIER_RETURN_IF_ERROR(check(op.GetString("ns"), TableRole::kRelation));
-      } else if (op.kind == OpKind::kFetchMatches) {
-        PIER_RETURN_IF_ERROR(
-            check(op.GetString("table"), TableRole::kRelation));
-      }
-    }
-    if (g.dissem == DissemKind::kRange) {
-      PIER_RETURN_IF_ERROR(check(g.dissem_ns, TableRole::kRangeIndex));
-    }
   }
   return Status::Ok();
 }
@@ -533,16 +453,11 @@ void QueryProcessor::StartRangeGraph(const QueryPlan& plan, const OpGraph& g) {
     PIER_LOG(kWarn) << "range graph without an injectable source";
     return;
   }
-  Pht::Options popts;
-  popts.table = g.dissem_ns;
-  popts.key_bits = key_bits;
-  auto pht = std::make_shared<Pht>(dht_, popts);
   uint64_t qid = plan.query_id;
   uint32_t gid = g.id;
-  pht->RangeQuery(
+  PhtFor(g.dissem_ns, key_bits)->RangeQuery(
       static_cast<uint64_t>(g.dissem_lo), static_cast<uint64_t>(g.dissem_hi),
-      [this, pht, qid, gid, inject_op](const Status& s,
-                                       std::vector<PhtItem> items) {
+      [this, qid, gid, inject_op](const Status& s, std::vector<PhtItem> items) {
         if (!s.ok()) return;
         BatchAssembler batches;
         for (const PhtItem& item : items) {

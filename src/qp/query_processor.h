@@ -17,6 +17,13 @@
 // (AdoptQuery), to deliver answers when this node is the proxy, and to read
 // a query's durable record after a missed swap (ReadDurablePlan).
 //
+// Nothing else lives here. Publishing is the client's: PierClient builds its
+// DHT puts itself and names every object with Dht::NextSuffix, as operators
+// do. So is the catalog: PIER keeps none (§4.2.1), and PierClient checks a
+// plan's tables against its own before it submits or swaps it. The one
+// publishing path left here is PublishRange, because a PHT handle is
+// node-lifetime state that range dissemination reads too (PhtFor).
+//
 // Churn-hardening of the continuous-query lifecycle:
 //
 //   * Proxy leases. The proxy of every continuous query re-broadcasts a
@@ -83,8 +90,6 @@ struct QueryCostReport {
 
 class QueryProcessor {
  public:
-  /// Default lifetime for published base tuples.
-  static constexpr TimeUs kPublishLifetime = 10LL * 60 * kSecond;
   /// Extra slack past the timeout before the client's on_done fires.
   static constexpr TimeUs kDoneSlack = 1 * kSecond;
 
@@ -94,67 +99,21 @@ class QueryProcessor {
   QueryProcessor(const QueryProcessor&) = delete;
   QueryProcessor& operator=(const QueryProcessor&) = delete;
 
-  // --- Publishing (primary/secondary indexes, §3.3.3) -------------------------
-  // Build-then-ship: the client turns every index fan-out of a tuple batch
-  // (primary rows AND secondary entries) into one item list, then ships it
-  // with dht()->PutBatch as a single DHT batch — one Lookup per distinct key,
-  // one wire message per destination owner.
-
-  /// Append a put of an already-encoded value (partition key + wire value
-  /// built by the caller, e.g. from TupleBatch rows) to `items` without
-  /// sending, minting the object suffix. lifetime 0 uses the default;
-  /// `replicas` copies are placed when the batch ships (0 = the DHT's
-  /// default). Returns the value size (statistics accrual reuses it).
-  size_t MakePublishItem(const std::string& ns, std::string key,
-                         std::string value, TimeUs lifetime,
-                         std::vector<DhtPutItem>* items, int replicas = 0);
-
-  /// Publish into a PHT range index keyed by integer column `key_attr`.
-  /// lifetime 0 uses the default.
+  /// Publish into a PHT range index keyed by integer column `key_attr`
+  /// (§3.3.3), through this node's handle for (pht_table, key_bits).
   void PublishRange(const std::string& pht_table, const std::string& key_attr,
-                    const Tuple& t, int key_bits = 32, TimeUs lifetime = 0);
-
-  /// Store a tuple in this node's local soft-state table WITHOUT shipping it
-  /// anywhere — data "in situ" (§2.1.2): endpoint monitoring sources (packet
-  /// traces, firewall logs) stay at their origin and are reached by scans
-  /// in broadcast-disseminated opgraphs. Returns the encoded size.
-  size_t StoreLocal(const std::string& table, const Tuple& t,
-                    TimeUs lifetime = 0);
+                    const Tuple& t, int key_bits, TimeUs lifetime);
 
   // --- Client API (this node is the proxy) -------------------------------------
 
   using TupleCallback = std::function<void(const Tuple&)>;
   using DoneCallback = std::function<void()>;
 
-  /// How a plan uses a namespace it reads: a scannable relation (scan /
-  /// newdata / fetch-matches target) or a PHT range-dissemination table.
-  /// The two are distinct stores — scanning a PHT namespace can never
-  /// produce tuples, so a resolver must not conflate them.
-  enum class TableRole { kRelation, kRangeIndex };
-
-  /// Answers "does the application have published metadata for this table,
-  /// used in this role?". PIER itself keeps no catalog, so the check is
-  /// injected by the client layer (PierClient wires it to its Catalog).
-  /// Unset means "accept all", the paper's original bake-it-in contract.
-  using TableResolver =
-      std::function<bool(const std::string& table, TableRole role)>;
-  /// Install (or clear) the resolver. Returns an installation token: the
-  /// installer passes it to ClearTableResolver so that tearing down an old
-  /// client cannot disturb a newer one's resolver.
-  uint64_t set_table_resolver(TableResolver resolver) {
-    table_resolver_ = std::move(resolver);
-    return ++table_resolver_epoch_;
-  }
-  /// Clear the resolver iff `token` identifies the current installation.
-  void ClearTableResolver(uint64_t token) {
-    if (token == table_resolver_epoch_) table_resolver_ = nullptr;
-  }
-
   /// Parse-free entry point: submit an already-built plan. Fills in
-  /// query_id (if 0) and proxy, validates, disseminates. Returns the id.
-  /// With a table resolver installed, a plan whose access methods read a
-  /// table with no published metadata is rejected with NotFound instead of
-  /// silently succeeding and timing out with zero answers.
+  /// query_id (if 0), proxy and the absolute deadline_us (if 0: now +
+  /// timeout), validates, disseminates. Returns the id. PIER keeps no
+  /// catalog (§4.2.1), so any table a plan reads is accepted; PierClient
+  /// checks its own catalog before it submits.
   Result<uint64_t> SubmitQuery(QueryPlan plan, TupleCallback on_tuple,
                                DoneCallback on_done = nullptr);
 
@@ -313,7 +272,6 @@ class QueryProcessor {
   /// dropping: enough to bridge a re-attach, never unbounded.
   static constexpr size_t kPendingAnswerCap = 4096;
 
-  Status CheckTablesKnown(const QueryPlan& plan) const;
   /// Start the lease refresh of a continuous query this node proxies:
   /// a metadata-only re-broadcast every EffectiveLease/3 (RefreshTick).
   void StartLeaseRefresh(uint64_t query_id);
@@ -361,17 +319,15 @@ class QueryProcessor {
   Vri* vri_;
   Dht* dht_;
   std::unique_ptr<QueryExecutor> executor_;
-  /// Persistent PHT handles per (table, key_bits): Pht::Insert is
-  /// asynchronous, so the instance must outlive the operation (and a stable
-  /// instance keeps its uniquifier counter monotone).
+  /// This node's PHT handle per (table, key_bits), shared by PublishRange
+  /// and range dissemination: Pht::Insert is asynchronous, so the instance
+  /// must outlive the operation, and its split bookkeeping suppresses
+  /// concurrent splits of one leaf only within one instance.
   Pht* PhtFor(const std::string& table, int key_bits);
 
   std::map<std::string, std::unique_ptr<Pht>> phts_;
   std::map<uint64_t, ClientQuery> clients_;
-  TableResolver table_resolver_;
-  uint64_t table_resolver_epoch_ = 0;
   uint64_t dissem_sub_ = 0;
-  uint64_t next_suffix_ = 1;
   Stats stats_;
   MetricsRegistry* metrics_ = nullptr;
 };

@@ -9,12 +9,14 @@
 // and key ranges, scan order, the liveness rule, newData only for local
 // stores), and the router's owner cache (warm puts and gets skip the routed
 // lookup, and a warm get or renew costs three datagrams; joins, deaths and
-// the capacity bound keep it correct).
+// the capacity bound keep it correct), and object names (one node's
+// clients, operators and PHT inserts never mint the same suffix).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -22,6 +24,8 @@
 #include "decoder_fuzz.h"
 #include "overlay/dht.h"
 #include "overlay/sim_overlay.h"
+#include "qp/sim_pier.h"
+#include "qp/ufl.h"
 
 namespace pier {
 namespace {
@@ -1212,6 +1216,68 @@ TEST(OwnerCache, AWarmGetAndARenewCostThreeDatagrams) {
   }
   EXPECT_EQ(get_cost, 3u);
   EXPECT_EQ(renew_cost, 3u);
+}
+
+// Every writer on a node names its objects with Dht::NextSuffix: two
+// clients, a running query's put and the PHT inserts of a range index all
+// draw from one sequence, so none of their objects replaces another's.
+TEST(DhtSuffix, NeverRepeatsAcrossClientsOperatorsAndPhtInserts) {
+  SimPier::Options opts;
+  opts.sim.seed = 61;
+  SimPier net(4, opts);
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("lt").LocalOnly()).ok());
+  ASSERT_TRUE(net.catalog()
+                  ->Register(TableSpec("r").PartitionBy({"k"}).RangeIndex("v"))
+                  .ok());
+  PierClient second(net.qp(0), net.catalog());
+  constexpr int kPerClient = 3;
+  int next = 0;
+  for (PierClient* client : {net.client(0), &second}) {
+    for (int i = 0; i < kPerClient; ++i, ++next) {
+      Tuple t("lt");
+      t.Append("k", Value::Int64(1));  // one key for every local row
+      ASSERT_TRUE(client->Publish("lt", t).ok());
+      Tuple r("r");
+      r.Append("k", Value::Int64(next));
+      r.Append("v", Value::Int64(next));
+      ASSERT_TRUE(client->Publish("r", r).ok());
+    }
+  }
+  net.RunFor(2 * kSecond);
+
+  // An operator on the same node copies every local row under one key.
+  auto copy = ParseUfl(
+      "query { timeout = 10s; }\n"
+      "graph g1 local {\n"
+      "  src: scan [ns=lt];\n"
+      "  out: put [ns=\"q77.copy\", key=k];\n"
+      "  src -> out;\n"
+      "}\n");
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  copy->query_id = 77;
+  ASSERT_TRUE(net.client(0)->Query(std::move(*copy)).ok());
+  net.RunFor(2 * kSecond);
+
+  const std::string tail =
+      "@" + std::to_string(net.dht(0)->local_address().host);
+  std::vector<std::string> minted;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    for (const char* ns : {"lt", "r", "r_rng_v", "q77.copy"}) {
+      net.dht(i)->LocalScan(
+          ns, [&](const ObjectName& name, std::string_view, TimeUs) {
+            const std::string& sfx = name.suffix;
+            if (sfx.size() > tail.size() &&
+                sfx.compare(sfx.size() - tail.size(), tail.size(), tail) == 0)
+              minted.push_back(sfx);
+          });
+    }
+  }
+  // Local rows, their copies, primary rows and PHT items: 2 x 3 of each.
+  constexpr size_t kWrites = 4 * 2 * kPerClient;
+  EXPECT_EQ(minted.size(), kWrites);
+  EXPECT_EQ(std::set<std::string>(minted.begin(), minted.end()).size(),
+            minted.size())
+      << "a suffix was minted twice";
 }
 
 }  // namespace

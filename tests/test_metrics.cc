@@ -236,6 +236,20 @@ TEST(MetricsEndpoint, ScrapeRoundTripInSimulation) {
   EXPECT_EQ(node->endpoint()->stats().scrapes, 1u);
 }
 
+TEST(MetricsEndpoint, ScrapingANodeWithNoListenerYieldsAnEmptyBody) {
+  SimPier net(2, PierOptions(103));  // metrics_port 0: no node listens
+  std::string body = "unset";
+  bool done = false;
+  ScrapeMetrics(net.qp(0)->vri(), net.metrics_address(1),
+                [&](std::string b) {
+                  body = std::move(b);
+                  done = true;
+                });
+  net.RunFor(2 * kSecond);
+  ASSERT_TRUE(done) << "a refused scrape never completed";
+  EXPECT_TRUE(body.empty());
+}
+
 // ---------------------------------------------------------------------------
 // sys.metrics publish / query through PIER itself
 // ---------------------------------------------------------------------------

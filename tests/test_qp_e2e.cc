@@ -11,6 +11,7 @@
 
 #include "decoder_fuzz.h"
 #include "qp/sim_pier.h"
+#include "qp/ufl.h"
 #include "util/random.h"
 
 namespace pier {
@@ -696,6 +697,63 @@ TEST(QpE2E, SwapQueryReplacesTheRunningOpgraphs) {
   EXPECT_GT(delivered, before_swap)
       << "the swapped plan keeps answering under the same handle";
   EXPECT_FALSE(q->done());
+}
+
+// Object names come from the node, not from a graph instance: a swapped-in
+// generation that puts into the query's own namespace under one key adds
+// its objects beside its predecessor's instead of re-minting their names
+// and overwriting them one for one.
+TEST(QpE2E, SwappedInGenerationKeepsItsPredecessorsObjects) {
+  SimPier net(4, PierOptions(113));
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("ev").LocalOnly()).ok());
+  constexpr uint64_t kQid = 4242;
+  const std::string out_ns = "q" + std::to_string(kQid) + ".out";
+  auto plan = ParseUfl(
+      "query { timeout = 60s; window = 1s; continuous; }\n"
+      "graph g1 local {\n"
+      "  src: scan [ns=ev];\n"
+      "  out: put [ns=\"" + out_ns + "\", key=k];\n"
+      "  src -> out;\n"
+      "}\n");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  plan->query_id = kQid;
+  ASSERT_TRUE(net.qp(0)->SubmitQuery(*plan, [](const Tuple&) {}).ok());
+  net.RunFor(kSecond);
+
+  constexpr int kRows = 5;
+  auto publish = [&]() {
+    for (int i = 0; i < kRows; ++i) {
+      Tuple e("ev");
+      e.Append("k", Value::Int64(7));  // one constant key for every row
+      e.Append("i", Value::Int64(i));
+      ASSERT_TRUE(net.client(0)->Publish("ev", e).ok());
+    }
+    net.RunFor(2 * kSecond);
+  };
+  Tuple probe("ev");
+  probe.Append("k", Value::Int64(7));
+  const std::string key = probe.PartitionKey({"k"});
+  auto stored = [&]() {
+    size_t n = 0;
+    bool done = false;
+    net.dht(1)->Get(out_ns, key,
+                    [&](const Status& s, std::vector<DhtItem> items) {
+                      EXPECT_TRUE(s.ok()) << s.ToString();
+                      n = items.size();
+                      done = true;
+                    });
+    net.RunFor(kSecond);
+    EXPECT_TRUE(done) << "get never completed";
+    return n;
+  };
+
+  publish();
+  ASSERT_EQ(stored(), static_cast<size_t>(kRows));
+  ASSERT_TRUE(net.qp(0)->SwapQuery(kQid, *plan).ok());
+  net.RunFor(kSecond);
+  publish();
+  EXPECT_EQ(stored(), static_cast<size_t>(2 * kRows))
+      << "the new generation overwrote its predecessor's objects";
 }
 
 TEST(QpE2E, AutoReplanSwapsOnACardinalityShiftAndOnlyThen) {
