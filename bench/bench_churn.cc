@@ -40,7 +40,6 @@
 
 #include "bench/bench_common.h"
 #include "util/logging.h"
-#include "overlay/sim_overlay.h"
 #include "qp/sim_pier.h"
 
 namespace pier {
@@ -58,11 +57,11 @@ struct Outcome {
 };
 
 Outcome Measure(TimeUs churn_interval, uint64_t seed) {
-  SimOverlay::Options opts;
+  SimPier::Options opts;
   opts.sim.seed = seed;
   opts.seed_routing = false;       // live joins; maintenance must do the work
   opts.settle_time = 40 * kSecond;  // initial convergence
-  SimOverlay net(kNodes, opts);
+  SimPier net(kNodes, opts);
 
   auto key = [](int i) { return "c" + std::to_string(i); };
   Rng rng(seed + 17);

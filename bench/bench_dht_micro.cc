@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "bench/bench_common.h"
-#include "overlay/sim_overlay.h"
+#include "qp/sim_pier.h"
 
 namespace pier {
 namespace {
@@ -37,11 +37,11 @@ void Run() {
   bench::Note("N=" + std::to_string(kNodes) + ", " + std::to_string(kOps) +
               " ops each, seeded routing, idle-baseline subtracted");
 
-  SimOverlay::Options opts;
+  SimPier::Options opts;
   opts.sim.seed = 21;
   opts.seed_routing = true;
   opts.settle_time = 2 * kSecond;
-  SimOverlay net(kNodes, opts);
+  SimPier net(kNodes, opts);
   Rng rng(5);
 
   // Preload objects for get/renew.

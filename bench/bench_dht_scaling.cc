@@ -9,7 +9,7 @@
 #include <cmath>
 
 #include "bench/bench_common.h"
-#include "overlay/sim_overlay.h"
+#include "qp/sim_pier.h"
 
 namespace pier {
 namespace {
@@ -20,12 +20,12 @@ struct Point {
 };
 
 Point Measure(uint32_t n, ProtocolKind kind, uint64_t seed) {
-  SimOverlay::Options opts;
+  SimPier::Options opts;
   opts.sim.seed = seed;
   opts.dht.router.protocol = kind;
   opts.seed_routing = true;
   opts.settle_time = 2 * kSecond;
-  SimOverlay net(n, opts);
+  SimPier net(n, opts);
 
   const int kOps = 200;
   Rng rng(seed * 7 + 1);

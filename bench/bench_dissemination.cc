@@ -16,18 +16,18 @@
 #include <cstdlib>
 
 #include "bench/bench_common.h"
-#include "overlay/sim_overlay.h"
+#include "qp/sim_pier.h"
 
 namespace pier {
 namespace {
 
 bool Measure(uint32_t n, ProtocolKind kind, const char* name) {
-  SimOverlay::Options opts;
+  SimPier::Options opts;
   opts.sim.seed = 13;
   opts.dht.router.protocol = kind;
   opts.seed_routing = true;
   opts.settle_time = 1 * kSecond;
-  SimOverlay net(n, opts);
+  SimPier net(n, opts);
 
   std::vector<TimeUs> arrival(n, -1);
   std::vector<int> runs(n, 0);

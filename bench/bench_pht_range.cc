@@ -9,7 +9,7 @@
 
 #include "bench/bench_common.h"
 #include "overlay/pht.h"
-#include "overlay/sim_overlay.h"
+#include "qp/sim_pier.h"
 
 namespace pier {
 namespace {
@@ -20,11 +20,11 @@ constexpr uint64_t kSpace = 1ULL << 20;
 
 void Run() {
   bench::Title("E11: PHT range queries vs broadcast scan");
-  SimOverlay::Options opts;
+  SimPier::Options opts;
   opts.sim.seed = 77;
   opts.seed_routing = true;
   opts.settle_time = 2 * kSecond;
-  SimOverlay net(kNodes, opts);
+  SimPier net(kNodes, opts);
 
   Pht::Options popts;
   popts.table = "ridx";

@@ -9,7 +9,7 @@
 #include <chrono>
 
 #include "bench/bench_common.h"
-#include "overlay/sim_overlay.h"
+#include "qp/sim_pier.h"
 
 namespace pier {
 namespace {
@@ -17,11 +17,11 @@ namespace {
 void Measure(uint32_t n) {
   auto t0 = std::chrono::steady_clock::now();
 
-  SimOverlay::Options opts;
+  SimPier::Options opts;
   opts.sim.seed = 23;
   opts.seed_routing = true;
   opts.settle_time = 1 * kSecond;
-  SimOverlay net(n, opts);
+  SimPier net(n, opts);
 
   // One put and one get per node, spread over the run.
   Rng rng(99);

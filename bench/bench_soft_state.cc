@@ -8,7 +8,7 @@
 // gets that find the object) and publisher operations.
 
 #include "bench/bench_common.h"
-#include "overlay/sim_overlay.h"
+#include "qp/sim_pier.h"
 
 namespace pier {
 namespace {
@@ -25,11 +25,11 @@ struct Outcome {
 };
 
 Outcome Measure(TimeUs renew_period, uint64_t seed) {
-  SimOverlay::Options opts;
+  SimPier::Options opts;
   opts.sim.seed = seed;
   opts.seed_routing = true;
   opts.settle_time = 2 * kSecond;
-  SimOverlay net(kNodes, opts);
+  SimPier net(kNodes, opts);
 
   // Publish the working set from node 0 (node 0 never fails).
   auto key = [](int i) { return "obj" + std::to_string(i); };

@@ -184,12 +184,17 @@ class Dht {
   void StoreLocal(ObjectName name, std::string value, TimeUs lifetime);
 
   /// Mint a fresh object suffix, `<counter>@<host>` (the tuple uniquifier
-  /// of §3.2.3). Every writer on this node names its objects here, so two
-  /// writes under one (ns, key) never replace each other, whichever client,
-  /// operator or plan generation made them.
+  /// of §3.2.3), or `<counter>@<host>:<port>` when the router is not on
+  /// kDhtPort, so nodes sharing a host never mint the same name. Every
+  /// writer on this node names its objects here, so two writes under one
+  /// (ns, key) never replace each other, whichever client, operator or plan
+  /// generation made them.
   std::string NextSuffix() {
-    return std::to_string(next_suffix_++) + "@" +
-           std::to_string(local_address().host);
+    NetAddress self = local_address();
+    std::string suffix =
+        std::to_string(next_suffix_++) + "@" + std::to_string(self.host);
+    if (self.port != kDhtPort) suffix += ":" + std::to_string(self.port);
+    return suffix;
   }
 
   /// One newly stored object in a newData delivery. `value` aliases the

@@ -289,17 +289,20 @@ void Pht::CollectRange(const std::string& label, uint64_t lo, uint64_t hi,
                        std::shared_ptr<std::vector<PhtItem>> acc,
                        std::shared_ptr<int> outstanding,
                        std::shared_ptr<ItemsCallback> cb) {
+  // The last step of the walk to finish sorts and answers.
+  auto finish_step = [acc, outstanding, cb]() {
+    if (--*outstanding != 0) return;
+    std::sort(acc->begin(), acc->end(),
+              [](const PhtItem& a, const PhtItem& b) { return a.key < b.key; });
+    (*cb)(Status::Ok(), std::move(*acc));
+  };
   uint64_t node_lo, node_hi;
   LabelRange(label, &node_lo, &node_hi);
   if (node_hi < lo || node_lo > hi) {
-    if (--*outstanding == 0) {
-      std::sort(acc->begin(), acc->end(),
-                [](const PhtItem& a, const PhtItem& b) { return a.key < b.key; });
-      (*cb)(Status::Ok(), std::move(*acc));
-    }
+    finish_step();
     return;
   }
-  Probe(label, [this, label, lo, hi, acc, outstanding, cb](
+  Probe(label, [this, label, lo, hi, acc, outstanding, cb, finish_step](
                    NodeKind kind, std::vector<DhtItem> items) {
     if (kind == NodeKind::kInterior &&
         static_cast<int>(label.size()) < options_.key_bits) {
@@ -315,11 +318,7 @@ void Pht::CollectRange(const std::string& label, uint64_t lo, uint64_t hi,
         }
       }
     }
-    if (--*outstanding == 0) {
-      std::sort(acc->begin(), acc->end(),
-                [](const PhtItem& a, const PhtItem& b) { return a.key < b.key; });
-      (*cb)(Status::Ok(), std::move(*acc));
-    }
+    finish_step();
   });
 }
 

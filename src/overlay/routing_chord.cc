@@ -58,15 +58,25 @@ void ChordProtocol::Start(const NetAddress& bootstrap) {
                        // on a seeded ring it names this node itself, which is
                        // not a failed join.
                        if (ready_) return;
-                       if (!result.ok() || !result.value().valid() ||
-                           result.value().addr == host_->local_address()) {
+                       Peer succ = result.ok() ? result.value() : Peer{};
+                       // A node the resolve asked learned of this one from
+                       // the join itself and names it as its own id's owner
+                       // (a lone bootstrap takes the first node it hears
+                       // from as its successor). Asking again would get the
+                       // same answer, so the successor this node has heard
+                       // of stands in; stabilize corrects it.
+                       if (succ.addr == host_->local_address() &&
+                           !succs_.empty())
+                         succ = succs_.front();
+                       if (!succ.valid() ||
+                           succ.addr == host_->local_address()) {
                          // Retry the join later.
                          timers_[kJoinRetryTimer] = host_->vri()->ScheduleEvent(
                              kJoinRetryDelay,
                              [this, bootstrap]() { Start(bootstrap); });
                          return;
                        }
-                       AdoptSuccessor(result.value());
+                       AdoptSuccessor(succ);
                        ready_ = true;
                        Notify(succs_.front());
                        Stabilize();

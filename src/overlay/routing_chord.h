@@ -80,11 +80,8 @@ class ChordProtocol : public RoutingProtocol {
   }
   std::string name() const override { return "chord"; }
 
-  /// Instant warm start for large static simulations: install the correct
-  /// successor list, predecessor and fingers from global knowledge. `ring`
-  /// must be every live node sorted by id. Used by benches that would
-  /// otherwise spend most of their time in join/stabilize traffic.
-  void SeedRoutingState(const std::vector<Peer>& ring);
+  /// Installs the correct successor list, predecessor and fingers.
+  void SeedRoutingState(const std::vector<Peer>& ring) override;
 
   /// Find the owner (successor) of `target` iteratively. Exposed for tests.
   using ResolveCallback = std::function<void(const Result<Peer>&)>;

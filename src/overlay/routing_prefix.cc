@@ -72,9 +72,7 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
     if (!step) return;
     PrefixProtocol* self = state->self;
     if (state->iter++ > kMaxJoinIterations) {
-      self->join_timer_ = self->host_->vri()->ScheduleEvent(
-          kJoinRetryDelay,
-          [self, state]() { self->DoJoin(state->bootstrap); });
+      self->RetryJoin(state->bootstrap);
       return;
     }
     uint64_t nonce = self->next_nonce_++;
@@ -89,8 +87,7 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
       PrefixProtocol* self = state->self;
       if (!s.ok()) {
         self->RemoveEverywhere(ask);
-        self->join_timer_ = self->host_->vri()->ScheduleEvent(
-            kJoinRetryDelay, [self, state]() { self->DoJoin(state->bootstrap); });
+        self->RetryJoin(state->bootstrap);
         return;
       }
       WireReader r(body);
@@ -136,6 +133,11 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
                                      });
   };
   (*step)(bootstrap);
+}
+
+void PrefixProtocol::RetryJoin(const NetAddress& bootstrap) {
+  join_timer_ = host_->vri()->ScheduleEvent(
+      kJoinRetryDelay, [this, bootstrap]() { DoJoin(bootstrap); });
 }
 
 bool PrefixProtocol::LeafSetCovers(Id target) const {

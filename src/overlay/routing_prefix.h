@@ -46,10 +46,9 @@ class PrefixProtocol : public RoutingProtocol {
   void OnPeerUnreachable(const NetAddress& peer) override;
   void ObserveContact(Id id, const NetAddress& addr) override;
   std::vector<RingPeer> Contacts() const override;
+  /// Installs the leaf sets and routing table.
+  void SeedRoutingState(const std::vector<Peer>& ring) override;
   std::string name() const override { return "prefix"; }
-
-  /// Warm start from global knowledge (see ChordProtocol::SeedRoutingState).
-  void SeedRoutingState(const std::vector<Peer>& ring);
 
   const std::vector<Peer>& leaves_cw() const { return leaves_cw_; }
   const std::vector<Peer>& leaves_ccw() const { return leaves_ccw_; }
@@ -71,6 +70,8 @@ class PrefixProtocol : public RoutingProtocol {
   void Gossip();
   void SendGossipTo(const NetAddress& addr);
   void DoJoin(const NetAddress& bootstrap);
+  /// Start the join over after kJoinRetryDelay.
+  void RetryJoin(const NetAddress& bootstrap);
 
   ProtocolHost* host_;
   bool ready_ = false;

@@ -96,6 +96,12 @@ class RoutingProtocol {
   /// with the given id (Bamboo-style lazy table fill).
   virtual void ObserveContact(Id id, const NetAddress& addr) = 0;
 
+  /// Instant warm start from global knowledge: install the routing state a
+  /// converged overlay would hold. `ring` must be every live node sorted by
+  /// id. SimPier's seeded boot uses it, so large static simulations skip
+  /// their join and stabilize traffic.
+  virtual void SeedRoutingState(const std::vector<RingPeer>& ring) = 0;
+
   /// Every distinct live peer in the routing state, never the local node.
   /// The one invariant the router's broadcast relies on: the list holds the
   /// node's clockwise ring neighbour.

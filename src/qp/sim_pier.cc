@@ -1,24 +1,21 @@
 #include "qp/sim_pier.h"
 
-#include "obs/node_metrics.h"
-#include "util/logging.h"
+#include <algorithm>
 
 namespace pier {
 
-SimPier::PierNode::PierNode(Vri* vri, const Options& options,
-                            NetAddress bootstrap)
-    : dht_(std::make_unique<Dht>(vri, options.dht)),
-      qp_(std::make_unique<QueryProcessor>(vri, dht_.get())),
-      bootstrap_(bootstrap) {
-  RegisterNodeMetrics(&metrics_, qp_.get());
-  if (options.metrics_port != 0) {
-    endpoint_ = std::make_unique<MetricsEndpoint>(vri, &metrics_);
-    Status s = endpoint_->Listen(options.metrics_port);
-    PIER_CHECK(s.ok());
-  }
-}
+/// A virtual node's program: the node itself, joining at boot.
+class SimPier::Program : public SimProgram {
+ public:
+  Program(Vri* vri, const Options& options, NetAddress bootstrap)
+      : node(vri, options.dht, options.metrics_port), bootstrap_(bootstrap) {}
+  void Start() override { node.Join(bootstrap_); }
 
-void SimPier::PierNode::Start() { dht_->Join(bootstrap_); }
+  PierNode node;
+
+ private:
+  NetAddress bootstrap_;
+};
 
 SimPier::SimPier(uint32_t n, Options options)
     : options_(options), harness_(options.sim) {
@@ -27,44 +24,40 @@ SimPier::SimPier(uint32_t n, Options options)
       [this, port](Vri* vri, uint32_t index) -> std::unique_ptr<SimProgram> {
         NetAddress bootstrap =
             index == 0 ? NetAddress{} : harness_.AddressOf(0, port);
-        return std::make_unique<PierNode>(vri, options_, bootstrap);
+        auto program = std::make_unique<Program>(vri, options_, bootstrap);
+        // Operator execution feeds the shared statistics registry too:
+        // tuples a Put exchange publishes into an application namespace
+        // count like client-published ones. Per-query rendezvous namespaces
+        // stay out.
+        EventLoop* loop = harness_.loop();
+        program->node.qp()->executor()->set_publish_observer(
+            [this, loop](const std::string& ns,
+                         const std::vector<std::string>& key_attrs,
+                         const Tuple& t, size_t bytes) {
+              if (IsQueryScopedNamespace(ns) || ns == kSysStatsTable ||
+                  ns == kSysMetricsTable)
+                return;
+              stats_.Observe(ns, t, key_attrs, bytes, loop->now());
+            });
+        return program;
       });
   harness_.AddNodes(n);
+  // Let Start() events fire.
   harness_.loop()->RunUntil(harness_.loop()->now() + 1);
-  // Operator execution feeds the shared statistics registry too: tuples a
-  // Put exchange publishes into an application namespace count like
-  // client-published ones. Per-query rendezvous namespaces stay out.
-  for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
-    EventLoop* loop = harness_.loop();
-    qp(i)->executor()->set_publish_observer(
-        [this, loop](const std::string& ns,
-                     const std::vector<std::string>& key_attrs, const Tuple& t,
-                     size_t bytes) {
-          if (IsQueryScopedNamespace(ns) || ns == kSysStatsTable ||
-              ns == kSysMetricsTable)
-            return;
-          stats_.Observe(ns, t, key_attrs, bytes, loop->now());
-        });
-  }
   if (options_.seed_routing) {
     SeedAll();
   }
   harness_.RunFor(options_.settle_time);
 }
 
-Dht* SimPier::dht(uint32_t index) {
-  auto* node = static_cast<PierNode*>(harness_.program(index));
-  return node->dht();
+PierNode* SimPier::node(uint32_t index) {
+  return &static_cast<Program*>(harness_.program(index))->node;
 }
 
-QueryProcessor* SimPier::qp(uint32_t index) {
-  auto* node = static_cast<PierNode*>(harness_.program(index));
-  return node->qp();
-}
-
-MetricsRegistry* SimPier::metrics(uint32_t index) {
-  auto* node = static_cast<PierNode*>(harness_.program(index));
-  return node->metrics();
+uint32_t SimPier::AddNode() {
+  uint32_t index = harness_.AddNode();
+  harness_.loop()->RunUntil(harness_.loop()->now() + 1);
+  return index;
 }
 
 PierClient* SimPier::client(uint32_t index) {
@@ -85,7 +78,18 @@ PierClient* SimPier::client(uint32_t index) {
 }
 
 void SimPier::SeedAll() {
-  SeedRouting(&harness_, [this](uint32_t i) { return dht(i); });
+  // The sorted live ring, installed on every live node.
+  std::vector<RingPeer> ring;
+  for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
+    if (!harness_.IsAlive(i)) continue;
+    ring.push_back(RingPeer{dht(i)->local_id(), dht(i)->local_address()});
+  }
+  std::sort(ring.begin(), ring.end(),
+            [](const RingPeer& a, const RingPeer& b) { return a.id < b.id; });
+  for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
+    if (harness_.IsAlive(i))
+      dht(i)->router()->protocol()->SeedRoutingState(ring);
+  }
 }
 
 }  // namespace pier

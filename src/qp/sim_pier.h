@@ -1,12 +1,14 @@
-// SimPier: a simulated network of full PIER nodes (DHT + query processor).
+// SimPier: a simulated network of full PIER nodes, the one simulated
+// harness.
 //
-// The query-processing analogue of SimOverlay: boots `n` virtual nodes, each
-// running a Dht and a QueryProcessor, seeds routing (or lets nodes join
-// live), and runs ring maintenance long enough for the overlay to settle.
-// Tests, benches and examples publish and query through the client
-// façade at any node via client(i) — every node's PierClient shares one
-// application catalog (catalog()) and drives the harness's virtual clock for
-// blocking waits. qp(i)/dht(i) stay available for operator-level poking.
+// Boots `n` virtual nodes, each running a PierNode (DHT + query processor +
+// metrics), seeds routing (or lets nodes join live), and runs ring
+// maintenance long enough for the overlay to settle. Tests, benches and
+// examples publish and query through the client façade at any node via
+// client(i) — every node's PierClient shares one application catalog
+// (catalog()) and drives the harness's virtual clock for blocking waits.
+// qp(i)/dht(i) stay available for operator-level poking, and DHT-level tests
+// use dht(i) alone.
 
 #ifndef PIER_QP_SIM_PIER_H_
 #define PIER_QP_SIM_PIER_H_
@@ -16,10 +18,8 @@
 #include <vector>
 
 #include "client/pier_client.h"
-#include "obs/metrics.h"
-#include "obs/scrape.h"
-#include "overlay/sim_overlay.h"
-#include "qp/query_processor.h"
+#include "qp/pier_node.h"
+#include "runtime/sim_runtime.h"
 
 namespace pier {
 
@@ -28,6 +28,8 @@ class SimPier {
   struct Options {
     SimOptions sim;
     Dht::Options dht;
+    /// true: install correct routing state instantly after boot.
+    /// false: nodes join through node 0 and converge via maintenance.
     bool seed_routing = true;
     /// Virtual time to run after boot: join traffic, ring maintenance and
     /// the fix-finger loop's backoff settle within it.
@@ -39,34 +41,18 @@ class SimPier {
     uint16_t metrics_port = 0;
   };
 
-  class PierNode : public SimProgram {
-   public:
-    PierNode(Vri* vri, const Options& options, NetAddress bootstrap);
-    void Start() override;
-    void Stop() override {}
-    Dht* dht() { return dht_.get(); }
-    QueryProcessor* qp() { return qp_.get(); }
-    MetricsRegistry* metrics() { return &metrics_; }
-    MetricsEndpoint* endpoint() { return endpoint_.get(); }
-
-   private:
-    /// Declared before the subsystems whose Stats its collector closures
-    /// read, destroyed after them — nothing snapshots during teardown.
-    MetricsRegistry metrics_;
-    std::unique_ptr<Dht> dht_;
-    std::unique_ptr<QueryProcessor> qp_;
-    std::unique_ptr<MetricsEndpoint> endpoint_;
-    NetAddress bootstrap_;
-  };
-
   SimPier(uint32_t n, Options options);
   explicit SimPier(uint32_t n) : SimPier(n, Options{}) {}
 
   SimHarness* harness() { return &harness_; }
   EventLoop* loop() { return harness_.loop(); }
-  Dht* dht(uint32_t index);
-  QueryProcessor* qp(uint32_t index);
+  PierNode* node(uint32_t index);
+  Dht* dht(uint32_t index) { return node(index)->dht(); }
+  QueryProcessor* qp(uint32_t index) { return node(index)->qp(); }
   size_t size() const { return harness_.num_nodes(); }
+
+  /// Boot one more node that joins through node 0 (live join).
+  uint32_t AddNode();
 
   /// The application catalog shared by every node's client.
   Catalog* catalog() { return &catalog_; }
@@ -82,7 +68,7 @@ class SimPier {
   PierClient* client(uint32_t index);
 
   /// Node `index`'s metrics registry (all subsystem collectors registered).
-  MetricsRegistry* metrics(uint32_t index);
+  MetricsRegistry* metrics(uint32_t index) { return node(index)->metrics(); }
   /// Where node `index`'s scrape endpoint listens (Options::metrics_port
   /// must be nonzero for the listener to exist).
   NetAddress metrics_address(uint32_t index) {
@@ -95,6 +81,8 @@ class SimPier {
   void RunFor(TimeUs t) { harness_.RunFor(t); }
 
  private:
+  class Program;
+
   Options options_;
   SimHarness harness_;
   Catalog catalog_;

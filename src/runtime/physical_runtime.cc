@@ -84,6 +84,7 @@ PhysicalRuntime::~PhysicalRuntime() {
     if (l.fd >= 0) close(l.fd);
   for (auto& [id, c] : tcp_conns_)
     if (c.fd >= 0) close(c.fd);
+  for (int fd : retired_fds_) close(fd);
   close(wake_pipe_[0]);
   close(wake_pipe_[1]);
 }
@@ -175,11 +176,14 @@ Status PhysicalRuntime::UdpListen(uint16_t port, UdpHandler* handler) {
 }
 
 void PhysicalRuntime::UdpRelease(uint16_t port) {
-  MutexLock lock(io_mu_);
-  auto it = udp_socks_.find(port);
-  if (it == udp_socks_.end()) return;
-  close(it->second.fd);
-  udp_socks_.erase(it);
+  {
+    MutexLock lock(io_mu_);
+    auto it = udp_socks_.find(port);
+    if (it == udp_socks_.end()) return;
+    retired_fds_.push_back(it->second.fd);
+    udp_socks_.erase(it);
+  }
+  WakeIoThread();
 }
 
 Status PhysicalRuntime::UdpSend(uint16_t source_port, const NetAddress& destination,
@@ -231,11 +235,14 @@ Status PhysicalRuntime::TcpListen(uint16_t port, TcpHandler* handler) {
 }
 
 void PhysicalRuntime::TcpRelease(uint16_t port) {
-  MutexLock lock(io_mu_);
-  auto it = tcp_listeners_.find(port);
-  if (it == tcp_listeners_.end()) return;
-  close(it->second.fd);
-  tcp_listeners_.erase(it);
+  {
+    MutexLock lock(io_mu_);
+    auto it = tcp_listeners_.find(port);
+    if (it == tcp_listeners_.end()) return;
+    retired_fds_.push_back(it->second.fd);
+    tcp_listeners_.erase(it);
+  }
+  WakeIoThread();
 }
 
 Result<uint64_t> PhysicalRuntime::TcpConnect(const NetAddress& destination,
@@ -283,20 +290,12 @@ Status PhysicalRuntime::TcpWrite(uint64_t conn_id, std::string data) {
 void PhysicalRuntime::TcpClose(uint64_t conn_id) {
   {
     MutexLock lock(io_mu_);
-    CloseConnLocked(conn_id, /*notify=*/false);
+    auto it = tcp_conns_.find(conn_id);
+    if (it == tcp_conns_.end()) return;
+    retired_fds_.push_back(it->second.fd);
+    tcp_conns_.erase(it);
   }
   WakeIoThread();
-}
-
-void PhysicalRuntime::CloseConnLocked(uint64_t conn_id, bool notify) {
-  auto it = tcp_conns_.find(conn_id);
-  if (it == tcp_conns_.end()) return;
-  TcpHandler* h = it->second.handler;
-  if (it->second.fd >= 0) close(it->second.fd);
-  tcp_conns_.erase(it);
-  if (notify && h != nullptr) {
-    PostFromAnyThread([h, conn_id]() { h->HandleTcpError(conn_id); });
-  }
 }
 
 NetAddress PhysicalRuntime::LocalAddress() const {
@@ -329,6 +328,9 @@ void PhysicalRuntime::IoThreadMain() {
 
     {
       MutexLock lock(io_mu_);
+      // The previous round's actions are done with every released fd.
+      for (int fd : retired_fds_) close(fd);
+      retired_fds_.clear();
       for (auto& [port, sock] : udp_socks_) {
         UdpHandler* handler = sock.handler;
         int fd = sock.fd;

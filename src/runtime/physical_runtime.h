@@ -98,7 +98,6 @@ class PhysicalRuntime : public Vri {
 
   void IoThreadMain();
   void WakeIoThread();
-  void CloseConnLocked(uint64_t conn_id, bool notify) PIER_REQUIRES(io_mu_);
 
   Options options_;
   EventLoop loop_;
@@ -118,6 +117,9 @@ class PhysicalRuntime : public Vri {
   std::map<uint16_t, TcpListener> tcp_listeners_ PIER_GUARDED_BY(io_mu_);
   std::map<uint64_t, TcpConn> tcp_conns_ PIER_GUARDED_BY(io_mu_);
   uint64_t next_conn_id_ PIER_GUARDED_BY(io_mu_) = 1;
+  /// Sockets released while the I/O thread may still poll or read them
+  /// from its current round; it closes them before building the next one.
+  std::vector<int> retired_fds_ PIER_GUARDED_BY(io_mu_);
   int wake_pipe_[2] = {-1, -1};
   std::thread io_thread_;
   std::atomic<bool> io_shutdown_{false};

@@ -16,22 +16,22 @@
 
 #include "decoder_fuzz.h"
 #include "overlay/routing_chord.h"
-#include "overlay/sim_overlay.h"
+#include "qp/sim_pier.h"
 #include "util/hash.h"
 #include "util/wire.h"
 
 namespace pier {
 namespace {
 
-SimOverlay::Options Seeded(uint64_t seed) {
-  SimOverlay::Options opts;
+SimPier::Options Seeded(uint64_t seed) {
+  SimPier::Options opts;
   opts.sim.seed = seed;
   opts.seed_routing = true;
   opts.settle_time = 1 * kSecond;
   return opts;
 }
 
-ChordProtocol* Chord(SimOverlay* net, uint32_t i) {
+ChordProtocol* Chord(SimPier* net, uint32_t i) {
   auto* chord = dynamic_cast<ChordProtocol*>(net->dht(i)->router()->protocol());
   EXPECT_NE(chord, nullptr);
   return chord;
@@ -41,7 +41,7 @@ ChordProtocol* Chord(SimOverlay* net, uint32_t i) {
 uint32_t NodeOf(const NetAddress& a) { return a.host - 1; }
 
 /// Index of node `i`'s predecessor.
-uint32_t PredecessorOf(SimOverlay* net, uint32_t i) {
+uint32_t PredecessorOf(SimPier* net, uint32_t i) {
   return NodeOf(Chord(net, i)->predecessor().addr);
 }
 
@@ -49,7 +49,7 @@ const ChordProtocol::Options kDefaults;
 
 TEST(Chord, SeededRingMakesNoJoinsAndOnlyStabilizeTraffic) {
   constexpr uint32_t kNodes = 64;
-  SimOverlay net(kNodes, Seeded(3));
+  SimPier net(kNodes, Seeded(3));
   net.RunFor(20 * kSecond);  // let the finger loops back off
 
   std::vector<ChordProtocol::Counters> before;
@@ -104,7 +104,7 @@ TEST(Chord, SeededRingMakesNoJoinsAndOnlyStabilizeTraffic) {
 
 TEST(Chord, ChangedNeighboursAreSentInFullAndADeadEntryAgesOutAsBefore) {
   constexpr uint32_t kNodes = 16;
-  SimOverlay net(kNodes, Seeded(13));
+  SimPier net(kNodes, Seeded(13));
   net.RunFor(10 * kSecond);
   const uint32_t node = 6;
   const std::vector<ChordProtocol::Peer> list = Chord(&net, node)->successors();
@@ -320,7 +320,7 @@ TEST(Chord, HostileFramesAndNeighbourRepliesChangeNothing) {
 
 TEST(Chord, FingerPeriodBacksOffOnAQuietRingAndResetsOnAFailure) {
   constexpr uint32_t kNodes = 16;
-  SimOverlay net(kNodes, Seeded(5));
+  SimPier net(kNodes, Seeded(5));
   const TimeUs base = kDefaults.fix_finger_period;
   const TimeUs cap = ChordProtocol::kFingerBackoffCap * base;
   net.RunFor(20 * kSecond);
@@ -348,7 +348,7 @@ TEST(Chord, FingerPeriodBacksOffOnAQuietRingAndResetsOnAFailure) {
 
 TEST(Chord, FingerRepairReturnsToOneCappedLoopAfterRingChanges) {
   constexpr uint32_t kNodes = 64;
-  SimOverlay net(kNodes, Seeded(11));
+  SimPier net(kNodes, Seeded(11));
   const TimeUs cap =
       ChordProtocol::kFingerBackoffCap * kDefaults.fix_finger_period;
   net.RunFor(20 * kSecond);
@@ -391,7 +391,7 @@ TEST(Chord, FingerRepairReturnsToOneCappedLoopAfterRingChanges) {
 
 TEST(Chord, DeadPredecessorIsDroppedWithinCheckPeriodPlusRpcTimeout) {
   constexpr uint32_t kNodes = 16;
-  SimOverlay net(kNodes, Seeded(7));
+  SimPier net(kNodes, Seeded(7));
   net.RunFor(10 * kSecond);
   uint32_t victim = 4;
   uint32_t succ = NodeOf(Chord(&net, victim)->successors().front().addr);
@@ -421,7 +421,7 @@ TEST(Chord, DeadPredecessorIsDroppedWithinCheckPeriodPlusRpcTimeout) {
 
 TEST(Chord, NotifyOnlyWhenTheSuccessorDoesNotNameUs) {
   constexpr uint32_t kNodes = 16;
-  SimOverlay net(kNodes, Seeded(9));
+  SimPier net(kNodes, Seeded(9));
   net.RunFor(5 * kSecond);
   std::vector<uint64_t> notifies;
   for (uint32_t i = 0; i < kNodes; ++i)

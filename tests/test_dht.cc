@@ -23,15 +23,14 @@
 
 #include "decoder_fuzz.h"
 #include "overlay/dht.h"
-#include "overlay/sim_overlay.h"
 #include "qp/sim_pier.h"
 #include "qp/ufl.h"
 
 namespace pier {
 namespace {
 
-SimOverlay::Options SeededOptions(uint64_t seed = 42) {
-  SimOverlay::Options opts;
+SimPier::Options SeededOptions(uint64_t seed = 42) {
+  SimPier::Options opts;
   opts.sim.seed = seed;
   opts.seed_routing = true;
   opts.settle_time = 1 * kSecond;
@@ -61,7 +60,7 @@ void ShipCopy(Dht* from, Dht* to, const ObjectName& name, TimeUs lifetime,
 }
 
 /// The live owner index of (ns, key) under the current routing state.
-int OwnerOf(SimOverlay* net, const std::string& ns, const std::string& key) {
+int OwnerOf(SimPier* net, const std::string& ns, const std::string& key) {
   Id target = RoutingId(ns, key);
   for (uint32_t i = 0; i < net->size(); ++i) {
     if (net->harness()->IsAlive(i) &&
@@ -72,7 +71,7 @@ int OwnerOf(SimOverlay* net, const std::string& ns, const std::string& key) {
 }
 
 TEST(DhtBatch, SplitAcrossTwoOwnersDeliversToBoth) {
-  SimOverlay net(16, SeededOptions());
+  SimPier net(16, SeededOptions());
   // Two keys with distinct owners plus a same-key pair: the batch must fan
   // out to BOTH destinations, and the same-owner pair must ride one frame.
   std::string key_a = "a0", key_b;
@@ -121,7 +120,7 @@ TEST(DhtBatch, SplitAcrossTwoOwnersDeliversToBoth) {
 }
 
 TEST(DhtBatch, OrderPreservedWithinKey) {
-  SimOverlay net(12, SeededOptions(7));
+  SimPier net(12, SeededOptions(7));
   int owner = OwnerOf(&net, "ord", "k");
   ASSERT_GE(owner, 0);
   std::vector<std::string> arrivals;
@@ -140,7 +139,7 @@ TEST(DhtBatch, OrderPreservedWithinKey) {
 }
 
 TEST(DhtBatch, EmptyBatchCompletesImmediately) {
-  SimOverlay net(4, SeededOptions(9));
+  SimPier net(4, SeededOptions(9));
   bool called = false;
   net.dht(0)->PutBatch({}, [&](const Status& s,
                               std::vector<Dht::PutGroupStatus> groups) {
@@ -160,10 +159,10 @@ TEST(DhtBatch, SingletonGroupsAreByteIdenticalToPlainPuts) {
   // reads UdpCc's data frames, not every datagram: ShipBatch sends its
   // frames in the last lookup's dispatch, so which ACKs ride a reply and
   // which go alone differs between the twins.
-  SimOverlay::Options opts = SeededOptions(21);
+  SimPier::Options opts = SeededOptions(21);
 
-  SimOverlay plain(12, opts);
-  SimOverlay batched(12, opts);  // twin sim: same seed, same topology
+  SimPier plain(12, opts);
+  SimPier batched(12, opts);  // twin sim: same seed, same topology
   std::string key_a = "a0", key_b;
   int owner_a = OwnerOf(&plain, "tw", key_a);
   ASSERT_GE(owner_a, 0);
@@ -175,7 +174,7 @@ TEST(DhtBatch, SingletonGroupsAreByteIdenticalToPlainPuts) {
   ASSERT_FALSE(key_b.empty());
 
   // Data frames and their payload bytes first-transmitted by every node.
-  auto sent = [](SimOverlay* net) {
+  auto sent = [](SimPier* net) {
     std::pair<uint64_t, uint64_t> total{0, 0};
     for (uint32_t i = 0; i < net->size(); ++i) {
       const UdpCc::Stats& st = net->dht(i)->router()->transport()->stats();
@@ -202,7 +201,7 @@ TEST(DhtBatch, SingletonGroupsAreByteIdenticalToPlainPuts) {
 }
 
 TEST(DhtBatch, PartialFailureReportsPerGroupStatus) {
-  SimOverlay net(16, SeededOptions(77));
+  SimPier net(16, SeededOptions(77));
   // Two keys with distinct owners; then the second owner dies, so the batch
   // PARTIALLY fails — the report must say exactly which items were dropped,
   // not collapse everything into the first error.
@@ -273,7 +272,7 @@ TEST(DhtBatch, ReplicatedBatchReachesTheOwnersSubscriberAsOneCall) {
   // A k=3 batch of several objects in one namespace rides ONE store frame to
   // the owner, whose batch subscriber sees the whole frame as one call, in
   // batch order. The replica copies at the successors are not newData.
-  SimOverlay net(12, SeededOptions(13));
+  SimPier net(12, SeededOptions(13));
   int owner = OwnerOf(&net, "nd", "k");
   ASSERT_GE(owner, 0);
   // Per node, the suffixes each newData call carried.
@@ -304,6 +303,32 @@ TEST(DhtBatch, ReplicatedBatchReachesTheOwnersSubscriberAsOneCall) {
   EXPECT_EQ(net.dht(owner)->stats().store_requests, 5u);
 }
 
+TEST(DhtBatch, AMixedNamespaceFrameIsOneCallPerNamespace) {
+  // A store frame whose client writes span namespaces reaches each
+  // namespace's subscriber in one call: namespaces in first-seen order, each
+  // one's objects in frame order.
+  SimPier net(2, SeededOptions(57));
+  std::vector<std::string> calls;
+  for (const char* ns : {"na", "nb"}) {
+    net.dht(1)->OnNewDataBatch(
+        ns, [&calls](const std::vector<Dht::NewDataEvent>& events) {
+          std::string call;
+          for (const Dht::NewDataEvent& e : events)
+            call += e.name.ns + "/" + e.name.suffix + " ";
+          calls.push_back(call);
+        });
+  }
+  const std::vector<ObjectName> names = {
+      {"nb", "k", "s0"}, {"na", "k", "s1"}, {"nb", "k", "s2"}};
+  WireWriter w = Dht::FrameStore(0, StoreOrigin::kWrite, names.size());
+  for (const ObjectName& name : names)
+    Dht::EncodeStoreObject(&w, name, 60 * kSecond, 0, 1, "v");
+  net.dht(0)->router()->SendFramed(net.dht(1)->local_address(),
+                                   std::move(w).data(), nullptr);
+  net.RunFor(500 * kMillisecond);
+  EXPECT_EQ(calls, (std::vector<std::string>{"nb/s0 nb/s2 ", "na/s1 "}));
+}
+
 /// A store frame of `n` client writes under ("cut", "k"); `ends` receives
 /// the frame length after each object.
 std::string CutFrame(int n, std::vector<size_t>* ends) {
@@ -317,7 +342,7 @@ std::string CutFrame(int n, std::vector<size_t>* ends) {
 }
 
 TEST(StoreFrame, DecoderKeepsWhatDecodedAndDropsTheRest) {
-  SimOverlay net(4, SeededOptions(31));
+  SimPier net(4, SeededOptions(31));
   Dht* to = net.dht(1);
   OverlayRouter* from = net.dht(0)->router();
   auto stored = [&](const std::string& ns, int i) {
@@ -374,7 +399,7 @@ TEST(StoreFrame, DecoderKeepsWhatDecodedAndDropsTheRest) {
 // anything; of the seeded garbage bodies, one that is not answered changes
 // nothing either.
 TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
-  SimOverlay net(4, SeededOptions(37));
+  SimPier net(4, SeededOptions(37));
   Dht* asker = net.dht(0);
   Dht* to = net.dht(1);
   const ObjectName plain{"fz", "k", "s"};
@@ -461,7 +486,7 @@ TEST(DirectRequests, AnswerTheSenderAndIgnoreCutAndGarbageFrames) {
 // that does not decode whole is that candidate's failure, never a shorter
 // answer. The seeded garbage bodies must only fail cleanly.
 TEST(DirectResponses, ACutResponseNeverFinishesAnOpOk) {
-  SimOverlay net(4, SeededOptions(43));
+  SimPier net(4, SeededOptions(43));
   const int owner = OwnerOf(&net, "fr", "k");
   ASSERT_GE(owner, 0);
   Dht* to = net.dht(owner);
@@ -551,7 +576,7 @@ TEST(DirectResponses, ACutResponseNeverFinishesAnOpOk) {
 // a renew response naming a get's, finish nothing: each op then ends
 // TimedOut at Dht::kOpTimeout, as if no answer had come.
 TEST(DirectResponses, AResponseFinishesOnlyAnOpOfItsOwnKind) {
-  SimOverlay net(4, SeededOptions(47));
+  SimPier net(4, SeededOptions(47));
   const int owner = OwnerOf(&net, "fr", "k");
   ASSERT_GE(owner, 0);
   Dht* to = net.dht(owner);
@@ -614,7 +639,7 @@ TEST(DirectResponses, AResponseFinishesOnlyAnOpOfItsOwnKind) {
 // bodies must only fail cleanly. A broadcast's payload runs to the end of
 // its frame, so only a cut inside its 16-byte header can be refused here.
 TEST(DirectRequests, RouterFramesIgnoreCutAndGarbageFrames) {
-  SimOverlay net(4, SeededOptions(39));
+  SimPier net(4, SeededOptions(39));
   Dht* asker = net.dht(0);
   Dht* to = net.dht(1);
   const Id asker_id = asker->local_id();
@@ -769,7 +794,7 @@ std::vector<std::string> ScanNames(const ObjectManager& store,
 // and the namespace drop still see exactly their own range, in (key,
 // suffix) order.
 TEST(ObjectStore, ANamespaceOrKeyThatPrefixesAnotherStaysExact) {
-  SimOverlay net(2, SeededOptions(51));
+  SimPier net(2, SeededOptions(51));
   Dht* dht = net.dht(0);
   const ObjectManager& store = *dht->objects();
   // Stored out of order; "10" sorts before "9".
@@ -802,7 +827,7 @@ TEST(ObjectStore, ANamespaceOrKeyThatPrefixesAnotherStaysExact) {
 // An expired copy is gone for every read, and Renew fails on it, but it
 // stays in the table and its counts until the sweep.
 TEST(ObjectStore, AnExpiredCopyIsInvisibleButCountedUntilTheSweep) {
-  SimOverlay net(2, SeededOptions(53));  // sweeps at 2, 4, 6, ... s
+  SimPier net(2, SeededOptions(53));  // sweeps at 2, 4, 6, ... s
   Dht* dht = net.dht(0);
   ObjectManager* store = dht->objects();
   const ObjectName live{"ex", "k", "live"};
@@ -840,7 +865,7 @@ TEST(ObjectStore, AnExpiredCopyIsInvisibleButCountedUntilTheSweep) {
 // A local store announces itself once; replica copies in a store frame are
 // stored silently.
 TEST(ObjectStore, ALocalStoreIsNewDataOnceAndReplicaCopiesNever) {
-  SimOverlay net(2, SeededOptions(55));
+  SimPier net(2, SeededOptions(55));
   Dht* dht = net.dht(0);
   std::vector<std::string> seen;
   size_t calls = 0;
@@ -865,7 +890,7 @@ TEST(ObjectStore, ALocalStoreIsNewDataOnceAndReplicaCopiesNever) {
 
 /// Routed messages seen anywhere on the ring: a lookup is routed, a warm put
 /// is not.
-uint64_t RoutedTraffic(SimOverlay* net) {
+uint64_t RoutedTraffic(SimPier* net) {
   uint64_t n = 0;
   for (uint32_t i = 0; i < net->size(); ++i) {
     if (!net->harness()->IsAlive(i)) continue;
@@ -876,7 +901,7 @@ uint64_t RoutedTraffic(SimOverlay* net) {
 }
 
 /// Does node `i` store an object (ns, key, suffix)?
-bool Holds(SimOverlay* net, uint32_t i, const std::string& ns,
+bool Holds(SimPier* net, uint32_t i, const std::string& ns,
            const std::string& key, const std::string& suffix) {
   for (const ObjectManager::Row* row : net->dht(i)->objects()->Get(ns, key))
     if (row->first.suffix == suffix) return true;
@@ -895,7 +920,7 @@ std::string FindKey(const std::string& ns, const std::string& prefix,
 }
 
 TEST(OwnerCache, WarmPutSkipsRoutedLookupAndLandsAtOwner) {
-  SimOverlay net(16, SeededOptions(101));
+  SimPier net(16, SeededOptions(101));
   int owner = OwnerOf(&net, "oc", "k");
   ASSERT_GE(owner, 0);
   uint32_t sender = owner == 0 ? 1 : 0;
@@ -919,7 +944,7 @@ TEST(OwnerCache, WarmPutSkipsRoutedLookupAndLandsAtOwner) {
 }
 
 TEST(OwnerCache, RangeWrappingPastZeroHits) {
-  SimOverlay net(16, SeededOptions(102));
+  SimPier net(16, SeededOptions(102));
   // The node with the smallest id owns (largest id, smallest id], the one
   // range that wraps past id 0.
   Id min_id = ~0ULL, max_id = 0;
@@ -951,7 +976,7 @@ TEST(OwnerCache, RangeWrappingPastZeroHits) {
 }
 
 TEST(OwnerCache, ReplicatedBatchFromCachePlacesLikeColdLookup) {
-  SimOverlay net(16, SeededOptions(103));
+  SimPier net(16, SeededOptions(103));
   int owner = OwnerOf(&net, "rb", "k");
   ASSERT_GE(owner, 0);
   std::vector<uint32_t> senders;
@@ -989,7 +1014,7 @@ TEST(OwnerCache, ReplicatedBatchFromCachePlacesLikeColdLookup) {
 }
 
 TEST(OwnerCache, JoinInsideCachedRangeDrawsNotOwnerHint) {
-  SimOverlay net(16, SeededOptions(104));
+  SimPier net(16, SeededOptions(104));
   // The next node's address (and so its id) is known before it boots.
   const uint32_t joiner = static_cast<uint32_t>(net.size());
   NetAddress joiner_addr = net.harness()->AddressOf(joiner, kDhtPort);
@@ -1040,7 +1065,7 @@ TEST(OwnerCache, JoinInsideCachedRangeDrawsNotOwnerHint) {
 }
 
 TEST(OwnerCache, DeadCachedOwnerIsReResolvedToItsSuccessor) {
-  SimOverlay net(16, SeededOptions(105));
+  SimPier net(16, SeededOptions(105));
   int owner = OwnerOf(&net, "dd", "k");
   ASSERT_GE(owner, 0);
   uint32_t sender = owner == 0 ? 1 : 0;
@@ -1084,7 +1109,7 @@ TEST(OwnerCache, DeadCachedOwnerIsReResolvedToItsSuccessor) {
 }
 
 TEST(OwnerCache, DeadCachedOwnerGetIsReResolvedToItsSuccessor) {
-  SimOverlay net(16, SeededOptions(108));
+  SimPier net(16, SeededOptions(108));
   int owner = OwnerOf(&net, "dg", "k");
   ASSERT_GE(owner, 0);
   uint32_t sender = owner == 0 ? 1 : 0;
@@ -1127,9 +1152,9 @@ TEST(OwnerCache, DeadCachedOwnerGetIsReResolvedToItsSuccessor) {
 }
 
 TEST(OwnerCache, PrefixRoutingNeverCaches) {
-  SimOverlay::Options opts = SeededOptions(106);
+  SimPier::Options opts = SeededOptions(106);
   opts.dht.router.protocol = ProtocolKind::kPrefix;
-  SimOverlay net(16, opts);
+  SimPier net(16, opts);
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 8; ++i)
       net.dht(3)->Put("px", "k" + std::to_string(i),
@@ -1146,9 +1171,9 @@ TEST(OwnerCache, NeverGrowsPastCapacity) {
   // More owners than the cache holds: a lookup for each node's own id is
   // answered by that node, so every response is a distinct range.
   const uint32_t n = OverlayRouter::kOwnerCacheCapacity + 16;
-  SimOverlay::Options opts = SeededOptions(107);
+  SimPier::Options opts = SeededOptions(107);
   opts.settle_time = 100 * kMillisecond;
-  SimOverlay net(n, opts);
+  SimPier net(n, opts);
   OverlayRouter* router = net.dht(0)->router();
   size_t resolved = 0, peak = 0;
   for (uint32_t i = 1; i < n; ++i) {
@@ -1173,7 +1198,7 @@ TEST(OwnerCache, NeverGrowsPastCapacity) {
 // would make it four. Ring maintenance only adds datagrams, so the cheapest
 // of several tries is the exchange alone.
 TEST(OwnerCache, AWarmGetAndARenewCostThreeDatagrams) {
-  SimOverlay net(8, SeededOptions(43));
+  SimPier net(8, SeededOptions(43));
   Dht* asker = net.dht(0);
   const std::string key = FindKey("ak", "k", [&](Id id) {
     return !asker->router()->protocol()->IsOwner(id);

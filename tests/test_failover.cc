@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "opt/replanner.h"
-#include "overlay/sim_overlay.h"
 #include "qp/sim_pier.h"
 #include "qp/ufl.h"
 

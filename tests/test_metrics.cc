@@ -230,10 +230,8 @@ TEST(MetricsEndpoint, ScrapeRoundTripInSimulation) {
                      std::to_string(net.dht(1)->stats().store_requests);
   EXPECT_NE(rendered.find(want), std::string::npos);
   // Endpoint bookkeeping on the scraped node.
-  auto* node =
-      static_cast<SimPier::PierNode*>(net.harness()->program(1));
-  ASSERT_NE(node->endpoint(), nullptr);
-  EXPECT_EQ(node->endpoint()->stats().scrapes, 1u);
+  ASSERT_NE(net.node(1)->endpoint(), nullptr);
+  EXPECT_EQ(net.node(1)->endpoint()->stats().scrapes, 1u);
 }
 
 TEST(MetricsEndpoint, ScrapingANodeWithNoListenerYieldsAnEmptyBody) {

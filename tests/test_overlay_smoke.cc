@@ -8,14 +8,15 @@
 
 #include "overlay/dht.h"
 #include "overlay/pht.h"
-#include "overlay/sim_overlay.h"
+#include "overlay/routing_chord.h"
+#include "qp/sim_pier.h"
 
 namespace pier {
 namespace {
 
-SimOverlay::Options SeededOptions(ProtocolKind kind = ProtocolKind::kChord,
+SimPier::Options SeededOptions(ProtocolKind kind = ProtocolKind::kChord,
                                   uint64_t seed = 42) {
-  SimOverlay::Options opts;
+  SimPier::Options opts;
   opts.sim.seed = seed;
   opts.dht.router.protocol = kind;
   opts.seed_routing = true;
@@ -24,7 +25,7 @@ SimOverlay::Options SeededOptions(ProtocolKind kind = ProtocolKind::kChord,
 }
 
 TEST(OverlaySmoke, PutThenGetAcrossNodes) {
-  SimOverlay net(16, SeededOptions());
+  SimPier net(16, SeededOptions());
   bool got = false;
   net.dht(3)->Put("tbl", "k1", "s1", "hello", 60 * kSecond);
   net.RunFor(2 * kSecond);
@@ -40,7 +41,7 @@ TEST(OverlaySmoke, PutThenGetAcrossNodes) {
 }
 
 TEST(OverlaySmoke, PutGetOnPrefixProtocol) {
-  SimOverlay net(16, SeededOptions(ProtocolKind::kPrefix));
+  SimPier net(16, SeededOptions(ProtocolKind::kPrefix));
   bool got = false;
   net.dht(1)->Put("tbl", "kX", "s", "prefix-routed", 60 * kSecond);
   net.RunFor(2 * kSecond);
@@ -55,7 +56,7 @@ TEST(OverlaySmoke, PutGetOnPrefixProtocol) {
 }
 
 TEST(OverlaySmoke, SendDeliversToOwnerWithNewData) {
-  SimOverlay net(20, SeededOptions());
+  SimPier net(20, SeededOptions());
   // Find who owns ("t","key") and watch newData fire there.
   int delivered_at = -1;
   for (uint32_t i = 0; i < net.size(); ++i) {
@@ -72,27 +73,50 @@ TEST(OverlaySmoke, SendDeliversToOwnerWithNewData) {
 }
 
 TEST(OverlaySmoke, LiveJoinConvergesWithoutSeeding) {
-  SimOverlay::Options opts;
-  opts.sim.seed = 7;
-  opts.seed_routing = false;
-  opts.settle_time = 30 * kSecond;  // join + stabilize traffic
-  SimOverlay net(12, opts);
+  // Chord joiners resolve their successor through node 0; prefix joiners
+  // walk toward their own id from it, learning contacts at every hop.
+  for (ProtocolKind kind : {ProtocolKind::kChord, ProtocolKind::kPrefix}) {
+    SimPier::Options opts = SeededOptions(kind, 7);
+    opts.seed_routing = false;
+    opts.settle_time = 30 * kSecond;  // join + stabilize traffic
+    SimPier net(12, opts);
+    for (uint32_t i = 0; i < net.size(); ++i)
+      EXPECT_TRUE(net.dht(i)->router()->protocol()->IsReady()) << i;
 
-  bool got = false;
-  net.dht(2)->Put("tbl", "a", "s", "joined", 120 * kSecond);
-  net.RunFor(5 * kSecond);
-  net.dht(11)->Get("tbl", "a", [&](const Status& s, std::vector<DhtItem> items) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    ASSERT_EQ(items.size(), 1u);
-    EXPECT_EQ(items[0].value, "joined");
-    got = true;
-  });
-  net.RunFor(10 * kSecond);
-  EXPECT_TRUE(got);
+    bool got = false;
+    net.dht(2)->Put("tbl", "a", "s", "joined", 120 * kSecond);
+    net.RunFor(5 * kSecond);
+    net.dht(11)->Get("tbl", "a",
+                     [&](const Status& s, std::vector<DhtItem> items) {
+                       ASSERT_TRUE(s.ok()) << s.ToString();
+                       ASSERT_EQ(items.size(), 1u);
+                       EXPECT_EQ(items[0].value, "joined");
+                       got = true;
+                     });
+    net.RunFor(10 * kSecond);
+    EXPECT_TRUE(got) << net.dht(0)->router()->protocol()->name();
+  }
+}
+
+TEST(OverlaySmoke, AJoinThroughADeadBootstrapKeepsRetrying) {
+  // Node 0 died before the joiner booted: every join attempt through it
+  // times out and starts over a second later, and the joiner never claims a
+  // place in the overlay.
+  for (ProtocolKind kind : {ProtocolKind::kChord, ProtocolKind::kPrefix}) {
+    SimPier net(8, SeededOptions(kind));
+    net.harness()->FailNode(0);
+    uint32_t joiner = net.AddNode();
+    net.RunFor(20 * kSecond);
+    RoutingProtocol* proto = net.dht(joiner)->router()->protocol();
+    EXPECT_FALSE(proto->IsReady()) << proto->name();
+    if (auto* chord = dynamic_cast<ChordProtocol*>(proto)) {
+      EXPECT_GE(chord->counters().join_resolves, 3u);
+    }
+  }
 }
 
 TEST(OverlaySmoke, SoftStateExpiresWithoutRenewal) {
-  SimOverlay net(8, SeededOptions());
+  SimPier net(8, SeededOptions());
   net.dht(0)->Put("tbl", "k", "s", "ephemeral", 3 * kSecond);
   net.RunFor(1 * kSecond);
   bool seen_alive = false, seen_dead = false;
@@ -111,7 +135,7 @@ TEST(OverlaySmoke, SoftStateExpiresWithoutRenewal) {
 }
 
 TEST(OverlaySmoke, RenewExtendsLifetime) {
-  SimOverlay net(8, SeededOptions());
+  SimPier net(8, SeededOptions());
   net.dht(0)->Put("tbl", "k", "s", "kept", 4 * kSecond);
   net.RunFor(2 * kSecond);
   Status renew_status = Status::Internal("not called");
@@ -129,7 +153,7 @@ TEST(OverlaySmoke, RenewExtendsLifetime) {
 }
 
 TEST(OverlaySmoke, RenewFailsForUnknownObject) {
-  SimOverlay net(8, SeededOptions());
+  SimPier net(8, SeededOptions());
   Status s = Status::Ok();
   bool called = false;
   net.dht(0)->Renew("tbl", "nope", "s", 60 * kSecond, [&](const Status& st) {
@@ -145,7 +169,7 @@ TEST(OverlaySmoke, RenewFailsForUnknownObject) {
 // each node's handler runs once per broadcast, and no frame is a duplicate.
 void ExpectBroadcastsOnce(uint32_t n, ProtocolKind kind,
                           const std::vector<uint32_t>& originators) {
-  SimOverlay net(n, SeededOptions(kind));
+  SimPier net(n, SeededOptions(kind));
   std::vector<std::map<std::string, int>> hits(n);
   for (uint32_t i = 0; i < n; ++i) {
     net.dht(i)->router()->set_broadcast_handler(
@@ -184,7 +208,7 @@ TEST(OverlaySmoke, BroadcastCoversADeadContactsInterval) {
   // reached through the owner of the id just past it.
   for (ProtocolKind kind : {ProtocolKind::kChord, ProtocolKind::kPrefix}) {
     SCOPED_TRACE(kind == ProtocolKind::kChord ? "chord" : "prefix");
-    SimOverlay net(64, SeededOptions(kind));
+    SimPier net(64, SeededOptions(kind));
     constexpr uint32_t kOrigin = 7;
     OverlayRouter* origin = net.dht(kOrigin)->router();
     const Id self = origin->local_id();
@@ -232,7 +256,7 @@ TEST(OverlaySmoke, BroadcastCoversADeadContactsInterval) {
 }
 
 TEST(OverlaySmoke, PhtInsertLookupRange) {
-  SimOverlay net(16, SeededOptions());
+  SimPier net(16, SeededOptions());
   Pht::Options popts;
   popts.key_bits = 16;
   popts.bucket_size = 4;
@@ -269,10 +293,20 @@ TEST(OverlaySmoke, PhtInsertLookupRange) {
   });
   net.RunFor(5 * kSecond);
   EXPECT_TRUE(ranged);
+
+  // A range past the key space probes nothing and answers at once.
+  bool empty = false;
+  pht2.RangeQuery(1 << 16, 1 << 17,
+                  [&](const Status& s, std::vector<PhtItem> items) {
+                    EXPECT_TRUE(s.ok());
+                    EXPECT_TRUE(items.empty());
+                    empty = true;
+                  });
+  EXPECT_TRUE(empty);
 }
 
 TEST(OverlaySmoke, NodeFailureLosesDataAndRenewDetectsIt) {
-  SimOverlay net(16, SeededOptions());
+  SimPier net(16, SeededOptions());
   net.dht(1)->Put("tbl", "vk", "s", "victim", 300 * kSecond);
   net.RunFor(2 * kSecond);
   // Find the owner and kill it.

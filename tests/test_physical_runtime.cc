@@ -104,7 +104,7 @@ TEST(PhysicalRuntime, UdpCcReliabilityRunsUnmodifiedOnRealSockets) {
   EXPECT_EQ(got.size(), 5u);
 }
 
-TEST(PhysicalRuntime, DhtNodeBootsOnRealSockets) {
+TEST(PhysicalRuntime, ADhtBootsOnRealSockets) {
   // A single-node DHT (its own bootstrap) over the Physical Runtime: put,
   // then get through the full two-phase protocol on loopback.
   PhysicalRuntime::Options opts;
@@ -129,6 +129,19 @@ TEST(PhysicalRuntime, DhtNodeBootsOnRealSockets) {
   rt.ScheduleEvent(5 * kSecond, [&]() { rt.Stop(); });  // watchdog
   rt.Run();
   EXPECT_EQ(got, "physical");
+}
+
+TEST(PhysicalRuntime, DhtsSharingAHostMintDistinctSuffixes) {
+  // Two nodes on 127.0.0.1 differ only by their ports, so their object
+  // names must carry the port: otherwise their writes under one (ns, key)
+  // replace each other.
+  PhysicalRuntime rt;
+  Dht::Options aopts, bopts;
+  aopts.router.port = TestPort(7);
+  bopts.router.port = TestPort(8);
+  Dht a(&rt, aopts), b(&rt, bopts);
+  EXPECT_EQ(a.local_address().host, b.local_address().host);
+  EXPECT_NE(a.NextSuffix(), b.NextSuffix());
 }
 
 TEST(PhysicalRuntime, FramedTcpDeliversEachFrameAndSurfacesAClose) {

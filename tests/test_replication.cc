@@ -15,15 +15,14 @@
 #include <vector>
 
 #include "overlay/routing_chord.h"
-#include "overlay/sim_overlay.h"
 #include "qp/sim_pier.h"
 #include "qp/ufl.h"
 
 namespace pier {
 namespace {
 
-SimOverlay::Options SeededOptions(uint64_t seed = 42, int replication = 1) {
-  SimOverlay::Options opts;
+SimPier::Options SeededOptions(uint64_t seed = 42, int replication = 1) {
+  SimPier::Options opts;
   opts.sim.seed = seed;
   opts.dht.replication_factor = replication;
   opts.seed_routing = true;
@@ -31,7 +30,7 @@ SimOverlay::Options SeededOptions(uint64_t seed = 42, int replication = 1) {
   return opts;
 }
 
-int OwnerOf(SimOverlay* net, const std::string& ns, const std::string& key) {
+int OwnerOf(SimPier* net, const std::string& ns, const std::string& key) {
   Id target = RoutingId(ns, key);
   for (uint32_t i = 0; i < net->size(); ++i) {
     if (!net->harness()->IsAlive(i)) continue;
@@ -42,7 +41,7 @@ int OwnerOf(SimOverlay* net, const std::string& ns, const std::string& key) {
 }
 
 /// The owner of `target` among nodes [0, n): the ring before node n joined.
-int OwnerAmong(SimOverlay* net, Id target, uint32_t n) {
+int OwnerAmong(SimPier* net, Id target, uint32_t n) {
   for (uint32_t i = 0; i < n; ++i) {
     if (!net->harness()->IsAlive(i)) continue;
     if (net->dht(i)->router()->protocol()->IsOwner(target))
@@ -60,7 +59,7 @@ struct CopyCensus {
   size_t primaries = 0;
   size_t replicas = 0;
 };
-CopyCensus Census(SimOverlay* net, const std::string& ns,
+CopyCensus Census(SimPier* net, const std::string& ns,
                   const std::string& key) {
   CopyCensus c;
   for (uint32_t i = 0; i < net->size(); ++i) {
@@ -75,7 +74,7 @@ CopyCensus Census(SimOverlay* net, const std::string& ns,
 }
 
 /// Rows of `ns` that node `i`'s LocalScan emits.
-size_t ScanVisible(SimOverlay* net, uint32_t i, const std::string& ns) {
+size_t ScanVisible(SimPier* net, uint32_t i, const std::string& ns) {
   size_t n = 0;
   net->dht(i)->LocalScan(
       ns, [&n](const ObjectName&, std::string_view, TimeUs) { n++; });
@@ -87,7 +86,7 @@ size_t ScanVisible(SimOverlay* net, uint32_t i, const std::string& ns) {
 // ---------------------------------------------------------------------------
 
 TEST(Replication, PutPlacesKCopiesAtOwnerAndSuccessors) {
-  SimOverlay net(8, SeededOptions(11));
+  SimPier net(8, SeededOptions(11));
   net.dht(3)->Put("rt", "k1", "s", "v", 60 * kSecond, nullptr, /*replicas=*/3);
   net.RunFor(2 * kSecond);
 
@@ -121,7 +120,7 @@ TEST(Replication, PutPlacesKCopiesAtOwnerAndSuccessors) {
 // places the copies at its own successors; the writer sends no store frame
 // to any of them.
 TEST(Replication, BatchPutSendsOneFramePerOwnerAndOwnersPlaceTheCopies) {
-  SimOverlay net(8, SeededOptions(12));
+  SimPier net(8, SeededOptions(12));
   const uint32_t writer = 1;
   std::vector<std::string> keys;
   std::map<int, size_t> owned;  // owner -> keys it owns
@@ -187,7 +186,7 @@ TEST(Replication, FactorOneKeepsEveryReplicationCounterAtZero) {
   // The k = 1 deployment must not even notice the subsystem exists: no
   // replica frames, no repair traffic, no scan suppression — on top of the
   // Put-equals-PutBatch wire guard in test_dht.
-  SimOverlay net(8, SeededOptions(13));
+  SimPier net(8, SeededOptions(13));
   for (int i = 0; i < 8; ++i)
     net.dht(i % 8)->Put("z", "k" + std::to_string(i), "s", "v", 30 * kSecond);
   net.RunFor(10 * kSecond);  // many repair ticks
@@ -214,7 +213,7 @@ TEST(Replication, FactorOneKeepsEveryReplicationCounterAtZero) {
 // ---------------------------------------------------------------------------
 
 TEST(Replication, OwnerDeathLeavesAReplicaSpeakingAndGetStillAnswers) {
-  SimOverlay net(10, SeededOptions(17, /*replication=*/3));
+  SimPier net(10, SeededOptions(17, /*replication=*/3));
   net.dht(4)->Put("hd", "k", "s", "payload", 120 * kSecond);
   net.RunFor(2 * kSecond);
   int owner = OwnerOf(&net, "hd", "k");
@@ -251,7 +250,7 @@ TEST(Replication, OwnerDeathLeavesAReplicaSpeakingAndGetStillAnswers) {
 }
 
 TEST(Replication, JoiningNodeIsHandedTheReplicatedRangeItNowOwns) {
-  SimOverlay net(8, SeededOptions(19, /*replication=*/3));
+  SimPier net(8, SeededOptions(19, /*replication=*/3));
   for (int i = 0; i < 64; ++i)
     net.dht(i % 8)->Put("jp", "k" + std::to_string(i), "s", "v", 300 * kSecond);
   net.RunFor(3 * kSecond);
@@ -284,7 +283,7 @@ TEST(Replication, ANodeWhosePredecessorWasDroppedStillScansItsOwnRows) {
   // Between the predecessor's departure and the next one's notify, a node
   // knows no lower bound for its range. Its last known range (last pred,
   // self] stands in, so its own replicated rows stay visible to scans.
-  SimOverlay net(8, SeededOptions(47, /*replication=*/3));
+  SimPier net(8, SeededOptions(47, /*replication=*/3));
   for (int i = 0; i < 64; ++i)
     net.dht(i % 8)->Put("pd", "k" + std::to_string(i), "s", "v", 300 * kSecond);
   net.RunFor(3 * kSecond);  // stored, and repair has seen the ring
@@ -313,7 +312,7 @@ TEST(Replication, AJoinerTakingADeadNodesRangeIsHandedItsCopies) {
     SCOPED_TRACE(before_dead ? "the joiner lands before the dead node"
                              : "the joiner lands after the dead node");
     constexpr int kRows = 64;
-    SimOverlay net(10, SeededOptions(53, /*replication=*/3));
+    SimPier net(10, SeededOptions(53, /*replication=*/3));
     for (int i = 0; i < kRows; ++i)
       net.dht(i % 10)->Put("dj", "k" + std::to_string(i), "s", "v",
                            300 * kSecond);
@@ -361,7 +360,7 @@ TEST(Replication, AJoinerTakingADeadNodesRangeIsHandedItsCopies) {
 // passes it on to the joiner that owns it now, so a scan sees it, and
 // places the rest of the joiner's replica set.
 TEST(Replication, AWriteThroughAStaleOwnerCacheReachesTheJoiner) {
-  SimOverlay net(8, SeededOptions(59));
+  SimPier net(8, SeededOptions(59));
   // The next node's id, known before it joins (ids hash the address).
   NetAddress first = net.dht(0)->local_address();
   Id joiner_id = NodeIdFromAddress(first.host + net.size(), first.port);
@@ -423,7 +422,7 @@ TEST(Replication, AWriteThroughAStaleOwnerCacheReachesTheJoiner) {
 // When the first successor changes on the same repair tick, the objects
 // that already used it are re-pushed to the new one.
 TEST(Replication, AWindowThatWidensStillSeesItsFirstSuccessorChange) {
-  SimOverlay net(8, SeededOptions(61));
+  SimPier net(8, SeededOptions(61));
   std::vector<std::string> keys;  // two keys node 0 owns
   for (int i = 0; keys.size() < 2 && i < 100000; ++i) {
     std::string k = "k" + std::to_string(i);
@@ -465,7 +464,7 @@ TEST(Replication, AWindowThatWidensStillSeesItsFirstSuccessorChange) {
 // ---------------------------------------------------------------------------
 
 TEST(Replication, ReplicaAnswersWhenOwnerCopyIsGoneAndRepairsIt) {
-  SimOverlay net(8, SeededOptions(23));
+  SimPier net(8, SeededOptions(23));
   net.dht(2)->Put("rr", "k", "s", "v", 120 * kSecond, nullptr, /*replicas=*/3);
   net.RunFor(2 * kSecond);
   int owner = OwnerOf(&net, "rr", "k");
@@ -498,7 +497,7 @@ TEST(Replication, ReplicaAnswersWhenOwnerCopyIsGoneAndRepairsIt) {
 }
 
 TEST(Replication, ReadAnyGetOfAnAbsentKeyTriesEveryCandidateThenIsEmpty) {
-  SimOverlay net(8, SeededOptions(37, /*replication=*/3));
+  SimPier net(8, SeededOptions(37, /*replication=*/3));
   int owner = OwnerOf(&net, "ab", "missing");
   ASSERT_GE(owner, 0);
   std::set<uint32_t> holders{static_cast<uint32_t>(owner)};
@@ -527,7 +526,7 @@ TEST(Replication, ReadAnyGetOfAnAbsentKeyTriesEveryCandidateThenIsEmpty) {
 
   // On a ring smaller than k the walk stops where it comes back around:
   // both nodes are asked once.
-  SimOverlay pair(2, SeededOptions(37, /*replication=*/3));
+  SimPier pair(2, SeededOptions(37, /*replication=*/3));
   called = false;
   pair.dht(0)->Get("ab", "missing",
                    [&](const Status& s, std::vector<DhtItem> items) {
@@ -543,7 +542,7 @@ TEST(Replication, ReadAnyGetOfAnAbsentKeyTriesEveryCandidateThenIsEmpty) {
 }
 
 TEST(Replication, RenewKeepsReplicaCopiesAlivePastTheOriginalLifetime) {
-  SimOverlay net(8, SeededOptions(41));
+  SimPier net(8, SeededOptions(41));
   net.dht(2)->Put("rn", "k", "s", "v", 5 * kSecond, nullptr, /*replicas=*/3);
   net.RunFor(2 * kSecond);
   ASSERT_EQ(Census(&net, "rn", "k").replicas, 2u);
@@ -563,7 +562,7 @@ TEST(Replication, RenewKeepsReplicaCopiesAlivePastTheOriginalLifetime) {
 // ---------------------------------------------------------------------------
 
 TEST(Replication, LocalScansSeeEachReplicatedObjectExactlyOnce) {
-  SimOverlay net(8, SeededOptions(29, /*replication=*/3));
+  SimPier net(8, SeededOptions(29, /*replication=*/3));
   for (int i = 0; i < 30; ++i)
     net.dht(i % 8)->Put("sc", "k" + std::to_string(i), "s", "v", 120 * kSecond);
   net.RunFor(3 * kSecond);
@@ -586,7 +585,7 @@ TEST(Replication, LocalScansSeeEachReplicatedObjectExactlyOnce) {
 // ---------------------------------------------------------------------------
 
 TEST(Replication, ReplicaCopiesExpireOnTheOriginClock) {
-  SimOverlay net(4, SeededOptions(31));
+  SimPier net(4, SeededOptions(31));
   ObjectManager* om = net.dht(0)->objects();
   Vri* vri = net.dht(0)->vri();
   // A replica copy in a handoff push frame from node 1 to node 0.
