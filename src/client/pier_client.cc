@@ -510,8 +510,7 @@ Result<QueryPlan> PierClient::CompileSqlPinned(const Sql& sql,
   options.tables = catalog_->TableHints();
   options.agg_strategy = sql.agg_strategy;
   options.query_id = query_id;
-  Optimizer optimizer = MakeOptimizer();
-  options.optimizer = &optimizer;
+  options.optimizer = MakeOptimizer();
   return CompileSql(sql.text, options, explain);
 }
 
@@ -703,7 +702,7 @@ void PierClient::EnableAutoReplan(const QueryHandle& h, const Sql& sql,
   ReplanTask task;
   task.handle = h.state_;
   task.sql = sql;
-  task.fingerprint = Replanner::Fingerprint(explain);
+  task.fingerprint = explain.Fingerprint();
   task.period = replan_period_ > 0
                     ? replan_period_
                     : std::max(QueryExecutor::EffectiveWindow(plan), kSecond);
@@ -732,21 +731,20 @@ void PierClient::ReplanTick(uint64_t query_id) {
   }
   // Recompile the logical query under TODAY's statistics, with the running
   // query's id pinned so rendezvous namespaces stay stable, and ask the
-  // replanner whether the new decision is worth a swap.
+  // optimizer whether the new decision is worth a swap.
   PlanExplain explain;
   Result<QueryPlan> fresh = CompileSqlPinned(task.sql, query_id, &explain);
   if (fresh.ok()) {
-    Replanner replanner(stats_, CostModel(cost_params_), replan_options_);
-    replanner.set_now(qp_->vri()->Now());
-    ReplanDecision d =
-        replanner.Consider(task.current, task.fingerprint, *fresh, explain);
+    Optimizer optimizer = MakeOptimizer();
+    ReplanDecision d = optimizer.Consider(task.current, task.fingerprint,
+                                          *fresh, explain, replan_cost_ratio_);
     if (d.swap) {
       QueryPlan next = std::move(*fresh);
       Status s = CheckTablesKnown(next);
       if (s.ok()) s = qp_->SwapQuery(query_id, next);
       if (s.ok()) {
         task.current = std::move(next);
-        task.fingerprint = Replanner::Fingerprint(explain);
+        task.fingerprint = explain.Fingerprint();
         state->stats.replans++;
       }
     }

@@ -27,7 +27,6 @@
 #include "client/catalog.h"
 #include "obs/metrics.h"
 #include "opt/optimizer.h"
-#include "opt/replanner.h"
 #include "qp/query_processor.h"
 
 namespace pier {
@@ -45,9 +44,9 @@ struct Sql {
   /// "off", or "auto" (mirroring agg_strategy=auto): for CONTINUOUS
   /// queries, the client periodically re-runs the optimizer over the query
   /// as statistics drift and swaps the physical plan at a window boundary
-  /// when the chosen strategy changed beyond the Replanner's cost-ratio
-  /// threshold. Ignored for snapshot queries. Anything else is an
-  /// InvalidArgument.
+  /// when the chosen strategy changed beyond the client's cost-ratio
+  /// threshold (PierClient::set_replan_cost_ratio). Ignored for snapshot
+  /// queries. Anything else is an InvalidArgument.
   std::string replan = "off";
   /// Ordered proxy-successor chain for continuous queries: if the proxy
   /// (the node this query is submitted at) dies mid-run, executors fail
@@ -336,10 +335,14 @@ class PierClient {
   Result<QueryHandle> StartStatsRefresh(TimeUs window = 5 * kSecond,
                                         TimeUs lifetime = 10 * 60 * kSecond);
 
-  /// Replanning policy for queries submitted with replan=auto: cost-ratio
-  /// threshold (Replanner::Options) and check period (0 = once per query
+  /// Replanning policy for queries submitted with replan=auto: swap only
+  /// when the running plan costs at least `min_cost_ratio` times the
+  /// candidate (default 1.2: the running plan must cost 20% more; see
+  /// Optimizer::Consider), checking every `period` (0 = once per query
   /// window, floored at 1s).
-  void set_replan_options(const Replanner::Options& o) { replan_options_ = o; }
+  void set_replan_cost_ratio(double min_cost_ratio) {
+    replan_cost_ratio_ = min_cost_ratio;
+  }
   void set_replan_period(TimeUs period) { replan_period_ = period; }
 
   // --- Queries ---------------------------------------------------------------
@@ -358,7 +361,7 @@ class PierClient {
 
   /// Attach AND resume auto-replanning: recompiles `replan_sql` (the
   /// query's logical text) against this node's statistics as the new
-  /// baseline, so the replanner keeps driving swaps through the ADOPTED
+  /// baseline, so replanning keeps driving swaps through the ADOPTED
   /// proxy — the original proxy's replan loop died with it.
   Result<QueryHandle> Attach(uint64_t query_id, const Sql& replan_sql);
 
@@ -484,7 +487,7 @@ class PierClient {
   StatsRegistry* stats_ = nullptr;
   std::unique_ptr<StatsRegistry> owned_stats_;  // when none was injected
   CostParams cost_params_;
-  Replanner::Options replan_options_;
+  double replan_cost_ratio_ = 1.2;
   TimeUs replan_period_ = 0;  // 0: one check per query window
   std::map<uint64_t, ReplanTask> replans_;
   /// Shared with in-flight batch completions, which may outlive the client.

@@ -187,6 +187,9 @@ void RegisterQueryProcessorMetrics(MetricsRegistry* reg, QueryProcessor* qp) {
   reg->AddCounterFn("pier_query_answers_buffered_total", {},
                     [qp] { return d(qp->stats().answers_buffered); },
                     "Answers held for a not-yet-attached client");
+  reg->AddCounterFn("pier_query_malformed_broadcasts_total", {},
+                    [qp] { return d(qp->stats().malformed_broadcasts); },
+                    "Undecodable disseminated plans dropped");
 }
 
 void RegisterNodeMetrics(MetricsRegistry* reg, QueryProcessor* qp) {

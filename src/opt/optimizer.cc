@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <map>
-#include <set>
+#include <optional>
 
 namespace pier {
 
@@ -31,48 +32,6 @@ double EstimateJoinRows(const TableStats& a, const TableStats& b) {
 }
 
 }  // namespace
-
-Result<std::vector<JoinStep>> DefaultJoinSteps(
-    const std::vector<JoinInput>& inputs, const std::vector<JoinEdge>& edges) {
-  if (inputs.size() < 2)
-    return Status::InvalidArgument("join planning needs at least two tables");
-  std::vector<JoinStep> steps;
-  std::vector<bool> joined(inputs.size(), false);
-  std::vector<bool> used(edges.size(), false);
-  joined[0] = true;
-  for (size_t k = 1; k < inputs.size(); ++k) {
-    int pick = -1;
-    for (size_t e = 0; e < edges.size(); ++e) {
-      if (used[e]) continue;
-      if (joined[edges[e].a] == joined[edges[e].b]) continue;
-      pick = static_cast<int>(e);
-      break;
-    }
-    if (pick < 0) {
-      return Status::NotSupported(
-          "multi-table query needs equi-join predicates connecting every "
-          "table");
-    }
-    const JoinEdge& e = edges[pick];
-    used[pick] = true;
-    JoinStep s;
-    s.edge = pick;
-    bool a_joined = joined[e.a];
-    int outer_input = a_joined ? e.a : e.b;
-    s.inner = a_joined ? e.b : e.a;
-    s.outer = k == 1 ? outer_input : -1;
-    s.outer_col = a_joined ? e.a_col : e.b_col;
-    s.inner_col = a_joined ? e.b_col : e.a_col;
-    s.outer_name = inputs[outer_input].table;
-    s.inner_name = inputs[s.inner].table;
-    s.strategy = FetchMatchesApplicable(inputs[s.inner], s.inner_col)
-                     ? JoinStrategy::kFetchMatches
-                     : JoinStrategy::kRehash;
-    joined[s.inner] = true;
-    steps.push_back(std::move(s));
-  }
-  return steps;
-}
 
 TableStats Optimizer::SnapshotFor(const std::string& table) const {
   // Read as of now_ when set: idle tables' arrival rates decay toward zero
@@ -102,148 +61,93 @@ Result<std::vector<JoinStep>> Optimizer::PlanJoins(
     bool continuous) const {
   if (inputs.size() < 2)
     return Status::InvalidArgument("join planning needs at least two tables");
-  for (const JoinInput& in : inputs) {
-    if (!HasUsableStats(in.table)) return DefaultJoinSteps(inputs, edges);
-  }
-
   std::vector<TableStats> st;
-  st.reserve(inputs.size());
-  for (const JoinInput& in : inputs) st.push_back(StatsFor(in));
+  for (const JoinInput& in : inputs) {
+    if (HasUsableStats(in.table)) st.push_back(StatsFor(in));
+  }
+  bool costed = st.size() == inputs.size();
 
-  // Every strategy applicable to (outer -> inner); rehash always works,
-  // Fetch Matches needs the inner published on the join attribute, the Bloom
-  // rewrite (snapshot plans only) builds the filter over the inner and
-  // prunes the outer.
-  auto candidates = [&](const TableStats& outer_st, int inner_idx,
-                        const std::string& inner_col) {
-    std::vector<std::pair<JoinStrategy, Cost>> v;
-    const TableStats& inner_st = st[inner_idx];
-    v.emplace_back(JoinStrategy::kRehash,
-                   model_.RehashJoin(outer_st, inner_st));
-    if (FetchMatchesApplicable(inputs[inner_idx], inner_col)) {
-      v.emplace_back(JoinStrategy::kFetchMatches,
-                     model_.FetchMatchesJoin(outer_st, inner_st));
-    }
-    if (!continuous) {
-      v.emplace_back(JoinStrategy::kBloom,
-                     model_.BloomJoin(outer_st, inner_st));
-    }
-    return v;
-  };
-  auto best_of = [&](const std::vector<std::pair<JoinStrategy, Cost>>& v) {
-    size_t best = 0;
-    for (size_t i = 1; i < v.size(); ++i) {
-      if (model_.Total(v[i].second) < model_.Total(v[best].second)) best = i;
-    }
-    return best;
-  };
-
+  // Greedy: each step joins an unjoined input over an edge whose other end
+  // is joined (any edge, either way round, while nothing is). The cheapest
+  // step wins, ties going to the first in (edge, orientation) order; after
+  // the first step the intermediate is always the outer (it is never
+  // published under an index). Without statistics every step costs 0 and
+  // the first FROM table starts joined: the syntactic order, Fetch Matches
+  // where the inner's primary index is the join attribute, rehash otherwise.
   std::vector<JoinStep> steps;
   std::vector<bool> joined(inputs.size(), false);
-  std::vector<bool> used(edges.size(), false);
+  if (!costed) joined[0] = true;
   TableStats cur;  // running intermediate
-
-  // First step: every edge, both orientations.
-  {
-    int best_edge = -1, best_outer = 0;
-    std::vector<std::pair<JoinStrategy, Cost>> best_cands;
-    size_t best_choice = 0;
+  while (steps.size() + 1 < inputs.size()) {
+    bool none_joined = steps.empty() && costed;
+    std::optional<JoinStep> best;
     double best_total = 0;
     for (size_t e = 0; e < edges.size(); ++e) {
       const JoinEdge& je = edges[e];
       for (int flip = 0; flip < 2; ++flip) {
         int o = flip ? je.b : je.a;
         int i = flip ? je.a : je.b;
-        const std::string& icol = flip ? je.a_col : je.b_col;
-        auto v = candidates(st[o], i, icol);
-        size_t c = best_of(v);
-        double total = model_.Total(v[c].second);
-        if (best_edge < 0 || total < best_total) {
-          best_edge = static_cast<int>(e);
-          best_outer = o;
-          best_cands = std::move(v);
-          best_choice = c;
+        if (joined[i] || !(joined[o] || none_joined)) continue;
+        JoinStep s;
+        s.edge = static_cast<int>(e);
+        s.outer = steps.empty() ? o : -1;
+        s.inner = i;
+        s.outer_col = flip ? je.b_col : je.a_col;
+        s.inner_col = flip ? je.a_col : je.b_col;
+        s.outer_name = inputs[o].table;
+        s.inner_name = inputs[i].table;
+        bool fetch = FetchMatchesApplicable(inputs[i], s.inner_col);
+        double total = 0;
+        if (costed) {
+          if (!steps.empty()) s.outer_name = "(intermediate)";
+          // Rehash always works, Fetch Matches needs the inner published on
+          // the join attribute, and the Bloom rewrite (snapshot plans only)
+          // builds the filter over the inner and prunes the outer.
+          const TableStats& outer_st = steps.empty() ? st[o] : cur;
+          auto& alts = s.alternatives;
+          alts.emplace_back(JoinStrategy::kRehash,
+                            model_.RehashJoin(outer_st, st[i]));
+          if (fetch) {
+            alts.emplace_back(JoinStrategy::kFetchMatches,
+                              model_.FetchMatchesJoin(outer_st, st[i]));
+          }
+          if (!continuous) {
+            alts.emplace_back(JoinStrategy::kBloom,
+                              model_.BloomJoin(outer_st, st[i]));
+          }
+          s.cost = alts[0].second;
+          for (const auto& [strategy, cost] : alts) {
+            if (model_.Total(cost) < model_.Total(s.cost)) {
+              s.strategy = strategy;
+              s.cost = cost;
+            }
+          }
+          s.stats_based = true;
+          s.est_rows = EstimateJoinRows(outer_st, st[i]);
+          total = model_.Total(s.cost);
+        } else if (fetch) {
+          s.strategy = JoinStrategy::kFetchMatches;
+        }
+        if (!best || total < best_total) {
+          best = std::move(s);
           best_total = total;
         }
       }
     }
-    if (best_edge < 0) {
+    if (!best) {
       return Status::NotSupported(
           "multi-table query needs equi-join predicates connecting every "
           "table");
     }
-    const JoinEdge& je = edges[best_edge];
-    bool outer_is_a = best_outer == je.a;
-    JoinStep s;
-    s.edge = best_edge;
-    s.outer = best_outer;
-    s.inner = outer_is_a ? je.b : je.a;
-    s.outer_col = outer_is_a ? je.a_col : je.b_col;
-    s.inner_col = outer_is_a ? je.b_col : je.a_col;
-    s.outer_name = inputs[s.outer].table;
-    s.inner_name = inputs[s.inner].table;
-    s.strategy = best_cands[best_choice].first;
-    s.cost = best_cands[best_choice].second;
-    s.alternatives = std::move(best_cands);
-    s.stats_based = true;
-    s.est_rows = EstimateJoinRows(st[s.outer], st[s.inner]);
-    used[best_edge] = true;
-    joined[s.outer] = joined[s.inner] = true;
-    cur.tuples = static_cast<uint64_t>(std::max(1.0, s.est_rows));
-    cur.distinct = std::max(1.0, s.est_rows);
-    cur.mean_bytes = st[s.outer].mean_bytes + st[s.inner].mean_bytes;
-    steps.push_back(std::move(s));
-  }
-
-  // Remaining steps: cheapest connected input next; the intermediate is
-  // always the probing/probed side (it is never published under an index).
-  while (steps.size() + 1 < inputs.size()) {
-    int best_edge = -1;
-    std::vector<std::pair<JoinStrategy, Cost>> best_cands;
-    size_t best_choice = 0;
-    double best_total = 0;
-    for (size_t e = 0; e < edges.size(); ++e) {
-      if (used[e]) continue;
-      const JoinEdge& je = edges[e];
-      if (joined[je.a] == joined[je.b]) continue;
-      int inner = joined[je.a] ? je.b : je.a;
-      const std::string& icol = joined[je.a] ? je.b_col : je.a_col;
-      auto v = candidates(cur, inner, icol);
-      size_t c = best_of(v);
-      double total = model_.Total(v[c].second);
-      if (best_edge < 0 || total < best_total) {
-        best_edge = static_cast<int>(e);
-        best_cands = std::move(v);
-        best_choice = c;
-        best_total = total;
-      }
+    if (costed) {
+      cur.mean_bytes = (steps.empty() ? st[best->outer] : cur).mean_bytes +
+                       st[best->inner].mean_bytes;
+      cur.tuples = static_cast<uint64_t>(std::max(1.0, best->est_rows));
+      cur.distinct = std::max(1.0, best->est_rows);
     }
-    if (best_edge < 0) {
-      return Status::NotSupported(
-          "multi-table query needs equi-join predicates connecting every "
-          "table");
-    }
-    const JoinEdge& je = edges[best_edge];
-    bool a_joined = joined[je.a];
-    JoinStep s;
-    s.edge = best_edge;
-    s.outer = -1;
-    s.inner = a_joined ? je.b : je.a;
-    s.outer_col = a_joined ? je.a_col : je.b_col;
-    s.inner_col = a_joined ? je.b_col : je.a_col;
-    s.outer_name = "(intermediate)";
-    s.inner_name = inputs[s.inner].table;
-    s.strategy = best_cands[best_choice].first;
-    s.cost = best_cands[best_choice].second;
-    s.alternatives = std::move(best_cands);
-    s.stats_based = true;
-    s.est_rows = EstimateJoinRows(cur, st[s.inner]);
-    used[best_edge] = true;
-    joined[s.inner] = true;
-    cur.mean_bytes += st[s.inner].mean_bytes;
-    cur.tuples = static_cast<uint64_t>(std::max(1.0, s.est_rows));
-    cur.distinct = std::max(1.0, s.est_rows);
-    steps.push_back(std::move(s));
+    if (best->outer >= 0) joined[best->outer] = true;
+    joined[best->inner] = true;
+    steps.push_back(std::move(*best));
   }
   return steps;
 }
@@ -252,6 +156,7 @@ AggDecision Optimizer::ChooseAggStrategy(const std::string& table,
                                          size_t num_group_cols,
                                          bool group_is_partition_key) const {
   AggDecision d;
+  d.strategy = "flat";
   if (!HasUsableStats(table)) return d;
   TableStats st = SnapshotFor(table);
   double groups =
@@ -268,7 +173,6 @@ AggDecision Optimizer::ChooseAggStrategy(const std::string& table,
     d.strategy = "hier";
     d.cost = hier;
   } else {
-    d.strategy = "flat";
     d.cost = flat;
   }
   return d;
@@ -452,6 +356,33 @@ void Optimizer::CostPlan(const QueryPlan& plan, PlanExplain* out) const {
   }
 }
 
+ReplanDecision Optimizer::Consider(const QueryPlan& current,
+                                   const std::string& current_fingerprint,
+                                   const QueryPlan& fresh,
+                                   const PlanExplain& fresh_explain,
+                                   double min_cost_ratio) const {
+  ReplanDecision d;
+  d.strategy_changed = fresh_explain.Fingerprint() != current_fingerprint;
+  if (!d.strategy_changed) return d;
+
+  // Same statistics, both plans: the ratio compares like with like.
+  PlanExplain cur_cost;
+  CostPlan(current, &cur_cost);
+  PlanExplain fresh_cost;
+  CostPlan(fresh, &fresh_cost);
+  d.current_total = model_.Total(cur_cost.total);
+  d.fresh_total = model_.Total(fresh_cost.total);
+  if (d.fresh_total > 0) {
+    d.ratio = d.current_total / d.fresh_total;
+  } else {
+    // A free candidate beats any positive cost; two free plans tie.
+    d.ratio = d.current_total > 0 ? std::numeric_limits<double>::infinity()
+                                  : 0;
+  }
+  d.swap = d.ratio >= min_cost_ratio;
+  return d;
+}
+
 // ---------------------------------------------------------------------------
 // PlanExplain rendering
 // ---------------------------------------------------------------------------
@@ -504,6 +435,16 @@ std::string PlanExplain::ToString() const {
   }
   s += "  total: " + total.ToString() + "\n";
   return s;
+}
+
+std::string PlanExplain::Fingerprint() const {
+  std::string fp;
+  for (const JoinStep& j : joins) {
+    fp += j.outer_name + "." + j.outer_col + "><" + j.inner_name + "." +
+          j.inner_col + ":" + JoinStrategyName(j.strategy) + ";";
+  }
+  if (!agg.strategy.empty()) fp += "agg:" + agg.strategy + ";";
+  return fp;
 }
 
 }  // namespace pier

@@ -1,22 +1,22 @@
-// The cost-based plan optimizer (the seam ROADMAP reserved behind
-// PierClient::Compile).
+// The cost-based plan optimizer: the one place a physical plan is chosen.
 //
 // PIER deliberately ships several physical implementations per logical
-// operator (§3.3.4); the SQL compiler used to hard-code which one it emits.
-// The Optimizer chooses instead, using StatsRegistry statistics and the
-// network CostModel:
+// operator (§3.3.4). The Optimizer chooses between them, using
+// StatsRegistry statistics and the network CostModel:
 //
 //   - join strategy per join: rehash-both (symmetric hash), per-probe Fetch
 //     Matches (only when the inner's primary index IS the join attribute),
 //     or (snapshot plans only) a Bloom semi-join prefilter in front of the
 //     rehash;
 //   - join order for multi-way joins (greedy, cheapest next);
-//   - flat two-phase vs hierarchical (tree) aggregation.
+//   - flat two-phase vs hierarchical (tree) aggregation;
+//   - for a running continuous query, whether a freshly planned candidate
+//     is worth swapping in (Consider).
 //
-// With no optimizer, or with fewer observed tuples than the model trusts
-// (CostParams::min_sample_tuples), DefaultJoinSteps reproduces the
-// compiler's historical choices exactly — compiled plans are byte-identical
-// to the pre-optimizer ones.
+// With no statistics, or fewer observed tuples than the model trusts
+// (CostParams::min_sample_tuples), the same planner makes the compiler's
+// historical choices: syntactic join order, Fetch Matches when the inner's
+// primary index is the join attribute (rehash otherwise), flat aggregation.
 
 #ifndef PIER_OPT_OPTIMIZER_H_
 #define PIER_OPT_OPTIMIZER_H_
@@ -70,7 +70,7 @@ struct JoinStep {
 
 /// The aggregation-strategy decision.
 struct AggDecision {
-  std::string strategy;  // "flat" | "hier"; empty = no stats, use the default
+  std::string strategy;  // "flat" | "hier"
   bool stats_based = false;
   Cost cost;
   std::vector<std::pair<std::string, Cost>> alternatives;
@@ -94,13 +94,22 @@ struct PlanExplain {
   Cost total;
 
   std::string ToString() const;
+
+  /// The strategy fingerprint: join order + per-join strategy +
+  /// aggregation strategy. Cost numbers are deliberately excluded, so
+  /// drifting estimates that confirm the same plan never churn a running
+  /// query.
+  std::string Fingerprint() const;
 };
 
-/// The compiler's historical physical choices: syntactic join order, Fetch
-/// Matches when the inner's primary index is exactly the join attribute,
-/// rehash otherwise. Fails if the inputs are not connected by equi-joins.
-Result<std::vector<JoinStep>> DefaultJoinSteps(
-    const std::vector<JoinInput>& inputs, const std::vector<JoinEdge>& edges);
+/// What one replan check concluded.
+struct ReplanDecision {
+  bool swap = false;              // replace the running plan now
+  bool strategy_changed = false;  // fingerprints differ
+  double current_total = 0;  // running plan recosted under current stats
+  double fresh_total = 0;    // candidate plan under the same stats
+  double ratio = 0;          // current_total / fresh_total (0 if both free)
+};
 
 class Optimizer {
  public:
@@ -119,16 +128,17 @@ class Optimizer {
   /// True when `table` has enough observed tuples to trust.
   bool HasUsableStats(const std::string& table) const;
 
-  /// Choose join order and per-step strategy. Falls back to
-  /// DefaultJoinSteps when any input lacks usable statistics. The Bloom
-  /// rewrite is offered to snapshot plans only: its probe fetches the filter
-  /// once, so it cannot prefilter a continuous stream.
+  /// Choose join order and per-step strategy. When any input lacks usable
+  /// statistics, every step is the historical default (stats_based false,
+  /// no cost). The Bloom rewrite is offered to snapshot plans only: its
+  /// probe fetches the filter once, so it cannot prefilter a continuous
+  /// stream. Fails if the inputs are not connected by equi-joins.
   Result<std::vector<JoinStep>> PlanJoins(const std::vector<JoinInput>& inputs,
                                           const std::vector<JoinEdge>& edges,
                                           bool continuous) const;
 
-  /// Choose flat vs hierarchical aggregation over `table`. Returns an empty
-  /// strategy when stats are missing (caller keeps its default).
+  /// Choose flat vs hierarchical aggregation over `table`: flat, not
+  /// stats-based, when stats are missing.
   AggDecision ChooseAggStrategy(const std::string& table,
                                 size_t num_group_cols,
                                 bool group_is_partition_key) const;
@@ -138,6 +148,19 @@ class Optimizer {
   /// accumulates out->total. Graphs are costed in plan order, so rendezvous
   /// namespaces fed by earlier graphs carry their producers' cardinalities.
   void CostPlan(const QueryPlan& plan, PlanExplain* out) const;
+
+  /// Continuous-query replanning (the CACQ/eddies idea at plan
+  /// granularity): compare the running plan, identified by the fingerprint
+  /// captured when it was compiled, against a freshly optimized candidate.
+  /// Both are costed with CostPlan under the current statistics, and the
+  /// candidate is swapped in when its strategy differs and
+  /// cost(current) / cost(candidate) >= min_cost_ratio, so marginal wins do
+  /// not pay the swap's re-dissemination and state rebuild.
+  ReplanDecision Consider(const QueryPlan& current,
+                          const std::string& current_fingerprint,
+                          const QueryPlan& fresh,
+                          const PlanExplain& fresh_explain,
+                          double min_cost_ratio) const;
 
  private:
   TableStats StatsFor(const JoinInput& input) const;

@@ -103,7 +103,7 @@ class StatsRegistry {
   TableStats Snapshot(const std::string& table) const;
 
   /// Snapshot with the arrival rate decayed to `now`: a table that STOPPED
-  /// publishing must not keep its last rate forever (the replanner would
+  /// publishing must not keep its last rate forever (replanning would
   /// keep steering toward a plan tuned for traffic that no longer exists).
   /// The rate observed over [first, last] halves for every kRateHalfLife of
   /// silence past `last`, decaying toward zero between observations.

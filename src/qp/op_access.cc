@@ -21,7 +21,7 @@ namespace {
 /// context's catch-up floor) — base tables and rendezvous namespaces alike,
 /// since the latter are keyed by query id and outlive generations. (For a
 /// JOIN rendezvous this trades lost old-side matches for no re-emitted ones;
-/// the replanner only swaps when the strategy changes, which abandons the
+/// replanning only swaps when the strategy changes, which abandons the
 /// old namespace anyway.)
 class ScanOp : public Operator {
  public:

@@ -187,13 +187,10 @@ Status QueryProcessor::RewindowQuery(uint64_t query_id, TimeUs window) {
   // never saw the query ignore it (the executor refuses to create queries
   // from graphless plans). The local executor is updated directly so the
   // proxy does not wait a broadcast round-trip for its own graphs.
-  QueryPlan meta = plan;
-  meta.graphs.clear();
-  Status local = executor_->StartGraphs(meta, {});
+  Status local = executor_->StartGraphs(BroadcastMetadata(plan), {});
   if (!local.ok()) {
     PIER_LOG(kWarn) << "local rewindow rejected: " << local.ToString();
   }
-  dht_->router()->Broadcast(meta.Encode());
   return Status::Ok();
 }
 
@@ -261,9 +258,7 @@ void QueryProcessor::RefreshTick(uint64_t query_id) {
   // proxy's lease (and pick up the current window/epoch); everyone else
   // ignores it. The local executor hears it through the broadcast like any
   // other node.
-  QueryPlan meta = c.plan;
-  meta.graphs.clear();
-  dht_->router()->Broadcast(meta.Encode());
+  BroadcastMetadata(c.plan);
   c.lease_timer =
       vri_->ScheduleEvent(QueryExecutor::EffectiveLease(c.plan) / 3,
                           [this, query_id]() { RefreshTick(query_id); });
@@ -311,9 +306,7 @@ void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
   // advanced proxy_epoch re-targets every executor's answer routing at this
   // node (executors that independently walked further ignore it as stale),
   // and from now on this node refreshes the lease.
-  QueryPlan announce = clients_[qid].plan;
-  announce.graphs.clear();
-  dht_->router()->Broadcast(announce.Encode());
+  BroadcastMetadata(clients_[qid].plan);
   StartLeaseRefresh(qid);
 }
 
@@ -357,18 +350,22 @@ void QueryProcessor::CancelQuery(uint64_t query_id) {
       // executors that miss it still reap by lease starvation — the lease
       // refresh stops with this record.
       QueryPlan tomb = it->second.plan;
-      tomb.graphs.clear();
       tomb.generation++;
       tomb.cancelled = true;
-      dht_->router()->Broadcast(tomb.Encode());
       // And the DURABLE tombstone: it overwrites the plan record, so a
       // successor that missed the broadcast and adopts through lease
       // starvation reads it and un-adopts.
-      StoreDurablePlan(tomb);
+      StoreDurablePlan(BroadcastMetadata(std::move(tomb)));
     }
     EndClient(it);  // the handle fires its own completion on cancel
   }
   executor_->StopQuery(query_id);
+}
+
+QueryPlan QueryProcessor::BroadcastMetadata(QueryPlan plan) {
+  plan.graphs.clear();
+  dht_->router()->Broadcast(plan.Encode());
+  return plan;
 }
 
 void QueryProcessor::Disseminate(const QueryPlan& plan) {
@@ -414,8 +411,11 @@ void QueryProcessor::Disseminate(const QueryPlan& plan) {
 void QueryProcessor::HandleDisseminationBlob(std::string_view blob) {
   Result<QueryPlan> plan = QueryPlan::Decode(blob);
   if (!plan.ok()) {
-    PIER_LOG(kWarn) << "dropping malformed dissemination: "
-                    << plan.status().ToString();
+    // Counted, and logged once: a peer sending garbage must not flood the log.
+    if (stats_.malformed_broadcasts++ == 0) {
+      PIER_LOG(kWarn) << "dropping malformed dissemination, logged once: "
+                      << plan.status().ToString();
+    }
     return;
   }
   stats_.graphs_received += plan->graphs.size();

@@ -216,6 +216,7 @@ class QueryProcessor {
     uint64_t answers_delivered = 0;  // handed to a local client
     uint64_t adoptions = 0;          // proxy roles taken over via failover
     uint64_t answers_buffered = 0;   // held for a not-yet-attached client
+    uint64_t malformed_broadcasts = 0;  // undecodable plans dropped
   };
   /// A snapshot: answers_forwarded is the executor's count (it sends them).
   Stats stats() const {
@@ -312,6 +313,10 @@ class QueryProcessor {
   /// Mint/cache the per-query answers counter when a registry is attached.
   void BindQueryMetrics(ClientQuery* client, uint64_t query_id);
   void Disseminate(const QueryPlan& plan);
+  /// Broadcast `plan` without its opgraphs, the metadata-only refresh that
+  /// executors running the query apply and every other node ignores, and
+  /// return the graphless copy that was sent.
+  QueryPlan BroadcastMetadata(QueryPlan plan);
   void HandleDisseminationBlob(std::string_view blob);
   void HandleAnswerBatchMsg(const NetAddress& from, std::string_view body);
   void StartRangeGraph(const QueryPlan& meta, const OpGraph& g);

@@ -574,28 +574,21 @@ struct Compiler {
       keys_text += q.group_by[i];
     }
 
-    // "flat"/"hier" are forced; "auto" asks the optimizer (and falls back
-    // to flat — the historical default — without usable statistics).
-    std::string strategy = options.agg_strategy;
-    if (strategy == "auto") {
-      strategy = "flat";
-      if (options.optimizer != nullptr) {
-        auto hint = options.tables.find(ft.table);
-        bool group_is_pk = hint != options.tables.end() &&
-                           !q.group_by.empty() &&
-                           hint->second.partition_attrs == q.group_by;
-        AggDecision dec = options.optimizer->ChooseAggStrategy(
-            ft.table, q.group_by.size(), group_is_pk);
-        if (!dec.strategy.empty()) strategy = dec.strategy;
-        if (explain_ != nullptr) explain_->agg = dec;
-      }
+    // "flat"/"hier" are forced; "auto" asks the optimizer (flat — the
+    // historical default — without usable statistics).
+    AggDecision dec;
+    dec.strategy = options.agg_strategy;
+    if (dec.strategy == "auto") {
+      auto hint = options.tables.find(ft.table);
+      bool group_is_pk = hint != options.tables.end() &&
+                         !q.group_by.empty() &&
+                         hint->second.partition_attrs == q.group_by;
+      dec = options.optimizer.ChooseAggStrategy(ft.table, q.group_by.size(),
+                                                group_is_pk);
     }
-    if (explain_ != nullptr && explain_->agg.strategy.empty()) {
-      explain_->agg.strategy = strategy;
-      explain_->agg.stats_based = false;
-    }
+    if (explain_ != nullptr) explain_->agg = dec;
 
-    if (strategy == "hier") {
+    if (dec.strategy == "hier") {
       OpGraph& g = plan.AddGraph();
       uint32_t tail = ScanChain(&g, ft.table, q.where);
       OpSpec& agg = Then(&g, &tail, OpKind::kHierAgg);
@@ -646,9 +639,7 @@ struct Compiler {
     }
     PIER_ASSIGN_OR_RETURN(
         std::vector<JoinStep> steps,
-        options.optimizer
-            ? options.optimizer->PlanJoins(inputs, mj.edges, q.continuous)
-            : DefaultJoinSteps(inputs, mj.edges));
+        options.optimizer.PlanJoins(inputs, mj.edges, q.continuous));
     if (explain_ != nullptr) explain_->joins = steps;
 
     // Unused equi-join edges (cycles in the join graph) become residual
@@ -666,10 +657,7 @@ struct Compiler {
     }
 
     int64_t bloom_bits =
-        options.optimizer != nullptr
-            ? static_cast<int64_t>(
-                  options.optimizer->model().params().bloom_bits)
-            : 4096;
+        static_cast<int64_t>(options.optimizer.model().params().bloom_bits);
 
     std::set<int> covered{steps[0].outer};
     std::vector<bool> placed(mj.residuals.size(), false);

@@ -8,11 +8,10 @@
 //
 // Physical choices — join strategy (rehash symmetric-hash vs Fetch Matches
 // vs Bloom-prefiltered rehash), join order for multi-way joins, and flat vs
-// hierarchical aggregation — are delegated to SqlOptions::optimizer when one
-// is supplied. Without an optimizer (or without usable statistics) the
-// compiler keeps its historical defaults: syntactic join order, Fetch
-// Matches when the inner's primary index matches the join attribute (rehash
-// otherwise), flat two-phase aggregation.
+// hierarchical aggregation — are made by SqlOptions::optimizer. The default
+// one has no statistics and plans the historical defaults: syntactic join
+// order, Fetch Matches when the inner's primary index matches the join
+// attribute (rehash otherwise), flat two-phase aggregation.
 //
 // Grammar (keywords case-insensitive):
 //
@@ -34,13 +33,11 @@
 #include <string>
 #include <vector>
 
+#include "opt/optimizer.h"
 #include "qp/opgraph.h"
 #include "util/status.h"
 
 namespace pier {
-
-class Optimizer;
-struct PlanExplain;
 
 /// Application-provided metadata standing in for the missing catalog.
 struct TableHint {
@@ -56,8 +53,8 @@ struct SqlOptions {
   /// InvalidArgument.
   std::string agg_strategy = "auto";
   /// Cost-based physical planning (join strategy/order, auto aggregation).
-  /// Null keeps the compiler's historical defaults.
-  const Optimizer* optimizer = nullptr;
+  /// The default has no statistics, so it plans the historical defaults.
+  Optimizer optimizer{nullptr, CostModel()};
   /// Nonzero pins the plan's query id (tests and plan comparisons); 0 mints
   /// a fresh process-unique id.
   uint64_t query_id = 0;

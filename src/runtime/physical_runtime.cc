@@ -256,6 +256,8 @@ Result<uint64_t> PhysicalRuntime::TcpConnect(const NetAddress& destination,
     close(fd);
     return Status::Unavailable("connect() failed");
   }
+  // Even a connect that completed at once is reported by the I/O thread:
+  // its first poll sees the socket writable with no error.
   uint64_t conn_id;
   {
     MutexLock lock(io_mu_);
@@ -263,14 +265,9 @@ Result<uint64_t> PhysicalRuntime::TcpConnect(const NetAddress& destination,
     TcpConn conn;
     conn.fd = fd;
     conn.handler = handler;
-    conn.connecting = (rc != 0);
+    conn.connecting = true;
     conn.peer = destination;
     tcp_conns_[conn_id] = std::move(conn);
-  }
-  if (rc == 0) {
-    TcpHandler* h = handler;
-    NetAddress peer = destination;
-    PostFromAnyThread([h, conn_id, peer]() { h->HandleTcpNew(conn_id, peer); });
   }
   WakeIoThread();
   return conn_id;

@@ -90,7 +90,7 @@ class PhysicalRuntime : public Vri {
   struct TcpConn {
     int fd = -1;
     TcpHandler* handler = nullptr;
-    bool connecting = false;   // nonblocking connect in progress
+    bool connecting = false;   // dialed, open not yet reported
     std::string inbuf;         // partial frames
     std::string outbuf;        // pending writes
     NetAddress peer;

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "opt/replanner.h"
 #include "qp/sim_pier.h"
 #include "qp/ufl.h"
 
@@ -583,9 +582,7 @@ TEST(Failover, ReattachedHandleKeepsCountingAndAttachResumesReplanning) {
   EXPECT_EQ(q->stats().tuples, before_kill) << "nothing reaches a dead proxy";
 
   net.client(2)->set_replan_period(2 * kSecond);
-  Replanner::Options opts;
-  opts.min_cost_ratio = 1.05;
-  net.client(2)->set_replan_options(opts);
+  net.client(2)->set_replan_cost_ratio(1.05);
   auto attached = net.client(2)->Attach(qid, Sql(sql).WithReplan("auto"));
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
   auto explained = net.client(2)->ExplainAnalyze(*attached);

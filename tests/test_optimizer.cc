@@ -335,9 +335,11 @@ TEST(Optimizer, AggregationFlipsWithDataDensity) {
   AggDecision s = sparse.ChooseAggStrategy("t", 0, false);
   ASSERT_TRUE(s.stats_based);
   EXPECT_EQ(s.strategy, "flat");
-  // No stats: empty decision, caller keeps its default.
+  // No stats: flat, the historical default, and not stats-based.
   Optimizer none(&reg, CostModel(Params(16)));
-  EXPECT_TRUE(none.ChooseAggStrategy("unknown", 0, false).strategy.empty());
+  AggDecision n = none.ChooseAggStrategy("unknown", 0, false);
+  EXPECT_EQ(n.strategy, "flat");
+  EXPECT_FALSE(n.stats_based);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,28 +352,6 @@ SqlOptions BaseOptions(uint64_t query_id) {
   o.tables["s"] = TableHint{{"y"}};
   o.query_id = query_id;
   return o;
-}
-
-TEST(SqlOptimizer, NoStatsPlansAreByteIdenticalToDefaults) {
-  StatsRegistry empty;
-  Optimizer opt(&empty, CostModel(Params(64)));
-  for (const char* sql : {
-           "SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s",
-           "SELECT k, count(*) AS c FROM t GROUP BY k",
-           "SELECT * FROM t a, s b WHERE a.k = b.y AND a.v > 1",
-           "SELECT * FROM t a, s b WHERE a.v = b.w",
-           "SELECT k, count(*) AS c FROM t GROUP BY k ORDER BY c DESC "
-           "LIMIT 4",
-       }) {
-    SqlOptions plain = BaseOptions(99);
-    SqlOptions optimized = BaseOptions(99);
-    optimized.optimizer = &opt;
-    auto a = CompileSql(sql, plain);
-    auto b = CompileSql(sql, optimized);
-    ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
-    EXPECT_EQ(a->Encode(), b->Encode()) << sql;
-  }
 }
 
 TEST(SqlOptimizer, UnknownAggStrategyIsRejected) {
@@ -394,7 +374,7 @@ TEST(SqlOptimizer, StatsFlipJoinStrategyAndExplainShowsIt) {
   Seed(&reg, "s", 4000, 4000);    // large build side, indexed on y
   Optimizer opt(&reg, CostModel(Params(64)));
   SqlOptions o = BaseOptions(7);
-  o.optimizer = &opt;
+  o.optimizer = opt;
   PlanExplain explain;
   auto plan =
       CompileSql("SELECT * FROM t a, s b WHERE a.k = b.y", o, &explain);
@@ -421,7 +401,7 @@ TEST(SqlOptimizer, BloomPlanCompilesAndValidates) {
   o.tables["big"] = TableHint{{"pk"}};
   o.tables["small"] = TableHint{{"pk"}};
   o.query_id = 11;
-  o.optimizer = &opt;
+  o.optimizer = opt;
   PlanExplain explain;
   auto plan = CompileSql("SELECT * FROM big r, small s WHERE r.x = s.y", o,
                          &explain);
@@ -616,8 +596,11 @@ TEST(Stats, FoldForeignSkipsOwnOriginRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Replanner policy
+// Replanning policy
 // ---------------------------------------------------------------------------
+
+/// The client's default replan threshold (PierClient::set_replan_cost_ratio).
+constexpr double kDefaultRatio = 1.2;
 
 /// An aggregation PlanExplain with just the strategy decision filled in.
 PlanExplain AggExplain(const std::string& strategy) {
@@ -665,12 +648,12 @@ QueryPlan HierAggPlan(const std::string& table) {
   return plan;
 }
 
-TEST(Replanner, FingerprintTracksDecisionsNotCosts) {
+TEST(OptimizerReplan, FingerprintTracksDecisionsNotCosts) {
   PlanExplain a = AggExplain("flat");
   PlanExplain b = AggExplain("flat");
   b.total = Cost{999, 999999};  // cost numbers must not affect identity
-  EXPECT_EQ(Replanner::Fingerprint(a), Replanner::Fingerprint(b));
-  EXPECT_NE(Replanner::Fingerprint(a), Replanner::Fingerprint(AggExplain("hier")));
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+  EXPECT_NE(a.Fingerprint(), AggExplain("hier").Fingerprint());
 
   PlanExplain join1;
   JoinStep s;
@@ -682,24 +665,24 @@ TEST(Replanner, FingerprintTracksDecisionsNotCosts) {
   join1.joins.push_back(s);
   PlanExplain join2 = join1;
   join2.joins[0].strategy = JoinStrategy::kBloom;
-  EXPECT_NE(Replanner::Fingerprint(join1), Replanner::Fingerprint(join2));
+  EXPECT_NE(join1.Fingerprint(), join2.Fingerprint());
   PlanExplain join3 = join1;
   join3.joins[0].stats_based = true;  // same strategy, now confirmed by stats
-  EXPECT_EQ(Replanner::Fingerprint(join1), Replanner::Fingerprint(join3));
+  EXPECT_EQ(join1.Fingerprint(), join3.Fingerprint());
 }
 
-TEST(Replanner, UnchangedStrategyNeverSwaps) {
+TEST(OptimizerReplan, UnchangedStrategyNeverSwaps) {
   StatsRegistry reg;
   Seed(&reg, "t", 5000, 40);
-  Replanner rp(&reg, CostModel(CostParams{}));
-  std::string fp = Replanner::Fingerprint(AggExplain("flat"));
-  ReplanDecision d = rp.Consider(FlatAggPlan("t"), fp, FlatAggPlan("t"),
-                                 AggExplain("flat"));
+  Optimizer opt(&reg, CostModel(CostParams{}));
+  std::string fp = AggExplain("flat").Fingerprint();
+  ReplanDecision d = opt.Consider(FlatAggPlan("t"), fp, FlatAggPlan("t"),
+                                  AggExplain("flat"), kDefaultRatio);
   EXPECT_FALSE(d.swap);
   EXPECT_FALSE(d.strategy_changed);
 }
 
-TEST(Replanner, SwapsOnlyPastTheCostRatioThreshold) {
+TEST(OptimizerReplan, SwapsOnlyPastTheCostRatioThreshold) {
   CostParams params;
   params.nodes = 32;
   StatsRegistry reg;
@@ -707,32 +690,26 @@ TEST(Replanner, SwapsOnlyPastTheCostRatioThreshold) {
   // rehash of partials dwarfs the aggregation tree's 2N reports.
   Seed(&reg, "t", 5000, 40);
 
-  std::string flat_fp = Replanner::Fingerprint(AggExplain("flat"));
-  Replanner rp(&reg, CostModel(params));
-  ReplanDecision d = rp.Consider(FlatAggPlan("t"), flat_fp, HierAggPlan("t"),
-                                 AggExplain("hier"));
+  std::string flat_fp = AggExplain("flat").Fingerprint();
+  Optimizer opt(&reg, CostModel(params));
+  ReplanDecision d = opt.Consider(FlatAggPlan("t"), flat_fp, HierAggPlan("t"),
+                                  AggExplain("hier"), kDefaultRatio);
   EXPECT_TRUE(d.strategy_changed);
   ASSERT_GT(d.fresh_total, 0);
   EXPECT_GT(d.ratio, 1.0) << "hier must estimate cheaper on the dense table";
-  EXPECT_EQ(d.swap, d.ratio >= rp.options().min_cost_ratio);
+  EXPECT_EQ(d.swap, d.ratio >= kDefaultRatio);
 
   // A sky-high threshold vetoes the same strategy change.
-  Replanner::Options strict;
-  strict.min_cost_ratio = 1e9;
-  ReplanDecision vetoed =
-      Replanner(&reg, CostModel(params), strict)
-          .Consider(FlatAggPlan("t"), flat_fp, HierAggPlan("t"),
-                    AggExplain("hier"));
+  ReplanDecision vetoed = opt.Consider(FlatAggPlan("t"), flat_fp,
+                                       HierAggPlan("t"), AggExplain("hier"),
+                                       /*min_cost_ratio=*/1e9);
   EXPECT_TRUE(vetoed.strategy_changed);
   EXPECT_FALSE(vetoed.swap);
 
   // A permissive threshold takes it.
-  Replanner::Options loose;
-  loose.min_cost_ratio = 1.0;
-  ReplanDecision taken =
-      Replanner(&reg, CostModel(params), loose)
-          .Consider(FlatAggPlan("t"), flat_fp, HierAggPlan("t"),
-                    AggExplain("hier"));
+  ReplanDecision taken = opt.Consider(FlatAggPlan("t"), flat_fp,
+                                      HierAggPlan("t"), AggExplain("hier"),
+                                      /*min_cost_ratio=*/1.0);
   EXPECT_TRUE(taken.swap);
 }
 

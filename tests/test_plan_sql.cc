@@ -511,17 +511,28 @@ TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
   };
   seed("big", 4000, 4000);
   seed("small", 4000, 40);
+  seed("mid", 1000, 1000);
+  seed("probe", 100, 100);
+  seed("build", 5000, 5000);
   CostParams params;
   params.nodes = 64;
   Optimizer opt(&reg, CostModel(params));
   SqlOptions bloom = base;
   bloom.tables["big"] = TableHint{{"pk"}};
   bloom.tables["small"] = TableHint{{"pk"}};
-  bloom.optimizer = &opt;
+  bloom.tables["mid"] = TableHint{{"z"}};
+  bloom.tables["probe"] = TableHint{{"k"}};
+  bloom.tables["build"] = TableHint{{"j"}};
+  bloom.optimizer = opt;
   SqlOptions flat = base;
   flat.agg_strategy = "flat";
   SqlOptions hier = base;
   hier.agg_strategy = "hier";
+  // An optimizer over an empty registry plans exactly what the default,
+  // statistics-free one does.
+  StatsRegistry empty;
+  SqlOptions nostats = base;
+  nostats.optimizer = Optimizer(&empty, CostModel(params));
 
   struct Case {
     const char* sql;
@@ -547,6 +558,26 @@ TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
       {"SELECT a.v, c.q FROM t a, s b, u c WHERE a.v = b.w AND b.x = c.z "
        "AND a.k + c.q > 3 LIMIT 5",
        &base, 0x450801092f023a59},
+      // Without statistics the first FROM table starts the chain, so the
+      // first WHERE edge (b-c) waits for the one that touches it (a-b).
+      {"SELECT * FROM t a, s b, u c WHERE b.x = c.z AND a.v = b.w", &base,
+       0x550aaf9fc06f5bcc},
+      // With statistics: three tables, the cheapest first step's outer is
+      // its edge's b side (mid), then the intermediate joins big.
+      {"SELECT * FROM big r, small s, mid m WHERE r.x = s.y AND s.w = m.z",
+       &bloom, 0x45e71702eebde8b7},
+      // The small side (the edge's b) probes the large indexed side.
+      {"SELECT * FROM build r, probe p WHERE r.j = p.j", &bloom,
+       0xb0294e82b60d6528},
+      {"SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s", &nostats,
+       0x13985549d7079e38},
+      {"SELECT k, count(*) AS c FROM t GROUP BY k", &nostats,
+       0x6d2438261961f58d},
+      {"SELECT * FROM t a, s b WHERE a.k = b.y AND a.v > 1", &nostats,
+       0xc8bf4e0167944a1c},
+      {"SELECT * FROM t a, s b WHERE a.v = b.w", &nostats, 0x1375bdfbde9a072a},
+      {"SELECT k, count(*) AS c FROM t GROUP BY k ORDER BY c DESC LIMIT 4",
+       &nostats, 0x1a26927fa31e7710},
   };
   for (const Case& c : cases) {
     PlanExplain explain;
@@ -560,6 +591,14 @@ TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
   ASSERT_TRUE(CompileSql(cases[6].sql, bloom, &explain).ok());
   ASSERT_EQ(explain.joins.size(), 1u);
   EXPECT_EQ(explain.joins[0].strategy, JoinStrategy::kBloom);
+  // The join-order cases plan what their comments say.
+  ASSERT_TRUE(CompileSql(cases[9].sql, base, &explain).ok());
+  EXPECT_EQ(explain.Fingerprint(), "t.v><s.w:rehash;s.x><u.z:fetch-matches;");
+  ASSERT_TRUE(CompileSql(cases[10].sql, bloom, &explain).ok());
+  EXPECT_EQ(explain.Fingerprint(),
+            "mid.z><small.w:bloom;(intermediate).y><big.x:rehash;");
+  ASSERT_TRUE(CompileSql(cases[11].sql, bloom, &explain).ok());
+  EXPECT_EQ(explain.Fingerprint(), "probe.j><build.j:fetch-matches;");
 }
 
 // ---------------------------------------------------------------------------

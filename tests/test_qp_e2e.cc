@@ -761,9 +761,7 @@ TEST(QpE2E, AutoReplanSwapsOnACardinalityShiftAndOnlyThen) {
   ASSERT_TRUE(
       net.catalog()->Register(TableSpec("ev").PartitionBy({"src"})).ok());
   net.client(0)->set_replan_period(2 * kSecond);
-  Replanner::Options opts;
-  opts.min_cost_ratio = 1.05;
-  net.client(0)->set_replan_options(opts);
+  net.client(0)->set_replan_cost_ratio(1.05);
 
   // Submitted over an EMPTY table: no usable statistics, so the compiler
   // defaults to flat aggregation and the replanner's baseline is "flat".
@@ -992,6 +990,31 @@ TEST(QueryFrames, CostsAndAnswerBatchIgnoreCutAndGarbageFrames) {
   restore();
   EXPECT_EQ(FuzzDecoder(answers, 64, send_answers), answers.size() - rows_end)
       << "exactly the cuts that keep every row deliver";
+}
+
+TEST(QueryFrames, MalformedBroadcastsAreCountedAndExported) {
+  SimPier net(4, PierOptions(53));
+  PublishRows(&net, 8);
+  net.RunFor(2 * kSecond);
+  // Every node, the sender too, gets each broadcast once.
+  constexpr uint64_t kGarbage = 25;
+  for (uint64_t i = 0; i < kGarbage; ++i)
+    net.dht(0)->router()->Broadcast("not a plan " + std::to_string(i));
+  net.RunFor(kSecond);
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(net.qp(i)->stats().malformed_broadcasts, kGarbage) << i;
+    double exported = -1;
+    for (const MetricSample& s : net.metrics(i)->Snapshot()) {
+      if (s.name == "pier_query_malformed_broadcasts_total") exported = s.value;
+    }
+    EXPECT_EQ(exported, static_cast<double>(kGarbage)) << i;
+  }
+  // A well-formed plan still starts everywhere and answers.
+  auto q = net.client(1)->Query(Sql("SELECT k FROM t TIMEOUT 5s"));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->Collect().size(), 8u);
+  for (uint32_t i = 0; i < net.size(); ++i)
+    EXPECT_EQ(net.qp(i)->stats().malformed_broadcasts, kGarbage) << i;
 }
 
 }  // namespace

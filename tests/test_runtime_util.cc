@@ -14,6 +14,7 @@
 #include "runtime/udpcc.h"
 #include "util/bloom.h"
 #include "util/hash.h"
+#include "util/logging.h"
 #include "util/random.h"
 #include "util/wire.h"
 
@@ -406,6 +407,19 @@ TEST(Rng, UniformStaysInRange) {
   }
 }
 
+TEST(Rng, ExponentialIsPositiveWithTheGivenMean) {
+  Rng rng(5);
+  const int kSamples = 20000;
+  double sum = 0;
+  for (int i = 0; i < kSamples; ++i) {
+    double x = rng.Exponential(250.0);
+    EXPECT_GT(x, 0);
+    sum += x;
+  }
+  // The sample mean's standard error is 250 / sqrt(20000), about 1.8.
+  EXPECT_NEAR(sum / kSamples, 250.0, 10.0);
+}
+
 TEST(Zipf, HeadDominatesAndPmfSumsToOne) {
   ZipfGenerator zipf(1000, 1.1);
   Rng rng(11);
@@ -429,9 +443,29 @@ TEST(Hash, StableAndSensitive) {
   EXPECT_NE(Mix64(1), Mix64(2));
 }
 
+TEST(Logging, TheLevelGatesWhatIsWritten) {
+  ASSERT_EQ(GetLogLevel(), LogLevel::kWarn) << "quiet by default";
+  testing::internal::CaptureStderr();
+  PIER_LOG(kInfo) << "hidden at the default level";
+  SetLogLevel(LogLevel::kDebug);
+  PIER_LOG(kDebug) << "shown once lowered";
+  SetLogLevel(LogLevel::kOff);
+  PIER_LOG(kError) << "hidden when off";
+  SetLogLevel(LogLevel::kWarn);
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("hidden"), std::string::npos) << err;
+  EXPECT_NE(err.find("[D test_runtime_util.cc:"), std::string::npos) << err;
+  EXPECT_NE(err.find("shown once lowered"), std::string::npos) << err;
+}
+
 // ---------------------------------------------------------------------------
 // Simulation harness + UdpCC
 // ---------------------------------------------------------------------------
+
+TEST(NetAddress, PrintsNodeIndexOrDottedQuad) {
+  EXPECT_EQ((NetAddress{3, 7000}).ToString(), "n3:7000");
+  EXPECT_EQ((NetAddress{0x7f000001, 37200}).ToString(), "127.0.0.1:37200");
+}
 
 struct Capture : UdpHandler {
   std::vector<std::pair<NetAddress, std::string>> got;
@@ -531,6 +565,33 @@ TEST(SimHarness, TcpFramedRoundTrip) {
   sim.loop()->RunUntilIdle();
   ASSERT_EQ(server.got, (std::vector<std::string>{"query", "plan"}));
   ASSERT_EQ(client.got, (std::vector<std::string>{"ack:query", "ack:plan"}));
+}
+
+TEST(SimHarness, FailedNodesTcpPeerSeesAnError) {
+  SimOptions opts;
+  opts.seed = 10;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  struct Side : TcpHandler {
+    bool open = false;
+    std::vector<uint64_t> errors;
+    void HandleTcpNew(uint64_t, const NetAddress&) override { open = true; }
+    void HandleTcpData(uint64_t, std::string_view) override {}
+    void HandleTcpError(uint64_t conn) override { errors.push_back(conn); }
+  } server, client;
+  ASSERT_TRUE(sim.vri(1)->TcpListen(7000, &server).ok());
+  Result<uint64_t> conn =
+      sim.vri(0)->TcpConnect(sim.AddressOf(1, 7000), &client);
+  ASSERT_TRUE(conn.ok());
+  sim.loop()->RunUntilIdle();
+  ASSERT_TRUE(client.open && server.open);
+
+  sim.FailNode(1);
+  sim.loop()->RunUntilIdle();
+  EXPECT_EQ(client.errors, (std::vector<uint64_t>{*conn}));
+  EXPECT_TRUE(server.errors.empty()) << "a dead node hears nothing";
+  EXPECT_EQ(sim.vri(0)->TcpWrite(*conn, "late").code(), StatusCode::kNotFound)
+      << "the connection is gone";
 }
 
 TEST(UdpCc, ReliableDeliveryAndDuplicateSuppression) {

@@ -29,7 +29,7 @@ lambda, and gcov gives it that statement's count.
 checks that rule, and the gate's rule below, against the fixtures in
 testdata/.
 
-  python3 tools/coverage/unreached.py build-cov --gate src/qp --gate src/data \
+  python3 tools/coverage/unreached.py build-cov --gate src \
       --allowlist tools/coverage/allowlist.txt
 
 also gates: it fails when a function under a --gate directory is unreached
