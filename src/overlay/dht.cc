@@ -26,18 +26,22 @@ Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
   router_->RegisterDirectType(
       kMsgStore,
       [this](const NetAddress& f, std::string_view b) { HandleStore(f, b); });
-  router_->RegisterDirectType(kMsgRenewReq, [this](const NetAddress& f, std::string_view b) {
-    HandleRenewReq(f, b);
-  });
-  router_->RegisterDirectType(kMsgRenewResp, [this](const NetAddress& f, std::string_view b) {
-    HandleRenewResp(f, b);
-  });
-  router_->RegisterDirectType(kMsgGetReqEx, [this](const NetAddress& f, std::string_view b) {
-    HandleGetReqEx(f, b);
-  });
-  router_->RegisterDirectType(kMsgGetRespEx, [this](const NetAddress& f, std::string_view b) {
-    HandleGetRespEx(f, b);
-  });
+  router_->RegisterDirectType(
+      kMsgRenewReq, [this](const NetAddress& f, std::string_view b) {
+        HandleRenewReq(f, b);
+      });
+  router_->RegisterDirectType(
+      kMsgRenewResp, [this](const NetAddress& f, std::string_view b) {
+        HandleRenewResp(f, b);
+      });
+  router_->RegisterDirectType(
+      kMsgGetReqEx, [this](const NetAddress& f, std::string_view b) {
+        HandleGetReqEx(f, b);
+      });
+  router_->RegisterDirectType(
+      kMsgGetRespEx, [this](const NetAddress& f, std::string_view b) {
+        HandleGetRespEx(f, b);
+      });
 }
 
 Dht::~Dht() {
@@ -118,9 +122,9 @@ int Dht::EffectiveReplicas(int replicas) const {
   return std::min(k, max_replication_factor());
 }
 
-void Dht::Put(const std::string& ns, const std::string& key, const std::string& suffix,
-              std::string&& value, TimeUs lifetime, DoneCallback done,
-              int replicas) {
+void Dht::Put(const std::string& ns, const std::string& key,
+              const std::string& suffix, std::string&& value, TimeUs lifetime,
+              DoneCallback done, int replicas) {
   std::vector<DhtPutItem> items;
   items.push_back(
       DhtPutItem{ns, key, suffix, std::move(value), lifetime, replicas});
@@ -179,17 +183,22 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
   for (size_t i = 0; i < batch->size(); ++i)
     by_id[RoutingId((*batch)[i].ns, (*batch)[i].key)].push_back(i);
 
-  // Shared completion state: the owners arrive asynchronously, one Lookup
-  // per distinct id; once all resolved, one wire message goes to each
-  // distinct destination. Every group's outcome is kept — a partial failure
-  // (one dead owner in a multi-owner batch) reports exactly which items
-  // were dropped rather than only the first error.
+  // Shared completion state. The owners arrive one Lookup per distinct id.
+  // Groups whose owner resolved synchronously (this node, or the owner
+  // cache) are gathered and ship together, one wire message per
+  // destination; each later group ships as soon as its own lookup answers,
+  // so a cold owner never holds back a warm one. Every group's outcome is
+  // kept — a partial failure (one dead owner in a multi-owner batch)
+  // reports exactly which items were dropped rather than only the first
+  // error.
   struct OwnerGroup {
     std::vector<size_t> indices;
     bool cached = false;  // resolved from the owner cache
   };
+  using Owners = std::map<NetAddress, OwnerGroup>;
   struct BatchState {
-    std::map<NetAddress, OwnerGroup> by_owner;
+    bool resolving = true;  // inside the Lookup loop: gather, do not ship
+    Owners gathered;
     std::vector<PutGroupStatus> groups;
     size_t pending_lookups = 0;
     size_t pending_sends = 0;
@@ -200,7 +209,7 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
       if (!s.ok() && first_error.ok()) first_error = s;
     }
     void FinishIfIdle() {
-      if (pending_lookups > 0 || pending_sends > 0) return;
+      if (resolving || pending_lookups > 0 || pending_sends > 0) return;
       if (done) {
         BatchCallback cb = std::move(done);
         done = nullptr;
@@ -212,13 +221,11 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
   st->pending_lookups = by_id.size();
   st->done = std::move(done);
 
-  auto ship = [this, st, batch, may_retry]() {
-    // All lookups resolved: one message per destination (chunked at the
-    // frame cap the receiver enforces). All sends are registered before the
-    // first one goes out, so a synchronously-failing send cannot complete
-    // the batch while later chunks are still unsent.
-    std::map<NetAddress, OwnerGroup> owners;
-    owners.swap(st->by_owner);
+  auto ship = [this, st, batch, may_retry](const Owners& owners) {
+    // One message per destination (chunked at the frame cap the receiver
+    // enforces). All of this call's sends are registered before the first
+    // one goes out, so a synchronously-failing send cannot complete the
+    // batch while later chunks are still unsent.
     struct Frame {
       size_t group;  // index into st->groups
       NetAddress dest;
@@ -259,7 +266,7 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
             Frame{group, owner, std::move(w).data(), may_retry && og.cached});
       }
     }
-    st->pending_sends = frames.size();
+    st->pending_sends += frames.size();
     for (Frame& f : frames) {
       size_t group = f.group;
       std::shared_ptr<std::vector<DhtPutItem>> retry_items =
@@ -299,19 +306,23 @@ void Dht::ShipBatch(std::shared_ptr<std::vector<DhtPutItem>> batch,
     router_->Lookup(
         id, [st, ship, indices = std::move(indices)](
                 const Result<OverlayRouter::Owner>& owner) {
-          if (owner.ok()) {
-            OwnerGroup& g = st->by_owner[owner->address];
-            g.indices.insert(g.indices.end(), indices.begin(), indices.end());
-            g.cached = g.cached || owner->cached;
-          } else {
+          st->pending_lookups--;
+          if (!owner.ok()) {
             // The whole group is undeliverable: no owner could be resolved.
             st->NoteError(owner.status());
             st->groups.push_back(
                 PutGroupStatus{NetAddress{}, indices, owner.status()});
+            st->FinishIfIdle();
+            return;
           }
-          if (--st->pending_lookups == 0) ship();
+          OwnerGroup& g = st->gathered[owner->address];
+          g.indices.insert(g.indices.end(), indices.begin(), indices.end());
+          g.cached = g.cached || owner->cached;
+          if (!st->resolving) ship(std::exchange(st->gathered, {}));
         });
   }
+  st->resolving = false;
+  ship(std::exchange(st->gathered, {}));
 }
 
 void Dht::Send(const std::string& ns, const std::string& key,
@@ -555,7 +566,8 @@ void Dht::CancelNewData(uint64_t token) {
 // Message handlers
 // ---------------------------------------------------------------------------
 
-void Dht::HandleRoutedDelivery(const RouteInfo& info, std::string_view payload) {
+void Dht::HandleRoutedDelivery(const RouteInfo& info,
+                               std::string_view payload) {
   // A routed Send reached the responsible node: store like a put.
   stats_.routed_deliveries++;
   stats_.routed_delivery_hops += info.hops;

@@ -116,9 +116,9 @@ class Dht {
   /// to place copies at its first replicas-1 successors (0 = the configured
   /// default factor). `done` reports the OWNER delivery; replica copies are
   /// best-effort.
-  void Put(const std::string& ns, const std::string& key, const std::string& suffix,
-           std::string&& value, TimeUs lifetime, DoneCallback done = nullptr,
-           int replicas = 0);
+  void Put(const std::string& ns, const std::string& key,
+           const std::string& suffix, std::string&& value, TimeUs lifetime,
+           DoneCallback done = nullptr, int replicas = 0);
 
   /// One delivery group's outcome in a PutBatch: the items (by position in
   /// the submitted vector) that rode one wire frame to a responsible node,
@@ -139,22 +139,25 @@ class Dht {
   using BatchCallback = std::function<void(const Status& first_error,
                                            std::vector<PutGroupStatus> groups)>;
 
-  /// Batched put: the batch is grouped by responsible node (one Lookup per
-  /// distinct routing id, one store frame per owner whatever the object
-  /// count). Each owner places the copies of its replicated items at its
-  /// own successors. Entry order is preserved within each destination, so
-  /// objects sharing a (ns, key) arrive in batch order. `done` (may be null)
-  /// fires once after every owner frame's delivery resolved, with every
-  /// group's outcome: a batch whose destinations PARTIALLY fail (one owner
-  /// dead, the rest fine) names exactly the dropped items.
+  /// Batched put: the batch is grouped by routing id, one Lookup per
+  /// distinct id. Groups ship as they resolve: those resolved at once (this
+  /// node, or the owner cache) go out together, one store frame per owner
+  /// whatever the object count, and each other group goes out as soon as
+  /// its own lookup answers, so a cold owner never delays a warm one. Each
+  /// owner places the copies of its replicated items at its own successors.
+  /// Objects sharing a (ns, key) share a group, so they arrive in batch
+  /// order. `done` (may be null) fires once after every owner frame's
+  /// delivery resolved, with every group's outcome: a batch whose
+  /// destinations PARTIALLY fail (one owner dead, the rest fine) names
+  /// exactly the dropped items.
   void PutBatch(std::vector<DhtPutItem> items, BatchCallback done = nullptr);
 
   /// send(...): like put, but routed hop-by-hop through the overlay so
   /// intermediate nodes receive upcalls (§3.2.4, Figure 6). The payload is
   /// copied once into the routed frame (upcall handlers may mutate it en
   /// route, so hop framing cannot alias the caller's buffer).
-  void Send(const std::string& ns, const std::string& key, const std::string& suffix,
-            std::string value, TimeUs lifetime);
+  void Send(const std::string& ns, const std::string& key,
+            const std::string& suffix, std::string value, TimeUs lifetime);
 
   /// send variant with an explicit routing target: the object is stored (and
   /// newData fires) at the owner of `target` rather than of RoutingId(ns,key).
@@ -165,10 +168,10 @@ class Dht {
 
   /// renew(...): extend an object's lifetime; fails with NotFound if the
   /// responsible node no longer holds it (publisher must re-put).
-  void Renew(const std::string& ns, const std::string& key, const std::string& suffix,
-             TimeUs lifetime, DoneCallback done);
+  void Renew(const std::string& ns, const std::string& key,
+             const std::string& suffix, TimeUs lifetime, DoneCallback done);
 
-  // --- Intra-node operations (Table 2) ----------------------------------------
+  // --- Intra-node operations (Table 2) --------------------------------------
 
   /// localScan: visit all objects of `ns` stored at this node (handleLScan),
   /// with each object's local store time, so catch-up consumers (a
@@ -223,12 +226,15 @@ class Dht {
   /// upcall: intercept in-transit Send objects in `ns` (handleUpcall). The
   /// handler may decode the object with DecodeObject, mutate it, and return
   /// kDrop to consume it.
-  void RegisterUpcall(const std::string& ns, OverlayRouter::UpcallHandler handler) {
+  void RegisterUpcall(const std::string& ns,
+                      OverlayRouter::UpcallHandler handler) {
     router_->RegisterUpcall(ns, std::move(handler));
   }
-  void UnregisterUpcall(const std::string& ns) { router_->UnregisterUpcall(ns); }
+  void UnregisterUpcall(const std::string& ns) {
+    router_->UnregisterUpcall(ns);
+  }
 
-  // --- Object wire helpers (used by upcall handlers) ---------------------------
+  // --- Object wire helpers (used by upcall handlers) ------------------------
 
   struct WireObject {
     ObjectName name;
@@ -264,7 +270,7 @@ class Dht {
                                 uint8_t desired_replicas,
                                 std::string_view value);
 
-  // --- Introspection ------------------------------------------------------------
+  // --- Introspection ---------------------------------------------------------
 
   OverlayRouter* router() { return router_.get(); }
   ObjectManager* objects() { return objects_.get(); }
@@ -294,7 +300,7 @@ class Dht {
     uint64_t replica_puts = 0;       // replica copies shipped by this node
     uint64_t replica_stores = 0;     // replica copies stored at this node
     uint64_t handoff_pushes = 0;     // objects re-propagated or handed off
-    uint64_t read_failovers = 0;     // gets answered by a replica, not the owner
+    uint64_t read_failovers = 0;     // gets a replica answered, not the owner
     uint64_t read_repairs = 0;       // owner copies refreshed from a replica
     uint64_t suppressed_scan_rows = 0;  // replica rows hidden from LocalScan
   };

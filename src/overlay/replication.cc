@@ -45,7 +45,7 @@ bool ReplicationManager::Owns(Id id) const {
 
 void ReplicationManager::RepairTick() {
   RoutingProtocol* proto = router_->protocol();
-  std::vector<NetAddress> succs = proto->SuccessorSet(window_);
+  std::vector<RingPeer> succs = proto->SuccessorSet(window_);
   // Only the successors both windows cover are compared: a window that
   // widened is a new baseline, since this node placed the copies that
   // widened it when they were written, and its new successors are owed
@@ -54,7 +54,8 @@ void ReplicationManager::RepairTick() {
   bool succ_changed = !std::equal(
       succs.begin(), succs.begin() + std::min(common, succs.size()),
       last_succs_.begin(),
-      last_succs_.begin() + std::min(common, last_succs_.size()));
+      last_succs_.begin() + std::min(common, last_succs_.size()),
+      [](const RingPeer& a, const RingPeer& b) { return a.addr == b.addr; });
   // A predecessor change moves the lower end of the owned range.
   RingPeer pred;
   bool pred_moved = proto->Predecessor(&pred) && last_pred_.valid() &&
@@ -159,7 +160,7 @@ void ReplicationManager::ShipToSuccessors(
     const std::vector<const ObjectManager::Row*>& rows, size_t first_index,
     StoreOrigin origin) {
   if (rows.empty()) return;
-  std::vector<NetAddress> succs = router_->protocol()->SuccessorSet(window_);
+  std::vector<RingPeer> succs = router_->protocol()->SuccessorSet(window_);
   struct DestBatch {
     uint8_t replica_index = 1;
     std::vector<const ObjectManager::Row*> rows;
@@ -169,7 +170,7 @@ void ReplicationManager::ShipToSuccessors(
     for (size_t j = 0;
          first_index + j < row->second.desired_replicas && j < succs.size();
          ++j) {
-      DestBatch& batch = by_dest[succs[j]];
+      DestBatch& batch = by_dest[succs[j].addr];
       batch.replica_index = static_cast<uint8_t>(first_index + j);
       batch.rows.push_back(row);
     }

@@ -128,7 +128,7 @@ class ReplicationManager {
   /// until a replicated copy arrives, so the k = 1 path sends nothing.
   size_t window_ = 0;
   /// Last observed ring view; repair work runs only when it moves.
-  std::vector<NetAddress> last_succs_;
+  std::vector<RingPeer> last_succs_;
   size_t last_window_ = 0;
   RingPeer last_pred_;
 

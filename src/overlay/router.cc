@@ -51,13 +51,18 @@ OverlayRouter::OverlayRouter(Vri* vri, Options options)
 
 OverlayRouter::~OverlayRouter() { vri_->CancelEvent(local_copy_timer_); }
 
-void OverlayRouter::Join(const NetAddress& bootstrap) { protocol_->Start(bootstrap); }
+void OverlayRouter::Join(const NetAddress& bootstrap) {
+  protocol_->Start(bootstrap);
+}
 
-void OverlayRouter::RegisterUpcall(const std::string& ns, UpcallHandler handler) {
+void OverlayRouter::RegisterUpcall(const std::string& ns,
+                                   UpcallHandler handler) {
   upcalls_[ns] = std::move(handler);
 }
 
-void OverlayRouter::UnregisterUpcall(const std::string& ns) { upcalls_.erase(ns); }
+void OverlayRouter::UnregisterUpcall(const std::string& ns) {
+  upcalls_.erase(ns);
+}
 
 void OverlayRouter::RegisterDirectType(uint8_t type, DirectHandler handler) {
   PIER_CHECK(type >= 16);
@@ -87,7 +92,8 @@ std::string OverlayRouter::EncodeRoute(const RouteInfo& info,
   return std::move(w).data();
 }
 
-void OverlayRouter::Route(const std::string& ns, Id target, std::string payload) {
+void OverlayRouter::Route(const std::string& ns, Id target,
+                          std::string payload) {
   stats_.routed_originated++;
   RouteInfo info;
   info.target = target;
@@ -139,7 +145,8 @@ void OverlayRouter::Deliver(const RouteInfo& info, std::string_view payload) {
   if (delivery_handler_) delivery_handler_(info, payload);
 }
 
-void OverlayRouter::HandleMessage(const NetAddress& from, std::string_view payload) {
+void OverlayRouter::HandleMessage(const NetAddress& from,
+                                  std::string_view payload) {
   WireReader r(payload);
   uint8_t type;
   if (!r.GetU8(&type).ok()) return;
@@ -215,16 +222,16 @@ void OverlayRouter::Lookup(Id target, LookupCallback cb) {
 
   uint64_t lookup_id = next_lookup_id_++;
   PendingLookup pending;
+  pending.target = target;
   pending.cb = std::move(cb);
   pending.timer = vri_->ScheduleEvent(kLookupTimeout, [this, lookup_id]() {
-    auto it = pending_lookups_.find(lookup_id);
-    if (it == pending_lookups_.end()) return;
-    LookupCallback cb = std::move(it->second.cb);
-    pending_lookups_.erase(it);
+    LookupCallback cb = TakePendingLookup(lookup_id);
+    if (!cb) return;
     stats_.lookups_failed++;
     cb(Status::TimedOut("lookup timed out"));
   });
   pending_lookups_[lookup_id] = std::move(pending);
+  pending_targets_.emplace(target, lookup_id);
 
   // Lookups ride the routed channel in a reserved namespace with no upcalls;
   // Deliver intercepts the request at the owner, which answers directly.
@@ -253,12 +260,18 @@ void OverlayRouter::HandleLookupReq(Id target, std::string_view body) {
   w.PutU16(local_address_.port);
   // The range (lower, self] goes along only when it is known and holds the
   // target: a de-facto root answering for an id it does not own must not be
-  // cached as that id's owner.
+  // cached as that id's owner. So does the arc of ranges that follows it,
+  // one per successor, each from the previous one's id up to its own.
   RingPeer pred;
   bool has_range =
       protocol_->IsOwner(target) && protocol_->Predecessor(&pred);
   w.PutU8(has_range ? 1 : 0);
   w.PutU64(has_range ? pred.id : 0);
+  std::vector<RingPeer> arc;
+  if (has_range)
+    arc = protocol_->SuccessorSet(RoutingProtocol::kMaxSuccessors);
+  w.PutVarint(arc.size());
+  for (const RingPeer& p : arc) PutPeer(&w, p);
   SendFramed(NetAddress{host, port}, std::move(w).data());
 }
 
@@ -273,14 +286,63 @@ void OverlayRouter::HandleLookupResp(std::string_view body) {
       !r.GetU16(&owner.address.port).ok() || !r.GetU8(&has_range).ok() ||
       !r.GetU64(&lower).ok())
     return;
-  if (has_range) CacheOwner(owner.id, lower, owner.address);
-  auto it = pending_lookups_.find(lookup_id);
-  if (it == pending_lookups_.end()) return;  // timed out already
-  LookupCallback cb = std::move(it->second.cb);
-  vri_->CancelEvent(it->second.timer);
-  pending_lookups_.erase(it);
+  Id upper = owner.id;
+  if (has_range) {
+    CacheOwner(owner.id, lower, owner.address);
+    // The arc: each successor owns the ids from the previous one's id up to
+    // its own. Only peers that decoded whole, in ring order, are cached; a
+    // count longer than any successor list caches nothing past the owner.
+    uint64_t count;
+    if (r.GetVarint(&count).ok() &&
+        count <= RoutingProtocol::kMaxSuccessors) {
+      RingPeer p;
+      for (; count > 0 && GetPeer(&r, &p).ok(); --count) {
+        uint64_t d = RingDistance(owner.id, p.id);
+        if (d <= RingDistance(owner.id, upper) ||
+            d > RingDistance(owner.id, lower))
+          break;
+        CacheOwner(p.id, upper, p.addr);
+        upper = p.id;
+      }
+    }
+  }
+  LookupCallback cb = TakePendingLookup(lookup_id);
+  if (has_range) CompleteCoveredLookups(lower, upper);
+  if (!cb) return;  // timed out already, or covered by an earlier reply
   stats_.lookups_ok++;
   cb(std::move(owner));
+}
+
+OverlayRouter::LookupCallback OverlayRouter::TakePendingLookup(
+    uint64_t lookup_id) {
+  auto it = pending_lookups_.find(lookup_id);
+  if (it == pending_lookups_.end()) return nullptr;
+  LookupCallback cb = std::move(it->second.cb);
+  vri_->CancelEvent(it->second.timer);
+  pending_targets_.erase({it->second.target, lookup_id});
+  pending_lookups_.erase(it);
+  return cb;
+}
+
+void OverlayRouter::CompleteCoveredLookups(Id lower, Id upper) {
+  // An arc that reaches back to `lower` covers the whole ring. Collect
+  // first: a callback may start lookups of its own.
+  std::vector<std::pair<LookupCallback, Owner>> covered;
+  auto it = pending_targets_.upper_bound({lower, ~0ULL});
+  for (size_t n = pending_targets_.size(); n > 0; --n) {
+    if (it == pending_targets_.end()) it = pending_targets_.begin();
+    const auto [target, lookup_id] = *it++;
+    if (lower != upper && !InOpenClosed(lower, upper, target)) break;
+    auto hit = FindCachedOwner(target);
+    if (hit == owner_cache_.end()) continue;  // this node's own range
+    covered.emplace_back(TakePendingLookup(lookup_id),
+                         Owner{hit->second.address, hit->first, true});
+  }
+  for (auto& [cb, owner] : covered) {
+    stats_.lookups_ok++;
+    stats_.lookups_covered++;
+    cb(owner);
+  }
 }
 
 // ---------------------------------------------------------------------------

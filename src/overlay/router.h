@@ -7,10 +7,11 @@
 //     node (the mechanism behind PIER's distribution trees, hierarchical
 //     aggregation, and hierarchical joins, §3.3.6);
 //   * Lookup(): resolve an identifier to its owner's address. The owner
-//     answers a routed lookup with its range, which the requester keeps in a
-//     bounded owner cache; a warm lookup is answered from that cache, so the
-//     DHT's put/get becomes one direct message instead of the two phases of
-//     Figure 6 (see README.md, "Owner cache");
+//     answers a routed lookup with its range and its successors' ranges,
+//     which the requester keeps in a bounded owner cache; a warm lookup is
+//     answered from that cache, so the DHT's put/get becomes one direct
+//     message instead of the two phases of Figure 6 (see README.md, "Owner
+//     cache");
 //   * Broadcast(): deliver a payload to every node once, each node covering
 //     a ring interval split along its own routing contacts (see README.md,
 //     "Broadcast");
@@ -27,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -116,7 +118,9 @@ class OverlayRouter : public ProtocolHost {
 
   /// Resolve `target` to its owner. Answered synchronously when this node
   /// owns `target` or the owner cache covers it; otherwise a lookup is
-  /// routed to the owner, which replies directly.
+  /// routed to the owner, which replies directly. A reply to any lookup
+  /// that caches a range holding `target` answers it first, as a cached
+  /// owner.
   void Lookup(Id target, LookupCallback cb);
 
   /// Drop the cached range owned by `owner_id` if it still names `address`:
@@ -196,6 +200,7 @@ class OverlayRouter : public ProtocolHost {
     uint64_t lookups_failed = 0;
     uint64_t lookup_cache_hits = 0;       // resolves served from the cache
     uint64_t lookup_cache_evictions = 0;  // cache entries dropped
+    uint64_t lookups_covered = 0;  // pending lookups another reply answered
     uint64_t not_owner_hints_sent = 0;
     uint64_t route_dead_ends = 0;
     uint64_t broadcast_frames = 0;  // broadcast frames this node sent
@@ -204,9 +209,10 @@ class OverlayRouter : public ProtocolHost {
   const Stats& stats() const { return stats_; }
   UdpCc* transport() { return transport_.get(); }
 
-  // --- ProtocolHost -----------------------------------------------------------
-  void SendProtocolMessage(const NetAddress& to, std::string payload,
-                           std::function<void(const Status&)> on_delivery) override;
+  // --- ProtocolHost ----------------------------------------------------------
+  void SendProtocolMessage(
+      const NetAddress& to, std::string payload,
+      std::function<void(const Status&)> on_delivery) override;
   Vri* vri() override { return vri_; }
   Id local_id() const override { return local_id_; }
   NetAddress local_address() const override { return local_address_; }
@@ -243,11 +249,18 @@ class OverlayRouter : public ProtocolHost {
   std::map<uint8_t, DirectHandler> direct_handlers_;
 
   struct PendingLookup {
+    Id target = 0;
     LookupCallback cb;
     uint64_t timer = 0;
   };
   std::unordered_map<uint64_t, PendingLookup> pending_lookups_;
+  /// The pending lookups by (target, lookup id), so a reply finds the ones
+  /// its ranges cover without visiting the rest.
+  std::set<std::pair<Id, uint64_t>> pending_targets_;
   uint64_t next_lookup_id_ = 1;
+  /// Removes pending lookup `lookup_id` and cancels its timer; returns its
+  /// callback, or null if it is no longer pending.
+  LookupCallback TakePendingLookup(uint64_t lookup_id);
 
   /// Owner cache: the owner of the ids in (lower, owner id], keyed by owner
   /// id, so the entry covering a target is the first at or after it.
@@ -259,6 +272,9 @@ class OverlayRouter : public ProtocolHost {
   /// The entry whose range holds `target`, or end().
   std::map<Id, CachedOwner>::iterator FindCachedOwner(Id target);
   void CacheOwner(Id owner_id, Id lower, const NetAddress& address);
+  /// Completes, as cached resolves, the pending lookups whose targets lie
+  /// in (lower, upper] and in a cached range.
+  void CompleteCoveredLookups(Id lower, Id upper);
   /// A delivery to `peer` failed: drop every entry naming it.
   void EvictPeer(const NetAddress& peer);
 

@@ -210,7 +210,9 @@ void ChordProtocol::RemovePeer(const NetAddress& addr) {
   if (removed) NoteRingChange();
 }
 
-void ChordProtocol::OnPeerUnreachable(const NetAddress& peer) { RemovePeer(peer); }
+void ChordProtocol::OnPeerUnreachable(const NetAddress& peer) {
+  RemovePeer(peer);
+}
 
 void ChordProtocol::ObserveContact(Id id, const NetAddress& addr) {
   if (addr == host_->local_address() || addr.IsNull()) return;
@@ -242,14 +244,11 @@ std::vector<RingPeer> ChordProtocol::Contacts() const {
   return out;
 }
 
-std::vector<NetAddress> ChordProtocol::SuccessorSet(size_t n) const {
-  std::vector<NetAddress> out;
+std::vector<RingPeer> ChordProtocol::SuccessorSet(size_t n) const {
+  std::vector<RingPeer> out;
   for (const Peer& s : succs_) {
     if (out.size() >= n) break;
-    if (!s.valid() || s.addr == host_->local_address()) continue;
-    bool dup = false;
-    for (const NetAddress& a : out) dup |= (a == s.addr);
-    if (!dup) out.push_back(s.addr);
+    AddContact(s, host_->local_address(), &out);
   }
   return out;
 }
@@ -312,9 +311,10 @@ void ChordProtocol::SendRpc(
   uint64_t nonce = next_nonce_++;
   PendingRpc rpc;
   rpc.cb = std::move(cb);
-  rpc.timer = host_->vri()->ScheduleEvent(options_.rpc_timeout, [this, nonce]() {
-    CompleteRpc(nonce, Status::TimedOut("chord rpc timeout"), {});
-  });
+  rpc.timer =
+      host_->vri()->ScheduleEvent(options_.rpc_timeout, [this, nonce]() {
+        CompleteRpc(nonce, Status::TimedOut("chord rpc timeout"), {});
+      });
   pending_[nonce] = std::move(rpc);
   WireWriter w = Frame(subtype, nonce);
   w.PutRaw(body);
@@ -356,7 +356,8 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
       if (IsOwner(target)) {
         answer = Self();
         done = true;
-      } else if (!succs_.empty() && InOpenClosed(me, succs_.front().id, target)) {
+      } else if (!succs_.empty() &&
+                 InOpenClosed(me, succs_.front().id, target)) {
         answer = succs_.front();
         done = true;
       } else {
@@ -397,7 +398,8 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
       return;
     }
     case kNotify: {
-      if (!pred_.valid() || InOpenOpen(pred_.id, host_->local_id(), sender.id)) {
+      if (!pred_.valid() ||
+          InOpenOpen(pred_.id, host_->local_id(), sender.id)) {
         pred_ = sender;
         pred_heard_ = host_->vri()->Now();
         NoteRingChange();
@@ -592,7 +594,8 @@ void ChordProtocol::ResolveSuccessor(Id target, const NetAddress& via,
                     uint8_t done;
                     Peer peer;
                     if (!r.GetU8(&done).ok() || !GetPeer(&r, &peer).ok()) {
-                      state->cb(Status::Corruption("chord: bad find-succ resp"));
+                      state->cb(
+                          Status::Corruption("chord: bad find-succ resp"));
                       return;
                     }
                     self->ObserveContact(peer.id, peer.addr);

@@ -54,7 +54,7 @@ class ChordProtocol : public RoutingProtocol {
   };
 
   static constexpr TimeUs kJoinRetryDelay = 1 * kSecond;
-  static constexpr int kSuccessorListLen = 8;
+  static constexpr int kSuccessorListLen = kMaxSuccessors;
   /// Hops a successor resolve takes before it fails.
   static constexpr int kMaxResolveIterations = 48;
 
@@ -72,7 +72,7 @@ class ChordProtocol : public RoutingProtocol {
   void OnPeerUnreachable(const NetAddress& peer) override;
   void ObserveContact(Id id, const NetAddress& addr) override;
   std::vector<RingPeer> Contacts() const override;
-  std::vector<NetAddress> SuccessorSet(size_t n) const override;
+  std::vector<RingPeer> SuccessorSet(size_t n) const override;
   int MaxReplicationFactor() const override { return kSuccessorListLen; }
   bool Predecessor(RingPeer* out) const override {
     *out = pred_;

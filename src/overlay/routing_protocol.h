@@ -107,11 +107,16 @@ class RoutingProtocol {
   /// node's clockwise ring neighbour.
   virtual std::vector<RingPeer> Contacts() const = 0;
 
+  /// Longest successor list a protocol keeps. A lookup reply carries at most
+  /// this many of the owner's successors.
+  static constexpr int kMaxSuccessors = 8;
+
   /// The first `n` nodes that would inherit this node's range if it left —
-  /// the replica targets of k-way successor-set replication. Ordered by ring
-  /// distance, never containing the local node. Protocols without an ordered
-  /// successor structure return empty (replication degenerates to k = 1).
-  virtual std::vector<NetAddress> SuccessorSet(size_t n) const {
+  /// the replica targets of k-way successor-set replication, and the arc a
+  /// lookup reply teaches its requester. Ordered by ring distance, never
+  /// containing the local node. Protocols without an ordered successor
+  /// structure return empty (replication degenerates to k = 1).
+  virtual std::vector<RingPeer> SuccessorSet(size_t n) const {
     (void)n;
     return {};
   }

@@ -29,7 +29,8 @@ TEST(Catalog, RegisterIsIdempotentButConflictsAreErrors) {
   TableSpec spec =
       TableSpec("emp").PartitionBy({"id"}).SecondaryIndex("dept");
   ASSERT_TRUE(cat.Register(spec).ok());
-  EXPECT_TRUE(cat.Register(spec).ok()) << "identical re-registration is a no-op";
+  EXPECT_TRUE(cat.Register(spec).ok())
+      << "identical re-registration is a no-op";
 
   TableSpec conflicting = TableSpec("emp").PartitionBy({"dept"});
   Status s = cat.Register(conflicting);
@@ -540,7 +541,8 @@ TEST(PublishBatchTest, ValidationIsAllOrNothing) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   net.RunFor(3 * kSecond);
-  EXPECT_EQ(StoredObjects(&net, "m"), before) << "nothing of the batch published";
+  EXPECT_EQ(StoredObjects(&net, "m"), before)
+      << "nothing of the batch published";
 }
 
 TEST(PublishBatchTest, AutoBatchFlushesOnSize) {
@@ -682,12 +684,13 @@ TEST(PublishBatchTest, UnbatchedPublishPastADeadReplicaHolderEndsWithKCopies) {
       owner = static_cast<int>(i);
   }
   ASSERT_GE(owner, 0);
-  std::vector<NetAddress> succs =
+  std::vector<RingPeer> succs =
       net.dht(owner)->router()->protocol()->SuccessorSet(2);
   ASSERT_FALSE(succs.empty());
   int replica = -1;
   for (uint32_t i = 0; i < net.size(); ++i) {
-    if (net.dht(i)->local_address() == succs[0]) replica = static_cast<int>(i);
+    if (net.dht(i)->local_address() == succs[0].addr)
+      replica = static_cast<int>(i);
   }
   ASSERT_GE(replica, 0);
   uint32_t publisher = 0;

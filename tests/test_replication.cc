@@ -101,7 +101,8 @@ TEST(Replication, PutPlacesKCopiesAtOwnerAndSuccessors) {
       net.dht(owner)->router()->protocol()->SuccessorSet(2);
   ASSERT_EQ(succs.size(), 2u);
   for (size_t j = 0; j < succs.size(); ++j) {
-    auto at_succ = net.dht(NodeOf(succs[j]))->objects()->Get("rt", "k1");
+    auto at_succ =
+        net.dht(NodeOf(succs[j].addr))->objects()->Get("rt", "k1");
     ASSERT_EQ(at_succ.size(), 1u) << "successor " << j << " missing its copy";
     EXPECT_EQ(at_succ[0]->second.desired_replicas, 3);
   }
@@ -240,10 +241,11 @@ TEST(Replication, OwnerDeathLeavesAReplicaSpeakingAndGetStillAnswers) {
          static_cast<int>(reader) == new_owner)
     reader++;
   std::vector<DhtItem> got;
-  net.dht(reader)->Get("hd", "k", [&](const Status& s, std::vector<DhtItem> items) {
-    ASSERT_TRUE(s.ok());
-    got = std::move(items);
-  });
+  net.dht(reader)->Get("hd", "k",
+                       [&](const Status& s, std::vector<DhtItem> items) {
+                         ASSERT_TRUE(s.ok());
+                         got = std::move(items);
+                       });
   net.RunFor(3 * kSecond);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].value, "payload");
@@ -410,11 +412,11 @@ TEST(Replication, AWriteThroughAStaleOwnerCacheReachesTheJoiner) {
     for (const ObjectManager::Row* row : net.dht(i)->objects()->Get("sw", key))
       if (row->first.suffix == "new") holders.insert(i);
   }
-  std::vector<NetAddress> owner_succs =
+  std::vector<RingPeer> owner_succs =
       net.dht(owner)->router()->protocol()->SuccessorSet(1);
   ASSERT_EQ(owner_succs.size(), 1u);
   EXPECT_EQ(holders, (std::set<uint32_t>{joiner, static_cast<uint32_t>(owner),
-                                         NodeOf(owner_succs[0])}))
+                                         NodeOf(owner_succs[0].addr)}))
       << "the forwarded write lacks its third copy";
 }
 
@@ -433,11 +435,12 @@ TEST(Replication, AWindowThatWidensStillSeesItsFirstSuccessorChange) {
                   /*replicas=*/2);
   net.RunFor(3 * kSecond);
   RoutingProtocol* proto = net.dht(0)->router()->protocol();
-  std::vector<NetAddress> succs = proto->SuccessorSet(2);
+  std::vector<RingPeer> succs = proto->SuccessorSet(2);
   ASSERT_EQ(succs.size(), 2u);
-  uint32_t second = NodeOf(succs[1]);
-  ASSERT_EQ(net.dht(NodeOf(succs[0]))->objects()->Get("ws", keys[0]).size(),
-            1u);
+  uint32_t second = NodeOf(succs[1].addr);
+  ASSERT_EQ(
+      net.dht(NodeOf(succs[0].addr))->objects()->Get("ws", keys[0]).size(),
+      1u);
   ASSERT_TRUE(net.dht(second)->objects()->Get("ws", keys[0]).empty());
 
   // Just after a repair tick, the first successor dies (every node notices
@@ -445,16 +448,18 @@ TEST(Replication, AWindowThatWidensStillSeesItsFirstSuccessorChange) {
   const ReplicationManager* repl = net.dht(0)->replication();
   uint64_t ticks = repl->stats().repair_ticks;
   while (repl->stats().repair_ticks == ticks) net.RunFor(kMillisecond);
-  net.harness()->FailNode(NodeOf(succs[0]));
+  net.harness()->FailNode(NodeOf(succs[0].addr));
   for (uint32_t i = 0; i < net.size(); ++i) {
     if (net.harness()->IsAlive(i))
-      net.dht(i)->router()->protocol()->OnPeerUnreachable(succs[0]);
+      net.dht(i)->router()->protocol()->OnPeerUnreachable(succs[0].addr);
   }
   net.dht(0)->Put("ws", keys[1], "s", "v", 300 * kSecond, nullptr,
                   /*replicas=*/3);
   net.RunFor(2 * kSecond);
 
-  ASSERT_EQ(proto->SuccessorSet(1), std::vector<NetAddress>{succs[1]});
+  std::vector<RingPeer> first = proto->SuccessorSet(1);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(first[0].addr, succs[1].addr);
   EXPECT_EQ(net.dht(second)->objects()->Get("ws", keys[0]).size(), 1u)
       << "the new first successor never got the k = 2 object";
 }
@@ -501,9 +506,9 @@ TEST(Replication, ReadAnyGetOfAnAbsentKeyTriesEveryCandidateThenIsEmpty) {
   int owner = OwnerOf(&net, "ab", "missing");
   ASSERT_GE(owner, 0);
   std::set<uint32_t> holders{static_cast<uint32_t>(owner)};
-  for (const NetAddress& a :
+  for (const RingPeer& p :
        net.dht(owner)->router()->protocol()->SuccessorSet(2))
-    holders.insert(NodeOf(a));
+    holders.insert(NodeOf(p.addr));
   ASSERT_EQ(holders.size(), 3u);
   uint32_t reader = 0;
   while (holders.count(reader) > 0) reader++;
