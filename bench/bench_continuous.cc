@@ -27,6 +27,13 @@
 // re-read live soft state, and without the swap-time high-water mark the
 // first post-swap window re-counts the whole table. The bench FAILS unless
 // the first post-swap window's count matches the steady-state window count.
+//
+// E17c (appended): window latency. A flat windowed GROUP BY over a Poisson
+// stream of single publishes, the shape of the repository benchmark's
+// continuous workload. Each answer row's delay is measured from the newest
+// tuple it counts, which is never later than its window's end. The bench
+// FAILS unless that delay is at most 1.5 windows at p99, and the windows'
+// counts add up to the tuples published.
 
 #include <cstdio>
 #include <limits>
@@ -34,8 +41,9 @@
 #include <string>
 
 #include "bench/bench_common.h"
-#include "util/logging.h"
 #include "qp/sim_pier.h"
+#include "util/logging.h"
+#include "util/random.h"
 
 namespace pier {
 namespace {
@@ -232,6 +240,82 @@ int RunCatchupCheck(uint64_t seed) {
   return 0;
 }
 
+/// E17c — how long after its window a windowed GROUP BY's row arrives.
+int RunWindowLatencyCheck(uint64_t seed) {
+  bench::Title("E17c: window latency — a windowed GROUP BY's rows");
+  constexpr uint32_t kLatencyNodes = 16;
+  constexpr TimeUs kWindow = 2 * kSecond;
+  constexpr TimeUs kSpan = 24 * kSecond;
+  constexpr double kPerSecond = 80;  // Poisson publishes, all nodes together
+  constexpr int kSources = 50;
+
+  SimPier::Options popts;
+  popts.sim.seed = seed;
+  popts.settle_time = 8 * kSecond;
+  SimPier net(kLatencyNodes, popts);
+  PIER_CHECK(net.catalog()
+                 ->Register(TableSpec("ev").PartitionBy({"id"}).Lifetime(
+                     30 * kSecond))
+                 .ok());
+  auto q = net.client(0)->Query(
+      Sql("SELECT src, count(*) AS cnt, max(ts) AS last_ts FROM ev "
+          "GROUP BY src TIMEOUT 120s WINDOW 2s CONTINUOUS")
+          .WithAggStrategy("flat"));
+  QueryHandle handle = bench::Check(q, "windowed query");
+  bench::LatencyCdf delay;
+  int64_t counted = 0;
+  handle.OnTuple([&](const Tuple& t) {
+    counted += t.Get("cnt")->int64_unchecked();
+    delay.Add(net.loop()->now() - t.Get("last_ts")->int64_unchecked());
+  });
+  net.RunFor(3 * kSecond);  // dissemination reaches every node
+
+  Rng rng(seed);
+  int64_t published = 0;
+  const TimeUs end = net.loop()->now() + kSpan;
+  for (;;) {
+    TimeUs gap = static_cast<TimeUs>(rng.Exponential(kSecond / kPerSecond));
+    if (net.loop()->now() + gap >= end) break;
+    net.RunFor(gap);
+    Tuple e("ev");
+    e.Append("id", Value::Int64(published));
+    e.Append("src", Value::String("s" + std::to_string(rng.Uniform(kSources))));
+    e.Append("ts", Value::Int64(net.loop()->now()));
+    uint32_t node = static_cast<uint32_t>(rng.Uniform(kLatencyNodes));
+    PIER_CHECK(net.client(node)->Publish("ev", e).ok());
+    published++;
+  }
+  net.RunFor(3 * kWindow);  // the last windows flush
+
+  const TimeUs p50 = delay.Percentile(50), p99 = delay.Percentile(99);
+  std::vector<int> w = {26, 12};
+  bench::Row({"tuples published", std::to_string(published)}, w);
+  bench::Row({"tuples counted", std::to_string(counted)}, w);
+  bench::Row({"answer rows", std::to_string(delay.latencies.size())}, w);
+  bench::Row({"row delay p50 (ms)", bench::Ms(p50)}, w);
+  bench::Row({"row delay p99 (ms)", bench::Ms(p99)}, w);
+  bench::Row({"p99 / window",
+              bench::Fmt(static_cast<double>(p99) / kWindow, 2)},
+             w);
+  int failures = 0;
+  if (counted != published) {
+    std::fprintf(stderr, "FAIL: windows counted %lld of %lld tuples\n",
+                 static_cast<long long>(counted),
+                 static_cast<long long>(published));
+    failures++;
+  }
+  if (p99 < 0 || p99 > 3 * kWindow / 2) {
+    std::fprintf(stderr,
+                 "FAIL: windowed rows arrive %s ms after their newest tuple "
+                 "at p99, past 1.5 windows (%s ms)\n",
+                 bench::Ms(p99).c_str(), bench::Ms(3 * kWindow / 2).c_str());
+    failures++;
+  }
+  if (failures == 0)
+    bench::Note("ok: rows arrive within 1.5 windows of their window's end");
+  return failures;
+}
+
 int Run() {
   bench::Title("E17: continuous-query replanning under a cardinality shift");
   bench::Note("query submitted over a near-empty table (flat aggregation is "
@@ -293,6 +377,7 @@ int Run() {
       "frozen-hier is the post-shift oracle (but was the wrong plan for the "
       "sparse start).");
   failures += RunCatchupCheck(709);
+  failures += RunWindowLatencyCheck(711);
   return failures;
 }
 

@@ -1,5 +1,6 @@
 #include "qp/agg_state.h"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -193,6 +194,7 @@ bool AggState::FromPartial(AggFunc func, const TupleBatch& b, size_t row,
     count_ = *c;
   }
   if (f & kS) sum_ = b.ValueAt(row, *next++);
+  if (!sum_.is_null() && !sum_.is_numeric()) return false;
   if (f & kMn) min_ = b.ValueAt(row, *next++);
   if (f & kMx) max_ = b.ValueAt(row, *next++);
   return true;
@@ -242,12 +244,17 @@ void GroupTable::Merge(const TupleBatch& batch) {
   for (const AggSpec& a : aggs_)
     cols.push_back(
         ColumnIndexes(in, AggState::PartialColumns(a.func, a.alias)));
+  // Each FromPartial overwrites every field its function reads.
+  std::vector<AggState> part(aggs_.size());
+  std::vector<bool> ok(aggs_.size());
   for (size_t r = 0; r < batch.num_rows(); ++r) {
+    for (size_t i = 0; i < aggs_.size(); ++i)
+      ok[i] = cols[i] && part[i].FromPartial(aggs_[i].func, batch, r, *cols[i]);
+    // A row none of whose aggregates decodes names no group.
+    if (std::find(ok.begin(), ok.end(), true) == ok.end()) continue;
     Group& g = GroupAt(batch, r, *key_idx);
     for (size_t i = 0; i < aggs_.size(); ++i) {
-      AggState incoming;
-      if (cols[i] && incoming.FromPartial(aggs_[i].func, batch, r, *cols[i]))
-        g.states[i].Merge(incoming);
+      if (ok[i]) g.states[i].Merge(part[i]);
     }
   }
 }

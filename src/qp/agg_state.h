@@ -77,7 +77,8 @@ class AggState {
 
   /// Rebuild `func`'s state from row `row` of `b`, whose partial columns are
   /// at `cols` (one per PartialColumns entry, in layout order); false if they
-  /// are malformed (a count that is not a non-negative integer).
+  /// are malformed (a negative or non-integer count, a sum that is neither
+  /// null nor a number).
   bool FromPartial(AggFunc func, const TupleBatch& b, size_t row,
                    const std::vector<size_t>& cols);
 
@@ -99,7 +100,8 @@ class GroupTable {
   /// Fold raw input rows. A batch lacking a key column is discarded whole.
   void Fold(const TupleBatch& batch);
   /// Merge rows in the partial layout, discarding a batch as Fold does. An
-  /// aggregate whose partial columns are absent or malformed is skipped.
+  /// aggregate whose partial columns are absent or malformed is skipped, and
+  /// a row with no aggregate left names no group.
   void Merge(const TupleBatch& batch);
 
   /// The groups as batches of at most `max_rows` rows, under `table`: the key

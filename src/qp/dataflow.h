@@ -10,11 +10,11 @@
 // operators with reordered nested probes can match data to stored state.
 //
 // Blocking state (group-by, top-k, Bloom build) is emitted on Flush(), which
-// the executor drives (QueryExecutor::ArmStageFlush): a snapshot graph of
-// flush stage s flushes once, at start + (s+1)·step, where step is
-// timeout/4 — so stage-0 partials land before stage-1 finals flush;
-// continuous graphs flush once per window. A Flush also starts a Bloom
-// probe's one fetch of its filter, a stage after the build's flush put it.
+// the query's clock drives (QueryExecutor::NextFlush) from the proxy's
+// submit instant: a snapshot graph of flush stage s flushes once, at
+// origin + (s+1)·T/4, a continuous one s·W/4 after every window boundary,
+// so stage-0 partials land before stage-1 finals flush. A Flush also starts
+// a Bloom probe's one fetch of its filter, a stage after the build's put it.
 // There are no EOFs, by design (§3.3.2).
 //
 // Lifecycle: Init (parse params) -> Open (children first, then OnOpen) ->
@@ -121,9 +121,6 @@ struct ExecContext {
   Dht* dht = nullptr;
   uint64_t query_id = 0;
   uint32_t graph_id = 0;
-  NetAddress proxy;
-  bool continuous = false;
-  TimeUs window = 5 * kSecond;
   /// Remaining lifetime of the query from the moment the graph started here;
   /// operators use it as the soft-state lifetime for published state.
   TimeUs query_lifetime = 30 * kSecond;

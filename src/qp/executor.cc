@@ -97,21 +97,26 @@ QueryExecutor::~QueryExecutor() {
 
 void QueryExecutor::Release(RunningQuery* rq) {
   for (uint64_t t : rq->one_shots) vri_->CancelEvent(t);
-  for (uint64_t t : {rq->close_timer, rq->window_timer, rq->lease_timer,
-                     rq->probe.timeout}) {
+  for (uint64_t t : {rq->clock, rq->lease_timer, rq->probe.timeout}) {
     if (t) vri_->CancelEvent(t);
   }
   for (auto& inst : rq->instances) inst->Close();
 }
 
 TimeUs QueryExecutor::EffectiveWindow(const QueryPlan& meta) {
-  // Windowless continuous plans (window 0 is reachable through hand-built
-  // QueryPlans; SQL/UFL reject WINDOW 0 at parse time) used to be clamped to
-  // 1ms, arming a per-millisecond flush timer that flooded the event loop.
-  // They now get a sane default bounded by the query lifetime.
   if (meta.window <= 0)
     return std::max(kMinWindow, std::min(kDefaultWindow, meta.timeout / 4));
   return std::max(meta.window, kMinWindow);
+}
+
+TimeUs QueryExecutor::NextFlush(const QueryPlan& meta, int32_t stage,
+                                TimeUs now) {
+  const TimeUs origin = meta.deadline_us - meta.timeout;
+  if (!meta.continuous) return origin + (stage + 1) * (meta.timeout / 4);
+  const TimeUs w = EffectiveWindow(meta), offset = stage * (w / 4);
+  // The first k whose instant lies after `now` (k = 0 before the first).
+  const TimeUs k = std::max<TimeUs>(0, (now - origin - offset) / w);
+  return origin + (k + 1) * w + offset;
 }
 
 TimeUs QueryExecutor::EffectiveLease(const QueryPlan& meta) {
@@ -126,7 +131,8 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
   // generation are ignored.
   if (meta.cancelled) {
     auto cit = queries_.find(meta.query_id);
-    if (cit != queries_.end() && meta.generation >= cit->second.generation)
+    if (cit != queries_.end() &&
+        meta.generation >= cit->second.meta.generation)
       DoStop(meta.query_id);
     return Status::Ok();
   }
@@ -139,16 +145,14 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
   if (created) {
     rq.meta = meta;
     rq.meta.graphs.clear();
-    rq.start_time = vri_->Now();
-    rq.generation = meta.generation;
     if (metering_) {
       rq.meter = std::make_unique<QueryMeter>();
       rq.answer_cost = rq.meter->At(QueryMeter::kAnswerSlot.first,
                                     QueryMeter::kAnswerSlot.second);
     }
     RefreshLease(&rq);
-    ArmQueryTimers(&rq);
-  } else if (meta.generation > rq.generation && graphs.empty()) {
+    ArmLeaseTick(&rq);
+  } else if (meta.generation > rq.meta.generation && graphs.empty()) {
     // A metadata-only refresh from a generation this node never received:
     // the swap broadcast was lost. Keep the stale generation running (its
     // answers are still correct), follow the refresh's proxy, and read the
@@ -177,26 +181,22 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
       // (through its dissemination) during the read.
       if (!bcast.empty()) {
         (void)StartGraphs(meta, bcast);
-      } else if (qit->second.generation < record.generation) {
+      } else if (qit->second.meta.generation < record.generation) {
         StopQuery(meta.query_id);
       }
     });
     return Status::Ok();
-  } else if (meta.generation > rq.generation) {
+  } else if (meta.generation > rq.meta.generation) {
     // Plan swap: the old instances emit their current window's blocking
-    // state (the final flush — windows are the quiesce points, so no
-    // operator state needs to migrate), then tear down. The new generation
-    // runs under the same query id, start time and close timer; only the
-    // window/flush metadata is adopted from the new plan.
+    // state (the final flush, so no operator state needs to migrate), then
+    // tear down. The new generation runs under the same query id and clock:
+    // SwapQuery keeps the deadline and timeout, so the clock's origin stays.
     bool had_instances = !rq.instances.empty();
     for (auto& inst : rq.instances) inst->Flush();
     for (auto& inst : rq.instances) inst->Close();
     rq.instances.clear();
-    rq.generation = meta.generation;
-    TimeUs timeout = rq.meta.timeout;  // lifetime fixed at submission
     rq.meta = meta;
     rq.meta.graphs.clear();
-    rq.meta.timeout = timeout;
     // The final flush above IS this node's quiesce point: everything stored
     // before this instant was counted by the generation that just flushed,
     // so the proxy-stamped catch-up floor can only be tightened by it. A
@@ -206,11 +206,9 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
       rq.meta.catchup_floor_us =
           std::max(rq.meta.catchup_floor_us, vri_->Now());
     FollowProxy(&rq, meta);
-    // A query that only now became continuous starts its ticks.
-    ArmTicks(&rq);
-  } else if (meta.generation == rq.generation) {
+  } else if (meta.generation == rq.meta.generation) {
     // Same-generation refresh: adopt a changed window (rewindowing); it
-    // takes effect at the next window boundary.
+    // takes effect after each graph's next flush.
     rq.meta.window = meta.window;
     // Proxy identity moves only FORWARD along the failover chain: a refresh
     // from the current proxy (same epoch, same address) renews its lease, a
@@ -226,7 +224,7 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
   }
   for (const OpGraph& g : graphs) {
     bool duplicate = false;
-    for (auto& inst : rq.instances) duplicate |= inst->graph_id() == g.id;
+    for (auto& inst : rq.instances) duplicate |= inst->graph().id == g.id;
     if (duplicate) continue;  // re-dissemination of a graph we already run
 
     ExecContext cx;
@@ -234,9 +232,6 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     cx.dht = dht_;
     cx.query_id = meta.query_id;
     cx.graph_id = g.id;
-    cx.proxy = meta.proxy;
-    cx.continuous = meta.continuous;
-    cx.window = meta.window;
     // Soft state published by operators drains with the query: the
     // remaining lifetime shrinks the later this node joins its execution.
     cx.query_lifetime =
@@ -266,46 +261,54 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
                       << " rejected: " << s.ToString();
       continue;  // a bad graph must not take down the node
     }
+    inst->next_flush = NextFlush(rq.meta, g.flush_stage, vri_->Now());
     inst->Start();
     rq.instances.push_back(std::move(inst));
-    if (!meta.continuous) ArmStageFlush(&rq, g.id, g.flush_stage);
   }
+  ArmClock(&rq);
   return Status::Ok();
 }
 
-void QueryExecutor::ArmQueryTimers(RunningQuery* rq) {
-  uint64_t qid = rq->meta.query_id;
+void QueryExecutor::ArmClock(RunningQuery* rq) {
   // A query closes at its absolute deadline, however late this node first
   // saw it (a swapped-in later generation must not run a full timeout past
-  // everyone else's close).
-  TimeUs delay = std::max<TimeUs>(0, rq->meta.deadline_us - vri_->Now());
-  rq->close_timer = vri_->ScheduleEvent(delay, [this, qid]() { DoStop(qid); });
-  ArmTicks(rq);
-}
-
-void QueryExecutor::ArmTicks(RunningQuery* rq) {
-  // Window flushes repeat until the close timer wins; the proxy-liveness
-  // check repeats every lease/4. Both periods are re-read from the metadata
-  // at every tick, so rewindowing (a StartGraphs refresh) or a swap's new
-  // lease takes effect at the next boundary without rearming anything.
-  if (!rq->meta.continuous) return;
+  // everyone else's close), or at once when it is stopping.
+  TimeUs at = rq->stopping ? vri_->Now() : rq->meta.deadline_us;
+  for (auto& inst : rq->instances) at = std::min(at, inst->next_flush);
+  if (rq->clock != 0 && at == rq->clock_at) return;
+  if (rq->clock != 0) vri_->CancelEvent(rq->clock);
   uint64_t qid = rq->meta.query_id;
-  if (rq->window_timer == 0) {
-    rq->window_timer = vri_->ScheduleEvent(
-        EffectiveWindow(rq->meta), [this, qid]() { WindowTick(qid); });
-  }
-  if (rq->lease_timer == 0) {
-    rq->lease_timer = vri_->ScheduleEvent(
-        EffectiveLease(rq->meta) / 4, [this, qid]() { LeaseTick(qid); });
-  }
+  rq->clock_at = at;
+  rq->clock = vri_->ScheduleEvent(std::max<TimeUs>(0, at - vri_->Now()),
+                                  [this, qid]() { ClockTick(qid); });
 }
 
-void QueryExecutor::WindowTick(uint64_t query_id) {
+void QueryExecutor::ClockTick(uint64_t query_id) {
   auto it = queries_.find(query_id);
   if (it == queries_.end()) return;
-  for (auto& inst : it->second.instances) inst->Flush();
-  it->second.window_timer = 0;
-  ArmTicks(&it->second);
+  RunningQuery& rq = it->second;
+  rq.clock = 0;
+  const TimeUs now = vri_->Now();
+  if (rq.stopping || now >= rq.meta.deadline_us) {
+    DoStop(query_id);
+    return;
+  }
+  for (auto& inst : rq.instances) {
+    if (inst->next_flush > now) continue;
+    inst->next_flush =
+        rq.meta.continuous
+            ? NextFlush(rq.meta, inst->graph().flush_stage, now)
+            : rq.meta.deadline_us;
+    inst->Flush();
+  }
+  ArmClock(&rq);
+}
+
+void QueryExecutor::ArmLeaseTick(RunningQuery* rq) {
+  if (!rq->meta.continuous || rq->lease_timer != 0) return;
+  uint64_t qid = rq->meta.query_id;
+  rq->lease_timer = vri_->ScheduleEvent(EffectiveLease(rq->meta) / 4,
+                                        [this, qid]() { LeaseTick(qid); });
 }
 
 void QueryExecutor::RefreshLease(RunningQuery* rq) {
@@ -336,7 +339,7 @@ void QueryExecutor::LeaseTick(uint64_t query_id) {
   }
   // Re-find: a probe that fails synchronously may reap (or adopt).
   it = queries_.find(query_id);
-  if (it != queries_.end()) ArmTicks(&it->second);
+  if (it != queries_.end()) ArmLeaseTick(&it->second);
 }
 
 void QueryExecutor::StartProbe(RunningQuery* rq) {
@@ -538,32 +541,12 @@ void QueryExecutor::NoteStrayAnswer(uint64_t query_id) {
   }
 }
 
-void QueryExecutor::ArmStageFlush(RunningQuery* rq, uint32_t graph_id,
-                                  int32_t stage) {
-  // Each later flush stage waits one more step, so state flows through
-  // multi-graph pipelines: stage 0 partials arrive before stage 1 finals
-  // flush, which arrive before the stage 2 top-k flushes.
-  TimeUs step = rq->meta.timeout / 4;
-  TimeUs when = rq->start_time + step * (stage + 1);
-  TimeUs delay = std::max<TimeUs>(0, when - vri_->Now());
-  uint64_t qid = rq->meta.query_id;
-  rq->one_shots.push_back(
-      vri_->ScheduleEvent(delay, [this, qid, graph_id]() {
-        auto it = queries_.find(qid);
-        if (it == queries_.end()) return;
-        for (auto& inst : it->second.instances) {
-          if (inst->graph_id() == graph_id) inst->Flush();
-        }
-      }));
-}
-
 void QueryExecutor::StopQuery(uint64_t query_id) {
   auto it = queries_.find(query_id);
   if (it == queries_.end() || it->second.stopping) return;
   it->second.stopping = true;
-  // Deferred: StopQuery may be called from inside an operator on the stack.
-  it->second.one_shots.push_back(
-      vri_->ScheduleEvent(0, [this, query_id]() { DoStop(query_id); }));
+  // Deferred to the clock: this may run inside an operator on the stack.
+  ArmClock(&it->second);
 }
 
 void QueryExecutor::DoStop(uint64_t query_id) {
@@ -594,7 +577,7 @@ Operator* QueryExecutor::FindOp(uint64_t query_id, uint32_t graph_id,
   auto it = queries_.find(query_id);
   if (it == queries_.end()) return nullptr;
   for (auto& inst : it->second.instances) {
-    if (inst->graph_id() == graph_id) return inst->FindOp(op_id);
+    if (inst->graph().id == graph_id) return inst->FindOp(op_id);
   }
   return nullptr;
 }

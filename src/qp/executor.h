@@ -2,10 +2,10 @@
 // does, and everything it sends, because it runs a query's opgraphs.
 //
 // "A node continues to execute an opgraph until a timeout specified in the
-// query expires" — there are no EOFs. The executor arms one close timer per
-// query; snapshot queries additionally get a flush pass (blocking operators
-// emit their state) partway through the lifetime, continuous queries get one
-// per window.
+// query expires" — there are no EOFs. Each running query has one clock, an
+// event that fires when one of its graphs is due to flush (blocking
+// operators emit their state) and closes the query at its deadline. Every
+// node reads the same instants off the proxy's submit instant.
 //
 // The line between the two roles is the wire. QueryExecutor sends every
 // frame an executing node sends for a query — answer batches with their
@@ -56,9 +56,10 @@ class OpGraphInstance {
   void Close();
 
   Operator* FindOp(uint32_t op_id);
-  uint32_t graph_id() const { return graph_.id; }
   const OpGraph& graph() const { return graph_; }
-  ExecContext* context() { return &cx_; }
+  /// When the query's clock flushes this graph next (after its one flush, a
+  /// snapshot graph waits for the deadline, where the query closes).
+  TimeUs next_flush = 0;
 
  private:
   ExecContext cx_;
@@ -133,22 +134,22 @@ class QueryExecutor {
   static constexpr uint32_t kStrayAnswersBeforeAdopt = 2;
 
   /// The flush period a continuous query described by `meta` actually runs
-  /// with (re-read at every window boundary, so rewindowing a running query
-  /// takes effect at the next tick).
+  /// with (re-read at every flush, so rewindowing a running query takes
+  /// effect after each graph's next flush).
   static TimeUs EffectiveWindow(const QueryPlan& meta);
 
   /// The proxy-lease period `meta` actually runs with.
   static TimeUs EffectiveLease(const QueryPlan& meta);
 
   /// Instantiate `graphs` of the query described by `meta` on this node.
-  /// The first arrival arms the flush/close timers; later arrivals (more
-  /// graphs of the same query) just add instances. Re-arrivals with:
+  /// The first arrival arms the query's clock; later arrivals (more graphs
+  /// of the same query) add instances to it. Re-arrivals with:
   ///   - the same generation refresh the window metadata (rewindowing) and
   ///     dedup already-instantiated graphs;
   ///   - a higher generation swap the plan: the running instances get a
-  ///     final flush (the window boundary is the quiesce point), are closed,
-  ///     and the new generation's graphs are instantiated in their place,
-  ///     under the same query id and close timer;
+  ///     final flush (the swap is their quiesce point), are closed, and the
+  ///     new generation's graphs are instantiated in their place, under the
+  ///     same query id and clock;
   ///   - a higher generation and no graphs (a refresh after a missed swap)
   ///     read the query's durable plan record and swap to its broadcast
   ///     graphs under the refresh's metadata.
@@ -159,7 +160,7 @@ class QueryExecutor {
   /// call from inside an operator (deferred to a zero-delay event).
   void StopQuery(uint64_t query_id);
 
-  // --- Churn: proxy failover and orphan reaping --------------------------------
+  // --- Churn: proxy failover and orphan reaping ------------------------------
   // A continuous query's proxy can die mid-run. Executors detect it two
   // ways — the proxy's lease (refreshed by metadata re-broadcasts) expires,
   // or forwarding answers to it fails — then walk the plan's ordered
@@ -213,7 +214,7 @@ class QueryExecutor {
   /// query runs here; at teardown DoStop reports its final snapshot.
   const QueryMeter* Meter(uint64_t query_id) const;
 
-  bool HasQuery(uint64_t query_id) const { return queries_.count(query_id) > 0; }
+  bool HasQuery(uint64_t qid) const { return queries_.count(qid) > 0; }
   size_t num_active() const { return queries_.size(); }
 
   /// Introspection for tests and benches.
@@ -240,14 +241,12 @@ class QueryExecutor {
     /// Null iff meter is null.
     OpCost* answer_cost = nullptr;
     std::vector<std::unique_ptr<OpGraphInstance>> instances;
-    TimeUs start_time = 0;
-    uint32_t generation = 0;
     bool stopping = false;
-    /// Pending events, all released by Release(): the close timer, the
-    /// self-rescheduling window and lease ticks, and the one-shots (stage
-    /// flushes, the deferred stop, deferred failovers).
-    uint64_t close_timer = 0;
-    uint64_t window_timer = 0;
+    /// Pending events, all released by Release(): the query's clock (armed
+    /// for `clock_at`), the self-rescheduling lease tick, and the deferred
+    /// failovers.
+    uint64_t clock = 0;
+    TimeUs clock_at = 0;
     uint64_t lease_timer = 0;
     std::vector<uint64_t> one_shots;
     /// Proxy-lease state (continuous queries with a remote proxy).
@@ -267,15 +266,22 @@ class QueryExecutor {
     uint32_t probe_strikes = 0;
   };
 
-  /// The close timer, plus ArmTicks.
-  void ArmQueryTimers(RunningQuery* rq);
-  /// Arm whichever of a continuous query's two ticks is not pending: the
-  /// window flush pass (WindowTick) and the proxy-liveness check
-  /// (LeaseTick). Each tick re-arms itself through here.
-  void ArmTicks(RunningQuery* rq);
-  void WindowTick(uint64_t query_id);
+  /// The query clock: when a graph of flush stage `stage` flushes next after
+  /// `now`, origin + (k+1)·P + stage·δ, where origin = deadline_us − timeout
+  /// is the proxy's submit instant. A snapshot plan has (P, δ) = (T/4, T/4)
+  /// and k = 0 (a graph that starts after that instant flushes at once); a
+  /// continuous one has (W, W/4) for W = EffectiveWindow, and k ≥ 0.
+  static TimeUs NextFlush(const QueryPlan& meta, int32_t stage, TimeUs now);
+  /// Arm the query's one clock event for the earliest of its graphs' next
+  /// flushes and its deadline (now, once it is stopping), unless armed there.
+  void ArmClock(RunningQuery* rq);
+  /// The clock fired: close the query if it is stopping or at its deadline,
+  /// else flush the graphs that are due, advance each, and re-arm.
+  void ClockTick(uint64_t query_id);
+  /// Arm a continuous query's proxy-liveness check (LeaseTick) lease/4 out
+  /// unless one is pending; each tick re-arms itself through here.
+  void ArmLeaseTick(RunningQuery* rq);
   void LeaseTick(uint64_t query_id);
-  void ArmStageFlush(RunningQuery* rq, uint32_t graph_id, int32_t stage);
   /// Lease expired: probe the proxy; a dead verdict or the probe timeout
   /// fails over.
   void StartProbe(RunningQuery* rq);

@@ -10,10 +10,10 @@
 //   mode=partial  fold the local input, emit partials (source side)
 //   mode=final    merge partials, emit finals (collector side)
 //
-// Aggregates are emitted on Flush(): once per tumbling window for continuous
-// queries (each window's groups start empty); for snapshot queries once, at
-// start + (s+1)·step for the graph's flush stage s, where step is timeout/4
-// (QueryExecutor::ArmStageFlush).
+// Aggregates are emitted on Flush(), on the query's clock
+// (QueryExecutor::NextFlush): for continuous queries once per tumbling
+// window, s·W/4 after its end for the graph's flush stage s (each window's
+// groups start empty); for snapshot queries once, at origin + (s+1)·T/4.
 //
 // TopK implements ORDER BY <col> [DESC] LIMIT k at a collection point; PIER
 // uses no distributed sort (§2.1.3), so TopK only ever runs over a stream
@@ -123,7 +123,8 @@ class TopKOp : public Operator {
     if (!dedup_cols_.empty() && !emitted_keys_.empty()) {
       // Re-flush after refinement: only emit if the answer set changed.
       std::vector<std::string> keys;
-      for (size_t i = 0; i < n; ++i) keys.push_back(rows[i].PartitionKey(dedup_cols_));
+      for (size_t i = 0; i < n; ++i)
+        keys.push_back(rows[i].PartitionKey(dedup_cols_));
       // (Values may change too; we re-emit whenever anything differs.)
       bool same = keys.size() == emitted_keys_.size();
       for (size_t i = 0; same && i < n; ++i) {

@@ -110,7 +110,8 @@ Status OpGraph::Validate() const {
   for (const OpSpec& op : ops) {
     if (op.id == 0) return Status::InvalidArgument("op id 0 is reserved");
     if (!ids.insert(op.id).second)
-      return Status::InvalidArgument("duplicate op id " + std::to_string(op.id));
+      return Status::InvalidArgument("duplicate op id " +
+                                     std::to_string(op.id));
   }
   for (const GraphEdge& e : edges) {
     if (!ids.count(e.from) || !ids.count(e.to))
@@ -150,13 +151,13 @@ Status QueryPlan::Validate() const {
     if (!gids.insert(g.id).second)
       return Status::InvalidArgument("duplicate graph id");
     PIER_RETURN_IF_ERROR(g.Validate());
-    if (!continuous &&
-        (g.flush_stage < 0 || g.flush_stage > OpGraph::kMaxFlushStage))
-      return Status::InvalidArgument("snapshot flush stage outside 0-2");
+    if (g.flush_stage < 0 || g.flush_stage > OpGraph::kMaxFlushStage)
+      return Status::InvalidArgument("flush stage outside 0-2");
   }
   // A Bloom probe fetches its filter once, on its graph's first flush: it
-  // needs a snapshot plan whose build side flushed a stage before it. A
-  // probe with no build in the plan fails open.
+  // needs a snapshot plan (a continuous build side never completes) whose
+  // build side flushed a stage before it. A probe with no build in the plan
+  // fails open.
   for (const OpGraph& probe_g : graphs) {
     for (const OpSpec& probe : probe_g.ops) {
       if (probe.kind != OpKind::kBloomProbe) continue;

@@ -109,13 +109,13 @@ struct OpGraph {
   std::string dissem_key;
   int64_t dissem_lo = 0;
   int64_t dissem_hi = 0;
-  /// Snapshot-flush staging: a graph flushes at timeout/4 * (stage + 1),
-  /// so downstream stages of a multi-graph pipeline (partial aggregation ->
-  /// final -> top-k, Bloom build -> the probe's filter fetch) flush after
-  /// their inputs' state has arrived. A snapshot plan uses stages 0 to
-  /// kMaxFlushStage: stage 3 would flush at the timeout itself, where the
-  /// close timer wins (QueryPlan::Validate refuses it, and a bloomprobe
-  /// staged no later than its bloomcreate).
+  /// Flush staging on the query clock (QueryExecutor::NextFlush): a stage-s
+  /// graph flushes s steps after each boundary, a step being a quarter of
+  /// the timeout or window, so downstream stages of a multi-graph pipeline
+  /// (partial aggregation -> final -> top-k, Bloom build -> the probe's
+  /// filter fetch) flush after their inputs' state has arrived. Plans use
+  /// stages 0 to kMaxFlushStage (QueryPlan::Validate refuses others, and a
+  /// bloomprobe staged no later than its bloomcreate).
   static constexpr int32_t kMaxFlushStage = 2;
   int32_t flush_stage = 0;
 
@@ -142,14 +142,14 @@ struct QueryPlan {
   TimeUs timeout = 30 * kSecond;
   /// Absolute end of the query's lifetime (proxy clock, microseconds),
   /// stamped by SubmitQuery as now + timeout and carried through every
-  /// re-dissemination. The executor arms its close timer from it, so a node
+  /// re-dissemination. The query clock closes the query at it, so a node
   /// whose FIRST sight of the query is a later generation does not restart
   /// the full timeout from swap time.
   TimeUs deadline_us = 0;
   /// Snapshot queries flush blocking state once per flush stage, a quarter
-  /// of the timeout apart; continuous queries flush every `window` until the
-  /// timeout. window 0 on a continuous plan means "no WINDOW clause": the
-  /// executor substitutes a sane default.
+  /// of the timeout apart; continuous queries every `window`, both counted
+  /// from deadline_us − timeout. window 0 on a continuous plan means "no
+  /// WINDOW clause": the executor substitutes a sane default.
   bool continuous = false;
   TimeUs window = 5 * kSecond;
   /// Plan-swap generation for continuous queries. A re-disseminated plan with

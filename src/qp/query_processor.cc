@@ -121,8 +121,8 @@ Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
   plan.proxy_epoch = 0;
   // Fix the query's end as an absolute instant: every re-dissemination (plan
   // swaps above all) carries it, so a node that first sees a later
-  // generation arms a close timer for the REMAINING lifetime, not a fresh
-  // full timeout (§3.3.2's "timeout specified in the query", made absolute).
+  // generation closes the query at the same instant, not a full timeout
+  // later (§3.3.2's "timeout specified in the query", made absolute).
   if (plan.deadline_us == 0) plan.deadline_us = vri_->Now() + plan.timeout;
   PIER_RETURN_IF_ERROR(plan.Validate());
   if (plan.replicas > dht_->max_replication_factor())
@@ -134,7 +134,8 @@ Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
 
   ClientQuery client;
   if (on_tuple)
-    client.on_tuple = std::make_shared<const TupleCallback>(std::move(on_tuple));
+    client.on_tuple =
+        std::make_shared<const TupleCallback>(std::move(on_tuple));
   client.on_done = std::move(on_done);
   uint64_t qid = plan.query_id;
   client.done_timer = ArmDoneTimer(qid, plan.timeout);
@@ -211,11 +212,12 @@ Status QueryProcessor::SwapQuery(uint64_t query_id, QueryPlan new_plan) {
   // carries the query text's original window, and disseminating that would
   // silently undo an earlier Rewindow. Window changes go through
   // RewindowQuery only. The lifetime likewise stays fixed at submission:
-  // the original absolute deadline rides every generation. The failover
-  // chain and lease rhythm also survive a swap unchanged — a replan must
-  // not reset who may adopt the query.
+  // the deadline and timeout, and so the query clock, ride every generation.
+  // The failover chain and lease rhythm also survive a swap unchanged — a
+  // replan must not reset who may adopt the query.
   new_plan.window = current.window;
   new_plan.deadline_us = current.deadline_us;
+  new_plan.timeout = current.timeout;
   new_plan.successors = current.successors;
   new_plan.proxy_epoch = current.proxy_epoch;
   new_plan.lease_period_us = current.lease_period_us;

@@ -78,36 +78,43 @@ TEST(OpGraph, JoinArityChecked) {
   EXPECT_TRUE(m.Validate().ok());
 }
 
-// A snapshot graph of stage s flushes at (s+1)·timeout/4; from stage 3 on the
-// close timer comes first and the graph would never flush.
-TEST(QueryPlan, ValidateRefusesASnapshotFlushStageOutsideZeroToTwo) {
+// A snapshot graph of stage s flushes at (s+1)·timeout/4, so from stage 3 on
+// the query closes first. A continuous graph flushes s·window/4 after each
+// boundary; the same bound keeps a pipeline's last stage inside its window.
+TEST(QueryPlan, ValidateRefusesAFlushStageOutsideZeroToTwo) {
   QueryPlan plan;
   plan.timeout = 8 * kSecond;
   OpGraph& g = plan.AddGraph();
   g.AddOp(OpKind::kScan).Set("ns", "t");
-  for (int32_t stage : {0, 1, 2}) {
-    plan.graphs[0].flush_stage = stage;
-    EXPECT_TRUE(plan.Validate().ok()) << "stage " << stage;
+  for (bool continuous : {false, true}) {
+    plan.continuous = continuous;
+    for (int32_t stage : {0, 1, 2}) {
+      plan.graphs[0].flush_stage = stage;
+      EXPECT_TRUE(plan.Validate().ok()) << "stage " << stage;
+    }
+    for (int32_t stage : {-1, 3, 4}) {
+      plan.graphs[0].flush_stage = stage;
+      Status s = plan.Validate();
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "stage " << stage;
+      EXPECT_EQ(s.message(), "flush stage outside 0-2");
+    }
   }
-  for (int32_t stage : {-1, 3}) {
-    plan.graphs[0].flush_stage = stage;
-    EXPECT_EQ(plan.Validate().code(), StatusCode::kInvalidArgument)
-        << "stage " << stage;
-  }
-  plan.continuous = true;  // continuous graphs flush once per window
-  EXPECT_TRUE(plan.Validate().ok());
 
-  auto ufl = ParseUfl(R"(
-    query { timeout = 8s; }
-    graph g stage(3) { s: scan [ns=t]; o: result; s -> o; }
-  )");
-  EXPECT_EQ(ufl.status().code(), StatusCode::kInvalidArgument);
+  for (std::string query : {"timeout = 8s;", "timeout = 8s; continuous;"}) {
+    for (int stage : {2, 3}) {
+      auto ufl = ParseUfl("query { " + query + " } graph g stage(" +
+                          std::to_string(stage) +
+                          ") { s: scan [ns=t]; o: result; s -> o; }");
+      EXPECT_EQ(ufl.ok(), stage == 2) << query << " stage " << stage;
+    }
+  }
 }
 
 // A Bloom probe fetches its filter once, on its graph's first flush. A
-// continuous plan has no flush that follows the build's, and a snapshot probe
-// staged no later than its build would fetch before the filter was put: both
-// plans are refused. A probe whose filter no graph builds fails open.
+// continuous build side never completes, so no one fetch sees its filter,
+// and a snapshot probe staged no later than its build would fetch before the
+// filter was put: both plans are refused. A probe whose filter no graph
+// builds fails open.
 TEST(QueryPlan, ValidateRefusesABloomProbeThatCannotSeeItsFilter) {
   auto bloom_plan = [](int32_t build_stage, int32_t probe_stage,
                        const std::string& build_ns) {
@@ -416,7 +423,8 @@ TEST(Sql, RejectsMalformedQueries) {
 
 TEST(Sql, RejectsUnknownAggregates) {
   EXPECT_FALSE(Client()->Compile(Sql("SELECT med(v) FROM t")).ok());
-  EXPECT_FALSE(Client()->Compile(Sql("SELECT median(v) FROM t GROUP BY k")).ok())
+  EXPECT_FALSE(
+      Client()->Compile(Sql("SELECT median(v) FROM t GROUP BY k")).ok())
       << "holistic aggregates are unsupported";
   auto err = Client()->Compile(Sql("SELECT frob(v) AS f FROM t"));
   ASSERT_FALSE(err.ok());
@@ -1028,6 +1036,85 @@ TEST(GroupTable, MergeSkipsOnlyTheAggregateWithAbsentColumns) {
   EXPECT_TRUE(out[0].Get("a")->is_null()) << "a was never merged";
   table.clear();
   EXPECT_TRUE(table.empty());
+}
+
+/// The count of each string-keyed group `table` would emit as a final.
+std::map<std::string, int64_t> GroupCounts(const GroupTable& table) {
+  std::map<std::string, int64_t> counts;
+  for (const Tuple& t : EmittedRows(table, false)) {
+    Result<std::string_view> k = t.Get("k")->AsString();
+    if (k.ok()) counts[std::string(*k)] = t.Get("cnt")->int64_unchecked();
+  }
+  return counts;
+}
+
+// A final GroupBy merges the partial rows any node can put. Rows that lack
+// a partial column, carry a wrongly typed one, or have no key column merge
+// nothing: every existing group stays exact and no group appears. The
+// frames that carry partials, cut at every byte, decode to nothing; a
+// corrupted one that decodes can only add to the groups' counts.
+TEST(GroupTable, HostilePartialRowsMergeNothing) {
+  auto aggs = ParseAggSpecs("count::cnt,sum:v:s,avg:v:a");
+  ASSERT_TRUE(aggs.ok());
+  GroupTable source({"k"}, *aggs);
+  std::vector<Tuple> input;
+  for (int i = 0; i < 9; ++i) {
+    input.push_back(Tuple("ev", {{"k", Value::String(i % 2 ? "odd" : "even")},
+                                 {"v", Value::Int64(i)}}));
+  }
+  source.Fold(TupleBatch::FromTuples(input));
+  const std::vector<TupleBatch> partials = source.Emit("agg", true);
+  ASSERT_EQ(partials.size(), 1u);
+  GroupTable table({"k"}, *aggs);
+  table.Merge(partials[0]);
+  auto finals = [&table]() {
+    std::vector<std::string> rows;
+    for (const Tuple& t : EmittedRows(table, false))
+      rows.push_back(t.ToString());
+    return rows;
+  };
+  const std::vector<std::string> exact = finals();
+  ASSERT_EQ(exact.size(), 2u);
+
+  const Value str = Value::String("x");
+  for (const char* key : {"even", "new"}) {
+    const Value k = Value::String(key);
+    for (const Tuple& hostile : {
+             // a raw input row: no partial column at all
+             Tuple("agg", {{"k", k}, {"v", Value::Int64(5)}}),
+             // only half of avg's pair, and no count or sum column
+             Tuple("agg", {{"k", k}, {"a#n", Value::Int64(2)}}),
+             // every partial column present, every one wrongly typed
+             Tuple("agg", {{"k", k},
+                           {"cnt#n", str},
+                           {"s#s", str},
+                           {"a#n", Value::Int64(2)},
+                           {"a#s", str}}),
+             // well-formed partials under no key column
+             Tuple("agg", {{"cnt#n", Value::Int64(3)},
+                           {"s#s", Value::Int64(4)},
+                           {"a#n", Value::Int64(3)},
+                           {"a#s", Value::Int64(4)}}),
+         }) {
+      table.Merge(TupleBatch::FromTuples({hostile}));
+      EXPECT_EQ(finals(), exact) << key << ": " << hostile.ToString();
+    }
+  }
+
+  WireWriter w;
+  partials[0].EncodeTo(&w);
+  const std::map<std::string, int64_t> counts = GroupCounts(table);
+  size_t cuts = FuzzDecoder(w.data(), 6, [&](const std::string& body) {
+    WireReader r(body);
+    Result<TupleBatch> batch = TupleBatch::DecodeFrom(&r, body);
+    if (!batch.ok()) return false;
+    GroupTable merged = table;
+    merged.Merge(*batch);
+    std::map<std::string, int64_t> after = GroupCounts(merged);
+    for (const auto& [k, n] : counts) EXPECT_GE(after[k], n) << k;
+    return true;
+  });
+  EXPECT_EQ(cuts, 0u);
 }
 
 TEST(GroupTable, MergeSaturatesCountsAndSkipsNegativeOnes) {

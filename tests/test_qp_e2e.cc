@@ -101,7 +101,8 @@ TEST(QpE2E, EqualityPredicateUsesTargetedDissemination) {
 
 TEST(QpE2E, FlatAggregationCountsPerGroup) {
   SimPier net(10, PierOptions(23));
-  // 30 events across 3 sources with known counts: src0 x 15, src1 x 10, src2 x 5.
+  // 30 events across 3 sources with known counts: src0 x 15, src1 x 10,
+  // src2 x 5.
   std::vector<Tuple> rows;
   int counts[3] = {15, 10, 5};
   for (int s = 0; s < 3; ++s) {
@@ -337,7 +338,7 @@ TEST(QpE2E, RehashSymmetricHashJoin) {
 }
 
 // Two rehash steps and a collector: every join graph flushes at stage 1, so
-// the ORDER BY/LIMIT collector flushes at stage 2, before the close timer.
+// the ORDER BY/LIMIT collector flushes at stage 2, before the query closes.
 TEST(QpE2E, OrderByLimitOverAThreeTableRehashJoin) {
   SimPier net(16, PierOptions(59));
   // Every table is partitioned on a column no join uses: both steps rehash.
@@ -583,7 +584,7 @@ TEST(QpE2E, LateGenerationFirstSightClosesAtTheDeadline) {
   EXPECT_TRUE(exec->HasQuery(4242)) << "still inside the remaining lifetime";
   net.RunFor(4 * kSecond);
   EXPECT_FALSE(exec->HasQuery(4242))
-      << "the close timer must fire at the absolute deadline, not at "
+      << "the query must close at the absolute deadline, not at "
          "swap time + full timeout";
 }
 
@@ -826,6 +827,185 @@ TEST(QpE2E, CancelStopsDelivery) {
   net.RunFor(14 * kSecond);
   EXPECT_EQ(q->stats().tuples, 0u)
       << "no answers may be delivered after Cancel";
+}
+
+// ---------------------------------------------------------------------------
+// The query clock: every node flushes on the proxy's boundaries
+// ---------------------------------------------------------------------------
+
+/// A graph `source -> groupby -> tail`: the source holds `rows` rows of key
+/// `key` (none when it is injectable), the group-by counts them in `mode`,
+/// and the tail is a result, or with a `put_ns` a put of the groups to that
+/// namespace under the constant key.
+OpGraph CountGraph(uint32_t id, int32_t stage, const std::string& key,
+                   int rows, const std::string& mode = "local",
+                   const std::string& put_ns = "") {
+  OpGraph g;
+  g.id = id;
+  g.dissem = DissemKind::kLocal;
+  g.flush_stage = stage;
+  OpSpec& src = g.AddOp(OpKind::kSource);
+  if (rows == 0) src.SetInt("inject", 1);
+  for (int i = 0; i < rows; ++i) {
+    src.Set("tuple" + std::to_string(i),
+            Tuple("t", {{"k", Value::String(key)}}).Encode());
+  }
+  OpSpec& agg = g.AddOp(OpKind::kGroupBy);
+  agg.Set("keys", "k");
+  agg.Set("aggs", "count::cnt");
+  agg.Set("mode", mode);
+  OpSpec& tail = g.AddOp(put_ns.empty() ? OpKind::kResult : OpKind::kPut);
+  if (!put_ns.empty()) {
+    tail.Set("ns", put_ns);
+    tail.Set("key", "");
+  }
+  g.Connect(1, 2);
+  g.Connect(2, 3);
+  return g;
+}
+
+/// The events `exec` releases when it drops query `qid` through a cancel
+/// tombstone: what the query held in the event loop.
+size_t EventsHeld(SimPier* net, QueryExecutor* exec, QueryPlan meta) {
+  meta.cancelled = true;
+  size_t before = net->loop()->pending();
+  EXPECT_TRUE(exec->StartGraphs(meta, {}).ok());
+  EXPECT_FALSE(exec->HasQuery(meta.query_id));
+  return before - net->loop()->pending();
+}
+
+// A snapshot stage falls at origin + (s+1)·T/4 on every node, where the
+// origin is the proxy's submit instant: a node whose first graph of the query
+// starts late does not shift it, and a graph that starts after its instant
+// flushes at once. The whole schedule is one clock event.
+TEST(QueryClock, SnapshotStagesFallOnTheQueryOrigin) {
+  SimPier net(3, PierOptions(131));
+  const TimeUs t0 = net.loop()->now();
+  QueryPlan plan;
+  plan.query_id = 7001;
+  plan.timeout = 8 * kSecond;
+  plan.deadline_us = t0 + plan.timeout;
+  plan.graphs.push_back(CountGraph(1, 0, "proxy", 1));
+  std::map<std::string, TimeUs> delivered;
+  ASSERT_TRUE(net.qp(0)
+                  ->SubmitQuery(plan,
+                                [&](const Tuple& t) {
+                                  delivered[std::string(
+                                      *t.Get("k")->AsString())] =
+                                      net.loop()->now();
+                                })
+                  .ok());
+  QueryPlan meta = plan;
+  meta.graphs.clear();
+  meta.proxy = net.dht(0)->local_address();
+
+  // One second in, node 1 sees the query for the first time (a stage-1
+  // graph) and node 2 starts one with a graph at every stage.
+  net.RunFor(1 * kSecond);
+  QueryExecutor* late = net.qp(1)->executor();
+  ASSERT_TRUE(late->StartGraphs(meta, {CountGraph(2, 1, "late", 2)}).ok());
+  QueryPlan other = meta;
+  other.query_id = 7002;
+  QueryExecutor* staged = net.qp(2)->executor();
+  staged->set_metering(false);  // its teardown then sends no cost frame
+  ASSERT_TRUE(staged
+                  ->StartGraphs(other, {CountGraph(1, 0, "a", 1),
+                                        CountGraph(2, 1, "b", 1),
+                                        CountGraph(3, 2, "c", 1)})
+                  .ok());
+  net.RunFor(500 * kMillisecond);  // the sources have pushed their rows
+  EXPECT_EQ(EventsHeld(&net, staged, other), 1u)
+      << "three staged graphs and the close share one clock event";
+
+  // Five seconds in, node 1 adds a stage-0 graph, whose instant has passed.
+  net.RunFor(t0 + 5 * kSecond - net.loop()->now());
+  ASSERT_TRUE(late->StartGraphs(meta, {CountGraph(3, 0, "after", 3)}).ok());
+  net.RunFor(4 * kSecond);
+
+  ASSERT_EQ(delivered.size(), 3u);
+  EXPECT_EQ(delivered["proxy"], t0 + 2 * kSecond);
+  EXPECT_GE(delivered["late"], t0 + 4 * kSecond);
+  EXPECT_LT(delivered["late"], t0 + 4 * kSecond + 250 * kMillisecond)
+      << "stage 1 flushes at origin + T/2, not at node 1's start + T/2";
+  EXPECT_GE(delivered["after"], t0 + 5 * kSecond);
+  EXPECT_LT(delivered["after"], t0 + 5 * kSecond + 250 * kMillisecond)
+      << "a graph that starts after its instant flushes at once";
+  EXPECT_FALSE(late->HasQuery(plan.query_id)) << "closed at the deadline";
+}
+
+// Windows are one interval on every node. Nodes A and B start the partial
+// graph of a flat windowed count W/2 apart, and the final graph starts at
+// the owner of the rendezvous at the submit instant. Rows injected into A
+// and B in the same window make one final row with the exact count: both
+// partials flush on the shared boundary and the final a quarter window
+// later. On per-node phases, A's partials reach the final one window before
+// B's, and the count splits.
+TEST(QueryClock, OneWindowsPartialsMakeOneFinalRow) {
+  SimPier net(4, PierOptions(137));
+  constexpr TimeUs kW = 2 * kSecond;
+  const std::string agg_ns = "q7101.agg";
+  const TimeUs t0 = net.loop()->now();
+  QueryPlan plan;
+  plan.query_id = 7101;
+  plan.continuous = true;
+  plan.window = kW;
+  plan.timeout = 30 * kSecond;
+  plan.deadline_us = t0 + plan.timeout;
+  OpGraph& fin = plan.AddGraph();
+  fin.dissem = DissemKind::kEquality;
+  fin.dissem_ns = agg_ns;
+  fin.dissem_key = Tuple().PartitionKey({});
+  fin.flush_stage = 1;
+  fin.AddOp(OpKind::kNewData).Set("ns", agg_ns);
+  OpSpec& merge = fin.AddOp(OpKind::kGroupBy);
+  merge.Set("keys", "k");
+  merge.Set("aggs", "count::cnt");
+  merge.Set("mode", "final");
+  fin.AddOp(OpKind::kResult);
+  fin.Connect(1, 2);
+  fin.Connect(2, 3);
+  std::vector<int64_t> rows;
+  ASSERT_TRUE(net.qp(0)
+                  ->SubmitQuery(plan,
+                                [&](const Tuple& t) {
+                                  rows.push_back(
+                                      t.Get("cnt")->int64_unchecked());
+                                })
+                  .ok());
+  QueryPlan meta = plan;
+  meta.graphs.clear();
+  meta.proxy = net.dht(0)->local_address();
+
+  // A and B: two nodes that do not run the final graph.
+  net.RunFor(3 * kW / 4);
+  std::vector<uint32_t> others;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (!net.qp(i)->executor()->HasQuery(plan.query_id)) others.push_back(i);
+  }
+  ASSERT_GE(others.size(), 2u);
+  QueryExecutor* a = net.qp(others[0])->executor();
+  QueryExecutor* b = net.qp(others[1])->executor();
+  const OpGraph partial = CountGraph(2, 0, "", 0, "partial", agg_ns);
+  a->set_metering(false);
+  ASSERT_TRUE(a->StartGraphs(meta, {partial}).ok());
+  net.RunFor(kW / 2);
+  ASSERT_TRUE(b->StartGraphs(meta, {partial}).ok());
+
+  // Both inject in the window [t0 + W, t0 + 2W).
+  net.RunFor(kW / 4);
+  const Tuple row("t", {{"k", Value::String("x")}});
+  ASSERT_TRUE(
+      a->InjectBatch(plan.query_id, 2, 1, TupleBatch::FromTuples({row, row}))
+          .ok());
+  ASSERT_TRUE(b->InjectBatch(plan.query_id, 2, 1,
+                             TupleBatch::FromTuples({row, row, row}))
+                  .ok());
+  net.RunFor(3 * kW);
+  EXPECT_EQ(rows, std::vector<int64_t>{5})
+      << "one window's partials, one final row";
+
+  // A runs for a remote proxy: its clock, plus the lease tick.
+  EXPECT_EQ(EventsHeld(&net, a, meta), 2u);
 }
 
 // ---------------------------------------------------------------------------
