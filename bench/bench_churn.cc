@@ -9,13 +9,14 @@
 // dead-ends.
 //
 // E14b (appended, self-checking): the churn-hardened QUERY lifecycle. A
-// continuous aggregation query's proxy is killed mid-run:
-//   * with a successor configured, the executors fail answer routing over,
-//     the successor adopts the proxy role, and the client re-attaches — the
-//     bench FAILS unless the kill costs at most ~one window of answers
-//     (measured against a no-kill control run on the same schedule);
-//   * with no successors, the bench FAILS unless every surviving executor
-//     reaps the orphaned opgraphs within ~one lease period.
+// continuous aggregation query's proxy is killed mid-run, and the ring owner
+// of its id (its successor) adopts the proxy role:
+//   * with a client re-attaching at the adopter, the bench FAILS unless the
+//     kill costs at most ~one window of answers (measured against a no-kill
+//     control run on the same schedule);
+//   * with no client re-attaching, the bench FAILS unless the adopter
+//     cancels the query after its attach grace and every surviving executor
+//     tears the opgraphs down.
 //
 // E15 (appended, self-checking): replicated soft state under node kills.
 // 200 rows are published once, then repeated snapshot scans straddle one
@@ -127,9 +128,10 @@ Outcome Measure(TimeUs churn_interval, uint64_t seed) {
 
 constexpr uint32_t kFNodes = 16;
 constexpr uint32_t kProxy = 2;
-constexpr uint32_t kSuccessor = 3;
 constexpr TimeUs kWindow = 5 * kSecond;
-constexpr TimeUs kLease = 3 * kSecond;
+/// Chord drops a dead node within this (src/overlay/README.md, "Detection
+/// bounds"); the node's successor then owns its id.
+constexpr TimeUs kChordDetection = 4250 * kMillisecond;
 constexpr int kCats = 4;
 constexpr int kPreTicks = 100;   // 25s of 4 tuples/s before the kill
 constexpr int kPostTicks = 120;  // 30s after it
@@ -140,10 +142,19 @@ struct FailoverOutcome {
   uint64_t tail_rows = 0;     // rows in the last 4 full windows (recovery)
 };
 
-/// One failover run: a continuous GROUP BY at kProxy with kSuccessor as the
-/// failover chain; `kill` fells the proxy mid-stream. Measures answer rows
-/// seen by the client (original handle + re-attached handle), the longest
-/// answer outage, and the recovered steady-state tail.
+/// The live node that has adopted a query, or -1.
+int Adopter(SimPier* net) {
+  for (uint32_t i = 0; i < net->size(); ++i) {
+    if (net->harness()->IsAlive(i) && net->qp(i)->stats().adoptions > 0)
+      return static_cast<int>(i);
+  }
+  return -1;
+}
+
+/// One failover run: a continuous GROUP BY at kProxy; `kill` fells the proxy
+/// mid-stream. Measures answer rows seen by the client (original handle +
+/// the handle re-attached at the adopter), the longest answer outage, and
+/// the recovered steady-state tail.
 FailoverOutcome MeasureFailover(bool kill, uint64_t seed) {
   SimPier::Options popts;
   popts.sim.seed = seed;
@@ -159,7 +170,7 @@ FailoverOutcome MeasureFailover(bool kill, uint64_t seed) {
     e.Append("id", Value::Int64(id));
     e.Append("cat", Value::String("c" + std::to_string(id % kCats)));
     uint32_t pub = static_cast<uint32_t>(id % kFNodes);
-    if (!net.harness()->IsAlive(pub)) pub = kSuccessor;
+    if (!net.harness()->IsAlive(pub)) pub = (pub + 1) % kFNodes;
     Status s = net.client(pub)->Publish("ev", e);
     if (!s.ok()) {
       std::fprintf(stderr, "publish failed: %s\n", s.ToString().c_str());
@@ -167,11 +178,9 @@ FailoverOutcome MeasureFailover(bool kill, uint64_t seed) {
     }
   };
 
-  Sql query("SELECT cat, count(*) AS cnt FROM ev GROUP BY cat TIMEOUT 90s "
-            "WINDOW 5s CONTINUOUS");
-  query.WithSuccessors({net.dht(kSuccessor)->local_address()})
-      .WithLeasePeriod(kLease);
-  auto q = net.client(kProxy)->Query(query);
+  auto q = net.client(kProxy)->Query(
+      Sql("SELECT cat, count(*) AS cnt FROM ev GROUP BY cat TIMEOUT 90s "
+          "WINDOW 5s CONTINUOUS"));
   QueryHandle handle = bench::Check(q, "failover query");
   uint64_t qid = handle.id();
   FailoverOutcome out;
@@ -197,17 +206,18 @@ FailoverOutcome MeasureFailover(bool kill, uint64_t seed) {
   for (int i = 0; i < kPostTicks; ++i) {
     publish_one();
     net.RunFor(250 * kMillisecond);
-    // Re-attach through the adopting successor as soon as it owns the query
-    // (the backlog it buffered while the query had no client replays here).
-    if (kill && !attached.valid() && net.qp(kSuccessor)->stats().adoptions > 0) {
-      auto a = net.client(kSuccessor)->Attach(qid);
+    // Re-attach at the adopter as soon as one owns the query (the backlog
+    // it buffered while the query had no client replays here).
+    const int adopter = Adopter(&net);
+    if (kill && !attached.valid() && adopter >= 0) {
+      auto a = net.client(static_cast<uint32_t>(adopter))->Attach(qid);
       attached = bench::Check(a, "re-attach at the adopted proxy");
       attached.OnTuple(on_row);
     }
   }
   net.RunFor(2 * kSecond);
   if (kill && !attached.valid()) {
-    std::fprintf(stderr, "FAIL: the successor never adopted the query\n");
+    std::fprintf(stderr, "FAIL: no node adopted the query\n");
     std::exit(1);
   }
   int64_t last_full = net.loop()->now() / kWindow - 1;
@@ -222,8 +232,8 @@ int RunFailoverCheck() {
   bench::Title("E14b: proxy kill mid-query — failover and orphan reaping");
   int failures = 0;
 
-  // (1) Successor configured. Two claims, measured against a no-kill
-  // control on the same schedule:
+  // (1) A client re-attaches at the adopter. Two claims, measured against a
+  // no-kill control on the same schedule:
   //   * the answer OUTAGE across the kill is at most ~one window — i.e. at
   //     most one window's flush is forwarded into the void before failover
   //     re-targets answers (gap between answers <= 2 windows + detection
@@ -247,8 +257,9 @@ int RunFailoverCheck() {
              w);
   // Losing at most ONE flush round bounds the answer gap by two windows of
   // phase (the round before the kill + the first round after failover) plus
-  // proxy-death detection (a lease to starve, the probe to corroborate).
-  TimeUs gap_budget = 2 * kWindow + 2 * kLease;
+  // proxy-death detection: the ring's detection bound and the notify that
+  // hands the dead node's range on, rounded up to 6 s.
+  const TimeUs gap_budget = 2 * kWindow + 6 * kSecond;
   if (survived.max_gap > gap_budget) {
     std::fprintf(stderr,
                  "FAIL: the proxy kill silenced answers for %.1fms — more "
@@ -285,18 +296,19 @@ int RunFailoverCheck() {
     failures++;
   }
 
-  // (2) No successors: orphaned opgraphs are reaped by lease expiry.
+  // (2) No client re-attaches: the adopter cancels the orphan after its
+  // attach grace, and the cancel broadcast stops every executor.
   {
     SimPier::Options popts;
     popts.sim.seed = 405;
     popts.settle_time = 8 * kSecond;
     SimPier net(kFNodes, popts);
-    PIER_CHECK(net.catalog()->Register(TableSpec("ev").PartitionBy({"id"})).ok());
+    PIER_CHECK(
+        net.catalog()->Register(TableSpec("ev").PartitionBy({"id"})).ok());
     net.RunFor(1 * kSecond);
-    Sql query("SELECT cat, count(*) AS cnt FROM ev GROUP BY cat TIMEOUT 90s "
-              "WINDOW 5s CONTINUOUS");
-    query.WithLeasePeriod(kLease);
-    auto q = net.client(kProxy)->Query(query);
+    auto q = net.client(kProxy)->Query(
+        Sql("SELECT cat, count(*) AS cnt FROM ev GROUP BY cat TIMEOUT 90s "
+            "WINDOW 5s CONTINUOUS"));
     QueryHandle handle = bench::Check(q, "orphan query");
     int64_t id = 0;
     for (int i = 0; i < 20; ++i) {
@@ -307,28 +319,34 @@ int RunFailoverCheck() {
       net.RunFor(500 * kMillisecond);
     }
     net.harness()->FailNode(kProxy);
-    // One lease to starve + the check tick and the point-to-point probe.
-    net.RunFor(2 * kLease + kLease / 2);
-    size_t still_running = 0;
-    uint64_t reaps = 0;
+    // Detection, the adopter's next clock tick (at most one window), the
+    // attach grace, and a second for the cancel broadcast.
+    net.RunFor(kChordDetection + kWindow + QueryProcessor::kAttachGrace +
+               kSecond);
+    size_t still_running = 0, proxies = 0;
     for (uint32_t i = 0; i < net.size(); ++i) {
       if (!net.harness()->IsAlive(i)) continue;
       if (net.qp(i)->executor()->HasQuery(handle.id())) still_running++;
-      reaps += net.qp(i)->executor()->stats().orphan_reaps;
+      if (net.qp(i)->HasClientQuery(handle.id())) proxies++;
     }
-    bench::Row({"orphan reaps (no successor)", std::to_string(reaps)}, w);
+    const int adopter = Adopter(&net);
+    bench::Row({"adopted (no client)", adopter >= 0 ? "yes" : "no"}, w);
     bench::Row({"executors still running", std::to_string(still_running)}, w);
-    if (still_running > 0) {
+    if (adopter < 0) {
+      std::fprintf(stderr, "FAIL: no node adopted the orphaned query\n");
+      failures++;
+    }
+    if (still_running > 0 || proxies > 0) {
       std::fprintf(stderr,
-                   "FAIL: %zu executors still run the orphaned query past "
-                   "its lease\n",
-                   still_running);
+                   "FAIL: %zu executors and %zu proxies still run the "
+                   "orphaned query past its attach grace\n",
+                   still_running, proxies);
       failures++;
     }
   }
   if (failures == 0)
-    bench::Note("ok: kill costs <= ~1 window with a successor; orphans are "
-                "reaped within ~1 lease period without one");
+    bench::Note("ok: kill costs <= ~1 window with a client re-attached; "
+                "orphans end after the attach grace without one");
   return failures;
 }
 

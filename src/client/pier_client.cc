@@ -87,7 +87,7 @@ Status QueryHandle::Cancel() {
   if (!state_) return Status::InvalidArgument("empty query handle");
   if (state_->stats.done) return Status::Ok();  // idempotent
   // An orphaned query has no proxy record to cancel through: the proxy died
-  // (and no successor adopted it, or this handle never re-attached). There
+  // (and this handle never re-attached at the adopter). There
   // is no round-trip to block on — tear down locally, complete the handle,
   // and say so.
   bool proxied = state_->qp->HasClientQuery(state_->id);
@@ -655,7 +655,8 @@ Status PierClient::StartMetricsPublish(TimeUs period) {
     metrics_timer_ =
         qp_->vri()->ScheduleEvent(metrics_publish_period_, metrics_tick_);
   };
-  metrics_timer_ = qp_->vri()->ScheduleEvent(metrics_publish_period_, metrics_tick_);
+  metrics_timer_ =
+      qp_->vri()->ScheduleEvent(metrics_publish_period_, metrics_tick_);
   return Status::Ok();
 }
 
@@ -675,8 +676,6 @@ Result<QueryHandle> PierClient::Query(const Sql& sql) {
   PlanExplain explain;
   PIER_ASSIGN_OR_RETURN(QueryPlan plan, Compile(sql, &explain));
   bool auto_replan = sql.replan == "auto" && plan.continuous;
-  plan.successors = sql.successors;
-  plan.lease_period_us = sql.lease_period;
   QueryPlan submitted;
   if (auto_replan) submitted = plan;  // Submit consumes the original
   PIER_ASSIGN_OR_RETURN(QueryHandle h, Submit(std::move(plan)));

@@ -48,15 +48,6 @@ struct Sql {
   /// threshold (PierClient::set_replan_cost_ratio). Ignored for snapshot
   /// queries. Anything else is an InvalidArgument.
   std::string replan = "off";
-  /// Ordered proxy-successor chain for continuous queries: if the proxy
-  /// (the node this query is submitted at) dies mid-run, executors fail
-  /// answer routing over to these nodes in order and the first live one
-  /// adopts the proxy role; re-attach a handle through it with
-  /// PierClient::Attach / QueryHandle::Reattach. Ignored for snapshots.
-  std::vector<NetAddress> successors;
-  /// Proxy lease period (0 = executor default, 10s): how fast executors
-  /// notice a dead proxy, and how fast orphans are reaped.
-  TimeUs lease_period = 0;
 
   Sql() = default;
   explicit Sql(std::string query) : text(std::move(query)) {}
@@ -66,14 +57,6 @@ struct Sql {
   }
   Sql& WithReplan(std::string mode) {
     replan = std::move(mode);
-    return *this;
-  }
-  Sql& WithSuccessors(std::vector<NetAddress> s) {
-    successors = std::move(s);
-    return *this;
-  }
-  Sql& WithLeasePeriod(TimeUs p) {
-    lease_period = p;
     return *this;
   }
 };
@@ -145,8 +128,8 @@ class QueryHandle {
   QueryHandle& OnDone(std::function<void()> fn);
 
   /// Stop delivery and tear down execution. At a live proxy this cancels
-  /// the query properly (continuous queries broadcast a tombstone; remote
-  /// executors reap within a lease period) and returns Ok. On an already-
+  /// the query properly (continuous queries broadcast a tombstone, on which
+  /// remote executors tear down) and returns Ok. On an already-
   /// ORPHANED query — the proxy-side record is gone, so there is no proxy
   /// round-trip to make — it tears down locally, completes the handle, and
   /// returns Unavailable instead of leaving the handle hanging until the
@@ -155,7 +138,7 @@ class QueryHandle {
   Status Cancel();
 
   /// Re-bind this handle (keeping its stats, buffer and callbacks) to the
-  /// query's CURRENT proxy — after failover, the successor that adopted it.
+  /// query's CURRENT proxy: after failover, the node that adopted it.
   /// `via` must be a client on the adopting node. Answers the new proxy
   /// buffered while the query had no client are replayed synchronously.
   Status Reattach(PierClient* via);
@@ -252,7 +235,7 @@ class PierClient {
   /// then kPublishLifetime.
   Status Publish(const std::string& table, const Tuple& t, TimeUs lifetime = 0);
 
-  // --- Batched publishing ------------------------------------------------------
+  // --- Batched publishing ----------------------------------------------------
   //
   // Every publish is a batch. The client builds a batch's whole index
   // fan-out (primary rows and secondary entries alike) as DhtPutItems, each
@@ -288,8 +271,8 @@ class PierClient {
   /// Publish a whole batch for `table` in one shot. Every tuple is
   /// validated against the spec FIRST; any invalid tuple fails the call and
   /// nothing is published. lifetime 0 resolves as in Publish.
-  Status PublishBatch(const std::string& table, const std::vector<Tuple>& tuples,
-                      TimeUs lifetime = 0);
+  Status PublishBatch(const std::string& table,
+                      const std::vector<Tuple>& tuples, TimeUs lifetime = 0);
 
   /// Opt-in auto-batching on Publish(): buffer up to `max_tuples` per table
   /// and at most `max_delay` after the first buffered tuple, then flush as

@@ -22,11 +22,14 @@ void RegisterDhtMetrics(MetricsRegistry* reg, Dht* dht) {
   // Dht::stats() merges replication health at read; export only the fields
   // the Dht itself owns here — the replication collector covers the rest —
   // so no counter appears under two names with diverging values.
-  reg->AddCounterFn("pier_dht_puts_total", {}, [dht] { return d(dht->stats().puts); },
+  reg->AddCounterFn("pier_dht_puts_total", {},
+                    [dht] { return d(dht->stats().puts); },
                     "DHT put operations issued by this node");
-  reg->AddCounterFn("pier_dht_gets_total", {}, [dht] { return d(dht->stats().gets); },
+  reg->AddCounterFn("pier_dht_gets_total", {},
+                    [dht] { return d(dht->stats().gets); },
                     "DHT get operations issued by this node");
-  reg->AddCounterFn("pier_dht_sends_total", {}, [dht] { return d(dht->stats().sends); },
+  reg->AddCounterFn("pier_dht_sends_total", {},
+                    [dht] { return d(dht->stats().sends); },
                     "DHT send (routed) operations issued by this node");
   reg->AddCounterFn("pier_dht_renews_total", {},
                     [dht] { return d(dht->stats().renews); },
@@ -101,7 +104,9 @@ void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport) {
                     [transport] { return d(transport->stats().msgs_sent); },
                     "UdpCC messages first-transmitted");
   reg->AddCounterFn("pier_net_msgs_delivered_total", {},
-                    [transport] { return d(transport->stats().msgs_delivered); },
+                    [transport] {
+                      return d(transport->stats().msgs_delivered);
+                    },
                     "UdpCC messages acknowledged by the receiver");
   reg->AddCounterFn("pier_net_msgs_failed_total", {},
                     [transport] { return d(transport->stats().msgs_failed); },
@@ -113,13 +118,17 @@ void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport) {
                     [transport] { return d(transport->stats().msgs_received); },
                     "UdpCC deduplicated messages received");
   reg->AddCounterFn("pier_net_duplicates_dropped_total", {},
-                    [transport] { return d(transport->stats().duplicates_dropped); },
+                    [transport] {
+                      return d(transport->stats().duplicates_dropped);
+                    },
                     "UdpCC duplicate receives dropped");
   reg->AddCounterFn("pier_net_bytes_sent_total", {},
                     [transport] { return d(transport->stats().bytes_sent); },
                     "First-transmission payload bytes sent");
   reg->AddCounterFn("pier_net_bytes_received_total", {},
-                    [transport] { return d(transport->stats().bytes_received); },
+                    [transport] {
+                      return d(transport->stats().bytes_received);
+                    },
                     "Deduplicated inbound payload bytes");
   reg->AddCounterFn("pier_net_acks_sent_total", {{"how", "alone"}},
                     [transport] { return d(transport->stats().acks_sent); },
@@ -156,16 +165,10 @@ void RegisterReplicationMetrics(MetricsRegistry* reg, Dht* dht) {
 void RegisterExecutorMetrics(MetricsRegistry* reg, QueryExecutor* exec) {
   reg->AddCounterFn("pier_exec_proxy_failovers_total", {},
                     [exec] { return d(exec->stats().proxy_failovers); },
-                    "Answer routing re-targeted to a successor proxy");
-  reg->AddCounterFn("pier_exec_orphan_reaps_scalar_total", {},
-                    [exec] { return d(exec->stats().orphan_reaps); },
-                    "Queries torn down with no live proxy (sum over reasons)");
+                    "Answers re-targeted at the owner of the proxy's id");
   reg->AddCounterFn("pier_exec_forward_failures_total", {},
                     [exec] { return d(exec->stats().forward_failures); },
                     "UdpCC give-ups on answer forwards");
-  reg->AddCounterFn("pier_exec_stray_answers_total", {},
-                    [exec] { return d(exec->stats().stray_answers); },
-                    "Answers received for un-proxied queries");
 }
 
 void RegisterQueryProcessorMetrics(MetricsRegistry* reg, QueryProcessor* qp) {

@@ -37,9 +37,9 @@ void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport);
 /// counters come from the Dht, whose store-frame handler receives every copy.
 void RegisterReplicationMetrics(MetricsRegistry* reg, Dht* dht);
 
-/// pier_exec_* : scalar failover counters. The labeled reap-reason and
-/// probe-verdict counters are minted by the executor itself once
-/// QueryExecutor::set_metrics is called (RegisterNodeMetrics does).
+/// pier_exec_* : scalar failover counters. The answer-size histogram is
+/// minted by the executor itself once QueryExecutor::set_metrics is called
+/// (RegisterNodeMetrics does).
 void RegisterExecutorMetrics(MetricsRegistry* reg, QueryExecutor* exec);
 
 /// pier_query_* : proxy lifecycle counters. The per-qid answer counter and

@@ -77,29 +77,14 @@ Operator* OpGraphInstance::FindOp(uint32_t op_id) {
 }
 
 QueryExecutor::QueryExecutor(Vri* vri, Dht* dht, QueryProcessor* proxy)
-    : vri_(vri), dht_(dht), proxy_(proxy) {
-  dht_->router()->RegisterDirectType(
-      kMsgLeaseProbeResp, [this](const NetAddress& from,
-                                 std::string_view body) {
-        WireReader r(body);
-        uint64_t qid;
-        uint8_t proxying;
-        if (!r.GetU64(&qid).ok() || !r.GetU8(&proxying).ok()) return;
-        ResolveProbe(qid, from,
-                     proxying ? ProbeVerdict::kProxying
-                              : ProbeVerdict::kNotProxying);
-      });
-}
+    : vri_(vri), dht_(dht), proxy_(proxy) {}
 
 QueryExecutor::~QueryExecutor() {
   for (auto& [qid, rq] : queries_) Release(&rq);
 }
 
 void QueryExecutor::Release(RunningQuery* rq) {
-  for (uint64_t t : rq->one_shots) vri_->CancelEvent(t);
-  for (uint64_t t : {rq->clock, rq->lease_timer, rq->probe.timeout}) {
-    if (t) vri_->CancelEvent(t);
-  }
+  if (rq->clock != 0) vri_->CancelEvent(rq->clock);
   for (auto& inst : rq->instances) inst->Close();
 }
 
@@ -119,16 +104,10 @@ TimeUs QueryExecutor::NextFlush(const QueryPlan& meta, int32_t stage,
   return origin + (k + 1) * w + offset;
 }
 
-TimeUs QueryExecutor::EffectiveLease(const QueryPlan& meta) {
-  if (meta.lease_period_us <= 0) return kDefaultLeasePeriod;
-  return std::max(meta.lease_period_us, kMinLeasePeriod);
-}
-
 Status QueryExecutor::StartGraphs(const QueryPlan& meta,
                                   const std::vector<OpGraph>& graphs) {
-  // A cancel tombstone: the proxy ended the query on purpose. Tear down
-  // without starting the successor walk; stale tombstones from a superseded
-  // generation are ignored.
+  // A cancel tombstone: the proxy ended the query on purpose. Tear down;
+  // stale tombstones from a superseded generation are ignored.
   if (meta.cancelled) {
     auto cit = queries_.find(meta.query_id);
     if (cit != queries_.end() &&
@@ -150,29 +129,28 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
       rq.answer_cost = rq.meter->At(QueryMeter::kAnswerSlot.first,
                                     QueryMeter::kAnswerSlot.second);
     }
-    RefreshLease(&rq);
-    ArmLeaseTick(&rq);
   } else if (meta.generation > rq.meta.generation && graphs.empty()) {
-    // A metadata-only refresh from a generation this node never received:
-    // the swap broadcast was lost. Keep the stale generation running (its
-    // answers are still correct), follow the refresh's proxy, and read the
-    // query's durable record. Its broadcast graphs swap in under THIS
-    // refresh's metadata: the record's writer may have died since, so it
+    // A metadata broadcast from a generation this node never received: the
+    // swap broadcast was lost. Keep the stale generation running (its
+    // answers are still correct), follow the broadcast's proxy, and read
+    // the query's durable record. Its broadcast graphs swap in under THIS
+    // broadcast's metadata: the record's writer may have died since, so it
     // never re-targets answers. A record that gives this node no graph
     // stops the superseded generation here. A record older than the
-    // refresh, or a proxy that moved on meanwhile, changes nothing; the
-    // next refresh reads again.
+    // broadcast, or a proxy that moved on meanwhile, changes nothing; the
+    // next metadata broadcast reads again.
     if (meta.proxy_epoch < rq.meta.proxy_epoch) return Status::Ok();
     rq.meta.window = meta.window;
     FollowProxy(&rq, meta);
-    proxy_->ReadDurablePlan(meta, [this, meta](QueryPlan record) {
+    proxy_->ReadDurablePlan(meta, [this, meta](Result<QueryPlan> record) {
       auto qit = queries_.find(meta.query_id);
-      if (qit == queries_.end() || qit->second.meta.proxy != meta.proxy ||
+      if (!record.ok() || qit == queries_.end() ||
+          qit->second.meta.proxy != meta.proxy ||
           qit->second.meta.proxy_epoch != meta.proxy_epoch ||
-          record.generation < meta.generation)
+          record->generation < meta.generation)
         return;
       std::vector<OpGraph> bcast;
-      for (OpGraph& g : record.graphs) {
+      for (OpGraph& g : record->graphs) {
         if (g.dissem == DissemKind::kBroadcast) bcast.push_back(std::move(g));
       }
       // Equality, range and local graphs belong to specific nodes: with no
@@ -181,7 +159,7 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
       // (through its dissemination) during the read.
       if (!bcast.empty()) {
         (void)StartGraphs(meta, bcast);
-      } else if (qit->second.meta.generation < record.generation) {
+      } else if (qit->second.meta.generation < record->generation) {
         StopQuery(meta.query_id);
       }
     });
@@ -210,10 +188,9 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     // Same-generation refresh: adopt a changed window (rewindowing); it
     // takes effect after each graph's next flush.
     rq.meta.window = meta.window;
-    // Proxy identity moves only FORWARD along the failover chain: a refresh
-    // from the current proxy (same epoch, same address) renews its lease, a
-    // refresh announcing a later-epoch successor re-targets answer routing,
-    // and a late refresh from a superseded proxy is ignored.
+    // Proxy identity moves only FORWARD: a broadcast announcing a later
+    // adoption re-targets answer routing, and a late one from a superseded
+    // proxy is ignored.
     if (meta.proxy_epoch > rq.meta.proxy_epoch ||
         (meta.proxy_epoch == rq.meta.proxy_epoch &&
          meta.proxy == rq.meta.proxy)) {
@@ -245,8 +222,8 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     cx.meter = rq.meter.get();
     uint64_t qid = meta.query_id;
     // The answer target is read at EMIT time, not instantiation time: when
-    // the proxy dies mid-run, failover re-points rq.meta.proxy at a
-    // successor and every already-running instance follows without a
+    // the proxy dies mid-run, failover re-points rq.meta.proxy at the owner
+    // of its id and every already-running instance follows without a
     // re-instantiation.
     cx.emit_result = [this, qid](const TupleBatch& b) {
       ForwardAnswers(qid, b);
@@ -293,6 +270,16 @@ void QueryExecutor::ClockTick(uint64_t query_id) {
     DoStop(query_id);
     return;
   }
+  // The ring names the proxy: once this node owns the proxy's id, the proxy
+  // has left the ring and this node takes the query over, before this
+  // tick's flush sends answers to a dead node. AdoptQuery updates this
+  // record's proxy in place (StartGraphs with its metadata).
+  const NetAddress& proxy = rq.meta.proxy;
+  if (rq.meta.continuous && proxy != dht_->local_address() &&
+      !proxy.IsNull() &&
+      dht_->router()->protocol()->IsOwner(
+          NodeIdFromAddress(proxy.host, proxy.port)))
+    proxy_->AdoptQuery(rq.meta);
   for (auto& inst : rq.instances) {
     if (inst->next_flush > now) continue;
     inst->next_flush =
@@ -304,145 +291,9 @@ void QueryExecutor::ClockTick(uint64_t query_id) {
   ArmClock(&rq);
 }
 
-void QueryExecutor::ArmLeaseTick(RunningQuery* rq) {
-  if (!rq->meta.continuous || rq->lease_timer != 0) return;
-  uint64_t qid = rq->meta.query_id;
-  rq->lease_timer = vri_->ScheduleEvent(EffectiveLease(rq->meta) / 4,
-                                        [this, qid]() { LeaseTick(qid); });
-}
-
-void QueryExecutor::RefreshLease(RunningQuery* rq) {
-  rq->lease_expires = vri_->Now() + EffectiveLease(rq->meta);
-}
-
 void QueryExecutor::FollowProxy(RunningQuery* rq, const QueryPlan& meta) {
   rq->meta.proxy = meta.proxy;
   rq->meta.proxy_epoch = meta.proxy_epoch;
-  rq->meta.successors = meta.successors;
-  rq->meta.lease_period_us = meta.lease_period_us;
-  rq->forward_failures = 0;
-  rq->stray_answers = 0;
-  RefreshLease(rq);
-}
-
-void QueryExecutor::LeaseTick(uint64_t query_id) {
-  // A no-op while this node IS the proxy — a proxy cannot orphan itself;
-  // its local teardown goes through CancelQuery.
-  auto it = queries_.find(query_id);
-  if (it == queries_.end()) return;
-  RunningQuery& q = it->second;
-  q.lease_timer = 0;
-  if (q.meta.continuous && !q.stopping && q.probe.timeout == 0 &&
-      q.meta.proxy != dht_->local_address() && !q.meta.proxy.IsNull() &&
-      vri_->Now() >= q.lease_expires) {
-    StartProbe(&q);
-  }
-  // Re-find: a probe that fails synchronously may reap (or adopt).
-  it = queries_.find(query_id);
-  if (it != queries_.end()) ArmLeaseTick(&it->second);
-}
-
-void QueryExecutor::StartProbe(RunningQuery* rq) {
-  // The lease travels over the broadcast, which is exactly what
-  // churn breaks first — so corroborate point-to-point before declaring
-  // death. A local timeout at lease/2 keeps a slow transport give-up from
-  // stretching detection. Both are armed before the send: a transport that
-  // fails synchronously resolves kDead inline, and a chain-exhausted
-  // resolve reaps the query — erasing the entry rq points into.
-  uint64_t qid = rq->meta.query_id;
-  NetAddress target = rq->meta.proxy;
-  rq->probe.target = target;
-  rq->probe.epoch = rq->meta.proxy_epoch;
-  rq->probe.timeout =
-      vri_->ScheduleEvent(EffectiveLease(rq->meta) / 2, [this, qid, target]() {
-        ResolveProbe(qid, target, ProbeVerdict::kDead);
-      });
-  WireWriter w = OverlayRouter::FrameMessage(kMsgLeaseProbe);
-  w.PutU64(qid);
-  dht_->router()->SendFramed(
-      target, std::move(w).data(), [this, qid, target](const Status& s) {
-        if (!s.ok()) ResolveProbe(qid, target, ProbeVerdict::kDead);
-      });
-}
-
-void QueryExecutor::ResolveProbe(uint64_t query_id, const NetAddress& from,
-                                 ProbeVerdict v) {
-  auto it = queries_.find(query_id);
-  if (it == queries_.end()) return;
-  RunningQuery& q = it->second;
-  // Only the outstanding probe's target may resolve it.
-  if (q.probe.timeout == 0 || q.probe.target != from) return;
-  vri_->CancelEvent(q.probe.timeout);  // a no-op when it is what fired
-  q.probe.timeout = 0;
-  // The query moved on to another proxy or epoch while the probe was out:
-  // the verdict is stale and counts for nothing, but the probe is over, so
-  // a later LeaseTick can probe the current proxy.
-  if (q.meta.proxy_epoch != q.probe.epoch || q.meta.proxy != from) return;
-  CountProbeVerdict(v);
-  switch (v) {
-    case ProbeVerdict::kProxying:
-      // The proxy is up and owns the query; the refresh channel just
-      // hasn't healed yet. Renew and keep listening.
-      q.probe_strikes = 0;
-      RefreshLease(&q);
-      break;
-    case ProbeVerdict::kNotProxying:
-      // Reachable, but it does not own the query: an un-adopted successor
-      // (give it one short grace re-probe — adoption may be mid-flight),
-      // or a proxy whose record ended on purpose (a missed cancel
-      // tombstone). Either way, renewing a full lease forever would park
-      // the walk on a node that will never answer.
-      if (++q.probe_strikes >= 2) {
-        q.probe_strikes = 0;
-        FailoverStep(&q, "not_proxying",
-                     "node is alive but does not own the query");
-      } else {
-        q.lease_expires = vri_->Now() + EffectiveLease(q.meta) / 2;
-      }
-      break;
-    case ProbeVerdict::kDead:
-      // A lost probe must not override fresher evidence: an answer-
-      // forward ACK may have renewed the lease while the probe was out.
-      if (vri_->Now() < q.lease_expires) return;
-      FailoverStep(&q, "probe_dead", "proxy lease expired and probe failed");
-      break;
-  }
-}
-
-void QueryExecutor::FailoverStep(RunningQuery* rq, const char* tag,
-                                 const std::string& reason) {
-  uint64_t qid = rq->meta.query_id;
-  uint32_t next = rq->meta.proxy_epoch;  // index of the next successor
-  if (next >= rq->meta.successors.size()) {
-    // Chain exhausted (or never configured): the query is an orphan. Reap
-    // it — opgraphs torn down, timers cancelled — instead of letting every
-    // executor forward answers into a void until the deadline.
-    CountOrphanReap(tag);
-    stats_.last_orphan_reason =
-        reason + "; no proxy successor remains for query " +
-        std::to_string(qid);
-    PIER_LOG(kInfo) << "reaping orphaned query " << qid << ": " << reason;
-    DoStop(qid);
-    return;
-  }
-  rq->meta.proxy = rq->meta.successors[next];
-  rq->meta.proxy_epoch = next + 1;
-  rq->forward_failures = 0;
-  rq->stray_answers = 0;
-  // The candidate gets one full lease period to adopt and start refreshing
-  // before the walk advances past it.
-  RefreshLease(rq);
-  stats_.proxy_failovers++;
-  PIER_LOG(kInfo) << "query " << qid << " proxy failover (" << reason
-                  << "): answers now target " << rq->meta.proxy.ToString()
-                  << " (epoch " << rq->meta.proxy_epoch << ")";
-  if (rq->meta.proxy == dht_->local_address()) {
-    // This node is next in line: adopt the proxy role. AdoptQuery runs
-    // synchronously (it creates the proxy-side record and re-broadcasts the
-    // announcement); it may re-enter StartGraphs, which only mutates fields
-    // of this std::map entry — rq stays valid.
-    proxy_->AdoptQuery(rq->meta);
-  }
 }
 
 void QueryExecutor::ForwardAnswers(uint64_t query_id, const TupleBatch& batch) {
@@ -480,8 +331,7 @@ void QueryExecutor::ForwardAnswers(uint64_t query_id, const TupleBatch& batch) {
   if (answer_bytes_metric_ != nullptr)
     answer_bytes_metric_->Observe(static_cast<double>(w.size()));
   if (rq.meter && rq.meter->ShouldPiggyback()) rq.meter->EncodeTo(&w);
-  // A transport give-up on the proxy is the fast half of proxy-death
-  // detection (the lease is the slow half); an ACK is live proof.
+  // A transport give-up on the proxy asks the ring who owns its id now.
   dht_->router()->SendFramed(
       proxy, std::move(w).data(), [this, query_id, proxy](const Status& s) {
         OnForwardDelivery(query_id, proxy, s);
@@ -491,54 +341,34 @@ void QueryExecutor::ForwardAnswers(uint64_t query_id, const TupleBatch& batch) {
 void QueryExecutor::OnForwardDelivery(uint64_t query_id,
                                       const NetAddress& target,
                                       const Status& s) {
+  if (s.ok()) return;
   auto it = queries_.find(query_id);
   if (it == queries_.end()) return;
-  RunningQuery& rq = it->second;
-  if (s.ok()) {
-    if (!rq.meta.continuous || target != rq.meta.proxy) return;
-    rq.forward_failures = 0;
-    RefreshLease(&rq);
-    return;
-  }
   stats_.forward_failures++;
+  const RunningQuery& rq = it->second;
   if (!rq.meta.continuous || rq.stopping || target != rq.meta.proxy) return;
-  if (++rq.forward_failures < kForwardFailuresBeforeFailover) return;
-  // Deferred: a synchronously-failing transport reports from inside the
-  // send call, which can sit under an operator's Flush — and a failover
-  // that reaps the query would close that operator mid-emission. The event
-  // re-checks that the failed target is still the proxy (a refresh or an
-  // earlier step may have moved it meanwhile).
-  rq.one_shots.push_back(
-      vri_->ScheduleEvent(0, [this, query_id, target]() {
+  // One give-up is the signal. The give-up already evicted `target` from the
+  // owner cache, so the lookup asks the ring. A live proxy still owns its
+  // id and the lookup names it again: nothing changes.
+  dht_->router()->Lookup(
+      NodeIdFromAddress(target.host, target.port),
+      [this, query_id, target](const Result<OverlayRouter::Owner>& owner) {
         auto qit = queries_.find(query_id);
-        if (qit == queries_.end()) return;
+        if (!owner.ok() || qit == queries_.end() ||
+            qit->second.meta.proxy != target || owner->address == target)
+          return;
         RunningQuery& q = qit->second;
-        if (!q.meta.continuous || q.stopping || target != q.meta.proxy) return;
-        if (q.forward_failures < kForwardFailuresBeforeFailover) return;
-        FailoverStep(&q, "forward_failed", "answer forwarding failed");
-      }));
-}
-
-void QueryExecutor::NoteStrayAnswer(uint64_t query_id) {
-  auto it = queries_.find(query_id);
-  if (it == queries_.end()) return;
-  RunningQuery& rq = it->second;
-  if (!rq.meta.continuous || rq.stopping) return;
-  NetAddress local = dht_->local_address();
-  if (rq.meta.proxy == local) return;  // already adopted; record raced away
-  uint32_t next = rq.meta.proxy_epoch;
-  if (next >= rq.meta.successors.size() || rq.meta.successors[next] != local)
-    return;  // not next in the chain: the lease walk will get there
-  stats_.stray_answers++;
-  rq.stray_answers++;
-  // Another executor is already routing answers here, so the proxy is dead
-  // from ITS vantage point. Adopt once the local evidence agrees (our lease
-  // also ran out) or the signal repeats.
-  if (rq.stray_answers >= kStrayAnswersBeforeAdopt ||
-      vri_->Now() >= rq.lease_expires) {
-    FailoverStep(&rq, "stray_answers",
-                 "answers forwarded here for a dead proxy");
-  }
+        stats_.proxy_failovers++;
+        PIER_LOG(kInfo) << "query " << query_id << ": proxy "
+                        << target.ToString() << " unreachable, answers now "
+                        << "target the owner of its id, "
+                        << owner->address.ToString();
+        if (owner->address == dht_->local_address()) {
+          proxy_->AdoptQuery(q.meta);
+        } else {
+          q.meta.proxy = owner->address;
+        }
+      });
 }
 
 void QueryExecutor::StopQuery(uint64_t query_id) {
@@ -602,37 +432,12 @@ const QueryMeter* QueryExecutor::Meter(uint64_t query_id) const {
 }
 
 void QueryExecutor::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
   answer_bytes_metric_ =
       metrics == nullptr
           ? nullptr
           : metrics->GetHistogram(
                 "pier_query_answer_bytes", {64, 256, 1024, 4096, 16384}, {},
                 "Forwarded answer frame sizes in bytes");
-}
-
-void QueryExecutor::CountProbeVerdict(ProbeVerdict v) {
-  const char* verdict = v == ProbeVerdict::kDead        ? "dead"
-                        : v == ProbeVerdict::kProxying  ? "proxying"
-                                                        : "not_proxying";
-  stats_.probe_verdicts[verdict]++;
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("pier_exec_probe_verdicts_total", {{"verdict", verdict}},
-                     "Proxy lease-probe outcomes by verdict")
-        ->Inc();
-  }
-}
-
-void QueryExecutor::CountOrphanReap(const std::string& reason) {
-  stats_.orphan_reaps++;
-  stats_.orphan_reaps_by_reason[reason]++;
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("pier_exec_orphan_reaps_total", {{"reason", reason}},
-                     "Queries reaped with no live proxy, by trigger")
-        ->Inc();
-  }
 }
 
 }  // namespace pier

@@ -179,13 +179,7 @@ Status QueryPlan::Validate() const {
   if (window < 0) return Status::InvalidArgument("negative window");
   if (catchup_floor_us < 0)
     return Status::InvalidArgument("negative catch-up floor");
-  if (lease_period_us < 0)
-    return Status::InvalidArgument("negative lease period");
   if (replicas < 0) return Status::InvalidArgument("negative replicas");
-  if (successors.size() > kMaxSuccessors)
-    return Status::InvalidArgument("too many proxy successors");
-  if (proxy_epoch > successors.size())
-    return Status::InvalidArgument("proxy epoch past the successor chain");
   return Status::Ok();
 }
 
@@ -198,14 +192,8 @@ void QueryPlan::EncodeTo(WireWriter* w) const {
   w->PutU8(continuous ? 1 : 0);
   w->PutSVarint(window);
   w->PutVarint(generation);
-  w->PutVarint(successors.size());
-  for (const NetAddress& s : successors) {
-    w->PutU32(s.host);
-    w->PutU16(s.port);
-  }
   w->PutVarint(proxy_epoch);
   w->PutSVarint(catchup_floor_us);
-  w->PutSVarint(lease_period_us);
   w->PutU8(cancelled ? 1 : 0);
   w->PutVarint(static_cast<uint32_t>(replicas));
   w->PutVarint(graphs.size());
@@ -255,19 +243,8 @@ Result<QueryPlan> QueryPlan::Decode(std::string_view wire) {
   plan.continuous = cont != 0;
   PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.window));
   PIER_RETURN_IF_ERROR(r.GetVarint32(&plan.generation));
-  uint64_t nsucc;
-  PIER_RETURN_IF_ERROR(r.GetVarint(&nsucc));
-  if (nsucc > QueryPlan::kMaxSuccessors)
-    return Status::Corruption("absurd successor count");
-  for (uint64_t si = 0; si < nsucc; ++si) {
-    NetAddress a;
-    PIER_RETURN_IF_ERROR(r.GetU32(&a.host));
-    PIER_RETURN_IF_ERROR(r.GetU16(&a.port));
-    plan.successors.push_back(a);
-  }
   PIER_RETURN_IF_ERROR(r.GetVarint32(&plan.proxy_epoch));
   PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.catchup_floor_us));
-  PIER_RETURN_IF_ERROR(r.GetSVarint(&plan.lease_period_us));
   uint8_t cancelled;
   PIER_RETURN_IF_ERROR(r.GetU8(&cancelled));
   plan.cancelled = cancelled != 0;

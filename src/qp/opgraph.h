@@ -132,9 +132,6 @@ struct OpGraph {
 
 /// A full query: metadata plus opgraphs.
 struct QueryPlan {
-  /// Longest accepted proxy-successor chain (sanity bound on the wire).
-  static constexpr size_t kMaxSuccessors = 32;
-
   uint64_t query_id = 0;
   /// Node that owns the query and receives answer tuples (§3.3.2).
   NetAddress proxy;
@@ -158,19 +155,11 @@ struct QueryPlan {
   /// generation only refreshes metadata (rewindowing). Snapshot queries
   /// never bump it.
   uint32_t generation = 0;
-  /// Ordered proxy-successor list for continuous queries: when executing
-  /// nodes decide the proxy died (its lease expired, or forwarding answers
-  /// to it failed), they fail answer routing over to successors[0], then
-  /// successors[1], ... — and the named node adopts the proxy role (owns
-  /// rewindow/swap/replan/cancel; the client's QueryHandle re-attaches
-  /// through it). Empty means "no failover": executors reap the query when
-  /// the proxy's lease runs out.
-  std::vector<NetAddress> successors;
-  /// Position of the CURRENT proxy in the failover chain: 0 = the original
-  /// proxy, k = successors[k-1] adopted. Executors accept a proxy change
-  /// from a same-generation metadata refresh only when it advances the
-  /// epoch, so a late refresh from a superseded proxy cannot roll the query
-  /// back to a dead node.
+  /// Adoptions so far: 0 = the original proxy; each node that adopts the
+  /// query (it came to own the previous proxy's ring id) takes the next
+  /// value. Executors accept a proxy change from a same-generation metadata
+  /// broadcast only when it advances the epoch, so a late broadcast from a
+  /// superseded proxy cannot roll the query back to a dead node.
   uint32_t proxy_epoch = 0;
   /// Catch-up high-water mark (proxy clock, microseconds): a swapped-in Scan
   /// (or catch-up NewData) must skip soft state stored before this instant —
@@ -179,20 +168,13 @@ struct QueryPlan {
   /// SwapQuery at swap time and carried on the wire; 0 = no suppression
   /// (first dissemination: catch-up reads everything, as §3.3.4 requires).
   TimeUs catchup_floor_us = 0;
-  /// Proxy lease period for continuous queries. The proxy re-broadcasts a
-  /// metadata-only refresh every lease_period/3 by broadcast (the
-  /// existing soft-state refresh idiom); an executor that has not
-  /// heard one for a full period presumes the proxy dead and starts the
-  /// successor walk above. 0 = the executor's default (10s).
-  TimeUs lease_period_us = 0;
   /// Cancel tombstone: a metadata-only re-dissemination with this set (and a
   /// bumped generation) tells executors the proxy ended the query ON
-  /// PURPOSE — tear down now, do NOT start the successor walk. Without it a
-  /// cancelled query with successors would look exactly like a dead proxy
-  /// and be adopted. Executors that miss the broadcast converge through the
-  /// DURABLE copy: the cancel overwrites the query's plan record ("!qplan")
-  /// with this tombstone, and a successor that adopts via lease starvation
-  /// reads it and un-adopts; the absolute deadline bounds everything else.
+  /// PURPOSE: tear down now. Without it a cancelled query would look
+  /// exactly like a dead proxy once its proxy left, and be adopted. The
+  /// cancel also overwrites the query's plan record ("!qplan") with this
+  /// tombstone, so a node that adopts later reads it and un-adopts; the
+  /// absolute deadline bounds everything else.
   bool cancelled = false;
   /// Replication factor for the soft state this query publishes (Put
   /// exchanges, materialized tables): each object is placed at its owner

@@ -9,23 +9,6 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht) : vri_(vri), dht_(dht) {
   executor_ = std::make_unique<QueryExecutor>(vri_, dht_, this);
   OverlayRouter* router = dht_->router();
 
-  // Lease probe: does this node still proxy the query? A reachable node
-  // that does NOT (a successor that never adopted because it runs none of
-  // the query's graphs, or a proxy whose record ended — a missed cancel
-  // tombstone) says so, and the probing executor's walk moves past it.
-  router->RegisterDirectType(
-      QueryExecutor::kMsgLeaseProbe,
-      [this](const NetAddress& from, std::string_view body) {
-        WireReader r(body);
-        uint64_t qid;
-        if (!r.GetU64(&qid).ok()) return;
-        WireWriter w =
-            OverlayRouter::FrameMessage(QueryExecutor::kMsgLeaseProbeResp);
-        w.PutU64(qid);
-        w.PutU8(clients_.count(qid) > 0 ? 1 : 0);
-        dht_->router()->SendFramed(from, std::move(w).data());
-      });
-
   // Broadcast dissemination arrives through the router's broadcast.
   router->set_broadcast_handler([this](std::string_view payload) {
     HandleDisseminationBlob(payload);
@@ -64,7 +47,7 @@ QueryProcessor::~QueryProcessor() {
 }
 
 void QueryProcessor::Release(ClientQuery* client) {
-  for (uint64_t t : {client->done_timer, client->lease_timer}) {
+  for (uint64_t t : {client->done_timer, client->attach_timer}) {
     if (t) vri_->CancelEvent(t);
   }
 }
@@ -116,8 +99,8 @@ Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
     if (plan.query_id == 0) plan.query_id = 1;
   }
   plan.proxy = dht_->local_address();
-  // A freshly submitted query starts the failover chain at its original
-  // proxy, whatever a recycled plan object carried.
+  // A freshly submitted query has not been adopted, whatever a recycled
+  // plan object carried.
   plan.proxy_epoch = 0;
   // Fix the query's end as an absolute instant: every re-dissemination (plan
   // swaps above all) carries it, so a node that first sees a later
@@ -142,10 +125,7 @@ Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
   if (plan.continuous) client.plan = plan;
   clients_[qid] = std::move(client);
   BindQueryMetrics(&clients_[qid], qid);
-  if (plan.continuous) {
-    StartLeaseRefresh(qid);
-    StoreDurablePlan(plan);
-  }
+  if (plan.continuous) StoreDurablePlan(plan);
 
   Disseminate(plan);
   return qid;
@@ -162,14 +142,14 @@ void QueryProcessor::StoreDurablePlan(const QueryPlan& plan) {
 }
 
 void QueryProcessor::ReadDurablePlan(
-    const QueryPlan& meta, std::function<void(QueryPlan)> on_record) {
+    const QueryPlan& meta, std::function<void(Result<QueryPlan>)> on_record) {
   dht_->Get(
       kPlanNs, std::to_string(meta.query_id),
       [on_record = std::move(on_record)](const Status& s,
                                          std::vector<DhtItem> items) {
-        if (!s.ok() || items.empty()) return;
-        Result<QueryPlan> record = QueryPlan::Decode(items[0].value);
-        if (record.ok()) on_record(std::move(*record));
+        if (!s.ok()) return on_record(s);
+        if (items.empty()) return on_record(Status::NotFound("no record"));
+        on_record(QueryPlan::Decode(items[0].value));
       },
       meta.replicas);
 }
@@ -213,14 +193,11 @@ Status QueryProcessor::SwapQuery(uint64_t query_id, QueryPlan new_plan) {
   // silently undo an earlier Rewindow. Window changes go through
   // RewindowQuery only. The lifetime likewise stays fixed at submission:
   // the deadline and timeout, and so the query clock, ride every generation.
-  // The failover chain and lease rhythm also survive a swap unchanged — a
-  // replan must not reset who may adopt the query.
+  // The adoption epoch also survives a swap unchanged.
   new_plan.window = current.window;
   new_plan.deadline_us = current.deadline_us;
   new_plan.timeout = current.timeout;
-  new_plan.successors = current.successors;
   new_plan.proxy_epoch = current.proxy_epoch;
-  new_plan.lease_period_us = current.lease_period_us;
   // Swap-time catch-up high-water mark: the swapped-in generation's access
   // methods skip soft state stored before this instant — the generation
   // being replaced already counted that history in its windows, and
@@ -230,6 +207,13 @@ Status QueryProcessor::SwapQuery(uint64_t query_id, QueryPlan new_plan) {
   current = new_plan;
   StoreDurablePlan(current);
   Disseminate(current);
+  // With no broadcast graph the new generation reaches only its own nodes,
+  // so the nodes running the old one would never hear of it: announce it
+  // graphless, and each reads the record (StartGraphs' missed-swap branch).
+  bool broadcast = false;
+  for (const OpGraph& g : current.graphs)
+    broadcast |= g.dissem == DissemKind::kBroadcast;
+  if (!broadcast) BroadcastMetadata(current);
   return Status::Ok();
 }
 
@@ -243,54 +227,43 @@ uint64_t QueryProcessor::ArmDoneTimer(uint64_t query_id, TimeUs delay) {
       });
 }
 
-void QueryProcessor::StartLeaseRefresh(uint64_t query_id) {
-  auto it = clients_.find(query_id);
-  if (it == clients_.end() || !it->second.plan.continuous) return;
-  if (it->second.lease_timer) return;  // already refreshing
-  it->second.lease_timer =
-      vri_->ScheduleEvent(QueryExecutor::EffectiveLease(it->second.plan) / 3,
-                          [this, query_id]() { RefreshTick(query_id); });
-}
-
-void QueryProcessor::RefreshTick(uint64_t query_id) {
-  auto it = clients_.find(query_id);
-  if (it == clients_.end()) return;
-  ClientQuery& c = it->second;
-  // Metadata-only re-broadcast: executors running the query renew the
-  // proxy's lease (and pick up the current window/epoch); everyone else
-  // ignores it. The local executor hears it through the broadcast like any
-  // other node.
-  BroadcastMetadata(c.plan);
-  c.lease_timer =
-      vri_->ScheduleEvent(QueryExecutor::EffectiveLease(c.plan) / 3,
-                          [this, query_id]() { RefreshTick(query_id); });
-}
-
-void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
+void QueryProcessor::AdoptQuery(QueryPlan meta) {
   if (!meta.continuous) return;
-  if (clients_.count(meta.query_id) > 0) return;  // already this node's
+  const uint64_t qid = meta.query_id;
+  if (clients_.count(qid) > 0) return;  // already this node's
   stats_.adoptions++;
-  PIER_LOG(kInfo) << "adopting proxy role for query " << meta.query_id
-                  << " (epoch " << meta.proxy_epoch << ")";
+  PIER_LOG(kInfo) << "adopting proxy role for query " << qid << " from "
+                  << meta.proxy.ToString();
 
   ClientQuery client;
-  client.plan = meta;
+  client.plan = std::move(meta);
   client.plan.proxy = dht_->local_address();
-  uint64_t qid = meta.query_id;
+  client.plan.proxy_epoch++;
   // The query's lifetime is unchanged by adoption: the done timer fires at
   // the ORIGINAL absolute deadline (plus slack), exactly like the dead
   // proxy's would have.
-  client.done_timer =
-      ArmDoneTimer(qid, std::max<TimeUs>(0, meta.deadline_us - vri_->Now()));
+  client.done_timer = ArmDoneTimer(
+      qid, std::max<TimeUs>(0, client.plan.deadline_us - vri_->Now()));
+  // An orphan ends by one rule: no client within the grace, no query.
+  client.attach_timer =
+      vri_->ScheduleEvent(kAttachGrace, [this, qid]() {
+        auto it = clients_.find(qid);
+        if (it == clients_.end()) return;
+        it->second.attach_timer = 0;
+        PIER_LOG(kInfo) << "cancelling adopted query " << qid
+                        << ": no client attached";
+        CancelQuery(qid);
+      });
   clients_[qid] = std::move(client);
   BindQueryMetrics(&clients_[qid], qid);
 
-  // The wire metadata carries no graphs; the durable record supplies all of
-  // them. Adoption is optimistic, and the record is also its correction: a
-  // successor that missed the cancel broadcast adopts through lease
-  // starvation, reads the tombstone, and un-adopts (an unreadable record
-  // just means the query drains at its deadline).
-  ReadDurablePlan(meta, [this, qid](QueryPlan record) {
+  // The plan's graphs come from the durable record (a record read for
+  // stray answers already holds them). Adoption is optimistic, and the
+  // record is also its correction: a tombstone un-adopts (an unreadable
+  // record just means the query drains at its deadline). Otherwise the
+  // record is stored again naming this node, so the owner of THIS node's id
+  // adopts in turn if it leaves.
+  auto take_record = [this, qid](QueryPlan record) {
     auto cit = clients_.find(qid);
     if (cit == clients_.end()) return;
     if (record.cancelled) {
@@ -302,14 +275,45 @@ void QueryProcessor::AdoptQuery(const QueryPlan& meta) {
     QueryPlan& plan = cit->second.plan;
     if (record.generation < plan.generation) return;  // stale copy
     plan.graphs = std::move(record.graphs);
-  });
+    StoreDurablePlan(plan);
+  };
+  QueryPlan& plan = clients_[qid].plan;
+  if (!plan.graphs.empty()) {
+    take_record(plan);
+  } else {
+    ReadDurablePlan(plan, [take_record](Result<QueryPlan> record) {
+      if (record.ok()) take_record(std::move(*record));
+    });
+  }
 
-  // Announce the succession: a same-generation metadata refresh with the
+  // Announce the adoption: a same-generation metadata broadcast with the
   // advanced proxy_epoch re-targets every executor's answer routing at this
-  // node (executors that independently walked further ignore it as stale),
-  // and from now on this node refreshes the lease.
-  BroadcastMetadata(clients_[qid].plan);
-  StartLeaseRefresh(qid);
+  // node. This node's own executor follows at once.
+  auto it = clients_.find(qid);
+  if (it == clients_.end()) return;  // un-adopted by a local tombstone read
+  Status local =
+      executor_->StartGraphs(BroadcastMetadata(it->second.plan), {});
+  if (!local.ok()) {
+    PIER_LOG(kWarn) << "local adoption rejected: " << local.ToString();
+  }
+}
+
+void QueryProcessor::AdoptFromRecord(uint64_t query_id) {
+  if (!record_reads_.insert(query_id).second) return;  // one read at a time
+  QueryPlan meta;
+  meta.query_id = query_id;
+  ReadDurablePlan(meta, [this, query_id](Result<QueryPlan> record) {
+    record_reads_.erase(query_id);
+    if (!record.ok() || record->cancelled ||
+        record->deadline_us <= vri_->Now())
+      return;
+    const NetAddress& proxy = record->proxy;
+    if (proxy == dht_->local_address() ||
+        !dht_->router()->protocol()->IsOwner(
+            NodeIdFromAddress(proxy.host, proxy.port)))
+      return;
+    AdoptQuery(std::move(*record));
+  });
 }
 
 Status QueryProcessor::AttachClient(uint64_t query_id, TupleCallback on_tuple,
@@ -325,6 +329,10 @@ Status QueryProcessor::AttachClient(uint64_t query_id, TupleCallback on_tuple,
   // deadline (and rebinding would silently orphan the submitting handle).
   if (!c.plan.continuous)
     return Status::NotSupported("only continuous queries support re-attach");
+  if (c.attach_timer != 0) {
+    vri_->CancelEvent(c.attach_timer);
+    c.attach_timer = 0;
+  }
   if (on_tuple)
     c.on_tuple = std::make_shared<const TupleCallback>(std::move(on_tuple));
   else
@@ -347,16 +355,15 @@ void QueryProcessor::CancelQuery(uint64_t query_id) {
   if (it != clients_.end()) {
     if (it->second.plan.continuous) {
       // A cancelled continuous query must be distinguishable from a DEAD
-      // proxy, or its successors would adopt it and keep it running to the
-      // deadline. Broadcast a tombstone (bumped generation, no graphs);
-      // executors that miss it still reap by lease starvation — the lease
-      // refresh stops with this record.
+      // proxy, or the owner of this node's id would adopt it when this node
+      // leaves and keep it running to the deadline. Broadcast a tombstone
+      // (bumped generation, no graphs); executors that miss it run to the
+      // deadline.
       QueryPlan tomb = it->second.plan;
       tomb.generation++;
       tomb.cancelled = true;
-      // And the DURABLE tombstone: it overwrites the plan record, so a
-      // successor that missed the broadcast and adopts through lease
-      // starvation reads it and un-adopts.
+      // And the DURABLE tombstone: it overwrites the plan record, so a node
+      // that missed the broadcast and adopts later reads it and un-adopts.
       StoreDurablePlan(BroadcastMetadata(std::move(tomb)));
     }
     EndClient(it);  // the handle fires its own completion on cancel
@@ -510,14 +517,12 @@ void QueryProcessor::HandleAnswerBatchMsg(const NetAddress& from,
   // handler; every row is materialized before the frame goes away.
   Result<TupleBatch> batch = TupleBatch::DecodeFrom(&r, body);
   if (!batch.ok()) return;
-  auto it = clients_.find(qid);
-  if (it == clients_.end()) {
-    // An answer for a query this node does not proxy: either a late answer
-    // after done/cancel, or other executors already failed over to us. The
-    // executor decides (and may adopt synchronously, creating the record).
-    executor_->NoteStrayAnswer(qid);
-    it = clients_.find(qid);
-    if (it == clients_.end()) return;
+  if (clients_.count(qid) == 0) {
+    // An answer for a query this node does not proxy: a late one after done
+    // or cancel, or one whose sender's forward to a dead proxy gave up and
+    // found this node owning that proxy's id. The record tells which.
+    AdoptFromRecord(qid);
+    return;
   }
   // The piggybacked cost block (if the sender meters): an absolute per-op
   // snapshot that REPLACES this sender's previous one. Senders without

@@ -10,12 +10,12 @@
 // bounded by the query timeout; there is no completion protocol.
 //
 // The line between the roles is the wire (qp/executor.h). This class owns
-// the proxy's records (ClientQuery), dissemination, and the responders to
-// what executors send: answer batches, teardown cost snapshots and lease
-// probes. Its QueryExecutor owns the executing role and every frame an
-// executing node sends; it calls back here only to adopt a query
-// (AdoptQuery), to deliver answers when this node is the proxy, and to read
-// a query's durable record after a missed swap (ReadDurablePlan).
+// the proxy's records (ClientQuery), dissemination, and the receivers of
+// what executors send: answer batches and teardown cost snapshots. Its
+// QueryExecutor owns the executing role and every frame an executing node
+// sends; it calls back here only to adopt a query (AdoptQuery), to deliver
+// answers when this node is the proxy, and to read a query's durable record
+// after a missed swap (ReadDurablePlan).
 //
 // Nothing else lives here. Publishing is the client's: PierClient builds its
 // DHT puts itself and names every object with Dht::NextSuffix, as operators
@@ -26,24 +26,23 @@
 //
 // Churn-hardening of the continuous-query lifecycle:
 //
-//   * Proxy leases. The proxy of every continuous query re-broadcasts a
-//     metadata-only refresh of the plan every EffectiveLease/3 (the same
-//     soft-state-refresh idiom the rest of the system uses). An executor
-//     that has heard nothing for a full lease period — or whose answer
-//     forwards to the proxy fail — presumes the proxy dead.
-//   * Successor adoption. QueryPlan::successors is an ordered failover
-//     chain (client-settable; carried on the wire and through UFL).
-//     Executors that declare the proxy dead re-target answer forwarding at
-//     successors[proxy_epoch], advancing the epoch; the node that finds
-//     itself next in the chain adopts the proxy role (AdoptQuery): it
-//     creates the proxy-side record, re-broadcasts the plan announcing
-//     itself (higher proxy_epoch wins; a late refresh from a superseded
-//     proxy is ignored), resumes lease refreshing, and from then on owns
-//     rewindow/swap/replan/cancel. Answers arriving before a client
-//     re-attaches (PierClient::Attach / QueryHandle::Reattach) are buffered,
-//     bounded, and replayed on attach. A query whose whole chain is dead is
-//     reaped at every executor within one lease period — opgraphs torn
-//     down, timers cancelled, the orphan-abort reason in executor stats.
+//   * The ring names the proxy. The proxy of a continuous query is the
+//     ring owner of its current proxy's node id. A live proxy owns its own
+//     id; when it leaves, the ring's maintenance makes its successor the
+//     owner (Chord: within about 4.25 s, src/overlay/README.md,
+//     "Detection bounds"). That successor adopts the query (AdoptQuery) at
+//     its next clock tick when it runs a graph of the query, or, when it
+//     runs none, once an executor's answer forward to the dead proxy gives
+//     up, looks the id up and sends the answers here: an answer for a query
+//     this node does not proxy reads the durable record, and the node
+//     adopts when the record's proxy id falls in its range. Adoption bumps
+//     proxy_epoch (higher wins at executors), stores the record again
+//     naming this node, and broadcasts the metadata, so every executor
+//     re-targets its answers. Answers arriving before a client attaches
+//     (PierClient::Attach / QueryHandle::Reattach) are buffered, bounded,
+//     and replayed on attach. An adopted query that no client attaches to
+//     within kAttachGrace is cancelled (CancelQuery: the tombstone, stored
+//     and broadcast).
 //   * Swap-time catch-up suppression. SwapQuery stamps the new generation
 //     with catchup_floor_us (proxy clock, carried on the wire); swapped-in
 //     Scan / catch-up NewData operators skip soft state stored before it,
@@ -57,6 +56,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -104,7 +104,7 @@ class QueryProcessor {
   void PublishRange(const std::string& pht_table, const std::string& key_attr,
                     const Tuple& t, int key_bits, TimeUs lifetime);
 
-  // --- Client API (this node is the proxy) -------------------------------------
+  // --- Client API (this node is the proxy) -----------------------------------
 
   using TupleCallback = std::function<void(const Tuple&)>;
   using DoneCallback = std::function<void()>;
@@ -119,8 +119,8 @@ class QueryProcessor {
 
   /// Stop delivering results and tear down local execution. Snapshot
   /// queries' remote opgraphs drain via their own timeouts (soft state, no
-  /// recall protocol); a cancelled CONTINUOUS query additionally stops its
-  /// lease refresh, so remote executors reap it within one lease period.
+  /// recall protocol); a cancelled CONTINUOUS query also stores and
+  /// broadcasts its cancel tombstone, on which remote executors tear down.
   void CancelQuery(uint64_t query_id);
 
   /// Is this node currently the proxy of `query_id` (submitted or adopted,
@@ -131,25 +131,31 @@ class QueryProcessor {
   }
 
   /// (Re-)bind client callbacks to a query this node proxies — the re-attach
-  /// path after a successor adopted an orphaned query (also works on the
-  /// original proxy). Answers buffered while the query had no client are
-  /// replayed synchronously into `on_tuple`. `plan_out` (optional) receives
-  /// the stored plan metadata (graphs cleared) so the caller can recover the
-  /// deadline. NotFound if this node does not proxy the query.
+  /// path after this node adopted a query (also works on the original
+  /// proxy); it stops the adopted query's kAttachGrace countdown. Answers
+  /// buffered while the query had no client are replayed synchronously into
+  /// `on_tuple`. `plan_out` (optional) receives the stored plan metadata
+  /// (graphs cleared) so the caller can recover the deadline. NotFound if
+  /// this node does not proxy the query.
   Status AttachClient(uint64_t query_id, TupleCallback on_tuple,
                       DoneCallback on_done, QueryPlan* plan_out = nullptr);
 
-  /// Become the proxy of a continuous query this node executes (the adopt
-  /// half of proxy failover; the executor calls this when the successor
-  /// walk lands on this node). Creates the
-  /// proxy-side record from `meta`, arms the done timer from the original
-  /// deadline, starts lease refreshing and re-broadcasts the plan so every
-  /// executor re-targets its answers. The plan's graphs come from the
-  /// query's durable record, which un-adopts a cancelled query instead.
-  /// Idempotent while already the proxy.
-  void AdoptQuery(const QueryPlan& meta);
+  /// Become the proxy of the continuous query `meta` describes, whose
+  /// proxy's id this node now owns. Creates the proxy-side record with the
+  /// next proxy_epoch, arms the done timer from the original deadline and
+  /// the kAttachGrace countdown, and broadcasts the metadata so every
+  /// executor re-targets its answers. The plan's graphs are `meta`'s, or,
+  /// when it has none, the durable record's; a tombstone record un-adopts
+  /// instead. The record is stored again naming this node. Idempotent while
+  /// already the proxy.
+  void AdoptQuery(QueryPlan meta);
 
-  // --- Continuous-query lifecycle (this node must be the proxy) ---------------
+  /// How long an adopted query waits for a client to attach before it is
+  /// cancelled: a query nobody reads ends instead of running to its
+  /// deadline.
+  static constexpr TimeUs kAttachGrace = 10 * kSecond;
+
+  // --- Continuous-query lifecycle (this node must be the proxy) -------------
 
   /// Adjust a running continuous query's window. The change is broadcast as
   /// a metadata-only refresh; every node running the query's opgraphs adopts
@@ -166,7 +172,7 @@ class QueryProcessor {
   /// at its original submission.
   Status SwapQuery(uint64_t query_id, QueryPlan new_plan);
 
-  // --- Introspection -------------------------------------------------------------
+  // --- Introspection ---------------------------------------------------------
 
   /// The stored plan of a query this node proxies (test/introspection
   /// accessor; NotFound when this node does not proxy `query_id`).
@@ -256,10 +262,10 @@ class QueryProcessor {
     /// before re-attach). Bounded by kPendingAnswerCap; replayed on
     /// AttachClient.
     std::vector<Tuple> pending;
-    /// The done timer and, for a continuous query, the self-rescheduling
-    /// lease refresh (RefreshTick). Both are released by Release().
+    /// The done timer and, for an adopted query until a client attaches,
+    /// the kAttachGrace countdown. Both are released by Release().
     uint64_t done_timer = 0;
-    uint64_t lease_timer = 0;
+    uint64_t attach_timer = 0;
     /// Latest per-op meter snapshot from each executor, this node's own
     /// included (absolute values: each replaces its sender's previous one).
     std::map<NetAddress, std::map<QueryMeter::Key, OpCost>> costs;
@@ -273,10 +279,10 @@ class QueryProcessor {
   /// dropping: enough to bridge a re-attach, never unbounded.
   static constexpr size_t kPendingAnswerCap = 4096;
 
-  /// Start the lease refresh of a continuous query this node proxies:
-  /// a metadata-only re-broadcast every EffectiveLease/3 (RefreshTick).
-  void StartLeaseRefresh(uint64_t query_id);
-  void RefreshTick(uint64_t query_id);
+  /// Answers arrived for `query_id`, which this node does not proxy: read
+  /// its durable record (one read per query at a time) and adopt when the
+  /// record's proxy id now falls in this node's range.
+  void AdoptFromRecord(uint64_t query_id);
   /// The one teardown of a record's timers: run by EndClient and
   /// ~QueryProcessor.
   void Release(ClientQuery* client);
@@ -288,9 +294,9 @@ class QueryProcessor {
   /// its full plan, or its cancel tombstone.
   void StoreDurablePlan(const QueryPlan& plan);
   /// Read `meta`'s durable record with the plan's replication factor and
-  /// hand it to `on_record`; a missing or undecodable record calls nothing.
+  /// hand it, or why there is none, to `on_record`.
   void ReadDurablePlan(const QueryPlan& meta,
-                       std::function<void(QueryPlan)> on_record);
+                       std::function<void(Result<QueryPlan>)> on_record);
   /// Arm the proxy-side completion timer: at `delay` + kDoneSlack the
   /// client record is torn down and on_done fires. Shared by SubmitQuery
   /// and AdoptQuery so the two teardown paths cannot drift apart.
@@ -332,6 +338,8 @@ class QueryProcessor {
 
   std::map<std::string, std::unique_ptr<Pht>> phts_;
   std::map<uint64_t, ClientQuery> clients_;
+  /// Queries whose record AdoptFromRecord is reading.
+  std::set<uint64_t> record_reads_;
   uint64_t dissem_sub_ = 0;
   Stats stats_;
   MetricsRegistry* metrics_ = nullptr;

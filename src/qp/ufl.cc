@@ -75,7 +75,8 @@ class UflParser {
 
  private:
   Status Err(const std::string& msg) {
-    return Status::InvalidArgument("UFL:" + std::to_string(Line()) + ": " + msg);
+    return Status::InvalidArgument("UFL:" + std::to_string(Line()) + ": " +
+                                   msg);
   }
 
   int Line() const {
@@ -133,7 +134,8 @@ class UflParser {
     if (pos_ < text_.size() && text_[pos_] == '"') {
       ++pos_;
       std::string s;
-      while (pos_ < text_.size() && text_[pos_] != '"') s.push_back(text_[pos_++]);
+      while (pos_ < text_.size() && text_[pos_] != '"')
+        s.push_back(text_[pos_++]);
       if (pos_ >= text_.size()) return Err("unterminated string");
       ++pos_;
       *out = std::move(s);
@@ -156,22 +158,6 @@ class UflParser {
     return d;
   }
 
-  Status ParseAddress(const std::string& v, NetAddress* out) {
-    size_t colon = v.find(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= v.size())
-      return Err("successor must be host:port, got '" + v + "'");
-    char* end = nullptr;
-    unsigned long long host = std::strtoull(v.c_str(), &end, 10);
-    if (end != v.c_str() + colon || host > 0xffffffffULL)
-      return Err("bad successor host in '" + v + "'");
-    unsigned long long port = std::strtoull(v.c_str() + colon + 1, &end, 10);
-    if (*end != '\0' || port > 0xffffULL)
-      return Err("bad successor port in '" + v + "'");
-    out->host = static_cast<uint32_t>(host);
-    out->port = static_cast<uint16_t>(port);
-    return Status::Ok();
-  }
-
   Status ParseQueryBlock() {
     PIER_RETURN_IF_ERROR(Expect('{'));
     while (!Peek('}')) {
@@ -185,20 +171,6 @@ class UflParser {
         PIER_RETURN_IF_ERROR(ParamValue(&value));
         if (key == "timeout") {
           PIER_ASSIGN_OR_RETURN(plan_.timeout, Duration(value));
-        } else if (key == "lease") {
-          PIER_ASSIGN_OR_RETURN(plan_.lease_period_us, Duration(value));
-        } else if (key == "successors") {
-          // Comma-separated host:port failover chain, in adoption order.
-          for (;;) {
-            NetAddress a;
-            PIER_RETURN_IF_ERROR(ParseAddress(value, &a));
-            plan_.successors.push_back(a);
-            if (!Peek(',')) break;
-            PIER_RETURN_IF_ERROR(Expect(','));
-            PIER_RETURN_IF_ERROR(ParamValue(&value));
-          }
-          if (plan_.successors.size() > QueryPlan::kMaxSuccessors)
-            return Err("too many successors");
         } else if (key == "window") {
           PIER_ASSIGN_OR_RETURN(plan_.window, Duration(value));
         } else if (key == "replicas") {
@@ -253,7 +225,8 @@ class UflParser {
       PIER_RETURN_IF_ERROR(Expect('('));
       std::string st;
       PIER_RETURN_IF_ERROR(ParamValue(&st));
-      g.flush_stage = static_cast<int32_t>(std::strtol(st.c_str(), nullptr, 10));
+      g.flush_stage =
+          static_cast<int32_t>(std::strtol(st.c_str(), nullptr, 10));
       PIER_RETURN_IF_ERROR(Expect(')'));
     } else {
       return Err("unknown dissemination '" + dissem + "'");

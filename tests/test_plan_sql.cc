@@ -176,10 +176,8 @@ QueryPlan EveryFieldPlan() {
   plan.window = 3 * kSecond;
   plan.generation = 4;
   plan.deadline_us = 99 * kSecond;  // absolute instant, rides every hop
-  plan.successors = {NetAddress{7, 5000}, NetAddress{9, 5000}};
   plan.proxy_epoch = 1;
   plan.catchup_floor_us = 55 * kSecond;
-  plan.lease_period_us = 2 * kSecond;
   OpGraph& g = plan.AddGraph();
   g.dissem = DissemKind::kEquality;
   g.dissem_ns = "t";
@@ -211,12 +209,8 @@ TEST(QueryPlan, WireRoundTrip) {
   EXPECT_EQ(back->window, 3 * kSecond);
   EXPECT_EQ(back->generation, 4u);
   EXPECT_EQ(back->deadline_us, 99 * kSecond);
-  ASSERT_EQ(back->successors.size(), 2u);
-  EXPECT_EQ(back->successors[0], (NetAddress{7, 5000}));
-  EXPECT_EQ(back->successors[1], (NetAddress{9, 5000}));
   EXPECT_EQ(back->proxy_epoch, 1u);
   EXPECT_EQ(back->catchup_floor_us, 55 * kSecond);
-  EXPECT_EQ(back->lease_period_us, 2 * kSecond);
   EXPECT_FALSE(back->cancelled);
   ASSERT_EQ(back->graphs.size(), 2u);
   EXPECT_EQ(back->graphs[1].dissem_lo, -40);
@@ -248,13 +242,9 @@ TEST(QueryPlan, DecoderSurvivesTruncationGarbageAndOverCapCounts) {
     return QueryPlan::Decode(body).ok();
   });
   EXPECT_EQ(cuts, 0u);
-  // Over-cap counts: a successor chain past its cap, and a varint32 field
-  // (the generation) holding more than 32 bits.
+  // An over-cap count: a varint32 field (the generation) holding more than
+  // 32 bits.
   QueryPlan plan = EveryFieldPlan();
-  plan.successors.resize(QueryPlan::kMaxSuccessors + 1);
-  EXPECT_EQ(QueryPlan::Decode(plan.Encode()).status().code(),
-            StatusCode::kCorruption);
-  plan = EveryFieldPlan();
   plan.generation = UINT32_MAX;
   wire = plan.Encode();
   const std::string max32("\xff\xff\xff\xff\x0f", 5);
@@ -498,7 +488,10 @@ TEST(Sql, DistinctQueriesGetDistinctIds) {
 /// those two fields cut out. The Bloom case alone was re-recorded when its
 /// probe lost `wait_ms` and fetched at a flush: decoding the old plan,
 /// erasing `wait_ms` and moving the probe's graph from stage 0 to 1
-/// re-encodes to exactly the new plan.
+/// re-encodes to exactly the new plan. All were re-recorded when the plan
+/// lost its successor count and lease: putting back those two zero bytes,
+/// after the generation and after the catch-up floor, gives every case its
+/// previous digest.
 TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
   SqlOptions base;
   base.tables["t"] = TableHint{{"k"}};
@@ -548,44 +541,44 @@ TEST(Sql, PlansAreByteIdenticalToRecordedDigests) {
     uint64_t digest;
   };
   const Case cases[] = {
-      {"SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s", &base, 0x13985549d7079e38},
+      {"SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s", &base, 0x86bfcabc45d2a3d0},
       {"SELECT a, b FROM t WHERE a > 1 ORDER BY a LIMIT 3", &base,
-       0x6313709cf2be5fdc},
-      {"SELECT * FROM t WHERE k = 9", &base, 0xa02d9e4efb1ea3ee},
+       0x26dde610b25935ec},
+      {"SELECT * FROM t WHERE k = 9", &base, 0x592541b67b9ff5be},
       {"SELECT k, count(*) AS c, sum(v) AS sv FROM t GROUP BY k "
        "ORDER BY c DESC LIMIT 4",
-       &flat, 0x85f3d280de0ebebc},
+       &flat, 0xee121c1abe28406c},
       {"SELECT k, count(*) AS c FROM t WHERE v > 2 GROUP BY k "
        "ORDER BY c DESC LIMIT 4",
-       &hier, 0xaf3677760b087890},
-      {"SELECT * FROM t a, s b WHERE a.v = b.w", &base, 0x1375bdfbde9a072a},
+       &hier, 0x63898f2515607340},
+      {"SELECT * FROM t a, s b WHERE a.v = b.w", &base, 0xc533c07be88c74fa},
       {"SELECT * FROM big r, small s WHERE r.x = s.y", &bloom,
-       0x3298fdedafcbac12},
+       0x6ab5df6bd564ac22},
       {"SELECT a.v, b.w FROM t a, s b WHERE a.k = b.y AND a.v > 1", &base,
-       0x38902102dd34de79},
+       0xc6acb86d1d8eeb09},
       {"SELECT a.v, c.q FROM t a, s b, u c WHERE a.v = b.w AND b.x = c.z "
        "AND a.k + c.q > 3 LIMIT 5",
-       &base, 0x450801092f023a59},
+       &base, 0xbb7532ba01bf8669},
       // Without statistics the first FROM table starts the chain, so the
       // first WHERE edge (b-c) waits for the one that touches it (a-b).
       {"SELECT * FROM t a, s b, u c WHERE b.x = c.z AND a.v = b.w", &base,
-       0x550aaf9fc06f5bcc},
+       0xfe1dd59529e80bbc},
       // With statistics: three tables, the cheapest first step's outer is
       // its edge's b side (mid), then the intermediate joins big.
       {"SELECT * FROM big r, small s, mid m WHERE r.x = s.y AND s.w = m.z",
-       &bloom, 0x45e71702eebde8b7},
+       &bloom, 0x69b03bdbab1de727},
       // The small side (the edge's b) probes the large indexed side.
       {"SELECT * FROM build r, probe p WHERE r.j = p.j", &bloom,
-       0xb0294e82b60d6528},
+       0x0f9b6fabe29ea358},
       {"SELECT a, b FROM t WHERE a > 3 TIMEOUT 5s", &nostats,
-       0x13985549d7079e38},
+       0x86bfcabc45d2a3d0},
       {"SELECT k, count(*) AS c FROM t GROUP BY k", &nostats,
-       0x6d2438261961f58d},
+       0xd696fdcadbd0287d},
       {"SELECT * FROM t a, s b WHERE a.k = b.y AND a.v > 1", &nostats,
-       0xc8bf4e0167944a1c},
-      {"SELECT * FROM t a, s b WHERE a.v = b.w", &nostats, 0x1375bdfbde9a072a},
+       0xffdda69f621f23ec},
+      {"SELECT * FROM t a, s b WHERE a.v = b.w", &nostats, 0xc533c07be88c74fa},
       {"SELECT k, count(*) AS c FROM t GROUP BY k ORDER BY c DESC LIMIT 4",
-       &nostats, 0x1a26927fa31e7710},
+       &nostats, 0x57909e7cceabbfc0},
   };
   for (const Case& c : cases) {
     PlanExplain explain;
@@ -703,33 +696,22 @@ TEST(Ufl, InternalStampsAreNoOptions) {
   }
 }
 
-TEST(Ufl, SuccessorsAndLeaseRoundTrip) {
-  // The churn-lifecycle options: successors as a host:port chain (adoption
-  // order), lease as a duration.
-  auto plan = Client()->Compile(Ufl(R"(
-    query { timeout = 5s; continuous; window = 1s;
-            successors = 7:5000, 9:5001; lease = 2s; }
-    graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
-  )"));
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_EQ(plan->successors.size(), 2u);
-  EXPECT_EQ(plan->successors[0], (NetAddress{7, 5000}));
-  EXPECT_EQ(plan->successors[1], (NetAddress{9, 5001}));
-  EXPECT_EQ(plan->lease_period_us, 2 * kSecond);
-
-  // Malformed successors fail the parse, not the network.
-  EXPECT_FALSE(Client()
-                   ->Compile(Ufl(R"(
-    query { timeout = 5s; successors = nonsense; }
-    graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
-  )"))
-                   .ok());
-  EXPECT_FALSE(Client()
-                   ->Compile(Ufl(R"(
-    query { timeout = 5s; successors = 7:99999; }
-    graph g broadcast { s: scan [ns=events]; o: result; s -> o; }
-  )"))
-                   .ok());
+TEST(Ufl, SuccessorsAndLeaseAreNoOptions) {
+  // A continuous query's proxy is the ring owner of its current proxy's id:
+  // UFL names no failover chain and no lease.
+  for (const char* option : {"successors = 7:5000, 9:5001", "lease = 2s"}) {
+    Status s = Client()
+                   ->Compile(Ufl(std::string("query { timeout = 5s; "
+                                             "continuous; ") +
+                                 option +
+                                 "; }\n"
+                                 "graph g broadcast { s: scan [ns=events]; "
+                                 "o: result; s -> o; }"))
+                   .status();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << option;
+    EXPECT_NE(s.message().find("unknown query option"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 TEST(Executor, EffectiveWindowDefaultsAndFloors) {

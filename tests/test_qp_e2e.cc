@@ -1004,8 +1004,8 @@ TEST(QueryClock, OneWindowsPartialsMakeOneFinalRow) {
   EXPECT_EQ(rows, std::vector<int64_t>{5})
       << "one window's partials, one final row";
 
-  // A runs for a remote proxy: its clock, plus the lease tick.
-  EXPECT_EQ(EventsHeld(&net, a, meta), 2u);
+  // A runs for a remote proxy, and its clock is its only event.
+  EXPECT_EQ(EventsHeld(&net, a, meta), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1020,68 +1020,6 @@ void SendFrame(SimPier* net, uint32_t from, uint32_t to, uint8_t type,
   net->dht(from)->router()->SendFramed(net->dht(to)->local_address(),
                                        std::move(w).data());
   net->RunFor(200 * kMillisecond);
-}
-
-// A lease probe cut at any byte is not answered, and a probe response cut
-// at any byte resolves no probe. Node 0 proxies a continuous query with an
-// hour-long lease. For the response sweep it stops answering probes and
-// node 2 stops hearing its refreshes, so node 2's probe of node 0 stays
-// outstanding (half a lease) while node 0 sends the responses.
-TEST(QueryFrames, LeaseProbeAndResponseIgnoreCutAndGarbageFrames) {
-  SimPier net(4, PierOptions(97));
-  ASSERT_TRUE(net.catalog()->Register(TableSpec("t").PartitionBy({"k"})).ok());
-  constexpr TimeUs kHour = 3600 * kSecond;
-  auto q = net.client(0)->Query(
-      Sql("SELECT k FROM t TIMEOUT 20000s WINDOW 60s CONTINUOUS")
-          .WithLeasePeriod(kHour));
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  net.RunFor(kSecond);
-  ASSERT_TRUE(net.qp(2)->executor()->HasQuery(q->id()));
-  WireWriter id;
-  id.PutU64(q->id());
-
-  std::vector<std::string> replies;
-  net.dht(1)->router()->RegisterDirectType(
-      QueryExecutor::kMsgLeaseProbeResp,
-      [&replies](const NetAddress&, std::string_view body) {
-        replies.emplace_back(body);
-      });
-  auto probe = [&](const std::string& body) {
-    const size_t before = replies.size();
-    SendFrame(&net, 1, 0, QueryExecutor::kMsgLeaseProbe, body);
-    return replies.size() > before;
-  };
-  ASSERT_TRUE(probe(id.data()));
-  ASSERT_EQ(replies.size(), 1u);
-  EXPECT_EQ(replies[0], id.data() + std::string(1, '\x01')) << "proxying";
-  EXPECT_EQ(FuzzDecoder(id.data(), 61, probe), 0u);
-
-  size_t probes = 0;
-  net.dht(0)->router()->RegisterDirectType(
-      QueryExecutor::kMsgLeaseProbe,
-      [&probes](const NetAddress&, std::string_view) { probes++; });
-  net.dht(2)->router()->set_broadcast_handler([](std::string_view) {});
-  const QueryExecutor* exec = net.qp(2)->executor();
-  auto verdicts = [&] {
-    uint64_t n = 0;
-    for (const auto& [verdict, count] : exec->stats().probe_verdicts)
-      n += count;
-    return n;
-  };
-  auto respond = [&](const std::string& body) {
-    const uint64_t before = verdicts();
-    SendFrame(&net, 0, 2, QueryExecutor::kMsgLeaseProbeResp, body);
-    return verdicts() > before;
-  };
-  const std::string resp = id.data() + std::string(1, '\x01');
-  net.RunFor(kHour + kHour / 4);  // the lease runs out; one probe goes out
-  ASSERT_EQ(probes, 1u);
-  ASSERT_TRUE(respond(resp));
-  EXPECT_EQ(exec->stats().probe_verdicts.at("proxying"), 1u);
-  net.RunFor(kHour + kHour / 4);  // the renewed lease runs out too
-  ASSERT_EQ(probes, 2u);
-  EXPECT_EQ(FuzzDecoder(resp, 62, respond), 0u);
-  EXPECT_TRUE(exec->HasQuery(q->id())) << "no verdict reaped the query";
 }
 
 // A cost snapshot cut at any byte replaces nothing. An answer batch cut

@@ -67,8 +67,12 @@ are all invisible to the compiler and tedious for reviewers:
                   path names no file (relative to the checkout, the README's
                   directory or src/; a bare file name anywhere in the source
                   directories), or no header under src/ that defines the
-                  class names the member. Deleting a name the READMEs cite
-                  must take the citation with it. Tree-wide, like msg-type.
+                  class names the member. Also a test cited by name in
+                  parentheses after a backticked test binary, as in
+                  `test_dht` (`OwnerCache`): each name must be the suite or
+                  the test of a TEST*(Suite, Name) in tests/test_dht.cc.
+                  Deleting a name the READMEs cite must take the citation
+                  with it. Tree-wide, like msg-type.
 
 Driving: reads compile_commands.json (pass -p BUILD_DIR) for the TU list and,
 when the libclang python bindings are importable, uses the clang AST; without
@@ -165,6 +169,10 @@ MEMBER_REF = re.compile(r"^([A-Z]\w*)((?:::~?\w+)+)(?:\(.*\))?$")
 PATH_REF = re.compile(r"^[\w.*-]+(?:/[\w.*-]+)*/?$")
 PATH_SUFFIX = re.compile(r"\.(cc|h|md|py|json|txt|yml|\*)$")
 SOURCE_DIRS = ("src", "tests", "bench", "benchmark", "tools", "examples")
+# A test binary followed by a parenthesized list of backticked names, and the
+# suites and tests a test file defines.
+TEST_CITE = re.compile(r"`(test_\w+)`\s*\(((?:\s*`\w+`\s*,?)+)\)")
+TEST_DEF = re.compile(r"\bTEST\w*\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 
 SUPPRESS = re.compile(r"//\s*pier-lint:\s*allow\(([^)]*)\)")
 PRETEND_PATH = re.compile(r"//\s*pier-lint-test:\s*pretend-path=(\S+)")
@@ -575,6 +583,36 @@ def readme_refs(readme_text):
             for m in BACKTICKED.finditer(text)]
 
 
+def test_citations(readme_text):
+    """(line, test binary, name) of each name cited in parentheses after a
+    backticked test binary, outside fenced code blocks."""
+    text = FENCE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), readme_text)
+    return [(line_of(text, m.start(2) + n.start()), m.group(1), n.group(1))
+            for m in TEST_CITE.finditer(text)
+            for n in re.finditer(r"`(\w+)`", m.group(2))]
+
+
+def check_test_citations(path, text, root, diags):
+    """Each test name `path` cites must be a suite or a test of a TEST*
+    macro in tests/<binary>.cc of the checkout at `root`."""
+    defined = {}
+    for line, binary, name in test_citations(text):
+        if binary not in defined:
+            try:
+                with open(os.path.join(root, "tests", binary + ".cc"),
+                          encoding="utf-8") as fh:
+                    src = strip_comments_and_strings(fh.read())
+            except OSError:
+                src = ""
+            defined[binary] = {n for m in TEST_DEF.finditer(src)
+                               for n in m.groups()}
+        if name not in defined[binary]:
+            diags.append(Diagnostic(
+                path, line, "readme-ref",
+                "`%s` (`%s`) does not resolve: tests/%s.cc defines no "
+                "TEST suite or test named %s" % (binary, name, binary, name)))
+
+
 def class_headers(headers):
     """Class or struct name -> the stripped text of each header defining it."""
     defs = {}
@@ -602,6 +640,7 @@ def check_readme_refs(readmes, headers, root, diags):
                  for _r, _d, names in os.walk(os.path.join(root, d))
                  for n in names}
     for path, text in sorted(readmes.items()):
+        check_test_citations(path, text, root, diags)
         for line, ref in readme_refs(text):
             m = MEMBER_REF.match(ref)
             if m:
