@@ -270,16 +270,12 @@ void QueryExecutor::ClockTick(uint64_t query_id) {
     DoStop(query_id);
     return;
   }
-  // The ring names the proxy: once this node owns the proxy's id, the proxy
-  // has left the ring and this node takes the query over, before this
-  // tick's flush sends answers to a dead node. AdoptQuery updates this
-  // record's proxy in place (StartGraphs with its metadata).
-  const NetAddress& proxy = rq.meta.proxy;
-  if (rq.meta.continuous && proxy != dht_->local_address() &&
-      !proxy.IsNull() &&
-      dht_->router()->protocol()->IsOwner(
-          NodeIdFromAddress(proxy.host, proxy.port)))
-    proxy_->AdoptQuery(rq.meta);
+  // The ring names the proxy, checked before this tick's flush sends
+  // answers: this node adopts the query once it owns the proxy's id, and
+  // hands an adoption back once the node it took over from owns its own id
+  // again. Either updates this record's proxy in place (StartGraphs with
+  // the new metadata).
+  if (rq.meta.continuous) proxy_->FollowRing(rq.meta);
   for (auto& inst : rq.instances) {
     if (inst->next_flush > now) continue;
     inst->next_flush =

@@ -11,7 +11,8 @@
 // frame an executing node sends for a query: answer batches with their
 // piggybacked cost block, and the teardown cost snapshot. QueryProcessor
 // (the proxy role) receives them. The executor calls the proxy directly for
-// only three things: adopting a query whose proxy's id this node now owns,
+// only three things: the ring rule of a query's proxy (adopting a query
+// whose proxy's id this node now owns, or handing an adoption back),
 // delivering answers and the teardown cost snapshot when this node is the
 // query's proxy, and reading a continuous query's durable plan record to
 // repair a missed swap.
@@ -153,7 +154,10 @@ class QueryExecutor {
   //     it does not expect (QueryProcessor::HandleAnswerBatchMsg).
   // An adopted query that no client attaches to within
   // QueryProcessor::kAttachGrace is cancelled at the adopter; executors
-  // tear down on the cancel broadcast.
+  // tear down on the cancel broadcast. An adoption of a proxy that is still
+  // alive (a ring view that dropped it for a moment) is handed back, also
+  // at a clock tick, once that proxy owns its id again
+  // (QueryProcessor::FollowRing).
 
   struct Stats {
     uint64_t proxy_failovers = 0;    // answers re-targeted at a new owner
@@ -219,7 +223,7 @@ class QueryExecutor {
   /// flushes and its deadline (now, once it is stopping), unless armed there.
   void ArmClock(RunningQuery* rq);
   /// The clock fired: close the query if it is stopping or at its deadline,
-  /// else adopt a continuous query whose proxy's id this node now owns,
+  /// else apply a continuous query's ring rule (QueryProcessor::FollowRing),
   /// flush the graphs that are due, advance each, and re-arm.
   void ClockTick(uint64_t query_id);
   void DoStop(uint64_t query_id);

@@ -163,6 +163,8 @@ Status QueryProcessor::RewindowQuery(uint64_t query_id, TimeUs window) {
     return Status::NotSupported("only continuous queries can be rewindowed");
   QueryPlan& plan = it->second.plan;
   plan.window = window;
+  // The record keeps the window too: an adopter takes its plan from it.
+  StoreDurablePlan(plan);
   // Metadata-only refresh: same generation, no graphs. Every node running
   // the query's opgraphs adopts the window at its next boundary; nodes that
   // never saw the query ignore it (the executor refuses to create queries
@@ -236,6 +238,7 @@ void QueryProcessor::AdoptQuery(QueryPlan meta) {
                   << meta.proxy.ToString();
 
   ClientQuery client;
+  client.adopted_from = meta.proxy;
   client.plan = std::move(meta);
   client.plan.proxy = dht_->local_address();
   client.plan.proxy_epoch++;
@@ -244,75 +247,172 @@ void QueryProcessor::AdoptQuery(QueryPlan meta) {
   // proxy's would have.
   client.done_timer = ArmDoneTimer(
       qid, std::max<TimeUs>(0, client.plan.deadline_us - vri_->Now()));
-  // An orphan ends by one rule: no client within the grace, no query.
-  client.attach_timer =
-      vri_->ScheduleEvent(kAttachGrace, [this, qid]() {
-        auto it = clients_.find(qid);
-        if (it == clients_.end()) return;
-        it->second.attach_timer = 0;
-        PIER_LOG(kInfo) << "cancelling adopted query " << qid
-                        << ": no client attached";
-        CancelQuery(qid);
-      });
+  client.attach_timer = ArmAttachGrace(qid);
   clients_[qid] = std::move(client);
   BindQueryMetrics(&clients_[qid], qid);
 
-  // The plan's graphs come from the durable record (a record read for
-  // stray answers already holds them). Adoption is optimistic, and the
-  // record is also its correction: a tombstone un-adopts (an unreadable
-  // record just means the query drains at its deadline). Otherwise the
-  // record is stored again naming this node, so the owner of THIS node's id
-  // adopts in turn if it leaves.
-  auto take_record = [this, qid](QueryPlan record) {
+  // The durable record is the plan's authority: a record read for stray
+  // answers is `meta` itself, otherwise it is read now. A tombstone
+  // un-adopts. A record at least as new as this node's view supplies the
+  // whole plan (this node may have missed a swap or a rewindow), and only
+  // the proxy identity is this node's; it is stored again naming this node,
+  // so the owner of THIS node's id adopts in turn if it leaves. An older or
+  // unreadable record is never overwritten. Then the adoption is announced:
+  // a metadata broadcast with the advanced proxy_epoch re-targets every
+  // executor's answers at this node, and this node's own executor follows
+  // at once.
+  auto take_record = [this, qid](Result<QueryPlan> record) {
     auto cit = clients_.find(qid);
     if (cit == clients_.end()) return;
-    if (record.cancelled) {
+    if (record.ok() && record->cancelled) {
       PIER_LOG(kInfo) << "un-adopting query " << qid
                       << ": its record is a cancel tombstone";
       CancelQuery(qid);
       return;
     }
     QueryPlan& plan = cit->second.plan;
-    if (record.generation < plan.generation) return;  // stale copy
-    plan.graphs = std::move(record.graphs);
-    StoreDurablePlan(plan);
+    if (record.ok() && record->generation >= plan.generation) {
+      const uint32_t epoch =
+          std::max(plan.proxy_epoch, record->proxy_epoch + 1);
+      plan = std::move(*record);
+      plan.proxy = dht_->local_address();
+      plan.proxy_epoch = epoch;
+      StoreDurablePlan(plan);
+    }
+    Status local = executor_->StartGraphs(BroadcastMetadata(plan), {});
+    if (!local.ok()) {
+      PIER_LOG(kWarn) << "local adoption rejected: " << local.ToString();
+    }
   };
   QueryPlan& plan = clients_[qid].plan;
   if (!plan.graphs.empty()) {
     take_record(plan);
   } else {
-    ReadDurablePlan(plan, [take_record](Result<QueryPlan> record) {
-      if (record.ok()) take_record(std::move(*record));
-    });
-  }
-
-  // Announce the adoption: a same-generation metadata broadcast with the
-  // advanced proxy_epoch re-targets every executor's answer routing at this
-  // node. This node's own executor follows at once.
-  auto it = clients_.find(qid);
-  if (it == clients_.end()) return;  // un-adopted by a local tombstone read
-  Status local =
-      executor_->StartGraphs(BroadcastMetadata(it->second.plan), {});
-  if (!local.ok()) {
-    PIER_LOG(kWarn) << "local adoption rejected: " << local.ToString();
+    ReadDurablePlan(plan, take_record);
   }
 }
 
+uint64_t QueryProcessor::ArmAttachGrace(uint64_t query_id) {
+  // An orphan ends by one rule: no client within the grace, no query. An
+  // adoption the ring has taken back (the node it was adopted from owns
+  // its id again) is first reviewed, and waits one more grace.
+  return vri_->ScheduleEvent(kAttachGrace, [this, query_id]() {
+    auto it = clients_.find(query_id);
+    if (it == clients_.end()) return;
+    ClientQuery& c = it->second;
+    c.attach_timer = 0;
+    if (!c.adopted_from.IsNull() && !OwnsIdOf(c.adopted_from)) {
+      c.attach_timer = ArmAttachGrace(query_id);
+      ReviewAdoption(query_id);  // may hand back, and end `c`, at once
+      return;
+    }
+    PIER_LOG(kInfo) << "cancelling adopted query " << query_id
+                    << ": no client attached";
+    CancelQuery(query_id);
+  });
+}
+
+bool QueryProcessor::OwnsIdOf(const NetAddress& node) const {
+  return dht_->router()->protocol()->IsOwner(
+      NodeIdFromAddress(node.host, node.port));
+}
+
+void QueryProcessor::FollowRing(const QueryPlan& meta) {
+  const NetAddress& proxy = meta.proxy;
+  if (proxy.IsNull()) return;
+  if (proxy != dht_->local_address()) {
+    // This node owns the proxy's id: the proxy has left the ring.
+    if (OwnsIdOf(proxy)) AdoptQuery(meta);
+    return;
+  }
+  auto it = clients_.find(meta.query_id);
+  if (it != clients_.end() && !it->second.adopted_from.IsNull() &&
+      !OwnsIdOf(it->second.adopted_from))
+    ReviewAdoption(meta.query_id);
+}
+
+void QueryProcessor::ReviewAdoption(uint64_t query_id) {
+  ClientQuery& c = clients_.at(query_id);
+  if (c.reviewing) return;
+  c.reviewing = true;
+  const NetAddress from = c.adopted_from;
+  dht_->router()->Lookup(
+      NodeIdFromAddress(from.host, from.port),
+      [this, query_id, from](const Result<OverlayRouter::Owner>& owner) {
+        auto it = clients_.find(query_id);
+        if (it == clients_.end()) return;
+        it->second.reviewing = false;
+        if (!owner.ok() || owner->address == dht_->local_address()) return;
+        if (owner->address == from) {
+          HandBack(it);
+        } else {
+          // A node that joined since owns that id: this adoption stands.
+          it->second.adopted_from = NetAddress();
+        }
+      });
+}
+
+void QueryProcessor::HandBack(std::map<uint64_t, ClientQuery>::iterator it) {
+  // The node this one adopted the query from is alive and owns its id: the
+  // adoption rested on a ring view that has since healed. Name it the proxy
+  // again, under the next epoch, and end this node's record without a
+  // cancel: the query goes on at the node whose client never left.
+  const uint64_t qid = it->first;
+  stats_.handbacks++;
+  QueryPlan plan = it->second.plan;
+  PIER_LOG(kInfo) << "handing query " << qid << " back to "
+                  << it->second.adopted_from.ToString();
+  plan.proxy = it->second.adopted_from;
+  plan.proxy_epoch++;
+  if (!plan.graphs.empty()) StoreDurablePlan(plan);
+  QueryPlan meta = BroadcastMetadata(std::move(plan));
+  DoneCallback done = EndClient(it);
+  Status local = executor_->StartGraphs(meta, {});
+  if (!local.ok()) {
+    PIER_LOG(kWarn) << "local hand-back rejected: " << local.ToString();
+  }
+  if (done) done();
+}
+
 void QueryProcessor::AdoptFromRecord(uint64_t query_id) {
-  if (!record_reads_.insert(query_id).second) return;  // one read at a time
+  // Answers for a query this node does not proxy may come from any peer,
+  // so the reads they cause are bounded: one per query at a time, a few in
+  // total, and none again for a while once a record said no.
+  const TimeUs now = vri_->Now();
+  auto miss = record_misses_.find(query_id);
+  if (miss != record_misses_.end()) {
+    if (now < miss->second) return;
+    record_misses_.erase(miss);
+  }
+  if (record_reads_.size() >= kMaxRecordReads ||
+      !record_reads_.insert(query_id).second)
+    return;
+  stats_.record_reads++;
   QueryPlan meta;
   meta.query_id = query_id;
+  meta.replicas = dht_->max_replication_factor();
   ReadDurablePlan(meta, [this, query_id](Result<QueryPlan> record) {
     record_reads_.erase(query_id);
-    if (!record.ok() || record->cancelled ||
-        record->deadline_us <= vri_->Now())
+    const TimeUs now = vri_->Now();
+    // Adopt when the record's proxy id falls in this node's range: the
+    // proxy left and this node succeeds it, or the record names this node,
+    // which holds no client for it (it lost its state in a restart).
+    if (record.ok() && !record->cancelled && record->deadline_us > now &&
+        OwnsIdOf(record->proxy)) {
+      AdoptQuery(std::move(*record));
       return;
-    const NetAddress& proxy = record->proxy;
-    if (proxy == dht_->local_address() ||
-        !dht_->router()->protocol()->IsOwner(
-            NodeIdFromAddress(proxy.host, proxy.port)))
-      return;
-    AdoptQuery(std::move(*record));
+    }
+    // A finished record stays finished until it drains; anything else may
+    // change sooner (the ring may yet hand this node the proxy's id).
+    TimeUs until = now + kRecordMissTtl;
+    if (record.ok() && (record->cancelled || record->deadline_us <= now))
+      until = std::max(until, record->deadline_us + kDoneSlack);
+    if (record_misses_.size() >= kMaxRecordMisses) {
+      for (auto m = record_misses_.begin(); m != record_misses_.end();)
+        m = m->second <= now ? record_misses_.erase(m) : std::next(m);
+    }
+    if (record_misses_.size() < kMaxRecordMisses)
+      record_misses_[query_id] = until;
   });
 }
 
@@ -430,6 +530,13 @@ void QueryProcessor::HandleDisseminationBlob(std::string_view blob) {
   stats_.graphs_received += plan->graphs.size();
   QueryPlan meta = *plan;
   meta.graphs.clear();
+  // A hand-back names this node the proxy again under a later epoch: its
+  // own record takes the epoch, so its next swap or rewindow outranks the
+  // adoption at every executor.
+  auto cit = clients_.find(meta.query_id);
+  if (cit != clients_.end() && meta.proxy == dht_->local_address() &&
+      meta.proxy_epoch > cit->second.plan.proxy_epoch)
+    cit->second.plan.proxy_epoch = meta.proxy_epoch;
   Status started = executor_->StartGraphs(meta, plan->graphs);
   if (!started.ok()) {
     PIER_LOG(kWarn) << "disseminated graphs for query " << plan->query_id

@@ -13,7 +13,8 @@
 // the proxy's records (ClientQuery), dissemination, and the receivers of
 // what executors send: answer batches and teardown cost snapshots. Its
 // QueryExecutor owns the executing role and every frame an executing node
-// sends; it calls back here only to adopt a query (AdoptQuery), to deliver
+// sends; it calls back here only for the ring rule of a query's proxy
+// (FollowRing at a clock tick, AdoptQuery after a forward gave up), to deliver
 // answers when this node is the proxy, and to read a query's durable record
 // after a missed swap (ReadDurablePlan).
 //
@@ -38,11 +39,14 @@
 //     adopts when the record's proxy id falls in its range. Adoption bumps
 //     proxy_epoch (higher wins at executors), stores the record again
 //     naming this node, and broadcasts the metadata, so every executor
-//     re-targets its answers. Answers arriving before a client attaches
-//     (PierClient::Attach / QueryHandle::Reattach) are buffered, bounded,
-//     and replayed on attach. An adopted query that no client attaches to
-//     within kAttachGrace is cancelled (CancelQuery: the tombstone, stored
-//     and broadcast).
+//     re-targets its answers. A ring view can hand a LIVE proxy's id to
+//     its successor for a moment; the adopter hands the query back
+//     (HandBack, the next epoch, no cancel) once a lookup names the node
+//     it adopted from as that id's owner again. Answers arriving before a
+//     client attaches (PierClient::Attach / QueryHandle::Reattach) are
+//     buffered, bounded, and replayed on attach. An adopted query that no
+//     client attaches to within kAttachGrace is cancelled (CancelQuery:
+//     the tombstone, stored and broadcast).
 //   * Swap-time catch-up suppression. SwapQuery stamps the new generation
 //     with catchup_floor_us (proxy clock, carried on the wire); swapped-in
 //     Scan / catch-up NewData operators skip soft state stored before it,
@@ -155,6 +159,14 @@ class QueryProcessor {
   /// deadline.
   static constexpr TimeUs kAttachGrace = 10 * kSecond;
 
+  /// Bounds on the record reads that answers for a query this node does
+  /// not proxy cause (the forward-give-up failover path): at most
+  /// kMaxRecordReads at once, and none for kRecordMissTtl for a query whose
+  /// record said no, kept for at most kMaxRecordMisses queries.
+  static constexpr size_t kMaxRecordReads = 4;
+  static constexpr TimeUs kRecordMissTtl = 2 * kSecond;
+  static constexpr size_t kMaxRecordMisses = 256;
+
   // --- Continuous-query lifecycle (this node must be the proxy) -------------
 
   /// Adjust a running continuous query's window. The change is broadcast as
@@ -221,6 +233,8 @@ class QueryProcessor {
     uint64_t answers_forwarded = 0;  // sent toward a remote proxy
     uint64_t answers_delivered = 0;  // handed to a local client
     uint64_t adoptions = 0;          // proxy roles taken over via failover
+    uint64_t handbacks = 0;          // adoptions returned to a live proxy
+    uint64_t record_reads = 0;       // record reads for unexpected answers
     uint64_t answers_buffered = 0;   // held for a not-yet-attached client
     uint64_t malformed_broadcasts = 0;  // undecodable plans dropped
   };
@@ -266,6 +280,11 @@ class QueryProcessor {
     /// the kAttachGrace countdown. Both are released by Release().
     uint64_t done_timer = 0;
     uint64_t attach_timer = 0;
+    /// An adopted query's previous proxy, kept while this node's claim may
+    /// still be handed back to it (ReviewAdoption); null otherwise.
+    NetAddress adopted_from;
+    /// A ReviewAdoption lookup is in flight.
+    bool reviewing = false;
     /// Latest per-op meter snapshot from each executor, this node's own
     /// included (absolute values: each replaces its sender's previous one).
     std::map<NetAddress, std::map<QueryMeter::Key, OpCost>> costs;
@@ -280,9 +299,28 @@ class QueryProcessor {
   static constexpr size_t kPendingAnswerCap = 4096;
 
   /// Answers arrived for `query_id`, which this node does not proxy: read
-  /// its durable record (one read per query at a time) and adopt when the
-  /// record's proxy id now falls in this node's range.
+  /// its durable record and adopt when the record's proxy id now falls in
+  /// this node's range. At most kMaxRecordReads reads run at once, one per
+  /// query; a record that says no (missing, ended, not this node's) is not
+  /// read again for kRecordMissTtl, or until it drains if it ended.
   void AdoptFromRecord(uint64_t query_id);
+  /// The ring rule at a clock tick of the continuous query `meta`
+  /// describes (QueryExecutor::ClockTick): adopt it when this node owns
+  /// its proxy's id; review an adoption once this node no longer owns the
+  /// id of the node it adopted the query from.
+  void FollowRing(const QueryPlan& meta);
+  /// Look up the owner of the adopted-from node's id: when that node owns
+  /// it again, hand the query back (HandBack); when a third node does, the
+  /// adoption stands and is not reviewed again.
+  void ReviewAdoption(uint64_t query_id);
+  /// Name the adopted-from node the proxy again under the next epoch (the
+  /// record and a metadata broadcast), and end this node's record without
+  /// a cancel; a client attached here gets its on_done.
+  void HandBack(std::map<uint64_t, ClientQuery>::iterator it);
+  /// Arm the kAttachGrace countdown of an adopted query.
+  uint64_t ArmAttachGrace(uint64_t query_id);
+  /// Does this node own `node`'s ring id?
+  bool OwnsIdOf(const NetAddress& node) const;
   /// The one teardown of a record's timers: run by EndClient and
   /// ~QueryProcessor.
   void Release(ClientQuery* client);
@@ -340,6 +378,8 @@ class QueryProcessor {
   std::map<uint64_t, ClientQuery> clients_;
   /// Queries whose record AdoptFromRecord is reading.
   std::set<uint64_t> record_reads_;
+  /// Queries whose record AdoptFromRecord found wanting, until when.
+  std::map<uint64_t, TimeUs> record_misses_;
   uint64_t dissem_sub_ = 0;
   Stats stats_;
   MetricsRegistry* metrics_ = nullptr;

@@ -92,6 +92,20 @@ uint32_t RingSuccessor(SimPier* net, uint32_t node) {
   return best;
 }
 
+/// The live node whose ring id precedes `node`'s: the one whose successor
+/// list names `node` first.
+uint32_t RingPredecessor(SimPier* net, uint32_t node) {
+  const Id to = net->dht(node)->local_id();
+  uint32_t best = node;
+  for (uint32_t i = 0; i < net->size(); ++i) {
+    if (i == node || !net->harness()->IsAlive(i)) continue;
+    if (best == node || RingDistance(net->dht(i)->local_id(), to) <
+                            RingDistance(net->dht(best)->local_id(), to))
+      best = i;
+  }
+  return best;
+}
+
 /// Does live node `i` own `dead`'s ring id now?
 bool OwnsIdOf(SimPier* net, uint32_t i, uint32_t dead) {
   return net->dht(i)->router()->protocol()->IsOwner(
@@ -188,6 +202,70 @@ TEST(Failover, ProxyKillHandsTheQueryToTheOwnerOfItsId) {
   const uint32_t other = successor == 3 ? 4 : 3;
   EXPECT_EQ(net.client(other)->Attach(qid).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(Failover, AnAdoptionOfALiveProxyIsHandedBackOnceTheRingHeals) {
+  // A brief fault can hand a LIVE proxy's id to its ring successor: one
+  // UdpCC give-up makes the router's re-cover drop the proxy at the nodes
+  // it passes, the successor's predecessor is cleared, and the proxy's
+  // predecessor notifies the successor first. The successor adopts at its
+  // next tick. Once the proxy's own stabilization restores it as the
+  // successor's predecessor, the adopter finds the proxy owning its id
+  // again and hands the query back: the submitting client keeps receiving
+  // answers, and the query is never cancelled.
+  SimPier net(10, PierOptions(211));
+  RegisterEv(&net);
+  int64_t next_id = 0;
+  auto q = net.client(1)->Query(CountingQuery());
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const uint64_t qid = q->id();
+  size_t answers = 0;
+  q->OnTuple([&](const Tuple&) { answers++; });
+  for (int i = 0; i < 4; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  ASSERT_GT(answers, 0u);
+
+  const uint32_t succ = RingSuccessor(&net, 1);
+  const uint32_t pred = RingPredecessor(&net, 1);
+  const NetAddress proxy = net.dht(1)->local_address();
+  bool adopted = false;
+  for (int i = 0; i < 200 && !adopted; ++i) {
+    for (uint32_t n : {succ, pred})
+      net.dht(n)->router()->protocol()->OnPeerUnreachable(proxy);
+    if (i % 10 == 0) PublishEv(&net, &next_id);
+    net.RunFor(100 * kMillisecond);
+    adopted = net.qp(succ)->stats().adoptions > 0;
+  }
+  ASSERT_TRUE(adopted) << "test premise: the successor adopts for a moment";
+
+  // Past the attach grace, with the ring left to heal.
+  for (int i = 0; i < 8; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  EXPECT_EQ(net.qp(succ)->stats().handbacks, 1u);
+  EXPECT_EQ(Proxies(&net, qid), std::vector<uint32_t>{1});
+  auto plan = net.qp(1)->ProxyPlan(qid);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->proxy_epoch, 2u) << "the hand-back's epoch reached it";
+  auto record = ReadRecord(&net, 0, qid);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(record->proxy, proxy);
+  EXPECT_EQ(record->proxy_epoch, 2u);
+  EXPECT_FALSE(record->graphs.empty());
+
+  const size_t before = answers;
+  for (int i = 0; i < 8; ++i) {
+    PublishEv(&net, &next_id);
+    net.RunFor(kSecond);
+  }
+  EXPECT_GT(answers, before) << "the submitting client lost its answers";
+  EXPECT_FALSE(q->done());
+  EXPECT_EQ(LiveExecutorsRunning(&net, qid), net.size())
+      << "the query was cancelled";
+  EXPECT_EQ(net.qp(succ)->stats().adoptions, 1u);
 }
 
 TEST(Failover, AnAdopterKillHandsTheQueryOnToTheOwnerOfItsId) {
@@ -658,6 +736,104 @@ TEST(Failover, AMissedSwapRepairedAfterTheProxyDiedAnswersTheAdopter) {
   EXPECT_EQ(net.qp(adopter)->stats().answers_delivered, delivered + 4);
   net.RunFor(8 * kSecond);
   EXPECT_EQ(missed->stats().forward_failures, failures);
+}
+
+TEST(Failover, AnAdopterThatMissedTheSwapTakesTheRecordsPlan) {
+  // The proxy's ring successor itself misses a swap, and then the proxy
+  // dies. The successor adopts from its own executor's stale generation,
+  // but takes the record's whole plan: it re-stores the record at the
+  // swapped generation, its announcement carries that generation (so the
+  // executors already on it follow), its own executor repairs the swap, and
+  // its next swap is a new generation everywhere.
+  SimPier net(8, PierOptions(283));
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("loc").LocalOnly()).ok());
+  const uint32_t adopter = RingSuccessor(&net, 1);
+  const uint32_t other = adopter == 5 ? 6 : 5;
+  auto text = [](const std::string& where) {
+    return Sql("SELECT * FROM loc" + where +
+               " TIMEOUT 60s WINDOW 1s CONTINUOUS");
+  };
+  auto q = net.client(1)->Query(text(""));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const uint64_t qid = q->id();
+  net.RunFor(2 * kSecond);
+
+  // From here the adopter drops whatever the original proxy disseminates
+  // for a later generation.
+  const NetAddress first_proxy = net.dht(1)->local_address();
+  QueryExecutor* missed = net.qp(adopter)->executor();
+  net.dht(adopter)->router()->set_broadcast_handler(
+      [missed, first_proxy, qid](std::string_view payload) {
+        Result<QueryPlan> plan = QueryPlan::Decode(payload);
+        if (!plan.ok()) return;
+        if (plan->query_id == qid && plan->proxy == first_proxy &&
+            plan->generation > 0)
+          return;
+        QueryPlan meta = *plan;
+        meta.graphs.clear();
+        (void)missed->StartGraphs(meta, plan->graphs);
+      });
+  // The swapped-in generation's operator, identified by its kind.
+  auto runs = [&](QueryExecutor* ex, const QueryPlan& plan, OpKind kind) {
+    for (const OpSpec& op : plan.graphs[0].ops) {
+      if (op.kind != kind) continue;
+      Operator* found = ex->FindOp(qid, plan.graphs[0].id, op.id);
+      return found != nullptr && found->spec().kind == kind;
+    }
+    return false;
+  };
+  auto filtered = net.client(1)->Compile(text(" WHERE v >= 0"));
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  const QueryPlan swapped = *filtered;
+  ASSERT_TRUE(net.qp(1)->SwapQuery(qid, std::move(*filtered)).ok());
+  net.RunFor(2 * kSecond);
+  ASSERT_FALSE(runs(missed, swapped, OpKind::kSelection))
+      << "test premise: the adopter must miss the swap";
+  ASSERT_TRUE(
+      runs(net.qp(other)->executor(), swapped, OpKind::kSelection))
+      << "test premise: everyone else swapped";
+  auto at_swap = ReadRecord(&net, 0, qid);
+  ASSERT_TRUE(at_swap.ok()) << at_swap.status().ToString();
+  ASSERT_EQ(at_swap->generation, 1u);
+
+  net.harness()->FailNode(1);
+  ASSERT_EQ(RunUntilAdopted(&net, qid, 1, kAdoptWithin),
+            static_cast<int>(adopter));
+  auto attached = net.client(adopter)->Attach(qid);
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  net.RunFor(2 * kSecond);
+  auto plan = net.qp(adopter)->ProxyPlan(qid);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->generation, 1u);
+  EXPECT_EQ(plan->proxy_epoch, 1u);
+  EXPECT_EQ(plan->catchup_floor_us, at_swap->catchup_floor_us);
+  auto record = ReadRecord(&net, 0, qid);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(record->generation, 1u) << "a stale generation overwrote it";
+  EXPECT_EQ(record->proxy, net.dht(adopter)->local_address());
+  EXPECT_EQ(record->graphs.size(), at_swap->graphs.size());
+  EXPECT_TRUE(runs(missed, swapped, OpKind::kSelection))
+      << "the adopter's own executor still runs the superseded generation";
+
+  // Rows published at `other`, which ran the swapped generation all along,
+  // reach the adopter: it followed the announcement.
+  const uint64_t delivered = net.qp(adopter)->stats().answers_delivered;
+  Tuple t("loc");
+  t.Append("v", Value::Int64(1));
+  ASSERT_TRUE(net.client(other)->Publish("loc", t).ok());
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(net.qp(adopter)->stats().answers_delivered, delivered + 1);
+
+  // The adopter's next swap is generation 2, which every node runs.
+  auto projected = net.client(adopter)->Compile(
+      Sql("SELECT v FROM loc WHERE v >= 0 TIMEOUT 60s WINDOW 1s CONTINUOUS"));
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  const QueryPlan next = *projected;
+  ASSERT_TRUE(net.qp(adopter)->SwapQuery(qid, std::move(*projected)).ok());
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(net.qp(adopter)->ProxyPlan(qid)->generation, 2u);
+  EXPECT_TRUE(runs(net.qp(other)->executor(), next, OpKind::kProjection))
+      << "the next swap did not reach a node already on generation 1";
 }
 
 TEST(Failover, ReattachedHandleKeepsCountingAndAttachResumesReplanning) {

@@ -1110,6 +1110,50 @@ TEST(QueryFrames, CostsAndAnswerBatchIgnoreCutAndGarbageFrames) {
       << "exactly the cuts that keep every row deliver";
 }
 
+// An answer frame for a query the receiver does not proxy reads the query's
+// durable record (the forward-give-up failover path), but any peer can send
+// one: a qid whose record said no is not read again within kRecordMissTtl,
+// and a burst of unknown qids runs at most kMaxRecordReads reads at once.
+TEST(QueryFrames, AnswersForUnknownQueriesCostBoundedRecordReads) {
+  SimPier net(4, PierOptions(99));
+  std::vector<Tuple> rows(1, Tuple("t"));
+  rows[0].Append("k", Value::Int64(1));
+  const TupleBatch batch = TupleBatch::FromTuples(rows);
+  auto frame = [&](uint64_t qid) {
+    WireWriter w = OverlayRouter::FrameMessage(QueryExecutor::kMsgAnswerBatch);
+    w.PutU64(qid);
+    batch.EncodeTo(&w);
+    return std::move(w).data();
+  };
+  const NetAddress to = net.dht(0)->local_address();
+  auto send = [&](uint64_t qid) {
+    net.dht(1)->router()->SendFramed(to, frame(qid));
+  };
+  QueryProcessor* qp = net.qp(0);
+  const uint64_t gets = net.dht(0)->stats().gets;
+
+  for (int i = 0; i < 5; ++i) {
+    send(4242);
+    net.RunFor(200 * kMillisecond);
+  }
+  EXPECT_EQ(qp->stats().record_reads, 1u) << "one read for one qid";
+  net.RunFor(QueryProcessor::kRecordMissTtl);
+  send(4242);
+  net.RunFor(200 * kMillisecond);
+  EXPECT_EQ(qp->stats().record_reads, 2u) << "read again after the TTL";
+
+  // A read of a missing record takes a few hundred ms: the burst lands
+  // while its first reads are all in flight.
+  net.RunFor(kSecond);
+  for (uint64_t qid = 1; qid <= 50; ++qid) send(qid);
+  net.RunFor(200 * kMillisecond);
+  EXPECT_EQ(qp->stats().record_reads, 2u + QueryProcessor::kMaxRecordReads)
+      << "a burst of unknown qids";
+  EXPECT_EQ(net.dht(0)->stats().gets - gets, qp->stats().record_reads);
+  EXPECT_EQ(qp->stats().adoptions, 0u);
+  EXPECT_EQ(qp->stats().answers_delivered, 0u);
+}
+
 TEST(QueryFrames, MalformedBroadcastsAreCountedAndExported) {
   SimPier net(4, PierOptions(53));
   PublishRows(&net, 8);
