@@ -32,12 +32,22 @@
 // (virtual-time deterministic; CI diffs it against the committed
 // BENCH_churn.json).
 //
-// PIER_BENCH_SMOKE=1 shrinks the E14 sweep for CI; E14b and E15 always run
-// whole (they ARE the regression gates).
+// E14c (appended, runs last): equality queries under E14's churn. Each key
+// holds two rows (k = 3 replication), republished every 10s; three
+// `WHERE k = …` queries run every 2s, each routed to its key's owner.
+// Reports the share of queries that returned both rows, and routing dead
+// ends, over seeds 1–3; FAILS unless the churn-free ring answers every query
+// fully with no dead end. It writes nothing to PIER_BENCH_JSON.
+//
+// PIER_BENCH_SMOKE=1 shrinks the E14 and E14c sweeps for CI; E14b and E15
+// always run whole (they ARE the regression gates).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "util/logging.h"
@@ -57,12 +67,44 @@ struct Outcome {
   uint32_t failed_nodes = 0;
 };
 
-Outcome Measure(TimeUs churn_interval, uint64_t seed) {
+/// A random live node, at index `from` or above (1 skips node 0, the
+/// bootstrap).
+uint32_t LiveNode(SimPier* net, Rng* rng, uint32_t from = 0) {
+  uint32_t i;
+  do {
+    i = from + static_cast<uint32_t>(rng->Uniform(net->size() - from));
+  } while (!net->harness()->IsAlive(i));
+  return i;
+}
+
+/// Kill one random live node (never node 0, the bootstrap) and add a fresh
+/// one that joins through node 0.
+void ChurnOnce(SimPier* net, Rng* rng) {
+  net->harness()->FailNode(LiveNode(net, rng, 1));
+  net->AddNode();
+}
+
+/// Routing dead ends on the live nodes.
+uint64_t DeadEnds(SimPier* net) {
+  uint64_t n = 0;
+  for (uint32_t i = 0; i < net->size(); ++i) {
+    if (net->harness()->IsAlive(i))
+      n += net->dht(i)->router()->stats().route_dead_ends;
+  }
+  return n;
+}
+
+/// E14's live-join ring: maintenance, not an oracle, does the repair.
+SimPier::Options ChurnOptions(uint64_t seed) {
   SimPier::Options opts;
   opts.sim.seed = seed;
-  opts.seed_routing = false;       // live joins; maintenance must do the work
+  opts.seed_routing = false;        // live joins; maintenance must do the work
   opts.settle_time = 40 * kSecond;  // initial convergence
-  SimPier net(kNodes, opts);
+  return opts;
+}
+
+Outcome Measure(TimeUs churn_interval, uint64_t seed) {
+  SimPier net(kNodes, ChurnOptions(seed));
 
   auto key = [](int i) { return "c" + std::to_string(i); };
   Rng rng(seed + 17);
@@ -75,31 +117,18 @@ Outcome Measure(TimeUs churn_interval, uint64_t seed) {
     // so ownership moves with the ring as churn proceeds.
     if (t % (10 * kSecond) == 0) {
       for (int i = 0; i < kObjects; ++i) {
-        uint32_t pub;
-        do {
-          pub = static_cast<uint32_t>(rng.Uniform(net.size()));
-        } while (!net.harness()->IsAlive(pub));
-        net.dht(pub)->Put("churn", key(i), "s", "x", 30 * kSecond);
+        net.dht(LiveNode(&net, &rng))
+            ->Put("churn", key(i), "s", "x", 30 * kSecond);
       }
     }
     if (t >= next_churn) {
       next_churn += churn_interval;
-      // Kill one random live node (never node 0, the bootstrap) and add a
-      // fresh one that joins through node 0.
-      uint32_t victim;
-      do {
-        victim = 1 + static_cast<uint32_t>(rng.Uniform(net.size() - 1));
-      } while (!net.harness()->IsAlive(victim));
-      net.harness()->FailNode(victim);
+      ChurnOnce(&net, &rng);
       failed++;
-      net.AddNode();
     }
     if (t % (2 * kSecond) == 0 && t > 20 * kSecond) {
       for (int s = 0; s < 3; ++s) {
-        uint32_t reader;
-        do {
-          reader = static_cast<uint32_t>(rng.Uniform(net.size()));
-        } while (!net.harness()->IsAlive(reader));
+        uint32_t reader = LiveNode(&net, &rng);
         int i = static_cast<int>(rng.Uniform(kObjects));
         probes++;
         net.dht(reader)->Get("churn", key(i),
@@ -114,12 +143,134 @@ Outcome Measure(TimeUs churn_interval, uint64_t seed) {
 
   Outcome out;
   out.get_success = probes ? static_cast<double>(hits) / probes : 0;
-  for (uint32_t i = 0; i < net.size(); ++i) {
-    if (net.harness()->IsAlive(i))
-      out.dead_ends += net.dht(i)->router()->stats().route_dead_ends;
-  }
+  out.dead_ends = DeadEnds(&net);
   out.failed_nodes = failed;
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// E14c: equality queries under churn
+// ---------------------------------------------------------------------------
+
+struct EqualityOutcome {
+  double fully = 0;  // share of queries that returned both of their rows
+  uint64_t dead_ends = 0;
+};
+
+/// One E14c run: E14's ring, churn and schedule, with two rows per key of a
+/// k = 3 table in place of E14's objects, and equality queries in place of
+/// its gets.
+EqualityOutcome MeasureEquality(TimeUs churn_interval, uint64_t seed) {
+  SimPier net(kNodes, ChurnOptions(seed));
+  PIER_CHECK(net.catalog()
+                 ->Register(TableSpec("eq").PartitionBy({"k"}).Replicas(3))
+                 .ok());
+  Rng rng(seed + 17);
+  // Per query, bit r is set once row r arrived. The handles stay open to
+  // the end, so each query runs to its timeout.
+  std::vector<int> seen;
+  std::vector<QueryHandle> handles;
+
+  TimeUs next_churn = churn_interval > 0 ? churn_interval : kRunTime + kSecond;
+  for (TimeUs t = 0; t < kRunTime; t += kSecond) {
+    if (t % (10 * kSecond) == 0) {
+      for (int k = 0; k < kObjects; ++k) {
+        for (int r = 0; r < 2; ++r) {
+          Tuple row("eq");
+          row.Append("k", Value::Int64(k));
+          row.Append("r", Value::Int64(r));
+          PIER_CHECK(net.client(LiveNode(&net, &rng))
+                         ->Publish("eq", row, 30 * kSecond)
+                         .ok());
+        }
+      }
+    }
+    if (t >= next_churn) {
+      next_churn += churn_interval;
+      ChurnOnce(&net, &rng);
+    }
+    if (t % (2 * kSecond) == 0 && t > 20 * kSecond) {
+      for (int s = 0; s < 3; ++s) {
+        uint32_t reader = LiveNode(&net, &rng);
+        int k = static_cast<int>(rng.Uniform(kObjects));
+        auto q = net.client(reader)->Query(Sql(
+            "SELECT * FROM eq WHERE k = " + std::to_string(k) + " TIMEOUT 3s"));
+        QueryHandle& h =
+            handles.emplace_back(std::move(bench::Check(q, "E14c query")));
+        h.OnTuple([&seen, i = seen.size()](const Tuple& row) {
+          seen[i] |= 1 << row.Get("r")->int64_unchecked();
+        });
+        seen.push_back(0);
+      }
+    }
+    net.RunFor(kSecond);
+  }
+  net.RunFor(10 * kSecond);
+
+  EqualityOutcome out;
+  out.fully = static_cast<double>(std::count(seen.begin(), seen.end(), 3)) /
+              static_cast<double>(seen.size());
+  out.dead_ends = DeadEnds(&net);
+  return out;
+}
+
+int RunEqualityCheck() {
+  bench::Title("E14c: churn — equality queries under live join/fail");
+  bench::Note("N=" + std::to_string(kNodes) + " run=" +
+              std::to_string(kRunTime / kSecond) + "s, " +
+              std::to_string(kObjects) +
+              " keys of 2 rows (k=3) republished every 10s with 30s "
+              "lifetime, 3 TIMEOUT 3s queries every 2s");
+  const std::vector<uint64_t> seeds =
+      kSmoke ? std::vector<uint64_t>{1} : std::vector<uint64_t>{1, 2, 3};
+  std::vector<std::string> header = {"churn interval"};
+  for (uint64_t seed : seeds)
+    header.push_back("full% s=" + std::to_string(seed));
+  header.insert(header.end(), {"mean full%", "dead ends"});
+  std::vector<int> w(header.size(), 14);
+  w[0] = 18;
+  bench::Row(header, w);
+  struct Case {
+    const char* name;
+    TimeUs interval;
+  };
+  std::vector<Case> cases = {Case{"none", 0}, Case{"60s", 60 * kSecond},
+                             Case{"20s", 20 * kSecond},
+                             Case{"10s", 10 * kSecond}};
+  if (kSmoke) cases = {Case{"none", 0}, Case{"20s", 20 * kSecond}};
+  // Under churn a publish warns of every index entry it drops; the full
+  // shares already count what they cost.
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);
+  int failures = 0;
+  for (const Case& c : cases) {
+    std::vector<std::string> cells = {c.name};
+    double sum = 0;
+    uint64_t dead_ends = 0;
+    for (uint64_t seed : seeds) {
+      EqualityOutcome o = MeasureEquality(c.interval, seed);
+      cells.push_back(bench::Fmt(100 * o.fully));
+      sum += o.fully;
+      dead_ends += o.dead_ends;
+      if (c.interval == 0 && (o.fully < 1 || o.dead_ends > 0)) {
+        std::fprintf(stderr,
+                     "FAIL: seed %llu answered %.1f%% of equality queries "
+                     "fully with %llu dead ends on a churn-free ring (want "
+                     "100%% and 0)\n",
+                     static_cast<unsigned long long>(seed), 100 * o.fully,
+                     static_cast<unsigned long long>(o.dead_ends));
+        failures++;
+      }
+    }
+    cells.push_back(bench::Fmt(100 * sum / static_cast<double>(seeds.size())));
+    cells.push_back(std::to_string(dead_ends));
+    bench::Row(cells, w);
+  }
+  SetLogLevel(level);
+  if (failures == 0)
+    bench::Note("ok: every equality query on a churn-free ring is answered "
+                "fully, with no dead end");
+  return failures;
 }
 
 // ---------------------------------------------------------------------------
@@ -561,7 +712,10 @@ int Run() {
       "expected shape: success degrades gracefully as churn accelerates; "
       "most misses come from objects whose owner died inside a republish "
       "window, not from routing failures (dead ends stay low).");
-  return RunFailoverCheck() + RunReplicationCheck();
+  // In this order, so that E14c's runs leave E14b's and E15's unchanged.
+  int failures = RunFailoverCheck();
+  failures += RunReplicationCheck();
+  return failures + RunEqualityCheck();
 }
 
 }  // namespace

@@ -18,7 +18,8 @@ std::string Pht::Label(uint64_t key, int len) const {
   return s;
 }
 
-void Pht::LabelRange(const std::string& label, uint64_t* lo, uint64_t* hi) const {
+void Pht::LabelRange(const std::string& label, uint64_t* lo,
+                     uint64_t* hi) const {
   uint64_t base = 0;
   for (char c : label) base = (base << 1) | (c == '1' ? 1 : 0);
   int rest = options_.key_bits - static_cast<int>(label.size());
@@ -133,10 +134,16 @@ void Pht::Insert(uint64_t key, std::string value, DoneCallback done,
   // The suffix is minted exactly once per logical item; every re-insertion
   // (split redistribution, interior-rescue) reuses it, so copies of the same
   // item replace each other at whatever label they land on.
-  std::string suffix = dht_->NextSuffix();
-  FindLeaf(key, [this, key, value = std::move(value), suffix = std::move(suffix),
-                 done = std::move(done), lifetime](
-                    const Result<std::string>& leaf) mutable {
+  FindLeafAndInsert(key, std::move(value), dht_->NextSuffix(), std::move(done),
+                    lifetime);
+}
+
+void Pht::FindLeafAndInsert(uint64_t key, std::string value,
+                            std::string suffix, DoneCallback done,
+                            TimeUs lifetime) {
+  FindLeaf(key, [this, key, value = std::move(value),
+                 suffix = std::move(suffix), done = std::move(done),
+                 lifetime](const Result<std::string>& leaf) mutable {
     if (!leaf.ok()) {
       if (done) done(leaf.status());
       return;
@@ -146,8 +153,9 @@ void Pht::Insert(uint64_t key, std::string value, DoneCallback done,
   });
 }
 
-void Pht::InsertAtLeaf(const std::string& label, uint64_t key, std::string value,
-                       std::string suffix, DoneCallback done, TimeUs lifetime) {
+void Pht::InsertAtLeaf(const std::string& label, uint64_t key,
+                       std::string value, std::string suffix,
+                       DoneCallback done, TimeUs lifetime) {
   // Write the item, ensure the leaf's meta marker exists, then check for
   // overflow. The structural marker must not expire before the item.
   TimeUs marker_lifetime = std::max(options_.lifetime, lifetime);
@@ -164,24 +172,15 @@ void Pht::InsertAtLeaf(const std::string& label, uint64_t key, std::string value
               // Overflow check.
               Probe(label, [this, label, key, value = std::move(value),
                             suffix = std::move(suffix), done = std::move(done),
-                            lifetime](
-                               NodeKind kind, std::vector<DhtItem> items) mutable {
+                            lifetime](NodeKind kind,
+                                      std::vector<DhtItem> items) mutable {
                 if (kind == NodeKind::kInterior) {
                   // The leaf split under us; our copy sits on an interior node
                   // where lookups cannot see it. Re-insert at the current leaf
                   // with the same suffix — idempotent against the splitter's
                   // own redistribution of the copy it may have seen.
-                  FindLeaf(key, [this, key, value = std::move(value),
-                                 suffix = std::move(suffix), done = std::move(done),
-                                 lifetime](
-                                    const Result<std::string>& leaf) mutable {
-                    if (!leaf.ok()) {
-                      if (done) done(leaf.status());
-                      return;
-                    }
-                    InsertAtLeaf(leaf.value(), key, std::move(value),
-                                 std::move(suffix), std::move(done), lifetime);
-                  });
+                  FindLeafAndInsert(key, std::move(value), std::move(suffix),
+                                    std::move(done), lifetime);
                   return;
                 }
                 size_t data_count = 0;
@@ -193,7 +192,8 @@ void Pht::InsertAtLeaf(const std::string& label, uint64_t key, std::string value
                     !splitting_.count(label)) {
                   splitting_.insert(label);
                   SplitLeaf(label, std::move(items),
-                            [this, label, done = std::move(done)](const Status& s) {
+                            [this, label, done = std::move(done)](
+                                const Status& s) {
                               splitting_.erase(label);
                               if (done) done(s);
                             });
@@ -255,7 +255,8 @@ void Pht::SplitLeaf(const std::string& label, std::vector<DhtItem> items,
 }
 
 void Pht::LookupKey(uint64_t key, ItemsCallback cb) {
-  FindLeaf(key, [this, key, cb = std::move(cb)](const Result<std::string>& leaf) {
+  FindLeaf(key, [this, key, cb = std::move(cb)](
+                    const Result<std::string>& leaf) {
     if (!leaf.ok()) {
       cb(leaf.status(), {});
       return;

@@ -81,7 +81,8 @@ class Pht {
   }
 
   /// Find the leaf label covering `key` via binary search on prefix length.
-  void FindLeaf(uint64_t key, std::function<void(const Result<std::string>&)> cb);
+  void FindLeaf(uint64_t key,
+                std::function<void(const Result<std::string>&)> cb);
 
   /// Is the trie node `label` (a) absent, (b) a leaf, or (c) interior?
   enum class NodeKind { kAbsent, kLeaf, kInterior };
@@ -94,6 +95,9 @@ class Pht {
   /// manager overwrites same-suffix puts) instead of duplicating.
   void InsertAtLeaf(const std::string& label, uint64_t key, std::string value,
                     std::string suffix, DoneCallback done, TimeUs lifetime);
+  /// FindLeaf, then InsertAtLeaf at the leaf it names.
+  void FindLeafAndInsert(uint64_t key, std::string value, std::string suffix,
+                         DoneCallback done, TimeUs lifetime);
   void SplitLeaf(const std::string& label, std::vector<DhtItem> items,
                  DoneCallback done);
   void CollectRange(const std::string& label, uint64_t lo, uint64_t hi,

@@ -86,7 +86,7 @@ std::string OverlayRouter::EncodeRoute(const RouteInfo& info,
                                        std::string_view payload) {
   WireWriter w = FrameMessage(kMsgRoute);
   w.PutU64(info.target);
-  w.PutU8(info.hops);
+  w.PutU8(info.hops | (info.shortcut ? 0x80 : 0));
   w.PutBytes(info.ns);
   w.PutBytes(payload);
   return std::move(w).data();
@@ -114,17 +114,26 @@ void OverlayRouter::ForwardRoute(RouteInfo info, std::string payload,
     Deliver(info, payload);
     return;
   }
+  // An application frame with no upcall here jumps, once, to the cached
+  // owner. A receiver that no longer owns the id routes on by the ring, and
+  // so does this node if the jump fails.
+  auto hit = owner_cache_.end();
+  if (!info.shortcut && info.ns[0] != '\x01' && !upcalls_.count(info.ns))
+    hit = FindCachedOwner(info.target);
+  const bool jump = hit != owner_cache_.end();
+  if (jump) next = hit->second.address;
+  info.shortcut |= jump;
   std::string wire = EncodeRoute(info, payload);
   SendFramed(next, std::move(wire),
              [this, next, info = std::move(info), payload = std::move(payload),
-              attempts](const Status& s) mutable {
+              attempts = attempts + !jump](const Status& s) mutable {
                if (s.ok()) return;
                protocol_->OnPeerUnreachable(next);
-               if (attempts + 1 >= kRouteRetryLimit) {
+               if (attempts >= kRouteRetryLimit) {
                  stats_.route_dead_ends++;
                  return;
                }
-               ForwardRoute(std::move(info), std::move(payload), attempts + 1);
+               ForwardRoute(std::move(info), std::move(payload), attempts);
              });
 }
 
@@ -156,7 +165,7 @@ void OverlayRouter::HandleMessage(const NetAddress& from,
       protocol_->HandleProtocolMessage(from, body);
       return;
     case kMsgRoute:
-      HandleRoute(body);
+      HandleRoute(from, body);
       return;
     case kMsgLookupResp:
       HandleLookupResp(body);
@@ -172,7 +181,8 @@ void OverlayRouter::HandleMessage(const NetAddress& from,
   }
 }
 
-void OverlayRouter::HandleRoute(std::string_view body) {
+void OverlayRouter::HandleRoute(const NetAddress& from,
+                                std::string_view body) {
   WireReader r(body);
   RouteInfo info;
   std::string_view ns, payload_view;
@@ -182,13 +192,16 @@ void OverlayRouter::HandleRoute(std::string_view body) {
     return;  // malformed: drop (best-effort policy)
   }
   info.ns = std::string(ns);
-  info.hops = static_cast<uint8_t>(hops + 1);
+  info.hops = static_cast<uint8_t>((hops & 0x7f) + 1);
+  info.shortcut = hops & 0x80;
   std::string payload(payload_view);
 
   if (protocol_->IsOwner(info.target)) {
     Deliver(info, payload);
     return;
   }
+  // A shortcut that missed narrows its sender's stale entry.
+  if (info.shortcut) HintIfNotOwner(from, info.target);
 
   // Intermediate node: give the query processor a chance to inspect, modify
   // or drop the message (§3.2.2).

@@ -55,6 +55,7 @@ struct RouteInfo {
   Id target = 0;
   std::string ns;
   uint8_t hops = 0;  // network hops taken so far (1 at the first receiver)
+  bool shortcut = false;  // jumped to a cached owner (bit 7 of `hops`)
 };
 
 class OverlayRouter : public ProtocolHost {
@@ -100,7 +101,8 @@ class OverlayRouter : public ProtocolHost {
     delivery_handler_ = std::move(handler);
   }
 
-  /// Route `payload` toward the owner of `target` with upcalls en route.
+  /// Route `payload` toward the owner of `target` with upcalls en route. A
+  /// node with no upcall for `ns` sends it once straight to a cached owner.
   void Route(const std::string& ns, Id target, std::string payload);
 
   // --- Owner lookup ----------------------------------------------------------
@@ -219,7 +221,7 @@ class OverlayRouter : public ProtocolHost {
 
  private:
   void HandleMessage(const NetAddress& from, std::string_view payload);
-  void HandleRoute(std::string_view body);
+  void HandleRoute(const NetAddress& from, std::string_view body);
   void HandleLookupReq(Id target, std::string_view body);
   void HandleLookupResp(std::string_view body);
   void HandleNotOwner(const NetAddress& from, std::string_view body);

@@ -43,8 +43,10 @@ void PrefixProtocol::Start(const NetAddress& bootstrap) {
     gossip_tick_ = [this, rng]() {
       Gossip();
       TimeUs period = kGossipPeriod;
-      TimeUs jitter = static_cast<TimeUs>(rng->Uniform(period / 2)) - period / 4;
-      gossip_timer_ = host_->vri()->ScheduleEvent(period + jitter, gossip_tick_);
+      TimeUs jitter =
+          static_cast<TimeUs>(rng->Uniform(period / 2)) - period / 4;
+      gossip_timer_ =
+          host_->vri()->ScheduleEvent(period + jitter, gossip_tick_);
     };
     gossip_timer_ = host_->vri()->ScheduleEvent(kGossipPeriod, gossip_tick_);
   }
@@ -94,7 +96,8 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
       uint8_t done;
       Peer next;
       uint8_t count;
-      if (!r.GetU8(&done).ok() || !GetPeer(&r, &next).ok() || !r.GetU8(&count).ok())
+      if (!r.GetU8(&done).ok() || !GetPeer(&r, &next).ok() ||
+          !r.GetU8(&count).ok())
         return;
       for (int i = 0; i < count; ++i) {
         Peer p;
@@ -102,7 +105,8 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
         self->ObserveContact(p.id, p.addr);
       }
       self->ObserveContact(next.id, next.addr);
-      if (done || next.addr == ask || next.addr == self->host_->local_address()) {
+      if (done || next.addr == ask ||
+          next.addr == self->host_->local_address()) {
         self->ready_ = true;
         // Announce ourselves to everything we learned so their leaf sets
         // adopt us promptly.
@@ -121,16 +125,16 @@ void PrefixProtocol::DoJoin(const NetAddress& bootstrap) {
           cb(Status::TimedOut("prefix join rpc timeout"), {});
         });
     self->pending_[nonce] = std::move(pending);
-    self->host_->SendProtocolMessage(ask, std::move(w).data(),
-                                     [self, nonce](const Status& s) {
-                                       if (s.ok()) return;
-                                       auto it = self->pending_.find(nonce);
-                                       if (it == self->pending_.end()) return;
-                                       auto cb = std::move(it->second.cb);
-                                       self->host_->vri()->CancelEvent(it->second.timer);
-                                       self->pending_.erase(it);
-                                       cb(s, {});
-                                     });
+    self->host_->SendProtocolMessage(
+        ask, std::move(w).data(), [self, nonce](const Status& s) {
+          if (s.ok()) return;
+          auto it = self->pending_.find(nonce);
+          if (it == self->pending_.end()) return;
+          auto cb = std::move(it->second.cb);
+          self->host_->vri()->CancelEvent(it->second.timer);
+          self->pending_.erase(it);
+          cb(s, {});
+        });
   };
   (*step)(bootstrap);
 }
@@ -143,14 +147,17 @@ void PrefixProtocol::RetryJoin(const NetAddress& bootstrap) {
 bool PrefixProtocol::LeafSetCovers(Id target) const {
   if (leaves_cw_.empty() && leaves_ccw_.empty()) return true;
   Id me = host_->local_id();
-  uint64_t span_cw = leaves_cw_.empty() ? 0 : RingDistance(me, leaves_cw_.back().id);
-  uint64_t span_ccw = leaves_ccw_.empty() ? 0 : RingDistance(leaves_ccw_.back().id, me);
+  uint64_t span_cw =
+      leaves_cw_.empty() ? 0 : RingDistance(me, leaves_cw_.back().id);
+  uint64_t span_ccw =
+      leaves_ccw_.empty() ? 0 : RingDistance(leaves_ccw_.back().id, me);
   uint64_t d_cw = RingDistance(me, target);
   uint64_t d_ccw = RingDistance(target, me);
   return d_cw <= span_cw || d_ccw <= span_ccw;
 }
 
-PrefixProtocol::Peer PrefixProtocol::ClosestKnown(Id target, bool include_table) const {
+PrefixProtocol::Peer PrefixProtocol::ClosestKnown(Id target,
+                                                  bool include_table) const {
   Peer best = Self();
   uint64_t best_dist = RingAbsDistance(host_->local_id(), target);
   auto consider = [&](const Peer& p) {

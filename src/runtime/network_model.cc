@@ -33,8 +33,8 @@ TransitStubTopology::TransitStubTopology(uint64_t seed) : rng_(seed) {
   for (int k = 0; k < t; ++k)
     for (int i = 0; i < t; ++i)
       for (int j = 0; j < t; ++j)
-        transit_dist_[i][j] =
-            std::min(transit_dist_[i][j], transit_dist_[i][k] + transit_dist_[k][j]);
+        transit_dist_[i][j] = std::min(
+            transit_dist_[i][j], transit_dist_[i][k] + transit_dist_[k][j]);
 
   for (int i = 0; i < t; ++i)
     for (int s = 0; s < kStubsPerTransit; ++s) stub_transit_.push_back(i);

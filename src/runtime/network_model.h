@@ -89,7 +89,8 @@ class CongestionModel {
 class NoCongestionModel : public CongestionModel {
  public:
   explicit NoCongestionModel(Topology* topology) : topology_(topology) {}
-  TimeUs DeliveryTime(uint32_t src, uint32_t dst, size_t bytes, TimeUs now) override;
+  TimeUs DeliveryTime(uint32_t src, uint32_t dst, size_t bytes,
+                      TimeUs now) override;
 
  private:
   Topology* topology_;
@@ -100,7 +101,8 @@ class NoCongestionModel : public CongestionModel {
 class FifoQueueModel : public CongestionModel {
  public:
   explicit FifoQueueModel(Topology* topology) : topology_(topology) {}
-  TimeUs DeliveryTime(uint32_t src, uint32_t dst, size_t bytes, TimeUs now) override;
+  TimeUs DeliveryTime(uint32_t src, uint32_t dst, size_t bytes,
+                      TimeUs now) override;
 
  private:
   Topology* topology_;

@@ -52,7 +52,8 @@ std::string Frame(const std::string& data) {
   std::string out;
   uint32_t len = static_cast<uint32_t>(data.size());
   out.reserve(4 + data.size());
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
+  for (int i = 0; i < 4; ++i)
+    out.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
   out += data;
   return out;
 }
@@ -63,8 +64,9 @@ PhysicalRuntime::PhysicalRuntime(Options options)
     : options_(options),
       rng_(options.rng_seed != 0
                ? options.rng_seed
-               : static_cast<uint64_t>(
-                     std::chrono::steady_clock::now().time_since_epoch().count())),
+               : static_cast<uint64_t>(std::chrono::steady_clock::now()
+                                           .time_since_epoch()
+                                           .count())),
       epoch_(std::chrono::steady_clock::now()) {
   PIER_CHECK(pipe(wake_pipe_) == 0);
   SetNonBlocking(wake_pipe_[0]);
@@ -95,8 +97,10 @@ TimeUs PhysicalRuntime::Now() const {
       .count();
 }
 
-uint64_t PhysicalRuntime::ScheduleEvent(TimeUs delay, std::function<void()> cb) {
-  uint64_t token = loop_.ScheduleAt(Now() + std::max<TimeUs>(0, delay), std::move(cb));
+uint64_t PhysicalRuntime::ScheduleEvent(TimeUs delay,
+                                        std::function<void()> cb) {
+  uint64_t token =
+      loop_.ScheduleAt(Now() + std::max<TimeUs>(0, delay), std::move(cb));
   posted_cv_.NotifyAll();
   return token;
 }
@@ -186,7 +190,8 @@ void PhysicalRuntime::UdpRelease(uint16_t port) {
   WakeIoThread();
 }
 
-Status PhysicalRuntime::UdpSend(uint16_t source_port, const NetAddress& destination,
+Status PhysicalRuntime::UdpSend(uint16_t source_port,
+                                const NetAddress& destination,
                                 std::string payload) {
   int fd = -1;
   {
@@ -372,8 +377,9 @@ void PhysicalRuntime::IoThreadMain() {
               conn.peer = peer;
               tcp_conns_[conn_id] = std::move(conn);
             }
-            PostFromAnyThread(
-                [handler, conn_id, peer]() { handler->HandleTcpNew(conn_id, peer); });
+            PostFromAnyThread([handler, conn_id, peer]() {
+              handler->HandleTcpNew(conn_id, peer);
+            });
           }
         });
       }
@@ -436,7 +442,8 @@ void PhysicalRuntime::IoThreadMain() {
             }
           }
           if (became_open && handler != nullptr) {
-            PostFromAnyThread([handler, id, peer]() { handler->HandleTcpNew(id, peer); });
+            PostFromAnyThread(
+                [handler, id, peer]() { handler->HandleTcpNew(id, peer); });
           }
           for (auto& frame : frames) {
             PostFromAnyThread([handler, id, frame = std::move(frame)]() {

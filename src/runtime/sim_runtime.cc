@@ -40,7 +40,8 @@ class SimHarness::SimVri : public Vri {
 
   Status UdpSend(uint16_t source_port, const NetAddress& destination,
                  std::string payload) override {
-    if (destination.IsNull()) return Status::InvalidArgument("null destination");
+    if (destination.IsNull())
+      return Status::InvalidArgument("null destination");
     harness_->DeliverUdp(index_, source_port, destination, std::move(payload));
     return Status::Ok();
   }
@@ -63,7 +64,9 @@ class SimHarness::SimVri : public Vri {
     return harness_->TcpWrite(index_, conn_id, std::move(data));
   }
 
-  void TcpClose(uint64_t conn_id) override { harness_->TcpClose(index_, conn_id); }
+  void TcpClose(uint64_t conn_id) override {
+    harness_->TcpClose(index_, conn_id);
+  }
 
   NetAddress LocalAddress() const override {
     return NetAddress{index_ + 1, 0};
@@ -150,8 +153,8 @@ void SimHarness::ResetStats() {
   total_bytes_ = 0;
 }
 
-void SimHarness::DeliverUdp(uint32_t src, uint16_t src_port, const NetAddress& dst,
-                            std::string payload) {
+void SimHarness::DeliverUdp(uint32_t src, uint16_t src_port,
+                            const NetAddress& dst, std::string payload) {
   uint32_t dst_index = IndexOf(dst);
   if (dst_index >= nodes_.size()) return;  // dropped: no such host
   NodeStats& s = nodes_[src]->stats;
@@ -220,7 +223,8 @@ Status SimHarness::TcpWrite(uint32_t src, uint64_t conn_id, std::string data) {
   TcpConn& c = it->second;
   if (!c.open) return Status::Unavailable("connection not yet open");
   bool from_a = (src == c.a_node);
-  if (!from_a && src != c.b_node) return Status::InvalidArgument("not an endpoint");
+  if (!from_a && src != c.b_node)
+    return Status::InvalidArgument("not an endpoint");
   uint32_t peer = from_a ? c.b_node : c.a_node;
   // FIFO: each direction's deliveries are non-decreasing in time.
   TimeUs base = loop_.now() + topology_->Latency(src, peer);

@@ -60,7 +60,9 @@ class SimHarness {
   SimHarness& operator=(const SimHarness&) = delete;
 
   /// Factory for node programs; may be null for tests that drive Vri directly.
-  void set_program_factory(ProgramFactory factory) { factory_ = std::move(factory); }
+  void set_program_factory(ProgramFactory factory) {
+    factory_ = std::move(factory);
+  }
 
   /// Boot a new virtual node; Start() runs as a scheduled event.
   uint32_t AddNode();
@@ -70,11 +72,15 @@ class SimHarness {
   /// events; in-flight messages to it are dropped at delivery time.
   void FailNode(uint32_t index);
 
-  bool IsAlive(uint32_t index) const { return index < nodes_.size() && nodes_[index]->alive; }
+  bool IsAlive(uint32_t index) const {
+    return index < nodes_.size() && nodes_[index]->alive;
+  }
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_alive() const;
 
-  Vri* vri(uint32_t index) { return reinterpret_cast<Vri*>(nodes_[index]->vri.get()); }
+  Vri* vri(uint32_t index) {
+    return reinterpret_cast<Vri*>(nodes_[index]->vri.get());
+  }
   SimProgram* program(uint32_t index) { return nodes_[index]->program.get(); }
 
   /// Address mapping: virtual node index <-> NetAddress.host (index + 1;
@@ -98,7 +104,9 @@ class SimHarness {
     uint64_t msgs_recv = 0;
     uint64_t bytes_recv = 0;
   };
-  const NodeStats& node_stats(uint32_t index) const { return nodes_[index]->stats; }
+  const NodeStats& node_stats(uint32_t index) const {
+    return nodes_[index]->stats;
+  }
   uint64_t total_msgs() const { return total_msgs_; }
   uint64_t total_bytes() const { return total_bytes_; }
   void ResetStats();
@@ -126,7 +134,8 @@ class SimHarness {
 
   void DeliverUdp(uint32_t src, uint16_t src_port, const NetAddress& dst,
                   std::string payload);
-  Result<uint64_t> TcpConnect(uint32_t src, const NetAddress& dst, TcpHandler* h);
+  Result<uint64_t> TcpConnect(uint32_t src, const NetAddress& dst,
+                              TcpHandler* h);
   Status TcpWrite(uint32_t src, uint64_t conn_id, std::string data);
   void TcpClose(uint32_t src, uint64_t conn_id);
   void AbortTcpConnsOf(uint32_t node);

@@ -85,8 +85,8 @@ void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
     stats_.msgs_failed++;
     return;
   }
-  TimeUs rto = std::min(kMaxRto,
-                        static_cast<TimeUs>(peer.rto << std::min(msg.retries, 6)));
+  TimeUs rto = std::min(
+      kMaxRto, static_cast<TimeUs>(peer.rto << std::min(msg.retries, 6)));
   Pending& pending =
       peer.inflight.insert_or_assign(seq, std::move(msg)).first->second;
   pending.timer_token =

@@ -82,7 +82,9 @@ class UdpCc : public UdpHandler {
   UdpCc(const UdpCc&) = delete;
   UdpCc& operator=(const UdpCc&) = delete;
 
-  void set_message_handler(MessageHandler handler) { handler_ = std::move(handler); }
+  void set_message_handler(MessageHandler handler) {
+    handler_ = std::move(handler);
+  }
 
   /// Called with the destination whenever messages to it are given up
   /// (retries exhausted, a send error), before their own

@@ -37,7 +37,9 @@ struct NetAddress {
   uint32_t host = 0;
   uint16_t port = 0;
 
-  bool operator==(const NetAddress& o) const { return host == o.host && port == o.port; }
+  bool operator==(const NetAddress& o) const {
+    return host == o.host && port == o.port;
+  }
   bool operator!=(const NetAddress& o) const { return !(*this == o); }
   bool operator<(const NetAddress& o) const {
     return host != o.host ? host < o.host : port < o.port;
@@ -57,7 +59,8 @@ struct NetAddressHash {
 class UdpHandler {
  public:
   virtual ~UdpHandler() = default;
-  virtual void HandleUdp(const NetAddress& source, std::string_view payload) = 0;
+  virtual void HandleUdp(const NetAddress& source,
+                         std::string_view payload) = 0;
 };
 
 /// Receiver interface for the framed TCP channel (Table 1: handleTCPNew /

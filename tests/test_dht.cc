@@ -10,8 +10,9 @@
 // stores), and the router's owner cache (warm puts and gets skip the routed
 // lookup, and a warm get or renew costs three datagrams; one reply caches
 // the owner's arc and answers every pending lookup it covers; a warm group
-// ships before a cold one resolves; joins, deaths and the capacity bound
-// keep it correct), and object names (one node's clients, operators and PHT
+// ships before a cold one resolves; a routed frame with no upcall jumps
+// once to its cached owner; joins, deaths and the capacity bound keep it
+// correct), and object names (one node's clients, operators and PHT
 // inserts never mint the same suffix).
 
 #include <gtest/gtest.h>
@@ -730,16 +731,19 @@ TEST(DirectRequests, RouterFramesIgnoreCutAndGarbageFrames) {
     net.RunFor(200 * kMillisecond);
     return state() != was || (!lookup && routed() != routed_was);
   };
-  auto routed_to_self = [&](const std::string& ns, std::string_view payload) {
+  auto routed_to_self = [&](const std::string& ns, std::string_view payload,
+                            uint8_t hops = 0) {
     WireWriter w;
     w.PutU64(to_id);  // `to` owns its own id
-    w.PutU8(0);
+    w.PutU8(hops);
     w.PutBytes(ns);
     w.PutBytes(payload);
     return std::move(w).data();
   };
 
   const std::string route = routed_to_self("fz", "p");
+  // Bit 7 of `hops`: the frame took its one jump to a cached owner.
+  const std::string shortcut = routed_to_self("fz", "p", 0x80 | 3);
   WireWriter lookup = OverlayRouter::FrameMessage(OverlayRouter::kMsgLookupReq);
   lookup.PutVarint(5);
   lookup.PutU32(asker->local_address().host);
@@ -788,6 +792,10 @@ TEST(DirectRequests, RouterFramesIgnoreCutAndGarbageFrames) {
   // Whole, each frame has its effect once. The asker caches the range and
   // arc `to` answers its lookup with; `to` caches the asker's reply.
   ASSERT_TRUE(send(OverlayRouter::kMsgRoute, route, false));
+  const uint64_t hops_was = to->stats().routed_delivery_hops;
+  ASSERT_TRUE(send(OverlayRouter::kMsgRoute, shortcut, false));
+  EXPECT_EQ(to->stats().routed_delivery_hops, hops_was + 4)
+      << "bit 7 counted as hops";
   ASSERT_TRUE(send(OverlayRouter::kMsgRoute,
                    routed_to_self("\x01lookup", lookup.data()), true));
   ASSERT_EQ(asker->router()->owner_cache_size(), CachedByOneReply(&net, 1, 0))
@@ -838,6 +846,7 @@ TEST(DirectRequests, RouterFramesIgnoreCutAndGarbageFrames) {
     });
   };
   EXPECT_EQ(sweep(OverlayRouter::kMsgRoute, route, false), 0u);
+  EXPECT_EQ(sweep(OverlayRouter::kMsgRoute, shortcut, false), 0u);
   EXPECT_EQ(sweep(OverlayRouter::kMsgRoute, lookup.data(), true), 0u);
   EXPECT_EQ(FuzzDecoder(owner, seed++,
                         [&](const std::string& body) {
@@ -1420,6 +1429,222 @@ TEST(OwnerCache, DeadCachedOwnerGetIsReResolvedToItsSuccessor) {
   EXPECT_EQ(got[0].suffix, "after");
   EXPECT_EQ(got[0].value, "v2");
   EXPECT_GE(router->stats().lookup_cache_evictions, 1u);
+}
+
+/// Hops a routed frame from node `from` takes to `target`'s owner by the
+/// ring alone, following each node's NextHop.
+int RingHops(SimPier* net, uint32_t from, Id target) {
+  int hops = 0;
+  for (uint32_t i = from;
+       hops < OverlayRouter::kMaxHops &&
+       !net->dht(i)->router()->protocol()->IsOwner(target);
+       ++hops)
+    i = IndexOf(net->dht(i)->router()->protocol()->NextHop(target));
+  return hops;
+}
+
+/// A node whose ring path to `target`'s owner takes at least `hops` hops,
+/// or -1.
+int FarFrom(SimPier* net, Id target, int hops) {
+  for (uint32_t i = 0; i < net->size(); ++i)
+    if (RingHops(net, i, target) >= hops) return static_cast<int>(i);
+  return -1;
+}
+
+/// Every node but `except` caches the range that holds `target`.
+void WarmEveryCache(SimPier* net, Id target, int except = -1) {
+  for (uint32_t i = 0; i < net->size(); ++i)
+    if (static_cast<int>(i) != except)
+      net->dht(i)->router()->Lookup(target,
+                                    [](const Result<OverlayRouter::Owner>&) {});
+  net->RunFor(2 * kSecond);
+}
+
+/// Routed frames that reached an owner anywhere on the ring, and their hops.
+std::pair<uint64_t, uint64_t> RoutedDeliveries(SimPier* net) {
+  std::pair<uint64_t, uint64_t> n;
+  for (uint32_t i = 0; i < net->size(); ++i) {
+    Dht::Stats s = net->dht(i)->stats();
+    n.first += s.routed_deliveries;
+    n.second += s.routed_delivery_hops;
+  }
+  return n;
+}
+
+uint64_t RouteDeadEnds(SimPier* net) {
+  uint64_t n = 0;
+  for (uint32_t i = 0; i < net->size(); ++i)
+    n += net->dht(i)->router()->stats().route_dead_ends;
+  return n;
+}
+
+// An equality query's opgraph rides a routed frame to the owner of its key.
+// From a node far from that owner on the ring, a warm cache delivers it in
+// one hop, and the answer is the same.
+TEST(OwnerCache, AWarmEqualityDisseminationIsDeliveredInOneHop) {
+  SimPier net(32, SeededOptions(114));
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("t").PartitionBy({"k"})).ok());
+  Tuple row("t");
+  row.Append("k", Value::Int64(7));
+  row.Append("v", Value::Int64(70));
+  ASSERT_TRUE(net.client(0)->Publish("t", row).ok());
+  net.RunFor(1 * kSecond);
+
+  const char* sql = "SELECT * FROM t WHERE k = 7 TIMEOUT 2s";
+  auto plan = net.client(0)->Compile(Sql(sql));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->graphs[0].dissem, DissemKind::kEquality);
+  const Id target =
+      RoutingId(plan->graphs[0].dissem_ns, plan->graphs[0].dissem_key);
+  int sender = FarFrom(&net, target, 3);
+  ASSERT_GE(sender, 0);
+  WarmEveryCache(&net, target);
+
+  const auto before = RoutedDeliveries(&net);
+  auto q = net.client(sender)->Query(Sql(sql));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  std::vector<Tuple> rows = q->Collect();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].Get("v")->int64_unchecked(), 70);
+  const auto after = RoutedDeliveries(&net);
+  EXPECT_EQ(after.first, before.first + 1);
+  EXPECT_EQ(after.second, before.second + 1) << "not one hop";
+}
+
+// The joiner takes (P, joiner] out of O's range while every other node still
+// caches (P, O]. A frame to the joiner's part jumps to O, which no longer
+// owns it and routes it on by the ring. Every later hop also holds the stale
+// entry, so a second jump would send the frame back to O; it takes none, and
+// O's hint narrows the sender's entry to what O still owns.
+TEST(OwnerCache, AFrameToAJoinersRangeJumpsOnceAndDrawsTheHint) {
+  SimPier net(32, SeededOptions(115));
+  const uint32_t joiner = static_cast<uint32_t>(net.size());
+  NetAddress joiner_addr = net.harness()->AddressOf(joiner, kDhtPort);
+  Id joiner_id = NodeIdFromAddress(joiner_addr.host, joiner_addr.port);
+  int succ = -1;
+  for (uint32_t i = 0; i < net.size(); ++i)
+    if (net.dht(i)->router()->protocol()->IsOwner(joiner_id)) succ = i;
+  ASSERT_GE(succ, 0);
+  const Id pred_id = net.dht(PredecessorOf(&net, succ))->local_id();
+  const Id succ_id = net.dht(succ)->local_id();
+  const std::string key = FindKey("jf", "k", [&](Id id) {
+    return InOpenClosed(pred_id, joiner_id, id);
+  });
+  ASSERT_FALSE(key.empty());
+  const Id target = RoutingId("jf", key);
+  WarmEveryCache(&net, target, succ);
+
+  ASSERT_EQ(net.AddNode(), joiner);
+  net.RunFor(10 * kSecond);
+  ASSERT_TRUE(net.dht(joiner)->router()->protocol()->IsOwner(target))
+      << "the ring did not converge on the joiner";
+  int sender = FarFrom(&net, target, 2);
+  ASSERT_GE(sender, 0);
+  ASSERT_NE(sender, succ);
+  OverlayRouter* router = net.dht(sender)->router();
+
+  const auto before = RoutedDeliveries(&net);
+  const uint64_t forwarded_at_succ =
+      net.dht(succ)->router()->stats().routed_forwarded;
+  net.dht(sender)->SendToId(target, "jf", key, "s", "v", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  EXPECT_TRUE(Holds(&net, joiner, "jf", key, "s"));
+  EXPECT_FALSE(Holds(&net, succ, "jf", key, "s"));
+  EXPECT_EQ(RoutedDeliveries(&net).first, before.first + 1);
+  EXPECT_EQ(net.dht(succ)->router()->stats().routed_forwarded,
+            forwarded_at_succ + 1)
+      << "the frame reached O more than once";
+  EXPECT_EQ(RouteDeadEnds(&net), 0u);
+
+  // The hint narrowed the sender's entry to (joiner, O].
+  bool cached = false;
+  router->Lookup(target, [&](const Result<OverlayRouter::Owner>& o) {
+    cached = o.ok() && o->cached;
+  });
+  EXPECT_FALSE(cached) << "the stale range still covers the joiner's ids";
+  NetAddress owner;
+  router->Lookup(succ_id, [&](const Result<OverlayRouter::Owner>& o) {
+    if (o.ok() && o->cached) owner = o->address;
+  });
+  EXPECT_EQ(owner, net.dht(succ)->local_address());
+}
+
+// A jump to a dead cached owner fails at the transport's give-up, which has
+// evicted the entry; the frame then goes by the ring to the dead owner's
+// successor, once.
+TEST(OwnerCache, AFrameWhoseCachedOwnerDiedGoesByTheRing) {
+  SimPier net(16, SeededOptions(116));
+  const Id target = RoutingId("fd", "k");
+  const int owner = OwnerOf(&net, "fd", "k");
+  ASSERT_GE(owner, 0);
+  int sender = FarFrom(&net, target, 2);
+  ASSERT_GE(sender, 0);
+  OverlayRouter* router = net.dht(sender)->router();
+  WarmEveryCache(&net, target);
+
+  net.harness()->FailNode(static_cast<uint32_t>(owner));
+  const auto before = RoutedDeliveries(&net);
+  net.dht(sender)->SendToId(target, "fd", "k", "s", "v", 60 * kSecond);
+  net.RunFor(60 * kSecond);
+  const int new_owner = OwnerOf(&net, "fd", "k");
+  ASSERT_GE(new_owner, 0);
+  ASSERT_NE(new_owner, owner);
+  EXPECT_TRUE(Holds(&net, new_owner, "fd", "k", "s"));
+  EXPECT_EQ(RoutedDeliveries(&net).first, before.first + 1);
+  EXPECT_EQ(RouteDeadEnds(&net), 0u);
+  EXPECT_GE(router->stats().lookup_cache_evictions, 1u);
+}
+
+// Frames in a namespace with an upcall here keep the ring path, where the
+// upcalls combine them, and so do the router's own `\x01` namespaces (a
+// routed lookup here). An application namespace from the same node jumps.
+TEST(OwnerCache, UpcallAndRouterNamespacesKeepTheRingPath) {
+  SimPier net(32, SeededOptions(117));
+  std::string key;
+  Id target = 0;
+  int sender = -1;
+  for (int i = 0; sender < 0 && i < 100; ++i) {
+    key = "k" + std::to_string(i);
+    target = RoutingId("up", key);
+    sender = FarFrom(&net, target, 3);
+  }
+  ASSERT_GE(sender, 0);
+  const int ring = RingHops(&net, sender, target);
+  OverlayRouter* router = net.dht(sender)->router();
+  int upcalls = 0;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    net.dht(i)->RegisterUpcall("up", [&](const RouteInfo&, std::string*) {
+      upcalls++;
+      return UpcallAction::kContinue;
+    });
+  }
+  WarmEveryCache(&net, target);
+
+  auto hops_of = [&](const std::string& ns) {
+    const auto before = RoutedDeliveries(&net);
+    router->Route(ns, target, "p");
+    net.RunFor(1 * kSecond);
+    const auto after = RoutedDeliveries(&net);
+    EXPECT_EQ(after.first, before.first + 1) << ns;
+    return after.second - before.second;
+  };
+  EXPECT_EQ(hops_of("up"), static_cast<uint64_t>(ring));
+  EXPECT_EQ(upcalls, ring - 1);
+  EXPECT_EQ(hops_of("app"), 1u);
+
+  // A routed lookup from a node that has not cached the owner passes only
+  // through nodes that have: each forwards it by the ring.
+  Dht* owner = net.dht(OwnerOf(&net, "up", key));
+  router->EvictOwner(owner->local_id(), owner->local_address());
+  const uint64_t routed_before = RoutedTraffic(&net);
+  NetAddress resolved;
+  router->Lookup(target, [&](const Result<OverlayRouter::Owner>& o) {
+    ASSERT_TRUE(o.ok() && !o->cached);
+    resolved = o->address;
+  });
+  net.RunFor(1 * kSecond);
+  EXPECT_EQ(resolved, owner->local_address());
+  EXPECT_EQ(RoutedTraffic(&net), routed_before + ring);
 }
 
 TEST(OwnerCache, PrefixRoutingNeverCaches) {
