@@ -88,10 +88,7 @@ Outcome RunConfig(const std::string& config, uint64_t seed) {
         "SELECT cat, count(*) AS cnt FROM ev GROUP BY cat "
         "TIMEOUT 120s WINDOW 3s CONTINUOUS");
     if (config == "frozen-hier") query.WithAggStrategy("hier");
-    if (config == "replan-auto") {
-      query.WithReplan("auto");
-      net.client(0)->set_replan_period(3 * kSecond);
-    }
+    if (config == "replan-auto") query.WithReplan("auto");
     auto q = net.client(0)->Query(query);
     handle = bench::Check(q, "continuous query").OnTuple([&](const Tuple&) {
       out.answers++;

@@ -14,11 +14,6 @@ namespace pier {
 // ---------------------------------------------------------------------------
 
 struct QueryHandle::State {
-  /// Default cap on answers buffered for Collect() or while paused: a
-  /// continuous query whose handle was dropped (the qp callbacks keep this
-  /// State alive until done) must not accumulate tuples without bound.
-  static constexpr size_t kMaxBuffered = 64 * 1024;
-
   QueryProcessor* qp = nullptr;
   PierClient::RunFn run;
   uint64_t id = 0;
@@ -27,11 +22,8 @@ struct QueryHandle::State {
   std::function<void(const Tuple&)> on_tuple;
   std::function<void()> on_done;
   /// Answers arriving before OnTuple is registered (or forever, for Collect
-  /// users) accumulate here; a streaming callback drains and disables it.
-  bool buffering = true;
-  /// Backpressure: a paused handle buffers (bounded) instead of delivering.
-  bool paused = false;
-  size_t buffer_cap = kMaxBuffered;
+  /// users) accumulate here, at most kMaxBuffered; a streaming callback
+  /// drains it.
   std::vector<Tuple> buffer;
   /// ExplainAnalyze inputs: the optimizer's estimate for the submitted plan
   /// and the proxy's final cost report (have_costs once it fired).
@@ -40,17 +32,17 @@ struct QueryHandle::State {
   bool have_costs = false;
 
   /// Deliver buffered answers to the streaming callback, stopping early if
-  /// the callback pauses the handle again — or Cancel()s it — mid-drain
-  /// (the rest stays buffered, in order, exactly as Cancel leaves any other
-  /// undelivered backlog). Draining a query that was ALREADY done is fine:
-  /// replaying the backlog into a late OnTuple registration is a local
-  /// handoff, not a late network delivery.
+  /// the callback Cancel()s the handle mid-drain (the rest stays buffered,
+  /// in order, exactly as Cancel leaves any other undelivered backlog).
+  /// Draining a query that was ALREADY done is fine: replaying the backlog
+  /// into a late OnTuple registration is a local handoff, not a late
+  /// network delivery.
   void Drain() {
     const bool was_done = stats.done;
     std::vector<Tuple> pending;
     pending.swap(buffer);
     size_t i = 0;
-    for (; i < pending.size() && !paused && stats.done == was_done; ++i)
+    for (; i < pending.size() && stats.done == was_done; ++i)
       on_tuple(pending[i]);
     if (i < pending.size()) {
       buffer.insert(buffer.begin(),
@@ -67,9 +59,7 @@ TimeUs QueryHandle::timeout() const { return state_ ? state_->timeout : 0; }
 QueryHandle& QueryHandle::OnTuple(std::function<void(const Tuple&)> fn) {
   if (!state_) return *this;
   state_->on_tuple = std::move(fn);
-  state_->buffering = false;
-  // A paused handle keeps its backlog until Resume().
-  if (!state_->paused) state_->Drain();
+  state_->Drain();
   return *this;
 }
 
@@ -104,47 +94,6 @@ Status QueryHandle::Cancel() {
                  : Status::Unavailable(
                        "query is orphaned (its proxy record is gone); "
                        "local execution torn down");
-}
-
-Status QueryHandle::Reattach(PierClient* via) {
-  if (!state_) return Status::InvalidArgument("empty query handle");
-  if (via == nullptr) return Status::InvalidArgument("null client");
-  if (state_->stats.done)
-    return Status::InvalidArgument("query already completed");
-  QueryProcessor* qp = via->qp();
-  // Bind THIS handle's existing state to the adopting proxy: the same
-  // callbacks Submit installs, so stats/buffering/backpressure carry over
-  // seamlessly (buffered answers the new proxy held replay immediately).
-  PIER_RETURN_IF_ERROR(qp->AttachClient(state_->id,
-                                        PierClient::MakeOnTuple(state_),
-                                        PierClient::MakeOnDone(state_)));
-  state_->qp = qp;
-  return Status::Ok();
-}
-
-Status QueryHandle::Rewindow(TimeUs window) {
-  if (!state_) return Status::InvalidArgument("empty query handle");
-  if (state_->stats.done)
-    return Status::InvalidArgument("query already completed");
-  return state_->qp->RewindowQuery(state_->id, window);
-}
-
-void QueryHandle::Pause() {
-  if (!state_ || state_->stats.done) return;
-  state_->paused = true;
-}
-
-void QueryHandle::Resume() {
-  if (!state_ || !state_->paused) return;
-  state_->paused = false;
-  if (state_->on_tuple) state_->Drain();
-}
-
-bool QueryHandle::paused() const { return state_ && state_->paused; }
-
-void QueryHandle::SetBufferCap(size_t cap) {
-  if (!state_) return;
-  state_->buffer_cap = cap;
 }
 
 bool QueryHandle::done() const { return state_ && state_->stats.done; }
@@ -229,7 +178,6 @@ PierClient::~PierClient() {
   // Teardown path: an already-orphaned refresh query reports Unavailable,
   // and the local handle state is torn down either way.
   if (stats_refresh_.valid()) (void)stats_refresh_.Cancel();
-  StopMetricsPublish();
 }
 
 Status PierClient::ValidateAgainstSpec(const TableSpec& spec,
@@ -495,14 +443,6 @@ void PierClient::PublishSysStatsRow(const std::string& table) {
                   dht->NextSuffix(), row.Encode(), kPublishLifetime}});
 }
 
-Status PierClient::PublishStats() {
-  for (const std::string& table : stats_->Tables()) {
-    if (table == kSysStatsTable) continue;
-    PublishSysStatsRow(table);
-  }
-  return Status::Ok();
-}
-
 Result<QueryPlan> PierClient::CompileSqlPinned(const Sql& sql,
                                                uint64_t query_id,
                                                PlanExplain* explain) const {
@@ -640,34 +580,6 @@ Status PierClient::PublishMetrics(std::vector<MetricSample>* out,
   return Status::Ok();
 }
 
-Status PierClient::StartMetricsPublish(TimeUs period) {
-  if (metrics_ == nullptr)
-    return Status::InvalidArgument(
-        "no metrics registry attached (set_metrics)");
-  if (period < kMillisecond)
-    return Status::InvalidArgument("metrics publish period must be >= 1ms");
-  StopMetricsPublish();
-  metrics_publish_period_ = period;
-  // Rows live two periods: a reader always overlaps at least one fresh row
-  // while the publisher is alive, and a dead node's series age out fast.
-  metrics_tick_ = [this]() {
-    (void)PublishMetrics(nullptr, 2 * metrics_publish_period_);
-    metrics_timer_ =
-        qp_->vri()->ScheduleEvent(metrics_publish_period_, metrics_tick_);
-  };
-  metrics_timer_ =
-      qp_->vri()->ScheduleEvent(metrics_publish_period_, metrics_tick_);
-  return Status::Ok();
-}
-
-void PierClient::StopMetricsPublish() {
-  if (metrics_timer_ != 0) {
-    qp_->vri()->CancelEvent(metrics_timer_);
-    metrics_timer_ = 0;
-  }
-  metrics_tick_ = nullptr;
-}
-
 Result<QueryHandle> PierClient::Query(const Sql& sql) {
   if (sql.replan != "off" && sql.replan != "auto") {
     return Status::InvalidArgument("unknown replan mode '" + sql.replan +
@@ -702,9 +614,7 @@ void PierClient::EnableAutoReplan(const QueryHandle& h, const Sql& sql,
   task.handle = h.state_;
   task.sql = sql;
   task.fingerprint = explain.Fingerprint();
-  task.period = replan_period_ > 0
-                    ? replan_period_
-                    : std::max(QueryExecutor::EffectiveWindow(plan), kSecond);
+  task.period = std::max(QueryExecutor::EffectiveWindow(plan), kSecond);
   task.current = std::move(plan);
   uint64_t qid = h.id();
   replans_[qid] = std::move(task);
@@ -736,7 +646,7 @@ void PierClient::ReplanTick(uint64_t query_id) {
   if (fresh.ok()) {
     Optimizer optimizer = MakeOptimizer();
     ReplanDecision d = optimizer.Consider(task.current, task.fingerprint,
-                                          *fresh, explain, replan_cost_ratio_);
+                                          *fresh, explain, kReplanCostRatio);
     if (d.swap) {
       QueryPlan next = std::move(*fresh);
       Status s = CheckTablesKnown(next);
@@ -828,14 +738,12 @@ QueryProcessor::TupleCallback PierClient::MakeOnTuple(
     if (state->stats.first_tuple_latency < 0)
       state->stats.first_tuple_latency = latency;
     state->stats.last_tuple_latency = latency;
-    if (state->on_tuple && !state->paused) {
+    if (state->on_tuple) {
       state->on_tuple(t);
-    } else if (state->buffering || state->paused) {
-      if (state->buffer.size() < state->buffer_cap) {
-        state->buffer.push_back(t);
-      } else {
-        state->stats.dropped++;
-      }
+    } else if (state->buffer.size() < QueryHandle::kMaxBuffered) {
+      state->buffer.push_back(t);
+    } else {
+      state->stats.dropped++;
     }
   };
 }
@@ -938,21 +846,6 @@ Result<QueryHandle> PierClient::Attach(uint64_t query_id) {
   MakeOptimizer().CostPlan(plan, &state->estimate);
   RequestFinalCosts(state);
   return QueryHandle(std::move(state));
-}
-
-Result<QueryHandle> PierClient::Attach(uint64_t query_id,
-                                       const Sql& replan_sql) {
-  PIER_ASSIGN_OR_RETURN(QueryHandle h, Attach(query_id));
-  if (replan_sql.replan != "auto") return h;
-  // Resume auto-replanning at the adopted proxy: the original proxy's
-  // replan loop died with it. Today's compile is the new baseline — the
-  // first tick only swaps if the optimizer disagrees with it enough.
-  PlanExplain explain;
-  Result<QueryPlan> current =
-      CompileSqlPinned(replan_sql, query_id, &explain);
-  if (current.ok() && current->continuous)
-    EnableAutoReplan(h, replan_sql, std::move(*current), explain);
-  return h;
 }
 
 }  // namespace pier

@@ -42,10 +42,10 @@ struct Sql {
   /// has no usable statistics for the table.
   std::string agg_strategy = "auto";
   /// "off", or "auto" (mirroring agg_strategy=auto): for CONTINUOUS
-  /// queries, the client periodically re-runs the optimizer over the query
-  /// as statistics drift and swaps the physical plan at a window boundary
-  /// when the chosen strategy changed beyond the client's cost-ratio
-  /// threshold (PierClient::set_replan_cost_ratio). Ignored for snapshot
+  /// queries, the client re-runs the optimizer over the query once per
+  /// window as statistics drift and swaps the physical plan at a window
+  /// boundary when the chosen strategy changed and the running plan costs
+  /// PierClient::kReplanCostRatio times the candidate. Ignored for snapshot
   /// queries. Anything else is an InvalidArgument.
   std::string replan = "off";
 
@@ -97,8 +97,8 @@ class QueryHandle {
  public:
   struct Stats {
     uint64_t tuples = 0;   // answers that reached this handle
-    /// Answers discarded because the handle's buffer was full (the handle
-    /// was paused past its cap, or a Collect-style handle overflowed).
+    /// Answers discarded because a Collect-style handle's buffer held
+    /// kMaxBuffered already.
     uint64_t dropped = 0;
     /// Automatic plan swaps performed on this query (replan=auto).
     uint32_t replans = 0;
@@ -114,6 +114,11 @@ class QueryHandle {
     uint64_t op_msgs = 0;    // wire messages charged to the query
     uint64_t op_bytes = 0;   // wire bytes charged to the query
   };
+
+  /// Answers a handle buffers for Collect() or until OnTuple registers: a
+  /// continuous query whose handle was dropped (the qp callbacks keep its
+  /// state alive until done) must not accumulate tuples without bound.
+  static constexpr size_t kMaxBuffered = 64 * 1024;
 
   QueryHandle() = default;
 
@@ -137,33 +142,6 @@ class QueryHandle {
   /// once, synchronously, and answers still in flight are ignored.
   Status Cancel();
 
-  /// Re-bind this handle (keeping its stats, buffer and callbacks) to the
-  /// query's CURRENT proxy: after failover, the node that adopted it.
-  /// `via` must be a client on the adopting node. Answers the new proxy
-  /// buffered while the query had no client are replayed synchronously.
-  Status Reattach(PierClient* via);
-
-  // --- Continuous-query lifecycle --------------------------------------------
-
-  /// Change a running continuous query's window. Takes effect at the next
-  /// window boundary on every node executing the query's opgraphs.
-  Status Rewindow(TimeUs window);
-
-  /// Handle-level backpressure: a paused handle delivers nothing. Arriving
-  /// answers are buffered up to the buffer cap; past it they are dropped and
-  /// counted in Stats::dropped. Resume() delivers the buffered backlog to a
-  /// registered OnTuple callback (losslessly, if the cap never bit) and
-  /// re-enables streaming. The query itself keeps running either way — this
-  /// throttles a slow consumer, not the network.
-  void Pause();
-  void Resume();
-  bool paused() const;
-
-  /// Bound the handle's answer buffer (default ~64k tuples). Applies to
-  /// Collect-style buffering and to the Pause() backlog alike; overflow is
-  /// counted in Stats::dropped.
-  void SetBufferCap(size_t cap);
-
   bool done() const;
   const Stats& stats() const;
 
@@ -173,10 +151,10 @@ class QueryHandle {
   Status Wait(TimeUs max_wait = 0);
 
   /// Blocking convenience for tests and examples: Wait(), then return the
-  /// buffered answers (the first ~64k, or the SetBufferCap bound — overflow
-  /// is dropped and counted in Stats::dropped; register OnTuple for
-  /// unbounded streams). Only meaningful if OnTuple was never registered
-  /// (the buffer is disabled once a streaming callback takes over). On a
+  /// buffered answers (the first kMaxBuffered — overflow is dropped and
+  /// counted in Stats::dropped; register OnTuple for unbounded streams).
+  /// Only meaningful if OnTuple was never registered (answers go to the
+  /// streaming callback once one is registered). On a
   /// completed query the buffer is drained into the return value; on a
   /// still-running continuous query Collect returns a COPY and leaves the
   /// buffer in place, so a later Collect sees the full prefix rather than a
@@ -285,13 +263,9 @@ class PierClient {
   /// flush produced (later tables still flush).
   Status Flush();
 
-  /// Republish this client's accrued statistics for every observed table as
-  /// sys.stats tuples, immediately (Publish also does this automatically
-  /// every kStatsPublishEvery tuples per table). Any node can then fold the
-  /// cluster-wide view out of `SELECT * FROM sys.stats`.
-  Status PublishStats();
-
-  /// Publish pacing: one sys.stats row per table per this many tuples.
+  /// Publish pacing: one sys.stats row per table per this many tuples. Any
+  /// node can then fold the cluster-wide view out of
+  /// `SELECT * FROM sys.stats`.
   static constexpr uint64_t kStatsPublishEvery = 64;
 
   /// Partial-failure accounting for every publish. Dht::PutBatch reports
@@ -318,15 +292,11 @@ class PierClient {
   Result<QueryHandle> StartStatsRefresh(TimeUs window = 5 * kSecond,
                                         TimeUs lifetime = 10 * 60 * kSecond);
 
-  /// Replanning policy for queries submitted with replan=auto: swap only
-  /// when the running plan costs at least `min_cost_ratio` times the
-  /// candidate (default 1.2: the running plan must cost 20% more; see
-  /// Optimizer::Consider), checking every `period` (0 = once per query
-  /// window, floored at 1s).
-  void set_replan_cost_ratio(double min_cost_ratio) {
-    replan_cost_ratio_ = min_cost_ratio;
-  }
-  void set_replan_period(TimeUs period) { replan_period_ = period; }
+  /// Replanning policy for queries submitted with replan=auto: check once
+  /// per effective window (at least 1 s apart), and swap only when the
+  /// running plan costs at least kReplanCostRatio times the candidate (20%
+  /// more; see Optimizer::Consider).
+  static constexpr double kReplanCostRatio = 1.2;
 
   // --- Queries ---------------------------------------------------------------
 
@@ -339,14 +309,9 @@ class PierClient {
   /// after this node adopted an orphaned continuous query via proxy
   /// failover (it also works on the original proxy). Answers buffered while
   /// the query had no client are replayed into the handle. NotFound if this
-  /// node does not proxy the query.
+  /// node does not proxy the query. An attached query is not auto-replanned:
+  /// the replan loop lived at the proxy that submitted it.
   Result<QueryHandle> Attach(uint64_t query_id);
-
-  /// Attach AND resume auto-replanning: recompiles `replan_sql` (the
-  /// query's logical text) against this node's statistics as the new
-  /// baseline, so replanning keeps driving swaps through the ADOPTED
-  /// proxy — the original proxy's replan loop died with it.
-  Result<QueryHandle> Attach(uint64_t query_id, const Sql& replan_sql);
 
   /// Compile SQL against the catalog (or parse UFL) without submitting —
   /// plan inspection for tests and EXPLAIN-style tooling. The returned plan
@@ -367,13 +332,13 @@ class PierClient {
   /// ACTUAL per-operator tuples/messages/bytes the proxy aggregated from
   /// query meters. On a completed (or cancelled) query the report is the
   /// final ledger; on a running one it is a live snapshot. The handle must
-  /// have been issued by this client (or re-attached through it).
+  /// have been issued by this client (or attached through it).
   Result<ExplainAnalyzeResult> ExplainAnalyze(const QueryHandle& h) const;
 
   // --- Metrics export --------------------------------------------------------
 
-  /// Attach this node's metrics registry: enables PublishMetrics /
-  /// StartMetricsPublish. (SimPier wires this to the per-node registry.)
+  /// Attach this node's metrics registry: enables PublishMetrics. (SimPier
+  /// wires this to the per-node registry.)
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
   MetricsRegistry* metrics() { return metrics_; }
 
@@ -387,13 +352,6 @@ class PierClient {
   Status PublishMetrics(std::vector<MetricSample>* out = nullptr,
                         TimeUs lifetime = 0);
 
-  /// Republish sys.metrics every `period` (rows live 2x the period, so a
-  /// reader always finds a fresh row while the publisher is alive). One
-  /// publisher per client; calling again re-paces it. Stopped on
-  /// destruction or by StopMetricsPublish.
-  Status StartMetricsPublish(TimeUs period = 5 * kSecond);
-  void StopMetricsPublish();
-
   /// Point lookup through a declared secondary index (§3.3.3): stream the
   /// BASE tuples whose `attr` equals `v`. The opgraph travels to the index
   /// partition's owner, which fetches each matching base tuple by its
@@ -403,8 +361,6 @@ class PierClient {
                                    TimeUs timeout = 10 * kSecond);
 
  private:
-  friend class QueryHandle;  // Reattach reuses the shared callback makers
-
   /// One query being auto-replanned: the logical description to recompile,
   /// the running physical plan (for recosting) and its strategy fingerprint.
   struct ReplanTask {
@@ -428,9 +384,9 @@ class PierClient {
   /// Ask the proxy to deliver the final cost report into `state` when the
   /// query completes (shared by Submit and Attach).
   void RequestFinalCosts(std::shared_ptr<QueryHandle::State> state);
-  /// The qp-facing callbacks every handle uses, shared by Submit, Attach
-  /// and Reattach so an attached handle behaves exactly like a submitted
-  /// one (stats, buffering, backpressure, done-guard).
+  /// The qp-facing callbacks every handle uses, shared by Submit and
+  /// Attach so an attached handle behaves exactly like a submitted one
+  /// (stats, buffering, done-guard).
   static QueryProcessor::TupleCallback MakeOnTuple(
       std::shared_ptr<QueryHandle::State> state);
   static QueryProcessor::DoneCallback MakeOnDone(
@@ -470,8 +426,6 @@ class PierClient {
   StatsRegistry* stats_ = nullptr;
   std::unique_ptr<StatsRegistry> owned_stats_;  // when none was injected
   CostParams cost_params_;
-  double replan_cost_ratio_ = 1.2;
-  TimeUs replan_period_ = 0;  // 0: one check per query window
   std::map<uint64_t, ReplanTask> replans_;
   /// Shared with in-flight batch completions, which may outlive the client.
   std::shared_ptr<PublishFailures> publish_failures_ =
@@ -483,12 +437,8 @@ class PierClient {
   /// The background sys.stats refresh query, if started. Cancelled on
   /// destruction: its OnTuple callback captures this client's registry.
   QueryHandle stats_refresh_;
-  /// Metrics export: the node's registry (not owned) and the periodic
-  /// sys.metrics republish timer (leak-free repeating pattern).
+  /// Metrics export: the node's registry (not owned).
   MetricsRegistry* metrics_ = nullptr;
-  std::function<void()> metrics_tick_;
-  uint64_t metrics_timer_ = 0;
-  TimeUs metrics_publish_period_ = 0;
 };
 
 }  // namespace pier

@@ -143,19 +143,6 @@ TableStats StatsRegistry::SnapshotAt(const std::string& table,
   return out;
 }
 
-std::vector<std::string> StatsRegistry::Tables() const {
-  std::vector<std::string> out;
-  for (const auto& [table, e] : local_) out.push_back(table);
-  for (const auto& [key, e] : remote_) {
-    if (out.empty() || out.back() != key.first) {
-      if (local_.count(key.first) == 0) out.push_back(key.first);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 bool StatsRegistry::TakePublishDue(const std::string& table, uint64_t every) {
   auto it = local_.find(table);
   if (it == local_.end() || it->second.since_publish < every) return false;

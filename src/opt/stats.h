@@ -112,8 +112,6 @@ class StatsRegistry {
   TableStats SnapshotAt(const std::string& table, TimeUs now) const;
   static constexpr TimeUs kRateHalfLife = 30 * kSecond;
 
-  std::vector<std::string> Tables() const;
-
   /// True once every `every` observations of `table` since the last call
   /// that returned true — the client's republish pacing. Resets the counter.
   bool TakePublishDue(const std::string& table, uint64_t every);

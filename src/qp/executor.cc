@@ -115,8 +115,8 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
       DoStop(meta.query_id);
     return Status::Ok();
   }
-  // Metadata-only refreshes (rewindowing broadcasts) must never instantiate
-  // a query on nodes that do not run it.
+  // Metadata-only broadcasts (adoption, hand-back, a graphless swap) must
+  // never instantiate a query on nodes that do not run it.
   if (graphs.empty() && queries_.count(meta.query_id) == 0)
     return Status::Ok();
   auto [it, created] = queries_.try_emplace(meta.query_id);
@@ -140,7 +140,6 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     // broadcast, or a proxy that moved on meanwhile, changes nothing; the
     // next metadata broadcast reads again.
     if (meta.proxy_epoch < rq.meta.proxy_epoch) return Status::Ok();
-    rq.meta.window = meta.window;
     FollowProxy(&rq, meta);
     proxy_->ReadDurablePlan(meta, [this, meta](Result<QueryPlan> record) {
       auto qit = queries_.find(meta.query_id);
@@ -185,12 +184,9 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
           std::max(rq.meta.catchup_floor_us, vri_->Now());
     FollowProxy(&rq, meta);
   } else if (meta.generation == rq.meta.generation) {
-    // Same-generation refresh: adopt a changed window (rewindowing); it
-    // takes effect after each graph's next flush.
-    rq.meta.window = meta.window;
-    // Proxy identity moves only FORWARD: a broadcast announcing a later
-    // adoption re-targets answer routing, and a late one from a superseded
-    // proxy is ignored.
+    // Same-generation refresh. Proxy identity moves only FORWARD: a
+    // broadcast announcing a later adoption re-targets answer routing, and a
+    // late one from a superseded proxy is ignored.
     if (meta.proxy_epoch > rq.meta.proxy_epoch ||
         (meta.proxy_epoch == rq.meta.proxy_epoch &&
          meta.proxy == rq.meta.proxy)) {

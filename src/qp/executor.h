@@ -112,21 +112,20 @@ class QueryExecutor {
   static constexpr TimeUs kDefaultWindow = 5 * kSecond;
 
   /// The flush period a continuous query described by `meta` actually runs
-  /// with (re-read at every flush, so rewindowing a running query takes
-  /// effect after each graph's next flush).
+  /// with. The window is fixed at submission: SwapQuery keeps it.
   static TimeUs EffectiveWindow(const QueryPlan& meta);
 
   /// Instantiate `graphs` of the query described by `meta` on this node.
   /// The first arrival arms the query's clock; later arrivals (more graphs
   /// of the same query) add instances to it. Re-arrivals with:
-  ///   - the same generation refresh the window metadata (rewindowing) and
-  ///     dedup already-instantiated graphs;
+  ///   - the same generation follow a later proxy epoch and dedup
+  ///     already-instantiated graphs;
   ///   - a higher generation swap the plan: the running instances get a
   ///     final flush (the swap is their quiesce point), are closed, and the
   ///     new generation's graphs are instantiated in their place, under the
   ///     same query id and clock;
   ///   - a higher generation and no graphs (a metadata broadcast after a
-  ///     missed swap: adoption, rewindow or a graphless swap) read the
+  ///     missed swap: adoption, hand-back or a graphless swap) read the
   ///     query's durable plan record and swap to its broadcast graphs under
   ///     that broadcast's metadata.
   /// An empty `graphs` list never creates a query (metadata-only refresh).

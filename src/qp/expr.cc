@@ -258,56 +258,6 @@ bool Expr::ExtractEqualityConstant(std::string_view col, Value* out) const {
   return false;
 }
 
-bool Expr::ExtractRange(std::string_view col, int64_t* lo, int64_t* hi) const {
-  if (kind_ == ExprKind::kLogic && logic_op_ == LogicOp::kAnd) {
-    bool a = children_[0]->ExtractRange(col, lo, hi);
-    bool b = children_[1]->ExtractRange(col, lo, hi);
-    return a || b;
-  }
-  if (kind_ != ExprKind::kCmp) return false;
-  const Expr* l = children_[0].get();
-  const Expr* r = children_[1].get();
-  CmpOp op = cmp_op_;
-  // Normalize to "col OP const".
-  if (r->kind_ == ExprKind::kColumn && r->name_ == col &&
-      l->kind_ == ExprKind::kConst) {
-    std::swap(l, r);
-    switch (op) {
-      case CmpOp::kLt: op = CmpOp::kGt; break;
-      case CmpOp::kLe: op = CmpOp::kGe; break;
-      case CmpOp::kGt: op = CmpOp::kLt; break;
-      case CmpOp::kGe: op = CmpOp::kLe; break;
-      default: break;
-    }
-  }
-  if (l->kind_ != ExprKind::kColumn || l->name_ != col ||
-      r->kind_ != ExprKind::kConst) {
-    return false;
-  }
-  Result<int64_t> c = r->value_.AsInt64();
-  if (!c.ok()) return false;
-  switch (op) {
-    case CmpOp::kEq:
-      *lo = std::max(*lo, *c);
-      *hi = std::min(*hi, *c);
-      return true;
-    case CmpOp::kGe:
-      *lo = std::max(*lo, *c);
-      return true;
-    case CmpOp::kGt:
-      *lo = std::max(*lo, *c + 1);
-      return true;
-    case CmpOp::kLe:
-      *hi = std::min(*hi, *c);
-      return true;
-    case CmpOp::kLt:
-      *hi = std::min(*hi, *c - 1);
-      return true;
-    default:
-      return false;
-  }
-}
-
 void Expr::CollectColumns(std::vector<std::string>* out) const {
   if (kind_ == ExprKind::kColumn) {
     out->push_back(name_);

@@ -85,11 +85,6 @@ class Expr {
   /// via equality, return that constant. Drives index-based dissemination.
   bool ExtractEqualityConstant(std::string_view col, Value* out) const;
 
-  /// If this expression (possibly under ANDs) bounds `col` to a closed range
-  /// via >=, <=, >, <, =, tighten *lo / *hi (int64 bounds). Returns true if
-  /// any bound was found. Drives PHT range dissemination.
-  bool ExtractRange(std::string_view col, int64_t* lo, int64_t* hi) const;
-
   /// All column names referenced anywhere in the tree.
   void CollectColumns(std::vector<std::string>* out) const;
 

@@ -152,8 +152,8 @@ struct QueryPlan {
   /// Plan-swap generation for continuous queries. A re-disseminated plan with
   /// a higher generation replaces the running opgraphs under the same query
   /// id (the executor final-flushes the old instances first); the same
-  /// generation only refreshes metadata (rewindowing). Snapshot queries
-  /// never bump it.
+  /// generation only refreshes metadata (the proxy's epoch). Snapshot
+  /// queries never bump it.
   uint32_t generation = 0;
   /// Adoptions so far: 0 = the original proxy; each node that adopts the
   /// query (it came to own the previous proxy's ring id) takes the next

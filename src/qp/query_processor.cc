@@ -154,29 +154,6 @@ void QueryProcessor::ReadDurablePlan(
       meta.replicas);
 }
 
-Status QueryProcessor::RewindowQuery(uint64_t query_id, TimeUs window) {
-  if (window <= 0) return Status::InvalidArgument("window must be positive");
-  auto it = clients_.find(query_id);
-  if (it == clients_.end())
-    return Status::NotFound("not this node's running query");
-  if (!it->second.plan.continuous)
-    return Status::NotSupported("only continuous queries can be rewindowed");
-  QueryPlan& plan = it->second.plan;
-  plan.window = window;
-  // The record keeps the window too: an adopter takes its plan from it.
-  StoreDurablePlan(plan);
-  // Metadata-only refresh: same generation, no graphs. Every node running
-  // the query's opgraphs adopts the window at its next boundary; nodes that
-  // never saw the query ignore it (the executor refuses to create queries
-  // from graphless plans). The local executor is updated directly so the
-  // proxy does not wait a broadcast round-trip for its own graphs.
-  Status local = executor_->StartGraphs(BroadcastMetadata(plan), {});
-  if (!local.ok()) {
-    PIER_LOG(kWarn) << "local rewindow rejected: " << local.ToString();
-  }
-  return Status::Ok();
-}
-
 Status QueryProcessor::SwapQuery(uint64_t query_id, QueryPlan new_plan) {
   auto it = clients_.find(query_id);
   if (it == clients_.end())
@@ -190,12 +167,12 @@ Status QueryProcessor::SwapQuery(uint64_t query_id, QueryPlan new_plan) {
   new_plan.query_id = query_id;
   new_plan.proxy = dht_->local_address();
   new_plan.generation = current.generation + 1;
-  // A swap replaces the opgraphs, not the window policy: a recompiled plan
-  // carries the query text's original window, and disseminating that would
-  // silently undo an earlier Rewindow. Window changes go through
-  // RewindowQuery only. The lifetime likewise stays fixed at submission:
-  // the deadline and timeout, and so the query clock, ride every generation.
-  // The adoption epoch also survives a swap unchanged.
+  // A swap replaces the opgraphs, not the query's clock: the window, like
+  // the deadline and timeout, is fixed at submission, and every flush
+  // instant derives from the three (QueryExecutor::NextFlush). A plan
+  // compiled with another WINDOW would move some nodes' flushes off the
+  // boundaries the others keep. The adoption epoch also survives a swap
+  // unchanged.
   new_plan.window = current.window;
   new_plan.deadline_us = current.deadline_us;
   new_plan.timeout = current.timeout;
@@ -254,7 +231,7 @@ void QueryProcessor::AdoptQuery(QueryPlan meta) {
   // The durable record is the plan's authority: a record read for stray
   // answers is `meta` itself, otherwise it is read now. A tombstone
   // un-adopts. A record at least as new as this node's view supplies the
-  // whole plan (this node may have missed a swap or a rewindow), and only
+  // whole plan (this node may have missed a swap), and only
   // the proxy identity is this node's; it is stored again naming this node,
   // so the owner of THIS node's id adopts in turn if it leaves. An older or
   // unreadable record is never overwritten. Then the adoption is announced:
@@ -531,7 +508,7 @@ void QueryProcessor::HandleDisseminationBlob(std::string_view blob) {
   QueryPlan meta = *plan;
   meta.graphs.clear();
   // A hand-back names this node the proxy again under a later epoch: its
-  // own record takes the epoch, so its next swap or rewindow outranks the
+  // own record takes the epoch, so its next swap outranks the
   // adoption at every executor.
   auto cit = clients_.find(meta.query_id);
   if (cit != clients_.end() && meta.proxy == dht_->local_address() &&

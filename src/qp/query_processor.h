@@ -43,10 +43,10 @@
 //     its successor for a moment; the adopter hands the query back
 //     (HandBack, the next epoch, no cancel) once a lookup names the node
 //     it adopted from as that id's owner again. Answers arriving before a
-//     client attaches (PierClient::Attach / QueryHandle::Reattach) are
-//     buffered, bounded, and replayed on attach. An adopted query that no
-//     client attaches to within kAttachGrace is cancelled (CancelQuery:
-//     the tombstone, stored and broadcast).
+//     client attaches (PierClient::Attach) are buffered, bounded, and
+//     replayed on attach. An adopted query that no client attaches to
+//     within kAttachGrace is cancelled (CancelQuery: the tombstone, stored
+//     and broadcast).
 //   * Swap-time catch-up suppression. SwapQuery stamps the new generation
 //     with catchup_floor_us (proxy clock, carried on the wire); swapped-in
 //     Scan / catch-up NewData operators skip soft state stored before it,
@@ -169,19 +169,12 @@ class QueryProcessor {
 
   // --- Continuous-query lifecycle (this node must be the proxy) -------------
 
-  /// Adjust a running continuous query's window. The change is broadcast as
-  /// a metadata-only refresh; every node running the query's opgraphs adopts
-  /// it at its next window boundary. Errors: NotFound if this node is not
-  /// the query's proxy (or it already ended), NotSupported for snapshot
-  /// queries, InvalidArgument for window <= 0.
-  Status RewindowQuery(uint64_t query_id, TimeUs window);
-
   /// Swap a new physical plan in under the same query id (continuous
   /// queries only). The plan is re-disseminated with a bumped generation;
   /// each executing node final-flushes its running instances and
   /// instantiates the new generation in their place. Answer routing and the
-  /// client's done timer are untouched — the query's lifetime stays fixed
-  /// at its original submission.
+  /// client's done timer are untouched — the query's lifetime and window
+  /// stay fixed at its original submission.
   Status SwapQuery(uint64_t query_id, QueryPlan new_plan);
 
   // --- Introspection ---------------------------------------------------------
@@ -268,8 +261,8 @@ class QueryProcessor {
     /// destroying the executing closure would be a use-after-free.
     std::shared_ptr<const TupleCallback> on_tuple;
     DoneCallback on_done;
-    /// Continuous queries keep their plan so the lifecycle operations
-    /// (rewindow, swap) can re-disseminate it; a snapshot query's record
+    /// Continuous queries keep their plan so a swap or an adoption can
+    /// re-disseminate it; a snapshot query's record
     /// keeps a default plan (continuous = false).
     QueryPlan plan;
     /// Answers that arrived while no client was attached (an adopted query

@@ -324,17 +324,12 @@ TEST(QueryHandleTest, EmptyHandleIsInert) {
   EXPECT_FALSE(h.done());
   EXPECT_EQ(h.stats().tuples, 0u);
   EXPECT_FALSE(h.Cancel().ok());  // no-op, must not crash
-  h.Pause();
-  h.Resume();
-  h.SetBufferCap(1);
-  EXPECT_FALSE(h.paused());
-  EXPECT_FALSE(h.Rewindow(kSecond).ok());
   EXPECT_FALSE(h.Wait().ok());
   EXPECT_TRUE(h.Collect().empty());
 }
 
 // ---------------------------------------------------------------------------
-// Backpressure (Pause/Resume, buffer cap) and continuous-query lifecycle
+// Buffering: the late OnTuple replay and the fixed buffer cap
 // ---------------------------------------------------------------------------
 
 void PublishRows(SimPier* net, int n) {
@@ -345,39 +340,10 @@ void PublishRows(SimPier* net, int n) {
   }
 }
 
-TEST(QueryHandleTest, PauseBuffersAndResumeDeliversLosslessly) {
-  SimPier net(6, PierOptions(31));
-  ASSERT_TRUE(
-      net.catalog()->Register(TableSpec("t").PartitionBy({"k"})).ok());
-  PublishRows(&net, 6);
-  net.RunFor(3 * kSecond);
-
-  auto q = net.client(0)->Query(Sql("SELECT k FROM t TIMEOUT 6s"));
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  std::vector<int64_t> delivered;
-  q->OnTuple([&](const Tuple& t) {
-    delivered.push_back(t.Get("k")->int64_unchecked());
-  });
-  q->Pause();
-  EXPECT_TRUE(q->paused());
-  net.RunFor(10 * kSecond);  // query runs to completion while paused
-
-  EXPECT_TRUE(q->done());
-  EXPECT_EQ(q->stats().tuples, 6u) << "answers reached the paused handle";
-  EXPECT_TRUE(delivered.empty()) << "a paused handle delivers nothing";
-  EXPECT_EQ(q->stats().dropped, 0u) << "backlog fits under the cap";
-
-  q->Resume();
-  EXPECT_FALSE(q->paused());
-  EXPECT_EQ(delivered.size(), 6u) << "Resume replays the backlog losslessly";
-  std::sort(delivered.begin(), delivered.end());
-  EXPECT_EQ(delivered, (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(QueryHandleTest, CancelInsideResumeStopsTheDrain) {
-  // Regression: Resume() replays the paused backlog; a callback that
-  // Cancel()s mid-drain must stop the replay (the rest stays buffered),
-  // while a drain on an already-done handle still replays in full.
+TEST(QueryHandleTest, CancelInsideALateOnTupleStopsTheDrain) {
+  // Regression: registering OnTuple replays the answers buffered before it;
+  // a callback that Cancel()s mid-drain must stop the replay (the rest stays
+  // buffered).
   SimPier net(6, PierOptions(59));
   ASSERT_TRUE(
       net.catalog()->Register(TableSpec("t").PartitionBy({"k"})).ok());
@@ -387,7 +353,6 @@ TEST(QueryHandleTest, CancelInsideResumeStopsTheDrain) {
   auto q = net.client(0)->Query(
       Sql("SELECT k FROM t TIMEOUT 30s WINDOW 2s CONTINUOUS"));
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  q->Pause();
   net.RunFor(6 * kSecond);
   ASSERT_FALSE(q->done());
   ASSERT_EQ(q->stats().tuples, 6u);
@@ -398,26 +363,32 @@ TEST(QueryHandleTest, CancelInsideResumeStopsTheDrain) {
     delivered++;
     (void)handle.Cancel();  // teardown is the point; status checked below
   });
-  q->Resume();
   EXPECT_EQ(delivered, 1u) << "Cancel mid-drain stops the replay";
   EXPECT_TRUE(q->done());
   EXPECT_EQ(q->Collect().size(), 5u) << "the rest stays buffered";
 }
 
 TEST(QueryHandleTest, BufferCapBitesAndCountsDrops) {
-  SimPier net(6, PierOptions(37));
-  ASSERT_TRUE(
-      net.catalog()->Register(TableSpec("t").PartitionBy({"k"})).ok());
-  PublishRows(&net, 6);
-  net.RunFor(3 * kSecond);
+  // A local-only table at the proxy: its rows reach the handle without a
+  // network hop, so the cap can be overflowed cheaply.
+  SimPier net(2, PierOptions(37));
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("t").LocalOnly()).ok());
+  constexpr size_t kOver = 4;
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < QueryHandle::kMaxBuffered + kOver; ++i) {
+    Tuple t("t");
+    t.Append("k", Value::Int64(static_cast<int64_t>(i)));
+    rows.push_back(std::move(t));
+  }
+  ASSERT_TRUE(net.client(1)->PublishBatch("t", rows).ok());
 
   auto q = net.client(1)->Query(Sql("SELECT k FROM t TIMEOUT 6s"));
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  q->SetBufferCap(2);
-  std::vector<Tuple> rows = q->Collect();
-  EXPECT_EQ(rows.size(), 2u) << "the cap bounds the buffer";
-  EXPECT_EQ(q->stats().tuples, 6u);
-  EXPECT_EQ(q->stats().dropped, 4u) << "overflow is counted, not silent";
+  std::vector<Tuple> got = q->Collect();
+  EXPECT_EQ(got.size(), QueryHandle::kMaxBuffered)
+      << "the cap bounds the buffer";
+  EXPECT_EQ(q->stats().tuples, rows.size());
+  EXPECT_EQ(q->stats().dropped, kOver) << "overflow is counted, not silent";
 }
 
 TEST(QueryHandleTest, CollectOnRunningContinuousKeepsTheBuffer) {
@@ -735,19 +706,19 @@ TEST(PierClient, StatsRefreshFoldsRemoteRowsIntoAPrivateRegistry) {
                                         /*lifetime=*/60 * kSecond);
   ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
 
-  for (int i = 0; i < 100; ++i) {
+  // Publish pacing pushes a sys.stats row at every kStatsPublishEvery-th
+  // tuple, so the last row covers every tuple.
+  constexpr uint64_t kRows = 2 * PierClient::kStatsPublishEvery;
+  for (uint64_t i = 0; i < kRows; ++i) {
     Tuple t("ev");
-    t.Append("src", Value::Int64(i % 10));
+    t.Append("src", Value::Int64(static_cast<int64_t>(i % 10)));
     ASSERT_TRUE(net.client(i % net.size())->Publish("ev", t).ok());
   }
-  // Publish pacing already pushed sys.stats rows at the 64-tuple mark; an
-  // explicit republish covers the tail.
-  ASSERT_TRUE(net.client(0)->PublishStats().ok());
   net.RunFor(6 * kSecond);
 
   ASSERT_TRUE(mine.stats()->Has("ev"))
       << "the refresh folds arriving sys.stats rows automatically";
-  EXPECT_EQ(mine.stats()->Snapshot("ev").tuples, 100u);
+  EXPECT_EQ(mine.stats()->Snapshot("ev").tuples, kRows);
 
   // Calling again while the refresh runs returns the running query.
   auto again = mine.StartStatsRefresh();

@@ -532,20 +532,5 @@ TEST(Expr, ExtractEqualityConstant) {
   EXPECT_FALSE((*e2)->ExtractEqualityConstant("k", &v));
 }
 
-TEST(Expr, ExtractRangeTightensBounds) {
-  auto e = ParseExpr("t >= 10 and t < 20 and x = 1");
-  ASSERT_TRUE(e.ok());
-  int64_t lo = INT64_MIN, hi = INT64_MAX;
-  EXPECT_TRUE((*e)->ExtractRange("t", &lo, &hi));
-  EXPECT_EQ(lo, 10);
-  EXPECT_EQ(hi, 19);
-  // Reversed operand order normalizes.
-  auto e2 = ParseExpr("5 <= t and 30 > t");
-  lo = INT64_MIN, hi = INT64_MAX;
-  EXPECT_TRUE((*e2)->ExtractRange("t", &lo, &hi));
-  EXPECT_EQ(lo, 5);
-  EXPECT_EQ(hi, 29);
-}
-
 }  // namespace
 }  // namespace pier

@@ -264,6 +264,10 @@ TEST(SysMetrics, PublishedSnapshotIsQueryable) {
   }
   net.RunFor(kSecond);
 
+  // SimPier wires a registry automatically; a client without one refuses.
+  PierClient bare(net.qp(1), net.catalog());
+  EXPECT_FALSE(bare.PublishMetrics().ok());
+
   std::vector<MetricSample> published;
   ASSERT_TRUE(net.client(0)->PublishMetrics(&published).ok());
   ASSERT_FALSE(published.empty());
@@ -308,23 +312,6 @@ TEST(SysMetrics, PublishedSnapshotIsQueryable) {
     checked++;
   }
   EXPECT_GT(checked, 10u);
-}
-
-TEST(SysMetrics, PeriodicPublisherNeedsRegistryAndStops) {
-  SimPier net(2, PierOptions(203));
-  // SimPier wires a registry automatically; a client without one refuses.
-  PierClient bare(net.qp(1), net.catalog());
-  EXPECT_FALSE(bare.PublishMetrics().ok());
-  EXPECT_FALSE(bare.StartMetricsPublish().ok());
-
-  ASSERT_TRUE(net.client(0)->StartMetricsPublish(kSecond).ok());
-  net.RunFor(3 * kSecond + 500 * kMillisecond);
-  net.client(0)->StopMetricsPublish();
-  uint64_t puts_after_stop = net.dht(0)->stats().puts;
-  net.RunFor(3 * kSecond);
-  // No further sys.metrics publishes once stopped (no other put source
-  // is active in this idle network).
-  EXPECT_EQ(net.dht(0)->stats().puts, puts_after_stop);
 }
 
 // ---------------------------------------------------------------------------

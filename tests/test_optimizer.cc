@@ -147,15 +147,16 @@ TEST(Stats, SysStatsRoundTripThroughQuery) {
   ASSERT_TRUE(
       net.catalog()->Register(TableSpec("ev").PartitionBy({"src"})).ok());
   // Publish through MANY clients: they share one registry, whose rows all
-  // carry ONE origin — folding must not multiply the counts.
-  for (int i = 0; i < 100; ++i) {
+  // carry ONE origin — folding must not multiply the counts. The publish
+  // pacing ships a sys.stats row at every kStatsPublishEvery-th tuple, so
+  // the last row covers every tuple.
+  constexpr uint64_t kRows = 2 * PierClient::kStatsPublishEvery;
+  for (uint64_t i = 0; i < kRows; ++i) {
     Tuple t("ev");
-    t.Append("src", Value::Int64(i % 10));
-    t.Append("n", Value::Int64(i));
+    t.Append("src", Value::Int64(static_cast<int64_t>(i % 10)));
+    t.Append("n", Value::Int64(static_cast<int64_t>(i)));
     ASSERT_TRUE(net.client(i % net.size())->Publish("ev", t).ok());
   }
-  ASSERT_TRUE(net.client(0)->PublishStats().ok());
-  ASSERT_TRUE(net.client(3)->PublishStats().ok());
   net.RunFor(3 * kSecond);
 
   // The stats are now ordinary soft state: query them like any table.
@@ -172,7 +173,7 @@ TEST(Stats, SysStatsRoundTripThroughQuery) {
   }
   ASSERT_TRUE(fresh.Has("ev"));
   TableStats st = fresh.Snapshot("ev");
-  EXPECT_EQ(st.tuples, 100u);
+  EXPECT_EQ(st.tuples, kRows);
   EXPECT_GT(st.mean_bytes, 0);
   EXPECT_GT(st.distinct, 5) << "10 distinct sources";
   EXPECT_LT(st.distinct, 20);
@@ -599,8 +600,8 @@ TEST(Stats, FoldForeignSkipsOwnOriginRows) {
 // Replanning policy
 // ---------------------------------------------------------------------------
 
-/// The client's default replan threshold (PierClient::set_replan_cost_ratio).
-constexpr double kDefaultRatio = 1.2;
+/// The client's replan threshold.
+constexpr double kDefaultRatio = PierClient::kReplanCostRatio;
 
 /// An aggregation PlanExplain with just the strategy decision filled in.
 PlanExplain AggExplain(const std::string& strategy) {

@@ -589,26 +589,24 @@ TEST(QpE2E, LateGenerationFirstSightClosesAtTheDeadline) {
 }
 
 // ---------------------------------------------------------------------------
-// Continuous-query lifecycle: rewindow, swap, auto-replan
+// Continuous-query lifecycle: swap, auto-replan
 // ---------------------------------------------------------------------------
 
-TEST(QpE2E, RewindowTakesEffectAtTheNextBoundary) {
+// A query's window is fixed at submission, like its deadline and timeout: a
+// swapped-in plan compiled with another WINDOW runs on the submitted grid.
+TEST(QpE2E, SwapKeepsTheSubmittedWindow) {
   SimPier net(8, PierOptions(91));
   ASSERT_TRUE(
       net.catalog()->Register(TableSpec("ev").PartitionBy({"src"})).ok());
-
-  auto q = net.client(0)->Query(
-      Sql("SELECT src, count(*) AS cnt FROM ev GROUP BY src "
-          "TIMEOUT 60s WINDOW 6s CONTINUOUS"));
+  constexpr TimeUs kW = 4 * kSecond;
+  const char* submitted =
+      "SELECT src, count(*) AS cnt FROM ev GROUP BY src "
+      "TIMEOUT 60s WINDOW 4s CONTINUOUS";
+  auto q = net.client(0)->Query(Sql(submitted).WithAggStrategy("flat"));
   ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const uint64_t qid = q->id();
   std::vector<TimeUs> deliveries;
   q->OnTuple([&](const Tuple&) { deliveries.push_back(net.loop()->now()); });
-
-  // Error paths first: a zero window and an unknown query are rejected.
-  EXPECT_EQ(q->Rewindow(0).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(net.qp(0)->RewindowQuery(12345, kSecond).code(),
-            StatusCode::kNotFound);
-
   auto publish_for = [&](TimeUs span) {
     for (TimeUs t = 0; t < span; t += kSecond) {
       Tuple e("ev");
@@ -617,26 +615,36 @@ TEST(QpE2E, RewindowTakesEffectAtTheNextBoundary) {
       net.RunFor(kSecond);
     }
   };
+  publish_for(6 * kSecond);
 
-  TimeUs phase_a_end;
-  publish_for(14 * kSecond);  // ~2 six-second windows
-  phase_a_end = net.loop()->now();
-  size_t phase_a = deliveries.size();
+  auto faster = net.client(0)->Compile(
+      Sql("SELECT src, count(*) AS cnt FROM ev GROUP BY src "
+          "TIMEOUT 60s WINDOW 1s CONTINUOUS")
+          .WithAggStrategy("flat"));
+  ASSERT_TRUE(faster.ok()) << faster.status().ToString();
+  ASSERT_EQ(faster->window, kSecond);
+  ASSERT_TRUE(net.qp(0)->SwapQuery(qid, std::move(*faster)).ok());
+  auto stored = net.qp(0)->ProxyPlan(qid);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(stored->window, kW) << "the proxy's plan keeps the window";
+  EXPECT_EQ(stored->generation, 1u);
 
-  ASSERT_TRUE(q->Rewindow(2 * kSecond).ok());
-  publish_for(14 * kSecond);  // same span, ~7 two-second windows
-  size_t phase_b = 0;
-  for (TimeUs t : deliveries) phase_b += t > phase_a_end;
-
-  EXPECT_GT(phase_a, 0u);
-  EXPECT_GT(phase_b, phase_a + 1)
-      << "shorter windows must flush more often over the same span (a="
-      << phase_a << " b=" << phase_b << ")";
-
-  // A snapshot query has no windows to adjust.
-  auto snap = net.client(0)->Query(Sql("SELECT * FROM ev TIMEOUT 5s"));
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap->Rewindow(kSecond).code(), StatusCode::kNotSupported);
+  // The swap's final flush is off the grid; watch from the next boundary.
+  net.RunFor(kW);
+  const size_t from = deliveries.size();
+  publish_for(4 * kW);
+  ASSERT_GT(deliveries.size(), from);
+  EXPECT_LE(deliveries.size() - from, 5u)
+      << "one final row per 4 s window, not one per second";
+  // A final row flushes at origin + (k+1)·W + W/4; it reaches the proxy
+  // within the network's delay.
+  const TimeUs origin = stored->deadline_us - stored->timeout;
+  for (size_t i = from; i < deliveries.size(); ++i) {
+    const TimeUs phase = (deliveries[i] - origin - kW / 4) % kW;
+    EXPECT_LT(phase, 500 * kMillisecond)
+        << "delivery " << i << " lies " << phase / kMillisecond
+        << " ms past the submitted window's final-flush instant";
+  }
 }
 
 TEST(QpE2E, SwapQueryReplacesTheRunningOpgraphs) {
@@ -761,9 +769,6 @@ TEST(QpE2E, AutoReplanSwapsOnACardinalityShiftAndOnlyThen) {
   SimPier net(8, PierOptions(101));
   ASSERT_TRUE(
       net.catalog()->Register(TableSpec("ev").PartitionBy({"src"})).ok());
-  net.client(0)->set_replan_period(2 * kSecond);
-  net.client(0)->set_replan_cost_ratio(1.05);
-
   // Submitted over an EMPTY table: no usable statistics, so the compiler
   // defaults to flat aggregation and the replanner's baseline is "flat".
   auto q = net.client(0)->Query(
