@@ -39,6 +39,10 @@
 // ends, over seeds 1–3; FAILS unless the churn-free ring answers every query
 // fully with no dead end. It writes nothing to PIER_BENCH_JSON.
 //
+// Last, E14's get success and E14c's fully-answered share are each
+// averaged over 12 seeds (301–312 and 1–12): one seed's reading under churn
+// moves by more than most changes do.
+//
 // PIER_BENCH_SMOKE=1 shrinks the E14 and E14c sweeps for CI; E14b and E15
 // always run whole (they ARE the regression gates).
 
@@ -82,6 +86,20 @@ uint32_t LiveNode(SimPier* net, Rng* rng, uint32_t from = 0) {
 void ChurnOnce(SimPier* net, Rng* rng) {
   net->harness()->FailNode(LiveNode(net, rng, 1));
   net->AddNode();
+}
+
+struct ChurnCase {
+  const char* name;
+  TimeUs interval;  // 0: no churn
+};
+
+/// The churn intervals E14 and E14c sweep.
+std::vector<ChurnCase> ChurnCases() {
+  if (kSmoke) return {{"none", 0}, {"20s", 20 * kSecond}};
+  return {{"none", 0},
+          {"60s", 60 * kSecond},
+          {"20s", 20 * kSecond},
+          {"10s", 10 * kSecond}};
 }
 
 /// Routing dead ends on the live nodes.
@@ -230,20 +248,12 @@ int RunEqualityCheck() {
   std::vector<int> w(header.size(), 14);
   w[0] = 18;
   bench::Row(header, w);
-  struct Case {
-    const char* name;
-    TimeUs interval;
-  };
-  std::vector<Case> cases = {Case{"none", 0}, Case{"60s", 60 * kSecond},
-                             Case{"20s", 20 * kSecond},
-                             Case{"10s", 10 * kSecond}};
-  if (kSmoke) cases = {Case{"none", 0}, Case{"20s", 20 * kSecond}};
   // Under churn a publish warns of every index entry it drops; the full
   // shares already count what they cost.
   const LogLevel level = GetLogLevel();
   SetLogLevel(LogLevel::kError);
   int failures = 0;
-  for (const Case& c : cases) {
+  for (const ChurnCase& c : ChurnCases()) {
     std::vector<std::string> cells = {c.name};
     double sum = 0;
     uint64_t dead_ends = 0;
@@ -687,6 +697,31 @@ int RunReplicationCheck() {
   return failures;
 }
 
+/// E14 and E14c, each averaged over 12 seeds. A run takes its query ids
+/// from a process-wide counter, so it shifts every later run's readings:
+/// these run last, and leave the tables above as they were.
+void RunSeedMeans() {
+  bench::Title("E14 and E14c: means over 12 seeds");
+  const uint64_t seeds = kSmoke ? 1 : 12;
+  std::vector<int> w = {18, 22, 22};
+  bench::Row({"churn interval", "E14 get% s=301-" + std::to_string(300 + seeds),
+              "E14c full% s=1-" + std::to_string(seeds)},
+             w);
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);
+  for (const ChurnCase& c : ChurnCases()) {
+    double gets = 0, fully = 0;
+    for (uint64_t i = 0; i < seeds; ++i) {
+      gets += Measure(c.interval, 301 + i).get_success;
+      fully += MeasureEquality(c.interval, 1 + i).fully;
+    }
+    bench::Row({c.name, bench::Fmt(100 * gets / seeds, 2),
+                bench::Fmt(100 * fully / seeds, 2)},
+               w);
+  }
+  SetLogLevel(level);
+}
+
 int Run() {
   bench::Title("E14: churn — get success under live join/fail (no oracle)");
   bench::Note("N=" + std::to_string(kNodes) + " run=" +
@@ -694,15 +729,7 @@ int Run() {
               "s, objects republished every 10s with 30s lifetime");
   std::vector<int> w = {18, 14, 14, 12};
   bench::Row({"churn interval", "get success%", "dead ends", "failures"}, w);
-  struct Case {
-    const char* name;
-    TimeUs interval;
-  };
-  std::vector<Case> cases = {Case{"none", 0}, Case{"60s", 60 * kSecond},
-                             Case{"20s", 20 * kSecond},
-                             Case{"10s", 10 * kSecond}};
-  if (kSmoke) cases = {Case{"none", 0}, Case{"20s", 20 * kSecond}};
-  for (const Case& c : cases) {
+  for (const ChurnCase& c : ChurnCases()) {
     Outcome o = Measure(c.interval, 301);
     bench::Row({c.name, bench::Fmt(100 * o.get_success),
                 std::to_string(o.dead_ends), std::to_string(o.failed_nodes)},
@@ -715,7 +742,9 @@ int Run() {
   // In this order, so that E14c's runs leave E14b's and E15's unchanged.
   int failures = RunFailoverCheck();
   failures += RunReplicationCheck();
-  return failures + RunEqualityCheck();
+  failures += RunEqualityCheck();
+  RunSeedMeans();
+  return failures;
 }
 
 }  // namespace

@@ -8,6 +8,12 @@
 // §2). The reproduction target is the *shape*: flooding answers popular
 // queries fast but leaves much of the rare tail unanswered, while the PIER
 // keyword index answers nearly all rare queries within a few routing hops.
+//
+// Self-checking: FAILS if the corpus publish burst lost any fidx index
+// entry (a lookup that timed out under the burst drops its entry).
+
+#include <cstdio>
+#include <string>
 
 #include "apps/filesharing.h"
 #include "apps/gnutella.h"
@@ -30,7 +36,7 @@ constexpr int kGnutellaDegree = 3;
 constexpr uint64_t kRareThreshold = 4;  // max doc-frequency of a "rare" kw
 constexpr TimeUs kWait = 12 * kSecond;
 
-void Run() {
+int Run() {
   bench::Title("Figure 1: first-result latency CDF, PIER vs Gnutella");
   bench::Note("nodes=" + std::to_string(kNodes) +
               " queries=" + std::to_string(kQueries) +
@@ -111,12 +117,21 @@ void Run() {
       "expected shape (paper): PIER answers nearly all rare queries; Gnutella "
       "answers most popular queries fast but misses a large fraction of the "
       "rare subset within its TTL horizon.");
+
+  // Every fidx entry the publish burst failed to store, reported by now
+  // (a lookup gives up within OverlayRouter::kLookupTimeout).
+  uint64_t lost = 0;
+  for (uint32_t i = 0; i < kNodes; ++i)
+    lost += pier.client(i)->publish_failures().dropped_items;
+  bench::Note("fidx index entries lost by the publish burst: " +
+              std::to_string(lost));
+  if (lost == 0) return 0;
+  std::fprintf(stderr, "FAIL: the corpus lost %llu fidx index entries\n",
+               static_cast<unsigned long long>(lost));
+  return 1;
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
-  pier::Run();
-  return 0;
-}
+int main() { return pier::Run(); }

@@ -82,6 +82,13 @@ void OverlayRouter::SendProtocolMessage(
   SendFramed(to, std::move(w).data(), std::move(on_delivery));
 }
 
+void OverlayRouter::ReplyProtocolMessage(const NetAddress& to,
+                                         std::string_view payload) {
+  WireWriter w = FrameMessage(kMsgProto);
+  w.PutRaw(payload);
+  transport_->Reply(to, w.data());
+}
+
 std::string OverlayRouter::EncodeRoute(const RouteInfo& info,
                                        std::string_view payload) {
   WireWriter w = FrameMessage(kMsgRoute);

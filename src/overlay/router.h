@@ -17,9 +17,11 @@
 //     "Broadcast");
 //   * a direct-message extension point used by the object-storage layer.
 //
-// Every frame leaves through SendFramed, the router's one call into UdpCc:
-// a frame is built once, type byte first, and a reply sent from inside its
-// request's handler carries that request's ACK (runtime/udpcc.h).
+// Every frame leaves through SendFramed, the router's one call into UdpCc's
+// acknowledged Send: a frame is built once, type byte first, and a reply
+// sent from inside its request's handler carries that request's ACK
+// (runtime/udpcc.h). The protocol's own RPC replies are the exception:
+// ReplyProtocolMessage sends them as unacknowledged UdpCC replies.
 
 #ifndef PIER_OVERLAY_ROUTER_H_
 #define PIER_OVERLAY_ROUTER_H_
@@ -215,6 +217,8 @@ class OverlayRouter : public ProtocolHost {
   void SendProtocolMessage(
       const NetAddress& to, std::string payload,
       std::function<void(const Status&)> on_delivery) override;
+  void ReplyProtocolMessage(const NetAddress& to,
+                            std::string_view payload) override;
   Vri* vri() override { return vri_; }
   Id local_id() const override { return local_id_; }
   NetAddress local_address() const override { return local_address_; }

@@ -45,6 +45,12 @@ void ChordProtocol::Send(const NetAddress& to, std::string payload,
   host_->SendProtocolMessage(to, std::move(payload), std::move(on_delivery));
 }
 
+void ChordProtocol::Reply(const NetAddress& to, const WireWriter& frame) {
+  counters_.frames_sent++;
+  counters_.bytes_sent += frame.data().size();
+  host_->ReplyProtocolMessage(to, frame.data());
+}
+
 void ChordProtocol::Start(const NetAddress& bootstrap) {
   started_ = true;
   if (bootstrap.IsNull() || bootstrap == host_->local_address()) {
@@ -309,18 +315,25 @@ void ChordProtocol::SendRpc(
     const NetAddress& to, uint8_t subtype, std::string_view body,
     std::function<void(const Status&, std::string_view)> cb) {
   uint64_t nonce = next_nonce_++;
-  PendingRpc rpc;
-  rpc.cb = std::move(cb);
-  rpc.timer =
-      host_->vri()->ScheduleEvent(options_.rpc_timeout, [this, nonce]() {
-        CompleteRpc(nonce, Status::TimedOut("chord rpc timeout"), {});
-      });
-  pending_[nonce] = std::move(rpc);
   WireWriter w = Frame(subtype, nonce);
   w.PutRaw(body);
-  Send(to, std::move(w).data(), [this, nonce](const Status& s) {
-    if (!s.ok()) CompleteRpc(nonce, s, {});
+  auto send = [this, to, nonce, frame = std::move(w).data()]() {
+    Send(to, frame, [this, nonce](const Status& s) {
+      if (!s.ok()) CompleteRpc(nonce, s, {});
+    });
+  };
+  PendingRpc& rpc = pending_[nonce];
+  rpc.cb = std::move(cb);
+  // UdpCC retransmits no reply: the request goes once more at half time.
+  const TimeUs half = options_.rpc_timeout / 2;
+  rpc.timer = host_->vri()->ScheduleEvent(half, [this, nonce, half, send]() {
+    pending_.at(nonce).timer = host_->vri()->ScheduleEvent(
+        options_.rpc_timeout - half, [this, nonce]() {
+          CompleteRpc(nonce, Status::TimedOut("chord rpc timeout"), {});
+        });
+    send();
   });
+  send();
 }
 
 void ChordProtocol::CompleteRpc(uint64_t nonce, const Status& status,
@@ -370,7 +383,7 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
       WireWriter w = Frame(kFindSuccResp, nonce);
       w.PutU8(done ? 1 : 0);
       PutPeer(&w, answer);
-      Send(from, std::move(w).data(), nullptr);
+      Reply(from, w);
       return;
     }
     case kFindSuccResp:
@@ -394,7 +407,7 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
       } else {
         w.PutRaw(body.data());
       }
-      Send(from, std::move(w).data(), nullptr);
+      Reply(from, w);
       return;
     }
     case kNotify: {
@@ -408,7 +421,7 @@ void ChordProtocol::HandleProtocolMessage(const NetAddress& from,
       return;
     }
     case kPing:
-      Send(from, Frame(kPong, nonce).data(), nullptr);
+      Reply(from, Frame(kPong, nonce));
       return;
     default:
       return;

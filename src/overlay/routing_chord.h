@@ -157,10 +157,14 @@ class ChordProtocol : public RoutingProtocol {
   /// Every Chord frame leaves through here (counted in frames_sent).
   void Send(const NetAddress& to, std::string payload,
             std::function<void(const Status&)> on_delivery);
+  /// An RPC reply, sent unacknowledged (ProtocolHost::ReplyProtocolMessage)
+  /// and counted in frames_sent.
+  void Reply(const NetAddress& to, const WireWriter& frame);
   /// A writer holding the frame header; the caller appends the body.
   WireWriter Frame(uint8_t subtype, uint64_t nonce) const;
   /// Send `subtype` and `body` under a fresh nonce; `cb` gets the reply's
-  /// body, or the failure.
+  /// body, or the failure. A request still unanswered at rpc_timeout / 2 is
+  /// sent once more under its nonce; the RPC fails at rpc_timeout.
   void SendRpc(const NetAddress& to, uint8_t subtype, std::string_view body,
                std::function<void(const Status&, std::string_view)> cb);
   void CompleteRpc(uint64_t nonce, const Status& status, std::string_view body);

@@ -62,6 +62,14 @@ class ProtocolHost {
       const NetAddress& to, std::string payload,
       std::function<void(const Status&)> on_delivery) = 0;
 
+  /// One unacknowledged datagram to a peer's protocol instance (a UdpCC
+  /// reply, runtime/udpcc.h). Called while `to`'s request is being handled,
+  /// it carries that request's ACK, so the exchange costs two datagrams.
+  /// Nothing retransmits a lost reply: the requester's own timeout must
+  /// re-send the request.
+  virtual void ReplyProtocolMessage(const NetAddress& to,
+                                    std::string_view payload) = 0;
+
   virtual Vri* vri() = 0;
   virtual Id local_id() const = 0;
   virtual NetAddress local_address() const = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/wire.h"
@@ -12,7 +13,24 @@ namespace {
 constexpr uint8_t kData = 0;
 constexpr uint8_t kAck = 1;
 constexpr uint8_t kDataAck = 2;
+constexpr uint8_t kReply = 3;
 }  // namespace
+
+void UdpCc::RttEstimate::Add(TimeUs sample) {
+  if (srtt == 0) {
+    srtt = sample;
+    rttvar = sample / 2;
+    return;
+  }
+  TimeUs err = sample - srtt;
+  srtt += err / 8;
+  rttvar += (std::abs(err) - rttvar) / 4;
+}
+
+TimeUs UdpCc::RttEstimate::Rto() const {
+  if (srtt == 0) return kInitialRto;
+  return std::clamp(srtt + 4 * rttvar, kMinRto, kMaxRto);
+}
 
 UdpCc::UdpCc(Vri* vri, uint16_t port) : vri_(vri), port_(port) {
   Status s = vri_->UdpListen(port_, this);
@@ -37,7 +55,6 @@ UdpCc::PeerState& UdpCc::Peer(const NetAddress& addr) {
     PeerState st;
     st.cwnd = kInitialCwnd;
     st.ssthresh = kMaxCwnd;
-    st.rto = kInitialRto;
     it = peers_.emplace(addr, std::move(st)).first;
   }
   return it->second;
@@ -59,14 +76,10 @@ void UdpCc::Send(const NetAddress& destination, std::string payload,
 
 void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
   WireWriter w;
-  bool piggyback = owed_ack_seq_ != 0 && owed_ack_to_ == dst;
-  w.PutU8(piggyback ? kDataAck : kData);
+  const uint64_t ack = TakeOwedAck(dst);
+  w.PutU8(ack != 0 ? kDataAck : kData);
   w.PutVarint(msg.seq);
-  if (piggyback) {
-    w.PutVarint(owed_ack_seq_);
-    owed_ack_seq_ = 0;
-    stats_.acks_piggybacked++;
-  }
+  if (ack != 0) w.PutVarint(ack);
   w.PutRaw(msg.payload);
   TimeUs now = vri_->Now();
   if (msg.retries == 0) {
@@ -85,45 +98,61 @@ void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
     stats_.msgs_failed++;
     return;
   }
-  TimeUs rto = std::min(
-      kMaxRto, static_cast<TimeUs>(peer.rto << std::min(msg.retries, 6)));
+  const RttEstimate& rtt = peer.rtt.srtt != 0 ? peer.rtt : node_rtt_;
+  TimeUs rto = std::min(kMaxRto, rtt.Rto() << std::min(msg.retries, 6));
   Pending& pending =
       peer.inflight.insert_or_assign(seq, std::move(msg)).first->second;
   pending.timer_token =
       vri_->ScheduleEvent(rto, [this, dst, seq]() { OnTimeout(dst, seq); });
 }
 
+void UdpCc::Reply(const NetAddress& destination, std::string_view payload) {
+  WireWriter w;
+  w.PutU8(kReply);
+  w.PutVarint(TakeOwedAck(destination));
+  w.PutRaw(payload);
+  stats_.msgs_sent++;
+  stats_.bytes_sent += payload.size();
+  (void)vri_->UdpSend(port_, destination, std::move(w).data());
+}
+
+uint64_t UdpCc::TakeOwedAck(const NetAddress& dst) {
+  if (owed_ack_seq_ == 0 || owed_ack_to_ != dst) return 0;
+  stats_.acks_piggybacked++;
+  return std::exchange(owed_ack_seq_, 0);
+}
+
 void UdpCc::HandleUdp(const NetAddress& source, std::string_view payload) {
   WireReader r(payload);
   uint8_t type;
-  uint64_t seq;
+  uint64_t seq;  // an ACK's and a reply's: the seq acknowledged (0 = none)
   if (!r.GetU8(&type).ok() || !r.GetVarint(&seq).ok()) return;  // malformed
 
-  if (type == kAck) {
+  if (type == kAck || type == kReply) {
     OnAck(source, seq);
-    return;
-  }
-  if (type == kDataAck) {
-    uint64_t acked;
-    if (!r.GetVarint(&acked).ok()) return;
-    OnAck(source, acked);
-  } else if (type != kData) {
-    return;
-  }
-
-  PeerState& peer = Peer(source);
-  if (AlreadySeen(peer, seq)) {
-    // Acknowledge duplicates too: the first ACK may have been lost, or
-    // processed after a retransmit was already sent.
-    stats_.duplicates_dropped++;
-    SendAck(source, seq);
-    return;
+    if (type == kAck) return;
+  } else {
+    if (type == kDataAck) {
+      uint64_t acked;
+      if (!r.GetVarint(&acked).ok()) return;
+      OnAck(source, acked);
+    } else if (type != kData) {
+      return;
+    }
+    PeerState& peer = Peer(source);
+    if (AlreadySeen(peer, seq)) {
+      // Acknowledge duplicates too: the first ACK may have been lost, or
+      // processed after a retransmit was already sent.
+      stats_.duplicates_dropped++;
+      SendAck(source, seq);
+      return;
+    }
+    owed_ack_to_ = source;
+    owed_ack_seq_ = seq;
   }
   stats_.msgs_received++;
   std::string_view body = payload.substr(payload.size() - r.remaining());
   stats_.bytes_received += body.size();
-  owed_ack_to_ = source;
-  owed_ack_seq_ = seq;
   if (handler_) handler_(source, body);
   // Nothing went back to the source in the handler: the ACK goes alone.
   if (owed_ack_seq_ != 0) {
@@ -165,16 +194,8 @@ void UdpCc::OnAck(const NetAddress& src, uint64_t seq) {
   // RTT sampling (Karn's rule: only unretransmitted messages).
   if (pending.retries == 0) {
     TimeUs sample = vri_->Now() - pending.first_sent;
-    if (peer.srtt == 0) {
-      peer.srtt = sample;
-      peer.rttvar = sample / 2;
-    } else {
-      TimeUs err = sample - peer.srtt;
-      peer.srtt += err / 8;
-      peer.rttvar += (std::abs(err) - peer.rttvar) / 4;
-    }
-    peer.rto = std::clamp(peer.srtt + 4 * peer.rttvar, kMinRto,
-                          kMaxRto);
+    peer.rtt.Add(sample);
+    node_rtt_.Add(sample);
   }
 
   // Window growth: slow start then additive increase.

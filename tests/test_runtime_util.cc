@@ -342,7 +342,8 @@ TEST(Bloom, NoFalseNegativesAndBoundedFalsePositives) {
   for (int i = 0; i < 1000; ++i)
     EXPECT_TRUE(f.MayContain("member" + std::to_string(i)));
   int fp = 0;
-  for (int i = 0; i < 10000; ++i) fp += f.MayContain("other" + std::to_string(i));
+  for (int i = 0; i < 10000; ++i)
+    fp += f.MayContain("other" + std::to_string(i));
   EXPECT_LT(fp, 300) << "~1% target, allow 3x slack";
 }
 
@@ -515,12 +516,14 @@ TEST(SimHarness, DeterministicGivenSeed) {
     Capture rx;
     EXPECT_TRUE(sim.vri(3)->UdpListen(9, &rx).ok());
     for (int i = 0; i < 10; ++i) {
-      EXPECT_TRUE(
-          sim.vri(i % 3)->UdpSend(9, sim.AddressOf(3, 9), std::to_string(i)).ok());
+      EXPECT_TRUE(sim.vri(i % 3)
+                      ->UdpSend(9, sim.AddressOf(3, 9), std::to_string(i))
+                      .ok());
     }
     sim.loop()->RunUntilIdle();
     std::string log;
-    for (auto& [src, p] : rx.got) log += std::to_string(src.host) + ":" + p + ";";
+    for (auto& [src, p] : rx.got)
+      log += std::to_string(src.host) + ":" + p + ";";
     return log + "@" + std::to_string(sim.loop()->now());
   };
   EXPECT_EQ(run(42), run(42));
@@ -548,7 +551,9 @@ TEST(SimHarness, TcpFramedRoundTrip) {
   struct Client : TcpHandler {
     std::vector<std::string> got;
     bool connected = false;
-    void HandleTcpNew(uint64_t, const NetAddress&) override { connected = true; }
+    void HandleTcpNew(uint64_t, const NetAddress&) override {
+      connected = true;
+    }
     void HandleTcpData(uint64_t, std::string_view d) override {
       got.emplace_back(d);
     }
@@ -556,7 +561,8 @@ TEST(SimHarness, TcpFramedRoundTrip) {
   } client;
 
   ASSERT_TRUE(sim.vri(1)->TcpListen(7000, &server).ok());
-  Result<uint64_t> conn = sim.vri(0)->TcpConnect(sim.AddressOf(1, 7000), &client);
+  Result<uint64_t> conn =
+      sim.vri(0)->TcpConnect(sim.AddressOf(1, 7000), &client);
   ASSERT_TRUE(conn.ok());
   sim.loop()->RunUntilIdle();
   ASSERT_TRUE(client.connected);
@@ -625,7 +631,7 @@ TEST(UdpCc, HandleUdpSurvivesTruncationGarbageAndOverCapSeqs) {
   UdpCc b(sim.vri(1), 5000);
   // Bodies dispatched from type-0 datagrams. Any dispatched body must be the
   // tail of its datagram: a random datagram that happens to parse as a data
-  // frame (of either type) is delivered, but nothing is read past its end.
+  // frame or a reply is delivered, but nothing is read past its end.
   std::string datagram, last;
   std::vector<std::string> bodies;
   b.set_message_handler([&](const NetAddress&, std::string_view p) {
@@ -690,6 +696,31 @@ TEST(UdpCc, HandleUdpSurvivesTruncationGarbageAndOverCapSeqs) {
     over.append("xy");
     EXPECT_FALSE(parsed(over)) << int{tenth};
   }
+
+  // A reply: an ACK of seq 300 (which `b` never sent), then the payload.
+  // Replies are not deduplicated, so every cut from the end of the ACK on is
+  // dispatched.
+  WireWriter w3;
+  w3.PutU8(3);
+  w3.PutVarint(300);
+  w3.PutRaw("payload");
+  const std::string frame3 = std::move(w3).data();
+  received = b.stats().msgs_received;
+  handle(frame3);
+  handle(frame3);
+  EXPECT_EQ(b.stats().msgs_received, received + 2);
+  EXPECT_EQ(last, "payload");
+  EXPECT_EQ(FuzzDecoder(frame3, 8, parsed), frame3.size() - 3);
+  // Over-cap ACKs.
+  for (char tenth : {'\x02', '\x80'}) {
+    std::string over("\x03");
+    over.append(9, '\xff');
+    over.push_back(tenth);
+    over.append("xy");
+    EXPECT_FALSE(parsed(over)) << int{tenth};
+  }
+  EXPECT_EQ(b.stats().msgs_sent + b.stats().acks_piggybacked, 0u)
+      << "a reply is never acknowledged";
   sim.RunFor(5 * kSecond);  // the ACKs reach `a`, which expects none
   EXPECT_EQ(a.stats().msgs_delivered, 0u);
   EXPECT_EQ(b.stats().msgs_delivered, 0u);
@@ -726,6 +757,36 @@ TEST(UdpCc, RequestAnsweredInItsHandlerCostsThreeDatagrams) {
   EXPECT_EQ(a.stats().acks_piggybacked, 0u);
   EXPECT_EQ(a.stats().acks_sent, 1u);
   EXPECT_EQ(a.stats().retransmits + b.stats().retransmits, 0u);
+}
+
+// A request answered by a UdpCC reply inside its handler costs two
+// datagrams: the request and the reply carrying its ACK. Nothing
+// acknowledges the reply.
+TEST(UdpCc, RequestAnsweredByAReplyCostsTwoDatagrams) {
+  SimOptions opts;
+  opts.seed = 16;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc a(sim.vri(0), 5000);
+  UdpCc b(sim.vri(1), 5000);
+  b.set_message_handler([&](const NetAddress& src, std::string_view p) {
+    b.Reply(src, "re:" + std::string(p));
+  });
+  std::vector<std::string> replies;
+  a.set_message_handler([&](const NetAddress&, std::string_view p) {
+    replies.emplace_back(p);
+  });
+  Status report = Status::Internal("no report");
+  a.Send(sim.AddressOf(1, 5000), "req", [&](const Status& s) { report = s; });
+  sim.RunFor(5 * kSecond);
+  EXPECT_EQ(replies, std::vector<std::string>{"re:req"});
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(sim.total_msgs(), 2u);
+  EXPECT_EQ(b.stats().msgs_sent, 1u) << "a reply counts as a message";
+  EXPECT_EQ(b.stats().bytes_sent, std::string("re:req").size());
+  EXPECT_EQ(b.stats().acks_piggybacked, 1u);
+  EXPECT_EQ(a.stats().acks_sent + b.stats().acks_sent, 0u);
+  EXPECT_EQ(a.stats().retransmits, 0u);
 }
 
 // A handler that sends only to a third peer leaves the ACK to go alone, once
@@ -845,6 +906,43 @@ TEST(UdpCc, SenderNotifiedWhenPeerIsDead) {
   EXPECT_EQ(a.stats().retransmits, 4u);
   EXPECT_EQ(a.stats().msgs_failed, 1u);
   EXPECT_EQ(reported_at - sent_at, 23 * kSecond);
+}
+
+// A peer with no RTT sample of its own times out from the node's estimate,
+// once the node has one: an ACK from a live peer shortens the give-up
+// toward a dead one from 23 s to the doubling ladder of that estimate.
+TEST(UdpCc, DeadPeerGivesUpSoonerOnceTheNodeHasAnRttSample) {
+  SimOptions opts;
+  opts.seed = 10;
+  SimHarness sim(opts);
+  sim.AddNodes(3);
+  UdpCc a(sim.vri(0), 5000);
+  UdpCc b(sim.vri(1), 5000);
+  sim.FailNode(2);
+  TimeUs rtt = -1;
+  TimeUs sent_at = sim.vri(0)->Now();
+  a.Send(sim.AddressOf(1, 5000), "sample",
+         [&](const Status&) { rtt = sim.vri(0)->Now() - sent_at; });
+  sim.RunFor(5 * kSecond);
+  ASSERT_GT(rtt, 0);
+  // One sample: srtt = rtt and rttvar = rtt / 2, so the RTO is 3 x rtt.
+  const TimeUs rto =
+      std::clamp(3 * rtt, UdpCc::kMinRto, UdpCc::kMaxRto);
+  TimeUs give_up = 0;
+  for (int i = 0; i <= UdpCc::kMaxRetries; ++i)
+    give_up += std::min(UdpCc::kMaxRto, rto << i);
+  Status failure = Status::Ok();
+  TimeUs reported_at = -1;
+  sent_at = sim.vri(0)->Now();
+  a.Send(sim.AddressOf(2, 5000), "doomed", [&](const Status& s) {
+    failure = s;
+    reported_at = sim.vri(0)->Now();
+  });
+  sim.RunFor(60 * kSecond);
+  EXPECT_FALSE(failure.ok());
+  EXPECT_EQ(a.stats().retransmits, 4u);
+  EXPECT_EQ(reported_at - sent_at, give_up);
+  EXPECT_LT(give_up, 23 * kSecond);
 }
 
 // A message first sent at virtual time 0 and retransmitted once is one send
