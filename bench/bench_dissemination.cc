@@ -1,12 +1,14 @@
 // Experiment E10 — §3.3.3 query dissemination: broadcast reach, cover time
 // and cost.
 //
-// A broadcast splits the ring along each node's routing contacts, with no
-// root and no JOIN maintenance (src/overlay/README.md, "Broadcast"), so its
-// shape is inherited from the DHT's routing state. For each protocol and N we
-// report reach (nodes covered), time to full coverage, broadcast frames, and
-// the shape of who forwarded to whom: the largest fan-out and the share of
-// nodes that forwarded at all.
+// A broadcast splits the ring along each node's routing contacts and cached
+// owners, with no root and no JOIN maintenance (src/overlay/README.md,
+// "Broadcast"), so its shape is inherited from the DHT's routing state. For
+// each protocol and N we report reach (nodes covered), time to full
+// coverage, broadcast frames, and the shape of who forwarded to whom: the
+// largest fan-out and the share of nodes that forwarded at all. The
+// "chord+c" row broadcasts from an originator whose owner cache 4N lookups
+// warmed first; every other row starts from cold caches.
 //
 // Self-checking: exits 1 unless every node is reached, no node's handler
 // runs twice, and the broadcast takes exactly N-1 frames.
@@ -17,11 +19,13 @@
 
 #include "bench/bench_common.h"
 #include "qp/sim_pier.h"
+#include "util/hash.h"
 
 namespace pier {
 namespace {
 
-bool Measure(uint32_t n, ProtocolKind kind, const char* name) {
+bool Measure(uint32_t n, ProtocolKind kind, const char* name,
+             uint32_t warm_lookups = 0) {
   SimPier::Options opts;
   opts.sim.seed = 13;
   opts.dht.router.protocol = kind;
@@ -37,8 +41,14 @@ bool Measure(uint32_t n, ProtocolKind kind, const char* name) {
     });
   }
 
+  OverlayRouter* origin = net.dht(0)->router();
+  for (uint32_t i = 0; i < warm_lookups; ++i)
+    origin->Lookup(HashCombine(0x3a11, i),
+                   [](const Result<OverlayRouter::Owner>&) {});
+  if (warm_lookups > 0) net.RunFor(5 * kSecond);
+
   TimeUs start = net.loop()->now();
-  net.dht(0)->router()->Broadcast("opgraph");
+  origin->Broadcast("opgraph");
   net.RunFor(15 * kSecond);
 
   uint32_t reached = 0, twice = 0;
@@ -87,11 +97,15 @@ int Run() {
   for (uint32_t n : sizes) {
     ok &= Measure(n, ProtocolKind::kChord, "chord");
     ok &= Measure(n, ProtocolKind::kPrefix, "prefix");
+    ok &= Measure(n, ProtocolKind::kChord, "chord+c", 4 * n);
   }
   bench::Note(
-      "expected shape: full reach in exactly N-1 frames; cover time grows "
-      "with log N (each hop halves the interval left); the originator has "
-      "the largest fan-out, about its distinct contacts.");
+      "expected shape: full reach in exactly N-1 frames. From cold caches "
+      "cover time grows with log N (each hop halves the interval left) and "
+      "the originator's fan-out is about its distinct contacts. With a warm "
+      "cache (chord+c) the originator sends to about every node itself, "
+      "one hop deep; this network has no uplink queue, so the cover time "
+      "leaves out what that fan-out costs the originator's uplink.");
   return ok ? 0 : 1;
 }
 

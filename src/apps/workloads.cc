@@ -7,7 +7,9 @@ namespace pier {
 
 FilesharingCorpus::FilesharingCorpus(const CorpusOptions& options,
                                      uint32_t num_nodes)
-    : options_(options), num_nodes_(num_nodes), kw_freq_(options.vocab_size, 0) {
+    : options_(options),
+      num_nodes_(num_nodes),
+      kw_freq_(options.vocab_size, 0) {
   Rng rng(options_.seed);
   ZipfGenerator kw_zipf(options_.vocab_size, options_.keyword_zipf);
   files_.reserve(options_.num_files);

@@ -82,7 +82,7 @@ class Tuple {
   /// "t(a=1, b='x')".
   std::string ToString() const;
 
-  // --- Wire format ------------------------------------------------------------
+  // --- Wire format -----------------------------------------------------------
 
   void EncodeTo(WireWriter* w) const;
   std::string Encode() const;

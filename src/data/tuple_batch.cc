@@ -439,7 +439,8 @@ Status TupleBatchBuilder::AppendEncodedTuple(std::string_view wire) {
     for (uint64_t c = 0; c < ncols; ++c) {
       std::string_view name;
       PIER_RETURN_IF_ERROR(r.GetBytes(&name));
-      if (name != schema_->columns[c]) return Status::NotFound("schema mismatch");
+      if (name != schema_->columns[c])
+        return Status::NotFound("schema mismatch");
       BatchCell cell;
       std::string_view sv;
       PIER_RETURN_IF_ERROR(DecodeCellFrom(&r, &cell, &sv));

@@ -89,7 +89,7 @@ class TupleBatch {
   /// or there are none; false when they alias a borrowed frame.
   bool owned() const { return extern_base_ == nullptr; }
 
-  // --- Cell access ------------------------------------------------------------
+  // --- Cell access -----------------------------------------------------------
 
   const BatchCell& CellAt(size_t row, size_t col) const {
     return (*cells_)[(row_begin_ + row) * stride_ + col];
@@ -104,7 +104,7 @@ class TupleBatch {
   /// the schema lacks the column (callers distinguish via the bool).
   bool RowGet(std::string_view name, size_t row, Value* out) const;
 
-  // --- Row operations (identical to the Tuple equivalents) --------------------
+  // --- Row operations (identical to the Tuple equivalents) -------------------
 
   /// Materialize one row as a Tuple (for per-row state and the client edge).
   Tuple RowTuple(size_t row) const;
@@ -117,7 +117,7 @@ class TupleBatch {
   /// Identical to Tuple::Hash of RowTuple(row).
   uint64_t RowHash(size_t row) const;
 
-  // --- Cheap restructuring ----------------------------------------------------
+  // --- Cheap restructuring ---------------------------------------------------
 
   /// A sub-range view [begin, begin+count): shares cells and backing buffer.
   TupleBatch Slice(size_t begin, size_t count) const;
@@ -130,7 +130,7 @@ class TupleBatch {
   /// The same rows under a different table name (shares cells and payloads).
   TupleBatch WithTable(std::string table) const;
 
-  // --- Wire format ------------------------------------------------------------
+  // --- Wire format -----------------------------------------------------------
 
   /// table, column names once, then row-major cell values.
   void EncodeTo(WireWriter* w) const;

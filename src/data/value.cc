@@ -21,13 +21,15 @@ const char* ValueTypeName(ValueType t) {
 
 Result<bool> Value::AsBool() const {
   if (type_ != ValueType::kBool)
-    return Status::Corruption(std::string("not a bool: ") + ValueTypeName(type_));
+    return Status::Corruption(std::string("not a bool: ") +
+                              ValueTypeName(type_));
   return std::get<bool>(v_);
 }
 
 Result<int64_t> Value::AsInt64() const {
   if (type_ != ValueType::kInt64)
-    return Status::Corruption(std::string("not an int64: ") + ValueTypeName(type_));
+    return Status::Corruption(std::string("not an int64: ") +
+                              ValueTypeName(type_));
   return std::get<int64_t>(v_);
 }
 
@@ -35,18 +37,21 @@ Result<double> Value::AsDouble() const {
   if (type_ == ValueType::kDouble) return std::get<double>(v_);
   if (type_ == ValueType::kInt64)
     return static_cast<double>(std::get<int64_t>(v_));
-  return Status::Corruption(std::string("not numeric: ") + ValueTypeName(type_));
+  return Status::Corruption(std::string("not numeric: ") +
+                            ValueTypeName(type_));
 }
 
 Result<std::string_view> Value::AsString() const {
   if (type_ != ValueType::kString)
-    return Status::Corruption(std::string("not a string: ") + ValueTypeName(type_));
+    return Status::Corruption(std::string("not a string: ") +
+                              ValueTypeName(type_));
   return std::string_view(std::get<std::string>(v_));
 }
 
 Result<std::string_view> Value::AsBytes() const {
   if (type_ != ValueType::kBytes)
-    return Status::Corruption(std::string("not bytes: ") + ValueTypeName(type_));
+    return Status::Corruption(std::string("not bytes: ") +
+                              ValueTypeName(type_));
   return std::string_view(std::get<std::string>(v_));
 }
 

@@ -100,7 +100,7 @@ class Value {
   /// Display form ("'abc'", "42", "null", ...).
   std::string ToString() const;
 
-  // --- Wire format ------------------------------------------------------------
+  // --- Wire format -----------------------------------------------------------
 
   void EncodeTo(WireWriter* w) const;
   static Result<Value> DecodeFrom(WireReader* r);

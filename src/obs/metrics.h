@@ -129,7 +129,7 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // --- Registration -----------------------------------------------------------
+  // --- Registration ----------------------------------------------------------
   // Same (name, labels) returns the same instrument; a name re-registered as
   // a different kind returns the existing family's sink for matching kinds
   // and a process-wide no-op instrument otherwise (never null, never UB —
@@ -155,7 +155,7 @@ class MetricsRegistry {
   /// stay valid (writes land in a dead sink). Returns false if absent.
   bool Remove(const std::string& name, const MetricLabels& labels);
 
-  // --- Export -----------------------------------------------------------------
+  // --- Export ----------------------------------------------------------------
 
   /// Consistent point-in-time read of every live series. Safe against
   /// concurrent updates (atomics) and concurrent registration (mutex).
@@ -164,7 +164,7 @@ class MetricsRegistry {
   /// Prometheus text exposition format (# HELP / # TYPE + samples).
   std::string RenderText() const;
 
-  // --- Cardinality control ----------------------------------------------------
+  // --- Cardinality control ---------------------------------------------------
 
   /// Hard cap on series per family; past it new label sets collapse into a
   /// shared overflow sink and are counted in dropped_series(). Guards the

@@ -75,7 +75,7 @@ class CostModel {
     return c.bytes + c.messages * p_.per_message_bytes;
   }
 
-  // --- Building blocks --------------------------------------------------------
+  // --- Building blocks -------------------------------------------------------
 
   /// Publish `n` items of `item_bytes` each into the DHT (route + store).
   Cost DhtPut(double n, double item_bytes) const;
@@ -83,7 +83,7 @@ class CostModel {
   /// overlay; the reply comes back direct).
   Cost DhtGet(double n, double reply_bytes) const;
 
-  // --- Join strategies (§3.3.4 / §2.1.1) --------------------------------------
+  // --- Join strategies (§3.3.4 / §2.1.1) -------------------------------------
 
   /// Ship both sides into a rendezvous namespace keyed on the join attribute.
   Cost RehashJoin(const TableStats& l, const TableStats& r) const;
@@ -95,7 +95,7 @@ class CostModel {
   /// min(1, builder.distinct / probed.distinct) plus the false-positive rate.
   Cost BloomJoin(const TableStats& probed, const TableStats& builder) const;
 
-  // --- Aggregation strategies -------------------------------------------------
+  // --- Aggregation strategies ------------------------------------------------
 
   /// Two-phase rehash: only nodes that hold data send, one put per local
   /// group, each traveling log N hops.

@@ -120,7 +120,8 @@ TableStats StatsRegistry::SnapshotAt(const std::string& table,
   KmvSketch merged;
   TimeUs first = 0, last = 0;
   auto lit = local_.find(table);
-  if (lit != local_.end()) Accumulate(lit->second, &out, &merged, &first, &last);
+  if (lit != local_.end())
+    Accumulate(lit->second, &out, &merged, &first, &last);
   for (auto it = remote_.lower_bound({table, 0});
        it != remote_.end() && it->first.first == table; ++it) {
     Accumulate(it->second, &out, &merged, &first, &last);

@@ -93,7 +93,7 @@ std::string OverlayRouter::EncodeRoute(const RouteInfo& info,
                                        std::string_view payload) {
   WireWriter w = FrameMessage(kMsgRoute);
   w.PutU64(info.target);
-  w.PutU8(info.hops | (info.shortcut ? 0x80 : 0));
+  w.PutU8(info.hops | (info.hinted ? 0x40 : 0) | (info.shortcut ? 0x80 : 0));
   w.PutBytes(info.ns);
   w.PutBytes(payload);
   return std::move(w).data();
@@ -199,16 +199,21 @@ void OverlayRouter::HandleRoute(const NetAddress& from,
     return;  // malformed: drop (best-effort policy)
   }
   info.ns = std::string(ns);
-  info.hops = static_cast<uint8_t>((hops & 0x7f) + 1);
+  info.hops = static_cast<uint8_t>((hops & 0x3f) + 1);
   info.shortcut = hops & 0x80;
+  info.hinted = hops & 0x40;
   std::string payload(payload_view);
 
   if (protocol_->IsOwner(info.target)) {
     Deliver(info, payload);
     return;
   }
-  // A shortcut that missed narrows its sender's stale entry.
-  if (info.shortcut) HintIfNotOwner(from, info.target);
+  // A shortcut that missed narrows its sender's stale entry. Only the
+  // jump's landing node hints: the later ring hops see bit 6.
+  if (info.shortcut && !info.hinted) {
+    HintIfNotOwner(from, info.target);
+    info.hinted = true;
+  }
 
   // Intermediate node: give the query processor a chance to inspect, modify
   // or drop the message (§3.2.2).
@@ -421,6 +426,19 @@ void OverlayRouter::CoverInterval(uint64_t bcast_id, std::string_view payload,
                                  return !InCover(lo, limit, p.id);
                                }),
                 targets.end());
+  // The cached owners inside the interval split it too. The contacts alone
+  // keep coverage, since they hold the clockwise neighbour; on a warm cache
+  // each target's share holds about one node, so the depth is about 1.
+  const size_t contacts = targets.size();
+  auto it = owner_cache_.upper_bound(lo);
+  for (size_t n = owner_cache_.size(); n > 0; --n, ++it) {
+    if (it == owner_cache_.end()) it = owner_cache_.begin();  // past id 0
+    if (!InCover(lo, limit, it->first)) break;
+    const NetAddress& addr = it->second.address;
+    if (std::none_of(targets.begin(), targets.begin() + contacts,
+                     [&](const RingPeer& p) { return p.addr == addr; }))
+      targets.push_back(RingPeer{it->first, addr});
+  }
   if (targets.empty()) return;
   std::sort(targets.begin(), targets.end(),
             [lo](const RingPeer& a, const RingPeer& b) {
@@ -440,8 +458,9 @@ void OverlayRouter::CoverInterval(uint64_t bcast_id, std::string_view payload,
     SendFramed(to.addr, encode(FrameMessage(kMsgBroadcast), next),
                [this, to, next, encode](const Status& s) {
                  if (s.ok()) return;
-                 // The contact is gone, and this node may not know who
-                 // follows it: the owner of the id just past it does.
+                 // The target (a contact or a cached owner) is gone, and
+                 // this node may not know who follows it: the owner of the
+                 // id just past it does.
                  protocol_->OnPeerUnreachable(to.addr);
                  WireWriter dead;
                  dead.PutU32(to.addr.host);

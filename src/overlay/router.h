@@ -13,8 +13,8 @@
 //     message instead of the two phases of Figure 6 (see README.md, "Owner
 //     cache");
 //   * Broadcast(): deliver a payload to every node once, each node covering
-//     a ring interval split along its own routing contacts (see README.md,
-//     "Broadcast");
+//     a ring interval split along its own routing contacts and cached owners
+//     (see README.md, "Broadcast");
 //   * a direct-message extension point used by the object-storage layer.
 //
 // Every frame leaves through SendFramed, the router's one call into UdpCc's
@@ -58,6 +58,7 @@ struct RouteInfo {
   std::string ns;
   uint8_t hops = 0;  // network hops taken so far (1 at the first receiver)
   bool shortcut = false;  // jumped to a cached owner (bit 7 of `hops`)
+  bool hinted = false;    // the jump's landing node hinted (bit 6)
 };
 
 class OverlayRouter : public ProtocolHost {
@@ -67,8 +68,9 @@ class OverlayRouter : public ProtocolHost {
     uint16_t port = kDhtPort;
   };
 
-  /// A routed message past this many hops is delivered where it stands.
-  static constexpr uint8_t kMaxHops = 64;
+  /// A routed message past this many hops is delivered where it stands. The
+  /// count fits in the six low bits of the `hops` byte.
+  static constexpr uint8_t kMaxHops = 63;
   /// A lookup with no reply by then fails.
   static constexpr TimeUs kLookupTimeout = 5 * kSecond;
   /// Next hops a routed message tries before it is dropped.
@@ -157,7 +159,10 @@ class OverlayRouter : public ProtocolHost {
   }
 
   /// Deliver `payload` to every node in the overlay, with no root: this node
-  /// covers the whole ring from its contacts.
+  /// covers the whole ring, split along its contacts and the owners in its
+  /// cache. It sends at most min(N - 1, contacts + kOwnerCacheCapacity)
+  /// frames itself; a warm cache reaches every node in about one hop, a cold
+  /// one in about log2 N.
   void Broadcast(std::string payload);
 
   // --- Direct typed messages (object-layer extension point) -----------------
@@ -234,8 +239,9 @@ class OverlayRouter : public ProtocolHost {
   std::string EncodeRoute(const RouteInfo& info, std::string_view payload);
   /// A broadcast frame (or a routed re-cover) naming `limit` arrived.
   void HandleBroadcast(std::string_view body, Id lo);
-  /// Send the broadcast to each contact in the ring interval (lo, limit),
-  /// each to cover up to the next contact's id (the last up to `limit`).
+  /// Send the broadcast to each contact and cached owner in the ring
+  /// interval (lo, limit), each to cover up to the next one's id (the last
+  /// up to `limit`).
   void CoverInterval(uint64_t bcast_id, std::string_view payload, Id lo,
                      Id limit);
   /// A re-cover's routed body starts with the dead contact's address: drop

@@ -43,7 +43,7 @@ enum class ArithOp : uint8_t { kAdd = 1, kSub, kMul, kDiv, kMod };
 
 class Expr {
  public:
-  // --- Constructors -----------------------------------------------------------
+  // --- Constructors ----------------------------------------------------------
 
   static ExprPtr Const(Value v);
   static ExprPtr Column(std::string name);
@@ -56,7 +56,7 @@ class Expr {
   /// contains(s, sub), startswith(s, prefix).
   static ExprPtr Func(std::string name, std::vector<ExprPtr> args);
 
-  // --- Evaluation ---------------------------------------------------------------
+  // --- Evaluation ------------------------------------------------------------
 
   /// Evaluate against `t`. Missing columns and type mismatches are errors.
   Result<Value> Eval(const Tuple& t) const;
@@ -70,7 +70,7 @@ class Expr {
   Result<Value> EvalRow(const TupleBatch& b, size_t row) const;
   Result<bool> EvalPredicateRow(const TupleBatch& b, size_t row) const;
 
-  // --- Introspection (used by the naive optimizer) ------------------------------
+  // --- Introspection (used by the naive optimizer) ---------------------------
 
   ExprKind kind() const { return kind_; }
   const Value& const_value() const { return value_; }
@@ -91,7 +91,7 @@ class Expr {
   /// Parseable text form ("(a >= 3) and contains(name, 'x')").
   std::string ToString() const;
 
-  // --- Wire format ---------------------------------------------------------------
+  // --- Wire format -----------------------------------------------------------
 
   void EncodeTo(WireWriter* w) const;
   std::string Encode() const;

@@ -169,7 +169,8 @@ class Parser {
       ++pos_;
     }
     std::string num(text_.substr(start, pos_ - start));
-    if (is_double) return Expr::Const(Value::Double(std::strtod(num.c_str(), nullptr)));
+    if (is_double)
+      return Expr::Const(Value::Double(std::strtod(num.c_str(), nullptr)));
     return Expr::Const(Value::Int64(std::strtoll(num.c_str(), nullptr, 10)));
   }
 

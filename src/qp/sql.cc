@@ -38,7 +38,8 @@ std::string Trim(std::string_view s) {
 /// Find the first top-level (outside quotes and parens) occurrence of the
 /// keyword `kw` (which may contain a space, e.g. "group by") at a word
 /// boundary. Returns npos if absent.
-size_t FindKeyword(std::string_view text, std::string_view kw, size_t from = 0) {
+size_t FindKeyword(std::string_view text, std::string_view kw,
+                   size_t from = 0) {
   int depth = 0;
   bool in_str = false;
   for (size_t i = from; i + kw.size() <= text.size(); ++i) {
@@ -56,7 +57,8 @@ size_t FindKeyword(std::string_view text, std::string_view kw, size_t from = 0) 
     if (depth > 0) continue;
     bool match = true;
     for (size_t j = 0; j < kw.size(); ++j) {
-      char a = static_cast<char>(std::tolower(static_cast<unsigned char>(text[i + j])));
+      char a = static_cast<char>(
+          std::tolower(static_cast<unsigned char>(text[i + j])));
       char b = kw[j];
       if (b == ' ') {
         if (!std::isspace(static_cast<unsigned char>(text[i + j]))) {
@@ -69,10 +71,11 @@ size_t FindKeyword(std::string_view text, std::string_view kw, size_t from = 0) 
       }
     }
     if (!match) continue;
-    bool left_ok = i == 0 || !std::isalnum(static_cast<unsigned char>(text[i - 1]));
+    bool left_ok =
+        i == 0 || !std::isalnum(static_cast<unsigned char>(text[i - 1]));
     size_t end = i + kw.size();
-    bool right_ok =
-        end >= text.size() || !std::isalnum(static_cast<unsigned char>(text[end]));
+    bool right_ok = end >= text.size() ||
+                    !std::isalnum(static_cast<unsigned char>(text[end]));
     if (left_ok && right_ok) return i;
   }
   return std::string_view::npos;
@@ -127,8 +130,9 @@ ExprPtr JoinConjuncts(const std::vector<ExprPtr>& conjuncts) {
 }
 
 /// Rebuild an expression with every column name passed through `rename`.
-ExprPtr RewriteColumns(const ExprPtr& e,
-                       const std::function<std::string(const std::string&)>& rename) {
+ExprPtr RewriteColumns(
+    const ExprPtr& e,
+    const std::function<std::string(const std::string&)>& rename) {
   switch (e->kind()) {
     case ExprKind::kConst:
       return e;
@@ -146,7 +150,8 @@ ExprPtr RewriteColumns(const ExprPtr& e,
                  : Expr::Or(RewriteColumns(e->children()[0], rename),
                             RewriteColumns(e->children()[1], rename));
     case ExprKind::kArith:
-      return Expr::Arith(e->arith_op(), RewriteColumns(e->children()[0], rename),
+      return Expr::Arith(e->arith_op(),
+                         RewriteColumns(e->children()[0], rename),
                          RewriteColumns(e->children()[1], rename));
     case ExprKind::kFunc: {
       std::vector<ExprPtr> args;
@@ -317,8 +322,8 @@ Result<ParsedSql> Parse(const std::string& sql) {
   }
   if (limit != std::string_view::npos) {
     size_t end = clause_end(limit + 5);
-    q.limit = std::strtoll(Trim(text.substr(limit + 5, end - limit - 5)).c_str(),
-                           nullptr, 10);
+    q.limit = std::strtoll(
+        Trim(text.substr(limit + 5, end - limit - 5)).c_str(), nullptr, 10);
     if (q.limit <= 0) return Status::InvalidArgument("bad LIMIT");
   }
   if (timeout != std::string_view::npos) {
@@ -476,7 +481,8 @@ struct Compiler {
   }
 
   /// Build a scan->selection chain; returns the id of the chain's tail.
-  uint32_t ScanChain(OpGraph* g, const std::string& table, const ExprPtr& filter) {
+  uint32_t ScanChain(OpGraph* g, const std::string& table,
+                     const ExprPtr& filter) {
     OpSpec& scan = g->AddOp(OpKind::kScan);
     scan.Set("ns", table);
     uint32_t tail = scan.id;
@@ -783,7 +789,8 @@ struct Compiler {
     if (q.where && q.from.size() == 1) {
       q.where = RewriteColumns(q.where, [this](const std::string& name) {
         std::string p = ColumnPrefix(name);
-        if (p == q.from[0].alias || p == q.from[0].table) return StripPrefix(name);
+        if (p == q.from[0].alias || p == q.from[0].table)
+          return StripPrefix(name);
         return name;
       });
     }

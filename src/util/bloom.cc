@@ -17,7 +17,8 @@ BloomFilter::BloomFilter(size_t expected_items, double fp_rate) {
   if (fp_rate <= 0) fp_rate = 1e-4;
   if (fp_rate >= 1) fp_rate = 0.5;
   const double ln2 = std::log(2.0);
-  double bits = -static_cast<double>(expected_items) * std::log(fp_rate) / (ln2 * ln2);
+  double bits =
+      -static_cast<double>(expected_items) * std::log(fp_rate) / (ln2 * ln2);
   num_bits_ = std::max(kMinBits, static_cast<size_t>(bits) + 1);
   int k = static_cast<int>(std::lround(bits / expected_items * ln2));
   num_hashes_ = std::max(1, std::min(kMaxHashes, k));

@@ -16,7 +16,9 @@ namespace pier {
 /// 64-bit FNV-1a over an arbitrary byte range. Stable across platforms.
 uint64_t Fnv1a64(const void* data, size_t len);
 
-inline uint64_t Fnv1a64(std::string_view s) { return Fnv1a64(s.data(), s.size()); }
+inline uint64_t Fnv1a64(std::string_view s) {
+  return Fnv1a64(s.data(), s.size());
+}
 
 /// Stafford mix13 finalizer: diffuses a 64-bit value. Used to stretch hashes
 /// into independent-looking streams (Bloom filters, Chord finger probes).

@@ -17,7 +17,9 @@ Mutex& SinkMutex() {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed)); }
+LogLevel GetLogLevel() {
+  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
+}
 
 void SetLogLevel(LogLevel level) {
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);

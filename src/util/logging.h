@@ -11,7 +11,13 @@
 
 namespace pier {
 
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel : int {
+  kDebug = 0,
+  kInfo = 1,
+  kWarn = 2,
+  kError = 3,
+  kOff = 4
+};
 
 /// Process-wide minimum level actually emitted. Defaults to kWarn so large
 /// simulations are quiet; tests and examples may lower it.
@@ -29,7 +35,8 @@ void EmitLogLine(LogLevel level, const std::string& line);
 class LogMessage {
  public:
   LogMessage(LogLevel level, const char* file, int line) : level_(level) {
-    stream_ << "[" << Name(level) << " " << Basename(file) << ":" << line << "] ";
+    stream_ << "[" << Name(level) << " " << Basename(file) << ":" << line
+            << "] ";
   }
   ~LogMessage() {
     stream_ << "\n";
@@ -60,18 +67,21 @@ class LogMessage {
 
 }  // namespace internal
 
-#define PIER_LOG(level)                                        \
-  if (static_cast<int>(::pier::LogLevel::level) <              \
-      static_cast<int>(::pier::GetLogLevel())) {               \
-  } else                                                       \
-    ::pier::internal::LogMessage(::pier::LogLevel::level, __FILE__, __LINE__).stream()
+#define PIER_LOG(level)                                             \
+  if (static_cast<int>(::pier::LogLevel::level) <                   \
+      static_cast<int>(::pier::GetLogLevel())) {                    \
+  } else                                                            \
+    ::pier::internal::LogMessage(::pier::LogLevel::level, __FILE__, \
+                                 __LINE__)                          \
+        .stream()
 
-#define PIER_CHECK(cond)                                                      \
-  if (cond) {                                                                 \
-  } else                                                                      \
-    (::pier::internal::LogMessage(::pier::LogLevel::kError, __FILE__, __LINE__) \
-         .stream()                                                            \
-     << "CHECK failed: " #cond " "),                                          \
+#define PIER_CHECK(cond)                                              \
+  if (cond) {                                                         \
+  } else                                                              \
+    (::pier::internal::LogMessage(::pier::LogLevel::kError, __FILE__, \
+                                  __LINE__)                           \
+         .stream()                                                    \
+     << "CHECK failed: " #cond " "),                                  \
         std::abort()
 
 }  // namespace pier

@@ -5,15 +5,18 @@
 namespace pier {
 
 void WireWriter::PutU16(uint16_t v) {
-  for (int i = 0; i < 2; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  for (int i = 0; i < 2; ++i)
+    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
 void WireWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  for (int i = 0; i < 4; ++i)
+    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
 void WireWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  for (int i = 0; i < 8; ++i)
+    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
 void WireWriter::PutDouble(double v) {
@@ -46,7 +49,8 @@ Status WireReader::GetU16(uint16_t* v) {
   if (remaining() < 2) return Status::Corruption("wire: short u16");
   uint16_t r = 0;
   for (int i = 0; i < 2; ++i)
-    r |= static_cast<uint16_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
+    r |= static_cast<uint16_t>(static_cast<unsigned char>(data_[pos_ + i]))
+         << (8 * i);
   pos_ += 2;
   *v = r;
   return Status::Ok();
@@ -56,7 +60,8 @@ Status WireReader::GetU32(uint32_t* v) {
   if (remaining() < 4) return Status::Corruption("wire: short u32");
   uint32_t r = 0;
   for (int i = 0; i < 4; ++i)
-    r |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
+    r |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
+         << (8 * i);
   pos_ += 4;
   *v = r;
   return Status::Ok();
@@ -66,7 +71,8 @@ Status WireReader::GetU64(uint64_t* v) {
   if (remaining() < 8) return Status::Corruption("wire: short u64");
   uint64_t r = 0;
   for (int i = 0; i < 8; ++i)
-    r |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
+    r |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
+         << (8 * i);
   pos_ += 8;
   *v = r;
   return Status::Ok();

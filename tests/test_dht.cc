@@ -742,8 +742,10 @@ TEST(DirectRequests, RouterFramesIgnoreCutAndGarbageFrames) {
   };
 
   const std::string route = routed_to_self("fz", "p");
-  // Bit 7 of `hops`: the frame took its one jump to a cached owner.
+  // Bit 7 of `hops`: the frame took its one jump to a cached owner; bit 6:
+  // the jump's landing node has hinted.
   const std::string shortcut = routed_to_self("fz", "p", 0x80 | 3);
+  const std::string hinted = routed_to_self("fz", "p", 0xc0 | 3);
   WireWriter lookup = OverlayRouter::FrameMessage(OverlayRouter::kMsgLookupReq);
   lookup.PutVarint(5);
   lookup.PutU32(asker->local_address().host);
@@ -796,6 +798,9 @@ TEST(DirectRequests, RouterFramesIgnoreCutAndGarbageFrames) {
   ASSERT_TRUE(send(OverlayRouter::kMsgRoute, shortcut, false));
   EXPECT_EQ(to->stats().routed_delivery_hops, hops_was + 4)
       << "bit 7 counted as hops";
+  ASSERT_TRUE(send(OverlayRouter::kMsgRoute, hinted, false));
+  EXPECT_EQ(to->stats().routed_delivery_hops, hops_was + 8)
+      << "bit 6 counted as hops";
   ASSERT_TRUE(send(OverlayRouter::kMsgRoute,
                    routed_to_self("\x01lookup", lookup.data()), true));
   ASSERT_EQ(asker->router()->owner_cache_size(), CachedByOneReply(&net, 1, 0))
@@ -847,6 +852,7 @@ TEST(DirectRequests, RouterFramesIgnoreCutAndGarbageFrames) {
   };
   EXPECT_EQ(sweep(OverlayRouter::kMsgRoute, route, false), 0u);
   EXPECT_EQ(sweep(OverlayRouter::kMsgRoute, shortcut, false), 0u);
+  EXPECT_EQ(sweep(OverlayRouter::kMsgRoute, hinted, false), 0u);
   EXPECT_EQ(sweep(OverlayRouter::kMsgRoute, lookup.data(), true), 0u);
   EXPECT_EQ(FuzzDecoder(owner, seed++,
                         [&](const std::string& body) {
@@ -1478,6 +1484,13 @@ uint64_t RouteDeadEnds(SimPier* net) {
   return n;
 }
 
+uint64_t NotOwnerHints(SimPier* net) {
+  uint64_t n = 0;
+  for (uint32_t i = 0; i < net->size(); ++i)
+    n += net->dht(i)->router()->stats().not_owner_hints_sent;
+  return n;
+}
+
 // An equality query's opgraph rides a routed frame to the owner of its key.
 // From a node far from that owner on the ring, a warm cache delivers it in
 // one hop, and the answer is the same.
@@ -1515,7 +1528,8 @@ TEST(OwnerCache, AWarmEqualityDisseminationIsDeliveredInOneHop) {
 // caches (P, O]. A frame to the joiner's part jumps to O, which no longer
 // owns it and routes it on by the ring. Every later hop also holds the stale
 // entry, so a second jump would send the frame back to O; it takes none, and
-// O's hint narrows the sender's entry to what O still owns.
+// O's hint narrows the sender's entry to what O still owns. O is the only
+// node that hints: the later ring hops see the frame's hinted bit.
 TEST(OwnerCache, AFrameToAJoinersRangeJumpsOnceAndDrawsTheHint) {
   SimPier net(32, SeededOptions(115));
   const uint32_t joiner = static_cast<uint32_t>(net.size());
@@ -1546,8 +1560,10 @@ TEST(OwnerCache, AFrameToAJoinersRangeJumpsOnceAndDrawsTheHint) {
   const auto before = RoutedDeliveries(&net);
   const uint64_t forwarded_at_succ =
       net.dht(succ)->router()->stats().routed_forwarded;
+  const uint64_t hints = NotOwnerHints(&net);
   net.dht(sender)->SendToId(target, "jf", key, "s", "v", 60 * kSecond);
   net.RunFor(2 * kSecond);
+  EXPECT_EQ(NotOwnerHints(&net), hints + 1) << "a later ring hop hinted too";
   EXPECT_TRUE(Holds(&net, joiner, "jf", key, "s"));
   EXPECT_FALSE(Holds(&net, succ, "jf", key, "s"));
   EXPECT_EQ(RoutedDeliveries(&net).first, before.first + 1);

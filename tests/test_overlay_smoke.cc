@@ -10,6 +10,7 @@
 #include "overlay/pht.h"
 #include "overlay/routing_chord.h"
 #include "qp/sim_pier.h"
+#include "util/hash.h"
 
 namespace pier {
 namespace {
@@ -29,13 +30,14 @@ TEST(OverlaySmoke, PutThenGetAcrossNodes) {
   bool got = false;
   net.dht(3)->Put("tbl", "k1", "s1", "hello", 60 * kSecond);
   net.RunFor(2 * kSecond);
-  net.dht(9)->Get("tbl", "k1", [&](const Status& s, std::vector<DhtItem> items) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    ASSERT_EQ(items.size(), 1u);
-    EXPECT_EQ(items[0].suffix, "s1");
-    EXPECT_EQ(items[0].value, "hello");
-    got = true;
-  });
+  net.dht(9)->Get("tbl", "k1",
+                  [&](const Status& s, std::vector<DhtItem> items) {
+                    ASSERT_TRUE(s.ok()) << s.ToString();
+                    ASSERT_EQ(items.size(), 1u);
+                    EXPECT_EQ(items[0].suffix, "s1");
+                    EXPECT_EQ(items[0].value, "hello");
+                    got = true;
+                  });
   net.RunFor(5 * kSecond);
   EXPECT_TRUE(got);
 }
@@ -45,12 +47,13 @@ TEST(OverlaySmoke, PutGetOnPrefixProtocol) {
   bool got = false;
   net.dht(1)->Put("tbl", "kX", "s", "prefix-routed", 60 * kSecond);
   net.RunFor(2 * kSecond);
-  net.dht(14)->Get("tbl", "kX", [&](const Status& s, std::vector<DhtItem> items) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    ASSERT_EQ(items.size(), 1u);
-    EXPECT_EQ(items[0].value, "prefix-routed");
-    got = true;
-  });
+  net.dht(14)->Get("tbl", "kX",
+                   [&](const Status& s, std::vector<DhtItem> items) {
+                     ASSERT_TRUE(s.ok()) << s.ToString();
+                     ASSERT_EQ(items.size(), 1u);
+                     EXPECT_EQ(items[0].value, "prefix-routed");
+                     got = true;
+                   });
   net.RunFor(5 * kSecond);
   EXPECT_TRUE(got);
 }
@@ -60,9 +63,11 @@ TEST(OverlaySmoke, SendDeliversToOwnerWithNewData) {
   // Find who owns ("t","key") and watch newData fire there.
   int delivered_at = -1;
   for (uint32_t i = 0; i < net.size(); ++i) {
-    net.dht(i)->OnNewData("t", [&, i](const ObjectName& name, std::string_view v) {
-      if (name.key == "key" && v == "payload") delivered_at = static_cast<int>(i);
-    });
+    net.dht(i)->OnNewData(
+        "t", [&, i](const ObjectName& name, std::string_view v) {
+          if (name.key == "key" && v == "payload")
+            delivered_at = static_cast<int>(i);
+        });
   }
   net.dht(5)->Send("t", "key", "sfx", "payload", 30 * kSecond);
   net.RunFor(3 * kSecond);
@@ -252,6 +257,96 @@ TEST(OverlaySmoke, BroadcastCoversADeadContactsInterval) {
     for (uint32_t i = 0; i < net.size(); ++i) {
       EXPECT_EQ(hits[i], i == victim ? 0 : 1) << "node " << i;
     }
+  }
+}
+
+TEST(OverlaySmoke, BroadcastSplitsAlongAWarmOwnerCache) {
+  // Lookups fill the originator's owner cache, and its broadcast splits the
+  // ring along the cached owners as well as its contacts: it sends more
+  // frames than it has contacts, and the broadcast still takes N - 1.
+  SimPier net(64, SeededOptions());
+  OverlayRouter* origin = net.dht(0)->router();
+  for (uint64_t i = 0; i < 4 * net.size(); ++i)
+    origin->Lookup(HashCombine(0x3a11, i),
+                   [](const Result<OverlayRouter::Owner>&) {});
+  net.RunFor(5 * kSecond);
+
+  std::vector<int> hits(net.size(), 0);
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    net.dht(i)->router()->set_broadcast_handler(
+        [&hits, i](std::string_view) { hits[i]++; });
+  }
+  origin->Broadcast("over a warm cache");
+  net.RunFor(5 * kSecond);
+  uint64_t frames = 0;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << "node " << i;
+    frames += net.dht(i)->router()->stats().broadcast_frames;
+  }
+  EXPECT_EQ(frames, net.size() - 1);
+  EXPECT_GT(origin->stats().broadcast_frames,
+            origin->protocol()->Contacts().size())
+      << "the broadcast did not read the owner cache";
+}
+
+TEST(OverlaySmoke, BroadcastCoversADeadCachedOwnersInterval) {
+  // One lookup caches its owner and the owner's successors. The last of
+  // them is no Chord contact of the originator, so its share of the
+  // originator's interval runs up to the next contact. It dies before the
+  // broadcast: its frame fails, and the owner of the id just past it covers
+  // that share.
+  SimPier net(64, SeededOptions());
+  constexpr uint32_t kOrigin = 7;
+  OverlayRouter* origin = net.dht(kOrigin)->router();
+  const Id self = origin->local_id();
+  const uint32_t n = net.size();
+  // Every node in clockwise order from the originator, which comes first.
+  std::vector<uint32_t> ring(n);
+  for (uint32_t i = 0; i < n; ++i) ring[i] = i;
+  std::sort(ring.begin(), ring.end(), [&](uint32_t a, uint32_t b) {
+    return RingDistance(self, net.dht(a)->local_id()) <
+           RingDistance(self, net.dht(b)->local_id());
+  });
+  std::vector<bool> contact(n + 1, false);
+  contact[n] = true;  // the interval ends at the originator
+  for (const RingPeer& p : origin->protocol()->Contacts())
+    for (uint32_t k = 0; k < n; ++k)
+      contact[k] = contact[k] || net.dht(ring[k])->local_address() == p.addr;
+  // The lookup of the node at ring position `first` caches positions
+  // first .. first + kMaxSuccessors; pick the one whose last cached node
+  // leaves the most nodes before the next contact.
+  constexpr uint32_t kArc = RoutingProtocol::kMaxSuccessors;
+  uint32_t first = 0, share = 0;
+  for (uint32_t p = 1; p + kArc < n; ++p) {
+    if (contact[p + kArc]) continue;
+    uint32_t q = p + kArc + 1;
+    while (!contact[q]) ++q;
+    if (q - p - kArc - 1 > share) first = p, share = q - p - kArc - 1;
+  }
+  ASSERT_GT(share, 0u) << "test premise: the dead owner's share holds nodes";
+  origin->Lookup(net.dht(ring[first])->local_id(),
+                 [](const Result<OverlayRouter::Owner>&) {});
+  net.RunFor(2 * kSecond);
+  const uint32_t victim = ring[first + kArc];
+  bool cached = false;
+  origin->Lookup(net.dht(victim)->local_id(),
+                 [&](const Result<OverlayRouter::Owner>& o) {
+                   cached = o.ok() && o->cached;
+                 });
+  ASSERT_TRUE(cached) << "test premise: the victim is a cached owner";
+
+  std::vector<int> hits(n, 0);
+  for (uint32_t i = 0; i < n; ++i) {
+    net.dht(i)->router()->set_broadcast_handler(
+        [&hits, i](std::string_view) { hits[i]++; });
+  }
+  net.harness()->FailNode(victim);
+  origin->Broadcast("after a cached owner failed");
+  // UdpCC gives up on the dead node after its whole retry schedule (at most
+  // 23 s); the re-cover takes a few hops.
+  net.RunFor(30 * kSecond);
+  for (uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(hits[i], i == victim ? 0 : 1) << "node " << i;
   }
 }
 
