@@ -25,7 +25,8 @@ inline void Title(const std::string& s) {
 template <typename T>
 T& Check(Result<T>& r, const char* what) {
   if (!r.ok()) {
-    std::fprintf(stderr, "%s failed: %s\n", what, r.status().ToString().c_str());
+    std::fprintf(stderr, "%s failed: %s\n", what,
+                 r.status().ToString().c_str());
     std::exit(1);
   }
   return *r;
@@ -46,7 +47,8 @@ inline void Row(const std::vector<std::string>& cells,
 inline std::string Ms(TimeUs t) {
   if (t < 0) return "-";
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", static_cast<double>(t) / kMillisecond);
+  std::snprintf(buf, sizeof(buf), "%.1f",
+                static_cast<double>(t) / kMillisecond);
   return buf;
 }
 

@@ -75,8 +75,8 @@ void Run() {
     }
     net.RunFor(3 * kSecond);
     OpCost c;
-    c.latency_ms = done ? static_cast<double>(total_latency) / done / kMillisecond
-                        : -1;
+    c.latency_ms =
+        done ? static_cast<double>(total_latency) / done / kMillisecond : -1;
     c.msgs = (static_cast<double>(net.harness()->total_msgs()) - idle_msgs) /
              kOps;
     c.bytes = (static_cast<double>(net.harness()->total_bytes()) - idle_bytes) /
@@ -183,7 +183,8 @@ void Run() {
       batch_msgs += s.batch_msgs;
     }
     bench::Note("dht stats: " + std::to_string(batched - batched_before) +
-                " objects rode " + std::to_string(batch_msgs - batch_msgs_before) +
+                " objects rode " +
+                std::to_string(batch_msgs - batch_msgs_before) +
                 " multi-object frames (rest were singleton-owner puts)");
   }
 

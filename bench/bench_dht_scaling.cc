@@ -1,10 +1,10 @@
 // Experiment E5 — §2.1.1's scalability claim: per-operation overhead grows
 // only logarithmically with the number of nodes.
 //
-// For each network size and routing protocol we issue routed sends between
-// random (node, identifier) pairs and report the mean delivery hop count,
-// plus the mean virtual-time latency of a two-phase get. The hop counts
-// should track log2(N)/2-ish for Chord and log16(N) for the prefix router.
+// For each network size we issue routed sends between random (node,
+// identifier) pairs and report the mean delivery hop count, plus the mean
+// virtual-time latency of a two-phase get. The hop counts should track
+// log2(N)/2-ish on the Chord ring.
 
 #include <cmath>
 
@@ -19,10 +19,9 @@ struct Point {
   double get_ms = 0;
 };
 
-Point Measure(uint32_t n, ProtocolKind kind, uint64_t seed) {
+Point Measure(uint32_t n, uint64_t seed) {
   SimPier::Options opts;
   opts.sim.seed = seed;
-  opts.dht.router.protocol = kind;
   opts.seed_routing = true;
   opts.settle_time = 2 * kSecond;
   SimPier net(n, opts);
@@ -66,22 +65,16 @@ Point Measure(uint32_t n, ProtocolKind kind, uint64_t seed) {
 
 void Run() {
   bench::Title("E5: DHT per-op overhead vs network size (log-N claim)");
-  std::vector<int> w = {8, 14, 14, 14, 14, 10};
-  bench::Row({"N", "chord hops", "chord get ms", "prefix hops",
-              "prefix get ms", "log2(N)"},
-             w);
+  std::vector<int> w = {8, 14, 14, 10};
+  bench::Row({"N", "chord hops", "chord get ms", "log2(N)"}, w);
   for (uint32_t n : {16u, 64u, 256u, 1024u, 4096u}) {
-    Point chord = Measure(n, ProtocolKind::kChord, 11);
-    Point prefix = Measure(n, ProtocolKind::kPrefix, 11);
+    Point chord = Measure(n, 11);
     bench::Row({std::to_string(n), bench::Fmt(chord.mean_hops, 2),
-                bench::Fmt(chord.get_ms), bench::Fmt(prefix.mean_hops, 2),
-                bench::Fmt(prefix.get_ms),
+                bench::Fmt(chord.get_ms),
                 bench::Fmt(std::log2(static_cast<double>(n)), 1)},
                w);
   }
-  bench::Note(
-      "expected shape: hop counts grow ~logarithmically; prefix routing takes "
-      "fewer hops than Chord at equal N (wider routing-table digits).");
+  bench::Note("expected shape: hop counts grow ~logarithmically.");
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 // A broadcast splits the ring along each node's routing contacts and cached
 // owners, with no root and no JOIN maintenance (src/overlay/README.md,
 // "Broadcast"), so its shape is inherited from the DHT's routing state. For
-// each protocol and N we report reach (nodes covered), time to full
-// coverage, broadcast frames, and the shape of who forwarded to whom: the
-// largest fan-out and the share of nodes that forwarded at all. The
-// "chord+c" row broadcasts from an originator whose owner cache 4N lookups
-// warmed first; every other row starts from cold caches.
+// each N we report reach (nodes covered), time to full coverage, broadcast
+// frames, and the shape of who forwarded to whom: the largest fan-out and
+// the share of nodes that forwarded at all. The "chord+c" row broadcasts
+// from an originator whose owner cache 4N lookups warmed first; the "chord"
+// row starts from cold caches.
 //
 // Self-checking: exits 1 unless every node is reached, no node's handler
 // runs twice, and the broadcast takes exactly N-1 frames.
@@ -24,11 +24,9 @@
 namespace pier {
 namespace {
 
-bool Measure(uint32_t n, ProtocolKind kind, const char* name,
-             uint32_t warm_lookups = 0) {
+bool Measure(uint32_t n, const char* name, uint32_t warm_lookups = 0) {
   SimPier::Options opts;
   opts.sim.seed = 13;
-  opts.dht.router.protocol = kind;
   opts.seed_routing = true;
   opts.settle_time = 1 * kSecond;
   SimPier net(n, opts);
@@ -95,9 +93,8 @@ int Run() {
   if (std::getenv("PIER_BENCH_SMOKE") != nullptr) sizes = {64u};
   bool ok = true;
   for (uint32_t n : sizes) {
-    ok &= Measure(n, ProtocolKind::kChord, "chord");
-    ok &= Measure(n, ProtocolKind::kPrefix, "prefix");
-    ok &= Measure(n, ProtocolKind::kChord, "chord+c", 4 * n);
+    ok &= Measure(n, "chord");
+    ok &= Measure(n, "chord+c", 4 * n);
   }
   bench::Note(
       "expected shape: full reach in exactly N-1 frames. From cold caches "

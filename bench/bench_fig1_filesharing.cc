@@ -53,18 +53,19 @@ int Run() {
   FilesharingCorpus corpus(copts, kNodes);
 
   Rng qrng(202);
-  auto all_queries =
-      corpus.MakeQueries(kQueries, 1, /*rare_only=*/false, kRareThreshold, &qrng);
-  auto rare_queries =
-      corpus.MakeQueries(kQueries, 1, /*rare_only=*/true, kRareThreshold, &qrng);
+  auto all_queries = corpus.MakeQueries(kQueries, 1, /*rare_only=*/false,
+                                        kRareThreshold, &qrng);
+  auto rare_queries = corpus.MakeQueries(kQueries, 1, /*rare_only=*/true,
+                                         kRareThreshold, &qrng);
 
-  // --- Gnutella baseline ------------------------------------------------------
+  // --- Gnutella baseline -----------------------------------------------------
   GnutellaSim::Options gopts;
   gopts.sim.seed = 303;
   gopts.degree = kGnutellaDegree;
   GnutellaSim gnutella(kNodes, gopts);
   for (const CorpusFile& f : corpus.files()) {
-    for (uint32_t h : f.hosts) gnutella.node(h)->AddLocalFile(f.file_id, f.keywords);
+    for (uint32_t h : f.hosts)
+      gnutella.node(h)->AddLocalFile(f.file_id, f.keywords);
   }
 
   Rng origin_rng(404);
@@ -80,7 +81,7 @@ int Run() {
         kGnutellaTtl, kWait));
   }
 
-  // --- PIER -------------------------------------------------------------------
+  // --- PIER ------------------------------------------------------------------
   SimPier::Options popts;
   popts.sim.seed = 303;  // same topology family and seed as the baseline
   popts.settle_time = 8 * kSecond;
@@ -96,11 +97,13 @@ int Run() {
     p_rare.Add(r.found ? r.first_result_latency : -1);
   }
 
-  // --- The figure, as a table --------------------------------------------------
+  // --- The figure, as a table ------------------------------------------------
   std::vector<int> w = {22, 16, 16, 16};
-  bench::Row({"latency<=", "PIER(rare)%", "Gnutella(all)%", "Gnutella(rare)%"}, w);
-  for (TimeUs t : {100 * kMillisecond, 250 * kMillisecond, 500 * kMillisecond,
-                   1 * kSecond, 2 * kSecond, 5 * kSecond, 10 * kSecond, kWait}) {
+  bench::Row(
+      {"latency<=", "PIER(rare)%", "Gnutella(all)%", "Gnutella(rare)%"}, w);
+  for (TimeUs t :
+       {100 * kMillisecond, 250 * kMillisecond, 500 * kMillisecond,
+        1 * kSecond, 2 * kSecond, 5 * kSecond, 10 * kSecond, kWait}) {
     bench::Row({bench::Ms(t) + "ms", bench::Fmt(100 * p_rare.At(t)),
                 bench::Fmt(100 * g_all.At(t)), bench::Fmt(100 * g_rare.At(t))},
                w);

@@ -164,7 +164,8 @@ int Run() {
   bench::Note("exact join size (ground truth): " + std::to_string(truth));
 
   std::vector<int> w = {12, 10, 18, 12, 12};
-  bench::Row({"strategy", "results", "max node out-bytes", "early", "owner"}, w);
+  bench::Row({"strategy", "results", "max node out-bytes", "early", "owner"},
+             w);
   bench::Row({"rehash", std::to_string(rehash.results),
               std::to_string(rehash.max_out_bytes), "-", "-"},
              w);

@@ -267,8 +267,9 @@ void Run() {
   size_t counters_checked = 0;
   for (const auto& [key, v1] : s1.series) {
     auto type = s1.family_type.find(FamilyOf(key));
-    bool monotone = (type != s1.family_type.end() &&
-                     (type->second == "counter" || type->second == "histogram"));
+    bool monotone =
+        type != s1.family_type.end() &&
+        (type->second == "counter" || type->second == "histogram");
     if (!monotone) continue;
     auto it2 = s2.series.find(key);
     if (it2 == s2.series.end()) {
@@ -295,8 +296,9 @@ void Run() {
   // under fresh suffixes until their lifetime expires.
   std::map<std::string, std::pair<int64_t, double>> latest;
   for (const Tuple& t : rows) {
-    const Value *m = t.Get("metric"), *l = t.Get("labels"), *o = t.Get("origin"),
-                *v = t.Get("value"), *u = t.Get("updated_us");
+    const Value *m = t.Get("metric"), *l = t.Get("labels"),
+                *o = t.Get("origin"), *v = t.Get("value"),
+                *u = t.Get("updated_us");
     if (!m || !l || !o || !v || !u) continue;
     std::string key = std::string(*m->AsString()) + "|" +
                       std::string(*l->AsString()) + "|" +

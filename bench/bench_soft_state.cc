@@ -51,13 +51,15 @@ Outcome Measure(TimeUs renew_period, uint64_t seed) {
       next_renew += renew_period;
       for (int i = 0; i < kObjects; ++i) {
         publisher_ops++;
-        net.dht(0)->Renew("ss", key(i), "s", kLifetime, [&, i](const Status& s) {
-          if (!s.ok()) {
-            // Lost (owner died or expired): publish again.
-            publisher_ops++;
-            net.dht(0)->Put("ss", key(i), "s", "payload", kLifetime);
-          }
-        });
+        net.dht(0)->Renew("ss", key(i), "s", kLifetime,
+                          [&, i](const Status& s) {
+                            if (!s.ok()) {
+                              // Lost (owner died or expired): publish again.
+                              publisher_ops++;
+                              net.dht(0)->Put("ss", key(i), "s", "payload",
+                                              kLifetime);
+                            }
+                          });
       }
     }
     if (t >= next_fail) {
@@ -72,9 +74,10 @@ Outcome Measure(TimeUs renew_period, uint64_t seed) {
     for (int s = 0; s < 5; ++s) {
       int i = static_cast<int>(rng.Uniform(kObjects));
       probes++;
-      net.dht(0)->Get("ss", key(i), [&](const Status& st, std::vector<DhtItem> items) {
-        if (st.ok() && !items.empty()) hits++;
-      });
+      net.dht(0)->Get("ss", key(i),
+                      [&](const Status& st, std::vector<DhtItem> items) {
+                        if (st.ok() && !items.empty()) hits++;
+                      });
     }
     net.RunFor(kSecond);
   }

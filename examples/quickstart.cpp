@@ -29,8 +29,9 @@ int main() {
   //    no system catalog (§4.2.1) — this is client-side metadata that both
   //    publishing and SQL compilation read, so the partitioning attributes
   //    can never drift between the two.
-  PIER_CHECK(
-      net.catalog()->Register(TableSpec("deploy").PartitionBy({"service"})).ok());
+  PIER_CHECK(net.catalog()
+                 ->Register(TableSpec("deploy").PartitionBy({"service"}))
+                 .ok());
 
   // 3. Publish a little table of service deployments. The catalog routes
   //    each tuple to its primary index (partitioned by "service", §3.3.3);
@@ -59,7 +60,8 @@ int main() {
     return 1;
   }
   std::vector<Tuple> rows = q->Collect();
-  for (const Tuple& t : rows) std::printf("  answer: %s\n", t.ToString().c_str());
+  for (const Tuple& t : rows)
+    std::printf("  answer: %s\n", t.ToString().c_str());
   std::printf("%zu rows, done=%s, first answer after %.1f ms\n", rows.size(),
               q->done() ? "true" : "false",
               static_cast<double>(q->stats().first_tuple_latency) /

@@ -32,7 +32,8 @@ int main() {
                  .ok());
 
   Rng rng(9);
-  std::printf("publishing 120 sensor readings (primary + PHT range index)...\n");
+  std::printf(
+      "publishing 120 sensor readings (primary + PHT range index)...\n");
   for (int i = 0; i < 120; ++i) {
     Tuple t("readings");
     t.Append("temp", Value::Int64(static_cast<int64_t>(rng.Uniform(1024))));

@@ -17,7 +17,9 @@ struct QueryHandle::State {
   QueryProcessor* qp = nullptr;
   PierClient::RunFn run;
   uint64_t id = 0;
-  TimeUs timeout = 0;
+  /// How long after `submitted_at` the query ends at its proxy: its
+  /// timeout plus QueryExecutor::FlushTail. Wait() paces itself off it.
+  TimeUs runs_for = 0;
   Stats stats;
   std::function<void(const Tuple&)> on_tuple;
   std::function<void()> on_done;
@@ -53,8 +55,6 @@ struct QueryHandle::State {
 };
 
 uint64_t QueryHandle::id() const { return state_ ? state_->id : 0; }
-
-TimeUs QueryHandle::timeout() const { return state_ ? state_->timeout : 0; }
 
 QueryHandle& QueryHandle::OnTuple(std::function<void(const Tuple&)> fn) {
   if (!state_) return *this;
@@ -108,10 +108,10 @@ Status QueryHandle::Wait(TimeUs max_wait) {
   if (state_->stats.done) return Status::Ok();
   if (!state_->run)
     return Status::NotSupported("client has no run driver to wait with");
-  // Queries end at timeout + done slack; leave a little headroom past that.
+  // Queries end at runs_for + done slack; leave a little headroom past that.
   TimeUs deadline =
       max_wait > 0 ? max_wait
-                   : state_->timeout + QueryProcessor::kDoneSlack + kSecond;
+                   : state_->runs_for + QueryProcessor::kDoneSlack + kSecond;
   const TimeUs kStep = 500 * kMillisecond;
   for (TimeUs waited = 0; waited < deadline && !state_->stats.done;
        waited += kStep) {
@@ -211,7 +211,7 @@ Status PierClient::CheckReplicas(const TableSpec& spec) const {
   if (spec.replicas < 0)
     return Status::InvalidArgument("table '" + spec.name +
                                    "' declares a negative replication factor");
-  int max = qp_->dht()->max_replication_factor();
+  constexpr int max = Dht::kMaxReplicationFactor;
   if (spec.replicas > max)
     return Status::InvalidArgument(
         "table '" + spec.name + "' wants " + std::to_string(spec.replicas) +
@@ -801,7 +801,7 @@ Result<QueryHandle> PierClient::Submit(QueryPlan plan) {
   auto state = std::make_shared<QueryHandle::State>();
   state->qp = qp_;
   state->run = run_;
-  state->timeout = plan.timeout;
+  state->runs_for = plan.timeout + QueryExecutor::FlushTail(plan);
   state->stats.submitted_at = qp_->vri()->Now();
 
   // Capture the estimate while the plan is still here: ExplainAnalyze later
@@ -838,9 +838,12 @@ Result<QueryHandle> PierClient::Attach(uint64_t query_id) {
   QueryPlan plan;
   PIER_RETURN_IF_ERROR(qp_->AttachClient(query_id, MakeOnTuple(state),
                                          MakeOnDone(state), &plan));
-  // Wait()/Collect() pace themselves off `timeout` from `submitted_at`; for
-  // an attached handle that is the REMAINING lifetime, not the original.
-  state->timeout = std::max<TimeUs>(0, plan.deadline_us - qp_->vri()->Now());
+  // Wait()/Collect() pace themselves off `runs_for` from `submitted_at`;
+  // for an attached handle that is the REMAINING lifetime, not the
+  // original.
+  state->runs_for = std::max<TimeUs>(
+      0, plan.deadline_us + QueryExecutor::FlushTail(plan) -
+             qp_->vri()->Now());
   // The adopting proxy keeps its own meter; re-estimate from the recovered
   // plan so ExplainAnalyze works on attached handles too.
   MakeOptimizer().CostPlan(plan, &state->estimate);

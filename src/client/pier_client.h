@@ -124,7 +124,6 @@ class QueryHandle {
 
   bool valid() const { return state_ != nullptr; }
   uint64_t id() const;
-  TimeUs timeout() const;
 
   /// Register the streaming callbacks. Answers that arrived before
   /// registration were buffered and are replayed synchronously. Returns
@@ -146,7 +145,7 @@ class QueryHandle {
   const Stats& stats() const;
 
   /// Drive the environment until the query completes (or `max_wait` elapses;
-  /// 0 waits through the query timeout plus slack). Requires a run driver —
+  /// 0 waits until the query ends, plus slack). Requires a run driver —
   /// clients made by SimPier have one.
   Status Wait(TimeUs max_wait = 0);
 

@@ -11,23 +11,6 @@ const Value* Tuple::Get(std::string_view name) const {
   return nullptr;
 }
 
-Result<Value> Tuple::GetChecked(std::string_view name) const {
-  const Value* v = Get(name);
-  if (v == nullptr)
-    return Status::NotFound("tuple has no column '" + std::string(name) + "'");
-  return *v;
-}
-
-void Tuple::Set(std::string_view name, Value value) {
-  for (Column& c : cols_) {
-    if (c.name == name) {
-      c.value = std::move(value);
-      return;
-    }
-  }
-  Append(std::string(name), std::move(value));
-}
-
 Tuple Tuple::Project(const std::vector<std::string>& names) const {
   Tuple out(table_);
   for (const std::string& n : names) {

@@ -55,13 +55,6 @@ class Tuple {
   const Value* Get(std::string_view name) const;
   bool Has(std::string_view name) const { return Get(name) != nullptr; }
 
-  /// Value lookup that maps "absent" to a NotFound status (the common path
-  /// for the best-effort discard policy).
-  Result<Value> GetChecked(std::string_view name) const;
-
-  /// Overwrite the first column named `name`, or append one.
-  void Set(std::string_view name, Value value);
-
   /// A new tuple keeping only `names`, in the given order; columns the tuple
   /// lacks are skipped (best-effort).
   Tuple Project(const std::vector<std::string>& names) const;

@@ -11,11 +11,10 @@ namespace pier {
 Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
   router_ = std::make_unique<OverlayRouter>(vri_, options_.router);
   objects_ = std::make_unique<ObjectManager>(vri_);
-  // A factor the protocol cannot place is a deployment error: fail at
-  // startup, not silently at placement time.
+  // A factor the ring cannot place is a deployment error: fail at startup,
+  // not silently at placement time.
   PIER_CHECK(options_.replication_factor >= 1);
-  PIER_CHECK(options_.replication_factor <=
-             router_->protocol()->MaxReplicationFactor());
+  PIER_CHECK(options_.replication_factor <= kMaxReplicationFactor);
   repl_ = std::make_unique<ReplicationManager>(vri_, router_.get(),
                                                objects_.get());
 
@@ -119,7 +118,7 @@ void Dht::EncodeStoreObject(WireWriter* w, const ObjectName& name,
 
 int Dht::EffectiveReplicas(int replicas) const {
   int k = replicas > 0 ? replicas : options_.replication_factor;
-  return std::min(k, max_replication_factor());
+  return std::min(k, kMaxReplicationFactor);
 }
 
 void Dht::Put(const std::string& ns, const std::string& key,

@@ -63,11 +63,15 @@ class Dht {
     OverlayRouter::Options router;
     /// Default copies per stored object: the owner plus replication_factor-1
     /// of its successors (k-way successor-set replication). 1 = the classic
-    /// owner-only placement. Validated against the routing protocol's
-    /// successor capacity at construction, so a misconfigured k fails loudly
-    /// at startup instead of silently at placement time.
+    /// owner-only placement. Validated against kMaxReplicationFactor at
+    /// construction, so a misconfigured k fails loudly at startup instead
+    /// of silently at placement time.
     int replication_factor = 1;
   };
+
+  /// Largest factor the ring can place: the length of Chord's successor
+  /// list.
+  static constexpr int kMaxReplicationFactor = RoutingProtocol::kMaxSuccessors;
 
   /// A get or renew with no answer by then fails.
   static constexpr TimeUs kOpTimeout = 10 * kSecond;
@@ -279,11 +283,6 @@ class Dht {
   NetAddress local_address() const { return router_->local_address(); }
   Vri* vri() { return vri_; }
   int replication_factor() const { return options_.replication_factor; }
-  /// Largest factor the routing protocol can place (chord: its successor
-  /// list length).
-  int max_replication_factor() const {
-    return router_->protocol()->MaxReplicationFactor();
-  }
 
   struct Stats {
     uint64_t puts = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "overlay/routing_chord.h"
 #include "util/logging.h"
 #include "util/wire.h"
 
@@ -36,7 +37,7 @@ OverlayRouter::OverlayRouter(Vri* vri, Options options)
   // protocol traffic) drops the cache entries that name the peer.
   transport_->set_failure_handler(
       [this](const NetAddress& peer) { EvictPeer(peer); });
-  protocol_ = MakeRoutingProtocol(options_.protocol, this);
+  protocol_ = std::make_unique<ChordProtocol>(this);
   RegisterDirectType(kMsgBroadcast,
                      [this](const NetAddress&, std::string_view body) {
                        HandleBroadcast(body, local_id_);
@@ -405,8 +406,10 @@ void OverlayRouter::HandleBroadcast(std::string_view body, Id lo) {
   Id limit;
   if (!r.GetU64(&bcast_id).ok() || !r.GetU64(&limit).ok()) return;
   std::string_view payload = body.substr(body.size() - r.remaining());
-  // A re-cover may reach a node before the interval (prefix routing's
-  // owner is the numerically closest node): it only forwards.
+  // A re-cover lands on the owner of the id just past the dead contact.
+  // When no live node lies in the dead contact's interval, that owner is at
+  // or past `limit`, outside the interval: it takes no copy and only
+  // forwards to the contacts it knows inside.
   if (lo == local_id_ || InCover(lo, limit, local_id_)) {
     if (!FirstBroadcastCopy(bcast_id)) {
       stats_.broadcast_dups++;

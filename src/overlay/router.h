@@ -1,7 +1,7 @@
 // The overlay router (§3.2.4, Figure 5): multi-hop forwarding with upcalls.
 //
 // The router owns the node's UdpCc transport on the DHT port, hosts the
-// routing protocol (Chord or Prefix), and implements:
+// Chord routing protocol, and implements:
 //   * Route(): greedy multi-hop delivery of a message toward the owner of an
 //     identifier, invoking per-namespace upcall handlers at each intermediate
 //     node (the mechanism behind PIER's distribution trees, hierarchical
@@ -64,7 +64,6 @@ struct RouteInfo {
 class OverlayRouter : public ProtocolHost {
  public:
   struct Options {
-    ProtocolKind protocol = ProtocolKind::kChord;
     uint16_t port = kDhtPort;
   };
 
@@ -300,10 +299,6 @@ class OverlayRouter : public ProtocolHost {
 
   Stats stats_;
 };
-
-/// Factory defined in routing_chord.cc / routing_prefix.cc.
-std::unique_ptr<RoutingProtocol> MakeRoutingProtocol(ProtocolKind kind,
-                                                     ProtocolHost* host);
 
 }  // namespace pier
 

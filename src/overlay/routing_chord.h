@@ -73,12 +73,10 @@ class ChordProtocol : public RoutingProtocol {
   void ObserveContact(Id id, const NetAddress& addr) override;
   std::vector<RingPeer> Contacts() const override;
   std::vector<RingPeer> SuccessorSet(size_t n) const override;
-  int MaxReplicationFactor() const override { return kSuccessorListLen; }
   bool Predecessor(RingPeer* out) const override {
     *out = pred_;
     return pred_.valid();
   }
-  std::string name() const override { return "chord"; }
 
   /// Installs the correct successor list, predecessor and fingers.
   void SeedRoutingState(const std::vector<Peer>& ring) override;

@@ -2,10 +2,11 @@
 //
 // The paper: "We currently use Bamboo, although PIER is agnostic to the
 // actual algorithm, and has used other DHTs in the past." This interface is
-// that seam. Two implementations ship: ChordProtocol (successor lists +
-// finger tables) and PrefixProtocol (Pastry/Bamboo-style prefix routing with
-// leaf sets). The router owns greedy multi-hop forwarding; the protocol
-// answers next-hop / ownership queries and runs its own maintenance traffic.
+// that seam. One implementation sits behind it: ChordProtocol (successor
+// lists + finger tables). PIER ran on Bamboo, a prefix-routing DHT; this
+// tree routes on a Chord ring instead. The router owns greedy multi-hop
+// forwarding; the protocol answers next-hop / ownership queries and runs its
+// own maintenance traffic.
 
 #ifndef PIER_OVERLAY_ROUTING_PROTOCOL_H_
 #define PIER_OVERLAY_ROUTING_PROTOCOL_H_
@@ -122,29 +123,14 @@ class RoutingProtocol {
   /// The first `n` nodes that would inherit this node's range if it left —
   /// the replica targets of k-way successor-set replication, and the arc a
   /// lookup reply teaches its requester. Ordered by ring distance, never
-  /// containing the local node. Protocols without an ordered successor
-  /// structure return empty (replication degenerates to k = 1).
-  virtual std::vector<RingPeer> SuccessorSet(size_t n) const {
-    (void)n;
-    return {};
-  }
+  /// containing the local node.
+  virtual std::vector<RingPeer> SuccessorSet(size_t n) const = 0;
 
-  /// Largest replication factor this protocol can place (owner + that many
-  /// minus one successors). 1 = owner-only storage.
-  virtual int MaxReplicationFactor() const { return 1; }
-
-  /// This node's predecessor, whose id is the lower bound of the owned range,
-  /// when the protocol tracks one. Replica repair ships a range a joiner
-  /// took over to its address. Returns false while unknown.
-  virtual bool Predecessor(RingPeer* out) const {
-    (void)out;
-    return false;
-  }
-
-  virtual std::string name() const = 0;
+  /// This node's predecessor, whose id is the lower bound of the owned range.
+  /// Replica repair ships a range a joiner took over to its address. Returns
+  /// false while unknown.
+  virtual bool Predecessor(RingPeer* out) const = 0;
 };
-
-enum class ProtocolKind { kChord, kPrefix };
 
 }  // namespace pier
 

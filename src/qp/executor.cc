@@ -97,11 +97,20 @@ TimeUs QueryExecutor::EffectiveWindow(const QueryPlan& meta) {
 TimeUs QueryExecutor::NextFlush(const QueryPlan& meta, int32_t stage,
                                 TimeUs now) {
   const TimeUs origin = meta.deadline_us - meta.timeout;
-  if (!meta.continuous) return origin + (stage + 1) * (meta.timeout / 4);
+  // A snapshot graph that starts at its deadline or later never flushes.
+  if (!meta.continuous)
+    return now < meta.deadline_us ? origin + (stage + 1) * (meta.timeout / 4)
+                                  : kNever;
   const TimeUs w = EffectiveWindow(meta), offset = stage * (w / 4);
   // The first k whose instant lies after `now` (k = 0 before the first).
   const TimeUs k = std::max<TimeUs>(0, (now - origin - offset) / w);
-  return origin + (k + 1) * w + offset;
+  const TimeUs window_end = origin + (k + 1) * w;
+  return window_end <= meta.deadline_us ? window_end + offset : kNever;
+}
+
+TimeUs QueryExecutor::FlushTail(const QueryPlan& meta) {
+  if (!meta.continuous) return 0;
+  return OpGraph::kMaxFlushStage * (EffectiveWindow(meta) / 4);
 }
 
 Status QueryExecutor::StartGraphs(const QueryPlan& meta,
@@ -243,10 +252,11 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
 }
 
 void QueryExecutor::ArmClock(RunningQuery* rq) {
-  // A query closes at its absolute deadline, however late this node first
-  // saw it (a swapped-in later generation must not run a full timeout past
-  // everyone else's close), or at once when it is stopping.
-  TimeUs at = rq->stopping ? vri_->Now() : rq->meta.deadline_us;
+  // A query closes FlushTail past its absolute deadline, however late this
+  // node first saw it (a swapped-in later generation must not run a full
+  // timeout past everyone else's close), or at once when it is stopping.
+  TimeUs at = rq->stopping ? vri_->Now()
+                           : rq->meta.deadline_us + FlushTail(rq->meta);
   for (auto& inst : rq->instances) at = std::min(at, inst->next_flush);
   if (rq->clock != 0 && at == rq->clock_at) return;
   if (rq->clock != 0) vri_->CancelEvent(rq->clock);
@@ -262,7 +272,7 @@ void QueryExecutor::ClockTick(uint64_t query_id) {
   RunningQuery& rq = it->second;
   rq.clock = 0;
   const TimeUs now = vri_->Now();
-  if (rq.stopping || now >= rq.meta.deadline_us) {
+  if (rq.stopping) {
     DoStop(query_id);
     return;
   }
@@ -270,15 +280,20 @@ void QueryExecutor::ClockTick(uint64_t query_id) {
   // answers: this node adopts the query once it owns the proxy's id, and
   // hands an adoption back once the node it took over from owns its own id
   // again. Either updates this record's proxy in place (StartGraphs with
-  // the new metadata).
-  if (rq.meta.continuous) proxy_->FollowRing(rq.meta);
+  // the new metadata). Past the deadline no node adopts.
+  if (rq.meta.continuous && now < rq.meta.deadline_us)
+    proxy_->FollowRing(rq.meta);
   for (auto& inst : rq.instances) {
     if (inst->next_flush > now) continue;
     inst->next_flush =
         rq.meta.continuous
             ? NextFlush(rq.meta, inst->graph().flush_stage, now)
-            : rq.meta.deadline_us;
+            : kNever;
     inst->Flush();
+  }
+  if (now >= rq.meta.deadline_us + FlushTail(rq.meta)) {
+    DoStop(query_id);
+    return;
   }
   ArmClock(&rq);
 }

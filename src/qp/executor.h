@@ -20,6 +20,7 @@
 #ifndef PIER_QP_EXECUTOR_H_
 #define PIER_QP_EXECUTOR_H_
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,8 +58,8 @@ class OpGraphInstance {
 
   Operator* FindOp(uint32_t op_id);
   const OpGraph& graph() const { return graph_; }
-  /// When the query's clock flushes this graph next (after its one flush, a
-  /// snapshot graph waits for the deadline, where the query closes).
+  /// When the query's clock flushes this graph next (QueryExecutor::kNever
+  /// after a snapshot graph's one flush or a continuous graph's last).
   TimeUs next_flush = 0;
 
  private:
@@ -114,6 +115,13 @@ class QueryExecutor {
   /// The flush period a continuous query described by `meta` actually runs
   /// with. The window is fixed at submission: SwapQuery keeps it.
   static TimeUs EffectiveWindow(const QueryPlan& meta);
+
+  /// How long a query runs past its deadline. A continuous plan reports the
+  /// window that ends at the deadline, whose last flush stage falls
+  /// kMaxFlushStage quarter windows later; no later window opens. A snapshot
+  /// plan ends at its deadline. Executors close and the proxy's done timer
+  /// fires this long after the deadline.
+  static TimeUs FlushTail(const QueryPlan& meta);
 
   /// Instantiate `graphs` of the query described by `meta` on this node.
   /// The first arrival arms the query's clock; later arrivals (more graphs
@@ -211,19 +219,25 @@ class QueryExecutor {
     TimeUs clock_at = 0;
   };
 
+  /// A graph's next_flush once it has none left.
+  static constexpr TimeUs kNever = std::numeric_limits<TimeUs>::max();
   /// The query clock: when a graph of flush stage `stage` flushes next after
   /// `now`, origin + (k+1)·P + stage·δ, where
   /// origin = deadline_us − timeout is the proxy's submit instant. A
   /// snapshot plan has (P, δ) = (T/4, T/4) and k = 0 (a graph that starts
-  /// after that instant flushes at once); a continuous one has (W, W/4) for
-  /// W = EffectiveWindow, and k ≥ 0.
+  /// after that instant flushes at once, one that starts at the deadline
+  /// never); a continuous one has (W, W/4) for W = EffectiveWindow, and
+  /// k ≥ 0 up to the last window that ends by the deadline (kNever past
+  /// it).
   static TimeUs NextFlush(const QueryPlan& meta, int32_t stage, TimeUs now);
   /// Arm the query's one clock event for the earliest of its graphs' next
-  /// flushes and its deadline (now, once it is stopping), unless armed there.
+  /// flushes and its close, FlushTail past the deadline (now, once it is
+  /// stopping), unless armed there.
   void ArmClock(RunningQuery* rq);
-  /// The clock fired: close the query if it is stopping or at its deadline,
-  /// else apply a continuous query's ring rule (QueryProcessor::FollowRing),
-  /// flush the graphs that are due, advance each, and re-arm.
+  /// The clock fired: close the query if it is stopping. Else apply a
+  /// continuous query's ring rule (QueryProcessor::FollowRing) before the
+  /// deadline, flush the graphs that are due, advance each, and close the
+  /// query at its close instant or re-arm.
   void ClockTick(uint64_t query_id);
   void DoStop(uint64_t query_id);
   /// The one teardown of a record: cancel its clock, close every instance.

@@ -139,9 +139,10 @@ struct QueryPlan {
   TimeUs timeout = 30 * kSecond;
   /// Absolute end of the query's lifetime (proxy clock, microseconds),
   /// stamped by SubmitQuery as now + timeout and carried through every
-  /// re-dissemination. The query clock closes the query at it, so a node
-  /// whose FIRST sight of the query is a later generation does not restart
-  /// the full timeout from swap time.
+  /// re-dissemination. The query clock closes the query at it (a
+  /// continuous query once the window ending there is reported,
+  /// QueryExecutor::FlushTail), so a node whose FIRST sight of the query is
+  /// a later generation does not restart the full timeout from swap time.
   TimeUs deadline_us = 0;
   /// Snapshot queries flush blocking state once per flush stage, a quarter
   /// of the timeout apart; continuous queries every `window`, both counted

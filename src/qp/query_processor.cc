@@ -108,11 +108,11 @@ Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
   // later (§3.3.2's "timeout specified in the query", made absolute).
   if (plan.deadline_us == 0) plan.deadline_us = vri_->Now() + plan.timeout;
   PIER_RETURN_IF_ERROR(plan.Validate());
-  if (plan.replicas > dht_->max_replication_factor())
+  if (plan.replicas > Dht::kMaxReplicationFactor)
     return Status::InvalidArgument(
         "plan wants " + std::to_string(plan.replicas) +
         " replicas but the overlay can place at most " +
-        std::to_string(dht_->max_replication_factor()));
+        std::to_string(Dht::kMaxReplicationFactor));
   stats_.queries_submitted++;
 
   ClientQuery client;
@@ -121,7 +121,7 @@ Result<uint64_t> QueryProcessor::SubmitQuery(QueryPlan plan,
         std::make_shared<const TupleCallback>(std::move(on_tuple));
   client.on_done = std::move(on_done);
   uint64_t qid = plan.query_id;
-  client.done_timer = ArmDoneTimer(qid, plan.timeout);
+  client.done_timer = ArmDoneTimer(plan);
   if (plan.continuous) client.plan = plan;
   clients_[qid] = std::move(client);
   BindQueryMetrics(&clients_[qid], qid);
@@ -196,9 +196,12 @@ Status QueryProcessor::SwapQuery(uint64_t query_id, QueryPlan new_plan) {
   return Status::Ok();
 }
 
-uint64_t QueryProcessor::ArmDoneTimer(uint64_t query_id, TimeUs delay) {
+uint64_t QueryProcessor::ArmDoneTimer(const QueryPlan& plan) {
+  const TimeUs end = plan.deadline_us + QueryExecutor::FlushTail(plan);
+  const uint64_t query_id = plan.query_id;
   return vri_->ScheduleEvent(
-      delay + kDoneSlack, [this, query_id]() {
+      std::max<TimeUs>(0, end - vri_->Now()) + kDoneSlack,
+      [this, query_id]() {
         auto it = clients_.find(query_id);
         if (it == clients_.end()) return;
         DoneCallback done = EndClient(it);
@@ -219,11 +222,10 @@ void QueryProcessor::AdoptQuery(QueryPlan meta) {
   client.plan = std::move(meta);
   client.plan.proxy = dht_->local_address();
   client.plan.proxy_epoch++;
-  // The query's lifetime is unchanged by adoption: the done timer fires at
-  // the ORIGINAL absolute deadline (plus slack), exactly like the dead
-  // proxy's would have.
-  client.done_timer = ArmDoneTimer(
-      qid, std::max<TimeUs>(0, client.plan.deadline_us - vri_->Now()));
+  // The query's lifetime is unchanged by adoption: the done timer fires
+  // from the ORIGINAL absolute deadline, exactly like the dead proxy's
+  // would have.
+  client.done_timer = ArmDoneTimer(client.plan);
   client.attach_timer = ArmAttachGrace(qid);
   clients_[qid] = std::move(client);
   BindQueryMetrics(&clients_[qid], qid);
@@ -367,7 +369,7 @@ void QueryProcessor::AdoptFromRecord(uint64_t query_id) {
   stats_.record_reads++;
   QueryPlan meta;
   meta.query_id = query_id;
-  meta.replicas = dht_->max_replication_factor();
+  meta.replicas = Dht::kMaxReplicationFactor;
   ReadDurablePlan(meta, [this, query_id](Result<QueryPlan> record) {
     record_reads_.erase(query_id);
     const TimeUs now = vri_->Now();

@@ -328,10 +328,11 @@ class QueryProcessor {
   /// hand it, or why there is none, to `on_record`.
   void ReadDurablePlan(const QueryPlan& meta,
                        std::function<void(Result<QueryPlan>)> on_record);
-  /// Arm the proxy-side completion timer: at `delay` + kDoneSlack the
-  /// client record is torn down and on_done fires. Shared by SubmitQuery
-  /// and AdoptQuery so the two teardown paths cannot drift apart.
-  uint64_t ArmDoneTimer(uint64_t query_id, TimeUs delay);
+  /// Arm the proxy-side completion timer: kDoneSlack after the query ends
+  /// (its deadline plus QueryExecutor::FlushTail) the client record is torn
+  /// down and on_done fires. Shared by SubmitQuery and AdoptQuery so the two
+  /// teardown paths cannot drift apart.
+  uint64_t ArmDoneTimer(const QueryPlan& plan);
   /// Hand a batch of answers to the local client record, row by row: the
   /// attached callback if any, the bounded pending buffer otherwise. The
   /// record is re-found per row because a client may Cancel() from inside

@@ -1,6 +1,6 @@
 #include "util/bloom.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "util/hash.h"
 #include "util/wire.h"
@@ -11,19 +11,6 @@ namespace {
 constexpr size_t kMinBits = 64;
 constexpr int kMaxHashes = 16;
 }  // namespace
-
-BloomFilter::BloomFilter(size_t expected_items, double fp_rate) {
-  if (expected_items < 1) expected_items = 1;
-  if (fp_rate <= 0) fp_rate = 1e-4;
-  if (fp_rate >= 1) fp_rate = 0.5;
-  const double ln2 = std::log(2.0);
-  double bits =
-      -static_cast<double>(expected_items) * std::log(fp_rate) / (ln2 * ln2);
-  num_bits_ = std::max(kMinBits, static_cast<size_t>(bits) + 1);
-  int k = static_cast<int>(std::lround(bits / expected_items * ln2));
-  num_hashes_ = std::max(1, std::min(kMaxHashes, k));
-  bits_.assign((num_bits_ + 63) / 64, 0);
-}
 
 BloomFilter::BloomFilter(size_t num_bits, int num_hashes)
     : num_bits_(std::max(kMinBits, num_bits)),

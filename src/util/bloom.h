@@ -19,11 +19,8 @@ namespace pier {
 
 class BloomFilter {
  public:
-  /// A filter sized for `expected_items` with roughly `fp_rate` false
-  /// positives. Both are clamped to sane minimums.
-  BloomFilter(size_t expected_items, double fp_rate);
-
-  /// An empty filter with explicit geometry (used by Deserialize).
+  /// An empty filter with explicit geometry, clamped to at least 64 bits
+  /// and 1 to 16 hashes.
   BloomFilter(size_t num_bits, int num_hashes);
 
   void Add(std::string_view key);

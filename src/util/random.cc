@@ -64,8 +64,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n) {
   assert(n > 0);
   cdf_.resize(n);
@@ -83,12 +81,6 @@ uint64_t ZipfGenerator::Sample(Rng* rng) const {
   auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
   if (it == cdf_.end()) return n_ - 1;
   return static_cast<uint64_t>(it - cdf_.begin());
-}
-
-double ZipfGenerator::Pmf(uint64_t rank) const {
-  assert(rank < n_);
-  if (rank == 0) return cdf_[0];
-  return cdf_[rank] - cdf_[rank - 1];
 }
 
 }  // namespace pier

@@ -35,9 +35,6 @@ class Rng {
   /// Exponentially distributed with the given mean (> 0).
   double Exponential(double mean);
 
-  /// Fork an independent stream (stable given call order).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };
@@ -52,9 +49,6 @@ class ZipfGenerator {
 
   /// Sample a rank in [0, n); rank 0 is the most popular item.
   uint64_t Sample(Rng* rng) const;
-
-  /// Probability mass of a given rank.
-  double Pmf(uint64_t rank) const;
 
   uint64_t n() const { return n_; }
 

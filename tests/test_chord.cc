@@ -33,9 +33,7 @@ SimPier::Options Seeded(uint64_t seed) {
 }
 
 ChordProtocol* Chord(SimPier* net, uint32_t i) {
-  auto* chord = dynamic_cast<ChordProtocol*>(net->dht(i)->router()->protocol());
-  EXPECT_NE(chord, nullptr);
-  return chord;
+  return static_cast<ChordProtocol*>(net->dht(i)->router()->protocol());
 }
 
 /// Node index behind an address (SimHarness maps index <-> host - 1).

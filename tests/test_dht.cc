@@ -1663,22 +1663,6 @@ TEST(OwnerCache, UpcallAndRouterNamespacesKeepTheRingPath) {
   EXPECT_EQ(RoutedTraffic(&net), routed_before + ring);
 }
 
-TEST(OwnerCache, PrefixRoutingNeverCaches) {
-  SimPier::Options opts = SeededOptions(106);
-  opts.dht.router.protocol = ProtocolKind::kPrefix;
-  SimPier net(16, opts);
-  for (int round = 0; round < 2; ++round) {
-    for (int i = 0; i < 8; ++i)
-      net.dht(3)->Put("px", "k" + std::to_string(i),
-                      "s" + std::to_string(round), "v", 60 * kSecond);
-    net.RunFor(5 * kSecond);
-  }
-  for (uint32_t i = 0; i < net.size(); ++i) {
-    EXPECT_EQ(net.dht(i)->router()->stats().lookup_cache_hits, 0u);
-    EXPECT_EQ(net.dht(i)->router()->owner_cache_size(), 0u);
-  }
-}
-
 TEST(OwnerCache, NeverGrowsPastCapacity) {
   // More owners than the cache holds: a lookup for each node's own id is
   // answered by that node, or by an earlier reply whose range or arc holds

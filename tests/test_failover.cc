@@ -424,6 +424,7 @@ TEST(Failover, DeadlineIsHonoredAcrossFailover) {
   RegisterEv(&net);
   int64_t next_id = 0;
 
+  const TimeUs deadline = net.loop()->now() + 20 * kSecond;
   auto q = net.client(1)->Query(CountingQuery("20s"));
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   uint64_t qid = q->id();
@@ -439,13 +440,12 @@ TEST(Failover, DeadlineIsHonoredAcrossFailover) {
   auto attached = net.client(adopter)->Attach(qid);
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
   // The adopted query ends at the ORIGINAL absolute deadline (20s from
-  // submission), not a fresh timeout from adoption: the remaining lifetime
-  // the attached handle reports must be well under the original.
-  EXPECT_LT(attached->timeout(), 13 * kSecond);
+  // submission), not a fresh timeout from adoption: done fires within the
+  // last window's flush tail (W/2) and the done slack (1s) past it.
   bool done_fired = false;
   attached->OnDone([&] { done_fired = true; });
 
-  net.RunFor(attached->timeout() + 2 * kSecond);  // past deadline + slack
+  net.RunFor(deadline + 3 * kSecond - net.loop()->now());
   EXPECT_TRUE(done_fired) << "done fires at the original deadline";
   EXPECT_TRUE(attached->done());
   EXPECT_EQ(LiveExecutorsRunning(&net, qid), 0u)
@@ -472,9 +472,11 @@ TEST(Failover, EveryRecordDrainsAfterAProxyKillAndAnAdoption) {
   auto plan = net.qp(adopter)->ProxyPlan(qid);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
-  // Past the original deadline plus the done slack, nothing of the query
-  // may be left anywhere: no executor record, no proxy record.
-  TimeUs drained = plan->deadline_us + QueryProcessor::kDoneSlack;
+  // Past the original deadline plus the last window's flush tail and the
+  // done slack, nothing of the query may be left anywhere: no executor
+  // record, no proxy record.
+  TimeUs drained = plan->deadline_us + QueryExecutor::FlushTail(*plan) +
+                   QueryProcessor::kDoneSlack;
   net.RunFor(drained - net.loop()->now() + kMillisecond);
   for (uint32_t i = 0; i < net.size(); ++i) {
     if (!net.harness()->IsAlive(i)) continue;

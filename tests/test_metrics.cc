@@ -125,7 +125,8 @@ TEST(MetricsRegistry, RetiredSeriesDoNotCountAgainstTheFamilyCap) {
   for (int i = 0; i < 2000; ++i) {
     MetricLabels labels{{"qid", std::to_string(i)}};
     reg.GetCounter("pier_query_answers_total", labels)->Inc();
-    ASSERT_TRUE(reg.Remove("pier_query_answers_total", labels)) << "query " << i;
+    ASSERT_TRUE(reg.Remove("pier_query_answers_total", labels))
+        << "query " << i;
   }
   EXPECT_EQ(reg.dropped_series(), 0u);
   EXPECT_EQ(reg.num_series("pier_query_answers_total"), 0u);

@@ -15,11 +15,9 @@
 namespace pier {
 namespace {
 
-SimPier::Options SeededOptions(ProtocolKind kind = ProtocolKind::kChord,
-                                  uint64_t seed = 42) {
+SimPier::Options SeededOptions(uint64_t seed = 42) {
   SimPier::Options opts;
   opts.sim.seed = seed;
-  opts.dht.router.protocol = kind;
   opts.seed_routing = true;
   opts.settle_time = 1 * kSecond;
   return opts;
@@ -38,22 +36,6 @@ TEST(OverlaySmoke, PutThenGetAcrossNodes) {
                     EXPECT_EQ(items[0].value, "hello");
                     got = true;
                   });
-  net.RunFor(5 * kSecond);
-  EXPECT_TRUE(got);
-}
-
-TEST(OverlaySmoke, PutGetOnPrefixProtocol) {
-  SimPier net(16, SeededOptions(ProtocolKind::kPrefix));
-  bool got = false;
-  net.dht(1)->Put("tbl", "kX", "s", "prefix-routed", 60 * kSecond);
-  net.RunFor(2 * kSecond);
-  net.dht(14)->Get("tbl", "kX",
-                   [&](const Status& s, std::vector<DhtItem> items) {
-                     ASSERT_TRUE(s.ok()) << s.ToString();
-                     ASSERT_EQ(items.size(), 1u);
-                     EXPECT_EQ(items[0].value, "prefix-routed");
-                     got = true;
-                   });
   net.RunFor(5 * kSecond);
   EXPECT_TRUE(got);
 }
@@ -78,46 +60,40 @@ TEST(OverlaySmoke, SendDeliversToOwnerWithNewData) {
 }
 
 TEST(OverlaySmoke, LiveJoinConvergesWithoutSeeding) {
-  // Chord joiners resolve their successor through node 0; prefix joiners
-  // walk toward their own id from it, learning contacts at every hop.
-  for (ProtocolKind kind : {ProtocolKind::kChord, ProtocolKind::kPrefix}) {
-    SimPier::Options opts = SeededOptions(kind, 7);
-    opts.seed_routing = false;
-    opts.settle_time = 30 * kSecond;  // join + stabilize traffic
-    SimPier net(12, opts);
-    for (uint32_t i = 0; i < net.size(); ++i)
-      EXPECT_TRUE(net.dht(i)->router()->protocol()->IsReady()) << i;
+  // Joiners resolve their successor through node 0.
+  SimPier::Options opts = SeededOptions(7);
+  opts.seed_routing = false;
+  opts.settle_time = 30 * kSecond;  // join + stabilize traffic
+  SimPier net(12, opts);
+  for (uint32_t i = 0; i < net.size(); ++i)
+    EXPECT_TRUE(net.dht(i)->router()->protocol()->IsReady()) << i;
 
-    bool got = false;
-    net.dht(2)->Put("tbl", "a", "s", "joined", 120 * kSecond);
-    net.RunFor(5 * kSecond);
-    net.dht(11)->Get("tbl", "a",
-                     [&](const Status& s, std::vector<DhtItem> items) {
-                       ASSERT_TRUE(s.ok()) << s.ToString();
-                       ASSERT_EQ(items.size(), 1u);
-                       EXPECT_EQ(items[0].value, "joined");
-                       got = true;
-                     });
-    net.RunFor(10 * kSecond);
-    EXPECT_TRUE(got) << net.dht(0)->router()->protocol()->name();
-  }
+  bool got = false;
+  net.dht(2)->Put("tbl", "a", "s", "joined", 120 * kSecond);
+  net.RunFor(5 * kSecond);
+  net.dht(11)->Get("tbl", "a",
+                   [&](const Status& s, std::vector<DhtItem> items) {
+                     ASSERT_TRUE(s.ok()) << s.ToString();
+                     ASSERT_EQ(items.size(), 1u);
+                     EXPECT_EQ(items[0].value, "joined");
+                     got = true;
+                   });
+  net.RunFor(10 * kSecond);
+  EXPECT_TRUE(got);
 }
 
 TEST(OverlaySmoke, AJoinThroughADeadBootstrapKeepsRetrying) {
   // Node 0 died before the joiner booted: every join attempt through it
   // times out and starts over a second later, and the joiner never claims a
   // place in the overlay.
-  for (ProtocolKind kind : {ProtocolKind::kChord, ProtocolKind::kPrefix}) {
-    SimPier net(8, SeededOptions(kind));
-    net.harness()->FailNode(0);
-    uint32_t joiner = net.AddNode();
-    net.RunFor(20 * kSecond);
-    RoutingProtocol* proto = net.dht(joiner)->router()->protocol();
-    EXPECT_FALSE(proto->IsReady()) << proto->name();
-    if (auto* chord = dynamic_cast<ChordProtocol*>(proto)) {
-      EXPECT_GE(chord->counters().join_resolves, 3u);
-    }
-  }
+  SimPier net(8, SeededOptions());
+  net.harness()->FailNode(0);
+  uint32_t joiner = net.AddNode();
+  net.RunFor(20 * kSecond);
+  auto* chord =
+      static_cast<ChordProtocol*>(net.dht(joiner)->router()->protocol());
+  EXPECT_FALSE(chord->IsReady());
+  EXPECT_GE(chord->counters().join_resolves, 3u);
 }
 
 TEST(OverlaySmoke, SoftStateExpiresWithoutRenewal) {
@@ -172,9 +148,9 @@ TEST(OverlaySmoke, RenewFailsForUnknownObject) {
 
 // Broadcasts from every node in `originators` on a converged seeded ring:
 // each node's handler runs once per broadcast, and no frame is a duplicate.
-void ExpectBroadcastsOnce(uint32_t n, ProtocolKind kind,
+void ExpectBroadcastsOnce(uint32_t n,
                           const std::vector<uint32_t>& originators) {
-  SimPier net(n, SeededOptions(kind));
+  SimPier net(n, SeededOptions());
   std::vector<std::map<std::string, int>> hits(n);
   for (uint32_t i = 0; i < n; ++i) {
     net.dht(i)->router()->set_broadcast_handler(
@@ -199,11 +175,8 @@ void ExpectBroadcastsOnce(uint32_t n, ProtocolKind kind,
 TEST(OverlaySmoke, BroadcastReachesEveryNode) {
   std::vector<uint32_t> all(64);
   for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
-  for (ProtocolKind kind : {ProtocolKind::kChord, ProtocolKind::kPrefix}) {
-    SCOPED_TRACE(kind == ProtocolKind::kChord ? "chord" : "prefix");
-    ExpectBroadcastsOnce(64, kind, all);
-    ExpectBroadcastsOnce(1024, kind, {0, 255, 511, 1000});
-  }
+  ExpectBroadcastsOnce(64, all);
+  ExpectBroadcastsOnce(1024, {0, 255, 511, 1000});
 }
 
 TEST(OverlaySmoke, BroadcastCoversADeadContactsInterval) {
@@ -211,52 +184,49 @@ TEST(OverlaySmoke, BroadcastCoversADeadContactsInterval) {
   // the broadcast starts before any maintenance loop can notice: its frame
   // to the dead node fails, and the nodes that node would have covered are
   // reached through the owner of the id just past it.
-  for (ProtocolKind kind : {ProtocolKind::kChord, ProtocolKind::kPrefix}) {
-    SCOPED_TRACE(kind == ProtocolKind::kChord ? "chord" : "prefix");
-    SimPier net(64, SeededOptions(kind));
-    constexpr uint32_t kOrigin = 7;
-    OverlayRouter* origin = net.dht(kOrigin)->router();
-    const Id self = origin->local_id();
-    std::vector<RingPeer> contacts = origin->protocol()->Contacts();
-    std::sort(contacts.begin(), contacts.end(),
-              [&](const RingPeer& a, const RingPeer& b) {
-                return RingDistance(self, a.id) < RingDistance(self, b.id);
-              });
-    // Nodes strictly between each contact and the next (the last: self).
-    auto covered = [&](size_t c) {
-      Id lo = contacts[c].id;
-      Id hi = c + 1 < contacts.size() ? contacts[c + 1].id : self;
-      int inside = 0;
-      for (uint32_t i = 0; i < net.size(); ++i) {
-        inside += RingDistance(lo, net.dht(i)->local_id()) - 1 <
-                  RingDistance(lo, hi) - 1;
-      }
-      return inside;
-    };
-    size_t largest = 0;
-    for (size_t c = 1; c < contacts.size(); ++c) {
-      if (covered(c) > covered(largest)) largest = c;
-    }
-    ASSERT_GT(covered(largest), 1) << "test premise: a contact covers others";
-    uint32_t victim = net.size();
+  SimPier net(64, SeededOptions());
+  constexpr uint32_t kOrigin = 7;
+  OverlayRouter* origin = net.dht(kOrigin)->router();
+  const Id self = origin->local_id();
+  std::vector<RingPeer> contacts = origin->protocol()->Contacts();
+  std::sort(contacts.begin(), contacts.end(),
+            [&](const RingPeer& a, const RingPeer& b) {
+              return RingDistance(self, a.id) < RingDistance(self, b.id);
+            });
+  // Nodes strictly between each contact and the next (the last: self).
+  auto covered = [&](size_t c) {
+    Id lo = contacts[c].id;
+    Id hi = c + 1 < contacts.size() ? contacts[c + 1].id : self;
+    int inside = 0;
     for (uint32_t i = 0; i < net.size(); ++i) {
-      if (net.dht(i)->local_address() == contacts[largest].addr) victim = i;
+      inside += RingDistance(lo, net.dht(i)->local_id()) - 1 <
+                RingDistance(lo, hi) - 1;
     }
-    ASSERT_LT(victim, net.size());
+    return inside;
+  };
+  size_t largest = 0;
+  for (size_t c = 1; c < contacts.size(); ++c) {
+    if (covered(c) > covered(largest)) largest = c;
+  }
+  ASSERT_GT(covered(largest), 1) << "test premise: a contact covers others";
+  uint32_t victim = net.size();
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    if (net.dht(i)->local_address() == contacts[largest].addr) victim = i;
+  }
+  ASSERT_LT(victim, net.size());
 
-    std::vector<int> hits(net.size(), 0);
-    for (uint32_t i = 0; i < net.size(); ++i) {
-      net.dht(i)->router()->set_broadcast_handler(
-          [&hits, i](std::string_view) { hits[i]++; });
-    }
-    net.harness()->FailNode(victim);
-    origin->Broadcast("after a failure");
-    // UdpCC gives up on the dead node after its whole retry schedule, 23 s
-    // with no RTT sample (1 + 2 + 4 + 8 + 8); the re-cover takes a few hops.
-    net.RunFor(30 * kSecond);
-    for (uint32_t i = 0; i < net.size(); ++i) {
-      EXPECT_EQ(hits[i], i == victim ? 0 : 1) << "node " << i;
-    }
+  std::vector<int> hits(net.size(), 0);
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    net.dht(i)->router()->set_broadcast_handler(
+        [&hits, i](std::string_view) { hits[i]++; });
+  }
+  net.harness()->FailNode(victim);
+  origin->Broadcast("after a failure");
+  // UdpCC gives up on the dead node after its whole retry schedule, 23 s
+  // with no RTT sample (1 + 2 + 4 + 8 + 8); the re-cover takes a few hops.
+  net.RunFor(30 * kSecond);
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(hits[i], i == victim ? 0 : 1) << "node " << i;
   }
 }
 

@@ -187,9 +187,9 @@ class LoopbackRing {
               [](const RingPeer& a, const RingPeer& b) { return a.id < b.id; });
     for (uint32_t i = 0; i < kNodes; ++i) {
       bool ok = On(i, [&]() {
-        auto* chord =
-            dynamic_cast<ChordProtocol*>(nodes_[i]->dht()->router()->protocol());
-        if (chord == nullptr || !chord->IsReady()) return false;
+        auto* chord = static_cast<ChordProtocol*>(
+            nodes_[i]->dht()->router()->protocol());
+        if (!chord->IsReady()) return false;
         size_t at = 0;
         while (ring[at].id != nodes_[i]->dht()->local_id()) ++at;
         if (chord->predecessor().addr != ring[(at + kNodes - 1) % kNodes].addr)

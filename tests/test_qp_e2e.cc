@@ -1013,6 +1013,75 @@ TEST(QueryClock, OneWindowsPartialsMakeOneFinalRow) {
   EXPECT_EQ(EventsHeld(&net, a, meta), 1u);
 }
 
+// The window that ends at the deadline is reported like every other: its
+// partials flush on that boundary and its final a quarter window later,
+// before the proxy closes the query. No window opens past the deadline, so
+// rows that arrive after it are not counted.
+TEST(QueryClock, TheWindowEndingAtTheDeadlineIsReported) {
+  SimPier net(4, PierOptions(139));
+  constexpr TimeUs kW = 2 * kSecond;
+  const std::string agg_ns = "q7201.agg";
+  const TimeUs t0 = net.loop()->now();
+  QueryPlan plan;
+  plan.query_id = 7201;
+  plan.continuous = true;
+  plan.window = kW;
+  plan.timeout = 3 * kW;
+  plan.deadline_us = t0 + plan.timeout;
+  OpGraph& fin = plan.AddGraph();
+  fin.dissem = DissemKind::kEquality;
+  fin.dissem_ns = agg_ns;
+  fin.dissem_key = Tuple().PartitionKey({});
+  fin.flush_stage = 1;
+  fin.AddOp(OpKind::kNewData).Set("ns", agg_ns);
+  OpSpec& merge = fin.AddOp(OpKind::kGroupBy);
+  merge.Set("keys", "k");
+  merge.Set("aggs", "count::cnt");
+  merge.Set("mode", "final");
+  fin.AddOp(OpKind::kResult);
+  fin.Connect(1, 2);
+  fin.Connect(2, 3);
+  std::vector<int64_t> rows;
+  bool done = false;
+  ASSERT_TRUE(net.qp(0)
+                  ->SubmitQuery(
+                      plan,
+                      [&](const Tuple& t) {
+                        EXPECT_FALSE(done);
+                        rows.push_back(t.Get("cnt")->int64_unchecked());
+                      },
+                      [&]() { done = true; })
+                  .ok());
+  QueryPlan meta = plan;
+  meta.graphs.clear();
+  meta.proxy = net.dht(0)->local_address();
+
+  net.RunFor(kW / 4);
+  uint32_t other = 0;
+  while (net.qp(other)->executor()->HasQuery(plan.query_id)) ++other;
+  QueryExecutor* a = net.qp(other)->executor();
+  ASSERT_TRUE(
+      a->StartGraphs(meta, {CountGraph(2, 0, "", 0, "partial", agg_ns)})
+          .ok());
+  // k + 1 rows in window k; the last window ends at the deadline.
+  const Tuple row("t", {{"k", Value::String("x")}});
+  auto inject = [&](TimeUs at, size_t n) {
+    net.RunFor(at - net.loop()->now());
+    return a->InjectBatch(plan.query_id, 2, 1,
+                          TupleBatch::FromTuples(std::vector<Tuple>(n, row)));
+  };
+  for (size_t k = 0; k < 3; ++k)
+    ASSERT_TRUE(inject(t0 + static_cast<TimeUs>(k) * kW + kW / 2, k + 1).ok());
+  // Past the deadline A still runs its graph, but no window takes the rows.
+  (void)inject(plan.deadline_us + kW / 8, 4);
+  net.RunFor(3 * kW);
+  EXPECT_EQ(rows, (std::vector<int64_t>{1, 2, 3}))
+      << "the last window's row is missing, or a window opened past the "
+         "deadline";
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(a->HasQuery(plan.query_id)) << "closed after its last flush";
+}
+
 // ---------------------------------------------------------------------------
 // The query layer's direct frames, sent through a node's transport
 // ---------------------------------------------------------------------------

@@ -152,8 +152,7 @@ TEST(Replication, BatchPutSendsOneFramePerOwnerAndOwnersPlaceTheCopies) {
   net.dht(writer)->PutBatch(batch("warm", 1));
   net.RunFor(2 * kSecond);
   auto* chord =
-      dynamic_cast<ChordProtocol*>(net.dht(writer)->router()->protocol());
-  ASSERT_NE(chord, nullptr);
+      static_cast<ChordProtocol*>(net.dht(writer)->router()->protocol());
   // The writer's data frames other than ring maintenance.
   auto frames = [&] {
     return net.dht(writer)->router()->transport()->stats().msgs_sent -
